@@ -5,6 +5,8 @@
 
 use revet_apps::{all_apps, App, DRAM_BYTES};
 use revet_core::PassOptions;
+use revet_machine::reference::run_dense;
+use revet_machine::RunOptions;
 use revet_sltf::Word;
 
 const SEED: u64 = 0xD1FF;
@@ -125,9 +127,11 @@ fn while_heavy_apps_do_not_regress_under_opt() {
             let (mut p, args, _w) = app.prepare(2, 12, SEED, &opts);
             let planned = p.run_untimed(&args, 200_000_000).unwrap();
             let (mut p, args, _w) = app.prepare(2, 12, SEED, &opts);
-            let ready = p.run_untimed_interpreted(&args, 200_000_000).unwrap();
+            p.inject_args(&args);
+            let (ready, _) = p.graph.run(RunOptions::new(200_000_000)).unwrap();
             let (mut p, args, _w) = app.prepare(2, 12, SEED, &opts);
-            let dense = p.run_untimed_dense(&args, 200_000_000).unwrap();
+            p.inject_args(&args);
+            let dense = run_dense(&mut p.graph, 200_000_000).unwrap();
             (planned.steps, ready.steps, dense.productive_steps)
         };
         let (planned0, ready0, work0) = metrics(0);

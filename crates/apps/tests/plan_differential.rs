@@ -11,6 +11,7 @@
 
 use revet_apps::{all_apps, App};
 use revet_core::PassOptions;
+use revet_machine::RunOptions;
 
 const SEED: u64 = 0xD1FF;
 const MAX_ROUNDS: u64 = 200_000_000;
@@ -28,8 +29,10 @@ fn check_app_at(app: &App, level: u8) {
         .unwrap_or_else(|e| panic!("{} (O{level}, planned): {e}", app.name));
 
     let mut interp = program.instance();
-    let i_report = interp
-        .run_untimed_interpreted(&args, MAX_ROUNDS)
+    interp.inject_args(&args);
+    let (i_report, _) = interp
+        .graph
+        .run(RunOptions::new(MAX_ROUNDS))
         .unwrap_or_else(|e| panic!("{} (O{level}, interpreted): {e}", app.name));
 
     assert_eq!(

@@ -333,7 +333,7 @@ fn run_profiled(
     };
     session.emit_compile_trace(&obs);
     let mut inst = program.instance();
-    if let Err(e) = inst.run_untimed_obs(&args, MAX_ROUNDS, &obs) {
+    if let Err(e) = inst.run(&args, MAX_ROUNDS, &obs) {
         eprintln!("revetc: execution failed: {e}");
         return ExitCode::FAILURE;
     }

@@ -14,9 +14,9 @@ use revet_apps::all_apps;
 use revet_core::PassOptions;
 use revet_machine::instr::{AluOp, EwInstr, Operand};
 use revet_machine::nodes::{EwNode, OutputSpec, SinkNode, SourceNode};
-use revet_machine::{tbar, tdata, Channel, ExecPlan, Graph, MemoryState, TTok};
+use revet_machine::{tbar, tdata, Channel, ExecPlan, Graph, MemoryState, RunOptions, TTok};
 use revet_obs::{EventKind, ObsSink};
-use revet_runtime::{BatchRunner, ExecMode};
+use revet_runtime::{BatchJob, BatchRunner};
 
 const OUTER: u32 = 2;
 const SCALE: usize = 8;
@@ -64,12 +64,16 @@ fn trace_dispatch_counts_match_exec_report_on_all_apps() {
         for interpreted in [false, true] {
             let obs = ObsSink::with_trace_capacity(TRACE_CAP);
             let mut inst = program.instance();
-            let report = if interpreted {
-                inst.run_untimed_interpreted_obs(&args, MAX_ROUNDS, &obs)
-            } else {
-                inst.run_untimed_obs(&args, MAX_ROUNDS, &obs)
-            }
-            .unwrap_or_else(|e| panic!("{}: {e}", a.name));
+            inst.inject_args(&args);
+            let plan = (!interpreted).then_some(&*program.plan);
+            let (report, _) = inst
+                .graph
+                .run(RunOptions {
+                    plan,
+                    obs: &obs,
+                    ..RunOptions::new(MAX_ROUNDS)
+                })
+                .unwrap_or_else(|e| panic!("{}: {e}", a.name));
             a.check_dram(&inst.memory().dram, &w);
 
             assert_eq!(obs.trace_dropped(), 0, "{}: ring too small", a.name);
@@ -109,33 +113,28 @@ fn trace_dispatch_counts_match_exec_report_on_all_apps() {
 fn merged_worker_counters_equal_single_threaded_on_all_apps() {
     for a in all_apps() {
         let (program, args, _w) = a.prepare(OUTER, SCALE, SEED, &PassOptions::default());
-        let argsets: Vec<Vec<revet_sltf::Word>> = (0..6).map(|_| args.clone()).collect();
-        for mode in [ExecMode::Planned, ExecMode::Interpreted] {
-            let solo_obs = ObsSink::counters_only();
-            let solo = BatchRunner::new(1)
-                .with_mode(mode)
-                .run_same_obs(&program, &argsets, &solo_obs);
-            let pooled_obs = ObsSink::counters_only();
-            let pooled =
-                BatchRunner::new(4)
-                    .with_mode(mode)
-                    .run_same_obs(&program, &argsets, &pooled_obs);
-            assert_eq!(solo.ok_count(), 6, "{}", a.name);
-            assert_eq!(pooled.ok_count(), 6, "{}", a.name);
-            assert_eq!(
-                deterministic_counters(&solo_obs),
-                deterministic_counters(&pooled_obs),
-                "{} ({mode:?}): forked+merged counters diverged from sequential",
-                a.name
-            );
-            assert_eq!(solo_obs.counters.instances.get(), 6, "{}", a.name);
-            assert_eq!(
-                solo_obs.counters.dispatches.get(),
-                solo.total().steps,
-                "{}",
-                a.name
-            );
-        }
+        let jobs: Vec<BatchJob<'_>> = (0..6)
+            .map(|_| BatchJob::new(&program, args.clone()))
+            .collect();
+        let solo_obs = ObsSink::counters_only();
+        let solo = BatchRunner::new(1).run_obs(&jobs, &solo_obs);
+        let pooled_obs = ObsSink::counters_only();
+        let pooled = BatchRunner::new(4).run_obs(&jobs, &pooled_obs);
+        assert_eq!(solo.ok_count(), 6, "{}", a.name);
+        assert_eq!(pooled.ok_count(), 6, "{}", a.name);
+        assert_eq!(
+            deterministic_counters(&solo_obs),
+            deterministic_counters(&pooled_obs),
+            "{}: forked+merged counters diverged from sequential",
+            a.name
+        );
+        assert_eq!(solo_obs.counters.instances.get(), 6, "{}", a.name);
+        assert_eq!(
+            solo_obs.counters.dispatches.get(),
+            solo.total().steps,
+            "{}",
+            a.name
+        );
     }
 }
 
@@ -266,7 +265,9 @@ proptest! {
         // Event-driven ready-set executor.
         let mut g = build(&values, &moves);
         let obs = ObsSink::with_trace_capacity(TRACE_CAP);
-        let report = g.run_untimed_obs(100_000, &obs).unwrap();
+        let (report, _) = g
+            .run(RunOptions { obs: &obs, ..RunOptions::new(100_000) })
+            .unwrap();
         prop_assert_eq!(obs.trace_dropped(), 0);
         prop_assert_eq!(obs.counters.dispatches.get(), report.steps);
         prop_assert_eq!(obs.counters.productive.get(), report.productive_steps);
@@ -280,7 +281,9 @@ proptest! {
         let mut pg = build(&values, &moves);
         let plan = ExecPlan::build(&pg);
         let pobs = ObsSink::with_trace_capacity(TRACE_CAP);
-        let preport = pg.run_untimed_planned_obs(&plan, 100_000, &pobs).unwrap();
+        let (preport, _) = pg
+            .run(RunOptions { plan: Some(&plan), obs: &pobs, ..RunOptions::new(100_000) })
+            .unwrap();
         prop_assert_eq!(pobs.trace_dropped(), 0);
         prop_assert_eq!(pobs.counters.dispatches.get(), preport.steps);
         prop_assert_eq!(pobs.counters.productive.get(), preport.productive_steps);

@@ -13,9 +13,25 @@
 use crate::lower::CompiledProgram;
 use crate::CoreError;
 use revet_machine::nodes::SinkHandle;
-use revet_machine::{ChanId, ExecPlan, ExecReport, Graph, MachineError, MemoryState, TTok};
+use revet_machine::{
+    ChanId, ExecPlan, ExecReport, Graph, MachineError, MemoryState, ResumeState, RunOptions,
+    RunStatus, TTok,
+};
+use revet_obs::ObsSink;
 use revet_sltf::Word;
 use std::sync::Arc;
+
+/// Which executor an instance runs on — the one executor selector in the
+/// workspace, translated to [`RunOptions::plan`] in exactly one place. A
+/// streaming session picks one at open and sticks with it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum StreamExecutor {
+    /// The compiled [`revet_machine::ExecPlan`] fast path (the default).
+    #[default]
+    Planned,
+    /// The interpreted event-driven reference executor.
+    Interpreted,
+}
 
 /// One independently runnable instantiation of a [`CompiledProgram`]:
 /// private graph state (nodes, channels, memory) plus this instance's own
@@ -40,7 +56,8 @@ const _: fn() = || {
 impl ProgramInstance {
     /// Runs this instance to quiescence with the given `main` arguments,
     /// through the compiled execution plan (shared, like the topology
-    /// index, by all instances of one compile).
+    /// index, by all instances of one compile) — the unobserved
+    /// convenience over [`ProgramInstance::run`].
     ///
     /// # Errors
     ///
@@ -50,72 +67,61 @@ impl ProgramInstance {
         args: &[Word],
         max_rounds: u64,
     ) -> Result<ExecReport, MachineError> {
-        self.run_untimed_obs(args, max_rounds, revet_obs::ObsSink::noop())
+        self.run(args, max_rounds, ObsSink::noop())
     }
 
-    /// [`ProgramInstance::run_untimed`] with an observability sink (node
-    /// labels are published to the sink so stall tables and traces can name
-    /// nodes).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ProgramInstance::run_untimed`].
-    pub fn run_untimed_obs(
-        &mut self,
-        args: &[Word],
-        max_rounds: u64,
-        obs: &revet_obs::ObsSink,
-    ) -> Result<ExecReport, MachineError> {
-        self.publish_labels(obs);
-        crate::lower::inject_args(&mut self.graph, self.entry, args);
-        let plan = Arc::clone(&self.plan);
-        let report = self.graph.run_untimed_planned_obs(&plan, max_rounds, obs);
-        if report.is_ok() && obs.is_enabled() {
-            obs.counters.instances.inc();
-        }
-        report
-    }
-
-    /// Like [`ProgramInstance::run_untimed`] but on the interpreted
-    /// event-driven executor — the functional reference the plan is
-    /// differential-tested against.
+    /// Injects `args` and runs one-shot through the plan, recording into
+    /// `obs` (node labels are published to the sink so stall tables and
+    /// traces can name nodes; a successful run counts one instance). The
+    /// interpreted reference lane is [`ProgramInstance::inject_args`] plus
+    /// `graph.run` with no plan.
     ///
     /// # Errors
     ///
     /// Propagates machine protocol errors and deadlock diagnoses.
-    pub fn run_untimed_interpreted(
+    pub fn run(
         &mut self,
         args: &[Word],
         max_rounds: u64,
+        obs: &ObsSink,
     ) -> Result<ExecReport, MachineError> {
-        self.run_untimed_interpreted_obs(args, max_rounds, revet_obs::ObsSink::noop())
-    }
-
-    /// [`ProgramInstance::run_untimed_interpreted`] with an observability
-    /// sink.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ProgramInstance::run_untimed_interpreted`].
-    pub fn run_untimed_interpreted_obs(
-        &mut self,
-        args: &[Word],
-        max_rounds: u64,
-        obs: &revet_obs::ObsSink,
-    ) -> Result<ExecReport, MachineError> {
-        self.publish_labels(obs);
-        crate::lower::inject_args(&mut self.graph, self.entry, args);
-        let report = self.graph.run_untimed_obs(max_rounds, obs);
-        if report.is_ok() && obs.is_enabled() {
+        self.inject_args(args);
+        let (report, _) = self.execute(StreamExecutor::Planned, None, max_rounds, obs)?;
+        if obs.is_enabled() {
             obs.counters.instances.inc();
         }
-        report
+        Ok(report)
     }
 
-    pub(crate) fn publish_labels(&self, obs: &revet_obs::ObsSink) {
+    /// Injects one `main` argument thread into this instance's entry
+    /// channel (see [`CompiledProgram::inject_args`]).
+    pub fn inject_args(&mut self, args: &[Word]) {
+        crate::lower::inject_args(&mut self.graph, self.entry, args);
+    }
+
+    /// The one forward to [`Graph::run`]: publishes node labels and maps
+    /// the executor choice onto the plan axis. `resume` is the streaming
+    /// axis ([`crate::StreamInstance`] passes its session state).
+    pub(crate) fn execute(
+        &mut self,
+        executor: StreamExecutor,
+        resume: Option<&mut ResumeState>,
+        max_rounds: u64,
+        obs: &ObsSink,
+    ) -> Result<(ExecReport, RunStatus), MachineError> {
         if obs.is_enabled() {
             obs.set_labels(self.graph.nodes().iter().map(|s| s.label.clone()).collect());
         }
+        let plan = match executor {
+            StreamExecutor::Planned => Some(&*self.plan),
+            StreamExecutor::Interpreted => None,
+        };
+        self.graph.run(RunOptions {
+            plan,
+            resume,
+            obs,
+            max_rounds,
+        })
     }
 
     /// Snapshot of the tokens this instance's sink collected (`main`'s

@@ -47,11 +47,11 @@ mod session;
 mod stream;
 
 pub use fingerprint::ProgramId;
-pub use instance::ProgramInstance;
+pub use instance::{ProgramInstance, StreamExecutor};
 pub use lower::{lower_to_dataflow, Category, CompiledProgram, ContextInfo, LinkInfo};
 pub use place::{place, Placement};
 pub use session::{Session, Stage};
-pub use stream::{StreamExecutor, StreamInstance, StreamOutcome};
+pub use stream::{StreamInstance, StreamOutcome};
 
 use revet_diag::{codes, Diagnostic, SourceMap};
 use revet_mir::{DramLayout, Module};

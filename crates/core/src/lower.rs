@@ -29,7 +29,7 @@ use revet_machine::nodes::{
     BroadcastNode, CounterNode, EwNode, FbMergeNode, FlattenNode, ForkNode, FwdMergeNode,
     OutputSpec, ReduceNode, SinkNode,
 };
-use revet_machine::{ChanId, Channel, ExecPlan, Graph, LinkClass, UnitClass};
+use revet_machine::{ChanId, Channel, ExecPlan, Graph, LinkClass, RunOptions, UnitClass};
 use revet_mir::{DramLayout, Func, Module, Op, OpKind, Region, Ty, Value};
 use revet_sltf::Word;
 use std::collections::{HashMap, HashSet};
@@ -113,7 +113,10 @@ impl CompiledProgram {
     /// Runs the program to quiescence with the given `main` arguments,
     /// through the compiled execution plan (the fused fast path; falls
     /// back to boxed node stepping for non-lowered kinds). DRAM inputs
-    /// should be written into `self.graph.mem.dram` first.
+    /// should be written into `self.graph.mem.dram` first. This is the
+    /// one-shot, unobserved convenience over [`Graph::run`]; for the other
+    /// axes, [`CompiledProgram::inject_args`] and call `graph.run`
+    /// directly, or run a [`crate::ProgramInstance`].
     ///
     /// # Errors
     ///
@@ -124,45 +127,17 @@ impl CompiledProgram {
         max_rounds: u64,
     ) -> Result<revet_machine::ExecReport, revet_machine::MachineError> {
         self.inject_args(args);
-        let plan = Arc::clone(&self.plan);
-        self.graph.run_untimed_planned(&plan, max_rounds)
+        let (report, _) = self.graph.run(RunOptions {
+            plan: Some(&*self.plan),
+            ..RunOptions::new(max_rounds)
+        })?;
+        Ok(report)
     }
 
-    /// Like [`CompiledProgram::run_untimed`] but on the interpreted
-    /// event-driven executor (boxed `dyn Node` stepping for every node) —
-    /// the functional reference the plan is benchmarked and
-    /// differential-tested against.
-    ///
-    /// # Errors
-    ///
-    /// Propagates machine protocol errors and deadlock diagnoses.
-    pub fn run_untimed_interpreted(
-        &mut self,
-        args: &[Word],
-        max_rounds: u64,
-    ) -> Result<revet_machine::ExecReport, revet_machine::MachineError> {
-        self.inject_args(args);
-        self.graph.run_untimed(max_rounds)
-    }
-
-    /// Like [`CompiledProgram::run_untimed`] but using the retained
-    /// dense-sweep reference executor — for scheduler-equivalence checks
-    /// and the executor benchmark; prefer `run_untimed` everywhere else.
-    ///
-    /// # Errors
-    ///
-    /// Propagates machine protocol errors and deadlock diagnoses.
-    pub fn run_untimed_dense(
-        &mut self,
-        args: &[Word],
-        max_rounds: u64,
-    ) -> Result<revet_machine::ExecReport, revet_machine::MachineError> {
-        self.inject_args(args);
-        self.graph.run_untimed_dense(max_rounds)
-    }
-
-    /// Injects the `main` argument thread: one data tuple closed by Ω1.
-    fn inject_args(&mut self, args: &[Word]) {
+    /// Injects one `main` argument thread into the entry channel — the
+    /// entry-token protocol every way of starting a program goes through
+    /// (one-shot runs, streaming feeds, the simulator, test oracles).
+    pub fn inject_args(&mut self, args: &[Word]) {
         inject_args(&mut self.graph, self.entry, args);
     }
 
@@ -179,8 +154,8 @@ impl CompiledProgram {
 
 /// Injects the `main` argument thread into a program graph's entry
 /// channel: one data tuple closed by Ω1. The single definition of the
-/// entry-token protocol, shared by [`CompiledProgram`]'s run methods and
-/// by `ProgramInstance` (crate::instance).
+/// entry-token protocol, behind [`CompiledProgram::inject_args`] and
+/// [`crate::ProgramInstance::inject_args`].
 pub(crate) fn inject_args(graph: &mut Graph, entry: ChanId, args: &[Word]) {
     let chan = graph.chan_mut(entry);
     chan.push(revet_sltf::Tok::Data(args.to_vec()));

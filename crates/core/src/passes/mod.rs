@@ -19,10 +19,6 @@
 //! second clean-up round). Run it with [`PassManager::run`] (or
 //! `run_observed` to snapshot the IR after a named pass) to get a
 //! [`revet_mir::PassReport`] of per-pass timing and op-count deltas.
-//!
-//! The free functions ([`if_to_select`], [`eliminate_hierarchy`],
-//! [`lower_views`], [`lower_bulk`]) are the pre-framework entry points,
-//! kept as deprecated thin wrappers for one release.
 
 pub(crate) mod bulk;
 pub(crate) mod hierarchy;
@@ -163,33 +159,6 @@ fn prune_spans(m: &mut Module) {
 
 fn count(m: &Module, pred: impl Fn(&OpKind) -> bool + Copy) -> usize {
     m.funcs.iter().map(|f| f.count_ops(pred)).sum()
-}
-
-// ---- deprecated pre-framework entry points ----
-
-/// Converts every convertible `if`; returns the number converted.
-#[deprecated(note = "use `passes::IfToSelect` on a `PassManager` (or `build_pipeline`)")]
-pub fn if_to_select(module: &mut Module) -> usize {
-    select::if_to_select(module)
-}
-
-/// Applies Fig. 9 to every `foreach` marked `eliminate_hierarchy`; returns
-/// the number of loops rewritten.
-#[deprecated(note = "use `passes::EliminateHierarchy` on a `PassManager` (or `build_pipeline`)")]
-pub fn eliminate_hierarchy(module: &mut Module, threads: Option<u32>) -> usize {
-    hierarchy::eliminate_hierarchy(module, threads)
-}
-
-/// Lowers views & iterators to physical memory ops.
-#[deprecated(note = "use `passes::LowerViews` on a `PassManager` (or `build_pipeline`)")]
-pub fn lower_views(module: &mut Module, threads: Option<u32>, fuse: bool) {
-    views::lower_views(module, threads, fuse);
-}
-
-/// Rewrites every bulk transfer into a `foreach` of element accesses.
-#[deprecated(note = "use `passes::LowerBulk` on a `PassManager` (or `build_pipeline`)")]
-pub fn lower_bulk(module: &mut Module) {
-    bulk::lower_bulk(module);
 }
 
 #[cfg(test)]

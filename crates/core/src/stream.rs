@@ -18,23 +18,11 @@
 //! seeding re-steps quiescent nodes, which counts as unproductive work);
 //! they accumulate across polls via [`revet_machine::ExecReport::merge`].
 
-use crate::instance::ProgramInstance;
+use crate::instance::{ProgramInstance, StreamExecutor};
 use crate::lower::CompiledProgram;
 use revet_machine::nodes::SinkHandle;
 use revet_machine::{ExecReport, MachineError, MemoryState, ResumeState, RunStatus, TTok};
-use revet_sltf::{BarrierLevel, Tok, Word};
-
-/// Which executor a streaming session runs on. A session picks one at
-/// open and sticks with it — the [`ResumeState`] worklist carries over
-/// between polls of the *same* executor.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum StreamExecutor {
-    /// The compiled [`revet_machine::ExecPlan`] fast path (the default).
-    #[default]
-    Planned,
-    /// The interpreted event-driven reference executor.
-    Interpreted,
-}
+use revet_sltf::Word;
 
 /// Everything a finished stream leaves behind (see
 /// [`StreamInstance::finish`]).
@@ -107,15 +95,13 @@ impl StreamInstance {
     /// Currently infallible for compiled programs (the entry channel
     /// always exists); the `Result` reserves room for protocol errors.
     pub fn feed(&mut self, argsets: &[Vec<Word>]) -> Result<usize, MachineError> {
-        let chan = self.inner.graph.chan_mut(self.inner.entry);
         let mut fed = 0;
         for args in argsets {
             // A full argset is two tokens; never push half of one.
-            if chan.room() < 2 {
+            if self.inner.graph.chans()[self.inner.entry.0 as usize].room() < 2 {
                 break;
             }
-            chan.push(Tok::Data(args.clone()));
-            chan.push(Tok::Barrier(BarrierLevel::L1));
+            self.inner.inject_args(args);
             fed += 1;
         }
         self.fed += fed as u64;
@@ -148,23 +134,9 @@ impl StreamInstance {
         max_rounds: u64,
         obs: &revet_obs::ObsSink,
     ) -> Result<(Vec<TTok>, RunStatus), MachineError> {
-        self.inner.publish_labels(obs);
-        let (report, status) = match self.executor {
-            StreamExecutor::Planned => {
-                let plan = std::sync::Arc::clone(&self.inner.plan);
-                self.inner.graph.run_untimed_planned_resumable_obs(
-                    &plan,
-                    &mut self.resume,
-                    max_rounds,
-                    obs,
-                )?
-            }
-            StreamExecutor::Interpreted => {
-                self.inner
-                    .graph
-                    .run_untimed_resumable_obs(&mut self.resume, max_rounds, obs)?
-            }
-        };
+        let (report, status) =
+            self.inner
+                .execute(self.executor, Some(&mut self.resume), max_rounds, obs)?;
         self.report.merge(&report);
         if obs.is_enabled() {
             obs.registry
@@ -187,19 +159,13 @@ impl StreamInstance {
     pub fn finish(mut self, max_rounds: u64) -> Result<StreamOutcome, MachineError> {
         let (_, status) = self.poll(max_rounds)?;
         if status == RunStatus::Paused {
-            // Re-run one-shot: at quiescence with stuck channels this
-            // produces the labeled deadlock diagnosis.
-            let res = match self.executor {
-                StreamExecutor::Planned => {
-                    let plan = std::sync::Arc::clone(&self.inner.plan);
-                    self.inner.graph.run_untimed_planned(&plan, max_rounds)
-                }
-                StreamExecutor::Interpreted => self.inner.graph.run_untimed(max_rounds),
-            };
-            return Err(match res {
-                Err(e) => e,
-                Ok(_) => MachineError::new("stream closed with unconsumed input"),
-            });
+            // `Paused` is quiescence with stuck channels: the graph's
+            // one-shot reading of that state is the diagnosis.
+            return Err(self
+                .inner
+                .graph
+                .deadlock()
+                .expect("a paused graph has stuck channels"));
         }
         Ok(StreamOutcome {
             report: self.report,
@@ -329,11 +295,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn finish_diagnoses_stuck_input_as_deadlock() {
-        // Compiled programs consume whole argsets, so a stuck session
-        // needs an unbalanced graph: a zip whose second input never
-        // arrives. Build the instance by hand around the entry channel.
+    /// Compiled programs consume whole argsets, so a stuck session needs
+    /// an unbalanced graph: a zip whose second input never arrives, built
+    /// by hand around the entry channel.
+    fn starved_zip() -> ProgramInstance {
         use revet_machine::nodes::{EwNode, SinkNode};
         use revet_machine::{Channel, ExecPlan, Graph};
         let mut g = Graph::new();
@@ -349,18 +314,46 @@ mod tests {
         let (sink_node, sink) = SinkNode::new();
         g.add_node("sink", Box::new(sink_node), vec![c2], vec![]);
         let plan = std::sync::Arc::new(ExecPlan::build(&g));
-        let inner = ProgramInstance {
+        ProgramInstance {
             graph: g,
             entry: c0,
             sink,
             plan,
-        };
-        let mut stream = StreamInstance::new(inner, StreamExecutor::Planned);
+        }
+    }
+
+    #[test]
+    fn finish_diagnoses_stuck_input_as_deadlock() {
+        let mut stream = StreamInstance::new(starved_zip(), StreamExecutor::Planned);
         stream.feed(&[vec![Word(7)]]).unwrap();
         let (_, status) = stream.poll(1_000_000).unwrap();
         assert_eq!(status, RunStatus::Paused, "starved zip pauses the stream");
         let err = stream.finish(1_000_000).unwrap_err();
         assert!(err.message.contains("deadlock"), "got: {err}");
+    }
+
+    #[test]
+    fn starved_zip_diagnosis_is_identical_one_shot_and_streamed() {
+        let mut texts = Vec::new();
+        for executor in [StreamExecutor::Planned, StreamExecutor::Interpreted] {
+            let mut inst = starved_zip();
+            inst.inject_args(&[Word(7)]);
+            let one_shot = inst
+                .execute(executor, None, 1_000_000, revet_obs::ObsSink::noop())
+                .unwrap_err();
+            let mut stream = StreamInstance::new(starved_zip(), executor);
+            stream.feed(&[vec![Word(7)]]).unwrap();
+            let (_, status) = stream.poll(1_000_000).unwrap();
+            assert_eq!(status, RunStatus::Paused, "{executor:?}");
+            let streamed = stream.finish(1_000_000).unwrap_err();
+            assert_eq!(one_shot, streamed, "{executor:?}");
+            texts.push(streamed.message);
+        }
+        assert_eq!(texts[0], texts[1], "both executors word it the same");
+        assert_eq!(
+            texts[0],
+            "deadlock at quiescence: channel #0 -> 'zip': 2 tokens pending"
+        );
     }
 
     #[test]

@@ -36,7 +36,7 @@
 
 use crate::gen::Case;
 use revet_core::{lower_to_dataflow, CompiledProgram, PassOptions, Session, StreamExecutor};
-use revet_machine::{MachineError, TTok};
+use revet_machine::{MachineError, RunOptions, TTok};
 use revet_mir::{AluOp, DramLayout, Interp, Module, OpKind, Region};
 use revet_sltf::Word;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -382,8 +382,10 @@ fn run_level(
 
     // Runs 4/7/10: the interpreted ready-set executor.
     let mut ready = program.instance();
+    ready.inject_args(&args);
     ready
-        .run_untimed_interpreted(&args, cfg.max_rounds())
+        .graph
+        .run(RunOptions::new(cfg.max_rounds()))
         .map_err(|e| fail(FailureKind::ExecError, level, format!("interpreted: {e}")))?;
 
     if planned.memory().dram != *reference {

@@ -6,6 +6,17 @@
 //! cycle-level simulator (crate `revet-sim`) re-executes the same graph
 //! under timing constraints.
 //!
+//! ## One way in
+//!
+//! [`Graph::run`] is the only untimed entry point; [`RunOptions`] carries
+//! the four axes a run can vary on (plan or interpreted, one-shot or
+//! resumable, the observability sink, the round cap — tabulated in the
+//! crate docs). The protocol decisions live in `run` itself, once, around
+//! a `match` on the plan: the plan shape check, topology finalisation,
+//! which nodes a resumed run re-seeds ([`ResumeState`]), the round-cap
+//! error and the quiescence verdict. The two executors only contribute
+//! their drain loops.
+//!
 //! ## Event-driven scheduling
 //!
 //! Both executors are driven by token availability, not dense sweeps. A
@@ -24,8 +35,8 @@
 //! Because nodes are Kahn processes (blocking reads, no sampling of
 //! channel emptiness), the final token streams and memory state are
 //! independent of the order in which ready nodes are drained; only the
-//! amount of scheduler work changes. The retained dense-sweep reference
-//! ([`Graph::run_untimed_dense`]) pins that equivalence in tests.
+//! amount of scheduler work changes. The dense-sweep oracle
+//! ([`crate::reference::run_dense`]) pins that equivalence in tests.
 
 use crate::channel::Channel;
 use crate::mem::MemoryState;
@@ -161,15 +172,13 @@ pub struct Graph {
     topo: Option<Arc<TopologyIndex>>,
 }
 
-/// How a resumable untimed run ended.
+/// How an untimed run ended.
 ///
-/// Returned by the `*_resumable` executor entry points: `Finished` means
-/// quiescence with every consumer-attached channel drained (the condition
-/// the one-shot executors demand); `Paused` means quiescence with tokens
-/// still pending — under streaming that is "waiting for more input", and
-/// the same state a one-shot run reports as a deadlock. The caller decides
-/// which reading applies (a stream's `finish()` converts a final `Paused`
-/// into the deadlock diagnosis).
+/// `Finished` means quiescence with every consumer-attached channel
+/// drained. `Paused` means quiescence with tokens still pending; only a
+/// run given a [`ResumeState`] returns it (under streaming that is
+/// "waiting for more input"), and a one-shot run reports the same state
+/// as the deadlock error ([`Graph::deadlock`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RunStatus {
     /// Clean quiescence: all consumer-attached channels drained.
@@ -181,17 +190,18 @@ pub enum RunStatus {
 
 /// Reusable scheduler state for resumable (streaming) execution.
 ///
-/// A fresh state makes the first `*_resumable` run identical to a one-shot
-/// run: every node is seeded into the worklist. Subsequent runs on the
-/// same state re-seed only what can make progress — consumers of non-empty
-/// channels, allocator-gated nodes, and nodes holding internal pending
-/// input ([`Node::pending_input_tokens`], i.e. fed sources). Spurious
-/// seeds are harmless (an unproductive step), and any node able to make
-/// progress is covered: progress requires an input token, internal
-/// pending state, or allocator availability, all of which the re-seed rule
-/// observes. The worklist buffers live here so repeated polls never
-/// reallocate; one state must only ever drive the graph it was first run
-/// against.
+/// A fresh state makes the first run identical to a one-shot run: every
+/// node is seeded into the worklist. Subsequent runs on the same state
+/// re-seed only what can make progress — consumers of non-empty channels,
+/// allocator-gated nodes, and nodes holding internal pending input
+/// ([`Node::pending_input_tokens`], i.e. fed sources). Spurious seeds are
+/// harmless (an unproductive step), and any node able to make progress is
+/// covered: progress requires an input token, internal pending state, or
+/// allocator availability, all of which the re-seed rule observes. The
+/// interpreted executor's worklist buffers live here so repeated polls
+/// never reallocate (the plan executor keeps its own bitmap and uses only
+/// the started flag); one state must only ever drive the graph it was
+/// first run against.
 #[derive(Debug, Default)]
 pub struct ResumeState {
     started: bool,
@@ -201,8 +211,8 @@ pub struct ResumeState {
 }
 
 impl ResumeState {
-    /// Fresh state: the next resumable run seeds every node, exactly like
-    /// a one-shot run.
+    /// Fresh state: the next run seeds every node, exactly like a
+    /// one-shot run.
     pub fn new() -> Self {
         ResumeState::default()
     }
@@ -212,13 +222,45 @@ impl ResumeState {
     pub fn started(&self) -> bool {
         self.started
     }
+}
 
-    /// Marks the state started, returning whether it already was — the
-    /// plan executor's first-run/resume discriminator (it keeps its own
-    /// bitmap worklist and only shares this flag).
-    pub(crate) fn take_started(&mut self) -> bool {
-        std::mem::replace(&mut self.started, true)
+/// The four axes one untimed run can vary on (see the module docs for
+/// the table). `RunOptions::new(max_rounds)` is the interpreted, one-shot,
+/// unobserved run; set the other fields with struct-update syntax.
+#[derive(Debug)]
+pub struct RunOptions<'a> {
+    /// The prebuilt execution plan to run through (it must have been built
+    /// from a graph with this wiring); `None` selects the interpreted
+    /// ready-set executor, the reference lane.
+    pub plan: Option<&'a crate::ExecPlan>,
+    /// Suspend-at-quiescence: with a state, leftover tokens end the run as
+    /// [`RunStatus::Paused`] and the same state must be passed to every
+    /// run of the session; without one they are the deadlock error.
+    pub resume: Option<&'a mut ResumeState>,
+    /// Observability sink; [`ObsSink::noop`] keeps the hot path at one
+    /// predictable branch per event site.
+    pub obs: &'a ObsSink,
+    /// Livelock cap on scheduler generations.
+    pub max_rounds: u64,
+}
+
+impl RunOptions<'_> {
+    /// Interpreted, one-shot, no-op sink.
+    pub fn new(max_rounds: u64) -> Self {
+        RunOptions {
+            plan: None,
+            resume: None,
+            obs: ObsSink::noop(),
+            max_rounds,
+        }
     }
+}
+
+/// The round-cap (suspected livelock) error both drain loops raise.
+pub(crate) fn round_cap_error(max_rounds: u64) -> MachineError {
+    MachineError::new(format!(
+        "no quiescence after {max_rounds} rounds (livelock or huge workload)"
+    ))
 }
 
 /// Summary of an untimed run.
@@ -492,19 +534,17 @@ impl Graph {
     /// One-pass deadlock diagnosis over the consumer index: every non-empty
     /// channel that *has* a consumer is stuck (channels nobody reads —
     /// dangling outputs — may legally retain tokens). Returns one line per
-    /// stuck channel with its consumer labels. Used by both executors at
-    /// quiescence; an empty result means a clean drain.
+    /// stuck channel with its consumer labels; an empty result means a
+    /// clean drain.
     pub fn stuck_channels(&self) -> Vec<String> {
-        match &self.topo {
-            Some(t) => self.stuck_channel_report(t),
+        let built;
+        let topo = match &self.topo {
+            Some(t) => &**t,
             None => {
-                let t = TopologyIndex::build(&self.nodes, self.chans.len());
-                self.stuck_channel_report(&t)
+                built = TopologyIndex::build(&self.nodes, self.chans.len());
+                &built
             }
-        }
-    }
-
-    fn stuck_channel_report(&self, topo: &TopologyIndex) -> Vec<String> {
+        };
         let mut stuck = Vec::new();
         for (ci, chan) in self.chans.iter().enumerate() {
             if chan.is_empty() {
@@ -527,70 +567,86 @@ impl Graph {
         stuck
     }
 
-    /// Runs the graph untimed (unbounded budgets) until quiescence, using
-    /// the event-driven ready-set scheduler: a node is stepped only when an
-    /// input channel gained tokens, an output channel regained capacity, or
-    /// an allocator it can block on received a pointer (see module docs).
-    ///
-    /// # Errors
-    ///
-    /// Returns a node error, a round-limit error (suspected livelock), or a
-    /// deadlock diagnosis listing all stuck channels.
-    pub fn run_untimed(&mut self, max_rounds: u64) -> Result<ExecReport, MachineError> {
-        self.run_untimed_obs(max_rounds, ObsSink::noop())
+    /// The one-shot reading of a quiescent graph: `None` when every
+    /// consumer-attached channel is drained, otherwise the deadlock error
+    /// listing [`Graph::stuck_channels`]. [`Graph::run`] returns it for a
+    /// run without a [`ResumeState`]; a streaming session that has to give
+    /// up on a [`RunStatus::Paused`] graph calls it for the same text.
+    pub fn deadlock(&self) -> Option<MachineError> {
+        let stuck = self.stuck_channels();
+        if stuck.is_empty() {
+            return None;
+        }
+        Some(MachineError::new(format!(
+            "deadlock at quiescence: {}",
+            stuck.join("; ")
+        )))
     }
 
-    /// [`Graph::run_untimed`] with an observability sink: dispatches, wake
-    /// causes, and per-node stall attribution are recorded into `obs`. Pass
-    /// [`ObsSink::noop`] (what `run_untimed` does) to keep the hot path at
-    /// one predictable branch per event site.
+    /// Runs the graph untimed (unbounded budgets) until quiescence — the
+    /// one untimed entry point; see [`RunOptions`] for the four axes. Both
+    /// executors are event-driven: a node is stepped only when an input
+    /// channel gained tokens, an output channel regained capacity, or an
+    /// allocator it can block on received a pointer (see module docs).
+    ///
+    /// With `resume`, leftover tokens at quiescence return
+    /// [`RunStatus::Paused`] and every channel ring and node state stays
+    /// live, ready to continue after more input is fed
+    /// ([`Graph::feed_source`] or a direct entry-channel push).
     ///
     /// # Errors
     ///
-    /// Same as [`Graph::run_untimed`].
-    pub fn run_untimed_obs(
-        &mut self,
-        max_rounds: u64,
-        obs: &ObsSink,
-    ) -> Result<ExecReport, MachineError> {
-        self.run_with_topology(|g, topo| g.run_untimed_ready(topo, max_rounds, obs))
-    }
-
-    /// Runs the graph with the ready-set scheduler in **suspend-at-
-    /// quiescence** mode: instead of reporting leftover tokens as a
-    /// deadlock, the run returns [`RunStatus::Paused`] and leaves every
-    /// channel ring and node state live, ready to resume after more input
-    /// is fed ([`Graph::feed_source`] or a direct entry-channel push). The
-    /// same `resume` state must be passed to every run of one streaming
-    /// session; a fresh state makes the first run seed every node exactly
-    /// like [`Graph::run_untimed`].
-    ///
-    /// # Errors
-    ///
-    /// Node protocol errors and the round cap. Leftover tokens are *not*
-    /// an error here — that is the `Paused` status.
-    pub fn run_untimed_resumable(
-        &mut self,
-        resume: &mut ResumeState,
-        max_rounds: u64,
-    ) -> Result<(ExecReport, RunStatus), MachineError> {
-        self.run_untimed_resumable_obs(resume, max_rounds, ObsSink::noop())
-    }
-
-    /// [`Graph::run_untimed_resumable`] with an observability sink.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Graph::run_untimed_resumable`].
-    pub fn run_untimed_resumable_obs(
-        &mut self,
-        resume: &mut ResumeState,
-        max_rounds: u64,
-        obs: &ObsSink,
-    ) -> Result<(ExecReport, RunStatus), MachineError> {
+    /// A plan built for different wiring, a node protocol error, the round
+    /// cap (suspected livelock), and — without `resume` — the deadlock
+    /// diagnosis listing all stuck channels.
+    pub fn run(&mut self, opts: RunOptions<'_>) -> Result<(ExecReport, RunStatus), MachineError> {
+        let RunOptions {
+            plan,
+            resume,
+            obs,
+            max_rounds,
+        } = opts;
+        if let Some(plan) = plan {
+            plan.check_shape(self)?;
+        }
+        // The `Arc` clone keeps the graph mutably steppable while the
+        // executor holds the index.
         self.finalize_topology();
         let topo = self.topo.clone().expect("just finalized");
-        self.run_untimed_ready_core(&topo, resume, true, max_rounds, obs)
+        let suspend = resume.is_some();
+        let mut one_shot = ResumeState::new();
+        let resume = resume.unwrap_or(&mut one_shot);
+        let first = !std::mem::replace(&mut resume.started, true);
+        let report = match plan {
+            Some(plan) => plan.drain(self, first, max_rounds, obs)?,
+            None => self.drain_ready(&topo, resume, first, max_rounds, obs)?,
+        };
+        match self.deadlock() {
+            None => Ok((report, RunStatus::Finished)),
+            Some(_) if suspend => Ok((report, RunStatus::Paused)),
+            Some(diagnosis) => Err(diagnosis),
+        }
+    }
+
+    /// The nodes a run seeds its worklist with. First run: every node.
+    /// Resumed run: consumers of non-empty channels, allocator waiters,
+    /// and nodes holding internal pending input — the three places
+    /// progress-enabling state can hide while quiescent.
+    pub(crate) fn seeds(&self, first: bool) -> impl Iterator<Item = NodeId> + '_ {
+        let can_progress = move |slot: &NodeSlot| {
+            first
+                || slot
+                    .ins
+                    .iter()
+                    .any(|c| !self.chans[c.0 as usize].is_empty())
+                || slot
+                    .behavior
+                    .as_ref()
+                    .is_some_and(|b| b.may_stall_on_alloc() || b.pending_input_tokens() > 0)
+        };
+        (0..self.nodes.len())
+            .filter(move |&i| can_progress(&self.nodes[i]))
+            .map(|i| NodeId(i as u32))
     }
 
     /// Appends tokens to the internal pending queue of source node `id`
@@ -664,77 +720,16 @@ impl Graph {
         StallClass::InputStarved
     }
 
-    /// Hands an executor a shared handle to the topology index so it can
-    /// hold the index while mutably stepping the graph (the `Arc` clone
-    /// keeps the graph borrowable).
-    fn run_with_topology<F>(&mut self, f: F) -> Result<ExecReport, MachineError>
-    where
-        F: FnOnce(&mut Self, &TopologyIndex) -> Result<ExecReport, MachineError>,
-    {
-        self.finalize_topology();
-        let topo = self.topo.clone().expect("just finalized");
-        f(self, &topo)
-    }
-
-    fn run_untimed_ready(
-        &mut self,
-        topo: &TopologyIndex,
-        max_rounds: u64,
-        obs: &ObsSink,
-    ) -> Result<ExecReport, MachineError> {
-        let mut resume = ResumeState::new();
-        let (report, _) = self.run_untimed_ready_core(topo, &mut resume, false, max_rounds, obs)?;
-        Ok(report)
-    }
-
-    /// Seeds a resumable run's worklist. First run: every node (identical
-    /// to a one-shot run). Resume: consumers of non-empty channels, every
-    /// allocator waiter, and nodes holding internal pending input — the
-    /// three places progress-enabling state can hide while quiescent.
-    fn seed_resume(&self, topo: &TopologyIndex, resume: &mut ResumeState) {
-        let n = self.nodes.len();
-        resume.queued.resize(n, false);
-        if !resume.started {
-            resume.started = true;
-            resume.current.extend(0..n as u32);
-            resume.queued.fill(true);
-            return;
-        }
-        let seed = |id: NodeId, resume: &mut ResumeState| {
-            if !resume.queued[id.0 as usize] {
-                resume.queued[id.0 as usize] = true;
-                resume.current.push_back(id.0);
-            }
-        };
-        for (ci, chan) in self.chans.iter().enumerate() {
-            if !chan.is_empty() {
-                for &c in topo.consumers(ChanId(ci as u32)) {
-                    seed(c, resume);
-                }
-            }
-        }
-        for &w in topo.alloc_waiters() {
-            seed(w, resume);
-        }
-        for (i, slot) in self.nodes.iter().enumerate() {
-            if slot
-                .behavior
-                .as_ref()
-                .is_some_and(|b| b.pending_input_tokens() > 0)
-            {
-                seed(NodeId(i as u32), resume);
-            }
-        }
-    }
-
-    fn run_untimed_ready_core(
+    /// The interpreted executor's drain loop: steps woken nodes through the
+    /// boxed [`Node::step`] surface until the worklist is empty.
+    fn drain_ready(
         &mut self,
         topo: &TopologyIndex,
         resume: &mut ResumeState,
-        suspend_at_quiescence: bool,
+        first: bool,
         max_rounds: u64,
         obs: &ObsSink,
-    ) -> Result<(ExecReport, RunStatus), MachineError> {
+    ) -> Result<ExecReport, MachineError> {
         let max_in = self.nodes.iter().map(|s| s.ins.len()).max().unwrap_or(0);
         let max_out = self.nodes.iter().map(|s| s.outs.len()).max().unwrap_or(0);
         // Reusable budget buffers: refreshed per step, never reallocated.
@@ -748,19 +743,22 @@ impl Graph {
         // cap. `queued` dedups membership across both queues. The buffers
         // live in `resume` (empty and all-false at quiescence, so a paused
         // run can hand them straight back).
-        self.seed_resume(topo, resume);
         let ResumeState {
             current,
             next,
             queued,
             ..
         } = resume;
+        queued.resize(self.nodes.len(), false);
+        for id in self.seeds(first) {
+            if !std::mem::replace(&mut queued[id.0 as usize], true) {
+                current.push_back(id.0);
+            }
+        }
 
         while !current.is_empty() {
             if report.rounds >= max_rounds {
-                return Err(MachineError::new(format!(
-                    "no quiescence after {max_rounds} rounds (livelock or huge workload)"
-                )));
+                return Err(round_cap_error(max_rounds));
             }
             report.rounds += 1;
             report.peak_ready = report.peak_ready.max(current.len() as u64);
@@ -820,149 +818,6 @@ impl Graph {
             }
             std::mem::swap(current, next);
         }
-        // Quiescent: every channel with a consumer should be drained. Under
-        // suspension that is a pause (more input may arrive); one-shot runs
-        // report it as a deadlock.
-        let stuck = self.stuck_channel_report(topo);
-        if stuck.is_empty() {
-            return Ok((report, RunStatus::Finished));
-        }
-        if suspend_at_quiescence {
-            return Ok((report, RunStatus::Paused));
-        }
-        Err(MachineError::new(format!(
-            "deadlock at quiescence: {}",
-            stuck.join("; ")
-        )))
-    }
-
-    /// Runs the graph untimed through a prebuilt execution plan
-    /// ([`crate::ExecPlan`]) — the flattened, fused fast path. Semantically
-    /// equivalent to [`Graph::run_untimed`]; the plan must have been built
-    /// from a graph with this wiring.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Graph::run_untimed`], plus a shape-mismatch error when the
-    /// plan was built for different wiring.
-    pub fn run_untimed_planned(
-        &mut self,
-        plan: &crate::ExecPlan,
-        max_rounds: u64,
-    ) -> Result<ExecReport, MachineError> {
-        plan.run(self, max_rounds)
-    }
-
-    /// [`Graph::run_untimed_planned`] with an observability sink (see
-    /// [`Graph::run_untimed_obs`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Graph::run_untimed_planned`].
-    pub fn run_untimed_planned_obs(
-        &mut self,
-        plan: &crate::ExecPlan,
-        max_rounds: u64,
-        obs: &ObsSink,
-    ) -> Result<ExecReport, MachineError> {
-        plan.run_obs(self, max_rounds, obs)
-    }
-
-    /// [`Graph::run_untimed_planned`] in suspend-at-quiescence mode — the
-    /// plan-executor twin of [`Graph::run_untimed_resumable`]. The same
-    /// `resume` state drives either executor's seeding (a session picks
-    /// one executor and sticks with it).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Graph::run_untimed_resumable`], plus a shape-mismatch
-    /// error when the plan was built for different wiring.
-    pub fn run_untimed_planned_resumable(
-        &mut self,
-        plan: &crate::ExecPlan,
-        resume: &mut ResumeState,
-        max_rounds: u64,
-    ) -> Result<(ExecReport, RunStatus), MachineError> {
-        plan.run_resumable_obs(self, resume, max_rounds, ObsSink::noop())
-    }
-
-    /// [`Graph::run_untimed_planned_resumable`] with an observability
-    /// sink.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Graph::run_untimed_planned_resumable`].
-    pub fn run_untimed_planned_resumable_obs(
-        &mut self,
-        plan: &crate::ExecPlan,
-        resume: &mut ResumeState,
-        max_rounds: u64,
-        obs: &ObsSink,
-    ) -> Result<(ExecReport, RunStatus), MachineError> {
-        plan.run_resumable_obs(self, resume, max_rounds, obs)
-    }
-
-    /// The retained dense-sweep reference executor: every round steps every
-    /// node until a whole round makes no progress. Semantically equivalent
-    /// to [`Graph::run_untimed`] (the property suite pins this); kept for
-    /// equivalence testing and as the scheduler-overhead baseline in the
-    /// executor benchmark.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Graph::run_untimed`].
-    pub fn run_untimed_dense(&mut self, max_rounds: u64) -> Result<ExecReport, MachineError> {
-        self.run_with_topology(|g, topo| g.run_untimed_dense_inner(topo, max_rounds))
-    }
-
-    fn run_untimed_dense_inner(
-        &mut self,
-        topo: &TopologyIndex,
-        max_rounds: u64,
-    ) -> Result<ExecReport, MachineError> {
-        let n = self.nodes.len();
-        let max_in = self.nodes.iter().map(|s| s.ins.len()).max().unwrap_or(0);
-        let max_out = self.nodes.iter().map(|s| s.outs.len()).max().unwrap_or(0);
-        let mut ib = vec![PortBudget::UNLIMITED; max_in];
-        let mut ob = vec![PortBudget::UNLIMITED; max_out];
-        let mut report = ExecReport::default();
-        loop {
-            if report.rounds >= max_rounds {
-                return Err(MachineError::new(format!(
-                    "no quiescence after {max_rounds} rounds (livelock or huge workload)"
-                )));
-            }
-            report.rounds += 1;
-            // Every node is "ready" in a dense sweep; the watermark is the
-            // node count as soon as any round runs.
-            report.peak_ready = report.peak_ready.max(n as u64);
-            let mut any = false;
-            for i in 0..n {
-                let n_in = self.nodes[i].ins.len();
-                let n_out = self.nodes[i].outs.len();
-                for b in &mut ib[..n_in] {
-                    *b = PortBudget::UNLIMITED;
-                }
-                for b in &mut ob[..n_out] {
-                    *b = PortBudget::UNLIMITED;
-                }
-                report.steps += 1;
-                if self.step_node(NodeId(i as u32), &mut ib[..n_in], &mut ob[..n_out])? {
-                    any = true;
-                    report.productive_steps += 1;
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-        let stuck = self.stuck_channel_report(topo);
-        if !stuck.is_empty() {
-            return Err(MachineError::new(format!(
-                "deadlock at quiescence: {}",
-                stuck.join("; ")
-            )));
-        }
         Ok(report)
     }
 }
@@ -973,6 +828,11 @@ mod tests {
     use crate::instr::{AluOp, EwInstr, Operand};
     use crate::nodes::{EwNode, OutputSpec, SinkNode, SourceNode};
     use crate::tuple::{tbar, tdata};
+
+    /// Interpreted one-shot run, report only.
+    fn one_shot(g: &mut Graph, max_rounds: u64) -> Result<ExecReport, MachineError> {
+        g.run(RunOptions::new(max_rounds)).map(|(report, _)| report)
+    }
 
     #[test]
     fn pipeline_source_ew_sink() {
@@ -1002,7 +862,7 @@ mod tests {
         );
         let (sink, handle) = SinkNode::new();
         g.add_node("sink", Box::new(sink), vec![c1], vec![]);
-        let report = g.run_untimed(100).unwrap();
+        let report = one_shot(&mut g, 100).unwrap();
         assert!(report.productive_steps >= 3);
         assert_eq!(handle.tokens(), vec![tdata([8u32]), tbar(1)]);
     }
@@ -1029,7 +889,7 @@ mod tests {
         );
         let (sink, _h) = SinkNode::new();
         g.add_node("sink", Box::new(sink), vec![c2], vec![]);
-        let err = g.run_untimed(100).unwrap_err();
+        let err = one_shot(&mut g, 100).unwrap_err();
         assert!(err.message.contains("deadlock"), "got: {err}");
     }
 
@@ -1048,7 +908,7 @@ mod tests {
         );
         // No consumer: source can push one token then stalls forever; with
         // max_rounds=0 we hit the cap immediately.
-        let err = g.run_untimed(0).unwrap_err();
+        let err = one_shot(&mut g, 0).unwrap_err();
         assert!(err.message.contains("no quiescence"), "got: {err}");
     }
 
@@ -1098,7 +958,7 @@ mod tests {
         };
         starve(&mut g, "a");
         starve(&mut g, "b");
-        let err = g.run_untimed(100).unwrap_err();
+        let err = one_shot(&mut g, 100).unwrap_err();
         assert!(err.message.contains("deadlock"), "got: {err}");
         assert!(err.message.contains("zip.a"), "got: {err}");
         assert!(err.message.contains("zip.b"), "got: {err}");
@@ -1128,9 +988,9 @@ mod tests {
             (g, handle)
         };
         let (mut dense_g, dense_h) = build();
-        let dense = dense_g.run_untimed_dense(10_000).unwrap();
+        let dense = crate::reference::run_dense(&mut dense_g, 10_000).unwrap();
         let (mut ready_g, ready_h) = build();
-        let ready = ready_g.run_untimed(10_000).unwrap();
+        let ready = one_shot(&mut ready_g, 10_000).unwrap();
         assert_eq!(dense_h.tokens(), ready_h.tokens());
         assert!(
             ready.steps < dense.steps,
@@ -1189,7 +1049,7 @@ mod tests {
                 std::ptr::eq(g.topology().unwrap(), inst.topology().unwrap()),
                 "instances must share the topology Arc"
             );
-            inst.run_untimed(1_000).unwrap();
+            one_shot(&mut inst, 1_000).unwrap();
             let h = inst
                 .nodes()
                 .iter()
@@ -1204,7 +1064,7 @@ mod tests {
         // its sink collected nothing.
         assert!(template_handle.is_empty());
         assert_eq!(g.chans()[0].len(), 0);
-        let report = g.run_untimed(1_000).unwrap();
+        let report = one_shot(&mut g, 1_000).unwrap();
         assert!(report.productive_steps > 0, "template still runnable");
         assert_eq!(template_handle.tokens(), vec![tdata([42u32]), tbar(1)]);
     }
@@ -1267,10 +1127,10 @@ mod tests {
             g.add_node("sink", Box::new(sink), vec![c1], vec![]);
             g
         };
-        let ready = build().run_untimed(1_000).unwrap();
+        let ready = one_shot(&mut build(), 1_000).unwrap();
         // Round 0 seeds every node, so the watermark starts at node count.
         assert_eq!(ready.peak_ready, 3);
-        let dense = build().run_untimed_dense(1_000).unwrap();
+        let dense = crate::reference::run_dense(&mut build(), 1_000).unwrap();
         assert_eq!(dense.peak_ready, 3);
     }
 
@@ -1294,7 +1154,12 @@ mod tests {
         );
         let (sink, _h) = SinkNode::new();
         g.add_node("sink", Box::new(sink), vec![c1], vec![]);
-        let report = g.run_untimed_obs(1_000, &obs).unwrap();
+        let (report, _) = g
+            .run(RunOptions {
+                obs: &obs,
+                ..RunOptions::new(1_000)
+            })
+            .unwrap();
         assert_eq!(obs.counters.dispatches.get(), report.steps);
         assert_eq!(obs.counters.productive.get(), report.productive_steps);
         assert_eq!(obs.counters.rounds.get(), report.rounds);
@@ -1367,19 +1232,34 @@ mod tests {
         let (mut one, src, oh) = streaming_pipeline();
         one.feed_source(src, vec![tdata([1u32]), tbar(1), tdata([2u32]), tbar(1)])
             .unwrap();
-        one.run_untimed(1_000).unwrap();
+        one_shot(&mut one, 1_000).unwrap();
 
         // Chunked: feed one argset, run, feed the next, run again.
         let (mut g, src, handle) = streaming_pipeline();
         let mut resume = ResumeState::new();
-        let (_, s) = g.run_untimed_resumable(&mut resume, 1_000).unwrap();
+        let (_, s) = g
+            .run(RunOptions {
+                resume: Some(&mut resume),
+                ..RunOptions::new(1_000)
+            })
+            .unwrap();
         assert_eq!(s, RunStatus::Finished, "empty stream drains cleanly");
         g.feed_source(src, vec![tdata([1u32]), tbar(1)]).unwrap();
-        let (r1, s) = g.run_untimed_resumable(&mut resume, 1_000).unwrap();
+        let (r1, s) = g
+            .run(RunOptions {
+                resume: Some(&mut resume),
+                ..RunOptions::new(1_000)
+            })
+            .unwrap();
         assert_eq!(s, RunStatus::Finished);
         assert_eq!(handle.tokens(), vec![tdata([2u32]), tbar(1)]);
         g.feed_source(src, vec![tdata([2u32]), tbar(1)]).unwrap();
-        let (r2, s) = g.run_untimed_resumable(&mut resume, 1_000).unwrap();
+        let (r2, s) = g
+            .run(RunOptions {
+                resume: Some(&mut resume),
+                ..RunOptions::new(1_000)
+            })
+            .unwrap();
         assert_eq!(s, RunStatus::Finished);
         assert_eq!(handle.tokens(), oh.tokens(), "chunked ≡ one-shot sink");
         // The second poll's delta is readable through the cursor view.
@@ -1419,11 +1299,21 @@ mod tests {
         let (sink, handle) = SinkNode::new();
         g.add_node("sink", Box::new(sink), vec![c2], vec![]);
         let mut resume = ResumeState::new();
-        let (_, s) = g.run_untimed_resumable(&mut resume, 1_000).unwrap();
+        let (_, s) = g
+            .run(RunOptions {
+                resume: Some(&mut resume),
+                ..RunOptions::new(1_000)
+            })
+            .unwrap();
         assert_eq!(s, RunStatus::Paused, "stuck token pauses, not deadlocks");
         assert!(g.resident_bytes() > 0, "paused state holds resident tokens");
         g.feed_source(src_b, vec![tdata([2u32])]).unwrap();
-        let (_, s) = g.run_untimed_resumable(&mut resume, 1_000).unwrap();
+        let (_, s) = g
+            .run(RunOptions {
+                resume: Some(&mut resume),
+                ..RunOptions::new(1_000)
+            })
+            .unwrap();
         assert_eq!(s, RunStatus::Finished);
         assert_eq!(handle.tokens(), vec![tdata([1u32, 2u32])]);
     }
@@ -1434,20 +1324,32 @@ mod tests {
         one.feed_source(src, vec![tdata([3u32]), tbar(1), tdata([5u32]), tbar(1)])
             .unwrap();
         let plan = crate::ExecPlan::build(&one);
-        one.run_untimed_planned(&plan, 1_000).unwrap();
+        one.run(RunOptions {
+            plan: Some(&plan),
+            ..RunOptions::new(1_000)
+        })
+        .unwrap();
 
         let (mut g, src, handle) = streaming_pipeline();
         let plan = crate::ExecPlan::build(&g);
         let mut resume = ResumeState::new();
         g.feed_source(src, vec![tdata([3u32]), tbar(1)]).unwrap();
         let (r1, s) = g
-            .run_untimed_planned_resumable(&plan, &mut resume, 1_000)
+            .run(RunOptions {
+                plan: Some(&plan),
+                resume: Some(&mut resume),
+                ..RunOptions::new(1_000)
+            })
             .unwrap();
         assert_eq!(s, RunStatus::Finished);
         assert_eq!(handle.tokens(), vec![tdata([6u32]), tbar(1)]);
         g.feed_source(src, vec![tdata([5u32]), tbar(1)]).unwrap();
         let (r2, s) = g
-            .run_untimed_planned_resumable(&plan, &mut resume, 1_000)
+            .run(RunOptions {
+                plan: Some(&plan),
+                resume: Some(&mut resume),
+                ..RunOptions::new(1_000)
+            })
             .unwrap();
         assert_eq!(s, RunStatus::Finished);
         assert_eq!(handle.tokens(), oh.tokens(), "chunked ≡ one-shot (planned)");
@@ -1473,7 +1375,11 @@ mod tests {
         let pending = g.resident_bytes();
         assert!(pending > 0, "fed tokens are resident in the source");
         let mut resume = ResumeState::new();
-        g.run_untimed_resumable(&mut resume, 1_000).unwrap();
+        g.run(RunOptions {
+            resume: Some(&mut resume),
+            ..RunOptions::new(1_000)
+        })
+        .unwrap();
         // Tokens moved to the sink buffer; still resident in the session.
         assert!(g.resident_bytes() > 0);
     }

@@ -27,21 +27,30 @@
 //! only when an input channel gains tokens, a full output channel regains
 //! capacity, or an allocator queue it can block on receives a pointer. Kahn
 //! semantics make the results scheduler-order independent, so the ready-set
-//! executor and the retained dense-sweep reference
-//! ([`Graph::run_untimed_dense`]) produce identical streams and memory —
-//! the ready set just attempts far fewer steps (see
-//! [`ExecReport::productive_ratio`]).
+//! executor and the dense-sweep oracle ([`reference::run_dense`]) produce
+//! identical streams and memory — the ready set just attempts far fewer
+//! steps (see [`ExecReport::productive_ratio`]).
 //!
 //! The hot path does not interpret boxed nodes at all: a finished graph
 //! flattens once into an [`ExecPlan`] — fused element-wise segments,
 //! native sink drains, a bitmap worklist, and a boxed fallback for
-//! everything else — which [`Graph::run_untimed_planned`] executes with
-//! bit-identical results (see the [`ExecPlan`] docs).
+//! everything else — with bit-identical results (see the [`ExecPlan`]
+//! docs).
+//!
+//! There is one way in to execute, [`Graph::run`]; its [`RunOptions`] name
+//! the four things a run can vary on:
+//!
+//! | `RunOptions` field | unset                                  | set                                          |
+//! |--------------------|----------------------------------------|----------------------------------------------|
+//! | `plan`             | interpreted reference executor         | run through that [`ExecPlan`]                |
+//! | `resume`           | one-shot: leftover tokens are a deadlock error | streaming: leftover tokens are [`RunStatus::Paused`], resumable with the same [`ResumeState`] |
+//! | `obs`              | no-op sink                             | dispatches, wakes and stalls recorded        |
+//! | `max_rounds`       | (required)                             | livelock cap on scheduler generations        |
 //!
 //! ## Example: a `foreach` as counter + reduce (paper Fig. 2)
 //!
 //! ```
-//! use revet_machine::{Channel, Graph, tdata, tbar};
+//! use revet_machine::{Channel, Graph, RunOptions, tdata, tbar};
 //! use revet_machine::nodes::{CounterNode, ReduceNode, SinkNode, SourceNode};
 //! use revet_machine::instr::{AluOp, Operand};
 //!
@@ -59,7 +68,7 @@
 //! g.add_node("reduce", Box::new(ReduceNode::new(AluOp::Add, 0u32)), vec![b], vec![d]);
 //! let (sink, out) = SinkNode::new();
 //! g.add_node("exit", Box::new(sink), vec![d], vec![]);
-//! g.run_untimed(1_000).unwrap();
+//! g.run(RunOptions::new(1_000)).unwrap();
 //! // sum(0..3) = 3, still a 1-D stream of one thread.
 //! assert_eq!(out.tokens(), vec![tdata([3u32]), tbar(1)]);
 //! ```
@@ -73,11 +82,14 @@ mod mem;
 mod node;
 pub mod nodes;
 mod plan;
+pub mod reference;
 mod ring;
 mod tuple;
 
 pub use channel::{Channel, LinkClass};
-pub use graph::{ExecReport, Graph, NodeSlot, ResumeState, RunStatus, TopologyIndex, UnitClass};
+pub use graph::{
+    ExecReport, Graph, NodeSlot, ResumeState, RunOptions, RunStatus, TopologyIndex, UnitClass,
+};
 pub use mem::{AllocId, AllocQueue, MemoryState, SramId, SramRegion};
 pub use node::{ChanId, FusedSpec, IoEvents, MachineError, Node, NodeId, NodeIo, PortBudget};
 pub use plan::{ExecPlan, PlanStats};

@@ -30,10 +30,14 @@
 //! channels — stays on the boxed [`crate::Node::step`] path behind the
 //! same scheduler, so the plan is **total**: every graph runs, only the
 //! hot kinds run faster. Kahn semantics guarantee the result is
-//! bit-identical to the interpreted executors; the `scheduler_equiv`
-//! property suite and the eight-app benchmark assert it.
+//! bit-identical to the interpreted executor; the `scheduler_equiv`
+//! property suite and the eight-app `plan_differential` suite assert it.
+//!
+//! A plan is run by passing it to [`Graph::run`]
+//! ([`crate::RunOptions::plan`]); this module only contributes the drain
+//! loop.
 
-use crate::graph::{ExecReport, Graph, ResumeState, RunStatus};
+use crate::graph::{round_cap_error, ExecReport, Graph};
 use crate::instr::{exec_instrs, EwInstr, Reg};
 use crate::node::{ChanId, FusedSpec, IoEvents, MachineError, NodeId, PortBudget};
 use crate::nodes::{OutputSpec, SinkHandle};
@@ -409,75 +413,35 @@ impl ExecPlan {
         &self.producers[self.prod_off[i] as usize..self.prod_off[i + 1] as usize]
     }
 
-    /// Runs `g` to quiescence under this plan. See
-    /// [`Graph::run_untimed_planned`].
-    ///
-    /// # Errors
-    ///
-    /// Shape mismatch (plan built for different wiring), node protocol
-    /// errors, the round cap, or a deadlock diagnosis — the latter three
-    /// formatted identically to the interpreted executors.
-    pub fn run(&self, g: &mut Graph, max_rounds: u64) -> Result<ExecReport, MachineError> {
-        self.run_obs(g, max_rounds, ObsSink::noop())
+    /// The shape fingerprint check [`Graph::run`] makes before running
+    /// through this plan.
+    pub(crate) fn check_shape(&self, g: &Graph) -> Result<(), MachineError> {
+        if g.node_count() == self.node_count && g.chan_count() == self.chan_count {
+            return Ok(());
+        }
+        Err(MachineError::new(format!(
+            "execution plan shape mismatch: plan for {} nodes/{} chans, graph has {}/{}",
+            self.node_count,
+            self.chan_count,
+            g.node_count(),
+            g.chan_count()
+        )))
     }
 
-    /// [`ExecPlan::run`] with an observability sink: dispatches, segment
-    /// fires, sink drains, classified wakes, and per-node stall attribution
-    /// are recorded into `obs`. The no-op sink costs one predictable branch
-    /// per event site (the `exec_bench --baseline` CI gate pins this).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ExecPlan::run`].
-    pub fn run_obs(
+    /// The plan executor's drain loop, called by [`Graph::run`] (which owns
+    /// the shape check, the first-run/resume decision and the quiescence
+    /// verdict): fires woken segments, sinks and boxed nodes until no wake
+    /// is pending. With an enabled `obs`, dispatches, segment fires, sink
+    /// drains, classified wakes and per-node stall attribution are
+    /// recorded; the no-op sink costs one predictable branch per event
+    /// site.
+    pub(crate) fn drain(
         &self,
         g: &mut Graph,
+        first: bool,
         max_rounds: u64,
         obs: &ObsSink,
     ) -> Result<ExecReport, MachineError> {
-        let mut resume = ResumeState::new();
-        let (report, _) = self.run_core(g, &mut resume, false, max_rounds, obs)?;
-        Ok(report)
-    }
-
-    /// [`ExecPlan::run_obs`] in suspend-at-quiescence mode: leftover
-    /// tokens yield [`RunStatus::Paused`] (channel rings and node state
-    /// stay live for the next feed) instead of a deadlock error. The same
-    /// [`ResumeState`] must drive every run of one streaming session; a
-    /// fresh state makes the first run seed every node exactly like
-    /// [`ExecPlan::run_obs`].
-    ///
-    /// # Errors
-    ///
-    /// Shape mismatch, node protocol errors, or the round cap. Leftover
-    /// tokens are the `Paused` status, not an error.
-    pub fn run_resumable_obs(
-        &self,
-        g: &mut Graph,
-        resume: &mut ResumeState,
-        max_rounds: u64,
-        obs: &ObsSink,
-    ) -> Result<(ExecReport, RunStatus), MachineError> {
-        self.run_core(g, resume, true, max_rounds, obs)
-    }
-
-    fn run_core(
-        &self,
-        g: &mut Graph,
-        resume: &mut ResumeState,
-        suspend_at_quiescence: bool,
-        max_rounds: u64,
-        obs: &ObsSink,
-    ) -> Result<(ExecReport, RunStatus), MachineError> {
-        if g.node_count() != self.node_count || g.chan_count() != self.chan_count {
-            return Err(MachineError::new(format!(
-                "execution plan shape mismatch: plan for {} nodes/{} chans, graph has {}/{}",
-                self.node_count,
-                self.chan_count,
-                g.node_count(),
-                g.chan_count()
-            )));
-        }
         let n = self.node_count;
 
         // Capture sink handles up front (behaviors stay boxed; the fused
@@ -502,43 +466,15 @@ impl ExecPlan {
         let mut events = IoEvents::default();
         let mut report = ExecReport::default();
 
-        // First run seeds every node (the one-shot behavior); a resumed
-        // run re-seeds only what can make progress: consumers of non-empty
-        // channels, allocator waiters, and nodes with internal pending
-        // input (fed sources) — mirroring the interpreter's rule, mapped
-        // through `wake_target` so segment members cost one bit.
+        // Seeds map through `wake_target`, so segment members cost one bit.
         let mut ws = WakeSet::new(n);
-        if !resume.take_started() {
-            for i in 0..n as u32 {
-                ws.seed(self.wake_target[i as usize]);
-            }
-        } else {
-            for ci in 0..self.chan_count {
-                if !g.chans()[ci].is_empty() {
-                    for &c in self.consumers_of(ChanId(ci as u32)) {
-                        ws.seed(self.wake_target[c as usize]);
-                    }
-                }
-            }
-            for &w in &self.alloc_waiters {
-                ws.seed(self.wake_target[w as usize]);
-            }
-            for (i, slot) in g.nodes().iter().enumerate() {
-                if slot
-                    .behavior
-                    .as_ref()
-                    .is_some_and(|b| b.pending_input_tokens() > 0)
-                {
-                    ws.seed(self.wake_target[i]);
-                }
-            }
+        for id in g.seeds(first) {
+            ws.seed(self.wake_target[id.0 as usize]);
         }
 
         loop {
             if report.rounds >= max_rounds {
-                return Err(MachineError::new(format!(
-                    "no quiescence after {max_rounds} rounds (livelock or huge workload)"
-                )));
+                return Err(round_cap_error(max_rounds));
             }
             report.rounds += 1;
             let ready: u64 = ws.cur.iter().map(|w| w.count_ones() as u64).sum();
@@ -599,19 +535,7 @@ impl ExecPlan {
             ws.next_count = 0;
         }
 
-        // Quiescent: every channel with a consumer should be drained.
-        // Under suspension leftover tokens are a pause, not a deadlock.
-        let stuck = self.stuck_channels_report(g);
-        if stuck.is_empty() {
-            return Ok((report, RunStatus::Finished));
-        }
-        if suspend_at_quiescence {
-            return Ok((report, RunStatus::Paused));
-        }
-        Err(MachineError::new(format!(
-            "deadlock at quiescence: {}",
-            stuck.join("; ")
-        )))
+        Ok(report)
     }
 
     /// Fallback firing: identical to the interpreter's inner loop — budget
@@ -851,31 +775,6 @@ impl ExecPlan {
         }
         Ok(progressed)
     }
-
-    /// The plan-side copy of the interpreter's stuck-channel diagnosis
-    /// (same message format), using the flattened consumer lists.
-    fn stuck_channels_report(&self, g: &Graph) -> Vec<String> {
-        let mut stuck = Vec::new();
-        for (ci, chan) in g.chans().iter().enumerate() {
-            if chan.is_empty() {
-                continue;
-            }
-            let consumers = self.consumers_of(ChanId(ci as u32));
-            if consumers.is_empty() {
-                continue;
-            }
-            let labels: Vec<&str> = consumers
-                .iter()
-                .map(|&i| g.nodes()[i as usize].label.as_str())
-                .collect();
-            stuck.push(format!(
-                "channel #{ci} -> '{}': {} tokens pending",
-                labels.join(", "),
-                chan.len()
-            ));
-        }
-        stuck
-    }
 }
 
 #[cfg(test)]
@@ -885,6 +784,20 @@ mod tests {
     use crate::instr::{AluOp, Operand};
     use crate::nodes::{EwNode, SinkNode, SourceNode};
     use crate::tuple::{tbar, tdata, TTok};
+    use crate::RunOptions;
+
+    /// One-shot run, report only: through `plan`, or interpreted.
+    fn one_shot(
+        g: &mut Graph,
+        plan: Option<&ExecPlan>,
+        max_rounds: u64,
+    ) -> Result<ExecReport, MachineError> {
+        g.run(RunOptions {
+            plan,
+            ..RunOptions::new(max_rounds)
+        })
+        .map(|(report, _)| report)
+    }
 
     fn add_one() -> EwNode {
         EwNode::new(
@@ -929,7 +842,7 @@ mod tests {
     #[test]
     fn fused_pipeline_matches_interpreted() {
         let (mut gi, hi) = chain(None);
-        let ri = gi.run_untimed(10_000).unwrap();
+        let ri = one_shot(&mut gi, None, 10_000).unwrap();
         let (mut gp, hp) = chain(None);
         let plan = ExecPlan::build(&gp);
         let stats = plan.stats();
@@ -938,7 +851,7 @@ mod tests {
         assert_eq!(stats.longest_segment, 3);
         assert_eq!(stats.fused_sinks, 1);
         assert_eq!(stats.boxed, 1, "only the source stays boxed");
-        let rp = gp.run_untimed_planned(&plan, 10_000).unwrap();
+        let rp = one_shot(&mut gp, Some(&plan), 10_000).unwrap();
         assert_eq!(hi.tokens(), hp.tokens());
         assert!(rp.productive_steps > 0);
         assert!(
@@ -955,7 +868,7 @@ mod tests {
         // fusing (fused pushes skip room checks); the plan must still
         // finish via the boxed fallback with back-pressure wakes.
         let (mut gi, hi) = chain(Some(1));
-        gi.run_untimed(10_000).unwrap();
+        one_shot(&mut gi, None, 10_000).unwrap();
         let (mut gp, hp) = chain(Some(1));
         let plan = ExecPlan::build(&gp);
         assert!(
@@ -963,7 +876,7 @@ mod tests {
             "source + the bounded-output stage stay boxed: {:?}",
             plan.stats()
         );
-        gp.run_untimed_planned(&plan, 10_000).unwrap();
+        one_shot(&mut gp, Some(&plan), 10_000).unwrap();
         assert_eq!(hi.tokens(), hp.tokens());
     }
 
@@ -1003,12 +916,12 @@ mod tests {
             (g, h0, h1)
         };
         let (mut gi, i0, i1) = build();
-        gi.run_untimed(10_000).unwrap();
+        one_shot(&mut gi, None, 10_000).unwrap();
         let (mut gp, p0, p1) = build();
         let plan = ExecPlan::build(&gp);
         assert_eq!(plan.stats().fused_ew, 1);
         assert_eq!(plan.stats().fused_sinks, 2);
-        gp.run_untimed_planned(&plan, 10_000).unwrap();
+        one_shot(&mut gp, Some(&plan), 10_000).unwrap();
         assert_eq!(i0.tokens(), p0.tokens());
         assert_eq!(i1.tokens(), p1.tokens());
         assert!(!p1.tokens().iter().any(|t| t.is_barrier()), "stripped side");
@@ -1048,11 +961,11 @@ mod tests {
             (g, h)
         };
         let (mut gi, hi) = build();
-        gi.run_untimed(10_000).unwrap();
+        one_shot(&mut gi, None, 10_000).unwrap();
         let (mut gp, hp) = build();
         let plan = ExecPlan::build(&gp);
         assert_eq!(plan.stats().fused_ew, 1, "a zip head fuses too");
-        gp.run_untimed_planned(&plan, 10_000).unwrap();
+        one_shot(&mut gp, Some(&plan), 10_000).unwrap();
         assert_eq!(hi.tokens(), hp.tokens());
         assert_eq!(
             hp.tokens(),
@@ -1084,7 +997,7 @@ mod tests {
             (g, h)
         };
         let (mut gi, hi) = build();
-        gi.run_untimed(10_000).unwrap();
+        one_shot(&mut gi, None, 10_000).unwrap();
         let (mut gp, hp) = build();
         let plan = ExecPlan::build(&gp);
         assert_eq!(
@@ -1092,7 +1005,7 @@ mod tests {
             0,
             "AllocPop stages must not fuse (stall check needs the boxed path)"
         );
-        gp.run_untimed_planned(&plan, 10_000).unwrap();
+        one_shot(&mut gp, Some(&plan), 10_000).unwrap();
         assert_eq!(hi.tokens(), hp.tokens());
         assert_eq!(gi.mem.dram, gp.mem.dram);
     }
@@ -1120,10 +1033,10 @@ mod tests {
             g.add_node("sink", Box::new(sink), vec![c2], vec![]);
             g
         };
-        let ei = build().run_untimed(100).unwrap_err();
+        let ei = one_shot(&mut build(), None, 100).unwrap_err();
         let mut gp = build();
         let plan = ExecPlan::build(&gp);
-        let ep = gp.run_untimed_planned(&plan, 100).unwrap_err();
+        let ep = one_shot(&mut gp, Some(&plan), 100).unwrap_err();
         assert_eq!(ei, ep, "identical deadlock diagnosis");
         assert!(ep.message.contains("deadlock"), "got: {ep}");
     }
@@ -1132,7 +1045,7 @@ mod tests {
     fn planned_round_cap_reported() {
         let (mut g, _h) = chain(None);
         let plan = ExecPlan::build(&g);
-        let err = g.run_untimed_planned(&plan, 0).unwrap_err();
+        let err = one_shot(&mut g, Some(&plan), 0).unwrap_err();
         assert!(err.message.contains("no quiescence"), "got: {err}");
     }
 
@@ -1148,7 +1061,7 @@ mod tests {
             vec![],
             vec![c],
         );
-        let err = other.run_untimed_planned(&plan, 100).unwrap_err();
+        let err = one_shot(&mut other, Some(&plan), 100).unwrap_err();
         assert!(err.message.contains("shape mismatch"), "got: {err}");
     }
 
@@ -1159,7 +1072,7 @@ mod tests {
         let plan = ExecPlan::build(&template);
         for _ in 0..3 {
             let mut inst = template.fresh_instance();
-            inst.run_untimed_planned(&plan, 10_000).unwrap();
+            one_shot(&mut inst, Some(&plan), 10_000).unwrap();
             let h = inst
                 .nodes()
                 .iter()
@@ -1210,10 +1123,10 @@ mod tests {
             (g, h)
         };
         let (mut gi, hi) = build();
-        let ei = gi.run_untimed(10_000);
+        let ei = one_shot(&mut gi, None, 10_000);
         let (mut gp, hp) = build();
         let plan = ExecPlan::build(&gp);
-        let ep = gp.run_untimed_planned(&plan, 10_000);
+        let ep = one_shot(&mut gp, Some(&plan), 10_000);
         // The seeded loop token survives the run on both paths: identical
         // diagnosis, identical sink streams, identical leftovers.
         assert_eq!(ei.unwrap_err(), ep.unwrap_err());

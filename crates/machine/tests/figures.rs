@@ -6,7 +6,7 @@ use revet_machine::nodes::{
     BroadcastNode, CounterNode, EwNode, FbMergeNode, FlattenNode, FwdMergeNode, OutputSpec,
     ReduceNode, SinkNode, SourceNode,
 };
-use revet_machine::{tbar, tdata, Channel, Graph, TTok};
+use revet_machine::{tbar, tdata, Channel, Graph, RunOptions, TTok};
 use revet_sltf::Tok;
 
 fn data_ids(tokens: &[TTok]) -> Vec<u32> {
@@ -66,7 +66,7 @@ fn figure2_foreach_counter_reduce() {
     );
     let (sink, out) = SinkNode::new();
     g.add_node("exit", Box::new(sink), vec![d], vec![]);
-    g.run_untimed(10_000).unwrap();
+    g.run(RunOptions::new(10_000)).unwrap();
     // t1: 0²+1²+2² = 5; t2: 0²+1²+2²+3² = 14. Same dimensionality as A.
     assert_eq!(out.tokens(), vec![tdata([5u32]), tdata([14u32]), tbar(1)]);
 }
@@ -133,7 +133,7 @@ fn figure2_with_parent_broadcast() {
     );
     let (sink, out) = SinkNode::new();
     g.add_node("exit", Box::new(sink), vec![d], vec![]);
-    g.run_untimed(10_000).unwrap();
+    g.run(RunOptions::new(10_000)).unwrap();
     // t1: (0+10)+(1+10) = 21; t2: (0+20)+(1+20) = 41.
     assert_eq!(out.tokens(), vec![tdata([21u32]), tdata([41u32]), tbar(1)]);
 }
@@ -195,7 +195,7 @@ fn figure3_filter_merge_if() {
     );
     let (sink, out) = SinkNode::new();
     g.add_node("exit", Box::new(sink), vec![d], vec![]);
-    g.run_untimed(10_000).unwrap();
+    g.run(RunOptions::new(10_000)).unwrap();
 
     let toks = out.tokens();
     assert_eq!(toks.last(), Some(&tbar(1)), "single merged barrier");
@@ -278,7 +278,7 @@ fn figure4_fb_merge_while() {
     );
     let (sink, out) = SinkNode::new();
     g.add_node("exit", Box::new(sink), vec![d], vec![]);
-    g.run_untimed(10_000).unwrap();
+    g.run(RunOptions::new(10_000)).unwrap();
 
     let toks = out.tokens();
     // D = [t3, t1, t2, t4], Ωn — completion order, original level restored.
@@ -361,7 +361,7 @@ fn fb_merge_back_to_back_tensors() {
     );
     let (sink, out) = SinkNode::new();
     g.add_node("exit", Box::new(sink), vec![d], vec![]);
-    g.run_untimed(10_000).unwrap();
+    g.run(RunOptions::new(10_000)).unwrap();
 
     let toks = out.tokens();
     // Tensor boundaries must be preserved: t1 then Ω1, then {t2,t3} then Ω1.
@@ -525,7 +525,7 @@ fn nested_while_loops_compose() {
     );
     let (sink, out) = SinkNode::new();
     g.add_node("exit", Box::new(sink), vec![d], vec![]);
-    g.run_untimed(100_000).unwrap();
+    g.run(RunOptions::new(100_000)).unwrap();
 
     // Reference: for o0: acc = sum over o in o0..=1 of o = o0(o0+1)/2.
     let toks = out.tokens();
@@ -643,7 +643,7 @@ fn foreach_inside_while_body() {
     );
     let (sink, out) = SinkNode::new();
     g.add_node("exit", Box::new(sink), vec![d], vec![]);
-    g.run_untimed(100_000).unwrap();
+    g.run(RunOptions::new(100_000)).unwrap();
 
     // Two outer iterations, each adding 0+1+2 = 3 → acc = 6.
     let toks = out.tokens();

@@ -6,7 +6,7 @@ use revet_machine::instr::{AluOp, EwInstr, Operand};
 use revet_machine::nodes::{
     CounterNode, EwNode, FbMergeNode, FlattenNode, OutputSpec, ReduceNode, SinkNode, SourceNode,
 };
-use revet_machine::{tbar, tdata, Channel, Graph, TTok};
+use revet_machine::{tbar, tdata, Channel, Graph, RunOptions, TTok};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -31,7 +31,7 @@ proptest! {
         g.add_node("reduce", Box::new(ReduceNode::new(AluOp::Add, 0u32)), vec![b], vec![d]);
         let (sink, out) = SinkNode::new();
         g.add_node("sink", Box::new(sink), vec![d], vec![]);
-        g.run_untimed(1_000_000).unwrap();
+        g.run(RunOptions::new(1_000_000)).unwrap();
 
         let toks = out.tokens();
         let got: Vec<u32> = toks.iter().filter_map(|t| t.data().map(|v| v[0].as_u32())).collect();
@@ -100,7 +100,7 @@ proptest! {
         g.add_node("strip", Box::new(FlattenNode::new()), vec![exit_raw], vec![d]);
         let (sink, out) = SinkNode::new();
         g.add_node("sink", Box::new(sink), vec![d], vec![]);
-        g.run_untimed(1_000_000).unwrap();
+        g.run(RunOptions::new(1_000_000)).unwrap();
 
         let toks = out.tokens();
         // Thread conservation within each tensor segment.
@@ -148,7 +148,7 @@ proptest! {
         g.add_node("flatten", Box::new(FlattenNode::new()), vec![b], vec![d]);
         let (sink, out) = SinkNode::new();
         g.add_node("sink", Box::new(sink), vec![d], vec![]);
-        g.run_untimed(1_000_000).unwrap();
+        g.run(RunOptions::new(1_000_000)).unwrap();
         let toks = out.tokens();
         let total: u32 = counts.iter().sum();
         prop_assert_eq!(toks.iter().filter(|t| t.is_data()).count() as u32, total);

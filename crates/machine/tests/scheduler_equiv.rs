@@ -1,10 +1,12 @@
-//! Scheduler-equivalence property tests: the event-driven ready-set
-//! executor, the retained dense-sweep reference, and the compiled
-//! execution plan ([`ExecPlan`]) must produce identical sink token streams
-//! and identical [`MemoryState`] on randomly generated acyclic graphs —
-//! Kahn determinism means results are independent of the order in which
-//! ready nodes are drained, and the plan's fused segments must be
-//! observationally invisible.
+//! Scheduler-equivalence property tests: every way of calling
+//! [`Graph::run`] — the full [`RunOptions`] matrix, `{plan, interpreted} ×
+//! {one-shot, resumed in K chunks} × {no-op obs, enabled obs}` — and the
+//! dense-sweep oracle ([`run_dense`]) must produce identical sink token
+//! streams and identical [`MemoryState`] on randomly generated acyclic
+//! graphs. Kahn determinism means results are independent of the order in
+//! which ready nodes are drained, the plan's fused segments must be
+//! observationally invisible, and an enabled sink must account for every
+//! dispatch without perturbing any.
 //!
 //! The generator grows a DAG from one source by three count-preserving
 //! construction moves, so any two open channels always carry the same
@@ -22,10 +24,12 @@
 use proptest::prelude::*;
 use revet_machine::instr::{AluOp, EwInstr, Operand};
 use revet_machine::nodes::{EwNode, OutputSpec, SinkHandle, SinkNode, SourceNode};
+use revet_machine::reference::run_dense;
 use revet_machine::{
-    tbar, tdata, Channel, ExecPlan, ExecReport, Graph, MemoryState, NodeId, ResumeState, RunStatus,
-    TTok,
+    tbar, tdata, Channel, ExecPlan, ExecReport, Graph, MemoryState, NodeId, ResumeState,
+    RunOptions, RunStatus, TTok,
 };
+use revet_obs::ObsSink;
 
 /// One construction move, decoded from a raw u32.
 #[derive(Clone, Copy, Debug)]
@@ -209,12 +213,14 @@ proptest! {
         moves in prop::collection::vec(0u32..3_000_000, 0..18),
     ) {
         let (mut dense_g, _, dense_h) = build(source_tokens(&values), &moves);
-        let dense: ExecReport = dense_g.run_untimed_dense(100_000).unwrap();
+        let dense: ExecReport = run_dense(&mut dense_g, 100_000).unwrap();
         let (mut ready_g, _, ready_h) = build(source_tokens(&values), &moves);
-        let ready: ExecReport = ready_g.run_untimed(100_000).unwrap();
+        let (ready, _) = ready_g.run(RunOptions::new(100_000)).unwrap();
         let (mut plan_g, _, plan_h) = build(source_tokens(&values), &moves);
         let plan = ExecPlan::build(&plan_g);
-        plan_g.run_untimed_planned(&plan, 100_000).unwrap();
+        plan_g
+            .run(RunOptions { plan: Some(&plan), ..RunOptions::new(100_000) })
+            .unwrap();
 
         let stats = plan.stats();
         prop_assert_eq!(
@@ -235,13 +241,16 @@ proptest! {
         );
     }
 
-    /// Streaming bit-identity on random DAGs: feeding the source stream in
-    /// K chunks at arbitrary token boundaries — with a resumable run after
-    /// each chunk — yields exactly the one-shot sink streams and memory
-    /// state, on both the interpreted and the planned executor. Chunking
-    /// only perturbs the schedule, and Kahn semantics make the result
+    /// The whole `RunOptions` matrix against the dense oracle: `{planned,
+    /// interpreted} × {one-shot, resumed in K chunks} × {no-op obs,
+    /// enabled obs}`. Feeding the source stream in K chunks at arbitrary
+    /// token boundaries — with a resumable run after each chunk — yields
+    /// exactly the one-shot sink streams and memory state: chunking only
+    /// perturbs the schedule, and Kahn semantics make the result
     /// schedule-independent; intermediate polls may legitimately pause
-    /// with in-flight tokens, but the final poll must drain clean.
+    /// with in-flight tokens, but the final poll must drain clean. An
+    /// enabled sink sees one dispatch per attempted step, summed over the
+    /// session's runs.
     #[test]
     fn chunked_feed_matches_one_shot(
         values in prop::collection::vec(0u32..100, 0..14),
@@ -249,8 +258,8 @@ proptest! {
         cuts in prop::collection::vec(0usize..64, 0..5),
     ) {
         let toks = source_tokens(&values);
-        let (mut one_g, _, one_h) = build(toks.clone(), &moves);
-        one_g.run_untimed(100_000).unwrap();
+        let (mut oracle_g, _, oracle_h) = build(toks.clone(), &moves);
+        run_dense(&mut oracle_g, 100_000).unwrap();
 
         let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (toks.len() + 1)).collect();
         bounds.push(0);
@@ -258,31 +267,47 @@ proptest! {
         bounds.sort_unstable();
         bounds.dedup();
 
-        // Interpreted executor, chunked.
-        let (mut ig, src, ih) = build(Vec::new(), &moves);
-        let mut resume = ResumeState::new();
-        let mut last = RunStatus::Finished;
-        for w in bounds.windows(2) {
-            ig.feed_source(src, toks[w[0]..w[1]].to_vec()).unwrap();
-            (_, last) = ig.run_untimed_resumable(&mut resume, 100_000).unwrap();
+        for planned in [false, true] {
+            for chunked in [false, true] {
+                for observed in [false, true] {
+                    let lane = format!("planned={planned} chunked={chunked} observed={observed}");
+                    let enabled = ObsSink::counters_only();
+                    let obs = if observed { &enabled } else { ObsSink::noop() };
+                    let initial = if chunked { Vec::new() } else { toks.clone() };
+                    // The plan is built once, before any chunk is fed.
+                    let (mut g, src, handles) = build(initial, &moves);
+                    let plan = planned.then(|| ExecPlan::build(&g));
+                    let mut steps = 0;
+                    if chunked {
+                        let mut resume = ResumeState::new();
+                        let mut last = RunStatus::Finished;
+                        for w in bounds.windows(2) {
+                            g.feed_source(src, toks[w[0]..w[1]].to_vec()).unwrap();
+                            let (report, status) = g
+                                .run(RunOptions {
+                                    plan: plan.as_ref(),
+                                    resume: Some(&mut resume),
+                                    obs,
+                                    max_rounds: 100_000,
+                                })
+                                .unwrap();
+                            steps += report.steps;
+                            last = status;
+                        }
+                        prop_assert_eq!(last, RunStatus::Finished, "{}: final drain", lane);
+                    } else {
+                        let (report, status) = g
+                            .run(RunOptions { plan: plan.as_ref(), obs, ..RunOptions::new(100_000) })
+                            .unwrap();
+                        prop_assert_eq!(status, RunStatus::Finished, "{}", lane);
+                        steps = report.steps;
+                    }
+                    prop_assert_eq!(snapshot(&oracle_h), snapshot(&handles), "{}: sinks", lane);
+                    prop_assert_eq!(&oracle_g.mem, &g.mem, "{}: memory", lane);
+                    let dispatches = if observed { steps } else { 0 };
+                    prop_assert_eq!(enabled.counters.dispatches.get(), dispatches, "{}", lane);
+                }
+            }
         }
-        prop_assert_eq!(last, RunStatus::Finished, "interpreted final drain");
-        prop_assert_eq!(snapshot(&one_h), snapshot(&ih));
-        prop_assert_eq!(&one_g.mem, &ig.mem);
-
-        // Planned executor, chunked (plan built once, before any input).
-        let (mut pg, src, ph) = build(Vec::new(), &moves);
-        let plan = ExecPlan::build(&pg);
-        let mut resume = ResumeState::new();
-        let mut last = RunStatus::Finished;
-        for w in bounds.windows(2) {
-            pg.feed_source(src, toks[w[0]..w[1]].to_vec()).unwrap();
-            (_, last) = pg
-                .run_untimed_planned_resumable(&plan, &mut resume, 100_000)
-                .unwrap();
-        }
-        prop_assert_eq!(last, RunStatus::Finished, "planned final drain");
-        prop_assert_eq!(snapshot(&one_h), snapshot(&ph));
-        prop_assert_eq!(&one_g.mem, &pg.mem);
     }
 }

@@ -28,7 +28,7 @@
 //! returns a `&'static` sink whose `enabled` flag is `false`; every
 //! recording method starts with that one predictable branch and returns
 //! immediately, so the instrumented fast path costs a non-atomic load per
-//! event site (verified by `exec_bench --baseline` in CI).
+//! event site (the `perf_ledger` benchmark runs with the disabled sink).
 //!
 //! ```
 //! use revet_obs::{ObsSink, StallClass, WakeCause};

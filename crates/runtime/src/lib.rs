@@ -34,12 +34,14 @@
 //! per-instance DRAM copy scales with the pool instead of serializing on
 //! the caller.
 //!
-//! By default every instance executes through the compiled
+//! Every instance executes through the compiled
 //! [`revet_machine::ExecPlan`] its program carries (fused segments, arena
-//! state — see the machine crate); [`BatchRunner::with_mode`] selects the
-//! boxed-node interpreter instead ([`ExecMode::Interpreted`]) for
-//! debugging or baseline benchmarking. Results are bit-identical either
-//! way.
+//! state — see the machine crate), via
+//! [`revet_core::ProgramInstance::run`] — the runtime adds threads and
+//! aggregation, not another way to execute. (The interpreted reference
+//! lane is reached at the machine layer, `Graph::run` with no plan; the
+//! `planned_and_interpreted_modes_agree_bit_for_bit` test holds the pool
+//! against it.)
 //!
 //! Execution is deterministic per instance: a
 //! [`revet_core::ProgramInstance`] owns all of its mutable state, so
@@ -89,22 +91,6 @@ const _: fn() = || {
 
 /// Default per-instance round cap (matches the evaluation harnesses).
 pub const DEFAULT_MAX_ROUNDS: u64 = 200_000_000;
-
-/// Which executor the pool drives each instance through. Both produce
-/// bit-identical results (sink streams and [`MemoryState`]); they differ
-/// only in dispatch cost.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// The compiled execution plan ([`revet_machine::ExecPlan`]): fused
-    /// segments, arena state, bitmap wake set. The default — this is the
-    /// fast path every instance of a compile shares.
-    #[default]
-    Planned,
-    /// The event-driven boxed-node interpreter — the functional reference
-    /// the plan is differential-tested against, kept selectable for
-    /// debugging and benchmarking.
-    Interpreted,
-}
 
 /// One unit of batch work: which compiled program to instantiate and the
 /// `main` arguments to run the instance with. Jobs in one batch may
@@ -257,7 +243,6 @@ impl BatchReport {
 pub struct BatchRunner {
     threads: usize,
     max_rounds: u64,
-    mode: ExecMode,
 }
 
 impl BatchRunner {
@@ -271,7 +256,6 @@ impl BatchRunner {
         BatchRunner {
             threads: threads.max(1),
             max_rounds: DEFAULT_MAX_ROUNDS,
-            mode: ExecMode::default(),
         }
     }
 
@@ -279,14 +263,6 @@ impl BatchRunner {
     #[must_use]
     pub fn with_max_rounds(mut self, max_rounds: u64) -> Self {
         self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Selects which executor instances run on (default:
-    /// [`ExecMode::Planned`]).
-    #[must_use]
-    pub fn with_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -327,12 +303,11 @@ impl BatchRunner {
             (0..jobs.len()).map(|_| None).collect();
         if workers == 1 {
             for (slot, job) in slots.iter_mut().zip(jobs) {
-                *slot = Some(run_one(job, self.max_rounds, self.mode, obs));
+                *slot = Some(run_one(job, self.max_rounds, obs));
             }
         } else {
             let cursor = AtomicUsize::new(0);
             let max_rounds = self.max_rounds;
-            let mode = self.mode;
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
@@ -344,7 +319,7 @@ impl BatchRunner {
                             loop {
                                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                                 let Some(job) = jobs.get(i) else { break };
-                                done.push((i, run_one(job, max_rounds, mode, &local)));
+                                done.push((i, run_one(job, max_rounds, &local)));
                             }
                             (done, local)
                         })
@@ -372,22 +347,11 @@ impl BatchRunner {
     /// Convenience wrapper for the common homogeneous case: one program,
     /// one instance per argument set.
     pub fn run_same(&self, program: &CompiledProgram, argsets: &[Vec<Word>]) -> BatchReport {
-        self.run_same_obs(program, argsets, ObsSink::noop())
-    }
-
-    /// [`BatchRunner::run_same`] with an observability sink (see
-    /// [`BatchRunner::run_obs`]).
-    pub fn run_same_obs(
-        &self,
-        program: &CompiledProgram,
-        argsets: &[Vec<Word>],
-        obs: &ObsSink,
-    ) -> BatchReport {
         let jobs: Vec<BatchJob<'_>> = argsets
             .iter()
             .map(|args| BatchJob::new(program, args.clone()))
             .collect();
-        self.run_obs(&jobs, obs)
+        self.run(&jobs)
     }
 }
 
@@ -396,7 +360,6 @@ impl BatchRunner {
 fn run_one(
     job: &BatchJob<'_>,
     max_rounds: u64,
-    mode: ExecMode,
     obs: &ObsSink,
 ) -> Result<InstanceResult, MachineError> {
     let start = Instant::now();
@@ -414,10 +377,7 @@ fn run_one(
         };
         inst.graph.mem.dram[*base..end].copy_from_slice(bytes);
     }
-    let report = match mode {
-        ExecMode::Planned => inst.run_untimed_obs(&job.args, max_rounds, obs)?,
-        ExecMode::Interpreted => inst.run_untimed_interpreted_obs(&job.args, max_rounds, obs)?,
-    };
+    let report = inst.run(&job.args, max_rounds, obs)?;
     let sink = inst.sink_tokens();
     let wall = start.elapsed();
     if obs.is_enabled() {
@@ -437,6 +397,7 @@ fn run_one(
 mod tests {
     use super::*;
     use revet_core::{Compiler, PassOptions};
+    use revet_machine::RunOptions;
 
     fn squares_program() -> CompiledProgram {
         Compiler::new(PassOptions {
@@ -580,24 +541,26 @@ mod tests {
 
     #[test]
     fn planned_and_interpreted_modes_agree_bit_for_bit() {
+        // The pool only drives the plan; the interpreted reference lane
+        // (`Graph::run` with no plan) must leave the same bits.
         let program = squares_program();
         let argsets: Vec<Vec<Word>> = (1..=6).map(|n| vec![Word(n)]).collect();
-        let planned = BatchRunner::new(2)
-            .with_mode(ExecMode::Planned)
-            .run_same(&program, &argsets);
-        let interp = BatchRunner::new(2)
-            .with_mode(ExecMode::Interpreted)
-            .run_same(&program, &argsets);
+        let planned = BatchRunner::new(2).run_same(&program, &argsets);
         assert_eq!(planned.ok_count(), 6);
-        assert_eq!(interp.ok_count(), 6);
-        for (p, i) in planned.results.iter().zip(&interp.results) {
-            let (p, i) = (p.as_ref().unwrap(), i.as_ref().unwrap());
-            assert_eq!(p.mem, i.mem, "DRAM/SRAM must be bit-identical");
-            assert_eq!(p.sink, i.sink);
+        for (p, args) in planned.results.iter().zip(&argsets) {
+            let p = p.as_ref().unwrap();
+            let mut interp = program.instance();
+            interp.inject_args(args);
+            let (report, _) = interp
+                .graph
+                .run(RunOptions::new(DEFAULT_MAX_ROUNDS))
+                .unwrap();
+            assert_eq!(&p.mem, interp.memory(), "DRAM/SRAM must be bit-identical");
+            assert_eq!(p.sink, interp.sink_tokens());
             // The plan collapses fused-segment dispatch into single
             // firings, so it never attempts more steps than the
             // interpreter.
-            assert!(p.report.steps <= i.report.steps);
+            assert!(p.report.steps <= report.steps);
         }
     }
 
@@ -605,10 +568,14 @@ mod tests {
     fn merged_worker_sinks_match_a_single_threaded_run() {
         let program = squares_program();
         let argsets: Vec<Vec<Word>> = (1..=12).map(|n| vec![Word(n)]).collect();
+        let jobs: Vec<BatchJob<'_>> = argsets
+            .iter()
+            .map(|args| BatchJob::new(&program, args.clone()))
+            .collect();
         let solo_obs = ObsSink::counters_only();
-        let solo = BatchRunner::new(1).run_same_obs(&program, &argsets, &solo_obs);
+        let solo = BatchRunner::new(1).run_obs(&jobs, &solo_obs);
         let pooled_obs = ObsSink::counters_only();
-        let pooled = BatchRunner::new(4).run_same_obs(&program, &argsets, &pooled_obs);
+        let pooled = BatchRunner::new(4).run_obs(&jobs, &pooled_obs);
         assert_eq!(solo.ok_count(), 12);
         assert_eq!(pooled.ok_count(), 12);
         // Per-worker forks merged after the join must aggregate exactly as

@@ -119,12 +119,8 @@ impl Simulator {
             }
         }
         // Inject the argument thread.
-        {
-            let chan = program.graph.chan_mut(program.entry);
-            chan.capacity = None;
-            chan.push(revet_sltf::Tok::Data(args.to_vec()));
-            chan.push(revet_sltf::Tok::Barrier(revet_sltf::BarrierLevel::L1));
-        }
+        program.graph.chan_mut(program.entry).capacity = None;
+        program.inject_args(args);
         let n = program.graph.node_count();
         // The shared channel-endpoint index drives ready-set wake-ups, the
         // same as the untimed executor's (built by the compiler; cloning

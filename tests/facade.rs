@@ -5,7 +5,7 @@
 use revet::compiler::{Compiler, PassOptions};
 use revet::machine::instr::{AluOp, Operand};
 use revet::machine::nodes::{CounterNode, ReduceNode, SinkNode, SourceNode};
-use revet::machine::{tbar, tdata, Channel, Graph};
+use revet::machine::{tbar, tdata, Channel, Graph, RunOptions};
 use revet::sltf::Word;
 
 #[test]
@@ -39,7 +39,7 @@ fn machine_reexport_runs_a_graph() {
     );
     let (sink, out) = SinkNode::new();
     g.add_node("exit", Box::new(sink), vec![d], vec![]);
-    g.run_untimed(10_000).unwrap();
+    g.run(RunOptions::new(10_000)).unwrap();
     // sum(0..5) = 10
     assert_eq!(out.tokens(), vec![tdata([10u32]), tbar(1)]);
 }
