@@ -109,11 +109,19 @@ impl App {
     }
 
     /// Loads a workload into a compiled program's DRAM.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an input does not fit the image (a workload-generator
+    /// bug, not an input condition).
     pub fn load(&self, program: &mut CompiledProgram, w: &Workload) {
         let slice = DRAM_BYTES / self.dram_symbols();
         for (sym, bytes) in &w.inits {
-            let base = sym * slice;
-            program.graph.mem.dram[base..base + bytes.len()].copy_from_slice(bytes);
+            program
+                .graph
+                .mem
+                .write_dram(sym * slice, bytes)
+                .unwrap_or_else(|e| panic!("{}: {e}", self.name));
         }
     }
 

@@ -25,7 +25,7 @@ fn dataflow_dram(app: &App, level: u8) -> Vec<u8> {
         .run_untimed(&args, 200_000_000)
         .unwrap_or_else(|e| panic!("{} (O{level}): {e}", app.name));
     app.check(&program, &w);
-    program.graph.mem.dram.clone()
+    program.graph.mem.dram.to_vec()
 }
 
 #[test]
@@ -74,7 +74,7 @@ fn interp_drams(app: &App) -> (Vec<u8>, Vec<u8>) {
             "{}: interpreter output differs from oracle",
             app.name
         );
-        mem.dram
+        mem.dram.to_vec()
     };
 
     let before = run(&module);

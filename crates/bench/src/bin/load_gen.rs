@@ -292,6 +292,12 @@ fn main() {
         "sessions     open {} evicted {} resident_bytes {}",
         status.open_sessions, status.evicted_sessions, status.session_resident_bytes
     );
+    println!(
+        "dram pool    hits {} misses {} retained_bytes {}",
+        metrics.get("serve.dram_pool.hits").unwrap_or(0),
+        metrics.get("serve.dram_pool.misses").unwrap_or(0),
+        metrics.get("serve.dram_pool.retained_bytes").unwrap_or(0),
+    );
     // The Metrics wire frame: the server-side obs sink's view of the same
     // load. A scrape endpoint must agree with the Status frame.
     println!(

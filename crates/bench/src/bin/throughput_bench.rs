@@ -141,7 +141,7 @@ fn snapshot(report: &BatchReport) -> Snapshot {
         .iter()
         .map(|r| {
             let r = r.as_ref().expect("checked above");
-            (r.sink.clone(), r.mem.dram.clone())
+            (r.sink.clone(), r.mem.dram.to_vec())
         })
         .collect()
 }

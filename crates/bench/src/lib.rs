@@ -424,8 +424,11 @@ void main(u32 count) {{
             let w = (revet_apps::murmur3_app().workload)(scale, SEED);
             let slice = revet_apps::DRAM_BYTES / 2;
             for (sym, bytes) in &w.inits {
-                program.graph.mem.dram[sym * slice..sym * slice + bytes.len()]
-                    .copy_from_slice(bytes);
+                program
+                    .graph
+                    .mem
+                    .write_dram(sym * slice, bytes)
+                    .expect("murmur3 inputs fit the two-symbol image");
             }
             let sim = Simulator::new(RdaConfig::default(), IdealModels::all());
             let stats = sim

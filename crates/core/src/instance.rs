@@ -3,8 +3,10 @@
 //! A [`CompiledProgram`] is expensive to produce (the whole pass pipeline)
 //! but cheap to *instantiate*: all mutable run state — node behaviors,
 //! channel queues, [`MemoryState`] — lives in the program's [`Graph`], and
-//! [`Graph::fresh_instance`] deep-clones exactly that state while sharing
-//! the immutable [`revet_machine::TopologyIndex`] behind an `Arc`. A
+//! [`Graph::fresh_instance`] copies the small parts of it, recycles the
+//! DRAM image from the program's pool (restoring only the pages the
+//! previous instance dirtied, see [`revet_machine::Dram`]) and shares the
+//! immutable [`revet_machine::TopologyIndex`] behind an `Arc`. A
 //! [`ProgramInstance`] is the resulting unit of batch work: it is `Send`,
 //! owns everything it mutates, and collects results into its own private
 //! sink buffer, so any number of instances of one compile can run
@@ -39,7 +41,7 @@ pub enum StreamExecutor {
 #[derive(Debug)]
 pub struct ProgramInstance {
     /// The instance's private executable graph. DRAM inputs that differ
-    /// per instance can be written into `graph.mem.dram` before running.
+    /// per instance are written with `graph.mem.write_dram` before running.
     pub graph: Graph,
     pub(crate) entry: ChanId,
     pub(crate) sink: SinkHandle,
@@ -143,10 +145,14 @@ impl ProgramInstance {
 }
 
 impl CompiledProgram {
-    /// Clones this compiled program into a fresh runnable
-    /// [`ProgramInstance`]. The compiled graph — including any DRAM images
-    /// already loaded into `self.graph.mem` — is deep-copied; the
-    /// topology index is shared. The template program itself is left
+    /// Instantiates this compiled program as a fresh runnable
+    /// [`ProgramInstance`]. Node, channel, SRAM and allocator state is
+    /// copied; the DRAM image — including anything already loaded into
+    /// `self.graph.mem` — is byte-identical to the template's but usually
+    /// recycled from an earlier instance rather than copied (the instance
+    /// returns it when its memory is dropped; at most
+    /// [`revet_machine::POOL_IMAGES`] idle images are kept per program);
+    /// the topology index is shared. The template program itself is left
     /// untouched, so one compile can be instantiated any number of times,
     /// concurrently and from a shared `&CompiledProgram`.
     pub fn instance(&self) -> ProgramInstance {

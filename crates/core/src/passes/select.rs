@@ -125,7 +125,7 @@ mod tests {
         Interp::new(module, &layout, &mut mem)
             .run("main", args)
             .unwrap();
-        mem.dram.clone()
+        mem.dram.to_vec()
     }
 
     #[test]

@@ -773,7 +773,7 @@ mod tests {
             Interp::new(module, &layout, &mut mem)
                 .run("main", &[Word(strings.len() as u32)])
                 .unwrap();
-            mem.dram.clone()
+            mem.dram.to_vec()
         };
 
         let lowered = compile_to_mir(src).unwrap();

@@ -29,7 +29,7 @@ fn run_with(
     program
         .run_untimed(&words, 10_000_000)
         .unwrap_or_else(|e| panic!("{e}"));
-    program.graph.mem.dram
+    program.graph.mem.dram.to_vec()
 }
 
 fn run(src: &str, args: &[u32], inits: &[(usize, &[u8])], n_drams: usize) -> Vec<u8> {

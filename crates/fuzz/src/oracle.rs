@@ -191,16 +191,15 @@ fn interp_dram(
     let slice = dram_bytes / module.drams.len().max(1);
     let mut mem = module.build_memory(dram_bytes);
     for (sym, bytes) in case.dram_inits.iter().enumerate() {
-        if !bytes.is_empty() {
-            mem.dram[sym * slice..sym * slice + bytes.len()].copy_from_slice(bytes);
-        }
+        mem.write_dram(sym * slice, bytes)
+            .map_err(|e| fail(FailureKind::InterpError, level, e.to_string()))?;
     }
     let args: Vec<Word> = case.args.iter().map(|&a| Word(a)).collect();
     Interp::new(module, &layout, &mut mem)
         .with_fuel(cfg.interp_fuel())
         .run("main", &args)
         .map_err(|e| fail(FailureKind::InterpError, level, e.to_string()))?;
-    Ok(mem.dram)
+    Ok(mem.dram.to_vec())
 }
 
 /// Applies the injected miscompile to `main`'s body.
@@ -304,7 +303,7 @@ fn stream_run(
         stream.poll(max_rounds)?;
     }
     let out = stream.finish(max_rounds)?;
-    Ok((out.memory.dram, out.sink))
+    Ok((out.memory.dram.to_vec(), out.sink))
 }
 
 fn run_level(
@@ -363,22 +362,48 @@ fn run_level(
         }
     };
 
-    // Load the case's DRAM inputs into the compiled template; instances
-    // deep-clone the image.
+    // Load the case's DRAM inputs into the compiled template; every
+    // instance starts from a byte-identical image.
     let mut program = program;
     let slice = dram_bytes / optimized.drams.len().max(1);
     for (sym, bytes) in case.dram_inits.iter().enumerate() {
-        if !bytes.is_empty() {
-            program.graph.mem.dram[sym * slice..sym * slice + bytes.len()].copy_from_slice(bytes);
-        }
+        program
+            .graph
+            .mem
+            .write_dram(sym * slice, bytes)
+            .map_err(|e| fail(FailureKind::ExecError, level, format!("load: {e}")))?;
     }
     let args: Vec<Word> = case.args.iter().map(|&a| Word(a)).collect();
 
-    // Runs 3/6/9: the compiled execution plan.
-    let mut planned = program.instance();
-    planned
-        .run_untimed(&args, cfg.max_rounds())
-        .map_err(|e| fail(FailureKind::ExecError, level, format!("planned: {e}")))?;
+    // Runs 3/6/9: the compiled execution plan — twice. The first instance
+    // returns its dirtied image to the template's pool when it drops, so
+    // the second runs on the recycled image and must leave the same bits.
+    let run_planned = || -> Result<(Vec<u8>, Vec<TTok>), Failure> {
+        let mut inst = program.instance();
+        inst.run_untimed(&args, cfg.max_rounds())
+            .map_err(|e| fail(FailureKind::ExecError, level, format!("planned: {e}")))?;
+        Ok((inst.memory().dram.to_vec(), inst.sink_tokens()))
+    };
+    let (planned_dram, planned_sink) = run_planned()?;
+    let (recycled_dram, recycled_sink) = run_planned()?;
+    if recycled_dram != planned_dram {
+        return Err(fail(
+            FailureKind::DramMismatch,
+            level,
+            diff_dram(&planned_dram, &recycled_dram, "recycled vs fresh image"),
+        ));
+    }
+    if recycled_sink != planned_sink {
+        return Err(fail(
+            FailureKind::SinkMismatch,
+            level,
+            format!(
+                "recycled vs fresh image sink streams ({} vs {} tokens)",
+                recycled_sink.len(),
+                planned_sink.len()
+            ),
+        ));
+    }
 
     // Runs 4/7/10: the interpreted ready-set executor.
     let mut ready = program.instance();
@@ -388,27 +413,27 @@ fn run_level(
         .run(RunOptions::new(cfg.max_rounds()))
         .map_err(|e| fail(FailureKind::ExecError, level, format!("interpreted: {e}")))?;
 
-    if planned.memory().dram != *reference {
+    if planned_dram != *reference {
         return Err(fail(
             FailureKind::DramMismatch,
             level,
-            diff_dram(reference, &planned.memory().dram, "planned vs reference"),
+            diff_dram(reference, &planned_dram, "planned vs reference"),
         ));
     }
-    if ready.memory().dram != *reference {
+    if ready.memory().dram[..] != *reference {
         return Err(fail(
             FailureKind::DramMismatch,
             level,
             diff_dram(reference, &ready.memory().dram, "interpreted vs reference"),
         ));
     }
-    if planned.sink_tokens() != ready.sink_tokens() {
+    if planned_sink != ready.sink_tokens() {
         return Err(fail(
             FailureKind::SinkMismatch,
             level,
             format!(
                 "planned vs interpreted sink streams ({} vs {} tokens)",
-                planned.sink_tokens().len(),
+                planned_sink.len(),
                 ready.sink_tokens().len()
             ),
         ));
@@ -433,14 +458,14 @@ fn run_level(
             diff_dram(reference, &solo_dram, "streamed vs reference"),
         ));
     }
-    if solo_sink != planned.sink_tokens() {
+    if solo_sink != planned_sink {
         return Err(fail(
             FailureKind::SinkMismatch,
             level,
             format!(
                 "streamed vs planned sink streams ({} vs {} tokens)",
                 solo_sink.len(),
-                planned.sink_tokens().len()
+                planned_sink.len()
             ),
         ));
     }
@@ -483,7 +508,7 @@ fn run_level(
     }
 
     Ok(LevelRun {
-        sink_planned: planned.sink_tokens(),
+        sink_planned: planned_sink,
     })
 }
 

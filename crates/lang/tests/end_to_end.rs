@@ -23,7 +23,7 @@ fn run(src: &str, args: &[u32], dram_init: &[(usize, &[u8])], sym_bytes: u32) ->
     Interp::new(module, &layout, &mut mem)
         .run("main", &words)
         .unwrap_or_else(|e| panic!("{e}"));
-    mem.dram.clone()
+    mem.dram.to_vec()
 }
 
 fn read_u32(dram: &[u8], addr: usize) -> u32 {

@@ -1,0 +1,369 @@
+//! The DRAM image, and the per-template pool that recycles it.
+//!
+//! A compiled program's DRAM is one contiguous byte image (4 MiB for the
+//! Table III apps) of which an instance writes a few hundred bytes.
+//! Deep-copying it per instance made instantiation cost a 4 MiB `memcpy`
+//! whatever the program did — the opposite of the paper's thread
+//! allocator (§V-B a, quoted in [`crate::mem`]), which never allocates a
+//! buffer: it "pops a pointer from this queue and deallocation pushes it
+//! back". [`Dram`] applies that rule to the host side:
+//!
+//! - [`Dram::checkout`] on a *template* image pops a previously used image
+//!   from the template's pool and restores only the [`PAGE_BYTES`] pages
+//!   its last user dirtied (falling back to a full copy when the pool is
+//!   empty), so instantiation costs O(pages touched).
+//! - Dropping a checked-out image pushes it back, dirty bitmap and all.
+//!
+//! Three rules keep a recycled image indistinguishable from a fresh copy:
+//!
+//! 1. **Mark before write.** Every `&mut` path marks the pages it can
+//!    reach *before* handing out the bytes: range indexing
+//!    (`dram[a..b]`) marks exactly the covered pages, any other mutable
+//!    borrow ([`DerefMut`]) marks the whole image. An image dropped by an
+//!    error return or a panic unwind therefore carries a truthful bitmap.
+//! 2. **Mutating a template drops its pool.** Any `&mut` access to a
+//!    `Dram` discards that `Dram`'s own pool; checked-out images hold only
+//!    a [`Weak`] to it, so ones still out are freed on return instead of
+//!    being recycled against bytes that no longer exist.
+//! 3. **Debug builds check the whole image** at every pool hit and panic
+//!    naming the first differing page, so every differential suite run
+//!    under `cargo test` exercises the tracker.
+//!
+//! Retention is bounded: a pool keeps at most [`POOL_IMAGES`] images, so a
+//! live template pins at most `POOL_IMAGES × len` bytes beyond its own
+//! image; dropping the template (evicting the program) frees them. The
+//! pool is created by the first checkout and holds nothing until the first
+//! image is dropped.
+
+use std::fmt;
+use std::ops::{Bound, Deref, DerefMut, Index, IndexMut, RangeBounds};
+use std::slice::SliceIndex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+
+/// Granularity of dirty tracking and reset.
+pub const PAGE_BYTES: usize = 4096;
+
+/// Most images one template's pool retains; a returned image beyond that
+/// is freed. Four is what the default server runs of one program at once
+/// on the smallest host it is tuned for (2 executors × 2 batch threads);
+/// a wider batch still recycles four images and copies the rest, as every
+/// instance did before. Bounds the memory a live compiled program pins at
+/// `POOL_IMAGES × dram_bytes` (16 MiB at the apps' 4 MiB image).
+pub const POOL_IMAGES: usize = 4;
+
+/// Counters of one template's pool, from [`Dram::pool_stats`]. All zero
+/// until the first checkout, and again after the template is mutated (the
+/// pool is replaced, see the module docs).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Checkouts served by resetting a recycled image.
+    pub hits: u64,
+    /// Checkouts that had to copy the whole template.
+    pub misses: u64,
+    /// Pages restored from the template over all hits.
+    pub reset_pages: u64,
+    /// Bytes of idle images the pool holds right now
+    /// (≤ [`POOL_IMAGES`] × image length).
+    pub retained_bytes: u64,
+}
+
+impl PoolStats {
+    /// Adds `other`'s counters into `self` (a server sums its programs).
+    pub fn merge(&mut self, other: &PoolStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.reset_pages += other.reset_pages;
+        self.retained_bytes += other.retained_bytes;
+    }
+}
+
+/// An idle image: its bytes and the pages that differ from the template.
+type Idle = (Vec<u8>, Vec<u64>);
+
+#[derive(Default)]
+struct Pool {
+    free: Mutex<Vec<Idle>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    reset_pages: AtomicU64,
+}
+
+impl Pool {
+    /// The free list is only ever pushed to or popped from under the
+    /// lock, so it is valid even if a holder panicked.
+    fn free(&self) -> MutexGuard<'_, Vec<Idle>> {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A contiguous DRAM byte image that dereferences to `[u8]`.
+///
+/// One type plays both roles of the recycling scheme in the module docs:
+/// a *template* (a compiled program's image, the source of
+/// [`Dram::checkout`]) and a *checked-out image* (an instance's private
+/// copy, which tracks the pages it dirties and returns to its template's
+/// pool on drop). `Clone` makes a detached copy that belongs to no pool.
+/// Equality compares bytes only.
+pub struct Dram {
+    bytes: Vec<u8>,
+    /// One bit per page written since checkout; empty when nothing will
+    /// ever reset this image (templates, detached copies).
+    dirty: Vec<u64>,
+    /// Images checked out of *this* image come back here.
+    pool: OnceLock<Arc<Pool>>,
+    /// Where this image goes when dropped; dangling unless checked out.
+    home: Weak<Pool>,
+}
+
+impl Dram {
+    /// An image of `len` zero bytes.
+    pub fn zeroed(len: usize) -> Dram {
+        Dram::detached(vec![0; len])
+    }
+
+    fn detached(bytes: Vec<u8>) -> Dram {
+        Dram {
+            bytes,
+            dirty: Vec::new(),
+            pool: OnceLock::new(),
+            home: Weak::new(),
+        }
+    }
+
+    /// A private image byte-identical to `self`, to be written freely and
+    /// dropped: recycled from this template's pool when one is idle
+    /// (restoring only the pages its last user dirtied), copied otherwise.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if a recycled image differs from `self` after the
+    /// reset — a write that escaped dirty tracking.
+    pub fn checkout(&self) -> Dram {
+        let pool = self.pool.get_or_init(Arc::default);
+        let recycled = pool.free().pop();
+        let (bytes, dirty) = match recycled {
+            Some((mut bytes, mut dirty)) => {
+                let mut pages = 0;
+                for (w, word) in dirty.iter_mut().enumerate() {
+                    let mut bits = std::mem::take(word);
+                    while bits != 0 {
+                        let start = (w * 64 + bits.trailing_zeros() as usize) * PAGE_BYTES;
+                        let end = (start + PAGE_BYTES).min(bytes.len());
+                        bytes[start..end].copy_from_slice(&self.bytes[start..end]);
+                        bits &= bits - 1;
+                        pages += 1;
+                    }
+                }
+                pool.hits.fetch_add(1, Ordering::Relaxed);
+                pool.reset_pages.fetch_add(pages, Ordering::Relaxed);
+                #[cfg(debug_assertions)]
+                if let Some(page) = bytes
+                    .chunks(PAGE_BYTES)
+                    .zip(self.bytes.chunks(PAGE_BYTES))
+                    .position(|(got, want)| got != want)
+                {
+                    panic!(
+                        "recycled DRAM image differs from its template at page {page} \
+                         (bytes {}..): a write escaped dirty tracking",
+                        page * PAGE_BYTES
+                    );
+                }
+                (bytes, dirty)
+            }
+            None => {
+                pool.misses.fetch_add(1, Ordering::Relaxed);
+                let words = self.bytes.len().div_ceil(PAGE_BYTES).div_ceil(64);
+                (self.bytes.clone(), vec![0; words])
+            }
+        };
+        Dram {
+            bytes,
+            dirty,
+            pool: OnceLock::new(),
+            home: Arc::downgrade(pool),
+        }
+    }
+
+    /// Counters of the pool behind [`Dram::checkout`] on this image.
+    pub fn pool_stats(&self) -> PoolStats {
+        self.pool.get().map_or_else(PoolStats::default, |pool| {
+            let retained: usize = pool.free().iter().map(|(bytes, _)| bytes.len()).sum();
+            PoolStats {
+                hits: pool.hits.load(Ordering::Relaxed),
+                misses: pool.misses.load(Ordering::Relaxed),
+                reset_pages: pool.reset_pages.load(Ordering::Relaxed),
+                retained_bytes: retained as u64,
+            }
+        })
+    }
+
+    /// Called before any `&mut` view of `start..end` is handed out: this
+    /// image stops being a valid template for what it has checked out, and
+    /// (if it is itself checked out) the covered pages will be restored.
+    #[inline]
+    fn touch(&mut self, start: usize, end: usize) {
+        self.pool.take();
+        if start < end {
+            for page in start / PAGE_BYTES..=(end - 1) / PAGE_BYTES {
+                // Past the bitmap: untracked, or a range the slice index
+                // is about to reject.
+                let Some(word) = self.dirty.get_mut(page / 64) else {
+                    break;
+                };
+                *word |= 1 << (page % 64);
+            }
+        }
+    }
+}
+
+impl Drop for Dram {
+    fn drop(&mut self) {
+        if let Some(pool) = self.home.upgrade() {
+            let idle = (
+                std::mem::take(&mut self.bytes),
+                std::mem::take(&mut self.dirty),
+            );
+            let mut free = pool.free();
+            if free.len() < POOL_IMAGES {
+                free.push(idle);
+            }
+        }
+    }
+}
+
+impl Clone for Dram {
+    fn clone(&self) -> Dram {
+        Dram::detached(self.bytes.clone())
+    }
+}
+
+impl Default for Dram {
+    fn default() -> Dram {
+        Dram::zeroed(0)
+    }
+}
+
+impl fmt::Debug for Dram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let dirty: u32 = self.dirty.iter().map(|w| w.count_ones()).sum();
+        f.debug_struct("Dram")
+            .field("len", &self.bytes.len())
+            .field("dirty_pages", &dirty)
+            .finish()
+    }
+}
+
+impl PartialEq for Dram {
+    fn eq(&self, other: &Dram) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for Dram {}
+
+impl Deref for Dram {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+impl DerefMut for Dram {
+    /// Marks the whole image dirty: the caller may write anywhere. Prefer
+    /// range indexing, which marks only what it covers.
+    fn deref_mut(&mut self) -> &mut [u8] {
+        self.touch(0, self.bytes.len());
+        &mut self.bytes
+    }
+}
+
+impl<I: SliceIndex<[u8]>> Index<I> for Dram {
+    type Output = I::Output;
+
+    fn index(&self, index: I) -> &I::Output {
+        &self.bytes[index]
+    }
+}
+
+/// Mutable indexing by any range kind marks exactly the pages the range
+/// covers. (A single byte is stored through a one-byte range or
+/// [`crate::MemoryState::dram_write_byte`].)
+impl<I: SliceIndex<[u8]> + RangeBounds<usize>> IndexMut<I> for Dram {
+    #[inline]
+    fn index_mut(&mut self, index: I) -> &mut I::Output {
+        let start = match index.start_bound() {
+            Bound::Included(&s) => s,
+            Bound::Excluded(&s) => s.saturating_add(1),
+            Bound::Unbounded => 0,
+        };
+        let end = match index.end_bound() {
+            Bound::Included(&e) => e.saturating_add(1),
+            Bound::Excluded(&e) => e,
+            Bound::Unbounded => self.bytes.len(),
+        };
+        self.touch(start, end);
+        &mut self.bytes[index]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn recycled_image_equals_the_template_after_scattered_writes() {
+        let mut template = Dram::zeroed(3 * PAGE_BYTES + 100);
+        template[10..14].copy_from_slice(b"seed");
+        assert_eq!(template.pool_stats(), PoolStats::default(), "lazy pool");
+        let mut a = template.checkout();
+        a[0..4].copy_from_slice(b"aaaa");
+        a[PAGE_BYTES - 2..PAGE_BYTES + 2].copy_from_slice(b"span"); // two pages
+        a[3 * PAGE_BYTES + 99..].copy_from_slice(b"z"); // the short last page
+        drop(a);
+        let b = template.checkout();
+        assert_eq!(b, template);
+        let stats = template.pool_stats();
+        assert_eq!((stats.hits, stats.misses, stats.reset_pages), (1, 1, 3));
+        assert_eq!(stats.retained_bytes, 0, "the one idle image is out again");
+    }
+
+    #[test]
+    fn deref_mut_marks_everything_and_ranges_mark_only_their_pages() {
+        let template = Dram::zeroed(8 * PAGE_BYTES);
+        let mut a = template.checkout();
+        a[PAGE_BYTES..PAGE_BYTES + 1].copy_from_slice(&[7]);
+        drop(a);
+        drop(template.checkout());
+        assert_eq!(template.pool_stats().reset_pages, 1);
+        let mut b = template.checkout();
+        b.fill(9); // through DerefMut
+        drop(b);
+        assert_eq!(template.checkout(), template);
+        assert_eq!(template.pool_stats().reset_pages, 1 + 8);
+    }
+
+    #[test]
+    fn pool_retains_at_most_the_cap() {
+        let template = Dram::zeroed(PAGE_BYTES);
+        let out: Vec<Dram> = (0..POOL_IMAGES + 3).map(|_| template.checkout()).collect();
+        drop(out);
+        let stats = template.pool_stats();
+        assert_eq!(stats.misses, (POOL_IMAGES + 3) as u64);
+        assert_eq!(stats.retained_bytes, (POOL_IMAGES * PAGE_BYTES) as u64);
+    }
+
+    #[test]
+    fn clone_is_detached_and_equality_ignores_tracking() {
+        let template = Dram::zeroed(2 * PAGE_BYTES);
+        let mut inst = template.checkout();
+        inst[0..1].copy_from_slice(&[1]);
+        let copy = inst.clone();
+        assert_eq!(copy, inst);
+        drop(copy); // not pooled: nothing was retained
+        assert_eq!(template.pool_stats().retained_bytes, 0);
+        inst[0..1].copy_from_slice(&[0]);
+        assert_eq!(inst, template, "dirty bitmap is not part of equality");
+    }
+}

@@ -417,15 +417,18 @@ impl Graph {
         self.topo.clone().expect("just finalized")
     }
 
-    /// Deep-clones this graph into a fresh, independently runnable
-    /// instance: node state, channel contents, and memory are copied;
-    /// result-collecting sinks get **fresh, empty** buffers (instances
-    /// never share result storage); the immutable [`TopologyIndex`] is
-    /// shared via [`Arc`] rather than rebuilt.
+    /// Makes a fresh, independently runnable instance of this graph: node
+    /// state, channel contents, SRAM and allocator queues are copied; the
+    /// DRAM image is checked out of this graph's recycling pool
+    /// ([`MemoryState::fresh_instance`]: byte-identical to the template's,
+    /// at the cost of the pages its previous user dirtied); result-
+    /// collecting sinks get **fresh, empty** buffers (instances never share
+    /// result storage); the immutable [`TopologyIndex`] is shared via
+    /// [`Arc`] rather than rebuilt.
     ///
     /// This is the machine half of the compile-once/run-many split: the
-    /// compiler finishes a graph once, and the batch runtime clones it
-    /// into as many concurrent instances as it needs.
+    /// compiler finishes a graph once, and the batch runtime instantiates
+    /// it as many times, concurrently, as it needs.
     ///
     /// # Panics
     ///
@@ -451,7 +454,7 @@ impl Graph {
                 })
                 .collect(),
             chans: self.chans.clone(),
-            mem: self.mem.clone(),
+            mem: self.mem.fresh_instance(),
             topo: self.topo.clone(),
         }
     }

@@ -76,6 +76,7 @@
 #![warn(missing_docs)]
 
 mod channel;
+mod dram;
 mod graph;
 pub mod instr;
 mod mem;
@@ -87,6 +88,7 @@ mod ring;
 mod tuple;
 
 pub use channel::{Channel, LinkClass};
+pub use dram::{Dram, PoolStats, PAGE_BYTES, POOL_IMAGES};
 pub use graph::{
     ExecReport, Graph, NodeSlot, ResumeState, RunOptions, RunStatus, TopologyIndex, UnitClass,
 };

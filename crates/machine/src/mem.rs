@@ -12,6 +12,8 @@
 //!   and deallocation pushes it back". Pops block when empty, which is what
 //!   produces the throughput-balanced work distribution of Fig. 14.
 
+use crate::dram::Dram;
+use crate::node::MachineError;
 use revet_sltf::Word;
 use std::collections::VecDeque;
 
@@ -46,8 +48,10 @@ pub struct AllocQueue {
 /// All memory state of a running machine.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemoryState {
-    /// Flat DRAM image (byte addressed).
-    pub dram: Vec<u8>,
+    /// Flat DRAM image (byte addressed). Reads like a `[u8]`; host-side
+    /// writes go through [`MemoryState::write_dram`] or range indexing so
+    /// the image tracks the pages it dirties (see [`Dram`]).
+    pub dram: Dram,
     srams: Vec<SramRegion>,
     allocs: Vec<AllocQueue>,
     /// DRAM bytes read through AGs (statistics).
@@ -64,9 +68,46 @@ impl MemoryState {
     /// Creates empty memory state with a DRAM of `dram_bytes` zeroes.
     pub fn with_dram_size(dram_bytes: usize) -> Self {
         MemoryState {
-            dram: vec![0; dram_bytes],
+            dram: Dram::zeroed(dram_bytes),
             ..Default::default()
         }
+    }
+
+    /// The memory of a fresh instance of the graph that owns `self`: SRAM
+    /// regions, allocator queues and statistics are copied; the DRAM image
+    /// is checked out of this template's pool ([`Dram::checkout`]) — a
+    /// recycled image with only its dirty pages restored when one is idle,
+    /// a full copy otherwise — and returns to the pool when the instance's
+    /// memory is dropped.
+    pub fn fresh_instance(&self) -> MemoryState {
+        MemoryState {
+            dram: self.dram.checkout(),
+            srams: self.srams.clone(),
+            allocs: self.allocs.clone(),
+            dram_read_bytes: self.dram_read_bytes,
+            dram_written_bytes: self.dram_written_bytes,
+            alloc_pushes: self.alloc_pushes,
+        }
+    }
+
+    /// Copies `bytes` into DRAM at `offset` — the one host-side overlay
+    /// writer (workload inputs, per-instance `dram_inits`). Not an AG
+    /// access: the read/write statistics do not move.
+    ///
+    /// # Errors
+    ///
+    /// `offset + bytes.len()` overflows or passes the end of the image;
+    /// nothing is written.
+    pub fn write_dram(&mut self, offset: usize, bytes: &[u8]) -> Result<(), MachineError> {
+        let len = self.dram.len();
+        let Some(end) = offset.checked_add(bytes.len()).filter(|&e| e <= len) else {
+            return Err(MachineError::new(format!(
+                "dram init [{offset}, {offset}+{}) exceeds the {len}-byte DRAM image",
+                bytes.len()
+            )));
+        };
+        self.dram[offset..end].copy_from_slice(bytes);
+        Ok(())
     }
 
     /// Adds an SRAM region of `words` zeroed words; returns its id.
@@ -212,11 +253,14 @@ impl MemoryState {
     ///
     /// Panics if the address is past the end of DRAM.
     pub fn dram_write_byte(&mut self, addr: u32, val: Word) {
-        let len = self.dram.len();
-        match self.dram.get_mut(addr as usize) {
-            Some(b) => *b = val.as_u32() as u8,
-            None => panic!("DRAM byte write at {addr} past end ({len} bytes)"),
-        }
+        let a = addr as usize;
+        assert!(
+            a < self.dram.len(),
+            "DRAM byte write at {addr} past end ({} bytes)",
+            self.dram.len()
+        );
+        // A one-byte range, so only this byte's page is marked dirty.
+        self.dram[a..=a].copy_from_slice(&[val.as_u32() as u8]);
         self.dram_written_bytes += 1;
     }
 

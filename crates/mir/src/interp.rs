@@ -598,7 +598,7 @@ mod tests {
         mem.dram[..dram.len()].copy_from_slice(&dram);
         let mut interp = Interp::new(module, &layout, &mut mem);
         let out = interp.run("main", args).unwrap();
-        (out, mem.dram.clone())
+        (out, mem.dram.to_vec())
     }
 
     #[test]

@@ -149,7 +149,7 @@ fn interp_dram(m: &Module, args: &[Word]) -> Vec<u8> {
         .with_fuel(10_000_000)
         .run("main", args)
         .expect("straight-line program cannot fail");
-    mem.dram
+    mem.dram.to_vec()
 }
 
 fn classical_pipeline() -> PassManager {

@@ -31,8 +31,8 @@
 //! there is no static sharding, so a worker that lands long-running
 //! instances simply claims fewer of them. Instantiation
 //! ([`CompiledProgram::instance`]) happens **on the worker**, so the
-//! per-instance DRAM copy scales with the pool instead of serializing on
-//! the caller.
+//! per-instance state copy and DRAM image reset scale with the pool
+//! instead of serializing on the caller.
 //!
 //! Every instance executes through the compiled
 //! [`revet_machine::ExecPlan`] its program carries (fused segments, arena
@@ -102,12 +102,14 @@ pub struct BatchJob<'p> {
     /// `main` arguments for this instance.
     pub args: Vec<Word>,
     /// Per-instance DRAM overlays: `(byte offset, bytes)` written into
-    /// the fresh instance's DRAM image before it runs. This is how one
+    /// the fresh instance's DRAM image (through
+    /// [`MemoryState::write_dram`]) before it runs. This is how one
     /// shared compile serves instances with *different inputs* — the
-    /// template's image stays untouched. Behind an `Arc` so a batch of
-    /// jobs sharing one overlay set shares the bytes instead of cloning
-    /// them per job. Out-of-range overlays fail that job (not the batch)
-    /// with a [`MachineError`].
+    /// template's image stays untouched, and the pages an overlay covers
+    /// are restored before the image serves another instance. Behind an
+    /// `Arc` so a batch of jobs sharing one overlay set shares the bytes
+    /// instead of cloning them per job. Out-of-range overlays fail that
+    /// job (not the batch) with a [`MachineError`].
     pub dram_inits: Arc<[(usize, Vec<u8>)]>,
 }
 
@@ -365,17 +367,7 @@ fn run_one(
     let start = Instant::now();
     let mut inst = job.program.instance();
     for (base, bytes) in job.dram_inits.iter() {
-        let end = base
-            .checked_add(bytes.len())
-            .filter(|&e| e <= inst.graph.mem.dram.len());
-        let Some(end) = end else {
-            return Err(MachineError::new(format!(
-                "dram init [{base}, {base}+{}) exceeds the {}-byte DRAM image",
-                bytes.len(),
-                inst.graph.mem.dram.len()
-            )));
-        };
-        inst.graph.mem.dram[*base..end].copy_from_slice(bytes);
+        inst.graph.mem.write_dram(*base, bytes)?;
     }
     let report = inst.run(&job.args, max_rounds, obs)?;
     let sink = inst.sink_tokens();

@@ -13,7 +13,7 @@
 
 use revet_apps::app;
 use revet_core::{CompiledProgram, Compiler, PassOptions};
-use revet_machine::{MemoryState, TTok};
+use revet_machine::{MemoryState, PoolStats, TTok, POOL_IMAGES};
 use revet_runtime::{BatchJob, BatchRunner, InstanceResult};
 use revet_sltf::Word;
 
@@ -33,7 +33,10 @@ fn run_sequential(jobs: &[BatchJob<'_>]) -> Vec<(Vec<TTok>, MemoryState)> {
         .collect()
 }
 
-fn assert_batch_matches_sequential(jobs: &[BatchJob<'_>], threads: usize) {
+/// Returns detached copies of the batch's results (cloning a
+/// [`MemoryState`] takes its DRAM image out of the recycling pool), so the
+/// images both runs used are back with their templates on return.
+fn assert_batch_matches_sequential(jobs: &[BatchJob<'_>], threads: usize) -> Vec<InstanceResult> {
     let reference = run_sequential(jobs);
     let report = BatchRunner::new(threads).run(jobs);
     assert_eq!(report.results.len(), jobs.len());
@@ -47,6 +50,7 @@ fn assert_batch_matches_sequential(jobs: &[BatchJob<'_>], threads: usize) {
         assert_eq!(mem, ref_mem, "instance #{i}: memory state diverged");
         assert!(report.productive_steps > 0, "instance #{i}: did nothing");
     }
+    report.results.iter().flatten().cloned().collect()
 }
 
 /// A tiny arithmetic program whose output depends on `n`, so every job in
@@ -85,7 +89,8 @@ fn batch_on_four_threads_is_bit_identical_to_sequential_runs() {
 #[test]
 fn mixed_app_batch_is_bit_identical_to_sequential_runs() {
     // Two real evaluation apps at two workload seeds each: four distinct
-    // compiled programs, four instances of each → a 16-job mixed batch.
+    // compiled programs, `POOL_IMAGES` (four) instances of each → a 16-job
+    // mixed batch.
     let mut programs = Vec::new();
     for name in ["murmur3", "ip2int"] {
         let a = app(name).expect("registered");
@@ -94,13 +99,46 @@ fn mixed_app_batch_is_bit_identical_to_sequential_runs() {
             programs.push((program, args));
         }
     }
-    let jobs: Vec<BatchJob> = (0..16)
+    let jobs: Vec<BatchJob> = (0..programs.len() * POOL_IMAGES)
         .map(|i| {
             let (program, args) = &programs[i % programs.len()];
             BatchJob::new(program, args.clone())
         })
         .collect();
-    assert_batch_matches_sequential(&jobs, 4);
+    let first = assert_batch_matches_sequential(&jobs, 4);
+
+    // The same batch again on the same programs. Every template's pool now
+    // holds the images the first pass dirtied, one per instance of this
+    // pass, so no instance gets a fresh copy — and none may show it.
+    let pool_totals = || {
+        let mut total = PoolStats::default();
+        for (program, _) in &programs {
+            total.merge(&program.graph.mem.dram.pool_stats());
+        }
+        total
+    };
+    let before = pool_totals();
+    let second = BatchRunner::new(4).run(&jobs);
+    let after = pool_totals();
+    assert_eq!(after.misses, before.misses, "steady state must not copy");
+    assert_eq!(after.hits, before.hits + jobs.len() as u64);
+    assert!(after.reset_pages > before.reset_pages);
+    for (i, (again, first)) in second.results.iter().zip(&first).enumerate() {
+        let again = again.as_ref().expect("second pass");
+        assert_eq!(again.sink, first.sink, "instance #{i}: recycled sink");
+        assert_eq!(again.mem, first.mem, "instance #{i}: recycled memory");
+        assert_eq!(again.report, first.report, "instance #{i}: recycled report");
+        let (program, args) = &programs[i % programs.len()];
+        let (report, mem, sink) = program
+            .run_batch_sequential(std::slice::from_ref(args), MAX_ROUNDS)
+            .expect("sequential oracle")
+            .pop()
+            .expect("one instance");
+        assert_eq!(
+            (&again.report, &again.mem, &again.sink),
+            (&report, &mem, &sink)
+        );
+    }
 }
 
 #[test]

@@ -16,6 +16,7 @@
 //!   `Status` wire request and the load generator's report.
 
 use revet_core::{CompiledProgram, CoreError, ProgramId};
+use revet_machine::PoolStats;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -102,6 +103,20 @@ impl ProgramCache {
             evictions: self.evictions.load(Ordering::Relaxed),
             resident,
         }
+    }
+
+    /// DRAM image pool counters ([`revet_machine::Dram::pool_stats`])
+    /// summed over the resident programs. Evicting a program frees its
+    /// pool and takes its share out of the sum.
+    pub fn dram_pool_stats(&self) -> PoolStats {
+        let inner = self.inner.lock().unwrap();
+        let mut total = PoolStats::default();
+        for slot in inner.slots.values() {
+            if let Slot::Ready(program, _) = slot {
+                total.merge(&program.graph.mem.dram.pool_stats());
+            }
+        }
+        total
     }
 
     /// Looks up `id`, waiting out any in-progress compile for it. `None`

@@ -240,12 +240,20 @@ impl Shared {
     }
 
     /// The `Metrics` payload: execution counters from the shared obs sink
-    /// plus serve-level counters (cache, instance totals), with a status
-    /// snapshot taken at the same instant.
+    /// plus serve-level counters (cache, instance totals, the resident
+    /// programs' DRAM image pools), with a status snapshot taken at the
+    /// same instant.
     fn metrics(&self) -> MetricsInfo {
         let status = self.status();
+        let pool = self.cache.dram_pool_stats();
         let mut counters = self.obs.snapshot_counters();
         counters.extend([
+            ("serve.dram_pool.hits".to_string(), pool.hits),
+            ("serve.dram_pool.misses".to_string(), pool.misses),
+            (
+                "serve.dram_pool.retained_bytes".to_string(),
+                pool.retained_bytes,
+            ),
             ("serve.cache.hits".to_string(), status.cache_hits),
             ("serve.cache.misses".to_string(), status.cache_misses),
             ("serve.cache.evictions".to_string(), status.cache_evictions),
@@ -696,8 +704,12 @@ fn handle_open_stream(
     }
     let mut instance = program.instance();
     for (off, bytes) in &req.dram_inits {
-        let off = *off as usize;
-        instance.graph.mem.dram[off..off + bytes.len()].copy_from_slice(bytes);
+        // `check_memory_args` already refused anything out of range; if
+        // the two ever drift the client gets an error, not a dead
+        // connection thread.
+        if let Err(e) = instance.graph.mem.write_dram(*off as usize, bytes) {
+            return send_error(stream, ErrorCode::BadRequest, e.to_string());
+        }
     }
     match shared.sessions.open(
         StreamInstance::new(instance, StreamExecutor::Planned),
@@ -819,26 +831,28 @@ fn handle_close_stream(stream: &mut TcpStream, shared: &Shared, session: u64) ->
 fn executor_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
         shared.inflight_jobs.fetch_add(1, Ordering::SeqCst);
-        let reply = run_job(shared, &job);
+        let ExecJob {
+            program,
+            req,
+            reply,
+        } = job;
+        let outcome = run_job(shared, &program, req);
         shared.inflight_jobs.fetch_sub(1, Ordering::SeqCst);
         // A vanished client is not an executor error.
-        let _ = job.reply.send(reply);
+        let _ = reply.send(outcome);
     }
 }
 
-fn run_job(shared: &Shared, job: &ExecJob) -> ExecuteReply {
-    let program: &CompiledProgram = &job.program;
+fn run_job(shared: &Shared, program: &CompiledProgram, req: ExecuteRequest) -> ExecuteReply {
     // One shared overlay set for the whole batch: every instance applies
-    // the same request inputs, so the bytes are materialized exactly once.
-    let dram_inits: Arc<[(usize, Vec<u8>)]> = job
-        .req
+    // the same request inputs, and the job owns its request, so the bytes
+    // are moved into the set, never copied.
+    let dram_inits: Arc<[(usize, Vec<u8>)]> = req
         .dram_inits
-        .iter()
-        .map(|(off, bytes)| (*off as usize, bytes.clone()))
-        .collect::<Vec<_>>()
-        .into();
-    let jobs: Vec<BatchJob<'_>> = job
-        .req
+        .into_iter()
+        .map(|(off, bytes)| (off as usize, bytes))
+        .collect();
+    let jobs: Vec<BatchJob<'_>> = req
         .argsets
         .iter()
         .map(|args| {
@@ -849,7 +863,7 @@ fn run_job(shared: &Shared, job: &ExecJob) -> ExecuteReply {
     let report = BatchRunner::new(shared.cfg.batch_threads)
         .with_max_rounds(shared.cfg.max_rounds)
         .run_obs(&jobs, &shared.obs);
-    let (w_off, w_len) = (job.req.window.0 as usize, job.req.window.1 as usize);
+    let (w_off, w_len) = (req.window.0 as usize, req.window.1 as usize);
     let merged = report.total();
     let instances: Vec<InstanceOutcome> = report
         .results

@@ -377,6 +377,95 @@ fn structured_compile_failed_frame_carries_line_and_col() {
     server.shutdown();
 }
 
+/// Instances of a cached program run on recycled DRAM images. Two
+/// consecutive `Execute`s with different overlays, read back through a
+/// window over the whole image (input and output symbols both): the second
+/// tenant must see nothing the first one sent or computed.
+#[test]
+fn recycled_images_leak_nothing_between_consecutive_executes() {
+    use revet_machine::POOL_IMAGES;
+    const DRAM: usize = 1 << 16;
+    // One executor running instances one after another: image traffic is
+    // deterministic (an Execute's two results hold two images until its
+    // reply is built, then both are back before the reply is sent).
+    let server = Server::spawn(ServeConfig {
+        executor_threads: 1,
+        batch_threads: 1,
+        ..ServeConfig::default()
+    })
+    .expect("spawn");
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    let options = PassOptions {
+        dram_bytes: DRAM,
+        ..PassOptions::default()
+    };
+    let program_id = client
+        .compile(
+            "dram<u32> input;
+             dram<u32> output;
+             void main(u32 n) {
+                 foreach (n) { u32 i => output[i] = input[i] + 1; };
+             }",
+            &options,
+        )
+        .expect("compile")
+        .program_id;
+    let out = DRAM / 2;
+    let mut execute = |word: u32, n: u32| -> Vec<Vec<u8>> {
+        let input: Vec<u8> = (0..n).flat_map(|_| word.to_le_bytes()).collect();
+        let reply = client
+            .execute(ExecuteRequest {
+                program_id,
+                argsets: vec![vec![n], vec![n]],
+                dram_inits: vec![(0, input)],
+                window: (0, DRAM as u64),
+            })
+            .expect("execute");
+        reply
+            .instances
+            .into_iter()
+            .map(|inst| match inst {
+                InstanceOutcome::Ok { dram, .. } => dram,
+                InstanceOutcome::Err { message } => panic!("instance failed: {message}"),
+            })
+            .collect()
+    };
+
+    // Tenant A: eight words of 0xAAAAAAAA in, eight of 0xAAAAAAAB out.
+    for image in execute(0xAAAA_AAAA, 8) {
+        assert_eq!(&image[out..out + 4], &0xAAAA_AAABu32.to_le_bytes());
+        assert_eq!(&image[out + 28..out + 32], &0xAAAA_AAABu32.to_le_bytes());
+    }
+    // Tenant B, on the images A dirtied: two words only. Everything past
+    // them — where A's inputs and outputs were — reads as a fresh image.
+    for _ in 0..3 {
+        for image in execute(0x1111_1111, 2) {
+            let mut expected = vec![0u8; DRAM];
+            expected[..8].copy_from_slice(&[0x11; 8]);
+            for word in expected[out..out + 8].chunks_mut(4) {
+                word.copy_from_slice(&0x1111_1112u32.to_le_bytes());
+            }
+            assert!(
+                !image.iter().any(|&b| b == 0xAA || b == 0xAB),
+                "a byte of the previous tenant's data survived recycling"
+            );
+            assert!(image == expected, "recycled image is not a fresh image");
+        }
+    }
+
+    // Steady state: the first Execute copied two images, every later one
+    // recycled them; retention stays within the documented bound.
+    let metrics = client.metrics().expect("metrics");
+    let misses = metrics.get("serve.dram_pool.misses").expect("counter");
+    let retained = metrics
+        .get("serve.dram_pool.retained_bytes")
+        .expect("counter");
+    assert_eq!((misses, retained), (2, 2 * DRAM as u64));
+    assert_eq!(metrics.get("serve.dram_pool.hits"), Some(6));
+    assert!(misses <= POOL_IMAGES as u64 && retained <= (POOL_IMAGES * DRAM) as u64);
+    server.shutdown();
+}
+
 /// One source compiled at two opt levels must get two distinct cache
 /// entries — different `ProgramId`s, independent compiles, and executes
 /// routed to the right program — with results identical across levels.
