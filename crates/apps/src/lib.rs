@@ -108,19 +108,47 @@ impl App {
         Compiler::new(opts).compile_source(&(self.source)(outer))
     }
 
-    /// Loads a workload into a compiled program's DRAM.
+    /// The one statement of the DRAM layout: the [`DRAM_BYTES`] image is cut
+    /// into equal slices, one per declared symbol, in declaration order.
+    /// Returns the map from symbol index to byte offset.
+    fn symbol_offsets(&self) -> impl Fn(usize) -> usize {
+        let slice = DRAM_BYTES / self.dram_symbols();
+        move |sym| sym * slice
+    }
+
+    /// The workload's inputs as DRAM overlays `(byte offset, bytes)` — what
+    /// [`App::load`] writes, in the shape a remote `Execute` or
+    /// `OpenStream` request carries.
+    pub fn overlays(&self, w: &Workload) -> Vec<(u64, Vec<u8>)> {
+        let offset = self.symbol_offsets();
+        w.inits
+            .iter()
+            .map(|(sym, bytes)| (offset(*sym) as u64, bytes.clone()))
+            .collect()
+    }
+
+    /// `(byte offset, length)` of the workload's output: the window
+    /// [`App::check_dram`] compares with the oracle, and the one a remote
+    /// request asks to have returned.
+    pub fn output_window(&self, w: &Workload) -> (u64, u64) {
+        let offset = self.symbol_offsets();
+        (offset(w.out_sym) as u64, w.expected.len() as u64)
+    }
+
+    /// Loads a workload into a compiled program's DRAM: [`App::overlays`]
+    /// written in place, without copying the input bytes first.
     ///
     /// # Panics
     ///
     /// Panics if an input does not fit the image (a workload-generator
     /// bug, not an input condition).
     pub fn load(&self, program: &mut CompiledProgram, w: &Workload) {
-        let slice = DRAM_BYTES / self.dram_symbols();
+        let offset = self.symbol_offsets();
         for (sym, bytes) in &w.inits {
             program
                 .graph
                 .mem
-                .write_dram(sym * slice, bytes)
+                .write_dram(offset(*sym), bytes)
                 .unwrap_or_else(|e| panic!("{}: {e}", self.name));
         }
     }
@@ -165,9 +193,8 @@ impl App {
     ///
     /// Panics with a diff message on mismatch.
     pub fn check_dram(&self, dram: &[u8], w: &Workload) {
-        let slice = DRAM_BYTES / self.dram_symbols();
-        let base = w.out_sym * slice;
-        let got = &dram[base..base + w.expected.len()];
+        let (base, len) = self.output_window(w);
+        let got = &dram[base as usize..][..len as usize];
         assert_eq!(
             got,
             &w.expected[..],

@@ -1,8 +1,10 @@
 //! A minimal blocking client for the `revet-serve` wire protocol.
 //!
 //! One request in flight per connection (the protocol is strictly
-//! request/reply per client); open more connections for concurrency —
-//! that is exactly what the `load_gen` harness does.
+//! request/reply per client); open more connections for concurrency, as
+//! the concurrent-clients test in `tests/e2e.rs` does. One method per
+//! request kind, each a [`Request`] out and the matching [`Response`]
+//! variant back.
 
 use crate::protocol::{
     decode_response, encode_request, read_frame, write_frame, CloseReply, ErrorCode, ErrorFrame,

@@ -9,7 +9,9 @@
 //! - [`protocol`] — a versioned, length-prefixed binary wire protocol
 //!   (`Compile` / `Execute` / `Status` / `Metrics` / `Shutdown`, plus the
 //!   streaming `OpenStream` / `Feed` / `Poll` / `CloseStream` session
-//!   frames), every failure a typed error frame;
+//!   frames), every failure a typed error frame. Each frame type is
+//!   declared once; its encoder, decoder and decode-time size guards are
+//!   derived from that declaration;
 //! - [`ProgramCache`] — content-addressed by
 //!   [`revet_core::ProgramId`] (hash of source + pass options), with
 //!   single-flight compilation dedup, LRU eviction, and hit/miss/eviction
@@ -18,9 +20,11 @@
 //!   execute jobs across a `revet-runtime` batch pool, a bounded session
 //!   table keeping streaming instances resident between feeds (with an
 //!   idle sweeper evicting stale ones), plus graceful shutdown that
-//!   drains in-flight work and resident sessions;
-//! - [`ServeClient`] — a blocking client (used by the `load_gen`
-//!   harness in `revet-bench` and by the integration tests).
+//!   drains in-flight work and resident sessions. A connection is
+//!   decode → `respond` → one send: no request handler touches the
+//!   socket;
+//! - [`ServeClient`] — a blocking client (used by the integration tests
+//!   and by the `perf_ledger` benchmark's serve workloads).
 //!
 //! ## Example: boot, compile, execute, drain
 //!

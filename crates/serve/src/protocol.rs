@@ -16,11 +16,17 @@
 //! payload parses. All integers are little-endian; strings and byte blobs
 //! are `u32`-length-prefixed.
 //!
+//! Each frame type's definition (inside `wire_struct!` / `wire_enum!`) is
+//! also its layout: fields travel in the order declared, an enum's tag
+//! byte first, and the encoder, the decoder and the decode-time size
+//! guards are derived from that one listing.
+//!
 //! Every decode failure is a [`WireError`] naming what was wrong —
 //! servers turn these into [`ErrorFrame`]s rather than dropping the
 //! connection, so a buggy client sees *why* its frame was rejected.
 
 use revet_core::{PassOptions, ProgramId};
+use revet_machine::ExecReport;
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -42,27 +48,6 @@ pub const WIRE_VERSION: u8 = 5;
 /// window per instance on a modest batch; small enough that a corrupt
 /// length prefix cannot make the peer allocate gigabytes.
 pub const MAX_FRAME_BYTES: u32 = 32 << 20;
-
-// Frame kind bytes. Requests are < 0x80, responses ≥ 0x80.
-const KIND_COMPILE: u8 = 0x01;
-const KIND_EXECUTE: u8 = 0x02;
-const KIND_STATUS: u8 = 0x03;
-const KIND_SHUTDOWN: u8 = 0x04;
-const KIND_METRICS: u8 = 0x05;
-const KIND_OPEN_STREAM: u8 = 0x06;
-const KIND_FEED: u8 = 0x07;
-const KIND_POLL: u8 = 0x08;
-const KIND_CLOSE_STREAM: u8 = 0x09;
-const KIND_COMPILED: u8 = 0x81;
-const KIND_EXECUTED: u8 = 0x82;
-const KIND_STATUS_INFO: u8 = 0x83;
-const KIND_SHUTDOWN_ACK: u8 = 0x84;
-const KIND_METRICS_INFO: u8 = 0x85;
-const KIND_STREAM_OPENED: u8 = 0x86;
-const KIND_FED: u8 = 0x87;
-const KIND_POLLED: u8 = 0x88;
-const KIND_STREAM_CLOSED: u8 = 0x89;
-const KIND_ERROR: u8 = 0xFF;
 
 /// What went wrong while decoding a frame body.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -125,86 +110,450 @@ impl fmt::Display for FrameError {
     }
 }
 
-/// A request frame, client → server.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Request {
-    /// Compile `source` under `options`; the reply names the cached
-    /// program by its content-addressed [`ProgramId`].
-    Compile {
-        /// Revet source text.
-        source: String,
-        /// Pass options (part of the program's identity).
-        options: PassOptions,
-    },
-    /// Run a batch of instances of an already-compiled program.
-    Execute(ExecuteRequest),
-    /// Snapshot the server's cache/queue counters.
-    Status,
-    /// Dump the server's observability counters (every execution counter
-    /// plus the cache/queue status) — the monitoring scrape endpoint.
-    Metrics,
-    /// Begin graceful shutdown: drain in-flight work, then stop.
-    Shutdown,
-    /// Open a streaming session: a resident instance of a cached program
-    /// that [`Request::Feed`] appends input to incrementally.
-    OpenStream(OpenStreamRequest),
-    /// Append argument sets to an open streaming session.
-    Feed {
-        /// The session id [`Response::StreamOpened`] returned.
-        session: u64,
-        /// Whole `main` argument sets to append.
-        argsets: Vec<Vec<u32>>,
-    },
-    /// Run an open session to quiescence and collect new sink output.
-    Poll {
-        /// The session id [`Response::StreamOpened`] returned.
-        session: u64,
-    },
-    /// Close a streaming session, returning its final DRAM window and the
-    /// execution report merged across every poll.
-    CloseStream {
-        /// The session id [`Response::StreamOpened`] returned.
-        session: u64,
-    },
+// ---------------------------------------------------------------------------
+// Codec: one layout per type. Every frame type further down is declared
+// through `wire_struct!` / `wire_enum!`, so its field order is written once,
+// in its definition, and its encoder, decoder and size guards follow from it.
+
+/// A type with exactly one byte layout.
+trait Wire: Sized {
+    /// Fewest bytes any value of the type occupies. A `Vec<Self>` count is
+    /// checked against it, so a corrupt count cannot make the decoder
+    /// reserve more elements than the frame could hold.
+    const MIN: usize;
+    fn put(&self, w: &mut Vec<u8>);
+    fn get(r: &mut R<'_>) -> Result<Self, WireError>;
+    /// Slice hooks in the manner of `Hash::hash_slice`: `u8` overrides both,
+    /// so a blob is one copy in each direction.
+    fn put_slice(vs: &[Self], w: &mut Vec<u8>) {
+        for v in vs {
+            v.put(w);
+        }
+    }
+    fn get_vec(r: &mut R<'_>, n: usize) -> Result<Vec<Self>, WireError> {
+        let mut vs = Vec::with_capacity(n);
+        for _ in 0..n {
+            vs.push(Self::get(r)?);
+        }
+        Ok(vs)
+    }
 }
 
-/// Payload of [`Request::Execute`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExecuteRequest {
-    /// Which cached program to instantiate.
-    pub program_id: ProgramId,
-    /// One instance per argument set.
-    pub argsets: Vec<Vec<u32>>,
-    /// DRAM overlays `(byte offset, bytes)` applied to every instance
-    /// before it runs (per-request inputs for a shared compile).
-    pub dram_inits: Vec<(u64, Vec<u8>)>,
-    /// `(offset, len)` of the DRAM window to return per instance — the
-    /// program's output region. Zero-length returns no bytes.
-    pub window: (u64, u64),
+/// The undecoded rest of a frame body.
+struct R<'a>(&'a [u8]);
+
+impl<'a> R<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let (head, rest) = self.0.split_at_checked(n).ok_or(WireError::Truncated)?;
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (head, rest) = self.0.split_first_chunk().ok_or(WireError::Truncated)?;
+        self.0 = rest;
+        Ok(*head)
+    }
 }
 
-/// Payload of [`Request::OpenStream`]: like an [`ExecuteRequest`] but
-/// with no up-front argument sets — input arrives later via
-/// [`Request::Feed`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OpenStreamRequest {
-    /// Which cached program to keep resident.
-    pub program_id: ProgramId,
-    /// DRAM overlays `(byte offset, bytes)` applied once, at open.
-    pub dram_inits: Vec<(u64, Vec<u8>)>,
-    /// `(offset, len)` of the DRAM window [`Response::StreamClosed`]
-    /// returns. Zero-length returns no bytes.
-    pub window: (u64, u64),
+/// Reads one field; `where RANGE => "name"` rejects a value outside `RANGE`
+/// as `BadField(name)`, at the byte where it was read.
+macro_rules! wire_get {
+    ($r:ident, $ft:ty $(where $ok:expr => $bad:literal)?) => {{
+        let v = <$ft as Wire>::get($r)?;
+        $(if !($ok).contains(&v) {
+            return Err(WireError::BadField($bad));
+        })?
+        v
+    }};
 }
 
-/// One sink token on the wire: the session's incremental output stream
-/// ([`Response::Polled`] / [`Response::StreamClosed`] carry these).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WireTok {
-    /// A data tuple of 32-bit words.
-    Data(Vec<u32>),
-    /// A barrier token Ωn (level in `1..=15`).
-    Barrier(u8),
+/// Declares a wire struct: the definition is the layout. Fields travel in
+/// the order written and `MIN` is the sum of theirs.
+macro_rules! wire_struct {
+    ($(#[$m:meta])* pub struct $t:ident {
+        $($(#[$fm:meta])* pub $f:ident: $ft:ty $(where $ok:expr => $bad:literal)?),* $(,)?
+    }) => {
+        $(#[$m])*
+        pub struct $t {
+            $($(#[$fm])* pub $f: $ft),*
+        }
+
+        impl Wire for $t {
+            const MIN: usize = 0 $(+ <$ft as Wire>::MIN)*;
+            fn put(&self, w: &mut Vec<u8>) {
+                $(self.$f.put(w);)*
+            }
+            fn get(r: &mut R<'_>) -> Result<Self, WireError> {
+                Ok($t { $($f: wire_get!(r, $ft $(where $ok => $bad)?)),* })
+            }
+        }
+    };
+}
+
+/// Declares a wire enum: `TAG => Variant` lines give each variant's tag byte
+/// (for `Request` and `Response`, the frame's kind byte), a payload
+/// travels after it as a struct's fields would, and the closing `else` arm
+/// is the error for any other tag. `MIN` is the tag plus the smallest
+/// variant.
+macro_rules! wire_enum {
+    ($(#[$m:meta])* pub enum $t:ident {
+        $($(#[$vm:meta])* $tag:literal => $v:ident
+            $(($p:ty $(where $ok:expr => $bad:literal)?))?
+            $({ $($(#[$fm:meta])* $f:ident: $ft:ty),* $(,)? })?,)*
+        else $k:pat => $unknown:expr $(,)?
+    }) => {
+        $(#[$m])*
+        pub enum $t {
+            $($(#[$vm])* $v $(($p))? $({ $($(#[$fm])* $f: $ft),* })?),*
+        }
+
+        impl Wire for $t {
+            const MIN: usize = <u8 as Wire>::MIN
+                + least(&[$(0 $(+ <$p as Wire>::MIN)? $($(+ <$ft as Wire>::MIN)*)?),*]);
+            fn put(&self, w: &mut Vec<u8>) {
+                match self {
+                    $($t::$v $((named!(payload: $p)))? $({ $($f),* })? => {
+                        w.push($tag);
+                        $(named!(payload: $p).put(w);)?
+                        $($($f.put(w);)*)?
+                    })*
+                }
+            }
+            fn get(r: &mut R<'_>) -> Result<Self, WireError> {
+                Ok(match u8::get(r)? {
+                    $($tag => $t::$v
+                        $((wire_get!(r, $p $(where $ok => $bad)?)))?
+                        $({ $($f: wire_get!(r, $ft)),* })?,)*
+                    $k => return Err($unknown),
+                })
+            }
+        }
+    };
+}
+
+/// Expands to `$x`. A tuple variant's payload has a type but no name; this
+/// lets `wire_enum!` mention the type (a `$(…)?` group must) where it binds
+/// the name.
+macro_rules! named {
+    ($x:ident: $p:ty) => {
+        $x
+    };
+}
+
+const fn least(xs: &[usize]) -> usize {
+    let (mut least, mut i) = (usize::MAX, 0);
+    while i < xs.len() {
+        if xs[i] < least {
+            least = xs[i];
+        }
+        i += 1;
+    }
+    least
+}
+
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN: usize = size_of::<$t>();
+            fn put(&self, w: &mut Vec<u8>) {
+                w.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut R<'_>) -> Result<Self, WireError> {
+                Ok(<$t>::from_le_bytes(r.array()?))
+            }
+        }
+    )*};
+}
+wire_int!(u16, u32, u64);
+
+impl Wire for u8 {
+    const MIN: usize = 1;
+    fn put(&self, w: &mut Vec<u8>) {
+        w.push(*self);
+    }
+    fn get(r: &mut R<'_>) -> Result<Self, WireError> {
+        Ok(r.array::<1>()?[0])
+    }
+    fn put_slice(vs: &[u8], w: &mut Vec<u8>) {
+        w.extend_from_slice(vs);
+    }
+    fn get_vec(r: &mut R<'_>, n: usize) -> Result<Vec<u8>, WireError> {
+        Ok(r.take(n)?.to_vec())
+    }
+}
+
+impl Wire for bool {
+    const MIN: usize = 1;
+    fn put(&self, w: &mut Vec<u8>) {
+        w.push(*self as u8);
+    }
+    fn get(r: &mut R<'_>) -> Result<Self, WireError> {
+        Ok(wire_get!(r, u8 where ..=1 => "bool") == 1)
+    }
+}
+
+impl Wire for ProgramId {
+    const MIN: usize = size_of::<ProgramId>();
+    fn put(&self, w: &mut Vec<u8>) {
+        w.extend_from_slice(&self.0);
+    }
+    fn get(r: &mut R<'_>) -> Result<Self, WireError> {
+        Ok(ProgramId(r.array()?))
+    }
+}
+
+/// How every sequence travels: a `u32` count, then the elements.
+fn put_seq<T: Wire>(vs: &[T], w: &mut Vec<u8>) {
+    (vs.len() as u32).put(w);
+    T::put_slice(vs, w);
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN: usize = <u32 as Wire>::MIN;
+    fn put(&self, w: &mut Vec<u8>) {
+        put_seq(self, w);
+    }
+    fn get(r: &mut R<'_>) -> Result<Self, WireError> {
+        let n = u32::get(r)? as usize;
+        // Every element occupies at least `T::MIN` of the bytes that remain;
+        // a count promising more than that is refused before `get_vec`
+        // reserves anything.
+        const { assert!(T::MIN > 0) };
+        if n.checked_mul(T::MIN).is_none_or(|bytes| bytes > r.0.len()) {
+            return Err(WireError::Truncated);
+        }
+        T::get_vec(r, n)
+    }
+}
+
+/// A byte blob that must be UTF-8.
+impl Wire for String {
+    const MIN: usize = <Vec<u8> as Wire>::MIN;
+    fn put(&self, w: &mut Vec<u8>) {
+        put_seq(self.as_bytes(), w);
+    }
+    fn get(r: &mut R<'_>) -> Result<Self, WireError> {
+        String::from_utf8(<Vec<u8>>::get(r)?).map_err(|_| WireError::BadField("utf-8 string"))
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN: usize = A::MIN + B::MIN;
+    fn put(&self, w: &mut Vec<u8>) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut R<'_>) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// Hand-written because the bytes are not the fields: the six toggles pack
+/// into one flag byte, and `threads` is a presence byte plus a value.
+impl Wire for PassOptions {
+    const MIN: usize = 3 * <u8 as Wire>::MIN + <u32 as Wire>::MIN + <u64 as Wire>::MIN;
+    fn put(&self, w: &mut Vec<u8>) {
+        let flags = (self.if_to_select as u8)
+            | (self.fuse_allocators as u8) << 1
+            | (self.hoist_allocators as u8) << 2
+            | (self.bufferize_replicate as u8) << 3
+            | (self.pack_subwords as u8) << 4
+            | (self.eliminate_hierarchy as u8) << 5;
+        flags.put(w);
+        self.opt_level.put(w);
+        self.threads.is_some().put(w);
+        self.threads.unwrap_or(0).put(w);
+        (self.dram_bytes as u64).put(w);
+    }
+    fn get(r: &mut R<'_>) -> Result<Self, WireError> {
+        let flags = wire_get!(r, u8 where ..=0x3F => "pass option flags");
+        let opt_level = wire_get!(r, u8 where ..=2 => "opt level");
+        let has_threads = bool::get(r)?;
+        let threads = u32::get(r)?;
+        let dram_bytes = u64::get(r)?;
+        Ok(PassOptions {
+            if_to_select: flags & 1 != 0,
+            fuse_allocators: flags & 2 != 0,
+            hoist_allocators: flags & 4 != 0,
+            bufferize_replicate: flags & 8 != 0,
+            pack_subwords: flags & 16 != 0,
+            eliminate_hierarchy: flags & 32 != 0,
+            opt_level,
+            threads: has_threads.then_some(threads),
+            dram_bytes: dram_bytes as usize,
+        })
+    }
+}
+
+/// Hand-written because the bytes are the discriminant, not a field.
+impl Wire for ErrorCode {
+    const MIN: usize = <u16 as Wire>::MIN;
+    fn put(&self, w: &mut Vec<u8>) {
+        (*self as u16).put(w);
+    }
+    fn get(r: &mut R<'_>) -> Result<Self, WireError> {
+        Ok(match u16::get(r)? {
+            1 => ErrorCode::Malformed,
+            2 => ErrorCode::UnsupportedVersion,
+            3 => ErrorCode::FrameTooLarge,
+            4 => ErrorCode::CompileFailed,
+            5 => ErrorCode::UnknownProgram,
+            6 => ErrorCode::Busy,
+            7 => ErrorCode::BadRequest,
+            8 => ErrorCode::ShuttingDown,
+            9 => ErrorCode::UnknownSession,
+            10 => ErrorCode::SessionExpired,
+            _ => return Err(WireError::BadField("error code")),
+        })
+    }
+}
+
+/// A frame body is the version byte, then the frame — whose enum tag is
+/// the kind byte.
+fn encode(frame: &impl Wire) -> Vec<u8> {
+    let mut body = vec![WIRE_VERSION];
+    frame.put(&mut body);
+    body
+}
+
+fn decode<T: Wire>(body: &[u8]) -> Result<T, WireError> {
+    if body.len() < 2 {
+        return Err(WireError::Truncated);
+    }
+    if body[0] != WIRE_VERSION {
+        return Err(WireError::UnsupportedVersion(body[0]));
+    }
+    let mut r = R(&body[1..]);
+    let frame = T::get(&mut r)?;
+    if !r.0.is_empty() {
+        return Err(WireError::TrailingBytes(r.0.len()));
+    }
+    Ok(frame)
+}
+
+/// Encodes a request into a frame body (version + kind + payload).
+pub fn encode_request(req: &Request) -> Vec<u8> {
+    encode(req)
+}
+
+/// Decodes a request frame body.
+///
+/// # Errors
+///
+/// Any [`WireError`]; the body is rejected, never partially applied.
+pub fn decode_request(body: &[u8]) -> Result<Request, WireError> {
+    decode(body)
+}
+
+/// Encodes a response into a frame body (version + kind + payload).
+pub fn encode_response(resp: &Response) -> Vec<u8> {
+    encode(resp)
+}
+
+/// Decodes a response frame body.
+///
+/// # Errors
+///
+/// Any [`WireError`]; the body is rejected, never partially applied.
+pub fn decode_response(body: &[u8]) -> Result<Response, WireError> {
+    decode(body)
+}
+
+// ---------------------------------------------------------------------------
+// Frames
+
+wire_enum! {
+    /// A request frame, client → server. The tag is the frame's kind byte;
+    /// request kinds are < 0x80.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum Request {
+        /// Compile `source` under `options`; the reply names the cached
+        /// program by its content-addressed [`ProgramId`].
+        0x01 => Compile {
+            /// Revet source text.
+            source: String,
+            /// Pass options (part of the program's identity).
+            options: PassOptions,
+        },
+        /// Run a batch of instances of an already-compiled program.
+        0x02 => Execute(ExecuteRequest),
+        /// Snapshot the server's cache/queue counters.
+        0x03 => Status,
+        /// Dump the server's observability counters (every execution counter
+        /// plus the cache/queue status) — the monitoring scrape endpoint.
+        0x05 => Metrics,
+        /// Begin graceful shutdown: drain in-flight work, then stop.
+        0x04 => Shutdown,
+        /// Open a streaming session: a resident instance of a cached program
+        /// that [`Request::Feed`] appends input to incrementally.
+        0x06 => OpenStream(OpenStreamRequest),
+        /// Append argument sets to an open streaming session.
+        0x07 => Feed {
+            /// The session id [`Response::StreamOpened`] returned.
+            session: u64,
+            /// Whole `main` argument sets to append.
+            argsets: Vec<Vec<u32>>,
+        },
+        /// Run an open session to quiescence and collect new sink output.
+        0x08 => Poll {
+            /// The session id [`Response::StreamOpened`] returned.
+            session: u64,
+        },
+        /// Close a streaming session, returning its final DRAM window and the
+        /// execution report merged across every poll.
+        0x09 => CloseStream {
+            /// The session id [`Response::StreamOpened`] returned.
+            session: u64,
+        },
+        else k => WireError::UnknownKind(k),
+    }
+}
+
+wire_struct! {
+    /// Payload of [`Request::Execute`].
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ExecuteRequest {
+        /// Which cached program to instantiate.
+        pub program_id: ProgramId,
+        /// One instance per argument set.
+        pub argsets: Vec<Vec<u32>>,
+        /// DRAM overlays `(byte offset, bytes)` applied to every instance
+        /// before it runs (per-request inputs for a shared compile).
+        pub dram_inits: Vec<(u64, Vec<u8>)>,
+        /// `(offset, len)` of the DRAM window to return per instance — the
+        /// program's output region. Zero-length returns no bytes.
+        pub window: (u64, u64),
+    }
+}
+
+wire_struct! {
+    /// Payload of [`Request::OpenStream`]: like an [`ExecuteRequest`] but
+    /// with no up-front argument sets — input arrives later via
+    /// [`Request::Feed`].
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct OpenStreamRequest {
+        /// Which cached program to keep resident.
+        pub program_id: ProgramId,
+        /// DRAM overlays `(byte offset, bytes)` applied once, at open.
+        pub dram_inits: Vec<(u64, Vec<u8>)>,
+        /// `(offset, len)` of the DRAM window [`Response::StreamClosed`]
+        /// returns. Zero-length returns no bytes.
+        pub window: (u64, u64),
+    }
+}
+
+wire_enum! {
+    /// One sink token on the wire: the session's incremental output stream
+    /// ([`Response::Polled`] / [`Response::StreamClosed`] carry these).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum WireTok {
+        /// A data tuple of 32-bit words.
+        0 => Data(Vec<u32>),
+        /// A barrier token Ωn (level in `1..=15`).
+        1 => Barrier(u8 where 1..=15 => "barrier level"),
+        else _ => WireError::BadField("token tag"),
+    }
 }
 
 impl WireTok {
@@ -228,153 +577,183 @@ impl WireTok {
     }
 }
 
-/// A response frame, server → client.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Response {
-    /// Reply to [`Request::Compile`].
-    Compiled {
-        /// Content-addressed id of the (now cached) program.
-        program_id: ProgramId,
-        /// True when the cache already held this program.
-        cached: bool,
-        /// Wall-clock of the compile itself (0 on a cache hit).
-        compile_micros: u64,
-    },
-    /// Reply to [`Request::Execute`].
-    Executed(ExecuteReply),
-    /// Reply to [`Request::Status`].
-    Status(StatusInfo),
-    /// Reply to [`Request::Metrics`].
-    Metrics(MetricsInfo),
-    /// Reply to [`Request::Shutdown`]: the drain has begun.
-    ShutdownAck,
-    /// Reply to [`Request::OpenStream`].
-    StreamOpened {
-        /// Server-assigned session id for subsequent `Feed`/`Poll`/
-        /// `CloseStream` frames.
-        session: u64,
-    },
-    /// Reply to [`Request::Feed`].
-    Fed {
-        /// How many argument sets the session accepted (a bounded entry
-        /// channel may accept fewer than sent — poll, then resend the
-        /// remainder).
-        accepted: u64,
-    },
-    /// Reply to [`Request::Poll`].
-    Polled(PollReply),
-    /// Reply to [`Request::CloseStream`].
-    StreamClosed(CloseReply),
-    /// Typed failure (any request may produce one).
-    Error(ErrorFrame),
+wire_enum! {
+    /// A response frame, server → client. The tag is the frame's kind byte;
+    /// response kinds are ≥ 0x80.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum Response {
+        /// Reply to [`Request::Compile`].
+        0x81 => Compiled {
+            /// Content-addressed id of the (now cached) program.
+            program_id: ProgramId,
+            /// True when the cache already held this program.
+            cached: bool,
+            /// Wall-clock of the compile itself (0 on a cache hit).
+            compile_micros: u64,
+        },
+        /// Reply to [`Request::Execute`].
+        0x82 => Executed(ExecuteReply),
+        /// Reply to [`Request::Status`].
+        0x83 => Status(StatusInfo),
+        /// Reply to [`Request::Metrics`].
+        0x85 => Metrics(MetricsInfo),
+        /// Reply to [`Request::Shutdown`]: the drain has begun.
+        0x84 => ShutdownAck,
+        /// Reply to [`Request::OpenStream`].
+        0x86 => StreamOpened {
+            /// Server-assigned session id for subsequent `Feed`/`Poll`/
+            /// `CloseStream` frames.
+            session: u64,
+        },
+        /// Reply to [`Request::Feed`].
+        0x87 => Fed {
+            /// How many argument sets the session accepted (a bounded entry
+            /// channel may accept fewer than sent — poll, then resend the
+            /// remainder).
+            accepted: u64,
+        },
+        /// Reply to [`Request::Poll`].
+        0x88 => Polled(PollReply),
+        /// Reply to [`Request::CloseStream`].
+        0x89 => StreamClosed(CloseReply),
+        /// Typed failure (any request may produce one).
+        0xFF => Error(ErrorFrame),
+        else k => WireError::UnknownKind(k),
+    }
 }
 
-/// Payload of [`Response::Polled`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PollReply {
-    /// Sink tokens produced since the previous poll.
-    pub tokens: Vec<WireTok>,
-    /// True when the graph drained cleanly (nothing in flight); false
-    /// when tokens are parked awaiting further input.
-    pub finished: bool,
-    /// The session's resident footprint after the poll, bytes.
-    pub resident_bytes: u64,
+wire_struct! {
+    /// Payload of [`Response::Polled`].
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct PollReply {
+        /// Sink tokens produced since the previous poll.
+        pub tokens: Vec<WireTok>,
+        /// True when the graph drained cleanly (nothing in flight); false
+        /// when tokens are parked awaiting further input.
+        pub finished: bool,
+        /// The session's resident footprint after the poll, bytes.
+        pub resident_bytes: u64,
+    }
 }
 
-/// Payload of [`Response::StreamClosed`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CloseReply {
-    /// Execution counters merged across every poll of the session.
-    pub merged: WireReport,
-    /// Sink tokens produced by the final drain (after the last poll).
-    pub tokens: Vec<WireTok>,
-    /// The DRAM window requested at open, from the final memory image.
-    pub dram: Vec<u8>,
+wire_struct! {
+    /// Payload of [`Response::StreamClosed`].
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct CloseReply {
+        /// Execution counters merged across every poll of the session.
+        pub merged: WireReport,
+        /// Sink tokens produced by the final drain (after the last poll).
+        pub tokens: Vec<WireTok>,
+        /// The DRAM window requested at open, from the final memory image.
+        pub dram: Vec<u8>,
+    }
 }
 
-/// Scheduler counters mirrored over the wire (a flattened
-/// `revet_machine::ExecReport`, merged over the batch's successes).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WireReport {
-    /// Scheduler generations executed.
-    pub rounds: u64,
-    /// Node steps that moved at least one token.
-    pub productive_steps: u64,
-    /// Node steps attempted.
-    pub steps: u64,
-    /// High watermark of ready nodes in any one scheduler round across
-    /// the batch (max-merged, not summed).
-    pub peak_ready: u64,
+wire_struct! {
+    /// Scheduler counters mirrored over the wire (a flattened
+    /// `revet_machine::ExecReport`, merged over the batch's successes).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct WireReport {
+        /// Scheduler generations executed.
+        pub rounds: u64,
+        /// Node steps that moved at least one token.
+        pub productive_steps: u64,
+        /// Node steps attempted.
+        pub steps: u64,
+        /// High watermark of ready nodes in any one scheduler round across
+        /// the batch (max-merged, not summed).
+        pub peak_ready: u64,
+    }
 }
 
-/// Payload of [`Response::Executed`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExecuteReply {
-    /// Counters merged over the batch's successful instances.
-    pub merged: WireReport,
-    /// Per-instance outcomes, in argset order.
-    pub instances: Vec<InstanceOutcome>,
+impl From<&ExecReport> for WireReport {
+    fn from(report: &ExecReport) -> Self {
+        WireReport {
+            rounds: report.rounds,
+            productive_steps: report.productive_steps,
+            steps: report.steps,
+            peak_ready: report.peak_ready,
+        }
+    }
 }
 
-/// One instance's outcome inside an [`ExecuteReply`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum InstanceOutcome {
-    /// The instance ran to quiescence.
-    Ok {
-        /// Per-instance wall-clock, microseconds.
-        wall_micros: u64,
-        /// The requested DRAM window of this instance's final memory.
-        dram: Vec<u8>,
-    },
-    /// The instance failed (others in the batch may have succeeded).
-    Err {
-        /// The machine error, rendered.
-        message: String,
-    },
+wire_struct! {
+    /// Payload of [`Response::Executed`].
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ExecuteReply {
+        /// Counters merged over the batch's successful instances.
+        pub merged: WireReport,
+        /// Per-instance outcomes, in argset order.
+        pub instances: Vec<InstanceOutcome>,
+    }
 }
 
-/// Payload of [`Response::Status`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatusInfo {
-    /// Programs currently resident in the cache.
-    pub programs_cached: u64,
-    /// Cache capacity (LRU evicts beyond this).
-    pub cache_capacity: u64,
-    /// Lookups served from the cache.
-    pub cache_hits: u64,
-    /// Lookups that had to compile.
-    pub cache_misses: u64,
-    /// Programs evicted by the LRU policy.
-    pub cache_evictions: u64,
-    /// Execute jobs waiting in the admission queue.
-    pub queued_jobs: u64,
-    /// Execute jobs currently running on the batch pool.
-    pub inflight_jobs: u64,
-    /// Instances completed successfully since boot.
-    pub executed_instances: u64,
-    /// Instances that failed since boot.
-    pub failed_instances: u64,
-    /// Streaming sessions currently resident.
-    pub open_sessions: u64,
-    /// Streaming sessions evicted by the idle sweeper since boot.
-    pub evicted_sessions: u64,
-    /// Total resident footprint of open streaming sessions, bytes.
-    pub session_resident_bytes: u64,
-    /// True once graceful shutdown has begun.
-    pub draining: bool,
+wire_enum! {
+    /// One instance's outcome inside an [`ExecuteReply`].
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum InstanceOutcome {
+        /// The instance ran to quiescence.
+        0 => Ok {
+            /// Per-instance wall-clock, microseconds.
+            wall_micros: u64,
+            /// The requested DRAM window of this instance's final memory.
+            dram: Vec<u8>,
+        },
+        /// The instance failed (others in the batch may have succeeded).
+        1 => Err {
+            /// The machine error, rendered.
+            message: String,
+        },
+        else _ => WireError::BadField("instance outcome tag"),
+    }
 }
 
-/// Payload of [`Response::Metrics`]: the server's aggregated
-/// observability counters (execution counters, cache counters, registry
-/// instruments — whatever the server's `ObsSink` accumulated since boot)
-/// plus the same queue/cache snapshot [`Request::Status`] returns, taken
-/// at the same instant so the two views are consistent.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MetricsInfo {
-    /// Sorted `(name, value)` pairs, e.g. `("exec.dispatches", 12345)`.
-    pub counters: Vec<(String, u64)>,
-    /// Cache/queue snapshot taken alongside the counters.
-    pub status: StatusInfo,
+wire_struct! {
+    /// Payload of [`Response::Status`].
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct StatusInfo {
+        /// Programs currently resident in the cache.
+        pub programs_cached: u64,
+        /// Cache capacity (LRU evicts beyond this).
+        pub cache_capacity: u64,
+        /// Lookups served from the cache.
+        pub cache_hits: u64,
+        /// Lookups that had to compile.
+        pub cache_misses: u64,
+        /// Programs evicted by the LRU policy.
+        pub cache_evictions: u64,
+        /// Execute jobs waiting in the admission queue.
+        pub queued_jobs: u64,
+        /// Execute jobs currently running on the batch pool.
+        pub inflight_jobs: u64,
+        /// Instances completed successfully since boot.
+        pub executed_instances: u64,
+        /// Instances that failed since boot.
+        pub failed_instances: u64,
+        /// Streaming sessions currently resident.
+        pub open_sessions: u64,
+        /// Streaming sessions evicted by the idle sweeper since boot.
+        pub evicted_sessions: u64,
+        /// Total resident footprint of open streaming sessions, bytes.
+        pub session_resident_bytes: u64,
+        /// True once graceful shutdown has begun.
+        pub draining: bool,
+    }
+}
+
+wire_struct! {
+    /// Payload of [`Response::Metrics`]: the server's aggregated
+    /// observability counters (execution counters, cache counters, registry
+    /// instruments — whatever the server's `ObsSink` accumulated since boot)
+    /// plus the same queue/cache snapshot [`Request::Status`] returns, taken
+    /// at the same instant so the two views are consistent.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct MetricsInfo {
+        /// Sorted `(name, value)` pairs, e.g. `("exec.dispatches", 12345)`.
+        pub counters: Vec<(String, u64)>,
+        /// Cache/queue snapshot taken alongside the counters.
+        pub status: StatusInfo,
+    }
 }
 
 impl MetricsInfo {
@@ -395,7 +774,8 @@ pub enum ErrorCode {
     Malformed = 1,
     /// The frame's version byte is unknown to this server.
     UnsupportedVersion = 2,
-    /// The declared frame length exceeded [`MAX_FRAME_BYTES`].
+    /// A frame exceeded [`MAX_FRAME_BYTES`]: a request's declared length,
+    /// or the reply the server would have had to send.
     FrameTooLarge = 3,
     /// The compiler rejected the source.
     CompileFailed = 4,
@@ -415,40 +795,24 @@ pub enum ErrorCode {
     SessionExpired = 10,
 }
 
-impl ErrorCode {
-    fn from_u16(v: u16) -> Option<ErrorCode> {
-        Some(match v {
-            1 => ErrorCode::Malformed,
-            2 => ErrorCode::UnsupportedVersion,
-            3 => ErrorCode::FrameTooLarge,
-            4 => ErrorCode::CompileFailed,
-            5 => ErrorCode::UnknownProgram,
-            6 => ErrorCode::Busy,
-            7 => ErrorCode::BadRequest,
-            8 => ErrorCode::ShuttingDown,
-            9 => ErrorCode::UnknownSession,
-            10 => ErrorCode::SessionExpired,
-            _ => return None,
-        })
+wire_struct! {
+    /// One machine-readable compiler diagnostic inside an [`ErrorFrame`] —
+    /// the structured payload of a `CompileFailed` reply. Line/column are
+    /// 1-based and pre-resolved server-side (clients don't need the source's
+    /// line table); `0` means "no source location".
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct WireDiagnostic {
+        /// Stable `E`-prefixed code (`revet_diag::codes`).
+        pub code: String,
+        /// 0 = error, 1 = warning, 2 = note.
+        pub severity: u8 where ..=WireDiagnostic::SEVERITY_NOTE => "diagnostic severity",
+        /// 1-based line of the primary span's start (0 = unknown).
+        pub line: u32,
+        /// 1-based column of the primary span's start (0 = unknown).
+        pub col: u32,
+        /// Human-readable one-liner.
+        pub message: String,
     }
-}
-
-/// One machine-readable compiler diagnostic inside an [`ErrorFrame`] —
-/// the structured payload of a `CompileFailed` reply. Line/column are
-/// 1-based and pre-resolved server-side (clients don't need the source's
-/// line table); `0` means "no source location".
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WireDiagnostic {
-    /// Stable `E`-prefixed code (`revet_diag::codes`).
-    pub code: String,
-    /// 0 = error, 1 = warning, 2 = note.
-    pub severity: u8,
-    /// 1-based line of the primary span's start (0 = unknown).
-    pub line: u32,
-    /// 1-based column of the primary span's start (0 = unknown).
-    pub col: u32,
-    /// Human-readable one-liner.
-    pub message: String,
 }
 
 impl WireDiagnostic {
@@ -479,17 +843,19 @@ impl fmt::Display for WireDiagnostic {
     }
 }
 
-/// A typed failure reply.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ErrorFrame {
-    /// Failure category.
-    pub code: ErrorCode,
-    /// Human-readable detail. For `CompileFailed` this is the full
-    /// rendered diagnostic report (caret snippets included).
-    pub message: String,
-    /// Structured per-diagnostic payload (`CompileFailed` fills this; the
-    /// transport-level errors leave it empty).
-    pub details: Vec<WireDiagnostic>,
+wire_struct! {
+    /// A typed failure reply.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ErrorFrame {
+        /// Failure category.
+        pub code: ErrorCode,
+        /// Human-readable detail. For `CompileFailed` this is the full
+        /// rendered diagnostic report (caret snippets included).
+        pub message: String,
+        /// Structured per-diagnostic payload (`CompileFailed` fills this; the
+        /// transport-level errors leave it empty).
+        pub details: Vec<WireDiagnostic>,
+    }
 }
 
 impl ErrorFrame {
@@ -560,608 +926,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
     let mut body = vec![0u8; len as usize];
     r.read_exact(&mut body).map_err(FrameError::Io)?;
     Ok(body)
-}
-
-// ---------------------------------------------------------------------------
-// Body encode/decode
-
-/// Encodes a request into a frame body (version + kind + payload).
-pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut w = W::new();
-    match req {
-        Request::Compile { source, options } => {
-            w.kind(KIND_COMPILE);
-            w.str(source);
-            w.options(options);
-        }
-        Request::Execute(e) => {
-            w.kind(KIND_EXECUTE);
-            w.bytes16(&e.program_id.0);
-            w.u32(e.argsets.len() as u32);
-            for args in &e.argsets {
-                w.u32(args.len() as u32);
-                for &a in args {
-                    w.u32(a);
-                }
-            }
-            w.u32(e.dram_inits.len() as u32);
-            for (off, bytes) in &e.dram_inits {
-                w.u64(*off);
-                w.blob(bytes);
-            }
-            w.u64(e.window.0);
-            w.u64(e.window.1);
-        }
-        Request::Status => w.kind(KIND_STATUS),
-        Request::Metrics => w.kind(KIND_METRICS),
-        Request::Shutdown => w.kind(KIND_SHUTDOWN),
-        Request::OpenStream(o) => {
-            w.kind(KIND_OPEN_STREAM);
-            w.bytes16(&o.program_id.0);
-            w.u32(o.dram_inits.len() as u32);
-            for (off, bytes) in &o.dram_inits {
-                w.u64(*off);
-                w.blob(bytes);
-            }
-            w.u64(o.window.0);
-            w.u64(o.window.1);
-        }
-        Request::Feed { session, argsets } => {
-            w.kind(KIND_FEED);
-            w.u64(*session);
-            w.u32(argsets.len() as u32);
-            for args in argsets {
-                w.u32(args.len() as u32);
-                for &a in args {
-                    w.u32(a);
-                }
-            }
-        }
-        Request::Poll { session } => {
-            w.kind(KIND_POLL);
-            w.u64(*session);
-        }
-        Request::CloseStream { session } => {
-            w.kind(KIND_CLOSE_STREAM);
-            w.u64(*session);
-        }
-    }
-    w.buf
-}
-
-/// Decodes a request frame body.
-///
-/// # Errors
-///
-/// Any [`WireError`]; the body is rejected, never partially applied.
-pub fn decode_request(body: &[u8]) -> Result<Request, WireError> {
-    let mut r = R::new(body)?;
-    let req = match r.kind {
-        KIND_COMPILE => Request::Compile {
-            source: r.str()?,
-            options: r.options()?,
-        },
-        KIND_EXECUTE => {
-            let program_id = ProgramId(r.bytes16()?);
-            // Minimum wire footprints: an argset is at least its u32
-            // length, an arg is a u32, a dram init is a u64 offset plus a
-            // u32 blob length.
-            let n = r.count(4)?;
-            let mut argsets = Vec::with_capacity(n);
-            for _ in 0..n {
-                let k = r.count(4)?;
-                let mut args = Vec::with_capacity(k);
-                for _ in 0..k {
-                    args.push(r.u32()?);
-                }
-                argsets.push(args);
-            }
-            let n = r.count(12)?;
-            let mut dram_inits = Vec::with_capacity(n);
-            for _ in 0..n {
-                let off = r.u64()?;
-                dram_inits.push((off, r.blob()?));
-            }
-            let window = (r.u64()?, r.u64()?);
-            Request::Execute(ExecuteRequest {
-                program_id,
-                argsets,
-                dram_inits,
-                window,
-            })
-        }
-        KIND_STATUS => Request::Status,
-        KIND_METRICS => Request::Metrics,
-        KIND_SHUTDOWN => Request::Shutdown,
-        KIND_OPEN_STREAM => {
-            let program_id = ProgramId(r.bytes16()?);
-            let n = r.count(12)?;
-            let mut dram_inits = Vec::with_capacity(n);
-            for _ in 0..n {
-                let off = r.u64()?;
-                dram_inits.push((off, r.blob()?));
-            }
-            let window = (r.u64()?, r.u64()?);
-            Request::OpenStream(OpenStreamRequest {
-                program_id,
-                dram_inits,
-                window,
-            })
-        }
-        KIND_FEED => {
-            let session = r.u64()?;
-            let n = r.count(4)?;
-            let mut argsets = Vec::with_capacity(n);
-            for _ in 0..n {
-                let k = r.count(4)?;
-                let mut args = Vec::with_capacity(k);
-                for _ in 0..k {
-                    args.push(r.u32()?);
-                }
-                argsets.push(args);
-            }
-            Request::Feed { session, argsets }
-        }
-        KIND_POLL => Request::Poll { session: r.u64()? },
-        KIND_CLOSE_STREAM => Request::CloseStream { session: r.u64()? },
-        k => return Err(WireError::UnknownKind(k)),
-    };
-    r.finish()?;
-    Ok(req)
-}
-
-/// Encodes a response into a frame body (version + kind + payload).
-pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut w = W::new();
-    match resp {
-        Response::Compiled {
-            program_id,
-            cached,
-            compile_micros,
-        } => {
-            w.kind(KIND_COMPILED);
-            w.bytes16(&program_id.0);
-            w.u8(*cached as u8);
-            w.u64(*compile_micros);
-        }
-        Response::Executed(e) => {
-            w.kind(KIND_EXECUTED);
-            w.u64(e.merged.rounds);
-            w.u64(e.merged.productive_steps);
-            w.u64(e.merged.steps);
-            w.u64(e.merged.peak_ready);
-            w.u32(e.instances.len() as u32);
-            for inst in &e.instances {
-                match inst {
-                    InstanceOutcome::Ok { wall_micros, dram } => {
-                        w.u8(0);
-                        w.u64(*wall_micros);
-                        w.blob(dram);
-                    }
-                    InstanceOutcome::Err { message } => {
-                        w.u8(1);
-                        w.str(message);
-                    }
-                }
-            }
-        }
-        Response::Status(s) => {
-            w.kind(KIND_STATUS_INFO);
-            w.status(s);
-        }
-        Response::Metrics(m) => {
-            w.kind(KIND_METRICS_INFO);
-            w.u32(m.counters.len() as u32);
-            for (name, value) in &m.counters {
-                w.str(name);
-                w.u64(*value);
-            }
-            w.status(&m.status);
-        }
-        Response::ShutdownAck => w.kind(KIND_SHUTDOWN_ACK),
-        Response::StreamOpened { session } => {
-            w.kind(KIND_STREAM_OPENED);
-            w.u64(*session);
-        }
-        Response::Fed { accepted } => {
-            w.kind(KIND_FED);
-            w.u64(*accepted);
-        }
-        Response::Polled(p) => {
-            w.kind(KIND_POLLED);
-            w.toks(&p.tokens);
-            w.u8(p.finished as u8);
-            w.u64(p.resident_bytes);
-        }
-        Response::StreamClosed(c) => {
-            w.kind(KIND_STREAM_CLOSED);
-            w.u64(c.merged.rounds);
-            w.u64(c.merged.productive_steps);
-            w.u64(c.merged.steps);
-            w.u64(c.merged.peak_ready);
-            w.toks(&c.tokens);
-            w.blob(&c.dram);
-        }
-        Response::Error(e) => {
-            w.kind(KIND_ERROR);
-            w.u16(e.code as u16);
-            w.str(&e.message);
-            w.u32(e.details.len() as u32);
-            for d in &e.details {
-                w.str(&d.code);
-                w.u8(d.severity);
-                w.u32(d.line);
-                w.u32(d.col);
-                w.str(&d.message);
-            }
-        }
-    }
-    w.buf
-}
-
-/// Decodes a response frame body.
-///
-/// # Errors
-///
-/// Any [`WireError`]; the body is rejected, never partially applied.
-pub fn decode_response(body: &[u8]) -> Result<Response, WireError> {
-    let mut r = R::new(body)?;
-    let resp = match r.kind {
-        KIND_COMPILED => {
-            let program_id = ProgramId(r.bytes16()?);
-            let cached = r.bool()?;
-            let compile_micros = r.u64()?;
-            Response::Compiled {
-                program_id,
-                cached,
-                compile_micros,
-            }
-        }
-        KIND_EXECUTED => {
-            let merged = WireReport {
-                rounds: r.u64()?,
-                productive_steps: r.u64()?,
-                steps: r.u64()?,
-                peak_ready: r.u64()?,
-            };
-            // An instance outcome is at least a tag byte plus a u32
-            // length (the error-message arm).
-            let n = r.count(5)?;
-            let mut instances = Vec::with_capacity(n);
-            for _ in 0..n {
-                instances.push(match r.u8()? {
-                    0 => InstanceOutcome::Ok {
-                        wall_micros: r.u64()?,
-                        dram: r.blob()?,
-                    },
-                    1 => InstanceOutcome::Err { message: r.str()? },
-                    _ => return Err(WireError::BadField("instance outcome tag")),
-                });
-            }
-            Response::Executed(ExecuteReply { merged, instances })
-        }
-        KIND_STATUS_INFO => Response::Status(r.status()?),
-        KIND_METRICS_INFO => {
-            // A counter entry is at least a u32 name length plus a u64.
-            let n = r.count(12)?;
-            let mut counters = Vec::with_capacity(n);
-            for _ in 0..n {
-                let name = r.str()?;
-                counters.push((name, r.u64()?));
-            }
-            Response::Metrics(MetricsInfo {
-                counters,
-                status: r.status()?,
-            })
-        }
-        KIND_SHUTDOWN_ACK => Response::ShutdownAck,
-        KIND_STREAM_OPENED => Response::StreamOpened { session: r.u64()? },
-        KIND_FED => Response::Fed { accepted: r.u64()? },
-        KIND_POLLED => {
-            let tokens = r.toks()?;
-            Response::Polled(PollReply {
-                tokens,
-                finished: r.bool()?,
-                resident_bytes: r.u64()?,
-            })
-        }
-        KIND_STREAM_CLOSED => {
-            let merged = WireReport {
-                rounds: r.u64()?,
-                productive_steps: r.u64()?,
-                steps: r.u64()?,
-                peak_ready: r.u64()?,
-            };
-            let tokens = r.toks()?;
-            Response::StreamClosed(CloseReply {
-                merged,
-                tokens,
-                dram: r.blob()?,
-            })
-        }
-        KIND_ERROR => {
-            let code = r.u16()?;
-            let code = ErrorCode::from_u16(code).ok_or(WireError::BadField("error code"))?;
-            let message = r.str()?;
-            // A wire diagnostic is at least: code len (4) + severity (1) +
-            // line (4) + col (4) + message len (4).
-            let n = r.count(17)?;
-            let mut details = Vec::with_capacity(n);
-            for _ in 0..n {
-                let code = r.str()?;
-                let severity = r.u8()?;
-                if severity > WireDiagnostic::SEVERITY_NOTE {
-                    return Err(WireError::BadField("diagnostic severity"));
-                }
-                details.push(WireDiagnostic {
-                    code,
-                    severity,
-                    line: r.u32()?,
-                    col: r.u32()?,
-                    message: r.str()?,
-                });
-            }
-            Response::Error(ErrorFrame {
-                code,
-                message,
-                details,
-            })
-        }
-        k => return Err(WireError::UnknownKind(k)),
-    };
-    r.finish()?;
-    Ok(resp)
-}
-
-// ---------------------------------------------------------------------------
-// Little-endian body writer/reader
-
-struct W {
-    buf: Vec<u8>,
-}
-
-impl W {
-    fn new() -> Self {
-        W {
-            buf: vec![WIRE_VERSION],
-        }
-    }
-    fn kind(&mut self, k: u8) {
-        self.buf.push(k);
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn bytes16(&mut self, v: &[u8; 16]) {
-        self.buf.extend_from_slice(v);
-    }
-    fn blob(&mut self, v: &[u8]) {
-        self.u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
-    }
-    fn str(&mut self, v: &str) {
-        self.blob(v.as_bytes());
-    }
-    fn status(&mut self, s: &StatusInfo) {
-        for v in [
-            s.programs_cached,
-            s.cache_capacity,
-            s.cache_hits,
-            s.cache_misses,
-            s.cache_evictions,
-            s.queued_jobs,
-            s.inflight_jobs,
-            s.executed_instances,
-            s.failed_instances,
-            s.open_sessions,
-            s.evicted_sessions,
-            s.session_resident_bytes,
-        ] {
-            self.u64(v);
-        }
-        self.u8(s.draining as u8);
-    }
-    fn toks(&mut self, toks: &[WireTok]) {
-        self.u32(toks.len() as u32);
-        for t in toks {
-            match t {
-                WireTok::Data(words) => {
-                    self.u8(0);
-                    self.u32(words.len() as u32);
-                    for &w in words {
-                        self.u32(w);
-                    }
-                }
-                WireTok::Barrier(l) => {
-                    self.u8(1);
-                    self.u8(*l);
-                }
-            }
-        }
-    }
-    fn options(&mut self, o: &PassOptions) {
-        let flags = (o.if_to_select as u8)
-            | (o.fuse_allocators as u8) << 1
-            | (o.hoist_allocators as u8) << 2
-            | (o.bufferize_replicate as u8) << 3
-            | (o.pack_subwords as u8) << 4
-            | (o.eliminate_hierarchy as u8) << 5;
-        self.u8(flags);
-        self.u8(o.opt_level);
-        self.u8(o.threads.is_some() as u8);
-        self.u32(o.threads.unwrap_or(0));
-        self.u64(o.dram_bytes as u64);
-    }
-}
-
-struct R<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    kind: u8,
-}
-
-impl<'a> R<'a> {
-    /// Validates version and splits off the kind byte.
-    fn new(body: &'a [u8]) -> Result<Self, WireError> {
-        if body.len() < 2 {
-            return Err(WireError::Truncated);
-        }
-        if body[0] != WIRE_VERSION {
-            return Err(WireError::UnsupportedVersion(body[0]));
-        }
-        Ok(R {
-            buf: body,
-            pos: 2,
-            kind: body[1],
-        })
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-    fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(WireError::BadField("bool")),
-        }
-    }
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn bytes16(&mut self) -> Result<[u8; 16], WireError> {
-        Ok(self.take(16)?.try_into().unwrap())
-    }
-
-    /// A collection count whose elements each occupy at least
-    /// `min_elem_bytes` on the wire, sanity-bounded by the bytes that
-    /// remain. The bound caps `Vec::with_capacity` pre-allocation at the
-    /// frame size — a corrupt count cannot amplify a small frame into a
-    /// huge allocation.
-    fn count(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        let remaining = self.buf.len() - self.pos;
-        if n.checked_mul(min_elem_bytes.max(1))
-            .is_none_or(|bytes| bytes > remaining)
-        {
-            return Err(WireError::Truncated);
-        }
-        Ok(n)
-    }
-
-    fn blob(&mut self) -> Result<Vec<u8>, WireError> {
-        let n = self.count(1)?;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn str(&mut self) -> Result<String, WireError> {
-        let bytes = self.blob()?;
-        String::from_utf8(bytes).map_err(|_| WireError::BadField("utf-8 string"))
-    }
-
-    fn status(&mut self) -> Result<StatusInfo, WireError> {
-        Ok(StatusInfo {
-            programs_cached: self.u64()?,
-            cache_capacity: self.u64()?,
-            cache_hits: self.u64()?,
-            cache_misses: self.u64()?,
-            cache_evictions: self.u64()?,
-            queued_jobs: self.u64()?,
-            inflight_jobs: self.u64()?,
-            executed_instances: self.u64()?,
-            failed_instances: self.u64()?,
-            open_sessions: self.u64()?,
-            evicted_sessions: self.u64()?,
-            session_resident_bytes: self.u64()?,
-            draining: self.bool()?,
-        })
-    }
-
-    /// A token list: each element is a tag byte plus, for data, a u32
-    /// word count (so an element occupies ≥ 2 wire bytes).
-    fn toks(&mut self) -> Result<Vec<WireTok>, WireError> {
-        let n = self.count(2)?;
-        let mut toks = Vec::with_capacity(n);
-        for _ in 0..n {
-            toks.push(match self.u8()? {
-                0 => {
-                    let k = self.count(4)?;
-                    let mut words = Vec::with_capacity(k);
-                    for _ in 0..k {
-                        words.push(self.u32()?);
-                    }
-                    WireTok::Data(words)
-                }
-                1 => {
-                    let l = self.u8()?;
-                    if l == 0 || l > 15 {
-                        return Err(WireError::BadField("barrier level"));
-                    }
-                    WireTok::Barrier(l)
-                }
-                _ => return Err(WireError::BadField("token tag")),
-            });
-        }
-        Ok(toks)
-    }
-
-    fn options(&mut self) -> Result<PassOptions, WireError> {
-        let flags = self.u8()?;
-        if flags & !0x3F != 0 {
-            return Err(WireError::BadField("pass option flags"));
-        }
-        let opt_level = self.u8()?;
-        if opt_level > 2 {
-            return Err(WireError::BadField("opt level"));
-        }
-        let has_threads = self.bool()?;
-        let threads = self.u32()?;
-        let dram_bytes = self.u64()?;
-        Ok(PassOptions {
-            if_to_select: flags & 1 != 0,
-            fuse_allocators: flags & 2 != 0,
-            hoist_allocators: flags & 4 != 0,
-            bufferize_replicate: flags & 8 != 0,
-            pack_subwords: flags & 16 != 0,
-            eliminate_hierarchy: flags & 32 != 0,
-            opt_level,
-            threads: has_threads.then_some(threads),
-            dram_bytes: dram_bytes as usize,
-        })
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        let rest = self.buf.len() - self.pos;
-        if rest != 0 {
-            return Err(WireError::TrailingBytes(rest));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

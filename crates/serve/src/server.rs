@@ -6,7 +6,7 @@
 //!        clients (length-prefixed frames, protocol.rs)
 //!           │ Compile / Execute / Status / Shutdown
 //!           ▼
-//!   accept loop ──► connection threads (decode, validate, reply)
+//!   accept loop ──► connection threads: decode → respond() → one send
 //!                     │ Compile → ProgramCache (single-flight, LRU)
 //!                     │ Execute → AdmissionQueue::try_submit
 //!                     │            │  Full → Busy error (backpressure)
@@ -35,11 +35,12 @@ use revet_core::{
     CompiledProgram, Compiler, CoreError, PassOptions, ProgramId, StreamExecutor, StreamInstance,
 };
 use revet_diag::{Severity, SourceMap};
+use revet_machine::{MachineError, MemoryState, RunStatus};
 use revet_obs::ObsSink;
 use revet_runtime::{BatchJob, BatchRunner};
 use revet_sltf::Word;
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -451,19 +452,28 @@ fn next_frame(stream: &mut TcpStream, shared: &Shared) -> Option<Result<Vec<u8>,
     }
 }
 
-fn send(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
-    write_frame(stream, &encode_response(resp))
+/// The one place a reply is encoded and written. A reply that outgrew the
+/// frame cap (a poll or close with a very large sink tail) goes out as a
+/// typed `FrameTooLarge` error rather than as a write failure that would
+/// drop the connection.
+fn send(w: &mut impl Write, resp: &Response) -> io::Result<()> {
+    let body = encode_response(resp);
+    if body.len() > MAX_FRAME_BYTES as usize {
+        // The error frame is a few dozen bytes: this recurses once.
+        let message = format!(
+            "reply of {} bytes exceeds the {MAX_FRAME_BYTES}-byte frame cap",
+            body.len()
+        );
+        return send(
+            w,
+            &Response::Error(ErrorFrame::new(ErrorCode::FrameTooLarge, message)),
+        );
+    }
+    write_frame(w, &body)
 }
 
-fn send_error(
-    stream: &mut TcpStream,
-    code: ErrorCode,
-    message: impl Into<String>,
-) -> io::Result<()> {
-    send(stream, &Response::Error(ErrorFrame::new(code, message)))
-}
-
-/// Serves one client until EOF, fatal transport error, or idle drain.
+/// Serves one client until EOF, fatal transport error, or idle drain:
+/// decode, [`respond`], one send.
 fn handle_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
     // On some platforms (Windows) accepted sockets inherit the listener's
     // nonblocking mode; this loop is written against blocking reads with
@@ -472,86 +482,115 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(IDLE_POLL))?;
     while let Some(frame) = next_frame(&mut stream, shared) {
-        let body = match frame {
-            Ok(body) => body,
+        let (request, aligned) = match frame {
+            // Body-level failures are recoverable: framing is intact, so
+            // the typed error goes out and this client keeps being served.
+            Ok(body) => (decode_request(&body).map_err(malformed), true),
             Err(FrameError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-            Err(e @ FrameError::TooLarge(_)) | Err(e @ FrameError::TooShort(_)) => {
-                // The typed reply still goes out, but the stream position
-                // is no longer frame-aligned, so this connection is done.
+            Err(FrameError::Io(e)) => return Err(e),
+            // A refused length prefix still gets its typed reply, but the
+            // stream position is no longer frame-aligned: last frame.
+            Err(e) => {
                 let code = match e {
                     FrameError::TooLarge(_) => ErrorCode::FrameTooLarge,
                     _ => ErrorCode::Malformed,
                 };
-                send_error(&mut stream, code, e.to_string())?;
-                break;
-            }
-            Err(FrameError::Io(e)) => return Err(e),
-        };
-        // Body-level failures are recoverable: framing is intact, so
-        // reply with a typed error and keep serving this client.
-        let request = match decode_request(&body) {
-            Ok(request) => request,
-            Err(e @ WireError::UnsupportedVersion(_)) => {
-                send_error(&mut stream, ErrorCode::UnsupportedVersion, e.to_string())?;
-                continue;
-            }
-            Err(e) => {
-                send_error(&mut stream, ErrorCode::Malformed, e.to_string())?;
-                continue;
+                (Err(ErrorFrame::new(code, e.to_string())), false)
             }
         };
-        match request {
-            Request::Status => send(&mut stream, &Response::Status(shared.status()))?,
-            Request::Metrics => send(&mut stream, &Response::Metrics(shared.metrics()))?,
-            Request::Shutdown => {
-                send(&mut stream, &Response::ShutdownAck)?;
-                shared.begin_drain();
-            }
-            Request::Compile { source, options } => {
-                handle_compile(&mut stream, shared, &source, options)?
-            }
-            Request::Execute(req) => handle_execute(&mut stream, shared, req)?,
-            Request::OpenStream(req) => handle_open_stream(&mut stream, shared, req)?,
-            Request::Feed { session, argsets } => {
-                handle_feed(&mut stream, shared, session, &argsets)?
-            }
-            Request::Poll { session } => handle_poll(&mut stream, shared, session)?,
-            Request::CloseStream { session } => handle_close_stream(&mut stream, shared, session)?,
+        let shutdown = matches!(request, Ok(Request::Shutdown));
+        let reply = match request {
+            Ok(request) => respond(shared, request),
+            Err(frame) => Response::Error(frame),
+        };
+        send(&mut stream, &reply)?;
+        // The ack is on the wire before the drain flag can close this
+        // connection.
+        if shutdown {
+            shared.begin_drain();
+        }
+        if !aligned {
+            break;
         }
     }
     Ok(())
 }
 
-fn handle_compile(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    source: &str,
-    options: PassOptions,
-) -> io::Result<()> {
-    if shared.draining() {
-        return send_error(stream, ErrorCode::ShuttingDown, "server is draining");
+fn malformed(e: WireError) -> ErrorFrame {
+    let code = match e {
+        WireError::UnsupportedVersion(_) => ErrorCode::UnsupportedVersion,
+        _ => ErrorCode::Malformed,
+    };
+    ErrorFrame::new(code, e.to_string())
+}
+
+/// Answers one decoded request. Nothing from here down touches the socket.
+fn respond(shared: &Shared, request: Request) -> Response {
+    let answer = match request {
+        Request::Status => Ok(Response::Status(shared.status())),
+        Request::Metrics => Ok(Response::Metrics(shared.metrics())),
+        Request::Shutdown => Ok(Response::ShutdownAck),
+        // Close works during a drain: it only *releases* residency (the
+        // table may already have dropped the session, in which case the
+        // client gets UnknownSession). Every verb below it starts work.
+        Request::CloseStream { session } => close_stream(shared, session),
+        _ if shared.draining() => Err(shutting_down("server is draining")),
+        Request::Compile { source, options } => compile(shared, &source, options),
+        Request::Execute(req) => execute(shared, req),
+        Request::OpenStream(req) => open_stream(shared, req),
+        Request::Feed { session, argsets } => feed(shared, session, &argsets),
+        Request::Poll { session } => poll(shared, session),
+    };
+    answer.unwrap_or_else(Response::Error)
+}
+
+fn shutting_down(why: &str) -> ErrorFrame {
+    ErrorFrame::new(ErrorCode::ShuttingDown, why)
+}
+
+/// A request that was well-formed but cannot run; the machine's or the
+/// validator's own message says why.
+fn bad_request(why: impl ToString) -> ErrorFrame {
+    ErrorFrame::new(ErrorCode::BadRequest, why.to_string())
+}
+
+impl From<SessionError> for ErrorFrame {
+    fn from(e: SessionError) -> Self {
+        let (code, message) = match e {
+            SessionError::Busy => (
+                ErrorCode::Busy,
+                "session table full — close a session and retry",
+            ),
+            SessionError::Unknown => (
+                ErrorCode::UnknownSession,
+                "unknown session id (never issued, or already closed)",
+            ),
+            SessionError::Expired => (
+                ErrorCode::SessionExpired,
+                "session evicted by the idle sweeper — reopen and refeed",
+            ),
+        };
+        ErrorFrame::new(code, message)
     }
-    let id = ProgramId::of(source, &options);
+}
+
+fn compile(shared: &Shared, source: &str, options: PassOptions) -> Result<Response, ErrorFrame> {
+    let program_id = ProgramId::of(source, &options);
     let start = Instant::now();
     let compiler = Compiler::new(options);
-    match shared
+    let (_, cached) = shared
         .cache
-        .get_or_compile(id, || compiler.compile_source(source))
-    {
-        Ok((_, cached)) => send(
-            stream,
-            &Response::Compiled {
-                program_id: id,
-                cached,
-                compile_micros: if cached {
-                    0
-                } else {
-                    start.elapsed().as_micros() as u64
-                },
-            },
-        ),
-        Err(e) => send(stream, &Response::Error(compile_failed_frame(source, &e))),
-    }
+        .get_or_compile(program_id, || compiler.compile_source(source))
+        .map_err(|e| compile_failed_frame(source, &e))?;
+    Ok(Response::Compiled {
+        program_id,
+        cached,
+        compile_micros: if cached {
+            0
+        } else {
+            start.elapsed().as_micros() as u64
+        },
+    })
 }
 
 /// Builds the structured `CompileFailed` reply: the full rendered report
@@ -583,247 +622,155 @@ fn compile_failed_frame(source: &str, e: &CoreError) -> ErrorFrame {
     ErrorFrame::new(ErrorCode::CompileFailed, e.render(source, false)).with_details(details)
 }
 
-/// Validates a window + DRAM overlays against a program's actual memory
-/// shape, so execution paths only ever see runnable inputs. Returns the
-/// `BadRequest` message on refusal.
-fn check_memory_args(
-    program: &CompiledProgram,
+/// The one program lookup: resolves `program_id` and validates the window
+/// and DRAM overlays against that program's actual memory shape, so
+/// execution paths only ever see runnable inputs.
+fn runnable_program(
+    shared: &Shared,
+    program_id: ProgramId,
     window: (u64, u64),
     dram_inits: &[(u64, Vec<u8>)],
-) -> Result<(), String> {
+) -> Result<Arc<CompiledProgram>, ErrorFrame> {
+    let program = shared.cache.get(program_id).ok_or_else(|| {
+        ErrorFrame::new(
+            ErrorCode::UnknownProgram,
+            format!("no cached program {program_id} — compile it first"),
+        )
+    })?;
     let dram_len = program.graph.mem.dram.len() as u64;
+    let fits = |off: u64, len: u64| off.checked_add(len).is_some_and(|end| end <= dram_len);
     let (w_off, w_len) = window;
-    if w_off.checked_add(w_len).is_none_or(|end| end > dram_len) {
-        return Err(format!(
+    if !fits(w_off, w_len) {
+        return Err(bad_request(format!(
             "window [{w_off}, {w_off}+{w_len}) exceeds the {dram_len}-byte DRAM image"
-        ));
+        )));
     }
     for (off, bytes) in dram_inits {
-        if off
-            .checked_add(bytes.len() as u64)
-            .is_none_or(|end| end > dram_len)
-        {
-            return Err(format!(
+        if !fits(*off, bytes.len() as u64) {
+            return Err(bad_request(format!(
                 "dram init [{off}, {off}+{}) exceeds the {dram_len}-byte DRAM image",
                 bytes.len()
-            ));
+            )));
         }
     }
-    Ok(())
+    Ok(program)
 }
 
-fn handle_execute(stream: &mut TcpStream, shared: &Shared, req: ExecuteRequest) -> io::Result<()> {
-    if shared.draining() {
-        return send_error(stream, ErrorCode::ShuttingDown, "server is draining");
-    }
-    let Some(program) = shared.cache.get(req.program_id) else {
-        return send_error(
-            stream,
-            ErrorCode::UnknownProgram,
-            format!("no cached program {} — compile it first", req.program_id),
-        );
-    };
-    if let Err(msg) = check_memory_args(&program, req.window, &req.dram_inits) {
-        return send_error(stream, ErrorCode::BadRequest, msg);
-    }
+/// The one window cutter. `runnable_program` checked the window against
+/// this image's length when the request was admitted.
+fn cut_window(mem: &MemoryState, (off, len): (u64, u64)) -> Vec<u8> {
+    mem.dram[off as usize..][..len as usize].to_vec()
+}
+
+fn words(args: &[u32]) -> Vec<Word> {
+    args.iter().map(|&a| Word(a)).collect()
+}
+
+fn execute(shared: &Shared, req: ExecuteRequest) -> Result<Response, ErrorFrame> {
+    let program = runnable_program(shared, req.program_id, req.window, &req.dram_inits)?;
     let w_len = req.window.1;
-    // The reply must fit one frame; refuse rather than fail mid-write.
+    // Refuse a reply that cannot fit one frame before running anything.
     let reply_bound = 64 + req.argsets.len() as u64 * (32 + w_len);
     if reply_bound > MAX_FRAME_BYTES as u64 {
-        return send_error(
-            stream,
-            ErrorCode::BadRequest,
-            format!(
-                "reply would be ~{reply_bound} bytes ({} instances × {w_len}-byte window), \
-                 over the {MAX_FRAME_BYTES}-byte frame cap",
-                req.argsets.len()
-            ),
-        );
+        return Err(bad_request(format!(
+            "reply would be ~{reply_bound} bytes ({} instances × {w_len}-byte window), \
+             over the {MAX_FRAME_BYTES}-byte frame cap",
+            req.argsets.len()
+        )));
     }
     let (tx, rx) = mpsc::channel();
-    match shared.queue.try_submit(ExecJob {
+    let job = ExecJob {
         program,
         req,
         reply: tx,
-    }) {
-        Ok(()) => {}
-        Err(SubmitError::Full) => {
-            return send_error(
-                stream,
-                ErrorCode::Busy,
-                format!("admission queue full ({} jobs)", shared.cfg.queue_capacity),
-            )
-        }
-        Err(SubmitError::Closed) => {
-            return send_error(stream, ErrorCode::ShuttingDown, "server is draining")
-        }
-    }
-    match rx.recv() {
-        Ok(reply) => send(stream, &Response::Executed(reply)),
-        // Executor dropped the sender without replying — only possible if
-        // an executor thread died; surface it instead of hanging.
-        Err(_) => send_error(stream, ErrorCode::ShuttingDown, "executor unavailable"),
-    }
-}
-
-/// Maps a session-table refusal onto its wire error code.
-fn session_error(e: SessionError) -> (ErrorCode, &'static str) {
-    match e {
-        SessionError::Busy => (
-            ErrorCode::Busy,
-            "session table full — close a session and retry",
-        ),
-        SessionError::Unknown => (
-            ErrorCode::UnknownSession,
-            "unknown session id (never issued, or already closed)",
-        ),
-        SessionError::Expired => (
-            ErrorCode::SessionExpired,
-            "session evicted by the idle sweeper — reopen and refeed",
-        ),
-    }
-}
-
-fn handle_open_stream(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    req: OpenStreamRequest,
-) -> io::Result<()> {
-    if shared.draining() {
-        return send_error(stream, ErrorCode::ShuttingDown, "server is draining");
-    }
-    let Some(program) = shared.cache.get(req.program_id) else {
-        return send_error(
-            stream,
-            ErrorCode::UnknownProgram,
-            format!("no cached program {} — compile it first", req.program_id),
-        );
     };
-    if let Err(msg) = check_memory_args(&program, req.window, &req.dram_inits) {
-        return send_error(stream, ErrorCode::BadRequest, msg);
-    }
+    shared.queue.try_submit(job).map_err(|e| match e {
+        SubmitError::Full => ErrorFrame::new(
+            ErrorCode::Busy,
+            format!("admission queue full ({} jobs)", shared.cfg.queue_capacity),
+        ),
+        SubmitError::Closed => shutting_down("server is draining"),
+    })?;
+    // The executor dropping the sender without replying is only possible
+    // if its thread died; surface it instead of hanging.
+    rx.recv()
+        .map(Response::Executed)
+        .map_err(|_| shutting_down("executor unavailable"))
+}
+
+fn open_stream(shared: &Shared, req: OpenStreamRequest) -> Result<Response, ErrorFrame> {
+    let program = runnable_program(shared, req.program_id, req.window, &req.dram_inits)?;
     let mut instance = program.instance();
     for (off, bytes) in &req.dram_inits {
-        // `check_memory_args` already refused anything out of range; if
-        // the two ever drift the client gets an error, not a dead
-        // connection thread.
-        if let Err(e) = instance.graph.mem.write_dram(*off as usize, bytes) {
-            return send_error(stream, ErrorCode::BadRequest, e.to_string());
-        }
+        // `runnable_program` already refused anything out of range; if the
+        // two ever drift the client gets an error, not a dead connection
+        // thread.
+        instance
+            .graph
+            .mem
+            .write_dram(*off as usize, bytes)
+            .map_err(bad_request)?;
     }
-    match shared.sessions.open(
-        StreamInstance::new(instance, StreamExecutor::Planned),
-        req.window,
-    ) {
-        Ok(session) => send(stream, &Response::StreamOpened { session }),
-        Err(e) => {
-            let (code, msg) = session_error(e);
-            send_error(stream, code, msg)
-        }
-    }
+    let stream = StreamInstance::new(instance, StreamExecutor::Planned);
+    let session = shared.sessions.open(stream, req.window)?;
+    Ok(Response::StreamOpened { session })
 }
 
-fn handle_feed(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    session: u64,
-    argsets: &[Vec<u32>],
-) -> io::Result<()> {
-    if shared.draining() {
-        return send_error(stream, ErrorCode::ShuttingDown, "server is draining");
-    }
-    let sets: Vec<Vec<Word>> = argsets
-        .iter()
-        .map(|args| args.iter().map(|&a| Word(a)).collect())
-        .collect();
-    match shared.sessions.with(session, |s| s.stream.feed(&sets)) {
-        Ok(Ok(accepted)) => send(
-            stream,
-            &Response::Fed {
-                accepted: accepted as u64,
-            },
-        ),
-        Ok(Err(e)) => send_error(stream, ErrorCode::BadRequest, e.to_string()),
-        Err(e) => {
-            let (code, msg) = session_error(e);
-            send_error(stream, code, msg)
-        }
-    }
+fn feed(shared: &Shared, session: u64, argsets: &[Vec<u32>]) -> Result<Response, ErrorFrame> {
+    let sets: Vec<Vec<Word>> = argsets.iter().map(|args| words(args)).collect();
+    let accepted = shared
+        .sessions
+        .with(session, |s| s.stream.feed(&sets))?
+        .map_err(bad_request)?;
+    Ok(Response::Fed {
+        accepted: accepted as u64,
+    })
 }
 
-fn handle_poll(stream: &mut TcpStream, shared: &Shared, session: u64) -> io::Result<()> {
-    if shared.draining() {
-        return send_error(stream, ErrorCode::ShuttingDown, "server is draining");
-    }
+/// A machine error ends a streaming session: it counts as one failed
+/// instance and the client gets the machine's message.
+fn stream_failed(shared: &Shared, e: MachineError) -> ErrorFrame {
+    shared.failed_instances.fetch_add(1, Ordering::SeqCst);
+    bad_request(e)
+}
+
+fn poll(shared: &Shared, session: u64) -> Result<Response, ErrorFrame> {
     let max_rounds = shared.cfg.max_rounds;
-    let polled = shared.sessions.with(session, |s| {
+    let (run, resident_bytes) = shared.sessions.with(session, |s| {
         let run = s.stream.poll_obs(max_rounds, &shared.obs);
         (run, s.stream.resident_bytes())
-    });
-    match polled {
-        Ok((Ok((tokens, status)), resident_bytes)) => send(
-            stream,
-            &Response::Polled(PollReply {
-                tokens: tokens.iter().map(WireTok::from_ttok).collect(),
-                finished: status == revet_machine::RunStatus::Finished,
-                resident_bytes,
-            }),
-        ),
-        Ok((Err(e), _)) => {
-            // A machine error poisons the session; release its residency.
-            let _ = shared.sessions.close(session);
-            send_error(stream, ErrorCode::BadRequest, e.to_string())
-        }
-        Err(e) => {
-            let (code, msg) = session_error(e);
-            send_error(stream, code, msg)
-        }
-    }
+    })?;
+    let (tokens, status) = run.map_err(|e| {
+        // The error poisons the session; release its residency.
+        let _ = shared.sessions.close(session);
+        stream_failed(shared, e)
+    })?;
+    Ok(Response::Polled(PollReply {
+        tokens: tokens.iter().map(WireTok::from_ttok).collect(),
+        finished: status == RunStatus::Finished,
+        resident_bytes,
+    }))
 }
 
-fn handle_close_stream(stream: &mut TcpStream, shared: &Shared, session: u64) -> io::Result<()> {
-    // Unlike the other streaming verbs, close works during a drain: it
-    // only *releases* residency (the table may already have dropped the
-    // session, in which case the client gets UnknownSession).
-    let slot = match shared.sessions.close(session) {
-        Ok(slot) => slot,
-        Err(e) => {
-            let (code, msg) = session_error(e);
-            return send_error(stream, code, msg);
-        }
-    };
+fn close_stream(shared: &Shared, session: u64) -> Result<Response, ErrorFrame> {
+    let slot = shared.sessions.close(session)?;
     let max_rounds = shared.cfg.max_rounds;
-    let mut stream_inst = slot.stream;
+    let mut stream = slot.stream;
     // Final poll first, so the close reply carries the tail of the sink
     // stream the client hasn't seen; finish() then just verifies a clean
     // drain and hands over the memory image.
-    let tail = match stream_inst.poll_obs(max_rounds, &shared.obs) {
-        Ok((tokens, _)) => tokens,
-        Err(e) => return send_error(stream, ErrorCode::BadRequest, e.to_string()),
-    };
-    match stream_inst.finish(max_rounds) {
-        Ok(outcome) => {
-            let (w_off, w_len) = (slot.window.0 as usize, slot.window.1 as usize);
-            shared.executed_instances.fetch_add(1, Ordering::SeqCst);
-            send(
-                stream,
-                &Response::StreamClosed(CloseReply {
-                    merged: WireReport {
-                        rounds: outcome.report.rounds,
-                        productive_steps: outcome.report.productive_steps,
-                        steps: outcome.report.steps,
-                        peak_ready: outcome.report.peak_ready,
-                    },
-                    tokens: tail.iter().map(WireTok::from_ttok).collect(),
-                    dram: outcome.memory.dram[w_off..w_off + w_len].to_vec(),
-                }),
-            )
-        }
-        Err(e) => {
-            shared.failed_instances.fetch_add(1, Ordering::SeqCst);
-            send_error(stream, ErrorCode::BadRequest, e.to_string())
-        }
-    }
+    let (tail, _) = stream
+        .poll_obs(max_rounds, &shared.obs)
+        .map_err(|e| stream_failed(shared, e))?;
+    let outcome = stream
+        .finish(max_rounds)
+        .map_err(|e| stream_failed(shared, e))?;
+    shared.executed_instances.fetch_add(1, Ordering::SeqCst);
+    Ok(Response::StreamClosed(CloseReply {
+        merged: WireReport::from(&outcome.report),
+        tokens: tail.iter().map(WireTok::from_ttok).collect(),
+        dram: cut_window(&outcome.memory, slot.window),
+    }))
 }
 
 /// One executor: pull a job, run its batch, deliver the reply. Exits when
@@ -855,23 +802,18 @@ fn run_job(shared: &Shared, program: &CompiledProgram, req: ExecuteRequest) -> E
     let jobs: Vec<BatchJob<'_>> = req
         .argsets
         .iter()
-        .map(|args| {
-            BatchJob::new(program, args.iter().map(|&a| Word(a)).collect())
-                .with_dram_inits(Arc::clone(&dram_inits))
-        })
+        .map(|args| BatchJob::new(program, words(args)).with_dram_inits(Arc::clone(&dram_inits)))
         .collect();
     let report = BatchRunner::new(shared.cfg.batch_threads)
         .with_max_rounds(shared.cfg.max_rounds)
         .run_obs(&jobs, &shared.obs);
-    let (w_off, w_len) = (req.window.0 as usize, req.window.1 as usize);
-    let merged = report.total();
     let instances: Vec<InstanceOutcome> = report
         .results
         .iter()
         .map(|r| match r {
             Ok(inst) => InstanceOutcome::Ok {
                 wall_micros: inst.wall.as_micros() as u64,
-                dram: inst.mem.dram[w_off..w_off + w_len].to_vec(),
+                dram: cut_window(&inst.mem, req.window),
             },
             Err(e) => InstanceOutcome::Err {
                 message: e.to_string(),
@@ -884,12 +826,30 @@ fn run_job(shared: &Shared, program: &CompiledProgram, req: ExecuteRequest) -> E
         .failed_instances
         .fetch_add(instances.len() as u64 - ok, Ordering::SeqCst);
     ExecuteReply {
-        merged: WireReport {
-            rounds: merged.rounds,
-            productive_steps: merged.productive_steps,
-            steps: merged.steps,
-            peak_ready: merged.peak_ready,
-        },
+        merged: WireReport::from(&report.total()),
         instances,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::decode_response;
+
+    #[test]
+    fn an_oversized_reply_goes_out_as_a_typed_error_frame() {
+        let reply = Response::StreamClosed(CloseReply {
+            dram: vec![0xAB; 33 << 20],
+            ..CloseReply::default()
+        });
+        let mut wire = Vec::new();
+        send(&mut wire, &reply).expect("an in-memory write cannot fail");
+        let body = read_frame(&mut io::Cursor::new(&wire)).expect("one well-formed frame");
+        assert_eq!(body.len() + 4, wire.len(), "and nothing after it");
+        let Ok(Response::Error(frame)) = decode_response(&body) else {
+            panic!("wanted an error frame")
+        };
+        assert_eq!(frame.code, ErrorCode::FrameTooLarge);
+        assert!(frame.message.contains("exceeds"), "{frame}");
     }
 }

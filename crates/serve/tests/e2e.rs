@@ -3,7 +3,7 @@
 //! bit-identical to the direct `run_batch_sequential` oracle, and a
 //! graceful shutdown that drains in-flight work.
 
-use revet_apps::{app, App, DRAM_BYTES};
+use revet_apps::{all_apps, app, App, DRAM_BYTES};
 use revet_core::{PassOptions, ProgramId};
 use revet_serve::protocol::{ErrorCode, ExecuteRequest, InstanceOutcome, WireDiagnostic};
 use revet_serve::{ClientError, ServeClient, ServeConfig, Server};
@@ -14,8 +14,8 @@ const OUTER: u32 = 2;
 const SCALE: usize = 8;
 const SEED: u64 = 0xE2E;
 
-/// The apps the mixed workload covers (≥ 3 of the eight).
-const APP_NAMES: [&str; 3] = ["murmur3", "ip2int", "isipv4"];
+/// Instances per `Execute`.
+const INSTANCES: usize = 2;
 
 /// Everything a client needs to compile+execute one app remotely, plus
 /// the local oracle for bit-identity checking.
@@ -38,13 +38,8 @@ fn remote_app(name: &str, instances: usize) -> RemoteApp {
     };
     let source = (a.source)(OUTER);
     let w = (a.workload)(SCALE, SEED);
-    let slice = DRAM_BYTES / a.dram_symbols();
-    let dram_inits: Vec<(u64, Vec<u8>)> = w
-        .inits
-        .iter()
-        .map(|(sym, bytes)| ((sym * slice) as u64, bytes.clone()))
-        .collect();
-    let window = ((w.out_sym * slice) as u64, w.expected.len() as u64);
+    let dram_inits = a.overlays(&w);
+    let window = a.output_window(&w);
     let argsets: Vec<Vec<u32>> = (0..instances).map(|_| w.args.clone()).collect();
 
     // Oracle: the same compile driven directly through the library's
@@ -116,7 +111,13 @@ fn client_session(addr: std::net::SocketAddr, apps: &[RemoteApp]) -> u64 {
 
 #[test]
 fn concurrent_clients_mixed_apps_cache_hits_and_oracle_identity() {
-    let apps: Vec<RemoteApp> = APP_NAMES.iter().map(|n| remote_app(n, 2)).collect();
+    // The mixed workload covers every registered app: all eight of Table III.
+    let apps: Vec<RemoteApp> = all_apps()
+        .iter()
+        .map(|a| remote_app(a.name, INSTANCES))
+        .collect();
+    let n_apps = apps.len() as u64;
+    assert_eq!(n_apps, 8);
     let server = Server::spawn(ServeConfig::default()).expect("spawn");
     let addr = server.local_addr();
 
@@ -140,33 +141,34 @@ fn concurrent_clients_mixed_apps_cache_hits_and_oracle_identity() {
     );
     // Each app is compiled by both clients; single-flight + content
     // addressing means exactly one of the two observes a cached compile.
-    assert_eq!(total_hits, APP_NAMES.len() as u64);
+    assert_eq!(total_hits, n_apps);
     // The server-side hit counter additionally counts the execute-path
-    // program lookups (2 clients × 3 apps), all of which must have hit.
-    assert_eq!(status.cache_hits, total_hits + 6);
-    assert_eq!(status.cache_misses, APP_NAMES.len() as u64);
-    assert_eq!(status.programs_cached, APP_NAMES.len() as u64);
+    // program lookups (2 clients × 8 apps), all of which must have hit.
+    assert_eq!(status.cache_hits, total_hits + 2 * n_apps);
+    assert_eq!(status.cache_misses, n_apps);
+    assert_eq!(status.programs_cached, n_apps);
     assert_eq!(status.failed_instances, 0);
-    // 2 clients × 3 apps × 2 instances.
-    assert_eq!(status.executed_instances, 12);
+    // 2 clients × 8 apps × 2 instances.
+    let executed = 2 * n_apps * INSTANCES as u64;
+    assert_eq!(status.executed_instances, executed);
     assert!(!status.draining);
 
     // The Metrics frame mirrors the same run through the server's obs
-    // sink: 12 completed instances, real dispatch work, cache counters
+    // sink: every completed instance, real dispatch work, cache counters
     // consistent with Status, names sorted for stable scraping.
     let metrics = ServeClient::connect(addr)
         .expect("connect")
         .metrics()
         .expect("metrics");
-    assert_eq!(metrics.get("exec.instances"), Some(12));
+    assert_eq!(metrics.get("exec.instances"), Some(executed));
     assert!(metrics.get("exec.dispatches").unwrap() > 0);
     assert_eq!(metrics.get("serve.cache.hits"), Some(status.cache_hits));
-    assert_eq!(metrics.get("serve.executed_instances"), Some(12));
-    assert_eq!(metrics.status.executed_instances, 12);
+    assert_eq!(metrics.get("serve.executed_instances"), Some(executed));
+    assert_eq!(metrics.status.executed_instances, executed);
     assert!(metrics.counters.windows(2).all(|w| w[0].0 <= w[1].0));
 
     let stats = server.shutdown();
-    assert_eq!(stats.executed_instances, 12);
+    assert_eq!(stats.executed_instances, executed);
     assert_eq!(stats.failed_instances, 0);
 }
 
@@ -471,7 +473,7 @@ fn recycled_images_leak_nothing_between_consecutive_executes() {
 /// routed to the right program — with results identical across levels.
 #[test]
 fn two_opt_levels_of_one_source_do_not_cross_contaminate() {
-    let name = APP_NAMES[0];
+    let name = "murmur3";
     let base = remote_app(name, 2);
     let o0 = RemoteApp {
         options: PassOptions {

@@ -1,7 +1,8 @@
 //! Wire-protocol property tests: every encodable frame decodes back to
 //! itself, and every malformed frame is rejected with a typed error —
-//! truncation at *any* byte, oversized length prefixes, wrong version
-//! bytes, trailing garbage.
+//! truncation at *any* byte, a flipped byte anywhere, oversized length
+//! prefixes, wrong version bytes, trailing garbage. One fixed value of
+//! every frame kind is pinned as a hex body.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRunner;
@@ -259,6 +260,50 @@ proptest! {
     }
 
     #[test]
+    fn any_truncation_of_a_response_is_rejected(resp in ArbResponse) {
+        let body = encode_response(&resp);
+        for cut in 0..body.len() {
+            let res = decode_response(&body[..cut]);
+            prop_assert!(
+                res.is_err(),
+                "decoding the first {} of {} bytes should fail, got {:?}",
+                cut, body.len(), res
+            );
+        }
+    }
+
+    /// Corruption, in both directions: one flipped byte anywhere in a frame
+    /// either still decodes or fails with a typed `WireError` (returning at
+    /// all is the no-panic half). A value that does decode re-encodes to
+    /// exactly the frame's length, so no corrupt count made the decoder
+    /// build more than the frame holds.
+    #[test]
+    fn a_flipped_byte_decodes_or_is_rejected_typed(
+        req in ArbRequest,
+        resp in ArbResponse,
+        mask in 1u8..=255,
+    ) {
+        let mut body = encode_request(&req);
+        for at in 0..body.len() {
+            body[at] ^= mask;
+            let res: Result<Request, WireError> = decode_request(&body);
+            if let Ok(got) = res {
+                prop_assert_eq!(encode_request(&got).len(), body.len(), "byte {}", at);
+            }
+            body[at] ^= mask;
+        }
+        let mut body = encode_response(&resp);
+        for at in 0..body.len() {
+            body[at] ^= mask;
+            let res: Result<Response, WireError> = decode_response(&body);
+            if let Ok(got) = res {
+                prop_assert_eq!(encode_response(&got).len(), body.len(), "byte {}", at);
+            }
+            body[at] ^= mask;
+        }
+    }
+
+    #[test]
     fn trailing_garbage_is_rejected(req in ArbRequest, extra in 1usize..5) {
         let mut body = encode_request(&req);
         body.extend(std::iter::repeat_n(0xAAu8, extra));
@@ -339,4 +384,215 @@ fn oversized_body_refused_at_write_time() {
     let mut wire = Vec::new();
     assert!(write_frame(&mut wire, &body).is_err());
     assert!(wire.is_empty(), "nothing may reach the stream");
+}
+
+// ---------------------------------------------------------------------------
+// Golden wire vectors
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn unhex(s: &str) -> Vec<u8> {
+    (0..s.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+const GOLDEN_STATUS: StatusInfo = StatusInfo {
+    programs_cached: 1,
+    cache_capacity: 2,
+    cache_hits: 3,
+    cache_misses: 4,
+    cache_evictions: 5,
+    queued_jobs: 6,
+    inflight_jobs: 7,
+    executed_instances: 8,
+    failed_instances: 9,
+    open_sessions: 10,
+    evicted_sessions: 11,
+    session_resident_bytes: 12,
+    draining: true,
+};
+
+const GOLDEN_REPORT: WireReport = WireReport {
+    rounds: 1,
+    productive_steps: 2,
+    steps: 3,
+    peak_ready: 4,
+};
+
+fn golden_requests() -> Vec<(Request, &'static str)> {
+    vec![
+        (
+            Request::Compile {
+                source: "void main() {}".into(),
+                options: PassOptions {
+                    if_to_select: true,
+                    fuse_allocators: false,
+                    hoist_allocators: true,
+                    bufferize_replicate: false,
+                    pack_subwords: false,
+                    eliminate_hierarchy: true,
+                    opt_level: 1,
+                    threads: Some(7),
+                    dram_bytes: 4096,
+                },
+            },
+            "05010e000000766f6964206d61696e2829207b7d250101070000000010000000000000",
+        ),
+        (
+            Request::Compile {
+                source: String::new(),
+                options: PassOptions::none(),
+            },
+            "050100000000000000000000000000100000000000",
+        ),
+        (
+            Request::Execute(ExecuteRequest {
+                program_id: ProgramId(*b"0123456789abcdef"),
+                argsets: vec![vec![1, 2], vec![], vec![0xDEAD_BEEF]],
+                dram_inits: vec![(16, vec![0xAA, 0xBB, 0xCC]), (1 << 33, vec![])],
+                window: (128, 24),
+            }),
+            "050230313233343536373839616263646566030000000200000001000000020000000000000001000000efbeadde02000000100000000000000003000000aabbcc00000000020000000000000080000000000000001800000000000000",
+        ),
+        (Request::Status, "0503"),
+        (Request::Shutdown, "0504"),
+        (Request::Metrics, "0505"),
+        (
+            Request::OpenStream(OpenStreamRequest {
+                program_id: ProgramId([9; 16]),
+                dram_inits: vec![(8, vec![0xAB])],
+                window: (0, 64),
+            }),
+            "05060909090909090909090909090909090901000000080000000000000001000000ab00000000000000004000000000000000",
+        ),
+        (
+            Request::Feed {
+                session: 3,
+                argsets: vec![vec![4, 5], vec![6]],
+            },
+            "05070300000000000000020000000200000004000000050000000100000006000000",
+        ),
+        (Request::Poll { session: 0x0102 }, "05080201000000000000"),
+        (Request::CloseStream { session: u64::MAX }, "0509ffffffffffffffff"),
+    ]
+}
+
+fn golden_responses() -> Vec<(Response, &'static str)> {
+    let mut vectors = vec![
+        (
+            Response::Compiled {
+                program_id: ProgramId([3; 16]),
+                cached: true,
+                compile_micros: 1234,
+            },
+            "05810303030303030303030303030303030301d204000000000000",
+        ),
+        (
+            Response::Executed(ExecuteReply {
+                merged: GOLDEN_REPORT,
+                instances: vec![
+                    InstanceOutcome::Ok {
+                        wall_micros: 55,
+                        dram: vec![9, 8, 7],
+                    },
+                    InstanceOutcome::Err {
+                        message: "deadlock".into(),
+                    },
+                ],
+            }),
+            "0582010000000000000002000000000000000300000000000000040000000000000002000000003700000000000000030000000908070108000000646561646c6f636b",
+        ),
+        (Response::Status(GOLDEN_STATUS), "05830100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c0000000000000001"),
+        (
+            Response::Metrics(MetricsInfo {
+                counters: vec![("exec.dispatches".into(), 12345), ("x".into(), 0)],
+                status: GOLDEN_STATUS,
+            }),
+            "0585020000000f000000657865632e646973706174636865733930000000000000010000007800000000000000000100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c0000000000000001",
+        ),
+        (Response::ShutdownAck, "0584"),
+        (Response::StreamOpened { session: 17 }, "05861100000000000000"),
+        (Response::Fed { accepted: 2 }, "05870200000000000000"),
+        (
+            Response::Polled(PollReply {
+                tokens: vec![
+                    WireTok::Data(vec![1, 2, 3]),
+                    WireTok::Barrier(1),
+                    WireTok::Data(vec![]),
+                    WireTok::Barrier(15),
+                ],
+                finished: true,
+                resident_bytes: 4096,
+            }),
+            "058804000000000300000001000000020000000300000001010000000000010f010010000000000000",
+        ),
+        (
+            Response::StreamClosed(CloseReply {
+                merged: GOLDEN_REPORT,
+                tokens: vec![WireTok::Barrier(2), WireTok::Data(vec![7])],
+                dram: vec![0, 1, 2, 3],
+            }),
+            "058901000000000000000200000000000000030000000000000004000000000000000200000001020001000000070000000400000000010203",
+        ),
+        (
+            Response::Error(
+                ErrorFrame::new(ErrorCode::CompileFailed, "rendered").with_details(vec![
+                    WireDiagnostic {
+                        code: "E0103".into(),
+                        severity: WireDiagnostic::SEVERITY_ERROR,
+                        line: 2,
+                        col: 11,
+                        message: "expected expression".into(),
+                    },
+                    WireDiagnostic {
+                        code: "E0301".into(),
+                        severity: WireDiagnostic::SEVERITY_NOTE,
+                        line: 0,
+                        col: 0,
+                        message: String::new(),
+                    },
+                ]),
+            ),
+            "05ff04000800000072656e64657265640200000005000000453031303300020000000b0000001300000065787065637465642065787072657373696f6e05000000453033303102000000000000000000000000",
+        ),
+    ];
+    // Every error code, as the bare frame a transport-level refusal sends.
+    vectors.extend(
+        [
+            (ErrorCode::Malformed, "05ff0100020000006e6f00000000"),
+            (
+                ErrorCode::UnsupportedVersion,
+                "05ff0200020000006e6f00000000",
+            ),
+            (ErrorCode::FrameTooLarge, "05ff0300020000006e6f00000000"),
+            (ErrorCode::CompileFailed, "05ff0400020000006e6f00000000"),
+            (ErrorCode::UnknownProgram, "05ff0500020000006e6f00000000"),
+            (ErrorCode::Busy, "05ff0600020000006e6f00000000"),
+            (ErrorCode::BadRequest, "05ff0700020000006e6f00000000"),
+            (ErrorCode::ShuttingDown, "05ff0800020000006e6f00000000"),
+            (ErrorCode::UnknownSession, "05ff0900020000006e6f00000000"),
+            (ErrorCode::SessionExpired, "05ff0a00020000006e6f00000000"),
+        ]
+        .map(|(code, body)| (Response::Error(ErrorFrame::new(code, "no")), body)),
+    );
+    vectors
+}
+
+/// One fixed value of every frame kind and every error code, pinned byte
+/// for byte: a codec change that moves a byte of wire v5 fails here.
+#[test]
+fn golden_wire_vectors_are_byte_stable() {
+    assert_eq!(WIRE_VERSION, 5);
+    for (req, golden) in golden_requests() {
+        assert_eq!(hex(&encode_request(&req)), golden, "{req:?}");
+        assert_eq!(decode_request(&unhex(golden)).unwrap(), req);
+    }
+    for (resp, golden) in golden_responses() {
+        assert_eq!(hex(&encode_response(&resp)), golden, "{resp:?}");
+        assert_eq!(decode_response(&unhex(golden)).unwrap(), resp);
+    }
 }

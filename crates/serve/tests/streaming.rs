@@ -4,7 +4,7 @@
 //! table's capacity must answer `Busy`, and a drain with resident
 //! sessions must complete cleanly.
 
-use revet_apps::{app, App, DRAM_BYTES};
+use revet_apps::{all_apps, app, App, DRAM_BYTES};
 use revet_core::PassOptions;
 use revet_serve::protocol::{ErrorCode, ExecuteRequest, InstanceOutcome, OpenStreamRequest};
 use revet_serve::{ClientError, ServeClient, ServeConfig, Server};
@@ -27,23 +27,21 @@ struct RemoteApp {
 }
 
 fn remote_app(name: &str) -> RemoteApp {
-    let a: App = app(name).expect("registered app");
+    remote(&app(name).expect("registered app"))
+}
+
+fn remote(a: &App) -> RemoteApp {
     let options = PassOptions {
         dram_bytes: DRAM_BYTES,
         ..PassOptions::default()
     };
     let w = (a.workload)(SCALE, SEED);
-    let slice = DRAM_BYTES / a.dram_symbols();
     RemoteApp {
         source: (a.source)(OUTER),
         options,
         args: w.args.clone(),
-        dram_inits: w
-            .inits
-            .iter()
-            .map(|(sym, bytes)| ((sym * slice) as u64, bytes.clone()))
-            .collect(),
-        window: ((w.out_sym * slice) as u64, w.expected.len() as u64),
+        dram_inits: a.overlays(&w),
+        window: a.output_window(&w),
         expected: w.expected,
     }
 }
@@ -55,77 +53,87 @@ fn expect_code(err: ClientError, code: ErrorCode) {
     }
 }
 
-/// The acceptance path: one app fed as four chunks through a streaming
-/// session is bit-identical to one-shot `Execute` of the same input, and
-/// both match the workload oracle. Session counters are visible in
-/// `Status` and `Metrics` while the session is resident.
+/// The acceptance path: each of the eight apps, fed as four chunks through
+/// its own streaming session, is bit-identical to one-shot `Execute` of the
+/// same input, and both match the workload oracle. All eight sessions are
+/// open at once, and their residency is visible in `Status` and `Metrics`.
 #[test]
 fn chunked_streaming_session_matches_one_shot_execute() {
-    let ra = remote_app("murmur3");
+    let apps: Vec<RemoteApp> = all_apps().iter().map(remote).collect();
+    assert_eq!(apps.len(), 8);
     let server = Server::spawn(ServeConfig::default()).expect("spawn");
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
 
-    let program_id = client
-        .compile(&ra.source, &ra.options)
-        .expect("compile")
-        .program_id;
-
-    // One-shot reference over the same wire: a single instance, all input
-    // up front. (The apps' DRAM writes are idempotent, so K identical
-    // argsets leave the same image as one — the session feeds the same
-    // argset CHUNKS times.)
-    let reply = client
-        .execute(ExecuteRequest {
-            program_id,
-            argsets: vec![ra.args.clone()],
-            dram_inits: ra.dram_inits.clone(),
-            window: ra.window,
-        })
-        .expect("one-shot execute");
-    let InstanceOutcome::Ok { dram: oneshot, .. } = &reply.instances[0] else {
-        panic!("one-shot instance failed: {:?}", reply.instances[0]);
-    };
-    assert_eq!(oneshot, &ra.expected, "one-shot diverges from the oracle");
-
-    let session = client
-        .open_stream(OpenStreamRequest {
-            program_id,
-            dram_inits: ra.dram_inits.clone(),
-            window: ra.window,
-        })
-        .expect("open stream");
+    // Per app: (session, one-shot window). The one-shot reference goes over
+    // the same wire: a single instance, all input up front. (The apps' DRAM
+    // writes are idempotent, so K identical argsets leave the same image as
+    // one — the session feeds the same argset CHUNKS times.)
+    let mut open = Vec::new();
+    for ra in &apps {
+        let program_id = client
+            .compile(&ra.source, &ra.options)
+            .expect("compile")
+            .program_id;
+        let reply = client
+            .execute(ExecuteRequest {
+                program_id,
+                argsets: vec![ra.args.clone()],
+                dram_inits: ra.dram_inits.clone(),
+                window: ra.window,
+            })
+            .expect("one-shot execute");
+        let InstanceOutcome::Ok { dram: oneshot, .. } = &reply.instances[0] else {
+            panic!("one-shot instance failed: {:?}", reply.instances[0]);
+        };
+        assert_eq!(oneshot, &ra.expected, "one-shot diverges from the oracle");
+        let session = client
+            .open_stream(OpenStreamRequest {
+                program_id,
+                dram_inits: ra.dram_inits.clone(),
+                window: ra.window,
+            })
+            .expect("open stream");
+        open.push((session, oneshot.clone()));
+    }
 
     for chunk in 0..CHUNKS {
-        let accepted = client.feed(session, vec![ra.args.clone()]).expect("feed");
-        assert_eq!(accepted, 1, "chunk {chunk} not accepted");
+        for (ra, (session, _)) in apps.iter().zip(&open) {
+            let accepted = client.feed(*session, vec![ra.args.clone()]).expect("feed");
+            assert_eq!(accepted, 1, "chunk {chunk} not accepted");
+        }
         if chunk == 0 {
-            // Between feed and poll the argset sits in the entry channel:
-            // the session's residency is visible in Status and Metrics.
+            // Between feed and poll the argsets sit in the entry channels:
+            // every session's residency is visible in Status and Metrics.
             let status = client.status().expect("status");
-            assert_eq!(status.open_sessions, 1);
+            assert_eq!(status.open_sessions, 8);
             assert!(
                 status.session_resident_bytes > 0,
                 "fed input must count as resident ({status:?})"
             );
             let metrics = client.metrics().expect("metrics");
-            assert_eq!(metrics.get("serve.sessions.open"), Some(1));
+            assert_eq!(metrics.get("serve.sessions.open"), Some(8));
             assert!(metrics.get("serve.sessions.resident_bytes").unwrap() > 0);
         }
-        let poll = client.poll(session).expect("poll");
-        assert!(poll.finished, "chunk {chunk} left tokens in flight");
+        for (session, _) in &open {
+            let poll = client.poll(*session).expect("poll");
+            assert!(poll.finished, "chunk {chunk} left tokens in flight");
+        }
     }
 
-    let close = client.close_stream(session).expect("close");
-    assert_eq!(
-        &close.dram, oneshot,
-        "chunked session DRAM differs from one-shot execute"
-    );
-    assert_eq!(close.dram, ra.expected, "session diverges from the oracle");
-    assert!(close.merged.productive_steps > 0, "report accumulated");
+    assert_eq!(client.status().expect("status").open_sessions, 8);
+    for (ra, (session, oneshot)) in apps.iter().zip(&open) {
+        let close = client.close_stream(*session).expect("close");
+        assert_eq!(
+            &close.dram, oneshot,
+            "chunked session DRAM differs from one-shot execute"
+        );
+        assert_eq!(close.dram, ra.expected, "session diverges from the oracle");
+        assert!(close.merged.productive_steps > 0, "report accumulated");
+    }
 
-    // The id is gone: double-close answers the typed UnknownSession.
+    // The ids are gone: double-close answers the typed UnknownSession.
     expect_code(
-        client.close_stream(session).unwrap_err(),
+        client.close_stream(open[0].0).unwrap_err(),
         ErrorCode::UnknownSession,
     );
     // As does an id the server never issued.
@@ -133,6 +141,52 @@ fn chunked_streaming_session_matches_one_shot_execute() {
 
     let status = client.status().expect("status");
     assert_eq!(status.open_sessions, 0);
+    assert_eq!(status.failed_instances, 0);
+    server.shutdown();
+}
+
+/// A stream whose poll fails is a failed instance, whether the poll was the
+/// client's own or the one a close runs first. A one-round cap makes every
+/// poll of a fed session fail.
+#[test]
+fn failed_stream_polls_answer_bad_request_and_are_counted() {
+    let ra = remote_app("murmur3");
+    let server = Server::spawn(ServeConfig {
+        max_rounds: 1,
+        ..ServeConfig::default()
+    })
+    .expect("spawn");
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    let program_id = client
+        .compile(&ra.source, &ra.options)
+        .expect("compile")
+        .program_id;
+    let open_and_feed = |client: &mut ServeClient| {
+        let session = client
+            .open_stream(OpenStreamRequest {
+                program_id,
+                dram_inits: ra.dram_inits.clone(),
+                window: ra.window,
+            })
+            .expect("open stream");
+        client.feed(session, vec![ra.args.clone()]).expect("feed");
+        session
+    };
+
+    let polled = open_and_feed(&mut client);
+    expect_code(client.poll(polled).unwrap_err(), ErrorCode::BadRequest);
+    let status = client.status().expect("status");
+    assert_eq!(status.failed_instances, 1);
+    assert_eq!(status.open_sessions, 0, "the poisoned session was evicted");
+
+    let closed = open_and_feed(&mut client);
+    expect_code(
+        client.close_stream(closed).unwrap_err(),
+        ErrorCode::BadRequest,
+    );
+    let status = client.status().expect("status");
+    assert_eq!(status.failed_instances, 2);
+    assert_eq!(status.executed_instances, 0);
     server.shutdown();
 }
 
