@@ -1,0 +1,327 @@
+//! Golden digest of the CFG→dataflow lowering: every row compiles one
+//! source under pinned options and hashes a structural dump of the
+//! resulting [`CompiledProgram`] — per node its label, wiring, context,
+//! unit and the `Debug` of its behaviour (every `EwInstr` and
+//! `OutputSpec`); per channel its arity, class, capacity and
+//! canonicalization; then `contexts`, `links`, `entry`,
+//! `outer_parallelism` and the module's SRAM / allocator tables. Node,
+//! channel and label numbering all depend on the lowering's emission
+//! order, so a refactor of `revet_core`'s lowering that keeps this file
+//! and `golden/dataflow.digest` unedited has kept the output bit-for-bit.
+//!
+//! On a mismatch the test writes `target/dataflow_golden/actual.digest`
+//! (the full table as this build computes it) and the first differing
+//! row's dump next to it. To see *what* changed, produce the same dump
+//! from the other commit (edit that row's digest there so it mismatches)
+//! and `diff` the two. An intended change to the lowering's output copies
+//! `actual.digest` over `golden/dataflow.digest` in its own commit.
+
+use revet_apps::{all_apps, DRAM_BYTES};
+use revet_core::{CompiledProgram, PassOptions, Session};
+use std::collections::BTreeSet;
+use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
+
+/// Every label base the lowering can emit (a label is a base plus the
+/// running label counter; the sink has no counter).
+const LABEL_BASES: &[&str] = &[
+    "blk",
+    "cond",
+    "exit.drop",
+    "exit_fx",
+    "fe_in",
+    "fe_out",
+    "foreach.bcast",
+    "foreach.counter",
+    "foreach.join",
+    "foreach.reduce",
+    "foreach.split",
+    "fork",
+    "fork_in",
+    "if.filter",
+    "if.merge",
+    "if_in",
+    "loop_in",
+    "main.sink",
+    "pack",
+    "rep.alloc",
+    "rep.bufload",
+    "rep.bufstore",
+    "rep.dist",
+    "rep.free",
+    "rep.merge",
+    "rep.retime",
+    "rep_in",
+    "rep_out",
+    "ret",
+    "tail",
+    "unpack",
+    "while.back",
+    "while.back.drop",
+    "while.buf",
+    "while.exit",
+    "while.filter",
+    "while.head",
+    "while_out",
+];
+
+/// Bases no row reaches, each with the reason it cannot be reached from
+/// source text. Anything listed here is *not* pinned by the digest.
+const UNVERIFIED: &[(&str, &str)] = &[(
+    "tail",
+    "emitted only for a region whose last op is not a terminator; the front end \
+     and every pass close each region with yield/exit/condition/return, so only \
+     a hand-built MIR module reaches it",
+)];
+
+struct Row {
+    name: String,
+    opts_label: String,
+    source: String,
+    opts: PassOptions,
+}
+
+fn base_opts(none: bool, opt_level: u8, dram_bytes: usize) -> PassOptions {
+    PassOptions {
+        opt_level,
+        dram_bytes,
+        ..if none {
+            PassOptions::none()
+        } else {
+            PassOptions::default()
+        }
+    }
+}
+
+fn golden_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+fn rows() -> Vec<Row> {
+    let mut rows = Vec::new();
+    // The eight Table III apps at replicate width 4.
+    for app in all_apps() {
+        for level in [0u8, 2] {
+            for none in [false, true] {
+                rows.push(Row {
+                    name: format!("app/{}", app.name),
+                    opts_label: format!("{},O{level}", if none { "none" } else { "default" }),
+                    source: (app.source)(4),
+                    opts: base_opts(none, level, DRAM_BYTES),
+                });
+            }
+        }
+    }
+    // The fuzz corpus (repro headers are comments), as the oracle compiles it.
+    let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("../fuzz/corpus");
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&corpus)
+        .unwrap_or_else(|e| panic!("{}: {e}", corpus.display()))
+        .map(|e| e.expect("corpus entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "rvt"))
+        .collect();
+    files.sort();
+    assert!(!files.is_empty(), "fuzz corpus is empty");
+    for file in files {
+        for level in [0u8, 2] {
+            rows.push(Row {
+                name: format!("corpus/{}", file.file_stem().unwrap().to_string_lossy()),
+                opts_label: format!("default,O{level}"),
+                source: read(&file),
+                opts: base_opts(false, level, 1 << 16),
+            });
+        }
+    }
+    // Directed sources for the constructs neither of the above reaches.
+    let directed = |file: &str, label: &str, opts: PassOptions| Row {
+        name: format!("directed/{file}"),
+        opts_label: label.to_string(),
+        source: read(&golden_dir().join(format!("{file}.rvt"))),
+        opts,
+    };
+    let small = 1 << 16;
+    for level in [0u8, 2] {
+        rows.push(directed(
+            "fork_exit",
+            &format!("default,O{level}"),
+            base_opts(false, level, small),
+        ));
+        rows.push(directed(
+            "while_exit",
+            &format!("default,O{level}"),
+            base_opts(false, level, small),
+        ));
+    }
+    for eliminate in [true, false] {
+        rows.push(directed(
+            "eliminate_hierarchy",
+            &format!("default,O2,threads=64,eliminate={eliminate}"),
+            PassOptions {
+                eliminate_hierarchy: eliminate,
+                threads: Some(64),
+                ..base_opts(false, 2, small)
+            },
+        ));
+    }
+    for bufferize in [true, false] {
+        rows.push(directed(
+            "replicate_bufferize",
+            &format!("default,O2,bufferize={bufferize}"),
+            PassOptions {
+                bufferize_replicate: bufferize,
+                ..base_opts(false, 2, small)
+            },
+        ));
+    }
+    rows.push(directed(
+        "replicate_bufferize",
+        "default,O2,hoist=false",
+        PassOptions {
+            hoist_allocators: false,
+            ..base_opts(false, 2, small)
+        },
+    ));
+    for pack in [true, false] {
+        rows.push(directed(
+            "pack_subwords",
+            &format!("default,O2,pack={pack}"),
+            PassOptions {
+                pack_subwords: pack,
+                ..base_opts(false, 2, small)
+            },
+        ));
+    }
+    rows
+}
+
+/// The structural dump the digest is taken over.
+fn dump(p: &CompiledProgram) -> String {
+    let mut s = String::new();
+    for (i, n) in p.graph.nodes().iter().enumerate() {
+        writeln!(
+            s,
+            "node {i} {:?} ins={:?} outs={:?} ctx={} unit={:?}\n  {:?}",
+            n.label, n.ins, n.outs, n.context, n.unit, n.behavior
+        )
+        .unwrap();
+    }
+    for (i, c) in p.graph.chans().iter().enumerate() {
+        writeln!(
+            s,
+            "chan {i} arity={} class={:?} cap={:?} canon={}",
+            c.arity, c.class, c.capacity, c.canonicalize
+        )
+        .unwrap();
+    }
+    for c in &p.contexts {
+        writeln!(s, "{c:?}").unwrap();
+    }
+    for l in &p.links {
+        writeln!(s, "{l:?}").unwrap();
+    }
+    writeln!(
+        s,
+        "entry={:?} outer_parallelism={}",
+        p.entry, p.outer_parallelism
+    )
+    .unwrap();
+    for d in &p.module.srams {
+        writeln!(s, "sram {} words={}", d.name, d.words).unwrap();
+    }
+    for a in &p.module.allocs {
+        writeln!(s, "alloc {} max={}", a.name, a.max).unwrap();
+    }
+    s
+}
+
+/// FNV-1a, 64-bit.
+fn digest(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn label_base(label: &str) -> &str {
+    label.trim_end_matches(|c: char| c.is_ascii_digit())
+}
+
+#[test]
+fn lowering_output_matches_the_golden_digest() {
+    let golden_path = golden_dir().join("dataflow.digest");
+    let golden = read(&golden_path);
+    let mut actual = String::new();
+    let mut dumps = Vec::new();
+    let mut seen: BTreeSet<String> = BTreeSet::new();
+    for row in rows() {
+        let program = Session::new(row.source.as_str(), row.opts.clone())
+            .to_dataflow()
+            .unwrap_or_else(|e| panic!("{} [{}]: {e}", row.name, row.opts_label));
+        let labels = program
+            .graph
+            .nodes()
+            .iter()
+            .map(|n| n.label.as_str())
+            .chain(program.contexts.iter().map(|c| c.label.as_str()));
+        seen.extend(labels.map(|l| label_base(l).to_string()));
+        let text = dump(&program);
+        writeln!(
+            actual,
+            "{} {} nodes={} chans={} digest={:016x}",
+            row.name,
+            row.opts_label,
+            program.graph.node_count(),
+            program.graph.chan_count(),
+            digest(&text)
+        )
+        .unwrap();
+        dumps.push((row.name, row.opts_label, text));
+    }
+
+    // Coverage: the rows together reach every base the lowering can emit,
+    // except the ones listed (with a reason) as unverified.
+    let unverified: BTreeSet<&str> = UNVERIFIED.iter().map(|(b, _)| *b).collect();
+    for (base, reason) in UNVERIFIED {
+        assert!(
+            !seen.contains(*base),
+            "`{base}` is reached by a row now; drop it from UNVERIFIED ({reason})"
+        );
+    }
+    let expected: BTreeSet<String> = LABEL_BASES
+        .iter()
+        .filter(|b| !unverified.contains(*b))
+        .map(|b| (*b).to_string())
+        .collect();
+    assert_eq!(
+        seen, expected,
+        "label bases reached by the golden rows vs. every base the lowering can emit"
+    );
+
+    if actual != golden {
+        let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/dataflow_golden");
+        std::fs::create_dir_all(&out).expect("create target/dataflow_golden");
+        std::fs::write(out.join("actual.digest"), &actual).expect("write actual.digest");
+        let mut want = golden.lines();
+        let first = actual
+            .lines()
+            .zip(&dumps)
+            .find(|(line, _)| want.next() != Some(*line));
+        let mut what = format!(
+            "row count differs: {} vs {} golden",
+            actual.lines().count(),
+            golden.lines().count()
+        );
+        if let Some((line, (name, opts, text))) = first {
+            let file = format!("{name}@{opts}.dump").replace(['/', ','], "_");
+            std::fs::write(out.join(&file), text).expect("write dump");
+            what = format!("first differing row: `{line}` (dump in {file})");
+        }
+        panic!(
+            "lowering output differs from {}; {what}; see {}",
+            golden_path.display(),
+            out.display()
+        );
+    }
+}
