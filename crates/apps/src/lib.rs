@@ -31,7 +31,7 @@ pub use huffman::{huff_dec_app, huff_enc_app};
 pub use kdtree::kdtree_app;
 pub use text::{ip2int_app, isipv4_app, search_app};
 
-use revet_core::{CompiledProgram, Compiler, PassOptions};
+use revet_core::{CompiledProgram, PassOptions, Session};
 use revet_sltf::Word;
 
 /// Per-run workload: arguments, DRAM images, and validation data.
@@ -105,7 +105,7 @@ impl App {
     ) -> Result<CompiledProgram, revet_core::CoreError> {
         let mut opts = opts.clone();
         opts.dram_bytes = DRAM_BYTES;
-        Compiler::new(opts).compile_source(&(self.source)(outer))
+        Session::new((self.source)(outer), opts).to_dataflow()
     }
 
     /// The one statement of the DRAM layout: the [`DRAM_BYTES`] image is cut

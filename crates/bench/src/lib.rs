@@ -15,7 +15,7 @@
 use revet_apps::{all_apps, App, Workload};
 use revet_baselines::{traits_for, CpuModel, GpuModel};
 use revet_core::report::ResourceReport;
-use revet_core::{CompiledProgram, PassOptions};
+use revet_core::PassOptions;
 use revet_sim::{IdealModels, RdaConfig, SimStats, Simulator};
 use revet_sltf::Word;
 
@@ -25,48 +25,6 @@ pub const DEFAULT_SCALE: usize = 512;
 pub const DEFAULT_OUTER: u32 = 8;
 /// Workload seed.
 pub const SEED: u64 = 0x5EED;
-
-/// One evaluation app, compiled and with its seeded workload loaded — the
-/// compile/load/args boilerplate that used to be copy-pasted across the
-/// driver binaries, in one place.
-pub struct PreparedApp {
-    /// The registry entry (name, oracle checker, …).
-    pub app: App,
-    /// Compiled at the requested width, workload DRAM images loaded.
-    pub program: CompiledProgram,
-    /// `main` arguments derived from the workload.
-    pub args: Vec<Word>,
-    /// The generated workload (oracle bytes, byte counts).
-    pub workload: Workload,
-}
-
-/// Compiles `app` at `outer` and loads its seeded workload at `scale`.
-///
-/// # Panics
-///
-/// Panics on compile failure (the harness is also a test).
-pub fn prepare_app(app: &App, outer: u32, scale: usize, opts: &PassOptions) -> PreparedApp {
-    let (program, args, workload) = app.prepare(outer, scale, SEED, opts);
-    PreparedApp {
-        app: app.clone(),
-        program,
-        args,
-        workload,
-    }
-}
-
-/// Every Table III app prepared at the default replicate width and pass
-/// options — the shared starting point for the driver binaries.
-///
-/// # Panics
-///
-/// Panics on compile failure.
-pub fn apps_under_test(scale: usize) -> Vec<PreparedApp> {
-    all_apps()
-        .iter()
-        .map(|a| prepare_app(a, DEFAULT_OUTER, scale, &PassOptions::default()))
-        .collect()
-}
 
 /// Runs one app through the timed simulator; returns (stats, workload).
 ///
@@ -80,12 +38,7 @@ pub fn run_timed(
     opts: &PassOptions,
     ideal: IdealModels,
 ) -> (SimStats, Workload) {
-    let PreparedApp {
-        mut program,
-        args,
-        workload,
-        ..
-    } = prepare_app(app, outer, scale, opts);
+    let (mut program, args, workload) = app.prepare(outer, scale, SEED, opts);
     let sim = Simulator::new(RdaConfig::default(), ideal);
     let stats = sim
         .run(&mut program, &args, 2_000_000_000)
@@ -417,8 +370,8 @@ void main(u32 count) {{
                 threads: Some(64),
                 ..PassOptions::default()
             };
-            let mut program = revet_core::Compiler::new(opts)
-                .compile_source(&source(outer, eliminate))
+            let mut program = revet_core::Session::new(source(outer, eliminate), opts)
+                .to_dataflow()
                 .unwrap();
             // Workload: `scale` 64 B blobs (reuses murmur3's generator).
             let w = (revet_apps::murmur3_app().workload)(scale, SEED);

@@ -199,7 +199,7 @@ impl CompiledProgram {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Compiler, PassOptions};
+    use crate::{PassOptions, Session};
     use revet_sltf::Word;
 
     const SQUARES: &str = r#"
@@ -213,8 +213,8 @@ mod tests {
 
     #[test]
     fn instances_run_independently_of_the_template() {
-        let program = Compiler::new(PassOptions::default())
-            .compile_source(SQUARES)
+        let program = Session::new(SQUARES, PassOptions::default())
+            .to_dataflow()
             .unwrap();
         let word_at =
             |dram: &[u8], i: usize| u32::from_le_bytes(dram[4 * i..4 * i + 4].try_into().unwrap());
@@ -231,8 +231,8 @@ mod tests {
 
     #[test]
     fn sequential_batch_matches_individual_runs() {
-        let program = Compiler::new(PassOptions::default())
-            .compile_source(SQUARES)
+        let program = Session::new(SQUARES, PassOptions::default())
+            .to_dataflow()
             .unwrap();
         let argsets: Vec<Vec<Word>> = (1..=4).map(|n| vec![Word(n)]).collect();
         let batch = program.run_batch_sequential(&argsets, 1_000_000).unwrap();

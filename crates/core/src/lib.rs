@@ -17,7 +17,7 @@
 //!    buffer insertion, and placement onto the unit grid.
 //!
 //! ```
-//! use revet_core::{Compiler, PassOptions};
+//! use revet_core::{PassOptions, Session};
 //!
 //! let source = r#"
 //!     dram<u32> output;
@@ -27,8 +27,8 @@
 //!         };
 //!     }
 //! "#;
-//! let mut program = Compiler::new(PassOptions::default())
-//!     .compile_source(source)
+//! let mut program = Session::new(source, PassOptions::default())
+//!     .to_dataflow()
 //!     .unwrap();
 //! program.run_untimed(&[revet_sltf::Word(4)], 1_000_000).unwrap();
 //! let d = &program.graph.mem.dram;
@@ -54,7 +54,6 @@ pub use session::{Session, Stage};
 pub use stream::{StreamInstance, StreamOutcome};
 
 use revet_diag::{codes, Diagnostic, SourceMap};
-use revet_mir::{DramLayout, Module};
 use std::fmt;
 
 /// A compiler error: one or more structured, span-carrying diagnostics.
@@ -85,7 +84,18 @@ impl CoreError {
         CoreError { diagnostics }
     }
 
-    pub(crate) fn from_verify(e: revet_mir::VerifyError) -> Self {
+    /// Renders every diagnostic as a rustc-style caret snippet against
+    /// `source` (the text the failed compile was given).
+    pub fn render(&self, source: &str, color: bool) -> String {
+        let diags: revet_diag::Diagnostics = self.diagnostics.iter().cloned().collect();
+        diags.render(&SourceMap::new(source), color)
+    }
+}
+
+/// A post-pass MIR verification failure (code `E0301`: a compiler bug,
+/// not a user error), spanned when the verifier could attribute it.
+impl From<revet_mir::VerifyError> for CoreError {
+    fn from(e: revet_mir::VerifyError) -> Self {
         let d = Diagnostic::error(
             codes::MIR_VERIFY,
             format!("post-pass verification failed: {e}"),
@@ -96,13 +106,6 @@ impl CoreError {
                 None => d,
             }],
         }
-    }
-
-    /// Renders every diagnostic as a rustc-style caret snippet against
-    /// `source` (the text the failed compile was given).
-    pub fn render(&self, source: &str, color: bool) -> String {
-        let diags: revet_diag::Diagnostics = self.diagnostics.iter().cloned().collect();
-        diags.render(&SourceMap::new(source), color)
     }
 }
 
@@ -197,56 +200,4 @@ fn default_opt_level() -> u8 {
         .ok()
         .and_then(|s| s.trim().parse::<u8>().ok())
         .map_or(2, |v| v.min(2))
-}
-
-/// The compiler driver: source (or MIR) in, [`CompiledProgram`] out.
-#[derive(Clone, Debug, Default)]
-pub struct Compiler {
-    opts: PassOptions,
-}
-
-impl Compiler {
-    /// Creates a compiler with the given pass options.
-    pub fn new(opts: PassOptions) -> Self {
-        Compiler { opts }
-    }
-
-    /// Compiles Revet source text to an executable dataflow program. DRAM
-    /// symbols are laid out back-to-back in equal slices of
-    /// `opts.dram_bytes`.
-    ///
-    /// This is a one-shot shim over the staged [`Session`] API — use a
-    /// `Session` directly to inspect per-stage artifacts (AST, MIR text)
-    /// or the accumulated diagnostics.
-    ///
-    /// # Errors
-    ///
-    /// Returns parse, semantic, or lowering diagnostics (possibly several:
-    /// parser recovery reports every syntax error in one run).
-    pub fn compile_source(&self, src: &str) -> Result<CompiledProgram, CoreError> {
-        Session::new(src, self.opts.clone()).to_dataflow()
-    }
-
-    /// Compiles a module with an explicit DRAM layout.
-    ///
-    /// # Errors
-    ///
-    /// Returns lowering errors.
-    pub fn compile_module(
-        &self,
-        module: &mut Module,
-        layout: &DramLayout,
-        threads: Option<u32>,
-    ) -> Result<CompiledProgram, CoreError> {
-        let mut opts = self.opts.clone();
-        opts.threads = threads.or(opts.threads);
-        passes::build_pipeline(&opts, opts.threads).run(module);
-        revet_mir::verify_module(module).map_err(CoreError::from_verify)?;
-        lower_to_dataflow(module, layout, &opts, opts.dram_bytes)
-    }
-
-    /// The options in use.
-    pub fn options(&self) -> &PassOptions {
-        &self.opts
-    }
 }

@@ -1,0 +1,681 @@
+//! Structured-control-flow → streaming-dataflow lowering (§V-C) plus the
+//! dataflow optimizations of §V-D (link analysis, context splitting,
+//! sub-word packing, replicate distribution/merging, retiming accounting).
+//!
+//! Our MIR keeps control flow structured all the way down (the language has
+//! no gotos), so the paper's annotated CFG is isomorphic to the region tree:
+//! every region is a basic-block sequence, an `if` is a filter/forward-merge
+//! pair, a `while` header is a forward-backward merge, `foreach` edges are
+//! counter/reduce terminators. This module tree performs that conversion
+//! directly, each construct a composition of the §III-B primitives of
+//! `revet-machine`:
+//!
+//! | MIR construct | file | primitives |
+//! |---|---|---|
+//! | straight-line ops | `block.rs` | element-wise contexts (split: each memory op in its own context, ≤6 ALU ops per context) |
+//! | `if` | `if_.rs` | filter (predicated outputs) → branch pipelines → forward merge |
+//! | `while` | `while_.rs` | fb-merge header → cond filter → body → backedge; exit edge flattens |
+//! | `foreach` | `foreach.rs` | counter (+ broadcast of live-ins) → body → reduce → zip re-join |
+//! | `fork` | `fork.rs` | fork node (live values duplicated per spawn) |
+//! | `replicate` | `replicate.rs` | distribution filter tree → `ways` copies → fwd-merge tree |
+//!
+//! This file is the builder the constructs share: [`DfLower::emit`] (the
+//! one place a context comes into being), the primitive constructors over
+//! it, the region [`Frame`], and the [`DfLower::lower_ops`] walk.
+//!
+//! **Emission order is part of the output.** Node ids, channel ids and
+//! label numbers are three running counters, and every executor report,
+//! placement and ledger count is keyed by them. A primitive therefore
+//! always creates its output channels (in port order), then takes its
+//! label, then adds its node and its [`ContextInfo`]; and a construct emits
+//! its primitives in pipeline order. `apps/tests/dataflow_golden.rs` pins
+//! the result.
+//!
+//! Memory ordering needs no explicit void tokens here: split contexts form a
+//! linear chain threaded by the live tuple, so same-thread memory operations
+//! stay in program order structurally (SARA's CMMC tokens solve the same
+//! problem for arbitrarily-placed contexts).
+
+#![warn(clippy::too_many_lines)]
+
+mod block;
+mod foreach;
+mod fork;
+mod frame;
+mod if_;
+mod pack;
+mod replicate;
+mod while_;
+
+use frame::{dedup, liveness, Frame};
+
+use crate::{CoreError, PassOptions};
+use revet_machine::instr::{AluOp, Operand, Reg};
+use revet_machine::nodes::{
+    BroadcastNode, CounterNode, EwNode, FbMergeNode, FlattenNode, FwdMergeNode, OutputSpec,
+    ReduceNode, SinkNode,
+};
+use revet_machine::{ChanId, Channel, ExecPlan, Graph, LinkClass, Node, RunOptions, UnitClass};
+use revet_mir::{DramLayout, Func, Module, Op, OpKind, Ty, Value};
+use revet_sltf::Word;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+/// Table IV resource category of a context.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Category {
+    /// Outer-level machinery (tile streams, top-level blocks).
+    Outer,
+    /// Inner-loop pipelines (inside loops / replicate bodies).
+    Inner,
+    /// Replicate distribution/merge infrastructure.
+    Replicate,
+    /// Buffering MUs for values stored around replicates (§V-B b).
+    Buffer,
+    /// Retiming buffers (work-distribution skid buffers).
+    Retime,
+    /// Deadlock-avoidance buffers on loop backedges.
+    Deadlock,
+}
+
+/// Metadata for one streaming context (one physical unit after splitting).
+#[derive(Clone, Debug)]
+pub struct ContextInfo {
+    /// Context id (== machine NodeId index).
+    pub id: u32,
+    /// Debug label.
+    pub label: String,
+    /// Primitive kind ("ew", "fb-merge", …).
+    pub kind: &'static str,
+    /// Which physical unit type it occupies.
+    pub unit: UnitClass,
+    /// Loop-nest depth at creation.
+    pub depth: u32,
+    /// Element-wise instruction count (pipeline stages used).
+    pub instrs: usize,
+    /// Register-file slots used.
+    pub regs: usize,
+    /// Table IV category.
+    pub category: Category,
+}
+
+/// Metadata for one on-chip link.
+#[derive(Clone, Debug)]
+pub struct LinkInfo {
+    /// Channel id.
+    pub id: u32,
+    /// Live values carried (physical link count of the edge).
+    pub arity: usize,
+    /// Vector or scalar resources.
+    pub class: LinkClass,
+    /// Loop-nest depth.
+    pub depth: u32,
+}
+
+/// A compiled program: the executable graph plus resource metadata.
+#[derive(Debug)]
+pub struct CompiledProgram {
+    /// The executable dataflow graph (memory instantiated).
+    pub graph: Graph,
+    /// Per-context resources.
+    pub contexts: Vec<ContextInfo>,
+    /// Per-link resources.
+    pub links: Vec<LinkInfo>,
+    /// The fully lowered MIR module.
+    pub module: Module,
+    /// Entry channel: push `Data([args…])` then `Ω1` and run.
+    pub entry: ChanId,
+    /// Final-output sink handle (main's return values, usually empty).
+    pub sink: revet_machine::nodes::SinkHandle,
+    /// Product of replicate ways (the "outer parallelism" knob).
+    pub outer_parallelism: u32,
+    /// The flattened execution plan: built once when the graph is
+    /// finished, shared (like the topology index) by every
+    /// [`crate::ProgramInstance`] of this compile.
+    pub plan: Arc<ExecPlan>,
+}
+
+impl CompiledProgram {
+    /// Runs the program to quiescence with the given `main` arguments,
+    /// through the compiled execution plan (the fused fast path; falls
+    /// back to boxed node stepping for non-lowered kinds). DRAM inputs
+    /// should be written into `self.graph.mem.dram` first. This is the
+    /// one-shot, unobserved convenience over [`Graph::run`]; for the other
+    /// axes, [`CompiledProgram::inject_args`] and call `graph.run`
+    /// directly, or run a [`crate::ProgramInstance`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates machine protocol errors and deadlock diagnoses.
+    pub fn run_untimed(
+        &mut self,
+        args: &[Word],
+        max_rounds: u64,
+    ) -> Result<revet_machine::ExecReport, revet_machine::MachineError> {
+        self.inject_args(args);
+        let (report, _) = self.graph.run(RunOptions {
+            plan: Some(&*self.plan),
+            ..RunOptions::new(max_rounds)
+        })?;
+        Ok(report)
+    }
+
+    /// Injects one `main` argument thread into the entry channel — the
+    /// entry-token protocol every way of starting a program goes through
+    /// (one-shot runs, streaming feeds, the simulator, test oracles).
+    pub fn inject_args(&mut self, args: &[Word]) {
+        inject_args(&mut self.graph, self.entry, args);
+    }
+
+    /// The number of contexts (Table IV's unit counts derive from this).
+    pub fn context_count(&self) -> usize {
+        self.contexts.len()
+    }
+
+    /// Counts contexts of one unit class.
+    pub fn units(&self, unit: UnitClass) -> usize {
+        self.contexts.iter().filter(|c| c.unit == unit).count()
+    }
+}
+
+/// Injects the `main` argument thread into a program graph's entry
+/// channel: one data tuple closed by Ω1. The single definition of the
+/// entry-token protocol, behind [`CompiledProgram::inject_args`] and
+/// [`crate::ProgramInstance::inject_args`].
+pub(crate) fn inject_args(graph: &mut Graph, entry: ChanId, args: &[Word]) {
+    let chan = graph.chan_mut(entry);
+    chan.push(revet_sltf::Tok::Data(args.to_vec()));
+    chan.push(revet_sltf::Tok::Barrier(revet_sltf::BarrierLevel::L1));
+}
+
+/// The current position in the pipeline being built.
+#[derive(Clone, Debug)]
+struct Cur {
+    chan: ChanId,
+    vars: Vec<Value>,
+}
+
+/// How a lowered region ended.
+enum Term {
+    Yield,
+    Exit,
+    Return,
+    Condition(Value, Vec<Value>),
+}
+
+struct DfLower<'m> {
+    module: &'m mut Module,
+    func: &'m Func,
+    layout: &'m DramLayout,
+    opts: &'m PassOptions,
+    g: Graph,
+    infos: Vec<ContextInfo>,
+    links: Vec<LinkInfo>,
+    consts: HashMap<Value, Word>,
+    depth: u32,
+    in_replicate: u32,
+    outer_par: u32,
+    label_n: u32,
+}
+
+/// Lowers `main` of a fully-lowered (physical-ops-only) module to a placed,
+/// executable dataflow graph. The module moves into the returned program.
+///
+/// # Errors
+///
+/// Returns [`CoreError`] for unsupported shapes (multi-value foreach
+/// reductions, high-level ops that escaped earlier passes).
+pub fn lower_to_dataflow(
+    mut module: Module,
+    layout: &DramLayout,
+    opts: &PassOptions,
+    dram_bytes: usize,
+) -> Result<CompiledProgram, CoreError> {
+    let at = module
+        .funcs
+        .iter()
+        .position(|f| f.name == "main")
+        .ok_or_else(|| CoreError::new("module has no main"))?;
+    // `main` is read throughout while bufferization declares SRAM regions
+    // on the module, so it is lifted out for the walk and put back after.
+    let main = module.funcs.remove(at);
+    let mut consts = HashMap::new();
+    main.walk(&mut |op| {
+        if let (OpKind::ConstI(v, ty), Some(r)) = (&op.kind, op.results.first()) {
+            let w = match ty {
+                Ty::I8 => Word((*v as u8) as u32),
+                Ty::I16 => Word((*v as u16) as u32),
+                _ => Word(*v as u32),
+            };
+            consts.insert(*r, w);
+        }
+    });
+    let mut lw = DfLower {
+        module: &mut module,
+        func: &main,
+        layout,
+        opts,
+        g: Graph::new(),
+        infos: Vec::new(),
+        links: Vec::new(),
+        consts,
+        depth: 0,
+        in_replicate: 0,
+        outer_par: 1,
+        label_n: 0,
+    };
+    let (entry, sink) = lw.lower_main()?;
+    let DfLower {
+        g: mut graph,
+        infos: contexts,
+        links,
+        outer_par: outer_parallelism,
+        ..
+    } = lw;
+    module.funcs.insert(at, main);
+    graph.mem = module.build_memory(dram_bytes);
+    // The wiring is complete: build the channel-endpoint index both
+    // executors use for ready-set scheduling, and flatten the graph
+    // into the execution plan every instance of this compile shares.
+    graph.finalize_topology();
+    let plan = Arc::new(ExecPlan::build(&graph));
+    Ok(CompiledProgram {
+        graph,
+        contexts,
+        links,
+        module,
+        entry,
+        sink,
+        outer_parallelism,
+        plan,
+    })
+}
+
+// ---------------- the context emitter and the §III-B primitives ----------------
+
+impl DfLower<'_> {
+    fn label(&mut self, base: &str) -> String {
+        self.label_n += 1;
+        format!("{base}{}", self.label_n)
+    }
+
+    fn link(&mut self, chan: Channel) -> ChanId {
+        let (arity, class) = (chan.arity, chan.class);
+        let id = self.g.add_chan(chan);
+        self.links.push(LinkInfo {
+            id: id.0,
+            arity,
+            class,
+            depth: self.depth,
+        });
+        id
+    }
+
+    fn chan(&mut self, arity: usize, class: LinkClass) -> ChanId {
+        self.link(Channel::new(arity).with_class(class))
+    }
+
+    fn category(&self) -> Category {
+        if self.in_replicate > 0 || self.depth >= 2 {
+            Category::Inner
+        } else {
+            Category::Outer
+        }
+    }
+
+    /// Brings one streaming context into being: takes the next label,
+    /// adds the node and records its [`ContextInfo`] — in that order, after
+    /// the caller has created `outs` (see the module docs on emission
+    /// order). `cost` is the context's (pipeline stages, registers).
+    fn emit(
+        &mut self,
+        base: &str,
+        kind: &'static str,
+        unit: UnitClass,
+        category: Category,
+        cost: (usize, usize),
+        node: Box<dyn Node>,
+        ins: Vec<ChanId>,
+        outs: Vec<ChanId>,
+    ) {
+        let label = self.label(base);
+        let id = self.g.add_node(&label, node, ins, outs);
+        self.g.set_node_meta(id, self.infos.len() as u32, unit);
+        self.infos.push(ContextInfo {
+            id: id.0,
+            label,
+            kind,
+            unit,
+            depth: self.depth,
+            instrs: cost.0,
+            regs: cost.1,
+            category,
+        });
+    }
+
+    /// A fixed-function compute context (merge, counter, …): no pipeline
+    /// stages of its own.
+    fn fixed(
+        &mut self,
+        base: &str,
+        kind: &'static str,
+        category: Category,
+        regs: usize,
+        node: impl Node + 'static,
+        ins: Vec<ChanId>,
+        outs: Vec<ChanId>,
+    ) {
+        let unit = UnitClass::Compute;
+        self.emit(
+            base,
+            kind,
+            unit,
+            category,
+            (0, regs),
+            Box::new(node),
+            ins,
+            outs,
+        );
+    }
+
+    /// An element-wise context writing existing channels; its stage and
+    /// register counts are the node's own.
+    fn ew_into(
+        &mut self,
+        base: &str,
+        kind: &'static str,
+        unit: UnitClass,
+        category: Category,
+        node: EwNode,
+        ins: Vec<ChanId>,
+        outs: Vec<ChanId>,
+    ) {
+        let cost = (node.instrs.len(), node.reg_count() as usize);
+        self.emit(base, kind, unit, category, cost, Box::new(node), ins, outs);
+    }
+
+    /// A single-output element-wise context on a fresh vector link.
+    fn ew(
+        &mut self,
+        base: &str,
+        unit: UnitClass,
+        category: Category,
+        node: EwNode,
+        ins: Vec<ChanId>,
+    ) -> ChanId {
+        let out = self.chan(node.outputs[0].slots.len(), LinkClass::Vector);
+        self.ew_into(base, "ew", unit, category, node, ins, vec![out]);
+        out
+    }
+
+    /// §III-B c filter: `slots` of each thread go to the first (vector)
+    /// link when `cond` holds and to the second (scalar) link when not.
+    fn filter(
+        &mut self,
+        base: &str,
+        input: &Cur,
+        cond: Operand,
+        slots: Vec<Reg>,
+    ) -> (ChanId, ChanId) {
+        let n = input.vars.len() as Reg;
+        // A constant condition is materialized in a spare register; the
+        // move rides in the filter's own stage and is not counted.
+        let (instrs, creg) = match cond {
+            Operand::Reg(r) => (vec![], r),
+            Operand::Const(_) => (vec![block::mov(cond, n)], n),
+        };
+        let on_true = self.chan(slots.len(), LinkClass::Vector);
+        let on_false = self.chan(slots.len(), LinkClass::Scalar);
+        let outputs = vec![
+            OutputSpec::filtered(slots.clone(), creg, true),
+            OutputSpec::filtered(slots, creg, false),
+        ];
+        let node = EwNode::new(n, instrs, outputs);
+        let cost = (0, node.reg_count() as usize);
+        self.emit(
+            base,
+            "filter",
+            UnitClass::Compute,
+            self.category(),
+            cost,
+            Box::new(node),
+            vec![input.chan],
+            vec![on_true, on_false],
+        );
+        (on_true, on_false)
+    }
+
+    /// A filter that passes no thread: `out` (of `arity`) sees only the
+    /// barriers of `input`, which downstream merges still need.
+    fn drop_all(&mut self, base: &str, input: ChanId, out: ChanId, arity: usize) {
+        let node = EwNode::new(
+            1,
+            vec![block::mov(block::imm(0), 0)],
+            vec![OutputSpec::filtered(vec![0; arity], 0, true)],
+        );
+        let (unit, category) = (UnitClass::Compute, self.category());
+        self.ew_into(base, "filter", unit, category, node, vec![input], vec![out]);
+    }
+
+    /// §III-B d forward merge of two same-level streams.
+    fn fwd_merge(
+        &mut self,
+        base: &str,
+        category: Category,
+        ins: [ChanId; 2],
+        arity: usize,
+        class: LinkClass,
+    ) -> ChanId {
+        let out = self.chan(arity, class);
+        let node = FwdMergeNode::new();
+        self.fixed(
+            base,
+            "fwd-merge",
+            category,
+            0,
+            node,
+            ins.to_vec(),
+            vec![out],
+        );
+        out
+    }
+
+    /// §III-B d forward-backward merge: a loop header over the forward edge
+    /// `fwd`. Returns the body link and the (not yet driven) backedge,
+    /// which is left uncanonicalized: iteration order is the loop's own.
+    fn fb_merge(&mut self, base: &str, fwd: ChanId, arity: usize) -> (ChanId, ChanId) {
+        let body = self.chan(arity, LinkClass::Vector);
+        let back = self.link(
+            Channel::new(arity)
+                .with_class(LinkClass::Vector)
+                .without_canonicalization(),
+        );
+        let (node, category) = (FbMergeNode::new(), self.category());
+        self.fixed(
+            base,
+            "fb-merge",
+            category,
+            0,
+            node,
+            vec![fwd, back],
+            vec![body],
+        );
+        (body, back)
+    }
+
+    /// §III-B e flatten: strips one barrier level (a loop's exit edge).
+    fn flatten(&mut self, base: &str, input: ChanId, arity: usize) -> ChanId {
+        let out = self.chan(arity, LinkClass::Scalar);
+        let (node, category) = (FlattenNode::new(), self.category());
+        self.fixed(base, "flatten", category, 0, node, vec![input], vec![out]);
+        out
+    }
+
+    /// §III-B e counter: expands each parent thread of `input` into one
+    /// child per index in `bounds` (min, max, step). Returns the child link
+    /// (the index alone) and the parent link (the input tuple, unchanged).
+    fn counter(&mut self, base: &str, input: &Cur, bounds: [Operand; 3]) -> (ChanId, ChanId) {
+        let n = input.vars.len();
+        let child = self.chan(1, LinkClass::Vector);
+        let parent = self.chan(n, LinkClass::Vector);
+        let [min, max, step] = bounds;
+        let (node, category) = (CounterNode::new(min, max, step), self.category());
+        let outs = vec![child, parent];
+        self.fixed(base, "counter", category, n, node, vec![input.chan], outs);
+        (child, parent)
+    }
+
+    /// §III-B e broadcast: repeats each tuple of `feed` onto every child of
+    /// `child` in its group; the output is `arity` wide.
+    fn broadcast(&mut self, base: &str, feed: ChanId, child: ChanId, arity: usize) -> ChanId {
+        let out = self.chan(arity, LinkClass::Vector);
+        let (node, category) = (BroadcastNode::new(1), self.category());
+        self.fixed(
+            base,
+            "broadcast",
+            category,
+            0,
+            node,
+            vec![feed, child],
+            vec![out],
+        );
+        out
+    }
+
+    /// §III-B e reduce: folds each group of `input` back to parent level
+    /// with `op` (a void reduce, carrying barriers only, when `None`).
+    fn reduce(&mut self, base: &str, input: ChanId, op: Option<AluOp>) -> ChanId {
+        let out = self.chan(usize::from(op.is_some()), LinkClass::Vector);
+        let node = match op {
+            Some(op) => ReduceNode::new(op, op.reduction_identity()),
+            None => ReduceNode::void(),
+        };
+        let category = self.category();
+        self.fixed(base, "reduce", category, 1, node, vec![input], vec![out]);
+        out
+    }
+
+    /// Accounts one buffering MU (deadlock avoidance / retiming). These are
+    /// storage-only contexts, so they appear in the reports but not in the
+    /// executable graph.
+    fn buffer_mu(&mut self, category: Category, base: &str) {
+        let label = self.label(base);
+        self.infos.push(ContextInfo {
+            id: u32::MAX,
+            label,
+            kind: "buffer",
+            unit: UnitClass::Memory,
+            depth: self.depth,
+            instrs: 0,
+            regs: 0,
+            category,
+        });
+    }
+}
+
+// ---------------- region lowering ----------------
+
+/// True for ops compiled into element-wise blocks.
+fn is_simple(kind: &OpKind) -> bool {
+    matches!(
+        kind,
+        OpKind::ConstI(..)
+            | OpKind::Bin(..)
+            | OpKind::Select(..)
+            | OpKind::Cast { .. }
+            | OpKind::SramRead { .. }
+            | OpKind::SramWrite { .. }
+            | OpKind::SramDecFetch { .. }
+            | OpKind::DramRead { .. }
+            | OpKind::DramWrite { .. }
+            | OpKind::AllocPop { .. }
+            | OpKind::AllocPush { .. }
+            | OpKind::Predicated { .. }
+    )
+}
+
+impl DfLower<'_> {
+    /// Lowers `main`'s body from a fresh entry channel into the final sink.
+    fn lower_main(&mut self) -> Result<(ChanId, revet_machine::nodes::SinkHandle), CoreError> {
+        let func = self.func;
+        let entry = self.chan(func.params.len(), LinkClass::Scalar);
+        let cur = Cur {
+            chan: entry,
+            vars: func.params.clone(),
+        };
+        let (cur, term) = self.lower_ops(&func.body.ops, cur, &[])?;
+        if !matches!(term, Term::Return | Term::Exit) {
+            return Err(CoreError::new("main must end in return"));
+        }
+        let (sink, handle) = SinkNode::new();
+        let id = self
+            .g
+            .add_node("main.sink", Box::new(sink), vec![cur.chan], vec![]);
+        self.g.set_node_meta(id, u32::MAX, UnitClass::Virtual);
+        Ok((entry, handle))
+    }
+
+    /// Lowers an op sequence. Returns the final cursor and terminator kind.
+    /// After a `Yield`/`Condition` terminator, the cursor's tuple is the
+    /// exact yielded/forwarded layout followed by `live_out`, the
+    /// passthrough values of the caller's contract.
+    fn lower_ops(
+        &mut self,
+        ops: &[Op],
+        mut cur: Cur,
+        live_out: &[Value],
+    ) -> Result<(Cur, Term), CoreError> {
+        let live_after = liveness(ops, live_out);
+        let mut pending: Vec<&Op> = Vec::new();
+        for (op, live) in ops.iter().zip(&live_after) {
+            // A terminator closes the region with one last block. Its
+            // layout is positional and never deduplicated: merges and
+            // backedges need a fixed arity.
+            let closing = match &op.kind {
+                k if is_simple(k) => {
+                    pending.push(op);
+                    continue;
+                }
+                OpKind::Yield(vs) => Some(([vs, live_out].concat(), "blk", Term::Yield)),
+                OpKind::Return(vs) => Some((dedup(vs.clone()), "ret", Term::Return)),
+                // Pending side effects still run; all data is dropped.
+                OpKind::Exit => Some((vec![], "exit_fx", Term::Exit)),
+                OpKind::Condition { cond, fwd } => Some((
+                    [&[*cond], &fwd[..], live_out].concat(),
+                    "cond",
+                    Term::Condition(*cond, fwd.clone()),
+                )),
+                _ => None,
+            };
+            if let Some((tuple, base, term)) = closing {
+                return Ok((self.emit_block(&pending, cur, &tuple, base)?, term));
+            }
+            let frame = Frame::of(&self.consts, op, live, cur, std::mem::take(&mut pending));
+            cur = match &op.kind {
+                OpKind::If { cond, then, else_ } => self.lower_if(frame, *cond, then, else_)?,
+                OpKind::While {
+                    inits,
+                    before,
+                    after,
+                } => self.lower_while(frame, inits, before, after)?,
+                OpKind::Foreach {
+                    lo,
+                    hi,
+                    step,
+                    body,
+                    reduce,
+                    ..
+                } => self.lower_foreach(frame, [*lo, *hi, *step], body, reduce)?,
+                OpKind::Fork { count, body } => self.lower_fork(frame, *count, body)?,
+                OpKind::Replicate { ways, body } => self.lower_replicate(frame, *ways, body)?,
+                other => {
+                    return Err(CoreError::new(format!(
+                        "unexpected op in dataflow lowering: {other:?} (missing pass?)"
+                    )))
+                }
+            };
+        }
+        let out = dedup(live_out.to_vec());
+        Ok((self.emit_block(&pending, cur, &out, "tail")?, Term::Yield))
+    }
+}

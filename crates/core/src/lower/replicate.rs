@@ -1,0 +1,289 @@
+//! `replicate` = distribution filters + merge tree (§V-C d, Fig. 8): a
+//! filter per way picks threads by key, the body is lowered once per way
+//! (late unrolling), and a forward-merge tree gathers the results. With
+//! allocator hoisting (§V-B b) the body's allocation happens before the
+//! distribution and its pointer is the key (load balancing, Fig. 14); with
+//! bufferization, values the body never reads wait in an SRAM indexed by
+//! that pointer instead of riding through every way.
+
+use super::block::{alu, imm};
+use super::frame::{slot_of, slots_of, Frame};
+use super::{Category, Cur, DfLower, Term};
+use crate::CoreError;
+use revet_machine::instr::{AluOp, EwInstr, Operand, Reg};
+use revet_machine::nodes::{EwNode, OutputSpec};
+use revet_machine::{AllocId, ChanId, LinkClass, SramId, UnitClass};
+use revet_mir::{Op, OpKind, Region, Value};
+
+/// A replicate body's hoisted allocation: the pop runs before distribution
+/// and the matching region-end push after the merge (so a recycled pointer
+/// cannot race the buffered values, Fig. 10 b); both leave the body.
+struct Hoist {
+    alloc: AllocId,
+    ptr: Value,
+    pop_at: usize,
+    push_at: Option<usize>,
+}
+
+impl Hoist {
+    /// The body's first top-level `AllocPop`, if there is one.
+    fn find(body: &Region) -> Option<Hoist> {
+        let (pop_at, alloc, ptr) = body
+            .ops
+            .iter()
+            .enumerate()
+            .find_map(|(i, o)| match o.kind {
+                OpKind::AllocPop { alloc } => Some((i, alloc, o.results[0])),
+                _ => None,
+            })?;
+        let push_at = body.ops.iter().position(|o| {
+            matches!(&o.kind, OpKind::AllocPush { alloc: a, ptr: p } if *a == alloc && *p == ptr)
+        });
+        Some(Hoist {
+            alloc,
+            ptr,
+            pop_at,
+            push_at,
+        })
+    }
+}
+
+/// `dst = ptr * k + j`: where thread `ptr` parks its `j`-th of `k` values.
+fn parked_addr(ptr: Reg, k: u32, j: u32, dst: Reg) -> [EwInstr; 2] {
+    [
+        alu(AluOp::Mul, Operand::Reg(ptr), imm(k), dst),
+        alu(AluOp::Add, Operand::Reg(dst), imm(j), dst),
+    ]
+}
+
+impl DfLower<'_> {
+    pub(super) fn lower_replicate(
+        &mut self,
+        frame: Frame<'_>,
+        ways: u32,
+        body: &Region,
+    ) -> Result<Cur, CoreError> {
+        self.outer_par = self.outer_par.saturating_mul(ways);
+        let out_tuple = frame.out_tuple();
+        let mut cur = self.emit_block(&frame.pending, frame.cur, &frame.in_tuple, "rep_in")?;
+        let hoist = (self.opts.hoist_allocators.then(|| Hoist::find(body))).flatten();
+        let mut parked: Option<(SramId, Vec<Value>)> = None;
+        // What must come out of every way besides its yields.
+        let mut extra = frame.passthrough;
+        if let Some(h) = &hoist {
+            // Pop the pointer in a dedicated MU context feeding the
+            // distribution network.
+            let n = cur.vars.len() as Reg;
+            let pop = EwInstr::AllocPop {
+                alloc: h.alloc,
+                dst: n,
+            };
+            let slots = OutputSpec::plain((0..=n).collect::<Vec<_>>());
+            let node = EwNode::new(n, vec![pop], vec![slots]);
+            let (unit, category) = (UnitClass::Memory, Category::Replicate);
+            cur.chan = self.ew("rep.alloc", unit, category, node, vec![cur.chan]);
+            cur.vars.push(h.ptr);
+            if self.opts.bufferize_replicate {
+                let (unread, read): (Vec<Value>, Vec<Value>) =
+                    extra.iter().partition(|v| !frame.free.contains(v));
+                extra = read;
+                if !unread.is_empty() {
+                    let (sram, kept) = self.park(cur, h.ptr, &unread)?;
+                    cur = kept;
+                    parked = Some((sram, unread));
+                }
+            }
+            if !extra.contains(&h.ptr) {
+                extra.push(h.ptr);
+            }
+        }
+        // Distribution key: the hoisted pointer's low bits, or the first
+        // live value as a static hash (the fixed-allocation baseline of
+        // Fig. 14).
+        let key = match &hoist {
+            Some(h) => slot_of(&cur.vars, h.ptr, "replicate")?,
+            None => 0,
+        };
+        let way_chans = self.distribute(&cur, key, ways);
+        // Late unrolling: lower the body, minus the hoisted pop and push,
+        // once per way.
+        let hoisted = |j: usize| {
+            let at = |h: &Hoist| j == h.pop_at || Some(j) == h.push_at;
+            hoist.as_ref().is_some_and(at)
+        };
+        let kept = (0..).zip(&body.ops).filter(|(j, _)| !hoisted(*j));
+        let body_ops: Vec<Op> = kept.map(|(_, o)| o.clone()).collect();
+        self.in_replicate += 1;
+        let mut way_outs: Vec<Cur> = Vec::new();
+        for chan in way_chans {
+            let vars = cur.vars.clone();
+            let (out, term) = self.lower_ops(&body_ops, Cur { chan, vars }, &extra)?;
+            if !matches!(term, Term::Yield | Term::Exit) {
+                return Err(CoreError::new("replicate body must end in yield or exit"));
+            }
+            way_outs.push(out);
+        }
+        self.in_replicate -= 1;
+        let chan = self.merge_tree(&way_outs);
+        // A way that yields leaves [yields ++ extra]; the yields are the
+        // op's results.
+        let beyond = way_outs.iter().find(|c| !c.vars.is_empty());
+        let beyond = beyond.map_or(&[][..], |c| &c.vars[frame.results.len()..]);
+        let mut cur = Cur {
+            chan,
+            vars: [frame.results, beyond].concat(),
+        };
+        if let Some(h) = &hoist {
+            cur = self.release(cur, h, parked)?;
+        }
+        self.emit_block(&[], cur, &out_tuple, "rep_out")
+    }
+
+    /// Stores `values` to a fresh SRAM region indexed by the hoisted
+    /// pointer, before distribution; the rest of the tuple carries on.
+    fn park(&mut self, cur: Cur, ptr: Value, values: &[Value]) -> Result<(SramId, Cur), CoreError> {
+        let threads = self.opts.threads.unwrap_or(crate::passes::DEFAULT_THREADS);
+        let k = values.len() as u32;
+        let name = format!("rep_buf{}", self.label_n);
+        let sram = self.module.add_sram(name, k * threads);
+        let ptr = slot_of(&cur.vars, ptr, "replicate")?;
+        let scratch = cur.vars.len() as Reg;
+        let mut instrs = Vec::new();
+        for (j, v) in (0..).zip(values) {
+            instrs.extend(parked_addr(ptr, k, j, scratch));
+            instrs.push(EwInstr::SramWrite {
+                region: sram,
+                addr: Operand::Reg(scratch),
+                val: Operand::Reg(slot_of(&cur.vars, *v, "replicate")?),
+                pred: None,
+            });
+        }
+        let mut keep = cur.vars.clone();
+        keep.retain(|v| !values.contains(v));
+        let out_keep = OutputSpec::plain(slots_of(&cur.vars, &keep, "replicate")?);
+        let chan = self.chan(keep.len(), LinkClass::Vector);
+        let cost = (instrs.len(), keep.len() + 1);
+        let node = EwNode::new(scratch + 1, instrs, vec![out_keep]);
+        let (unit, category) = (UnitClass::Memory, Category::Buffer);
+        let (ins, outs) = (vec![cur.chan], vec![chan]);
+        self.emit(
+            "rep.bufstore",
+            "ew",
+            unit,
+            category,
+            cost,
+            Box::new(node),
+            ins,
+            outs,
+        );
+        Ok((sram, Cur { chan, vars: keep }))
+    }
+
+    /// The distribution filters: way `i` receives the threads whose
+    /// register `key`, modulo `ways`, is `i`. Returns the per-way links.
+    fn distribute(&mut self, cur: &Cur, key: Reg, ways: u32) -> Vec<ChanId> {
+        let n = cur.vars.len() as Reg;
+        let all: Vec<Reg> = (0..n).collect();
+        let mut instrs = vec![alu(AluOp::RemU, Operand::Reg(key), imm(ways), n)];
+        let mut outputs = Vec::new();
+        let mut chans = Vec::new();
+        for (i, hit) in (0..ways).zip(n + 1..) {
+            instrs.push(alu(AluOp::Eq, Operand::Reg(n), imm(i), hit));
+            outputs.push(OutputSpec::filtered(all.clone(), hit, true));
+            chans.push(self.chan(all.len(), LinkClass::Scalar));
+        }
+        let node = EwNode::new(n, instrs, outputs);
+        let (unit, category) = (UnitClass::Compute, Category::Replicate);
+        let outs = chans.clone();
+        self.ew_into(
+            "rep.dist",
+            "filter",
+            unit,
+            category,
+            node,
+            vec![cur.chan],
+            outs,
+        );
+        // One retiming buffer MU in the distribution network (§V-C d).
+        self.buffer_mu(Category::Retime, "rep.retime");
+        chans
+    }
+
+    /// Forward-merges the ways' outputs pairwise, level by level, into one
+    /// stream; an unpaired way moves up a level as it is.
+    fn merge_tree(&mut self, way_outs: &[Cur]) -> ChanId {
+        let arity = way_outs.iter().map(|c| c.vars.len()).max().unwrap_or(0);
+        let mut frontier: Vec<ChanId> = way_outs.iter().map(|c| c.chan).collect();
+        while frontier.len() > 1 {
+            let level = std::mem::take(&mut frontier);
+            for pair in level.chunks(2) {
+                frontier.push(match *pair {
+                    [a, b] => {
+                        let (base, category) = ("rep.merge", Category::Replicate);
+                        self.fwd_merge(base, category, [a, b], arity, LinkClass::Scalar)
+                    }
+                    _ => pair[0],
+                });
+            }
+        }
+        frontier[0]
+    }
+
+    /// After the merge: reloads whatever was parked and hands the hoisted
+    /// pointer back — also when nothing was parked, since the body's own
+    /// push was stripped and dropping it would drain the pool and deadlock
+    /// the distribution network.
+    fn release(
+        &mut self,
+        cur: Cur,
+        hoist: &Hoist,
+        parked: Option<(SramId, Vec<Value>)>,
+    ) -> Result<Cur, CoreError> {
+        let ptr = slot_of(&cur.vars, hoist.ptr, "replicate result")?;
+        let kept = (0..).zip(&cur.vars).filter(|(_, v)| **v != hoist.ptr);
+        let (mut slots, mut vars): (Vec<Reg>, Vec<Value>) = kept.map(|(i, v)| (i, *v)).unzip();
+        let push = EwInstr::AllocPush {
+            alloc: hoist.alloc,
+            src: Operand::Reg(ptr),
+            pred: None,
+        };
+        let base = cur.vars.len() as Reg;
+        let unit = UnitClass::Memory;
+        let Some((sram, values)) = parked else {
+            let node = EwNode::new(base, vec![push], vec![OutputSpec::plain(slots)]);
+            let chan = self.ew("rep.free", unit, Category::Replicate, node, vec![cur.chan]);
+            return Ok(Cur { chan, vars });
+        };
+        let k = values.len() as u32;
+        let mut instrs = Vec::new();
+        for j in 0..k {
+            let (addr, dst) = (base + 2 * j as Reg, base + 2 * j as Reg + 1);
+            instrs.extend(parked_addr(ptr, k, j, addr));
+            instrs.push(EwInstr::SramRead {
+                region: sram,
+                addr: Operand::Reg(addr),
+                dst,
+                pred: None,
+            });
+            slots.push(dst);
+        }
+        instrs.push(push);
+        vars.extend(values);
+        let chan = self.chan(vars.len(), LinkClass::Vector);
+        let cost = (instrs.len(), vars.len() + 2);
+        let regs = (base + 2 * k as Reg).max(1);
+        let node = EwNode::new(regs, instrs, vec![OutputSpec::plain(slots)]);
+        let (ins, outs) = (vec![cur.chan], vec![chan]);
+        self.emit(
+            "rep.bufload",
+            "ew",
+            unit,
+            Category::Buffer,
+            cost,
+            Box::new(node),
+            ins,
+            outs,
+        );
+        Ok(Cur { chan, vars })
+    }
+}

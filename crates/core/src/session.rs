@@ -187,7 +187,7 @@ impl Session {
             self.captured = captured;
             self.report = Some(report);
             if let Err(e) = revet_mir::verify_module(self.mir.as_ref().expect("lowered")) {
-                let err = CoreError::from_verify(e);
+                let err = CoreError::from(e);
                 return Err(self.fail(err.diagnostics.into_iter().collect()));
             }
             self.optimized = true;
@@ -213,15 +213,15 @@ impl Session {
         let started = std::time::Instant::now();
         let mut opts = self.opts.clone();
         opts.threads = self.threads;
-        // Dataflow lowering consumes/mutates the module; clone so the
+        // Dataflow lowering consumes the module; it gets a copy so the
         // session's optimized artifact stays inspectable and re-runnable.
-        let mut module = self.mir.clone().expect("optimized");
+        let module = self.mir.clone().expect("optimized");
         let n = module.drams.len().max(1);
         let slice = (opts.dram_bytes / n) as u32;
         let layout = DramLayout {
             base: (0..module.drams.len() as u32).map(|i| i * slice).collect(),
         };
-        match lower_to_dataflow(&mut module, &layout, &opts, opts.dram_bytes) {
+        match lower_to_dataflow(module, &layout, &opts, opts.dram_bytes) {
             Ok(p) => {
                 self.timings.push(("to_dataflow", started.elapsed()));
                 Ok(p)
@@ -476,17 +476,5 @@ mod tests {
         s.emit_compile_trace(&obs);
         assert_eq!(obs.trace_events().len(), 5);
         assert!(obs.chrome_trace_json().contains("compile:run_passes"));
-    }
-
-    #[test]
-    fn compile_source_is_a_session_shim() {
-        let direct = crate::Compiler::new(PassOptions::default())
-            .compile_source(GOOD)
-            .unwrap();
-        let via_session = Session::new(GOOD, PassOptions::default())
-            .to_dataflow()
-            .unwrap();
-        assert_eq!(direct.context_count(), via_session.context_count());
-        assert_eq!(direct.links.len(), via_session.links.len());
     }
 }

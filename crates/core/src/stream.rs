@@ -40,17 +40,18 @@ pub struct StreamOutcome {
 /// A resident, incrementally-fed instantiation of a [`CompiledProgram`].
 ///
 /// ```
-/// use revet_core::{Compiler, PassOptions, StreamExecutor};
+/// use revet_core::{PassOptions, Session, StreamExecutor};
 /// use revet_sltf::Word;
 ///
-/// let program = Compiler::new(PassOptions::default())
-///     .compile_source(
-///         "dram<u32> output;
-///          void main(u32 n) {
-///              foreach (n) { u32 i => output[i] = i * i; };
-///          }",
-///     )
-///     .unwrap();
+/// let program = Session::new(
+///     "dram<u32> output;
+///      void main(u32 n) {
+///          foreach (n) { u32 i => output[i] = i * i; };
+///      }",
+///     PassOptions::default(),
+/// )
+/// .to_dataflow()
+/// .unwrap();
 /// let mut stream = program.stream(StreamExecutor::Planned);
 /// stream.feed(&[vec![Word(3)]]).unwrap();
 /// stream.poll(1_000_000).unwrap();
@@ -220,7 +221,7 @@ impl CompiledProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Compiler, PassOptions};
+    use crate::{PassOptions, Session};
 
     const SQUARES: &str = r#"
         dram<u32> output;
@@ -236,7 +237,7 @@ mod tests {
             opt_level,
             ..PassOptions::default()
         };
-        Compiler::new(opts).compile_source(SQUARES).unwrap()
+        Session::new(SQUARES, opts).to_dataflow().unwrap()
     }
 
     #[test]

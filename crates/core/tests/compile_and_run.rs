@@ -2,7 +2,7 @@
 //! graph → untimed machine execution, differentially checked against the
 //! MIR reference interpreter and hand-computed oracles.
 
-use revet_core::{Compiler, PassOptions};
+use revet_core::{PassOptions, Session};
 use revet_sltf::Word;
 
 const DRAM_BYTES: usize = 1 << 20;
@@ -17,8 +17,8 @@ fn run_with(
 ) -> Vec<u8> {
     let mut opts = opts;
     opts.dram_bytes = DRAM_BYTES;
-    let mut program = Compiler::new(opts)
-        .compile_source(src)
+    let mut program = Session::new(src, opts)
+        .to_dataflow()
         .unwrap_or_else(|e| panic!("{e}"));
     let slice = DRAM_BYTES / n_drams;
     for (sym, bytes) in inits {
@@ -348,8 +348,8 @@ fn resource_report_sanity() {
             };
         }
     "#;
-    let program = Compiler::new(PassOptions::default())
-        .compile_source(src)
+    let program = Session::new(src, PassOptions::default())
+        .to_dataflow()
         .unwrap();
     let report = revet_core::report::ResourceReport::for_program("strlen", &program);
     assert!(report.total.0 > 0, "uses CUs");
@@ -390,14 +390,17 @@ fn subword_packing_reduces_link_width() {
         }
     "#;
     let input: Vec<u8> = vec![3, 0, 7, 1];
-    let packed = Compiler::new(PassOptions::default())
-        .compile_source(src)
+    let packed = Session::new(src, PassOptions::default())
+        .to_dataflow()
         .unwrap();
-    let unpacked = Compiler::new(PassOptions {
-        pack_subwords: false,
-        ..PassOptions::default()
-    })
-    .compile_source(src)
+    let unpacked = Session::new(
+        src,
+        PassOptions {
+            pack_subwords: false,
+            ..PassOptions::default()
+        },
+    )
+    .to_dataflow()
     .unwrap();
     // §V-B d: "Every variable that is live into a merge operation consumes
     // a significant number of network resources and input buffers" — so the

@@ -3,7 +3,7 @@
 //! contract the `revetc` CLI, the serve `CompileFailed` frame, and the
 //! README examples all rely on — renderer changes must be deliberate.
 
-use revet_core::{Compiler, PassOptions, Session, Stage};
+use revet_core::{lower_to_dataflow, passes, CoreError, PassOptions, Session, Stage};
 use revet_diag::codes;
 use revet_mir::{DramLayout, Func, Module, OpKind, RegionBuilder, Value};
 
@@ -173,8 +173,13 @@ fn golden_post_pass_verify_failure() {
     f.body = b.build();
     m.funcs.push(f);
 
-    let err = Compiler::new(PassOptions::default())
-        .compile_module(&mut m, &DramLayout::default(), None)
+    // A hand-built module enters where `Session::run_passes` would hand
+    // over: pipeline, re-verification, dataflow lowering.
+    let opts = PassOptions::default();
+    passes::build_pipeline(&opts, opts.threads).run(&mut m);
+    let err = revet_mir::verify_module(&m)
+        .map_err(CoreError::from)
+        .and_then(|()| lower_to_dataflow(m, &DramLayout::default(), &opts, opts.dram_bytes))
         .expect_err("bad module must not verify");
     assert_eq!(err.diagnostics.len(), 1);
     let d = &err.diagnostics[0];

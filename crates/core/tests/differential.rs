@@ -2,7 +2,7 @@
 //! MIR reference interpreter and by the compiled dataflow machine must
 //! produce identical DRAM images — for every pass configuration.
 
-use revet_core::{Compiler, PassOptions};
+use revet_core::{PassOptions, Session};
 use revet_mir::{DramLayout, Interp};
 use revet_sltf::Word;
 
@@ -89,7 +89,7 @@ fn run_interp(src: &str, inputs: &[u32]) -> Vec<u8> {
 fn run_dataflow(src: &str, inputs: &[u32], opts: PassOptions) -> Vec<u8> {
     let mut opts = opts;
     opts.dram_bytes = DRAM;
-    let mut program = Compiler::new(opts).compile_source(src).unwrap();
+    let mut program = Session::new(src, opts).to_dataflow().unwrap();
     for (i, v) in inputs.iter().enumerate() {
         program.graph.mem.dram[4 * i..4 * i + 4].copy_from_slice(&v.to_le_bytes());
     }

@@ -357,7 +357,7 @@ fn run_level(
             let layout = layout_for(&module, dram_bytes);
             let mut lopts = opts.clone();
             lopts.threads = session.thread_count();
-            lower_to_dataflow(&mut module, &layout, &lopts, dram_bytes)
+            lower_to_dataflow(module, &layout, &lopts, dram_bytes)
                 .map_err(|e| fail(FailureKind::CompileError, level, e.to_string()))?
         }
     };

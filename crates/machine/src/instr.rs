@@ -8,6 +8,7 @@
 //! a thread is enforced with data-free void tokens threaded through the
 //! operations (modelled as ordinary registers carrying no payload semantics).
 
+use crate::graph::UnitClass;
 use crate::mem::{AllocId, MemoryState, SramId};
 use revet_sltf::Word;
 
@@ -174,6 +175,18 @@ impl Pred {
     }
 }
 
+/// How an instruction uses a register it names (see
+/// [`EwInstr::for_each_reg`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum RegRole {
+    /// Read as an operand.
+    Read,
+    /// Read as the predicate of a memory operation.
+    Pred,
+    /// Written with the result.
+    Write,
+}
+
 /// One element-wise instruction.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum EwInstr {
@@ -307,21 +320,14 @@ impl EwInstr {
         }
     }
 
-    /// Highest register index referenced plus one (for sizing reg files).
-    pub fn max_reg(&self) -> u16 {
-        fn op_reg(o: &Operand) -> u16 {
-            match o {
-                Operand::Reg(r) => r + 1,
-                Operand::Const(_) => 0,
-            }
-        }
-        let pred_reg = |p: &Option<Pred>| p.map_or(0, |p| p.reg + 1);
-        match self {
-            EwInstr::Alu { a, b, dst, .. } => op_reg(a).max(op_reg(b)).max(dst + 1),
-            EwInstr::Select { c, t, f, dst } => {
-                op_reg(c).max(op_reg(t)).max(op_reg(f)).max(dst + 1)
-            }
-            EwInstr::Mov { src, dst } => op_reg(src).max(dst + 1),
+    /// Visits every register this instruction names — reads in operand
+    /// order, then the predicate, then the write — with mutable access, so
+    /// sizing, liveness and renaming are all walks over this one list.
+    pub fn for_each_reg(&mut self, mut f: impl FnMut(RegRole, &mut Reg)) {
+        let (reads, pred, write): ([Option<&mut Operand>; 3], _, _) = match self {
+            EwInstr::Alu { a, b, dst, .. } => ([Some(a), Some(b), None], None, Some(dst)),
+            EwInstr::Select { c, t, f, dst } => ([Some(c), Some(t), Some(f)], None, Some(dst)),
+            EwInstr::Mov { src, dst } => ([Some(src), None, None], None, Some(dst)),
             EwInstr::SramRead {
                 addr, dst, pred, ..
             }
@@ -330,27 +336,58 @@ impl EwInstr {
             }
             | EwInstr::DramReadW { addr, dst, pred }
             | EwInstr::DramReadB { addr, dst, pred } => {
-                op_reg(addr).max(dst + 1).max(pred_reg(pred))
+                ([Some(addr), None, None], pred.as_mut(), Some(dst))
             }
             EwInstr::SramWrite {
                 addr, val, pred, ..
             }
             | EwInstr::DramWriteW { addr, val, pred }
             | EwInstr::DramWriteB { addr, val, pred } => {
-                op_reg(addr).max(op_reg(val)).max(pred_reg(pred))
+                ([Some(addr), Some(val), None], pred.as_mut(), None)
             }
-            EwInstr::AllocPop { dst, .. } => dst + 1,
-            EwInstr::AllocPush { src, pred, .. } => op_reg(src).max(pred_reg(pred)),
+            EwInstr::AllocPop { dst, .. } => ([None, None, None], None, Some(dst)),
+            EwInstr::AllocPush { src, pred, .. } => ([Some(src), None, None], pred.as_mut(), None),
+        };
+        for o in reads.into_iter().flatten() {
+            if let Operand::Reg(r) = o {
+                f(RegRole::Read, r);
+            }
+        }
+        if let Some(p) = pred {
+            f(RegRole::Pred, &mut p.reg);
+        }
+        if let Some(dst) = write {
+            f(RegRole::Write, dst);
+        }
+    }
+
+    /// Highest register index referenced plus one (for sizing reg files).
+    pub fn max_reg(&self) -> u16 {
+        let mut max = 0;
+        self.clone().for_each_reg(|_, r| max = max.max(*r + 1));
+        max
+    }
+
+    /// The physical unit class that executes this instruction: ALU work on
+    /// a compute unit, SRAM and allocator-queue accesses on a memory unit,
+    /// DRAM accesses through an address generator.
+    pub fn unit_class(&self) -> UnitClass {
+        match self {
+            EwInstr::Alu { .. } | EwInstr::Select { .. } | EwInstr::Mov { .. } => {
+                UnitClass::Compute
+            }
+            EwInstr::DramReadW { .. }
+            | EwInstr::DramWriteW { .. }
+            | EwInstr::DramReadB { .. }
+            | EwInstr::DramWriteB { .. } => UnitClass::AddressGen,
+            _ => UnitClass::Memory,
         }
     }
 
     /// True if this instruction touches memory (used by the splitter: every
     /// memory operation goes into its own context, §V-D b).
     pub fn is_memory(&self) -> bool {
-        !matches!(
-            self,
-            EwInstr::Alu { .. } | EwInstr::Select { .. } | EwInstr::Mov { .. }
-        )
+        self.unit_class() != UnitClass::Compute
     }
 }
 
@@ -582,11 +619,34 @@ mod tests {
         };
         assert_eq!(i.max_reg(), 8);
         assert!(!i.is_memory());
-        assert!(EwInstr::DramReadW {
-            addr: Operand::Reg(0),
+        assert_eq!(i.unit_class(), UnitClass::Compute);
+        let mut read = EwInstr::DramReadW {
+            addr: Operand::Reg(4),
             dst: 1,
-            pred: None
-        }
-        .is_memory());
+            pred: Some(Pred {
+                reg: 9,
+                expect: true,
+            }),
+        };
+        assert!(read.is_memory());
+        assert_eq!(read.unit_class(), UnitClass::AddressGen);
+        assert_eq!(read.max_reg(), 10);
+        // Operands, then the predicate, then the write — and the visit
+        // can rename in place.
+        let mut seen = Vec::new();
+        read.for_each_reg(|role, r| {
+            seen.push((role, *r));
+            *r += 1;
+        });
+        assert_eq!(
+            seen,
+            [(RegRole::Read, 4), (RegRole::Pred, 9), (RegRole::Write, 1)]
+        );
+        assert_eq!(read.max_reg(), 11);
+        let pop = EwInstr::AllocPop {
+            alloc: AllocId(0),
+            dst: 2,
+        };
+        assert_eq!(pop.unit_class(), UnitClass::Memory);
     }
 }

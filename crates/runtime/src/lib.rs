@@ -53,18 +53,19 @@
 //! ## Example
 //!
 //! ```
-//! use revet_core::{Compiler, PassOptions};
+//! use revet_core::{PassOptions, Session};
 //! use revet_runtime::{BatchJob, BatchRunner};
 //! use revet_sltf::Word;
 //!
-//! let program = Compiler::new(PassOptions::default())
-//!     .compile_source(
-//!         "dram<u32> output;
-//!          void main(u32 n) {
-//!              foreach (n) { u32 i => output[i] = i + 1; };
-//!          }",
-//!     )
-//!     .unwrap();
+//! let program = Session::new(
+//!     "dram<u32> output;
+//!      void main(u32 n) {
+//!          foreach (n) { u32 i => output[i] = i + 1; };
+//!      }",
+//!     PassOptions::default(),
+//! )
+//! .to_dataflow()
+//! .unwrap();
 //! let jobs: Vec<BatchJob> = (1..=8).map(|n| BatchJob::new(&program, vec![Word(n)])).collect();
 //! let report = BatchRunner::new(4).run(&jobs);
 //! assert_eq!(report.ok_count(), 8);
@@ -214,8 +215,8 @@ impl BatchReport {
     }
 
     /// Completed instances per wall-clock second — the batch throughput
-    /// metric reported by the `throughput_bench` binary. `0.0` for a
-    /// batch with no successful instances (including the empty batch).
+    /// metric. `0.0` for a batch with no successful instances (including
+    /// the empty batch).
     pub fn instances_per_sec(&self) -> f64 {
         let ok = self.ok_count();
         let secs = self.elapsed.as_secs_f64();
@@ -388,20 +389,21 @@ fn run_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revet_core::{Compiler, PassOptions};
+    use revet_core::{PassOptions, Session};
     use revet_machine::RunOptions;
 
     fn squares_program() -> CompiledProgram {
-        Compiler::new(PassOptions {
-            dram_bytes: 1 << 12,
-            ..PassOptions::default()
-        })
-        .compile_source(
+        Session::new(
             "dram<u32> output;
              void main(u32 n) {
                  foreach (n) { u32 i => output[i] = i * i; };
              }",
+            PassOptions {
+                dram_bytes: 1 << 12,
+                ..PassOptions::default()
+            },
         )
+        .to_dataflow()
         .unwrap()
     }
 
@@ -479,17 +481,18 @@ mod tests {
 
     #[test]
     fn dram_inits_overlay_each_instance_privately() {
-        let program = Compiler::new(PassOptions {
-            dram_bytes: 1 << 12,
-            ..PassOptions::default()
-        })
-        .compile_source(
+        let program = Session::new(
             "dram<u32> input;
              dram<u32> output;
              void main(u32 n) {
                  foreach (n) { u32 i => output[i] = input[i] + 1; };
              }",
+            PassOptions {
+                dram_bytes: 1 << 12,
+                ..PassOptions::default()
+            },
         )
+        .to_dataflow()
         .unwrap();
         let half = (1 << 12) / 2;
         let mk = |vals: &[u32]| -> Vec<(usize, Vec<u8>)> {

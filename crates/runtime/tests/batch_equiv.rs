@@ -12,7 +12,7 @@
 //! computes.
 
 use revet_apps::app;
-use revet_core::{CompiledProgram, Compiler, PassOptions};
+use revet_core::{CompiledProgram, PassOptions, Session};
 use revet_machine::{MemoryState, PoolStats, TTok, POOL_IMAGES};
 use revet_runtime::{BatchJob, BatchRunner, InstanceResult};
 use revet_sltf::Word;
@@ -56,11 +56,7 @@ fn assert_batch_matches_sequential(jobs: &[BatchJob<'_>], threads: usize) -> Vec
 /// A tiny arithmetic program whose output depends on `n`, so every job in
 /// the batch computes something different.
 fn triangular_program() -> CompiledProgram {
-    Compiler::new(PassOptions {
-        dram_bytes: 1 << 12,
-        ..PassOptions::default()
-    })
-    .compile_source(
+    Session::new(
         "dram<u32> output;
          void main(u32 n) {
              foreach (n) { u32 i =>
@@ -73,7 +69,12 @@ fn triangular_program() -> CompiledProgram {
                  output[i] = acc;
              };
          }",
+        PassOptions {
+            dram_bytes: 1 << 12,
+            ..PassOptions::default()
+        },
     )
+    .to_dataflow()
     .expect("compiles")
 }
 
@@ -95,24 +96,30 @@ fn mixed_app_batch_is_bit_identical_to_sequential_runs() {
     for name in ["murmur3", "ip2int"] {
         let a = app(name).expect("registered");
         for seed in [7u64, 1234] {
-            let (program, args, _w) = a.prepare(2, 8, seed, &PassOptions::default());
-            programs.push((program, args));
+            let (program, args, w) = a.prepare(2, 8, seed, &PassOptions::default());
+            programs.push((program, args, a.clone(), w));
         }
     }
     let jobs: Vec<BatchJob> = (0..programs.len() * POOL_IMAGES)
         .map(|i| {
-            let (program, args) = &programs[i % programs.len()];
+            let (program, args, ..) = &programs[i % programs.len()];
             BatchJob::new(program, args.clone())
         })
         .collect();
     let first = assert_batch_matches_sequential(&jobs, 4);
+    // Identical is not yet correct: every instance's private DRAM must
+    // also hold what its app's oracle computes.
+    for (i, result) in first.iter().enumerate() {
+        let (_, _, app, w) = &programs[i % programs.len()];
+        app.check_dram(&result.mem.dram, w);
+    }
 
     // The same batch again on the same programs. Every template's pool now
     // holds the images the first pass dirtied, one per instance of this
     // pass, so no instance gets a fresh copy — and none may show it.
     let pool_totals = || {
         let mut total = PoolStats::default();
-        for (program, _) in &programs {
+        for (program, ..) in &programs {
             total.merge(&program.graph.mem.dram.pool_stats());
         }
         total
@@ -128,7 +135,7 @@ fn mixed_app_batch_is_bit_identical_to_sequential_runs() {
         assert_eq!(again.sink, first.sink, "instance #{i}: recycled sink");
         assert_eq!(again.mem, first.mem, "instance #{i}: recycled memory");
         assert_eq!(again.report, first.report, "instance #{i}: recycled report");
-        let (program, args) = &programs[i % programs.len()];
+        let (program, args, ..) = &programs[i % programs.len()];
         let (report, mem, sink) = program
             .run_batch_sequential(std::slice::from_ref(args), MAX_ROUNDS)
             .expect("sequential oracle")

@@ -245,7 +245,7 @@ impl ProgramCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revet_core::{Compiler, PassOptions};
+    use revet_core::{PassOptions, Session};
     use std::sync::atomic::AtomicUsize;
 
     const SRC_A: &str = "dram<u32> o; void main(u32 n) { foreach (n) { u32 i => o[i] = i; }; }";
@@ -253,11 +253,14 @@ mod tests {
     const SRC_C: &str = "dram<u32> o; void main(u32 n) { foreach (n) { u32 i => o[i] = i + 2; }; }";
 
     fn compile(src: &str) -> Result<CompiledProgram, CoreError> {
-        Compiler::new(PassOptions {
-            dram_bytes: 1 << 12,
-            ..PassOptions::default()
-        })
-        .compile_source(src)
+        Session::new(
+            src,
+            PassOptions {
+                dram_bytes: 1 << 12,
+                ..PassOptions::default()
+            },
+        )
+        .to_dataflow()
     }
 
     fn opts() -> PassOptions {

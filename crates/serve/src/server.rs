@@ -32,7 +32,7 @@ use crate::protocol::{
 };
 use crate::session::{SessionError, SessionTable};
 use revet_core::{
-    CompiledProgram, Compiler, CoreError, PassOptions, ProgramId, StreamExecutor, StreamInstance,
+    CompiledProgram, CoreError, PassOptions, ProgramId, Session, StreamExecutor, StreamInstance,
 };
 use revet_diag::{Severity, SourceMap};
 use revet_machine::{MachineError, MemoryState, RunStatus};
@@ -577,10 +577,9 @@ impl From<SessionError> for ErrorFrame {
 fn compile(shared: &Shared, source: &str, options: PassOptions) -> Result<Response, ErrorFrame> {
     let program_id = ProgramId::of(source, &options);
     let start = Instant::now();
-    let compiler = Compiler::new(options);
     let (_, cached) = shared
         .cache
-        .get_or_compile(program_id, || compiler.compile_source(source))
+        .get_or_compile(program_id, || Session::new(source, options).to_dataflow())
         .map_err(|e| compile_failed_frame(source, &e))?;
     Ok(Response::Compiled {
         program_id,

@@ -219,7 +219,7 @@ impl SessionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revet_core::{Compiler, PassOptions, StreamExecutor};
+    use revet_core::{PassOptions, Session, StreamExecutor};
     use revet_sltf::Word;
 
     fn stream() -> StreamInstance {
@@ -227,15 +227,16 @@ mod tests {
             dram_bytes: 1 << 12,
             ..PassOptions::default()
         };
-        Compiler::new(opts)
-            .compile_source(
-                "dram<u32> output;
+        Session::new(
+            "dram<u32> output;
                  void main(u32 n) {
                      foreach (n) { u32 i => output[i] = i * i; };
                  }",
-            )
-            .unwrap()
-            .stream(StreamExecutor::Planned)
+            opts,
+        )
+        .to_dataflow()
+        .unwrap()
+        .stream(StreamExecutor::Planned)
     }
 
     #[test]

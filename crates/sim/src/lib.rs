@@ -338,7 +338,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revet_core::{Compiler, PassOptions};
+    use revet_core::{PassOptions, Session};
 
     fn squares_program() -> CompiledProgram {
         let src = r#"
@@ -349,11 +349,14 @@ mod tests {
                 };
             }
         "#;
-        Compiler::new(PassOptions {
-            dram_bytes: 1 << 16,
-            ..PassOptions::default()
-        })
-        .compile_source(src)
+        Session::new(
+            src,
+            PassOptions {
+                dram_bytes: 1 << 16,
+                ..PassOptions::default()
+            },
+        )
+        .to_dataflow()
         .unwrap()
     }
 
@@ -457,11 +460,14 @@ mod tests {
                 };
             }
         "#;
-        let mut p = Compiler::new(PassOptions {
-            dram_bytes: 1 << 16,
-            ..PassOptions::default()
-        })
-        .compile_source(src)
+        let mut p = Session::new(
+            src,
+            PassOptions {
+                dram_bytes: 1 << 16,
+                ..PassOptions::default()
+            },
+        )
+        .to_dataflow()
         .unwrap();
         for i in 0..8u32 {
             let b = (i + 1).to_le_bytes();

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use revet::compiler::{Compiler, PassOptions};
+use revet::compiler::{PassOptions, Session};
 use revet::sim::{IdealModels, RdaConfig, Simulator};
 use revet_sltf::Word;
 
@@ -38,8 +38,8 @@ fn main() {
     };
     // On failure, render the structured diagnostics as rustc-style caret
     // snippets instead of Debug-printing an error value.
-    let mut program = Compiler::new(opts)
-        .compile_source(source)
+    let mut program = Session::new(source, opts)
+        .to_dataflow()
         .unwrap_or_else(|e| {
             eprint!("{}", e.render(source, true));
             std::process::exit(1);

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example strlen`
 
-use revet::compiler::{Compiler, PassOptions};
+use revet::compiler::{PassOptions, Session};
 use revet::sim::{IdealModels, RdaConfig, Simulator};
 use revet_sltf::Word;
 
@@ -52,8 +52,8 @@ fn main() {
         dram_bytes: 3 << 16,
         ..PassOptions::default()
     };
-    let mut program = Compiler::new(opts)
-        .compile_source(source)
+    let mut program = Session::new(source, opts)
+        .to_dataflow()
         .unwrap_or_else(|e| {
             eprint!("{}", e.render(source, true));
             std::process::exit(1);

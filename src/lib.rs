@@ -27,7 +27,7 @@
 //! image, run the cycle-level simulator, and read the outputs back.
 //!
 //! ```
-//! use revet::compiler::{Compiler, PassOptions};
+//! use revet::compiler::{PassOptions, Session};
 //! use revet::sim::{IdealModels, RdaConfig, Simulator};
 //! use revet::sltf::Word;
 //!
@@ -51,7 +51,7 @@
 //!     }
 //! "#;
 //! let opts = PassOptions { dram_bytes: 1 << 16, ..PassOptions::default() };
-//! let mut program = Compiler::new(opts).compile_source(source).unwrap();
+//! let mut program = Session::new(source, opts).to_dataflow().unwrap();
 //! assert!(program.context_count() > 0);
 //!
 //! // DRAM symbols are laid out in equal slices: `input` at 0, `output`
@@ -91,18 +91,19 @@
 //! the results are bit-identical to sequential runs:
 //!
 //! ```
-//! use revet::compiler::{Compiler, PassOptions};
+//! use revet::compiler::{PassOptions, Session};
 //! use revet::runtime::{BatchJob, BatchRunner};
 //! use revet::sltf::Word;
 //!
-//! let program = Compiler::new(PassOptions::default())
-//!     .compile_source(
-//!         "dram<u32> output;
-//!          void main(u32 n) {
-//!              foreach (n) { u32 i => output[i] = i * i; };
-//!          }",
-//!     )
-//!     .unwrap();
+//! let program = Session::new(
+//!     "dram<u32> output;
+//!      void main(u32 n) {
+//!          foreach (n) { u32 i => output[i] = i * i; };
+//!      }",
+//!     PassOptions::default(),
+//! )
+//! .to_dataflow()
+//! .unwrap();
 //! let jobs: Vec<BatchJob> = (1..=8).map(|n| BatchJob::new(&program, vec![Word(n)])).collect();
 //! let report = BatchRunner::new(4).run(&jobs);
 //! assert_eq!(report.ok_count(), 8);

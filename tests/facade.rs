@@ -2,7 +2,7 @@
 //! reachable through `revet::*` without importing the member crates, and the
 //! layers agree on shared types.
 
-use revet::compiler::{Compiler, PassOptions};
+use revet::compiler::{PassOptions, Session};
 use revet::machine::instr::{AluOp, Operand};
 use revet::machine::nodes::{CounterNode, ReduceNode, SinkNode, SourceNode};
 use revet::machine::{tbar, tdata, Channel, Graph, RunOptions};
@@ -61,8 +61,8 @@ fn lang_and_mir_reexports_agree_with_compiler() {
         "lowering produced no functions"
     );
     // …and the full pipeline maps the same source onto dataflow contexts.
-    let program = Compiler::new(PassOptions::default())
-        .compile_source(src)
+    let program = Session::new(src, PassOptions::default())
+        .to_dataflow()
         .expect("pipeline compiles source");
     assert!(program.context_count() > 0);
 }
@@ -87,16 +87,17 @@ fn sim_baselines_and_apps_reexports_interoperate() {
 
 #[test]
 fn runtime_reexport_runs_a_parallel_batch() {
-    let program = Compiler::new(PassOptions {
-        dram_bytes: 1 << 12,
-        ..PassOptions::default()
-    })
-    .compile_source(
+    let program = Session::new(
         "dram<u32> output;
          void main(u32 n) {
              foreach (n) { u32 i => output[i] = i + n; };
          }",
+        PassOptions {
+            dram_bytes: 1 << 12,
+            ..PassOptions::default()
+        },
     )
+    .to_dataflow()
     .expect("compiles");
     let argsets: Vec<Vec<Word>> = (1..=6).map(|n| vec![Word(n)]).collect();
     let report = revet::runtime::BatchRunner::new(3).run_same(&program, &argsets);

@@ -1,7 +1,7 @@
 //! Workspace-level integration: the facade crate exposes the whole stack
 //! and the layers agree with each other.
 
-use revet::compiler::{Compiler, PassOptions};
+use revet::compiler::{PassOptions, Session};
 use revet_sltf::Word;
 
 #[test]
@@ -14,11 +14,14 @@ fn facade_compiles_and_runs() {
             };
         }
     "#;
-    let mut p = Compiler::new(PassOptions {
-        dram_bytes: 1 << 14,
-        ..PassOptions::default()
-    })
-    .compile_source(src)
+    let mut p = Session::new(
+        src,
+        PassOptions {
+            dram_bytes: 1 << 14,
+            ..PassOptions::default()
+        },
+    )
+    .to_dataflow()
     .unwrap();
     p.run_untimed(&[Word(6)], 1_000_000).unwrap();
     for i in 0..6usize {
