@@ -10,18 +10,42 @@
 //! suite in `revet-machine` covers it for alloc-free graphs.)
 
 use revet_apps::{all_apps, App};
-use revet_core::PassOptions;
-use revet_machine::RunOptions;
+use revet_core::{PassOptions, StreamExecutor};
+use revet_machine::{ExecReport, RunOptions};
 
 const SEED: u64 = 0xD1FF;
 const MAX_ROUNDS: u64 = 200_000_000;
 
-fn check_app_at(app: &App, level: u8) {
+/// The plan's schedule, pinned bit-for-bit: one line per (app, level) —
+/// the static partition into wake units, the one-shot planned run's
+/// counters, and the merged counters of the same argset streamed twice
+/// with a poll between (the resume path). A change to *when* a node fires
+/// moves a number here; a change to *how* it fires must not.
+const SCHEDULE_GOLDEN: &str = include_str!("golden/plan_schedule.txt");
+
+fn counters(r: &ExecReport) -> String {
+    format!(
+        "{} {} {} {}",
+        r.rounds, r.steps, r.productive_steps, r.peak_ready
+    )
+}
+
+/// Differential checks for one (app, level); returns its schedule line.
+fn check_app_at(app: &App, level: u8) -> String {
     let opts = PassOptions {
         opt_level: level,
         ..PassOptions::default()
     };
     let (program, args, w) = app.prepare(2, 12, SEED, &opts);
+    let stats = program.plan.stats();
+    let mut stream = program.stream(StreamExecutor::Planned);
+    for _ in 0..2 {
+        assert_eq!(stream.feed(std::slice::from_ref(&args)).unwrap(), 1);
+        stream
+            .poll(MAX_ROUNDS)
+            .unwrap_or_else(|e| panic!("{} (O{level}, streamed): {e}", app.name));
+    }
+    let streamed = *stream.report();
 
     let mut planned = program.instance();
     let p_report = planned
@@ -60,13 +84,35 @@ fn check_app_at(app: &App, level: u8) {
         p_report.steps,
         i_report.steps
     );
+    format!(
+        "{} O{level} {} {} {} {} | {} | {}",
+        app.name,
+        stats.nodes,
+        stats.segments,
+        stats.fused_ew,
+        stats.longest_segment,
+        counters(&p_report),
+        counters(&streamed)
+    )
 }
 
 #[test]
 fn planned_matches_interpreted_on_all_apps() {
+    let mut actual = Vec::new();
     for app in all_apps() {
         for level in [0, 2] {
-            check_app_at(&app, level);
+            actual.push(check_app_at(&app, level));
         }
     }
+    let golden: Vec<&str> = SCHEDULE_GOLDEN.lines().collect();
+    for (row, line) in actual.iter().enumerate() {
+        let want = golden.get(row).copied().unwrap_or("<missing row>");
+        assert!(
+            line == want,
+            "plan schedule moved at row {row}\n  golden: {want}\n  actual: {line}\n\
+             recomputed golden/plan_schedule.txt:\n{}",
+            actual.join("\n")
+        );
+    }
+    assert_eq!(actual.len(), golden.len(), "golden has extra rows");
 }
