@@ -41,7 +41,6 @@
 use crate::channel::Channel;
 use crate::mem::MemoryState;
 use crate::node::{ChanId, IoEvents, MachineError, Node, NodeId, NodeIo, PortBudget};
-use crate::tuple::TTok;
 use revet_obs::{ObsSink, StallClass, WakeCause};
 use std::collections::VecDeque;
 use std::fmt;
@@ -184,7 +183,7 @@ pub enum RunStatus {
     /// Clean quiescence: all consumer-attached channels drained.
     Finished,
     /// Quiescence with tokens still queued — resumable once more input
-    /// arrives ([`Graph::feed_source`] or a direct channel push).
+    /// is pushed onto an input channel ([`Graph::chan_mut`]).
     Paused,
 }
 
@@ -192,12 +191,14 @@ pub enum RunStatus {
 ///
 /// A fresh state makes the first run identical to a one-shot run: every
 /// node is seeded into the worklist. Subsequent runs on the same state
-/// re-seed only what can make progress — consumers of non-empty channels,
-/// allocator-gated nodes, and nodes holding internal pending input
-/// ([`Node::pending_input_tokens`], i.e. fed sources). Spurious seeds are
-/// harmless (an unproductive step), and any node able to make progress is
-/// covered: progress requires an input token, internal pending state, or
-/// allocator availability, all of which the re-seed rule observes. The
+/// re-seed the two places progress-enabling state can hide while the
+/// graph is quiescent: consumers of a **non-empty input channel** (input
+/// arrives by a push onto a channel, which is how streaming sessions
+/// feed) and **allocator waiters** (a returned pointer is invisible on
+/// the channel network). A [`crate::nodes::SourceNode`] stalled on a full
+/// bounded output needs no third rule: that channel is non-empty, so its
+/// consumer is seeded, and the consumer's pop is a capacity-release wake
+/// of the source. Spurious seeds are harmless (an unproductive step). The
 /// interpreted executor's worklist buffers live here so repeated polls
 /// never reallocate (the plan executor keeps its own bitmap and uses only
 /// the started flag); one state must only ever drive the graph it was
@@ -594,8 +595,8 @@ impl Graph {
     ///
     /// With `resume`, leftover tokens at quiescence return
     /// [`RunStatus::Paused`] and every channel ring and node state stays
-    /// live, ready to continue after more input is fed
-    /// ([`Graph::feed_source`] or a direct entry-channel push).
+    /// live, ready to continue after more input is pushed onto an input
+    /// channel.
     ///
     /// # Errors
     ///
@@ -632,9 +633,8 @@ impl Graph {
     }
 
     /// The nodes a run seeds its worklist with. First run: every node.
-    /// Resumed run: consumers of non-empty channels, allocator waiters,
-    /// and nodes holding internal pending input — the three places
-    /// progress-enabling state can hide while quiescent.
+    /// Resumed run: consumers of non-empty channels and allocator waiters
+    /// (the re-seed rule [`ResumeState`] documents).
     pub(crate) fn seeds(&self, first: bool) -> impl Iterator<Item = NodeId> + '_ {
         let can_progress = move |slot: &NodeSlot| {
             first
@@ -645,35 +645,11 @@ impl Graph {
                 || slot
                     .behavior
                     .as_ref()
-                    .is_some_and(|b| b.may_stall_on_alloc() || b.pending_input_tokens() > 0)
+                    .is_some_and(|b| b.may_stall_on_alloc())
         };
         (0..self.nodes.len())
             .filter(move |&i| can_progress(&self.nodes[i]))
             .map(|i| NodeId(i as u32))
-    }
-
-    /// Appends tokens to the internal pending queue of source node `id`
-    /// ([`Node::feed_tokens`]) — how a paused streaming graph receives its
-    /// next input chunk. The next resumable run re-wakes the source.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the node is not an input endpoint, or its
-    /// behavior is checked out mid-step.
-    pub fn feed_source(&mut self, id: NodeId, tokens: Vec<TTok>) -> Result<(), MachineError> {
-        let slot = &mut self.nodes[id.0 as usize];
-        let Some(behavior) = slot.behavior.as_mut() else {
-            return Err(MachineError {
-                node: Some(slot.label.clone()),
-                message: "feed_source during a node step (behavior checked out)".into(),
-            });
-        };
-        behavior.feed_tokens(tokens).map_err(|mut e| {
-            if e.node.is_none() {
-                e.node = Some(slot.label.clone());
-            }
-            e
-        })
     }
 
     /// Approximate resident heap bytes of this graph's mutable streaming
@@ -830,7 +806,7 @@ mod tests {
     use super::*;
     use crate::instr::{AluOp, EwInstr, Operand};
     use crate::nodes::{EwNode, OutputSpec, SinkNode, SourceNode};
-    use crate::tuple::{tbar, tdata};
+    use crate::tuple::{tbar, tdata, TTok};
 
     /// Interpreted one-shot run, report only.
     fn one_shot(g: &mut Graph, max_rounds: u64) -> Result<ExecReport, MachineError> {
@@ -1197,13 +1173,13 @@ mod tests {
         assert!(topo.consumers(c1).is_empty());
     }
 
-    /// src → double → sink with an initially empty source; `feed` tells the
-    /// test which node to feed chunks into.
-    fn streaming_pipeline() -> (Graph, NodeId, crate::nodes::SinkHandle) {
+    /// src → double → sink with an initially empty source; returns the
+    /// source's output channel, which the tests feed chunks onto.
+    fn streaming_pipeline() -> (Graph, ChanId, crate::nodes::SinkHandle) {
         let mut g = Graph::new();
         let c0 = g.add_chan(Channel::new(1));
         let c1 = g.add_chan(Channel::new(1));
-        let src = g.add_node(
+        g.add_node(
             "src",
             Box::new(SourceNode::new(Vec::new())),
             vec![],
@@ -1226,19 +1202,28 @@ mod tests {
         );
         let (sink, handle) = SinkNode::new();
         g.add_node("sink", Box::new(sink), vec![c1], vec![]);
-        (g, src, handle)
+        (g, c0, handle)
+    }
+
+    fn feed(g: &mut Graph, c: ChanId, toks: impl IntoIterator<Item = TTok>) {
+        for t in toks {
+            g.chan_mut(c).push(t);
+        }
     }
 
     #[test]
     fn resumable_interpreter_chunked_feed_matches_one_shot() {
         // One-shot reference: all input up front.
-        let (mut one, src, oh) = streaming_pipeline();
-        one.feed_source(src, vec![tdata([1u32]), tbar(1), tdata([2u32]), tbar(1)])
-            .unwrap();
+        let (mut one, entry, oh) = streaming_pipeline();
+        feed(
+            &mut one,
+            entry,
+            [tdata([1u32]), tbar(1), tdata([2u32]), tbar(1)],
+        );
         one_shot(&mut one, 1_000).unwrap();
 
         // Chunked: feed one argset, run, feed the next, run again.
-        let (mut g, src, handle) = streaming_pipeline();
+        let (mut g, entry, handle) = streaming_pipeline();
         let mut resume = ResumeState::new();
         let (_, s) = g
             .run(RunOptions {
@@ -1247,7 +1232,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(s, RunStatus::Finished, "empty stream drains cleanly");
-        g.feed_source(src, vec![tdata([1u32]), tbar(1)]).unwrap();
+        feed(&mut g, entry, [tdata([1u32]), tbar(1)]);
         let (r1, s) = g
             .run(RunOptions {
                 resume: Some(&mut resume),
@@ -1256,7 +1241,7 @@ mod tests {
             .unwrap();
         assert_eq!(s, RunStatus::Finished);
         assert_eq!(handle.tokens(), vec![tdata([2u32]), tbar(1)]);
-        g.feed_source(src, vec![tdata([2u32]), tbar(1)]).unwrap();
+        feed(&mut g, entry, [tdata([2u32]), tbar(1)]);
         let (r2, s) = g
             .run(RunOptions {
                 resume: Some(&mut resume),
@@ -1287,7 +1272,7 @@ mod tests {
             vec![],
             vec![c0],
         );
-        let src_b = g.add_node(
+        g.add_node(
             "src.b",
             Box::new(SourceNode::new(Vec::new())),
             vec![],
@@ -1310,7 +1295,7 @@ mod tests {
             .unwrap();
         assert_eq!(s, RunStatus::Paused, "stuck token pauses, not deadlocks");
         assert!(g.resident_bytes() > 0, "paused state holds resident tokens");
-        g.feed_source(src_b, vec![tdata([2u32])]).unwrap();
+        feed(&mut g, c1, [tdata([2u32])]);
         let (_, s) = g
             .run(RunOptions {
                 resume: Some(&mut resume),
@@ -1323,9 +1308,12 @@ mod tests {
 
     #[test]
     fn resumable_planned_chunked_feed_matches_one_shot() {
-        let (mut one, src, oh) = streaming_pipeline();
-        one.feed_source(src, vec![tdata([3u32]), tbar(1), tdata([5u32]), tbar(1)])
-            .unwrap();
+        let (mut one, entry, oh) = streaming_pipeline();
+        feed(
+            &mut one,
+            entry,
+            [tdata([3u32]), tbar(1), tdata([5u32]), tbar(1)],
+        );
         let plan = crate::ExecPlan::build(&one);
         one.run(RunOptions {
             plan: Some(&plan),
@@ -1333,10 +1321,10 @@ mod tests {
         })
         .unwrap();
 
-        let (mut g, src, handle) = streaming_pipeline();
+        let (mut g, entry, handle) = streaming_pipeline();
         let plan = crate::ExecPlan::build(&g);
         let mut resume = ResumeState::new();
-        g.feed_source(src, vec![tdata([3u32]), tbar(1)]).unwrap();
+        feed(&mut g, entry, [tdata([3u32]), tbar(1)]);
         let (r1, s) = g
             .run(RunOptions {
                 plan: Some(&plan),
@@ -1346,7 +1334,7 @@ mod tests {
             .unwrap();
         assert_eq!(s, RunStatus::Finished);
         assert_eq!(handle.tokens(), vec![tdata([6u32]), tbar(1)]);
-        g.feed_source(src, vec![tdata([5u32]), tbar(1)]).unwrap();
+        feed(&mut g, entry, [tdata([5u32]), tbar(1)]);
         let (r2, s) = g
             .run(RunOptions {
                 plan: Some(&plan),
@@ -1360,23 +1348,12 @@ mod tests {
     }
 
     #[test]
-    fn feed_source_rejects_non_source_nodes() {
-        let mut g = Graph::new();
-        let c0 = g.add_chan(Channel::new(1));
-        let (sink, _h) = SinkNode::new();
-        let id = g.add_node("sink", Box::new(sink), vec![c0], vec![]);
-        let err = g.feed_source(id, vec![tdata([1u32])]).unwrap_err();
-        assert!(err.message.contains("cannot feed"), "got: {err}");
-        assert_eq!(err.node.as_deref(), Some("sink"));
-    }
-
-    #[test]
     fn resident_bytes_tracks_queued_and_pending_tokens() {
-        let (mut g, src, _handle) = streaming_pipeline();
+        let (mut g, entry, _handle) = streaming_pipeline();
         assert_eq!(g.resident_bytes(), 0, "empty stream holds nothing");
-        g.feed_source(src, vec![tdata([7u32]), tbar(1)]).unwrap();
+        feed(&mut g, entry, [tdata([7u32]), tbar(1)]);
         let pending = g.resident_bytes();
-        assert!(pending > 0, "fed tokens are resident in the source");
+        assert!(pending > 0, "fed tokens are resident on the channel");
         let mut resume = ResumeState::new();
         g.run(RunOptions {
             resume: Some(&mut resume),

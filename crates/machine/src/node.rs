@@ -317,31 +317,6 @@ pub trait Node: fmt::Debug + Send + Sync {
         None
     }
 
-    /// Appends tokens to this node's internal pending-input queue —
-    /// streaming sessions feed resident instances through their source
-    /// nodes this way ([`crate::Graph::feed_source`]). Only input
-    /// endpoints ([`crate::nodes::SourceNode`]) accept tokens; the default
-    /// rejects the feed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MachineError`] when the node holds no appendable input
-    /// queue (every non-source primitive).
-    fn feed_tokens(&mut self, _tokens: Vec<TTok>) -> Result<(), MachineError> {
-        Err(MachineError::new(format!(
-            "cannot feed tokens into a '{}' node (only sources accept appended input)",
-            self.kind()
-        )))
-    }
-
-    /// Number of tokens queued in this node's *internal* state awaiting
-    /// injection — nonzero only for input endpoints holding unemitted
-    /// tokens. Resumable executors re-seed such nodes when a paused run
-    /// restarts, since internal state is invisible on the channel network.
-    fn pending_input_tokens(&self) -> usize {
-        0
-    }
-
     /// Approximate heap bytes retained by this node's internal state
     /// (pending source tokens, collected sink tokens, …). Per-session
     /// memory accounting for resident streaming instances; `0` for

@@ -84,18 +84,6 @@ impl Node for SourceNode {
         })
     }
 
-    /// Sources accept appended input: streaming sessions extend the
-    /// pending queue while the graph is paused, and the resumable
-    /// executors re-wake the source on the next run.
-    fn feed_tokens(&mut self, tokens: Vec<TTok>) -> Result<(), MachineError> {
-        self.pending.extend(tokens);
-        Ok(())
-    }
-
-    fn pending_input_tokens(&self) -> usize {
-        self.pending.len()
-    }
-
     fn resident_bytes(&self) -> usize {
         self.pending.iter().map(token_bytes).sum()
     }

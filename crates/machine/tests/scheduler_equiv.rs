@@ -26,7 +26,7 @@ use revet_machine::instr::{AluOp, EwInstr, Operand};
 use revet_machine::nodes::{EwNode, OutputSpec, SinkHandle, SinkNode, SourceNode};
 use revet_machine::reference::run_dense;
 use revet_machine::{
-    tbar, tdata, Channel, ExecPlan, ExecReport, Graph, MemoryState, NodeId, ResumeState,
+    tbar, tdata, ChanId, Channel, ExecPlan, ExecReport, Graph, MemoryState, ResumeState,
     RunOptions, RunStatus, TTok,
 };
 use revet_obs::ObsSink;
@@ -71,13 +71,13 @@ fn source_tokens(values: &[u32]) -> Vec<TTok> {
 
 /// Builds the graph described by (`toks`, `moves`); every node whose
 /// index is divisible by 3 also writes its stream into a private DRAM
-/// window. Returns the source node id (streaming tests feed it
+/// window. Returns the source's output channel (streaming tests feed it
 /// incrementally) and the sink handles (one per remaining open channel).
-fn build(toks: Vec<TTok>, moves: &[u32]) -> (Graph, NodeId, Vec<SinkHandle>) {
+fn build(toks: Vec<TTok>, moves: &[u32]) -> (Graph, ChanId, Vec<SinkHandle>) {
     let mut g = Graph::new();
     let mut writer_count = 0u32;
     let first = g.add_chan(Channel::new(1));
-    let src_id = g.add_node("src", Box::new(SourceNode::new(toks)), vec![], vec![first]);
+    g.add_node("src", Box::new(SourceNode::new(toks)), vec![], vec![first]);
     let mut open = vec![first];
 
     // Instructions shared by every generated node: an optional DRAM tap
@@ -190,7 +190,7 @@ fn build(toks: Vec<TTok>, moves: &[u32]) -> (Graph, NodeId, Vec<SinkHandle>) {
         handles.push(h);
     }
     g.mem = MemoryState::with_dram_size(WINDOW * (writer_count as usize + 1));
-    (g, src_id, handles)
+    (g, first, handles)
 }
 
 fn snapshot(handles: &[SinkHandle]) -> Vec<Vec<TTok>> {
@@ -275,14 +275,16 @@ proptest! {
                     let obs = if observed { &enabled } else { ObsSink::noop() };
                     let initial = if chunked { Vec::new() } else { toks.clone() };
                     // The plan is built once, before any chunk is fed.
-                    let (mut g, src, handles) = build(initial, &moves);
+                    let (mut g, entry, handles) = build(initial, &moves);
                     let plan = planned.then(|| ExecPlan::build(&g));
                     let mut steps = 0;
                     if chunked {
                         let mut resume = ResumeState::new();
                         let mut last = RunStatus::Finished;
                         for w in bounds.windows(2) {
-                            g.feed_source(src, toks[w[0]..w[1]].to_vec()).unwrap();
+                            for tok in &toks[w[0]..w[1]] {
+                                g.chan_mut(entry).push(tok.clone());
+                            }
                             let (report, status) = g
                                 .run(RunOptions {
                                     plan: plan.as_ref(),
