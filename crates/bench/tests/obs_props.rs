@@ -14,7 +14,7 @@ use revet_apps::all_apps;
 use revet_core::PassOptions;
 use revet_machine::instr::{AluOp, EwInstr, Operand};
 use revet_machine::nodes::{EwNode, OutputSpec, SinkNode, SourceNode};
-use revet_machine::{tbar, tdata, Channel, ExecPlan, Graph, MemoryState, RunOptions, TTok};
+use revet_machine::{tbar, tdata, ChanId, Channel, ExecPlan, Graph, MemoryState, RunOptions, TTok};
 use revet_obs::{EventKind, ObsSink};
 use revet_runtime::{BatchJob, BatchRunner};
 
@@ -103,6 +103,31 @@ fn trace_dispatch_counts_match_exec_report_on_all_apps() {
                 a.name
             );
             assert_eq!(traced_productive, report.productive_steps, "{}", a.name);
+
+            // Channel traffic is traced whichever way a node fires: every
+            // channel a node pushed to shows at least one `ChannelPush`
+            // (the entry channel is pushed by `inject_args`, not a node).
+            let pushed: std::collections::HashSet<u32> = obs
+                .trace_events()
+                .iter()
+                .filter_map(|ev| match ev.kind {
+                    EventKind::ChannelPush { chan } => Some(chan),
+                    _ => None,
+                })
+                .collect();
+            let topo = inst.graph.topology().expect("finalized by the run");
+            for (c, chan) in inst.graph.chans().iter().enumerate() {
+                let by_node = !topo.producers(ChanId(c as u32)).is_empty();
+                if by_node && chan.total_pushed() > 0 {
+                    assert!(
+                        pushed.contains(&(c as u32)),
+                        "{} (interpreted={interpreted}): channel {c} carried {} tokens \
+                         but no ChannelPush was traced",
+                        a.name,
+                        chan.total_pushed()
+                    );
+                }
+            }
         }
     }
 }

@@ -42,6 +42,7 @@ use crate::channel::Channel;
 use crate::mem::MemoryState;
 use crate::node::{ChanId, IoEvents, MachineError, Node, NodeId, NodeIo, PortBudget};
 use revet_obs::{ObsSink, StallClass, WakeCause};
+use revet_sltf::Word;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -169,6 +170,8 @@ pub struct Graph {
     /// Channel-endpoint index, shared across instances of the same wiring;
     /// `None` until finalized or after rewiring.
     topo: Option<Arc<TopologyIndex>>,
+    /// Register scratch lent to each stepped node ([`crate::Ports::scratch`]).
+    scratch: Vec<Word>,
 }
 
 /// How an untimed run ended.
@@ -379,17 +382,11 @@ impl Graph {
         &mut self.chans[id.0 as usize]
     }
 
-    /// Split mutable access to the channel table and memory state — the
-    /// plan executor pops, computes against memory, and pushes in one
-    /// borrow scope.
-    pub(crate) fn chans_and_mem_mut(&mut self) -> (&mut [Channel], &mut MemoryState) {
-        (&mut self.chans, &mut self.mem)
-    }
-
-    /// Like [`Graph::chans_and_mem_mut`] with the node slots alongside
-    /// (read-only, for error attribution while channels are borrowed).
-    pub(crate) fn split_mut(&mut self) -> (&mut [Channel], &mut MemoryState, &[NodeSlot]) {
-        (&mut self.chans, &mut self.mem, &self.nodes)
+    /// Split mutable access to the channel table, memory state and node
+    /// slots — the plan executor fires a node's behavior against its own
+    /// channels in one borrow scope.
+    pub(crate) fn split_mut(&mut self) -> (&mut [Channel], &mut MemoryState, &mut [NodeSlot]) {
+        (&mut self.chans, &mut self.mem, &mut self.nodes)
     }
 
     /// Builds (or reuses) the channel-endpoint index for the current wiring.
@@ -410,12 +407,15 @@ impl Graph {
         self.topo.as_deref()
     }
 
-    /// A shared handle to the finalized topology index (building it if
-    /// needed). Instances cloned from this graph hold the same `Arc`, so
-    /// the index is computed once per compile, not once per instance.
-    pub fn topology_handle(&mut self) -> Arc<TopologyIndex> {
-        self.finalize_topology();
-        self.topo.clone().expect("just finalized")
+    /// A shared handle to the topology index of the current wiring: the
+    /// finalized one when there is one (instances cloned from this graph
+    /// hold the same `Arc`, so the index is computed once per compile, not
+    /// once per instance), otherwise one built for the occasion — a graph
+    /// that was never finalized still plans and diagnoses.
+    pub fn topology_handle(&self) -> Arc<TopologyIndex> {
+        self.topo
+            .clone()
+            .unwrap_or_else(|| Arc::new(TopologyIndex::build(&self.nodes, self.chans.len())))
     }
 
     /// Makes a fresh, independently runnable instance of this graph: node
@@ -457,6 +457,7 @@ impl Graph {
             chans: self.chans.clone(),
             mem: self.mem.fresh_instance(),
             topo: self.topo.clone(),
+            scratch: Vec::new(),
         }
     }
 
@@ -523,16 +524,13 @@ impl Graph {
         if let Some(ev) = events {
             io = io.with_events(ev);
         }
+        io.scratch = std::mem::take(&mut self.scratch);
         let result = behavior.step(&mut io);
+        self.scratch = io.scratch;
         self.nodes[idx].ins = slot_ins;
         self.nodes[idx].outs = slot_outs;
         self.nodes[idx].behavior = Some(behavior);
-        result.map_err(|mut e| {
-            if e.node.is_none() {
-                e.node = Some(self.nodes[idx].label.clone());
-            }
-            e
-        })
+        result.map_err(|e| e.at(&self.nodes[idx].label))
     }
 
     /// One-pass deadlock diagnosis over the consumer index: every non-empty
@@ -541,14 +539,7 @@ impl Graph {
     /// stuck channel with its consumer labels; an empty result means a
     /// clean drain.
     pub fn stuck_channels(&self) -> Vec<String> {
-        let built;
-        let topo = match &self.topo {
-            Some(t) => &**t,
-            None => {
-                built = TopologyIndex::build(&self.nodes, self.chans.len());
-                &built
-            }
-        };
+        let topo = self.topology_handle();
         let mut stuck = Vec::new();
         for (ci, chan) in self.chans.iter().enumerate() {
             if chan.is_empty() {

@@ -6,21 +6,31 @@
 //! untimed Kahn-style executor used as the functional reference for compiled
 //! programs.
 //!
-//! The primitive set ([`nodes`]) matches §III-B:
+//! The primitive set ([`nodes`]) matches §III-B. Each primitive states its
+//! firing rule once, as a generic `fire<P: Ports>` over its links; the
+//! object-safe [`Node`] an executor holds is bridged to it in one place:
 //!
-//! | Paper primitive          | Node                              |
-//! |--------------------------|-----------------------------------|
-//! | element-wise / filter    | [`nodes::EwNode`] (+ predicated outputs) |
-//! | expansion: counter       | [`nodes::CounterNode`]            |
-//! | expansion: broadcast     | [`nodes::BroadcastNode`]          |
-//! | fork (expand + flatten)  | [`nodes::ForkNode`]               |
-//! | reduction                | [`nodes::ReduceNode`]             |
-//! | flattening / loop exit   | [`nodes::FlattenNode`]            |
-//! | forward merge            | [`nodes::FwdMergeNode`]           |
-//! | forward-backward merge   | [`nodes::FbMergeNode`]            |
+//! | Paper primitive          | Node                              | Firing rule |
+//! |--------------------------|-----------------------------------|-------------|
+//! | element-wise / filter    | [`nodes::EwNode`] (+ predicated outputs) | [`nodes::EwNode::fire`] |
+//! | expansion: counter       | [`nodes::CounterNode`]            | [`nodes::CounterNode::fire`] |
+//! | expansion: broadcast     | [`nodes::BroadcastNode`]          | [`nodes::BroadcastNode::fire`] |
+//! | fork (expand + flatten)  | [`nodes::ForkNode`]               | [`nodes::ForkNode::fire`] |
+//! | reduction                | [`nodes::ReduceNode`]             | [`nodes::ReduceNode::fire`] |
+//! | flattening / loop exit   | [`nodes::FlattenNode`]            | [`nodes::FlattenNode::fire`] |
+//! | forward merge            | [`nodes::FwdMergeNode`]           | [`nodes::FwdMergeNode::fire`] |
+//! | forward-backward merge   | [`nodes::FbMergeNode`]            | [`nodes::FbMergeNode::fire`] |
+//! | (test harness endpoints) | [`nodes::SourceNode`], [`nodes::SinkNode`] | likewise |
 //!
 //! All primitives observe the two SLTF composability rules: barriers pass
 //! through exactly once, in order, and data never reorders across barriers.
+//!
+//! A rule runs behind either [`Ports`] implementation, and the protocol
+//! lives there, not in the rule: [`NodeIo`] carries per-port token budgets
+//! (§III-C link bandwidth), room checks and [`IoEvents`] — the interpreted
+//! executor, the dense oracle and the cycle-level simulator; [`PlanPorts`]
+//! has direct channel access and applies wake-ups inside `push`/`pop_in`
+//! — the execution plan.
 //!
 //! The untimed executor is **event-driven**: a precomputed [`TopologyIndex`]
 //! maps channels to their endpoints, and a ready worklist re-steps a node
@@ -31,11 +41,11 @@
 //! identical streams and memory — the ready set just attempts far fewer
 //! steps (see [`ExecReport::productive_ratio`]).
 //!
-//! The hot path does not interpret boxed nodes at all: a finished graph
-//! flattens once into an [`ExecPlan`] — fused element-wise segments,
-//! native sink drains, a bitmap worklist, and a boxed fallback for
-//! everything else — with bit-identical results (see the [`ExecPlan`]
-//! docs).
+//! The hot path does not interpret the graph node by node: a finished
+//! graph is scheduled once into an [`ExecPlan`] — a partition of its nodes
+//! into wake units (maximal chains of element-wise stages fire as one),
+//! a bitmap worklist, and the graph's own topology index — with
+//! bit-identical results (see the [`ExecPlan`] docs).
 //!
 //! There is one way in to execute, [`Graph::run`]; its [`RunOptions`] name
 //! the four things a run can vary on:
@@ -93,7 +103,7 @@ pub use graph::{
     ExecReport, Graph, NodeSlot, ResumeState, RunOptions, RunStatus, TopologyIndex, UnitClass,
 };
 pub use mem::{AllocId, AllocQueue, MemoryState, SramId, SramRegion};
-pub use node::{ChanId, FusedSpec, IoEvents, MachineError, Node, NodeId, NodeIo, PortBudget};
-pub use plan::{ExecPlan, PlanStats};
+pub use node::{ChanId, IoEvents, MachineError, Node, NodeId, NodeIo, PortBudget, Ports};
+pub use plan::{ExecPlan, PlanPorts, PlanStats};
 pub use ring::Ring;
 pub use tuple::{tbar, tdata, TTok, Tuple};

@@ -1,19 +1,32 @@
-//! The streaming-node abstraction and its I/O surface.
+//! The streaming-node abstraction and its port surface.
 //!
-//! Every §III-B primitive is a [`Node`]: a small state machine that, when
-//! stepped, consumes tokens from its input channels and produces tokens on
-//! its output channels. Nodes are written in *check-then-commit* style — they
-//! verify output room (and allocator availability) **before** consuming
-//! inputs — so the same implementations run correctly under the untimed
-//! executor (unbounded channels) and the cycle-level simulator (bounded
-//! channels and per-cycle port budgets).
+//! Every §III-B primitive states its firing rule **once**, as a generic
+//! `fire<P: Ports>` over its links: a small state machine that consumes
+//! tokens from its input ports and produces tokens on its output ports.
+//! Rules are written in *check-then-commit* style — they verify output
+//! room (and allocator availability) **before** consuming inputs — so the
+//! one rule runs correctly behind every [`Ports`] implementation; the
+//! protocol lives in the ports, not in the rule:
+//!
+//! - [`NodeIo`] — per-port token budgets, room checks and [`IoEvents`]
+//!   recording: the interpreted executor ([`crate::Graph::run`] without a
+//!   plan), the dense oracle and the cycle-level simulator (bounded
+//!   channels, §III-C link bandwidth).
+//! - [`PlanPorts`] — direct channel access with the wake-ups applied
+//!   inside `push`/`pop_in`: the execution plan ([`crate::ExecPlan`]).
+//!
+//! [`Node`] is the object-safe face an executor holds; `node_entries!`
+//! bridges it to `fire`, once per `Ports` implementation.
+
+#![warn(clippy::too_many_lines)]
 
 use crate::channel::Channel;
-use crate::instr::EwInstr;
 use crate::mem::MemoryState;
-use crate::nodes::{OutputSpec, SinkHandle};
+use crate::nodes::{EwNode, SinkHandle};
+use crate::plan::PlanPorts;
 use crate::tuple::TTok;
 use core::fmt;
+use revet_sltf::Word;
 
 /// Identifies a channel within a [`crate::Graph`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -39,6 +52,14 @@ impl MachineError {
             node: None,
             message: message.into(),
         }
+    }
+
+    /// Attributes the error to the node labelled `label` unless it already
+    /// names one — firing rules return unattributed errors, the firing
+    /// site knows the label.
+    pub fn at(mut self, label: &str) -> Self {
+        self.node.get_or_insert_with(|| label.to_owned());
+        self
     }
 }
 
@@ -112,9 +133,53 @@ impl IoEvents {
     }
 }
 
-/// The I/O surface a node sees while stepping: its input/output channels
-/// (resolved through the graph's channel table), shared memory state, and
-/// per-port budgets.
+/// The port surface a primitive fires against: exactly the calls the
+/// §III-B firing rules make. What a call *costs* — budgets, back-pressure
+/// events, wake-ups — is the implementation's business ([`NodeIo`],
+/// [`PlanPorts`]).
+pub trait Ports {
+    /// Number of input ports.
+    fn in_count(&self) -> usize;
+
+    /// Number of output ports.
+    fn out_count(&self) -> usize;
+
+    /// Peeks the front token of input `i`, or `None` if none is available
+    /// to this firing.
+    fn peek_in(&self, i: usize) -> Option<&TTok>;
+
+    /// Pops the front token of input `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Ports::peek_in`] would return `None` (rules must check
+    /// first — this is check-then-commit discipline, not input validation).
+    fn pop_in(&mut self, i: usize) -> TTok;
+
+    /// True if output `o` can accept a token of the given kind.
+    fn can_push(&self, o: usize, barrier: bool) -> bool;
+
+    /// Pushes a token on output `o`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Ports::can_push`] is false for this token kind.
+    fn push(&mut self, o: usize, tok: TTok);
+
+    /// The shared memory state (DRAM, SRAM regions, allocator queues).
+    fn mem(&mut self) -> &mut MemoryState;
+
+    /// Read-only memory access (stall checks).
+    fn mem_ref(&self) -> &MemoryState;
+
+    /// A register scratch the executor lends for one firing, so a rule
+    /// that needs a per-thread register file allocates none.
+    fn scratch(&mut self) -> &mut Vec<Word>;
+}
+
+/// The budgeted port surface: a node's input/output channels (resolved
+/// through the graph's channel table), shared memory state, and per-port
+/// budgets.
 pub struct NodeIo<'a> {
     chans: &'a mut [Channel],
     ins: &'a [ChanId],
@@ -122,8 +187,10 @@ pub struct NodeIo<'a> {
     mem: &'a mut MemoryState,
     in_budget: &'a mut [PortBudget],
     out_budget: &'a mut [PortBudget],
-    progressed: bool,
     events: Option<&'a mut IoEvents>,
+    /// The lent register scratch ([`Ports::scratch`]); [`crate::Graph`]
+    /// swaps its own in around a step so the allocation is reused.
+    pub(crate) scratch: Vec<Word>,
 }
 
 impl fmt::Debug for NodeIo<'_> {
@@ -154,8 +221,8 @@ impl<'a> NodeIo<'a> {
             mem,
             in_budget,
             out_budget,
-            progressed: false,
             events: None,
+            scratch: Vec::new(),
         }
     }
 
@@ -165,20 +232,20 @@ impl<'a> NodeIo<'a> {
         self.events = Some(events);
         self
     }
+}
 
-    /// Number of input ports.
-    pub fn in_count(&self) -> usize {
+impl Ports for NodeIo<'_> {
+    fn in_count(&self) -> usize {
         self.ins.len()
     }
 
-    /// Number of output ports.
-    pub fn out_count(&self) -> usize {
+    fn out_count(&self) -> usize {
         self.outs.len()
     }
 
-    /// Peeks the front token of input `i`, or `None` if the channel is empty
-    /// or the port budget for that token kind is exhausted.
-    pub fn peek_in(&self, i: usize) -> Option<&TTok> {
+    /// `None` also when the port budget for the front token's kind is
+    /// exhausted.
+    fn peek_in(&self, i: usize) -> Option<&TTok> {
         let tok = self.chans[self.ins[i].0 as usize].front()?;
         if self.in_budget[i].allows(tok.is_barrier()) {
             Some(tok)
@@ -187,13 +254,7 @@ impl<'a> NodeIo<'a> {
         }
     }
 
-    /// Pops the front token of input `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`NodeIo::peek_in`] would return `None` (nodes must check
-    /// first — this is check-then-commit discipline, not input validation).
-    pub fn pop_in(&mut self, i: usize) -> TTok {
+    fn pop_in(&mut self, i: usize) -> TTok {
         let chan = &mut self.chans[self.ins[i].0 as usize];
         let was_full = chan.room() == 0;
         let tok = chan.pop().expect("pop_in on empty channel");
@@ -203,22 +264,15 @@ impl<'a> NodeIo<'a> {
             }
         }
         self.in_budget[i].take(tok.is_barrier());
-        self.progressed = true;
         tok
     }
 
-    /// True if output `o` can accept a token of the given kind (room in the
-    /// channel and port budget remaining).
-    pub fn can_push(&self, o: usize, barrier: bool) -> bool {
+    /// Room in the channel *and* port budget remaining.
+    fn can_push(&self, o: usize, barrier: bool) -> bool {
         self.chans[self.outs[o].0 as usize].room() > 0 && self.out_budget[o].allows(barrier)
     }
 
-    /// Pushes a token on output `o`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`NodeIo::can_push`] is false for this token kind.
-    pub fn push(&mut self, o: usize, tok: TTok) {
+    fn push(&mut self, o: usize, tok: TTok) {
         assert!(
             self.can_push(o, tok.is_barrier()),
             "push without can_push check on output {o}"
@@ -228,31 +282,23 @@ impl<'a> NodeIo<'a> {
         if let Some(ev) = self.events.as_deref_mut() {
             ev.pushed.push(self.outs[o]);
         }
-        self.progressed = true;
     }
 
-    /// The shared memory state (DRAM, SRAM regions, allocator queues).
-    pub fn mem(&mut self) -> &mut MemoryState {
+    fn mem(&mut self) -> &mut MemoryState {
         self.mem
     }
 
-    /// Read-only memory access (stall checks).
-    pub fn mem_ref(&self) -> &MemoryState {
+    fn mem_ref(&self) -> &MemoryState {
         self.mem
     }
 
-    /// Whether any pop/push happened through this view.
-    pub fn progressed(&self) -> bool {
-        self.progressed
-    }
-
-    /// Tuple arity of input port `i` (from its channel).
-    pub fn in_arity(&self, i: usize) -> usize {
-        self.chans[self.ins[i].0 as usize].arity
+    fn scratch(&mut self) -> &mut Vec<Word> {
+        &mut self.scratch
     }
 }
 
-/// A streaming primitive (§III-B). Implementations must:
+/// A streaming primitive (§III-B), as an executor holds it: the
+/// object-safe face of a firing rule. Implementations must:
 ///
 /// 1. pass every incoming barrier through exactly once, in order, and
 /// 2. never reorder data across barriers (reordering between barriers is
@@ -260,20 +306,42 @@ impl<'a> NodeIo<'a> {
 ///
 /// the two SLTF composability conditions.
 ///
+/// A primitive writes its rule once, as an inherent
+/// `fire<P: Ports>(&mut self, io: &mut P) -> Result<bool, MachineError>`
+/// that advances the node as far as inputs and output room allow and
+/// returns `Ok(true)` iff any token moved; `node_entries!` supplies the
+/// three entries below that depend on nothing else.
+///
 /// Nodes are `Send + Sync` so a finished [`crate::Graph`] can be shared
 /// immutably across threads (the batch runtime instantiates one compiled
 /// program many times from a shared reference) and instances can migrate
 /// onto worker threads.
 pub trait Node: fmt::Debug + Send + Sync {
-    /// Advances the node as far as budgets, inputs, and output room allow.
-    /// Returns `Ok(true)` iff any token moved.
+    /// Fires the rule against budgeted ports (interpreter, oracle,
+    /// simulator).
     ///
     /// # Errors
     ///
-    /// Returns [`MachineError`] on protocol violations (structure-mismatched
-    /// zip inputs, barrier overflow past Ω15, data on a barrier-free link…),
-    /// which indicate compiler bugs rather than recoverable conditions.
+    /// Returns an unattributed [`MachineError`] on protocol violations
+    /// (structure-mismatched zip inputs, barrier overflow past Ω15, data
+    /// on a barrier-free link…), which indicate compiler bugs rather than
+    /// recoverable conditions; the firing site attaches the node label.
     fn step(&mut self, io: &mut NodeIo<'_>) -> Result<bool, MachineError>;
+
+    /// Fires the same rule against the execution plan's ports.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Node::step`].
+    fn step_planned(&mut self, io: &mut PlanPorts<'_>) -> Result<bool, MachineError>;
+
+    /// Clones this node's behavior into a fresh boxed instance, so one
+    /// compiled graph can be instantiated many times
+    /// ([`crate::Graph::fresh_instance`]). Ordinary primitives copy their
+    /// state verbatim; result-collecting endpoints
+    /// ([`crate::nodes::SinkNode`]) clone to a fresh, empty collection
+    /// buffer instead of sharing the original's.
+    fn clone_node(&self) -> Box<dyn Node>;
 
     /// A short static kind name ("ew", "fwd-merge", …) for reports.
     fn kind(&self) -> &'static str;
@@ -286,14 +354,6 @@ pub trait Node: fmt::Debug + Send + Sync {
         false
     }
 
-    /// Clones this node's behavior into a fresh boxed instance, so one
-    /// compiled graph can be instantiated many times
-    /// ([`crate::Graph::fresh_instance`]). Ordinary primitives copy their
-    /// state verbatim; result-collecting endpoints
-    /// ([`crate::nodes::SinkNode`]) allocate a fresh, empty collection
-    /// buffer instead of sharing the original's.
-    fn clone_node(&self) -> Box<dyn Node>;
-
     /// The handle to this node's collected output, for result-collecting
     /// endpoints ([`crate::nodes::SinkNode`]); `None` for every other
     /// primitive. Lets an instantiated graph surface its own sink handle
@@ -302,18 +362,9 @@ pub trait Node: fmt::Debug + Send + Sync {
         None
     }
 
-    /// A data-only description of this node's behavior that the execution
-    /// plan ([`crate::ExecPlan`]) can lower onto its fused fast path;
-    /// `None` (the default) keeps the node on the boxed `step` fallback.
-    ///
-    /// Returning `Some` is a contract: executing the returned spec against
-    /// the node's channels must be **observably identical** to calling
-    /// [`Node::step`] — same tokens, same order, same memory effects, same
-    /// errors. The plan builder applies its own additional eligibility
-    /// checks (allocator stalls, channel bounds) before committing a node
-    /// to the fused path, so implementations only describe behavior, never
-    /// scheduling.
-    fn fused_spec(&self) -> Option<FusedSpec> {
+    /// This node as an element-wise stage, if it is one — the typed
+    /// borrow the execution plan's chain rule reads ([`crate::ExecPlan`]).
+    fn as_ew(&self) -> Option<&EwNode> {
         None
     }
 
@@ -326,6 +377,31 @@ pub trait Node: fmt::Debug + Send + Sync {
     }
 }
 
+/// The one bridge from a primitive's generic `fire<P: Ports>` to the
+/// object-safe [`Node`] entries; invoked inside each `impl Node for …`.
+macro_rules! node_entries {
+    () => {
+        fn step(
+            &mut self,
+            io: &mut $crate::node::NodeIo<'_>,
+        ) -> Result<bool, $crate::node::MachineError> {
+            self.fire(io)
+        }
+
+        fn step_planned(
+            &mut self,
+            io: &mut $crate::plan::PlanPorts<'_>,
+        ) -> Result<bool, $crate::node::MachineError> {
+            self.fire(io)
+        }
+
+        fn clone_node(&self) -> Box<dyn $crate::node::Node> {
+            Box::new(self.clone())
+        }
+    };
+}
+pub(crate) use node_entries;
+
 /// Approximate resident heap bytes of one queued token (accounting helper
 /// shared by channels and endpoint nodes).
 pub(crate) fn token_bytes(tok: &TTok) -> usize {
@@ -334,23 +410,4 @@ pub(crate) fn token_bytes(tok: &TTok) -> usize {
         revet_sltf::Tok::Barrier(_) => 0,
     };
     std::mem::size_of::<TTok>() + payload
-}
-
-/// A node behavior lowered to plan-executable data (see
-/// [`Node::fused_spec`]).
-#[derive(Clone, Debug)]
-pub enum FusedSpec {
-    /// An element-wise pipeline stage: straight-line instructions over a
-    /// per-thread register file, then per-port output specs.
-    Ew {
-        /// The straight-line program (indices into the plan's micro arena
-        /// after flattening).
-        instrs: Vec<EwInstr>,
-        /// One spec per output port.
-        outputs: Vec<OutputSpec>,
-        /// Register-file size.
-        reg_count: u16,
-    },
-    /// A result-collecting sink: drain input 0 into the sink handle.
-    Sink,
 }

@@ -9,7 +9,7 @@
 //! Flattening removes one hierarchy level while leaving elements untouched.
 
 use crate::instr::AluOp;
-use crate::node::{MachineError, Node, NodeIo};
+use crate::node::{node_entries, MachineError, Node, Ports};
 use revet_sltf::{Tok, Word};
 
 /// Reduce node: folds dimension 1 into single elements.
@@ -64,10 +64,13 @@ impl ReduceNode {
             None => Vec::new(),
         }
     }
-}
 
-impl Node for ReduceNode {
-    fn step(&mut self, io: &mut NodeIo<'_>) -> Result<bool, MachineError> {
+    /// The reduction firing rule (§III-B b).
+    ///
+    /// # Errors
+    ///
+    /// A void token into an arithmetic reduction.
+    pub fn fire<P: Ports>(&mut self, io: &mut P) -> Result<bool, MachineError> {
         let mut progressed = false;
         loop {
             match io.peek_in(0) {
@@ -122,13 +125,13 @@ impl Node for ReduceNode {
         }
         Ok(progressed)
     }
+}
+
+impl Node for ReduceNode {
+    node_entries!();
 
     fn kind(&self) -> &'static str {
         "reduce"
-    }
-
-    fn clone_node(&self) -> Box<dyn Node> {
-        Box::new(self.clone())
     }
 }
 
@@ -145,10 +148,13 @@ impl FlattenNode {
     pub fn new() -> Self {
         FlattenNode::default()
     }
-}
 
-impl Node for FlattenNode {
-    fn step(&mut self, io: &mut NodeIo<'_>) -> Result<bool, MachineError> {
+    /// The flattening firing rule (§III-B b).
+    ///
+    /// # Errors
+    ///
+    /// None; the `Result` is the signature every firing rule shares.
+    pub fn fire<P: Ports>(&mut self, io: &mut P) -> Result<bool, MachineError> {
         let mut progressed = false;
         loop {
             match io.peek_in(0) {
@@ -179,13 +185,13 @@ impl Node for FlattenNode {
         }
         Ok(progressed)
     }
+}
+
+impl Node for FlattenNode {
+    node_entries!();
 
     fn kind(&self) -> &'static str {
         "flatten"
-    }
-
-    fn clone_node(&self) -> Box<dyn Node> {
-        Box::new(self.clone())
     }
 }
 
@@ -194,7 +200,7 @@ mod tests {
     use super::*;
     use crate::channel::Channel;
     use crate::mem::MemoryState;
-    use crate::node::{ChanId, PortBudget};
+    use crate::node::{ChanId, NodeIo, PortBudget};
     use crate::tuple::{tbar, tdata, TTok};
 
     fn run(node: &mut dyn Node, input: Vec<TTok>, in_ar: usize, out_ar: usize) -> Vec<TTok> {

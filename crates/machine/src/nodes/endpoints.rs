@@ -1,6 +1,6 @@
 //! Graph endpoints: sources inject prepared streams, sinks collect results.
 
-use crate::node::{token_bytes, FusedSpec, MachineError, Node, NodeIo};
+use crate::node::{node_entries, token_bytes, MachineError, Node, Ports};
 use crate::tuple::TTok;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -37,16 +37,10 @@ impl SinkHandle {
     pub fn resident_bytes(&self) -> usize {
         self.0.lock().unwrap().iter().map(token_bytes).sum()
     }
-
-    /// Appends every token `iter` yields under a single lock — the plan
-    /// executor's fused sink drain (one lock per firing, not per token).
-    pub(crate) fn collect_from(&self, iter: impl Iterator<Item = TTok>) {
-        self.0.lock().unwrap().extend(iter);
-    }
 }
 
 /// Injects a prepared token stream into the graph.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct SourceNode {
     pending: VecDeque<TTok>,
 }
@@ -58,10 +52,13 @@ impl SourceNode {
             pending: tokens.into_iter().collect(),
         }
     }
-}
 
-impl Node for SourceNode {
-    fn step(&mut self, io: &mut NodeIo<'_>) -> Result<bool, MachineError> {
+    /// Emits pending tokens while the output has room.
+    ///
+    /// # Errors
+    ///
+    /// None; the `Result` is the signature every firing rule shares.
+    pub fn fire<P: Ports>(&mut self, io: &mut P) -> Result<bool, MachineError> {
         let mut progressed = false;
         while let Some(front) = self.pending.front() {
             if !io.can_push(0, front.is_barrier()) {
@@ -73,15 +70,13 @@ impl Node for SourceNode {
         }
         Ok(progressed)
     }
+}
+
+impl Node for SourceNode {
+    node_entries!();
 
     fn kind(&self) -> &'static str {
         "source"
-    }
-
-    fn clone_node(&self) -> Box<dyn Node> {
-        Box::new(SourceNode {
-            pending: self.pending.clone(),
-        })
     }
 
     fn resident_bytes(&self) -> usize {
@@ -95,6 +90,15 @@ pub struct SinkNode {
     out: SinkHandle,
 }
 
+/// A cloned sink collects into a **fresh, empty** buffer: instances of one
+/// compiled graph must never interleave their results. The new node's
+/// handle is reachable via [`Node::sink_handle`].
+impl Clone for SinkNode {
+    fn clone(&self) -> Self {
+        SinkNode::new().0
+    }
+}
+
 impl SinkNode {
     /// Creates a sink and the handle used to read it after execution.
     pub fn new() -> (Self, SinkHandle) {
@@ -106,10 +110,13 @@ impl SinkNode {
             handle,
         )
     }
-}
 
-impl Node for SinkNode {
-    fn step(&mut self, io: &mut NodeIo<'_>) -> Result<bool, MachineError> {
+    /// Collects every available input token.
+    ///
+    /// # Errors
+    ///
+    /// None; the `Result` is the signature every firing rule shares.
+    pub fn fire<P: Ports>(&mut self, io: &mut P) -> Result<bool, MachineError> {
         let mut progressed = false;
         while io.peek_in(0).is_some() {
             let tok = io.pop_in(0);
@@ -118,28 +125,17 @@ impl Node for SinkNode {
         }
         Ok(progressed)
     }
+}
+
+impl Node for SinkNode {
+    node_entries!();
 
     fn kind(&self) -> &'static str {
         "sink"
     }
 
-    /// A cloned sink collects into a **fresh, empty** buffer: instances of
-    /// one compiled graph must never interleave their results. The new
-    /// node's handle is reachable via [`Node::sink_handle`].
-    fn clone_node(&self) -> Box<dyn Node> {
-        Box::new(SinkNode {
-            out: SinkHandle::default(),
-        })
-    }
-
     fn sink_handle(&self) -> Option<SinkHandle> {
         Some(self.out.clone())
-    }
-
-    /// Sinks lower to a plan-native drain: pop everything on input 0 into
-    /// the handle (the plan captures the handle at run start).
-    fn fused_spec(&self) -> Option<FusedSpec> {
-        Some(FusedSpec::Sink)
     }
 
     fn resident_bytes(&self) -> usize {
@@ -152,7 +148,7 @@ mod tests {
     use super::*;
     use crate::channel::Channel;
     use crate::mem::MemoryState;
-    use crate::node::{ChanId, PortBudget};
+    use crate::node::{ChanId, NodeIo, PortBudget};
     use crate::tuple::{tbar, tdata};
 
     #[test]

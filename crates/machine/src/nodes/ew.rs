@@ -9,7 +9,7 @@
 //! carry data only).
 
 use crate::instr::{exec_instrs, EwInstr, Reg};
-use crate::node::{FusedSpec, MachineError, Node, NodeIo};
+use crate::node::{node_entries, MachineError, Node, Ports};
 use revet_sltf::{BarrierLevel, Tok, Word};
 
 /// Where one output port gets its tuple and when it fires.
@@ -101,7 +101,7 @@ impl EwNode {
         self.reg_count
     }
 
-    fn allocs_ready(&self, io: &NodeIo<'_>) -> bool {
+    fn allocs_ready(&self, io: &impl Ports) -> bool {
         // Conservative stall check: every AllocPop needs one available
         // pointer before we commit to consuming the input thread.
         let mut need: Vec<(crate::mem::AllocId, usize)> = Vec::new();
@@ -116,12 +116,38 @@ impl EwNode {
         need.iter()
             .all(|(id, c)| io.mem_ref().alloc_available(*id) >= *c)
     }
-}
 
-impl Node for EwNode {
-    fn step(&mut self, io: &mut NodeIo<'_>) -> Result<bool, MachineError> {
+    /// The element-wise firing rule, on the register scratch the ports
+    /// lend ([`Ports::scratch`]).
+    ///
+    /// # Errors
+    ///
+    /// Structure-mismatched inputs (a data front against a barrier front).
+    pub fn fire<P: Ports>(&self, io: &mut P) -> Result<bool, MachineError> {
+        let mut regs = std::mem::take(io.scratch());
+        let result = self.fire_on(io, &mut regs, self.may_stall_on_alloc());
+        *io.scratch() = regs;
+        result
+    }
+
+    /// [`EwNode::fire`] for a caller that holds the register file itself
+    /// and already knows `gated`, the answer to
+    /// [`Node::may_stall_on_alloc`] (`false` skips the allocator stall
+    /// check). `&self`: the rule is stateless once registers are lent, so
+    /// the execution plan fires chained stages through an immutable copy.
+    /// Inlined into its callers so the ports stay in registers across the
+    /// token loop — measured on `exec_control`.
+    #[inline(always)]
+    pub(crate) fn fire_on<P: Ports>(
+        &self,
+        io: &mut P,
+        regs: &mut Vec<Word>,
+        gated: bool,
+    ) -> Result<bool, MachineError> {
         let n_in = io.in_count();
         assert!(n_in >= 1, "EwNode requires at least one input");
+        let forwards = |o: &usize| !self.outputs[*o].strip_barriers;
+        regs.resize(self.reg_count as usize, Word::ZERO);
         let mut progressed = false;
         'outer: loop {
             // Classify all input fronts.
@@ -140,14 +166,14 @@ impl Node for EwNode {
                 }
             }
             if all_data {
-                if !self.allocs_ready(io) {
+                if gated && !self.allocs_ready(io) {
                     break;
                 }
                 if !(0..self.outputs.len()).all(|o| io.can_push(o, false)) {
                     break;
                 }
                 // Commit: pop every input, concatenate into registers.
-                let mut regs = vec![Word::ZERO; self.reg_count as usize];
+                regs.fill(Word::ZERO);
                 let mut cursor = 0usize;
                 for i in 0..n_in {
                     match io.pop_in(i) {
@@ -160,7 +186,7 @@ impl Node for EwNode {
                         Tok::Barrier(_) => unreachable!("front changed between peek and pop"),
                     }
                 }
-                exec_instrs(&self.instrs, &mut regs, io.mem());
+                exec_instrs(&self.instrs, regs, io.mem());
                 for (o, spec) in self.outputs.iter().enumerate() {
                     let fire = spec
                         .pred
@@ -187,14 +213,10 @@ impl Node for EwNode {
                 }
                 let level = min_bar.expect("at least one barrier front");
                 // Forward one barrier to every non-stripped output.
-                let need: Vec<usize> = self
-                    .outputs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| !s.strip_barriers)
-                    .map(|(o, _)| o)
-                    .collect();
-                if !need.iter().all(|&o| io.can_push(o, true)) {
+                if !(0..self.outputs.len())
+                    .filter(forwards)
+                    .all(|o| io.can_push(o, true))
+                {
                     break;
                 }
                 for i in 0..n_in {
@@ -202,7 +224,7 @@ impl Node for EwNode {
                         io.pop_in(i);
                     }
                 }
-                for &o in &need {
+                for o in (0..self.outputs.len()).filter(forwards) {
                     io.push(o, Tok::Barrier(level));
                 }
                 progressed = true;
@@ -212,27 +234,21 @@ impl Node for EwNode {
         }
         Ok(progressed)
     }
+}
+
+impl Node for EwNode {
+    node_entries!();
 
     fn kind(&self) -> &'static str {
         "ew"
-    }
-
-    fn clone_node(&self) -> Box<dyn Node> {
-        Box::new(self.clone())
     }
 
     fn may_stall_on_alloc(&self) -> bool {
         self.instrs.iter().any(|i| i.alloc_pop_id().is_some())
     }
 
-    /// An `EwNode` is pure per-thread data: its whole behavior is the
-    /// instruction slice plus the output specs, so it lowers directly.
-    fn fused_spec(&self) -> Option<FusedSpec> {
-        Some(FusedSpec::Ew {
-            instrs: self.instrs.clone(),
-            outputs: self.outputs.clone(),
-            reg_count: self.reg_count,
-        })
+    fn as_ew(&self) -> Option<&EwNode> {
+        Some(self)
     }
 }
 
@@ -242,7 +258,7 @@ mod tests {
     use crate::channel::Channel;
     use crate::instr::{AluOp, Operand};
     use crate::mem::MemoryState;
-    use crate::node::{ChanId, PortBudget};
+    use crate::node::{ChanId, NodeIo, PortBudget};
     use crate::tuple::{tbar, tdata, TTok};
 
     /// Runs a node over two input channels and returns output tokens.

@@ -10,7 +10,7 @@
 //!   arrives (§III-C) — the scalar-network optimization Aurochs lacked.
 
 use crate::instr::Operand;
-use crate::node::{MachineError, Node, NodeIo};
+use crate::node::{node_entries, MachineError, Node, Ports};
 use crate::tuple::Tuple;
 use revet_sltf::{BarrierLevel, Tok, Word};
 
@@ -62,10 +62,13 @@ impl CounterNode {
         self.parent_out_barriers = false;
         self
     }
-}
 
-impl Node for CounterNode {
-    fn step(&mut self, io: &mut NodeIo<'_>) -> Result<bool, MachineError> {
+    /// The counter firing rule (§III-B b).
+    ///
+    /// # Errors
+    ///
+    /// A step that evaluates to zero, or a barrier raised past Ω15.
+    pub fn fire<P: Ports>(&mut self, io: &mut P) -> Result<bool, MachineError> {
         let has_parent_out = io.out_count() > 1;
         let mut progressed = false;
         loop {
@@ -153,13 +156,13 @@ impl Node for CounterNode {
         }
         Ok(progressed)
     }
+}
+
+impl Node for CounterNode {
+    node_entries!();
 
     fn kind(&self) -> &'static str {
         "counter"
-    }
-
-    fn clone_node(&self) -> Box<dyn Node> {
-        Box::new(self.clone())
     }
 }
 
@@ -183,10 +186,13 @@ impl ForkNode {
             state: None,
         }
     }
-}
 
-impl Node for ForkNode {
-    fn step(&mut self, io: &mut NodeIo<'_>) -> Result<bool, MachineError> {
+    /// The fork firing rule (§IV-A a).
+    ///
+    /// # Errors
+    ///
+    /// None; the `Result` is the signature every firing rule shares.
+    pub fn fire<P: Ports>(&mut self, io: &mut P) -> Result<bool, MachineError> {
         let mut progressed = false;
         loop {
             if let Some((payload, next, count)) = &mut self.state {
@@ -232,13 +238,13 @@ impl Node for ForkNode {
         }
         Ok(progressed)
     }
+}
+
+impl Node for ForkNode {
+    node_entries!();
 
     fn kind(&self) -> &'static str {
         "fork"
-    }
-
-    fn clone_node(&self) -> Box<dyn Node> {
-        Box::new(self.clone())
     }
 }
 
@@ -266,10 +272,13 @@ impl BroadcastNode {
             current: None,
         }
     }
-}
 
-impl Node for BroadcastNode {
-    fn step(&mut self, io: &mut NodeIo<'_>) -> Result<bool, MachineError> {
+    /// The broadcast firing rule (§III-B b, §III-C).
+    ///
+    /// # Errors
+    ///
+    /// A barrier on the data-only parent link.
+    pub fn fire<P: Ports>(&mut self, io: &mut P) -> Result<bool, MachineError> {
         const PARENT: usize = 0;
         const CHILD: usize = 1;
         let mut progressed = false;
@@ -344,13 +353,13 @@ impl Node for BroadcastNode {
         }
         Ok(progressed)
     }
+}
+
+impl Node for BroadcastNode {
+    node_entries!();
 
     fn kind(&self) -> &'static str {
         "broadcast"
-    }
-
-    fn clone_node(&self) -> Box<dyn Node> {
-        Box::new(self.clone())
     }
 }
 
@@ -359,7 +368,7 @@ mod tests {
     use super::*;
     use crate::channel::Channel;
     use crate::mem::MemoryState;
-    use crate::node::{ChanId, PortBudget};
+    use crate::node::{ChanId, NodeIo, PortBudget};
     use crate::tuple::{tbar, tdata, TTok};
 
     fn run(

@@ -16,7 +16,7 @@
 //! forwarded one level higher. Unlike Aurochs's timeout scheme, this is
 //! exact for arbitrarily long (and nested) loop bodies.
 
-use crate::node::{MachineError, Node, NodeIo};
+use crate::node::{node_entries, MachineError, Node, Ports};
 use revet_sltf::Tok;
 
 /// Forward merge: combines two forward branches into one stream.
@@ -30,10 +30,13 @@ impl FwdMergeNode {
     pub fn new() -> Self {
         FwdMergeNode::default()
     }
-}
 
-impl Node for FwdMergeNode {
-    fn step(&mut self, io: &mut NodeIo<'_>) -> Result<bool, MachineError> {
+    /// The forward-merge firing rule (§III-B c).
+    ///
+    /// # Errors
+    ///
+    /// None; the `Result` is the signature every firing rule shares.
+    pub fn fire<P: Ports>(&mut self, io: &mut P) -> Result<bool, MachineError> {
         assert_eq!(io.in_count(), 2, "forward merge has exactly two inputs");
         let mut progressed = false;
         loop {
@@ -74,13 +77,13 @@ impl Node for FwdMergeNode {
         }
         Ok(progressed)
     }
+}
+
+impl Node for FwdMergeNode {
+    node_entries!();
 
     fn kind(&self) -> &'static str {
         "fwd-merge"
-    }
-
-    fn clone_node(&self) -> Box<dyn Node> {
-        Box::new(self.clone())
     }
 }
 
@@ -116,10 +119,14 @@ impl FbMergeNode {
             wave_had_data: false,
         }
     }
-}
 
-impl Node for FbMergeNode {
-    fn step(&mut self, io: &mut NodeIo<'_>) -> Result<bool, MachineError> {
+    /// The forward-backward-merge firing rule (§III-B d).
+    ///
+    /// # Errors
+    ///
+    /// An Ω1 on the backedge while admitting threads, a forward front that
+    /// changed while draining, or a barrier raised past Ω15.
+    pub fn fire<P: Ports>(&mut self, io: &mut P) -> Result<bool, MachineError> {
         assert_eq!(io.in_count(), 2, "fb-merge has forward + backedge inputs");
         const FWD: usize = 0;
         const BACK: usize = 1;
@@ -228,13 +235,13 @@ impl Node for FbMergeNode {
         }
         Ok(progressed)
     }
+}
+
+impl Node for FbMergeNode {
+    node_entries!();
 
     fn kind(&self) -> &'static str {
         "fb-merge"
-    }
-
-    fn clone_node(&self) -> Box<dyn Node> {
-        Box::new(self.clone())
     }
 }
 
@@ -243,7 +250,7 @@ mod tests {
     use super::*;
     use crate::channel::Channel;
     use crate::mem::MemoryState;
-    use crate::node::{ChanId, PortBudget};
+    use crate::node::{ChanId, NodeIo, PortBudget};
     use crate::tuple::{tbar, tdata, TTok};
 
     fn step2to1(

@@ -1,148 +1,91 @@
-//! The compiled execution plan: a flattened, arena-backed fast path for
-//! finished graphs.
+//! The execution plan: a schedule over a finished graph's nodes.
 //!
-//! Interpreting a [`Graph`] pays for virtual dispatch (`Box<dyn Node>`),
-//! behavior take/restore, `NodeIo` assembly, and a fresh register vector
-//! per data token. An [`ExecPlan`] is built **once** per compile from the
-//! finished wiring and removes all of that from the hot loop:
+//! Interpreting a [`Graph`] pays, per woken node, for a scheduler
+//! dispatch, behavior take/restore, `NodeIo` assembly with budget refresh,
+//! and an [`crate::IoEvents`] round trip to find out whom to wake. An
+//! [`ExecPlan`] is built **once** per compile from the finished wiring and
+//! removes that from the hot loop without restating any firing rule:
 //!
-//! - **Arenas.** Every per-node quantity lives in one dense buffer indexed
-//!   by node: plan kinds, stage descriptors, input-port lists, fused
-//!   micro-ops, and output specs are flat `Vec`s addressed by `u32`
-//!   ranges. Channel endpoint (producer/consumer) lists are flattened the
-//!   same way, so a wake is two array lookups.
-//! - **Fused segments.** Element-wise nodes lower onto a micro-op form
-//!   ([`crate::Node::fused_spec`]); maximal straight-line chains of them
-//!   (single producer → single consumer over a private unbounded channel)
-//!   become one *segment* that fires as a unit: each stage drains its
-//!   input through the real channels, so barrier canonicalization, filter
-//!   predicates, and per-channel statistics behave exactly as under the
-//!   interpreter — the saving is one scheduler dispatch and zero virtual
-//!   calls per segment instead of one per node, plus a reused scratch
-//!   register file instead of a per-token allocation. Single-input sinks
-//!   lower to a native drain under one lock per firing.
+//! - **Wake units.** Nodes are partitioned into units that fire together.
+//!   A maximal straight-line chain of element-wise stages (single producer
+//!   → single consumer over a private unbounded channel) is one *segment*:
+//!   its stages fire in chain order through the real channels, so barrier
+//!   canonicalization, filter predicates and per-channel statistics behave
+//!   exactly as under the interpreter — the saving is one dispatch for the
+//!   whole chain and a direct (non-virtual) call per stage. Every other
+//!   node is a unit of its own, fired through [`crate::Node::step_planned`].
+//! - **One port surface.** Both kinds of unit fire the primitive's own
+//!   rule against [`PlanPorts`]: direct channel access, no budgets, and
+//!   the wake-ups applied inside `push`/`pop_in` from the graph's own
+//!   [`TopologyIndex`] — `Wakes` is the only statement of the plan's wake
+//!   protocol.
 //! - **Bitmap worklist.** The ready set is a pair of `u64` bitmaps
-//!   (current/next generation) with O(1) wake and pop-lowest; a fused
-//!   segment occupies a single bit regardless of its length.
+//!   (current/next generation) with O(1) wake and pop-lowest; a segment
+//!   occupies a single bit regardless of its length (`wake_target`).
 //!
-//! Anything the plan cannot lower — sources (mutable pending state),
-//! merges, expanders, allocator-stalling stages, nodes on bounded
-//! channels — stays on the boxed [`crate::Node::step`] path behind the
-//! same scheduler, so the plan is **total**: every graph runs, only the
-//! hot kinds run faster. Kahn semantics guarantee the result is
-//! bit-identical to the interpreted executor; the `scheduler_equiv`
-//! property suite and the eight-app `plan_differential` suite assert it.
+//! The plan is **total** — every primitive already runs on its ports —
+//! and Kahn semantics guarantee the result is bit-identical to the
+//! interpreted executor; the `scheduler_equiv` property suite and the
+//! eight-app `plan_differential` suite assert it, and the latter pins the
+//! schedule itself (`golden/plan_schedule.txt`).
 //!
 //! A plan is run by passing it to [`Graph::run`]
 //! ([`crate::RunOptions::plan`]); this module only contributes the drain
 //! loop.
 
-use crate::graph::{round_cap_error, ExecReport, Graph};
-use crate::instr::{exec_instrs, EwInstr, Reg};
-use crate::node::{ChanId, FusedSpec, IoEvents, MachineError, NodeId, PortBudget};
-use crate::nodes::{OutputSpec, SinkHandle};
+#![warn(clippy::too_many_lines)]
+
+use crate::channel::Channel;
+use crate::graph::{round_cap_error, ExecReport, Graph, TopologyIndex};
+use crate::mem::MemoryState;
+use crate::node::{ChanId, MachineError, Node, NodeId, Ports};
+use crate::nodes::EwNode;
+use crate::tuple::TTok;
 use revet_obs::{ObsSink, WakeCause};
-use revet_sltf::{BarrierLevel, Tok, Word};
-
-/// A lowered element-wise behavior awaiting segment assembly.
-type EwLowering = (Vec<EwInstr>, Vec<OutputSpec>, u16);
-
-/// How the plan executes one node.
-#[derive(Clone, Copy, Debug)]
-enum PlanKind {
-    /// Member of fused segment `.0` (firing any member fires the whole
-    /// segment from its head; wakes are redirected to one bit per segment).
-    Seg(u32),
-    /// Fused single-input sink draining channel `.0`.
-    Sink(ChanId),
-    /// Fallback: step the boxed behavior through the interpreter surface.
-    Boxed,
-}
-
-/// One fused pipeline stage: an element-wise node lowered into the plan's
-/// arenas. All ranges are `u32` half-open index pairs into the flat
-/// buffers on [`ExecPlan`].
-#[derive(Clone, Debug)]
-struct Stage {
-    /// Graph node index (error attribution and diagnostics).
-    node: u32,
-    /// Input channels: range into `ExecPlan::ports`.
-    ins: (u32, u32),
-    /// Micro-ops: range into `ExecPlan::micro`.
-    instrs: (u32, u32),
-    /// Output descriptors: range into `ExecPlan::outs`.
-    outs: (u32, u32),
-    /// Register-file size for this stage's scratch window.
-    reg_count: u16,
-}
-
-/// One fused output port: the node's [`OutputSpec`] plus its resolved
-/// channel and whether a push on it must wake consumers (false only for a
-/// segment-internal forwarding edge, which the next stage drains within
-/// the same firing).
-#[derive(Clone, Debug)]
-struct PlanOut {
-    slots: Box<[Reg]>,
-    pred: Option<(Reg, bool)>,
-    strip_barriers: bool,
-    chan: ChanId,
-    wake: bool,
-}
+use revet_sltf::Word;
+use std::sync::Arc;
 
 /// Static shape counters for one built plan (reports and benchmarks).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PlanStats {
     /// Total nodes in the planned graph.
     pub nodes: usize,
-    /// Element-wise nodes lowered into fused segments.
+    /// Element-wise nodes chained into segments.
     pub fused_ew: usize,
-    /// Sinks lowered to the native drain.
-    pub fused_sinks: usize,
-    /// Nodes left on the boxed fallback path.
-    pub boxed: usize,
-    /// Fused segments (a segment is ≥1 chained stage).
+    /// Segments (a segment is ≥1 chained stage).
     pub segments: usize,
     /// Stage count of the longest segment.
     pub longest_segment: usize,
 }
 
 /// A compiled execution plan. Immutable once built; shared (`Arc`) across
-/// every instance of a compiled program, like the topology index. See the
-/// module docs for the layout.
+/// every instance of a compiled program, like the topology index it
+/// schedules over. See the module docs.
 #[derive(Debug)]
 pub struct ExecPlan {
-    // -- shape fingerprint (validated against the graph at run start) --
-    node_count: usize,
+    /// Shape fingerprint, with `wake_target.len()` (validated against the
+    /// graph at run start).
     chan_count: usize,
-    // -- per-node --
-    kinds: Vec<PlanKind>,
-    /// Bit to set when waking a node: the segment head for members, the
-    /// node itself otherwise.
+    /// Bit to set when waking a node: the segment head for a chained
+    /// stage, the node itself otherwise.
     wake_target: Vec<u32>,
-    // -- segment arenas --
-    /// Segment `s` owns `stages[seg_bounds[s]..seg_bounds[s+1]]`.
+    /// The segment a chained stage belongs to; `None` for a node that is
+    /// its own wake unit.
+    segment: Vec<Option<u32>>,
+    /// Segment `s` owns `stages[seg_bounds[s]..seg_bounds[s + 1]]`.
     seg_bounds: Vec<u32>,
-    stages: Vec<Stage>,
-    ports: Vec<ChanId>,
-    micro: Vec<EwInstr>,
-    outs: Vec<PlanOut>,
-    // -- flattened channel endpoints (wake lists) --
-    consumers: Vec<u32>,
-    cons_off: Vec<u32>,
-    producers: Vec<u32>,
-    prod_off: Vec<u32>,
-    /// Nodes that may stall on allocator availability (always boxed).
-    alloc_waiters: Vec<u32>,
-    // -- executor sizing --
-    max_regs: usize,
-    max_in: usize,
-    max_out: usize,
-    stats: PlanStats,
+    /// Chained stages in firing order: the graph node and an immutable
+    /// copy of its element-wise behavior (stateless once registers are
+    /// lent, so one copy serves every instance).
+    stages: Vec<(u32, EwNode)>,
+    /// The graph's own channel-endpoint index (wake lists).
+    topo: Arc<TopologyIndex>,
 }
 
 /// The two-generation bitmap worklist: `cur` drains while wakes land in
 /// `next`; membership in either suppresses re-queueing (the same dedup the
 /// interpreter's `queued` flags provide).
+#[derive(Debug)]
 struct WakeSet {
     cur: Vec<u64>,
     next: Vec<u64>,
@@ -179,249 +122,211 @@ impl WakeSet {
     }
 }
 
-impl ExecPlan {
-    /// Flattens a finished graph into a plan. Total: every node gets a
-    /// kind, with non-lowerable ones on the boxed fallback. The graph is
-    /// not modified; the plan matches any graph with identical wiring
-    /// (every [`Graph::fresh_instance`] of the same compile).
-    pub fn build(g: &Graph) -> ExecPlan {
-        let nodes = g.nodes();
-        let chans = g.chans();
-        let n = nodes.len();
+/// The plan's wake protocol: every wake-up of a planned run goes through
+/// [`Wakes::wake`]. `obs` is `Some` only for an enabled sink, so the
+/// enabled test is made once per run, not per token.
+#[derive(Debug)]
+struct Wakes<'a> {
+    plan: &'a ExecPlan,
+    ws: &'a mut WakeSet,
+    obs: Option<&'a ObsSink>,
+}
 
-        // Channel endpoints from the wiring (independent of the graph's
-        // own TopologyIndex so half-built test graphs also plan).
-        let mut cons: Vec<Vec<u32>> = vec![Vec::new(); chans.len()];
-        let mut prods: Vec<Vec<u32>> = vec![Vec::new(); chans.len()];
-        let mut alloc_waiters = Vec::new();
-        for (i, slot) in nodes.iter().enumerate() {
-            for c in &slot.ins {
-                cons[c.0 as usize].push(i as u32);
-            }
-            for c in &slot.outs {
-                prods[c.0 as usize].push(i as u32);
-            }
-            if slot
-                .behavior
-                .as_ref()
-                .is_some_and(|b| b.may_stall_on_alloc())
-            {
-                alloc_waiters.push(i as u32);
+impl Wakes<'_> {
+    /// Queues the wake unit of every node in `nodes` (a segment member
+    /// costs its head's one bit).
+    #[inline(always)]
+    fn wake(&mut self, nodes: &[NodeId], cause: WakeCause) {
+        for w in nodes {
+            let t = self.plan.wake_target[w.0 as usize];
+            if self.ws.wake(t) {
+                if let Some(obs) = self.obs {
+                    obs.wake(t, cause);
+                }
             }
         }
+    }
+}
 
-        // Lowerable behaviors. Element-wise fusion additionally requires:
-        // no allocator stalls (fused stages commit without a stall check),
-        // ≥1 input (EwNode's own invariant), unbounded outputs (fused
-        // pushes skip room checks), and a spec/wiring port-count match.
-        let mut ew_spec: Vec<Option<EwLowering>> = (0..n).map(|_| None).collect();
-        let mut sink_ok = vec![false; n];
-        for (i, slot) in nodes.iter().enumerate() {
-            let Some(b) = slot.behavior.as_ref() else {
-                continue;
-            };
-            match b.fused_spec() {
-                Some(FusedSpec::Ew {
-                    instrs,
-                    outputs,
-                    reg_count,
-                }) if !b.may_stall_on_alloc()
+/// The execution plan's port surface: direct channel access, no budgets;
+/// a push wakes the channel's consumers, a pop that frees a full bounded
+/// channel wakes its producers (see [`Ports`] for the other
+/// implementation, [`crate::NodeIo`]).
+#[derive(Debug)]
+pub struct PlanPorts<'a> {
+    chans: &'a mut [Channel],
+    mem: &'a mut MemoryState,
+    ins: &'a [ChanId],
+    outs: &'a [ChanId],
+    /// The lent register scratch ([`Ports::scratch`]). Empty for a chained
+    /// stage, which gets its registers directly.
+    scratch: Vec<Word>,
+    wakes: Wakes<'a>,
+    /// The outputs feed the next stage of the segment being fired, which
+    /// drains them within the same firing — no wake needed.
+    interior: bool,
+}
+
+impl Ports for PlanPorts<'_> {
+    #[inline(always)]
+    fn in_count(&self) -> usize {
+        self.ins.len()
+    }
+
+    #[inline(always)]
+    fn out_count(&self) -> usize {
+        self.outs.len()
+    }
+
+    #[inline(always)]
+    fn peek_in(&self, i: usize) -> Option<&TTok> {
+        self.chans[self.ins[i].0 as usize].front()
+    }
+
+    #[inline(always)]
+    fn pop_in(&mut self, i: usize) -> TTok {
+        let c = self.ins[i];
+        let chan = &mut self.chans[c.0 as usize];
+        let was_full = chan.room() == 0;
+        let tok = chan.pop().expect("pop_in on empty channel");
+        if was_full {
+            let producers = self.wakes.plan.topo.producers(c);
+            self.wakes.wake(producers, WakeCause::CapacityRelease);
+        }
+        tok
+    }
+
+    #[inline(always)]
+    fn can_push(&self, o: usize, _barrier: bool) -> bool {
+        self.chans[self.outs[o].0 as usize].room() > 0
+    }
+
+    #[inline(always)]
+    fn push(&mut self, o: usize, tok: TTok) {
+        let c = self.outs[o];
+        self.chans[c.0 as usize].push(tok);
+        if let Some(obs) = self.wakes.obs {
+            obs.channel_push(c.0);
+        }
+        if !self.interior {
+            let consumers = self.wakes.plan.topo.consumers(c);
+            self.wakes.wake(consumers, WakeCause::TokenArrival);
+        }
+    }
+
+    #[inline(always)]
+    fn mem(&mut self) -> &mut MemoryState {
+        self.mem
+    }
+
+    #[inline(always)]
+    fn mem_ref(&self) -> &MemoryState {
+        self.mem
+    }
+
+    #[inline(always)]
+    fn scratch(&mut self) -> &mut Vec<Word> {
+        &mut self.scratch
+    }
+}
+
+impl ExecPlan {
+    /// Schedules a finished graph. Total: every node is in exactly one
+    /// wake unit. The graph is not modified; the plan matches any graph
+    /// with identical wiring (every [`Graph::fresh_instance`] of the same
+    /// compile).
+    pub fn build(g: &Graph) -> ExecPlan {
+        let nodes = g.nodes();
+        let n = nodes.len();
+        let topo = g.topology_handle();
+
+        // Chainable stages: element-wise, no allocator stalls, ≥1 input
+        // (EwNode's own invariant), unbounded outputs, and a behavior/
+        // wiring port-count match.
+        let chainable: Vec<Option<&EwNode>> = nodes
+            .iter()
+            .map(|slot| {
+                let ew = slot.behavior.as_ref()?.as_ew()?;
+                let ok = !ew.may_stall_on_alloc()
                     && !slot.ins.is_empty()
-                    && outputs.len() == slot.outs.len()
+                    && ew.outputs.len() == slot.outs.len()
                     && slot
                         .outs
                         .iter()
-                        .all(|c| chans[c.0 as usize].capacity.is_none()) =>
-                {
-                    ew_spec[i] = Some((instrs, outputs, reg_count));
-                }
-                Some(FusedSpec::Sink) if slot.ins.len() == 1 => sink_ok[i] = true,
-                _ => {}
-            }
-        }
+                        .all(|c| g.chans()[c.0 as usize].capacity.is_none());
+                ok.then_some(ew)
+            })
+            .collect();
 
-        // Straight-line chaining: i → j when i's single output channel has
-        // exactly the producer {i} and consumer {j}, and j's single input
-        // is that channel. Both ends must be fusable element-wise stages.
-        let mut succ: Vec<Option<u32>> = vec![None; n];
+        // The chain rule: i → j when i's single output channel has exactly
+        // the producer {i} and consumer {j}, and j's single input is that
+        // channel. Both ends must be chainable.
+        let mut succ: Vec<Option<usize>> = vec![None; n];
         let mut has_pred = vec![false; n];
         for (i, slot) in nodes.iter().enumerate() {
-            if ew_spec[i].is_none() || slot.outs.len() != 1 {
+            let (Some(_), [c]) = (chainable[i], &slot.outs[..]) else {
                 continue;
-            }
-            let c = slot.outs[0].0 as usize;
-            let (p, s) = (&prods[c], &cons[c]);
-            if p.len() != 1 || s.len() != 1 {
+            };
+            let ([_], [NodeId(j)]) = (topo.producers(*c), topo.consumers(*c)) else {
                 continue;
+            };
+            let j = *j as usize;
+            if j != i && chainable[j].is_some() && nodes[j].ins.len() == 1 {
+                succ[i] = Some(j);
+                has_pred[j] = true;
             }
-            let j = s[0] as usize;
-            if j == i || ew_spec[j].is_none() || nodes[j].ins.len() != 1 {
-                continue;
-            }
-            succ[i] = Some(j as u32);
-            has_pred[j] = true;
         }
 
-        // Walk chains from their heads. Fusable nodes on a pure cycle have
-        // no head; they fall out of the walk and become singleton segments
-        // below, which is always safe (a one-stage segment is just the
-        // node's own semantics minus dispatch overhead).
-        let mut kinds = vec![PlanKind::Boxed; n];
-        let mut wake_target: Vec<u32> = (0..n as u32).collect();
-        let mut seg_bounds: Vec<u32> = vec![0];
-        let mut stages: Vec<Stage> = Vec::new();
-        let mut ports: Vec<ChanId> = Vec::new();
-        let mut micro: Vec<EwInstr> = Vec::new();
-        let mut outs: Vec<PlanOut> = Vec::new();
-        let mut assigned = vec![false; n];
-        let mut stats = PlanStats {
-            nodes: n,
-            ..PlanStats::default()
+        // Walk chains from their heads, then from whatever is left:
+        // chainable nodes on a pure cycle have no head and become segments
+        // cut at an arbitrary member, which is always safe (a segment is
+        // just its stages' own semantics minus dispatch overhead).
+        let mut plan = ExecPlan {
+            chan_count: g.chan_count(),
+            wake_target: (0..n as u32).collect(),
+            segment: vec![None; n],
+            seg_bounds: vec![0],
+            stages: Vec::new(),
+            topo,
         };
-
-        let mut emit_segment = |head: usize,
-                                ew_spec: &mut Vec<Option<EwLowering>>,
-                                kinds: &mut Vec<PlanKind>,
-                                wake_target: &mut Vec<u32>,
-                                assigned: &mut Vec<bool>| {
-            let seg = seg_bounds.len() as u32 - 1;
-            let mut i = head;
-            let mut seg_len = 0usize;
-            loop {
-                assigned[i] = true;
-                kinds[i] = PlanKind::Seg(seg);
-                wake_target[i] = head as u32;
-                let (instrs, specs, reg_count) = ew_spec[i].take().expect("walk stays fusable");
-                let slot = &nodes[i];
-                let next = succ[i].filter(|&j| !assigned[j as usize]);
-                let ins = (ports.len() as u32, (ports.len() + slot.ins.len()) as u32);
-                ports.extend_from_slice(&slot.ins);
-                let ir = (micro.len() as u32, (micro.len() + instrs.len()) as u32);
-                micro.extend(instrs);
-                let or = (outs.len() as u32, (outs.len() + specs.len()) as u32);
-                for (o, spec) in specs.into_iter().enumerate() {
-                    outs.push(PlanOut {
-                        slots: spec.slots.into_boxed_slice(),
-                        pred: spec.pred,
-                        strip_barriers: spec.strip_barriers,
-                        chan: slot.outs[o],
-                        // The forwarding edge to the chained next stage is
-                        // drained within this same firing — no wake needed.
-                        wake: next.is_none(),
-                    });
-                }
-                stages.push(Stage {
-                    node: i as u32,
-                    ins,
-                    instrs: ir,
-                    outs: or,
-                    reg_count,
-                });
-                seg_len += 1;
-                stats.fused_ew += 1;
-                match next {
-                    Some(j) => i = j as usize,
-                    None => break,
-                }
-            }
-            seg_bounds.push(stages.len() as u32);
-            stats.segments += 1;
-            stats.longest_segment = stats.longest_segment.max(seg_len);
-        };
-
-        for i in 0..n {
-            if ew_spec[i].is_some() && !has_pred[i] {
-                emit_segment(i, &mut ew_spec, &mut kinds, &mut wake_target, &mut assigned);
-            }
-        }
-        // Cycle leftovers: fusable but every member has a predecessor.
-        for i in 0..n {
-            if ew_spec[i].is_some() && !assigned[i] {
-                emit_segment(i, &mut ew_spec, &mut kinds, &mut wake_target, &mut assigned);
-            }
-        }
-        for i in 0..n {
-            if assigned[i] {
+        for head in (0..n).filter(|&i| !has_pred[i]).chain(0..n) {
+            if chainable[head].is_none() || plan.segment[head].is_some() {
                 continue;
             }
-            if sink_ok[i] {
-                kinds[i] = PlanKind::Sink(nodes[i].ins[0]);
-                stats.fused_sinks += 1;
-            } else {
-                stats.boxed += 1;
+            let seg = plan.seg_bounds.len() as u32 - 1;
+            let mut at = Some(head);
+            while let Some(i) = at.filter(|&i| plan.segment[i].is_none()) {
+                plan.segment[i] = Some(seg);
+                plan.wake_target[i] = head as u32;
+                let ew = chainable[i].expect("walk stays chainable");
+                plan.stages.push((i as u32, ew.clone()));
+                at = succ[i];
             }
+            plan.seg_bounds.push(plan.stages.len() as u32);
         }
-
-        // Flatten the endpoint lists into offset+data arrays.
-        let flatten = |lists: &[Vec<u32>]| {
-            let mut off = Vec::with_capacity(lists.len() + 1);
-            let mut data = Vec::new();
-            off.push(0u32);
-            for l in lists {
-                data.extend_from_slice(l);
-                off.push(data.len() as u32);
-            }
-            (data, off)
-        };
-        let (consumers, cons_off) = flatten(&cons);
-        let (producers, prod_off) = flatten(&prods);
-
-        let max_regs = stages
-            .iter()
-            .map(|s| s.reg_count as usize)
-            .max()
-            .unwrap_or(0);
-        let max_in = nodes.iter().map(|s| s.ins.len()).max().unwrap_or(0);
-        let max_out = nodes.iter().map(|s| s.outs.len()).max().unwrap_or(0);
-
-        ExecPlan {
-            node_count: n,
-            chan_count: chans.len(),
-            kinds,
-            wake_target,
-            seg_bounds,
-            stages,
-            ports,
-            micro,
-            outs,
-            consumers,
-            cons_off,
-            producers,
-            prod_off,
-            alloc_waiters,
-            max_regs,
-            max_in,
-            max_out,
-            stats,
-        }
+        plan
     }
 
-    /// Static shape counters (how much of the graph runs fused).
+    /// Static shape counters (how much of the graph fires chained).
     pub fn stats(&self) -> PlanStats {
-        self.stats
-    }
-
-    #[inline]
-    fn consumers_of(&self, c: ChanId) -> &[u32] {
-        let i = c.0 as usize;
-        &self.consumers[self.cons_off[i] as usize..self.cons_off[i + 1] as usize]
-    }
-
-    #[inline]
-    fn producers_of(&self, c: ChanId) -> &[u32] {
-        let i = c.0 as usize;
-        &self.producers[self.prod_off[i] as usize..self.prod_off[i + 1] as usize]
+        let lengths = self.seg_bounds.windows(2).map(|w| (w[1] - w[0]) as usize);
+        PlanStats {
+            nodes: self.wake_target.len(),
+            fused_ew: self.stages.len(),
+            segments: self.seg_bounds.len() - 1,
+            longest_segment: lengths.max().unwrap_or(0),
+        }
     }
 
     /// The shape fingerprint check [`Graph::run`] makes before running
     /// through this plan.
     pub(crate) fn check_shape(&self, g: &Graph) -> Result<(), MachineError> {
-        if g.node_count() == self.node_count && g.chan_count() == self.chan_count {
+        if g.node_count() == self.wake_target.len() && g.chan_count() == self.chan_count {
             return Ok(());
         }
         Err(MachineError::new(format!(
             "execution plan shape mismatch: plan for {} nodes/{} chans, graph has {}/{}",
-            self.node_count,
+            self.wake_target.len(),
             self.chan_count,
             g.node_count(),
             g.chan_count()
@@ -430,11 +335,10 @@ impl ExecPlan {
 
     /// The plan executor's drain loop, called by [`Graph::run`] (which owns
     /// the shape check, the first-run/resume decision and the quiescence
-    /// verdict): fires woken segments, sinks and boxed nodes until no wake
-    /// is pending. With an enabled `obs`, dispatches, segment fires, sink
-    /// drains, classified wakes and per-node stall attribution are
-    /// recorded; the no-op sink costs one predictable branch per event
-    /// site.
+    /// verdict): fires woken units until no wake is pending. With an
+    /// enabled `obs`, dispatches, segment fires, channel pushes, classified
+    /// wakes and per-node stall attribution are recorded; the no-op sink
+    /// costs one predictable branch per event site.
     pub(crate) fn drain(
         &self,
         g: &mut Graph,
@@ -442,32 +346,12 @@ impl ExecPlan {
         max_rounds: u64,
         obs: &ObsSink,
     ) -> Result<ExecReport, MachineError> {
-        let n = self.node_count;
-
-        // Capture sink handles up front (behaviors stay boxed; the fused
-        // path only needs the shared buffer).
-        let mut sinks: Vec<Option<SinkHandle>> = vec![None; n];
-        for (i, kind) in self.kinds.iter().enumerate() {
-            if let PlanKind::Sink(_) = kind {
-                let b = g.nodes()[i].behavior.as_ref().ok_or_else(|| MachineError {
-                    node: Some(g.nodes()[i].label.clone()),
-                    message: "planned run started while a behavior is checked out".into(),
-                })?;
-                sinks[i] = Some(b.sink_handle().ok_or_else(|| MachineError {
-                    node: Some(g.nodes()[i].label.clone()),
-                    message: "plan is stale: sink node no longer exposes a handle".into(),
-                })?);
-            }
-        }
-
-        let mut regs = vec![Word::ZERO; self.max_regs];
-        let mut ib = vec![PortBudget::UNLIMITED; self.max_in];
-        let mut ob = vec![PortBudget::UNLIMITED; self.max_out];
-        let mut events = IoEvents::default();
+        let mut regs = Vec::new();
         let mut report = ExecReport::default();
+        let traced = obs.is_enabled().then_some(obs);
 
         // Seeds map through `wake_target`, so segment members cost one bit.
-        let mut ws = WakeSet::new(n);
+        let mut ws = WakeSet::new(self.wake_target.len());
         for id in g.seeds(first) {
             ws.seed(self.wake_target[id.0 as usize]);
         }
@@ -486,39 +370,7 @@ impl ExecPlan {
                     ws.cur[w] &= ws.cur[w] - 1;
                     let i = w * 64 + b as usize;
                     report.steps += 1;
-                    let progressed = match self.kinds[i] {
-                        PlanKind::Seg(s) => {
-                            let p = self.fire_segment(s, g, &mut regs, &mut ws, obs)?;
-                            if p {
-                                let stages =
-                                    self.seg_bounds[s as usize + 1] - self.seg_bounds[s as usize];
-                                obs.segment_fire(s, stages);
-                            }
-                            p
-                        }
-                        PlanKind::Sink(c) => {
-                            let p = self.fire_sink(
-                                c,
-                                sinks[i].as_ref().expect("captured"),
-                                g,
-                                &mut ws,
-                                obs,
-                            );
-                            if p {
-                                obs.sink_drain();
-                            }
-                            p
-                        }
-                        PlanKind::Boxed => self.fire_boxed(
-                            i as u32,
-                            g,
-                            &mut ib,
-                            &mut ob,
-                            &mut events,
-                            &mut ws,
-                            obs,
-                        )?,
-                    };
+                    let progressed = self.fire(i, g, &mut regs, &mut ws, traced)?;
                     if progressed {
                         report.productive_steps += 1;
                     }
@@ -538,240 +390,84 @@ impl ExecPlan {
         Ok(report)
     }
 
-    /// Fallback firing: identical to the interpreter's inner loop — budget
-    /// refresh, traced step, event-driven wakes.
-    fn fire_boxed(
+    /// Fires wake unit `i`: a segment's stages in chain order (interior
+    /// forwarding channels are filled by stage `k` and drained by stage
+    /// `k + 1` within this same call) by a direct call to the element-wise
+    /// rule, any other node through its object-safe entry — both on
+    /// [`PlanPorts`], both attributed with the node label on error.
+    fn fire(
         &self,
-        i: u32,
+        i: usize,
         g: &mut Graph,
-        ib: &mut [PortBudget],
-        ob: &mut [PortBudget],
-        events: &mut IoEvents,
+        regs: &mut Vec<Word>,
         ws: &mut WakeSet,
-        obs: &ObsSink,
-    ) -> Result<bool, MachineError> {
-        let idx = i as usize;
-        let n_in = g.nodes()[idx].ins.len();
-        let n_out = g.nodes()[idx].outs.len();
-        for b in &mut ib[..n_in] {
-            *b = PortBudget::UNLIMITED;
-        }
-        for b in &mut ob[..n_out] {
-            *b = PortBudget::UNLIMITED;
-        }
-        let allocs_before = g.mem.alloc_push_ops();
-        let progressed =
-            g.step_node_traced(NodeId(i), &mut ib[..n_in], &mut ob[..n_out], events)?;
-        for &c in &events.pushed {
-            obs.channel_push(c.0);
-            for &w in self.consumers_of(c) {
-                let t = self.wake_target[w as usize];
-                if ws.wake(t) {
-                    obs.wake(t, WakeCause::TokenArrival);
-                }
-            }
-        }
-        for &c in &events.freed {
-            for &w in self.producers_of(c) {
-                let t = self.wake_target[w as usize];
-                if ws.wake(t) {
-                    obs.wake(t, WakeCause::CapacityRelease);
-                }
-            }
-        }
-        if g.mem.alloc_push_ops() != allocs_before {
-            for &w in &self.alloc_waiters {
-                let t = self.wake_target[w as usize];
-                if ws.wake(t) {
-                    obs.wake(t, WakeCause::AllocatorPush);
-                }
-            }
-        }
-        Ok(progressed)
-    }
-
-    /// Fused sink firing: drain the input channel into the handle under
-    /// one lock.
-    fn fire_sink(
-        &self,
-        c: ChanId,
-        handle: &SinkHandle,
-        g: &mut Graph,
-        ws: &mut WakeSet,
-        obs: &ObsSink,
-    ) -> bool {
-        let (chans, _) = g.chans_and_mem_mut();
-        let chan = &mut chans[c.0 as usize];
-        if chan.is_empty() {
-            return false;
-        }
-        let was_full = chan.room() == 0;
-        handle.collect_from(std::iter::from_fn(|| chan.pop()));
-        obs.channel_pop(c.0);
-        if was_full {
-            for &w in self.producers_of(c) {
-                let t = self.wake_target[w as usize];
-                if ws.wake(t) {
-                    obs.wake(t, WakeCause::CapacityRelease);
-                }
-            }
-        }
-        true
-    }
-
-    /// Fires a whole fused segment: stages run in chain order, each
-    /// draining its input channels exactly as [`crate::nodes::EwNode`]
-    /// would. Interior forwarding channels are filled by stage `k` and
-    /// drained by stage `k+1` within this same call.
-    fn fire_segment(
-        &self,
-        seg: u32,
-        g: &mut Graph,
-        regs: &mut [Word],
-        ws: &mut WakeSet,
-        obs: &ObsSink,
+        obs: Option<&ObsSink>,
     ) -> Result<bool, MachineError> {
         let allocs_before = g.mem.alloc_push_ops();
-        let range =
-            self.seg_bounds[seg as usize] as usize..self.seg_bounds[seg as usize + 1] as usize;
+        let (chans, mem, nodes) = g.split_mut();
         let mut progressed = false;
-        for st in &self.stages[range] {
-            progressed |= self.fire_stage(st, g, regs, ws, obs)?;
+        if let Some(seg) = self.segment[i] {
+            let (lo, hi) = (
+                self.seg_bounds[seg as usize] as usize,
+                self.seg_bounds[seg as usize + 1] as usize,
+            );
+            for (k, (node, ew)) in self.stages[lo..hi].iter().enumerate() {
+                let slot = &nodes[*node as usize];
+                // Built per stage, not re-bound: ports that never leave
+                // this loop stay in registers (measured on `exec_control`).
+                let mut io = PlanPorts {
+                    chans: &mut *chans,
+                    mem: &mut *mem,
+                    ins: &slot.ins,
+                    outs: &slot.outs,
+                    scratch: Vec::new(),
+                    wakes: Wakes {
+                        plan: self,
+                        ws: &mut *ws,
+                        obs,
+                    },
+                    interior: lo + k + 1 < hi,
+                };
+                // The stage gets the drain's registers directly (its ports
+                // lend none), and the chain rule admits no allocator stall.
+                progressed |= ew
+                    .fire_on(&mut io, regs, false)
+                    .map_err(|e| e.at(&slot.label))?;
+            }
+            if let (true, Some(obs)) = (progressed, obs) {
+                obs.segment_fire(seg, (hi - lo) as u32);
+            }
+        } else {
+            let slot = &mut nodes[i];
+            let behavior = slot.behavior.as_mut().ok_or_else(|| {
+                MachineError::new("planned run started while a behavior is checked out")
+                    .at(&slot.label)
+            })?;
+            let mut io = PlanPorts {
+                chans: &mut *chans,
+                mem: &mut *mem,
+                ins: &slot.ins,
+                outs: &slot.outs,
+                scratch: std::mem::take(regs),
+                wakes: Wakes {
+                    plan: self,
+                    ws: &mut *ws,
+                    obs,
+                },
+                interior: false,
+            };
+            let result = behavior.step_planned(&mut io);
+            *regs = io.scratch;
+            progressed = result.map_err(|e| e.at(&slot.label))?;
         }
-        // Fused micro-ops may AllocPush (returns are non-stalling); that
-        // state change is invisible on the channel network, so mirror the
-        // interpreter's allocator wake.
-        if g.mem.alloc_push_ops() != allocs_before {
-            for &w in &self.alloc_waiters {
-                let t = self.wake_target[w as usize];
-                if ws.wake(t) {
-                    obs.wake(t, WakeCause::AllocatorPush);
-                }
-            }
-        }
-        Ok(progressed)
-    }
-
-    /// One stage's firing loop — the fused replica of `EwNode::step` with
-    /// a reused scratch register window and direct channel access.
-    fn fire_stage(
-        &self,
-        st: &Stage,
-        g: &mut Graph,
-        regs: &mut [Word],
-        ws: &mut WakeSet,
-        obs: &ObsSink,
-    ) -> Result<bool, MachineError> {
-        let ins = &self.ports[st.ins.0 as usize..st.ins.1 as usize];
-        let instrs = &self.micro[st.instrs.0 as usize..st.instrs.1 as usize];
-        let outs = &self.outs[st.outs.0 as usize..st.outs.1 as usize];
-        let regs = &mut regs[..st.reg_count as usize];
-        let (chans, mem, slots) = g.split_mut();
-        let mut progressed = false;
-        'outer: loop {
-            // Classify all input fronts.
-            let mut min_bar: Option<BarrierLevel> = None;
-            let mut all_data = true;
-            for &c in ins {
-                match chans[c.0 as usize].front() {
-                    None => break 'outer,
-                    Some(Tok::Data(_)) => {}
-                    Some(Tok::Barrier(l)) => {
-                        all_data = false;
-                        min_bar = Some(min_bar.map_or(*l, |m: BarrierLevel| m.min(*l)));
-                    }
-                }
-            }
-            if all_data {
-                // Eligibility guarantees unbounded outputs and no
-                // allocator stalls: commit unconditionally.
-                regs.fill(Word::ZERO);
-                let mut cursor = 0usize;
-                for &c in ins {
-                    let chan = &mut chans[c.0 as usize];
-                    let was_full = chan.room() == 0;
-                    match chan.pop().expect("front checked") {
-                        Tok::Data(vals) => {
-                            for v in vals {
-                                regs[cursor] = v;
-                                cursor += 1;
-                            }
-                        }
-                        Tok::Barrier(_) => unreachable!("front changed between peek and pop"),
-                    }
-                    if was_full {
-                        for &w in self.producers_of(c) {
-                            let t = self.wake_target[w as usize];
-                            if ws.wake(t) {
-                                obs.wake(t, WakeCause::CapacityRelease);
-                            }
-                        }
-                    }
-                }
-                exec_instrs(instrs, regs, mem);
-                for o in outs {
-                    let fire = o
-                        .pred
-                        .map_or(true, |(r, expect)| regs[r as usize].as_bool() == expect);
-                    if fire {
-                        let tuple: Vec<Word> = o.slots.iter().map(|&s| regs[s as usize]).collect();
-                        chans[o.chan.0 as usize].push(Tok::Data(tuple));
-                        if o.wake {
-                            for &w in self.consumers_of(o.chan) {
-                                let t = self.wake_target[w as usize];
-                                if ws.wake(t) {
-                                    obs.wake(t, WakeCause::TokenArrival);
-                                }
-                            }
-                        }
-                    }
-                }
-                progressed = true;
-            } else {
-                // Mixed data/barrier fronts are a structure mismatch, the
-                // same hard error the interpreted node raises.
-                for (i, &c) in ins.iter().enumerate() {
-                    if chans[c.0 as usize].front().is_some_and(|t| t.is_data()) {
-                        return Err(MachineError {
-                            node: Some(slots[st.node as usize].label.clone()),
-                            message: format!(
-                                "zip structure mismatch: input {i} has data while another \
-                                 input has a barrier"
-                            ),
-                        });
-                    }
-                }
-                let level = min_bar.expect("at least one barrier front");
-                for &c in ins {
-                    let chan = &mut chans[c.0 as usize];
-                    if chan.front().and_then(|t| t.barrier_level()) == Some(level) {
-                        let was_full = chan.room() == 0;
-                        chan.pop();
-                        if was_full {
-                            for &w in self.producers_of(c) {
-                                let t = self.wake_target[w as usize];
-                                if ws.wake(t) {
-                                    obs.wake(t, WakeCause::CapacityRelease);
-                                }
-                            }
-                        }
-                    }
-                }
-                for o in outs {
-                    if !o.strip_barriers {
-                        chans[o.chan.0 as usize].push(Tok::Barrier(level));
-                        if o.wake {
-                            for &w in self.consumers_of(o.chan) {
-                                let t = self.wake_target[w as usize];
-                                if ws.wake(t) {
-                                    obs.wake(t, WakeCause::TokenArrival);
-                                }
-                            }
-                        }
-                    }
-                }
-                progressed = true;
-            }
+        // An allocator return is invisible on the channel network.
+        if mem.alloc_push_ops() != allocs_before {
+            let mut wakes = Wakes {
+                plan: self,
+                ws,
+                obs,
+            };
+            wakes.wake(self.topo.alloc_waiters(), WakeCause::AllocatorPush);
         }
         Ok(progressed)
     }
@@ -781,8 +477,8 @@ impl ExecPlan {
 mod tests {
     use super::*;
     use crate::channel::Channel;
-    use crate::instr::{AluOp, Operand};
-    use crate::nodes::{EwNode, SinkNode, SourceNode};
+    use crate::instr::{AluOp, EwInstr, Operand};
+    use crate::nodes::{EwNode, OutputSpec, SinkNode, SourceNode};
     use crate::tuple::{tbar, tdata, TTok};
     use crate::RunOptions;
 
@@ -849,8 +545,10 @@ mod tests {
         assert_eq!(stats.fused_ew, 3, "all three stages fuse");
         assert_eq!(stats.segments, 1, "one straight-line segment");
         assert_eq!(stats.longest_segment, 3);
-        assert_eq!(stats.fused_sinks, 1);
-        assert_eq!(stats.boxed, 1, "only the source stays boxed");
+        assert_eq!(
+            stats.nodes, 5,
+            "the source and the sink are their own units"
+        );
         let rp = one_shot(&mut gp, Some(&plan), 10_000).unwrap();
         assert_eq!(hi.tokens(), hp.tokens());
         assert!(rp.productive_steps > 0);
@@ -864,16 +562,16 @@ mod tests {
 
     #[test]
     fn bounded_output_falls_back_but_still_runs() {
-        // A bounded middle channel disqualifies its producer stage from
-        // fusing (fused pushes skip room checks); the plan must still
-        // finish via the boxed fallback with back-pressure wakes.
+        // A bounded middle channel keeps its producer stage out of the
+        // chain; the plan must still finish, with back-pressure wakes.
         let (mut gi, hi) = chain(Some(1));
         one_shot(&mut gi, None, 10_000).unwrap();
         let (mut gp, hp) = chain(Some(1));
         let plan = ExecPlan::build(&gp);
-        assert!(
-            plan.stats().boxed >= 2,
-            "source + the bounded-output stage stay boxed: {:?}",
+        assert_eq!(
+            plan.stats().fused_ew,
+            2,
+            "the bounded-output stage stays out of the chain: {:?}",
             plan.stats()
         );
         one_shot(&mut gp, Some(&plan), 10_000).unwrap();
@@ -920,7 +618,7 @@ mod tests {
         let (mut gp, p0, p1) = build();
         let plan = ExecPlan::build(&gp);
         assert_eq!(plan.stats().fused_ew, 1);
-        assert_eq!(plan.stats().fused_sinks, 2);
+        assert_eq!(plan.stats().nodes, 4, "src, split and both sinks");
         one_shot(&mut gp, Some(&plan), 10_000).unwrap();
         assert_eq!(i0.tokens(), p0.tokens());
         assert_eq!(i1.tokens(), p1.tokens());
@@ -1003,42 +701,83 @@ mod tests {
         assert_eq!(
             plan.stats().fused_ew,
             0,
-            "AllocPop stages must not fuse (stall check needs the boxed path)"
+            "AllocPop stages must not chain (they need the allocator wake)"
         );
         one_shot(&mut gp, Some(&plan), 10_000).unwrap();
         assert_eq!(hi.tokens(), hp.tokens());
         assert_eq!(gi.mem.dram, gp.mem.dram);
     }
 
+    /// Two sources feeding `head` (ports 0 and 1), then `tail` pass-through
+    /// stages, then a sink. `b: None` leaves port 1 unfed.
+    fn two_input(head: Box<dyn Node>, a: Vec<TTok>, b: Option<Vec<TTok>>, tail: usize) -> Graph {
+        let mut g = Graph::new();
+        let c0 = g.add_chan(Channel::new(1));
+        let c1 = g.add_chan(Channel::new(1));
+        g.add_node("src.a", Box::new(SourceNode::new(a)), vec![], vec![c0]);
+        if let Some(b) = b {
+            g.add_node("src.b", Box::new(SourceNode::new(b)), vec![], vec![c1]);
+        }
+        let width = head.as_ew().map_or(1, |ew| ew.outputs[0].slots.len());
+        let mut prev = g.add_chan(Channel::new(width));
+        g.add_node("head", head, vec![c0, c1], vec![prev]);
+        for i in 0..tail {
+            let next = g.add_chan(Channel::new(width));
+            let stage = EwNode::passthrough(width as u16);
+            g.add_node(format!("tail{i}"), Box::new(stage), vec![prev], vec![next]);
+            prev = next;
+        }
+        let (sink, _h) = SinkNode::new();
+        g.add_node("sink", Box::new(sink), vec![prev], vec![]);
+        g
+    }
+
+    /// The whole `MachineError` — label and message — is the same whichever
+    /// way the failing node fired: planned (chained or through the
+    /// object-safe entry), interpreted, dense oracle.
     #[test]
     fn planned_deadlock_matches_interpreted_diagnosis() {
-        let build = || {
-            let mut g = Graph::new();
-            let c0 = g.add_chan(Channel::new(1));
-            let c1 = g.add_chan(Channel::new(1));
-            let c2 = g.add_chan(Channel::new(2));
-            g.add_node(
-                "src",
-                Box::new(SourceNode::new(vec![tdata([1u32])])),
-                vec![],
-                vec![c0],
-            );
-            g.add_node(
-                "zip",
-                Box::new(EwNode::passthrough(2)),
-                vec![c0, c1],
-                vec![c2],
-            );
-            let (sink, _h) = SinkNode::new();
-            g.add_node("sink", Box::new(sink), vec![c2], vec![]);
-            g
+        let check = |build: &dyn Fn() -> Graph, longest: usize, label: Option<&str>, msg: &str| {
+            let ei = one_shot(&mut build(), None, 100).unwrap_err();
+            let ed = crate::reference::run_dense(&mut build(), 100).unwrap_err();
+            let mut gp = build();
+            let plan = ExecPlan::build(&gp);
+            assert_eq!(plan.stats().longest_segment, longest, "{msg}");
+            let ep = one_shot(&mut gp, Some(&plan), 100).unwrap_err();
+            assert_eq!(ei, ep, "{msg}: planned vs interpreted");
+            assert_eq!(ed, ep, "{msg}: planned vs dense");
+            assert_eq!(ep.node.as_deref(), label, "{msg}");
+            assert!(ep.message.contains(msg), "got: {ep}");
         };
-        let ei = one_shot(&mut build(), None, 100).unwrap_err();
-        let mut gp = build();
-        let plan = ExecPlan::build(&gp);
-        let ep = one_shot(&mut gp, Some(&plan), 100).unwrap_err();
-        assert_eq!(ei, ep, "identical deadlock diagnosis");
-        assert!(ep.message.contains("deadlock"), "got: {ep}");
+        let zip = || Box::new(EwNode::passthrough(2)) as Box<dyn Node>;
+        let fb = || Box::new(crate::nodes::FbMergeNode::new()) as Box<dyn Node>;
+        let (data, bar) = (|| vec![tdata([1u32])], || vec![tbar(1)]);
+        // A starved zip: the deadlock diagnosis carries no node.
+        check(&|| two_input(zip(), data(), None, 0), 1, None, "deadlock");
+        // Data front against a barrier front, on a singleton segment…
+        let mismatch = "structure mismatch: input 0 has data";
+        check(
+            &|| two_input(zip(), data(), Some(bar()), 0),
+            1,
+            Some("head"),
+            mismatch,
+        );
+        // …and on the head of a three-stage chain.
+        let mismatch = "structure mismatch: input 1 has data";
+        check(
+            &|| two_input(zip(), bar(), Some(data()), 2),
+            3,
+            Some("head"),
+            mismatch,
+        );
+        // A rule fired through the object-safe entry.
+        let omega = "unexpected Ω1 on backedge";
+        check(
+            &|| two_input(fb(), vec![], Some(bar()), 0),
+            0,
+            Some("head"),
+            omega,
+        );
     }
 
     #[test]

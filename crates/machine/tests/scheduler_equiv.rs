@@ -205,8 +205,7 @@ proptest! {
     /// the entire memory state (DRAM bytes, SRAM, allocators, and traffic
     /// counters), while the ready set attempts no more steps than the
     /// dense sweep. Every generated interior node is an `EwNode`, so the
-    /// plan exercises its fused path on the whole DAG (sources stay
-    /// boxed).
+    /// plan chains the whole DAG between the source and the sinks.
     #[test]
     fn planned_matches_ready_matches_dense(
         values in prop::collection::vec(0u32..100, 0..14),
@@ -224,9 +223,9 @@ proptest! {
 
         let stats = plan.stats();
         prop_assert_eq!(
-            stats.fused_ew + stats.fused_sinks + 1,
+            stats.fused_ew + plan_h.len() + 1,
             stats.nodes,
-            "everything but the source lowers: {:?}", stats
+            "everything but the source and the sinks chains: {:?}", stats
         );
 
         prop_assert_eq!(snapshot(&dense_h), snapshot(&ready_h));

@@ -80,8 +80,6 @@ pub struct ObsCounters {
     pub rounds: Counter,
     /// Fused plan segments fired.
     pub segment_fires: Counter,
-    /// Native sink drains executed by the plan.
-    pub sink_drains: Counter,
     /// Wakes caused by tokens arriving on an input channel.
     pub wakes_token: Counter,
     /// Wakes caused by a full output channel regaining capacity.
@@ -114,7 +112,6 @@ impl ObsCounters {
             productive: Counter::new(),
             rounds: Counter::new(),
             segment_fires: Counter::new(),
-            sink_drains: Counter::new(),
             wakes_token: Counter::new(),
             wakes_capacity: Counter::new(),
             wakes_alloc: Counter::new(),
@@ -137,13 +134,12 @@ impl ObsCounters {
         self.peak_ready.merge(&other.peak_ready);
     }
 
-    fn all(&self) -> [(&'static str, &Counter); 15] {
+    fn all(&self) -> [(&'static str, &Counter); 14] {
         [
             ("exec.dispatches", &self.dispatches),
             ("exec.productive", &self.productive),
             ("exec.rounds", &self.rounds),
             ("exec.segment_fires", &self.segment_fires),
-            ("exec.sink_drains", &self.sink_drains),
             ("exec.wakes.token", &self.wakes_token),
             ("exec.wakes.capacity", &self.wakes_capacity),
             ("exec.wakes.alloc", &self.wakes_alloc),
@@ -369,15 +365,6 @@ impl ObsSink {
         self.record(EventKind::ChannelPush { chan });
     }
 
-    /// Record tokens leaving channel `chan`.
-    #[inline]
-    pub fn channel_pop(&self, chan: u32) {
-        if !self.enabled {
-            return;
-        }
-        self.record(EventKind::ChannelPop { chan });
-    }
-
     /// Record a fused plan segment firing.
     #[inline]
     pub fn segment_fire(&self, seg: u32, stages: u32) {
@@ -386,15 +373,6 @@ impl ObsSink {
         }
         self.counters.segment_fires.inc();
         self.record(EventKind::SegmentFire { seg, stages });
-    }
-
-    /// Record a native sink drain.
-    #[inline]
-    pub fn sink_drain(&self) {
-        if !self.enabled {
-            return;
-        }
-        self.counters.sink_drains.inc();
     }
 
     /// Record DRAM traffic for one simulator cycle.
@@ -487,7 +465,6 @@ mod tests {
         s.stall(1, StallClass::InputStarved);
         s.wake(0, WakeCause::CapacityRelease);
         s.segment_fire(2, 3);
-        s.sink_drain();
         assert_eq!(s.counters.dispatches.get(), 2);
         assert_eq!(s.counters.productive.get(), 1);
         assert_eq!(s.counters.rounds.get(), 1);
@@ -495,7 +472,6 @@ mod tests {
         assert_eq!(s.counters.wakes_capacity.get(), 1);
         assert_eq!(s.counters.stalls_input_starved.get(), 1);
         assert_eq!(s.counters.segment_fires.get(), 1);
-        assert_eq!(s.counters.sink_drains.get(), 1);
         let dispatches = s
             .trace_events()
             .iter()

@@ -46,11 +46,6 @@ pub enum EventKind {
         /// Channel id.
         chan: u32,
     },
-    /// Tokens left a channel.
-    ChannelPop {
-        /// Channel id.
-        chan: u32,
-    },
     /// The scheduler re-queued a node for a classified reason.
     Wake {
         /// Graph node id.
@@ -87,7 +82,6 @@ impl EventKind {
         match self {
             EventKind::NodeDispatch { .. } => "node_dispatch",
             EventKind::ChannelPush { .. } => "channel_push",
-            EventKind::ChannelPop { .. } => "channel_pop",
             EventKind::Wake { .. } => "wake",
             EventKind::SegmentFire { .. } => "segment_fire",
             EventKind::DramAccess { .. } => "dram_access",
@@ -201,10 +195,6 @@ pub(crate) fn chrome_trace_json(events: &[TraceEvent], labels: &[String]) -> Str
             }
             EventKind::ChannelPush { chan } => {
                 let _ = write!(name, "push chan {chan}");
-                let _ = write!(args, "\"chan\":{chan}");
-            }
-            EventKind::ChannelPop { chan } => {
-                let _ = write!(name, "pop chan {chan}");
                 let _ = write!(args, "\"chan\":{chan}");
             }
             EventKind::Wake { node, cause } => {
