@@ -1,0 +1,183 @@
+//! Property tests for [`Channel`] through its owned-token surface
+//! (`push` / `pop` / `drain_all`): random data, barrier and pop sequences
+//! at tuple arities 0..=16 — bounded and unbounded, canonicalising and
+//! not, across ring wrap-around and growth — must behave exactly like a
+//! `VecDeque<TTok>` model that restates the barrier-absorb rule.
+//!
+//! The suite speaks only the part of the channel API that does not depend
+//! on how the queue is stored, so it pins the behaviour across a change of
+//! storage.
+
+use proptest::prelude::*;
+use revet_machine::{tbar, tdata, Channel, TTok};
+use revet_sltf::Tok;
+use std::collections::VecDeque;
+
+/// The reference: a token deque plus the absorb rule of the `Channel` docs
+/// (an Ωm still queued at the tail is replaced by a pushed Ωn, n > m, when
+/// data directly preceded it; the chain x Ω1 Ω2 Ω3 collapses to x Ω3; the
+/// tail context is forgotten once the queue drains).
+#[derive(Default)]
+struct Model {
+    q: VecDeque<TTok>,
+    cap: Option<usize>,
+    canon: bool,
+    tail_after_data: bool,
+    pushed: u64,
+    pushed_data: u64,
+}
+
+impl Model {
+    fn room(&self) -> usize {
+        self.cap
+            .map_or(usize::MAX, |cap| cap.saturating_sub(self.q.len()))
+    }
+
+    fn push(&mut self, tok: TTok) {
+        if let Tok::Barrier(level) = &tok {
+            if let (true, Some(Tok::Barrier(tail))) = (self.canon, self.q.back()) {
+                if tail < level && self.tail_after_data {
+                    *self.q.back_mut().expect("tail matched") = tok;
+                    return;
+                }
+            }
+            self.tail_after_data = matches!(self.q.back(), Some(Tok::Data(_)));
+        } else {
+            self.pushed_data += 1;
+        }
+        self.pushed += 1;
+        self.q.push_back(tok);
+    }
+
+    fn pop(&mut self) -> Option<TTok> {
+        let tok = self.q.pop_front();
+        if self.q.is_empty() {
+            self.tail_after_data = false;
+        }
+        tok
+    }
+}
+
+/// One step, decoded from a `u64` (the vendored proptest has no
+/// `prop_oneof!`): 3:3:3:1 data / barrier / pop / drain, so queues fill far
+/// enough to grow and wrap, barrier runs are long enough to chain, and the
+/// drained-tail reset is exercised mid-sequence. Barrier levels are drawn
+/// from Ω1..Ω4 so rising runs are common; the top nibble reaches Ω15.
+fn decode(raw: u64, arity: usize) -> Option<TTok> {
+    let payload = (raw >> 8) as u32;
+    match raw % 10 {
+        0..=2 => Some(tdata((0..arity as u32).map(|k| payload.wrapping_add(k)))),
+        3..=5 if payload.is_multiple_of(16) => Some(tbar(15)),
+        3..=5 => Some(tbar(1 + (payload % 4) as u8)),
+        _ => None,
+    }
+}
+
+/// Replays `steps` against a channel and a model in the same state,
+/// comparing every storage-independent observable after each step and the
+/// drained stream at the end. Pushes are attempted only while there is
+/// room, as nodes do.
+fn check(mut chan: Channel, mut model: Model, arity: usize, steps: &[u64]) {
+    for (i, &raw) in steps.iter().enumerate() {
+        match decode(raw, arity) {
+            Some(tok) if model.room() > 0 => {
+                chan.push(tok.clone());
+                model.push(tok);
+            }
+            Some(_) => assert_eq!(chan.room(), 0, "step {i}: model is full"),
+            None if raw % 10 == 9 => {
+                let want: Vec<TTok> = std::mem::take(&mut model.q).into();
+                model.tail_after_data = false;
+                assert_eq!(chan.drain_all(), want, "step {i}: drained stream");
+            }
+            None => assert_eq!(chan.pop(), model.pop(), "step {i}: popped token"),
+        }
+        assert_eq!(chan.len(), model.q.len(), "step {i}: len");
+        assert_eq!(chan.is_empty(), model.q.is_empty(), "step {i}: is_empty");
+        assert_eq!(chan.room(), model.room(), "step {i}: room");
+        assert_eq!(chan.total_pushed(), model.pushed, "step {i}: pushed");
+        assert_eq!(
+            chan.total_pushed_data(),
+            model.pushed_data,
+            "step {i}: pushed_data"
+        );
+    }
+    let want: Vec<TTok> = model.q.into();
+    assert_eq!(chan.drain_all(), want, "final drained stream");
+    assert!(chan.is_empty(), "drain_all empties the channel");
+}
+
+fn steps() -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec(any::<u64>(), 0..300)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Unbounded channels (the untimed default): storage starts empty and
+    /// grows by doubling under the push-heavy mix.
+    #[test]
+    fn unbounded_channel_matches_model(
+        arity in 0usize..=16,
+        canon in any::<bool>(),
+        steps in steps(),
+    ) {
+        let chan = Channel::new(arity);
+        let chan = if canon { chan } else { chan.without_canonicalization() };
+        check(chan, Model { canon, ..Model::default() }, arity, &steps);
+    }
+
+    /// Channels bounded at construction (`with_capacity`): full/empty
+    /// boundaries, and head orbiting the storage at high occupancy.
+    #[test]
+    fn presized_bounded_channel_matches_model(
+        arity in 0usize..=16,
+        cap in 1usize..40,
+        canon in any::<bool>(),
+        steps in steps(),
+    ) {
+        let chan = Channel::new(arity).with_capacity(cap);
+        let chan = if canon { chan } else { chan.without_canonicalization() };
+        check(chan, Model { cap: Some(cap), canon, ..Model::default() }, arity, &steps);
+    }
+
+    /// Channels bounded the way the simulator bounds them — by setting
+    /// `capacity` on an existing channel, with no pre-sizing — so storage
+    /// grows lazily on the way up to the cap.
+    #[test]
+    fn lazily_bounded_channel_matches_model(
+        arity in 0usize..=16,
+        cap in 1usize..40,
+        canon in any::<bool>(),
+        steps in steps(),
+    ) {
+        let mut chan = Channel::new(arity);
+        chan.capacity = Some(cap);
+        chan.canonicalize = canon;
+        check(chan, Model { cap: Some(cap), canon, ..Model::default() }, arity, &steps);
+    }
+
+    /// A bound applied after tokens are already queued (the simulator caps
+    /// every channel of a finished graph; the entry channel is uncapped
+    /// again before arguments are injected): occupancy above the cap reads
+    /// as no room, never as an underflow.
+    #[test]
+    fn bound_applied_to_a_nonempty_channel(
+        arity in 0usize..=16,
+        cap in 1usize..8,
+        prefill in 0usize..20,
+        steps in steps(),
+    ) {
+        let mut chan = Channel::new(arity);
+        let mut model = Model { canon: true, ..Model::default() };
+        for k in 0..prefill as u32 {
+            let tok = tdata((0..arity as u32).map(|j| k + j));
+            chan.push(tok.clone());
+            model.push(tok);
+        }
+        chan.capacity = Some(cap);
+        model.cap = Some(cap);
+        prop_assert_eq!(chan.room(), cap.saturating_sub(prefill));
+        check(chan, model, arity, &steps);
+    }
+}
