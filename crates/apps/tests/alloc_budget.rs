@@ -1,0 +1,147 @@
+//! Allocation budget of the execute path: a planned one-shot run may call
+//! the allocator to grow channel rings to their high-water mark and for a
+//! fixed handful of scheduler buffers — never per token. Tokens travel as
+//! windows into the channels' slabs (`revet_machine::Channel`), so the
+//! call count is bounded by what doubling each channel's ring can explain
+//! — a small multiple of the channel count — and grows with the input only
+//! as deeper queues double once more, logarithmically, while the data
+//! tokens crossing edges grow linearly.
+//!
+//! This is the tier-1 guard for what `perf_ledger`'s `allocs_per_op`
+//! measures on `exec_control`: a reintroduced per-token `Vec` fails here.
+
+use revet_apps::app;
+use revet_core::PassOptions;
+use revet_machine::Channel;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocator calls made by this thread (the harness's other threads
+    /// allocate too, so a process-wide counter would not repeat).
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count() {
+    // `try_with`: the allocator is still called while a thread tears down
+    // its locals.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract. The only addition is a bump of a const-initialised
+// thread-local `Cell` with no destructor: it neither allocates nor unwinds,
+// so the allocator is not re-entered.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's obligations are exactly `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as above, for `alloc_zeroed`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// What one planned one-shot run cost and moved.
+struct Run {
+    allocator_calls: u64,
+    data_tokens: u64,
+    chan_count: u64,
+    /// The most the channel rings can have asked of the allocator: a ring
+    /// starts at four slots and doubles, one call per lane (the word lane
+    /// is absent at arity 0), up to at most the tokens it ever carried.
+    ring_growth_bound: u64,
+}
+
+fn run(name: &str, scale: usize) -> Run {
+    let app = app(name).expect("a Table III app");
+    let (program, args, w) = app.prepare(2, scale, 0xA110C, &PassOptions::default());
+    let mut inst = program.instance();
+    let before = CALLS.with(Cell::get);
+    let result = inst.run_untimed(&args, 200_000_000);
+    let allocator_calls = CALLS.with(Cell::get) - before;
+    result.unwrap_or_else(|e| panic!("{name}@{scale}: {e}"));
+    app.check_dram(&inst.memory().dram, &w);
+    let chans = inst.graph.chans();
+    let ring_growth = |c: &Channel| {
+        let doublings = c.total_pushed().div_ceil(4).next_power_of_two().ilog2();
+        (1 + u64::from(c.arity() > 0)) * (1 + u64::from(doublings))
+    };
+    Run {
+        allocator_calls,
+        data_tokens: chans.iter().map(Channel::total_pushed_data).sum(),
+        chan_count: chans.len() as u64,
+        ring_growth_bound: chans
+            .iter()
+            .filter(|c| c.total_pushed() > 0)
+            .map(ring_growth)
+            .sum(),
+    }
+}
+
+/// The scheduler's own buffers (wake bitmaps, the register file, the
+/// seed list, the sink's collected tokens): a fixed handful per run.
+const FIXED_CALLS: u64 = 32;
+
+#[test]
+fn run_phase_allocations_do_not_scale_with_tokens() {
+    for (name, small, large) in [("huff-dec", 4usize, 16usize), ("kD-tree", 32, 128)] {
+        let (a, b) = (run(name, small), run(name, large));
+        assert_eq!(a.chan_count, b.chan_count, "{name}: one program");
+        assert!(
+            b.data_tokens >= 2 * a.data_tokens,
+            "{name}: the larger input must move at least twice the tokens \
+             for the comparison to mean anything ({} vs {})",
+            a.data_tokens,
+            b.data_tokens
+        );
+        for r in [&a, &b] {
+            assert!(
+                r.allocator_calls <= r.ring_growth_bound + FIXED_CALLS,
+                "{name}: {} allocator calls in the run phase, but growing \
+                 the rings of its {} channels explains at most {} \
+                 ({} data tokens moved)",
+                r.allocator_calls,
+                r.chan_count,
+                r.ring_growth_bound,
+                r.data_tokens
+            );
+        }
+        // The untimed executor lets queues deepen with the input, so a ring
+        // may double once more per doubling of the scale, on each of its
+        // two lanes: logarithmic in the input. A cost per token is linear.
+        let doublings = u64::from((large / small).ilog2());
+        let (more_calls, more_tokens) = (
+            b.allocator_calls.saturating_sub(a.allocator_calls),
+            b.data_tokens - a.data_tokens,
+        );
+        assert!(
+            more_calls <= 2 * doublings * a.chan_count && 20 * more_calls <= more_tokens,
+            "{name}: {more_tokens} more data tokens cost {more_calls} more \
+             allocator calls ({} -> {}) on {} channels",
+            a.allocator_calls,
+            b.allocator_calls,
+            a.chan_count
+        );
+    }
+}

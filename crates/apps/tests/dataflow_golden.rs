@@ -212,7 +212,10 @@ fn dump(p: &CompiledProgram) -> String {
         writeln!(
             s,
             "chan {i} arity={} class={:?} cap={:?} canon={}",
-            c.arity, c.class, c.capacity, c.canonicalize
+            c.arity(),
+            c.class,
+            c.capacity,
+            c.canonicalize
         )
         .unwrap();
     }
@@ -263,7 +266,7 @@ fn lowering_output_matches_the_golden_digest() {
             .graph
             .nodes()
             .iter()
-            .map(|n| n.label.as_str())
+            .map(|n| &*n.label)
             .chain(program.contexts.iter().map(|c| c.label.as_str()));
         seen.extend(labels.map(|l| label_base(l).to_string()));
         let text = dump(&program);

@@ -112,7 +112,13 @@ impl ProgramInstance {
         obs: &ObsSink,
     ) -> Result<(ExecReport, RunStatus), MachineError> {
         if obs.is_enabled() {
-            obs.set_labels(self.graph.nodes().iter().map(|s| s.label.clone()).collect());
+            obs.set_labels(
+                self.graph
+                    .nodes()
+                    .iter()
+                    .map(|s| s.label.to_string())
+                    .collect(),
+            );
         }
         let plan = match executor {
             StreamExecutor::Planned => Some(&*self.plan),

@@ -197,7 +197,7 @@ impl DfLower<'_> {
                 instrs,
                 vec![OutputSpec::plain(out_slots)],
             );
-            chan = self.ew(base, unit, self.category(), node, vec![chan]);
+            chan = self.ew(base, unit, self.category(), node, [chan]);
             layout = carried;
         }
         Ok(Cur {

@@ -60,7 +60,7 @@ impl DfLower<'_> {
             ];
             let split = EwNode::new(n, vec![], outputs);
             let (unit, category) = (UnitClass::Compute, self.category());
-            let (ins, outs) = (vec![parent], vec![feed, bypass]);
+            let (ins, outs) = ([parent], [feed, bypass]);
             self.ew_into("foreach.split", "ew", unit, category, split, ins, outs);
             let chan = self.broadcast("foreach.bcast", feed, child, 1 + live_in.len());
             let vars = [&[index], &live_in[..]].concat();
@@ -77,7 +77,7 @@ impl DfLower<'_> {
         let vars = [frame.results, &in_tuple].concat();
         let zip = EwNode::passthrough(vars.len() as u16);
         let (unit, category) = (UnitClass::Compute, self.category());
-        let chan = self.ew("foreach.join", unit, category, zip, vec![reduced, bypass]);
+        let chan = self.ew("foreach.join", unit, category, zip, [reduced, bypass]);
         self.emit_block(&[], Cur { chan, vars }, &out_tuple, "fe_out")
     }
 }

@@ -25,7 +25,7 @@ impl DfLower<'_> {
         let n = in_tuple.len() + 1;
         let spawned = self.chan(n, LinkClass::Vector);
         let (node, category) = (ForkNode::new(count), self.category());
-        let (ins, outs) = (vec![cur.chan], vec![spawned]);
+        let (ins, outs) = ([cur.chan], [spawned]);
         self.fixed("fork", "fork", category, n, node, ins, outs);
         let body_cur = Cur {
             chan: spawned,

@@ -300,7 +300,7 @@ impl DfLower<'_> {
     }
 
     fn link(&mut self, chan: Channel) -> ChanId {
-        let (arity, class) = (chan.arity, chan.class);
+        let (arity, class) = (chan.arity(), chan.class);
         let id = self.g.add_chan(chan);
         self.links.push(LinkInfo {
             id: id.0,
@@ -335,11 +335,11 @@ impl DfLower<'_> {
         category: Category,
         cost: (usize, usize),
         node: Box<dyn Node>,
-        ins: Vec<ChanId>,
-        outs: Vec<ChanId>,
+        ins: impl Into<Arc<[ChanId]>>,
+        outs: impl Into<Arc<[ChanId]>>,
     ) {
         let label = self.label(base);
-        let id = self.g.add_node(&label, node, ins, outs);
+        let id = self.g.add_node(label.as_str(), node, ins, outs);
         self.g.set_node_meta(id, self.infos.len() as u32, unit);
         self.infos.push(ContextInfo {
             id: id.0,
@@ -362,8 +362,8 @@ impl DfLower<'_> {
         category: Category,
         regs: usize,
         node: impl Node + 'static,
-        ins: Vec<ChanId>,
-        outs: Vec<ChanId>,
+        ins: impl Into<Arc<[ChanId]>>,
+        outs: impl Into<Arc<[ChanId]>>,
     ) {
         let unit = UnitClass::Compute;
         self.emit(
@@ -387,8 +387,8 @@ impl DfLower<'_> {
         unit: UnitClass,
         category: Category,
         node: EwNode,
-        ins: Vec<ChanId>,
-        outs: Vec<ChanId>,
+        ins: impl Into<Arc<[ChanId]>>,
+        outs: impl Into<Arc<[ChanId]>>,
     ) {
         let cost = (node.instrs.len(), node.reg_count() as usize);
         self.emit(base, kind, unit, category, cost, Box::new(node), ins, outs);
@@ -401,10 +401,10 @@ impl DfLower<'_> {
         unit: UnitClass,
         category: Category,
         node: EwNode,
-        ins: Vec<ChanId>,
+        ins: impl Into<Arc<[ChanId]>>,
     ) -> ChanId {
         let out = self.chan(node.outputs[0].slots.len(), LinkClass::Vector);
-        self.ew_into(base, "ew", unit, category, node, ins, vec![out]);
+        self.ew_into(base, "ew", unit, category, node, ins, [out]);
         out
     }
 
@@ -439,8 +439,8 @@ impl DfLower<'_> {
             self.category(),
             cost,
             Box::new(node),
-            vec![input.chan],
-            vec![on_true, on_false],
+            [input.chan],
+            [on_true, on_false],
         );
         (on_true, on_false)
     }
@@ -454,7 +454,7 @@ impl DfLower<'_> {
             vec![OutputSpec::filtered(vec![0; arity], 0, true)],
         );
         let (unit, category) = (UnitClass::Compute, self.category());
-        self.ew_into(base, "filter", unit, category, node, vec![input], vec![out]);
+        self.ew_into(base, "filter", unit, category, node, [input], [out]);
     }
 
     /// §III-B d forward merge of two same-level streams.
@@ -468,15 +468,7 @@ impl DfLower<'_> {
     ) -> ChanId {
         let out = self.chan(arity, class);
         let node = FwdMergeNode::new();
-        self.fixed(
-            base,
-            "fwd-merge",
-            category,
-            0,
-            node,
-            ins.to_vec(),
-            vec![out],
-        );
+        self.fixed(base, "fwd-merge", category, 0, node, ins, [out]);
         out
     }
 
@@ -491,15 +483,7 @@ impl DfLower<'_> {
                 .without_canonicalization(),
         );
         let (node, category) = (FbMergeNode::new(), self.category());
-        self.fixed(
-            base,
-            "fb-merge",
-            category,
-            0,
-            node,
-            vec![fwd, back],
-            vec![body],
-        );
+        self.fixed(base, "fb-merge", category, 0, node, [fwd, back], [body]);
         (body, back)
     }
 
@@ -507,7 +491,7 @@ impl DfLower<'_> {
     fn flatten(&mut self, base: &str, input: ChanId, arity: usize) -> ChanId {
         let out = self.chan(arity, LinkClass::Scalar);
         let (node, category) = (FlattenNode::new(), self.category());
-        self.fixed(base, "flatten", category, 0, node, vec![input], vec![out]);
+        self.fixed(base, "flatten", category, 0, node, [input], [out]);
         out
     }
 
@@ -520,8 +504,8 @@ impl DfLower<'_> {
         let parent = self.chan(n, LinkClass::Vector);
         let [min, max, step] = bounds;
         let (node, category) = (CounterNode::new(min, max, step), self.category());
-        let outs = vec![child, parent];
-        self.fixed(base, "counter", category, n, node, vec![input.chan], outs);
+        let outs = [child, parent];
+        self.fixed(base, "counter", category, n, node, [input.chan], outs);
         (child, parent)
     }
 
@@ -530,15 +514,7 @@ impl DfLower<'_> {
     fn broadcast(&mut self, base: &str, feed: ChanId, child: ChanId, arity: usize) -> ChanId {
         let out = self.chan(arity, LinkClass::Vector);
         let (node, category) = (BroadcastNode::new(1), self.category());
-        self.fixed(
-            base,
-            "broadcast",
-            category,
-            0,
-            node,
-            vec![feed, child],
-            vec![out],
-        );
+        self.fixed(base, "broadcast", category, 0, node, [feed, child], [out]);
         out
     }
 
@@ -551,7 +527,7 @@ impl DfLower<'_> {
             None => ReduceNode::void(),
         };
         let category = self.category();
-        self.fixed(base, "reduce", category, 1, node, vec![input], vec![out]);
+        self.fixed(base, "reduce", category, 1, node, [input], [out]);
         out
     }
 
@@ -608,9 +584,7 @@ impl DfLower<'_> {
             return Err(CoreError::new("main must end in return"));
         }
         let (sink, handle) = SinkNode::new();
-        let id = self
-            .g
-            .add_node("main.sink", Box::new(sink), vec![cur.chan], vec![]);
+        let id = self.g.add_node("main.sink", Box::new(sink), [cur.chan], []);
         self.g.set_node_meta(id, u32::MAX, UnitClass::Virtual);
         Ok((entry, handle))
     }

@@ -77,7 +77,7 @@ impl DfLower<'_> {
             .collect();
         let node = EwNode::new(scratch, instrs, vec![OutputSpec::plain(out_slots)]);
         let (unit, category) = (UnitClass::Compute, self.category());
-        let chan = self.ew("pack", unit, category, node, vec![cur.chan]);
+        let chan = self.ew("pack", unit, category, node, [cur.chan]);
         Cur { chan, vars }
     }
 
@@ -101,7 +101,7 @@ impl DfLower<'_> {
         }
         let node = EwNode::new(scratch, instrs, vec![OutputSpec::plain(out_slots)]);
         let (unit, category) = (UnitClass::Compute, self.category());
-        let chan = self.ew("unpack", unit, category, node, vec![input]);
+        let chan = self.ew("unpack", unit, category, node, [input]);
         Cur {
             chan,
             vars: logical.to_vec(),

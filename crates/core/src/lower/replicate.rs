@@ -81,7 +81,7 @@ impl DfLower<'_> {
             let slots = OutputSpec::plain((0..=n).collect::<Vec<_>>());
             let node = EwNode::new(n, vec![pop], vec![slots]);
             let (unit, category) = (UnitClass::Memory, Category::Replicate);
-            cur.chan = self.ew("rep.alloc", unit, category, node, vec![cur.chan]);
+            cur.chan = self.ew("rep.alloc", unit, category, node, [cur.chan]);
             cur.vars.push(h.ptr);
             if self.opts.bufferize_replicate {
                 let (unread, read): (Vec<Value>, Vec<Value>) =
@@ -165,7 +165,7 @@ impl DfLower<'_> {
         let cost = (instrs.len(), keep.len() + 1);
         let node = EwNode::new(scratch + 1, instrs, vec![out_keep]);
         let (unit, category) = (UnitClass::Memory, Category::Buffer);
-        let (ins, outs) = (vec![cur.chan], vec![chan]);
+        let (ins, outs) = ([cur.chan], [chan]);
         self.emit(
             "rep.bufstore",
             "ew",
@@ -195,15 +195,7 @@ impl DfLower<'_> {
         let node = EwNode::new(n, instrs, outputs);
         let (unit, category) = (UnitClass::Compute, Category::Replicate);
         let outs = chans.clone();
-        self.ew_into(
-            "rep.dist",
-            "filter",
-            unit,
-            category,
-            node,
-            vec![cur.chan],
-            outs,
-        );
+        self.ew_into("rep.dist", "filter", unit, category, node, [cur.chan], outs);
         // One retiming buffer MU in the distribution network (§V-C d).
         self.buffer_mu(Category::Retime, "rep.retime");
         chans
@@ -251,7 +243,7 @@ impl DfLower<'_> {
         let unit = UnitClass::Memory;
         let Some((sram, values)) = parked else {
             let node = EwNode::new(base, vec![push], vec![OutputSpec::plain(slots)]);
-            let chan = self.ew("rep.free", unit, Category::Replicate, node, vec![cur.chan]);
+            let chan = self.ew("rep.free", unit, Category::Replicate, node, [cur.chan]);
             return Ok(Cur { chan, vars });
         };
         let k = values.len() as u32;
@@ -273,7 +265,7 @@ impl DfLower<'_> {
         let cost = (instrs.len(), vars.len() + 2);
         let regs = (base + 2 * k as Reg).max(1);
         let node = EwNode::new(regs, instrs, vec![OutputSpec::plain(slots)]);
-        let (ins, outs) = (vec![cur.chan], vec![chan]);
+        let (ins, outs) = ([cur.chan], [chan]);
         self.emit(
             "rep.bufload",
             "ew",

@@ -80,7 +80,7 @@ impl DfLower<'_> {
                 };
                 let (unit, category) = (UnitClass::Compute, self.category());
                 let hop = EwNode::passthrough(arity as u16);
-                let (ins, outs) = (vec![back.chan], vec![back_chan]);
+                let (ins, outs) = ([back.chan], [back_chan]);
                 self.ew_into("while.back", "ew", unit, category, hop, ins, outs);
             }
             // All threads exit: the backedge still needs barriers.

@@ -109,7 +109,7 @@ pub fn place(program: &CompiledProgram) -> Placement {
         .collect();
     for (ni, node) in program.graph.nodes().iter().enumerate() {
         let _ = ni;
-        for cin in &node.ins {
+        for cin in node.ins.iter() {
             if let Some(&producer) = chan_producer.get(&cin.0) {
                 if let (Some(a), Some(b)) = (
                     at.get(&producer),

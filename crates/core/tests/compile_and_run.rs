@@ -415,7 +415,7 @@ fn subword_packing_reduces_link_width() {
                     .is_some_and(|b| b.kind().contains("merge"))
             })
             .flat_map(|n| n.ins.iter())
-            .map(|c| p.graph.chans()[c.0 as usize].arity)
+            .map(|c| p.graph.chans()[c.0 as usize].arity())
             .sum()
     };
     let w_packed = merge_input_width(&packed);

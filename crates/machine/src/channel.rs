@@ -1,17 +1,35 @@
 //! On-chip links between streaming contexts.
 //!
-//! A [`Channel`] carries tuple tokens between two nodes. Channels know their
-//! bandwidth class (§III-C: a scalar link moves one data element and one
-//! barrier per cycle; a vector link moves up to 16 data elements and one
-//! barrier) and opportunistically canonicalize barrier sequences on push —
-//! an Ωm still queued at the tail is absorbed by a pushed Ωn (n > m) when
-//! data directly preceded it, mirroring the paper's "Ω2 implies an Ω1"
-//! encoding rule without ever *holding back* a token (which could deadlock
-//! cyclic regions).
+//! A [`Channel`] carries tuple tokens between two nodes. Its queue is one
+//! [`Ring`] of arity-typed slab slots — a flat `Word` lane of `arity`
+//! words per slot plus a one-byte tag lane (`0` = data, `1..=15` = Ωn) —
+//! so a token in flight is a window into the slab, never a heap object:
+//!
+//! - **reading** is [`Channel::front`], a borrowed `Tok<&[Word]>`;
+//! - **popping** is [`Channel::pop_front`], a head bump;
+//! - **writing** is [`Channel::push_slot`], which opens the next slot and
+//!   hands the producer its word window to fill in place (or
+//!   [`Channel::push_data`], which copies a `&[Word]` in), and
+//!   [`Channel::push_barrier`], which writes only the tag lane.
+//!
+//! That is the surface the firing rules ride (through [`crate::Ports`]).
+//! Owned tokens ([`TTok`], a `Tok<Vec<Word>>`) exist only at the edges of
+//! a graph, where a token has to outlive its slot: [`Channel::push`],
+//! [`Channel::pop`] and [`Channel::drain_all`] convert for sources, host
+//! feeds, sinks and tests.
+//!
+//! Channels know their bandwidth class (§III-C: a scalar link moves one
+//! data element and one barrier per cycle; a vector link moves up to 16
+//! data elements and one barrier) and opportunistically canonicalize
+//! barrier sequences on push — an Ωm still queued at the tail is absorbed
+//! by a pushed Ωn (n > m) when data directly preceded it, mirroring the
+//! paper's "Ω2 implies an Ω1" encoding rule without ever *holding back* a
+//! token (which could deadlock cyclic regions). The absorb is one store to
+//! the tag lane.
 
 use crate::ring::Ring;
 use crate::tuple::TTok;
-use revet_sltf::Tok;
+use revet_sltf::{BarrierLevel, Tok, Word};
 
 /// Bandwidth class of a link (§III-C).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -35,14 +53,15 @@ impl LinkClass {
 
 /// A FIFO link between two streaming contexts.
 ///
-/// The queue is a power-of-two [`Ring`]: bounded channels pre-size their
-/// storage at construction and never reallocate while the graph runs;
-/// unbounded channels grow by doubling.
+/// Storage grows by doubling up to the high-water mark of the queue and is
+/// never sized from `capacity`: a bound is a limit on occupancy, not a
+/// reservation (the simulator bounds every channel of a graph, most of
+/// which stay near empty). [`Channel::with_capacity`] is the exception —
+/// it pre-sizes, so such a channel never reallocates while the graph runs.
 #[derive(Debug, Clone)]
 pub struct Channel {
-    queue: Ring<TTok>,
-    /// Number of live values per tuple (physical link count of this edge).
-    pub arity: usize,
+    /// The queue; its slot width is this edge's tuple arity.
+    queue: Ring,
     /// Bandwidth class used by the timed simulator and resource accounting.
     pub class: LinkClass,
     /// Maximum queued tokens (None = unbounded, the untimed default).
@@ -68,8 +87,7 @@ impl Channel {
     /// Creates an unbounded vector channel of the given tuple arity.
     pub fn new(arity: usize) -> Self {
         Channel {
-            queue: Ring::new(),
-            arity,
+            queue: Ring::new(arity),
             class: LinkClass::Vector,
             capacity: None,
             canonicalize: true,
@@ -90,7 +108,7 @@ impl Channel {
     pub fn with_capacity(mut self, cap: usize) -> Self {
         self.capacity = Some(cap);
         if self.queue.is_empty() {
-            self.queue = Ring::with_capacity(cap);
+            self.queue = Ring::with_capacity(self.arity(), cap);
         }
         self
     }
@@ -102,17 +120,27 @@ impl Channel {
         self
     }
 
+    /// Number of live values per tuple (physical link count of this edge);
+    /// fixed for the channel's lifetime, since it is the slab's slot width.
+    #[inline]
+    pub fn arity(&self) -> usize {
+        self.queue.arity()
+    }
+
     /// Tokens currently queued.
+    #[inline]
     pub fn len(&self) -> usize {
         self.queue.len()
     }
 
     /// True if no tokens are queued.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
 
     /// Free slots before the capacity bound (usize::MAX when unbounded).
+    #[inline]
     pub fn room(&self) -> usize {
         match self.capacity {
             Some(cap) => cap.saturating_sub(self.queue.len()),
@@ -120,66 +148,102 @@ impl Channel {
         }
     }
 
-    /// The token at the front, if any.
-    pub fn front(&self) -> Option<&TTok> {
+    /// The token at the front, if any: a window into the slab.
+    #[inline]
+    pub fn front(&self) -> Option<Tok<&[Word]>> {
         self.queue.front()
     }
 
-    /// The token just behind the front, if any (merge realignment peeks it).
-    pub fn second(&self) -> Option<&TTok> {
-        self.queue.get(1)
-    }
-
-    /// Pops the front token.
-    pub fn pop(&mut self) -> Option<TTok> {
-        let t = self.queue.pop_front();
+    /// Drops the front token, returning its kind (data, or which barrier);
+    /// read the payload through [`Channel::front`] first.
+    #[inline]
+    pub fn pop_front(&mut self) -> Option<Tok<()>> {
+        let kind = self.queue.pop_front();
         if self.queue.is_empty() {
             // The canonicalization tail context is gone once drained.
             self.tail_preceded_by_data = false;
         }
-        t
+        kind
     }
 
-    /// Pushes a token, applying opportunistic canonicalization.
+    /// Pops the front token as an owned [`TTok`].
+    pub fn pop(&mut self) -> Option<TTok> {
+        let tok = self.front()?.map(<[Word]>::to_vec);
+        self.pop_front();
+        Some(tok)
+    }
+
+    /// Appends a data token of `width` words and returns its window for
+    /// the caller to fill in place (every word: the slot is recycled).
     ///
     /// # Panics
     ///
-    /// Panics if the channel is full; callers must check [`Channel::room`]
-    /// first (nodes are written to do so).
-    pub fn push(&mut self, tok: TTok) {
+    /// Panics if the channel is full — callers must check
+    /// [`Channel::room`] first (nodes are written to do so) — or if
+    /// `width` is not the channel's arity, in every build profile: a
+    /// wrong-width tuple would otherwise land in its neighbour's slot.
+    #[inline]
+    pub fn push_slot(&mut self, width: usize) -> &mut [Word] {
         assert!(self.room() > 0, "push into full channel");
+        assert_eq!(
+            width,
+            self.arity(),
+            "tuple arity mismatch on channel (expected {}, got {width})",
+            self.arity(),
+        );
         self.pushed += 1;
-        match &tok {
-            Tok::Data(vals) => {
-                debug_assert_eq!(
-                    vals.len(),
-                    self.arity,
-                    "tuple arity mismatch on channel (expected {}, got {})",
-                    self.arity,
-                    vals.len()
-                );
-                self.pushed_data += 1;
-                self.queue.push_back(tok);
+        self.pushed_data += 1;
+        self.queue.push_slot()
+    }
+
+    /// Appends a data token copied from `vals`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Channel::push_slot`].
+    #[inline]
+    pub fn push_data(&mut self, vals: &[Word]) {
+        self.push_slot(vals.len()).copy_from_slice(vals);
+    }
+
+    /// Appends the barrier Ω`level`, applying opportunistic
+    /// canonicalization.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the channel is full, even when the barrier would be
+    /// absorbed.
+    #[inline]
+    pub fn push_barrier(&mut self, level: BarrierLevel) {
+        assert!(self.room() > 0, "push into full channel");
+        let tail = self.queue.back();
+        let after_data = matches!(tail, Some(Tok::Data(_)));
+        if let (true, Some(Tok::Barrier(tail))) = (self.canonicalize, tail) {
+            if tail < level && self.tail_preceded_by_data {
+                // Ω(tail) is implied by Ω(level) after data: absorb. No
+                // token is added, and `tail_preceded_by_data` stays true:
+                // the chain rule lets x Ω1 Ω2 Ω3 collapse to x Ω3.
+                self.queue.retag_back(level);
+                return;
             }
-            Tok::Barrier(level) => {
-                if self.canonicalize {
-                    if let Some(Tok::Barrier(tail)) = self.queue.back() {
-                        if *tail < *level && self.tail_preceded_by_data {
-                            // Ω(tail) is implied by Ω(level) after data: absorb.
-                            self.queue.pop_back();
-                            self.pushed -= 1; // did not actually add a token
-                            self.queue.push_back(tok);
-                            // `tail_preceded_by_data` stays true: the chain
-                            // rule lets x Ω1 Ω2 Ω3 collapse to x Ω3.
-                            return;
-                        }
-                    }
-                }
-                // The new tail is this barrier; record whether data directly
-                // precedes it in the stream (the canonicalization condition).
-                self.tail_preceded_by_data = matches!(self.queue.back(), Some(Tok::Data(_)));
-                self.queue.push_back(tok);
-            }
+        }
+        // The new tail is this barrier; record whether data directly
+        // precedes it in the stream (the canonicalization condition).
+        self.tail_preceded_by_data = after_data;
+        self.pushed += 1;
+        self.queue.push_barrier(level);
+    }
+
+    /// Pushes an owned token ([`Channel::push_data`] or
+    /// [`Channel::push_barrier`]).
+    ///
+    /// # Panics
+    ///
+    /// As those two.
+    pub fn push(&mut self, tok: TTok) {
+        match tok {
+            Tok::Data(vals) => self.push_data(&vals),
+            Tok::Barrier(level) => self.push_barrier(level),
         }
     }
 
@@ -196,18 +260,36 @@ impl Channel {
 
     /// Drains the remaining queue into a vector (test helper).
     pub fn drain_all(&mut self) -> Vec<TTok> {
-        self.tail_preceded_by_data = false;
-        self.queue.drain_all()
+        std::iter::from_fn(|| self.pop()).collect()
     }
 
-    /// Approximate resident heap bytes of the queued tokens — per-session
-    /// memory accounting for paused streaming instances.
+    /// Bytes of the queued tokens — per-session memory accounting for
+    /// paused streaming instances: `arity` words and one tag byte each.
     pub fn resident_bytes(&self) -> usize {
-        (0..self.queue.len())
-            .filter_map(|i| self.queue.get(i))
-            .map(crate::node::token_bytes)
-            .sum()
+        self.len() * (self.arity() * std::mem::size_of::<Word>() + 1)
     }
+}
+
+/// Moves the front token of `chans[src]` to the back of `chans[dst]`, slab
+/// to slab.
+///
+/// # Panics
+///
+/// Panics if `chans[src]` is empty or `chans[dst]` is full.
+#[inline]
+pub(crate) fn transfer(chans: &mut [Channel], src: usize, dst: usize) {
+    let Ok([from, to]) = chans.get_disjoint_mut([src, dst]) else {
+        // A self-loop link: the token leaves the front and rejoins the
+        // back of the same ring, so it has to exist in between.
+        let tok = chans[src].pop().expect("transfer from an empty channel");
+        chans[src].push(tok);
+        return;
+    };
+    match from.front().expect("transfer from an empty channel") {
+        Tok::Data(vals) => to.push_data(vals),
+        Tok::Barrier(level) => to.push_barrier(level),
+    }
+    from.pop_front();
 }
 
 #[cfg(test)]

@@ -61,16 +61,18 @@ pub enum UnitClass {
     Virtual,
 }
 
-/// A node slot: behavior plus wiring and placement metadata.
+/// A node slot: behavior plus wiring and placement metadata. The wiring
+/// and the label never change once the node is added, so every instance
+/// of a compiled graph shares them ([`Graph::fresh_instance`]).
 pub struct NodeSlot {
     /// The behavior (taken out while stepping).
     pub behavior: Option<Box<dyn Node>>,
     /// Input channels, in port order.
-    pub ins: Vec<ChanId>,
+    pub ins: Arc<[ChanId]>,
     /// Output channels, in port order.
-    pub outs: Vec<ChanId>,
+    pub outs: Arc<[ChanId]>,
     /// Debug label ("bb3.filter", "loop2.head", …).
-    pub label: String,
+    pub label: Arc<str>,
     /// Streaming-context id assigned by the compiler (groups nodes that fuse
     /// into one physical unit); `u32::MAX` = unassigned.
     pub context: u32,
@@ -115,10 +117,10 @@ impl TopologyIndex {
         let mut alloc_waiters = Vec::new();
         for (i, slot) in nodes.iter().enumerate() {
             let id = NodeId(i as u32);
-            for c in &slot.ins {
+            for c in slot.ins.iter() {
                 consumers[c.0 as usize].push(id);
             }
-            for c in &slot.outs {
+            for c in slot.outs.iter() {
                 producers[c.0 as usize].push(id);
             }
             if slot
@@ -323,20 +325,22 @@ impl Graph {
         id
     }
 
-    /// Adds a node wired to the given channels; returns its id.
+    /// Adds a node wired to the given channels; returns its id. The label
+    /// and the port lists go straight into their shared form (a `&str`,
+    /// an array or a `Vec` all convert).
     pub fn add_node(
         &mut self,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
         behavior: Box<dyn Node>,
-        ins: Vec<ChanId>,
-        outs: Vec<ChanId>,
+        ins: impl Into<Arc<[ChanId]>>,
+        outs: impl Into<Arc<[ChanId]>>,
     ) -> NodeId {
         self.topo = None;
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(NodeSlot {
             behavior: Some(behavior),
-            ins,
-            outs,
+            ins: ins.into(),
+            outs: outs.into(),
             label: label.into(),
             context: u32::MAX,
             unit: UnitClass::Compute,
@@ -419,7 +423,8 @@ impl Graph {
     }
 
     /// Makes a fresh, independently runnable instance of this graph: node
-    /// state, channel contents, SRAM and allocator queues are copied; the
+    /// state, channel contents, SRAM and allocator queues are copied (wiring
+    /// and labels are shared); the
     /// DRAM image is checked out of this graph's recycling pool
     /// ([`MemoryState::fresh_instance`]: byte-identical to the template's,
     /// at the cost of the pages its previous user dirtied); result-
@@ -502,21 +507,18 @@ impl Graph {
         out_budget: &mut [PortBudget],
         events: Option<&mut IoEvents>,
     ) -> Result<bool, MachineError> {
-        let idx = id.0 as usize;
-        let Some(mut behavior) = self.nodes[idx].behavior.take() else {
-            return Err(MachineError {
-                node: Some(self.nodes[idx].label.clone()),
-                message: "reentrant step: node behavior already checked out \
-                          (a node stepped itself, or an executor re-entered the graph)"
-                    .into(),
-            });
+        let slot = &mut self.nodes[id.0 as usize];
+        let Some(mut behavior) = slot.behavior.take() else {
+            return Err(MachineError::new(
+                "reentrant step: node behavior already checked out \
+                 (a node stepped itself, or an executor re-entered the graph)",
+            )
+            .at(&slot.label));
         };
-        let slot_ins = std::mem::take(&mut self.nodes[idx].ins);
-        let slot_outs = std::mem::take(&mut self.nodes[idx].outs);
         let mut io = NodeIo::new(
             &mut self.chans,
-            &slot_ins,
-            &slot_outs,
+            &slot.ins,
+            &slot.outs,
             &mut self.mem,
             in_budget,
             out_budget,
@@ -527,10 +529,8 @@ impl Graph {
         io.scratch = std::mem::take(&mut self.scratch);
         let result = behavior.step(&mut io);
         self.scratch = io.scratch;
-        self.nodes[idx].ins = slot_ins;
-        self.nodes[idx].outs = slot_outs;
-        self.nodes[idx].behavior = Some(behavior);
-        result.map_err(|e| e.at(&self.nodes[idx].label))
+        slot.behavior = Some(behavior);
+        result.map_err(|e| e.at(&slot.label))
     }
 
     /// One-pass deadlock diagnosis over the consumer index: every non-empty
@@ -551,7 +551,7 @@ impl Graph {
             }
             let labels: Vec<&str> = consumers
                 .iter()
-                .map(|id| self.nodes[id.0 as usize].label.as_str())
+                .map(|id| &*self.nodes[id.0 as usize].label)
                 .collect();
             stuck.push(format!(
                 "channel #{ci} -> '{}': {} tokens pending",

@@ -25,6 +25,13 @@
 //! All primitives observe the two SLTF composability rules: barriers pass
 //! through exactly once, in order, and data never reorders across barriers.
 //!
+//! Tokens ride arity-typed slab slots: a [`Channel`]'s queue is one flat
+//! `Word` lane of `arity` words per slot plus a one-byte tag lane (data or
+//! Ωn) over a power-of-two [`Ring`], so a rule reads a thread's live
+//! values as a borrowed window, pops by bumping the ring head and writes
+//! its outputs in place. Owned tokens ([`TTok`]) exist only at a graph's
+//! edges — sources, host feeds, sinks.
+//!
 //! A rule runs behind either [`Ports`] implementation, and the protocol
 //! lives there, not in the rule: [`NodeIo`] carries per-port token budgets
 //! (§III-C link bandwidth), room checks and [`IoEvents`] — the interpreted

@@ -8,6 +8,11 @@
 //! one rule runs correctly behind every [`Ports`] implementation; the
 //! protocol lives in the ports, not in the rule:
 //!
+//! Tokens cross the surface as windows into the channels' slabs, never as
+//! owned values: a rule peeks a borrowed `Tok<&[Word]>`, pops by bumping
+//! the ring head, and pushes either by filling the slot [`Ports::push_slot`]
+//! opens or by moving a token channel→channel ([`Ports::forward`]).
+//!
 //! - [`NodeIo`] — per-port token budgets, room checks and [`IoEvents`]
 //!   recording: the interpreted executor ([`crate::Graph::run`] without a
 //!   plan), the dense oracle and the cycle-level simulator (bounded
@@ -20,13 +25,12 @@
 
 #![warn(clippy::too_many_lines)]
 
-use crate::channel::Channel;
+use crate::channel::{transfer, Channel};
 use crate::mem::MemoryState;
 use crate::nodes::{EwNode, SinkHandle};
 use crate::plan::PlanPorts;
-use crate::tuple::TTok;
 use core::fmt;
-use revet_sltf::Word;
+use revet_sltf::{BarrierLevel, Tok, Word};
 
 /// Identifies a channel within a [`crate::Graph`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -144,27 +148,56 @@ pub trait Ports {
     /// Number of output ports.
     fn out_count(&self) -> usize;
 
-    /// Peeks the front token of input `i`, or `None` if none is available
-    /// to this firing.
-    fn peek_in(&self, i: usize) -> Option<&TTok>;
+    /// Peeks the front token of input `i` — a window into the channel's
+    /// slab — or `None` if none is available to this firing.
+    fn peek_in(&self, i: usize) -> Option<Tok<&[Word]>>;
 
-    /// Pops the front token of input `i`.
+    /// Drops the front token of input `i`, returning its kind (the payload
+    /// is read through [`Ports::peek_in`] beforehand).
     ///
     /// # Panics
     ///
     /// Panics if [`Ports::peek_in`] would return `None` (rules must check
     /// first — this is check-then-commit discipline, not input validation).
-    fn pop_in(&mut self, i: usize) -> TTok;
+    fn pop_in(&mut self, i: usize) -> Tok<()>;
 
     /// True if output `o` can accept a token of the given kind.
     fn can_push(&self, o: usize, barrier: bool) -> bool;
 
-    /// Pushes a token on output `o`.
+    /// Pushes a data token of `width` words on output `o` and returns its
+    /// slot for the rule to fill in place (every word).
     ///
     /// # Panics
     ///
-    /// Panics if [`Ports::can_push`] is false for this token kind.
-    fn push(&mut self, o: usize, tok: TTok);
+    /// Panics if [`Ports::can_push`] is false for data, or if `width` is
+    /// not the output channel's arity.
+    fn push_slot(&mut self, o: usize, width: usize) -> &mut [Word];
+
+    /// Pushes a data token copied from `vals` on output `o`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Ports::push_slot`].
+    #[inline(always)]
+    fn push_data(&mut self, o: usize, vals: &[Word]) {
+        self.push_slot(o, vals.len()).copy_from_slice(vals);
+    }
+
+    /// Pushes the barrier Ω`level` on output `o`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Ports::can_push`] is false for a barrier.
+    fn push_barrier(&mut self, o: usize, level: BarrierLevel);
+
+    /// Moves the front token of input `i` to output `o` unchanged, slab to
+    /// slab: [`Ports::pop_in`] and a push in one step, with the costs of
+    /// both.
+    ///
+    /// # Panics
+    ///
+    /// Panics where either half would.
+    fn forward(&mut self, i: usize, o: usize);
 
     /// The shared memory state (DRAM, SRAM regions, allocator queues).
     fn mem(&mut self) -> &mut MemoryState;
@@ -232,6 +265,32 @@ impl<'a> NodeIo<'a> {
         self.events = Some(events);
         self
     }
+
+    /// What a pop from input `i` costs: the port budget, and a
+    /// back-pressure release event if the channel was full.
+    fn popped(&mut self, i: usize, barrier: bool, was_full: bool) {
+        if was_full {
+            if let Some(ev) = self.events.as_deref_mut() {
+                ev.freed.push(self.ins[i]);
+            }
+        }
+        self.in_budget[i].take(barrier);
+    }
+
+    /// What a push on output `o` costs — the port budget and a token
+    /// arrival event — paid before the write; returns the channel to
+    /// write.
+    fn pushing(&mut self, o: usize, barrier: bool) -> &mut Channel {
+        assert!(
+            self.can_push(o, barrier),
+            "push without can_push check on output {o}"
+        );
+        self.out_budget[o].take(barrier);
+        if let Some(ev) = self.events.as_deref_mut() {
+            ev.pushed.push(self.outs[o]);
+        }
+        &mut self.chans[self.outs[o].0 as usize]
+    }
 }
 
 impl Ports for NodeIo<'_> {
@@ -245,26 +304,17 @@ impl Ports for NodeIo<'_> {
 
     /// `None` also when the port budget for the front token's kind is
     /// exhausted.
-    fn peek_in(&self, i: usize) -> Option<&TTok> {
+    fn peek_in(&self, i: usize) -> Option<Tok<&[Word]>> {
         let tok = self.chans[self.ins[i].0 as usize].front()?;
-        if self.in_budget[i].allows(tok.is_barrier()) {
-            Some(tok)
-        } else {
-            None
-        }
+        self.in_budget[i].allows(tok.is_barrier()).then_some(tok)
     }
 
-    fn pop_in(&mut self, i: usize) -> TTok {
+    fn pop_in(&mut self, i: usize) -> Tok<()> {
         let chan = &mut self.chans[self.ins[i].0 as usize];
         let was_full = chan.room() == 0;
-        let tok = chan.pop().expect("pop_in on empty channel");
-        if was_full {
-            if let Some(ev) = self.events.as_deref_mut() {
-                ev.freed.push(self.ins[i]);
-            }
-        }
-        self.in_budget[i].take(tok.is_barrier());
-        tok
+        let kind = chan.pop_front().expect("pop_in on empty channel");
+        self.popped(i, kind.is_barrier(), was_full);
+        kind
     }
 
     /// Room in the channel *and* port budget remaining.
@@ -272,16 +322,21 @@ impl Ports for NodeIo<'_> {
         self.chans[self.outs[o].0 as usize].room() > 0 && self.out_budget[o].allows(barrier)
     }
 
-    fn push(&mut self, o: usize, tok: TTok) {
-        assert!(
-            self.can_push(o, tok.is_barrier()),
-            "push without can_push check on output {o}"
-        );
-        self.out_budget[o].take(tok.is_barrier());
-        self.chans[self.outs[o].0 as usize].push(tok);
-        if let Some(ev) = self.events.as_deref_mut() {
-            ev.pushed.push(self.outs[o]);
-        }
+    fn push_slot(&mut self, o: usize, width: usize) -> &mut [Word] {
+        self.pushing(o, false).push_slot(width)
+    }
+
+    fn push_barrier(&mut self, o: usize, level: BarrierLevel) {
+        self.pushing(o, true).push_barrier(level);
+    }
+
+    fn forward(&mut self, i: usize, o: usize) {
+        let (src, dst) = (self.ins[i].0 as usize, self.outs[o].0 as usize);
+        let front = self.chans[src].front().expect("forward from empty channel");
+        let (barrier, was_full) = (front.is_barrier(), self.chans[src].room() == 0);
+        self.pushing(o, barrier);
+        transfer(self.chans, src, dst);
+        self.popped(i, barrier, was_full);
     }
 
     fn mem(&mut self) -> &mut MemoryState {
@@ -401,13 +456,3 @@ macro_rules! node_entries {
     };
 }
 pub(crate) use node_entries;
-
-/// Approximate resident heap bytes of one queued token (accounting helper
-/// shared by channels and endpoint nodes).
-pub(crate) fn token_bytes(tok: &TTok) -> usize {
-    let payload = match tok {
-        revet_sltf::Tok::Data(vals) => std::mem::size_of_val(vals.as_slice()),
-        revet_sltf::Tok::Barrier(_) => 0,
-    };
-    std::mem::size_of::<TTok>() + payload
-}

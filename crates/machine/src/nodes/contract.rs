@@ -58,10 +58,11 @@ impl ReduceNode {
         }
     }
 
-    fn emit_tuple(&self) -> Vec<Word> {
+    /// Pushes the folded dimension: the accumulator, or a void token.
+    fn emit(&self, io: &mut impl Ports) {
         match self.op {
-            Some(_) => vec![self.acc],
-            None => Vec::new(),
+            Some(_) => io.push_data(0, &[self.acc]),
+            None => io.push_data(0, &[]),
         }
     }
 
@@ -95,7 +96,7 @@ impl ReduceNode {
                             break;
                         }
                         io.pop_in(0);
-                        io.push(0, Tok::Data(self.emit_tuple()));
+                        self.emit(io);
                         self.acc = self.init;
                         self.pending = false;
                         progressed = true;
@@ -112,11 +113,11 @@ impl ReduceNode {
                         let lowered = l.lowered().expect("n >= 2 lowers fine");
                         io.pop_in(0);
                         if need_data_push {
-                            io.push(0, Tok::Data(self.emit_tuple()));
+                            self.emit(io);
                             self.acc = self.init;
                             self.pending = false;
                         }
-                        io.push(0, Tok::Barrier(lowered));
+                        io.push_barrier(0, lowered);
                         progressed = true;
                     }
                 }
@@ -162,8 +163,7 @@ impl FlattenNode {
                     if !io.can_push(0, false) {
                         break;
                     }
-                    let t = io.pop_in(0);
-                    io.push(0, t);
+                    io.forward(0, 0);
                     progressed = true;
                 }
                 Some(Tok::Barrier(l)) => match l.lowered() {
@@ -172,7 +172,7 @@ impl FlattenNode {
                             break;
                         }
                         io.pop_in(0);
-                        io.push(0, Tok::Barrier(lowered));
+                        io.push_barrier(0, lowered);
                         progressed = true;
                     }
                     None => {

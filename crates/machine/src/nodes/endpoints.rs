@@ -1,9 +1,18 @@
 //! Graph endpoints: sources inject prepared streams, sinks collect results.
 
-use crate::node::{node_entries, token_bytes, MachineError, Node, Ports};
+use crate::node::{node_entries, MachineError, Node, Ports};
 use crate::tuple::TTok;
+use revet_sltf::{Tok, Word};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
+
+/// Approximate resident heap bytes of one owned token held by an endpoint.
+fn token_bytes(tok: &TTok) -> usize {
+    let payload = tok
+        .data()
+        .map_or(0, |vals| std::mem::size_of_val(&vals[..]));
+    std::mem::size_of::<TTok>() + payload
+}
 
 /// A shared handle to the tokens a [`SinkNode`] has collected.
 #[derive(Clone, Debug, Default)]
@@ -64,8 +73,10 @@ impl SourceNode {
             if !io.can_push(0, front.is_barrier()) {
                 break;
             }
-            let tok = self.pending.pop_front().expect("front checked");
-            io.push(0, tok);
+            match self.pending.pop_front().expect("front checked") {
+                Tok::Data(vals) => io.push_data(0, &vals),
+                Tok::Barrier(level) => io.push_barrier(0, level),
+            }
             progressed = true;
         }
         Ok(progressed)
@@ -118,9 +129,9 @@ impl SinkNode {
     /// None; the `Result` is the signature every firing rule shares.
     pub fn fire<P: Ports>(&mut self, io: &mut P) -> Result<bool, MachineError> {
         let mut progressed = false;
-        while io.peek_in(0).is_some() {
-            let tok = io.pop_in(0);
-            self.out.0.lock().unwrap().push(tok);
+        while let Some(tok) = io.peek_in(0) {
+            self.out.0.lock().unwrap().push(tok.map(<[Word]>::to_vec));
+            io.pop_in(0);
             progressed = true;
         }
         Ok(progressed)

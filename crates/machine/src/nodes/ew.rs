@@ -103,18 +103,10 @@ impl EwNode {
 
     fn allocs_ready(&self, io: &impl Ports) -> bool {
         // Conservative stall check: every AllocPop needs one available
-        // pointer before we commit to consuming the input thread.
-        let mut need: Vec<(crate::mem::AllocId, usize)> = Vec::new();
-        for ins in &self.instrs {
-            if let Some(id) = ins.alloc_pop_id() {
-                match need.iter_mut().find(|(n, _)| *n == id) {
-                    Some((_, c)) => *c += 1,
-                    None => need.push((id, 1)),
-                }
-            }
-        }
-        need.iter()
-            .all(|(id, c)| io.mem_ref().alloc_available(*id) >= *c)
+        // pointer before we commit to consuming the input thread, so each
+        // allocator must hold as many as this program pops from it.
+        let pops = || self.instrs.iter().filter_map(EwInstr::alloc_pop_id);
+        pops().all(|id| io.mem_ref().alloc_available(id) >= pops().filter(|&n| n == id).count())
     }
 
     /// The element-wise firing rule, on the register scratch the ports
@@ -161,7 +153,7 @@ impl EwNode {
                     Some(Tok::Barrier(l)) => {
                         all_data = false;
                         any_barrier = true;
-                        min_bar = Some(min_bar.map_or(*l, |m: BarrierLevel| m.min(*l)));
+                        min_bar = Some(min_bar.map_or(l, |m: BarrierLevel| m.min(l)));
                     }
                 }
             }
@@ -176,25 +168,24 @@ impl EwNode {
                 regs.fill(Word::ZERO);
                 let mut cursor = 0usize;
                 for i in 0..n_in {
-                    match io.pop_in(i) {
-                        Tok::Data(vals) => {
-                            for v in vals {
-                                regs[cursor] = v;
-                                cursor += 1;
-                            }
-                        }
-                        Tok::Barrier(_) => unreachable!("front changed between peek and pop"),
-                    }
+                    let Some(Tok::Data(vals)) = io.peek_in(i) else {
+                        unreachable!("front changed between peek and pop")
+                    };
+                    regs[cursor..cursor + vals.len()].copy_from_slice(vals);
+                    cursor += vals.len();
+                    io.pop_in(i);
                 }
                 exec_instrs(&self.instrs, regs, io.mem());
+                // Gather each fired output straight into its channel slot.
                 for (o, spec) in self.outputs.iter().enumerate() {
                     let fire = spec
                         .pred
                         .map_or(true, |(r, expect)| regs[r as usize].as_bool() == expect);
                     if fire {
-                        let tuple: Vec<Word> =
-                            spec.slots.iter().map(|&s| regs[s as usize]).collect();
-                        io.push(o, Tok::Data(tuple));
+                        let slot = io.push_slot(o, spec.slots.len());
+                        for (word, &r) in slot.iter_mut().zip(&spec.slots) {
+                            *word = regs[r as usize];
+                        }
                     }
                 }
                 progressed = true;
@@ -225,7 +216,7 @@ impl EwNode {
                     }
                 }
                 for o in (0..self.outputs.len()).filter(forwards) {
-                    io.push(o, Tok::Barrier(level));
+                    io.push_barrier(o, level);
                 }
                 progressed = true;
             } else {

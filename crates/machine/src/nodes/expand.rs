@@ -12,6 +12,7 @@
 use crate::instr::Operand;
 use crate::node::{node_entries, MachineError, Node, Ports};
 use crate::tuple::Tuple;
+use core::fmt;
 use revet_sltf::{BarrierLevel, Tok, Word};
 
 /// Iteration state for a partially emitted index range.
@@ -78,9 +79,8 @@ impl CounterNode {
                     if !io.can_push(1, false) {
                         break;
                     }
-                    let parent = st.parent.clone();
                     st.parent_sent = true;
-                    io.push(1, Tok::Data(parent));
+                    io.push_data(1, &st.parent);
                     progressed = true;
                 }
                 let mut done = false;
@@ -97,14 +97,14 @@ impl CounterNode {
                         }
                         let i = st.next;
                         st.next += st.step;
-                        io.push(0, Tok::Data(vec![Word::from_i32(i as i32)]));
+                        io.push_data(0, &[Word::from_i32(i as i32)]);
                         progressed = true;
                     } else {
                         if !io.can_push(0, true) {
                             done = true;
                             break;
                         }
-                        io.push(0, Tok::Barrier(BarrierLevel::L1));
+                        io.push_barrier(0, BarrierLevel::L1);
                         self.state = None;
                         progressed = true;
                     }
@@ -116,20 +116,30 @@ impl CounterNode {
             }
             match io.peek_in(0) {
                 Some(Tok::Data(parent)) => {
-                    let regs = parent.clone();
-                    let min = self.min.eval(&regs).as_i32() as i64;
-                    let max = self.max.eval(&regs).as_i32() as i64;
-                    let step = self.step.eval(&regs).as_i32() as i64;
+                    let min = self.min.eval(parent).as_i32() as i64;
+                    let max = self.max.eval(parent).as_i32() as i64;
+                    let step = self.step.eval(parent).as_i32() as i64;
                     if step == 0 {
                         return Err(MachineError::new("counter step evaluated to zero"));
                     }
-                    io.pop_in(0);
+                    // The parent goes straight through when its port has
+                    // room; only a blocked one is copied out to be held.
+                    let forwarded = has_parent_out && io.can_push(1, false);
+                    let mut held = Tuple::new();
+                    if forwarded {
+                        io.forward(0, 1);
+                    } else {
+                        if has_parent_out {
+                            held.extend_from_slice(parent);
+                        }
+                        io.pop_in(0);
+                    }
                     self.state = Some(RangeState {
                         next: min,
                         max,
                         step,
-                        parent: regs,
-                        parent_sent: !has_parent_out,
+                        parent: held,
+                        parent_sent: forwarded || !has_parent_out,
                     });
                     progressed = true;
                 }
@@ -143,11 +153,10 @@ impl CounterNode {
                     if has_parent_out && self.parent_out_barriers && !io.can_push(1, true) {
                         break;
                     }
-                    let l = *l;
                     io.pop_in(0);
-                    io.push(0, Tok::Barrier(raised));
+                    io.push_barrier(0, raised);
                     if has_parent_out && self.parent_out_barriers {
-                        io.push(1, Tok::Barrier(l));
+                        io.push_barrier(1, l);
                     }
                     progressed = true;
                 }
@@ -168,13 +177,28 @@ impl Node for CounterNode {
 
 /// Fork node: emits `count` copies of each thread with an index appended,
 /// at the *same* hierarchy level (§IV-A a). Barriers pass unchanged.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct ForkNode {
     /// Copy count (evaluated against the incoming tuple).
     pub count: Operand,
     /// Keep only these tuple slots in the copies (None = all).
     pub keep: Option<Vec<u16>>,
     state: Option<(Tuple, i64, i64)>, // (payload, next index, count)
+    /// The last finished thread's payload buffer, which the next thread
+    /// refills in place.
+    spare: Tuple,
+}
+
+/// What the derive printed before `spare`, an allocation and not state,
+/// joined the struct (the lowering's golden digest hashes this).
+impl fmt::Debug for ForkNode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ForkNode")
+            .field("count", &self.count)
+            .field("keep", &self.keep)
+            .field("state", &self.state)
+            .finish()
+    }
 }
 
 impl ForkNode {
@@ -184,6 +208,7 @@ impl ForkNode {
             count,
             keep: None,
             state: None,
+            spare: Tuple::new(),
         }
     }
 
@@ -202,25 +227,29 @@ impl ForkNode {
                         blocked = true;
                         break;
                     }
-                    let mut t = payload.clone();
-                    t.push(Word::from_i32(*next as i32));
+                    let slot = io.push_slot(0, payload.len() + 1);
+                    slot[..payload.len()].copy_from_slice(payload);
+                    slot[payload.len()] = Word::from_i32(*next as i32);
                     *next += 1;
-                    io.push(0, Tok::Data(t));
                     progressed = true;
                 }
                 if blocked {
                     break;
                 }
-                self.state = None;
+                if let Some((payload, ..)) = self.state.take() {
+                    self.spare = payload;
+                }
                 continue;
             }
             match io.peek_in(0) {
                 Some(Tok::Data(vals)) => {
                     let count = self.count.eval(vals).as_i32() as i64;
-                    let payload = match &self.keep {
-                        Some(keep) => keep.iter().map(|&k| vals[k as usize]).collect(),
-                        None => vals.clone(),
-                    };
+                    let mut payload = std::mem::take(&mut self.spare);
+                    payload.clear();
+                    match &self.keep {
+                        Some(keep) => payload.extend(keep.iter().map(|&k| vals[k as usize])),
+                        None => payload.extend_from_slice(vals),
+                    }
                     io.pop_in(0);
                     self.state = Some((payload, 0, count));
                     progressed = true;
@@ -229,8 +258,7 @@ impl ForkNode {
                     if !io.can_push(0, true) {
                         break;
                     }
-                    let b = io.pop_in(0);
-                    io.push(0, b);
+                    io.forward(0, 0);
                     progressed = true;
                 }
                 None => break,
@@ -252,11 +280,25 @@ impl Node for ForkNode {
 /// stream; the output carries `child ++ parent` tuples. The parent element
 /// is dropped when the child stream's Ω(level) arrives — or implicitly by a
 /// higher barrier directly following child data (canonical encoding).
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct BroadcastNode {
     /// Dimension distance between parent and child (≥1).
     pub level: u8,
     current: Option<Tuple>,
+    /// The last dropped parent's buffer, which the next parent refills in
+    /// place.
+    spare: Tuple,
+}
+
+/// What the derive printed before `spare` joined the struct (see
+/// [`ForkNode`]'s).
+impl fmt::Debug for BroadcastNode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BroadcastNode")
+            .field("level", &self.level)
+            .field("current", &self.current)
+            .finish()
+    }
 }
 
 impl BroadcastNode {
@@ -270,6 +312,7 @@ impl BroadcastNode {
         BroadcastNode {
             level,
             current: None,
+            spare: Tuple::new(),
         }
     }
 
@@ -287,9 +330,12 @@ impl BroadcastNode {
                 Some(Tok::Data(_)) => {
                     if self.current.is_none() {
                         match io.peek_in(PARENT) {
-                            Some(Tok::Data(_)) => {
-                                let t = io.pop_in(PARENT);
-                                self.current = t.into_data();
+                            Some(Tok::Data(parent)) => {
+                                let mut held = std::mem::take(&mut self.spare);
+                                held.clear();
+                                held.extend_from_slice(parent);
+                                self.current = Some(held);
+                                io.pop_in(PARENT);
                                 progressed = true;
                             }
                             Some(Tok::Barrier(_)) => {
@@ -303,10 +349,19 @@ impl BroadcastNode {
                     if !io.can_push(0, false) {
                         break;
                     }
-                    let child = io.pop_in(CHILD).into_data().expect("peeked data");
-                    let mut out = child;
-                    out.extend_from_slice(self.current.as_ref().expect("loaded above"));
-                    io.push(0, Tok::Data(out));
+                    // The child leaves its slot before the output slot opens
+                    // (they may be one channel), so it crosses in the scratch.
+                    let mut child = std::mem::take(io.scratch());
+                    child.clear();
+                    if let Some(Tok::Data(vals)) = io.peek_in(CHILD) {
+                        child.extend_from_slice(vals);
+                    }
+                    io.pop_in(CHILD);
+                    let parent = self.current.as_deref().expect("loaded above");
+                    let slot = io.push_slot(0, child.len() + parent.len());
+                    slot[..child.len()].copy_from_slice(&child);
+                    slot[child.len()..].copy_from_slice(parent);
+                    *io.scratch() = child;
                     progressed = true;
                 }
                 Some(Tok::Barrier(l)) => {
@@ -316,21 +371,18 @@ impl BroadcastNode {
                     }
                     if n < self.level {
                         // Barrier nested inside one parent element.
-                        let b = io.pop_in(CHILD);
-                        io.push(0, b);
+                        io.forward(CHILD, 0);
                         progressed = true;
-                    } else if self.current.is_some() {
-                        self.current = None;
-                        let b = io.pop_in(CHILD);
-                        io.push(0, b);
+                    } else if let Some(dropped) = self.current.take() {
+                        self.spare = dropped;
+                        io.forward(CHILD, 0);
                         progressed = true;
                     } else if n == self.level {
                         // An empty child dimension still consumes one parent.
                         match io.peek_in(PARENT) {
                             Some(Tok::Data(_)) => {
                                 io.pop_in(PARENT);
-                                let b = io.pop_in(CHILD);
-                                io.push(0, b);
+                                io.forward(CHILD, 0);
                                 progressed = true;
                             }
                             Some(Tok::Barrier(_)) => {
@@ -343,8 +395,7 @@ impl BroadcastNode {
                     } else {
                         // Higher barrier with no loaded parent: parent dims
                         // ending; nothing to consume.
-                        let b = io.pop_in(CHILD);
-                        io.push(0, b);
+                        io.forward(CHILD, 0);
                         progressed = true;
                     }
                 }

@@ -17,7 +17,7 @@
 //! exact for arbitrarily long (and nested) loop bodies.
 
 use crate::node::{node_entries, MachineError, Node, Ports};
-use revet_sltf::Tok;
+use revet_sltf::{BarrierLevel, Tok};
 
 /// Forward merge: combines two forward branches into one stream.
 #[derive(Clone, Debug, Default)]
@@ -40,18 +40,14 @@ impl FwdMergeNode {
         assert_eq!(io.in_count(), 2, "forward merge has exactly two inputs");
         let mut progressed = false;
         loop {
-            let f0 = io.peek_in(0).cloned();
-            let f1 = io.peek_in(1).cloned();
-            match (f0, f1) {
+            match (io.peek_in(0), io.peek_in(1)) {
                 // Eager data pass-through from either side.
                 (Some(Tok::Data(_)), _) if io.can_push(0, false) => {
-                    let t = io.pop_in(0);
-                    io.push(0, t);
+                    io.forward(0, 0);
                     progressed = true;
                 }
                 (_, Some(Tok::Data(_))) if io.can_push(0, false) => {
-                    let t = io.pop_in(1);
-                    io.push(0, t);
+                    io.forward(1, 0);
                     progressed = true;
                 }
                 // Both fronts are barriers: emit the lower level once; pop
@@ -68,7 +64,7 @@ impl FwdMergeNode {
                     if b == level {
                         io.pop_in(1);
                     }
-                    io.push(0, Tok::Barrier(level));
+                    io.push_barrier(0, level);
                     progressed = true;
                 }
                 // A lone barrier stalls its link until the other side speaks.
@@ -147,8 +143,7 @@ impl FbMergeNode {
                     // Returning threads may rejoin eagerly while new threads
                     // are still being admitted.
                     if matches!(io.peek_in(BACK), Some(Tok::Data(_))) && io.can_push(0, false) {
-                        let t = io.pop_in(BACK);
-                        io.push(0, t);
+                        io.forward(BACK, 0);
                         self.wave_had_data = true;
                         progressed = true;
                         continue;
@@ -165,8 +160,7 @@ impl FbMergeNode {
                             if !io.can_push(0, false) {
                                 break;
                             }
-                            let t = io.pop_in(FWD);
-                            io.push(0, t);
+                            io.forward(FWD, 0);
                             self.wave_had_data = true;
                             progressed = true;
                         }
@@ -176,7 +170,7 @@ impl FbMergeNode {
                             if !io.can_push(0, true) {
                                 break;
                             }
-                            io.push(0, Tok::Barrier(revet_sltf::BarrierLevel::L1));
+                            io.push_barrier(0, BarrierLevel::L1);
                             self.wave_had_data = false;
                             self.phase = FbPhase::Draining;
                             progressed = true;
@@ -189,8 +183,7 @@ impl FbMergeNode {
                         if !io.can_push(0, false) {
                             break;
                         }
-                        let t = io.pop_in(BACK);
-                        io.push(0, t);
+                        io.forward(BACK, 0);
                         self.wave_had_data = true;
                         progressed = true;
                     }
@@ -201,7 +194,7 @@ impl FbMergeNode {
                                 break;
                             }
                             io.pop_in(BACK);
-                            io.push(0, Tok::Barrier(revet_sltf::BarrierLevel::L1));
+                            io.push_barrier(0, BarrierLevel::L1);
                             self.wave_had_data = false;
                             progressed = true;
                         } else {
@@ -223,7 +216,7 @@ impl FbMergeNode {
                                     "fb-merge: cannot raise {level} past Ω15 — loop nest too deep"
                                 ))
                             })?;
-                            io.push(0, Tok::Barrier(raised));
+                            io.push_barrier(0, raised);
                             self.phase = FbPhase::Forward;
                             self.wave_had_data = false;
                             progressed = true;

@@ -35,14 +35,13 @@
 
 #![warn(clippy::too_many_lines)]
 
-use crate::channel::Channel;
+use crate::channel::{transfer, Channel};
 use crate::graph::{round_cap_error, ExecReport, Graph, TopologyIndex};
 use crate::mem::MemoryState;
 use crate::node::{ChanId, MachineError, Node, NodeId, Ports};
 use crate::nodes::EwNode;
-use crate::tuple::TTok;
 use revet_obs::{ObsSink, WakeCause};
-use revet_sltf::Word;
+use revet_sltf::{BarrierLevel, Tok, Word};
 use std::sync::Arc;
 
 /// Static shape counters for one built plan (reports and benchmarks).
@@ -167,6 +166,30 @@ pub struct PlanPorts<'a> {
     interior: bool,
 }
 
+impl PlanPorts<'_> {
+    /// The wake a pop from `c` owes: its producers, if it was full.
+    #[inline(always)]
+    fn popped(&mut self, c: ChanId, was_full: bool) {
+        if was_full {
+            let producers = self.wakes.plan.topo.producers(c);
+            self.wakes.wake(producers, WakeCause::CapacityRelease);
+        }
+    }
+
+    /// The wake a push on `c` owes: its consumers, unless they are the
+    /// next stage of the segment being fired.
+    #[inline(always)]
+    fn pushed(&mut self, c: ChanId) {
+        if let Some(obs) = self.wakes.obs {
+            obs.channel_push(c.0);
+        }
+        if !self.interior {
+            let consumers = self.wakes.plan.topo.consumers(c);
+            self.wakes.wake(consumers, WakeCause::TokenArrival);
+        }
+    }
+}
+
 impl Ports for PlanPorts<'_> {
     #[inline(always)]
     fn in_count(&self) -> usize {
@@ -179,21 +202,18 @@ impl Ports for PlanPorts<'_> {
     }
 
     #[inline(always)]
-    fn peek_in(&self, i: usize) -> Option<&TTok> {
+    fn peek_in(&self, i: usize) -> Option<Tok<&[Word]>> {
         self.chans[self.ins[i].0 as usize].front()
     }
 
     #[inline(always)]
-    fn pop_in(&mut self, i: usize) -> TTok {
+    fn pop_in(&mut self, i: usize) -> Tok<()> {
         let c = self.ins[i];
         let chan = &mut self.chans[c.0 as usize];
         let was_full = chan.room() == 0;
-        let tok = chan.pop().expect("pop_in on empty channel");
-        if was_full {
-            let producers = self.wakes.plan.topo.producers(c);
-            self.wakes.wake(producers, WakeCause::CapacityRelease);
-        }
-        tok
+        let kind = chan.pop_front().expect("pop_in on empty channel");
+        self.popped(c, was_full);
+        kind
     }
 
     #[inline(always)]
@@ -202,16 +222,26 @@ impl Ports for PlanPorts<'_> {
     }
 
     #[inline(always)]
-    fn push(&mut self, o: usize, tok: TTok) {
+    fn push_slot(&mut self, o: usize, width: usize) -> &mut [Word] {
         let c = self.outs[o];
-        self.chans[c.0 as usize].push(tok);
-        if let Some(obs) = self.wakes.obs {
-            obs.channel_push(c.0);
-        }
-        if !self.interior {
-            let consumers = self.wakes.plan.topo.consumers(c);
-            self.wakes.wake(consumers, WakeCause::TokenArrival);
-        }
+        self.pushed(c);
+        self.chans[c.0 as usize].push_slot(width)
+    }
+
+    #[inline(always)]
+    fn push_barrier(&mut self, o: usize, level: BarrierLevel) {
+        let c = self.outs[o];
+        self.chans[c.0 as usize].push_barrier(level);
+        self.pushed(c);
+    }
+
+    #[inline(always)]
+    fn forward(&mut self, i: usize, o: usize) {
+        let (src, dst) = (self.ins[i], self.outs[o]);
+        let was_full = self.chans[src.0 as usize].room() == 0;
+        transfer(self.chans, src.0 as usize, dst.0 as usize);
+        self.popped(src, was_full);
+        self.pushed(dst);
     }
 
     #[inline(always)]

@@ -1,54 +1,79 @@
-//! A power-of-two ring buffer — the channel queue of the execution fast
-//! path.
+//! The channel queue: a power-of-two ring of arity-typed slab slots.
 //!
-//! [`Ring`] replaces `VecDeque` under every [`crate::Channel`]. Its storage
-//! length is always a power of two, so front/back indexing is a mask (no
-//! branch, no modulo), and a channel created with a capacity bound
-//! pre-sizes its ring to the next power of two — a bounded channel never
-//! reallocates while the graph runs. Unbounded channels grow by doubling,
-//! which keeps the mask invariant.
+//! A logical edge's width is fixed at compile time (§II b, §III-B c: one
+//! physical link per live value, consumed in lockstep), so a queued token
+//! needs no container of its own. A [`Ring`] of arity `a` with `n` slots
+//! is two flat lanes over one mask ring:
+//!
+//! ```text
+//! words: | slot 0: a words | slot 1: a words | … | slot n-1 |   n × a words
+//! tags:  |   t0   |   t1   | … |  t(n-1)  |                     n bytes
+//! ```
+//!
+//! Slot `s` holds the token whose tag is `tags[s]`: `0` is a data token
+//! whose live values are `words[s·a .. (s+1)·a]`; `1..=15` is the barrier
+//! Ωn, whose word window is unused. The queued token `i` (0 = front) lives
+//! in slot `(head + i) & (n - 1)`. A token is read as a borrowed window
+//! (`Tok<&[Word]>`), popped by bumping `head`, and written in place into
+//! the window [`Ring::push_slot`] opens — no per-token allocation, and an
+//! arity-0 ring (void tokens) is simply a zero-width word lane.
+//!
+//! `n` is zero or a power of two, so indexing is a mask. Storage starts
+//! empty and doubles when full ([`Ring::with_capacity`] pre-sizes it), so
+//! a channel costs allocator calls only for its high-water mark.
 
-/// A growable FIFO over power-of-two storage with mask indexing.
+use revet_sltf::{BarrierLevel, Tok, Word};
+
+/// The tag of a data slot (barrier slots carry their level, `1..=15`).
+const DATA: u8 = 0;
+
+/// A growable FIFO of fixed-width tokens over power-of-two slab storage.
 ///
-/// Invariants: `buf.len()` is zero or a power of two; `len <= buf.len()`;
-/// element `i` (0 = front) lives at `buf[(head + i) & mask]`.
+/// Invariants: `tags.len()` is zero or a power of two; `words.len() ==
+/// tags.len() * arity`; `len <= tags.len()`; `head < tags.len()` unless
+/// both are zero.
 #[derive(Clone, Debug)]
-pub struct Ring<T> {
-    buf: Box<[Option<T>]>,
+pub struct Ring {
+    words: Vec<Word>,
+    tags: Vec<u8>,
+    arity: usize,
     head: usize,
     len: usize,
 }
 
-impl<T> Default for Ring<T> {
-    fn default() -> Self {
-        Ring::new()
-    }
-}
-
-impl<T> Ring<T> {
+impl Ring {
     const MIN_POW2: usize = 4;
 
-    /// An empty ring with no storage (first push allocates).
-    pub fn new() -> Self {
+    /// An empty ring of `arity`-word slots with no storage (the first push
+    /// allocates).
+    pub fn new(arity: usize) -> Self {
         Ring {
-            buf: Box::new([]),
+            words: Vec::new(),
+            tags: Vec::new(),
+            arity,
             head: 0,
             len: 0,
         }
     }
 
-    /// An empty ring pre-sized to hold at least `cap` elements without
+    /// An empty ring pre-sized to hold at least `cap` tokens without
     /// reallocating (rounded up to a power of two).
-    pub fn with_capacity(cap: usize) -> Self {
+    pub fn with_capacity(arity: usize, cap: usize) -> Self {
         let n = cap.max(Self::MIN_POW2).next_power_of_two();
         Ring {
-            buf: (0..n).map(|_| None).collect(),
-            head: 0,
-            len: 0,
+            words: vec![Word::ZERO; n * arity],
+            tags: vec![DATA; n],
+            ..Ring::new(arity)
         }
     }
 
-    /// Elements currently queued.
+    /// Words per data token.
+    #[inline]
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// Tokens currently queued.
     #[inline]
     pub fn len(&self) -> usize {
         self.len
@@ -62,105 +87,100 @@ impl<T> Ring<T> {
 
     /// Slots available before the next reallocation.
     pub fn capacity(&self) -> usize {
-        self.buf.len()
+        self.tags.len()
     }
 
+    /// The slot of queued token `i`; meaningful only with storage.
     #[inline]
-    fn mask(&self) -> usize {
-        self.buf.len().wrapping_sub(1)
+    fn slot_of(&self, i: usize) -> usize {
+        (self.head + i) & self.tags.len().wrapping_sub(1)
     }
 
-    /// Doubles storage, re-packing elements so the front lands at slot 0.
+    /// Doubles storage. The ring is full, so the tokens that wrapped
+    /// around occupy slots `0..head`: moving them past the old end makes
+    /// the queue contiguous from `head` again.
     #[cold]
     fn grow(&mut self) {
-        let new_cap = (self.buf.len() * 2).max(Self::MIN_POW2);
-        let mut buf: Box<[Option<T>]> = (0..new_cap).map(|_| None).collect();
-        let mask = self.mask();
-        for (i, slot) in buf.iter_mut().enumerate().take(self.len) {
-            *slot = self.buf[(self.head + i) & mask].take();
-        }
-        self.buf = buf;
-        self.head = 0;
+        let old = self.tags.len();
+        let new = (old * 2).max(Self::MIN_POW2);
+        self.tags.resize(new, DATA);
+        self.words.resize(new * self.arity, Word::ZERO);
+        self.tags.copy_within(..self.head, old);
+        self.words
+            .copy_within(..self.head * self.arity, old * self.arity);
     }
 
-    /// Appends an element at the back.
-    pub fn push_back(&mut self, v: T) {
-        if self.len == self.buf.len() {
+    /// Claims the slot behind the back for a token tagged `tag`.
+    #[inline]
+    fn open(&mut self, tag: u8) -> usize {
+        if self.len == self.tags.len() {
             self.grow();
         }
-        let idx = (self.head + self.len) & self.mask();
-        debug_assert!(self.buf[idx].is_none());
-        self.buf[idx] = Some(v);
+        let slot = self.slot_of(self.len);
+        self.tags[slot] = tag;
         self.len += 1;
+        slot
     }
 
-    /// Removes and returns the front element.
-    pub fn pop_front(&mut self) -> Option<T> {
-        if self.len == 0 {
-            return None;
-        }
-        let v = self.buf[self.head].take();
-        debug_assert!(v.is_some());
-        self.head = (self.head + 1) & self.mask();
+    /// Appends a data token and returns its word window for the caller to
+    /// fill; the window holds whatever the slot's last tenant left.
+    #[inline]
+    pub fn push_slot(&mut self) -> &mut [Word] {
+        let slot = self.open(DATA);
+        &mut self.words[slot * self.arity..(slot + 1) * self.arity]
+    }
+
+    /// Appends the barrier Ω`level`.
+    #[inline]
+    pub fn push_barrier(&mut self, level: BarrierLevel) {
+        self.open(level.get());
+    }
+
+    /// Replaces the back token with the barrier Ω`level` in place (barrier
+    /// canonicalization absorbs the queued tail).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ring is empty.
+    pub fn retag_back(&mut self, level: BarrierLevel) {
+        assert!(self.len > 0, "retag_back on an empty ring");
+        let slot = self.slot_of(self.len - 1);
+        self.tags[slot] = level.get();
+    }
+
+    /// Removes the front token, returning its kind — the payload is gone;
+    /// read it through [`Ring::front`] first.
+    #[inline]
+    pub fn pop_front(&mut self) -> Option<Tok<()>> {
+        let kind = self.front()?.map(|_| ());
+        self.head = self.slot_of(1);
         self.len -= 1;
-        v
+        Some(kind)
     }
 
-    /// Removes and returns the back element (barrier canonicalization
-    /// absorbs the queued tail in place).
-    pub fn pop_back(&mut self) -> Option<T> {
-        if self.len == 0 {
-            return None;
-        }
-        self.len -= 1;
-        let idx = (self.head + self.len) & self.mask();
-        let v = self.buf[idx].take();
-        debug_assert!(v.is_some());
-        v
-    }
-
-    /// The front element, if any.
+    /// The token `i` positions behind the front, if present.
     #[inline]
-    pub fn front(&self) -> Option<&T> {
-        if self.len == 0 {
-            None
-        } else {
-            self.buf[self.head].as_ref()
-        }
-    }
-
-    /// The back element, if any.
-    #[inline]
-    pub fn back(&self) -> Option<&T> {
-        if self.len == 0 {
-            None
-        } else {
-            self.buf[(self.head + self.len - 1) & self.mask()].as_ref()
-        }
-    }
-
-    /// The element `i` positions behind the front, if present.
-    #[inline]
-    pub fn get(&self, i: usize) -> Option<&T> {
+    pub fn get(&self, i: usize) -> Option<Tok<&[Word]>> {
         if i >= self.len {
-            None
-        } else {
-            self.buf[(self.head + i) & self.mask()].as_ref()
+            return None;
         }
+        let slot = self.slot_of(i);
+        Some(match BarrierLevel::new(self.tags[slot]) {
+            Some(level) => Tok::Barrier(level),
+            None => Tok::Data(&self.words[slot * self.arity..(slot + 1) * self.arity]),
+        })
     }
 
-    /// Iterates front to back.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        (0..self.len).map(|i| self.get(i).expect("index < len"))
+    /// The front token, if any.
+    #[inline]
+    pub fn front(&self) -> Option<Tok<&[Word]>> {
+        self.get(0)
     }
 
-    /// Drains every element, front to back.
-    pub fn drain_all(&mut self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.len);
-        while let Some(v) = self.pop_front() {
-            out.push(v);
-        }
-        out
+    /// The back token, if any.
+    #[inline]
+    pub fn back(&self) -> Option<Tok<&[Word]>> {
+        self.get(self.len.wrapping_sub(1))
     }
 }
 
@@ -168,28 +188,48 @@ impl<T> Ring<T> {
 mod tests {
     use super::*;
 
+    /// A one-word ring of `u32`s, the shape the old generic tests used.
+    fn push(r: &mut Ring, v: u32) {
+        r.push_slot()[0] = Word(v);
+    }
+
+    fn front(r: &Ring) -> Option<u32> {
+        r.front().and_then(|t| t.into_data()).map(|d| d[0].0)
+    }
+
+    fn pop(r: &mut Ring) -> Option<u32> {
+        let v = front(r);
+        r.pop_front();
+        v
+    }
+
+    fn drain(r: &mut Ring) -> Vec<u32> {
+        std::iter::from_fn(|| pop(r)).collect()
+    }
+
     #[test]
     fn starts_empty_without_storage() {
-        let r: Ring<u32> = Ring::new();
+        let mut r = Ring::new(3);
         assert_eq!(r.len(), 0);
         assert!(r.is_empty());
         assert_eq!(r.capacity(), 0);
         assert_eq!(r.front(), None);
         assert_eq!(r.back(), None);
         assert_eq!(r.get(0), None);
+        assert_eq!(r.pop_front(), None);
     }
 
     #[test]
     fn fifo_order_with_growth() {
-        let mut r = Ring::new();
+        let mut r = Ring::new(1);
         for i in 0..100u32 {
-            r.push_back(i);
+            push(&mut r, i);
         }
         assert_eq!(r.len(), 100);
         assert!(r.capacity().is_power_of_two());
         for i in 0..100u32 {
-            assert_eq!(r.front(), Some(&i));
-            assert_eq!(r.pop_front(), Some(i));
+            assert_eq!(front(&r), Some(i));
+            assert_eq!(pop(&mut r), Some(i));
         }
         assert_eq!(r.pop_front(), None);
     }
@@ -198,19 +238,17 @@ mod tests {
     fn wraparound_across_many_cycles() {
         // Interleave pushes and pops so head orbits the storage repeatedly
         // without ever growing past the initial power of two.
-        let mut r = Ring::with_capacity(4);
+        let mut r = Ring::with_capacity(1, 4);
         let cap = r.capacity();
-        let mut next_in = 0u64;
-        let mut next_out = 0u64;
+        let mut next_in = 0u32;
+        let mut next_out = 0u32;
         for _ in 0..1000 {
-            r.push_back(next_in);
-            next_in += 1;
-            r.push_back(next_in);
-            next_in += 1;
-            assert_eq!(r.pop_front(), Some(next_out));
-            next_out += 1;
-            assert_eq!(r.pop_front(), Some(next_out));
-            next_out += 1;
+            push(&mut r, next_in);
+            push(&mut r, next_in + 1);
+            next_in += 2;
+            assert_eq!(pop(&mut r), Some(next_out));
+            assert_eq!(pop(&mut r), Some(next_out + 1));
+            next_out += 2;
         }
         assert!(r.is_empty());
         assert_eq!(r.capacity(), cap, "steady-state traffic must not grow");
@@ -218,63 +256,97 @@ mod tests {
 
     #[test]
     fn full_and_empty_boundaries() {
-        let mut r = Ring::with_capacity(3); // rounds up to 4
+        let mut r = Ring::with_capacity(1, 3); // rounds up to 4
         assert_eq!(r.capacity(), 4);
         for i in 0..4u32 {
-            r.push_back(i);
+            push(&mut r, i);
         }
         assert_eq!(r.len(), 4);
         // One more forces a doubling, preserving order.
-        r.push_back(4);
+        push(&mut r, 4);
         assert_eq!(r.capacity(), 8);
-        assert_eq!(r.drain_all(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(drain(&mut r), vec![0, 1, 2, 3, 4]);
         assert!(r.is_empty());
-        assert_eq!(r.pop_back(), None);
     }
 
     #[test]
     fn capacity_one_semantics() {
         // MIN_POW2 keeps physical storage ≥ 4, but logical single-slot use
         // (push, pop, push …) must behave like a 1-deep FIFO.
-        let mut r = Ring::with_capacity(1);
+        let mut r = Ring::with_capacity(1, 1);
         for i in 0..10u32 {
-            r.push_back(i);
+            push(&mut r, i);
             assert_eq!(r.len(), 1);
-            assert_eq!(r.front(), Some(&i));
-            assert_eq!(r.back(), Some(&i));
-            assert_eq!(r.pop_front(), Some(i));
+            assert_eq!(front(&r), Some(i));
+            assert_eq!(r.back(), r.front());
+            assert_eq!(pop(&mut r), Some(i));
             assert!(r.is_empty());
         }
     }
 
     #[test]
-    fn pop_back_and_indexing() {
-        let mut r = Ring::with_capacity(4);
-        r.push_back(1u32);
-        r.push_back(2);
-        r.push_back(3);
-        assert_eq!(r.get(0), Some(&1));
-        assert_eq!(r.get(1), Some(&2));
-        assert_eq!(r.get(2), Some(&3));
+    fn retag_back_and_indexing() {
+        let word = |v: u32| [Word(v)];
+        let mut r = Ring::with_capacity(1, 4);
+        push(&mut r, 1);
+        push(&mut r, 2);
+        r.push_barrier(BarrierLevel::L1);
+        assert_eq!(r.get(0), Some(Tok::Data(&word(1)[..])));
+        assert_eq!(r.get(1), Some(Tok::Data(&word(2)[..])));
+        assert_eq!(r.get(2), Some(Tok::Barrier(BarrierLevel::L1)));
         assert_eq!(r.get(3), None);
-        assert_eq!(r.pop_back(), Some(3));
-        assert_eq!(r.back(), Some(&2));
-        r.push_back(9);
-        assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![1, 2, 9]);
+        r.retag_back(BarrierLevel::L3);
+        assert_eq!(r.len(), 3);
+        assert_eq!(r.back(), Some(Tok::Barrier(BarrierLevel::L3)));
+        assert_eq!(r.pop_front(), Some(Tok::Data(())));
+        assert_eq!(r.pop_front(), Some(Tok::Data(())));
+        assert_eq!(r.pop_front(), Some(Tok::Barrier(BarrierLevel::L3)));
     }
 
     #[test]
     fn growth_repacks_wrapped_contents() {
-        let mut r = Ring::with_capacity(4);
+        let mut r = Ring::with_capacity(1, 4);
         // Wrap head partway around, then force a grow with a wrapped layout.
         for i in 0..4u32 {
-            r.push_back(i);
+            push(&mut r, i);
         }
         r.pop_front();
         r.pop_front();
-        r.push_back(4);
-        r.push_back(5); // storage full again, head in the middle
-        r.push_back(6); // grow
-        assert_eq!(r.drain_all(), vec![2, 3, 4, 5, 6]);
+        push(&mut r, 4);
+        push(&mut r, 5); // storage full again, head in the middle
+        push(&mut r, 6); // grow
+        assert_eq!(drain(&mut r), vec![2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn wide_and_void_slots_keep_their_windows() {
+        // Arity 3: windows must not bleed into their neighbours across a
+        // wrapped grow. Arity 0: a zero-width lane still queues tokens.
+        let mut wide = Ring::new(3);
+        for i in 0..4u32 {
+            wide.push_slot()
+                .copy_from_slice(&[Word(i), Word(10 + i), Word(20 + i)]);
+        }
+        wide.pop_front();
+        wide.push_barrier(BarrierLevel::L2);
+        wide.push_slot()
+            .copy_from_slice(&[Word(4), Word(14), Word(24)]); // grows, wrapped
+        for i in 1..4u32 {
+            let want = [Word(i), Word(10 + i), Word(20 + i)];
+            assert_eq!(wide.front(), Some(Tok::Data(&want[..])));
+            wide.pop_front();
+        }
+        assert_eq!(wide.pop_front(), Some(Tok::Barrier(BarrierLevel::L2)));
+        assert_eq!(
+            wide.front(),
+            Some(Tok::Data(&[Word(4), Word(14), Word(24)][..]))
+        );
+
+        let mut void = Ring::new(0);
+        for _ in 0..9 {
+            assert!(void.push_slot().is_empty());
+        }
+        assert_eq!(void.len(), 9);
+        assert_eq!(void.front(), Some(Tok::Data(&[][..])));
     }
 }

@@ -6,13 +6,23 @@
 //! lockstep and merges keep them atomic (§III-B c). We therefore model a
 //! logical edge as a stream of *tuples*; physical resource accounting
 //! multiplies by the tuple arity.
+//!
+//! That width is static — a property of the edge, not of the token — so
+//! in flight a tuple is a window (`&[Word]`) into its channel's slab
+//! ([`crate::Channel`]), and the firing rules never see an owned one. The
+//! owned forms here, [`Tuple`] and [`TTok`], are for where a token has to
+//! outlive its slot: a [`crate::nodes::SourceNode`]'s prepared stream, a
+//! host feeding a channel ([`crate::Channel::push`]), the tokens a
+//! [`crate::nodes::SinkHandle`] collected, the wire format, the few
+//! tuples a node holds across firings (a broadcast's parent, a fork's
+//! payload), and tests.
 
 use revet_sltf::{BarrierLevel, Tok, Word};
 
-/// The live values of one dataflow thread on one logical edge.
+/// The live values of one dataflow thread on one logical edge, owned.
 pub type Tuple = Vec<Word>;
 
-/// A tuple-stream token: one thread's live values, or a barrier Ωn.
+/// An owned tuple-stream token: one thread's live values, or a barrier Ωn.
 pub type TTok = Tok<Tuple>;
 
 /// Builds a data token from word-like values.

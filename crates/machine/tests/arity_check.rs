@@ -1,0 +1,56 @@
+//! A channel checks tuple width on every slot write, in every build
+//! profile. Slots are fixed-width windows of one slab, so a wrong-width
+//! tuple must stop the run where it is written instead of being carried —
+//! CI runs this suite under `--release`, the profile `revet-serve` ships
+//! in, where a `debug_assert!` would say nothing.
+
+use revet_machine::nodes::{EwNode, SinkNode, SourceNode};
+use revet_machine::{tbar, tdata, Channel, ExecPlan, Graph, RunOptions};
+
+#[test]
+#[should_panic(expected = "tuple arity mismatch on channel (expected 1, got 2)")]
+fn owned_push_of_a_wide_tuple_panics() {
+    Channel::new(1).push(tdata([1u32, 2]));
+}
+
+#[test]
+#[should_panic(expected = "tuple arity mismatch on channel (expected 3, got 0)")]
+fn owned_push_of_a_void_tuple_on_a_wide_link_panics() {
+    Channel::new(3).push(tdata::<[u32; 0], u32>([]));
+}
+
+#[test]
+#[should_panic(expected = "tuple arity mismatch on channel (expected 2, got 1)")]
+fn slot_write_of_the_wrong_width_panics() {
+    Channel::new(2).push_slot(1);
+}
+
+/// src → pass-through(1) → sink, with the stage's output link mis-sized to
+/// two words: what a lowering bug would produce.
+fn mis_sized_link() -> Graph {
+    let mut g = Graph::new();
+    let a = g.add_chan(Channel::new(1));
+    let b = g.add_chan(Channel::new(2));
+    let src = SourceNode::new(vec![tdata([7u32]), tbar(1)]);
+    g.add_node("src", Box::new(src), [], [a]);
+    g.add_node("stage", Box::new(EwNode::passthrough(1)), [a], [b]);
+    g.add_node("sink", Box::new(SinkNode::new().0), [b], []);
+    g
+}
+
+#[test]
+#[should_panic(expected = "tuple arity mismatch on channel (expected 2, got 1)")]
+fn interpreted_rule_writing_a_mis_sized_link_panics() {
+    let _ = mis_sized_link().run(RunOptions::new(1_000));
+}
+
+#[test]
+#[should_panic(expected = "tuple arity mismatch on channel (expected 2, got 1)")]
+fn planned_rule_writing_a_mis_sized_link_panics() {
+    let mut g = mis_sized_link();
+    let plan = ExecPlan::build(&g);
+    let _ = g.run(RunOptions {
+        plan: Some(&plan),
+        ..RunOptions::new(1_000)
+    });
+}

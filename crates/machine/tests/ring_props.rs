@@ -1,74 +1,112 @@
-//! Property tests for [`Ring`], the power-of-two channel queue: random
-//! push/pop interleavings at capacities 1..64 must behave exactly like a
-//! `VecDeque` model, across wraparound (head chasing its own tail) and
-//! grow-on-full doublings.
+//! Property tests for [`Ring`], the slab queue under every channel: random
+//! push/pop/retag interleavings at slot widths 0..=8 and capacities 1..64
+//! must behave exactly like a `VecDeque` of owned tokens, across
+//! wraparound (head chasing its own tail) and grow-on-full doublings — in
+//! particular, no word window may bleed into a neighbouring slot.
 
 use proptest::prelude::*;
 use revet_machine::Ring;
+use revet_sltf::{BarrierLevel, Tok, Word};
 use std::collections::VecDeque;
 
+type Owned = Tok<Vec<Word>>;
+
 /// One step of the interleaving. Weighted toward pushes so runs actually
-/// fill the ring and force a grow; PopBack mixes in the deque-style use.
+/// fill the ring and force a grow; `RetagBack` is the in-place tail
+/// rewrite barrier canonicalization makes.
 #[derive(Clone, Debug)]
 enum Step {
-    PushBack(u32),
+    PushData(u32),
+    PushBarrier(BarrierLevel),
     PopFront,
-    PopBack,
+    RetagBack(BarrierLevel),
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
-    // 3:2:1 push/pop-front/pop-back, decoded from one u64 (the vendored
-    // proptest has no `prop_oneof!`): high bits pick the variant, low 32
-    // bits are the pushed value.
-    any::<u64>().prop_map(|raw| match (raw >> 32) % 6 {
-        0..=2 => Step::PushBack(raw as u32),
-        3..=4 => Step::PopFront,
-        _ => Step::PopBack,
+    // 3:1:2:1 data/barrier/pop-front/retag, decoded from one u64 (the
+    // vendored proptest has no `prop_oneof!`): high bits pick the variant,
+    // low 32 bits are the pushed value or the level.
+    any::<u64>().prop_map(|raw| {
+        let level = BarrierLevel::of(1 + (raw % 15) as u8);
+        match (raw >> 32) % 7 {
+            0..=2 => Step::PushData(raw as u32),
+            3 => Step::PushBarrier(level),
+            4..=5 => Step::PopFront,
+            _ => Step::RetagBack(level),
+        }
     })
 }
 
-/// Replays `steps` against both the ring and a `VecDeque` model, checking
-/// every observable (returned values, len, front/back, full indexed
-/// contents) after each step.
-fn check(mut ring: Ring<u32>, steps: &[Step]) {
-    let mut model: VecDeque<u32> = VecDeque::new();
+/// The `arity` words a data token pushed with seed `v` carries.
+fn payload(arity: usize, v: u32) -> Vec<Word> {
+    (0..arity as u32).map(|k| Word(v.wrapping_add(k))).collect()
+}
+
+fn view(tok: &Owned) -> Tok<&[Word]> {
+    match tok {
+        Tok::Data(vals) => Tok::Data(vals),
+        Tok::Barrier(level) => Tok::Barrier(*level),
+    }
+}
+
+/// Replays `steps` against both the ring and the model, checking every
+/// observable (popped kinds, len, front/back, full indexed contents) after
+/// each step, and the drain order at the end.
+fn check(mut ring: Ring, steps: &[Step]) {
+    let arity = ring.arity();
+    let mut model: VecDeque<Owned> = VecDeque::new();
     for (i, step) in steps.iter().enumerate() {
         match step {
-            Step::PushBack(v) => {
-                ring.push_back(*v);
-                model.push_back(*v);
+            Step::PushData(v) => {
+                ring.push_slot().copy_from_slice(&payload(arity, *v));
+                model.push_back(Tok::Data(payload(arity, *v)));
+            }
+            Step::PushBarrier(level) => {
+                ring.push_barrier(*level);
+                model.push_back(Tok::Barrier(*level));
             }
             Step::PopFront => {
-                assert_eq!(ring.pop_front(), model.pop_front(), "step {i}");
+                let want = model.pop_front().map(|tok| tok.map(|_| ()));
+                assert_eq!(ring.pop_front(), want, "step {i}");
             }
-            Step::PopBack => {
-                assert_eq!(ring.pop_back(), model.pop_back(), "step {i}");
+            Step::RetagBack(level) => {
+                if let Some(back) = model.back_mut() {
+                    ring.retag_back(*level);
+                    *back = Tok::Barrier(*level);
+                }
             }
         }
         assert_eq!(ring.len(), model.len(), "step {i}: len diverged");
         assert_eq!(ring.is_empty(), model.is_empty(), "step {i}");
-        assert_eq!(ring.front(), model.front(), "step {i}: front diverged");
-        assert_eq!(ring.back(), model.back(), "step {i}: back diverged");
+        assert_eq!(
+            ring.front(),
+            model.front().map(view),
+            "step {i}: front diverged"
+        );
+        assert_eq!(
+            ring.back(),
+            model.back().map(view),
+            "step {i}: back diverged"
+        );
         assert!(
             ring.capacity() >= ring.len(),
             "step {i}: len {} exceeds capacity {}",
             ring.len(),
             ring.capacity()
         );
-        for k in 0..model.len() {
+        for k in 0..=model.len() {
             assert_eq!(
                 ring.get(k),
-                model.get(k),
-                "step {i}: element {k} diverged after wraparound/grow"
+                model.get(k).map(view),
+                "step {i}: token {k} diverged after wraparound/grow"
             );
         }
     }
-    // Terminal observables: iteration order and drain order both match.
-    let via_iter: Vec<u32> = ring.iter().copied().collect();
-    let expect: Vec<u32> = model.iter().copied().collect();
-    assert_eq!(via_iter, expect, "iter order diverged");
-    assert_eq!(ring.drain_all(), expect, "drain order diverged");
-    assert!(ring.is_empty(), "drain_all must empty the ring");
+    for want in model {
+        assert_eq!(ring.front(), Some(view(&want)), "drain order diverged");
+        ring.pop_front();
+    }
+    assert!(ring.is_empty(), "draining must empty the ring");
 }
 
 proptest! {
@@ -79,48 +117,51 @@ proptest! {
     /// overflow the initial allocation (grow-on-full).
     #[test]
     fn presized_ring_matches_vecdeque(
+        arity in 0usize..=8,
         cap in 1usize..64,
         steps in prop::collection::vec(step_strategy(), 0..200),
     ) {
-        check(Ring::with_capacity(cap), &steps);
+        check(Ring::with_capacity(arity, cap), &steps);
     }
 
     /// A `Ring::new()` ring starts with zero storage — the first push
     /// allocates — and must satisfy the same model.
     #[test]
     fn unsized_ring_matches_vecdeque(
+        arity in 0usize..=8,
         steps in prop::collection::vec(step_strategy(), 0..200),
     ) {
-        check(Ring::new(), &steps);
+        check(Ring::new(arity), &steps);
     }
 
     /// A capacity bound is a no-realloc promise: pushing exactly `cap`
-    /// elements never changes `capacity()`, and alternating pop-front/
-    /// push-back at full occupancy (steady-state channel traffic) keeps
+    /// tokens never changes `capacity()`, and alternating pop-front/
+    /// push at full occupancy (steady-state channel traffic) keeps
     /// wrapping without growing.
     #[test]
     fn bounded_fill_and_steady_state_never_reallocate(
+        arity in 0usize..=8,
         cap in 1usize..64,
         traffic in prop::collection::vec(any::<u32>(), 0..150),
     ) {
-        let mut ring = Ring::with_capacity(cap);
+        let mut ring = Ring::with_capacity(arity, cap);
         let fixed = ring.capacity();
         prop_assert!(fixed >= cap);
+        let mut model: VecDeque<Vec<Word>> = VecDeque::new();
         for v in 0..cap as u32 {
-            ring.push_back(v);
+            ring.push_slot().copy_from_slice(&payload(arity, v));
+            model.push_back(payload(arity, v));
         }
         prop_assert_eq!(ring.capacity(), fixed, "fill to cap grew the ring");
-        let mut model: VecDeque<u32> = (0..cap as u32).collect();
         for (i, v) in traffic.iter().enumerate() {
-            prop_assert_eq!(ring.pop_front(), model.pop_front(), "step {}", i);
-            ring.push_back(*v);
-            model.push_back(*v);
+            let want = model.pop_front().expect("model stays full");
+            prop_assert_eq!(ring.front(), Some(Tok::Data(&want[..])), "step {}", i);
+            ring.pop_front();
+            ring.push_slot().copy_from_slice(&payload(arity, *v));
+            model.push_back(payload(arity, *v));
             prop_assert_eq!(ring.capacity(), fixed, "steady state grew the ring");
-            prop_assert_eq!(ring.front(), model.front(), "step {}", i);
-            prop_assert_eq!(ring.back(), model.back(), "step {}", i);
+            prop_assert_eq!(ring.back(), model.back().map(|b| Tok::Data(&b[..])), "step {}", i);
         }
-        let got: Vec<u32> = ring.drain_all();
-        let expect: Vec<u32> = model.into_iter().collect();
-        prop_assert_eq!(got, expect);
+        prop_assert_eq!(ring.len(), model.len());
     }
 }

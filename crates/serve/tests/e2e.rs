@@ -231,17 +231,21 @@ fn graceful_shutdown_drains_in_flight_work_without_error_frames() {
         })
         .collect();
 
-    // Wait until the work is genuinely in flight, then pull the plug.
+    // Wait until both batches are admitted (queued, running, or already
+    // done — 4 instances each), then pull the plug. Waiting for the first
+    // alone races the second client's submit against the shutdown, which
+    // then refuses it — correctly — as `ShuttingDown`.
     let mut status_client = ServeClient::connect(addr).expect("connect");
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let status = status_client.status().expect("status");
-        if status.inflight_jobs + status.queued_jobs > 0 {
+        let admitted = status.inflight_jobs + status.queued_jobs;
+        if 4 * admitted + status.executed_instances >= 8 {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "execute jobs never showed up as in flight"
+            "execute jobs never showed up as admitted"
         );
         std::thread::sleep(Duration::from_millis(2));
     }
