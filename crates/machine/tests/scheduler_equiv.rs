@@ -16,6 +16,13 @@
 //! - **dup**: an element-wise node duplicating a stream onto two channels,
 //! - **zip**: an element-wise node combining two open channels into one.
 //!
+//! A fourth move, **bound**, adds no node: it caps an open channel at 1..=4
+//! tokens. Every node moves its inputs and outputs in lockstep, so such a
+//! DAG cannot deadlock at any capacity ≥ 1; what the bound does is put
+//! back-pressure on the run — producers stall on a full link and are woken
+//! by the consumer's pop (`CapacityRelease`) — and keep the bounded link's
+//! producer out of the plan's chains.
+//!
 //! A subset of nodes additionally writes its values into a node-private
 //! DRAM window, so memory equality is exercised too (windows are disjoint:
 //! cross-node write ordering is schedule-dependent, but each node's own
@@ -37,16 +44,18 @@ enum Move {
     Map { sel: u32, op: u32 },
     Dup { sel: u32 },
     Zip { sel_a: u32, sel_b: u32 },
+    Bound { sel: u32, cap: u32 },
 }
 
 fn decode(raw: u32) -> Move {
-    let kind = raw % 3;
-    let a = (raw / 3) % 1009;
-    let b = (raw / 3037) % 1013;
+    let kind = raw % 4;
+    let a = (raw / 4) % 1009;
+    let b = (raw / 4049) % 1013;
     match kind {
         0 => Move::Map { sel: a, op: b },
         1 => Move::Dup { sel: a },
-        _ => Move::Zip { sel_a: a, sel_b: b },
+        2 => Move::Zip { sel_a: a, sel_b: b },
+        _ => Move::Bound { sel: a, cap: b },
     }
 }
 
@@ -180,6 +189,12 @@ fn build(toks: Vec<TTok>, moves: &[u32]) -> (Graph, ChanId, Vec<SinkHandle>) {
                 );
                 open.push(dst);
             }
+            Move::Bound { sel, cap } => {
+                // The graph has not run yet, so the field write is the
+                // whole story (no schedule exists to go stale).
+                let c = open[sel as usize % open.len()];
+                g.chan_mut(c).capacity = Some(1 + cap as usize % 4);
+            }
         }
     }
 
@@ -197,6 +212,32 @@ fn snapshot(handles: &[SinkHandle]) -> Vec<Vec<TTok>> {
     handles.iter().map(|h| h.tokens()).collect()
 }
 
+/// One `Graph::run` on a lane's executor.
+fn run(
+    g: &mut Graph,
+    plan: Option<&ExecPlan>,
+    resume: Option<&mut ResumeState>,
+    obs: &ObsSink,
+) -> (ExecReport, RunStatus) {
+    g.run(RunOptions {
+        plan,
+        resume,
+        obs,
+        max_rounds: 100_000,
+    })
+    .unwrap()
+}
+
+/// Interior nodes the chain rule must leave out: those with a bounded
+/// output (the source has no inputs, a sink no outputs).
+fn bounded_producers(g: &Graph) -> usize {
+    let bounded = |c: &ChanId| g.chans()[c.0 as usize].capacity.is_some();
+    g.nodes()
+        .iter()
+        .filter(|s| !s.ins.is_empty() && s.outs.iter().any(bounded))
+        .count()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -205,7 +246,8 @@ proptest! {
     /// the entire memory state (DRAM bytes, SRAM, allocators, and traffic
     /// counters), while the ready set attempts no more steps than the
     /// dense sweep. Every generated interior node is an `EwNode`, so the
-    /// plan chains the whole DAG between the source and the sinks.
+    /// plan chains the whole DAG between the source and the sinks, except
+    /// the producers of bounded links.
     #[test]
     fn planned_matches_ready_matches_dense(
         values in prop::collection::vec(0u32..100, 0..14),
@@ -214,18 +256,17 @@ proptest! {
         let (mut dense_g, _, dense_h) = build(source_tokens(&values), &moves);
         let dense: ExecReport = run_dense(&mut dense_g, 100_000).unwrap();
         let (mut ready_g, _, ready_h) = build(source_tokens(&values), &moves);
-        let (ready, _) = ready_g.run(RunOptions::new(100_000)).unwrap();
+        let (ready, _) = run(&mut ready_g, None, None, ObsSink::noop());
         let (mut plan_g, _, plan_h) = build(source_tokens(&values), &moves);
         let plan = ExecPlan::build(&plan_g);
-        plan_g
-            .run(RunOptions { plan: Some(&plan), ..RunOptions::new(100_000) })
-            .unwrap();
+        run(&mut plan_g, Some(&plan), None, ObsSink::noop());
 
         let stats = plan.stats();
         prop_assert_eq!(
-            stats.fused_ew + plan_h.len() + 1,
+            stats.fused_ew + bounded_producers(&plan_g) + plan_h.len() + 1,
             stats.nodes,
-            "everything but the source and the sinks chains: {:?}", stats
+            "everything chains but the source, the sinks and bounded links' producers: {:?}",
+            stats
         );
 
         prop_assert_eq!(snapshot(&dense_h), snapshot(&ready_h));
@@ -233,9 +274,11 @@ proptest! {
         prop_assert_eq!(&dense_g.mem, &ready_g.mem);
         prop_assert_eq!(&ready_g.mem, &plan_g.mem);
         // Step *grouping* is schedule-dependent (the ready set may fire a
-        // node at finer granularity), but total attempted work must not be.
+        // node at finer granularity), but total attempted work must not be
+        // — without back-pressure: a producer stalled on a full link is
+        // re-attempted on every capacity release.
         prop_assert!(
-            ready.steps <= dense.steps,
+            ready.steps <= dense.steps || dense_g.chans().iter().any(|c| c.capacity.is_some()),
             "ready set did more work ({} > {})", ready.steps, dense.steps
         );
     }
@@ -243,7 +286,8 @@ proptest! {
     /// The whole `RunOptions` matrix against the dense oracle: `{planned,
     /// interpreted} × {one-shot, resumed in K chunks} × {no-op obs,
     /// enabled obs}`. Feeding the source stream in K chunks at arbitrary
-    /// token boundaries — with a resumable run after each chunk — yields
+    /// token boundaries — with a resumable run after each chunk, and one
+    /// more whenever a bounded entry link fills up mid-chunk — yields
     /// exactly the one-shot sink streams and memory state: chunking only
     /// perturbs the schedule, and Kahn semantics make the result
     /// schedule-independent; intermediate polls may legitimately pause
@@ -282,24 +326,18 @@ proptest! {
                         let mut last = RunStatus::Finished;
                         for w in bounds.windows(2) {
                             for tok in &toks[w[0]..w[1]] {
+                                if g.chans()[entry.0 as usize].room() == 0 {
+                                    steps += run(&mut g, plan.as_ref(), Some(&mut resume), obs).0.steps;
+                                }
                                 g.chan_mut(entry).push(tok.clone());
                             }
-                            let (report, status) = g
-                                .run(RunOptions {
-                                    plan: plan.as_ref(),
-                                    resume: Some(&mut resume),
-                                    obs,
-                                    max_rounds: 100_000,
-                                })
-                                .unwrap();
+                            let (report, status) = run(&mut g, plan.as_ref(), Some(&mut resume), obs);
                             steps += report.steps;
                             last = status;
                         }
                         prop_assert_eq!(last, RunStatus::Finished, "{}: final drain", lane);
                     } else {
-                        let (report, status) = g
-                            .run(RunOptions { plan: plan.as_ref(), obs, ..RunOptions::new(100_000) })
-                            .unwrap();
+                        let (report, status) = run(&mut g, plan.as_ref(), None, obs);
                         prop_assert_eq!(status, RunStatus::Finished, "{}", lane);
                         steps = report.steps;
                     }
