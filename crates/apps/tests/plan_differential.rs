@@ -1,7 +1,8 @@
 //! Differential correctness for the compiled execution plan: on every
-//! Table III app, the [`ExecPlan`] fast path must be observationally
-//! identical to the interpreted ready-set executor — the full final DRAM
-//! image and the `main` sink's token stream, bit-for-bit. The graphs are
+//! Table III app, the [`ExecPlan`](revet_machine::ExecPlan) must be
+//! observationally identical to the dense-sweep oracle
+//! ([`run_dense`]), which shares no scheduling with it — the full final
+//! DRAM image and the `main` sink's token stream, bit-for-bit. The graphs are
 //! Kahn process networks, so any divergence there is an executor bug,
 //! never legal schedule nondeterminism. (Allocator free-list order and
 //! allocator-indexed SRAM scratch *are* schedule-dependent — the alloc
@@ -10,8 +11,9 @@
 //! suite in `revet-machine` covers it for alloc-free graphs.)
 
 use revet_apps::{all_apps, App};
-use revet_core::{PassOptions, StreamExecutor};
-use revet_machine::{ExecReport, RunOptions};
+use revet_core::PassOptions;
+use revet_machine::reference::run_dense;
+use revet_machine::ExecReport;
 
 const SEED: u64 = 0xD1FF;
 const MAX_ROUNDS: u64 = 200_000_000;
@@ -36,9 +38,9 @@ fn check_app_at(app: &App, level: u8) -> String {
         opt_level: level,
         ..PassOptions::default()
     };
-    let (program, args, w) = app.prepare(2, 12, SEED, &opts);
-    let stats = program.plan.stats();
-    let mut stream = program.stream(StreamExecutor::Planned);
+    let (mut program, args, w) = app.prepare(2, 12, SEED, &opts);
+    let stats = program.graph.plan().stats();
+    let mut stream = program.stream();
     for _ in 0..2 {
         assert_eq!(stream.feed(std::slice::from_ref(&args)).unwrap(), 1);
         stream
@@ -52,23 +54,21 @@ fn check_app_at(app: &App, level: u8) -> String {
         .run_untimed(&args, MAX_ROUNDS)
         .unwrap_or_else(|e| panic!("{} (O{level}, planned): {e}", app.name));
 
-    let mut interp = program.instance();
-    interp.inject_args(&args);
-    let (i_report, _) = interp
-        .graph
-        .run(RunOptions::new(MAX_ROUNDS))
-        .unwrap_or_else(|e| panic!("{} (O{level}, interpreted): {e}", app.name));
+    let mut dense = program.instance();
+    dense.inject_args(&args);
+    let d_report = run_dense(&mut dense.graph, MAX_ROUNDS)
+        .unwrap_or_else(|e| panic!("{} (O{level}, dense): {e}", app.name));
 
     assert_eq!(
         planned.sink_tokens(),
-        interp.sink_tokens(),
-        "{} (O{level}): sink stream must match the interpreted executor",
+        dense.sink_tokens(),
+        "{} (O{level}): sink stream must match the dense oracle",
         app.name
     );
     assert_eq!(
         planned.memory().dram,
-        interp.memory().dram,
-        "{} (O{level}): full DRAM image must match the interpreted executor",
+        dense.memory().dram,
+        "{} (O{level}): full DRAM image must match the dense oracle",
         app.name
     );
     // Both outputs must also be *correct*, not merely identical: replay
@@ -77,12 +77,12 @@ fn check_app_at(app: &App, level: u8) -> String {
     p2.run_untimed(&args, MAX_ROUNDS).unwrap();
     app.check(&p2, &w);
     assert!(
-        p_report.steps <= i_report.steps,
-        "{} (O{level}): fused segments should never dispatch more often \
-         than per-node interpretation ({} > {})",
+        p_report.steps <= d_report.steps,
+        "{} (O{level}): the plan should never dispatch more often than \
+         the dense sweep steps ({} > {})",
         app.name,
         p_report.steps,
-        i_report.steps
+        d_report.steps
     );
     format!(
         "{} O{level} {} {} {} {} | {} | {}",

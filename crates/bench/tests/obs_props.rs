@@ -2,8 +2,8 @@
 //!
 //! 1. The obs sink's dispatch counter — and the number of `NodeDispatch`
 //!    events in the trace ring — equal the `ExecReport::steps` the
-//!    executor itself reports, on all eight Table III apps (planned and
-//!    interpreted executors) and on random scheduler-equivalence DAGs.
+//!    executor itself reports, on all eight Table III apps and on random
+//!    scheduler-equivalence DAGs.
 //!    The trace is an *account* of the run, not a sample of it.
 //! 2. Per-worker sinks forked by `BatchRunner::run_obs` and merged after
 //!    the join aggregate to exactly the counters a single-threaded run
@@ -14,7 +14,7 @@ use revet_apps::all_apps;
 use revet_core::PassOptions;
 use revet_machine::instr::{AluOp, EwInstr, Operand};
 use revet_machine::nodes::{EwNode, OutputSpec, SinkNode, SourceNode};
-use revet_machine::{tbar, tdata, ChanId, Channel, ExecPlan, Graph, MemoryState, RunOptions, TTok};
+use revet_machine::{tbar, tdata, ChanId, Channel, Graph, MemoryState, RunOptions, TTok};
 use revet_obs::{EventKind, ObsSink};
 use revet_runtime::{BatchJob, BatchRunner};
 
@@ -55,78 +55,73 @@ fn dispatch_events(obs: &ObsSink) -> (u64, u64) {
     (total, productive)
 }
 
-/// On every evaluation app, for both executors: the sink's counters and
-/// the trace ring agree exactly with the `ExecReport`.
+/// On every evaluation app: the sink's counters and the trace ring agree
+/// exactly with the `ExecReport`.
 #[test]
 fn trace_dispatch_counts_match_exec_report_on_all_apps() {
     for a in all_apps() {
         let (program, args, w) = a.prepare(OUTER, SCALE, SEED, &PassOptions::default());
-        for interpreted in [false, true] {
-            let obs = ObsSink::with_trace_capacity(TRACE_CAP);
-            let mut inst = program.instance();
-            inst.inject_args(&args);
-            let plan = (!interpreted).then_some(&*program.plan);
-            let (report, _) = inst
-                .graph
-                .run(RunOptions {
-                    plan,
-                    obs: &obs,
-                    ..RunOptions::new(MAX_ROUNDS)
-                })
-                .unwrap_or_else(|e| panic!("{}: {e}", a.name));
-            a.check_dram(&inst.memory().dram, &w);
+        let obs = ObsSink::with_trace_capacity(TRACE_CAP);
+        let mut inst = program.instance();
+        inst.inject_args(&args);
+        let (report, _) = inst
+            .graph
+            .run(RunOptions {
+                obs: &obs,
+                ..RunOptions::new(MAX_ROUNDS)
+            })
+            .unwrap_or_else(|e| panic!("{}: {e}", a.name));
+        a.check_dram(&inst.memory().dram, &w);
 
-            assert_eq!(obs.trace_dropped(), 0, "{}: ring too small", a.name);
-            assert_eq!(
-                obs.counters.dispatches.get(),
-                report.steps,
-                "{} (interpreted={interpreted}): dispatch counter vs report.steps",
-                a.name
-            );
-            assert_eq!(
-                obs.counters.productive.get(),
-                report.productive_steps,
-                "{} (interpreted={interpreted})",
-                a.name
-            );
-            assert_eq!(obs.counters.rounds.get(), report.rounds, "{}", a.name);
-            assert_eq!(
-                obs.counters.peak_ready.get(),
-                report.peak_ready,
-                "{}",
-                a.name
-            );
-            let (traced, traced_productive) = dispatch_events(&obs);
-            assert_eq!(
-                traced, report.steps,
-                "{} (interpreted={interpreted}): traced NodeDispatch events vs report.steps",
-                a.name
-            );
-            assert_eq!(traced_productive, report.productive_steps, "{}", a.name);
+        assert_eq!(obs.trace_dropped(), 0, "{}: ring too small", a.name);
+        assert_eq!(
+            obs.counters.dispatches.get(),
+            report.steps,
+            "{}: dispatch counter vs report.steps",
+            a.name
+        );
+        assert_eq!(
+            obs.counters.productive.get(),
+            report.productive_steps,
+            "{}",
+            a.name
+        );
+        assert_eq!(obs.counters.rounds.get(), report.rounds, "{}", a.name);
+        assert_eq!(
+            obs.counters.peak_ready.get(),
+            report.peak_ready,
+            "{}",
+            a.name
+        );
+        let (traced, traced_productive) = dispatch_events(&obs);
+        assert_eq!(
+            traced, report.steps,
+            "{}: traced NodeDispatch events vs report.steps",
+            a.name
+        );
+        assert_eq!(traced_productive, report.productive_steps, "{}", a.name);
 
-            // Channel traffic is traced whichever way a node fires: every
-            // channel a node pushed to shows at least one `ChannelPush`
-            // (the entry channel is pushed by `inject_args`, not a node).
-            let pushed: std::collections::HashSet<u32> = obs
-                .trace_events()
-                .iter()
-                .filter_map(|ev| match ev.kind {
-                    EventKind::ChannelPush { chan } => Some(chan),
-                    _ => None,
-                })
-                .collect();
-            let topo = inst.graph.topology().expect("finalized by the run");
-            for (c, chan) in inst.graph.chans().iter().enumerate() {
-                let by_node = !topo.producers(ChanId(c as u32)).is_empty();
-                if by_node && chan.total_pushed() > 0 {
-                    assert!(
-                        pushed.contains(&(c as u32)),
-                        "{} (interpreted={interpreted}): channel {c} carried {} tokens \
-                         but no ChannelPush was traced",
-                        a.name,
-                        chan.total_pushed()
-                    );
-                }
+        // Channel traffic is traced whichever way a node fires: every
+        // channel a node pushed to shows at least one `ChannelPush`
+        // (the entry channel is pushed by `inject_args`, not a node).
+        let pushed: std::collections::HashSet<u32> = obs
+            .trace_events()
+            .iter()
+            .filter_map(|ev| match ev.kind {
+                EventKind::ChannelPush { chan } => Some(chan),
+                _ => None,
+            })
+            .collect();
+        let topo = std::sync::Arc::clone(inst.graph.plan().topology());
+        for (c, chan) in inst.graph.chans().iter().enumerate() {
+            let by_node = !topo.producers(ChanId(c as u32)).is_empty();
+            if by_node && chan.total_pushed() > 0 {
+                assert!(
+                    pushed.contains(&(c as u32)),
+                    "{}: channel {c} carried {} tokens but no ChannelPush was traced",
+                    a.name,
+                    chan.total_pushed()
+                );
             }
         }
     }
@@ -278,16 +273,14 @@ fn build(values: &[u32], moves: &[u32]) -> Graph {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// On random DAGs, both the event-driven executor and the compiled
-    /// plan keep the sink and the report in exact agreement: dispatch
-    /// counter == traced NodeDispatch events == report.steps, and the
-    /// productive / rounds / peak-ready views match too.
+    /// On random DAGs the sink and the report stay in exact agreement:
+    /// dispatch counter == traced NodeDispatch events == report.steps,
+    /// and the productive / rounds / peak-ready views match too.
     #[test]
     fn obs_matches_exec_report_on_random_dags(
         values in prop::collection::vec(0u32..100, 0..14),
         moves in prop::collection::vec(0u32..3_000_000, 0..18),
     ) {
-        // Event-driven ready-set executor.
         let mut g = build(&values, &moves);
         let obs = ObsSink::with_trace_capacity(TRACE_CAP);
         let (report, _) = g
@@ -301,20 +294,5 @@ proptest! {
         let (traced, traced_productive) = dispatch_events(&obs);
         prop_assert_eq!(traced, report.steps);
         prop_assert_eq!(traced_productive, report.productive_steps);
-
-        // Compiled execution plan over an identical graph.
-        let mut pg = build(&values, &moves);
-        let plan = ExecPlan::build(&pg);
-        let pobs = ObsSink::with_trace_capacity(TRACE_CAP);
-        let (preport, _) = pg
-            .run(RunOptions { plan: Some(&plan), obs: &pobs, ..RunOptions::new(100_000) })
-            .unwrap();
-        prop_assert_eq!(pobs.trace_dropped(), 0);
-        prop_assert_eq!(pobs.counters.dispatches.get(), preport.steps);
-        prop_assert_eq!(pobs.counters.productive.get(), preport.productive_steps);
-        prop_assert_eq!(pobs.counters.rounds.get(), preport.rounds);
-        prop_assert_eq!(pobs.counters.peak_ready.get(), preport.peak_ready);
-        let (ptraced, _) = dispatch_events(&pobs);
-        prop_assert_eq!(ptraced, preport.steps);
     }
 }

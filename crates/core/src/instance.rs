@@ -6,7 +6,7 @@
 //! [`Graph::fresh_instance`] copies the small parts of it, recycles the
 //! DRAM image from the program's pool (restoring only the pages the
 //! previous instance dirtied, see [`revet_machine::Dram`]) and shares the
-//! immutable [`revet_machine::TopologyIndex`] behind an `Arc`. A
+//! immutable schedule ([`revet_machine::ExecPlan`]) behind an `Arc`. A
 //! [`ProgramInstance`] is the resulting unit of batch work: it is `Send`,
 //! owns everything it mutates, and collects results into its own private
 //! sink buffer, so any number of instances of one compile can run
@@ -16,23 +16,20 @@ use crate::lower::CompiledProgram;
 use crate::CoreError;
 use revet_machine::nodes::SinkHandle;
 use revet_machine::{
-    ChanId, ExecPlan, ExecReport, Graph, MachineError, MemoryState, ResumeState, RunOptions,
-    RunStatus, TTok,
+    ChanId, ExecReport, Graph, MachineError, MemoryState, ResumeState, RunOptions, RunStatus, TTok,
 };
 use revet_obs::ObsSink;
 use revet_sltf::Word;
-use std::sync::Arc;
 
-/// Which executor an instance runs on — the one executor selector in the
-/// workspace, translated to [`RunOptions::plan`] in exactly one place. A
-/// streaming session picks one at open and sticks with it.
+/// Not a choice: there is one executor, the graph's own
+/// [`revet_machine::ExecPlan`]. The one-variant enum exists only because
+/// the frozen benchmark (`perf_ledger/src/layers.rs`) spells
+/// `StreamInstance::new(inst, StreamExecutor::Planned)`; nothing reads it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum StreamExecutor {
-    /// The compiled [`revet_machine::ExecPlan`] fast path (the default).
+    /// The graph's execution plan.
     #[default]
     Planned,
-    /// The interpreted event-driven reference executor.
-    Interpreted,
 }
 
 /// One independently runnable instantiation of a [`CompiledProgram`]:
@@ -45,7 +42,6 @@ pub struct ProgramInstance {
     pub graph: Graph,
     pub(crate) entry: ChanId,
     pub(crate) sink: SinkHandle,
-    pub(crate) plan: Arc<ExecPlan>,
 }
 
 // The whole point of an instance is to migrate onto a worker thread; keep
@@ -57,9 +53,8 @@ const _: fn() = || {
 
 impl ProgramInstance {
     /// Runs this instance to quiescence with the given `main` arguments,
-    /// through the compiled execution plan (shared, like the topology
-    /// index, by all instances of one compile) — the unobserved
-    /// convenience over [`ProgramInstance::run`].
+    /// through the compiled execution plan (shared by all instances of one
+    /// compile) — the unobserved convenience over [`ProgramInstance::run`].
     ///
     /// # Errors
     ///
@@ -74,9 +69,7 @@ impl ProgramInstance {
 
     /// Injects `args` and runs one-shot through the plan, recording into
     /// `obs` (node labels are published to the sink so stall tables and
-    /// traces can name nodes; a successful run counts one instance). The
-    /// interpreted reference lane is [`ProgramInstance::inject_args`] plus
-    /// `graph.run` with no plan.
+    /// traces can name nodes; a successful run counts one instance).
     ///
     /// # Errors
     ///
@@ -88,7 +81,7 @@ impl ProgramInstance {
         obs: &ObsSink,
     ) -> Result<ExecReport, MachineError> {
         self.inject_args(args);
-        let (report, _) = self.execute(StreamExecutor::Planned, None, max_rounds, obs)?;
+        let (report, _) = self.execute(None, max_rounds, obs)?;
         if obs.is_enabled() {
             obs.counters.instances.inc();
         }
@@ -101,12 +94,11 @@ impl ProgramInstance {
         crate::lower::inject_args(&mut self.graph, self.entry, args);
     }
 
-    /// The one forward to [`Graph::run`]: publishes node labels and maps
-    /// the executor choice onto the plan axis. `resume` is the streaming
-    /// axis ([`crate::StreamInstance`] passes its session state).
+    /// The one forward to [`Graph::run`], publishing node labels first.
+    /// `resume` is the streaming axis ([`crate::StreamInstance`] passes its
+    /// session state).
     pub(crate) fn execute(
         &mut self,
-        executor: StreamExecutor,
         resume: Option<&mut ResumeState>,
         max_rounds: u64,
         obs: &ObsSink,
@@ -120,12 +112,7 @@ impl ProgramInstance {
                     .collect(),
             );
         }
-        let plan = match executor {
-            StreamExecutor::Planned => Some(&*self.plan),
-            StreamExecutor::Interpreted => None,
-        };
         self.graph.run(RunOptions {
-            plan,
             resume,
             obs,
             max_rounds,
@@ -158,7 +145,7 @@ impl CompiledProgram {
     /// recycled from an earlier instance rather than copied (the instance
     /// returns it when its memory is dropped; at most
     /// [`revet_machine::POOL_IMAGES`] idle images are kept per program);
-    /// the topology index is shared. The template program itself is left
+    /// the execution plan is shared. The template program itself is left
     /// untouched, so one compile can be instantiated any number of times,
     /// concurrently and from a shared `&CompiledProgram`.
     pub fn instance(&self) -> ProgramInstance {
@@ -172,7 +159,6 @@ impl CompiledProgram {
             graph,
             entry: self.entry,
             sink,
-            plan: Arc::clone(&self.plan),
         }
     }
 

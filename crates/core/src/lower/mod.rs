@@ -55,7 +55,7 @@ use revet_machine::nodes::{
     BroadcastNode, CounterNode, EwNode, FbMergeNode, FlattenNode, FwdMergeNode, OutputSpec,
     ReduceNode, SinkNode,
 };
-use revet_machine::{ChanId, Channel, ExecPlan, Graph, LinkClass, Node, RunOptions, UnitClass};
+use revet_machine::{ChanId, Channel, Graph, LinkClass, Node, RunOptions, UnitClass};
 use revet_mir::{DramLayout, Func, Module, Op, OpKind, Ty, Value};
 use revet_sltf::Word;
 use std::collections::HashMap;
@@ -129,20 +129,16 @@ pub struct CompiledProgram {
     pub sink: revet_machine::nodes::SinkHandle,
     /// Product of replicate ways (the "outer parallelism" knob).
     pub outer_parallelism: u32,
-    /// The flattened execution plan: built once when the graph is
-    /// finished, shared (like the topology index) by every
-    /// [`crate::ProgramInstance`] of this compile.
-    pub plan: Arc<ExecPlan>,
 }
 
 impl CompiledProgram {
     /// Runs the program to quiescence with the given `main` arguments,
-    /// through the compiled execution plan (the fused fast path; falls
-    /// back to boxed node stepping for non-lowered kinds). DRAM inputs
-    /// should be written into `self.graph.mem.dram` first. This is the
-    /// one-shot, unobserved convenience over [`Graph::run`]; for the other
-    /// axes, [`CompiledProgram::inject_args`] and call `graph.run`
-    /// directly, or run a [`crate::ProgramInstance`].
+    /// through the graph's execution plan (total: every primitive fires
+    /// its own rule on the plan's ports). DRAM inputs should be written
+    /// into `self.graph.mem.dram` first. This is the one-shot, unobserved
+    /// convenience over [`Graph::run`]; for the other axes,
+    /// [`CompiledProgram::inject_args`] and call `graph.run` directly, or
+    /// run a [`crate::ProgramInstance`].
     ///
     /// # Errors
     ///
@@ -153,10 +149,7 @@ impl CompiledProgram {
         max_rounds: u64,
     ) -> Result<revet_machine::ExecReport, revet_machine::MachineError> {
         self.inject_args(args);
-        let (report, _) = self.graph.run(RunOptions {
-            plan: Some(&*self.plan),
-            ..RunOptions::new(max_rounds)
-        })?;
+        let (report, _) = self.graph.run(RunOptions::new(max_rounds))?;
         Ok(report)
     }
 
@@ -274,11 +267,10 @@ pub fn lower_to_dataflow(
     } = lw;
     module.funcs.insert(at, main);
     graph.mem = module.build_memory(dram_bytes);
-    // The wiring is complete: build the channel-endpoint index both
-    // executors use for ready-set scheduling, and flatten the graph
-    // into the execution plan every instance of this compile shares.
-    graph.finalize_topology();
-    let plan = Arc::new(ExecPlan::build(&graph));
+    // The wiring is complete: schedule it now, so every instance of this
+    // compile shares the one plan (and its channel-endpoint index)
+    // instead of building its own on first run.
+    graph.plan();
     Ok(CompiledProgram {
         graph,
         contexts,
@@ -287,7 +279,6 @@ pub fn lower_to_dataflow(
         entry,
         sink,
         outer_parallelism,
-        plan,
     })
 }
 

@@ -40,7 +40,7 @@ pub struct StreamOutcome {
 /// A resident, incrementally-fed instantiation of a [`CompiledProgram`].
 ///
 /// ```
-/// use revet_core::{PassOptions, Session, StreamExecutor};
+/// use revet_core::{PassOptions, Session};
 /// use revet_sltf::Word;
 ///
 /// let program = Session::new(
@@ -52,7 +52,7 @@ pub struct StreamOutcome {
 /// )
 /// .to_dataflow()
 /// .unwrap();
-/// let mut stream = program.stream(StreamExecutor::Planned);
+/// let mut stream = program.stream();
 /// stream.feed(&[vec![Word(3)]]).unwrap();
 /// stream.poll(1_000_000).unwrap();
 /// stream.feed(&[vec![Word(4)]]).unwrap(); // resident state persists
@@ -63,7 +63,6 @@ pub struct StreamOutcome {
 pub struct StreamInstance {
     inner: ProgramInstance,
     resume: ResumeState,
-    executor: StreamExecutor,
     /// Sink read position: `poll` returns tokens from here onward.
     cursor: usize,
     /// Counters merged across every poll so far.
@@ -73,12 +72,12 @@ pub struct StreamInstance {
 }
 
 impl StreamInstance {
-    /// Wraps a fresh instance for streaming on the chosen executor.
-    pub fn new(inner: ProgramInstance, executor: StreamExecutor) -> Self {
+    /// Wraps a fresh instance for streaming ([`StreamExecutor`] has one
+    /// value; see there for why the parameter exists).
+    pub fn new(inner: ProgramInstance, _executor: StreamExecutor) -> Self {
         StreamInstance {
             inner,
             resume: ResumeState::new(),
-            executor,
             cursor: 0,
             report: ExecReport::default(),
             fed: 0,
@@ -135,9 +134,9 @@ impl StreamInstance {
         max_rounds: u64,
         obs: &revet_obs::ObsSink,
     ) -> Result<(Vec<TTok>, RunStatus), MachineError> {
-        let (report, status) =
-            self.inner
-                .execute(self.executor, Some(&mut self.resume), max_rounds, obs)?;
+        let (report, status) = self
+            .inner
+            .execute(Some(&mut self.resume), max_rounds, obs)?;
         self.report.merge(&report);
         if obs.is_enabled() {
             obs.registry
@@ -213,8 +212,8 @@ impl StreamInstance {
 impl CompiledProgram {
     /// Opens a streaming session: a fresh [`ProgramInstance`] wrapped for
     /// incremental feeding (see [`StreamInstance`]).
-    pub fn stream(&self, executor: StreamExecutor) -> StreamInstance {
-        StreamInstance::new(self.instance(), executor)
+    pub fn stream(&self) -> StreamInstance {
+        StreamInstance::new(self.instance(), StreamExecutor::Planned)
     }
 }
 
@@ -240,32 +239,34 @@ mod tests {
         Session::new(SQUARES, opts).to_dataflow().unwrap()
     }
 
+    /// The one-shot reference is the dense oracle (the name predates the
+    /// interpreter's removal).
     #[test]
     fn chunked_feed_matches_one_shot_for_both_executors() {
         let program = compile(2);
         let argsets: Vec<Vec<Word>> = (1..=4).map(|n| vec![Word(n)]).collect();
 
         // One-shot reference: ONE instance, every argset injected up
-        // front, run once.
-        let mut oneshot = program.stream(StreamExecutor::Planned);
-        assert_eq!(oneshot.feed(&argsets).unwrap(), 4);
-        let reference = oneshot.finish(1_000_000).unwrap();
-
-        for executor in [StreamExecutor::Planned, StreamExecutor::Interpreted] {
-            let mut stream = program.stream(executor);
-            let mut collected = Vec::new();
-            for args in &argsets {
-                assert_eq!(stream.feed(std::slice::from_ref(args)).unwrap(), 1);
-                let (delta, status) = stream.poll(1_000_000).unwrap();
-                collected.extend(delta);
-                assert_eq!(status, RunStatus::Finished);
-            }
-            assert_eq!(stream.fed(), 4);
-            let out = stream.finish(1_000_000).unwrap();
-            assert_eq!(out.sink, reference.sink, "{executor:?} sink stream");
-            assert_eq!(collected, reference.sink, "{executor:?} poll deltas");
-            assert_eq!(out.memory.dram, reference.memory.dram, "{executor:?} DRAM");
+        // front, one dense run.
+        let mut reference = program.instance();
+        for args in &argsets {
+            reference.inject_args(args);
         }
+        revet_machine::reference::run_dense(&mut reference.graph, 1_000_000).unwrap();
+
+        let mut stream = program.stream();
+        let mut collected = Vec::new();
+        for args in &argsets {
+            assert_eq!(stream.feed(std::slice::from_ref(args)).unwrap(), 1);
+            let (delta, status) = stream.poll(1_000_000).unwrap();
+            collected.extend(delta);
+            assert_eq!(status, RunStatus::Finished);
+        }
+        assert_eq!(stream.fed(), 4);
+        let out = stream.finish(1_000_000).unwrap();
+        assert_eq!(out.sink, reference.sink_tokens(), "sink stream");
+        assert_eq!(collected, out.sink, "poll deltas");
+        assert_eq!(out.memory.dram, reference.memory().dram, "DRAM");
     }
 
     #[test]
@@ -273,7 +274,7 @@ mod tests {
         // Regression: a finished stream's report must accumulate
         // steps/rounds across polls, not report only the last poll.
         let program = compile(2);
-        let mut stream = program.stream(StreamExecutor::Planned);
+        let mut stream = program.stream();
         let mut sum = ExecReport::default();
         for n in 1..=3u32 {
             stream.feed(&[vec![Word(n)]]).unwrap();
@@ -301,7 +302,7 @@ mod tests {
     /// by hand around the entry channel.
     fn starved_zip() -> ProgramInstance {
         use revet_machine::nodes::{EwNode, SinkNode};
-        use revet_machine::{Channel, ExecPlan, Graph};
+        use revet_machine::{Channel, Graph};
         let mut g = Graph::new();
         let c0 = g.add_chan(Channel::new(1));
         let c1 = g.add_chan(Channel::new(1));
@@ -314,12 +315,10 @@ mod tests {
         );
         let (sink_node, sink) = SinkNode::new();
         g.add_node("sink", Box::new(sink_node), vec![c2], vec![]);
-        let plan = std::sync::Arc::new(ExecPlan::build(&g));
         ProgramInstance {
             graph: g,
             entry: c0,
             sink,
-            plan,
         }
     }
 
@@ -335,24 +334,23 @@ mod tests {
 
     #[test]
     fn starved_zip_diagnosis_is_identical_one_shot_and_streamed() {
-        let mut texts = Vec::new();
-        for executor in [StreamExecutor::Planned, StreamExecutor::Interpreted] {
-            let mut inst = starved_zip();
-            inst.inject_args(&[Word(7)]);
-            let one_shot = inst
-                .execute(executor, None, 1_000_000, revet_obs::ObsSink::noop())
-                .unwrap_err();
-            let mut stream = StreamInstance::new(starved_zip(), executor);
-            stream.feed(&[vec![Word(7)]]).unwrap();
-            let (_, status) = stream.poll(1_000_000).unwrap();
-            assert_eq!(status, RunStatus::Paused, "{executor:?}");
-            let streamed = stream.finish(1_000_000).unwrap_err();
-            assert_eq!(one_shot, streamed, "{executor:?}");
-            texts.push(streamed.message);
-        }
-        assert_eq!(texts[0], texts[1], "both executors word it the same");
+        let mut inst = starved_zip();
+        inst.inject_args(&[Word(7)]);
+        let one_shot = inst
+            .execute(None, 1_000_000, revet_obs::ObsSink::noop())
+            .unwrap_err();
+        let mut dense = starved_zip();
+        dense.inject_args(&[Word(7)]);
+        let oracle = revet_machine::reference::run_dense(&mut dense.graph, 1_000_000).unwrap_err();
+        let mut stream = StreamInstance::new(starved_zip(), StreamExecutor::Planned);
+        stream.feed(&[vec![Word(7)]]).unwrap();
+        let (_, status) = stream.poll(1_000_000).unwrap();
+        assert_eq!(status, RunStatus::Paused);
+        let streamed = stream.finish(1_000_000).unwrap_err();
+        assert_eq!(one_shot, streamed);
+        assert_eq!(oracle, streamed, "the dense oracle words it the same");
         assert_eq!(
-            texts[0],
+            streamed.message,
             "deadlock at quiescence: channel #0 -> 'zip': 2 tokens pending"
         );
     }
@@ -360,7 +358,7 @@ mod tests {
     #[test]
     fn resident_bytes_rises_with_fed_input_and_survives_pause() {
         let program = compile(0);
-        let mut stream = program.stream(StreamExecutor::Interpreted);
+        let mut stream = program.stream();
         assert_eq!(stream.resident_bytes(), 0);
         stream.feed(&[vec![Word(8)]]).unwrap();
         assert!(stream.resident_bytes() > 0, "fed argset is resident");

@@ -4,8 +4,8 @@
 //! generator ([`gen`]) emits well-typed, terminating Revet source
 //! programs; the oracle ([`oracle`]) feeds each one through the full
 //! pipeline at -O0/-O1/-O2 and demands bit-identical final DRAM (and
-//! matching sink streams) across the MIR interpreter, the interpreted
-//! ready-set executor, and the compiled execution plan. Failures become
+//! matching sink streams) across the MIR interpreter, the compiled
+//! execution plan, and the dense-sweep oracle. Failures become
 //! self-contained `.rvt` reproducers ([`repro`]) and are automatically
 //! minimized ([`reduce`]) before they reach a human.
 //!

@@ -9,14 +9,14 @@
 //! | 1 | MIR interpreter | unoptimized (`compile_to_mir`) | — (reference) |
 //! | 2,5,8 | MIR interpreter | optimized (`Session::run_passes`) | O0/O1/O2 |
 //! | 3,6,9 | compiled `ExecPlan` (`run_untimed`) | lowered dataflow | O0/O1/O2 |
-//! | 4,7,10 | interpreted ready-set executor | lowered dataflow | O0/O1/O2 |
+//! | 4,7,10 | dense-sweep oracle (`reference::run_dense`) | lowered dataflow | O0/O1/O2 |
 //!
 //! On top of the batch matrix, each level runs the **chunked-feed
 //! streaming lane**: the case's argset replicated and fed through a
 //! resident [`StreamInstance`](revet_core::StreamInstance) at a
 //! seed-derived chunk boundary must be bit-identical (final DRAM plus
-//! sink stream) to one session fed everything up front, on both
-//! executors — and a single-argset session must match the batch runs.
+//! sink stream) to one session fed everything up front — and a
+//! single-argset session must match the batch runs.
 //!
 //! On top of the bit-identity matrix the oracle enforces the frontend
 //! invariants: compilation must succeed with *zero* diagnostics (clean
@@ -35,8 +35,9 @@
 //! reducer minimizes real miscompiles.
 
 use crate::gen::Case;
-use revet_core::{lower_to_dataflow, CompiledProgram, PassOptions, Session, StreamExecutor};
-use revet_machine::{MachineError, RunOptions, TTok};
+use revet_core::{lower_to_dataflow, CompiledProgram, PassOptions, Session};
+use revet_machine::reference::run_dense;
+use revet_machine::{MachineError, TTok};
 use revet_mir::{AluOp, DramLayout, Interp, Module, OpKind, Region};
 use revet_sltf::Word;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -285,12 +286,11 @@ fn run_case_inner(case: &Case, cfg: &OracleConfig) -> Result<(), Failure> {
 /// final DRAM image and the complete sink stream.
 fn stream_run(
     program: &CompiledProgram,
-    executor: StreamExecutor,
     argsets: &[Vec<Word>],
     chunk: usize,
     max_rounds: u64,
 ) -> Result<(Vec<u8>, Vec<TTok>), MachineError> {
-    let mut stream = program.stream(executor);
+    let mut stream = program.stream();
     for group in argsets.chunks(chunk.max(1)) {
         let mut rest = group;
         while !rest.is_empty() {
@@ -405,13 +405,12 @@ fn run_level(
         ));
     }
 
-    // Runs 4/7/10: the interpreted ready-set executor.
-    let mut ready = program.instance();
-    ready.inject_args(&args);
-    ready
-        .graph
-        .run(RunOptions::new(cfg.max_rounds()))
-        .map_err(|e| fail(FailureKind::ExecError, level, format!("interpreted: {e}")))?;
+    // Runs 4/7/10: the dense-sweep oracle, which shares no worklist, wake
+    // rule or seeding with the plan.
+    let mut dense = program.instance();
+    dense.inject_args(&args);
+    run_dense(&mut dense.graph, cfg.max_rounds())
+        .map_err(|e| fail(FailureKind::ExecError, level, format!("dense: {e}")))?;
 
     if planned_dram != *reference {
         return Err(fail(
@@ -420,21 +419,21 @@ fn run_level(
             diff_dram(reference, &planned_dram, "planned vs reference"),
         ));
     }
-    if ready.memory().dram[..] != *reference {
+    if dense.memory().dram[..] != *reference {
         return Err(fail(
             FailureKind::DramMismatch,
             level,
-            diff_dram(reference, &ready.memory().dram, "interpreted vs reference"),
+            diff_dram(reference, &dense.memory().dram, "dense vs reference"),
         ));
     }
-    if planned_sink != ready.sink_tokens() {
+    if planned_sink != dense.sink_tokens() {
         return Err(fail(
             FailureKind::SinkMismatch,
             level,
             format!(
-                "planned vs interpreted sink streams ({} vs {} tokens)",
+                "planned vs dense sink streams ({} vs {} tokens)",
                 planned_sink.len(),
-                ready.sink_tokens().len()
+                dense.sink_tokens().len()
             ),
         ));
     }
@@ -443,14 +442,9 @@ fn run_level(
     // into the batch matrix: a session fed the single argset must leave
     // the reference image and the planned executor's sink stream.
     let stream_err = |e: MachineError| fail(FailureKind::ExecError, level, format!("stream: {e}"));
-    let (solo_dram, solo_sink) = stream_run(
-        &program,
-        StreamExecutor::Planned,
-        std::slice::from_ref(&args),
-        1,
-        cfg.max_rounds(),
-    )
-    .map_err(stream_err)?;
+    let (solo_dram, solo_sink) =
+        stream_run(&program, std::slice::from_ref(&args), 1, cfg.max_rounds())
+            .map_err(stream_err)?;
     if solo_dram != *reference {
         return Err(fail(
             FailureKind::DramMismatch,
@@ -472,39 +466,37 @@ fn run_level(
 
     // Then the invariant itself: the argset replicated `copies` times and
     // fed at a seed-derived chunk boundary must be bit-identical to one
-    // session fed everything up front, on both executors. (Replication
+    // session fed everything up front. (Replication
     // rather than fresh argsets keeps the lane cheap; distinct inputs per
     // chunk are covered by the dedicated property suite.)
     let copies = 2 + (case.seed % 2) as usize;
     let chunk = 1 + (case.seed >> 8) as usize % (copies - 1);
     let sets: Vec<Vec<Word>> = vec![args.clone(); copies];
-    for executor in [StreamExecutor::Planned, StreamExecutor::Interpreted] {
-        let (oneshot_dram, oneshot_sink) =
-            stream_run(&program, executor, &sets, copies, cfg.max_rounds()).map_err(stream_err)?;
-        let (chunked_dram, chunked_sink) =
-            stream_run(&program, executor, &sets, chunk, cfg.max_rounds()).map_err(stream_err)?;
-        if chunked_dram != oneshot_dram {
-            return Err(fail(
-                FailureKind::DramMismatch,
-                level,
-                diff_dram(
-                    &oneshot_dram,
-                    &chunked_dram,
-                    &format!("chunked vs one-shot stream ({executor:?}, {copies} argsets, chunk {chunk})"),
-                ),
-            ));
-        }
-        if chunked_sink != oneshot_sink {
-            return Err(fail(
-                FailureKind::SinkMismatch,
-                level,
-                format!(
-                    "chunked vs one-shot stream sinks ({executor:?}: {} vs {} tokens)",
-                    chunked_sink.len(),
-                    oneshot_sink.len()
-                ),
-            ));
-        }
+    let (oneshot_dram, oneshot_sink) =
+        stream_run(&program, &sets, copies, cfg.max_rounds()).map_err(stream_err)?;
+    let (chunked_dram, chunked_sink) =
+        stream_run(&program, &sets, chunk, cfg.max_rounds()).map_err(stream_err)?;
+    if chunked_dram != oneshot_dram {
+        return Err(fail(
+            FailureKind::DramMismatch,
+            level,
+            diff_dram(
+                &oneshot_dram,
+                &chunked_dram,
+                &format!("chunked vs one-shot stream ({copies} argsets, chunk {chunk})"),
+            ),
+        ));
+    }
+    if chunked_sink != oneshot_sink {
+        return Err(fail(
+            FailureKind::SinkMismatch,
+            level,
+            format!(
+                "chunked vs one-shot stream sinks ({} vs {} tokens)",
+                chunked_sink.len(),
+                oneshot_sink.len()
+            ),
+        ));
     }
 
     Ok(LevelRun {

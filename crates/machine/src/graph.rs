@@ -9,21 +9,20 @@
 //! ## One way in
 //!
 //! [`Graph::run`] is the only untimed entry point; [`RunOptions`] carries
-//! the four axes a run can vary on (plan or interpreted, one-shot or
-//! resumable, the observability sink, the round cap — tabulated in the
-//! crate docs). The protocol decisions live in `run` itself, once, around
-//! a `match` on the plan: the plan shape check, topology finalisation,
-//! which nodes a resumed run re-seeds ([`ResumeState`]), the round-cap
-//! error and the quiescence verdict. The two executors only contribute
-//! their drain loops.
+//! the three things a run can vary on (one-shot or resumable, the
+//! observability sink, the round cap — tabulated in the crate docs). A
+//! graph owns its schedule: the [`ExecPlan`] of the current wiring is
+//! built on first need ([`Graph::plan`]), shared by every
+//! [`Graph::fresh_instance`], and dropped by whatever changes an input of
+//! it (`add_node`, `add_chan`, [`Graph::set_capacity`]). `run` owns the
+//! quiescence verdict; the plan contributes the drain loop, seeded by the
+//! one re-seed rule (`Graph::seeds`, documented on [`ResumeState`]).
 //!
 //! ## Event-driven scheduling
 //!
-//! Both executors are driven by token availability, not dense sweeps. A
+//! Execution is driven by token availability, not dense sweeps. A
 //! precomputed [`TopologyIndex`] maps every channel to its producer and
-//! consumer nodes; [`IoEvents`] records which channels gained tokens or
-//! regained capacity during a step. The executor keeps a ready worklist and
-//! re-enqueues a node only when
+//! consumer nodes, and the executor re-queues a node only when
 //!
 //! 1. one of its **input channels gains a token** (it may now fire),
 //! 2. one of its **output channels regains capacity** after being full
@@ -41,9 +40,9 @@
 use crate::channel::Channel;
 use crate::mem::MemoryState;
 use crate::node::{ChanId, IoEvents, MachineError, Node, NodeId, NodeIo, PortBudget};
-use revet_obs::{ObsSink, StallClass, WakeCause};
+use crate::plan::{ExecPlan, ResumeState};
+use revet_obs::{ObsSink, StallClass};
 use revet_sltf::Word;
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -95,11 +94,9 @@ impl fmt::Debug for NodeSlot {
 /// Precomputed channel-endpoint index: who produces into and consumes from
 /// every channel, plus which nodes can stall on allocator queues.
 ///
-/// Built once per wiring ([`Graph::finalize_topology`], called by the
-/// compiler when it finishes a [`Graph`]); invalidated by any later
-/// `add_node`/`add_chan`. Shared by the untimed executor and the
-/// cycle-level simulator for ready-set wake-ups and one-pass deadlock
-/// diagnosis.
+/// Built once per wiring, with the [`ExecPlan`] that owns it
+/// ([`ExecPlan::topology`]); the execution plan and the cycle-level
+/// simulator both take their ready-set wake-ups from it.
 #[derive(Debug, Clone, Default)]
 pub struct TopologyIndex {
     /// Per channel: nodes reading it (almost always exactly one).
@@ -111,7 +108,7 @@ pub struct TopologyIndex {
 }
 
 impl TopologyIndex {
-    fn build(nodes: &[NodeSlot], chan_count: usize) -> Self {
+    pub(crate) fn build(nodes: &[NodeSlot], chan_count: usize) -> Self {
         let mut consumers = vec![Vec::new(); chan_count];
         let mut producers = vec![Vec::new(); chan_count];
         let mut alloc_waiters = Vec::new();
@@ -158,9 +155,9 @@ impl TopologyIndex {
 ///
 /// A graph is **per-instance execution state**: node behaviors, channel
 /// queues, and [`MemoryState`] all mutate as the graph runs. The one
-/// exception is the [`TopologyIndex`], which depends only on the wiring and
-/// is held behind an [`Arc`] so every instance cloned from one compiled
-/// graph ([`Graph::fresh_instance`]) shares a single copy. Graphs are
+/// exception is the schedule ([`Graph::plan`]), which depends only on the
+/// wiring and is held behind an [`Arc`] so every instance cloned from one
+/// compiled graph ([`Graph::fresh_instance`]) shares a single copy. Graphs are
 /// `Send` (every [`Node`] is `Send + Sync`), so instances can run on
 /// worker threads.
 #[derive(Debug, Default)]
@@ -169,9 +166,9 @@ pub struct Graph {
     chans: Vec<Channel>,
     /// Shared DRAM / SRAM / allocator state.
     pub mem: MemoryState,
-    /// Channel-endpoint index, shared across instances of the same wiring;
-    /// `None` until finalized or after rewiring.
-    topo: Option<Arc<TopologyIndex>>,
+    /// The schedule of the current wiring, shared across instances; `None`
+    /// until first needed and after a change to anything it was built from.
+    pub(crate) plan: Option<Arc<ExecPlan>>,
     /// Register scratch lent to each stepped node ([`crate::Ports::scratch`]).
     scratch: Vec<Word>,
 }
@@ -192,53 +189,11 @@ pub enum RunStatus {
     Paused,
 }
 
-/// Reusable scheduler state for resumable (streaming) execution.
-///
-/// A fresh state makes the first run identical to a one-shot run: every
-/// node is seeded into the worklist. Subsequent runs on the same state
-/// re-seed the two places progress-enabling state can hide while the
-/// graph is quiescent: consumers of a **non-empty input channel** (input
-/// arrives by a push onto a channel, which is how streaming sessions
-/// feed) and **allocator waiters** (a returned pointer is invisible on
-/// the channel network). A [`crate::nodes::SourceNode`] stalled on a full
-/// bounded output needs no third rule: that channel is non-empty, so its
-/// consumer is seeded, and the consumer's pop is a capacity-release wake
-/// of the source. Spurious seeds are harmless (an unproductive step). The
-/// interpreted executor's worklist buffers live here so repeated polls
-/// never reallocate (the plan executor keeps its own bitmap and uses only
-/// the started flag); one state must only ever drive the graph it was
-/// first run against.
-#[derive(Debug, Default)]
-pub struct ResumeState {
-    started: bool,
-    current: VecDeque<u32>,
-    next: VecDeque<u32>,
-    queued: Vec<bool>,
-}
-
-impl ResumeState {
-    /// Fresh state: the next run seeds every node, exactly like a
-    /// one-shot run.
-    pub fn new() -> Self {
-        ResumeState::default()
-    }
-
-    /// Whether a run has already consumed this state (later runs use the
-    /// incremental re-seed rule).
-    pub fn started(&self) -> bool {
-        self.started
-    }
-}
-
-/// The four axes one untimed run can vary on (see the module docs for
-/// the table). `RunOptions::new(max_rounds)` is the interpreted, one-shot,
-/// unobserved run; set the other fields with struct-update syntax.
+/// The three things one untimed run can vary on (see the crate docs for
+/// the table). `RunOptions::new(max_rounds)` is the one-shot, unobserved
+/// run; set the other fields with struct-update syntax.
 #[derive(Debug)]
 pub struct RunOptions<'a> {
-    /// The prebuilt execution plan to run through (it must have been built
-    /// from a graph with this wiring); `None` selects the interpreted
-    /// ready-set executor, the reference lane.
-    pub plan: Option<&'a crate::ExecPlan>,
     /// Suspend-at-quiescence: with a state, leftover tokens end the run as
     /// [`RunStatus::Paused`] and the same state must be passed to every
     /// run of the session; without one they are the deadlock error.
@@ -251,22 +206,14 @@ pub struct RunOptions<'a> {
 }
 
 impl RunOptions<'_> {
-    /// Interpreted, one-shot, no-op sink.
+    /// One-shot, no-op sink.
     pub fn new(max_rounds: u64) -> Self {
         RunOptions {
-            plan: None,
             resume: None,
             obs: ObsSink::noop(),
             max_rounds,
         }
     }
-}
-
-/// The round-cap (suspected livelock) error both drain loops raise.
-pub(crate) fn round_cap_error(max_rounds: u64) -> MachineError {
-    MachineError::new(format!(
-        "no quiescence after {max_rounds} rounds (livelock or huge workload)"
-    ))
 }
 
 /// Summary of an untimed run.
@@ -278,8 +225,8 @@ pub struct ExecReport {
     /// Node steps that made progress (moved at least one token).
     pub productive_steps: u64,
     /// Node steps attempted by the scheduler. The dense sweep attempts
-    /// `rounds × nodes`; the ready-set executor only steps woken nodes, so
-    /// this is the "work" a scheduler comparison should look at.
+    /// `rounds × nodes`; the plan only fires woken units, so this is the
+    /// "work" a scheduler comparison should look at.
     pub steps: u64,
     /// High watermark of worklist occupancy at the start of any round — the
     /// peak instantaneous parallelism the scheduler saw. A **max-merged**
@@ -319,7 +266,7 @@ impl Graph {
 
     /// Adds a channel; returns its id.
     pub fn add_chan(&mut self, chan: Channel) -> ChanId {
-        self.topo = None;
+        self.plan = None;
         let id = ChanId(self.chans.len() as u32);
         self.chans.push(chan);
         id
@@ -335,7 +282,7 @@ impl Graph {
         ins: impl Into<Arc<[ChanId]>>,
         outs: impl Into<Arc<[ChanId]>>,
     ) -> NodeId {
-        self.topo = None;
+        self.plan = None;
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(NodeSlot {
             behavior: Some(behavior),
@@ -380,10 +327,19 @@ impl Graph {
         &self.chans
     }
 
-    /// Mutable channel access (simulator wiring). Capacity/class changes do
-    /// not alter endpoints, so the topology index stays valid.
+    /// Mutable channel access (host feeds, link classes). A capacity
+    /// change goes through [`Graph::set_capacity`] instead.
     pub fn chan_mut(&mut self, id: ChanId) -> &mut Channel {
         &mut self.chans[id.0 as usize]
+    }
+
+    /// Bounds (or unbounds) a channel. Capacity is the one input of the
+    /// schedule that can change once the wiring is final — a bounded link's
+    /// producer does not chain — so the cached plan is dropped, as on
+    /// rewiring.
+    pub fn set_capacity(&mut self, id: ChanId, capacity: Option<usize>) {
+        self.plan = None;
+        self.chans[id.0 as usize].capacity = capacity;
     }
 
     /// Split mutable access to the channel table, memory state and node
@@ -393,33 +349,16 @@ impl Graph {
         (&mut self.chans, &mut self.mem, &mut self.nodes)
     }
 
-    /// Builds (or reuses) the channel-endpoint index for the current wiring.
-    /// The compiler calls this once when a program's graph is complete;
-    /// executors call it defensively before running.
-    pub fn finalize_topology(&mut self) -> &TopologyIndex {
-        if self.topo.is_none() {
-            self.topo = Some(Arc::new(TopologyIndex::build(
-                &self.nodes,
-                self.chans.len(),
-            )));
+    /// The schedule of the current wiring (and, through
+    /// [`ExecPlan::topology`], its channel-endpoint index), built on first
+    /// need. The compiler asks once when a program's graph is complete, so
+    /// every instance shares that plan; [`Graph::run`] asks before
+    /// draining.
+    pub fn plan(&mut self) -> &Arc<ExecPlan> {
+        if self.plan.is_none() {
+            self.plan = Some(Arc::new(ExecPlan::build(self)));
         }
-        self.topo.as_deref().expect("just built")
-    }
-
-    /// The topology index, if the current wiring has been finalized.
-    pub fn topology(&self) -> Option<&TopologyIndex> {
-        self.topo.as_deref()
-    }
-
-    /// A shared handle to the topology index of the current wiring: the
-    /// finalized one when there is one (instances cloned from this graph
-    /// hold the same `Arc`, so the index is computed once per compile, not
-    /// once per instance), otherwise one built for the occasion — a graph
-    /// that was never finalized still plans and diagnoses.
-    pub fn topology_handle(&self) -> Arc<TopologyIndex> {
-        self.topo
-            .clone()
-            .unwrap_or_else(|| Arc::new(TopologyIndex::build(&self.nodes, self.chans.len())))
+        self.plan.as_ref().expect("just built")
     }
 
     /// Makes a fresh, independently runnable instance of this graph: node
@@ -429,8 +368,8 @@ impl Graph {
     /// ([`MemoryState::fresh_instance`]: byte-identical to the template's,
     /// at the cost of the pages its previous user dirtied); result-
     /// collecting sinks get **fresh, empty** buffers (instances never share
-    /// result storage); the immutable [`TopologyIndex`] is shared via
-    /// [`Arc`] rather than rebuilt.
+    /// result storage); the immutable schedule is shared via [`Arc`]
+    /// rather than rebuilt.
     ///
     /// This is the machine half of the compile-once/run-many split: the
     /// compiler finishes a graph once, and the batch runtime instantiates
@@ -461,7 +400,7 @@ impl Graph {
                 .collect(),
             chans: self.chans.clone(),
             mem: self.mem.fresh_instance(),
-            topo: self.topo.clone(),
+            plan: self.plan.clone(),
             scratch: Vec::new(),
         }
     }
@@ -533,26 +472,27 @@ impl Graph {
         result.map_err(|e| e.at(&slot.label))
     }
 
-    /// One-pass deadlock diagnosis over the consumer index: every non-empty
-    /// channel that *has* a consumer is stuck (channels nobody reads —
-    /// dangling outputs — may legally retain tokens). Returns one line per
-    /// stuck channel with its consumer labels; an empty result means a
-    /// clean drain.
+    /// Deadlock diagnosis: every non-empty channel that *has* a consumer
+    /// is stuck (channels nobody reads — dangling outputs — may legally
+    /// retain tokens). Returns one line per stuck channel with its
+    /// consumer labels; an empty result means a clean drain. Needs no
+    /// index, so it reads any graph: consumers are looked up only for the
+    /// channels still holding tokens.
     pub fn stuck_channels(&self) -> Vec<String> {
-        let topo = self.topology_handle();
         let mut stuck = Vec::new();
         for (ci, chan) in self.chans.iter().enumerate() {
             if chan.is_empty() {
                 continue;
             }
-            let consumers = topo.consumers(ChanId(ci as u32));
-            if consumers.is_empty() {
+            let labels: Vec<&str> = self
+                .nodes
+                .iter()
+                .filter(|slot| slot.ins.contains(&ChanId(ci as u32)))
+                .map(|slot| &*slot.label)
+                .collect();
+            if labels.is_empty() {
                 continue;
             }
-            let labels: Vec<&str> = consumers
-                .iter()
-                .map(|id| &*self.nodes[id.0 as usize].label)
-                .collect();
             stuck.push(format!(
                 "channel #{ci} -> '{}': {} tokens pending",
                 labels.join(", "),
@@ -579,10 +519,11 @@ impl Graph {
     }
 
     /// Runs the graph untimed (unbounded budgets) until quiescence — the
-    /// one untimed entry point; see [`RunOptions`] for the four axes. Both
-    /// executors are event-driven: a node is stepped only when an input
-    /// channel gained tokens, an output channel regained capacity, or an
-    /// allocator it can block on received a pointer (see module docs).
+    /// one untimed entry point; see [`RunOptions`] for what a run can vary
+    /// on. Execution is event-driven, through the graph's own schedule
+    /// ([`Graph::plan`]): a node fires only when an input channel gained
+    /// tokens, an output channel regained capacity, or an allocator it can
+    /// block on received a pointer (see module docs).
     ///
     /// With `resume`, leftover tokens at quiescence return
     /// [`RunStatus::Paused`] and every channel ring and node state stays
@@ -591,31 +532,21 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// A plan built for different wiring, a node protocol error, the round
-    /// cap (suspected livelock), and — without `resume` — the deadlock
-    /// diagnosis listing all stuck channels.
+    /// A node protocol error, the round cap (suspected livelock), and —
+    /// without `resume` — the deadlock diagnosis listing all stuck
+    /// channels.
     pub fn run(&mut self, opts: RunOptions<'_>) -> Result<(ExecReport, RunStatus), MachineError> {
         let RunOptions {
-            plan,
             resume,
             obs,
             max_rounds,
         } = opts;
-        if let Some(plan) = plan {
-            plan.check_shape(self)?;
-        }
         // The `Arc` clone keeps the graph mutably steppable while the
-        // executor holds the index.
-        self.finalize_topology();
-        let topo = self.topo.clone().expect("just finalized");
+        // drain loop holds its schedule.
+        let plan = Arc::clone(self.plan());
         let suspend = resume.is_some();
         let mut one_shot = ResumeState::new();
-        let resume = resume.unwrap_or(&mut one_shot);
-        let first = !std::mem::replace(&mut resume.started, true);
-        let report = match plan {
-            Some(plan) => plan.drain(self, first, max_rounds, obs)?,
-            None => self.drain_ready(&topo, resume, first, max_rounds, obs)?,
-        };
+        let report = plan.drain(self, resume.unwrap_or(&mut one_shot), max_rounds, obs)?;
         match self.deadlock() {
             None => Ok((report, RunStatus::Finished)),
             Some(_) if suspend => Ok((report, RunStatus::Paused)),
@@ -665,7 +596,7 @@ impl Graph {
     /// **output-full**; otherwise a node that can block on an allocator
     /// queue is **allocator-gated**. (DRAM gating exists only in the timed
     /// simulator, which attributes it at the deferral site.) Shared by the
-    /// ready-set executor, the plan executor, and the simulator.
+    /// plan executor and the simulator.
     pub fn classify_stall(&self, id: NodeId) -> StallClass {
         let slot = &self.nodes[id.0 as usize];
         if slot.ins.iter().any(|c| self.chans[c.0 as usize].is_empty()) {
@@ -689,107 +620,6 @@ impl Graph {
         // than any one channel shows (e.g. a barrier-aligned zip).
         StallClass::InputStarved
     }
-
-    /// The interpreted executor's drain loop: steps woken nodes through the
-    /// boxed [`Node::step`] surface until the worklist is empty.
-    fn drain_ready(
-        &mut self,
-        topo: &TopologyIndex,
-        resume: &mut ResumeState,
-        first: bool,
-        max_rounds: u64,
-        obs: &ObsSink,
-    ) -> Result<ExecReport, MachineError> {
-        let max_in = self.nodes.iter().map(|s| s.ins.len()).max().unwrap_or(0);
-        let max_out = self.nodes.iter().map(|s| s.outs.len()).max().unwrap_or(0);
-        // Reusable budget buffers: refreshed per step, never reallocated.
-        let mut ib = vec![PortBudget::UNLIMITED; max_in];
-        let mut ob = vec![PortBudget::UNLIMITED; max_out];
-        let mut events = IoEvents::default();
-        let mut report = ExecReport::default();
-
-        // Generation-structured worklist: `current` is drained while wakes
-        // accumulate in `next`; one drain ≈ one dense round for the livelock
-        // cap. `queued` dedups membership across both queues. The buffers
-        // live in `resume` (empty and all-false at quiescence, so a paused
-        // run can hand them straight back).
-        let ResumeState {
-            current,
-            next,
-            queued,
-            ..
-        } = resume;
-        queued.resize(self.nodes.len(), false);
-        for id in self.seeds(first) {
-            if !std::mem::replace(&mut queued[id.0 as usize], true) {
-                current.push_back(id.0);
-            }
-        }
-
-        while !current.is_empty() {
-            if report.rounds >= max_rounds {
-                return Err(round_cap_error(max_rounds));
-            }
-            report.rounds += 1;
-            report.peak_ready = report.peak_ready.max(current.len() as u64);
-            obs.round(current.len() as u64);
-            while let Some(i) = current.pop_front() {
-                let idx = i as usize;
-                queued[idx] = false;
-                let n_in = self.nodes[idx].ins.len();
-                let n_out = self.nodes[idx].outs.len();
-                for b in &mut ib[..n_in] {
-                    *b = PortBudget::UNLIMITED;
-                }
-                for b in &mut ob[..n_out] {
-                    *b = PortBudget::UNLIMITED;
-                }
-                let allocs_before = self.mem.alloc_push_ops();
-                report.steps += 1;
-                let progressed = self.step_node_traced(
-                    NodeId(i),
-                    &mut ib[..n_in],
-                    &mut ob[..n_out],
-                    &mut events,
-                )?;
-                if progressed {
-                    report.productive_steps += 1;
-                }
-                obs.node_dispatch(i, progressed);
-                if !progressed && obs.is_enabled() {
-                    obs.stall(i, self.classify_stall(NodeId(i)));
-                }
-                let wake = |id: NodeId,
-                            cause: WakeCause,
-                            next: &mut VecDeque<u32>,
-                            queued: &mut Vec<bool>| {
-                    if !queued[id.0 as usize] {
-                        queued[id.0 as usize] = true;
-                        next.push_back(id.0);
-                        obs.wake(id.0, cause);
-                    }
-                };
-                for &c in &events.pushed {
-                    obs.channel_push(c.0);
-                    for &w in topo.consumers(c) {
-                        wake(w, WakeCause::TokenArrival, next, queued);
-                    }
-                }
-                for &c in &events.freed {
-                    for &w in topo.producers(c) {
-                        wake(w, WakeCause::CapacityRelease, next, queued);
-                    }
-                }
-                if self.mem.alloc_push_ops() != allocs_before {
-                    for &w in topo.alloc_waiters() {
-                        wake(w, WakeCause::AllocatorPush, next, queued);
-                    }
-                }
-            }
-            std::mem::swap(current, next);
-        }
-        Ok(report)
-    }
 }
 
 #[cfg(test)]
@@ -799,7 +629,7 @@ mod tests {
     use crate::nodes::{EwNode, OutputSpec, SinkNode, SourceNode};
     use crate::tuple::{tbar, tdata, TTok};
 
-    /// Interpreted one-shot run, report only.
+    /// One-shot run, report only.
     fn one_shot(g: &mut Graph, max_rounds: u64) -> Result<ExecReport, MachineError> {
         g.run(RunOptions::new(max_rounds)).map(|(report, _)| report)
     }
@@ -983,7 +813,7 @@ mod tests {
     fn fresh_instance_runs_independently_with_fresh_sinks() {
         // One finished graph, three instances: each run collects into its
         // own sink buffer and mutates its own memory; the original graph is
-        // untouched and the topology Arc is shared, not rebuilt.
+        // untouched and the schedule Arc is shared, not rebuilt.
         let mut g = Graph::new();
         let c0 = g.add_chan(Channel::new(1));
         let c1 = g.add_chan(Channel::new(1));
@@ -1010,14 +840,14 @@ mod tests {
         );
         let (sink, template_handle) = SinkNode::new();
         g.add_node("sink", Box::new(sink), vec![c1], vec![]);
-        g.finalize_topology();
+        let plan = Arc::clone(g.plan());
 
         let mut handles = Vec::new();
         for _ in 0..3 {
             let mut inst = g.fresh_instance();
             assert!(
-                std::ptr::eq(g.topology().unwrap(), inst.topology().unwrap()),
-                "instances must share the topology Arc"
+                Arc::ptr_eq(&plan, inst.plan()),
+                "instances must share the schedule Arc"
             );
             one_shot(&mut inst, 1_000).unwrap();
             let h = inst
@@ -1152,13 +982,16 @@ mod tests {
             vec![],
             vec![c0],
         );
-        g.finalize_topology();
-        assert!(g.topology().is_some());
+        let stale = Arc::clone(g.plan());
+        assert!(Arc::ptr_eq(&stale, g.plan()), "cached, not rebuilt");
         let c1 = g.add_chan(Channel::new(1));
-        assert!(g.topology().is_none(), "add_chan must invalidate");
+        assert!(g.plan.is_none(), "add_chan must invalidate");
+        g.plan();
         let (sink, _h) = SinkNode::new();
         g.add_node("sink", Box::new(sink), vec![c0], vec![]);
-        let topo = g.finalize_topology();
+        assert!(g.plan.is_none(), "add_node must invalidate");
+        let topo = Arc::clone(g.plan().topology());
+        assert!(!Arc::ptr_eq(&topo, stale.topology()));
         assert_eq!(topo.consumers(c0).len(), 1);
         assert_eq!(topo.producers(c0).len(), 1);
         assert!(topo.consumers(c1).is_empty());
@@ -1202,51 +1035,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn resumable_interpreter_chunked_feed_matches_one_shot() {
-        // One-shot reference: all input up front.
-        let (mut one, entry, oh) = streaming_pipeline();
-        feed(
-            &mut one,
-            entry,
-            [tdata([1u32]), tbar(1), tdata([2u32]), tbar(1)],
-        );
-        one_shot(&mut one, 1_000).unwrap();
-
-        // Chunked: feed one argset, run, feed the next, run again.
-        let (mut g, entry, handle) = streaming_pipeline();
-        let mut resume = ResumeState::new();
-        let (_, s) = g
-            .run(RunOptions {
-                resume: Some(&mut resume),
-                ..RunOptions::new(1_000)
-            })
-            .unwrap();
-        assert_eq!(s, RunStatus::Finished, "empty stream drains cleanly");
-        feed(&mut g, entry, [tdata([1u32]), tbar(1)]);
-        let (r1, s) = g
-            .run(RunOptions {
-                resume: Some(&mut resume),
-                ..RunOptions::new(1_000)
-            })
-            .unwrap();
-        assert_eq!(s, RunStatus::Finished);
-        assert_eq!(handle.tokens(), vec![tdata([2u32]), tbar(1)]);
-        feed(&mut g, entry, [tdata([2u32]), tbar(1)]);
-        let (r2, s) = g
-            .run(RunOptions {
-                resume: Some(&mut resume),
-                ..RunOptions::new(1_000)
-            })
-            .unwrap();
-        assert_eq!(s, RunStatus::Finished);
-        assert_eq!(handle.tokens(), oh.tokens(), "chunked ≡ one-shot sink");
-        // The second poll's delta is readable through the cursor view.
-        assert_eq!(handle.tokens_from(2), vec![tdata([4u32]), tbar(1)]);
-        assert!(handle.tokens_from(99).is_empty());
-        let mut merged = r1;
-        merged.merge(&r2);
-        assert_eq!(merged.steps, r1.steps + r2.steps);
+    /// One resumable run on `resume`.
+    fn poll(g: &mut Graph, resume: &mut ResumeState) -> (ExecReport, RunStatus) {
+        g.run(RunOptions {
+            resume: Some(resume),
+            ..RunOptions::new(1_000)
+        })
+        .unwrap()
     }
 
     #[test]
@@ -1299,43 +1094,73 @@ mod tests {
 
     #[test]
     fn resumable_planned_chunked_feed_matches_one_shot() {
+        // The oracle: all input up front, one dense run.
         let (mut one, entry, oh) = streaming_pipeline();
         feed(
             &mut one,
             entry,
             [tdata([3u32]), tbar(1), tdata([5u32]), tbar(1)],
         );
-        let plan = crate::ExecPlan::build(&one);
-        one.run(RunOptions {
-            plan: Some(&plan),
-            ..RunOptions::new(1_000)
-        })
-        .unwrap();
+        crate::reference::run_dense(&mut one, 1_000).unwrap();
 
+        // Chunked: feed one argset, run, feed the next, run again.
         let (mut g, entry, handle) = streaming_pipeline();
-        let plan = crate::ExecPlan::build(&g);
         let mut resume = ResumeState::new();
+        let (_, s) = poll(&mut g, &mut resume);
+        assert_eq!(s, RunStatus::Finished, "empty stream drains cleanly");
+        assert!(resume.started());
         feed(&mut g, entry, [tdata([3u32]), tbar(1)]);
-        let (r1, s) = g
-            .run(RunOptions {
-                plan: Some(&plan),
-                resume: Some(&mut resume),
-                ..RunOptions::new(1_000)
-            })
-            .unwrap();
+        let (r1, s) = poll(&mut g, &mut resume);
         assert_eq!(s, RunStatus::Finished);
         assert_eq!(handle.tokens(), vec![tdata([6u32]), tbar(1)]);
         feed(&mut g, entry, [tdata([5u32]), tbar(1)]);
-        let (r2, s) = g
-            .run(RunOptions {
-                plan: Some(&plan),
-                resume: Some(&mut resume),
-                ..RunOptions::new(1_000)
-            })
-            .unwrap();
+        let (r2, s) = poll(&mut g, &mut resume);
         assert_eq!(s, RunStatus::Finished);
-        assert_eq!(handle.tokens(), oh.tokens(), "chunked ≡ one-shot (planned)");
+        assert_eq!(handle.tokens(), oh.tokens(), "chunked ≡ one-shot dense");
+        // The second poll's delta is readable through the cursor view.
+        assert_eq!(handle.tokens_from(2), vec![tdata([10u32]), tbar(1)]);
+        assert!(handle.tokens_from(99).is_empty());
         assert!(r1.steps > 0 && r2.steps > 0);
+    }
+
+    #[test]
+    fn bounding_a_channel_after_a_run_replans() {
+        // src → stage0 → stage1 → sink. The chain rule reads capacities, so
+        // bounding the link between the stages after a run must drop the
+        // schedule that chained across it.
+        let build = || {
+            let mut g = Graph::new();
+            let c: Vec<ChanId> = (0..3).map(|_| g.add_chan(Channel::new(1))).collect();
+            let src = SourceNode::new(Vec::new());
+            g.add_node("src", Box::new(src), vec![], vec![c[0]]);
+            for i in 0..2 {
+                let stage = Box::new(EwNode::passthrough(1));
+                g.add_node(format!("stage{i}"), stage, vec![c[i]], vec![c[i + 1]]);
+            }
+            let (sink, handle) = SinkNode::new();
+            g.add_node("sink", Box::new(sink), vec![c[2]], vec![]);
+            (g, handle)
+        };
+        let toks = |r: std::ops::Range<u32>| r.map(|i| tdata([i])).chain([tbar(1)]);
+        let (mut g, handle) = build();
+        let mut resume = ResumeState::new();
+        feed(&mut g, ChanId(0), toks(0..4));
+        poll(&mut g, &mut resume);
+        assert_eq!(g.plan().stats().longest_segment, 2, "both stages chain");
+        g.set_capacity(ChanId(1), Some(1));
+        assert!(g.plan.is_none(), "set_capacity must invalidate");
+        feed(&mut g, ChanId(0), toks(4..8));
+        let (_, s) = poll(&mut g, &mut resume);
+        assert_eq!(s, RunStatus::Finished);
+        let stats = g.plan().stats();
+        assert_eq!(
+            stats.longest_segment, 1,
+            "a bounded link's producer stays out"
+        );
+        let (mut dense, dense_handle) = build();
+        feed(&mut dense, ChanId(0), toks(0..4).chain(toks(4..8)));
+        crate::reference::run_dense(&mut dense, 1_000).unwrap();
+        assert_eq!(handle.tokens(), dense_handle.tokens());
     }
 
     #[test]

@@ -34,32 +34,32 @@
 //!
 //! A rule runs behind either [`Ports`] implementation, and the protocol
 //! lives there, not in the rule: [`NodeIo`] carries per-port token budgets
-//! (§III-C link bandwidth), room checks and [`IoEvents`] — the interpreted
-//! executor, the dense oracle and the cycle-level simulator; [`PlanPorts`]
-//! has direct channel access and applies wake-ups inside `push`/`pop_in`
-//! — the execution plan.
+//! (§III-C link bandwidth), room checks and [`IoEvents`] — the cycle-level
+//! simulator and the dense oracle; [`PlanPorts`] has direct channel access
+//! and applies wake-ups inside `push`/`pop_in` — the execution plan.
 //!
 //! The untimed executor is **event-driven**: a precomputed [`TopologyIndex`]
-//! maps channels to their endpoints, and a ready worklist re-steps a node
+//! maps channels to their endpoints, and a ready worklist re-fires a node
 //! only when an input channel gains tokens, a full output channel regains
 //! capacity, or an allocator queue it can block on receives a pointer. Kahn
-//! semantics make the results scheduler-order independent, so the ready-set
-//! executor and the dense-sweep oracle ([`reference::run_dense`]) produce
-//! identical streams and memory — the ready set just attempts far fewer
-//! steps (see [`ExecReport::productive_ratio`]).
+//! semantics make the results scheduler-order independent, so it and the
+//! dense-sweep oracle ([`reference::run_dense`]) produce identical streams
+//! and memory — the ready set just attempts far fewer steps (see
+//! [`ExecReport::productive_ratio`]).
 //!
-//! The hot path does not interpret the graph node by node: a finished
-//! graph is scheduled once into an [`ExecPlan`] — a partition of its nodes
-//! into wake units (maximal chains of element-wise stages fire as one),
-//! a bitmap worklist, and the graph's own topology index — with
-//! bit-identical results (see the [`ExecPlan`] docs).
+//! There is one scheduler, and the graph owns its schedule: the wiring is
+//! scheduled once into an [`ExecPlan`] — a partition of the nodes into wake
+//! units (maximal chains of element-wise stages fire as one), a bitmap
+//! worklist, and the topology index — cached on the graph
+//! ([`Graph::plan`]), shared by every [`Graph::fresh_instance`], and
+//! dropped when the wiring or a channel bound changes (see the
+//! [`ExecPlan`] docs).
 //!
 //! There is one way in to execute, [`Graph::run`]; its [`RunOptions`] name
-//! the four things a run can vary on:
+//! the three things a run can vary on:
 //!
 //! | `RunOptions` field | unset                                  | set                                          |
 //! |--------------------|----------------------------------------|----------------------------------------------|
-//! | `plan`             | interpreted reference executor         | run through that [`ExecPlan`]                |
 //! | `resume`           | one-shot: leftover tokens are a deadlock error | streaming: leftover tokens are [`RunStatus::Paused`], resumable with the same [`ResumeState`] |
 //! | `obs`              | no-op sink                             | dispatches, wakes and stalls recorded        |
 //! | `max_rounds`       | (required)                             | livelock cap on scheduler generations        |
@@ -106,11 +106,9 @@ mod tuple;
 
 pub use channel::{Channel, LinkClass};
 pub use dram::{Dram, PoolStats, PAGE_BYTES, POOL_IMAGES};
-pub use graph::{
-    ExecReport, Graph, NodeSlot, ResumeState, RunOptions, RunStatus, TopologyIndex, UnitClass,
-};
+pub use graph::{ExecReport, Graph, NodeSlot, RunOptions, RunStatus, TopologyIndex, UnitClass};
 pub use mem::{AllocId, AllocQueue, MemoryState, SramId, SramRegion};
 pub use node::{ChanId, IoEvents, MachineError, Node, NodeId, NodeIo, PortBudget, Ports};
-pub use plan::{ExecPlan, PlanPorts, PlanStats};
+pub use plan::{ExecPlan, PlanPorts, PlanStats, ResumeState};
 pub use ring::Ring;
 pub use tuple::{tbar, tdata, TTok, Tuple};

@@ -14,11 +14,11 @@
 //! opens or by moving a token channel→channel ([`Ports::forward`]).
 //!
 //! - [`NodeIo`] — per-port token budgets, room checks and [`IoEvents`]
-//!   recording: the interpreted executor ([`crate::Graph::run`] without a
-//!   plan), the dense oracle and the cycle-level simulator (bounded
-//!   channels, §III-C link bandwidth).
+//!   recording: the cycle-level simulator (bounded channels, §III-C link
+//!   bandwidth) and the dense oracle.
 //! - [`PlanPorts`] — direct channel access with the wake-ups applied
-//!   inside `push`/`pop_in`: the execution plan ([`crate::ExecPlan`]).
+//!   inside `push`/`pop_in`: the execution plan ([`crate::ExecPlan`]),
+//!   which is what [`crate::Graph::run`] drains through.
 //!
 //! [`Node`] is the object-safe face an executor holds; `node_entries!`
 //! bridges it to `fire`, once per `Ports` implementation.
@@ -372,8 +372,7 @@ impl Ports for NodeIo<'_> {
 /// program many times from a shared reference) and instances can migrate
 /// onto worker threads.
 pub trait Node: fmt::Debug + Send + Sync {
-    /// Fires the rule against budgeted ports (interpreter, oracle,
-    /// simulator).
+    /// Fires the rule against budgeted ports (simulator, dense oracle).
     ///
     /// # Errors
     ///

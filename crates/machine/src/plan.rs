@@ -1,19 +1,21 @@
 //! The execution plan: a schedule over a finished graph's nodes.
 //!
-//! Interpreting a [`Graph`] pays, per woken node, for a scheduler
-//! dispatch, behavior take/restore, `NodeIo` assembly with budget refresh,
-//! and an [`crate::IoEvents`] round trip to find out whom to wake. An
-//! [`ExecPlan`] is built **once** per compile from the finished wiring and
-//! removes that from the hot loop without restating any firing rule:
+//! Stepping a [`Graph`] node by node through the budgeted surface pays,
+//! per woken node, for a scheduler dispatch, behavior take/restore,
+//! `NodeIo` assembly with budget refresh, and an [`crate::IoEvents`] round
+//! trip to find out whom to wake. An [`ExecPlan`] is built **once** per
+//! wiring ([`Graph::plan`]) and removes that from the hot loop without
+//! restating any firing rule:
 //!
 //! - **Wake units.** Nodes are partitioned into units that fire together.
 //!   A maximal straight-line chain of element-wise stages (single producer
 //!   → single consumer over a private unbounded channel) is one *segment*:
 //!   its stages fire in chain order through the real channels, so barrier
 //!   canonicalization, filter predicates and per-channel statistics behave
-//!   exactly as under the interpreter — the saving is one dispatch for the
-//!   whole chain and a direct (non-virtual) call per stage. Every other
-//!   node is a unit of its own, fired through [`crate::Node::step_planned`].
+//!   exactly as when each stage is stepped alone — the saving is one
+//!   dispatch for the whole chain and a direct (non-virtual) call per
+//!   stage. Every other node is a unit of its own, fired through
+//!   [`crate::Node::step_planned`].
 //! - **One port surface.** Both kinds of unit fire the primitive's own
 //!   rule against [`PlanPorts`]: direct channel access, no budgets, and
 //!   the wake-ups applied inside `push`/`pop_in` from the graph's own
@@ -25,18 +27,19 @@
 //!
 //! The plan is **total** — every primitive already runs on its ports —
 //! and Kahn semantics guarantee the result is bit-identical to the
-//! interpreted executor; the `scheduler_equiv` property suite and the
-//! eight-app `plan_differential` suite assert it, and the latter pins the
-//! schedule itself (`golden/plan_schedule.txt`).
+//! dense-sweep oracle ([`crate::reference::run_dense`]); the
+//! `scheduler_equiv` property suite and the eight-app `plan_differential`
+//! suite assert it, and the latter pins the schedule itself
+//! (`golden/plan_schedule.txt`).
 //!
-//! A plan is run by passing it to [`Graph::run`]
-//! ([`crate::RunOptions::plan`]); this module only contributes the drain
-//! loop.
+//! It is the one untimed scheduler: [`Graph::run`] always drains through
+//! the graph's own plan; this module contributes the drain loop and the
+//! scratch a resumable run keeps between polls ([`ResumeState`]).
 
 #![warn(clippy::too_many_lines)]
 
 use crate::channel::{transfer, Channel};
-use crate::graph::{round_cap_error, ExecReport, Graph, TopologyIndex};
+use crate::graph::{ExecReport, Graph, TopologyIndex};
 use crate::mem::MemoryState;
 use crate::node::{ChanId, MachineError, Node, NodeId, Ports};
 use crate::nodes::EwNode;
@@ -58,13 +61,10 @@ pub struct PlanStats {
 }
 
 /// A compiled execution plan. Immutable once built; shared (`Arc`) across
-/// every instance of a compiled program, like the topology index it
+/// every instance of a compiled program, with the topology index it
 /// schedules over. See the module docs.
 #[derive(Debug)]
 pub struct ExecPlan {
-    /// Shape fingerprint, with `wake_target.len()` (validated against the
-    /// graph at run start).
-    chan_count: usize,
     /// Bit to set when waking a node: the segment head for a chained
     /// stage, the node itself otherwise.
     wake_target: Vec<u32>,
@@ -82,9 +82,8 @@ pub struct ExecPlan {
 }
 
 /// The two-generation bitmap worklist: `cur` drains while wakes land in
-/// `next`; membership in either suppresses re-queueing (the same dedup the
-/// interpreter's `queued` flags provide).
-#[derive(Debug)]
+/// `next`; membership in either suppresses re-queueing.
+#[derive(Debug, Default)]
 struct WakeSet {
     cur: Vec<u64>,
     next: Vec<u64>,
@@ -92,13 +91,17 @@ struct WakeSet {
 }
 
 impl WakeSet {
-    fn new(n: usize) -> Self {
+    /// Empties both generations and sizes them for `n` wake units (a run
+    /// that ended in an error may have left bits behind).
+    fn reset(&mut self, n: usize) {
         let words = n.div_ceil(64);
-        WakeSet {
-            cur: vec![0; words],
-            next: vec![0; words],
-            next_count: 0,
+        for lane in [&mut self.cur, &mut self.next] {
+            lane.clear();
+            // Exact: a one-shot run pays for these bytes every time.
+            lane.reserve_exact(words);
+            lane.resize(words, 0);
         }
+        self.next_count = 0;
     }
 
     #[inline]
@@ -118,6 +121,42 @@ impl WakeSet {
         } else {
             false
         }
+    }
+}
+
+/// Reusable scheduler state for resumable (streaming) execution.
+///
+/// A fresh state makes the first run identical to a one-shot run: every
+/// node is seeded into the worklist. Subsequent runs on the same state
+/// re-seed the two places progress-enabling state can hide while the
+/// graph is quiescent: consumers of a **non-empty input channel** (input
+/// arrives by a push onto a channel, which is how streaming sessions
+/// feed) and **allocator waiters** (a returned pointer is invisible on
+/// the channel network). A [`crate::nodes::SourceNode`] stalled on a full
+/// bounded output needs no third rule: that channel is non-empty, so its
+/// consumer is seeded, and the consumer's pop is a capacity-release wake
+/// of the source. Spurious seeds are harmless (an unproductive step). The
+/// drain loop's worklist and register scratch live here, so repeated
+/// polls never reallocate them; one state must only ever drive the graph
+/// it was first run against.
+#[derive(Debug, Default)]
+pub struct ResumeState {
+    started: bool,
+    ws: WakeSet,
+    regs: Vec<Word>,
+}
+
+impl ResumeState {
+    /// Fresh state: the next run seeds every node, exactly like a
+    /// one-shot run.
+    pub fn new() -> Self {
+        ResumeState::default()
+    }
+
+    /// Whether a run has already consumed this state (later runs use the
+    /// incremental re-seed rule).
+    pub fn started(&self) -> bool {
+        self.started
     }
 }
 
@@ -262,13 +301,17 @@ impl Ports for PlanPorts<'_> {
 
 impl ExecPlan {
     /// Schedules a finished graph. Total: every node is in exactly one
-    /// wake unit. The graph is not modified; the plan matches any graph
-    /// with identical wiring (every [`Graph::fresh_instance`] of the same
-    /// compile).
+    /// wake unit. The graph is not modified; [`Graph::plan`] is the caller
+    /// that keeps the result (this stays public for whoever times the
+    /// build alone). A graph that already holds a plan lends its topology
+    /// index, which depends on the wiring only.
     pub fn build(g: &Graph) -> ExecPlan {
         let nodes = g.nodes();
         let n = nodes.len();
-        let topo = g.topology_handle();
+        let topo = match &g.plan {
+            Some(plan) => Arc::clone(&plan.topo),
+            None => Arc::new(TopologyIndex::build(nodes, g.chan_count())),
+        };
 
         // Chainable stages: element-wise, no allocator stalls, ≥1 input
         // (EwNode's own invariant), unbounded outputs, and a behavior/
@@ -312,7 +355,6 @@ impl ExecPlan {
         // cut at an arbitrary member, which is always safe (a segment is
         // just its stages' own semantics minus dispatch overhead).
         let mut plan = ExecPlan {
-            chan_count: g.chan_count(),
             wake_target: (0..n as u32).collect(),
             segment: vec![None; n],
             seg_bounds: vec![0],
@@ -348,47 +390,42 @@ impl ExecPlan {
         }
     }
 
-    /// The shape fingerprint check [`Graph::run`] makes before running
-    /// through this plan.
-    pub(crate) fn check_shape(&self, g: &Graph) -> Result<(), MachineError> {
-        if g.node_count() == self.wake_target.len() && g.chan_count() == self.chan_count {
-            return Ok(());
-        }
-        Err(MachineError::new(format!(
-            "execution plan shape mismatch: plan for {} nodes/{} chans, graph has {}/{}",
-            self.wake_target.len(),
-            self.chan_count,
-            g.node_count(),
-            g.chan_count()
-        )))
+    /// The channel-endpoint index this plan schedules over — the graph's
+    /// one copy, which the cycle-level simulator wakes from too.
+    pub fn topology(&self) -> &Arc<TopologyIndex> {
+        &self.topo
     }
 
-    /// The plan executor's drain loop, called by [`Graph::run`] (which owns
-    /// the shape check, the first-run/resume decision and the quiescence
-    /// verdict): fires woken units until no wake is pending. With an
-    /// enabled `obs`, dispatches, segment fires, channel pushes, classified
-    /// wakes and per-node stall attribution are recorded; the no-op sink
-    /// costs one predictable branch per event site.
+    /// The drain loop, called by [`Graph::run`] (which owns the quiescence
+    /// verdict): seeds the worklist — every node on a state's first run,
+    /// [`Graph::seeds`]' re-seed rule after — and fires woken units until
+    /// no wake is pending. With an enabled `obs`, dispatches, segment
+    /// fires, channel pushes, classified wakes and per-node stall
+    /// attribution are recorded; the no-op sink costs one predictable
+    /// branch per event site.
     pub(crate) fn drain(
         &self,
         g: &mut Graph,
-        first: bool,
+        resume: &mut ResumeState,
         max_rounds: u64,
         obs: &ObsSink,
     ) -> Result<ExecReport, MachineError> {
-        let mut regs = Vec::new();
+        let ResumeState { started, ws, regs } = resume;
+        let first = !std::mem::replace(started, true);
         let mut report = ExecReport::default();
         let traced = obs.is_enabled().then_some(obs);
 
         // Seeds map through `wake_target`, so segment members cost one bit.
-        let mut ws = WakeSet::new(self.wake_target.len());
+        ws.reset(self.wake_target.len());
         for id in g.seeds(first) {
             ws.seed(self.wake_target[id.0 as usize]);
         }
 
         loop {
             if report.rounds >= max_rounds {
-                return Err(round_cap_error(max_rounds));
+                return Err(MachineError::new(format!(
+                    "no quiescence after {max_rounds} rounds (livelock or huge workload)"
+                )));
             }
             report.rounds += 1;
             let ready: u64 = ws.cur.iter().map(|w| w.count_ones() as u64).sum();
@@ -400,7 +437,7 @@ impl ExecPlan {
                     ws.cur[w] &= ws.cur[w] - 1;
                     let i = w * 64 + b as usize;
                     report.steps += 1;
-                    let progressed = self.fire(i, g, &mut regs, &mut ws, traced)?;
+                    let progressed = self.fire(i, g, regs, ws, traced)?;
                     if progressed {
                         report.productive_steps += 1;
                     }
@@ -509,20 +546,16 @@ mod tests {
     use crate::channel::Channel;
     use crate::instr::{AluOp, EwInstr, Operand};
     use crate::nodes::{EwNode, OutputSpec, SinkNode, SourceNode};
+    use crate::reference::run_dense;
     use crate::tuple::{tbar, tdata, TTok};
     use crate::RunOptions;
 
-    /// One-shot run, report only: through `plan`, or interpreted.
-    fn one_shot(
-        g: &mut Graph,
-        plan: Option<&ExecPlan>,
-        max_rounds: u64,
-    ) -> Result<ExecReport, MachineError> {
-        g.run(RunOptions {
-            plan,
-            ..RunOptions::new(max_rounds)
-        })
-        .map(|(report, _)| report)
+    // The reference run in every test here is the dense oracle; names that
+    // say `interpreted` are kept so the suite's test ids stay stable.
+
+    /// One-shot run through the graph's plan, report only.
+    fn one_shot(g: &mut Graph, max_rounds: u64) -> Result<ExecReport, MachineError> {
+        g.run(RunOptions::new(max_rounds)).map(|(report, _)| report)
     }
 
     fn add_one() -> EwNode {
@@ -567,11 +600,10 @@ mod tests {
 
     #[test]
     fn fused_pipeline_matches_interpreted() {
-        let (mut gi, hi) = chain(None);
-        let ri = one_shot(&mut gi, None, 10_000).unwrap();
+        let (mut gd, hd) = chain(None);
+        let rd = run_dense(&mut gd, 10_000).unwrap();
         let (mut gp, hp) = chain(None);
-        let plan = ExecPlan::build(&gp);
-        let stats = plan.stats();
+        let stats = gp.plan().stats();
         assert_eq!(stats.fused_ew, 3, "all three stages fuse");
         assert_eq!(stats.segments, 1, "one straight-line segment");
         assert_eq!(stats.longest_segment, 3);
@@ -579,14 +611,14 @@ mod tests {
             stats.nodes, 5,
             "the source and the sink are their own units"
         );
-        let rp = one_shot(&mut gp, Some(&plan), 10_000).unwrap();
-        assert_eq!(hi.tokens(), hp.tokens());
+        let rp = one_shot(&mut gp, 10_000).unwrap();
+        assert_eq!(hd.tokens(), hp.tokens());
         assert!(rp.productive_steps > 0);
         assert!(
-            rp.steps < ri.steps,
-            "planned dispatches ({}) should undercut interpreted ({})",
+            rp.steps < rd.steps,
+            "planned dispatches ({}) should undercut the dense sweep ({})",
             rp.steps,
-            ri.steps
+            rd.steps
         );
     }
 
@@ -594,18 +626,16 @@ mod tests {
     fn bounded_output_falls_back_but_still_runs() {
         // A bounded middle channel keeps its producer stage out of the
         // chain; the plan must still finish, with back-pressure wakes.
-        let (mut gi, hi) = chain(Some(1));
-        one_shot(&mut gi, None, 10_000).unwrap();
+        let (mut gd, hd) = chain(Some(1));
+        run_dense(&mut gd, 10_000).unwrap();
         let (mut gp, hp) = chain(Some(1));
-        let plan = ExecPlan::build(&gp);
+        let stats = gp.plan().stats();
         assert_eq!(
-            plan.stats().fused_ew,
-            2,
-            "the bounded-output stage stays out of the chain: {:?}",
-            plan.stats()
+            stats.fused_ew, 2,
+            "the bounded-output stage stays out of the chain: {stats:?}"
         );
-        one_shot(&mut gp, Some(&plan), 10_000).unwrap();
-        assert_eq!(hi.tokens(), hp.tokens());
+        one_shot(&mut gp, 10_000).unwrap();
+        assert_eq!(hd.tokens(), hp.tokens());
     }
 
     #[test]
@@ -643,15 +673,15 @@ mod tests {
             g.add_node("sink.hi", Box::new(s1), vec![hi], vec![]);
             (g, h0, h1)
         };
-        let (mut gi, i0, i1) = build();
-        one_shot(&mut gi, None, 10_000).unwrap();
+        let (mut gd, d0, d1) = build();
+        run_dense(&mut gd, 10_000).unwrap();
         let (mut gp, p0, p1) = build();
-        let plan = ExecPlan::build(&gp);
-        assert_eq!(plan.stats().fused_ew, 1);
-        assert_eq!(plan.stats().nodes, 4, "src, split and both sinks");
-        one_shot(&mut gp, Some(&plan), 10_000).unwrap();
-        assert_eq!(i0.tokens(), p0.tokens());
-        assert_eq!(i1.tokens(), p1.tokens());
+        let stats = gp.plan().stats();
+        assert_eq!(stats.fused_ew, 1);
+        assert_eq!(stats.nodes, 4, "src, split and both sinks");
+        one_shot(&mut gp, 10_000).unwrap();
+        assert_eq!(d0.tokens(), p0.tokens());
+        assert_eq!(d1.tokens(), p1.tokens());
         assert!(!p1.tokens().iter().any(|t| t.is_barrier()), "stripped side");
     }
 
@@ -688,13 +718,12 @@ mod tests {
             g.add_node("sink", Box::new(sink), vec![out], vec![]);
             (g, h)
         };
-        let (mut gi, hi) = build();
-        one_shot(&mut gi, None, 10_000).unwrap();
+        let (mut gd, hd) = build();
+        run_dense(&mut gd, 10_000).unwrap();
         let (mut gp, hp) = build();
-        let plan = ExecPlan::build(&gp);
-        assert_eq!(plan.stats().fused_ew, 1, "a zip head fuses too");
-        one_shot(&mut gp, Some(&plan), 10_000).unwrap();
-        assert_eq!(hi.tokens(), hp.tokens());
+        assert_eq!(gp.plan().stats().fused_ew, 1, "a zip head fuses too");
+        one_shot(&mut gp, 10_000).unwrap();
+        assert_eq!(hd.tokens(), hp.tokens());
         assert_eq!(
             hp.tokens(),
             vec![tdata([1u32, 10u32]), tdata([2u32, 20u32]), tbar(1)]
@@ -724,18 +753,17 @@ mod tests {
             g.add_node("sink", Box::new(sink), vec![c1], vec![]);
             (g, h)
         };
-        let (mut gi, hi) = build();
-        one_shot(&mut gi, None, 10_000).unwrap();
+        let (mut gd, hd) = build();
+        run_dense(&mut gd, 10_000).unwrap();
         let (mut gp, hp) = build();
-        let plan = ExecPlan::build(&gp);
         assert_eq!(
-            plan.stats().fused_ew,
+            gp.plan().stats().fused_ew,
             0,
             "AllocPop stages must not chain (they need the allocator wake)"
         );
-        one_shot(&mut gp, Some(&plan), 10_000).unwrap();
-        assert_eq!(hi.tokens(), hp.tokens());
-        assert_eq!(gi.mem.dram, gp.mem.dram);
+        one_shot(&mut gp, 10_000).unwrap();
+        assert_eq!(hd.tokens(), hp.tokens());
+        assert_eq!(gd.mem.dram, gp.mem.dram);
     }
 
     /// Two sources feeding `head` (ports 0 and 1), then `tail` pass-through
@@ -764,17 +792,14 @@ mod tests {
 
     /// The whole `MachineError` — label and message — is the same whichever
     /// way the failing node fired: planned (chained or through the
-    /// object-safe entry), interpreted, dense oracle.
+    /// object-safe entry) or under the dense oracle's budgeted ports.
     #[test]
     fn planned_deadlock_matches_interpreted_diagnosis() {
         let check = |build: &dyn Fn() -> Graph, longest: usize, label: Option<&str>, msg: &str| {
-            let ei = one_shot(&mut build(), None, 100).unwrap_err();
-            let ed = crate::reference::run_dense(&mut build(), 100).unwrap_err();
+            let ed = run_dense(&mut build(), 100).unwrap_err();
             let mut gp = build();
-            let plan = ExecPlan::build(&gp);
-            assert_eq!(plan.stats().longest_segment, longest, "{msg}");
-            let ep = one_shot(&mut gp, Some(&plan), 100).unwrap_err();
-            assert_eq!(ei, ep, "{msg}: planned vs interpreted");
+            assert_eq!(gp.plan().stats().longest_segment, longest, "{msg}");
+            let ep = one_shot(&mut gp, 100).unwrap_err();
             assert_eq!(ed, ep, "{msg}: planned vs dense");
             assert_eq!(ep.node.as_deref(), label, "{msg}");
             assert!(ep.message.contains(msg), "got: {ep}");
@@ -813,35 +838,18 @@ mod tests {
     #[test]
     fn planned_round_cap_reported() {
         let (mut g, _h) = chain(None);
-        let plan = ExecPlan::build(&g);
-        let err = one_shot(&mut g, Some(&plan), 0).unwrap_err();
+        let err = one_shot(&mut g, 0).unwrap_err();
         assert!(err.message.contains("no quiescence"), "got: {err}");
-    }
-
-    #[test]
-    fn plan_shape_mismatch_is_an_error() {
-        let (g, _h) = chain(None);
-        let plan = ExecPlan::build(&g);
-        let mut other = Graph::new();
-        let c = other.add_chan(Channel::new(1));
-        other.add_node(
-            "src",
-            Box::new(SourceNode::new(vec![tdata([1u32])])),
-            vec![],
-            vec![c],
-        );
-        let err = one_shot(&mut other, Some(&plan), 100).unwrap_err();
-        assert!(err.message.contains("shape mismatch"), "got: {err}");
     }
 
     #[test]
     fn plan_reusable_across_fresh_instances() {
         let (mut template, _h) = chain(None);
-        template.finalize_topology();
-        let plan = ExecPlan::build(&template);
+        let plan = Arc::clone(template.plan());
         for _ in 0..3 {
             let mut inst = template.fresh_instance();
-            one_shot(&mut inst, Some(&plan), 10_000).unwrap();
+            assert!(Arc::ptr_eq(&plan, inst.plan()), "shared, not rebuilt");
+            one_shot(&mut inst, 10_000).unwrap();
             let h = inst
                 .nodes()
                 .iter()
@@ -857,8 +865,8 @@ mod tests {
     fn self_loop_segment_parity_with_interpreted() {
         // A zip whose second input is its own output (seeded with one
         // token): the chain rule must not mark the backedge as internal,
-        // and both executors must agree — including on the final
-        // leftover-token deadlock diagnosis.
+        // and the plan must agree with the dense oracle — including on the
+        // final leftover-token deadlock diagnosis.
         let build = || {
             let mut g = Graph::new();
             let a = g.add_chan(Channel::new(1));
@@ -891,21 +899,20 @@ mod tests {
             g.add_node("sink", Box::new(sink), vec![out], vec![]);
             (g, h)
         };
-        let (mut gi, hi) = build();
-        let ei = one_shot(&mut gi, None, 10_000);
+        let (mut gd, hd) = build();
+        let ed = run_dense(&mut gd, 10_000);
         let (mut gp, hp) = build();
-        let plan = ExecPlan::build(&gp);
-        let ep = one_shot(&mut gp, Some(&plan), 10_000);
+        let ep = one_shot(&mut gp, 10_000);
         // The seeded loop token survives the run on both paths: identical
         // diagnosis, identical sink streams, identical leftovers.
-        assert_eq!(ei.unwrap_err(), ep.unwrap_err());
-        assert_eq!(hi.tokens(), hp.tokens());
+        assert_eq!(ed.unwrap_err(), ep.unwrap_err());
+        assert_eq!(hd.tokens(), hp.tokens());
         assert_eq!(
             hp.tokens(),
             vec![tdata([1u32]), tdata([3u32]), tdata([6u32])]
         );
         assert_eq!(
-            gi.chan_mut(ChanId(1)).drain_all(),
+            gd.chan_mut(ChanId(1)).drain_all(),
             gp.chan_mut(ChanId(1)).drain_all()
         );
     }

@@ -5,9 +5,10 @@
 //! deliberately written against the public stepping surface
 //! ([`Graph::step_node`], [`Graph::stuck_channels`]) and shares none of
 //! [`Graph::run`]'s scheduling — no worklist, no wake-ups, no seeding
-//! rule, its own verdict — so the `scheduler_equiv` property suite and
-//! the apps' `opt_differential` suite can hold both shipped executors
-//! against it. It is not part of the run surface; nothing outside tests
+//! rule, its own verdict — so every differential suite (`scheduler_equiv`,
+//! the apps' `plan_differential` and `opt_differential`, the fuzz
+//! oracle's dense lanes) holds the one shipped scheduler against it. It is
+//! not part of the run surface; nothing outside tests and the fuzz oracle
 //! calls it.
 
 use crate::graph::{ExecReport, Graph, NodeSlot};

@@ -5,7 +5,8 @@
 //! in, where a `debug_assert!` would say nothing.
 
 use revet_machine::nodes::{EwNode, SinkNode, SourceNode};
-use revet_machine::{tbar, tdata, Channel, ExecPlan, Graph, RunOptions};
+use revet_machine::reference::run_dense;
+use revet_machine::{tbar, tdata, Channel, Graph, RunOptions};
 
 #[test]
 #[should_panic(expected = "tuple arity mismatch on channel (expected 1, got 2)")]
@@ -38,19 +39,17 @@ fn mis_sized_link() -> Graph {
     g
 }
 
+/// The `NodeIo` side of the assert (simulator, dense oracle); the name
+/// predates the interpreter's removal.
 #[test]
 #[should_panic(expected = "tuple arity mismatch on channel (expected 2, got 1)")]
 fn interpreted_rule_writing_a_mis_sized_link_panics() {
-    let _ = mis_sized_link().run(RunOptions::new(1_000));
+    let _ = run_dense(&mut mis_sized_link(), 1_000);
 }
 
+/// The `PlanPorts` side.
 #[test]
 #[should_panic(expected = "tuple arity mismatch on channel (expected 2, got 1)")]
 fn planned_rule_writing_a_mis_sized_link_panics() {
-    let mut g = mis_sized_link();
-    let plan = ExecPlan::build(&g);
-    let _ = g.run(RunOptions {
-        plan: Some(&plan),
-        ..RunOptions::new(1_000)
-    });
+    let _ = mis_sized_link().run(RunOptions::new(1_000));
 }

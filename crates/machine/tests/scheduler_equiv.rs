@@ -1,9 +1,8 @@
 //! Scheduler-equivalence property tests: every way of calling
-//! [`Graph::run`] — the full [`RunOptions`] matrix, `{plan, interpreted} ×
-//! {one-shot, resumed in K chunks} × {no-op obs, enabled obs}` — and the
-//! dense-sweep oracle ([`run_dense`]) must produce identical sink token
-//! streams and identical [`MemoryState`] on randomly generated acyclic
-//! graphs. Kahn determinism means results are independent of the order in
+//! [`Graph::run`] — the full [`RunOptions`] matrix, `{one-shot, resumed in
+//! K chunks} × {no-op obs, enabled obs}` — and the dense-sweep oracle
+//! ([`run_dense`]) must produce identical sink token streams and identical
+//! [`MemoryState`] on randomly generated acyclic graphs. Kahn determinism means results are independent of the order in
 //! which ready nodes are drained, the plan's fused segments must be
 //! observationally invisible, and an enabled sink must account for every
 //! dispatch without perturbing any.
@@ -33,8 +32,8 @@ use revet_machine::instr::{AluOp, EwInstr, Operand};
 use revet_machine::nodes::{EwNode, OutputSpec, SinkHandle, SinkNode, SourceNode};
 use revet_machine::reference::run_dense;
 use revet_machine::{
-    tbar, tdata, ChanId, Channel, ExecPlan, ExecReport, Graph, MemoryState, ResumeState,
-    RunOptions, RunStatus, TTok,
+    tbar, tdata, ChanId, Channel, ExecReport, Graph, MemoryState, ResumeState, RunOptions,
+    RunStatus, TTok,
 };
 use revet_obs::ObsSink;
 
@@ -212,15 +211,9 @@ fn snapshot(handles: &[SinkHandle]) -> Vec<Vec<TTok>> {
     handles.iter().map(|h| h.tokens()).collect()
 }
 
-/// One `Graph::run` on a lane's executor.
-fn run(
-    g: &mut Graph,
-    plan: Option<&ExecPlan>,
-    resume: Option<&mut ResumeState>,
-    obs: &ObsSink,
-) -> (ExecReport, RunStatus) {
+/// One `Graph::run`.
+fn run(g: &mut Graph, resume: Option<&mut ResumeState>, obs: &ObsSink) -> (ExecReport, RunStatus) {
     g.run(RunOptions {
-        plan,
         resume,
         obs,
         max_rounds: 100_000,
@@ -241,11 +234,11 @@ fn bounded_producers(g: &Graph) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Three-way triangulation: ready-set, dense-sweep, and planned
-    /// executions of the same random DAG agree on every sink stream and on
-    /// the entire memory state (DRAM bytes, SRAM, allocators, and traffic
-    /// counters), while the ready set attempts no more steps than the
-    /// dense sweep. Every generated interior node is an `EwNode`, so the
+    /// The planned and the dense-sweep execution of the same random DAG
+    /// agree on every sink stream and on the entire memory state (DRAM
+    /// bytes, SRAM, allocators, and traffic counters), while the plan
+    /// attempts no more steps than the dense sweep. Every generated
+    /// interior node is an `EwNode`, so the
     /// plan chains the whole DAG between the source and the sinks, except
     /// the producers of bounded links.
     #[test]
@@ -255,13 +248,10 @@ proptest! {
     ) {
         let (mut dense_g, _, dense_h) = build(source_tokens(&values), &moves);
         let dense: ExecReport = run_dense(&mut dense_g, 100_000).unwrap();
-        let (mut ready_g, _, ready_h) = build(source_tokens(&values), &moves);
-        let (ready, _) = run(&mut ready_g, None, None, ObsSink::noop());
         let (mut plan_g, _, plan_h) = build(source_tokens(&values), &moves);
-        let plan = ExecPlan::build(&plan_g);
-        run(&mut plan_g, Some(&plan), None, ObsSink::noop());
+        let (planned, _) = run(&mut plan_g, None, ObsSink::noop());
 
-        let stats = plan.stats();
+        let stats = plan_g.plan().stats();
         prop_assert_eq!(
             stats.fused_ew + bounded_producers(&plan_g) + plan_h.len() + 1,
             stats.nodes,
@@ -269,23 +259,20 @@ proptest! {
             stats
         );
 
-        prop_assert_eq!(snapshot(&dense_h), snapshot(&ready_h));
-        prop_assert_eq!(snapshot(&ready_h), snapshot(&plan_h));
-        prop_assert_eq!(&dense_g.mem, &ready_g.mem);
-        prop_assert_eq!(&ready_g.mem, &plan_g.mem);
+        prop_assert_eq!(snapshot(&dense_h), snapshot(&plan_h));
+        prop_assert_eq!(&dense_g.mem, &plan_g.mem);
         // Step *grouping* is schedule-dependent (the ready set may fire a
         // node at finer granularity), but total attempted work must not be
         // — without back-pressure: a producer stalled on a full link is
         // re-attempted on every capacity release.
         prop_assert!(
-            ready.steps <= dense.steps || dense_g.chans().iter().any(|c| c.capacity.is_some()),
-            "ready set did more work ({} > {})", ready.steps, dense.steps
+            planned.steps <= dense.steps || dense_g.chans().iter().any(|c| c.capacity.is_some()),
+            "the plan did more work ({} > {})", planned.steps, dense.steps
         );
     }
 
-    /// The whole `RunOptions` matrix against the dense oracle: `{planned,
-    /// interpreted} × {one-shot, resumed in K chunks} × {no-op obs,
-    /// enabled obs}`. Feeding the source stream in K chunks at arbitrary
+    /// The whole `RunOptions` matrix against the dense oracle: `{one-shot,
+    /// resumed in K chunks} × {no-op obs, enabled obs}`. Feeding the source stream in K chunks at arbitrary
     /// token boundaries — with a resumable run after each chunk, and one
     /// more whenever a bounded entry link fills up mid-chunk — yields
     /// exactly the one-shot sink streams and memory state: chunking only
@@ -310,42 +297,38 @@ proptest! {
         bounds.sort_unstable();
         bounds.dedup();
 
-        for planned in [false, true] {
-            for chunked in [false, true] {
-                for observed in [false, true] {
-                    let lane = format!("planned={planned} chunked={chunked} observed={observed}");
-                    let enabled = ObsSink::counters_only();
-                    let obs = if observed { &enabled } else { ObsSink::noop() };
-                    let initial = if chunked { Vec::new() } else { toks.clone() };
-                    // The plan is built once, before any chunk is fed.
-                    let (mut g, entry, handles) = build(initial, &moves);
-                    let plan = planned.then(|| ExecPlan::build(&g));
-                    let mut steps = 0;
-                    if chunked {
-                        let mut resume = ResumeState::new();
-                        let mut last = RunStatus::Finished;
-                        for w in bounds.windows(2) {
-                            for tok in &toks[w[0]..w[1]] {
-                                if g.chans()[entry.0 as usize].room() == 0 {
-                                    steps += run(&mut g, plan.as_ref(), Some(&mut resume), obs).0.steps;
-                                }
-                                g.chan_mut(entry).push(tok.clone());
+        for chunked in [false, true] {
+            for observed in [false, true] {
+                let lane = format!("chunked={chunked} observed={observed}");
+                let enabled = ObsSink::counters_only();
+                let obs = if observed { &enabled } else { ObsSink::noop() };
+                let initial = if chunked { Vec::new() } else { toks.clone() };
+                let (mut g, entry, handles) = build(initial, &moves);
+                let mut steps = 0;
+                if chunked {
+                    let mut resume = ResumeState::new();
+                    let mut last = RunStatus::Finished;
+                    for w in bounds.windows(2) {
+                        for tok in &toks[w[0]..w[1]] {
+                            if g.chans()[entry.0 as usize].room() == 0 {
+                                steps += run(&mut g, Some(&mut resume), obs).0.steps;
                             }
-                            let (report, status) = run(&mut g, plan.as_ref(), Some(&mut resume), obs);
-                            steps += report.steps;
-                            last = status;
+                            g.chan_mut(entry).push(tok.clone());
                         }
-                        prop_assert_eq!(last, RunStatus::Finished, "{}: final drain", lane);
-                    } else {
-                        let (report, status) = run(&mut g, plan.as_ref(), None, obs);
-                        prop_assert_eq!(status, RunStatus::Finished, "{}", lane);
-                        steps = report.steps;
+                        let (report, status) = run(&mut g, Some(&mut resume), obs);
+                        steps += report.steps;
+                        last = status;
                     }
-                    prop_assert_eq!(snapshot(&oracle_h), snapshot(&handles), "{}: sinks", lane);
-                    prop_assert_eq!(&oracle_g.mem, &g.mem, "{}: memory", lane);
-                    let dispatches = if observed { steps } else { 0 };
-                    prop_assert_eq!(enabled.counters.dispatches.get(), dispatches, "{}", lane);
+                    prop_assert_eq!(last, RunStatus::Finished, "{}: final drain", lane);
+                } else {
+                    let (report, status) = run(&mut g, None, obs);
+                    prop_assert_eq!(status, RunStatus::Finished, "{}", lane);
+                    steps = report.steps;
                 }
+                prop_assert_eq!(snapshot(&oracle_h), snapshot(&handles), "{}: sinks", lane);
+                prop_assert_eq!(&oracle_g.mem, &g.mem, "{}: memory", lane);
+                let dispatches = if observed { steps } else { 0 };
+                prop_assert_eq!(enabled.counters.dispatches.get(), dispatches, "{}", lane);
             }
         }
     }

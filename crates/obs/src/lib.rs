@@ -1,7 +1,7 @@
 //! # revet-obs — zero-cost-when-disabled observability
 //!
 //! The instrumentation substrate shared by every layer of the Revet
-//! reproduction: the untimed executors and the compiled [`ExecPlan`] in
+//! reproduction: the untimed executor (the compiled [`ExecPlan`]) in
 //! `revet-machine`, the cycle-level simulator, the batch runtime, the
 //! compile pipeline, and the serve tier all report through one type —
 //! [`ObsSink`].

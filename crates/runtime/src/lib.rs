@@ -13,7 +13,7 @@
 //!        │  BatchRunner::run    │  ┌───────────────────────────┐
 //!        │  (atomic work queue) │  │ &CompiledProgram (Sync)   │
 //!        └──────┬───────┬───────┘  │  graph template + Arc'd   │
-//!               │       │          │  TopologyIndex            │
+//!               │       │          │  ExecPlan                 │
 //!          ┌────┘       └────┐     └────────────▲──────────────┘
 //!          ▼                 ▼                  │ instance()
 //!     worker 0  …        worker T-1            per job
@@ -34,14 +34,12 @@
 //! per-instance state copy and DRAM image reset scale with the pool
 //! instead of serializing on the caller.
 //!
-//! Every instance executes through the compiled
-//! [`revet_machine::ExecPlan`] its program carries (fused segments, arena
-//! state — see the machine crate), via
+//! Every instance executes through the [`revet_machine::ExecPlan`] its
+//! program's graph carries (see the machine crate), via
 //! [`revet_core::ProgramInstance::run`] — the runtime adds threads and
-//! aggregation, not another way to execute. (The interpreted reference
-//! lane is reached at the machine layer, `Graph::run` with no plan; the
+//! aggregation, not another way to execute. (The
 //! `planned_and_interpreted_modes_agree_bit_for_bit` test holds the pool
-//! against it.)
+//! against the machine crate's dense-sweep oracle.)
 //!
 //! Execution is deterministic per instance: a
 //! [`revet_core::ProgramInstance`] owns all of its mutable state, so
@@ -390,7 +388,7 @@ fn run_one(
 mod tests {
     use super::*;
     use revet_core::{PassOptions, Session};
-    use revet_machine::RunOptions;
+    use revet_machine::reference::run_dense;
 
     fn squares_program() -> CompiledProgram {
         Session::new(
@@ -536,25 +534,21 @@ mod tests {
 
     #[test]
     fn planned_and_interpreted_modes_agree_bit_for_bit() {
-        // The pool only drives the plan; the interpreted reference lane
-        // (`Graph::run` with no plan) must leave the same bits.
+        // The pool only drives the plan; the dense-sweep oracle must leave
+        // the same bits. (The name predates the interpreter's removal.)
         let program = squares_program();
         let argsets: Vec<Vec<Word>> = (1..=6).map(|n| vec![Word(n)]).collect();
         let planned = BatchRunner::new(2).run_same(&program, &argsets);
         assert_eq!(planned.ok_count(), 6);
         for (p, args) in planned.results.iter().zip(&argsets) {
             let p = p.as_ref().unwrap();
-            let mut interp = program.instance();
-            interp.inject_args(args);
-            let (report, _) = interp
-                .graph
-                .run(RunOptions::new(DEFAULT_MAX_ROUNDS))
-                .unwrap();
-            assert_eq!(&p.mem, interp.memory(), "DRAM/SRAM must be bit-identical");
-            assert_eq!(p.sink, interp.sink_tokens());
-            // The plan collapses fused-segment dispatch into single
-            // firings, so it never attempts more steps than the
-            // interpreter.
+            let mut dense = program.instance();
+            dense.inject_args(args);
+            let report = run_dense(&mut dense.graph, DEFAULT_MAX_ROUNDS).unwrap();
+            assert_eq!(&p.mem, dense.memory(), "DRAM/SRAM must be bit-identical");
+            assert_eq!(p.sink, dense.sink_tokens());
+            // The plan only fires woken units, so it never attempts more
+            // steps than the sweep.
             assert!(p.report.steps <= report.steps);
         }
     }

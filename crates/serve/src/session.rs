@@ -219,7 +219,7 @@ impl SessionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revet_core::{PassOptions, Session, StreamExecutor};
+    use revet_core::{PassOptions, Session};
     use revet_sltf::Word;
 
     fn stream() -> StreamInstance {
@@ -236,7 +236,7 @@ mod tests {
         )
         .to_dataflow()
         .unwrap()
-        .stream(StreamExecutor::Planned)
+        .stream()
     }
 
     #[test]

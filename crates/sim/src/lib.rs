@@ -44,6 +44,7 @@ use revet_machine::{IoEvents, LinkClass, MachineError, NodeId, PortBudget, UnitC
 use revet_obs::{ObsSink, StallClass, WakeCause};
 use revet_sltf::Word;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// The cycle-level simulator.
 #[derive(Debug)]
@@ -101,11 +102,17 @@ impl Simulator {
         obs: &ObsSink,
     ) -> Result<SimStats, MachineError> {
         let cfg = &self.config;
+        // The shared channel-endpoint index drives ready-set wake-ups, the
+        // same as the untimed executor's. Taken before the buffers are
+        // bounded: that drops the graph's untimed schedule, and the
+        // compiler's copy of the index with it.
+        let topo = Arc::clone(program.graph.plan().topology());
         // Apply buffer capacities (ideal network = unbounded).
         let chan_count = program.graph.chan_count();
         if !self.ideal.network {
             for c in 0..chan_count {
-                let chan = program.graph.chan_mut(revet_machine::ChanId(c as u32));
+                let id = revet_machine::ChanId(c as u32);
+                let chan = &program.graph.chans()[c];
                 let cap = if chan.canonicalize {
                     match chan.class {
                         LinkClass::Vector => cfg.vector_buffer_tokens,
@@ -115,17 +122,13 @@ impl Simulator {
                     // Backedges get the deadlock-avoidance depth.
                     cfg.deadlock_buffer_tokens
                 };
-                chan.capacity = Some(cap);
+                program.graph.set_capacity(id, Some(cap));
             }
         }
         // Inject the argument thread.
-        program.graph.chan_mut(program.entry).capacity = None;
+        program.graph.set_capacity(program.entry, None);
         program.inject_args(args);
         let n = program.graph.node_count();
-        // The shared channel-endpoint index drives ready-set wake-ups, the
-        // same as the untimed executor's (built by the compiler; cloning
-        // keeps the graph borrowable while stepping).
-        let topo = program.graph.finalize_topology().clone();
         let nodes: Vec<(NodeId, UnitClass, Vec<LinkClass>, Vec<LinkClass>)> = (0..n)
             .map(|i| {
                 let slot = &program.graph.nodes()[i];
@@ -190,7 +193,7 @@ impl Simulator {
                 if *unit == UnitClass::AddressGen && dram_gated {
                     // Not fired: keep it scheduled for the refilled cycle.
                     // This deferral is the one stall class invisible to the
-                    // untimed executors.
+                    // untimed executor.
                     obs.stall(i, StallClass::DramGated);
                     queued[idx] = true;
                     next.push_back(i);
