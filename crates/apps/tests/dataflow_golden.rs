@@ -9,6 +9,12 @@
 //! order, so a refactor of `revet_core`'s lowering that keeps this file
 //! and `golden/dataflow.digest` unedited has kept the output bit-for-bit.
 //!
+//! Two further columns pin the middle of the pipeline the same way:
+//! `mir=` hashes `print_module` of the module `Session::run_passes`
+//! leaves (op order and value numbering of every MIR→MIR pass), and
+//! `passes=` hashes the pass report without its wall times (each pass's
+//! name, changed flag and op counts, in pipeline order).
+//!
 //! On a mismatch the test writes `target/dataflow_golden/actual.digest`
 //! (the full table as this build computes it) and the first differing
 //! row's dump next to it. To see *what* changed, produce the same dump
@@ -18,7 +24,8 @@
 
 use revet_apps::{all_apps, DRAM_BYTES};
 use revet_core::{CompiledProgram, PassOptions, Session};
-use std::collections::BTreeSet;
+use revet_mir::{Module, OpKind, PassReport, Value};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -73,6 +80,38 @@ const UNVERIFIED: &[(&str, &str)] = &[(
      and every pass close each region with yield/exit/condition/return, so only \
      a hand-built MIR module reaches it",
 )];
+
+/// Every `op:kind` arm of the view & iterator dialect (Table I) the rows'
+/// front-end MIR contains — the arms `lower_views` rewrites. A view's
+/// flush at region teardown follows from its `view_new` kind, a write
+/// iterator's from `it_new:Write`. An arm the language allows but that is
+/// missing here (reading a write view, `w++` on a `manualwriteit`, ...) is
+/// *not* pinned by the `mir=` column.
+const MEMORY_ARMS: &[&str] = &[
+    "it_deref:PeekRead",
+    "it_deref:Read",
+    "it_inc:ManualWrite:last",
+    "it_inc:PeekRead",
+    "it_inc:Read",
+    "it_inc:Write",
+    "it_new:ManualWrite",
+    "it_new:PeekRead",
+    "it_new:Read",
+    "it_new:Write",
+    "it_peek:PeekRead",
+    "it_write:ManualWrite",
+    "it_write:Write",
+    "view_new:Modify",
+    "view_new:Read",
+    "view_new:Sram",
+    "view_new:Write",
+    "view_read:Modify",
+    "view_read:Read",
+    "view_read:Sram",
+    "view_write:Modify",
+    "view_write:Sram",
+    "view_write:Write",
+];
 
 struct Row {
     name: String,
@@ -194,7 +233,59 @@ fn rows() -> Vec<Row> {
             },
         ));
     }
+    for file in ["peek_iterator", "modify_view"] {
+        for level in [0u8, 2] {
+            rows.push(directed(
+                file,
+                &format!("default,O{level}"),
+                base_opts(false, level, small),
+            ));
+        }
+    }
     rows
+}
+
+/// Adds the `op:kind` arms of the view & iterator dialect `m` contains.
+fn memory_arms(m: &Module, seen: &mut BTreeSet<String>) {
+    for f in &m.funcs {
+        let mut kinds: HashMap<Value, String> = HashMap::new();
+        f.walk(&mut |op| {
+            let (name, handle, suffix) = match &op.kind {
+                OpKind::ViewNew { kind, .. } => {
+                    kinds.insert(op.results[0], format!("{kind:?}"));
+                    ("view_new", op.results[0], "")
+                }
+                OpKind::ItNew { kind, .. } => {
+                    kinds.insert(op.results[0], format!("{kind:?}"));
+                    ("it_new", op.results[0], "")
+                }
+                OpKind::ViewRead { view, .. } => ("view_read", *view, ""),
+                OpKind::ViewWrite { view, .. } => ("view_write", *view, ""),
+                OpKind::ItDeref { it } => ("it_deref", *it, ""),
+                OpKind::ItPeek { it, .. } => ("it_peek", *it, ""),
+                OpKind::ItWrite { it, .. } => ("it_write", *it, ""),
+                OpKind::ItInc { it, last } => {
+                    ("it_inc", *it, if last.is_some() { ":last" } else { "" })
+                }
+                _ => return,
+            };
+            seen.insert(format!("{name}:{}{suffix}", kinds[&handle]));
+        });
+    }
+}
+
+/// The pass report without its wall times.
+fn pass_table(report: &PassReport) -> String {
+    let mut s = String::new();
+    for p in &report.passes {
+        writeln!(
+            s,
+            "{}/{}/{}/{}",
+            p.name, p.changed, p.ops_before, p.ops_after
+        )
+        .unwrap();
+    }
+    s
 }
 
 /// The structural dump the digest is taken over.
@@ -258,10 +349,14 @@ fn lowering_output_matches_the_golden_digest() {
     let mut actual = String::new();
     let mut dumps = Vec::new();
     let mut seen: BTreeSet<String> = BTreeSet::new();
+    let mut arms: BTreeSet<String> = BTreeSet::new();
     for row in rows() {
-        let program = Session::new(row.source.as_str(), row.opts.clone())
-            .to_dataflow()
-            .unwrap_or_else(|e| panic!("{} [{}]: {e}", row.name, row.opts_label));
+        let mut session = Session::new(row.source.as_str(), row.opts.clone());
+        let fail = |e| -> ! { panic!("{} [{}]: {e}", row.name, row.opts_label) };
+        memory_arms(session.lower_mir().unwrap_or_else(|e| fail(e)), &mut arms);
+        let mir = revet_mir::print_module(session.run_passes().unwrap_or_else(|e| fail(e)));
+        let passes = pass_table(session.pass_report().expect("run_passes leaves a report"));
+        let program = session.to_dataflow().unwrap_or_else(|e| fail(e));
         let labels = program
             .graph
             .nodes()
@@ -272,16 +367,27 @@ fn lowering_output_matches_the_golden_digest() {
         let text = dump(&program);
         writeln!(
             actual,
-            "{} {} nodes={} chans={} digest={:016x}",
+            "{} {} nodes={} chans={} digest={:016x} mir={:016x} passes={:016x}",
             row.name,
             row.opts_label,
             program.graph.node_count(),
             program.graph.chan_count(),
-            digest(&text)
+            digest(&text),
+            digest(&mir),
+            digest(&passes)
         )
         .unwrap();
-        dumps.push((row.name, row.opts_label, text));
+        dumps.push((
+            row.name,
+            row.opts_label,
+            format!("{text}---- mir ----\n{mir}---- passes ----\n{passes}"),
+        ));
     }
+    assert_eq!(
+        arms,
+        MEMORY_ARMS.iter().map(|a| (*a).to_string()).collect(),
+        "view/iterator arms reached by the golden rows vs. MEMORY_ARMS"
+    );
 
     // Coverage: the rows together reach every base the lowering can emit,
     // except the ones listed (with a reason) as unverified.
