@@ -274,6 +274,31 @@ fn memory_arms(m: &Module, seen: &mut BTreeSet<String>) {
     }
 }
 
+/// The changed-flag law of `mir/tests/opt_props.rs`, over the whole
+/// pipeline (lowering passes included) on a golden row: a pass that
+/// reports `Unchanged` left the printed module byte-identical, and one
+/// that reports `Changed` did not.
+fn assert_changed_flags_are_exact(row: &Row, mut module: Module, threads: Option<u32>) {
+    let mut texts = vec![revet_mir::print_module(&module)];
+    let report = revet_core::passes::build_pipeline(&row.opts, threads).run_observed(
+        &mut module,
+        &mut |_, m| {
+            texts.push(revet_mir::print_module(m));
+        },
+    );
+    for (stat, pair) in report.passes.iter().zip(texts.windows(2)) {
+        assert_eq!(
+            stat.changed,
+            pair[0] != pair[1],
+            "{} [{}]: `{}` reported changed={} but the printed module says otherwise",
+            row.name,
+            row.opts_label,
+            stat.name,
+            stat.changed
+        );
+    }
+}
+
 /// The pass report without its wall times.
 fn pass_table(report: &PassReport) -> String {
     let mut s = String::new();
@@ -353,7 +378,9 @@ fn lowering_output_matches_the_golden_digest() {
     for row in rows() {
         let mut session = Session::new(row.source.as_str(), row.opts.clone());
         let fail = |e| -> ! { panic!("{} [{}]: {e}", row.name, row.opts_label) };
-        memory_arms(session.lower_mir().unwrap_or_else(|e| fail(e)), &mut arms);
+        let high = session.lower_mir().unwrap_or_else(|e| fail(e)).clone();
+        memory_arms(&high, &mut arms);
+        assert_changed_flags_are_exact(&row, high, session.thread_count());
         let mir = revet_mir::print_module(session.run_passes().unwrap_or_else(|e| fail(e)));
         let passes = pass_table(session.pass_report().expect("run_passes leaves a report"));
         let program = session.to_dataflow().unwrap_or_else(|e| fail(e));

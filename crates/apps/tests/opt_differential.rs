@@ -44,7 +44,7 @@ fn dataflow_output_is_opt_level_invariant() {
 /// interpreter executes the high-level dialect directly) and interprets
 /// both the original and the optimized module; returns both DRAM images.
 fn interp_drams(app: &App) -> (Vec<u8>, Vec<u8>) {
-    use revet_mir::{ConstFold, Cse, Dce, DramLayout, Interp, PassManager, Simplify, SinkConsts};
+    use revet_mir::{DramLayout, Interp, PassManager};
 
     let w = (app.workload)(4, SEED);
     let lowered = revet_lang::compile_to_mir(&(app.source)(2)).unwrap();
@@ -78,16 +78,8 @@ fn interp_drams(app: &App) -> (Vec<u8>, Vec<u8>) {
 
     let before = run(&module);
 
-    // Mirrors the -O2 group of `build_pipeline` (core/src/passes).
     let mut pm = PassManager::new();
-    pm.add(ConstFold)
-        .add(Simplify)
-        .add(Dce)
-        .add(Cse)
-        .add(ConstFold)
-        .add(Simplify)
-        .add(SinkConsts)
-        .add(Dce);
+    revet_mir::add_classical(&mut pm, 2);
     let report = pm.run(&mut module);
     assert!(report.ops_after() <= report.ops_before());
 

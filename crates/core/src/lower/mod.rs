@@ -56,7 +56,7 @@ use revet_machine::nodes::{
     ReduceNode, SinkNode,
 };
 use revet_machine::{ChanId, Channel, Graph, LinkClass, Node, RunOptions, UnitClass};
-use revet_mir::{DramLayout, Func, Module, Op, OpKind, Ty, Value};
+use revet_mir::{DramLayout, Func, Module, Op, OpKind, Value};
 use revet_sltf::Word;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -235,12 +235,7 @@ pub fn lower_to_dataflow(
     let mut consts = HashMap::new();
     main.walk(&mut |op| {
         if let (OpKind::ConstI(v, ty), Some(r)) = (&op.kind, op.results.first()) {
-            let w = match ty {
-                Ty::I8 => Word((*v as u8) as u32),
-                Ty::I16 => Word((*v as u16) as u32),
-                _ => Word(*v as u32),
-            };
-            consts.insert(*r, w);
+            consts.insert(*r, ty.materialize(*v));
         }
     });
     let mut lw = DfLower {

@@ -6,147 +6,87 @@
 //! bursts at the AGs (the backend "bulk store can process 32 bits per
 //! cycle" of §V-A a).
 
-use revet_mir::{AluOp, ForeachFlags, Func, Module, Op, OpKind, Region, Ty};
+#![warn(clippy::too_many_lines)]
 
-/// Rewrites every bulk transfer into a `foreach` of element accesses.
-pub fn lower_bulk(module: &mut Module) {
-    let mut funcs = std::mem::take(&mut module.funcs);
-    for func in &mut funcs {
-        let body = std::mem::take(&mut func.body);
-        func.body = rewrite(func, body);
+use revet_mir::{
+    AluOp, ForeachFlags, Func, Module, Op, OpKind, Pass, PassResult, RegionBuilder, Rewriter, Ty,
+};
+
+/// Bulk-access lowering (§V-A): `BulkLoad`/`BulkStore` become explicitly
+/// parallel `foreach` loops of element transfers.
+pub struct LowerBulk;
+
+impl Pass for LowerBulk {
+    fn name(&self) -> &str {
+        "lower_bulk"
     }
-    module.funcs = funcs;
-}
 
-fn rewrite(func: &mut Func, region: Region) -> Region {
-    let mut out = Vec::with_capacity(region.ops.len());
-    for mut op in region.ops {
-        for r in op.kind.regions_mut() {
-            let taken = std::mem::take(r);
-            *r = rewrite(func, taken);
-        }
-        match op.kind {
-            OpKind::BulkLoad {
-                dram,
-                dram_base,
-                sram,
-                sram_base,
-                len,
-            } => {
-                let zero = konst(func, &mut out, 0);
-                let one = konst(func, &mut out, 1);
-                let idx = func.new_value(Ty::I32);
-                let mut body = Vec::new();
-                let di = bin(func, &mut body, AluOp::Add, dram_base, idx);
-                let v = func.new_value(Ty::I32);
-                body.push(Op {
-                    kind: OpKind::DramRead { dram, idx: di },
-                    results: vec![v],
-                });
-                let si = bin(func, &mut body, AluOp::Add, sram_base, idx);
-                body.push(Op {
-                    kind: OpKind::SramWrite {
-                        sram,
-                        addr: si,
-                        val: v,
-                    },
-                    results: vec![],
-                });
-                body.push(Op {
-                    kind: OpKind::Yield(vec![]),
-                    results: vec![],
-                });
-                out.push(Op {
-                    kind: OpKind::Foreach {
-                        lo: zero,
-                        hi: len,
-                        step: one,
-                        body: Region::new(vec![idx], body),
-                        reduce: vec![],
-                        flags: ForeachFlags::default(),
-                    },
-                    results: vec![],
-                });
-            }
-            OpKind::BulkStore {
-                dram,
-                dram_base,
-                sram,
-                sram_base,
-                len,
-            } => {
-                let zero = konst(func, &mut out, 0);
-                let one = konst(func, &mut out, 1);
-                let idx = func.new_value(Ty::I32);
-                let mut body = Vec::new();
-                let si = bin(func, &mut body, AluOp::Add, sram_base, idx);
-                let v = func.new_value(Ty::I32);
-                body.push(Op {
-                    kind: OpKind::SramRead { sram, addr: si },
-                    results: vec![v],
-                });
-                let di = bin(func, &mut body, AluOp::Add, dram_base, idx);
-                body.push(Op {
-                    kind: OpKind::DramWrite {
-                        dram,
-                        idx: di,
-                        val: v,
-                    },
-                    results: vec![],
-                });
-                body.push(Op {
-                    kind: OpKind::Yield(vec![]),
-                    results: vec![],
-                });
-                out.push(Op {
-                    kind: OpKind::Foreach {
-                        lo: zero,
-                        hi: len,
-                        step: one,
-                        body: Region::new(vec![idx], body),
-                        reduce: vec![],
-                        flags: ForeachFlags::default(),
-                    },
-                    results: vec![],
-                });
-            }
-            kind => out.push(Op {
-                kind,
-                results: op.results,
-            }),
-        }
+    fn run(&self, m: &mut Module) -> PassResult {
+        m.rewrite(&mut LowerBulk)
     }
-    Region::new(region.args, out)
 }
 
-fn konst(func: &mut Func, out: &mut Vec<Op>, v: i64) -> revet_mir::Value {
-    let r = func.new_value(Ty::I32);
-    out.push(Op {
-        kind: OpKind::ConstI(v, Ty::I32),
-        results: vec![r],
-    });
-    r
-}
-
-fn bin(
-    func: &mut Func,
-    out: &mut Vec<Op>,
-    op: AluOp,
-    a: revet_mir::Value,
-    b: revet_mir::Value,
-) -> revet_mir::Value {
-    let r = func.new_value(Ty::I32);
-    out.push(Op {
-        kind: OpKind::Bin(op, a, b),
-        results: vec![r],
-    });
-    r
+impl Rewriter for LowerBulk {
+    fn op(
+        &mut self,
+        out: &mut RegionBuilder,
+        func: &mut Func,
+        _module: &mut Module,
+        op: Op,
+    ) -> Option<Op> {
+        let (OpKind::BulkLoad {
+            dram,
+            dram_base,
+            sram,
+            sram_base,
+            len,
+        }
+        | OpKind::BulkStore {
+            dram,
+            dram_base,
+            sram,
+            sram_base,
+            len,
+        }) = op.kind
+        else {
+            return Some(op);
+        };
+        let zero = out.const_i32(func, 0);
+        let one = out.const_i32(func, 1);
+        let idx = func.new_value(Ty::I32);
+        let mut body = RegionBuilder::with_args(vec![idx]);
+        if matches!(op.kind, OpKind::BulkLoad { .. }) {
+            let di = body.bin(func, AluOp::Add, dram_base, idx);
+            let v = body.emit(func, OpKind::DramRead { dram, idx: di }, Ty::I32);
+            let si = body.bin(func, AluOp::Add, sram_base, idx);
+            body.sram_write(sram, si, v);
+        } else {
+            let si = body.bin(func, AluOp::Add, sram_base, idx);
+            let v = body.sram_read(func, sram, si);
+            let di = body.bin(func, AluOp::Add, dram_base, idx);
+            body.emit0(OpKind::DramWrite {
+                dram,
+                idx: di,
+                val: v,
+            });
+        }
+        body.emit0(OpKind::Yield(vec![]));
+        out.emit0(OpKind::Foreach {
+            lo: zero,
+            hi: len,
+            step: one,
+            body: body.build(),
+            reduce: vec![],
+            flags: ForeachFlags::default(),
+        });
+        None
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::passes::views::lower_views;
+    use crate::passes::LowerViews;
     use revet_lang::compile_to_mir;
     use revet_mir::{DramLayout, Interp};
     use revet_sltf::Word;
@@ -168,8 +108,16 @@ mod tests {
         "#;
         let lowered = compile_to_mir(src).unwrap();
         let mut module = lowered.module.clone();
-        lower_views(&mut module, Some(8), true);
-        lower_bulk(&mut module);
+        let views = LowerViews {
+            threads: Some(8),
+            fuse: true,
+        };
+        assert!(views.run(&mut module).changed());
+        assert!(LowerBulk.run(&mut module).changed());
+        assert!(
+            !LowerBulk.run(&mut module).changed(),
+            "nothing left to lower"
+        );
         revet_mir::verify_module(&module).unwrap();
         assert_eq!(
             module.funcs[0].count_ops(|k| k.is_high_level()),

@@ -9,35 +9,44 @@
 //! Stragglers of one parent can then interleave with the next parent's
 //! threads (Fig. 13's scaling win).
 
-use revet_mir::{AluOp, Func, Module, Op, OpKind, Region, Ty, Value};
+#![warn(clippy::too_many_lines)]
 
-/// Applies Fig. 9 to every `foreach` marked `eliminate_hierarchy`. Returns
-/// the number of loops rewritten.
-pub fn eliminate_hierarchy(module: &mut Module, threads: Option<u32>) -> usize {
-    let threads = threads.unwrap_or(crate::passes::DEFAULT_THREADS);
-    let mut count = 0;
-    let mut funcs = std::mem::take(&mut module.funcs);
-    for func in &mut funcs {
-        let body = std::mem::take(&mut func.body);
-        func.body = rewrite(module, func, body, threads, &mut count);
-    }
-    module.funcs = funcs;
-    count
+use revet_mir::{AluOp, Func, Module, Op, OpKind, Pass, PassResult, RegionBuilder, Rewriter, Ty};
+
+/// Foreach hierarchy elimination (§V-A b, Fig. 9): rewrites every
+/// pragma-annotated `foreach` into a fork + shared-counter continuation.
+pub struct EliminateHierarchy {
+    /// Thread-local buffer count hint for the counter SRAM sizing.
+    pub threads: Option<u32>,
 }
 
-fn rewrite(
-    module: &mut Module,
-    func: &mut Func,
-    region: Region,
+impl Pass for EliminateHierarchy {
+    fn name(&self) -> &str {
+        "eliminate_hierarchy"
+    }
+
+    fn run(&self, m: &mut Module) -> PassResult {
+        m.rewrite(&mut Fig9 {
+            threads: self.threads.unwrap_or(crate::passes::DEFAULT_THREADS),
+            count: 0,
+        })
+    }
+}
+
+struct Fig9 {
     threads: u32,
-    count: &mut usize,
-) -> Region {
-    let mut out = Vec::with_capacity(region.ops.len());
-    for mut op in region.ops {
-        for r in op.kind.regions_mut() {
-            let taken = std::mem::take(r);
-            *r = rewrite(module, func, taken, threads, count);
-        }
+    /// Loops rewritten so far, module-wide (names the declarations).
+    count: usize,
+}
+
+impl Rewriter for Fig9 {
+    fn op(
+        &mut self,
+        out: &mut RegionBuilder,
+        func: &mut Func,
+        module: &mut Module,
+        op: Op,
+    ) -> Option<Op> {
         match op.kind {
             OpKind::Foreach {
                 lo,
@@ -47,122 +56,58 @@ fn rewrite(
                 reduce,
                 flags,
             } if flags.eliminate_hierarchy && reduce.is_empty() => {
-                *count += 1;
-                let sram = module.add_sram(format!("fe_count{count}"), threads);
-                let alloc = module.add_alloc(format!("fe_alloc{count}"), threads);
+                self.count += 1;
+                let sram = module.add_sram(format!("fe_count{}", self.count), self.threads);
+                let alloc = module.add_alloc(format!("fe_alloc{}", self.count), self.threads);
                 // n = (hi - lo + step - 1) / step  (trip count)
-                let diff = bin(func, &mut out, AluOp::Sub, hi, lo);
-                let sm1k = konst(func, &mut out, 1);
-                let sm1 = bin(func, &mut out, AluOp::Sub, step, sm1k);
-                let num = bin(func, &mut out, AluOp::Add, diff, sm1);
-                let n = bin(func, &mut out, AluOp::DivS, num, step);
+                let diff = out.bin(func, AluOp::Sub, hi, lo);
+                let sm1k = out.const_i32(func, 1);
+                let sm1 = out.bin(func, AluOp::Sub, step, sm1k);
+                let num = out.bin(func, AluOp::Add, diff, sm1);
+                let n = out.bin(func, AluOp::DivS, num, step);
                 // ptr = alloc.pop(); mem[ptr] = n
-                let ptr = func.new_value(Ty::I32);
-                out.push(Op {
-                    kind: OpKind::AllocPop { alloc },
-                    results: vec![ptr],
-                });
-                out.push(Op {
-                    kind: OpKind::SramWrite {
-                        sram,
-                        addr: ptr,
-                        val: n,
-                    },
-                    results: vec![],
-                });
+                let ptr = out.emit(func, OpKind::AllocPop { alloc }, Ty::I32);
+                out.sram_write(sram, ptr, n);
                 // fork(n) { k => idx = lo + k*step; body; last-check }
                 let k = func.new_value(Ty::I32);
-                let mut fork_ops = Vec::new();
-                let scaled = bin(func, &mut fork_ops, AluOp::Mul, k, step);
-                let idx = bin(func, &mut fork_ops, AluOp::Add, lo, scaled);
+                let mut fork = RegionBuilder::with_args(vec![k]);
+                let scaled = fork.bin(func, AluOp::Mul, k, step);
+                let idx = fork.bin(func, AluOp::Add, lo, scaled);
                 // Inline the body with its index arg bound to idx: body.args
                 // = [i]; we re-use the arg value by assigning it via a Mov.
-                let body_arg = body.args[0];
-                let zero = zero_of(func, &mut fork_ops);
-                fork_ops.push(Op {
-                    kind: OpKind::Bin(AluOp::Add, idx, zero),
-                    results: vec![body_arg],
-                });
+                let zero = fork.const_i32(func, 0);
+                fork.push(OpKind::Bin(AluOp::Add, idx, zero), vec![body.args[0]]);
                 let body_ends_exit = matches!(body.ops.last().map(|o| &o.kind), Some(OpKind::Exit));
                 for bop in body.ops {
                     // The body's trailing yield is dropped; the fork decides
                     // continuation via the shared counter below.
-                    if matches!(bop.kind, OpKind::Yield(_)) {
-                        continue;
+                    if !matches!(bop.kind, OpKind::Yield(_)) {
+                        fork.push(bop.kind, bop.results);
                     }
-                    fork_ops.push(bop);
                 }
                 if !body_ends_exit {
                     // remaining = --mem[ptr]; if remaining != 0 exit.
-                    let rem = func.new_value(Ty::I32);
-                    fork_ops.push(Op {
-                        kind: OpKind::SramDecFetch { sram, addr: ptr },
-                        results: vec![rem],
+                    let rem = fork.emit(func, OpKind::SramDecFetch { sram, addr: ptr }, Ty::I32);
+                    let (mut then, mut else_) = (RegionBuilder::new(), RegionBuilder::new());
+                    then.emit0(OpKind::Exit);
+                    else_.emit0(OpKind::Yield(vec![]));
+                    fork.emit0(OpKind::If {
+                        cond: rem,
+                        then: then.build(),
+                        else_: else_.build(),
                     });
-                    let mut then_ops = Vec::new();
-                    then_ops.push(Op {
-                        kind: OpKind::Exit,
-                        results: vec![],
-                    });
-                    let mut else_ops = Vec::new();
-                    else_ops.push(Op {
-                        kind: OpKind::Yield(vec![]),
-                        results: vec![],
-                    });
-                    fork_ops.push(Op {
-                        kind: OpKind::If {
-                            cond: rem,
-                            then: Region::new(vec![], then_ops),
-                            else_: Region::new(vec![], else_ops),
-                        },
-                        results: vec![],
-                    });
-                    fork_ops.push(Op {
-                        kind: OpKind::Yield(vec![]),
-                        results: vec![],
-                    });
+                    fork.emit0(OpKind::Yield(vec![]));
                 }
-                out.push(Op {
-                    kind: OpKind::Fork {
-                        count: n,
-                        body: Region::new(vec![k], fork_ops),
-                    },
-                    results: vec![],
+                out.emit0(OpKind::Fork {
+                    count: n,
+                    body: fork.build(),
                 });
-                out.push(Op {
-                    kind: OpKind::AllocPush { alloc, ptr },
-                    results: vec![],
-                });
+                out.emit0(OpKind::AllocPush { alloc, ptr });
+                None
             }
-            kind => out.push(Op {
-                kind,
-                results: op.results,
-            }),
+            _ => Some(op),
         }
     }
-    Region::new(region.args, out)
-}
-
-fn zero_of(func: &mut Func, out: &mut Vec<Op>) -> Value {
-    konst(func, out, 0)
-}
-
-fn konst(func: &mut Func, out: &mut Vec<Op>, v: i64) -> Value {
-    let r = func.new_value(Ty::I32);
-    out.push(Op {
-        kind: OpKind::ConstI(v, Ty::I32),
-        results: vec![r],
-    });
-    r
-}
-
-fn bin(func: &mut Func, out: &mut Vec<Op>, op: AluOp, a: Value, b: Value) -> Value {
-    let r = func.new_value(Ty::I32);
-    out.push(Op {
-        kind: OpKind::Bin(op, a, b),
-        results: vec![r],
-    });
-    r
 }
 
 #[cfg(test)]
@@ -186,8 +131,8 @@ mod tests {
         "#;
         let lowered = compile_to_mir(src).unwrap();
         let mut module = lowered.module.clone();
-        let rewritten = eliminate_hierarchy(&mut module, Some(16));
-        assert_eq!(rewritten, 1);
+        let pass = EliminateHierarchy { threads: Some(16) };
+        assert!(pass.run(&mut module).changed());
         revet_mir::verify_module(&module).unwrap();
         assert_eq!(
             module.funcs[0].count_ops(|k| matches!(k, OpKind::Fork { .. })),
@@ -219,6 +164,8 @@ mod tests {
         "#;
         let lowered = compile_to_mir(src).unwrap();
         let mut module = lowered.module.clone();
-        assert_eq!(eliminate_hierarchy(&mut module, None), 0);
+        let pass = EliminateHierarchy { threads: None };
+        assert!(!pass.run(&mut module).changed());
+        assert_eq!(module, lowered.module);
     }
 }

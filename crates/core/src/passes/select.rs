@@ -8,18 +8,24 @@
 //! default of only rewriting empty ifs". `if`s containing loops, parallel
 //! regions, or `exit` keep their dataflow form (they need real filtering).
 
-use revet_mir::{Func, Module, Op, OpKind, Region};
+#![warn(clippy::too_many_lines)]
 
-/// Converts every convertible `if`; returns the number converted.
-pub fn if_to_select(module: &mut Module) -> usize {
-    let mut count = 0;
-    let mut funcs = std::mem::take(&mut module.funcs);
-    for func in &mut funcs {
-        let body = std::mem::take(&mut func.body);
-        func.body = rewrite(func, body, &mut count);
+use revet_mir::{
+    Func, Module, Op, OpKind, Pass, PassResult, Region, RegionBuilder, Rewriter, Value,
+};
+
+/// If-to-select conversion (§V-B c): inlines loop-free `if`s as selects
+/// with predicated memory ops.
+pub struct IfToSelect;
+
+impl Pass for IfToSelect {
+    fn name(&self) -> &str {
+        "if_to_select"
     }
-    module.funcs = funcs;
-    count
+
+    fn run(&self, m: &mut Module) -> PassResult {
+        m.rewrite(&mut IfToSelect)
+    }
 }
 
 /// True if the region can be flattened into predicated straight-line code.
@@ -41,70 +47,48 @@ fn convertible(r: &Region) -> bool {
     })
 }
 
-fn rewrite(func: &mut Func, region: Region, count: &mut usize) -> Region {
-    let mut out = Vec::with_capacity(region.ops.len());
-    for mut op in region.ops {
-        for r in op.kind.regions_mut() {
-            let taken = std::mem::take(r);
-            *r = rewrite(func, taken, count);
-        }
+impl Rewriter for IfToSelect {
+    fn op(
+        &mut self,
+        out: &mut RegionBuilder,
+        _func: &mut Func,
+        _module: &mut Module,
+        op: Op,
+    ) -> Option<Op> {
         match op.kind {
             OpKind::If { cond, then, else_ } if convertible(&then) && convertible(&else_) => {
-                *count += 1;
-                let then_yield = inline_branch(&mut out, then, cond, true);
-                let else_yield = inline_branch(&mut out, else_, cond, false);
+                let then_yield = inline_branch(out, then, cond, true);
+                let else_yield = inline_branch(out, else_, cond, false);
                 // Results become selects between the two yields.
-                for ((res, t), e) in op
-                    .results
-                    .iter()
-                    .zip(then_yield.iter())
-                    .zip(else_yield.iter())
-                {
-                    out.push(Op {
-                        kind: OpKind::Select(cond, *t, *e),
-                        results: vec![*res],
-                    });
+                for ((res, t), e) in op.results.iter().zip(then_yield).zip(else_yield) {
+                    out.push(OpKind::Select(cond, t, e), vec![*res]);
                 }
-                let _ = func;
+                None
             }
-            kind => out.push(Op {
-                kind,
-                results: op.results,
-            }),
+            _ => Some(op),
         }
     }
-    Region::new(region.args, out)
 }
 
 /// Hoists a branch's ops into the parent, predicating side effects. Returns
 /// the branch's yielded values.
-fn inline_branch(
-    out: &mut Vec<Op>,
-    branch: Region,
-    cond: revet_mir::Value,
-    expect: bool,
-) -> Vec<revet_mir::Value> {
+fn inline_branch(out: &mut RegionBuilder, branch: Region, cond: Value, expect: bool) -> Vec<Value> {
     let mut yielded = Vec::new();
     for op in branch.ops {
         match op.kind {
             OpKind::Yield(vs) => yielded = vs,
-            kind if kind.is_memory() => {
-                // Nested Predicated ops keep their own predicate; double
-                // predication of the same memory op is rare enough that we
-                // conservatively AND by nesting wrappers.
-                out.push(Op {
-                    kind: OpKind::Predicated {
-                        pred: cond,
-                        expect,
-                        inner: Box::new(kind),
-                    },
-                    results: op.results,
-                });
-            }
-            kind => out.push(Op {
-                kind,
-                results: op.results,
-            }),
+            // Nested Predicated ops keep their own predicate; double
+            // predication of the same memory op is rare enough that we
+            // conservatively AND by nesting wrappers.
+            kind if kind.is_memory() => out.push(
+                OpKind::Predicated {
+                    pred: cond,
+                    expect,
+                    inner: Box::new(kind),
+                },
+                op.results,
+            ),
+            kind => out.push(kind, op.results),
         }
     }
     yielded
@@ -145,8 +129,7 @@ mod tests {
         "#;
         let lowered = compile_to_mir(src).unwrap();
         let mut module = lowered.module.clone();
-        let converted = if_to_select(&mut module);
-        assert_eq!(converted, 1);
+        assert!(IfToSelect.run(&mut module).changed());
         revet_mir::verify_module(&module).unwrap();
         assert_eq!(
             module.funcs[0].count_ops(|k| matches!(k, OpKind::If { .. })),
@@ -186,8 +169,8 @@ mod tests {
         "#;
         let lowered = compile_to_mir(src).unwrap();
         let mut module = lowered.module.clone();
-        let converted = if_to_select(&mut module);
-        assert_eq!(converted, 0, "loop-bearing and exit ifs stay");
+        let converted = IfToSelect.run(&mut module).changed();
+        assert!(!converted, "loop-bearing and exit ifs stay");
         assert_eq!(
             module.funcs[0].count_ops(|k| matches!(k, OpKind::If { .. })),
             2
@@ -214,8 +197,12 @@ mod tests {
         "#;
         let lowered = compile_to_mir(src).unwrap();
         let mut module = lowered.module.clone();
-        let converted = if_to_select(&mut module);
-        assert_eq!(converted, 2);
+        assert!(IfToSelect.run(&mut module).changed());
+        assert_eq!(
+            module.funcs[0].count_ops(|k| matches!(k, OpKind::If { .. })),
+            0,
+            "inner and outer if both flattened"
+        );
         for (arg, want) in [(5u32, 4u32), (3, 2), (1, 1)] {
             let d = run_main(&module, &[Word(arg)], 4096);
             assert_eq!(u32::from_le_bytes(d[0..4].try_into().unwrap()), want);

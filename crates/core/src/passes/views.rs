@@ -17,707 +17,383 @@
 //!   deallocation; `ManualWriteIt` flushes on the caller's `last` hint and
 //!   skips the deallocation flush (§V-A a).
 
-use revet_mir::{AluOp, Func, ItKind, Module, Op, OpKind, Region, Ty, Value, ViewKind};
+#![warn(clippy::too_many_lines)]
+
+use revet_machine::{AllocId, SramId};
+use revet_mir::{
+    AluOp, DramRef, Func, ItKind, Module, Op, OpKind, Pass, PassResult, RegionBuilder, Rewriter,
+    Ty, Value, ViewKind,
+};
 use std::collections::HashMap;
 
 /// Default thread-local buffer count when no `pragma(threads, N)` is given:
 /// one MU's worth of small buffers.
 pub const DEFAULT_THREADS: u32 = 64;
 
+/// View & iterator lowering plus allocation fusion (§V-A a, §V-B a):
+/// rewrites the high-level memory dialect into SRAM regions, allocator
+/// queues, and bulk transfers.
+pub struct LowerViews {
+    /// Thread-local buffer count (`pragma(threads, N)` resolved upstream).
+    pub threads: Option<u32>,
+    /// §V-B a: share one allocator pop per region (allocation fusion).
+    pub fuse: bool,
+}
+
+impl Pass for LowerViews {
+    fn name(&self) -> &str {
+        "lower_views"
+    }
+
+    fn run(&self, m: &mut Module) -> PassResult {
+        m.rewrite(&mut Views {
+            threads: self.threads.unwrap_or(DEFAULT_THREADS),
+            fuse: self.fuse,
+            objs: HashMap::new(),
+            counter: 0,
+            frames: Vec::new(),
+        })
+    }
+}
+
 /// One lowered memory object.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy)]
 enum Obj {
-    View {
-        kind: ViewKind,
-        dram: Option<revet_mir::DramRef>,
-        base: Option<Value>,
-        size: u32,
-        sram: revet_machine::SramId,
-        ptr: Value,
-    },
-    It {
-        kind: ItKind,
-        dram: revet_mir::DramRef,
-        tile: u32,
-        buf: revet_machine::SramId,
-        state: revet_machine::SramId,
-        ptr: Value,
-    },
+    View(View),
+    It(It),
+}
+
+#[derive(Clone, Copy)]
+struct View {
+    kind: ViewKind,
+    dram: Option<DramRef>,
+    base: Option<Value>,
+    size: u32,
+    sram: SramId,
+    ptr: Value,
+}
+
+#[derive(Clone, Copy)]
+struct It {
+    kind: ItKind,
+    dram: DramRef,
+    tile: u32,
+    /// Buffer words per thread: the tile, doubled for `PeekRead`.
+    win: u32,
+    buf: SramId,
+    state: SramId,
+    ptr: Value,
+}
+
+/// What one region allocated, torn down before its terminator.
+#[derive(Default)]
+struct Frame {
+    ptrs: Vec<(Value, AllocId)>,
+    objs: Vec<Value>,
 }
 
 /// Pass state.
-struct ViewsPass<'m> {
-    module: &'m mut Module,
+struct Views {
     threads: u32,
     fuse: bool,
     /// Objects by handle value (visible to nested regions).
     objs: HashMap<Value, Obj>,
     counter: u32,
+    /// One frame per region the walk is inside of, innermost last.
+    frames: Vec<Frame>,
 }
 
-/// Runs the pass over every function.
-pub fn lower_views(module: &mut Module, threads: Option<u32>, fuse: bool) {
-    let mut funcs = std::mem::take(&mut module.funcs);
-    for func in &mut funcs {
-        let mut pass = ViewsPass {
-            module,
-            threads: threads.unwrap_or(DEFAULT_THREADS),
-            fuse,
-            objs: HashMap::new(),
-            counter: 0,
+/// `ptr * scale + off`
+fn buf_addr(out: &mut RegionBuilder, func: &mut Func, ptr: Value, scale: u32, off: Value) -> Value {
+    let s = out.const_i32(func, scale as i64);
+    let mul = out.bin(func, AluOp::Mul, ptr, s);
+    out.bin(func, AluOp::Add, mul, off)
+}
+
+/// The addresses of an iterator's state words, laid out `[g, l]` at
+/// `ptr*2`: `g` is the DRAM position of the buffered window, `l` the
+/// cursor within it.
+struct ItState {
+    g: Value,
+    l: Value,
+    one: Value,
+}
+
+impl It {
+    fn state_addrs(&self, out: &mut RegionBuilder, func: &mut Func) -> ItState {
+        let two = out.const_i32(func, 2);
+        let g = out.bin(func, AluOp::Mul, self.ptr, two);
+        let one = out.const_i32(func, 1);
+        let l = out.bin(func, AluOp::Add, g, one);
+        ItState { g, l, one }
+    }
+
+    fn init(&self, out: &mut RegionBuilder, func: &mut Func, seek: Value) {
+        let st = self.state_addrs(out, func);
+        if self.kind == ItKind::Read {
+            // g = seek - tile; l = tile ⇒ first deref fills.
+            let t = out.const_i32(func, self.tile as i64);
+            let g0 = out.bin(func, AluOp::Sub, seek, t);
+            out.sram_write(self.state, st.g, g0);
+            out.sram_write(self.state, st.l, t);
+            return;
+        }
+        out.sram_write(self.state, st.g, seek);
+        let zero = out.const_i32(func, 0);
+        out.sram_write(self.state, st.l, zero);
+        if self.kind == ItKind::PeekRead {
+            // Eager fill of the 2×tile window at creation.
+            let sbase = buf_addr(out, func, self.ptr, self.win, zero);
+            let len = out.const_i32(func, self.win as i64);
+            out.bulk_load(self.dram, seek, self.buf, sbase, len);
+        }
+    }
+
+    fn deref(&self, out: &mut RegionBuilder, func: &mut Func, results: Vec<Value>) {
+        let st = self.state_addrs(out, func);
+        let l = out.sram_read(func, self.state, st.l);
+        let t = out.const_i32(func, self.tile as i64);
+        let need = out.bin(func, AluOp::GeU, l, t);
+        // Miss path: advance window and refill (an `if` containing a bulk
+        // load — the Fig. 6 structure).
+        let mut then = RegionBuilder::new();
+        let g = then.sram_read(func, self.state, st.g);
+        let t2 = then.const_i32(func, self.tile as i64);
+        let g2 = then.bin(func, AluOp::Add, g, t2);
+        then.sram_write(self.state, st.g, g2);
+        let lnew = then.bin(func, AluOp::Sub, l, t2);
+        then.sram_write(self.state, st.l, lnew);
+        let zero = then.const_i32(func, 0);
+        let sbase = buf_addr(&mut then, func, self.ptr, self.win, zero);
+        let wlen = then.const_i32(func, self.win as i64);
+        then.bulk_load(self.dram, g2, self.buf, sbase, wlen);
+        let lcur = out.if_else(func, need, then, lnew, l);
+        let addr = buf_addr(out, func, self.ptr, self.win, lcur);
+        let sram = self.buf;
+        out.push(OpKind::SramRead { sram, addr }, results);
+    }
+
+    /// peek(a) reads buf[l + a]; the 2×tile window guarantees validity for
+    /// a ≤ tile (no fill here; deref faults).
+    fn peek(&self, out: &mut RegionBuilder, func: &mut Func, ahead: Value, results: Vec<Value>) {
+        let st = self.state_addrs(out, func);
+        let l = out.sram_read(func, self.state, st.l);
+        let la = out.bin(func, AluOp::Add, l, ahead);
+        let addr = buf_addr(out, func, self.ptr, 2 * self.tile, la);
+        let sram = self.buf;
+        out.push(OpKind::SramRead { sram, addr }, results);
+    }
+
+    fn write(&self, out: &mut RegionBuilder, func: &mut Func, val: Value) {
+        let st = self.state_addrs(out, func);
+        let l = out.sram_read(func, self.state, st.l);
+        let addr = buf_addr(out, func, self.ptr, self.tile, l);
+        out.sram_write(self.buf, addr, val);
+    }
+
+    fn inc(&self, out: &mut RegionBuilder, func: &mut Func, last: Option<Value>) {
+        let st = self.state_addrs(out, func);
+        let l = out.sram_read(func, self.state, st.l);
+        let linc = out.bin(func, AluOp::Add, l, st.one);
+        if matches!(self.kind, ItKind::Read | ItKind::PeekRead) {
+            // Just advance; deref handles refills.
+            out.sram_write(self.state, st.l, linc);
+            return;
+        }
+        let t = out.const_i32(func, self.tile as i64);
+        let full = out.bin(func, AluOp::GeU, linc, t);
+        let flush = match last {
+            Some(lv) if self.kind == ItKind::ManualWrite => {
+                let zero = out.const_i32(func, 0);
+                let lastb = out.bin(func, AluOp::Ne, lv, zero);
+                out.bin(func, AluOp::Or, full, lastb)
+            }
+            _ => full,
         };
-        let body = std::mem::take(&mut func.body);
-        func.body = pass.rewrite_region(func, body);
+        // if (flush) { store l+1 words; g += l+1; l = 0 }
+        // else { l = l+1 }
+        let mut then = RegionBuilder::new();
+        let g = then.sram_read(func, self.state, st.g);
+        let zero = then.const_i32(func, 0);
+        let sbase = buf_addr(&mut then, func, self.ptr, self.tile, zero);
+        then.bulk_store(self.dram, g, self.buf, sbase, linc);
+        let g2 = then.bin(func, AluOp::Add, g, linc);
+        then.sram_write(self.state, st.g, g2);
+        let lnext = out.if_else(func, flush, then, zero, linc);
+        out.sram_write(self.state, st.l, lnext);
     }
-    module.funcs = funcs;
+
+    /// Flushes the partial tile (l words from buf).
+    fn flush(&self, out: &mut RegionBuilder, func: &mut Func) {
+        let st = self.state_addrs(out, func);
+        let l = out.sram_read(func, self.state, st.l);
+        let g = out.sram_read(func, self.state, st.g);
+        let zero = out.const_i32(func, 0);
+        let sbase = buf_addr(out, func, self.ptr, self.tile, zero);
+        out.bulk_store(self.dram, g, self.buf, sbase, l);
+    }
 }
 
-impl ViewsPass<'_> {
-    fn fresh(&mut self, func: &mut Func, ty: Ty) -> Value {
-        func.new_value(ty)
-    }
-
-    fn konst(&mut self, func: &mut Func, out: &mut Vec<Op>, v: i64) -> Value {
-        let r = self.fresh(func, Ty::I32);
-        out.push(Op {
-            kind: OpKind::ConstI(v, Ty::I32),
-            results: vec![r],
-        });
-        r
-    }
-
-    fn bin(&mut self, func: &mut Func, out: &mut Vec<Op>, op: AluOp, a: Value, b: Value) -> Value {
-        let r = self.fresh(func, Ty::I32);
-        out.push(Op {
-            kind: OpKind::Bin(op, a, b),
-            results: vec![r],
-        });
-        r
-    }
-
-    /// `ptr * scale + off`
-    fn buf_addr(
-        &mut self,
-        func: &mut Func,
-        out: &mut Vec<Op>,
-        ptr: Value,
-        scale: u32,
-        off: Value,
-    ) -> Value {
-        let s = self.konst(func, out, scale as i64);
-        let mul = self.bin(func, out, AluOp::Mul, ptr, s);
-        self.bin(func, out, AluOp::Add, mul, off)
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn rewrite_region(&mut self, func: &mut Func, region: Region) -> Region {
-        let mut out: Vec<Op> = Vec::with_capacity(region.ops.len());
-        // Fused allocator for this region: created lazily at the first
-        // allocation site.
-        let mut region_ptrs: Vec<(Value, revet_machine::AllocId)> = Vec::new();
-        let mut region_objs: Vec<Value> = Vec::new();
-
-        // First pass over ops, rewriting.
-        let n_ops = region.ops.len();
-        for (op_idx, op) in region.ops.into_iter().enumerate() {
-            let is_terminator = op_idx + 1 == n_ops && op.kind.is_terminator();
-            if is_terminator {
-                // Flush/deallocate region-local objects before terminating.
-                self.emit_region_teardown(func, &mut out, &region_objs, &region_ptrs);
-            }
-            match op.kind {
-                OpKind::ViewNew {
-                    kind,
-                    dram,
-                    base,
-                    size,
-                } => {
-                    let ptr = self.get_ptr(func, &mut out, &mut region_ptrs);
-                    self.counter += 1;
-                    let sram = self
-                        .module
-                        .add_sram(format!("view{}", self.counter), size * self.threads);
-                    let handle = op.results[0];
-                    if matches!(kind, ViewKind::Read | ViewKind::Modify) {
-                        let dram = dram.expect("read view needs a dram symbol");
-                        let base_v = base.expect("read view needs a base");
-                        let zero = self.konst(func, &mut out, 0);
-                        let sbase = self.buf_addr(func, &mut out, ptr, size, zero);
-                        let len = self.konst(func, &mut out, size as i64);
-                        out.push(Op {
-                            kind: OpKind::BulkLoad {
-                                dram,
-                                dram_base: base_v,
-                                sram,
-                                sram_base: sbase,
-                                len,
-                            },
-                            results: vec![],
-                        });
-                    }
-                    self.objs.insert(
-                        handle,
-                        Obj::View {
-                            kind,
-                            dram,
-                            base,
-                            size,
-                            sram,
-                            ptr,
-                        },
-                    );
-                    region_objs.push(handle);
-                }
-                OpKind::ItNew {
-                    kind,
-                    dram,
-                    seek,
-                    tile,
-                } => {
-                    let ptr = self.get_ptr(func, &mut out, &mut region_ptrs);
-                    self.counter += 1;
-                    let win = if kind == ItKind::PeekRead {
-                        2 * tile
-                    } else {
-                        tile
-                    };
-                    let buf = self
-                        .module
-                        .add_sram(format!("itbuf{}", self.counter), win * self.threads);
-                    let state = self
-                        .module
-                        .add_sram(format!("itstate{}", self.counter), 2 * self.threads);
-                    let handle = op.results[0];
-                    // State layout: [g, l] at ptr*2.
-                    let two = self.konst(func, &mut out, 2);
-                    let saddr = self.bin(func, &mut out, AluOp::Mul, ptr, two);
-                    let one = self.konst(func, &mut out, 1);
-                    let laddr = self.bin(func, &mut out, AluOp::Add, saddr, one);
-                    match kind {
-                        ItKind::Read => {
-                            // g = seek - tile; l = tile ⇒ first deref fills.
-                            let t = self.konst(func, &mut out, tile as i64);
-                            let g0 = self.bin(func, &mut out, AluOp::Sub, seek, t);
-                            out.push(Op {
-                                kind: OpKind::SramWrite {
-                                    sram: state,
-                                    addr: saddr,
-                                    val: g0,
-                                },
-                                results: vec![],
-                            });
-                            out.push(Op {
-                                kind: OpKind::SramWrite {
-                                    sram: state,
-                                    addr: laddr,
-                                    val: t,
-                                },
-                                results: vec![],
-                            });
-                        }
-                        ItKind::PeekRead => {
-                            // Eager fill of the 2×tile window at creation.
-                            out.push(Op {
-                                kind: OpKind::SramWrite {
-                                    sram: state,
-                                    addr: saddr,
-                                    val: seek,
-                                },
-                                results: vec![],
-                            });
-                            let zero = self.konst(func, &mut out, 0);
-                            out.push(Op {
-                                kind: OpKind::SramWrite {
-                                    sram: state,
-                                    addr: laddr,
-                                    val: zero,
-                                },
-                                results: vec![],
-                            });
-                            let sbase = self.buf_addr(func, &mut out, ptr, win, zero);
-                            let len = self.konst(func, &mut out, win as i64);
-                            out.push(Op {
-                                kind: OpKind::BulkLoad {
-                                    dram,
-                                    dram_base: seek,
-                                    sram: buf,
-                                    sram_base: sbase,
-                                    len,
-                                },
-                                results: vec![],
-                            });
-                        }
-                        ItKind::Write | ItKind::ManualWrite => {
-                            out.push(Op {
-                                kind: OpKind::SramWrite {
-                                    sram: state,
-                                    addr: saddr,
-                                    val: seek,
-                                },
-                                results: vec![],
-                            });
-                            let zero = self.konst(func, &mut out, 0);
-                            out.push(Op {
-                                kind: OpKind::SramWrite {
-                                    sram: state,
-                                    addr: laddr,
-                                    val: zero,
-                                },
-                                results: vec![],
-                            });
-                        }
-                    }
-                    self.objs.insert(
-                        handle,
-                        Obj::It {
-                            kind,
-                            dram,
-                            tile,
-                            buf,
-                            state,
-                            ptr,
-                        },
-                    );
-                    region_objs.push(handle);
-                }
-                OpKind::ViewRead { view, idx } => {
-                    let Obj::View {
-                        size, sram, ptr, ..
-                    } = self.objs[&view].clone()
-                    else {
-                        unreachable!("view read on iterator");
-                    };
-                    let addr = self.buf_addr(func, &mut out, ptr, size, idx);
-                    out.push(Op {
-                        kind: OpKind::SramRead { sram, addr },
-                        results: op.results,
-                    });
-                }
-                OpKind::ViewWrite { view, idx, val } => {
-                    let Obj::View {
-                        size, sram, ptr, ..
-                    } = self.objs[&view].clone()
-                    else {
-                        unreachable!("view write on iterator");
-                    };
-                    let addr = self.buf_addr(func, &mut out, ptr, size, idx);
-                    out.push(Op {
-                        kind: OpKind::SramWrite { sram, addr, val },
-                        results: vec![],
-                    });
-                }
-                OpKind::ItDeref { it } => {
-                    let obj = self.objs[&it].clone();
-                    let Obj::It {
-                        kind,
-                        dram,
-                        tile,
-                        buf,
-                        state,
-                        ptr,
-                    } = obj
-                    else {
-                        unreachable!("deref on view");
-                    };
-                    let win = if kind == ItKind::PeekRead {
-                        2 * tile
-                    } else {
-                        tile
-                    };
-                    let two = self.konst(func, &mut out, 2);
-                    let saddr = self.bin(func, &mut out, AluOp::Mul, ptr, two);
-                    let one = self.konst(func, &mut out, 1);
-                    let laddr = self.bin(func, &mut out, AluOp::Add, saddr, one);
-                    let l = self.fresh(func, Ty::I32);
-                    out.push(Op {
-                        kind: OpKind::SramRead {
-                            sram: state,
-                            addr: laddr,
-                        },
-                        results: vec![l],
-                    });
-                    let t = self.konst(func, &mut out, tile as i64);
-                    let need = self.bin(func, &mut out, AluOp::GeU, l, t);
-                    // Miss path: advance window and refill (an `if`
-                    // containing a bulk load — the Fig. 6 structure).
-                    let mut then_ops: Vec<Op> = Vec::new();
-                    let g = self.fresh(func, Ty::I32);
-                    then_ops.push(Op {
-                        kind: OpKind::SramRead {
-                            sram: state,
-                            addr: saddr,
-                        },
-                        results: vec![g],
-                    });
-                    let t2 = self.konst(func, &mut then_ops, tile as i64);
-                    let g2 = self.bin(func, &mut then_ops, AluOp::Add, g, t2);
-                    then_ops.push(Op {
-                        kind: OpKind::SramWrite {
-                            sram: state,
-                            addr: saddr,
-                            val: g2,
-                        },
-                        results: vec![],
-                    });
-                    let lnew = self.bin(func, &mut then_ops, AluOp::Sub, l, t2);
-                    then_ops.push(Op {
-                        kind: OpKind::SramWrite {
-                            sram: state,
-                            addr: laddr,
-                            val: lnew,
-                        },
-                        results: vec![],
-                    });
-                    let zero = self.konst(func, &mut then_ops, 0);
-                    let sbase = self.buf_addr(func, &mut then_ops, ptr, win, zero);
-                    let wlen = self.konst(func, &mut then_ops, win as i64);
-                    then_ops.push(Op {
-                        kind: OpKind::BulkLoad {
-                            dram,
-                            dram_base: g2,
-                            sram: buf,
-                            sram_base: sbase,
-                            len: wlen,
-                        },
-                        results: vec![],
-                    });
-                    then_ops.push(Op {
-                        kind: OpKind::Yield(vec![lnew]),
-                        results: vec![],
-                    });
-                    let mut else_ops: Vec<Op> = Vec::new();
-                    else_ops.push(Op {
-                        kind: OpKind::Yield(vec![l]),
-                        results: vec![],
-                    });
-                    let lcur = self.fresh(func, Ty::I32);
-                    out.push(Op {
-                        kind: OpKind::If {
-                            cond: need,
-                            then: Region::new(vec![], then_ops),
-                            else_: Region::new(vec![], else_ops),
-                        },
-                        results: vec![lcur],
-                    });
-                    let addr = self.buf_addr(func, &mut out, ptr, win, lcur);
-                    out.push(Op {
-                        kind: OpKind::SramRead { sram: buf, addr },
-                        results: op.results,
-                    });
-                }
-                OpKind::ItPeek { it, ahead } => {
-                    let Obj::It {
-                        tile,
-                        buf,
-                        state,
-                        ptr,
-                        ..
-                    } = self.objs[&it].clone()
-                    else {
-                        unreachable!("peek on view");
-                    };
-                    // peek(a) reads buf[l + a]; the 2×tile window guarantees
-                    // validity for a ≤ tile (no fill here; deref faults).
-                    let two = self.konst(func, &mut out, 2);
-                    let saddr = self.bin(func, &mut out, AluOp::Mul, ptr, two);
-                    let one = self.konst(func, &mut out, 1);
-                    let laddr = self.bin(func, &mut out, AluOp::Add, saddr, one);
-                    let l = self.fresh(func, Ty::I32);
-                    out.push(Op {
-                        kind: OpKind::SramRead {
-                            sram: state,
-                            addr: laddr,
-                        },
-                        results: vec![l],
-                    });
-                    let la = self.bin(func, &mut out, AluOp::Add, l, ahead);
-                    let addr = self.buf_addr(func, &mut out, ptr, 2 * tile, la);
-                    out.push(Op {
-                        kind: OpKind::SramRead { sram: buf, addr },
-                        results: op.results,
-                    });
-                }
-                OpKind::ItWrite { it, val } => {
-                    let Obj::It {
-                        tile,
-                        buf,
-                        state,
-                        ptr,
-                        ..
-                    } = self.objs[&it].clone()
-                    else {
-                        unreachable!("write on view");
-                    };
-                    let two = self.konst(func, &mut out, 2);
-                    let saddr = self.bin(func, &mut out, AluOp::Mul, ptr, two);
-                    let one = self.konst(func, &mut out, 1);
-                    let laddr = self.bin(func, &mut out, AluOp::Add, saddr, one);
-                    let l = self.fresh(func, Ty::I32);
-                    out.push(Op {
-                        kind: OpKind::SramRead {
-                            sram: state,
-                            addr: laddr,
-                        },
-                        results: vec![l],
-                    });
-                    let addr = self.buf_addr(func, &mut out, ptr, tile, l);
-                    out.push(Op {
-                        kind: OpKind::SramWrite {
-                            sram: buf,
-                            addr,
-                            val,
-                        },
-                        results: vec![],
-                    });
-                }
-                OpKind::ItInc { it, last } => {
-                    let obj = self.objs[&it].clone();
-                    let Obj::It {
-                        kind,
-                        dram,
-                        tile,
-                        buf,
-                        state,
-                        ptr,
-                    } = obj
-                    else {
-                        unreachable!("inc on view");
-                    };
-                    let two = self.konst(func, &mut out, 2);
-                    let saddr = self.bin(func, &mut out, AluOp::Mul, ptr, two);
-                    let one = self.konst(func, &mut out, 1);
-                    let laddr = self.bin(func, &mut out, AluOp::Add, saddr, one);
-                    let l = self.fresh(func, Ty::I32);
-                    out.push(Op {
-                        kind: OpKind::SramRead {
-                            sram: state,
-                            addr: laddr,
-                        },
-                        results: vec![l],
-                    });
-                    let linc = self.bin(func, &mut out, AluOp::Add, l, one);
-                    match kind {
-                        ItKind::Read | ItKind::PeekRead => {
-                            // Just advance; deref handles refills.
-                            out.push(Op {
-                                kind: OpKind::SramWrite {
-                                    sram: state,
-                                    addr: laddr,
-                                    val: linc,
-                                },
-                                results: vec![],
-                            });
-                        }
-                        ItKind::Write | ItKind::ManualWrite => {
-                            let t = self.konst(func, &mut out, tile as i64);
-                            let full = self.bin(func, &mut out, AluOp::GeU, linc, t);
-                            let flush = if kind == ItKind::ManualWrite {
-                                match last {
-                                    Some(lv) => {
-                                        let zero = self.konst(func, &mut out, 0);
-                                        let lastb = self.bin(func, &mut out, AluOp::Ne, lv, zero);
-                                        self.bin(func, &mut out, AluOp::Or, full, lastb)
-                                    }
-                                    None => full,
-                                }
-                            } else {
-                                full
-                            };
-                            // if (flush) { store l+1 words; g += l+1; l = 0 }
-                            // else { l = l+1 }
-                            let mut then_ops: Vec<Op> = Vec::new();
-                            let g = self.fresh(func, Ty::I32);
-                            then_ops.push(Op {
-                                kind: OpKind::SramRead {
-                                    sram: state,
-                                    addr: saddr,
-                                },
-                                results: vec![g],
-                            });
-                            let zero = self.konst(func, &mut then_ops, 0);
-                            let sbase = self.buf_addr(func, &mut then_ops, ptr, tile, zero);
-                            then_ops.push(Op {
-                                kind: OpKind::BulkStore {
-                                    dram,
-                                    dram_base: g,
-                                    sram: buf,
-                                    sram_base: sbase,
-                                    len: linc,
-                                },
-                                results: vec![],
-                            });
-                            let g2 = self.bin(func, &mut then_ops, AluOp::Add, g, linc);
-                            then_ops.push(Op {
-                                kind: OpKind::SramWrite {
-                                    sram: state,
-                                    addr: saddr,
-                                    val: g2,
-                                },
-                                results: vec![],
-                            });
-                            then_ops.push(Op {
-                                kind: OpKind::Yield(vec![zero]),
-                                results: vec![],
-                            });
-                            let mut else_ops: Vec<Op> = Vec::new();
-                            else_ops.push(Op {
-                                kind: OpKind::Yield(vec![linc]),
-                                results: vec![],
-                            });
-                            let lnext = self.fresh(func, Ty::I32);
-                            out.push(Op {
-                                kind: OpKind::If {
-                                    cond: flush,
-                                    then: Region::new(vec![], then_ops),
-                                    else_: Region::new(vec![], else_ops),
-                                },
-                                results: vec![lnext],
-                            });
-                            out.push(Op {
-                                kind: OpKind::SramWrite {
-                                    sram: state,
-                                    addr: laddr,
-                                    val: lnext,
-                                },
-                                results: vec![],
-                            });
-                        }
-                    }
-                }
-                // Recurse into regions of structured ops.
-                mut kind => {
-                    for r in kind.regions_mut() {
-                        let taken = std::mem::take(r);
-                        *r = self.rewrite_region(func, taken);
-                    }
-                    out.push(Op {
-                        kind,
-                        results: op.results,
-                    });
-                }
-            }
+impl Views {
+    fn view(&self, handle: Value) -> View {
+        match self.objs[&handle] {
+            Obj::View(v) => v,
+            Obj::It(_) => unreachable!("view access on iterator"),
         }
-        // Regions without a terminator as last op (shouldn't happen for
-        // well-formed IR, but foreach bodies end in Yield which is handled
-        // above). If no terminator at all, still tear down.
-        if !out.last().is_some_and(|o| o.kind.is_terminator()) {
-            self.emit_region_teardown(func, &mut out, &region_objs, &region_ptrs);
+    }
+
+    fn it(&self, handle: Value) -> It {
+        match self.objs[&handle] {
+            Obj::It(it) => it,
+            Obj::View(_) => unreachable!("iterator access on view"),
         }
-        Region::new(region.args, out)
+    }
+
+    fn frame(&mut self) -> &mut Frame {
+        self.frames.last_mut().expect("ops live inside a region")
+    }
+
+    fn declare(&mut self, handle: Value, obj: Obj) {
+        self.objs.insert(handle, obj);
+        self.frame().objs.push(handle);
     }
 
     /// Returns the region's fused pointer, popping it on first use. With
     /// fusion disabled each allocation site gets its own pop (ablation).
-    fn get_ptr(
-        &mut self,
-        func: &mut Func,
-        out: &mut Vec<Op>,
-        region_ptrs: &mut Vec<(Value, revet_machine::AllocId)>,
-    ) -> Value {
-        if self.fuse {
-            if let Some((p, _)) = region_ptrs.first() {
-                return *p;
-            }
+    fn get_ptr(&mut self, out: &mut RegionBuilder, func: &mut Func, module: &mut Module) -> Value {
+        if let (true, Some((p, _))) = (self.fuse, self.frame().ptrs.first()) {
+            return *p;
         }
         self.counter += 1;
-        let alloc = self
-            .module
-            .add_alloc(format!("alloc{}", self.counter), self.threads);
-        let p = self.fresh(func, Ty::I32);
-        out.push(Op {
-            kind: OpKind::AllocPop { alloc },
-            results: vec![p],
-        });
-        region_ptrs.push((p, alloc));
+        let alloc = module.add_alloc(format!("alloc{}", self.counter), self.threads);
+        let p = out.emit(func, OpKind::AllocPop { alloc }, Ty::I32);
+        self.frame().ptrs.push((p, alloc));
         p
     }
+}
 
-    /// Emits write-view/write-iterator flushes and the allocator push.
-    fn emit_region_teardown(
+impl Rewriter for Views {
+    fn enter_region(&mut self) {
+        if self.frames.is_empty() {
+            // A function body: handles and object numbering are per function.
+            self.objs.clear();
+            self.counter = 0;
+        }
+        self.frames.push(Frame::default());
+    }
+
+    fn op(
         &mut self,
+        out: &mut RegionBuilder,
         func: &mut Func,
-        out: &mut Vec<Op>,
-        region_objs: &[Value],
-        region_ptrs: &[(Value, revet_machine::AllocId)],
+        module: &mut Module,
+        op: Op,
+    ) -> Option<Op> {
+        match op.kind {
+            OpKind::ViewNew {
+                kind,
+                dram,
+                base,
+                size,
+            } => {
+                let ptr = self.get_ptr(out, func, module);
+                self.counter += 1;
+                let sram = module.add_sram(format!("view{}", self.counter), size * self.threads);
+                if matches!(kind, ViewKind::Read | ViewKind::Modify) {
+                    let dram = dram.expect("read view needs a dram symbol");
+                    let base = base.expect("read view needs a base");
+                    let zero = out.const_i32(func, 0);
+                    let sbase = buf_addr(out, func, ptr, size, zero);
+                    let len = out.const_i32(func, size as i64);
+                    out.bulk_load(dram, base, sram, sbase, len);
+                }
+                let view = View {
+                    kind,
+                    dram,
+                    base,
+                    size,
+                    sram,
+                    ptr,
+                };
+                self.declare(op.results[0], Obj::View(view));
+            }
+            OpKind::ItNew {
+                kind,
+                dram,
+                seek,
+                tile,
+            } => {
+                let ptr = self.get_ptr(out, func, module);
+                self.counter += 1;
+                let win = if kind == ItKind::PeekRead {
+                    2 * tile
+                } else {
+                    tile
+                };
+                let n = self.counter;
+                let buf = module.add_sram(format!("itbuf{n}"), win * self.threads);
+                let state = module.add_sram(format!("itstate{n}"), 2 * self.threads);
+                let it = It {
+                    kind,
+                    dram,
+                    tile,
+                    win,
+                    buf,
+                    state,
+                    ptr,
+                };
+                it.init(out, func, seek);
+                self.declare(op.results[0], Obj::It(it));
+            }
+            OpKind::ViewRead { view, idx } => {
+                let v = self.view(view);
+                let addr = buf_addr(out, func, v.ptr, v.size, idx);
+                out.push(OpKind::SramRead { sram: v.sram, addr }, op.results);
+            }
+            OpKind::ViewWrite { view, idx, val } => {
+                let v = self.view(view);
+                let addr = buf_addr(out, func, v.ptr, v.size, idx);
+                out.sram_write(v.sram, addr, val);
+            }
+            OpKind::ItDeref { it } => self.it(it).deref(out, func, op.results),
+            OpKind::ItPeek { it, ahead } => self.it(it).peek(out, func, ahead, op.results),
+            OpKind::ItWrite { it, val } => self.it(it).write(out, func, val),
+            OpKind::ItInc { it, last } => self.it(it).inc(out, func, last),
+            _ => return Some(op),
+        }
+        None
+    }
+
+    /// Emits write-view/write-iterator flushes and the allocator pushes.
+    fn before_terminator(
+        &mut self,
+        out: &mut RegionBuilder,
+        func: &mut Func,
+        _module: &mut Module,
     ) {
-        for handle in region_objs {
-            match self.objs[handle].clone() {
-                Obj::View {
+        let frame = self.frames.pop().expect("entered this region");
+        for handle in &frame.objs {
+            match self.objs[handle] {
+                Obj::View(View {
                     kind: ViewKind::Write | ViewKind::Modify,
                     dram: Some(dram),
                     base: Some(base),
                     size,
                     sram,
                     ptr,
-                    ..
-                } => {
-                    let zero = self.konst(func, out, 0);
-                    let sbase = self.buf_addr(func, out, ptr, size, zero);
-                    let len = self.konst(func, out, size as i64);
-                    out.push(Op {
-                        kind: OpKind::BulkStore {
-                            dram,
-                            dram_base: base,
-                            sram,
-                            sram_base: sbase,
-                            len,
-                        },
-                        results: vec![],
-                    });
+                }) => {
+                    let zero = out.const_i32(func, 0);
+                    let sbase = buf_addr(out, func, ptr, size, zero);
+                    let len = out.const_i32(func, size as i64);
+                    out.bulk_store(dram, base, sram, sbase, len);
                 }
-                Obj::It {
-                    kind: ItKind::Write,
-                    dram,
-                    tile,
-                    buf,
-                    state,
-                    ptr,
-                } => {
-                    // Flush the partial tile (l words from buf).
-                    let two = self.konst(func, out, 2);
-                    let saddr = self.bin(func, out, AluOp::Mul, ptr, two);
-                    let one = self.konst(func, out, 1);
-                    let laddr = self.bin(func, out, AluOp::Add, saddr, one);
-                    let l = self.fresh(func, Ty::I32);
-                    out.push(Op {
-                        kind: OpKind::SramRead {
-                            sram: state,
-                            addr: laddr,
-                        },
-                        results: vec![l],
-                    });
-                    let g = self.fresh(func, Ty::I32);
-                    out.push(Op {
-                        kind: OpKind::SramRead {
-                            sram: state,
-                            addr: saddr,
-                        },
-                        results: vec![g],
-                    });
-                    let zero = self.konst(func, out, 0);
-                    let sbase = self.buf_addr(func, out, ptr, tile, zero);
-                    out.push(Op {
-                        kind: OpKind::BulkStore {
-                            dram,
-                            dram_base: g,
-                            sram: buf,
-                            sram_base: sbase,
-                            len: l,
-                        },
-                        results: vec![],
-                    });
-                }
+                // `ManualWrite` flushes on the caller's `last` hint instead.
+                Obj::It(it) if it.kind == ItKind::Write => it.flush(out, func),
                 _ => {}
             }
         }
-        for (p, alloc) in region_ptrs {
-            out.push(Op {
-                kind: OpKind::AllocPush {
-                    alloc: *alloc,
-                    ptr: *p,
-                },
-                results: vec![],
-            });
+        for (ptr, alloc) in frame.ptrs {
+            out.emit0(OpKind::AllocPush { alloc, ptr });
         }
     }
 }
@@ -728,6 +404,11 @@ mod tests {
     use revet_lang::compile_to_mir;
     use revet_mir::{DramLayout, Interp};
     use revet_sltf::Word;
+
+    fn lower(module: &mut Module, threads: u32, fuse: bool) -> PassResult {
+        let threads = Some(threads);
+        LowerViews { threads, fuse }.run(module)
+    }
 
     /// Differential test: the strlen case study must compute identical DRAM
     /// contents before and after view/iterator lowering.
@@ -780,7 +461,7 @@ mod tests {
         let before = run(&lowered.module);
 
         let mut module = lowered.module.clone();
-        lower_views(&mut module, Some(16), true);
+        assert!(lower(&mut module, 16, true).changed());
         revet_mir::verify_module(&module).unwrap();
         assert_eq!(
             module.funcs[0].count_ops(|k| k.is_high_level()
@@ -810,7 +491,7 @@ mod tests {
         "#;
         let lowered = compile_to_mir(src).unwrap();
         let mut module = lowered.module.clone();
-        lower_views(&mut module, Some(4), true);
+        lower(&mut module, 4, true);
         revet_mir::verify_module(&module).unwrap();
         let layout = DramLayout { base: vec![0] };
         let mut mem = module.build_memory(4096);
@@ -837,9 +518,9 @@ mod tests {
         "#;
         let lowered = compile_to_mir(src).unwrap();
         let mut fused = lowered.module.clone();
-        lower_views(&mut fused, Some(8), true);
+        lower(&mut fused, 8, true);
         let mut unfused = lowered.module.clone();
-        lower_views(&mut unfused, Some(8), false);
+        lower(&mut unfused, 8, false);
         assert_eq!(fused.allocs.len(), 1, "one fused allocator");
         assert_eq!(unfused.allocs.len(), 2, "one allocator per object");
         let pops_fused = fused.funcs[0].count_ops(|k| matches!(k, OpKind::AllocPop { .. }));
@@ -870,7 +551,7 @@ mod tests {
         "#;
         let lowered = compile_to_mir(src).unwrap();
         let mut module = lowered.module.clone();
-        lower_views(&mut module, Some(4), true);
+        lower(&mut module, 4, true);
         let layout = DramLayout {
             base: vec![0, 4096],
         };

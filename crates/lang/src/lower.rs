@@ -113,10 +113,7 @@ fn lower_program_inner(prog: &Program) -> Result<Lowered, LowerError> {
         lw.lower_block(&fast.body, &mut b)
             .map_err(|e| e.or_span(fast.span))?;
         // Ensure a return terminator.
-        if !matches!(
-            b_last_kind(&b),
-            Some(OpKind::Return(_)) | Some(OpKind::Exit)
-        ) {
+        if !matches!(b.last_kind(), Some(OpKind::Return(_)) | Some(OpKind::Exit)) {
             if fast.ret != TyName::Void {
                 return Err(LowerError::code(
                     codes::SEM_BAD_YIELD_RETURN,
@@ -140,10 +137,6 @@ fn lower_program_inner(prog: &Program) -> Result<Lowered, LowerError> {
         module,
         thread_count_hint,
     })
-}
-
-fn b_last_kind(b: &RegionBuilder) -> Option<OpKind> {
-    b.last_kind().cloned()
 }
 
 /// Storage type for a surface type.
@@ -691,7 +684,7 @@ impl Lowerer<'_> {
                 self.scopes.push(Scope::new(false));
                 self.lower_block(then, &mut then_b)?;
                 if !matches!(
-                    b_last_kind(&then_b),
+                    then_b.last_kind(),
                     Some(OpKind::Exit) | Some(OpKind::Return(_))
                 ) {
                     let vals: Vec<Value> = assigned
@@ -705,7 +698,7 @@ impl Lowerer<'_> {
                 self.scopes.push(Scope::new(false));
                 self.lower_block(els, &mut else_b)?;
                 if !matches!(
-                    b_last_kind(&else_b),
+                    else_b.last_kind(),
                     Some(OpKind::Exit) | Some(OpKind::Return(_))
                 ) {
                     let vals: Vec<Value> = assigned
@@ -775,7 +768,7 @@ impl Lowerer<'_> {
                 }
                 let mut after_b = RegionBuilder::with_args(after_args);
                 self.lower_block(body, &mut after_b)?;
-                if !matches!(b_last_kind(&after_b), Some(OpKind::Exit)) {
+                if !matches!(after_b.last_kind(), Some(OpKind::Exit)) {
                     let next: Vec<Value> = assigned
                         .iter()
                         .map(|n| self.var(n).expect("assigned var exists").val)
@@ -821,7 +814,7 @@ impl Lowerer<'_> {
                 self.set_var(sidx, ivar, idx, *ity);
                 let mut body_b = RegionBuilder::with_args(vec![idx]);
                 self.lower_block(&body_stmts, &mut body_b)?;
-                if !matches!(b_last_kind(&body_b), Some(OpKind::Exit)) {
+                if !matches!(body_b.last_kind(), Some(OpKind::Exit)) {
                     body_b.emit0(OpKind::Yield(vec![]));
                 }
                 self.scopes.pop();
@@ -844,7 +837,7 @@ impl Lowerer<'_> {
                 self.scopes.push(Scope::new(false));
                 let mut body_b = RegionBuilder::new();
                 self.lower_block(&body_stmts, &mut body_b)?;
-                let exits = matches!(b_last_kind(&body_b), Some(OpKind::Exit));
+                let exits = matches!(body_b.last_kind(), Some(OpKind::Exit));
                 if !exits {
                     let vals: Vec<Value> = assigned
                         .iter()
@@ -887,7 +880,7 @@ impl Lowerer<'_> {
                 self.set_var(sidx, ivar, idx, *ity);
                 let mut body_b = RegionBuilder::with_args(vec![idx]);
                 self.lower_block(body, &mut body_b)?;
-                if !matches!(b_last_kind(&body_b), Some(OpKind::Exit)) {
+                if !matches!(body_b.last_kind(), Some(OpKind::Exit)) {
                     let vals: Vec<Value> = assigned
                         .iter()
                         .map(|n| self.var(n).expect("assigned var exists").val)

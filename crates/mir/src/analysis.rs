@@ -1,76 +1,9 @@
-//! Per-function analyses computed on demand and cached by the
-//! [`AnalysisManager`](crate::AnalysisManager).
-//!
-//! Analyses are pure functions of a [`Func`]: they own their data (no
-//! borrows into the IR), so a pass may query one, then mutate the function,
-//! and the manager invalidates the stale copy when the pass reports a
-//! change.
+//! Per-function analyses. An analysis is a pure function of a [`Func`]
+//! that owns its data (no borrows into the IR), so a pass may compute one
+//! and then mutate the function.
 
 use crate::func::Func;
 use crate::ops::{Region, Value};
-
-/// Definition sites and use counts for every SSA value in one function.
-///
-/// A value is *defined* by a parameter, a region argument, or an op result;
-/// it is *used* each time it appears as a direct operand of any op anywhere
-/// in the function (including nested regions and `Predicated` inners).
-#[derive(Clone, Debug, Default)]
-pub struct DefUse {
-    uses: Vec<u32>,
-    defined: Vec<bool>,
-}
-
-impl DefUse {
-    /// Computes the chains for `f`.
-    pub fn compute(f: &Func) -> DefUse {
-        let n = f.value_count();
-        let mut a = DefUse {
-            uses: vec![0; n],
-            defined: vec![false; n],
-        };
-        for p in &f.params {
-            a.defined[p.0 as usize] = true;
-        }
-        // `get_mut` guards keep the analysis total even over modules that
-        // would not verify (out-of-table value references) — analyses must
-        // never panic before the driver's own verification can report.
-        fn go(r: &Region, a: &mut DefUse) {
-            for arg in &r.args {
-                if let Some(d) = a.defined.get_mut(arg.0 as usize) {
-                    *d = true;
-                }
-            }
-            for op in &r.ops {
-                for v in op.kind.operands() {
-                    if let Some(u) = a.uses.get_mut(v.0 as usize) {
-                        *u += 1;
-                    }
-                }
-                for res in &op.results {
-                    if let Some(d) = a.defined.get_mut(res.0 as usize) {
-                        *d = true;
-                    }
-                }
-                for sub in op.kind.regions() {
-                    go(sub, a);
-                }
-            }
-        }
-        go(&f.body, &mut a);
-        a
-    }
-
-    /// How many times `v` appears as an operand.
-    pub fn use_count(&self, v: Value) -> u32 {
-        self.uses.get(v.0 as usize).copied().unwrap_or(0)
-    }
-
-    /// True when `v` is defined by a parameter, region argument, or op
-    /// result.
-    pub fn is_defined(&self, v: Value) -> bool {
-        self.defined.get(v.0 as usize).copied().unwrap_or(false)
-    }
-}
 
 /// Which values the function's observable behavior depends on.
 ///
@@ -93,9 +26,10 @@ impl Liveness {
         let mut a = Liveness {
             live: vec![false; f.value_count()],
         };
-        // Guarded writes for the same reason as `DefUse::compute`: stay
-        // total over modules that would not verify.
-        fn mark(live: &mut [bool], v: crate::ops::Value) {
+        // Guarded writes keep the analysis total even over modules that
+        // would not verify (out-of-table value references) — analyses must
+        // never panic before the driver's own verification can report.
+        fn mark(live: &mut [bool], v: Value) {
             if let Some(s) = live.get_mut(v.0 as usize) {
                 *s = true;
             }
@@ -134,40 +68,6 @@ impl Liveness {
     }
 }
 
-/// Op population counts — the cheap analysis behind pass reports and
-/// pipeline gating.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OpStats {
-    /// Every op, including nested regions.
-    pub total: usize,
-    /// Foldable/erasable pure ops (`const`/`bin`/`select`/`cast`).
-    pub pure_ops: usize,
-    /// Memory-touching ops.
-    pub memory: usize,
-    /// High-level Revet-dialect ops still awaiting lowering.
-    pub high_level: usize,
-}
-
-impl OpStats {
-    /// Counts the ops of `f`.
-    pub fn compute(f: &Func) -> OpStats {
-        let mut s = OpStats::default();
-        f.walk(&mut |op| {
-            s.total += 1;
-            if op.kind.is_pure() {
-                s.pure_ops += 1;
-            }
-            if op.kind.is_memory() {
-                s.memory += 1;
-            }
-            if op.kind.is_high_level() {
-                s.high_level += 1;
-            }
-        });
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,18 +89,6 @@ mod tests {
     }
 
     #[test]
-    fn def_use_counts() {
-        let f = sample();
-        let du = DefUse::compute(&f);
-        let p = f.params[0];
-        assert!(du.is_defined(p));
-        assert_eq!(du.use_count(p), 3, "p used by dead add (×2) and sum");
-        assert_eq!(du.use_count(Value(1)), 1, "one used once");
-        assert_eq!(du.use_count(Value(2)), 0, "dead add unused");
-        assert_eq!(du.use_count(Value(3)), 1, "sum used by return");
-    }
-
-    #[test]
     fn liveness_skips_dead_pure_chain() {
         let f = sample();
         let lv = Liveness::compute(&f);
@@ -208,14 +96,5 @@ mod tests {
         assert!(lv.is_live(Value(1)), "one feeds the returned sum");
         assert!(!lv.is_live(Value(2)), "dead add result not live");
         assert!(lv.is_live(Value(3)));
-    }
-
-    #[test]
-    fn op_stats_population() {
-        let s = OpStats::compute(&sample());
-        assert_eq!(s.total, 4);
-        assert_eq!(s.pure_ops, 3);
-        assert_eq!(s.memory, 0);
-        assert_eq!(s.high_level, 0);
     }
 }

@@ -1,8 +1,11 @@
-//! Modules, functions, and the building API.
+//! Modules, functions, the building API, and the one region walk every
+//! MIR→MIR lowering pass rewrites through ([`Module::rewrite`]).
 
-use crate::ops::{Op, OpKind, Region, Value};
+use crate::ops::{AluOp, Op, OpKind, Region, Value};
+use crate::pass::PassResult;
 use crate::spans::SpanTable;
 use crate::types::{DramDecl, DramRef, Ty};
+use revet_machine::SramId;
 
 /// An on-chip SRAM region declaration (instantiated in a
 /// [`revet_machine::MemoryState`] in declaration order, so that
@@ -85,6 +88,29 @@ impl Module {
         self.funcs.iter().map(|f| f.count_ops(|_| true)).sum()
     }
 
+    /// Rewrites every function through `pass`: each body is taken apart
+    /// post-order (an op's nested regions before the op itself), every op
+    /// is handed to [`Rewriter::op`] with the [`RegionBuilder`] of the
+    /// region being rebuilt, and the rebuilt body is put back. `self.funcs`
+    /// is empty while the hooks run; the declaration tables are theirs to
+    /// extend. A function the pass changed gets its span table pruned once.
+    /// `Changed` means some op was replaced.
+    pub fn rewrite(&mut self, pass: &mut impl Rewriter) -> PassResult {
+        let mut funcs = std::mem::take(&mut self.funcs);
+        let mut any = false;
+        for func in &mut funcs {
+            let mut changed = false;
+            let body = std::mem::take(&mut func.body);
+            func.body = rewrite_region(pass, self, func, body, &mut changed);
+            if changed {
+                func.prune_spans();
+            }
+            any |= changed;
+        }
+        self.funcs = funcs;
+        PassResult::of(any)
+    }
+
     /// Instantiates this module's SRAM regions and allocator queues into a
     /// fresh memory state with the given DRAM size.
     pub fn build_memory(&self, dram_bytes: usize) -> revet_machine::MemoryState {
@@ -97,6 +123,68 @@ impl Module {
         }
         mem
     }
+}
+
+/// A MIR→MIR rewrite, stated as what happens at one op; [`Module::rewrite`]
+/// owns the walk, the rebuilding and the changed flag.
+pub trait Rewriter {
+    /// Rewrites `op`, whose nested regions are already rewritten: either
+    /// emits the replacement into `out` and returns `None`, or hands the op
+    /// back to be kept as it is.
+    fn op(
+        &mut self,
+        out: &mut RegionBuilder,
+        func: &mut Func,
+        module: &mut Module,
+        op: Op,
+    ) -> Option<Op>;
+
+    /// Called on entering a region, before its first op.
+    fn enter_region(&mut self) {}
+
+    /// Called before the region's terminator is handed to [`Rewriter::op`]
+    /// (at the region's end if it has none): where the teardown of what
+    /// `op` set up in this region is emitted.
+    fn before_terminator(
+        &mut self,
+        _out: &mut RegionBuilder,
+        _func: &mut Func,
+        _module: &mut Module,
+    ) {
+    }
+}
+
+fn rewrite_region<R: Rewriter>(
+    pass: &mut R,
+    module: &mut Module,
+    func: &mut Func,
+    region: Region,
+    changed: &mut bool,
+) -> Region {
+    let mut out = RegionBuilder {
+        ops: Vec::with_capacity(region.ops.len()),
+        args: region.args,
+    };
+    pass.enter_region();
+    let n = region.ops.len();
+    let mut torn_down = false;
+    for (i, mut op) in region.ops.into_iter().enumerate() {
+        if i + 1 == n && op.kind.is_terminator() {
+            pass.before_terminator(&mut out, func, module);
+            torn_down = true;
+        }
+        for r in op.kind.regions_mut() {
+            *r = rewrite_region(pass, module, func, std::mem::take(r), changed);
+        }
+        match pass.op(&mut out, func, module, op) {
+            Some(kept) => out.ops.push(kept),
+            None => *changed = true,
+        }
+    }
+    if !torn_down {
+        pass.before_terminator(&mut out, func, module);
+    }
+    out.build()
 }
 
 /// A function: parameters, result types, a body region, and the value table.
@@ -274,8 +362,71 @@ impl RegionBuilder {
     }
 
     /// Emits a binary ALU op.
-    pub fn bin(&mut self, func: &mut Func, op: crate::ops::AluOp, a: Value, b: Value) -> Value {
+    pub fn bin(&mut self, func: &mut Func, op: AluOp, a: Value, b: Value) -> Value {
         self.emit(func, OpKind::Bin(op, a, b), Ty::I32)
+    }
+
+    /// Emits an SRAM word read.
+    pub fn sram_read(&mut self, func: &mut Func, sram: SramId, addr: Value) -> Value {
+        self.emit(func, OpKind::SramRead { sram, addr }, Ty::I32)
+    }
+
+    /// Emits an SRAM word write.
+    pub fn sram_write(&mut self, sram: SramId, addr: Value, val: Value) {
+        self.emit0(OpKind::SramWrite { sram, addr, val });
+    }
+
+    /// Emits a bulk DRAM→SRAM transfer of `len` elements.
+    pub fn bulk_load(
+        &mut self,
+        dram: DramRef,
+        dram_base: Value,
+        sram: SramId,
+        sram_base: Value,
+        len: Value,
+    ) {
+        self.emit0(OpKind::BulkLoad {
+            dram,
+            dram_base,
+            sram,
+            sram_base,
+            len,
+        });
+    }
+
+    /// Emits a bulk SRAM→DRAM transfer of `len` elements.
+    pub fn bulk_store(
+        &mut self,
+        dram: DramRef,
+        dram_base: Value,
+        sram: SramId,
+        sram_base: Value,
+        len: Value,
+    ) {
+        self.emit0(OpKind::BulkStore {
+            dram,
+            dram_base,
+            sram,
+            sram_base,
+            len,
+        });
+    }
+
+    /// Emits `if cond { then…; yield t } else { yield e }` and returns the
+    /// `i32` the `if` yields.
+    pub fn if_else(
+        &mut self,
+        func: &mut Func,
+        cond: Value,
+        mut then: RegionBuilder,
+        t: Value,
+        e: Value,
+    ) -> Value {
+        then.emit0(OpKind::Yield(vec![t]));
+        let mut else_ = RegionBuilder::new();
+        else_.emit0(OpKind::Yield(vec![e]));
+        let (then, else_) = (then.build(), else_.build());
+        self.emit(func, OpKind::If { cond, then, else_ }, Ty::I32)
     }
 
     /// The kind of the last op appended, if any (used to detect regions that

@@ -231,6 +231,7 @@ impl<'m> Interp<'m> {
         self.burn()?;
         match &op.kind {
             OpKind::ConstI(v, ty) => {
+                // The oracle's own copy of `Ty::materialize`, independent on purpose.
                 let w = match ty {
                     Ty::I8 => Word((*v as u8) as u32),
                     Ty::I16 => Word((*v as u16) as u32),

@@ -13,12 +13,17 @@
 //! - [`Interp`]: a **reference interpreter** defining sequential semantics —
 //!   the oracle against which every lowering pass and the final dataflow
 //!   execution are differentially tested,
-//! - a generic **pass framework** ([`Pass`], [`ModulePass`],
-//!   [`PassManager`], [`AnalysisManager`]) with cached analyses
-//!   ([`DefUse`], [`Liveness`], [`OpStats`]) and per-pass statistics
+//! - the **pass framework**: one [`Pass`] trait over a [`Module`], an
+//!   ordered [`PassManager`] and the per-pass statistics it reports
 //!   ([`PassReport`]),
-//! - the classical optimizations built on it: [`ConstFold`], [`Simplify`],
-//!   [`Cse`], and [`Dce`].
+//! - the **one way MIR is rewritten**: [`Module::rewrite`] walks every
+//!   region post-order and hands each op to a [`Rewriter`] together with
+//!   the [`RegionBuilder`] of the region being rebuilt — every lowering
+//!   pass is a `Rewriter`, and every op one builds goes through the
+//!   builder's emitters,
+//! - the classical optimizations: [`ConstFold`], [`Simplify`], [`Cse`],
+//!   [`SinkConsts`] and [`Dce`] (over [`Liveness`]), grouped by level in
+//!   [`add_classical`].
 //!
 //! ## Example
 //!
@@ -57,15 +62,12 @@ mod spans;
 mod types;
 mod verify;
 
-pub use analysis::{DefUse, Liveness, OpStats};
-pub use func::{AllocDecl, Func, Module, RegionBuilder, SramDecl};
+pub use analysis::Liveness;
+pub use func::{AllocDecl, Func, Module, RegionBuilder, Rewriter, SramDecl};
 pub use interp::{Interp, InterpError};
 pub use ops::{AluOp, ForeachFlags, ItKind, Op, OpKind, Region, Value, ViewKind};
-pub use opt::{ConstFold, Cse, Dce, Simplify, SinkConsts};
-pub use pass::{
-    AnalysisManager, ModuleAnalysisManager, ModulePass, Pass, PassManager, PassReport, PassResult,
-    PassStat,
-};
+pub use opt::{add_classical, ConstFold, Cse, Dce, Simplify, SinkConsts};
+pub use pass::{Pass, PassManager, PassReport, PassResult, PassStat};
 pub use print::{print_func, print_module};
 pub use spans::SpanTable;
 pub use types::{DramDecl, DramLayout, DramRef, Ty};

@@ -2,9 +2,9 @@
 
 use super::{is_commutative, resolve};
 use crate::ops::{AluOp, OpKind, Region, Value};
-use crate::pass::{AnalysisManager, Pass, PassResult};
+use crate::pass::{Pass, PassResult};
 use crate::spans::SpanTable;
-use crate::{Func, Ty};
+use crate::{Module, Ty};
 use std::collections::HashMap;
 
 /// Deduplicates pure ops (`const`/`bin`/`select`/`cast`) within each
@@ -41,15 +41,16 @@ impl Pass for Cse {
         "cse"
     }
 
-    fn run(&self, f: &mut Func, _am: &mut AnalysisManager) -> PassResult {
-        let tys: Vec<_> = (0..f.value_count())
-            .map(|i| f.ty(Value(i as u32)))
-            .collect();
-        let mut remap = HashMap::new();
+    fn run(&self, m: &mut Module) -> PassResult {
         let mut changed = false;
-        let body = &mut f.body;
-        let spans = &mut f.spans;
-        cse_region(body, &HashMap::new(), &mut remap, spans, &tys, &mut changed);
+        for f in &mut m.funcs {
+            let tys: Vec<_> = (0..f.value_count())
+                .map(|i| f.ty(Value(i as u32)))
+                .collect();
+            let mut remap = HashMap::new();
+            let (body, spans) = (&mut f.body, &mut f.spans);
+            cse_region(body, &HashMap::new(), &mut remap, spans, &tys, &mut changed);
+        }
         PassResult::of(changed)
     }
 }
@@ -129,7 +130,7 @@ mod tests {
     use super::*;
     use crate::func::RegionBuilder;
     use crate::pass::PassManager;
-    use crate::Module;
+    use crate::{Func, Module};
     use revet_diag::Span;
 
     fn run(f: Func) -> Module {

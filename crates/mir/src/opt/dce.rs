@@ -1,17 +1,18 @@
 //! Dead-code elimination.
 
+use crate::analysis::Liveness;
 use crate::ops::Region;
-use crate::pass::{AnalysisManager, Pass, PassResult};
+use crate::pass::{Pass, PassResult};
 use crate::spans::SpanTable;
-use crate::Func;
+use crate::Module;
 
 /// Deletes pure ops none of whose results are live, pruning the span-table
 /// entries of every deleted value.
 ///
-/// Liveness comes from the [`AnalysisManager`] (computed once, reused if
-/// already cached): a value is live when an undeletable op — a terminator,
-/// a memory op, or any region-bearing op — transitively depends on it.
-/// Because liveness is transitive, one sweep removes entire dead chains.
+/// [`Liveness`] decides: a value is live when an undeletable op — a
+/// terminator, a memory op, or any region-bearing op — transitively depends
+/// on it. Because liveness is transitive, one sweep removes entire dead
+/// chains.
 pub struct Dce;
 
 impl Pass for Dce {
@@ -19,22 +20,17 @@ impl Pass for Dce {
         "dce"
     }
 
-    fn run(&self, f: &mut Func, am: &mut AnalysisManager) -> PassResult {
-        let live = am.liveness(f).clone();
+    fn run(&self, m: &mut Module) -> PassResult {
         let mut changed = false;
-        let body = &mut f.body;
-        let spans = &mut f.spans;
-        sweep(body, &live, spans, &mut changed);
+        for f in &mut m.funcs {
+            let live = Liveness::compute(f);
+            sweep(&mut f.body, &live, &mut f.spans, &mut changed);
+        }
         PassResult::of(changed)
     }
 }
 
-fn sweep(
-    region: &mut Region,
-    live: &crate::analysis::Liveness,
-    spans: &mut SpanTable,
-    changed: &mut bool,
-) {
+fn sweep(region: &mut Region, live: &Liveness, spans: &mut SpanTable, changed: &mut bool) {
     region.ops.retain_mut(|op| {
         for sub in op.kind.regions_mut() {
             sweep(sub, live, spans, changed);
@@ -56,7 +52,7 @@ mod tests {
     use crate::func::RegionBuilder;
     use crate::ops::{AluOp, OpKind};
     use crate::pass::PassManager;
-    use crate::{Module, Ty};
+    use crate::{Func, Ty};
     use revet_diag::Span;
 
     #[test]

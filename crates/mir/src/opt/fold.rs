@@ -1,9 +1,9 @@
 //! Constant folding.
 
-use super::{const_repr, materialize};
+use super::const_repr;
 use crate::ops::{OpKind, Region, Value};
-use crate::pass::{AnalysisManager, Pass, PassResult};
-use crate::Func;
+use crate::pass::{Pass, PassResult};
+use crate::Module;
 use revet_sltf::Word;
 use std::collections::HashMap;
 
@@ -25,16 +25,19 @@ impl Pass for ConstFold {
         "const_fold"
     }
 
-    fn run(&self, f: &mut Func, _am: &mut AnalysisManager) -> PassResult {
-        // Value ids are unique function-wide, so one flat map of known
-        // constants is sound across all regions: a value defined by a
-        // `ConstI` holds that word on every execution path reaching a use.
-        let mut known: HashMap<Value, Word> = HashMap::new();
-        let tys: Vec<_> = (0..f.value_count())
-            .map(|i| f.ty(Value(i as u32)))
-            .collect();
+    fn run(&self, m: &mut Module) -> PassResult {
         let mut changed = false;
-        fold_region(&mut f.body, &mut known, &tys, &mut changed);
+        for f in &mut m.funcs {
+            // Value ids are unique function-wide, so one flat map of known
+            // constants is sound across all regions: a value defined by a
+            // `ConstI` holds that word on every execution path reaching a
+            // use.
+            let mut known: HashMap<Value, Word> = HashMap::new();
+            let tys: Vec<_> = (0..f.value_count())
+                .map(|i| f.ty(Value(i as u32)))
+                .collect();
+            fold_region(&mut f.body, &mut known, &tys, &mut changed);
+        }
         PassResult::of(changed)
     }
 }
@@ -48,7 +51,7 @@ fn fold_region(
     for op in &mut r.ops {
         let folded: Option<Word> = match &op.kind {
             OpKind::ConstI(v, ty) => {
-                known.insert(op.results[0], materialize(*v, *ty));
+                known.insert(op.results[0], ty.materialize(*v));
                 None
             }
             OpKind::Bin(alu, a, b) => match (known.get(a), known.get(b)) {
@@ -59,13 +62,7 @@ fn fold_region(
                 (Some(&wc), Some(&wt), Some(&we)) => Some(if wc.as_bool() { wt } else { we }),
                 _ => None,
             },
-            OpKind::Cast { v, to, signed } => known.get(v).map(|&w| match (to, signed) {
-                (crate::Ty::I8, false) => Word(w.as_u32() & 0xFF),
-                (crate::Ty::I8, true) => Word::from_i32(w.as_u32() as u8 as i8 as i32),
-                (crate::Ty::I16, false) => Word(w.as_u32() & 0xFFFF),
-                (crate::Ty::I16, true) => Word::from_i32(w.as_u32() as u16 as i16 as i32),
-                _ => w,
-            }),
+            OpKind::Cast { v, to, signed } => known.get(v).map(|&w| to.narrow(w, *signed)),
             _ => None,
         };
         if let Some(w) = folded {
@@ -89,7 +86,7 @@ mod tests {
     use crate::func::RegionBuilder;
     use crate::ops::AluOp;
     use crate::pass::PassManager;
-    use crate::{Module, Ty};
+    use crate::{Func, Ty};
 
     fn run(f: Func) -> Module {
         let mut m = Module::default();

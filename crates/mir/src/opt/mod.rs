@@ -1,15 +1,15 @@
 //! Classical optimizations over MIR: constant folding, identity/select
 //! simplification, local CSE, and dead-code elimination.
 //!
-//! All four are [`Pass`](crate::Pass)es designed to run as a group (fold →
-//! simplify → cse → dce): folding and simplification leave bypassed ops in
-//! place (remapping uses), and the trailing DCE sweep deletes them while
-//! pruning their `SpanTable` entries.
+//! All are [`Pass`](crate::Pass)es designed to run as a group — the one
+//! [`add_classical`] states, by optimization level: folding and
+//! simplification leave bypassed ops in place (remapping uses), and the
+//! trailing DCE sweep deletes them while pruning their `SpanTable` entries.
 //!
 //! Semantics discipline: a pure op is only rewritten to a constant when the
-//! replacement `ConstI` *materializes* (under the exact rules shared by the
-//! interpreter and the dataflow lowering — I8/I16 constants are masked to
-//! their storage width) to the very word the original op computes, and a
+//! replacement `ConstI` *materializes* ([`Ty::materialize`], the rule the
+//! dataflow lowering shares — I8/I16 constants are masked to their storage
+//! width) to the very word the original op computes, and a
 //! value is only replaced by another when their declared types match (the
 //! subword packer keys on declared types). This keeps optimized programs
 //! bit-identical to unoptimized ones.
@@ -27,26 +27,40 @@ pub use simplify::Simplify;
 pub use sink::SinkConsts;
 
 use crate::ops::{AluOp, Value};
+use crate::pass::PassManager;
 use crate::types::Ty;
 use revet_sltf::Word;
 use std::collections::HashMap;
 
-/// The word a `ConstI(v, ty)` op produces — mirrors both the interpreter
-/// and the dataflow lowering (I8/I16 literals masked to storage width).
-pub(crate) fn materialize(v: i64, ty: Ty) -> Word {
-    match ty {
-        Ty::I8 => Word((v as u8) as u32),
-        Ty::I16 => Word((v as u16) as u32),
-        _ => Word(v as u32),
+/// Appends the classical optimization group for `opt_level` to `pm`: the
+/// tail of the compiler's pipeline, and what the optimizer's property and
+/// differential suites run.
+///
+/// Level ≥ 1 adds fold/simplify/DCE. Level ≥ 2 adds CSE, which opens new
+/// fold/identity opportunities, and a second clean-up round behind it. CSE
+/// also hoists region-local constants into enclosing regions, which the
+/// dataflow lowering would pay for as recirculated loop state —
+/// [`SinkConsts`] rematerializes them back into the regions that use them
+/// before the final DCE sweep.
+pub fn add_classical(pm: &mut PassManager, opt_level: u8) {
+    if opt_level >= 1 {
+        pm.add(ConstFold).add(Simplify).add(Dce);
+    }
+    if opt_level >= 2 {
+        pm.add(Cse)
+            .add(ConstFold)
+            .add(Simplify)
+            .add(SinkConsts)
+            .add(Dce);
     }
 }
 
-/// A literal `k` such that `materialize(k, ty)` equals `w`, if one exists.
+/// A literal `k` such that `ty.materialize(k)` equals `w`, if one exists.
 /// (`None` when the computed word does not fit the declared storage width —
 /// rewriting to a constant would change the program in that case.)
 pub(crate) fn const_repr(w: Word, ty: Ty) -> Option<i64> {
     let k = w.as_u32() as i64;
-    if materialize(k, ty) == w {
+    if ty.materialize(k) == w {
         Some(k)
     } else {
         None
@@ -86,9 +100,9 @@ mod tests {
 
     #[test]
     fn materialize_masks_subwords() {
-        assert_eq!(materialize(0x1FF, Ty::I8), Word(0xFF));
-        assert_eq!(materialize(-1, Ty::I16), Word(0xFFFF));
-        assert_eq!(materialize(-1, Ty::I32), Word(u32::MAX));
+        assert_eq!(Ty::I8.materialize(0x1FF), Word(0xFF));
+        assert_eq!(Ty::I16.materialize(-1), Word(0xFFFF));
+        assert_eq!(Ty::I32.materialize(-1), Word(u32::MAX));
     }
 
     #[test]

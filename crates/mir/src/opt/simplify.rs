@@ -1,9 +1,9 @@
 //! Algebraic identity and select simplification.
 
-use super::{const_repr, materialize, resolve};
+use super::{const_repr, resolve};
 use crate::ops::{AluOp, OpKind, Region, Value};
-use crate::pass::{AnalysisManager, Pass, PassResult};
-use crate::{Func, Ty};
+use crate::pass::{Pass, PassResult};
+use crate::{Module, Ty};
 use revet_sltf::Word;
 use std::collections::HashMap;
 
@@ -25,18 +25,22 @@ impl Pass for Simplify {
         "simplify"
     }
 
-    fn run(&self, f: &mut Func, _am: &mut AnalysisManager) -> PassResult {
-        let tys: Vec<_> = (0..f.value_count())
-            .map(|i| f.ty(Value(i as u32)))
-            .collect();
-        let mut cx = Cx {
-            known: HashMap::new(),
-            remap: HashMap::new(),
-            tys,
-            changed: false,
-        };
-        simplify_region(&mut f.body, &mut cx);
-        PassResult::of(cx.changed)
+    fn run(&self, m: &mut Module) -> PassResult {
+        let mut changed = false;
+        for f in &mut m.funcs {
+            let tys: Vec<_> = (0..f.value_count())
+                .map(|i| f.ty(Value(i as u32)))
+                .collect();
+            let mut cx = Cx {
+                known: HashMap::new(),
+                remap: HashMap::new(),
+                tys,
+                changed: false,
+            };
+            simplify_region(&mut f.body, &mut cx);
+            changed |= cx.changed;
+        }
+        PassResult::of(changed)
     }
 }
 
@@ -57,7 +61,6 @@ impl Cx {
         if self.ty(r) == self.ty(v) {
             let target = resolve(&self.remap, v);
             self.remap.insert(r, target);
-            self.changed = true;
             true
         } else {
             false
@@ -78,17 +81,23 @@ fn to_const(cx: &Cx, r: Value, w: Word) -> Option<OpKind> {
 
 fn simplify_region(region: &mut Region, cx: &mut Cx) {
     for op in &mut region.ops {
-        op.kind.map_operands(&mut |v| resolve(&cx.remap, v));
+        // A remap changes the IR where a use is redirected, not where it
+        // is installed: a bypassed op nothing uses stays as it is.
+        op.kind.map_operands(&mut |v| {
+            let to = resolve(&cx.remap, v);
+            cx.changed |= to != v;
+            to
+        });
         match &op.kind {
             OpKind::ConstI(v, ty) => {
-                cx.known.insert(op.results[0], materialize(*v, *ty));
+                cx.known.insert(op.results[0], ty.materialize(*v));
             }
             OpKind::Bin(alu, a, b) => {
                 let r = op.results[0];
                 let (a, b) = (*a, *b);
                 let (wa, wb) = (cx.word(a), cx.word(b));
                 if let Some(OpKind::ConstI(v, ty)) = simplify_bin(cx, r, *alu, a, b, wa, wb) {
-                    cx.known.insert(r, materialize(v, ty));
+                    cx.known.insert(r, ty.materialize(v));
                     op.kind = OpKind::ConstI(v, ty);
                     cx.changed = true;
                 }
@@ -230,7 +239,7 @@ mod tests {
     use crate::func::RegionBuilder;
     use crate::opt::Dce;
     use crate::pass::PassManager;
-    use crate::Module;
+    use crate::{Func, Module};
 
     fn run(f: Func) -> Module {
         let mut m = Module::default();

@@ -1,8 +1,8 @@
 //! Constant sinking (rematerialization) into nested regions.
 
 use crate::ops::{Op, OpKind, Region, Value};
-use crate::pass::{AnalysisManager, Pass, PassResult};
-use crate::{Func, Ty};
+use crate::pass::{Pass, PassResult};
+use crate::{Func, Module, Ty};
 use std::collections::{HashMap, HashSet};
 
 /// Rematerializes constants inside the nested regions that use them, so a
@@ -29,16 +29,18 @@ impl Pass for SinkConsts {
         "sink_consts"
     }
 
-    fn run(&self, f: &mut Func, _am: &mut AnalysisManager) -> PassResult {
-        let mut consts: HashMap<Value, (i64, Ty)> = HashMap::new();
-        collect_consts(&f.body, &mut consts);
-        if consts.is_empty() {
-            return PassResult::Unchanged;
-        }
-        let mut body = std::mem::take(&mut f.body);
+    fn run(&self, m: &mut Module) -> PassResult {
         let mut changed = false;
-        sink_region(&mut body, f, &mut consts, &mut changed);
-        f.body = body;
+        for f in &mut m.funcs {
+            let mut consts: HashMap<Value, (i64, Ty)> = HashMap::new();
+            collect_consts(&f.body, &mut consts);
+            if consts.is_empty() {
+                continue;
+            }
+            let mut body = std::mem::take(&mut f.body);
+            sink_region(&mut body, f, &mut consts, &mut changed);
+            f.body = body;
+        }
         PassResult::of(changed)
     }
 }

@@ -1,19 +1,21 @@
-//! The generic pass framework: `Pass`/`ModulePass` traits, cached
-//! analyses, an ordered [`PassManager`], and the [`PassReport`] it emits.
+//! The pass framework: the [`Pass`] trait, an ordered [`PassManager`],
+//! and the [`PassReport`] it emits.
 //!
-//! Function passes ([`Pass`]) rewrite one [`Func`] at a time and may query
-//! cached analyses through the [`AnalysisManager`]; module passes
-//! ([`ModulePass`]) may additionally add module-level declarations (SRAMs,
-//! allocator queues) — the lowering passes need this. Every pass reports
-//! whether it changed the IR; the managers use that to invalidate stale
-//! analyses, and the [`PassManager`] turns it into per-pass statistics.
+//! A pass rewrites a whole [`Module`] — the lowering passes add
+//! module-level declarations (SRAMs, allocator queues) as they go, and a
+//! pass that works function by function loops over `m.funcs` itself — and
+//! reports whether it changed the IR; the [`PassManager`] turns that into
+//! per-pass statistics. A pass computes the analyses it needs (`Dce` calls
+//! [`Liveness::compute`](crate::Liveness::compute)); nothing is cached
+//! between passes.
 //!
 //! Under `debug_assertions` the manager re-verifies the module and checks
 //! `SpanTable` integrity (no entry may point at a value with no remaining
 //! definition) after every pass, naming the offending pass on failure.
 
-use crate::analysis::{DefUse, Liveness, OpStats};
-use crate::func::{Func, Module};
+#![warn(clippy::too_many_lines)]
+
+use crate::func::Module;
 #[cfg(debug_assertions)]
 use crate::verify::verify_module;
 use std::time::{Duration, Instant};
@@ -21,9 +23,9 @@ use std::time::{Duration, Instant};
 /// What a pass did to the IR it ran on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PassResult {
-    /// The pass rewrote something; cached analyses are stale.
+    /// The pass rewrote something.
     Changed,
-    /// The IR is untouched; cached analyses remain valid.
+    /// The IR is untouched.
     Unchanged,
 }
 
@@ -41,113 +43,15 @@ impl PassResult {
     pub fn changed(self) -> bool {
         self == PassResult::Changed
     }
-
-    /// Folds another result in: changed if either changed.
-    pub fn merge(self, other: PassResult) -> PassResult {
-        PassResult::of(self.changed() || other.changed())
-    }
 }
 
-/// Cache of per-function analyses, computed on first request and reused
-/// until the owning manager invalidates them.
-#[derive(Debug, Default)]
-pub struct AnalysisManager {
-    def_use: Option<DefUse>,
-    liveness: Option<Liveness>,
-    op_stats: Option<OpStats>,
-}
-
-impl AnalysisManager {
-    /// An empty cache.
-    pub fn new() -> AnalysisManager {
-        AnalysisManager::default()
-    }
-
-    /// Def-use chains for `f` (cached).
-    pub fn def_use(&mut self, f: &Func) -> &DefUse {
-        self.def_use.get_or_insert_with(|| DefUse::compute(f))
-    }
-
-    /// Liveness for `f` (cached).
-    pub fn liveness(&mut self, f: &Func) -> &Liveness {
-        self.liveness.get_or_insert_with(|| Liveness::compute(f))
-    }
-
-    /// Op population counts for `f` (cached).
-    pub fn op_stats(&mut self, f: &Func) -> &OpStats {
-        self.op_stats.get_or_insert_with(|| OpStats::compute(f))
-    }
-
-    /// Drops every cached analysis — called after a pass reports
-    /// [`PassResult::Changed`].
-    pub fn invalidate(&mut self) {
-        *self = AnalysisManager::default();
-    }
-
-    /// True when any analysis is currently cached (test/introspection aid).
-    pub fn has_cached(&self) -> bool {
-        self.def_use.is_some() || self.liveness.is_some() || self.op_stats.is_some()
-    }
-}
-
-/// Per-function analysis caches for a whole module, indexed by the
-/// function's position in [`Module::funcs`].
-#[derive(Debug, Default)]
-pub struct ModuleAnalysisManager {
-    per_func: Vec<AnalysisManager>,
-}
-
-impl ModuleAnalysisManager {
-    /// An empty cache set.
-    pub fn new() -> ModuleAnalysisManager {
-        ModuleAnalysisManager::default()
-    }
-
-    /// The analysis cache for the `idx`-th function (growing on demand).
-    pub fn for_func(&mut self, idx: usize) -> &mut AnalysisManager {
-        if self.per_func.len() <= idx {
-            self.per_func.resize_with(idx + 1, AnalysisManager::new);
-        }
-        &mut self.per_func[idx]
-    }
-
-    /// Invalidates every function's cache — called after a module pass
-    /// reports [`PassResult::Changed`].
-    pub fn invalidate_all(&mut self) {
-        self.per_func.clear();
-    }
-}
-
-/// A transformation over a single function.
+/// A transformation over a module.
 pub trait Pass {
     /// Stable, kebab/snake-case pass name (used by `--emit mir-after=` and
     /// the pass report).
     fn name(&self) -> &str;
-    /// Rewrites `f`, reporting whether anything changed.
-    fn run(&self, f: &mut Func, am: &mut AnalysisManager) -> PassResult;
-}
-
-/// A transformation over a whole module (needed by passes that add
-/// module-level declarations or rewrite across functions).
-pub trait ModulePass {
-    /// Stable pass name.
-    fn name(&self) -> &str;
     /// Rewrites `m`, reporting whether anything changed.
-    fn run_module(&self, m: &mut Module, am: &mut ModuleAnalysisManager) -> PassResult;
-}
-
-enum Entry {
-    Func(Box<dyn Pass>),
-    Module(Box<dyn ModulePass>),
-}
-
-impl Entry {
-    fn name(&self) -> &str {
-        match self {
-            Entry::Func(p) => p.name(),
-            Entry::Module(p) => p.name(),
-        }
-    }
+    fn run(&self, m: &mut Module) -> PassResult;
 }
 
 /// Statistics for one pass execution.
@@ -219,13 +123,13 @@ impl PassReport {
     }
 }
 
-/// An ordered pipeline of function and module passes.
+/// An ordered pipeline of passes.
 ///
-/// `run` executes each pass in order over the module, invalidating cached
-/// analyses when a pass reports changes, and returns a [`PassReport`].
+/// `run` executes each pass in order over the module and returns a
+/// [`PassReport`].
 #[derive(Default)]
 pub struct PassManager {
-    entries: Vec<Entry>,
+    passes: Vec<Box<dyn Pass>>,
 }
 
 impl PassManager {
@@ -234,31 +138,25 @@ impl PassManager {
         PassManager::default()
     }
 
-    /// Appends a function pass.
+    /// Appends a pass.
     pub fn add(&mut self, p: impl Pass + 'static) -> &mut PassManager {
-        self.entries.push(Entry::Func(Box::new(p)));
-        self
-    }
-
-    /// Appends a module pass.
-    pub fn add_module(&mut self, p: impl ModulePass + 'static) -> &mut PassManager {
-        self.entries.push(Entry::Module(Box::new(p)));
+        self.passes.push(Box::new(p));
         self
     }
 
     /// The pipeline's pass names, in execution order.
     pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(|e| e.name()).collect()
+        self.passes.iter().map(|p| p.name()).collect()
     }
 
     /// Number of passes in the pipeline.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.passes.len()
     }
 
     /// True when the pipeline holds no passes.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.passes.is_empty()
     }
 
     /// Runs the pipeline over `m`.
@@ -275,7 +173,6 @@ impl PassManager {
         observer: &mut dyn FnMut(&str, &Module),
     ) -> PassReport {
         let mut report = PassReport::default();
-        let mut mam = ModuleAnalysisManager::new();
         // Only hold passes to the integrity contract when the input module
         // already satisfied it — an invalid input must flow through to the
         // caller's own verification for graceful, diagnostic-carrying
@@ -283,43 +180,25 @@ impl PassManager {
         #[cfg(debug_assertions)]
         let input_clean =
             verify_module(m).is_ok() && m.funcs.iter().all(|f| f.dangling_spans().is_empty());
-        for entry in &self.entries {
-            let ops_before = m.op_count();
+        let mut ops_before = m.op_count();
+        for pass in &self.passes {
             let start = Instant::now();
-            let result = match entry {
-                Entry::Func(p) => {
-                    let mut merged = PassResult::Unchanged;
-                    for (i, f) in m.funcs.iter_mut().enumerate() {
-                        let am = mam.for_func(i);
-                        let r = p.run(f, am);
-                        if r.changed() {
-                            am.invalidate();
-                        }
-                        merged = merged.merge(r);
-                    }
-                    merged
-                }
-                Entry::Module(p) => {
-                    let r = p.run_module(m, &mut mam);
-                    if r.changed() {
-                        mam.invalidate_all();
-                    }
-                    r
-                }
-            };
+            let result = pass.run(m);
             let wall = start.elapsed();
+            let ops_after = m.op_count();
             report.passes.push(PassStat {
-                name: entry.name().to_string(),
+                name: pass.name().to_string(),
                 wall,
                 changed: result.changed(),
                 ops_before,
-                ops_after: m.op_count(),
+                ops_after,
             });
+            ops_before = ops_after;
             #[cfg(debug_assertions)]
             if input_clean {
-                Self::check_integrity(entry.name(), m);
+                Self::check_integrity(pass.name(), m);
             }
-            observer(entry.name(), m);
+            observer(pass.name(), m);
         }
         report
     }
@@ -341,22 +220,14 @@ impl PassManager {
             );
         }
     }
-
-    /// Release-build no-op counterpart (kept callable so tests can exercise
-    /// the checks explicitly via `verify_module` + `dangling_spans`).
-    #[cfg(not(debug_assertions))]
-    #[allow(dead_code)]
-    fn check_integrity(_pass: &str, _m: &Module) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::func::RegionBuilder;
-    use crate::ops::{AluOp, OpKind, Value};
+    use crate::func::{Func, RegionBuilder};
+    use crate::ops::{AluOp, Op, OpKind};
     use crate::types::Ty;
-    use std::cell::Cell;
-    use std::rc::Rc;
 
     fn module() -> Module {
         let mut m = Module::default();
@@ -376,7 +247,7 @@ mod tests {
         fn name(&self) -> &str {
             "nop"
         }
-        fn run(&self, _f: &mut Func, _am: &mut AnalysisManager) -> PassResult {
+        fn run(&self, _m: &mut Module) -> PassResult {
             PassResult::Unchanged
         }
     }
@@ -387,7 +258,8 @@ mod tests {
         fn name(&self) -> &str {
             "add_const"
         }
-        fn run(&self, f: &mut Func, _am: &mut AnalysisManager) -> PassResult {
+        fn run(&self, m: &mut Module) -> PassResult {
+            let f = &mut m.funcs[0];
             let v = f.new_value(Ty::I32);
             let ret = f.body.ops.pop().expect("terminator");
             f.body.ops.push(Op {
@@ -398,7 +270,6 @@ mod tests {
             PassResult::Changed
         }
     }
-    use crate::ops::Op;
 
     #[test]
     fn report_tracks_ops_and_change_flags() {
@@ -434,73 +305,19 @@ mod tests {
         );
     }
 
-    #[test]
-    fn analysis_cache_invalidation() {
-        // A pass that checks whether the cache was warm when it ran.
-        struct Probe {
-            warm: Rc<Cell<bool>>,
-            mutate: bool,
-        }
-        impl Pass for Probe {
-            fn name(&self) -> &str {
-                "probe"
-            }
-            fn run(&self, f: &mut Func, am: &mut AnalysisManager) -> PassResult {
-                self.warm.set(am.has_cached());
-                am.def_use(f);
-                PassResult::of(self.mutate)
-            }
-        }
-        let warm1 = Rc::new(Cell::new(false));
-        let warm2 = Rc::new(Cell::new(false));
-        let warm3 = Rc::new(Cell::new(false));
-
-        // unchanged → cache survives; changed → cache dropped.
-        let mut pm = PassManager::new();
-        pm.add(Probe {
-            warm: warm1.clone(),
-            mutate: false,
-        });
-        pm.add(Probe {
-            warm: warm2.clone(),
-            mutate: true,
-        });
-        pm.add(Probe {
-            warm: warm3.clone(),
-            mutate: false,
-        });
-        // The "mutate" probe lies about changing the IR, which is harmless:
-        // over-invalidation is always sound.
-        pm.run(&mut module());
-        assert!(!warm1.get(), "first pass starts cold");
-        assert!(warm2.get(), "unchanged pass leaves cache warm");
-        assert!(!warm3.get(), "changed pass invalidates the cache");
-    }
-
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "dangling span entries")]
     fn dangling_span_detected() {
+        /// Records a span for a value that never existed.
         struct LeaveDangling;
         impl Pass for LeaveDangling {
             fn name(&self) -> &str {
                 "leave_dangling"
             }
-            fn run(&self, f: &mut Func, _am: &mut AnalysisManager) -> PassResult {
-                // Record a span for a value, then delete its defining op
-                // without pruning the table.
-                let v = f.body.ops[0].results[0];
-                f.spans.set(v, revet_diag::Span::new(0, 1));
-                let op = f.body.ops.remove(0);
-                // Keep the module verifiable: the deleted const's result is
-                // used by the add, so re-define it as a fresh const of a
-                // *different* value id would break SSA — instead re-insert
-                // an op defining the same value but drop the span's value
-                // from nothing. Simplest valid mutation: re-add the op and
-                // instead record a span for a value that never existed.
-                f.body.ops.insert(0, op);
-                let ghost = Value(999);
-                f.spans.set(ghost, revet_diag::Span::new(2, 3));
+            fn run(&self, m: &mut Module) -> PassResult {
+                let ghost = crate::ops::Value(999);
+                m.funcs[0].spans.set(ghost, revet_diag::Span::new(2, 3));
                 PassResult::Changed
             }
         }

@@ -6,6 +6,7 @@
 //! signed/unsigned variants), mirroring LLVM/MLIR.
 
 use core::fmt;
+use revet_sltf::Word;
 
 /// A value type.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -37,6 +38,29 @@ impl Ty {
     /// True for the integer storage types.
     pub fn is_int(self) -> bool {
         matches!(self, Ty::I8 | Ty::I16 | Ty::I32)
+    }
+
+    /// The word a `ConstI(v, self)` op produces: `I8`/`I16` literals are
+    /// masked to their storage width. The one statement of this rule for
+    /// the optimizer and the dataflow lowering.
+    pub fn materialize(self, v: i64) -> Word {
+        match self {
+            Ty::I8 => Word((v as u8) as u32),
+            Ty::I16 => Word((v as u16) as u32),
+            _ => Word(v as u32),
+        }
+    }
+
+    /// The word a `Cast { to: self, signed }` of `w` produces: truncation
+    /// to the storage width, then zero- or sign-extension back to the lane.
+    pub fn narrow(self, w: Word, signed: bool) -> Word {
+        match (self, signed) {
+            (Ty::I8, false) => Word(w.as_u32() & 0xFF),
+            (Ty::I8, true) => Word::from_i32(w.as_u32() as u8 as i8 as i32),
+            (Ty::I16, false) => Word(w.as_u32() & 0xFFFF),
+            (Ty::I16, true) => Word::from_i32(w.as_u32() as u16 as i16 as i32),
+            _ => w,
+        }
     }
 }
 
@@ -95,6 +119,14 @@ mod tests {
         assert_eq!(Ty::I32.bytes(), Some(4));
         assert_eq!(Ty::Void.bytes(), None);
         assert!(Ty::I8.is_int() && !Ty::Handle.is_int());
+    }
+
+    #[test]
+    fn narrow_truncates_then_extends() {
+        assert_eq!(Ty::I8.narrow(Word(0x1FF), false), Word(0xFF));
+        assert_eq!(Ty::I8.narrow(Word(0x80), true), Word::from_i32(-128));
+        assert_eq!(Ty::I16.narrow(Word(0x1_8000), true), Word::from_i32(-32768));
+        assert_eq!(Ty::I32.narrow(Word(0xDEAD_BEEF), true), Word(0xDEAD_BEEF));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 
 use revet_diag::Span;
 use revet_mir::{
-    verify_module, AluOp, ConstFold, Cse, Dce, DramLayout, ForeachFlags, Interp, Module, OpKind,
-    PassManager, Region, RegionBuilder, Simplify, SinkConsts, Ty, Value,
+    add_classical, print_module, verify_module, AluOp, Cse, Dce, DramLayout, ForeachFlags, Interp,
+    Module, OpKind, PassManager, Region, RegionBuilder, SinkConsts, Ty, Value,
 };
 use revet_sltf::Word;
 
@@ -152,16 +152,29 @@ fn interp_dram(m: &Module, args: &[Word]) -> Vec<u8> {
     mem.dram.to_vec()
 }
 
+/// The `-O2` classical group, exactly as the compiler's pipeline ends.
 fn classical_pipeline() -> PassManager {
     let mut pm = PassManager::new();
-    pm.add(ConstFold)
-        .add(Simplify)
-        .add(Dce)
-        .add(Cse)
-        .add(ConstFold)
-        .add(Simplify)
-        .add(Dce);
+    add_classical(&mut pm, 2);
     pm
+}
+
+/// Runs the classical pipeline over `m` and holds every pass to the
+/// changed-flag law: a pass that reports `Unchanged` left the printed
+/// module byte-identical, and one that reports `Changed` did not.
+fn run_classical(m: &mut Module, what: &str) -> revet_mir::PassReport {
+    let mut texts = vec![print_module(m)];
+    let report = classical_pipeline().run_observed(m, &mut |_, m| texts.push(print_module(m)));
+    for (stat, pair) in report.passes.iter().zip(texts.windows(2)) {
+        assert_eq!(
+            stat.changed,
+            pair[0] != pair[1],
+            "{what}: `{}` reported changed={} but the printed module says otherwise",
+            stat.name,
+            stat.changed
+        );
+    }
+    report
 }
 
 #[test]
@@ -177,7 +190,7 @@ fn random_straight_line_programs_are_opt_invariant() {
         let args = [Word(gen.next() as u32), Word(gen.next() as u32)];
         let before = interp_dram(&m, &args);
 
-        let report = classical_pipeline().run(&mut m);
+        let report = run_classical(&mut m, &format!("case {case} (seed {seed:#x})"));
         assert!(
             report.ops_after() <= report.ops_before(),
             "case {case} (seed {seed:#x}): optimizer grew the module"
@@ -386,21 +399,6 @@ fn random_nested_module(rng: &mut Rng) -> Module {
     m
 }
 
-/// The classical pipeline plus constant sinking, mirroring the staged
-/// `-O2` ordering (sink after CSE, DCE last).
-fn sinking_pipeline() -> PassManager {
-    let mut pm = PassManager::new();
-    pm.add(ConstFold)
-        .add(Simplify)
-        .add(Dce)
-        .add(Cse)
-        .add(ConstFold)
-        .add(Simplify)
-        .add(SinkConsts)
-        .add(Dce);
-    pm
-}
-
 #[test]
 fn random_nested_region_programs_are_opt_invariant() {
     let mut rng = Rng(0x00DD_BA11_DEAD_BEEF);
@@ -413,7 +411,7 @@ fn random_nested_region_programs_are_opt_invariant() {
         let args = [Word(gen.next() as u32), Word(gen.next() as u32)];
         let before = interp_dram(&m, &args);
 
-        sinking_pipeline().run(&mut m);
+        run_classical(&mut m, &format!("case {case} (seed {seed:#x})"));
         verify_module(&m)
             .unwrap_or_else(|e| panic!("case {case} (seed {seed:#x}): broken after opt: {e}"));
         for f in &m.funcs {
