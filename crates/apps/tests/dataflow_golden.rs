@@ -233,7 +233,7 @@ fn rows() -> Vec<Row> {
             },
         ));
     }
-    for file in ["peek_iterator", "modify_view"] {
+    for file in ["peek_iterator", "modify_view", "bulk_sram"] {
         for level in [0u8, 2] {
             rows.push(directed(
                 file,
