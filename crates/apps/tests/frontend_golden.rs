@@ -4,8 +4,8 @@
 //! `tests/golden/*.rvt`. Four columns pin what the parser and the AST→MIR
 //! lowering produce:
 //!
-//! - `stmts=` — statements in pre-order (nested bodies and a
-//!   declaration's reducing-`foreach` body included);
+//! - `stmts=` — statements in pre-order (`Program::walk_stmts`: nested
+//!   bodies and a declaration's reducing-`foreach` body included);
 //! - `spans=` — digest of every DRAM declaration's, function's and
 //!   statement's byte span, in that pre-order;
 //! - `printed=` — digest of `print_program(parse(src))`. The printer
@@ -21,7 +21,6 @@
 
 use revet_apps::all_apps;
 use revet_core::{PassOptions, Session};
-use revet_lang::ast::{Expr, Program, Stmt, StmtKind};
 use revet_mir::Value;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -61,33 +60,6 @@ fn sources() -> Vec<(String, String)> {
     out
 }
 
-/// Pre-order walk over every statement of the program.
-fn walk_stmts<'a>(prog: &'a Program, f: &mut dyn FnMut(&'a Stmt)) {
-    fn go<'a>(body: &'a [Stmt], f: &mut dyn FnMut(&'a Stmt)) {
-        for s in body {
-            f(s);
-            match &s.kind {
-                StmtKind::If { then, els, .. } => {
-                    go(then, f);
-                    go(els, f);
-                }
-                StmtKind::While { body, .. }
-                | StmtKind::Foreach { body, .. }
-                | StmtKind::Replicate { body, .. }
-                | StmtKind::Fork { body, .. }
-                | StmtKind::Decl {
-                    init: Some(Expr::ForeachReduce { body, .. }),
-                    ..
-                } => go(body, f),
-                _ => {}
-            }
-        }
-    }
-    for func in &prog.funcs {
-        go(&func.body, f);
-    }
-}
-
 /// FNV-1a, 64-bit (the digest `dataflow_golden.rs` uses).
 fn digest(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -108,12 +80,12 @@ fn row(name: &str, src: &str) -> String {
         writeln!(spans, "func {}..{}", f.span.start, f.span.end).unwrap();
     }
     let mut stmts = 0usize;
-    walk_stmts(&prog, &mut |s| {
+    prog.walk_stmts(&mut |s| {
         stmts += 1;
         writeln!(spans, "stmt {}..{}", s.span.start, s.span.end).unwrap();
     });
 
-    let printed = revet_fuzz::print_program(&prog);
+    let printed = revet_lang::print_program(&prog);
 
     let module = session.lower_mir().unwrap_or_else(|e| fail(e));
     let mut front = revet_mir::print_module(module);

@@ -25,17 +25,22 @@
 //! when the base depends on a loop index), `foreach` (statement and
 //! `reduce` expression forms, with optional `by` steps), `while`, and
 //! `if`/`else`. Iterators, `fork`/`replicate`, and raw SRAM bulk
-//! transfers are deliberately out of scope for generation (the printer
-//! still handles them for corpus round-trips); the grammar has no
-//! function-call expression, so `main` is the whole program.
+//! transfers are deliberately out of scope for generation; the grammar
+//! has no function-call expression, so `main` is the whole program.
+//!
+//! The generator builds [`revet_lang::ast`] values and is the only part
+//! of this crate that names constructs: the source text is
+//! [`revet_lang::print_program`]'s, and the reducer walks programs
+//! through the AST's accessors — so teaching the generator a construct is
+//! a change to this file alone.
 
-use crate::print::print_program;
 use crate::rng::Rng;
 use revet_diag::Span;
 use revet_lang::ast::{
-    BinOp, DramDeclAst, Expr, FuncAst, MemDecl, Program, ReduceOp, Stmt, StmtKind, TyName, UnOp,
-    ViewKindName,
+    BinOp, DramDeclAst, Expr, Foreach, FuncAst, Init, MemDecl, Program, ReduceOp, Stmt, StmtKind,
+    TileKind, TyName, UnOp, ViewKindName,
 };
+use revet_lang::print_program;
 
 /// Words in the read-only input symbol `d0`.
 pub const IN_WORDS: u64 = 64;
@@ -457,7 +462,7 @@ impl Gen<'_> {
         let ty = *self.rng.pick(SCALAR_TYS);
         let name = self.fresh("v");
         let init = if self.rng.chance(85) {
-            Some(self.gen_expr(ty, self.cfg.max_expr_depth))
+            Some(Init::Expr(self.gen_expr(ty, self.cfg.max_expr_depth)))
         } else {
             None
         };
@@ -530,7 +535,7 @@ impl Gen<'_> {
         out.push(stmt(StmtKind::Decl {
             ty: TyName::U32,
             name: counter.clone(),
-            init: Some(Expr::Int(init)),
+            init: Some(Init::Expr(Expr::Int(init))),
         }));
         let top = self.frames.last_mut().expect("scope");
         top.vars.push((counter.clone(), TyName::U32));
@@ -593,13 +598,13 @@ impl Gen<'_> {
         let body = self.gen_region(depth - 1, self.cfg.max_region_stmts / 2);
         self.tid.pop();
         self.frames.pop();
-        out.push(stmt(StmtKind::Foreach {
+        out.push(stmt(StmtKind::Foreach(Foreach {
             count,
             step,
             ity,
             ivar,
             body,
-        }));
+        })));
     }
 
     /// `ty x = foreach (n) reduce(op) { u32 i => … yield e; };` — the body
@@ -617,7 +622,7 @@ impl Gen<'_> {
         ]);
         let count = self.gen_trip_count();
         let step = if self.rng.chance(20) {
-            Some(Box::new(Expr::Int(self.rng.range(1, 3) as i64)))
+            Some(Expr::Int(self.rng.range(1, 3) as i64))
         } else {
             None
         };
@@ -640,14 +645,16 @@ impl Gen<'_> {
         out.push(stmt(StmtKind::Decl {
             ty,
             name: name.clone(),
-            init: Some(Expr::ForeachReduce {
-                count: Box::new(count),
-                step,
+            init: Some(Init::Reduce(
                 op,
-                ity: TyName::U32,
-                ivar,
-                body,
-            }),
+                Foreach {
+                    count,
+                    step,
+                    ity: TyName::U32,
+                    ivar,
+                    body,
+                },
+            )),
         }));
         self.frames.last_mut().expect("scope").vars.push((name, ty));
     }
@@ -666,11 +673,11 @@ impl Gen<'_> {
         let name = self.fresh("w");
         out.push(stmt(StmtKind::Mem {
             name: name.clone(),
-            decl: MemDecl::View {
-                kind: ViewKindName::Read,
+            decl: MemDecl::Tile {
+                kind: TileKind::View(ViewKindName::Read),
                 size: size as u32,
                 dram: "d0".into(),
-                base,
+                at: base,
             },
         }));
         self.frames

@@ -20,14 +20,12 @@
 
 pub mod gen;
 pub mod oracle;
-pub mod print;
 pub mod reduce;
 pub mod repro;
 pub mod rng;
 
 pub use gen::{generate_case, Case, GenConfig};
 pub use oracle::{run_case, Failure, FailureKind, Injection, OracleConfig};
-pub use print::print_program;
 pub use reduce::{reduce_case, ReduceConfig, ReduceReport};
 pub use repro::{format_repro, parse_repro};
 pub use rng::{case_seed, Rng};

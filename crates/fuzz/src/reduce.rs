@@ -15,11 +15,17 @@
 //! never had. The loop runs to fixpoint (or an oracle-run budget),
 //! which in practice shrinks a ~30-statement divergence to a handful
 //! of lines.
+//!
+//! Every walk here goes through the AST's own accessors
+//! (`Program::walk_stmts`, `Stmt::blocks_mut`, `Stmt::exprs_mut`), so a
+//! construct the generator learns to emit is counted, deleted from and
+//! constant-shrunk without an edit to this file; only the two hoists name
+//! the statements they rewrite.
 
 use crate::gen::Case;
 use crate::oracle::{run_case, Failure, OracleConfig};
-use crate::print::print_program;
 use revet_lang::ast::{Expr, Program, Stmt, StmtKind};
+use revet_lang::print_program;
 
 /// Reducer limits.
 #[derive(Clone, Debug)]
@@ -175,25 +181,9 @@ enum EditAction {
 
 /// Counts statements in pre-order (regions included, reduce bodies too).
 fn count_stmts(p: &Program) -> usize {
-    fn walk(body: &[Stmt]) -> usize {
-        body.iter()
-            .map(|s| {
-                1 + match &s.kind {
-                    StmtKind::If { then, els, .. } => walk(then) + walk(els),
-                    StmtKind::While { body, .. }
-                    | StmtKind::Foreach { body, .. }
-                    | StmtKind::Replicate { body, .. }
-                    | StmtKind::Fork { body, .. } => walk(body),
-                    StmtKind::Decl {
-                        init: Some(Expr::ForeachReduce { body, .. }),
-                        ..
-                    } => walk(body),
-                    _ => 0,
-                }
-            })
-            .sum()
-    }
-    p.funcs.iter().map(|f| walk(&f.body)).sum()
+    let mut n = 0;
+    p.walk_stmts(&mut |_| n += 1);
+    n
 }
 
 /// Applies `action` to the `k`-th statement in pre-order; true if the
@@ -205,53 +195,32 @@ fn edit_stmt(p: &mut Program, k: usize, action: impl Fn(&Stmt) -> EditAction) ->
         k: usize,
         action: &dyn Fn(&Stmt) -> EditAction,
     ) -> bool {
-        let mut i = 0;
-        while i < body.len() {
-            if *next == k {
-                *next += 1;
-                match action(&body[i]) {
-                    EditAction::Keep => {}
+        for i in 0..body.len() {
+            let at = *next;
+            *next += 1;
+            if at == k {
+                return match action(&body[i]) {
+                    EditAction::Keep => false,
                     EditAction::Remove => {
                         body.remove(i);
-                        return true;
+                        true
                     }
                     EditAction::Splice(repl) => {
                         body.splice(i..=i, repl);
-                        return true;
+                        true
                     }
-                }
-                i += 1;
-                continue;
+                };
             }
-            *next += 1;
-            let hit = match &mut body[i].kind {
-                StmtKind::If { then, els, .. } => {
-                    walk(then, next, k, action) || walk(els, next, k, action)
-                }
-                StmtKind::While { body, .. }
-                | StmtKind::Foreach { body, .. }
-                | StmtKind::Replicate { body, .. }
-                | StmtKind::Fork { body, .. } => walk(body, next, k, action),
-                StmtKind::Decl {
-                    init: Some(Expr::ForeachReduce { body, .. }),
-                    ..
-                } => walk(body, next, k, action),
-                _ => false,
-            };
-            if hit {
+            if body[i].blocks_mut().any(|b| walk(b, next, k, action)) {
                 return true;
             }
-            i += 1;
         }
         false
     }
     let mut next = 0;
-    for f in &mut p.funcs {
-        if walk(&mut f.body, &mut next, k, &action) {
-            return true;
-        }
-    }
-    false
+    p.funcs
+        .iter_mut()
+        .any(|f| walk(&mut f.body, &mut next, k, &action))
 }
 
 /// All integer literals in the program, pre-order. (Traverses a clone
@@ -287,77 +256,18 @@ fn for_each_const_mut(p: &mut Program, f: &mut dyn FnMut(&mut i64)) {
                 expr(a, f);
                 expr(b, f);
             }
-            Expr::Un(_, a) | Expr::Cast(_, a) => expr(a, f),
-            Expr::Index(_, i) => expr(i, f),
-            Expr::Peek(_, i) => expr(i, f),
-            Expr::ForeachReduce {
-                count, step, body, ..
-            } => {
-                expr(count, f);
-                if let Some(s) = step {
-                    expr(s, f);
-                }
-                stmts(body, f);
-            }
+            Expr::Un(_, a) | Expr::Cast(_, a) | Expr::Index(_, a) | Expr::Peek(_, a) => expr(a, f),
         }
     }
     fn stmts(body: &mut [Stmt], f: &mut dyn FnMut(&mut i64)) {
         for s in body {
-            match &mut s.kind {
-                StmtKind::Decl { init, .. } => {
-                    if let Some(e) = init {
-                        expr(e, f);
-                    }
-                }
-                StmtKind::Mem { decl, .. } => match decl {
-                    revet_lang::ast::MemDecl::View { base, .. } => expr(base, f),
-                    revet_lang::ast::MemDecl::It { seek, .. } => expr(seek, f),
-                    revet_lang::ast::MemDecl::Sram { .. } => {}
-                },
-                StmtKind::Assign { value, .. } | StmtKind::DerefStore { value, .. } => {
-                    expr(value, f)
-                }
-                // Store indices are deliberately skipped: thread-id index
-                // expressions carry the base-9 digits that keep parallel
-                // stores race-free, and shrinking them would let the
-                // reducer invent schedule-dependent divergences.
-                StmtKind::Store { value, .. } => expr(value, f),
-                StmtKind::Inc { last, .. } => {
-                    if let Some(e) = last {
-                        expr(e, f);
-                    }
-                }
-                StmtKind::If { cond, then, els } => {
-                    expr(cond, f);
-                    stmts(then, f);
-                    stmts(els, f);
-                }
-                StmtKind::While { cond, body } => {
-                    expr(cond, f);
-                    stmts(body, f);
-                }
-                StmtKind::Foreach {
-                    count, step, body, ..
-                } => {
-                    expr(count, f);
-                    if let Some(e) = step {
-                        expr(e, f);
-                    }
-                    stmts(body, f);
-                }
-                StmtKind::Replicate { body, .. } => stmts(body, f),
-                StmtKind::Fork { count, body, .. } => {
-                    expr(count, f);
-                    stmts(body, f);
-                }
-                StmtKind::Yield(e) => expr(e, f),
-                StmtKind::Return(Some(e)) => expr(e, f),
-                StmtKind::Return(None) | StmtKind::Exit | StmtKind::Pragma { .. } => {}
-                StmtKind::Bulk { base, len, .. } => {
-                    expr(base, f);
-                    expr(len, f);
-                }
-            }
+            // A store's index (its first expression) is deliberately
+            // skipped: thread-id index expressions carry the base-9 digits
+            // that keep parallel stores race-free, and shrinking them would
+            // let the reducer invent schedule-dependent divergences.
+            let skipped = usize::from(matches!(s.kind, StmtKind::Store { .. }));
+            s.exprs_mut().skip(skipped).for_each(|e| expr(e, f));
+            s.blocks_mut().for_each(|b| stmts(b, f));
         }
     }
     for func in &mut p.funcs {
@@ -369,7 +279,7 @@ fn for_each_const_mut(p: &mut Program, f: &mut dyn FnMut(&mut i64)) {
 mod tests {
     use super::*;
     use revet_diag::Span;
-    use revet_lang::ast::{FuncAst, TyName};
+    use revet_lang::ast::{FuncAst, Init, TyName};
 
     fn tiny() -> Program {
         let s = |kind| Stmt::new(kind, Span::new(0, 0));
@@ -383,7 +293,7 @@ mod tests {
                     s(StmtKind::Decl {
                         ty: TyName::U32,
                         name: "a".into(),
-                        init: Some(Expr::Int(7)),
+                        init: Some(Init::Expr(Expr::Int(7))),
                     }),
                     s(StmtKind::If {
                         cond: Expr::Int(1),

@@ -10,7 +10,7 @@
 
 use crate::gen::Case;
 use crate::oracle::Failure;
-use revet_lang::ast::Program;
+use revet_lang::{ast::Program, print_program};
 
 /// Renders `case` (and the failure that produced it, if any) as a
 /// reproducer file.
@@ -108,7 +108,7 @@ fn unhex(s: &str) -> Result<Vec<u8>, String> {
 /// True when the reproducer's AST is still the printed form of `ast`
 /// (used by tests to confirm the header round-trips losslessly).
 pub fn same_program(a: &Program, b: &Program) -> bool {
-    crate::print::print_program(a) == crate::print::print_program(b)
+    print_program(a) == print_program(b)
 }
 
 #[cfg(test)]

@@ -4,7 +4,8 @@
 //! differently would silently decouple the reducer's AST edits from the
 //! reproducer files it writes.
 
-use revet_fuzz::{case_seed, generate_case, print_program, GenConfig};
+use revet_fuzz::{case_seed, generate_case, GenConfig};
+use revet_lang::print_program;
 
 #[test]
 fn print_parse_print_is_a_fixpoint_across_many_seeds() {

@@ -7,7 +7,9 @@
 //!
 //! Pipeline: [`lex`] → [`parse_program`] → [`lower_program`] (symbol
 //! resolution, type checking, SSA conversion) → verified [`revet_mir`]
-//! module.
+//! module. [`print_program`] inverts the parser. Every spelling — operators
+//! with their precedence, type names, view and iterator keywords — is one
+//! table row in [`ast`], read by all three.
 //!
 //! Every stage reports through [`revet_diag`]: tokens and AST statements
 //! carry byte [`Span`](revet_diag::Span)s, the parser *recovers* at `;` /
@@ -45,10 +47,12 @@
 pub mod ast;
 mod lower;
 mod parser;
+pub mod print;
 mod token;
 
 pub use lower::{lower_program, Lowered};
 pub use parser::parse_program;
+pub use print::print_program;
 pub use token::{lex, Spanned, Tok};
 
 use revet_diag::Diagnostics;

@@ -8,53 +8,27 @@
 //! guarantee that makes threads trivially parallel), while `replicate` and
 //! `fork` bodies may assign (the continuation thread's values flow out as op
 //! results).
+//!
+//! Every nested region goes through [`Lowerer::region`]: it opens a scope
+//! for the [`Construct`], binds the region's arguments, lowers the body and
+//! closes the region by one rule — `yield` the carried variables' current
+//! values unless the body already ended in a terminator. [`Lowerer::rebind`]
+//! then mints the construct's results and installs them as the variables'
+//! new values. Each construct's arm is those two calls around its own op.
+
+#![warn(clippy::too_many_lines)]
 
 use crate::ast::{
-    BinOp, Expr, ItKindName, MemDecl, Program, ReduceOp, Stmt, StmtKind, TyName, UnOp, ViewKindName,
+    BinOp, Block, Expr, Foreach, Init, ItKindName, MemDecl, Program, ReduceOp, Stmt, StmtKind,
+    TileKind, TyName, UnOp, ViewKindName,
 };
-use revet_diag::{codes, Diagnostic, Diagnostics, Span};
+use revet_diag::{codes, Diagnostic, Diagnostics};
 use revet_mir::{
-    AluOp, ForeachFlags, Func, ItKind, Module, OpKind, RegionBuilder, Ty, Value, ViewKind,
+    AluOp, DramRef, ForeachFlags, Func, Module, OpKind, Region, RegionBuilder, Ty, Value, ViewKind,
 };
 use std::collections::{HashMap, HashSet};
 
-/// A lowering (semantic) error: internal carrier, converted to a
-/// [`Diagnostic`] at the `lower_program` boundary. Errors raised deep in
-/// expression lowering start span-less; the statement-walking loop
-/// attributes them to the enclosing statement's span.
-#[derive(Clone, PartialEq, Eq, Debug)]
-struct LowerError {
-    code: &'static str,
-    message: String,
-    span: Option<Span>,
-}
-
-impl LowerError {
-    fn new(m: impl Into<String>) -> Self {
-        LowerError::code(codes::SEM_GENERAL, m)
-    }
-
-    fn code(code: &'static str, m: impl Into<String>) -> Self {
-        LowerError {
-            code,
-            message: m.into(),
-            span: None,
-        }
-    }
-
-    fn or_span(mut self, span: Span) -> Self {
-        self.span.get_or_insert(span);
-        self
-    }
-
-    fn into_diagnostic(self) -> Diagnostic {
-        let d = Diagnostic::error(self.code, self.message);
-        match self.span {
-            Some(s) => d.with_span(s),
-            None => d,
-        }
-    }
-}
+type LResult<T> = Result<T, Diagnostic>;
 
 /// Lowering output: the module plus module-level attributes gathered from
 /// pragmas.
@@ -73,19 +47,19 @@ pub struct Lowered {
 /// Returns spanned [`Diagnostics`] for unknown names, type mismatches,
 /// writes to read-only parent variables inside `foreach`, and malformed
 /// yields. Lowering stops at the first semantic error (multi-error
-/// reporting is the parser's recovery job).
+/// reporting is the parser's recovery job); errors raised deep in
+/// expression lowering start span-less and take the span of the enclosing
+/// statement.
 pub fn lower_program(prog: &Program) -> Result<Lowered, Diagnostics> {
-    lower_program_inner(prog).map_err(|e| Diagnostics::from(e.into_diagnostic()))
+    lower_program_inner(prog).map_err(Diagnostics::from)
 }
 
-fn lower_program_inner(prog: &Program) -> Result<Lowered, LowerError> {
+fn lower_program_inner(prog: &Program) -> LResult<Lowered> {
     let mut module = Module::default();
-    let mut dram_map = HashMap::new();
-    let mut dram_tys = HashMap::new();
+    let mut drams = HashMap::new();
     for d in &prog.drams {
         let r = module.add_dram(d.name.clone(), d.ty.bytes());
-        dram_map.insert(d.name.clone(), r);
-        dram_tys.insert(d.name.clone(), d.ty);
+        drams.insert(d.name.clone(), (r, d.ty));
     }
     let mut thread_count_hint = None;
     for fast in &prog.funcs {
@@ -98,28 +72,25 @@ fn lower_program_inner(prog: &Program) -> Result<Lowered, LowerError> {
         let mut func = Func::new(fast.name.clone(), &param_tys, results);
         let mut lw = Lowerer {
             func: &mut func,
-            drams: &dram_map,
-            dram_tys: &dram_tys,
-            scopes: vec![Scope::new(false)],
+            drams: &drams,
+            scopes: vec![Scope::default()],
             thread_count_hint: &mut thread_count_hint,
             ret: fast.ret,
         };
         for ((ty, name), val) in fast.params.iter().zip(lw.func.params.clone()) {
-            lw.scopes[0]
-                .bindings
-                .insert(name.clone(), Binding::Var(VarInfo { val, ty: *ty }));
+            lw.set_var(name, val, *ty);
         }
         let mut b = RegionBuilder::new();
         lw.lower_block(&fast.body, &mut b)
             .map_err(|e| e.or_span(fast.span))?;
         // Ensure a return terminator.
-        if !matches!(b.last_kind(), Some(OpKind::Return(_)) | Some(OpKind::Exit)) {
+        if !matches!(b.last_kind(), Some(OpKind::Return(_) | OpKind::Exit)) {
             if fast.ret != TyName::Void {
-                return Err(LowerError::code(
+                return Err(Diagnostic::error(
                     codes::SEM_BAD_YIELD_RETURN,
                     format!("function '{}' must end with return of a value", fast.name),
                 )
-                .or_span(fast.span));
+                .with_span(fast.span));
             }
             b.emit0(OpKind::Return(vec![]));
         }
@@ -127,10 +98,10 @@ fn lower_program_inner(prog: &Program) -> Result<Lowered, LowerError> {
         module.funcs.push(func);
     }
     revet_mir::verify_module(&module).map_err(|e| {
-        let le = LowerError::code(codes::MIR_VERIFY, e.to_string());
+        let d = Diagnostic::error(codes::MIR_VERIFY, e.to_string());
         match e.span {
-            Some(s) => le.or_span(s),
-            None => le,
+            Some(s) => d.with_span(s),
+            None => d,
         }
     })?;
     Ok(Lowered {
@@ -149,7 +120,7 @@ fn storage_ty(t: TyName) -> Ty {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct VarInfo {
     val: Value,
     ty: TyName,
@@ -158,11 +129,10 @@ struct VarInfo {
 #[derive(Clone, Copy, Debug)]
 enum HandleKind {
     Sram,
-    View(ViewKindName),
-    It(ItKindName),
+    Tile(TileKind),
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum Binding {
     Var(VarInfo),
     Handle {
@@ -172,51 +142,73 @@ enum Binding {
     },
 }
 
-#[derive(Debug)]
-struct Scope {
-    bindings: HashMap<String, Binding>,
-    /// A thread boundary: assignments cannot cross it (foreach bodies).
-    read_only_below: bool,
+/// The constructs that nest a region.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Construct {
+    If,
+    While,
+    Foreach,
+    Replicate,
+    Fork,
 }
 
-impl Scope {
-    fn new(read_only_below: bool) -> Self {
-        Scope {
-            bindings: HashMap::new(),
-            read_only_below,
+impl Construct {
+    fn name(self) -> &'static str {
+        match self {
+            Construct::If => "if",
+            Construct::While => "while",
+            Construct::Foreach => "foreach",
+            Construct::Replicate => "replicate",
+            Construct::Fork => "fork",
         }
     }
 }
 
+#[derive(Debug, Default)]
+struct Scope {
+    bindings: HashMap<String, Binding>,
+    /// What opened the scope; `None` for a function body. A `Foreach` scope
+    /// is a thread boundary: assignments cannot cross it. Only a function
+    /// body and an `if` branch may end in `return`.
+    construct: Option<Construct>,
+    /// Variables of enclosing scopes that a declaration in this scope
+    /// hides, as they were when hidden: the values the region carries out.
+    hidden: HashMap<String, VarInfo>,
+}
+
 struct Lowerer<'a> {
     func: &'a mut Func,
-    drams: &'a HashMap<String, revet_mir::DramRef>,
-    dram_tys: &'a HashMap<String, TyName>,
+    drams: &'a HashMap<String, (DramRef, TyName)>,
     scopes: Vec<Scope>,
     thread_count_hint: &'a mut Option<u32>,
     ret: TyName,
 }
 
 impl Lowerer<'_> {
-    fn lookup(&self, name: &str) -> Option<&Binding> {
-        for s in self.scopes.iter().rev() {
-            if let Some(b) = s.bindings.get(name) {
-                return Some(b);
-            }
-        }
-        None
+    fn lookup(&self, name: &str) -> Option<Binding> {
+        let mut scopes = self.scopes.iter().rev();
+        scopes.find_map(|s| s.bindings.get(name).copied())
     }
 
-    /// Finds the variable for assignment. Returns its info; the new value is
-    /// always written as a *shadow* in the innermost scope so that region
-    /// lowering never mutates enclosing-scope bindings (the enclosing
-    /// construct re-binds from region results instead).
-    fn lookup_var_for_assign(&mut self, name: &str) -> Result<(usize, VarInfo), LowerError> {
+    /// The DRAM symbol `name` and its element type.
+    fn dram(&self, name: &str) -> LResult<(DramRef, TyName)> {
+        self.drams.get(name).copied().ok_or_else(|| {
+            Diagnostic::error(codes::SEM_UNKNOWN_NAME, format!("unknown dram '{name}'"))
+        })
+    }
+
+    /// The variable an assignment to `name` targets. The new value is
+    /// always written as a *shadow* in the innermost scope ([`set_var`]) so
+    /// that region lowering never mutates enclosing-scope bindings (the
+    /// enclosing construct re-binds from region results instead).
+    ///
+    /// [`set_var`]: Lowerer::set_var
+    fn assignable(&self, name: &str) -> LResult<TyName> {
         let mut crossed_boundary = false;
-        for (i, s) in self.scopes.iter().enumerate().rev() {
+        for s in self.scopes.iter().rev() {
             if let Some(Binding::Var(v)) = s.bindings.get(name) {
                 if crossed_boundary {
-                    return Err(LowerError::code(
+                    return Err(Diagnostic::error(
                         codes::SEM_READONLY_ASSIGN,
                         format!(
                             "cannot assign '{name}': foreach threads have a read-only view \
@@ -224,41 +216,115 @@ impl Lowerer<'_> {
                         ),
                     ));
                 }
-                let _ = i;
-                return Ok((self.scopes.len() - 1, v.clone()));
+                return Ok(v.ty);
             }
-            if s.read_only_below {
-                crossed_boundary = true;
-            }
+            crossed_boundary |= s.construct == Some(Construct::Foreach);
         }
-        Err(LowerError::code(
+        Err(Diagnostic::error(
             codes::SEM_UNKNOWN_NAME,
             format!("assignment to unknown variable '{name}'"),
         ))
     }
 
-    fn set_var(&mut self, scope_idx: usize, name: &str, val: Value, ty: TyName) {
-        self.scopes[scope_idx]
-            .bindings
-            .insert(name.to_string(), Binding::Var(VarInfo { val, ty }));
+    /// Binds `name` in the innermost scope.
+    fn set_var(&mut self, name: &str, val: Value, ty: TyName) {
+        let scope = self.scopes.last_mut().expect("a function scope");
+        let var = Binding::Var(VarInfo { val, ty });
+        scope.bindings.insert(name.to_string(), var);
     }
 
-    /// Current value of a variable visible from here (for carried-value
-    /// bookkeeping).
+    /// Declares `name` in the innermost scope. A variable it hides keeps
+    /// the value it has now for the rest of the scope.
+    fn declare(&mut self, name: &str, binding: Binding) {
+        let outer = self.var(name);
+        let scope = self.scopes.last_mut().expect("a function scope");
+        if let Some(outer) = outer {
+            scope.hidden.entry(name.to_string()).or_insert(outer);
+        }
+        scope.bindings.insert(name.to_string(), binding);
+    }
+
+    /// A variable visible from here (for carried-value bookkeeping).
     fn var(&self, name: &str) -> Option<VarInfo> {
         match self.lookup(name) {
-            Some(Binding::Var(v)) => Some(v.clone()),
+            Some(Binding::Var(v)) => Some(v),
             _ => None,
         }
     }
 
+    /// The current values of the carried variables.
+    fn current(&self, carried: &[String]) -> Vec<Value> {
+        let val = |n: &String| self.var(n).expect("carried variables are visible").val;
+        carried.iter().map(val).collect()
+    }
+
+    // ---- regions ----
+
+    /// Lowers one nested region of `construct`: opens its scope, mints and
+    /// binds the region arguments `args` (name, surface type, MIR type),
+    /// runs `body`, and closes the region — unless the body already ended
+    /// in a terminator, it yields the `carried` variables' current values.
+    fn region(
+        &mut self,
+        construct: Construct,
+        args: &[(&str, TyName, Ty)],
+        carried: &[String],
+        body: impl FnOnce(&mut Self, &mut RegionBuilder) -> LResult<()>,
+    ) -> LResult<Region> {
+        let vals: Vec<Value> = args.iter().map(|a| self.func.new_value(a.2)).collect();
+        self.scopes.push(Scope {
+            construct: Some(construct),
+            ..Scope::default()
+        });
+        for ((name, ty, _), val) in args.iter().zip(&vals) {
+            self.set_var(name, *val, *ty);
+        }
+        let mut b = RegionBuilder::with_args(vals);
+        body(self, &mut b)?;
+        let terminated = matches!(
+            b.last_kind(),
+            Some(OpKind::Exit | OpKind::Return(_) | OpKind::Yield(_) | OpKind::Condition { .. })
+        );
+        let scope = self.scopes.pop().expect("pushed above");
+        if !terminated {
+            // A carried variable is one of an enclosing scope: where the
+            // region declared the name anew, the value it hid.
+            let val = |n: &String| match (scope.hidden.get(n), scope.bindings.get(n)) {
+                (Some(v), _) | (None, Some(Binding::Var(v))) => v.val,
+                _ => self.var(n).expect("carried variables are visible").val,
+            };
+            b.emit0(OpKind::Yield(carried.iter().map(val).collect()));
+        }
+        Ok(b.build())
+    }
+
+    /// Mints one result per carried variable and installs it as the
+    /// variable's value after the construct.
+    fn rebind(&mut self, carried: &[String]) -> LResult<Vec<Value>> {
+        let mut results = Vec::with_capacity(carried.len());
+        for name in carried {
+            let ty = self.assignable(name)?;
+            let result = self.func.new_value(storage_ty(ty));
+            self.set_var(name, result, ty);
+            results.push(result);
+        }
+        Ok(results)
+    }
+
+    /// Variables from enclosing scopes assigned anywhere in the blocks of
+    /// `s` (deterministic order): what the construct carries.
+    fn carried(&self, s: &Stmt) -> Vec<String> {
+        let mut out = Vec::new();
+        for b in s.blocks() {
+            collect_assigned(b, &HashSet::new(), &mut out);
+        }
+        out.retain(|n| self.var(n).is_some());
+        out
+    }
+
     // ---- expressions ----
 
-    fn lower_expr(
-        &mut self,
-        e: &Expr,
-        b: &mut RegionBuilder,
-    ) -> Result<(Value, TyName), LowerError> {
+    fn lower_expr(&mut self, e: &Expr, b: &mut RegionBuilder) -> LResult<(Value, TyName)> {
         match e {
             Expr::Int(v) => {
                 let val = b.emit(self.func, OpKind::ConstI(*v, Ty::I32), Ty::I32);
@@ -266,11 +332,11 @@ impl Lowerer<'_> {
             }
             Expr::Var(name) => match self.lookup(name) {
                 Some(Binding::Var(v)) => Ok((v.val, v.ty)),
-                Some(Binding::Handle { .. }) => Err(LowerError::code(
+                Some(Binding::Handle { .. }) => Err(Diagnostic::error(
                     codes::SEM_KIND_MISUSE,
                     format!("'{name}' is a memory object, not a scalar value"),
                 )),
-                None => Err(LowerError::code(
+                None => Err(Diagnostic::error(
                     codes::SEM_UNKNOWN_NAME,
                     format!("unknown variable '{name}'"),
                 )),
@@ -279,7 +345,6 @@ impl Lowerer<'_> {
                 let (lv, lt) = self.lower_expr(l, b)?;
                 let (rv, rt) = self.lower_expr(r, b)?;
                 let signed = lt.signed() || rt.signed();
-                let (alu, out_ty) = select_alu(*op, signed)?;
                 let res = match op {
                     // No short-circuit: operands are effect-free; evaluate
                     // both and combine (documented divergence from C).
@@ -294,183 +359,102 @@ impl Lowerer<'_> {
                         let zero = b.const_i32(self.func, 0);
                         b.bin(self.func, AluOp::Ne, or, zero)
                     }
-                    _ => b.bin(self.func, alu, lv, rv),
+                    _ => b.bin(self.func, op.row().alu[usize::from(signed)], lv, rv),
                 };
-                Ok((res, out_ty_for(out_ty, lt, rt, signed)))
+                Ok((res, wide(signed)))
             }
             Expr::Un(op, inner) => {
                 let (v, t) = self.lower_expr(inner, b)?;
-                match op {
-                    UnOp::Neg => {
-                        let zero = b.const_i32(self.func, 0);
-                        Ok((b.bin(self.func, AluOp::Sub, zero, v), TyName::I32))
-                    }
-                    UnOp::Not => {
-                        let zero = b.const_i32(self.func, 0);
-                        Ok((b.bin(self.func, AluOp::Eq, v, zero), TyName::U32))
-                    }
-                    UnOp::BitNot => {
-                        let ones = b.const_i32(self.func, -1);
-                        Ok((b.bin(self.func, AluOp::Xor, v, ones), t))
-                    }
-                }
+                let k = b.const_i32(self.func, if *op == UnOp::BitNot { -1 } else { 0 });
+                Ok(match op {
+                    UnOp::Neg => (b.bin(self.func, AluOp::Sub, k, v), TyName::I32),
+                    UnOp::Not => (b.bin(self.func, AluOp::Eq, v, k), TyName::U32),
+                    UnOp::BitNot => (b.bin(self.func, AluOp::Xor, v, k), t),
+                })
             }
             Expr::Index(base, idx) => {
                 let (iv, _) = self.lower_expr(idx, b)?;
-                if let Some(&dram) = self.drams.get(base) {
-                    let ety = self.dram_tys[base];
-                    let raw = b.emit(
-                        self.func,
-                        OpKind::DramRead { dram, idx: iv },
-                        storage_ty(ety),
-                    );
-                    return Ok((self.extend(raw, ety, b), promote(ety)));
+                if let Some(&(dram, ety)) = self.drams.get(base) {
+                    return Ok(self.load(OpKind::DramRead { dram, idx: iv }, ety, b));
                 }
-                match self.lookup(base).cloned() {
+                match self.lookup(base) {
                     Some(Binding::Handle { val, kind, elem }) => match kind {
-                        HandleKind::Sram | HandleKind::View(_) => {
-                            let raw = b.emit(
-                                self.func,
-                                OpKind::ViewRead { view: val, idx: iv },
-                                storage_ty(elem),
-                            );
-                            Ok((self.extend(raw, elem, b), promote(elem)))
+                        HandleKind::Sram | HandleKind::Tile(TileKind::View(_)) => {
+                            Ok(self.load(OpKind::ViewRead { view: val, idx: iv }, elem, b))
                         }
-                        HandleKind::It(_) => Err(LowerError::code(
+                        HandleKind::Tile(TileKind::It(_)) => Err(Diagnostic::error(
                             codes::SEM_KIND_MISUSE,
                             format!("iterator '{base}' cannot be indexed; use *{base}"),
                         )),
                     },
-                    Some(Binding::Var(_)) => Err(LowerError::code(
+                    Some(Binding::Var(_)) => Err(Diagnostic::error(
                         codes::SEM_KIND_MISUSE,
                         format!("'{base}' is a scalar and cannot be indexed"),
                     )),
-                    None => Err(LowerError::code(
+                    None => Err(Diagnostic::error(
                         codes::SEM_UNKNOWN_NAME,
                         format!("unknown memory object '{base}'"),
                     )),
                 }
             }
             Expr::Deref(name) => {
-                let (val, elem) =
-                    self.it_handle(name, &[ItKindName::Read, ItKindName::PeekRead])?;
-                let raw = b.emit(self.func, OpKind::ItDeref { it: val }, storage_ty(elem));
-                Ok((self.extend(raw, elem, b), promote(elem)))
+                let (it, elem) = self.it_handle(name, |k| {
+                    matches!(k, ItKindName::Read | ItKindName::PeekRead)
+                })?;
+                Ok(self.load(OpKind::ItDeref { it }, elem, b))
             }
             Expr::Peek(name, ahead) => {
-                let (av, _) = self.lower_expr(ahead, b)?;
-                let (val, elem) = self.it_handle(name, &[ItKindName::PeekRead])?;
-                let raw = b.emit(
-                    self.func,
-                    OpKind::ItPeek { it: val, ahead: av },
-                    storage_ty(elem),
-                );
-                Ok((self.extend(raw, elem, b), promote(elem)))
+                let (ahead, _) = self.lower_expr(ahead, b)?;
+                let (it, elem) = self.it_handle(name, |k| k == ItKindName::PeekRead)?;
+                Ok(self.load(OpKind::ItPeek { it, ahead }, elem, b))
             }
             Expr::Cast(ty, inner) => {
                 let (v, _) = self.lower_expr(inner, b)?;
                 if *ty == TyName::Void {
-                    return Err(LowerError::new("cannot cast to void"));
+                    return Err(Diagnostic::error(codes::SEM_GENERAL, "cannot cast to void"));
                 }
-                let res = b.emit(
-                    self.func,
-                    OpKind::Cast {
-                        v,
-                        to: storage_ty(*ty),
-                        signed: ty.signed(),
-                    },
-                    storage_ty(*ty),
-                );
-                Ok((res, *ty))
-            }
-            Expr::ForeachReduce {
-                count,
-                step,
-                op,
-                ity,
-                ivar,
-                body,
-            } => {
-                let (cv, _) = self.lower_expr(count, b)?;
-                let sv = match step {
-                    Some(s) => self.lower_expr(s, b)?.0,
-                    None => b.const_i32(self.func, 1),
-                };
-                let lo = b.const_i32(self.func, 0);
-                let idx = self.func.new_value(Ty::I32);
-                self.scopes.push(Scope::new(true));
-                self.scopes
-                    .last_mut()
-                    .expect("just pushed")
-                    .bindings
-                    .insert(ivar.clone(), Binding::Var(VarInfo { val: idx, ty: *ity }));
-                let mut body_b = RegionBuilder::with_args(vec![idx]);
-                let (stmts, yielded) = split_trailing_yield(body)?;
-                self.lower_block(stmts, &mut body_b)?;
-                let yielded = yielded.ok_or_else(|| {
-                    LowerError::code(
-                        codes::SEM_BAD_YIELD_RETURN,
-                        "reducing foreach body must end with 'yield expr;'",
-                    )
-                })?;
-                let (yv, _) = self.lower_expr(yielded, &mut body_b)?;
-                body_b.emit0(OpKind::Yield(vec![yv]));
-                self.scopes.pop();
-                let result = self.func.new_value(Ty::I32);
-                b.push(
-                    OpKind::Foreach {
-                        lo,
-                        hi: cv,
-                        step: sv,
-                        body: body_b.build(),
-                        reduce: vec![reduce_alu(*op)],
-                        flags: ForeachFlags::default(),
-                    },
-                    vec![result],
-                );
-                Ok((result, TyName::U32))
+                Ok((self.cast(v, *ty, b), *ty))
             }
         }
     }
 
-    /// Zero/sign-extends a narrow load so variables always hold canonical
-    /// 32-bit lane values.
-    fn extend(&mut self, v: Value, ty: TyName, b: &mut RegionBuilder) -> Value {
-        if ty.bytes() >= 4 || !ty.signed() {
-            return v; // loads are already zero-extended
-        }
-        b.emit(
-            self.func,
-            OpKind::Cast {
-                v,
-                to: Ty::I32,
-                signed: true,
-            },
-            Ty::I32,
-        )
+    /// Emits `v` cast to the storage type of `ty`.
+    fn cast(&mut self, v: Value, ty: TyName, b: &mut RegionBuilder) -> Value {
+        let (to, signed) = (storage_ty(ty), ty.signed());
+        b.emit(self.func, OpKind::Cast { v, to, signed }, to)
     }
 
-    fn it_handle(&self, name: &str, allowed: &[ItKindName]) -> Result<(Value, TyName), LowerError> {
-        match self.lookup(name) {
-            Some(Binding::Handle {
-                val,
-                kind: HandleKind::It(k),
-                elem,
-            }) => {
-                if allowed.contains(k) {
-                    Ok((*val, *elem))
-                } else {
-                    Err(LowerError::code(
-                        codes::SEM_KIND_MISUSE,
-                        format!("iterator '{name}' of kind {k:?} does not support this operation"),
-                    ))
-                }
-            }
-            _ => Err(LowerError::code(
-                codes::SEM_KIND_MISUSE,
-                format!("'{name}' is not an iterator"),
-            )),
+    /// Emits the load `op` of an `elem`-typed element and sign-extends a
+    /// narrow signed result (loads zero-extend), so variables always hold
+    /// canonical 32-bit lane values.
+    fn load(&mut self, op: OpKind, elem: TyName, b: &mut RegionBuilder) -> (Value, TyName) {
+        let mut v = b.emit(self.func, op, storage_ty(elem));
+        if elem.bytes() < 4 && elem.signed() {
+            v = self.cast(v, TyName::I32, b);
         }
+        (v, wide(elem.signed()))
+    }
+
+    /// The iterator `name`, if its kind is one the operation `allows`.
+    fn it_handle(
+        &self,
+        name: &str,
+        allows: impl Fn(ItKindName) -> bool,
+    ) -> LResult<(Value, TyName)> {
+        let Some(Binding::Handle {
+            val,
+            kind: HandleKind::Tile(TileKind::It(k)),
+            elem,
+        }) = self.lookup(name)
+        else {
+            let msg = format!("'{name}' is not an iterator");
+            return Err(Diagnostic::error(codes::SEM_KIND_MISUSE, msg));
+        };
+        if !allows(k) {
+            let msg = format!("iterator '{name}' of kind {k:?} does not support this operation");
+            return Err(Diagnostic::error(codes::SEM_KIND_MISUSE, msg));
+        }
+        Ok((val, elem))
     }
 
     /// Truncates a value to a narrow declared type (keeps lane values
@@ -479,392 +463,86 @@ impl Lowerer<'_> {
         if ty.bytes() >= 4 {
             return v;
         }
-        b.emit(
-            self.func,
-            OpKind::Cast {
-                v,
-                to: storage_ty(ty),
-                signed: ty.signed(),
-            },
-            storage_ty(ty),
-        )
+        self.cast(v, ty, b)
     }
 
     // ---- statements ----
 
-    fn lower_block(&mut self, stmts: &[Stmt], b: &mut RegionBuilder) -> Result<(), LowerError> {
-        for (i, s) in stmts.iter().enumerate() {
+    fn lower_block<'s>(
+        &mut self,
+        stmts: impl IntoIterator<Item = &'s Stmt>,
+        b: &mut RegionBuilder,
+    ) -> LResult<()> {
+        let mut terminated = false;
+        for s in stmts {
+            if terminated {
+                let msg = "unreachable statements after exit/return";
+                return Err(Diagnostic::error(codes::SEM_GENERAL, msg).with_span(s.span));
+            }
             // Every value created while lowering this statement inherits
             // its span (unless an inner statement pinned a finer one) —
             // this is what lets MIR verification and dataflow lowering
             // point back at source lines long after the AST is gone.
             let first_new = self.func.value_count() as u32;
-            let terminated = self.lower_stmt(s, b).map_err(|e| e.or_span(s.span))?;
+            terminated = self.lower_stmt(s, b).map_err(|e| e.or_span(s.span))?;
             for v in first_new..self.func.value_count() as u32 {
                 self.func.spans.set_if_absent(Value(v), s.span);
-            }
-            if terminated && i + 1 < stmts.len() {
-                return Err(LowerError::new("unreachable statements after exit/return")
-                    .or_span(stmts[i + 1].span));
             }
         }
         Ok(())
     }
 
     /// Lowers one statement; returns true if it terminated the region.
-    #[allow(clippy::too_many_lines)]
-    fn lower_stmt(&mut self, s: &Stmt, b: &mut RegionBuilder) -> Result<bool, LowerError> {
+    fn lower_stmt(&mut self, s: &Stmt, b: &mut RegionBuilder) -> LResult<bool> {
         match &s.kind {
             StmtKind::Decl { ty, name, init } => {
-                let (v, _) = match init {
-                    Some(e) => self.lower_expr(e, b)?,
-                    None => (b.const_i32(self.func, 0), TyName::U32),
-                };
-                let v = self.narrow_to(v, *ty, b);
-                let idx = self.scopes.len() - 1;
-                self.set_var(idx, name, v, *ty);
-                Ok(false)
-            }
-            StmtKind::Mem { name, decl } => {
-                let (kind, handle_kind, elem) = match decl {
-                    MemDecl::Sram { ty, size } => (
-                        OpKind::ViewNew {
-                            kind: ViewKind::Sram,
-                            dram: None,
-                            base: None,
-                            size: *size,
-                        },
-                        HandleKind::Sram,
-                        *ty,
-                    ),
-                    MemDecl::View {
-                        kind,
-                        size,
-                        dram,
-                        base,
-                    } => {
-                        let d = *self.drams.get(dram).ok_or_else(|| {
-                            LowerError::code(
-                                codes::SEM_UNKNOWN_NAME,
-                                format!("unknown dram '{dram}'"),
-                            )
-                        })?;
-                        let ety = self.dram_tys[dram];
-                        let (bv, _) = self.lower_expr(base, b)?;
-                        (
-                            OpKind::ViewNew {
-                                kind: match kind {
-                                    ViewKindName::Read => ViewKind::Read,
-                                    ViewKindName::Write => ViewKind::Write,
-                                    ViewKindName::Modify => ViewKind::Modify,
-                                },
-                                dram: Some(d),
-                                base: Some(bv),
-                                size: *size,
-                            },
-                            HandleKind::View(*kind),
-                            ety,
-                        )
+                let v = match init {
+                    Some(Init::Expr(e)) => self.lower_expr(e, b)?.0,
+                    Some(Init::Reduce(op, fe)) => {
+                        let result = self.lower_foreach(fe, Some(*op), b)?;
+                        result.expect("a reducing foreach has a result")
                     }
-                    MemDecl::It {
-                        kind,
-                        tile,
-                        dram,
-                        seek,
-                    } => {
-                        let d = *self.drams.get(dram).ok_or_else(|| {
-                            LowerError::code(
-                                codes::SEM_UNKNOWN_NAME,
-                                format!("unknown dram '{dram}'"),
-                            )
-                        })?;
-                        let ety = self.dram_tys[dram];
-                        let (sv, _) = self.lower_expr(seek, b)?;
-                        (
-                            OpKind::ItNew {
-                                kind: match kind {
-                                    ItKindName::Read => ItKind::Read,
-                                    ItKindName::PeekRead => ItKind::PeekRead,
-                                    ItKindName::Write => ItKind::Write,
-                                    ItKindName::ManualWrite => ItKind::ManualWrite,
-                                },
-                                dram: d,
-                                seek: sv,
-                                tile: *tile,
-                            },
-                            HandleKind::It(*kind),
-                            ety,
-                        )
-                    }
+                    None => b.const_i32(self.func, 0),
                 };
-                let val = b.emit(self.func, kind, Ty::Handle);
-                let idx = self.scopes.len() - 1;
-                self.scopes[idx].bindings.insert(
-                    name.clone(),
-                    Binding::Handle {
-                        val,
-                        kind: handle_kind,
-                        elem,
-                    },
-                );
-                Ok(false)
+                let val = self.narrow_to(v, *ty, b);
+                self.declare(name, Binding::Var(VarInfo { val, ty: *ty }));
             }
+            StmtKind::Mem { name, decl } => self.lower_mem(name, decl, b)?,
             StmtKind::Assign { name, value } => {
                 let (v, _) = self.lower_expr(value, b)?;
-                let (idx, info) = self.lookup_var_for_assign(name)?;
-                let v = self.narrow_to(v, info.ty, b);
-                self.set_var(idx, name, v, info.ty);
-                Ok(false)
+                let ty = self.assignable(name)?;
+                let v = self.narrow_to(v, ty, b);
+                self.set_var(name, v, ty);
             }
-            StmtKind::Store { base, idx, value } => {
-                let (iv, _) = self.lower_expr(idx, b)?;
-                let (vv, _) = self.lower_expr(value, b)?;
-                if let Some(&dram) = self.drams.get(base) {
-                    b.emit0(OpKind::DramWrite {
-                        dram,
-                        idx: iv,
-                        val: vv,
-                    });
-                    return Ok(false);
-                }
-                match self.lookup(base).cloned() {
-                    Some(Binding::Handle { val, kind, .. }) => match kind {
-                        HandleKind::Sram
-                        | HandleKind::View(ViewKindName::Write | ViewKindName::Modify) => {
-                            b.emit0(OpKind::ViewWrite {
-                                view: val,
-                                idx: iv,
-                                val: vv,
-                            });
-                            Ok(false)
-                        }
-                        HandleKind::View(ViewKindName::Read) => Err(LowerError::code(
-                            codes::SEM_KIND_MISUSE,
-                            format!("cannot write through read view '{base}'"),
-                        )),
-                        HandleKind::It(_) => Err(LowerError::code(
-                            codes::SEM_KIND_MISUSE,
-                            format!("cannot index-store through iterator '{base}'"),
-                        )),
-                    },
-                    _ => Err(LowerError::code(
-                        codes::SEM_UNKNOWN_NAME,
-                        format!("unknown store target '{base}'"),
-                    )),
-                }
-            }
+            StmtKind::Store { base, idx, value } => self.lower_store(base, idx, value, b)?,
             StmtKind::DerefStore { it, value } => {
-                let (vv, _) = self.lower_expr(value, b)?;
-                let (val, _) = self.it_handle(it, &[ItKindName::Write, ItKindName::ManualWrite])?;
-                b.emit0(OpKind::ItWrite { it: val, val: vv });
-                Ok(false)
+                let (val, _) = self.lower_expr(value, b)?;
+                let (it, _) = self.it_handle(it, |k| {
+                    matches!(k, ItKindName::Write | ItKindName::ManualWrite)
+                })?;
+                b.emit0(OpKind::ItWrite { it, val });
             }
             StmtKind::Inc { it, last } => {
-                let lv = match last {
+                let last = match last {
                     Some(e) => Some(self.lower_expr(e, b)?.0),
                     None => None,
                 };
-                let (val, _) = self.it_handle(
-                    it,
-                    &[
-                        ItKindName::Read,
-                        ItKindName::PeekRead,
-                        ItKindName::Write,
-                        ItKindName::ManualWrite,
-                    ],
-                )?;
-                b.emit0(OpKind::ItInc { it: val, last: lv });
-                Ok(false)
+                let (it, _) = self.it_handle(it, |_| true)?;
+                b.emit0(OpKind::ItInc { it, last });
             }
-            StmtKind::If { cond, then, els } => {
-                let (cv, _) = self.lower_expr(cond, b)?;
-                let assigned = self.assigned_outer_vars(then.iter().chain(els.iter()));
-                // Lower both branches in child scopes.
-                let mut then_b = RegionBuilder::new();
-                self.scopes.push(Scope::new(false));
-                self.lower_block(then, &mut then_b)?;
-                if !matches!(
-                    then_b.last_kind(),
-                    Some(OpKind::Exit) | Some(OpKind::Return(_))
-                ) {
-                    let vals: Vec<Value> = assigned
-                        .iter()
-                        .map(|n| self.var(n).expect("assigned var exists").val)
-                        .collect();
-                    then_b.emit0(OpKind::Yield(vals));
-                }
-                self.scopes.pop();
-                let mut else_b = RegionBuilder::new();
-                self.scopes.push(Scope::new(false));
-                self.lower_block(els, &mut else_b)?;
-                if !matches!(
-                    else_b.last_kind(),
-                    Some(OpKind::Exit) | Some(OpKind::Return(_))
-                ) {
-                    let vals: Vec<Value> = assigned
-                        .iter()
-                        .map(|n| self.var(n).expect("assigned var exists").val)
-                        .collect();
-                    else_b.emit0(OpKind::Yield(vals));
-                }
-                self.scopes.pop();
-                let results: Vec<Value> = assigned
-                    .iter()
-                    .map(|n| {
-                        let ty = self.var(n).expect("assigned var exists").ty;
-                        self.func.new_value(storage_ty(ty))
-                    })
-                    .collect();
-                b.push(
-                    OpKind::If {
-                        cond: cv,
-                        then: then_b.build(),
-                        else_: else_b.build(),
-                    },
-                    results.clone(),
-                );
-                for (n, r) in assigned.iter().zip(&results) {
-                    let (idx, info) = self.lookup_var_for_assign(n)?;
-                    self.set_var(idx, n, *r, info.ty);
-                }
-                Ok(false)
-            }
-            StmtKind::While { cond, body } => {
-                let assigned = self.assigned_outer_vars(body.iter());
-                let inits: Vec<Value> = assigned
-                    .iter()
-                    .map(|n| self.var(n).expect("assigned var exists").val)
-                    .collect();
-                let tys: Vec<TyName> = assigned
-                    .iter()
-                    .map(|n| self.var(n).expect("assigned var exists").ty)
-                    .collect();
-                // before region: carried args, evaluate cond.
-                let before_args: Vec<Value> = tys
-                    .iter()
-                    .map(|t| self.func.new_value(storage_ty(*t)))
-                    .collect();
-                self.scopes.push(Scope::new(false));
-                for ((n, t), v) in assigned.iter().zip(&tys).zip(&before_args) {
-                    let idx = self.scopes.len() - 1;
-                    self.set_var(idx, n, *v, *t);
-                }
-                let mut before_b = RegionBuilder::with_args(before_args.clone());
-                let (cv, _) = self.lower_expr(cond, &mut before_b)?;
-                before_b.emit0(OpKind::Condition {
-                    cond: cv,
-                    fwd: before_args.clone(),
-                });
-                self.scopes.pop();
-                // after region: body.
-                let after_args: Vec<Value> = tys
-                    .iter()
-                    .map(|t| self.func.new_value(storage_ty(*t)))
-                    .collect();
-                self.scopes.push(Scope::new(false));
-                for ((n, t), v) in assigned.iter().zip(&tys).zip(&after_args) {
-                    let idx = self.scopes.len() - 1;
-                    self.set_var(idx, n, *v, *t);
-                }
-                let mut after_b = RegionBuilder::with_args(after_args);
-                self.lower_block(body, &mut after_b)?;
-                if !matches!(after_b.last_kind(), Some(OpKind::Exit)) {
-                    let next: Vec<Value> = assigned
-                        .iter()
-                        .map(|n| self.var(n).expect("assigned var exists").val)
-                        .collect();
-                    after_b.emit0(OpKind::Yield(next));
-                }
-                self.scopes.pop();
-                let results: Vec<Value> = tys
-                    .iter()
-                    .map(|t| self.func.new_value(storage_ty(*t)))
-                    .collect();
-                b.push(
-                    OpKind::While {
-                        inits,
-                        before: before_b.build(),
-                        after: after_b.build(),
-                    },
-                    results.clone(),
-                );
-                for ((n, t), r) in assigned.iter().zip(&tys).zip(&results) {
-                    let (idx, _) = self.lookup_var_for_assign(n)?;
-                    self.set_var(idx, n, *r, *t);
-                }
-                Ok(false)
-            }
-            StmtKind::Foreach {
-                count,
-                step,
-                ity,
-                ivar,
-                body,
-            } => {
-                let (cv, _) = self.lower_expr(count, b)?;
-                let sv = match step {
-                    Some(e) => self.lower_expr(e, b)?.0,
-                    None => b.const_i32(self.func, 1),
-                };
-                let lo = b.const_i32(self.func, 0);
-                let (body_stmts, flags) = strip_pragmas(body, self.thread_count_hint);
-                let idx = self.func.new_value(Ty::I32);
-                self.scopes.push(Scope::new(true));
-                let sidx = self.scopes.len() - 1;
-                self.set_var(sidx, ivar, idx, *ity);
-                let mut body_b = RegionBuilder::with_args(vec![idx]);
-                self.lower_block(&body_stmts, &mut body_b)?;
-                if !matches!(body_b.last_kind(), Some(OpKind::Exit)) {
-                    body_b.emit0(OpKind::Yield(vec![]));
-                }
-                self.scopes.pop();
-                b.push(
-                    OpKind::Foreach {
-                        lo,
-                        hi: cv,
-                        step: sv,
-                        body: body_b.build(),
-                        reduce: vec![],
-                        flags,
-                    },
-                    vec![],
-                );
-                Ok(false)
+            StmtKind::If { cond, then, els } => self.lower_if(cond, [then, els], s, b)?,
+            StmtKind::While { cond, body } => self.lower_while(cond, body, s, b)?,
+            StmtKind::Foreach(fe) => {
+                self.lower_foreach(fe, None, b)?;
             }
             StmtKind::Replicate { ways, body } => {
-                let (body_stmts, _) = strip_pragmas(body, self.thread_count_hint);
-                let assigned = self.assigned_outer_vars(body_stmts.iter());
-                self.scopes.push(Scope::new(false));
-                let mut body_b = RegionBuilder::new();
-                self.lower_block(&body_stmts, &mut body_b)?;
-                let exits = matches!(body_b.last_kind(), Some(OpKind::Exit));
-                if !exits {
-                    let vals: Vec<Value> = assigned
-                        .iter()
-                        .map(|n| self.var(n).expect("assigned var exists").val)
-                        .collect();
-                    body_b.emit0(OpKind::Yield(vals));
-                }
-                self.scopes.pop();
-                let results: Vec<Value> = assigned
-                    .iter()
-                    .map(|n| {
-                        let ty = self.var(n).expect("assigned var exists").ty;
-                        self.func.new_value(storage_ty(ty))
-                    })
-                    .collect();
-                b.push(
-                    OpKind::Replicate {
-                        ways: *ways,
-                        body: body_b.build(),
-                    },
-                    results.clone(),
-                );
-                for (n, r) in assigned.iter().zip(&results) {
-                    let (idx, info) = self.lookup_var_for_assign(n)?;
-                    self.set_var(idx, n, *r, info.ty);
-                }
-                Ok(false)
+                self.body_pragmas(body);
+                let carried = self.carried(s);
+                let body = self.region(Construct::Replicate, &[], &carried, |lw, rb| {
+                    lw.lower_block(body.iter().filter(|s| body_pragma(s).is_none()), rb)
+                })?;
+                let results = self.rebind(&carried)?;
+                b.push(OpKind::Replicate { ways: *ways, body }, results);
             }
             StmtKind::Fork {
                 count,
@@ -872,83 +550,36 @@ impl Lowerer<'_> {
                 ivar,
                 body,
             } => {
-                let (cv, _) = self.lower_expr(count, b)?;
-                let assigned = self.assigned_outer_vars(body.iter());
-                let idx = self.func.new_value(Ty::I32);
-                self.scopes.push(Scope::new(false));
-                let sidx = self.scopes.len() - 1;
-                self.set_var(sidx, ivar, idx, *ity);
-                let mut body_b = RegionBuilder::with_args(vec![idx]);
-                self.lower_block(body, &mut body_b)?;
-                if !matches!(body_b.last_kind(), Some(OpKind::Exit)) {
-                    let vals: Vec<Value> = assigned
-                        .iter()
-                        .map(|n| self.var(n).expect("assigned var exists").val)
-                        .collect();
-                    body_b.emit0(OpKind::Yield(vals));
-                }
-                self.scopes.pop();
-                let results: Vec<Value> = assigned
-                    .iter()
-                    .map(|n| {
-                        let ty = self.var(n).expect("assigned var exists").ty;
-                        self.func.new_value(storage_ty(ty))
-                    })
-                    .collect();
-                b.push(
-                    OpKind::Fork {
-                        count: cv,
-                        body: body_b.build(),
-                    },
-                    results.clone(),
-                );
-                for (n, r) in assigned.iter().zip(&results) {
-                    let (idx, info) = self.lookup_var_for_assign(n)?;
-                    self.set_var(idx, n, *r, info.ty);
-                }
-                Ok(false)
+                let (count, _) = self.lower_expr(count, b)?;
+                let carried = self.carried(s);
+                let index = [(ivar.as_str(), *ity, Ty::I32)];
+                let body = self.region(Construct::Fork, &index, &carried, |lw, rb| {
+                    lw.lower_block(body, rb)
+                })?;
+                let results = self.rebind(&carried)?;
+                b.push(OpKind::Fork { count, body }, results);
             }
             StmtKind::Exit => {
                 b.emit0(OpKind::Exit);
-                Ok(true)
+                return Ok(true);
             }
-            StmtKind::Yield(_) => Err(LowerError::code(
-                codes::SEM_BAD_YIELD_RETURN,
-                "'yield' is only allowed as the final statement of a reducing foreach",
-            )),
+            StmtKind::Yield(_) => {
+                return Err(Diagnostic::error(
+                    codes::SEM_BAD_YIELD_RETURN,
+                    "'yield' is only allowed as the final statement of a reducing foreach",
+                ))
+            }
             StmtKind::Return(e) => {
-                let vals = match e {
-                    Some(e) => {
-                        if self.ret == TyName::Void {
-                            return Err(LowerError::code(
-                                codes::SEM_BAD_YIELD_RETURN,
-                                "void function returns a value",
-                            ));
-                        }
-                        vec![self.lower_expr(e, b)?.0]
-                    }
-                    None => {
-                        if self.ret != TyName::Void {
-                            return Err(LowerError::code(
-                                codes::SEM_BAD_YIELD_RETURN,
-                                "non-void function returns nothing",
-                            ));
-                        }
-                        vec![]
-                    }
-                };
+                let vals = self.lower_return(e.as_ref(), b)?;
                 b.emit0(OpKind::Return(vals));
-                Ok(true)
+                return Ok(true);
             }
             StmtKind::Pragma { name, value } => {
-                if name == "threads" {
-                    *self.thread_count_hint = value.map(|v| v as u32);
-                    Ok(false)
-                } else {
-                    Err(LowerError::new(format!(
-                        "pragma '{name}' is not valid here"
-                    )))
+                if name != "threads" {
+                    let msg = format!("pragma '{name}' is not valid here");
+                    return Err(Diagnostic::error(codes::SEM_GENERAL, msg));
                 }
+                *self.thread_count_hint = value.map(|v| v as u32);
             }
             StmtKind::Bulk {
                 sram,
@@ -956,218 +587,337 @@ impl Lowerer<'_> {
                 dram,
                 base,
                 len,
+            } => self.lower_bulk(sram, *load, dram, (base, len), b)?,
+        }
+        Ok(false)
+    }
+
+    /// `if`: both branches yield what either assigns.
+    fn lower_if(
+        &mut self,
+        cond: &Expr,
+        [then, els]: [&[Stmt]; 2],
+        s: &Stmt,
+        b: &mut RegionBuilder,
+    ) -> LResult<()> {
+        let (cond, _) = self.lower_expr(cond, b)?;
+        let carried = self.carried(s);
+        let mut branch = |stmts: &[Stmt]| {
+            self.region(Construct::If, &[], &carried, |lw, rb| {
+                lw.lower_block(stmts, rb)
+            })
+        };
+        let (then, else_) = (branch(then)?, branch(els)?);
+        let results = self.rebind(&carried)?;
+        b.push(OpKind::If { cond, then, else_ }, results);
+        Ok(())
+    }
+
+    /// `while`: the carried variables are the arguments of both regions —
+    /// `before` evaluates the condition on them, `after` is the body.
+    fn lower_while(
+        &mut self,
+        cond: &Expr,
+        body: &[Stmt],
+        s: &Stmt,
+        b: &mut RegionBuilder,
+    ) -> LResult<()> {
+        let carried = self.carried(s);
+        let inits = self.current(&carried);
+        let mut args = Vec::with_capacity(carried.len());
+        for name in &carried {
+            let ty = self.var(name).expect("carried variables are visible").ty;
+            args.push((name.as_str(), ty, storage_ty(ty)));
+        }
+        let before = self.region(Construct::While, &args, &carried, |lw, rb| {
+            let (cond, _) = lw.lower_expr(cond, rb)?;
+            let fwd = lw.current(&carried);
+            rb.emit0(OpKind::Condition { cond, fwd });
+            Ok(())
+        })?;
+        let after = self.region(Construct::While, &args, &carried, |lw, rb| {
+            lw.lower_block(body, rb)
+        })?;
+        let results = self.rebind(&carried)?;
+        b.push(
+            OpKind::While {
+                inits,
+                before,
+                after,
+            },
+            results,
+        );
+        Ok(())
+    }
+
+    /// The values a `return` carries, checked against where it stands and
+    /// the function's type.
+    fn lower_return(&mut self, e: Option<&Expr>, b: &mut RegionBuilder) -> LResult<Vec<Value>> {
+        let innermost = self.scopes.last().and_then(|s| s.construct);
+        if let Some(c) = innermost.filter(|c| *c != Construct::If) {
+            let msg = format!(
+                "'return' cannot end a {} body: its region yields to the construct \
+                 (only a function body or an 'if' branch may return)",
+                c.name()
+            );
+            return Err(Diagnostic::error(codes::SEM_BAD_YIELD_RETURN, msg));
+        }
+        let msg = match (e, self.ret == TyName::Void) {
+            (Some(_), true) => "void function returns a value",
+            (None, false) => "non-void function returns nothing",
+            (Some(e), false) => return Ok(vec![self.lower_expr(e, b)?.0]),
+            (None, true) => return Ok(vec![]),
+        };
+        Err(Diagnostic::error(codes::SEM_BAD_YIELD_RETURN, msg))
+    }
+
+    fn lower_mem(&mut self, name: &str, decl: &MemDecl, b: &mut RegionBuilder) -> LResult<()> {
+        let (op, kind, elem) = match decl {
+            MemDecl::Sram { ty, size } => {
+                let op = OpKind::ViewNew {
+                    kind: ViewKind::Sram,
+                    dram: None,
+                    base: None,
+                    size: *size,
+                };
+                (op, HandleKind::Sram, *ty)
+            }
+            MemDecl::Tile {
+                kind,
+                size,
+                dram,
+                at,
             } => {
-                let d = *self.drams.get(dram).ok_or_else(|| {
-                    LowerError::code(codes::SEM_UNKNOWN_NAME, format!("unknown dram '{dram}'"))
+                let (dram, elem) = self.dram(dram)?;
+                let (at, _) = self.lower_expr(at, b)?;
+                let op = match kind {
+                    TileKind::View(v) => OpKind::ViewNew {
+                        kind: v.mir(),
+                        dram: Some(dram),
+                        base: Some(at),
+                        size: *size,
+                    },
+                    TileKind::It(i) => OpKind::ItNew {
+                        kind: i.mir(),
+                        dram,
+                        seek: at,
+                        tile: *size,
+                    },
+                };
+                (op, HandleKind::Tile(*kind), elem)
+            }
+        };
+        let val = b.emit(self.func, op, Ty::Handle);
+        self.declare(name, Binding::Handle { val, kind, elem });
+        Ok(())
+    }
+
+    fn lower_store(
+        &mut self,
+        base: &str,
+        idx: &Expr,
+        value: &Expr,
+        b: &mut RegionBuilder,
+    ) -> LResult<()> {
+        let (idx, _) = self.lower_expr(idx, b)?;
+        let (val, _) = self.lower_expr(value, b)?;
+        if let Some(&(dram, _)) = self.drams.get(base) {
+            b.emit0(OpKind::DramWrite { dram, idx, val });
+            return Ok(());
+        }
+        let Some(Binding::Handle {
+            val: view, kind, ..
+        }) = self.lookup(base)
+        else {
+            return Err(Diagnostic::error(
+                codes::SEM_UNKNOWN_NAME,
+                format!("unknown store target '{base}'"),
+            ));
+        };
+        match kind {
+            HandleKind::Tile(TileKind::View(ViewKindName::Read)) => Err(Diagnostic::error(
+                codes::SEM_KIND_MISUSE,
+                format!("cannot write through read view '{base}'"),
+            )),
+            HandleKind::Tile(TileKind::It(_)) => Err(Diagnostic::error(
+                codes::SEM_KIND_MISUSE,
+                format!("cannot index-store through iterator '{base}'"),
+            )),
+            HandleKind::Sram | HandleKind::Tile(TileKind::View(_)) => {
+                b.emit0(OpKind::ViewWrite { view, idx, val });
+                Ok(())
+            }
+        }
+    }
+
+    /// Both `foreach` forms: the statement (`reduce` is `None`, no result)
+    /// and a declaration's reducing initializer, whose body ends in the
+    /// `yield` that feeds the reduction.
+    fn lower_foreach(
+        &mut self,
+        fe: &Foreach,
+        reduce: Option<ReduceOp>,
+        b: &mut RegionBuilder,
+    ) -> LResult<Option<Value>> {
+        let (hi, _) = self.lower_expr(&fe.count, b)?;
+        let step = match &fe.step {
+            Some(s) => self.lower_expr(s, b)?.0,
+            None => b.const_i32(self.func, 1),
+        };
+        let lo = b.const_i32(self.func, 0);
+        let reducing = reduce.is_some();
+        let yielded = match fe.body.last().map(|s| &s.kind) {
+            Some(StmtKind::Yield(e)) if reducing => Some(e),
+            _ => None,
+        };
+        let stmts = &fe.body[..fe.body.len() - usize::from(yielded.is_some())];
+        // Only the statement form interprets pragmas of its own.
+        let flags = if reducing {
+            ForeachFlags::default()
+        } else {
+            self.body_pragmas(stmts)
+        };
+        let index = [(fe.ivar.as_str(), fe.ity, Ty::I32)];
+        let body = self.region(Construct::Foreach, &index, &[], |lw, rb| {
+            let lowered = stmts
+                .iter()
+                .filter(|s| reducing || body_pragma(s).is_none());
+            lw.lower_block(lowered, rb)?;
+            if reducing {
+                let yielded = yielded.ok_or_else(|| {
+                    Diagnostic::error(
+                        codes::SEM_BAD_YIELD_RETURN,
+                        "reducing foreach body must end with 'yield expr;'",
+                    )
                 })?;
-                let (bv, _) = self.lower_expr(base, b)?;
-                let (lv, _) = self.lower_expr(len, b)?;
-                match self.lookup(sram).cloned() {
-                    Some(Binding::Handle {
-                        val,
-                        kind: HandleKind::Sram,
-                        ..
-                    }) => {
-                        // Bulk ops through raw SRAM handles are expressed as
-                        // a loop of view accesses; the high-level lowering
-                        // pass turns views into physical SRAM + real bulk
-                        // ops. Here we emit the simple elementwise loop.
-                        let zero = b.const_i32(self.func, 0);
-                        let one = b.const_i32(self.func, 1);
-                        let idx = self.func.new_value(Ty::I32);
-                        let mut body_b = RegionBuilder::with_args(vec![idx]);
-                        if *load {
-                            let di = body_b.bin(self.func, AluOp::Add, bv, idx);
-                            let v = body_b.emit(
-                                self.func,
-                                OpKind::DramRead { dram: d, idx: di },
-                                Ty::I32,
-                            );
-                            body_b.push(
-                                OpKind::ViewWrite {
-                                    view: val,
-                                    idx,
-                                    val: v,
-                                },
-                                vec![],
-                            );
-                        } else {
-                            let v = body_b.emit(
-                                self.func,
-                                OpKind::ViewRead { view: val, idx },
-                                Ty::I32,
-                            );
-                            let di = body_b.bin(self.func, AluOp::Add, bv, idx);
-                            body_b.push(
-                                OpKind::DramWrite {
-                                    dram: d,
-                                    idx: di,
-                                    val: v,
-                                },
-                                vec![],
-                            );
-                        }
-                        body_b.emit0(OpKind::Yield(vec![]));
-                        b.push(
-                            OpKind::Foreach {
-                                lo: zero,
-                                hi: lv,
-                                step: one,
-                                body: body_b.build(),
-                                reduce: vec![],
-                                flags: ForeachFlags::default(),
-                            },
-                            vec![],
-                        );
-                        Ok(false)
-                    }
-                    _ => Err(LowerError::code(
-                        codes::SEM_KIND_MISUSE,
-                        format!("'{sram}' is not a raw SRAM"),
-                    )),
-                }
+                let (v, _) = lw.lower_expr(yielded, rb)?;
+                rb.emit0(OpKind::Yield(vec![v]));
             }
-        }
+            Ok(())
+        })?;
+        let result = reduce.map(|_| self.func.new_value(Ty::I32));
+        let kind = OpKind::Foreach {
+            lo,
+            hi,
+            step,
+            body,
+            reduce: reduce.map(ReduceOp::alu).into_iter().collect(),
+            flags,
+        };
+        b.push(kind, result.into_iter().collect());
+        Ok(result)
     }
 
-    /// Variables from enclosing scopes assigned anywhere in `stmts`
-    /// (deterministic order).
-    fn assigned_outer_vars<'s>(&self, stmts: impl Iterator<Item = &'s Stmt>) -> Vec<String> {
-        let mut declared = HashSet::new();
-        let mut out = Vec::new();
-        for s in stmts {
-            collect_assigned(s, &mut declared, &mut out);
+    /// Interprets the pragmas that sit directly in a `foreach` or
+    /// `replicate` body, on entry; the body is then lowered without them.
+    fn body_pragmas(&mut self, body: &[Stmt]) -> ForeachFlags {
+        let mut flags = ForeachFlags::default();
+        for (name, value) in body.iter().filter_map(body_pragma) {
+            if name == "threads" {
+                *self.thread_count_hint = value.map(|v| v as u32);
+            } else {
+                flags.eliminate_hierarchy = true;
+            }
         }
-        out.retain(|n| self.var(n).is_some());
-        out
+        flags
+    }
+
+    /// `sram.load(dram, base, len)` / `sram.store(dram, base, len)`. Bulk
+    /// ops through raw SRAM handles are expressed as a loop of view
+    /// accesses; the high-level lowering pass turns views into physical
+    /// SRAM + real bulk ops.
+    fn lower_bulk(
+        &mut self,
+        sram: &str,
+        load: bool,
+        dram: &str,
+        (base, len): (&Expr, &Expr),
+        b: &mut RegionBuilder,
+    ) -> LResult<()> {
+        let (dram, _) = self.dram(dram)?;
+        let (base, _) = self.lower_expr(base, b)?;
+        let (hi, _) = self.lower_expr(len, b)?;
+        let Some(Binding::Handle {
+            val: view,
+            kind: HandleKind::Sram,
+            ..
+        }) = self.lookup(sram)
+        else {
+            return Err(Diagnostic::error(
+                codes::SEM_KIND_MISUSE,
+                format!("'{sram}' is not a raw SRAM"),
+            ));
+        };
+        let lo = b.const_i32(self.func, 0);
+        let step = b.const_i32(self.func, 1);
+        let idx = self.func.new_value(Ty::I32);
+        let mut body = RegionBuilder::with_args(vec![idx]);
+        if load {
+            let at = body.bin(self.func, AluOp::Add, base, idx);
+            let val = body.emit(self.func, OpKind::DramRead { dram, idx: at }, Ty::I32);
+            body.emit0(OpKind::ViewWrite { view, idx, val });
+        } else {
+            let val = body.emit(self.func, OpKind::ViewRead { view, idx }, Ty::I32);
+            let at = body.bin(self.func, AluOp::Add, base, idx);
+            body.emit0(OpKind::DramWrite { dram, idx: at, val });
+        }
+        body.emit0(OpKind::Yield(vec![]));
+        let kind = OpKind::Foreach {
+            lo,
+            hi,
+            step,
+            body: body.build(),
+            reduce: vec![],
+            flags: ForeachFlags::default(),
+        };
+        b.emit0(kind);
+        Ok(())
     }
 }
 
-fn collect_assigned(s: &Stmt, declared: &mut HashSet<String>, out: &mut Vec<String>) {
-    let add = |n: &String, declared: &HashSet<String>, out: &mut Vec<String>| {
-        if !declared.contains(n) && !out.contains(n) {
-            out.push(n.clone());
+/// Adds the enclosing-scope names `block` assigns to `out`; `declared` are
+/// the names the enclosing blocks have declared so far.
+fn collect_assigned(block: Block<'_>, declared: &HashSet<String>, out: &mut Vec<String>) {
+    // A foreach thread cannot assign a parent variable (`assignable`
+    // rejects it when the body is lowered), so its body carries nothing.
+    if block.isolated {
+        return;
+    }
+    // Each block has its own declaration scope.
+    let mut declared = declared.clone();
+    declared.extend(block.ivar.map(str::to_string));
+    for s in block.stmts {
+        match &s.kind {
+            StmtKind::Decl { name, .. } | StmtKind::Mem { name, .. } => {
+                declared.insert(name.clone());
+            }
+            StmtKind::Assign { name, .. } if !declared.contains(name) && !out.contains(name) => {
+                out.push(name.clone());
+            }
+            _ => {}
         }
-    };
+        for inner in s.blocks() {
+            collect_assigned(inner, &declared, out);
+        }
+    }
+}
+
+/// A pragma a `foreach` / `replicate` body interprets on entry.
+fn body_pragma(s: &Stmt) -> Option<(&str, Option<i64>)> {
     match &s.kind {
-        StmtKind::Decl { name, .. } | StmtKind::Mem { name, .. } => {
-            declared.insert(name.clone());
+        StmtKind::Pragma { name, value } if name == "eliminate_hierarchy" || name == "threads" => {
+            Some((name, *value))
         }
-        StmtKind::Assign { name, .. } => add(name, declared, out),
-        StmtKind::If { then, els, .. } => {
-            // Each branch has its own declaration scope.
-            let mut d1 = declared.clone();
-            for t in then {
-                collect_assigned(t, &mut d1, out);
-            }
-            let mut d2 = declared.clone();
-            for t in els {
-                collect_assigned(t, &mut d2, out);
-            }
-        }
-        StmtKind::While { body, .. } | StmtKind::Replicate { body, .. } => {
-            let mut d = declared.clone();
-            for t in body {
-                collect_assigned(t, &mut d, out);
-            }
-        }
-        StmtKind::Fork { body, ivar, .. } => {
-            let mut d = declared.clone();
-            d.insert(ivar.clone());
-            for t in body {
-                collect_assigned(t, &mut d, out);
-            }
-        }
-        // foreach bodies cannot assign parent variables (checked later).
-        StmtKind::Foreach { .. } => {}
-        _ => {}
+        _ => None,
     }
 }
 
-/// Splits a trailing `yield e;` from a statement list.
-fn split_trailing_yield(stmts: &[Stmt]) -> Result<(&[Stmt], Option<&Expr>), LowerError> {
-    match stmts.last().map(|s| &s.kind) {
-        Some(StmtKind::Yield(e)) => Ok((&stmts[..stmts.len() - 1], Some(e))),
-        _ => Ok((stmts, None)),
-    }
-}
-
-/// Removes leading pragmas from a body, interpreting them.
-fn strip_pragmas<'s>(
-    stmts: &'s [Stmt],
-    thread_hint: &mut Option<u32>,
-) -> (Vec<Stmt>, ForeachFlags) {
-    let mut flags = ForeachFlags::default();
-    let mut rest: Vec<Stmt> = Vec::with_capacity(stmts.len());
-    for s in stmts {
-        if let StmtKind::Pragma { name, value } = &s.kind {
-            match name.as_str() {
-                "eliminate_hierarchy" => {
-                    flags.eliminate_hierarchy = true;
-                    continue;
-                }
-                "threads" => {
-                    *thread_hint = value.map(|v| v as u32);
-                    continue;
-                }
-                _ => {}
-            }
-        }
-        rest.push(s.clone());
-    }
-    let _ = &rest;
-    (rest, flags)
-}
-
-/// Picks the ALU op for a surface operator given operand signedness.
-fn select_alu(op: BinOp, signed: bool) -> Result<(AluOp, TyName), LowerError> {
-    use AluOp as A;
-    let t = if signed { TyName::I32 } else { TyName::U32 };
-    Ok(match op {
-        BinOp::Add => (A::Add, t),
-        BinOp::Sub => (A::Sub, t),
-        BinOp::Mul => (A::Mul, t),
-        BinOp::Div => (if signed { A::DivS } else { A::DivU }, t),
-        BinOp::Rem => (if signed { A::RemS } else { A::RemU }, t),
-        BinOp::And => (A::And, t),
-        BinOp::Or => (A::Or, t),
-        BinOp::Xor => (A::Xor, t),
-        BinOp::Shl => (A::Shl, t),
-        BinOp::Shr => (if signed { A::ShrS } else { A::ShrU }, t),
-        BinOp::Eq => (A::Eq, TyName::U32),
-        BinOp::Ne => (A::Ne, TyName::U32),
-        BinOp::Lt => (if signed { A::LtS } else { A::LtU }, TyName::U32),
-        BinOp::Le => (if signed { A::LeS } else { A::LeU }, TyName::U32),
-        BinOp::Gt => (if signed { A::GtS } else { A::GtU }, TyName::U32),
-        BinOp::Ge => (if signed { A::GeS } else { A::GeU }, TyName::U32),
-        BinOp::LAnd | BinOp::LOr => (A::And, TyName::U32),
-    })
-}
-
-fn out_ty_for(base: TyName, _l: TyName, _r: TyName, signed: bool) -> TyName {
-    match base {
-        TyName::U32 if signed => TyName::I32,
-        other => other,
-    }
-}
-
-/// Promotes a storage type to its 32-bit compute type.
-fn promote(t: TyName) -> TyName {
-    if t.signed() {
+/// The 32-bit compute type of the given signedness: what every operator
+/// yields and every load promotes to.
+fn wide(signed: bool) -> TyName {
+    if signed {
         TyName::I32
     } else {
         TyName::U32
-    }
-}
-
-fn reduce_alu(op: ReduceOp) -> AluOp {
-    match op {
-        ReduceOp::Add => AluOp::Add,
-        ReduceOp::Mul => AluOp::Mul,
-        ReduceOp::And => AluOp::And,
-        ReduceOp::Or => AluOp::Or,
-        ReduceOp::Xor => AluOp::Xor,
-        ReduceOp::Min => AluOp::MinU,
-        ReduceOp::Max => AluOp::MaxU,
     }
 }

@@ -7,6 +7,11 @@
 //! at the next plausible item start. One run therefore reports *all*
 //! independent syntax errors, each with a byte [`Span`] pointing at the
 //! offending token.
+//!
+//! Operators, type names and view / iterator keywords are read from the
+//! tables in [`crate::ast`]; nothing here spells one.
+
+#![warn(clippy::too_many_lines)]
 
 use crate::ast::*;
 use crate::token::{lex, Spanned, Tok};
@@ -16,22 +21,7 @@ use revet_diag::{codes, Diagnostic, Diagnostics, Span};
 /// (prevents error avalanches on pathological input).
 const MAX_ERRORS: usize = 20;
 
-/// An internal parse failure; becomes a [`Diagnostic`] at the recovery
-/// boundary.
-#[derive(Clone, Debug)]
-struct ParseError {
-    code: &'static str,
-    message: String,
-    span: Span,
-}
-
-impl ParseError {
-    fn into_diagnostic(self) -> Diagnostic {
-        Diagnostic::error(self.code, self.message).with_span(self.span)
-    }
-}
-
-type PResult<T> = Result<T, ParseError>;
+type PResult<T> = Result<T, Diagnostic>;
 
 /// Parses a complete program.
 ///
@@ -94,19 +84,15 @@ impl Parser {
     }
 
     fn err_code<T>(&self, code: &'static str, msg: impl Into<String>) -> PResult<T> {
-        Err(ParseError {
-            code,
-            message: msg.into(),
-            span: self.cur_span(),
-        })
+        Err(Diagnostic::error(code, msg).with_span(self.cur_span()))
     }
 
     fn over_budget(&self) -> bool {
         self.diags.len() >= MAX_ERRORS
     }
 
-    fn report(&mut self, e: ParseError) {
-        self.diags.push(e.into_diagnostic());
+    fn report(&mut self, e: Diagnostic) {
+        self.diags.push(e);
         if self.diags.len() == MAX_ERRORS {
             self.diags.push(
                 Diagnostic::error(
@@ -171,6 +157,22 @@ impl Parser {
         } else {
             false
         }
+    }
+
+    /// `< inner >` — type and size arguments (the comparison signs).
+    fn angled<T>(&mut self, inner: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        self.expect_punct(BinOp::Lt.symbol())?;
+        let t = inner(self)?;
+        self.expect_punct(BinOp::Gt.symbol())?;
+        Ok(t)
+    }
+
+    /// `( expr )`.
+    fn paren_expr(&mut self) -> PResult<Expr> {
+        self.expect_punct("(")?;
+        let e = self.expr()?;
+        self.expect_punct(")")?;
+        Ok(e)
     }
 
     // ---- recovery ----
@@ -252,37 +254,24 @@ impl Parser {
 
     fn program(&mut self) -> Program {
         let mut prog = Program::default();
-        loop {
-            if self.over_budget() {
-                break;
-            }
-            match self.peek() {
+        while !self.over_budget() {
+            let item = match self.peek() {
                 Tok::Eof => break,
-                Tok::Ident(s) if s == "dram" => match self.dram_decl() {
-                    Ok(d) => prog.drams.push(d),
-                    Err(e) => {
-                        self.report(e);
-                        self.recover_item();
-                    }
-                },
-                Tok::Ident(s) if TyName::parse(s).is_some() => match self.func() {
-                    Ok(f) => prog.funcs.push(f),
-                    Err(e) => {
-                        self.report(e);
-                        self.recover_item();
-                    }
-                },
+                Tok::Ident(s) if s == "dram" => self.dram_decl().map(|d| prog.drams.push(d)),
+                Tok::Ident(s) if TyName::parse(s).is_some() => {
+                    self.func().map(|f| prog.funcs.push(f))
+                }
                 other => {
                     let other = other.clone();
-                    let e = self
-                        .err_code::<()>(
-                            codes::PARSE_BAD_ITEM,
-                            format!("expected 'dram' declaration or function, found {other}"),
-                        )
-                        .unwrap_err();
-                    self.report(e);
-                    self.recover_item();
+                    self.err_code(
+                        codes::PARSE_BAD_ITEM,
+                        format!("expected 'dram' declaration or function, found {other}"),
+                    )
                 }
+            };
+            if let Err(e) = item {
+                self.report(e);
+                self.recover_item();
             }
         }
         prog
@@ -291,9 +280,7 @@ impl Parser {
     fn dram_decl(&mut self) -> PResult<DramDeclAst> {
         let start = self.cur_span().start;
         self.bump(); // dram
-        self.expect_punct("<")?;
-        let ty = self.ty()?;
-        self.expect_punct(">")?;
+        let ty = self.angled(Self::ty)?;
         let name = self.expect_ident()?;
         self.expect_punct(";")?;
         Ok(DramDeclAst {
@@ -358,6 +345,15 @@ impl Parser {
         Ok(b)
     }
 
+    /// `{ ty i => stmts }` — a thread body binding its index variable.
+    fn thread_body(&mut self) -> PResult<(TyName, String, Vec<Stmt>)> {
+        self.expect_punct("{")?;
+        let ity = self.ty()?;
+        let ivar = self.expect_ident()?;
+        self.expect_punct("=>")?;
+        Ok((ity, ivar, self.stmt_seq()?))
+    }
+
     /// Parses statements until the closing `}` (consumed), recovering from
     /// individual statement failures so every statement-level error in the
     /// block is reported.
@@ -385,229 +381,209 @@ impl Parser {
 
     fn stmt(&mut self) -> PResult<Stmt> {
         let start = self.cur_span().start;
-        let kind = self.stmt_kind()?;
+        let kind = if self.eat_punct(DEREF) {
+            // `*it = e;`
+            let it = self.expect_ident()?;
+            self.expect_punct("=")?;
+            let value = self.expr_semi()?;
+            StmtKind::DerefStore { it, value }
+        } else if let Some(kind) = self.keyword_stmt()? {
+            kind
+        } else {
+            self.named_stmt()?
+        };
         Ok(Stmt::new(kind, Span::new(start, self.prev_span().end)))
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn stmt_kind(&mut self) -> PResult<StmtKind> {
-        // Control-flow keywords.
-        if self.eat_kw("if") {
-            self.expect_punct("(")?;
-            let cond = self.expr()?;
-            self.expect_punct(")")?;
-            let then = self.block()?;
-            let els = if self.eat_kw("else") {
-                self.block_semi()?
-            } else {
-                self.eat_punct(";");
-                Vec::new()
-            };
-            return Ok(StmtKind::If { cond, then, els });
-        }
-        if self.eat_kw("while") {
-            self.expect_punct("(")?;
-            let cond = self.expr()?;
-            self.expect_punct(")")?;
-            let body = self.block_semi()?;
-            return Ok(StmtKind::While { cond, body });
-        }
-        if self.eat_kw("foreach") {
-            let (count, step, ity, ivar, body) = self.foreach_tail()?;
-            return Ok(StmtKind::Foreach {
-                count,
-                step,
-                ity,
-                ivar,
-                body,
-            });
-        }
-        if self.eat_kw("replicate") {
-            self.expect_punct("(")?;
-            let ways = self.expect_int()?;
-            self.expect_punct(")")?;
-            let body = self.block_semi()?;
-            return Ok(StmtKind::Replicate {
-                ways: ways as u32,
-                body,
-            });
-        }
-        if self.eat_kw("fork") {
-            self.expect_punct("(")?;
-            let count = self.expr()?;
-            self.expect_punct(")")?;
-            self.expect_punct("{")?;
-            let ity = self.ty()?;
-            let ivar = self.expect_ident()?;
-            self.expect_punct("=>")?;
-            let body = self.stmt_seq()?;
-            self.eat_punct(";");
-            return Ok(StmtKind::Fork {
-                count,
-                ity,
-                ivar,
-                body,
-            });
-        }
-        if self.eat_kw("exit") {
-            self.expect_punct(";")?;
-            return Ok(StmtKind::Exit);
-        }
-        if self.eat_kw("yield") {
-            let e = self.expr()?;
-            self.expect_punct(";")?;
-            return Ok(StmtKind::Yield(e));
-        }
-        if self.eat_kw("return") {
-            if self.eat_punct(";") {
-                return Ok(StmtKind::Return(None));
-            }
-            let e = self.expr()?;
-            self.expect_punct(";")?;
-            return Ok(StmtKind::Return(Some(e)));
-        }
-        if self.eat_kw("pragma") {
-            self.expect_punct("(")?;
-            let name = self.expect_ident()?;
-            let value = if self.eat_punct(",") {
-                Some(self.expect_int()?)
-            } else {
-                None
-            };
-            self.expect_punct(")")?;
-            self.expect_punct(";")?;
-            return Ok(StmtKind::Pragma { name, value });
-        }
-        // Memory declarations.
-        if self.is_kw("sram") {
+    /// `expr ;`
+    fn expr_semi(&mut self) -> PResult<Expr> {
+        let e = self.expr()?;
+        self.expect_punct(";")?;
+        Ok(e)
+    }
+
+    /// A statement introduced by a keyword, if the current token is one.
+    fn keyword_stmt(&mut self) -> PResult<Option<StmtKind>> {
+        let Tok::Ident(kw) = self.peek() else {
+            return Ok(None);
+        };
+        if let Some(kind) = TileKind::parse(kw) {
             self.bump();
-            self.expect_punct("<")?;
-            let ty = self.ty()?;
-            self.expect_punct(",")?;
-            let size = self.expect_int()? as u32;
-            self.expect_punct(">")?;
-            let name = self.expect_ident()?;
-            self.expect_punct(";")?;
-            return Ok(StmtKind::Mem {
-                name,
-                decl: MemDecl::Sram { ty, size },
-            });
+            return self.tile_decl(kind).map(Some);
         }
-        for (kw, kind) in [
-            ("readview", ViewKindName::Read),
-            ("writeview", ViewKindName::Write),
-            ("modifyview", ViewKindName::Modify),
-        ] {
-            if self.is_kw(kw) {
-                self.bump();
-                self.expect_punct("<")?;
-                let size = self.expect_int()? as u32;
-                self.expect_punct(">")?;
-                let name = self.expect_ident()?;
-                self.expect_punct("(")?;
-                let dram = self.expect_ident()?;
-                self.expect_punct(",")?;
-                let base = self.expr()?;
-                self.expect_punct(")")?;
-                self.expect_punct(";")?;
-                return Ok(StmtKind::Mem {
-                    name,
-                    decl: MemDecl::View {
-                        kind,
-                        size,
-                        dram,
-                        base,
-                    },
-                });
-            }
+        if TyName::parse(kw).is_some() && matches!(self.peek2(), Tok::Ident(_)) {
+            return self.decl().map(Some);
         }
-        for (kw, kind) in [
-            ("readit", ItKindName::Read),
-            ("peekreadit", ItKindName::PeekRead),
-            ("writeit", ItKindName::Write),
-            ("manualwriteit", ItKindName::ManualWrite),
-        ] {
-            if self.is_kw(kw) {
-                self.bump();
-                self.expect_punct("<")?;
-                let tile = self.expect_int()? as u32;
-                self.expect_punct(">")?;
-                let name = self.expect_ident()?;
-                self.expect_punct("(")?;
-                let dram = self.expect_ident()?;
-                self.expect_punct(",")?;
-                let seek = self.expr()?;
-                self.expect_punct(")")?;
-                self.expect_punct(";")?;
-                return Ok(StmtKind::Mem {
-                    name,
-                    decl: MemDecl::It {
-                        kind,
-                        tile,
-                        dram,
-                        seek,
-                    },
-                });
-            }
-        }
-        // `*it = e;`
-        if self.eat_punct("*") {
-            let it = self.expect_ident()?;
-            self.expect_punct("=")?;
-            let value = self.expr()?;
-            self.expect_punct(";")?;
-            return Ok(StmtKind::DerefStore { it, value });
-        }
-        // Typed declaration: `ty name [= init];` (possibly foreach-reduce).
-        if let Tok::Ident(s) = self.peek() {
-            if TyName::parse(s).is_some() && matches!(self.peek2(), Tok::Ident(_)) {
-                let ty = self.ty()?;
-                let name = self.expect_ident()?;
-                let init = if self.eat_punct("=") {
-                    Some(self.init_expr()?)
-                } else {
-                    None
-                };
-                self.expect_punct(";")?;
-                return Ok(StmtKind::Decl { ty, name, init });
-            }
-        }
-        // Assignment / compound assignment / store / increment.
+        let parse: fn(&mut Self) -> PResult<StmtKind> = match kw.as_str() {
+            "if" => Self::if_stmt,
+            "while" => |p| {
+                let cond = p.paren_expr()?;
+                let body = p.block_semi()?;
+                Ok(StmtKind::While { cond, body })
+            },
+            "foreach" => |p| {
+                let (_, fe) = p.foreach(false)?;
+                p.eat_punct(";");
+                Ok(StmtKind::Foreach(fe))
+            },
+            "replicate" => |p| {
+                p.expect_punct("(")?;
+                let ways = p.expect_int()? as u32;
+                p.expect_punct(")")?;
+                let body = p.block_semi()?;
+                Ok(StmtKind::Replicate { ways, body })
+            },
+            "fork" => |p| {
+                let count = p.paren_expr()?;
+                let (ity, ivar, body) = p.thread_body()?;
+                p.eat_punct(";");
+                Ok(StmtKind::Fork {
+                    count,
+                    ity,
+                    ivar,
+                    body,
+                })
+            },
+            "exit" => |p| p.expect_punct(";").map(|()| StmtKind::Exit),
+            "yield" => |p| p.expr_semi().map(StmtKind::Yield),
+            "return" => |p| {
+                if p.eat_punct(";") {
+                    return Ok(StmtKind::Return(None));
+                }
+                p.expr_semi().map(|e| StmtKind::Return(Some(e)))
+            },
+            "pragma" => Self::pragma,
+            "sram" => Self::sram_decl,
+            _ => return Ok(None),
+        };
+        self.bump();
+        parse(self).map(Some)
+    }
+
+    /// After `if`.
+    fn if_stmt(&mut self) -> PResult<StmtKind> {
+        let cond = self.paren_expr()?;
+        let then = self.block()?;
+        let els = if self.eat_kw("else") {
+            self.block_semi()?
+        } else {
+            self.eat_punct(";");
+            Vec::new()
+        };
+        Ok(StmtKind::If { cond, then, els })
+    }
+
+    /// After `pragma`.
+    fn pragma(&mut self) -> PResult<StmtKind> {
+        self.expect_punct("(")?;
         let name = self.expect_ident()?;
-        // `name.load(...)` / `name.store(...)` / `name.peek` handled in expr;
-        // statement-position method calls:
-        if self.eat_punct(".") {
-            let method = self.expect_ident()?;
-            match method.as_str() {
-                "load" | "store" => {
-                    self.expect_punct("(")?;
-                    let dram = self.expect_ident()?;
-                    self.expect_punct(",")?;
-                    let base = self.expr()?;
-                    self.expect_punct(",")?;
-                    let len = self.expr()?;
-                    self.expect_punct(")")?;
-                    self.expect_punct(";")?;
-                    return Ok(StmtKind::Bulk {
-                        sram: name,
-                        load: method == "load",
-                        dram,
-                        base,
-                        len,
-                    });
-                }
-                "inc" => {
-                    self.expect_punct("(")?;
-                    let last = self.expr()?;
-                    self.expect_punct(")")?;
-                    self.expect_punct(";")?;
-                    return Ok(StmtKind::Inc {
-                        it: name,
-                        last: Some(last),
-                    });
-                }
-                other => return self.err(format!("unknown method '{other}'")),
+        let value = if self.eat_punct(",") {
+            Some(self.expect_int()?)
+        } else {
+            None
+        };
+        self.expect_punct(")")?;
+        self.expect_punct(";")?;
+        Ok(StmtKind::Pragma { name, value })
+    }
+
+    /// After `sram`: `<ty, size> name;`.
+    fn sram_decl(&mut self) -> PResult<StmtKind> {
+        let (ty, size) = self.angled(|p| {
+            let ty = p.ty()?;
+            p.expect_punct(",")?;
+            Ok((ty, p.expect_int()? as u32))
+        })?;
+        let name = self.expect_ident()?;
+        self.expect_punct(";")?;
+        let decl = MemDecl::Sram { ty, size };
+        Ok(StmtKind::Mem { name, decl })
+    }
+
+    /// After a view or iterator keyword: `<size> name(dram, at);`.
+    fn tile_decl(&mut self, kind: TileKind) -> PResult<StmtKind> {
+        let size = self.angled(Self::expect_int)? as u32;
+        let name = self.expect_ident()?;
+        self.expect_punct("(")?;
+        let dram = self.expect_ident()?;
+        self.expect_punct(",")?;
+        let at = self.expr()?;
+        self.expect_punct(")")?;
+        self.expect_punct(";")?;
+        let decl = MemDecl::Tile {
+            kind,
+            size,
+            dram,
+            at,
+        };
+        Ok(StmtKind::Mem { name, decl })
+    }
+
+    /// `ty name [= init];` — the initializer an expression or a reducing
+    /// `foreach`.
+    fn decl(&mut self) -> PResult<StmtKind> {
+        let ty = self.ty()?;
+        let name = self.expect_ident()?;
+        let init = if !self.eat_punct("=") {
+            None
+        } else if self.eat_kw("foreach") {
+            let (op, fe) = self.foreach(true)?;
+            Some(Init::Reduce(op.expect("a reducing foreach"), fe))
+        } else {
+            Some(Init::Expr(self.expr()?))
+        };
+        self.expect_punct(";")?;
+        Ok(StmtKind::Decl { ty, name, init })
+    }
+
+    /// After `foreach`: `(count [by step]) [reduce(op)] { ty i => stmts }`,
+    /// the `reduce(op)` exactly when the position is `reducing`.
+    fn foreach(&mut self, reducing: bool) -> PResult<(Option<ReduceOp>, Foreach)> {
+        self.expect_punct("(")?;
+        let count = self.expr()?;
+        let step = if self.eat_kw("by") {
+            Some(self.expr()?)
+        } else {
+            None
+        };
+        self.expect_punct(")")?;
+        let op = if reducing {
+            if !self.eat_kw("reduce") {
+                return self.err("foreach in expression position needs 'reduce(op)'");
             }
+            self.expect_punct("(")?;
+            let spelled = match self.peek() {
+                Tok::Punct(p) => ReduceOp::TABLE.iter().find(|(_, s, _)| s == p),
+                Tok::Ident(i) => ReduceOp::TABLE.iter().find(|(_, s, _)| s == i),
+                _ => None,
+            };
+            let Some(&(op, ..)) = spelled else {
+                let other = self.peek().clone();
+                return self.err(format!("unknown reduction operator {other}"));
+            };
+            self.bump();
+            self.expect_punct(")")?;
+            Some(op)
+        } else {
+            None
+        };
+        let (ity, ivar, body) = self.thread_body()?;
+        let fe = Foreach {
+            count,
+            step,
+            ity,
+            ivar,
+            body,
+        };
+        Ok((op, fe))
+    }
+
+    /// A statement that starts with a name: assignment, store, their
+    /// compound forms, increment, or a method call.
+    fn named_stmt(&mut self) -> PResult<StmtKind> {
+        let name = self.expect_ident()?;
+        if self.eat_punct(".") {
+            return self.method_stmt(name);
         }
         if self.eat_punct("++") {
             self.expect_punct(";")?;
@@ -616,288 +592,105 @@ impl Parser {
                 last: None,
             });
         }
-        if self.eat_punct("[") {
+        let idx = if self.eat_punct("[") {
             let idx = self.expr()?;
             self.expect_punct("]")?;
-            // Compound stores: `a[i] op= e` desugars to load-modify-store.
-            for (tok, op) in [
-                ("+=", BinOp::Add),
-                ("-=", BinOp::Sub),
-                ("*=", BinOp::Mul),
-                ("/=", BinOp::Div),
-                ("%=", BinOp::Rem),
-                ("&=", BinOp::And),
-                ("|=", BinOp::Or),
-                ("^=", BinOp::Xor),
-            ] {
-                if self.eat_punct(tok) {
-                    let rhs = self.expr()?;
-                    self.expect_punct(";")?;
-                    let cur = Expr::Index(name.clone(), Box::new(idx.clone()));
-                    return Ok(StmtKind::Store {
-                        base: name,
-                        idx,
-                        value: Expr::Bin(op, Box::new(cur), Box::new(rhs)),
-                    });
-                }
-            }
+            Some(idx)
+        } else {
+            None
+        };
+        // `target op= e` desugars to `target = target op e`.
+        let compound = match self.peek() {
+            Tok::Punct(p) => BinOp::TABLE.iter().find(|r| r.compound == Some(*p)),
+            _ => None,
+        };
+        if compound.is_some() {
+            self.bump();
+        } else {
             self.expect_punct("=")?;
-            let value = self.expr()?;
-            self.expect_punct(";")?;
-            return Ok(StmtKind::Store {
+        }
+        let rhs = self.expr_semi()?;
+        let value = |cur: Expr| match compound {
+            Some(row) => Expr::Bin(row.op, Box::new(cur), Box::new(rhs)),
+            None => rhs,
+        };
+        Ok(match idx {
+            Some(idx) => StmtKind::Store {
+                value: value(Expr::Index(name.clone(), Box::new(idx.clone()))),
                 base: name,
                 idx,
-                value,
-            });
-        }
-        for (tok, op) in [
-            ("+=", BinOp::Add),
-            ("-=", BinOp::Sub),
-            ("*=", BinOp::Mul),
-            ("/=", BinOp::Div),
-            ("%=", BinOp::Rem),
-            ("&=", BinOp::And),
-            ("|=", BinOp::Or),
-            ("^=", BinOp::Xor),
-            ("<<=", BinOp::Shl),
-            (">>=", BinOp::Shr),
-        ] {
-            if self.eat_punct(tok) {
-                let rhs = self.expr()?;
-                self.expect_punct(";")?;
-                return Ok(StmtKind::Assign {
-                    name: name.clone(),
-                    value: Expr::Bin(op, Box::new(Expr::Var(name)), Box::new(rhs)),
-                });
+            },
+            None => StmtKind::Assign {
+                value: value(Expr::Var(name.clone())),
+                name,
+            },
+        })
+    }
+
+    /// After `name .`: `load` / `store` bulk transfers and `inc(last)`.
+    fn method_stmt(&mut self, name: String) -> PResult<StmtKind> {
+        let method = self.expect_ident()?;
+        let kind = match method.as_str() {
+            "load" | "store" => {
+                self.expect_punct("(")?;
+                let dram = self.expect_ident()?;
+                self.expect_punct(",")?;
+                let base = self.expr()?;
+                self.expect_punct(",")?;
+                let len = self.expr()?;
+                self.expect_punct(")")?;
+                StmtKind::Bulk {
+                    sram: name,
+                    load: method == "load",
+                    dram,
+                    base,
+                    len,
+                }
             }
-        }
-        self.expect_punct("=")?;
-        let value = self.expr()?;
+            "inc" => StmtKind::Inc {
+                it: name,
+                last: Some(self.paren_expr()?),
+            },
+            other => return self.err(format!("unknown method '{other}'")),
+        };
         self.expect_punct(";")?;
-        Ok(StmtKind::Assign { name, value })
+        Ok(kind)
     }
 
-    /// Initializer expression: ordinary expression or foreach-reduce.
-    fn init_expr(&mut self) -> PResult<Expr> {
-        if self.eat_kw("foreach") {
-            let (count, step, op, ity, ivar, body) = self.foreach_reduce_tail()?;
-            return Ok(Expr::ForeachReduce {
-                count: Box::new(count),
-                step: step.map(Box::new),
-                op,
-                ity,
-                ivar,
-                body,
-            });
-        }
-        self.expr()
-    }
-
-    /// After `foreach`: `(count [by step]) { ty i => stmts }`.
-    fn foreach_tail(&mut self) -> PResult<(Expr, Option<Expr>, TyName, String, Vec<Stmt>)> {
-        self.expect_punct("(")?;
-        let count = self.expr()?;
-        let step = if self.eat_kw("by") {
-            Some(self.expr()?)
-        } else {
-            None
-        };
-        self.expect_punct(")")?;
-        self.expect_punct("{")?;
-        let ity = self.ty()?;
-        let ivar = self.expect_ident()?;
-        self.expect_punct("=>")?;
-        let body = self.stmt_seq()?;
-        self.eat_punct(";");
-        Ok((count, step, ity, ivar, body))
-    }
-
-    /// After `foreach` in expression position:
-    /// `(count [by step]) reduce(op) { ty i => stmts }`.
-    fn foreach_reduce_tail(
-        &mut self,
-    ) -> PResult<(Expr, Option<Expr>, ReduceOp, TyName, String, Vec<Stmt>)> {
-        self.expect_punct("(")?;
-        let count = self.expr()?;
-        let step = if self.eat_kw("by") {
-            Some(self.expr()?)
-        } else {
-            None
-        };
-        self.expect_punct(")")?;
-        if !self.eat_kw("reduce") {
-            return self.err("foreach in expression position needs 'reduce(op)'");
-        }
-        self.expect_punct("(")?;
-        let op = match self.peek().clone() {
-            Tok::Punct("+") => ReduceOp::Add,
-            Tok::Punct("*") => ReduceOp::Mul,
-            Tok::Punct("&") => ReduceOp::And,
-            Tok::Punct("|") => ReduceOp::Or,
-            Tok::Punct("^") => ReduceOp::Xor,
-            Tok::Ident(s) if s == "min" => ReduceOp::Min,
-            Tok::Ident(s) if s == "max" => ReduceOp::Max,
-            other => return self.err(format!("unknown reduction operator {other}")),
-        };
-        self.bump();
-        self.expect_punct(")")?;
-        self.expect_punct("{")?;
-        let ity = self.ty()?;
-        let ivar = self.expect_ident()?;
-        self.expect_punct("=>")?;
-        let body = self.stmt_seq()?;
-        Ok((count, step, op, ity, ivar, body))
-    }
-
-    // ---- expressions (precedence climbing) ----
+    // ---- expressions ----
 
     fn expr(&mut self) -> PResult<Expr> {
-        self.lor()
+        self.binary(1)
     }
 
-    fn lor(&mut self) -> PResult<Expr> {
-        let mut e = self.land()?;
-        while self.eat_punct("||") {
-            let r = self.land()?;
-            e = Expr::Bin(BinOp::LOr, Box::new(e), Box::new(r));
-        }
-        Ok(e)
-    }
-
-    fn land(&mut self) -> PResult<Expr> {
-        let mut e = self.bitor()?;
-        while self.eat_punct("&&") {
-            let r = self.bitor()?;
-            e = Expr::Bin(BinOp::LAnd, Box::new(e), Box::new(r));
-        }
-        Ok(e)
-    }
-
-    fn bitor(&mut self) -> PResult<Expr> {
-        let mut e = self.bitxor()?;
-        while self.eat_punct("|") {
-            let r = self.bitxor()?;
-            e = Expr::Bin(BinOp::Or, Box::new(e), Box::new(r));
-        }
-        Ok(e)
-    }
-
-    fn bitxor(&mut self) -> PResult<Expr> {
-        let mut e = self.bitand()?;
-        while self.eat_punct("^") {
-            let r = self.bitand()?;
-            e = Expr::Bin(BinOp::Xor, Box::new(e), Box::new(r));
-        }
-        Ok(e)
-    }
-
-    fn bitand(&mut self) -> PResult<Expr> {
-        let mut e = self.equality()?;
-        while self.eat_punct("&") {
-            let r = self.equality()?;
-            e = Expr::Bin(BinOp::And, Box::new(e), Box::new(r));
-        }
-        Ok(e)
-    }
-
-    fn equality(&mut self) -> PResult<Expr> {
-        let mut e = self.relational()?;
+    /// Precedence climbing over [`BinOp::TABLE`]: an operand, then every
+    /// operator binding at least as tightly as `min_prec`, each taking a
+    /// right operand of strictly tighter operators (left associativity).
+    fn binary(&mut self, min_prec: u8) -> PResult<Expr> {
+        let mut lhs = self.unary()?;
         loop {
-            if self.eat_punct("==") {
-                let r = self.relational()?;
-                e = Expr::Bin(BinOp::Eq, Box::new(e), Box::new(r));
-            } else if self.eat_punct("!=") {
-                let r = self.relational()?;
-                e = Expr::Bin(BinOp::Ne, Box::new(e), Box::new(r));
-            } else {
-                return Ok(e);
-            }
-        }
-    }
-
-    fn relational(&mut self) -> PResult<Expr> {
-        let mut e = self.shift()?;
-        loop {
-            let op = if self.eat_punct("<=") {
-                BinOp::Le
-            } else if self.eat_punct(">=") {
-                BinOp::Ge
-            } else if self.eat_punct("<") {
-                BinOp::Lt
-            } else if self.eat_punct(">") {
-                BinOp::Gt
-            } else {
-                return Ok(e);
+            let row = match self.peek() {
+                Tok::Punct(p) => BinOp::TABLE.iter().find(|r| r.symbol == *p),
+                _ => None,
             };
-            let r = self.shift()?;
-            e = Expr::Bin(op, Box::new(e), Box::new(r));
-        }
-    }
-
-    fn shift(&mut self) -> PResult<Expr> {
-        let mut e = self.additive()?;
-        loop {
-            if self.eat_punct("<<") {
-                let r = self.additive()?;
-                e = Expr::Bin(BinOp::Shl, Box::new(e), Box::new(r));
-            } else if self.eat_punct(">>") {
-                let r = self.additive()?;
-                e = Expr::Bin(BinOp::Shr, Box::new(e), Box::new(r));
-            } else {
-                return Ok(e);
-            }
-        }
-    }
-
-    fn additive(&mut self) -> PResult<Expr> {
-        let mut e = self.multiplicative()?;
-        loop {
-            if self.eat_punct("+") {
-                let r = self.multiplicative()?;
-                e = Expr::Bin(BinOp::Add, Box::new(e), Box::new(r));
-            } else if self.eat_punct("-") {
-                let r = self.multiplicative()?;
-                e = Expr::Bin(BinOp::Sub, Box::new(e), Box::new(r));
-            } else {
-                return Ok(e);
-            }
-        }
-    }
-
-    fn multiplicative(&mut self) -> PResult<Expr> {
-        let mut e = self.unary()?;
-        loop {
-            if self.eat_punct("*") {
-                let r = self.unary()?;
-                e = Expr::Bin(BinOp::Mul, Box::new(e), Box::new(r));
-            } else if self.eat_punct("/") {
-                let r = self.unary()?;
-                e = Expr::Bin(BinOp::Div, Box::new(e), Box::new(r));
-            } else if self.eat_punct("%") {
-                let r = self.unary()?;
-                e = Expr::Bin(BinOp::Rem, Box::new(e), Box::new(r));
-            } else {
-                return Ok(e);
-            }
+            let Some(row) = row.filter(|r| r.prec >= min_prec) else {
+                return Ok(lhs);
+            };
+            self.bump();
+            let rhs = self.binary(row.prec + 1)?;
+            lhs = Expr::Bin(row.op, Box::new(lhs), Box::new(rhs));
         }
     }
 
     fn unary(&mut self) -> PResult<Expr> {
-        if self.eat_punct("-") {
-            let e = self.unary()?;
-            return Ok(Expr::Un(UnOp::Neg, Box::new(e)));
+        if let Tok::Punct(p) = self.peek() {
+            if let Some(&(op, _)) = UnOp::TABLE.iter().find(|(_, s)| s == p) {
+                self.bump();
+                return Ok(Expr::Un(op, Box::new(self.unary()?)));
+            }
         }
-        if self.eat_punct("!") {
-            let e = self.unary()?;
-            return Ok(Expr::Un(UnOp::Not, Box::new(e)));
-        }
-        if self.eat_punct("~") {
-            let e = self.unary()?;
-            return Ok(Expr::Un(UnOp::BitNot, Box::new(e)));
-        }
-        if self.eat_punct("*") {
-            let it = self.expect_ident()?;
-            return Ok(Expr::Deref(it));
+        if self.eat_punct(DEREF) {
+            return Ok(Expr::Deref(self.expect_ident()?));
         }
         // Cast: `(ty) e` — lookahead for `( tyname )`.
         if matches!(self.peek(), Tok::Punct("(")) {
@@ -920,10 +713,8 @@ impl Parser {
     }
 
     fn postfix(&mut self) -> PResult<Expr> {
-        if self.eat_punct("(") {
-            let e = self.expr()?;
-            self.expect_punct(")")?;
-            return Ok(e);
+        if matches!(self.peek(), Tok::Punct("(")) {
+            return self.paren_expr();
         }
         match self.peek().clone() {
             Tok::Int(v) => {
@@ -942,10 +733,7 @@ impl Parser {
                         if m == "peek" {
                             self.bump(); // .
                             self.bump(); // peek
-                            self.expect_punct("(")?;
-                            let e = self.expr()?;
-                            self.expect_punct(")")?;
-                            return Ok(Expr::Peek(name, Box::new(e)));
+                            return Ok(Expr::Peek(name, Box::new(self.paren_expr()?)));
                         }
                     }
                 }
@@ -973,7 +761,7 @@ mod tests {
         assert_eq!(p.drams.len(), 1);
         assert_eq!(p.funcs.len(), 1);
         assert_eq!(p.funcs[0].name, "main");
-        assert!(matches!(p.funcs[0].body[0].kind, StmtKind::Foreach { .. }));
+        assert!(matches!(p.funcs[0].body[0].kind, StmtKind::Foreach(_)));
     }
 
     #[test]
@@ -1004,7 +792,7 @@ mod tests {
         let p = parse_program(src).unwrap();
         assert_eq!(p.drams.len(), 3);
         let f = &p.funcs[0];
-        let StmtKind::Foreach { body, step, .. } = &f.body[0].kind else {
+        let StmtKind::Foreach(Foreach { body, step, .. }) = &f.body[0].kind else {
             panic!("expected foreach");
         };
         assert!(step.is_some());
@@ -1014,7 +802,11 @@ mod tests {
     #[test]
     fn precedence() {
         let p = parse_program("void main() { u32 x = 1 + 2 * 3 == 7; }").unwrap();
-        let StmtKind::Decl { init: Some(e), .. } = &p.funcs[0].body[0].kind else {
+        let StmtKind::Decl {
+            init: Some(Init::Expr(e)),
+            ..
+        } = &p.funcs[0].body[0].kind
+        else {
             panic!()
         };
         // (1 + (2*3)) == 7
@@ -1027,13 +819,10 @@ mod tests {
             "void main() { u32 m = foreach (15) reduce(&) { u32 lane => yield lane; }; }",
         )
         .unwrap();
-        let StmtKind::Decl { init: Some(e), .. } = &p.funcs[0].body[0].kind else {
-            panic!()
-        };
         assert!(matches!(
-            e,
-            Expr::ForeachReduce {
-                op: ReduceOp::And,
+            p.funcs[0].body[0].kind,
+            StmtKind::Decl {
+                init: Some(Init::Reduce(ReduceOp::And, _)),
                 ..
             }
         ));
@@ -1074,7 +863,7 @@ mod tests {
         assert!(matches!(
             b[4].kind,
             StmtKind::Decl {
-                init: Some(Expr::Peek(..)),
+                init: Some(Init::Expr(Expr::Peek(..))),
                 ..
             }
         ));
@@ -1087,6 +876,51 @@ mod tests {
             panic!()
         };
         assert!(matches!(value, Expr::Bin(BinOp::Add, ..)));
+    }
+
+    #[test]
+    fn every_compound_form_desugars_on_variables_and_elements() {
+        for row in BinOp::TABLE {
+            let Some(tok) = row.compound else { continue };
+            let src = format!("dram<u32> a; void main() {{ u32 x = 0; x {tok} 2; a[x] {tok} 3; }}");
+            let p = parse_program(&src).unwrap_or_else(|d| panic!("{tok}: {d}"));
+            let StmtKind::Assign { value, .. } = &p.funcs[0].body[1].kind else {
+                panic!("{tok}")
+            };
+            assert!(matches!(value, Expr::Bin(op, l, _) if *op == row.op
+                && **l == Expr::Var("x".into())));
+            let StmtKind::Store { idx, value, .. } = &p.funcs[0].body[2].kind else {
+                panic!("{tok}")
+            };
+            assert!(matches!(value, Expr::Bin(op, l, _) if *op == row.op
+                && **l == Expr::Index("a".into(), Box::new(idx.clone()))));
+        }
+    }
+
+    #[test]
+    fn binary_operators_climb_the_table() {
+        // Every pair of operators: the tighter one nests under the looser
+        // one, and equal precedence associates to the left.
+        for a in BinOp::TABLE {
+            for b in BinOp::TABLE {
+                let src = format!("void main() {{ u32 x = 1 {} 2 {} 3; }}", a.symbol, b.symbol);
+                let p = parse_program(&src).unwrap_or_else(|d| panic!("{src}: {d}"));
+                let StmtKind::Decl {
+                    init: Some(Init::Expr(Expr::Bin(top, l, r))),
+                    ..
+                } = &p.funcs[0].body[0].kind
+                else {
+                    panic!("{src}")
+                };
+                if a.prec >= b.prec {
+                    assert_eq!(*top, b.op, "{src}");
+                    assert!(matches!(**l, Expr::Bin(op, ..) if op == a.op), "{src}");
+                } else {
+                    assert_eq!(*top, a.op, "{src}");
+                    assert!(matches!(**r, Expr::Bin(op, ..) if op == b.op), "{src}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1171,7 +1005,11 @@ mod tests {
     #[test]
     fn cast_expression() {
         let p = parse_program("void main() { u32 x = (u8) 300; }").unwrap();
-        let StmtKind::Decl { init: Some(e), .. } = &p.funcs[0].body[0].kind else {
+        let StmtKind::Decl {
+            init: Some(Init::Expr(e)),
+            ..
+        } = &p.funcs[0].body[0].kind
+        else {
             panic!()
         };
         assert!(matches!(e, Expr::Cast(TyName::U8, _)));

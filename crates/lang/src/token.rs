@@ -9,6 +9,7 @@
 //! lexer *recovers* from bad input — it reports a [`Diagnostic`] per
 //! problem and keeps scanning, so one run surfaces every lexical error.
 
+use crate::ast::{BinOp, UnOp};
 use revet_diag::{codes, Diagnostic, Span};
 use std::fmt;
 
@@ -45,12 +46,21 @@ pub struct Spanned {
     pub span: Span,
 }
 
-/// Multi-character operators, longest first (order matters).
-const PUNCTS: &[&str] = &[
-    "<<=", ">>=", "==", "!=", "<=", ">=", "&&", "||", "<<", ">>", "+=", "-=", "*=", "/=", "%=",
-    "&=", "|=", "^=", "++", "--", "::", "=>", "->", "+", "-", "*", "/", "%", "&", "|", "^", "~",
-    "!", "<", ">", "=", "(", ")", "{", "}", "[", "]", ",", ";", ".", ":",
+/// Punctuation that is not an operator of [`crate::ast`]'s tables.
+const STRUCTURAL: &[&str] = &[
+    "++", "--", "::", "=>", "->", "=", "(", ")", "{", "}", "[", "]", ",", ";", ".", ":",
 ];
+
+/// Every punctuation token: the operator tables' spellings (binary
+/// operators, their compound-assignment forms, prefix operators) and the
+/// structural marks.
+fn puncts() -> impl Iterator<Item = &'static str> {
+    let binary = BinOp::TABLE
+        .iter()
+        .flat_map(|r| Some(r.symbol).into_iter().chain(r.compound));
+    let unary = UnOp::TABLE.iter().map(|(_, symbol)| *symbol);
+    binary.chain(unary).chain(STRUCTURAL.iter().copied())
+}
 
 /// Tokenizes Revet source.
 ///
@@ -152,16 +162,17 @@ pub fn lex(src: &str) -> (Vec<Spanned>, Vec<Diagnostic>) {
             }
             continue;
         }
-        // Operators.
-        for p in PUNCTS {
-            if src[i..].starts_with(p) {
-                i += p.len();
-                out.push(Spanned {
-                    tok: Tok::Punct(p),
-                    span: Span::new(start as u32, i as u32),
-                });
-                continue 'outer;
-            }
+        // Operators: the longest spelling that matches here.
+        let longest = puncts()
+            .filter(|p| src[i..].starts_with(p))
+            .max_by_key(|p| p.len());
+        if let Some(p) = longest {
+            i += p.len();
+            out.push(Spanned {
+                tok: Tok::Punct(p),
+                span: Span::new(start as u32, i as u32),
+            });
+            continue;
         }
         // Nothing matched: report the (full, possibly multi-byte) char and
         // keep scanning after it.

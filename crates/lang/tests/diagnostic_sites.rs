@@ -51,6 +51,7 @@ const SITES: &[&str] = &[
     "lower:stray-yield",
     "lower:void-returns-value",
     "lower:nonvoid-returns-nothing",
+    "lower:return-in-loop",
     "lower:bad-pragma",
     "lower:not-raw-sram",
 ];
@@ -59,24 +60,21 @@ const SITES: &[&str] = &[
 const UNREACHED: &[(&str, &str)] = &[(
     "lower:mir-verify",
     "wraps a verifier failure on the module the front end itself built, i.e. a front-end \
-     bug; the one source shape known to reach it (`return` directly inside a loop body) \
-     is a defect, not a diagnostic to pin",
+     bug; the one source shape that used to reach it (`return` directly inside a loop \
+     body) is `lower:return-in-loop` now",
 )];
 
 /// (file, needle, occurrences above the file's `#[cfg(test)]`): how many
-/// diagnostics each file constructs. `lower.rs`: 26 lines name the
-/// carrier, two of them are the carrier's own constructors, and the three
-/// `unknown dram` lookups share one site — 24 constructions, 22 sites.
-/// `parser.rs`: eleven `err` / `err_code` call sites (eight and three)
-/// plus the helper pair's own two lines, the carrier's conversion and the
-/// too-many-errors diagnostic.
+/// diagnostics each file constructs. `lower.rs` has one construction per
+/// site; `parser.rs` has eleven `err` / `err_code` call sites (eight and
+/// three) plus the helper pair's own two `err_code` lines, the one
+/// construction inside it, and the too-many-errors diagnostic.
 const CONSTRUCTIONS: &[(&str, &str, usize)] = &[
     ("token.rs", "Diagnostic::error(", 5),
     ("parser.rs", "self.err(", 8),
     ("parser.rs", "err_code", 5),
     ("parser.rs", "Diagnostic::error(", 2),
-    ("lower.rs", "LowerError::code(", 23),
-    ("lower.rs", "LowerError::new(", 3),
+    ("lower.rs", "Diagnostic::error(", 23),
 ];
 
 struct Case {
@@ -431,6 +429,46 @@ const CASES: &[Case] = &[
         "E0204",
         "non-void function returns nothing",
         (1, 11),
+    ),
+    case(
+        "lower:return-in-loop",
+        "void main(u32 n) {\n  u32 i = 0;\n  while (i < n) {\n    i = i + 1;\n    return;\n  };\n}",
+        "E0204",
+        "'return' cannot end a while body: its region yields to the construct (only a \
+         function body or an 'if' branch may return)",
+        (5, 5),
+    ),
+    case(
+        "lower:return-in-loop",
+        "void main() { foreach (4) { u32 i => return; }; }",
+        "E0204",
+        "'return' cannot end a foreach body: its region yields to the construct (only a \
+         function body or an 'if' branch may return)",
+        (1, 38),
+    ),
+    case(
+        "lower:return-in-loop",
+        "void main() { replicate (2) { return; }; }",
+        "E0204",
+        "'return' cannot end a replicate body: its region yields to the construct (only a \
+         function body or an 'if' branch may return)",
+        (1, 31),
+    ),
+    case(
+        "lower:return-in-loop",
+        "void main() { fork (2) { u32 i => return; }; }",
+        "E0204",
+        "'return' cannot end a fork body: its region yields to the construct (only a \
+         function body or an 'if' branch may return)",
+        (1, 35),
+    ),
+    case(
+        "lower:return-in-loop",
+        "void main() { u32 x = foreach (4) reduce(+) { u32 i => return; }; }",
+        "E0204",
+        "'return' cannot end a foreach body: its region yields to the construct (only a \
+         function body or an 'if' branch may return)",
+        (1, 56),
     ),
     case(
         "lower:bad-pragma",

@@ -306,3 +306,72 @@ fn nested_while_string_search() {
     );
     assert_eq!(read_u32(&dram, 8192), 3);
 }
+
+#[test]
+fn compound_stores_cover_the_shifts() {
+    // `a[i] <<= e` / `a[i] >>= e` used to be `E0101 expected '='` while the
+    // variable forms parsed: the two compound tables had drifted.
+    let src = r#"
+        dram<u32> a;
+        void main(u32 n) {
+            a[0] = 3;
+            a[0] <<= n;
+            a[1] = 256;
+            a[1] >>= 2;
+            a[2] = 5;
+            a[2] += 1;
+            u32 x = 1;
+            x <<= 3;
+            a[3] = x;
+        }
+    "#;
+    let dram = run(src, &[4], &[], 4096);
+    assert_eq!(read_u32(&dram, 0), 48);
+    assert_eq!(read_u32(&dram, 4), 64);
+    assert_eq!(read_u32(&dram, 8), 6);
+    assert_eq!(read_u32(&dram, 12), 8);
+}
+
+#[test]
+fn else_assigns_what_then_shadows() {
+    // Each branch is its own declaration scope: a `u32 x` declared in the
+    // `then` branch must not hide the `else` branch's assignment to the
+    // outer `x` from the carried-variable analysis.
+    let src = r#"
+        dram<u32> out;
+        void main(u32 c) {
+            u32 x = 7;
+            if (c) {
+                u32 x = 1;
+                out[1] = x;
+            } else {
+                x = 2;
+            };
+            out[0] = x;
+        }
+    "#;
+    assert_eq!(read_u32(&run(src, &[0], &[], 4096), 0), 2);
+    assert_eq!(read_u32(&run(src, &[1], &[], 4096), 0), 7);
+}
+
+#[test]
+fn a_loop_carries_the_variable_its_body_later_hides() {
+    // `x = x + 1` assigns the outer `x`; the `u32 x` after it is a new
+    // variable of the body, and must not be what the loop carries.
+    let src = r#"
+        dram<u32> out;
+        void main(u32 n) {
+            u32 x = 0;
+            u32 i = 0;
+            while (i < n) {
+                x = x + 1;
+                u32 x = 100;
+                out[1] = x;
+                i = i + 1;
+            };
+            out[0] = x;
+        }
+    "#;
+    let dram = run(src, &[3], &[], 4096);
+    assert_eq!((read_u32(&dram, 0), read_u32(&dram, 4)), (3, 100));
+}
