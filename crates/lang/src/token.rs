@@ -12,6 +12,7 @@
 use crate::ast::{BinOp, UnOp};
 use revet_diag::{codes, Diagnostic, Span};
 use std::fmt;
+use std::sync::LazyLock;
 
 /// A lexical token.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -51,16 +52,21 @@ const STRUCTURAL: &[&str] = &[
     "++", "--", "::", "=>", "->", "=", "(", ")", "{", "}", "[", "]", ",", ";", ".", ":",
 ];
 
-/// Every punctuation token: the operator tables' spellings (binary
-/// operators, their compound-assignment forms, prefix operators) and the
-/// structural marks.
-fn puncts() -> impl Iterator<Item = &'static str> {
+/// Every punctuation token, longest first (so the first match is the
+/// longest): the operator tables' spellings — binary operators, their
+/// compound-assignment forms, prefix operators — and the structural marks.
+static PUNCTS: LazyLock<Vec<&'static str>> = LazyLock::new(|| {
     let binary = BinOp::TABLE
         .iter()
         .flat_map(|r| Some(r.symbol).into_iter().chain(r.compound));
     let unary = UnOp::TABLE.iter().map(|(_, symbol)| *symbol);
-    binary.chain(unary).chain(STRUCTURAL.iter().copied())
-}
+    let mut all: Vec<_> = binary
+        .chain(unary)
+        .chain(STRUCTURAL.iter().copied())
+        .collect();
+    all.sort_by_key(|p| std::cmp::Reverse(p.len()));
+    all
+});
 
 /// Tokenizes Revet source.
 ///
@@ -162,11 +168,8 @@ pub fn lex(src: &str) -> (Vec<Spanned>, Vec<Diagnostic>) {
             }
             continue;
         }
-        // Operators: the longest spelling that matches here.
-        let longest = puncts()
-            .filter(|p| src[i..].starts_with(p))
-            .max_by_key(|p| p.len());
-        if let Some(p) = longest {
+        // Operators.
+        if let Some(p) = PUNCTS.iter().find(|p| src[i..].starts_with(**p)) {
             i += p.len();
             out.push(Spanned {
                 tok: Tok::Punct(p),
