@@ -214,20 +214,22 @@ pub enum ReduceOp {
 
 impl ReduceOp {
     /// Every reduction with its spelling — the binary operator it folds
-    /// with, or a name — and the ALU op it lowers to.
-    pub const TABLE: &'static [(ReduceOp, &'static str, AluOp)] = &[
-        (ReduceOp::Add, BinOp::Add.symbol(), A::Add),
-        (ReduceOp::Mul, BinOp::Mul.symbol(), A::Mul),
-        (ReduceOp::And, BinOp::And.symbol(), A::And),
-        (ReduceOp::Or, BinOp::Or.symbol(), A::Or),
-        (ReduceOp::Xor, BinOp::Xor.symbol(), A::Xor),
-        (ReduceOp::Min, "min", A::MinU),
-        (ReduceOp::Max, "max", A::MaxU),
+    /// with, or a name — and the ALU op it lowers to over unsigned and
+    /// over signed yields.
+    pub const TABLE: &'static [(ReduceOp, &'static str, [AluOp; 2])] = &[
+        (ReduceOp::Add, BinOp::Add.symbol(), [A::Add, A::Add]),
+        (ReduceOp::Mul, BinOp::Mul.symbol(), [A::Mul, A::Mul]),
+        (ReduceOp::And, BinOp::And.symbol(), [A::And, A::And]),
+        (ReduceOp::Or, BinOp::Or.symbol(), [A::Or, A::Or]),
+        (ReduceOp::Xor, BinOp::Xor.symbol(), [A::Xor, A::Xor]),
+        (ReduceOp::Min, "min", [A::MinU, A::MinS]),
+        (ReduceOp::Max, "max", [A::MaxU, A::MaxS]),
     ];
 
-    /// The ALU op the reduction lowers to.
-    pub fn alu(self) -> AluOp {
-        Self::TABLE[self as usize].2
+    /// The ALU op the reduction lowers to, by the yielded type's
+    /// signedness.
+    pub fn alu(self, signed: bool) -> AluOp {
+        Self::TABLE[self as usize].2[usize::from(signed)]
     }
 
     /// This reduction's spelling.

@@ -778,6 +778,8 @@ impl Lowerer<'_> {
             self.body_pragmas(stmts)
         };
         let index = [(fe.ivar.as_str(), fe.ity, Ty::I32)];
+        // Whether the yielded value is signed: picks `min` / `max`.
+        let mut signed = false;
         let body = self.region(Construct::Foreach, &index, &[], |lw, rb| {
             let lowered = stmts
                 .iter()
@@ -790,7 +792,8 @@ impl Lowerer<'_> {
                         "reducing foreach body must end with 'yield expr;'",
                     )
                 })?;
-                let (v, _) = lw.lower_expr(yielded, rb)?;
+                let (v, ty) = lw.lower_expr(yielded, rb)?;
+                signed = ty.signed();
                 rb.emit0(OpKind::Yield(vec![v]));
             }
             Ok(())
@@ -801,7 +804,7 @@ impl Lowerer<'_> {
             hi,
             step,
             body,
-            reduce: reduce.map(ReduceOp::alu).into_iter().collect(),
+            reduce: reduce.map(|op| op.alu(signed)).into_iter().collect(),
             flags,
         };
         b.push(kind, result.into_iter().collect());

@@ -375,3 +375,28 @@ fn a_loop_carries_the_variable_its_body_later_hides() {
     let dram = run(src, &[3], &[], 4096);
     assert_eq!((read_u32(&dram, 0), read_u32(&dram, 4)), (3, 100));
 }
+
+#[test]
+fn min_max_reductions_honour_a_signed_yield() {
+    // `reduce(min)` over -2, -1, 0, 1 is -2; folded unsigned (as it used to
+    // be, whatever the yielded type) it is 0.
+    let src = r#"
+        dram<u32> out;
+        void main() {
+            i32 m = foreach (4) reduce(min) { u32 i => i32 v = (i32)i - 2; yield v; };
+            i32 x = foreach (4) reduce(max) { u32 i => i32 v = (i32)i - 5; yield v; };
+            u32 u = foreach (4) reduce(max) { u32 i => yield i + 4294967290; };
+            out[0] = m;
+            out[1] = x;
+            out[2] = u;
+        }
+    "#;
+    let dram = run(src, &[], &[], 4096);
+    assert_eq!(read_u32(&dram, 0) as i32, -2);
+    assert_eq!(read_u32(&dram, 4) as i32, -2);
+    assert_eq!(
+        read_u32(&dram, 8),
+        4294967293,
+        "unsigned yields still fold unsigned"
+    );
+}
