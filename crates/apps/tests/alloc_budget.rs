@@ -9,9 +9,15 @@
 //!
 //! This is the tier-1 guard for what `perf_ledger`'s `allocs_per_op`
 //! measures on `exec_control`: a reintroduced per-token `Vec` fails here.
+//!
+//! The compile path has a byte budget instead: a compiled program's DRAM
+//! image is all zero until something loads it, and an all-zero image owns
+//! no bytes (`revet_machine::Dram`), so compiling allocates none of it and
+//! the first instance of an unloaded program allocates it once.
+//! `alloc_kb_per_op` on `compile_cold` is the same check in the ledger.
 
-use revet_apps::app;
-use revet_core::PassOptions;
+use revet_apps::{all_apps, app, DRAM_BYTES};
+use revet_core::{PassOptions, Session};
 use revet_machine::Channel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,35 +26,45 @@ thread_local! {
     /// Allocator calls made by this thread (the harness's other threads
     /// allocate too, so a process-wide counter would not repeat).
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those calls requested (`realloc` at its new size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn count() {
+fn count(bytes: usize) {
     // `try_with`: the allocator is still called while a thread tears down
     // its locals.
     let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+}
+
+/// `f`'s result and the bytes this thread requested while it ran.
+fn bytes_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract. The only addition is a bump of a const-initialised
-// thread-local `Cell` with no destructor: it neither allocates nor unwinds,
+// `GlobalAlloc` contract. The only addition is a bump of two const-initialised
+// thread-local `Cell`s with no destructor: it neither allocates nor unwinds,
 // so the allocator is not re-entered.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's obligations are exactly `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: as above, for `alloc_zeroed`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: `ptr` came from this allocator, which is `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -142,6 +158,40 @@ fn run_phase_allocations_do_not_scale_with_tokens() {
             a.allocator_calls,
             b.allocator_calls,
             a.chan_count
+        );
+    }
+}
+
+/// Compiling a Table III app costs well under its 4 MiB image, and so does
+/// every instance but the first.
+const COMPILE_BYTES: u64 = 1 << 20;
+
+#[test]
+fn compiles_allocate_no_dram_image_and_instances_allocate_it_once() {
+    let opts = PassOptions {
+        dram_bytes: DRAM_BYTES,
+        ..PassOptions::default()
+    };
+    for app in all_apps() {
+        let name = app.name;
+        let mut session = Session::new((app.source)(2), opts.clone());
+        let (program, compiled) = bytes_during(|| session.to_dataflow());
+        let program = program.unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(
+            compiled < COMPILE_BYTES,
+            "{name}: compiling requested {compiled} bytes (the DRAM image is {DRAM_BYTES})"
+        );
+        let (inst, first) = bytes_during(|| program.instance());
+        let image = DRAM_BYTES as u64;
+        assert!(
+            (image..image + COMPILE_BYTES).contains(&first),
+            "{name}: the first instance requested {first} bytes, not the image once"
+        );
+        drop(inst);
+        let (_inst, second) = bytes_during(|| program.instance());
+        assert!(
+            second < COMPILE_BYTES,
+            "{name}: a recycled instance requested {second} bytes"
         );
     }
 }

@@ -151,9 +151,14 @@ pub struct PassOptions {
     pub opt_level: u8,
     /// Thread-local buffer count override (`pragma(threads, N)` wins).
     pub threads: Option<u32>,
-    /// DRAM image size for the compiled program's memory state.
+    /// DRAM image size for the compiled program's memory state: at most
+    /// [`MAX_DRAM_BYTES`], or `Session::to_dataflow` fails.
     pub dram_bytes: usize,
 }
+
+/// The largest [`PassOptions::dram_bytes`]: DRAM addresses are 32-bit
+/// words, so every DRAM symbol's base must fit in one.
+pub const MAX_DRAM_BYTES: u64 = 1 << 32;
 
 impl Default for PassOptions {
     /// Everything on. The default `opt_level` is 2, overridable through

@@ -4,7 +4,7 @@
 //! parent level, and the result re-joins the parent tuple that bypassed
 //! the body.
 
-use super::frame::{body_uses, dedup, slots_of, Frame};
+use super::frame::{dedup, slots_of, Frame};
 use super::{Cur, DfLower, Term};
 use crate::CoreError;
 use revet_machine::instr::{AluOp, Reg};
@@ -27,9 +27,10 @@ impl DfLower<'_> {
         }
         let out_tuple = frame.out_tuple();
         let index = body.args[0];
+        let at = frame.region(0);
         // A bound rides into the body only if the body itself reads it.
         let mut live_in = frame.free;
-        live_in.retain(|v| !bounds.contains(v) || body_uses(body, *v));
+        live_in.retain(|v| !bounds.contains(v) || self.uses.reads(at, *v));
         // Parent tuple entering the counter: bounds, live-ins, passthrough.
         let mut in_tuple: Vec<Value> = bounds.to_vec();
         in_tuple.retain(|v| !self.consts.contains_key(v));
@@ -66,7 +67,7 @@ impl DfLower<'_> {
             let vars = [&[index], &live_in[..]].concat();
             (Cur { chan, vars }, bypass)
         };
-        let (body_out, term) = self.lower_ops(&body.ops, body_cur, &[])?;
+        let (body_out, term) = self.lower_ops(&body.ops, at, body_cur, &[])?;
         if !matches!(term, Term::Yield | Term::Exit) {
             return Err(CoreError::new("foreach body must end in yield or exit"));
         }

@@ -18,6 +18,7 @@ impl DfLower<'_> {
         body: &Region,
     ) -> Result<Cur, CoreError> {
         let out_tuple = frame.out_tuple();
+        let at = frame.region(0);
         let in_tuple = frame.in_tuple;
         let cur = self.emit_block(&frame.pending, frame.cur, &in_tuple, "fork_in")?;
         let count = self.operand_in(&in_tuple, count, "fork")?;
@@ -31,7 +32,7 @@ impl DfLower<'_> {
             chan: spawned,
             vars: [&in_tuple[..], &body.args[..1]].concat(),
         };
-        let (out, term) = self.lower_ops(&body.ops, body_cur, &frame.passthrough)?;
+        let (out, term) = self.lower_ops(&body.ops, at, body_cur, &frame.passthrough)?;
         let vars = match term {
             // The body left [yields ++ passthrough]: the yields are the
             // fork's results.

@@ -4,55 +4,174 @@
 use super::{Cur, DfLower};
 use crate::CoreError;
 use revet_machine::instr::{Operand, Reg};
-use revet_mir::{Op, Region, Value};
+use revet_mir::{Op, OpKind, Region, Value};
 use revet_sltf::Word;
 use std::collections::{HashMap, HashSet};
 
-/// Free values used by an op (including nested regions, minus their
-/// locally defined values).
-fn op_free_uses(op: &Op, out: &mut HashSet<Value>) {
-    fn region_free(r: &Region, out: &mut HashSet<Value>) {
-        let mut defined: HashSet<Value> = r.args.iter().copied().collect();
-        for op in &r.ops {
-            for u in op.kind.operands() {
-                if !defined.contains(&u) {
-                    out.insert(u);
-                }
+/// The ops that own regions (`if`, `while`, `foreach`, `fork`,
+/// `replicate`): the only ones [`FreeUses`] numbers.
+fn is_structured(kind: &OpKind) -> bool {
+    matches!(
+        kind,
+        OpKind::If { .. }
+            | OpKind::While { .. }
+            | OpKind::Foreach { .. }
+            | OpKind::Fork { .. }
+            | OpKind::Replicate { .. }
+    )
+}
+
+/// A region of `main`, as [`FreeUses`] numbers them (`main`'s body is 0).
+#[derive(Clone, Copy)]
+pub(super) struct RegionId(u32);
+
+impl RegionId {
+    pub(super) const MAIN: RegionId = RegionId(0);
+}
+
+/// One structured op's row: what it reads from outside itself and where
+/// its regions' rows are.
+struct OpUses {
+    /// Sorted, duplicate-free: operands plus the regions' free uses.
+    free: Vec<Value>,
+    /// Its regions' rows, consecutive in region order from here.
+    first_region: u32,
+    /// The id of the next structured op after this one's nested ops: its
+    /// next sibling, if it has one.
+    end: u32,
+}
+
+/// One region's row.
+#[derive(Default)]
+struct RegionUses {
+    /// Sorted, duplicate-free: values used inside (nested regions too)
+    /// and defined outside.
+    free: Vec<Value>,
+    /// The id of the region's first structured op (ids are consecutive in
+    /// pre-order, so the next one is that op's `end`).
+    first_op: u32,
+}
+
+/// The free-use set of every structured op and region of `main`, filled by
+/// one bottom-up walk before lowering starts, so that liveness and frames
+/// read each set instead of re-walking nested regions at every level.
+///
+/// Structured ops are numbered in pre-order and found from their region's
+/// row, not by address: replicate lowers a filtered copy of its body,
+/// whose structured ops are those of the original in the same order.
+pub(super) struct FreeUses {
+    ops: Vec<OpUses>,
+    regions: Vec<RegionUses>,
+}
+
+impl FreeUses {
+    pub(super) fn of(main: &Region) -> FreeUses {
+        let mut uses = FreeUses {
+            ops: Vec::new(),
+            regions: vec![RegionUses::default()],
+        };
+        uses.fill_region(main, 0);
+        uses
+    }
+
+    fn fill_region(&mut self, region: &Region, at: usize) {
+        self.regions[at].first_op = self.ops.len() as u32;
+        let mut defined: HashSet<Value> = region.args.iter().copied().collect();
+        let mut free = Vec::new();
+        for op in &region.ops {
+            let from_outside = |u: &Value| !defined.contains(u);
+            if is_structured(&op.kind) {
+                let id = self.fill_op(op);
+                free.extend(self.ops[id].free.iter().copied().filter(from_outside));
+            } else {
+                free.extend(op.kind.operands().into_iter().filter(from_outside));
             }
-            for sub in op.kind.regions() {
-                let mut inner = HashSet::new();
-                region_free(sub, &mut inner);
-                for u in inner {
-                    if !defined.contains(&u) {
-                        out.insert(u);
-                    }
-                }
-            }
-            for r in &op.results {
-                defined.insert(*r);
-            }
+            defined.extend(&op.results);
         }
+        self.regions[at].free = sorted(free);
     }
-    for u in op.kind.operands() {
-        out.insert(u);
+
+    fn fill_op(&mut self, op: &Op) -> usize {
+        let id = self.ops.len();
+        let regions = op.kind.regions();
+        let first_region = self.regions.len();
+        self.ops.push(OpUses {
+            free: Vec::new(),
+            first_region: first_region as u32,
+            end: 0,
+        });
+        self.regions
+            .resize_with(first_region + regions.len(), RegionUses::default);
+        let mut free = op.kind.operands();
+        for (at, sub) in (first_region..).zip(regions) {
+            self.fill_region(sub, at);
+            free.extend_from_slice(&self.regions[at].free);
+        }
+        let end = self.ops.len() as u32;
+        self.ops[id].free = sorted(free);
+        self.ops[id].end = end;
+        id
     }
-    for sub in op.kind.regions() {
-        region_free(sub, out);
+
+    /// True if `region` reads `v` from outside itself.
+    pub(super) fn reads(&self, region: RegionId, v: Value) -> bool {
+        self.regions[region.0 as usize]
+            .free
+            .binary_search(&v)
+            .is_ok()
     }
 }
 
-/// `live_after[i]` = values live after op `i`, given the region's
-/// live-out set.
-pub(super) fn liveness(ops: &[Op], live_out: &[Value]) -> Vec<HashSet<Value>> {
+fn sorted(mut v: Vec<Value>) -> Vec<Value> {
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
+/// What [`liveness`] keeps for a structured op.
+pub(super) struct Live {
+    /// The op's row in [`FreeUses`].
+    id: usize,
+    /// The values live after it.
+    after: HashSet<Value>,
+}
+
+/// One entry per op of `region` (whose ops are `ops`): for a structured op,
+/// its row and the values live after it given the region's live-out set;
+/// `None` for every other op, which nothing asks.
+pub(super) fn liveness(
+    uses: &FreeUses,
+    region: RegionId,
+    ops: &[Op],
+    live_out: &[Value],
+) -> Vec<Option<Live>> {
+    let mut next = uses.regions[region.0 as usize].first_op as usize;
+    let ids: Vec<Option<usize>> = ops
+        .iter()
+        .map(|op| {
+            is_structured(&op.kind).then(|| {
+                let id = next;
+                next = uses.ops[id].end as usize;
+                id
+            })
+        })
+        .collect();
     let mut live: HashSet<Value> = live_out.iter().copied().collect();
-    let mut after = vec![HashSet::new(); ops.len()];
-    for i in (0..ops.len()).rev() {
-        after[i] = live.clone();
-        for r in &ops[i].results {
+    let mut after: Vec<Option<Live>> = Vec::with_capacity(ops.len());
+    for (op, id) in ops.iter().zip(ids).rev() {
+        after.push(id.map(|id| Live {
+            id,
+            after: live.clone(),
+        }));
+        for r in &op.results {
             live.remove(r);
         }
-        op_free_uses(&ops[i], &mut live);
+        match id {
+            Some(id) => live.extend(&uses.ops[id].free),
+            None => live.extend(op.kind.operands()),
+        }
     }
+    after.reverse();
     after
 }
 
@@ -60,15 +179,6 @@ pub(super) fn dedup(mut v: Vec<Value>) -> Vec<Value> {
     let mut seen = HashSet::new();
     v.retain(|x| seen.insert(*x));
     v
-}
-
-/// True if `body` reads `v` from outside itself.
-pub(super) fn body_uses(body: &Region, v: Value) -> bool {
-    let mut free = HashSet::new();
-    for op in &body.ops {
-        op_free_uses(op, &mut free);
-    }
-    free.contains(&v)
 }
 
 /// The register holding `v` when a thread laid out as `tuple` is loaded
@@ -104,6 +214,8 @@ pub(super) struct Frame<'a> {
     pub(super) cur: Cur,
     /// Simple ops not yet emitted; they go into the construct's entry block.
     pub(super) pending: Vec<&'a Op>,
+    /// Where the op's regions' rows start in [`FreeUses`].
+    first_region: u32,
 }
 
 impl<'a> Frame<'a> {
@@ -111,22 +223,17 @@ impl<'a> Frame<'a> {
     /// (those are immediates wherever they are used).
     pub(super) fn of(
         consts: &HashMap<Value, Word>,
+        uses: &FreeUses,
         op: &'a Op,
-        live_after: &HashSet<Value>,
+        live: Live,
         cur: Cur,
         pending: Vec<&'a Op>,
     ) -> Self {
-        let tupleize = |set: &HashSet<Value>| {
-            let mut v: Vec<Value> = set.iter().copied().collect();
-            v.retain(|x| !consts.contains_key(x));
-            v.sort_unstable();
-            v
-        };
-        let mut passthrough = tupleize(live_after);
-        passthrough.retain(|v| !op.results.contains(v));
-        let mut uses = HashSet::new();
-        op_free_uses(op, &mut uses);
-        let free = tupleize(&uses);
+        let mut passthrough: Vec<Value> = live.after.into_iter().collect();
+        passthrough.retain(|v| !consts.contains_key(v) && !op.results.contains(v));
+        passthrough.sort_unstable();
+        let mut free = uses.ops[live.id].free.clone();
+        free.retain(|v| !consts.contains_key(v));
         let mut in_tuple = free.clone();
         in_tuple.extend(passthrough.iter().filter(|v| !free.contains(v)));
         Frame {
@@ -136,12 +243,19 @@ impl<'a> Frame<'a> {
             in_tuple,
             cur,
             pending,
+            first_region: uses.ops[live.id].first_region,
         }
     }
 
     /// `results ++ passthrough`: the tuple every construct leaves with.
     pub(super) fn out_tuple(&self) -> Vec<Value> {
         [self.results, &self.passthrough].concat()
+    }
+
+    /// The op's `i`-th region (in `OpKind::regions` order), to lower it
+    /// with or ask [`FreeUses::reads`] about.
+    pub(super) fn region(&self, i: u32) -> RegionId {
+        RegionId(self.first_region + i)
     }
 }
 

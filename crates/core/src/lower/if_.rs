@@ -2,7 +2,7 @@
 //! filtered on the condition onto two branch pipelines, and their
 //! `results ++ passthrough` tuples merge back into one stream.
 
-use super::frame::Frame;
+use super::frame::{Frame, RegionId};
 use super::{Cur, DfLower, Term};
 use crate::CoreError;
 use revet_machine::instr::Reg;
@@ -18,17 +18,18 @@ impl DfLower<'_> {
         else_: &Region,
     ) -> Result<Cur, CoreError> {
         let out_tuple = frame.out_tuple();
+        let (then_at, else_at) = (frame.region(0), frame.region(1));
         let (in_tuple, passthrough) = (frame.in_tuple, frame.passthrough);
         let cur = self.emit_block(&frame.pending, frame.cur, &in_tuple, "if_in")?;
         let cond = self.operand_in(&in_tuple, cond, "if")?;
         let all = (0..in_tuple.len() as Reg).collect();
         let (on_then, on_else) = self.filter("if.filter", &cur, cond, all);
-        let mut branch = |region: &Region, chan: ChanId| -> Result<ChanId, CoreError> {
+        let mut branch = |region: &Region, at: RegionId, chan: ChanId| {
             let cur = Cur {
                 chan,
                 vars: in_tuple.clone(),
             };
-            let (out, term) = self.lower_ops(&region.ops, cur, &passthrough)?;
+            let (out, term) = self.lower_ops(&region.ops, at, cur, &passthrough)?;
             match term {
                 Term::Yield => Ok(out.chan),
                 Term::Exit => {
@@ -41,7 +42,10 @@ impl DfLower<'_> {
                 _ => Err(CoreError::new("if branch must end in yield or exit")),
             }
         };
-        let sides = [branch(then, on_then)?, branch(else_, on_else)?];
+        let sides = [
+            branch(then, then_at, on_then)?,
+            branch(else_, else_at, on_else)?,
+        ];
         let category = self.category();
         let merged = self.fwd_merge(
             "if.merge",

@@ -47,7 +47,7 @@ mod pack;
 mod replicate;
 mod while_;
 
-use frame::{dedup, liveness, Frame};
+use frame::{dedup, liveness, Frame, FreeUses, RegionId};
 
 use crate::{CoreError, PassOptions};
 use revet_machine::instr::{AluOp, Operand, Reg};
@@ -205,6 +205,8 @@ struct DfLower<'m> {
     infos: Vec<ContextInfo>,
     links: Vec<LinkInfo>,
     consts: HashMap<Value, Word>,
+    /// Free uses of `main`'s structured ops and regions, computed once.
+    uses: FreeUses,
     depth: u32,
     in_replicate: u32,
     outer_par: u32,
@@ -247,6 +249,7 @@ pub fn lower_to_dataflow(
         infos: Vec::new(),
         links: Vec::new(),
         consts,
+        uses: FreeUses::of(&main.body),
         depth: 0,
         in_replicate: 0,
         outer_par: 1,
@@ -565,7 +568,7 @@ impl DfLower<'_> {
             chan: entry,
             vars: func.params.clone(),
         };
-        let (cur, term) = self.lower_ops(&func.body.ops, cur, &[])?;
+        let (cur, term) = self.lower_ops(&func.body.ops, RegionId::MAIN, cur, &[])?;
         if !matches!(term, Term::Return | Term::Exit) {
             return Err(CoreError::new("main must end in return"));
         }
@@ -575,19 +578,21 @@ impl DfLower<'_> {
         Ok((entry, handle))
     }
 
-    /// Lowers an op sequence. Returns the final cursor and terminator kind.
-    /// After a `Yield`/`Condition` terminator, the cursor's tuple is the
-    /// exact yielded/forwarded layout followed by `live_out`, the
-    /// passthrough values of the caller's contract.
+    /// Lowers the ops of `region` (`ops`: all of them, or replicate's copy
+    /// without the hoisted allocation). Returns the final cursor and
+    /// terminator kind. After a `Yield`/`Condition` terminator, the
+    /// cursor's tuple is the exact yielded/forwarded layout followed by
+    /// `live_out`, the passthrough values of the caller's contract.
     fn lower_ops(
         &mut self,
         ops: &[Op],
+        region: RegionId,
         mut cur: Cur,
         live_out: &[Value],
     ) -> Result<(Cur, Term), CoreError> {
-        let live_after = liveness(ops, live_out);
+        let live_after = liveness(&self.uses, region, ops, live_out);
         let mut pending: Vec<&Op> = Vec::new();
-        for (op, live) in ops.iter().zip(&live_after) {
+        for (op, live) in ops.iter().zip(live_after) {
             // A terminator closes the region with one last block. Its
             // layout is positional and never deduplicated: merges and
             // backedges need a fixed arity.
@@ -610,7 +615,14 @@ impl DfLower<'_> {
             if let Some((tuple, base, term)) = closing {
                 return Ok((self.emit_block(&pending, cur, &tuple, base)?, term));
             }
-            let frame = Frame::of(&self.consts, op, live, cur, std::mem::take(&mut pending));
+            let Some(live) = live else {
+                return Err(CoreError::new(format!(
+                    "unexpected op in dataflow lowering: {:?} (missing pass?)",
+                    op.kind
+                )));
+            };
+            let queued = std::mem::take(&mut pending);
+            let frame = Frame::of(&self.consts, &self.uses, op, live, cur, queued);
             cur = match &op.kind {
                 OpKind::If { cond, then, else_ } => self.lower_if(frame, *cond, then, else_)?,
                 OpKind::While {
@@ -628,11 +640,7 @@ impl DfLower<'_> {
                 } => self.lower_foreach(frame, [*lo, *hi, *step], body, reduce)?,
                 OpKind::Fork { count, body } => self.lower_fork(frame, *count, body)?,
                 OpKind::Replicate { ways, body } => self.lower_replicate(frame, *ways, body)?,
-                other => {
-                    return Err(CoreError::new(format!(
-                        "unexpected op in dataflow lowering: {other:?} (missing pass?)"
-                    )))
-                }
+                _ => unreachable!("only structured ops have a live-after set"),
             };
         }
         let out = dedup(live_out.to_vec());

@@ -65,6 +65,7 @@ impl DfLower<'_> {
     ) -> Result<Cur, CoreError> {
         self.outer_par = self.outer_par.saturating_mul(ways);
         let out_tuple = frame.out_tuple();
+        let at = frame.region(0);
         let mut cur = self.emit_block(&frame.pending, frame.cur, &frame.in_tuple, "rep_in")?;
         let hoist = (self.opts.hoist_allocators.then(|| Hoist::find(body))).flatten();
         let mut parked: Option<(SramId, Vec<Value>)> = None;
@@ -117,7 +118,7 @@ impl DfLower<'_> {
         let mut way_outs: Vec<Cur> = Vec::new();
         for chan in way_chans {
             let vars = cur.vars.clone();
-            let (out, term) = self.lower_ops(&body_ops, Cur { chan, vars }, &extra)?;
+            let (out, term) = self.lower_ops(&body_ops, at, Cur { chan, vars }, &extra)?;
             if !matches!(term, Term::Yield | Term::Exit) {
                 return Err(CoreError::new("replicate body must end in yield or exit"));
             }

@@ -4,7 +4,7 @@
 //! out through a flatten that strips the loop's barrier level. The
 //! recirculating tuple is sub-word packed (§V-B d) when that is enabled.
 
-use super::frame::{body_uses, slot_of, slots_of, Frame};
+use super::frame::{slot_of, slots_of, Frame};
 use super::{Category, Cur, DfLower, Term};
 use crate::CoreError;
 use revet_machine::instr::Operand;
@@ -21,6 +21,7 @@ impl DfLower<'_> {
         after: &Region,
     ) -> Result<Cur, CoreError> {
         let exit_tuple = frame.out_tuple();
+        let (before_at, after_at) = (frame.region(0), frame.region(1));
         let passthrough = &frame.passthrough;
         // Loop-invariant captures ride the tuple too (no cross-wave
         // broadcast inside a recirculating region). An init value normally
@@ -30,7 +31,7 @@ impl DfLower<'_> {
         // "the value from before the loop" on every iteration, so it
         // needs an invariant slot as well.
         let invariant = frame.free.iter().copied().filter(|v| {
-            let direct = || body_uses(before, *v) || body_uses(after, *v);
+            let direct = || self.uses.reads(before_at, *v) || self.uses.reads(after_at, *v);
             !passthrough.contains(v) && (!inits.contains(v) || direct())
         });
         // Every tuple round the loop is `carried ++ invariant ++ passthrough`,
@@ -57,7 +58,7 @@ impl DfLower<'_> {
             },
         };
         // `before` leaves [cond, fwd…, invariant…, passthrough…].
-        let (cond_cur, term) = self.lower_ops(&before.ops, head, &rest)?;
+        let (cond_cur, term) = self.lower_ops(&before.ops, before_at, head, &rest)?;
         let Term::Condition(cond, fwd_vals) = term else {
             return Err(CoreError::new("while before-region must end in condition"));
         };
@@ -71,7 +72,7 @@ impl DfLower<'_> {
             chan: body_path,
             vars: with_rest(&after.args),
         };
-        let (body_out, term) = self.lower_ops(&after.ops, body_cur, &rest)?;
+        let (body_out, term) = self.lower_ops(&after.ops, after_at, body_cur, &rest)?;
         match term {
             Term::Yield => {
                 let back = match &packing {

@@ -37,7 +37,7 @@
 //! ```
 
 use crate::lower::CompiledProgram;
-use crate::{lower_to_dataflow, passes, CoreError, PassOptions};
+use crate::{lower_to_dataflow, passes, CoreError, PassOptions, MAX_DRAM_BYTES};
 use revet_diag::{Diagnostics, SourceMap};
 use revet_lang::ast::Program;
 use revet_mir::{DramLayout, Module, PassReport};
@@ -199,7 +199,8 @@ impl Session {
 
     /// Stage 4: CFG→dataflow conversion, link assignment, context
     /// splitting, and placement. DRAM symbols are laid out back-to-back in
-    /// equal slices of `opts.dram_bytes`.
+    /// equal slices of `opts.dram_bytes`, which must not exceed the 32-bit
+    /// DRAM address space ([`MAX_DRAM_BYTES`]).
     ///
     /// Callable repeatedly: each call materializes a fresh
     /// [`CompiledProgram`] from the memoized optimized module.
@@ -213,13 +214,21 @@ impl Session {
         let started = std::time::Instant::now();
         let mut opts = self.opts.clone();
         opts.threads = self.threads;
+        if opts.dram_bytes as u64 > MAX_DRAM_BYTES {
+            let e = CoreError::new(format!(
+                "dram_bytes = {} exceeds the {MAX_DRAM_BYTES}-byte (32-bit) DRAM address space",
+                opts.dram_bytes
+            ));
+            return Err(self.fail(e.diagnostics.into_iter().collect()));
+        }
         // Dataflow lowering consumes the module; it gets a copy so the
         // session's optimized artifact stays inspectable and re-runnable.
         let module = self.mir.clone().expect("optimized");
         let n = module.drams.len().max(1);
-        let slice = (opts.dram_bytes / n) as u32;
+        let slice = opts.dram_bytes / n;
+        let base = |i: usize| u32::try_from(i * slice).expect("a base is below dram_bytes ≤ 2^32");
         let layout = DramLayout {
-            base: (0..module.drams.len() as u32).map(|i| i * slice).collect(),
+            base: (0..module.drams.len()).map(base).collect(),
         };
         match lower_to_dataflow(module, &layout, &opts, opts.dram_bytes) {
             Ok(p) => {
@@ -386,6 +395,28 @@ mod tests {
         assert_eq!(lc.line, 2);
         // parse() still succeeded — the AST artifact survives the failure.
         assert!(s.ast().is_some());
+    }
+
+    #[test]
+    fn dram_bytes_past_the_32_bit_address_space_is_an_e0401() {
+        let src = "dram<u32> a; dram<u32> b;
+            void main(u32 n) { foreach (n) { u32 i => b[i] = a[i]; }; }";
+        let compile = |dram_bytes| {
+            let opts = PassOptions {
+                dram_bytes,
+                ..PassOptions::default()
+            };
+            Session::new(src, opts).to_dataflow()
+        };
+        // The whole space is allowed; its image is never allocated here.
+        let whole = compile(1 << 32).expect("exactly 4 GiB fits");
+        assert_eq!(whole.graph.mem.dram.len(), 1 << 32);
+        // One byte more used to wrap both bases to 0, aliasing `a` and `b`.
+        let e = compile((1 << 32) + 1).unwrap_err();
+        assert_eq!(e.diagnostics.len(), 1);
+        assert_eq!(e.diagnostics[0].code, codes::DATAFLOW_LOWER);
+        assert!(e.diagnostics[0].message.contains("4294967296"), "{e}");
+        assert!(compile(1 << 33).is_err());
     }
 
     /// Constant math the classical passes can chew on (2*3 folds, the

@@ -14,7 +14,8 @@
 //!   empty), so instantiation costs O(pages touched).
 //! - Dropping a checked-out image pushes it back, dirty bitmap and all.
 //!
-//! Three rules keep a recycled image indistinguishable from a fresh copy:
+//! Four rules keep a recycled image indistinguishable from a fresh copy,
+//! and keep a compile from paying for an image nobody reads:
 //!
 //! 1. **Mark before write.** Every `&mut` path marks the pages it can
 //!    reach *before* handing out the bytes: range indexing
@@ -28,11 +29,20 @@
 //! 3. **Debug builds check the whole image** at every pool hit and panic
 //!    naming the first differing page, so every differential suite run
 //!    under `cargo test` exercises the tracker.
+//! 4. **An all-zero image owns no bytes.** [`Dram::zeroed`] allocates
+//!    nothing; the image is allocated (zeroed) the first time something
+//!    borrows or writes its bytes. [`Dram::len`], `Clone`, `==` and
+//!    `Debug` do not count as borrowing. A checkout from such a template
+//!    allocates a zeroed image on a pool miss and zero-fills the dirty
+//!    pages on a hit, so a program whose inputs arrive as per-instance
+//!    overlays never holds a template image at all. Checked-out images are
+//!    always backed.
 //!
 //! Retention is bounded: a pool keeps at most [`POOL_IMAGES`] images, so a
-//! live template pins at most `POOL_IMAGES × len` bytes beyond its own
-//! image; dropping the template (evicting the program) frees them. The
-//! pool is created by the first checkout and holds nothing until the first
+//! live template pins at most `POOL_IMAGES × len` bytes of idle images,
+//! plus `len` for its own image once something has written or borrowed
+//! it; dropping the template (evicting the program) frees them. The pool
+//! is created by the first checkout and holds nothing until the first
 //! image is dropped.
 
 use std::fmt;
@@ -48,8 +58,9 @@ pub const PAGE_BYTES: usize = 4096;
 /// is freed. Four is what the default server runs of one program at once
 /// on the smallest host it is tuned for (2 executors × 2 batch threads);
 /// a wider batch still recycles four images and copies the rest, as every
-/// instance did before. Bounds the memory a live compiled program pins at
-/// `POOL_IMAGES × dram_bytes` (16 MiB at the apps' 4 MiB image).
+/// instance did before. Bounds the idle images a live compiled program
+/// pins at `POOL_IMAGES × dram_bytes` (16 MiB at the apps' 4 MiB image),
+/// on top of its own image if that is backed (module docs, rule 4).
 pub const POOL_IMAGES: usize = 4;
 
 /// Counters of one template's pool, from [`Dram::pool_stats`]. All zero
@@ -79,7 +90,7 @@ impl PoolStats {
 }
 
 /// An idle image: its bytes and the pages that differ from the template.
-type Idle = (Vec<u8>, Vec<u64>);
+type Idle = (Box<[u8]>, Box<[u64]>);
 
 #[derive(Default)]
 struct Pool {
@@ -97,6 +108,12 @@ impl Pool {
     }
 }
 
+/// `len` zero bytes from the allocator's zeroed path, which skips the fill
+/// where the memory is fresh.
+fn zeros(len: usize) -> Box<[u8]> {
+    vec![0; len].into_boxed_slice()
+}
+
 /// A contiguous DRAM byte image that dereferences to `[u8]`.
 ///
 /// One type plays both roles of the recycling scheme in the module docs:
@@ -104,12 +121,20 @@ impl Pool {
 /// [`Dram::checkout`]) and a *checked-out image* (an instance's private
 /// copy, which tracks the pages it dirties and returns to its template's
 /// pool on drop). `Clone` makes a detached copy that belongs to no pool.
-/// Equality compares bytes only.
+/// Equality compares bytes only (an unbacked image reads as zeros).
+///
+/// An image never changes length, so its buffers are boxed slices, which
+/// also pays for the `len` field: `Dram` is carried by value in every
+/// `MemoryState`, and so in every batch result.
 pub struct Dram {
-    bytes: Vec<u8>,
+    /// The image length, whether or not it is backed.
+    len: usize,
+    /// Unset while the image is all zero and nothing has borrowed it
+    /// (module docs, rule 4); `len` bytes once set.
+    bytes: OnceLock<Box<[u8]>>,
     /// One bit per page written since checkout; empty when nothing will
     /// ever reset this image (templates, detached copies).
-    dirty: Vec<u64>,
+    dirty: Box<[u64]>,
     /// Images checked out of *this* image come back here.
     pool: OnceLock<Arc<Pool>>,
     /// Where this image goes when dropped; dangling unless checked out.
@@ -117,23 +142,44 @@ pub struct Dram {
 }
 
 impl Dram {
-    /// An image of `len` zero bytes.
+    /// An image of `len` zero bytes, owning none of them until something
+    /// borrows or writes it (module docs, rule 4).
     pub fn zeroed(len: usize) -> Dram {
-        Dram::detached(vec![0; len])
-    }
-
-    fn detached(bytes: Vec<u8>) -> Dram {
         Dram {
-            bytes,
-            dirty: Vec::new(),
+            len,
+            bytes: OnceLock::new(),
+            dirty: Box::default(),
             pool: OnceLock::new(),
             home: Weak::new(),
         }
     }
 
+    /// The image length in bytes. Unlike the slice's `len`, this does not
+    /// back an all-zero image.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the image is zero bytes long; does not back it.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The bytes to write, allocated zeroed if the image is not backed yet.
+    #[inline]
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        let len = self.len;
+        self.bytes.get_or_init(|| zeros(len));
+        self.bytes.get_mut().expect("backed just above")
+    }
+
     /// A private image byte-identical to `self`, to be written freely and
     /// dropped: recycled from this template's pool when one is idle
     /// (restoring only the pages its last user dirtied), copied otherwise.
+    /// An unbacked template is neither read nor backed: a miss allocates
+    /// zeros and a hit zero-fills its dirty pages.
     ///
     /// # Panics
     ///
@@ -141,6 +187,9 @@ impl Dram {
     /// reset — a write that escaped dirty tracking.
     pub fn checkout(&self) -> Dram {
         let pool = self.pool.get_or_init(Arc::default);
+        // `None`: all zero. Another thread backing it meanwhile backs it
+        // with zeros, so this stays a true picture of the template.
+        let template = self.bytes.get();
         let recycled = pool.free().pop();
         let (bytes, dirty) = match recycled {
             Some((mut bytes, mut dirty)) => {
@@ -150,7 +199,10 @@ impl Dram {
                     while bits != 0 {
                         let start = (w * 64 + bits.trailing_zeros() as usize) * PAGE_BYTES;
                         let end = (start + PAGE_BYTES).min(bytes.len());
-                        bytes[start..end].copy_from_slice(&self.bytes[start..end]);
+                        match template {
+                            Some(t) => bytes[start..end].copy_from_slice(&t[start..end]),
+                            None => bytes[start..end].fill(0),
+                        }
                         bits &= bits - 1;
                         pages += 1;
                     }
@@ -158,27 +210,33 @@ impl Dram {
                 pool.hits.fetch_add(1, Ordering::Relaxed);
                 pool.reset_pages.fetch_add(pages, Ordering::Relaxed);
                 #[cfg(debug_assertions)]
-                if let Some(page) = bytes
-                    .chunks(PAGE_BYTES)
-                    .zip(self.bytes.chunks(PAGE_BYTES))
-                    .position(|(got, want)| got != want)
                 {
-                    panic!(
-                        "recycled DRAM image differs from its template at page {page} \
-                         (bytes {}..): a write escaped dirty tracking",
-                        page * PAGE_BYTES
-                    );
+                    let zeros = [0; PAGE_BYTES];
+                    let want =
+                        |at: usize, n: usize| template.map_or(&zeros[..n], |t| &t[at..][..n]);
+                    if let Some(page) = (0..)
+                        .zip(bytes.chunks(PAGE_BYTES))
+                        .position(|(i, got)| got != want(i * PAGE_BYTES, got.len()))
+                    {
+                        panic!(
+                            "recycled DRAM image differs from its template at page {page} \
+                             (bytes {}..): a write escaped dirty tracking",
+                            page * PAGE_BYTES
+                        );
+                    }
                 }
                 (bytes, dirty)
             }
             None => {
                 pool.misses.fetch_add(1, Ordering::Relaxed);
-                let words = self.bytes.len().div_ceil(PAGE_BYTES).div_ceil(64);
-                (self.bytes.clone(), vec![0; words])
+                let words = self.len.div_ceil(PAGE_BYTES).div_ceil(64);
+                let bytes = template.map_or_else(|| zeros(self.len), Box::clone);
+                (bytes, vec![0; words].into_boxed_slice())
             }
         };
         Dram {
-            bytes,
+            len: self.len,
+            bytes: OnceLock::from(bytes),
             dirty,
             pool: OnceLock::new(),
             home: Arc::downgrade(pool),
@@ -219,11 +277,9 @@ impl Dram {
 
 impl Drop for Dram {
     fn drop(&mut self) {
-        if let Some(pool) = self.home.upgrade() {
-            let idle = (
-                std::mem::take(&mut self.bytes),
-                std::mem::take(&mut self.dirty),
-            );
+        // Checked-out images are always backed.
+        if let (Some(pool), Some(bytes)) = (self.home.upgrade(), self.bytes.take()) {
+            let idle = (bytes, std::mem::take(&mut self.dirty));
             let mut free = pool.free();
             if free.len() < POOL_IMAGES {
                 free.push(idle);
@@ -233,8 +289,15 @@ impl Drop for Dram {
 }
 
 impl Clone for Dram {
+    /// A detached copy, unbacked if `self` is.
     fn clone(&self) -> Dram {
-        Dram::detached(self.bytes.clone())
+        Dram {
+            len: self.len,
+            bytes: self.bytes.clone(),
+            dirty: Box::default(),
+            pool: OnceLock::new(),
+            home: Weak::new(),
+        }
     }
 }
 
@@ -248,15 +311,23 @@ impl fmt::Debug for Dram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let dirty: u32 = self.dirty.iter().map(|w| w.count_ones()).sum();
         f.debug_struct("Dram")
-            .field("len", &self.bytes.len())
+            .field("len", &self.len)
             .field("dirty_pages", &dirty)
             .finish()
     }
 }
 
 impl PartialEq for Dram {
+    /// Byte equality; an unbacked image is compared as zeros without
+    /// being backed.
     fn eq(&self, other: &Dram) -> bool {
-        self.bytes == other.bytes
+        match (self.bytes.get(), other.bytes.get()) {
+            (Some(a), Some(b)) => a == b,
+            (None, None) => self.len == other.len,
+            (Some(bytes), None) | (None, Some(bytes)) => {
+                self.len == other.len && bytes.iter().all(|&b| b == 0)
+            }
+        }
     }
 }
 
@@ -265,8 +336,10 @@ impl Eq for Dram {}
 impl Deref for Dram {
     type Target = [u8];
 
+    /// Backs an all-zero image (module docs, rule 4).
+    #[inline]
     fn deref(&self) -> &[u8] {
-        &self.bytes
+        self.bytes.get_or_init(|| zeros(self.len))
     }
 }
 
@@ -274,8 +347,8 @@ impl DerefMut for Dram {
     /// Marks the whole image dirty: the caller may write anywhere. Prefer
     /// range indexing, which marks only what it covers.
     fn deref_mut(&mut self) -> &mut [u8] {
-        self.touch(0, self.bytes.len());
-        &mut self.bytes
+        self.touch(0, self.len);
+        self.bytes_mut()
     }
 }
 
@@ -283,7 +356,7 @@ impl<I: SliceIndex<[u8]>> Index<I> for Dram {
     type Output = I::Output;
 
     fn index(&self, index: I) -> &I::Output {
-        &self.bytes[index]
+        &(**self)[index]
     }
 }
 
@@ -301,10 +374,10 @@ impl<I: SliceIndex<[u8]> + RangeBounds<usize>> IndexMut<I> for Dram {
         let end = match index.end_bound() {
             Bound::Included(&e) => e.saturating_add(1),
             Bound::Excluded(&e) => e,
-            Bound::Unbounded => self.bytes.len(),
+            Bound::Unbounded => self.len,
         };
         self.touch(start, end);
-        &mut self.bytes[index]
+        &mut self.bytes_mut()[index]
     }
 }
 
@@ -365,5 +438,46 @@ mod tests {
         assert_eq!(template.pool_stats().retained_bytes, 0);
         inst[0..1].copy_from_slice(&[0]);
         assert_eq!(inst, template, "dirty bitmap is not part of equality");
+    }
+
+    fn backed(image: &Dram) -> bool {
+        image.bytes.get().is_some()
+    }
+
+    #[test]
+    fn unbacked_template_checks_out_zeros_on_a_miss_and_a_hit() {
+        let template = Dram::zeroed(3 * PAGE_BYTES + 100);
+        let mut a = template.checkout();
+        assert!(backed(&a), "checked-out images are always backed");
+        assert!(a.iter().all(|&b| b == 0), "miss");
+        a[PAGE_BYTES..PAGE_BYTES + 2].copy_from_slice(b"hi");
+        a[3 * PAGE_BYTES + 99..].copy_from_slice(b"z"); // the short last page
+        drop(a);
+        let b = template.checkout();
+        assert!(b.iter().all(|&x| x == 0), "hit");
+        let stats = template.pool_stats();
+        assert_eq!((stats.hits, stats.misses, stats.reset_pages), (1, 1, 2));
+        assert!(!backed(&template), "neither checkout backs the template");
+    }
+
+    #[test]
+    fn len_clone_eq_and_debug_leave_an_image_unbacked() {
+        let image = Dram::zeroed(2 * PAGE_BYTES);
+        assert_eq!((image.len(), image.is_empty()), (2 * PAGE_BYTES, false));
+        let copy = image.clone();
+        assert_eq!(image, copy);
+        assert_ne!(image, Dram::zeroed(PAGE_BYTES));
+        assert_eq!(format!("{image:?}"), "Dram { len: 8192, dirty_pages: 0 }");
+        // Against a backed image: zeros are equal, anything else is not.
+        let mut out = image.checkout();
+        assert_eq!(image, out);
+        out[5..6].copy_from_slice(&[1]);
+        assert_ne!(image, out);
+        assert_ne!(out, image, "either side may be the backed one");
+        assert!(!backed(&image) && !backed(&copy));
+        // Borrowing the bytes backs it.
+        assert_eq!(image[7], 0);
+        assert!(backed(&image));
+        assert_eq!(image, copy);
     }
 }

@@ -65,7 +65,10 @@ pub struct MemoryState {
 }
 
 impl MemoryState {
-    /// Creates empty memory state with a DRAM of `dram_bytes` zeroes.
+    /// Creates empty memory state with a DRAM of `dram_bytes` zeroes. The
+    /// image allocates nothing until something writes or borrows its bytes
+    /// ([`Dram::zeroed`]), so a compile whose program is only ever
+    /// instantiated never pays for it.
     pub fn with_dram_size(dram_bytes: usize) -> Self {
         MemoryState {
             dram: Dram::zeroed(dram_bytes),
@@ -77,8 +80,9 @@ impl MemoryState {
     /// regions, allocator queues and statistics are copied; the DRAM image
     /// is checked out of this template's pool ([`Dram::checkout`]) — a
     /// recycled image with only its dirty pages restored when one is idle,
-    /// a full copy otherwise — and returns to the pool when the instance's
-    /// memory is dropped.
+    /// a full copy otherwise (zeros, without backing the template, when
+    /// nothing has written or borrowed the template's image) — and returns
+    /// to the pool when the instance's memory is dropped.
     pub fn fresh_instance(&self) -> MemoryState {
         MemoryState {
             dram: self.dram.checkout(),
@@ -92,7 +96,9 @@ impl MemoryState {
 
     /// Copies `bytes` into DRAM at `offset` — the one host-side overlay
     /// writer (workload inputs, per-instance `dram_inits`). Not an AG
-    /// access: the read/write statistics do not move.
+    /// access: the read/write statistics do not move. The bounds check
+    /// reads [`Dram::len`], so a rejected write leaves an unbacked image
+    /// unbacked.
     ///
     /// # Errors
     ///
@@ -213,13 +219,22 @@ impl MemoryState {
         self.alloc_pushes
     }
 
+    // The four DRAM accessors are `#[inline]` so that `exec_instrs`, their
+    // one hot caller, inlines them whichever codegen unit this file lands
+    // in: without it a change elsewhere in the crate can move the
+    // simulator's floor by a few percent.
+
     /// Reads one little-endian word from DRAM (unaligned allowed). Reads past
     /// the end return zero bytes.
+    #[inline]
     pub fn dram_read_word(&mut self, addr: u32) -> Word {
-        let mut bytes = [0u8; 4];
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = self.dram.get(addr as usize + i).copied().unwrap_or(0);
-        }
+        let a = addr as usize;
+        let dram: &[u8] = &self.dram;
+        let bytes = match dram.get(a..a + 4) {
+            Some(&[b0, b1, b2, b3]) => [b0, b1, b2, b3],
+            // Straddles the end: the missing bytes read as zero.
+            _ => std::array::from_fn(|i| dram.get(a + i).copied().unwrap_or(0)),
+        };
         self.dram_read_bytes += 4;
         Word(u32::from_le_bytes(bytes))
     }
@@ -229,6 +244,7 @@ impl MemoryState {
     /// # Panics
     ///
     /// Panics if the write goes past the end of DRAM.
+    #[inline]
     pub fn dram_write_word(&mut self, addr: u32, val: Word) {
         let a = addr as usize;
         assert!(
@@ -242,6 +258,7 @@ impl MemoryState {
     }
 
     /// Reads one byte from DRAM (zero past the end).
+    #[inline]
     pub fn dram_read_byte(&mut self, addr: u32) -> Word {
         self.dram_read_bytes += 1;
         Word(self.dram.get(addr as usize).copied().unwrap_or(0) as u32)
@@ -252,6 +269,7 @@ impl MemoryState {
     /// # Panics
     ///
     /// Panics if the address is past the end of DRAM.
+    #[inline]
     pub fn dram_write_byte(&mut self, addr: u32, val: Word) {
         let a = addr as usize;
         assert!(

@@ -2,6 +2,10 @@
 //! the *current* template whatever its previous users wrote, through
 //! whichever `&mut` path, and however they went away.
 //!
+//! Every template starts unbacked (an all-zero image owns no bytes), and
+//! the random lifetimes read and write it, so checkouts are drawn from
+//! unbacked, read-backed and written templates alike.
+//!
 //! Debug builds also compare the whole image inside `Dram::checkout` and
 //! panic there; CI additionally runs this file with `--release`, where
 //! that compare is compiled out and only the assertions below stand
@@ -29,7 +33,7 @@ struct Step {
 
 fn step_strategy() -> impl Strategy<Value = Step> {
     any::<u64>().prop_map(|raw| Step {
-        kind: (raw % 10) as u8,
+        kind: (raw % 12) as u8,
         who: (raw >> 4) as usize & 0xFF,
         // A little past the end, so out-of-range overlays are exercised.
         at: ((raw >> 12) as usize & 0xF_FFFF) % (LEN + 8),
@@ -77,6 +81,17 @@ fn run_steps(steps: &[Step]) {
                 let at = step.at.min(LEN - 4);
                 template.write_dram(at, &bytes).unwrap();
                 model[at..at + 4].copy_from_slice(&bytes);
+            }
+            // Reading the template backs it; it must still read as the model.
+            10 => {
+                let at = step.at.min(LEN - 1);
+                assert_eq!(template.dram[at], model[at], "template read at {at}");
+            }
+            // Writing it through range indexing: a mutation, like kind 3.
+            11 => {
+                let at = step.at.min(LEN - 1);
+                template.dram[at..=at].copy_from_slice(&bytes[3..]);
+                model[at] = bytes[3];
             }
             kind if !live.is_empty() => {
                 let k = step.who % live.len();

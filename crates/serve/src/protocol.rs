@@ -25,7 +25,7 @@
 //! servers turn these into [`ErrorFrame`]s rather than dropping the
 //! connection, so a buggy client sees *why* its frame was rejected.
 
-use revet_core::{PassOptions, ProgramId};
+use revet_core::{PassOptions, ProgramId, MAX_DRAM_BYTES};
 use revet_machine::ExecReport;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -371,7 +371,7 @@ impl Wire for PassOptions {
         let opt_level = wire_get!(r, u8 where ..=2 => "opt level");
         let has_threads = bool::get(r)?;
         let threads = u32::get(r)?;
-        let dram_bytes = u64::get(r)?;
+        let dram_bytes = wire_get!(r, u64 where ..=MAX_DRAM_BYTES => "dram bytes");
         Ok(PassOptions {
             if_to_select: flags & 1 != 0,
             fuse_allocators: flags & 2 != 0,

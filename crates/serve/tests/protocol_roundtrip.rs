@@ -379,6 +379,26 @@ fn unknown_kind_bytes_are_rejected() {
 }
 
 #[test]
+fn dram_bytes_past_the_32_bit_address_space_is_rejected() {
+    let compile = |dram_bytes| Request::Compile {
+        source: String::new(),
+        options: PassOptions {
+            dram_bytes,
+            ..PassOptions::none()
+        },
+    };
+    let whole = compile(1 << 32);
+    assert_eq!(decode_request(&encode_request(&whole)), Ok(whole));
+    for over in [(1 << 32) + 1, 1 << 33, usize::MAX] {
+        assert_eq!(
+            decode_request(&encode_request(&compile(over))),
+            Err(WireError::BadField("dram bytes")),
+            "{over}"
+        );
+    }
+}
+
+#[test]
 fn oversized_body_refused_at_write_time() {
     let body = vec![0u8; MAX_FRAME_BYTES as usize + 1];
     let mut wire = Vec::new();
