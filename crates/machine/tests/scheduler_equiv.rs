@@ -2,25 +2,46 @@
 //! [`Graph::run`] — the full [`RunOptions`] matrix, `{one-shot, resumed in
 //! K chunks} × {no-op obs, enabled obs}` — and the dense-sweep oracle
 //! ([`run_dense`]) must produce identical sink token streams and identical
-//! [`MemoryState`] on randomly generated acyclic graphs. Kahn determinism means results are independent of the order in
-//! which ready nodes are drained, the plan's fused segments must be
-//! observationally invisible, and an enabled sink must account for every
-//! dispatch without perturbing any.
+//! [`MemoryState`] on randomly generated acyclic graphs. Kahn determinism
+//! means results are independent of the order in which ready nodes are
+//! drained, the plan's fused segments must be observationally invisible,
+//! and an enabled sink must account for every dispatch without perturbing
+//! any.
 //!
-//! The generator grows a DAG from one source by three count-preserving
-//! construction moves, so any two open channels always carry the same
-//! tensor structure and may be zipped:
+//! The generator grows a DAG from one source by construction moves. Every
+//! open channel belongs to a *structure class*: two channels of one class
+//! carry the same tensor structure and may be zipped.
 //!
 //! - **map**: an element-wise node transforming the value (`x op imm`),
 //! - **dup**: an element-wise node duplicating a stream onto two channels,
-//! - **zip**: an element-wise node combining two open channels into one.
+//! - **zip**: an element-wise node combining two open channels of one
+//!   class into one,
+//! - **filter**: a predicated single output that drops some threads, so
+//!   its channel starts a class of its own (zipped only with its copies),
+//! - **strip**: a `strip_barriers` single output, a barrier-free class,
+//! - **sram pair**: a stage writing each value into a small SRAM region
+//!   followed by a stage of the same chain reading that region back, so
+//!   a reader sees every write its batch made before it.
 //!
-//! A fourth move, **bound**, adds no node: it caps an open channel at 1..=4
-//! tokens. Every node moves its inputs and outputs in lockstep, so such a
-//! DAG cannot deadlock at any capacity ≥ 1; what the bound does is put
-//! back-pressure on the run — producers stall on a full link and are woken
-//! by the consumer's pop (`CapacityRelease`) — and keep the bounded link's
-//! producer out of the plan's chains.
+//! Each link a move creates canonicalizes barriers or, one time in two,
+//! does not. A last move, **bound**, adds no node: it caps an open channel
+//! at 1..=4 tokens. Every node moves its inputs and outputs in lockstep,
+//! so such a DAG cannot deadlock at any capacity ≥ 1; what the bound does
+//! is put back-pressure on the run — producers stall on a full link and
+//! are woken by the consumer's pop (`CapacityRelease`) — and keep the
+//! bounded link's producer out of the plan's chains.
+//!
+//! A case is *shallow* or *deep*. A shallow source stream closes its
+//! groups with Ω1 only, and only shallow cases draw bounds. A deep stream
+//! also carries Ω2 and Ω3 runs (`x Ω1 Ω2`, a bare `x Ω2`), its entry link
+//! may keep them explicit, and only deep cases draw sram pairs. The split
+//! exists because barrier absorption (an Ωm at a channel's tail taken over
+//! by a later Ωn, n > m, when data preceded it) and a reader's view of its
+//! batch's writes both depend on which tokens are queued together. With
+//! every link unbounded, the plan and the dense sweep batch each node's
+//! input alike, one-shot and chunk by chunk; a bound would let them
+//! differ. So a deep case is judged one-shot against the dense sweep and,
+//! when chunked, against the dense sweep fed the same chunks.
 //!
 //! A subset of nodes additionally writes its values into a node-private
 //! DRAM window, so memory equality is exercised too (windows are disjoint:
@@ -33,7 +54,7 @@ use revet_machine::nodes::{EwNode, OutputSpec, SinkHandle, SinkNode, SourceNode}
 use revet_machine::reference::run_dense;
 use revet_machine::{
     tbar, tdata, ChanId, Channel, ExecReport, Graph, MemoryState, ResumeState, RunOptions,
-    RunStatus, TTok,
+    RunStatus, SramId, TTok,
 };
 use revet_obs::ObsSink;
 
@@ -43,50 +64,96 @@ enum Move {
     Map { sel: u32, op: u32 },
     Dup { sel: u32 },
     Zip { sel_a: u32, sel_b: u32 },
+    Filter { sel: u32, op: u32 },
+    Strip { sel: u32 },
+    SramPair { sel: u32 },
     Bound { sel: u32, cap: u32 },
 }
 
-fn decode(raw: u32) -> Move {
-    let kind = raw % 4;
-    let a = (raw / 4) % 1009;
-    let b = (raw / 4049) % 1013;
-    match kind {
-        0 => Move::Map { sel: a, op: b },
-        1 => Move::Dup { sel: a },
-        2 => Move::Zip { sel_a: a, sel_b: b },
+/// A move, and whether the links it creates canonicalize barriers.
+fn decode(raw: u32) -> (Move, bool) {
+    let mut rest = raw;
+    let mut digit = |base: u32| {
+        let d = rest % base;
+        rest /= base;
+        d
+    };
+    let kind = digit(11);
+    let (a, b) = (digit(1009), digit(1013));
+    let canon = digit(2) != 0;
+    let mv = match kind {
+        0 | 1 => Move::Map { sel: a, op: b },
+        2 | 3 => Move::Dup { sel: a },
+        4 | 5 => Move::Zip { sel_a: a, sel_b: b },
+        6 | 7 => Move::Filter { sel: a, op: b },
+        8 => Move::Strip { sel: a },
+        9 => Move::SramPair { sel: a },
         _ => Move::Bound { sel: a, cap: b },
-    }
+    };
+    (mv, canon)
+}
+
+/// What a case may contain (see the module docs).
+#[derive(Clone, Copy, Debug)]
+struct Shape {
+    /// Ω2/Ω3 runs in the source stream and sram pairs; no bounds.
+    deep: bool,
+    /// Whether the entry link canonicalizes (a deep stream's runs survive
+    /// it only when it does not).
+    entry_canon: bool,
 }
 
 /// Bytes reserved per writer node (16 word slots).
 const WINDOW: usize = 64;
 
+/// Words per sram-pair region: a value's two low bits address it, so
+/// threads share slots and a reader sees other threads' writes.
+const SRAM_WORDS: usize = 4;
+
 /// The source stream for a value list: data tokens with ragged mid-stream
-/// barriers, closed by one Ω1.
-fn source_tokens(values: &[u32]) -> Vec<TTok> {
+/// barrier runs, closed by the stream's top-level run — Ω1 when shallow;
+/// when deep, mid-stream runs of `Ω1`, `Ω1 Ω2`, `Ω1 Ω2 Ω3` or a bare `Ω2`,
+/// closed by `Ω1 Ω2 Ω3`.
+fn source_tokens(values: &[u32], deep: bool) -> Vec<TTok> {
     let mut toks: Vec<TTok> = Vec::new();
     for (i, &v) in values.iter().enumerate() {
         toks.push(tdata([v]));
-        if v % 7 == 0 {
-            toks.push(tbar(1)); // ragged tensors: barriers mid-stream
+        // Ragged tensors: barrier runs mid-stream.
+        if deep && v % 3 == 0 {
+            toks.extend((1..=1 + (v / 3 % 3) as u8).map(tbar));
+        } else if deep && v % 5 == 0 {
+            toks.push(tbar(2));
+        } else if !deep && v % 7 == 0 {
+            toks.push(tbar(1));
         }
         if i + 1 == values.len() {
-            toks.push(tbar(1));
+            toks.extend((1..=if deep { 3 } else { 1 }).map(tbar));
         }
     }
     toks
 }
 
-/// Builds the graph described by (`toks`, `moves`); every node whose
-/// index is divisible by 3 also writes its stream into a private DRAM
-/// window. Returns the source's output channel (streaming tests feed it
-/// incrementally) and the sink handles (one per remaining open channel).
-fn build(toks: Vec<TTok>, moves: &[u32]) -> (Graph, ChanId, Vec<SinkHandle>) {
+/// Builds the graph described by (`toks`, `moves`, `shape`); every move
+/// whose index is divisible by 3 also writes its stream into a private
+/// DRAM window. Returns the source's output channel (streaming tests feed
+/// it incrementally) and the sink handles (one per remaining open channel).
+fn build(toks: Vec<TTok>, moves: &[u32], shape: Shape) -> (Graph, ChanId, Vec<SinkHandle>) {
     let mut g = Graph::new();
     let mut writer_count = 0u32;
-    let first = g.add_chan(Channel::new(1));
+    let mut sram_count = 0u32;
+    let link = |g: &mut Graph, canon: bool| {
+        let c = Channel::new(1);
+        g.add_chan(if canon {
+            c
+        } else {
+            c.without_canonicalization()
+        })
+    };
+    let first = link(&mut g, shape.entry_canon);
     g.add_node("src", Box::new(SourceNode::new(toks)), vec![], vec![first]);
-    let mut open = vec![first];
+    // Open channels with their structure class.
+    let mut open = vec![(first, 0u32)];
+    let mut classes = 1u32;
 
     // Instructions shared by every generated node: an optional DRAM tap
     // writing reg0 into the node's private window at (reg0 & 15)*4.
@@ -120,12 +187,20 @@ fn build(toks: Vec<TTok>, moves: &[u32]) -> (Graph, ChanId, Vec<SinkHandle>) {
             pred: None,
         });
     };
+    // reg1 = reg0 & mask.
+    let low_bits = |mask: u32| EwInstr::Alu {
+        op: AluOp::And,
+        a: Operand::Reg(0),
+        b: Operand::imm(mask),
+        dst: 1,
+    };
 
     for (node_idx, &raw) in moves.iter().enumerate() {
-        match decode(raw) {
+        let (mv, canon) = decode(raw);
+        match mv {
             Move::Map { sel, op } => {
-                let src = open.remove(sel as usize % open.len());
-                let dst = g.add_chan(Channel::new(1));
+                let (src, class) = open.remove(sel as usize % open.len());
+                let dst = link(&mut g, canon);
                 let alu = match op % 4 {
                     0 => AluOp::Add,
                     1 => AluOp::Xor,
@@ -145,12 +220,12 @@ fn build(toks: Vec<TTok>, moves: &[u32]) -> (Graph, ChanId, Vec<SinkHandle>) {
                     vec![src],
                     vec![dst],
                 );
-                open.push(dst);
+                open.push((dst, class));
             }
             Move::Dup { sel } => {
-                let src = open.remove(sel as usize % open.len());
-                let d0 = g.add_chan(Channel::new(1));
-                let d1 = g.add_chan(Channel::new(1));
+                let (src, class) = open.remove(sel as usize % open.len());
+                let d0 = link(&mut g, canon);
+                let d1 = link(&mut g, true);
                 let mut instrs = Vec::new();
                 tap(&mut instrs, node_idx);
                 g.add_node(
@@ -163,16 +238,22 @@ fn build(toks: Vec<TTok>, moves: &[u32]) -> (Graph, ChanId, Vec<SinkHandle>) {
                     vec![src],
                     vec![d0, d1],
                 );
-                open.push(d0);
-                open.push(d1);
+                open.push((d0, class));
+                open.push((d1, class));
             }
             Move::Zip { sel_a, sel_b } => {
-                if open.len() < 2 {
+                let i = sel_a as usize % open.len();
+                let class = open[i].1;
+                let peers: Vec<usize> = (0..open.len())
+                    .filter(|&j| j != i && open[j].1 == class)
+                    .collect();
+                if peers.is_empty() {
                     continue;
                 }
-                let a = open.remove(sel_a as usize % open.len());
-                let b = open.remove(sel_b as usize % open.len());
-                let dst = g.add_chan(Channel::new(1));
+                let j = peers[sel_b as usize % peers.len()];
+                let (a, b) = (open[i].0, open[j].0);
+                open.retain(|&(c, _)| c != a && c != b);
+                let dst = link(&mut g, canon);
                 let mut instrs = vec![EwInstr::Alu {
                     op: AluOp::Add,
                     a: Operand::Reg(0),
@@ -186,24 +267,111 @@ fn build(toks: Vec<TTok>, moves: &[u32]) -> (Graph, ChanId, Vec<SinkHandle>) {
                     vec![a, b],
                     vec![dst],
                 );
-                open.push(dst);
+                open.push((dst, class));
+            }
+            Move::Filter { sel, op } => {
+                let (src, _) = open.remove(sel as usize % open.len());
+                let dst = link(&mut g, canon);
+                // Keeps the threads whose low bits under the mask are zero.
+                let mut instrs = vec![low_bits(1 + op % 3)];
+                tap(&mut instrs, node_idx);
+                g.add_node(
+                    format!("filter{node_idx}"),
+                    Box::new(EwNode::new(
+                        1,
+                        instrs,
+                        vec![OutputSpec::filtered([0], 1, false)],
+                    )),
+                    vec![src],
+                    vec![dst],
+                );
+                open.push((dst, classes));
+                classes += 1;
+            }
+            Move::Strip { sel } => {
+                let (src, _) = open.remove(sel as usize % open.len());
+                let dst = link(&mut g, canon);
+                let mut instrs = Vec::new();
+                tap(&mut instrs, node_idx);
+                g.add_node(
+                    format!("strip{node_idx}"),
+                    Box::new(EwNode::new(1, instrs, vec![OutputSpec::stripped([0])])),
+                    vec![src],
+                    vec![dst],
+                );
+                open.push((dst, classes));
+                classes += 1;
+            }
+            Move::SramPair { sel } => {
+                if !shape.deep {
+                    continue;
+                }
+                let (src, class) = open.remove(sel as usize % open.len());
+                let region = SramId(sram_count);
+                sram_count += 1;
+                let addr = Operand::Reg(1);
+                let mid = link(&mut g, canon);
+                let mut instrs = vec![
+                    low_bits(SRAM_WORDS as u32 - 1),
+                    EwInstr::SramWrite {
+                        region,
+                        addr,
+                        val: Operand::Reg(0),
+                        pred: None,
+                    },
+                ];
+                tap(&mut instrs, node_idx);
+                g.add_node(
+                    format!("sram_write{node_idx}"),
+                    Box::new(EwNode::new(1, instrs, vec![OutputSpec::plain([0])])),
+                    vec![src],
+                    vec![mid],
+                );
+                // reg0 += sram[reg0 & 3], through the link just made.
+                let dst = link(&mut g, true);
+                let instrs = vec![
+                    low_bits(SRAM_WORDS as u32 - 1),
+                    EwInstr::SramRead {
+                        region,
+                        addr,
+                        dst: 2,
+                        pred: None,
+                    },
+                    EwInstr::Alu {
+                        op: AluOp::Add,
+                        a: Operand::Reg(0),
+                        b: Operand::Reg(2),
+                        dst: 0,
+                    },
+                ];
+                g.add_node(
+                    format!("sram_read{node_idx}"),
+                    Box::new(EwNode::new(1, instrs, vec![OutputSpec::plain([0])])),
+                    vec![mid],
+                    vec![dst],
+                );
+                open.push((dst, class));
             }
             Move::Bound { sel, cap } => {
-                // The graph has not run yet, so the field write is the
-                // whole story (no schedule exists to go stale).
-                let c = open[sel as usize % open.len()];
-                g.chan_mut(c).capacity = Some(1 + cap as usize % 4);
+                if shape.deep {
+                    continue;
+                }
+                let (c, _) = open[sel as usize % open.len()];
+                g.set_capacity(c, Some(1 + cap as usize % 4));
             }
         }
     }
 
     let mut handles = Vec::new();
-    for (i, c) in open.into_iter().enumerate() {
+    for (i, (c, _)) in open.into_iter().enumerate() {
         let (sink, h) = SinkNode::new();
         g.add_node(format!("sink{i}"), Box::new(sink), vec![c], vec![]);
         handles.push(h);
     }
     g.mem = MemoryState::with_dram_size(WINDOW * (writer_count as usize + 1));
+    for r in 0..sram_count {
+        g.mem.add_sram(format!("pair{r}"), SRAM_WORDS);
+    }
     (g, first, handles)
 }
 
@@ -232,7 +400,7 @@ fn bounded_producers(g: &Graph) -> usize {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The planned and the dense-sweep execution of the same random DAG
     /// agree on every sink stream and on the entire memory state (DRAM
@@ -244,11 +412,15 @@ proptest! {
     #[test]
     fn planned_matches_ready_matches_dense(
         values in prop::collection::vec(0u32..100, 0..14),
-        moves in prop::collection::vec(0u32..3_000_000, 0..18),
+        moves in prop::collection::vec(any::<u32>(), 0..18),
+        deep in any::<bool>(),
+        entry_canon in any::<bool>(),
     ) {
-        let (mut dense_g, _, dense_h) = build(source_tokens(&values), &moves);
+        let shape = Shape { deep, entry_canon };
+        let toks = source_tokens(&values, deep);
+        let (mut dense_g, _, dense_h) = build(toks.clone(), &moves, shape);
         let dense: ExecReport = run_dense(&mut dense_g, 100_000).unwrap();
-        let (mut plan_g, _, plan_h) = build(source_tokens(&values), &moves);
+        let (mut plan_g, _, plan_h) = build(toks, &moves, shape);
         let (planned, _) = run(&mut plan_g, None, ObsSink::noop());
 
         let stats = plan_g.plan().stats();
@@ -272,30 +444,47 @@ proptest! {
     }
 
     /// The whole `RunOptions` matrix against the dense oracle: `{one-shot,
-    /// resumed in K chunks} × {no-op obs, enabled obs}`. Feeding the source stream in K chunks at arbitrary
-    /// token boundaries — with a resumable run after each chunk, and one
-    /// more whenever a bounded entry link fills up mid-chunk — yields
-    /// exactly the one-shot sink streams and memory state: chunking only
-    /// perturbs the schedule, and Kahn semantics make the result
-    /// schedule-independent; intermediate polls may legitimately pause
-    /// with in-flight tokens, but the final poll must drain clean. An
-    /// enabled sink sees one dispatch per attempted step, summed over the
-    /// session's runs.
+    /// resumed in K chunks} × {no-op obs, enabled obs}`. Feeding the source
+    /// stream in K chunks at arbitrary token boundaries — with a resumable
+    /// run after each chunk, and one more whenever a bounded entry link
+    /// fills up mid-chunk — yields exactly the one-shot sink streams and
+    /// memory state of a shallow case: chunking only perturbs the
+    /// schedule, and Kahn semantics make the result schedule-independent;
+    /// intermediate polls may legitimately pause with in-flight tokens,
+    /// but the final poll must drain clean. A deep case's chunks are
+    /// batches (module docs), so its chunked lanes answer to the dense
+    /// sweep fed the same chunks. An enabled sink sees one dispatch per
+    /// attempted step, summed over the session's runs.
     #[test]
     fn chunked_feed_matches_one_shot(
         values in prop::collection::vec(0u32..100, 0..14),
-        moves in prop::collection::vec(0u32..3_000_000, 0..18),
+        moves in prop::collection::vec(any::<u32>(), 0..18),
         cuts in prop::collection::vec(0usize..64, 0..5),
+        deep in any::<bool>(),
+        entry_canon in any::<bool>(),
     ) {
-        let toks = source_tokens(&values);
-        let (mut oracle_g, _, oracle_h) = build(toks.clone(), &moves);
-        run_dense(&mut oracle_g, 100_000).unwrap();
-
+        let shape = Shape { deep, entry_canon };
+        let toks = source_tokens(&values, deep);
         let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (toks.len() + 1)).collect();
         bounds.push(0);
         bounds.push(toks.len());
         bounds.sort_unstable();
         bounds.dedup();
+
+        let (mut oracle_g, _, oracle_h) = build(toks.clone(), &moves, shape);
+        run_dense(&mut oracle_g, 100_000).unwrap();
+        let (chunk_mem, chunk_sinks) = if deep {
+            let (mut g, entry, handles) = build(Vec::new(), &moves, shape);
+            for w in bounds.windows(2) {
+                for tok in &toks[w[0]..w[1]] {
+                    g.chan_mut(entry).push(tok.clone());
+                }
+                run_dense(&mut g, 100_000).unwrap();
+            }
+            (g.mem, snapshot(&handles))
+        } else {
+            (oracle_g.mem.clone(), snapshot(&oracle_h))
+        };
 
         for chunked in [false, true] {
             for observed in [false, true] {
@@ -303,7 +492,7 @@ proptest! {
                 let enabled = ObsSink::counters_only();
                 let obs = if observed { &enabled } else { ObsSink::noop() };
                 let initial = if chunked { Vec::new() } else { toks.clone() };
-                let (mut g, entry, handles) = build(initial, &moves);
+                let (mut g, entry, handles) = build(initial, &moves, shape);
                 let mut steps = 0;
                 if chunked {
                     let mut resume = ResumeState::new();
@@ -320,13 +509,15 @@ proptest! {
                         last = status;
                     }
                     prop_assert_eq!(last, RunStatus::Finished, "{}: final drain", lane);
+                    prop_assert_eq!(&chunk_sinks, &snapshot(&handles), "{}: sinks", lane);
+                    prop_assert_eq!(&chunk_mem, &g.mem, "{}: memory", lane);
                 } else {
                     let (report, status) = run(&mut g, None, obs);
                     prop_assert_eq!(status, RunStatus::Finished, "{}", lane);
                     steps = report.steps;
+                    prop_assert_eq!(snapshot(&oracle_h), snapshot(&handles), "{}: sinks", lane);
+                    prop_assert_eq!(&oracle_g.mem, &g.mem, "{}: memory", lane);
                 }
-                prop_assert_eq!(snapshot(&oracle_h), snapshot(&handles), "{}: sinks", lane);
-                prop_assert_eq!(&oracle_g.mem, &g.mem, "{}: memory", lane);
                 let dispatches = if observed { steps } else { 0 };
                 prop_assert_eq!(enabled.counters.dispatches.get(), dispatches, "{}", lane);
             }
