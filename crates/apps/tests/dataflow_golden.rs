@@ -330,8 +330,8 @@ fn dump(p: &CompiledProgram) -> String {
             "chan {i} arity={} class={:?} cap={:?} canon={}",
             c.arity(),
             c.class,
-            c.capacity,
-            c.canonicalize
+            c.capacity(),
+            c.canonicalizes()
         )
         .unwrap();
     }

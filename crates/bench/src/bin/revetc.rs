@@ -33,8 +33,9 @@
 //!
 //! `--profile` and `--trace-out FILE.json` *run* the compiled program
 //! (instead of emitting a compile artifact) with an observability sink
-//! attached. `--profile` prints the execution counters, per-stage compile
-//! timings, and the stall-attribution "top stalls" table; `--trace-out`
+//! attached. `--profile` prints the per-stage compile timings, the plan's
+//! shape (segments, fused runs, fused edges), the execution counters, and
+//! the stall-attribution "top stalls" table; `--trace-out`
 //! writes a Chrome `trace_event` JSON file loadable in Perfetto
 //! (ui.perfetto.dev) or `chrome://tracing`. `--app NAME` selects one of
 //! the registered Table III evaluation apps (its workload supplies `main`
@@ -344,6 +345,13 @@ fn run_profiled(
             println!("  {stage:<12} {:>8} us", wall.as_micros());
         }
         println!("\n== execution counters ==");
+        let plan = inst.graph.plan().stats();
+        println!(
+            "  plan shape: {} segments, {} fused runs, {} fused edges",
+            plan.segments,
+            plan.fused_runs,
+            plan.fused_ew - plan.fused_runs
+        );
         for (name, value) in obs.snapshot_counters() {
             println!("  {name:<28} {value}");
         }

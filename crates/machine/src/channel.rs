@@ -64,10 +64,14 @@ pub struct Channel {
     queue: Ring,
     /// Bandwidth class used by the timed simulator and resource accounting.
     pub class: LinkClass,
-    /// Maximum queued tokens (None = unbounded, the untimed default).
-    pub capacity: Option<usize>,
-    /// Opportunistic barrier canonicalization on push (see module docs).
-    pub canonicalize: bool,
+    /// Maximum queued tokens (None = unbounded, the untimed default). An
+    /// input of the execution plan, so it is written only by
+    /// [`Channel::with_capacity`] and [`crate::Graph::set_capacity`].
+    capacity: Option<usize>,
+    /// Opportunistic barrier canonicalization on push (see module docs);
+    /// the plan reads it too, so only
+    /// [`Channel::without_canonicalization`] clears it.
+    canonicalize: bool,
     /// Whether the token pushed immediately before the current tail barrier
     /// was a data token (tracked for the canonicalization rule).
     tail_preceded_by_data: bool,
@@ -118,6 +122,26 @@ impl Channel {
     pub fn without_canonicalization(mut self) -> Self {
         self.canonicalize = false;
         self
+    }
+
+    /// Maximum queued tokens (`None` = unbounded).
+    #[inline]
+    pub fn capacity(&self) -> Option<usize> {
+        self.capacity
+    }
+
+    /// Re-bounds an existing channel without pre-sizing its ring; the one
+    /// caller is [`crate::Graph::set_capacity`], which also drops the
+    /// graph's plan.
+    pub(crate) fn set_capacity(&mut self, capacity: Option<usize>) {
+        self.capacity = capacity;
+    }
+
+    /// Whether a pushed barrier may absorb the one at the tail (see module
+    /// docs).
+    #[inline]
+    pub fn canonicalizes(&self) -> bool {
+        self.canonicalize
     }
 
     /// Number of live values per tuple (physical link count of this edge);
@@ -248,7 +272,9 @@ impl Channel {
     }
 
     /// Total tokens pushed over the channel's lifetime (after
-    /// canonicalization absorbed implied barriers).
+    /// canonicalization absorbed implied barriers). A fused edge of the
+    /// execution plan is never written, so its count stays zero under
+    /// [`crate::Graph::run`].
     pub fn total_pushed(&self) -> u64 {
         self.pushed
     }

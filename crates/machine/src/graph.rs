@@ -339,7 +339,7 @@ impl Graph {
     /// rewiring.
     pub fn set_capacity(&mut self, id: ChanId, capacity: Option<usize>) {
         self.plan = None;
-        self.chans[id.0 as usize].capacity = capacity;
+        self.chans[id.0 as usize].set_capacity(capacity);
     }
 
     /// Split mutable access to the channel table, memory state and node

@@ -389,6 +389,34 @@ impl EwInstr {
     pub fn is_memory(&self) -> bool {
         self.unit_class() != UnitClass::Compute
     }
+
+    /// The memory space this instruction touches and whether it writes it
+    /// (`None` for register-only instructions). Two accesses *conflict*
+    /// when they share a space and at least one writes; the execution plan
+    /// fuses stages only while their accesses commute.
+    pub(crate) fn mem_access(&self) -> Option<(MemSpace, bool)> {
+        Some(match self {
+            EwInstr::Alu { .. } | EwInstr::Select { .. } | EwInstr::Mov { .. } => return None,
+            EwInstr::SramRead { region, .. } => (MemSpace::Sram(*region), false),
+            EwInstr::SramWrite { region, .. } | EwInstr::SramDecFetch { region, .. } => {
+                (MemSpace::Sram(*region), true)
+            }
+            EwInstr::DramReadW { .. } | EwInstr::DramReadB { .. } => (MemSpace::Dram, false),
+            EwInstr::DramWriteW { .. } | EwInstr::DramWriteB { .. } => (MemSpace::Dram, true),
+            EwInstr::AllocPop { alloc, .. } | EwInstr::AllocPush { alloc, .. } => {
+                (MemSpace::Alloc(*alloc), true)
+            }
+        })
+    }
+}
+
+/// A memory space for [`EwInstr::mem_access`]: one SRAM region, DRAM, or
+/// one allocator queue.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum MemSpace {
+    Sram(SramId),
+    Dram,
+    Alloc(AllocId),
 }
 
 /// Executes a straight-line instruction sequence for one thread.

@@ -1,4 +1,5 @@
-//! The element-wise (pipeline) node.
+//! The element-wise (pipeline) node, and the run rule that fires a chain
+//! of them.
 //!
 //! An [`EwNode`] models the body of a compute-unit pipeline: it consumes one
 //! thread from each input port in lockstep (the pipeline head "wait[s] for
@@ -7,6 +8,35 @@
 //! selected registers on each output port. Outputs may be *predicated*
 //! (filter tails, §III-B c) and may *strip barriers* (broadcast parent links
 //! carry data only).
+//!
+//! ## The run rule
+//!
+//! Element-wise stages "transform live values one thread at a time and
+//! never change thread ordering, hierarchy, or count" (§III-B a), so a
+//! chain of them can carry each thread from its first stage to its last
+//! through registers instead of queues. `fire_run` is that rule, written
+//! once for a *run* of stages in which stage `j`'s single output feeds
+//! stage `j + 1`'s single input:
+//!
+//! - The head stage classifies its input fronts — the lockstep zip, the
+//!   barrier alignment and the structure-mismatch diagnosis — and commits
+//!   one thread or one barrier at a time.
+//! - A committed thread crosses the whole run in one pass. Stage `j`
+//!   computes in its own window of the run's register file, zeroed when
+//!   the thread enters it, and its output slots are copied into stage
+//!   `j + 1`'s input registers. The channel between them, a *fused edge*,
+//!   is never written. A failed predicate ends the thread inside the run.
+//! - A barrier crosses the run the same way, stopped by a stripping
+//!   output. On each fused edge it is held (a [`Tail`]) until the next
+//!   token arrives there or the firing ends, so a later barrier can still
+//!   absorb it exactly as the edge's channel would have.
+//!
+//! Every token that leaves a run, and every memory effect, is therefore
+//! what firing its stages one after another through real channels
+//! produces — provided the stages' memory accesses commute, which the
+//! execution plan checks when it groups stages into runs. [`EwNode::fire`]
+//! is the one-stage run (`EwNode::fire_on`), the case the simulator, the
+//! dense oracle and the plan's unchained stages fire.
 
 use crate::instr::{exec_instrs, EwInstr, Reg};
 use crate::node::{node_entries, MachineError, Node, Ports};
@@ -49,6 +79,13 @@ impl OutputSpec {
             pred: None,
             strip_barriers: true,
         }
+    }
+
+    /// Whether this output takes the thread whose registers are `regs`.
+    #[inline(always)]
+    fn fires(&self, regs: &[Word]) -> bool {
+        self.pred
+            .map_or(true, |(r, expect)| regs[r as usize].as_bool() == expect)
     }
 }
 
@@ -122,13 +159,11 @@ impl EwNode {
         result
     }
 
-    /// [`EwNode::fire`] for a caller that holds the register file itself
-    /// and already knows `gated`, the answer to
-    /// [`Node::may_stall_on_alloc`] (`false` skips the allocator stall
-    /// check). `&self`: the rule is stateless once registers are lent, so
-    /// the execution plan fires chained stages through an immutable copy.
-    /// Inlined into its callers so the ports stay in registers across the
-    /// token loop — measured on `exec_control`.
+    /// The one-stage case of the run rule (module docs): [`EwNode::fire`]
+    /// for a caller that holds the register file itself and already knows
+    /// `gated`, the answer to [`Node::may_stall_on_alloc`] (`false` skips
+    /// the allocator stall check). A single stage has no fused edge, so
+    /// nothing is held and every token goes straight to its outputs.
     #[inline(always)]
     pub(crate) fn fire_on<P: Ports>(
         &self,
@@ -136,94 +171,257 @@ impl EwNode {
         regs: &mut Vec<Word>,
         gated: bool,
     ) -> Result<bool, MachineError> {
-        let n_in = io.in_count();
-        assert!(n_in >= 1, "EwNode requires at least one input");
-        let forwards = |o: &usize| !self.outputs[*o].strip_barriers;
-        regs.resize(self.reg_count as usize, Word::ZERO);
-        let mut progressed = false;
-        'outer: loop {
-            // Classify all input fronts.
-            let mut min_bar: Option<BarrierLevel> = None;
-            let mut all_data = true;
-            let mut any_barrier = false;
-            for i in 0..n_in {
-                match io.peek_in(i) {
-                    None => break 'outer,
-                    Some(Tok::Data(_)) => {}
-                    Some(Tok::Barrier(l)) => {
-                        all_data = false;
-                        any_barrier = true;
-                        min_bar = Some(min_bar.map_or(l, |m: BarrierLevel| m.min(l)));
-                    }
+        fire_run(self, io, regs, &mut [], gated)
+    }
+}
+
+/// A run of element-wise stages as [`fire_run`] reads it: stage `j`'s
+/// single output feeds stage `j + 1`'s single input over a fused edge.
+pub(crate) trait FusedRun {
+    /// Number of stages (at least one).
+    fn stages(&self) -> usize;
+    /// Stage `j`'s behavior.
+    fn stage(&self, j: usize) -> &EwNode;
+    /// Where stage `j`'s window starts in the run's register file; a
+    /// window ends where the next one starts.
+    fn window(&self, j: usize) -> usize;
+    /// Whether the fused edge out of stage `j` canonicalizes barriers.
+    fn canonicalizes(&self, j: usize) -> bool;
+}
+
+/// A stage alone is the one-stage run.
+impl FusedRun for EwNode {
+    #[inline(always)]
+    fn stages(&self) -> usize {
+        1
+    }
+
+    #[inline(always)]
+    fn stage(&self, _: usize) -> &EwNode {
+        self
+    }
+
+    #[inline(always)]
+    fn window(&self, _: usize) -> usize {
+        0
+    }
+
+    fn canonicalizes(&self, _: usize) -> bool {
+        unreachable!("a one-stage run has no fused edge")
+    }
+}
+
+/// What a fused edge's channel would hold at its tail, for the absorb
+/// rule of [`crate::Channel::push_barrier`]. That channel would start the
+/// firing empty and not be popped until its producer drained its input,
+/// so its consumer would see the producer's whole batch, canonicalized —
+/// and of that batch only a barrier at the tail can still change.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) enum Tail {
+    /// Nothing crossed the edge this firing.
+    #[default]
+    Empty,
+    /// The last token across was data.
+    Data,
+    /// A barrier not yet delivered, and whether data directly preceded it.
+    Held(BarrierLevel, bool),
+}
+
+/// The run rule (module docs): fires `run` on `io`, whose inputs are the
+/// head stage's and whose outputs are the last stage's, with `regs` as the
+/// run's register file and one `tails` entry per fused edge (reset here).
+/// `gated` is whether the head may stall on an allocator.
+///
+/// Inlined into its callers so the ports stay in registers across the
+/// token loop — measured on `exec_control`.
+///
+/// # Errors
+///
+/// Structure-mismatched head inputs (a data front against a barrier
+/// front); nothing past the head can fail.
+#[inline(always)]
+pub(crate) fn fire_run<P: Ports, R: FusedRun + ?Sized>(
+    run: &R,
+    io: &mut P,
+    regs: &mut Vec<Word>,
+    tails: &mut [Tail],
+    gated: bool,
+) -> Result<bool, MachineError> {
+    let (head, last) = (run.stage(0), run.stages() - 1);
+    let out = &run.stage(last).outputs;
+    let n_in = io.in_count();
+    assert!(n_in >= 1, "EwNode requires at least one input");
+    let forwards = |o: &usize| !out[*o].strip_barriers;
+    regs.resize(
+        run.window(last) + run.stage(last).reg_count as usize,
+        Word::ZERO,
+    );
+    tails[..last].fill(Tail::Empty);
+    let mut progressed = false;
+    'outer: loop {
+        // Classify all input fronts.
+        let mut min_bar: Option<BarrierLevel> = None;
+        let mut all_data = true;
+        let mut any_barrier = false;
+        for i in 0..n_in {
+            match io.peek_in(i) {
+                None => break 'outer,
+                Some(Tok::Data(_)) => {}
+                Some(Tok::Barrier(l)) => {
+                    all_data = false;
+                    any_barrier = true;
+                    min_bar = Some(min_bar.map_or(l, |m: BarrierLevel| m.min(l)));
                 }
-            }
-            if all_data {
-                if gated && !self.allocs_ready(io) {
-                    break;
-                }
-                if !(0..self.outputs.len()).all(|o| io.can_push(o, false)) {
-                    break;
-                }
-                // Commit: pop every input, concatenate into registers.
-                regs.fill(Word::ZERO);
-                let mut cursor = 0usize;
-                for i in 0..n_in {
-                    let Some(Tok::Data(vals)) = io.peek_in(i) else {
-                        unreachable!("front changed between peek and pop")
-                    };
-                    regs[cursor..cursor + vals.len()].copy_from_slice(vals);
-                    cursor += vals.len();
-                    io.pop_in(i);
-                }
-                exec_instrs(&self.instrs, regs, io.mem());
-                // Gather each fired output straight into its channel slot.
-                for (o, spec) in self.outputs.iter().enumerate() {
-                    let fire = spec
-                        .pred
-                        .map_or(true, |(r, expect)| regs[r as usize].as_bool() == expect);
-                    if fire {
-                        let slot = io.push_slot(o, spec.slots.len());
-                        for (word, &r) in slot.iter_mut().zip(&spec.slots) {
-                            *word = regs[r as usize];
-                        }
-                    }
-                }
-                progressed = true;
-            } else if any_barrier {
-                // Mixed data/barrier fronts are a structure mismatch unless
-                // the data fronts belong to ports whose barrier is *implied*…
-                // which cannot happen for zip-aligned inputs, so data+barrier
-                // is a hard error.
-                for i in 0..n_in {
-                    if io.peek_in(i).is_some_and(|t| t.is_data()) {
-                        return Err(MachineError::new(format!(
-                            "zip structure mismatch: input {i} has data while another input \
-                             has a barrier"
-                        )));
-                    }
-                }
-                let level = min_bar.expect("at least one barrier front");
-                // Forward one barrier to every non-stripped output.
-                if !(0..self.outputs.len())
-                    .filter(forwards)
-                    .all(|o| io.can_push(o, true))
-                {
-                    break;
-                }
-                for i in 0..n_in {
-                    if io.peek_in(i).and_then(|t| t.barrier_level()) == Some(level) {
-                        io.pop_in(i);
-                    }
-                }
-                for o in (0..self.outputs.len()).filter(forwards) {
-                    io.push_barrier(o, level);
-                }
-                progressed = true;
-            } else {
-                break;
             }
         }
-        Ok(progressed)
+        if all_data {
+            if gated && !head.allocs_ready(io) {
+                break;
+            }
+            if !(0..out.len()).all(|o| io.can_push(o, false)) {
+                break;
+            }
+            // Commit: pop every input, concatenate into the head's window.
+            let w = run.window(0);
+            let win = &mut regs[w..w + head.reg_count as usize];
+            win.fill(Word::ZERO);
+            let mut cursor = 0usize;
+            for i in 0..n_in {
+                let Some(Tok::Data(vals)) = io.peek_in(i) else {
+                    unreachable!("front changed between peek and pop")
+                };
+                win[cursor..cursor + vals.len()].copy_from_slice(vals);
+                cursor += vals.len();
+                io.pop_in(i);
+            }
+            exec_instrs(&head.instrs, win, io.mem());
+            carry(run, io, regs, tails);
+            progressed = true;
+        } else if any_barrier {
+            // Mixed data/barrier fronts are a structure mismatch unless
+            // the data fronts belong to ports whose barrier is *implied*…
+            // which cannot happen for zip-aligned inputs, so data+barrier
+            // is a hard error.
+            for i in 0..n_in {
+                if io.peek_in(i).is_some_and(|t| t.is_data()) {
+                    return Err(MachineError::new(format!(
+                        "zip structure mismatch: input {i} has data while another input \
+                         has a barrier"
+                    )));
+                }
+            }
+            let level = min_bar.expect("at least one barrier front");
+            // Forward one barrier to every non-stripped output.
+            if !(0..out.len())
+                .filter(forwards)
+                .all(|o| io.can_push(o, true))
+            {
+                break;
+            }
+            for i in 0..n_in {
+                if io.peek_in(i).and_then(|t| t.barrier_level()) == Some(level) {
+                    io.pop_in(i);
+                }
+            }
+            release(run, 0, level, io, tails);
+            progressed = true;
+        } else {
+            break;
+        }
+    }
+    // The firing ends: held barriers go on, in edge order.
+    for j in 0..last {
+        if let Tail::Held(level, _) = tails[j] {
+            release(run, j + 1, level, io, tails);
+        }
+    }
+    Ok(progressed)
+}
+
+/// Carries the thread the head just computed through the rest of the run:
+/// out through the last stage's fired outputs, or to the first interior
+/// output whose predicate fails.
+#[inline(always)]
+fn carry<P: Ports, R: FusedRun + ?Sized>(
+    run: &R,
+    io: &mut P,
+    regs: &mut [Word],
+    tails: &mut [Tail],
+) {
+    let last = run.stages() - 1;
+    for j in 0..last {
+        let (spec, w) = (&run.stage(j).outputs[0], run.window(j));
+        if !spec.fires(&regs[w..]) {
+            return;
+        }
+        // Data fixes a held barrier in place, so it goes on first.
+        if let Tail::Held(level, _) = tails[j] {
+            release(run, j + 1, level, io, tails);
+        }
+        tails[j] = Tail::Data;
+        let (next, next_w) = (run.stage(j + 1), run.window(j + 1));
+        let (done, rest) = regs.split_at_mut(next_w);
+        let win = &mut rest[..next.reg_count as usize];
+        for (dst, &r) in win.iter_mut().zip(&spec.slots) {
+            *dst = done[w + r as usize];
+        }
+        win[spec.slots.len()..].fill(Word::ZERO);
+        exec_instrs(&next.instrs, win, io.mem());
+    }
+    // Gather each fired output straight into its channel slot.
+    let w = run.window(last);
+    for (o, spec) in run.stage(last).outputs.iter().enumerate() {
+        if spec.fires(&regs[w..]) {
+            let slot = io.push_slot(o, spec.slots.len());
+            for (word, &r) in slot.iter_mut().zip(&spec.slots) {
+                *word = regs[w + r as usize];
+            }
+        }
+    }
+}
+
+/// Delivers Ω`level` to stage `j`'s input. It crosses stages until an
+/// output strips it or a fused edge holds it; a barrier it displaces
+/// there travels on in its place. Past the last stage it goes out on
+/// every non-stripped output.
+#[inline(always)]
+fn release<P: Ports, R: FusedRun + ?Sized>(
+    run: &R,
+    mut j: usize,
+    mut level: BarrierLevel,
+    io: &mut P,
+    tails: &mut [Tail],
+) {
+    let last = run.stages() - 1;
+    while j < last {
+        if run.stage(j).outputs[0].strip_barriers {
+            return;
+        }
+        let tail = &mut tails[j];
+        match *tail {
+            // `Channel::push_barrier`'s absorb: Ωheld is implied by Ωlevel.
+            Tail::Held(held, true) if held < level && run.canonicalizes(j) => {
+                *tail = Tail::Held(level, true);
+                return;
+            }
+            Tail::Held(held, _) => {
+                *tail = Tail::Held(level, false);
+                level = held;
+            }
+            Tail::Data => {
+                *tail = Tail::Held(level, true);
+                return;
+            }
+            Tail::Empty => {
+                *tail = Tail::Held(level, false);
+                return;
+            }
+        }
+        j += 1;
+    }
+    let out = &run.stage(last).outputs;
+    for o in (0..out.len()).filter(|&o| !out[o].strip_barriers) {
+        io.push_barrier(o, level);
     }
 }
 

@@ -9,13 +9,29 @@
 //!
 //! - **Wake units.** Nodes are partitioned into units that fire together.
 //!   A maximal straight-line chain of element-wise stages (single producer
-//!   → single consumer over a private unbounded channel) is one *segment*:
-//!   its stages fire in chain order through the real channels, so barrier
-//!   canonicalization, filter predicates and per-channel statistics behave
-//!   exactly as when each stage is stepped alone — the saving is one
-//!   dispatch for the whole chain and a direct (non-virtual) call per
-//!   stage. Every other node is a unit of its own, fired through
-//!   [`crate::Node::step_planned`].
+//!   → single consumer over a private unbounded channel) is one *segment*,
+//!   one dispatch for the whole chain. Every other node is a unit of its
+//!   own, fired through [`crate::Node::step_planned`].
+//! - **Fused runs.** A segment is cut into *runs* of consecutive stages
+//!   whose memory accesses commute: a stage starts a new run when one of
+//!   its accesses conflicts with one already in the run (same SRAM region,
+//!   DRAM or allocator queue, and either side writes), or when it feeds
+//!   the segment's head (a ring of stages). A run fires by the
+//!   element-wise run rule (the [`crate::nodes::EwNode`] module docs):
+//!   each thread crosses all of its stages in one pass, through one
+//!   register window per stage, and the channel between two stages of a
+//!   run — a *fused edge* — is never written; a barrier waits on a fused
+//!   edge for exactly as long as that channel's canonicalization could
+//!   still change it. Consecutive runs are joined by a real channel, which
+//!   the first drains before the second fires, as separately stepped
+//!   stages would. So every token that leaves a segment, and every DRAM,
+//!   SRAM and allocator effect, is what stepping its stages one by one
+//!   produces; a fused edge just records no channel statistics and no
+//!   `ChannelPush` trace event. Runs index into one flat stage table, and
+//!   the register file and edge state they fire on are the drain's
+//!   scratch, so a firing allocates nothing. The width of every fused
+//!   edge is checked when the plan is built, since no slot write checks
+//!   it later.
 //! - **One port surface.** Both kinds of unit fire the primitive's own
 //!   rule against [`PlanPorts`]: direct channel access, no budgets, and
 //!   the wake-ups applied inside `push`/`pop_in` from the graph's own
@@ -40,9 +56,10 @@
 
 use crate::channel::{transfer, Channel};
 use crate::graph::{ExecReport, Graph, TopologyIndex};
+use crate::instr::{EwInstr, MemSpace};
 use crate::mem::MemoryState;
 use crate::node::{ChanId, MachineError, Node, NodeId, Ports};
-use crate::nodes::EwNode;
+use crate::nodes::{fire_run, EwNode, FusedRun, Tail};
 use revet_obs::{ObsSink, WakeCause};
 use revet_sltf::{BarrierLevel, Tok, Word};
 use std::sync::Arc;
@@ -58,6 +75,49 @@ pub struct PlanStats {
     pub segments: usize,
     /// Stage count of the longest segment.
     pub longest_segment: usize,
+    /// Fused runs the segments are cut into (a run is ≥1 stage, so
+    /// `fused_ew - fused_runs` edges are fused).
+    pub fused_runs: usize,
+}
+
+/// One chained stage in the plan's flat stage table.
+#[derive(Debug)]
+struct Stage {
+    /// The graph node.
+    node: u32,
+    /// An immutable copy of its element-wise behavior (stateless once
+    /// registers are lent, so one copy serves every instance).
+    ew: EwNode,
+    /// Where its register window starts in its run's register file.
+    window: u32,
+    /// One past the last stage of its run, as an index into the table.
+    run_end: u32,
+    /// Whether its output edge canonicalizes barriers; read only when
+    /// that edge is fused.
+    canon: bool,
+}
+
+/// A run is a slice of the stage table.
+impl FusedRun for [Stage] {
+    #[inline(always)]
+    fn stages(&self) -> usize {
+        self.len()
+    }
+
+    #[inline(always)]
+    fn stage(&self, j: usize) -> &EwNode {
+        &self[j].ew
+    }
+
+    #[inline(always)]
+    fn window(&self, j: usize) -> usize {
+        self[j].window as usize
+    }
+
+    #[inline(always)]
+    fn canonicalizes(&self, j: usize) -> bool {
+        self[j].canon
+    }
 }
 
 /// A compiled execution plan. Immutable once built; shared (`Arc`) across
@@ -73,10 +133,11 @@ pub struct ExecPlan {
     segment: Vec<Option<u32>>,
     /// Segment `s` owns `stages[seg_bounds[s]..seg_bounds[s + 1]]`.
     seg_bounds: Vec<u32>,
-    /// Chained stages in firing order: the graph node and an immutable
-    /// copy of its element-wise behavior (stateless once registers are
-    /// lent, so one copy serves every instance).
-    stages: Vec<(u32, EwNode)>,
+    /// Chained stages in firing order, segment by segment, each segment
+    /// cut into runs ([`Stage::run_end`]).
+    stages: Vec<Stage>,
+    /// Stage count of the longest run (sizes the drain's edge scratch).
+    longest_run: usize,
     /// The graph's own channel-endpoint index (wake lists).
     topo: Arc<TopologyIndex>,
 }
@@ -136,14 +197,24 @@ impl WakeSet {
 /// bounded output needs no third rule: that channel is non-empty, so its
 /// consumer is seeded, and the consumer's pop is a capacity-release wake
 /// of the source. Spurious seeds are harmless (an unproductive step). The
-/// drain loop's worklist and register scratch live here, so repeated
-/// polls never reallocate them; one state must only ever drive the graph
-/// it was first run against.
+/// drain loop's worklist, register file and fused-edge state live here,
+/// so repeated polls never reallocate them; one state must only ever
+/// drive the graph it was first run against.
 #[derive(Debug, Default)]
 pub struct ResumeState {
     started: bool,
     ws: WakeSet,
+    scratch: Scratch,
+}
+
+/// What a firing works in, kept across firings so none allocates.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The register file a run's stage windows live in, and the scratch
+    /// lent to a unit that is not a segment ([`Ports::scratch`]).
     regs: Vec<Word>,
+    /// One tail per fused edge of the run being fired.
+    tails: Vec<Tail>,
 }
 
 impl ResumeState {
@@ -196,11 +267,11 @@ pub struct PlanPorts<'a> {
     mem: &'a mut MemoryState,
     ins: &'a [ChanId],
     outs: &'a [ChanId],
-    /// The lent register scratch ([`Ports::scratch`]). Empty for a chained
-    /// stage, which gets its registers directly.
+    /// The lent register scratch ([`Ports::scratch`]). Empty for a run,
+    /// which gets its register file directly.
     scratch: Vec<Word>,
     wakes: Wakes<'a>,
-    /// The outputs feed the next stage of the segment being fired, which
+    /// The outputs feed the next run of the segment being fired, which
     /// drains them within the same firing — no wake needed.
     interior: bool,
 }
@@ -216,7 +287,7 @@ impl PlanPorts<'_> {
     }
 
     /// The wake a push on `c` owes: its consumers, unless they are the
-    /// next stage of the segment being fired.
+    /// next run of the segment being fired.
     #[inline(always)]
     fn pushed(&mut self, c: ChanId) {
         if let Some(obs) = self.wakes.obs {
@@ -326,7 +397,7 @@ impl ExecPlan {
                     && slot
                         .outs
                         .iter()
-                        .all(|c| g.chans()[c.0 as usize].capacity.is_none());
+                        .all(|c| g.chans()[c.0 as usize].capacity().is_none());
                 ok.then_some(ew)
             })
             .collect();
@@ -353,40 +424,102 @@ impl ExecPlan {
         // Walk chains from their heads, then from whatever is left:
         // chainable nodes on a pure cycle have no head and become segments
         // cut at an arbitrary member, which is always safe (a segment is
-        // just its stages' own semantics minus dispatch overhead).
+        // just its stages' own semantics minus dispatch overhead). Each
+        // segment is cut into runs where a stage's memory accesses
+        // conflict with its run's, and before a stage that feeds the
+        // segment's head: sharing the head's run, it would hand the head a
+        // token within the firing that produced it, where stages stepped
+        // one by one see it in the next.
+        let chained = chainable.iter().flatten().count();
         let mut plan = ExecPlan {
             wake_target: (0..n as u32).collect(),
             segment: vec![None; n],
-            seg_bounds: vec![0],
-            stages: Vec::new(),
+            seg_bounds: Vec::with_capacity(chained + 1),
+            stages: Vec::with_capacity(chained),
+            longest_run: 0,
             topo,
         };
+        plan.seg_bounds.push(0);
         for head in (0..n).filter(|&i| !has_pred[i]).chain(0..n) {
             if chainable[head].is_none() || plan.segment[head].is_some() {
                 continue;
             }
             let seg = plan.seg_bounds.len() as u32 - 1;
+            let start = plan.stages.len();
+            let mut run = start;
             let mut at = Some(head);
             while let Some(i) = at.filter(|&i| plan.segment[i].is_none()) {
                 plan.segment[i] = Some(seg);
                 plan.wake_target[i] = head as u32;
                 let ew = chainable[i].expect("walk stays chainable");
-                plan.stages.push((i as u32, ew.clone()));
+                let feeds_head = || nodes[i].outs.iter().any(|c| nodes[head].ins.contains(c));
+                if (run == start && i != head && feeds_head()) || conflicts(&plan.stages[run..], ew)
+                {
+                    plan.close_run(run);
+                    run = plan.stages.len();
+                }
+                plan.push_stage(g, run, i, ew);
                 at = succ[i];
             }
+            plan.close_run(run);
             plan.seg_bounds.push(plan.stages.len() as u32);
         }
         plan
     }
 
+    /// Appends chained stage `i` to the run that starts at `run`, fusing
+    /// the edge from the run's last stage when there is one. No slot write
+    /// will check that edge's width, so it is checked here.
+    fn push_stage(&mut self, g: &Graph, run: usize, i: usize, ew: &EwNode) {
+        let mut window = 0;
+        if let Some(prev) = self.stages[run..].last_mut() {
+            let (from, to) = (&g.nodes()[prev.node as usize], &g.nodes()[i]);
+            let c = from.outs[0];
+            let chan = &g.chans()[c.0 as usize];
+            let width = prev.ew.outputs[0].slots.len();
+            assert!(
+                width == chan.arity() && usize::from(ew.reg_count()) >= width,
+                "fused edge '{}' -> '{}' mis-wired: the producer writes {width} words, \
+                 channel #{} carries {} and the consumer has {} registers",
+                from.label,
+                to.label,
+                c.0,
+                chan.arity(),
+                ew.reg_count()
+            );
+            prev.canon = chan.canonicalizes();
+            window = prev.window + u32::from(prev.ew.reg_count());
+        }
+        self.stages.push(Stage {
+            node: i as u32,
+            ew: ew.clone(),
+            window,
+            run_end: 0,
+            canon: false,
+        });
+    }
+
+    /// Ends the run that starts at `run` with the last stage pushed.
+    fn close_run(&mut self, run: usize) {
+        let end = self.stages.len();
+        for stage in &mut self.stages[run..] {
+            stage.run_end = end as u32;
+        }
+        self.longest_run = self.longest_run.max(end - run);
+    }
+
     /// Static shape counters (how much of the graph fires chained).
     pub fn stats(&self) -> PlanStats {
         let lengths = self.seg_bounds.windows(2).map(|w| (w[1] - w[0]) as usize);
+        let run_ends = self.stages.iter().enumerate();
         PlanStats {
             nodes: self.wake_target.len(),
             fused_ew: self.stages.len(),
             segments: self.seg_bounds.len() - 1,
             longest_segment: lengths.max().unwrap_or(0),
+            fused_runs: run_ends
+                .filter(|&(k, s)| s.run_end as usize == k + 1)
+                .count(),
         }
     }
 
@@ -410,10 +543,18 @@ impl ExecPlan {
         max_rounds: u64,
         obs: &ObsSink,
     ) -> Result<ExecReport, MachineError> {
-        let ResumeState { started, ws, regs } = resume;
+        let ResumeState {
+            started,
+            ws,
+            scratch,
+        } = resume;
         let first = !std::mem::replace(started, true);
         let mut report = ExecReport::default();
         let traced = obs.is_enabled().then_some(obs);
+        let fuse = self.fused_edges_empty(g);
+        scratch
+            .tails
+            .resize(self.longest_run.saturating_sub(1), Tail::Empty);
 
         // Seeds map through `wake_target`, so segment members cost one bit.
         ws.reset(self.wake_target.len());
@@ -437,7 +578,7 @@ impl ExecPlan {
                     ws.cur[w] &= ws.cur[w] - 1;
                     let i = w * 64 + b as usize;
                     report.steps += 1;
-                    let progressed = self.fire(i, g, regs, ws, traced)?;
+                    let progressed = self.fire(i, g, scratch, fuse, ws, traced)?;
                     if progressed {
                         report.productive_steps += 1;
                     }
@@ -457,16 +598,31 @@ impl ExecPlan {
         Ok(report)
     }
 
-    /// Fires wake unit `i`: a segment's stages in chain order (interior
-    /// forwarding channels are filled by stage `k` and drained by stage
-    /// `k + 1` within this same call) by a direct call to the element-wise
-    /// rule, any other node through its object-safe entry — both on
-    /// [`PlanPorts`], both attributed with the node label on error.
+    /// Whether every fused edge's channel is empty, as a run's firing
+    /// assumes. A run never writes one, so this holds at every drain start
+    /// unless tokens were queued on such an edge by hand; a drain that
+    /// finds some fires each stage as a run of its own, which drains them
+    /// first.
+    fn fused_edges_empty(&self, g: &Graph) -> bool {
+        let (nodes, chans) = (g.nodes(), g.chans());
+        self.stages.iter().enumerate().all(|(k, s)| {
+            s.run_end as usize == k + 1
+                || chans[nodes[s.node as usize].outs[0].0 as usize].is_empty()
+        })
+    }
+
+    /// Fires wake unit `i`: a segment's runs in chain order (the channel
+    /// joining two runs is filled by the first and drained by the second
+    /// within this same call; `fuse == false` makes every stage a run) by
+    /// a direct call to the element-wise run rule, any other node through
+    /// its object-safe entry — both on [`PlanPorts`], both attributed with
+    /// the node label on error.
     fn fire(
         &self,
         i: usize,
         g: &mut Graph,
-        regs: &mut Vec<Word>,
+        scratch: &mut Scratch,
+        fuse: bool,
         ws: &mut WakeSet,
         obs: Option<&ObsSink>,
     ) -> Result<bool, MachineError> {
@@ -478,28 +634,37 @@ impl ExecPlan {
                 self.seg_bounds[seg as usize] as usize,
                 self.seg_bounds[seg as usize + 1] as usize,
             );
-            for (k, (node, ew)) in self.stages[lo..hi].iter().enumerate() {
-                let slot = &nodes[*node as usize];
-                // Built per stage, not re-bound: ports that never leave
+            let mut at = lo;
+            while at < hi {
+                let end = if fuse {
+                    self.stages[at].run_end as usize
+                } else {
+                    at + 1
+                };
+                let run = &self.stages[at..end];
+                let head = &nodes[run[0].node as usize];
+                let tail = &nodes[run[run.len() - 1].node as usize];
+                // Built per run, not re-bound: ports that never leave
                 // this loop stay in registers (measured on `exec_control`).
                 let mut io = PlanPorts {
                     chans: &mut *chans,
                     mem: &mut *mem,
-                    ins: &slot.ins,
-                    outs: &slot.outs,
+                    ins: &head.ins,
+                    outs: &tail.outs,
                     scratch: Vec::new(),
                     wakes: Wakes {
                         plan: self,
                         ws: &mut *ws,
                         obs,
                     },
-                    interior: lo + k + 1 < hi,
+                    interior: end < hi,
                 };
-                // The stage gets the drain's registers directly (its ports
-                // lend none), and the chain rule admits no allocator stall.
-                progressed |= ew
-                    .fire_on(&mut io, regs, false)
-                    .map_err(|e| e.at(&slot.label))?;
+                // The run gets the drain's registers directly (its ports
+                // lend none), and the chain rule admits no allocator
+                // stall. Only a run's head can fail.
+                progressed |= fire_run(run, &mut io, &mut scratch.regs, &mut scratch.tails, false)
+                    .map_err(|e| e.at(&head.label))?;
+                at = end;
             }
             if let (true, Some(obs)) = (progressed, obs) {
                 obs.segment_fire(seg, (hi - lo) as u32);
@@ -515,7 +680,7 @@ impl ExecPlan {
                 mem: &mut *mem,
                 ins: &slot.ins,
                 outs: &slot.outs,
-                scratch: std::mem::take(regs),
+                scratch: std::mem::take(&mut scratch.regs),
                 wakes: Wakes {
                     plan: self,
                     ws: &mut *ws,
@@ -524,7 +689,7 @@ impl ExecPlan {
                 interior: false,
             };
             let result = behavior.step_planned(&mut io);
-            *regs = io.scratch;
+            scratch.regs = io.scratch;
             progressed = result.map_err(|e| e.at(&slot.label))?;
         }
         // An allocator return is invisible on the channel network.
@@ -538,6 +703,21 @@ impl ExecPlan {
         }
         Ok(progressed)
     }
+}
+
+/// Whether one of `ew`'s memory accesses conflicts with one of `run`'s:
+/// the same space (one SRAM region, DRAM, one allocator queue), and at
+/// least one of the two writes it. Accesses that do not conflict commute,
+/// so carrying threads through them one at a time cannot be observed.
+fn conflicts(run: &[Stage], ew: &EwNode) -> bool {
+    fn accesses(ew: &EwNode) -> impl Iterator<Item = (MemSpace, bool)> + '_ {
+        ew.instrs.iter().filter_map(EwInstr::mem_access)
+    }
+    accesses(ew).any(|(space, writes)| {
+        run.iter()
+            .flat_map(|s| accesses(&s.ew))
+            .any(|(other, w)| other == space && (writes || w))
+    })
 }
 
 #[cfg(test)]
@@ -607,6 +787,7 @@ mod tests {
         assert_eq!(stats.fused_ew, 3, "all three stages fuse");
         assert_eq!(stats.segments, 1, "one straight-line segment");
         assert_eq!(stats.longest_segment, 3);
+        assert_eq!(stats.fused_runs, 1, "register-only stages: one run");
         assert_eq!(
             stats.nodes, 5,
             "the source and the sink are their own units"
@@ -728,6 +909,200 @@ mod tests {
             hp.tokens(),
             vec![tdata([1u32, 10u32]), tdata([2u32, 20u32]), tbar(1)]
         );
+    }
+
+    /// src → `stages` (each onto its own output link) → sink. The source
+    /// link is `entry`; `srams` regions are added to memory.
+    fn linear(
+        entry: Channel,
+        toks: Vec<TTok>,
+        stages: Vec<(EwNode, Channel)>,
+        srams: usize,
+    ) -> (Graph, crate::nodes::SinkHandle) {
+        let mut g = Graph::new();
+        for r in 0..srams {
+            g.mem.add_sram(format!("r{r}"), 4);
+        }
+        let mut prev = g.add_chan(entry);
+        g.add_node("src", Box::new(SourceNode::new(toks)), vec![], vec![prev]);
+        for (k, (stage, out)) in stages.into_iter().enumerate() {
+            let next = g.add_chan(out);
+            g.add_node(format!("stage{k}"), Box::new(stage), vec![prev], vec![next]);
+            prev = next;
+        }
+        let (sink, h) = SinkNode::new();
+        g.add_node("sink", Box::new(sink), vec![prev], vec![]);
+        (g, h)
+    }
+
+    /// Runs `build()` under the dense oracle and through the plan; asserts
+    /// equal sink streams and memory, and returns the plan's stats and the
+    /// sink stream.
+    fn plan_vs_dense(
+        build: &dyn Fn() -> (Graph, crate::nodes::SinkHandle),
+    ) -> (PlanStats, Vec<TTok>) {
+        let (mut gd, hd) = build();
+        run_dense(&mut gd, 10_000).unwrap();
+        let (mut gp, hp) = build();
+        let stats = gp.plan().stats();
+        one_shot(&mut gp, 10_000).unwrap();
+        assert_eq!(hd.tokens(), hp.tokens(), "sink stream vs dense: {stats:?}");
+        assert_eq!(gd.mem, gp.mem, "memory vs dense: {stats:?}");
+        (stats, hp.tokens())
+    }
+
+    #[test]
+    fn held_barrier_is_absorbed_before_a_filter_sees_it() {
+        // `d Ω1 Ω2` reaches a fused edge intact (the entry link keeps
+        // explicit runs); the edge's channel would absorb Ω1 into Ω2
+        // before the filter, which drops `d`, could see it. Delivering
+        // each barrier as it arrives would leave `Ω1 Ω2`.
+        let build = || {
+            let drop_all = EwNode::new(1, Vec::new(), vec![OutputSpec::filtered([0], 0, false)]);
+            linear(
+                Channel::new(1).without_canonicalization(),
+                vec![tdata([1u32]), tbar(1), tbar(2)],
+                vec![
+                    (EwNode::passthrough(1), Channel::new(1)),
+                    (drop_all, Channel::new(1)),
+                ],
+                0,
+            )
+        };
+        let (stats, out) = plan_vs_dense(&build);
+        assert_eq!((stats.fused_ew, stats.fused_runs), (2, 1), "one run");
+        assert_eq!(out, vec![tbar(2)]);
+    }
+
+    #[test]
+    fn a_later_barrier_displaces_a_held_one() {
+        // Without data before it a held barrier is not absorbed; it goes on
+        // when the next one arrives, in order, and a non-canonicalizing
+        // fused edge never absorbs at all.
+        for canon in [true, false] {
+            let build = || {
+                let mid = Channel::new(1);
+                let mid = if canon {
+                    mid
+                } else {
+                    mid.without_canonicalization()
+                };
+                linear(
+                    Channel::new(1).without_canonicalization(),
+                    vec![tdata([1u32]), tbar(1), tbar(2), tbar(1), tbar(3)],
+                    vec![
+                        (EwNode::passthrough(1), mid),
+                        (
+                            EwNode::passthrough(1),
+                            Channel::new(1).without_canonicalization(),
+                        ),
+                    ],
+                    0,
+                )
+            };
+            let (stats, out) = plan_vs_dense(&build);
+            assert_eq!(stats.fused_runs, 1);
+            let want: Vec<u8> = if canon {
+                vec![2, 1, 3]
+            } else {
+                vec![1, 2, 1, 3]
+            };
+            let want: Vec<TTok> = [tdata([1u32])]
+                .into_iter()
+                .chain(want.into_iter().map(tbar))
+                .collect();
+            assert_eq!(out, want, "canon={canon}");
+        }
+    }
+
+    /// `SramWrite r0 → Mov → SramRead r{read}`: every value is written to
+    /// word 0 of r0, then read back from word 0 of `r{read}`.
+    fn write_mov_read(read: u32) -> (Graph, crate::nodes::SinkHandle) {
+        let write = EwNode::new(
+            1,
+            vec![EwInstr::SramWrite {
+                region: crate::SramId(0),
+                addr: Operand::imm(0u32),
+                val: Operand::Reg(0),
+                pred: None,
+            }],
+            vec![OutputSpec::plain([0])],
+        );
+        let mov = EwNode::new(
+            1,
+            vec![EwInstr::Mov {
+                src: Operand::Reg(0),
+                dst: 1,
+            }],
+            vec![OutputSpec::plain([1])],
+        );
+        let read = EwNode::new(
+            1,
+            vec![EwInstr::SramRead {
+                region: crate::SramId(read),
+                addr: Operand::imm(0u32),
+                dst: 1,
+                pred: None,
+            }],
+            vec![OutputSpec::plain([1])],
+        );
+        let toks = (1..=3u32).map(|v| tdata([v])).chain([tbar(1)]).collect();
+        let stages = [write, mov, read].map(|ew| (ew, Channel::new(1)));
+        linear(Channel::new(1), toks, stages.into(), 2)
+    }
+
+    #[test]
+    fn conflicting_memory_stages_split_the_run() {
+        // The read sees every write of its batch, as it would behind a
+        // real channel: the write and the read are separate runs.
+        let (stats, out) = plan_vs_dense(&|| write_mov_read(0));
+        assert_eq!((stats.segments, stats.fused_ew), (1, 3));
+        assert_eq!(stats.fused_runs, 2, "write + mov | read");
+        let three = tdata([3u32]);
+        assert_eq!(out, vec![three.clone(), three.clone(), three, tbar(1)]);
+        // On two regions the accesses commute: one run.
+        let (stats, out) = plan_vs_dense(&|| write_mov_read(1));
+        assert_eq!(stats.fused_runs, 1);
+        let zero = tdata([0u32]);
+        assert_eq!(out, vec![zero.clone(), zero.clone(), zero, tbar(1)]);
+    }
+
+    #[test]
+    fn a_stage_feeding_its_head_gets_a_run_of_its_own() {
+        // Two stages in a ring with one token circulating: stepped one by
+        // one, the token goes one lap per round until the round cap. In
+        // one run the head would take it back within the same firing,
+        // forever.
+        let build = || {
+            let mut g = Graph::new();
+            let (a, b) = (g.add_chan(Channel::new(1)), g.add_chan(Channel::new(1)));
+            g.add_node("one", Box::new(add_one()), vec![b], vec![a]);
+            g.add_node("two", Box::new(add_one()), vec![a], vec![b]);
+            g.chan_mut(b).push(tdata([0u32]));
+            g
+        };
+        let mut gp = build();
+        let stats = gp.plan().stats();
+        assert_eq!((stats.segments, stats.fused_runs), (1, 2));
+        let ep = one_shot(&mut gp, 50).unwrap_err();
+        assert_eq!(run_dense(&mut build(), 50).unwrap_err(), ep);
+        assert!(ep.message.contains("no quiescence"), "got: {ep}");
+    }
+
+    #[test]
+    fn tokens_queued_on_a_fused_edge_go_first() {
+        // A fused edge is assumed empty when its run fires; a token queued
+        // on one by hand makes the drain fire stage by stage instead, so
+        // it still leaves first.
+        let build = || {
+            let (mut g, h) = chain(None);
+            g.chan_mut(ChanId(1)).push(tdata([100u32]));
+            (g, h)
+        };
+        let (stats, out) = plan_vs_dense(&build);
+        assert_eq!(stats.fused_runs, 1);
+        assert_eq!(out[0], tdata([102u32]), "the queued token leaves first");
+        assert_eq!(out.len(), 10);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! profile. Slots are fixed-width windows of one slab, so a wrong-width
 //! tuple must stop the run where it is written instead of being carried —
 //! CI runs this suite under `--release`, the profile `revet-serve` ships
-//! in, where a `debug_assert!` would say nothing.
+//! in, where a `debug_assert!` would say nothing. A fused edge of the
+//! execution plan has no slot write, so its width is checked when the plan
+//! is built.
 
 use revet_machine::nodes::{EwNode, SinkNode, SourceNode};
 use revet_machine::reference::run_dense;
@@ -52,4 +54,25 @@ fn interpreted_rule_writing_a_mis_sized_link_panics() {
 #[should_panic(expected = "tuple arity mismatch on channel (expected 2, got 1)")]
 fn planned_rule_writing_a_mis_sized_link_panics() {
     let _ = mis_sized_link().run(RunOptions::new(1_000));
+}
+
+/// The same mis-sized link between two chained stages is a fused edge: no
+/// token is ever written to it, so scheduling the graph refuses it, before
+/// anything runs.
+#[test]
+#[should_panic(
+    expected = "fused edge 'stage' -> 'wide' mis-wired: the producer writes 1 words, \
+                           channel #1 carries 2"
+)]
+fn mis_sized_fused_edge_panics_when_the_plan_is_built() {
+    let mut g = Graph::new();
+    let a = g.add_chan(Channel::new(1));
+    let b = g.add_chan(Channel::new(2));
+    let c = g.add_chan(Channel::new(2));
+    let src = SourceNode::new(vec![tdata([7u32]), tbar(1)]);
+    g.add_node("src", Box::new(src), [], [a]);
+    g.add_node("stage", Box::new(EwNode::passthrough(1)), [a], [b]);
+    g.add_node("wide", Box::new(EwNode::passthrough(2)), [b], [c]);
+    g.add_node("sink", Box::new(SinkNode::new().0), [c], []);
+    g.plan();
 }

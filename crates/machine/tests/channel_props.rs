@@ -9,7 +9,7 @@
 //! storage.
 
 use proptest::prelude::*;
-use revet_machine::{tbar, tdata, Channel, TTok};
+use revet_machine::{tbar, tdata, Channel, Graph, TTok};
 use revet_sltf::Tok;
 use std::collections::VecDeque;
 
@@ -77,7 +77,7 @@ fn decode(raw: u64, arity: usize) -> Option<TTok> {
 /// comparing every storage-independent observable after each step and the
 /// drained stream at the end. Pushes are attempted only while there is
 /// room, as nodes do.
-fn check(mut chan: Channel, mut model: Model, arity: usize, steps: &[u64]) {
+fn check(chan: &mut Channel, mut model: Model, arity: usize, steps: &[u64]) {
     for (i, &raw) in steps.iter().enumerate() {
         match decode(raw, arity) {
             Some(tok) if model.room() > 0 => {
@@ -123,8 +123,8 @@ proptest! {
         steps in steps(),
     ) {
         let chan = Channel::new(arity);
-        let chan = if canon { chan } else { chan.without_canonicalization() };
-        check(chan, Model { canon, ..Model::default() }, arity, &steps);
+        let mut chan = if canon { chan } else { chan.without_canonicalization() };
+        check(&mut chan, Model { canon, ..Model::default() }, arity, &steps);
     }
 
     /// Channels bounded at construction (`with_capacity`): full/empty
@@ -137,13 +137,13 @@ proptest! {
         steps in steps(),
     ) {
         let chan = Channel::new(arity).with_capacity(cap);
-        let chan = if canon { chan } else { chan.without_canonicalization() };
-        check(chan, Model { cap: Some(cap), canon, ..Model::default() }, arity, &steps);
+        let mut chan = if canon { chan } else { chan.without_canonicalization() };
+        check(&mut chan, Model { cap: Some(cap), canon, ..Model::default() }, arity, &steps);
     }
 
-    /// Channels bounded the way the simulator bounds them — by setting
-    /// `capacity` on an existing channel, with no pre-sizing — so storage
-    /// grows lazily on the way up to the cap.
+    /// Channels bounded the way the simulator bounds them — by
+    /// `Graph::set_capacity` on an existing channel, with no pre-sizing —
+    /// so storage grows lazily on the way up to the cap.
     #[test]
     fn lazily_bounded_channel_matches_model(
         arity in 0usize..=16,
@@ -151,10 +151,11 @@ proptest! {
         canon in any::<bool>(),
         steps in steps(),
     ) {
-        let mut chan = Channel::new(arity);
-        chan.capacity = Some(cap);
-        chan.canonicalize = canon;
-        check(chan, Model { cap: Some(cap), canon, ..Model::default() }, arity, &steps);
+        let chan = Channel::new(arity);
+        let mut g = Graph::new();
+        let id = g.add_chan(if canon { chan } else { chan.without_canonicalization() });
+        g.set_capacity(id, Some(cap));
+        check(g.chan_mut(id), Model { cap: Some(cap), canon, ..Model::default() }, arity, &steps);
     }
 
     /// A bound applied after tokens are already queued (the simulator caps
@@ -168,16 +169,17 @@ proptest! {
         prefill in 0usize..20,
         steps in steps(),
     ) {
-        let mut chan = Channel::new(arity);
+        let mut g = Graph::new();
+        let id = g.add_chan(Channel::new(arity));
         let mut model = Model { canon: true, ..Model::default() };
         for k in 0..prefill as u32 {
             let tok = tdata((0..arity as u32).map(|j| k + j));
-            chan.push(tok.clone());
+            g.chan_mut(id).push(tok.clone());
             model.push(tok);
         }
-        chan.capacity = Some(cap);
+        g.set_capacity(id, Some(cap));
         model.cap = Some(cap);
-        prop_assert_eq!(chan.room(), cap.saturating_sub(prefill));
-        check(chan, model, arity, &steps);
+        prop_assert_eq!(g.chans()[id.0 as usize].room(), cap.saturating_sub(prefill));
+        check(g.chan_mut(id), model, arity, &steps);
     }
 }

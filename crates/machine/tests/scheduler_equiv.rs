@@ -23,8 +23,9 @@
 //!   followed by a stage of the same chain reading that region back, so
 //!   a reader sees every write its batch made before it.
 //!
-//! Each link a move creates canonicalizes barriers or, one time in two,
-//! does not. A last move, **bound**, adds no node: it caps an open channel
+//! The first link a move creates canonicalizes barriers or, one time in
+//! two, does not (a dup's second link and an SRAM pair's last one always
+//! do). A last move, **bound**, adds no node: it caps an open channel
 //! at 1..=4 tokens. Every node moves its inputs and outputs in lockstep,
 //! so such a DAG cannot deadlock at any capacity ≥ 1; what the bound does
 //! is put back-pressure on the run — producers stall on a full link and
@@ -392,7 +393,7 @@ fn run(g: &mut Graph, resume: Option<&mut ResumeState>, obs: &ObsSink) -> (ExecR
 /// Interior nodes the chain rule must leave out: those with a bounded
 /// output (the source has no inputs, a sink no outputs).
 fn bounded_producers(g: &Graph) -> usize {
-    let bounded = |c: &ChanId| g.chans()[c.0 as usize].capacity.is_some();
+    let bounded = |c: &ChanId| g.chans()[c.0 as usize].capacity().is_some();
     g.nodes()
         .iter()
         .filter(|s| !s.ins.is_empty() && s.outs.iter().any(bounded))
@@ -438,7 +439,7 @@ proptest! {
         // — without back-pressure: a producer stalled on a full link is
         // re-attempted on every capacity release.
         prop_assert!(
-            planned.steps <= dense.steps || dense_g.chans().iter().any(|c| c.capacity.is_some()),
+            planned.steps <= dense.steps || dense_g.chans().iter().any(|c| c.capacity().is_some()),
             "the plan did more work ({} > {})", planned.steps, dense.steps
         );
     }

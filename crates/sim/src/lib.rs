@@ -113,7 +113,7 @@ impl Simulator {
             for c in 0..chan_count {
                 let id = revet_machine::ChanId(c as u32);
                 let chan = &program.graph.chans()[c];
-                let cap = if chan.canonicalize {
+                let cap = if chan.canonicalizes() {
                     match chan.class {
                         LinkClass::Vector => cfg.vector_buffer_tokens,
                         LinkClass::Scalar => cfg.scalar_buffer_tokens,
