@@ -1,0 +1,61 @@
+//! The cycle-level simulator, pinned: one row per Table III app at a fixed
+//! small scale and seed, from [`Simulator::run`] on the Table II machine
+//! with every subsystem modelled (`IdealModels::default()`).
+//!
+//! The simulator steps the same firing rules the untimed executor does, one
+//! node at a time through `Graph::step_node_traced`, under per-link budgets,
+//! bounded buffers and the DRAM token bucket. A change to *how* a node fires
+//! must leave every number here unchanged; only a change to the machine
+//! model, the optimizer or the lowering may move one, and then the failing
+//! assertion prints the recomputed `golden/sim_stats.txt`.
+
+use revet_apps::all_apps;
+use revet_core::PassOptions;
+use revet_sim::{IdealModels, RdaConfig, Simulator};
+
+const SIM_GOLDEN: &str = include_str!("golden/sim_stats.txt");
+
+const OUTER: u32 = 2;
+const SCALE: usize = 32;
+const SEED: u64 = 0x5117;
+const MAX_CYCLES: u64 = 2_000_000_000;
+
+#[test]
+fn simulated_cycles_and_traffic_match_the_golden() {
+    // The level is pinned: `REVET_OPT_LEVEL` must not move the table.
+    let opts = PassOptions {
+        opt_level: 2,
+        ..PassOptions::default()
+    };
+    let sim = Simulator::new(RdaConfig::default(), IdealModels::default());
+    let mut actual = Vec::new();
+    for app in all_apps() {
+        let (mut program, args, w) = app.prepare(OUTER, SCALE, SEED, &opts);
+        let stats = sim
+            .run(&mut program, &args, MAX_CYCLES)
+            .unwrap_or_else(|e| panic!("{}: {e}", app.name));
+        app.check(&program, &w);
+        actual.push(format!(
+            "{} cycles={} busy={} skipped={} peak_busy={} dram_read={} dram_written={}",
+            app.name,
+            stats.cycles,
+            stats.busy_cycles.iter().sum::<u64>(),
+            stats.skipped_idle_steps,
+            stats.peak_busy_nodes,
+            stats.dram_read_bytes,
+            stats.dram_written_bytes
+        ));
+    }
+    assert_eq!(actual.len(), 8, "one row per Table III app");
+    let golden: Vec<&str> = SIM_GOLDEN.lines().collect();
+    for (row, line) in actual.iter().enumerate() {
+        let want = golden.get(row).copied().unwrap_or("<missing row>");
+        assert!(
+            line == want,
+            "simulated run moved at row {row}\n  golden: {want}\n  actual: {line}\n\
+             recomputed golden/sim_stats.txt:\n{}",
+            actual.join("\n")
+        );
+    }
+    assert_eq!(actual.len(), golden.len(), "golden has extra rows");
+}
