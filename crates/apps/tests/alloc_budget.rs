@@ -195,3 +195,27 @@ fn compiles_allocate_no_dram_image_and_instances_allocate_it_once() {
         );
     }
 }
+
+/// What a recycled instance may ask of the allocator, whatever the node
+/// count: the node, channel, SRAM and allocator tables, the sink's fresh
+/// buffer, and each SRAM region's and allocator queue's own storage.
+const INSTANCE_CALLS: u64 = 16;
+
+#[test]
+fn a_recycled_instance_allocates_a_fixed_handful() {
+    for app in all_apps() {
+        let name = app.name;
+        let program = app
+            .compile(2, &PassOptions::default())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        drop(program.instance());
+        let before = CALLS.with(Cell::get);
+        let inst = program.instance();
+        let calls = CALLS.with(Cell::get) - before;
+        assert!(
+            calls <= INSTANCE_CALLS,
+            "{name}: a recycled instance of {} nodes made {calls} allocator calls",
+            inst.graph.node_count()
+        );
+    }
+}

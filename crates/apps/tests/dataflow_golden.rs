@@ -313,13 +313,15 @@ fn pass_table(report: &PassReport) -> String {
     s
 }
 
-/// The structural dump the digest is taken over.
+/// The structural dump the digest is taken over. A node's behavior prints
+/// inside `Some(…)`, as it did while slots held an `Option`, so the digest
+/// outlived that wrapper.
 fn dump(p: &CompiledProgram) -> String {
     let mut s = String::new();
     for (i, n) in p.graph.nodes().iter().enumerate() {
         writeln!(
             s,
-            "node {i} {:?} ins={:?} outs={:?} ctx={} unit={:?}\n  {:?}",
+            "node {i} {:?} ins={:?} outs={:?} ctx={} unit={:?}\n  Some({:?})",
             n.label, n.ins, n.outs, n.context, n.unit, n.behavior
         )
         .unwrap();

@@ -195,7 +195,7 @@ fn build(values: &[u32], moves: &[u32]) -> Graph {
         }
     }
     let first = g.add_chan(Channel::new(1));
-    g.add_node("src", Box::new(SourceNode::new(toks)), vec![], vec![first]);
+    g.add_node("src", SourceNode::new(toks), vec![], vec![first]);
     let mut open = vec![first];
     for (node_idx, &raw) in moves.iter().enumerate() {
         match decode(raw) {
@@ -216,7 +216,7 @@ fn build(values: &[u32], moves: &[u32]) -> Graph {
                 }];
                 g.add_node(
                     format!("map{node_idx}"),
-                    Box::new(EwNode::new(1, instrs, vec![OutputSpec::plain([0])])),
+                    EwNode::new(1, instrs, vec![OutputSpec::plain([0])]),
                     vec![src],
                     vec![dst],
                 );
@@ -228,11 +228,11 @@ fn build(values: &[u32], moves: &[u32]) -> Graph {
                 let d1 = g.add_chan(Channel::new(1));
                 g.add_node(
                     format!("dup{node_idx}"),
-                    Box::new(EwNode::new(
+                    EwNode::new(
                         1,
                         Vec::new(),
                         vec![OutputSpec::plain([0]), OutputSpec::plain([0])],
-                    )),
+                    ),
                     vec![src],
                     vec![d0, d1],
                 );
@@ -254,7 +254,7 @@ fn build(values: &[u32], moves: &[u32]) -> Graph {
                 }];
                 g.add_node(
                     format!("zip{node_idx}"),
-                    Box::new(EwNode::new(2, instrs, vec![OutputSpec::plain([0])])),
+                    EwNode::new(2, instrs, vec![OutputSpec::plain([0])]),
                     vec![a, b],
                     vec![dst],
                 );
@@ -264,7 +264,7 @@ fn build(values: &[u32], moves: &[u32]) -> Graph {
     }
     for (i, c) in open.into_iter().enumerate() {
         let (sink, _h) = SinkNode::new();
-        g.add_node(format!("sink{i}"), Box::new(sink), vec![c], vec![]);
+        g.add_node(format!("sink{i}"), sink, vec![c], vec![]);
     }
     g.mem = MemoryState::with_dram_size(64);
     g

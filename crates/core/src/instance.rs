@@ -16,7 +16,8 @@ use crate::lower::CompiledProgram;
 use crate::CoreError;
 use revet_machine::nodes::SinkHandle;
 use revet_machine::{
-    ChanId, ExecReport, Graph, MachineError, MemoryState, ResumeState, RunOptions, RunStatus, TTok,
+    ChanId, ExecReport, Graph, MachineError, MemoryState, Prim, ResumeState, RunOptions, RunStatus,
+    TTok,
 };
 use revet_obs::ObsSink;
 use revet_sltf::Word;
@@ -153,7 +154,10 @@ impl CompiledProgram {
         let sink = graph
             .nodes()
             .iter()
-            .find_map(|slot| slot.behavior.as_ref()?.sink_handle())
+            .find_map(|slot| match &slot.behavior {
+                Prim::Sink(sink) => Some(sink.handle()),
+                _ => None,
+            })
             .expect("compiled programs always end in main.sink");
         ProgramInstance {
             graph,

@@ -55,7 +55,7 @@ use revet_machine::nodes::{
     BroadcastNode, CounterNode, EwNode, FbMergeNode, FlattenNode, FwdMergeNode, OutputSpec,
     ReduceNode, SinkNode,
 };
-use revet_machine::{ChanId, Channel, Graph, LinkClass, Node, RunOptions, UnitClass};
+use revet_machine::{ChanId, Channel, Graph, LinkClass, Prim, RunOptions, UnitClass};
 use revet_mir::{DramLayout, Func, Module, Op, OpKind, Value};
 use revet_sltf::Word;
 use std::collections::HashMap;
@@ -323,7 +323,7 @@ impl DfLower<'_> {
         unit: UnitClass,
         category: Category,
         cost: (usize, usize),
-        node: Box<dyn Node>,
+        node: impl Into<Prim>,
         ins: impl Into<Arc<[ChanId]>>,
         outs: impl Into<Arc<[ChanId]>>,
     ) {
@@ -350,21 +350,12 @@ impl DfLower<'_> {
         kind: &'static str,
         category: Category,
         regs: usize,
-        node: impl Node + 'static,
+        node: impl Into<Prim>,
         ins: impl Into<Arc<[ChanId]>>,
         outs: impl Into<Arc<[ChanId]>>,
     ) {
         let unit = UnitClass::Compute;
-        self.emit(
-            base,
-            kind,
-            unit,
-            category,
-            (0, regs),
-            Box::new(node),
-            ins,
-            outs,
-        );
+        self.emit(base, kind, unit, category, (0, regs), node, ins, outs);
     }
 
     /// An element-wise context writing existing channels; its stage and
@@ -380,7 +371,7 @@ impl DfLower<'_> {
         outs: impl Into<Arc<[ChanId]>>,
     ) {
         let cost = (node.instrs.len(), node.reg_count() as usize);
-        self.emit(base, kind, unit, category, cost, Box::new(node), ins, outs);
+        self.emit(base, kind, unit, category, cost, node, ins, outs);
     }
 
     /// A single-output element-wise context on a fresh vector link.
@@ -427,7 +418,7 @@ impl DfLower<'_> {
             UnitClass::Compute,
             self.category(),
             cost,
-            Box::new(node),
+            node,
             [input.chan],
             [on_true, on_false],
         );
@@ -573,7 +564,7 @@ impl DfLower<'_> {
             return Err(CoreError::new("main must end in return"));
         }
         let (sink, handle) = SinkNode::new();
-        let id = self.g.add_node("main.sink", Box::new(sink), [cur.chan], []);
+        let id = self.g.add_node("main.sink", sink, [cur.chan], []);
         self.g.set_node_meta(id, u32::MAX, UnitClass::Virtual);
         Ok((entry, handle))
     }

@@ -167,16 +167,7 @@ impl DfLower<'_> {
         let node = EwNode::new(scratch + 1, instrs, vec![out_keep]);
         let (unit, category) = (UnitClass::Memory, Category::Buffer);
         let (ins, outs) = ([cur.chan], [chan]);
-        self.emit(
-            "rep.bufstore",
-            "ew",
-            unit,
-            category,
-            cost,
-            Box::new(node),
-            ins,
-            outs,
-        );
+        self.emit("rep.bufstore", "ew", unit, category, cost, node, ins, outs);
         Ok((sram, Cur { chan, vars: keep }))
     }
 
@@ -273,7 +264,7 @@ impl DfLower<'_> {
             unit,
             Category::Buffer,
             cost,
-            Box::new(node),
+            node,
             ins,
             outs,
         );

@@ -307,14 +307,9 @@ mod tests {
         let c0 = g.add_chan(Channel::new(1));
         let c1 = g.add_chan(Channel::new(1));
         let c2 = g.add_chan(Channel::new(2));
-        g.add_node(
-            "zip",
-            Box::new(EwNode::passthrough(2)),
-            vec![c0, c1],
-            vec![c2],
-        );
+        g.add_node("zip", EwNode::passthrough(2), vec![c0, c1], vec![c2]);
         let (sink_node, sink) = SinkNode::new();
-        g.add_node("sink", Box::new(sink_node), vec![c2], vec![]);
+        g.add_node("sink", sink_node, vec![c2], vec![]);
         ProgramInstance {
             graph: g,
             entry: c0,

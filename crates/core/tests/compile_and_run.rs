@@ -409,11 +409,7 @@ fn subword_packing_reduces_link_width() {
         p.graph
             .nodes()
             .iter()
-            .filter(|n| {
-                n.behavior
-                    .as_ref()
-                    .is_some_and(|b| b.kind().contains("merge"))
-            })
+            .filter(|n| n.behavior.kind().contains("merge"))
             .flat_map(|n| n.ins.iter())
             .map(|c| p.graph.chans()[c.0 as usize].arity())
             .sum()

@@ -27,9 +27,9 @@
 //! 1. one of its **input channels gains a token** (it may now fire),
 //! 2. one of its **output channels regains capacity** after being full
 //!    (back-pressure release — only possible on bounded channels), or
-//! 3. a pointer is **pushed to an allocator queue** and the node declares
-//!    [`Node::may_stall_on_alloc`] (allocator releases are the one
-//!    progress-enabling state change invisible on the channel network).
+//! 3. a pointer is **pushed to an allocator queue** and the node can
+//!    stall on one (allocator releases are the one progress-enabling
+//!    state change invisible on the channel network).
 //!
 //! Because nodes are Kahn processes (blocking reads, no sampling of
 //! channel emptiness), the final token streams and memory state are
@@ -39,7 +39,7 @@
 
 use crate::channel::Channel;
 use crate::mem::MemoryState;
-use crate::node::{ChanId, IoEvents, MachineError, Node, NodeId, NodeIo, PortBudget};
+use crate::node::{ChanId, IoEvents, MachineError, NodeId, NodeIo, PortBudget, Prim};
 use crate::plan::{ExecPlan, ResumeState};
 use revet_obs::{ObsSink, StallClass};
 use revet_sltf::Word;
@@ -62,10 +62,12 @@ pub enum UnitClass {
 
 /// A node slot: behavior plus wiring and placement metadata. The wiring
 /// and the label never change once the node is added, so every instance
-/// of a compiled graph shares them ([`Graph::fresh_instance`]).
+/// of a compiled graph shares them ([`Graph::fresh_instance`] clones the
+/// slots).
+#[derive(Clone)]
 pub struct NodeSlot {
-    /// The behavior (taken out while stepping).
-    pub behavior: Option<Box<dyn Node>>,
+    /// The primitive, held inline.
+    pub behavior: Prim,
     /// Input channels, in port order.
     pub ins: Arc<[ChanId]>,
     /// Output channels, in port order.
@@ -77,6 +79,13 @@ pub struct NodeSlot {
     pub context: u32,
     /// Placement class.
     pub unit: UnitClass,
+    /// Whether the behavior can stall on allocator-queue availability
+    /// (§V-B a blocking pops: an element-wise program that pops an
+    /// allocator), computed once when the node is added. Event-driven
+    /// executors re-wake such nodes whenever any node returns a pointer to
+    /// an allocator, since that state change is invisible on the channel
+    /// network.
+    pub(crate) alloc_gated: bool,
 }
 
 impl fmt::Debug for NodeSlot {
@@ -120,11 +129,7 @@ impl TopologyIndex {
             for c in slot.outs.iter() {
                 producers[c.0 as usize].push(id);
             }
-            if slot
-                .behavior
-                .as_ref()
-                .is_some_and(|b| b.may_stall_on_alloc())
-            {
+            if slot.alloc_gated {
                 alloc_waiters.push(id);
             }
         }
@@ -158,8 +163,8 @@ impl TopologyIndex {
 /// exception is the schedule ([`Graph::plan`]), which depends only on the
 /// wiring and is held behind an [`Arc`] so every instance cloned from one
 /// compiled graph ([`Graph::fresh_instance`]) shares a single copy. Graphs are
-/// `Send` (every [`Node`] is `Send + Sync`), so instances can run on
-/// worker threads.
+/// `Send + Sync` (every [`Prim`] is), so instances can run on worker
+/// threads.
 #[derive(Debug, Default)]
 pub struct Graph {
     nodes: Vec<NodeSlot>,
@@ -272,25 +277,29 @@ impl Graph {
         id
     }
 
-    /// Adds a node wired to the given channels; returns its id. The label
-    /// and the port lists go straight into their shared form (a `&str`,
-    /// an array or a `Vec` all convert).
+    /// Adds a node wired to the given channels; returns its id. The
+    /// behavior is any primitive (or a [`Prim`]); the label and the port
+    /// lists go straight into their shared form (a `&str`, an array or a
+    /// `Vec` all convert).
     pub fn add_node(
         &mut self,
         label: impl Into<Arc<str>>,
-        behavior: Box<dyn Node>,
+        behavior: impl Into<Prim>,
         ins: impl Into<Arc<[ChanId]>>,
         outs: impl Into<Arc<[ChanId]>>,
     ) -> NodeId {
         self.plan = None;
         let id = NodeId(self.nodes.len() as u32);
+        let behavior = behavior.into();
+        let alloc_gated = matches!(&behavior, Prim::Ew(ew) if ew.may_stall_on_alloc());
         self.nodes.push(NodeSlot {
-            behavior: Some(behavior),
+            behavior,
             ins: ins.into(),
             outs: outs.into(),
             label: label.into(),
             context: u32::MAX,
             unit: UnitClass::Compute,
+            alloc_gated,
         });
         id
     }
@@ -362,8 +371,8 @@ impl Graph {
     }
 
     /// Makes a fresh, independently runnable instance of this graph: node
-    /// state, channel contents, SRAM and allocator queues are copied (wiring
-    /// and labels are shared); the
+    /// state, channel contents, SRAM and allocator queues are copied
+    /// (wiring, labels and element-wise programs are shared); the
     /// DRAM image is checked out of this graph's recycling pool
     /// ([`MemoryState::fresh_instance`]: byte-identical to the template's,
     /// at the cost of the pages its previous user dirtied); result-
@@ -374,30 +383,9 @@ impl Graph {
     /// This is the machine half of the compile-once/run-many split: the
     /// compiler finishes a graph once, and the batch runtime instantiates
     /// it as many times, concurrently, as it needs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called re-entrantly from inside a node step (a behavior is
-    /// checked out mid-step).
     pub fn fresh_instance(&self) -> Graph {
         Graph {
-            nodes: self
-                .nodes
-                .iter()
-                .map(|slot| NodeSlot {
-                    behavior: Some(
-                        slot.behavior
-                            .as_ref()
-                            .expect("fresh_instance during a node step")
-                            .clone_node(),
-                    ),
-                    ins: slot.ins.clone(),
-                    outs: slot.outs.clone(),
-                    label: slot.label.clone(),
-                    context: slot.context,
-                    unit: slot.unit,
-                })
-                .collect(),
+            nodes: self.nodes.clone(),
             chans: self.chans.clone(),
             mem: self.mem.fresh_instance(),
             plan: self.plan.clone(),
@@ -410,9 +398,7 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Propagates node protocol errors, attributed with the node label; a
-    /// reentrant step (behavior already checked out) is reported as a
-    /// [`MachineError`] rather than a crash.
+    /// Propagates node protocol errors, attributed with the node label.
     pub fn step_node(
         &mut self,
         id: NodeId,
@@ -447,13 +433,6 @@ impl Graph {
         events: Option<&mut IoEvents>,
     ) -> Result<bool, MachineError> {
         let slot = &mut self.nodes[id.0 as usize];
-        let Some(mut behavior) = slot.behavior.take() else {
-            return Err(MachineError::new(
-                "reentrant step: node behavior already checked out \
-                 (a node stepped itself, or an executor re-entered the graph)",
-            )
-            .at(&slot.label));
-        };
         let mut io = NodeIo::new(
             &mut self.chans,
             &slot.ins,
@@ -466,9 +445,8 @@ impl Graph {
             io = io.with_events(ev);
         }
         io.scratch = std::mem::take(&mut self.scratch);
-        let result = behavior.step(&mut io);
+        let result = slot.behavior.fire(&mut io, slot.alloc_gated);
         self.scratch = io.scratch;
-        slot.behavior = Some(behavior);
         result.map_err(|e| e.at(&slot.label))
     }
 
@@ -564,10 +542,7 @@ impl Graph {
                     .ins
                     .iter()
                     .any(|c| !self.chans[c.0 as usize].is_empty())
-                || slot
-                    .behavior
-                    .as_ref()
-                    .is_some_and(|b| b.may_stall_on_alloc())
+                || slot.alloc_gated
         };
         (0..self.nodes.len())
             .filter(move |&i| can_progress(&self.nodes[i]))
@@ -581,12 +556,7 @@ impl Graph {
     /// with buffered work.
     pub fn resident_bytes(&self) -> u64 {
         let chan_bytes: usize = self.chans.iter().map(Channel::resident_bytes).sum();
-        let node_bytes: usize = self
-            .nodes
-            .iter()
-            .filter_map(|s| s.behavior.as_ref())
-            .map(|b| b.resident_bytes())
-            .sum();
+        let node_bytes: usize = self.nodes.iter().map(|s| s.behavior.resident_bytes()).sum();
         (chan_bytes + node_bytes) as u64
     }
 
@@ -609,11 +579,7 @@ impl Graph {
         {
             return StallClass::OutputFull;
         }
-        if slot
-            .behavior
-            .as_ref()
-            .is_some_and(|b| b.may_stall_on_alloc())
-        {
+        if slot.alloc_gated {
             return StallClass::AllocGated;
         }
         // No visibly blocked endpoint: the node is waiting for *more* input
@@ -641,13 +607,13 @@ mod tests {
         let c1 = g.add_chan(Channel::new(1));
         g.add_node(
             "src",
-            Box::new(SourceNode::new(vec![tdata([4u32]), tbar(1)])),
+            SourceNode::new(vec![tdata([4u32]), tbar(1)]),
             vec![],
             vec![c0],
         );
         g.add_node(
             "double",
-            Box::new(EwNode::new(
+            EwNode::new(
                 1,
                 vec![EwInstr::Alu {
                     op: AluOp::Add,
@@ -656,12 +622,12 @@ mod tests {
                     dst: 1,
                 }],
                 vec![OutputSpec::plain([1])],
-            )),
+            ),
             vec![c0],
             vec![c1],
         );
         let (sink, handle) = SinkNode::new();
-        g.add_node("sink", Box::new(sink), vec![c1], vec![]);
+        g.add_node("sink", sink, vec![c1], vec![]);
         let report = one_shot(&mut g, 100).unwrap();
         assert!(report.productive_steps >= 3);
         assert_eq!(handle.tokens(), vec![tdata([8u32]), tbar(1)]);
@@ -676,19 +642,14 @@ mod tests {
         let c2 = g.add_chan(Channel::new(2));
         g.add_node(
             "src",
-            Box::new(SourceNode::new(vec![tdata([1u32])])),
+            SourceNode::new(vec![tdata([1u32])]),
             vec![],
             vec![c0],
         );
         // c1 never receives anything.
-        g.add_node(
-            "zip",
-            Box::new(EwNode::passthrough(2)),
-            vec![c0, c1],
-            vec![c2],
-        );
+        g.add_node("zip", EwNode::passthrough(2), vec![c0, c1], vec![c2]);
         let (sink, _h) = SinkNode::new();
-        g.add_node("sink", Box::new(sink), vec![c2], vec![]);
+        g.add_node("sink", sink, vec![c2], vec![]);
         let err = one_shot(&mut g, 100).unwrap_err();
         assert!(err.message.contains("deadlock"), "got: {err}");
     }
@@ -702,7 +663,7 @@ mod tests {
         let c0 = g.add_chan(Channel::new(1).with_capacity(1));
         g.add_node(
             "src",
-            Box::new(SourceNode::new(vec![tdata([1u32]), tdata([2u32])])),
+            SourceNode::new(vec![tdata([1u32]), tdata([2u32])]),
             vec![],
             vec![c0],
         );
@@ -710,26 +671,6 @@ mod tests {
         // max_rounds=0 we hit the cap immediately.
         let err = one_shot(&mut g, 0).unwrap_err();
         assert!(err.message.contains("no quiescence"), "got: {err}");
-    }
-
-    #[test]
-    fn reentrant_step_is_an_error_not_a_panic() {
-        // A node whose behavior steps the node again through nothing — we
-        // emulate the checked-out state by taking the behavior out directly.
-        let mut g = Graph::new();
-        let c0 = g.add_chan(Channel::new(1));
-        let id = g.add_node(
-            "src",
-            Box::new(SourceNode::new(vec![tdata([1u32])])),
-            vec![],
-            vec![c0],
-        );
-        g.nodes[id.0 as usize].behavior = None; // simulate mid-step state
-        let mut ib: Vec<PortBudget> = vec![];
-        let mut ob = vec![PortBudget::UNLIMITED];
-        let err = g.step_node(id, &mut ib, &mut ob).unwrap_err();
-        assert!(err.message.contains("reentrant step"), "got: {err}");
-        assert_eq!(err.node.as_deref(), Some("src"));
     }
 
     #[test]
@@ -743,18 +684,18 @@ mod tests {
             let c2 = g.add_chan(Channel::new(2));
             g.add_node(
                 format!("src.{tag}"),
-                Box::new(SourceNode::new(vec![tdata([1u32])])),
+                SourceNode::new(vec![tdata([1u32])]),
                 vec![],
                 vec![c0],
             );
             g.add_node(
                 format!("zip.{tag}"),
-                Box::new(EwNode::passthrough(2)),
+                EwNode::passthrough(2),
                 vec![c0, c1],
                 vec![c2],
             );
             let (sink, _h) = SinkNode::new();
-            g.add_node(format!("sink.{tag}"), Box::new(sink), vec![c2], vec![]);
+            g.add_node(format!("sink.{tag}"), sink, vec![c2], vec![]);
         };
         starve(&mut g, "a");
         starve(&mut g, "b");
@@ -772,19 +713,19 @@ mod tests {
             let mut g = Graph::new();
             let mut prev = g.add_chan(Channel::new(1));
             let toks: Vec<_> = (0..16u32).map(|i| tdata([i])).chain([tbar(1)]).collect();
-            g.add_node("src", Box::new(SourceNode::new(toks)), vec![], vec![prev]);
+            g.add_node("src", SourceNode::new(toks), vec![], vec![prev]);
             for i in 0..24 {
                 let next = g.add_chan(Channel::new(1));
                 g.add_node(
                     format!("stage{i}"),
-                    Box::new(EwNode::passthrough(1)),
+                    EwNode::passthrough(1),
                     vec![prev],
                     vec![next],
                 );
                 prev = next;
             }
             let (sink, handle) = SinkNode::new();
-            g.add_node("sink", Box::new(sink), vec![prev], vec![]);
+            g.add_node("sink", sink, vec![prev], vec![]);
             (g, handle)
         };
         let (mut dense_g, dense_h) = build();
@@ -819,13 +760,13 @@ mod tests {
         let c1 = g.add_chan(Channel::new(1));
         g.add_node(
             "src",
-            Box::new(SourceNode::new(vec![tdata([21u32]), tbar(1)])),
+            SourceNode::new(vec![tdata([21u32]), tbar(1)]),
             vec![],
             vec![c0],
         );
         g.add_node(
             "double",
-            Box::new(EwNode::new(
+            EwNode::new(
                 1,
                 vec![EwInstr::Alu {
                     op: AluOp::Add,
@@ -834,12 +775,12 @@ mod tests {
                     dst: 1,
                 }],
                 vec![OutputSpec::plain([1])],
-            )),
+            ),
             vec![c0],
             vec![c1],
         );
         let (sink, template_handle) = SinkNode::new();
-        g.add_node("sink", Box::new(sink), vec![c1], vec![]);
+        g.add_node("sink", sink, vec![c1], vec![]);
         let plan = Arc::clone(g.plan());
 
         let mut handles = Vec::new();
@@ -853,7 +794,10 @@ mod tests {
             let h = inst
                 .nodes()
                 .iter()
-                .find_map(|s| s.behavior.as_ref().unwrap().sink_handle())
+                .find_map(|s| match &s.behavior {
+                    Prim::Sink(sink) => Some(sink.handle()),
+                    _ => None,
+                })
                 .expect("instance has a sink");
             handles.push(h);
         }
@@ -913,18 +857,13 @@ mod tests {
             let c1 = g.add_chan(Channel::new(1));
             g.add_node(
                 "src",
-                Box::new(SourceNode::new(vec![tdata([4u32]), tbar(1)])),
+                SourceNode::new(vec![tdata([4u32]), tbar(1)]),
                 vec![],
                 vec![c0],
             );
-            g.add_node(
-                "stage",
-                Box::new(EwNode::passthrough(1)),
-                vec![c0],
-                vec![c1],
-            );
+            g.add_node("stage", EwNode::passthrough(1), vec![c0], vec![c1]);
             let (sink, _h) = SinkNode::new();
-            g.add_node("sink", Box::new(sink), vec![c1], vec![]);
+            g.add_node("sink", sink, vec![c1], vec![]);
             g
         };
         let ready = one_shot(&mut build(), 1_000).unwrap();
@@ -942,18 +881,13 @@ mod tests {
         let c1 = g.add_chan(Channel::new(1));
         g.add_node(
             "src",
-            Box::new(SourceNode::new(vec![tdata([4u32]), tbar(1)])),
+            SourceNode::new(vec![tdata([4u32]), tbar(1)]),
             vec![],
             vec![c0],
         );
-        g.add_node(
-            "stage",
-            Box::new(EwNode::passthrough(1)),
-            vec![c0],
-            vec![c1],
-        );
+        g.add_node("stage", EwNode::passthrough(1), vec![c0], vec![c1]);
         let (sink, _h) = SinkNode::new();
-        g.add_node("sink", Box::new(sink), vec![c1], vec![]);
+        g.add_node("sink", sink, vec![c1], vec![]);
         let (report, _) = g
             .run(RunOptions {
                 obs: &obs,
@@ -978,7 +912,7 @@ mod tests {
         let c0 = g.add_chan(Channel::new(1));
         g.add_node(
             "src",
-            Box::new(SourceNode::new(vec![tdata([1u32])])),
+            SourceNode::new(vec![tdata([1u32])]),
             vec![],
             vec![c0],
         );
@@ -988,7 +922,7 @@ mod tests {
         assert!(g.plan.is_none(), "add_chan must invalidate");
         g.plan();
         let (sink, _h) = SinkNode::new();
-        g.add_node("sink", Box::new(sink), vec![c0], vec![]);
+        g.add_node("sink", sink, vec![c0], vec![]);
         assert!(g.plan.is_none(), "add_node must invalidate");
         let topo = Arc::clone(g.plan().topology());
         assert!(!Arc::ptr_eq(&topo, stale.topology()));
@@ -1003,15 +937,10 @@ mod tests {
         let mut g = Graph::new();
         let c0 = g.add_chan(Channel::new(1));
         let c1 = g.add_chan(Channel::new(1));
-        g.add_node(
-            "src",
-            Box::new(SourceNode::new(Vec::new())),
-            vec![],
-            vec![c0],
-        );
+        g.add_node("src", SourceNode::new(Vec::new()), vec![], vec![c0]);
         g.add_node(
             "double",
-            Box::new(EwNode::new(
+            EwNode::new(
                 1,
                 vec![EwInstr::Alu {
                     op: AluOp::Add,
@@ -1020,12 +949,12 @@ mod tests {
                     dst: 1,
                 }],
                 vec![OutputSpec::plain([1])],
-            )),
+            ),
             vec![c0],
             vec![c1],
         );
         let (sink, handle) = SinkNode::new();
-        g.add_node("sink", Box::new(sink), vec![c1], vec![]);
+        g.add_node("sink", sink, vec![c1], vec![]);
         (g, c0, handle)
     }
 
@@ -1054,24 +983,14 @@ mod tests {
         let c2 = g.add_chan(Channel::new(2));
         g.add_node(
             "src.a",
-            Box::new(SourceNode::new(vec![tdata([1u32])])),
+            SourceNode::new(vec![tdata([1u32])]),
             vec![],
             vec![c0],
         );
-        g.add_node(
-            "src.b",
-            Box::new(SourceNode::new(Vec::new())),
-            vec![],
-            vec![c1],
-        );
-        g.add_node(
-            "zip",
-            Box::new(EwNode::passthrough(2)),
-            vec![c0, c1],
-            vec![c2],
-        );
+        g.add_node("src.b", SourceNode::new(Vec::new()), vec![], vec![c1]);
+        g.add_node("zip", EwNode::passthrough(2), vec![c0, c1], vec![c2]);
         let (sink, handle) = SinkNode::new();
-        g.add_node("sink", Box::new(sink), vec![c2], vec![]);
+        g.add_node("sink", sink, vec![c2], vec![]);
         let mut resume = ResumeState::new();
         let (_, s) = g
             .run(RunOptions {
@@ -1132,13 +1051,13 @@ mod tests {
             let mut g = Graph::new();
             let c: Vec<ChanId> = (0..3).map(|_| g.add_chan(Channel::new(1))).collect();
             let src = SourceNode::new(Vec::new());
-            g.add_node("src", Box::new(src), vec![], vec![c[0]]);
+            g.add_node("src", src, vec![], vec![c[0]]);
             for i in 0..2 {
-                let stage = Box::new(EwNode::passthrough(1));
+                let stage = EwNode::passthrough(1);
                 g.add_node(format!("stage{i}"), stage, vec![c[i]], vec![c[i + 1]]);
             }
             let (sink, handle) = SinkNode::new();
-            g.add_node("sink", Box::new(sink), vec![c[2]], vec![]);
+            g.add_node("sink", sink, vec![c[2]], vec![]);
             (g, handle)
         };
         let toks = |r: std::ops::Range<u32>| r.map(|i| tdata([i])).chain([tbar(1)]);

@@ -6,9 +6,11 @@
 //! untimed Kahn-style executor used as the functional reference for compiled
 //! programs.
 //!
-//! The primitive set ([`nodes`]) matches §III-B. Each primitive states its
-//! firing rule once, as a generic `fire<P: Ports>` over its links; the
-//! object-safe [`Node`] an executor holds is bridged to it in one place:
+//! The primitive set ([`nodes`]) matches §III-B and is closed: a graph
+//! holds each node as a [`Prim`], one variant per primitive, and every
+//! question asked of a node — how it fires, its kind, whether it can stall
+//! on an allocator — is one `match` over it. Each primitive states its
+//! firing rule once, as a generic `fire<P: Ports>` over its links:
 //!
 //! | Paper primitive          | Node                              | Firing rule |
 //! |--------------------------|-----------------------------------|-------------|
@@ -24,6 +26,9 @@
 //!
 //! All primitives observe the two SLTF composability rules: barriers pass
 //! through exactly once, in order, and data never reorders across barriers.
+//! Adding one is its rule in [`nodes`], one [`Prim`] variant with its
+//! `From`, and one arm in each `match` over `Prim`; the compiler names any
+//! arm that is missing.
 //!
 //! Tokens ride arity-typed slab slots: a [`Channel`]'s queue is one flat
 //! `Word` lane of `arity` words per slot plus a one-byte tag lane (data or
@@ -75,16 +80,16 @@
 //! let a = g.add_chan(Channel::new(1));
 //! let b = g.add_chan(Channel::new(1));
 //! let d = g.add_chan(Channel::new(1));
-//! g.add_node("enter", Box::new(SourceNode::new(vec![tdata([3u32]), tbar(1)])), vec![], vec![a]);
+//! g.add_node("enter", SourceNode::new(vec![tdata([3u32]), tbar(1)]), vec![], vec![a]);
 //! g.add_node(
 //!     "counter",
-//!     Box::new(CounterNode::new(Operand::imm(0u32), Operand::Reg(0), Operand::imm(1u32))),
+//!     CounterNode::new(Operand::imm(0u32), Operand::Reg(0), Operand::imm(1u32)),
 //!     vec![a],
 //!     vec![b],
 //! );
-//! g.add_node("reduce", Box::new(ReduceNode::new(AluOp::Add, 0u32)), vec![b], vec![d]);
+//! g.add_node("reduce", ReduceNode::new(AluOp::Add, 0u32), vec![b], vec![d]);
 //! let (sink, out) = SinkNode::new();
-//! g.add_node("exit", Box::new(sink), vec![d], vec![]);
+//! g.add_node("exit", sink, vec![d], vec![]);
 //! g.run(RunOptions::new(1_000)).unwrap();
 //! // sum(0..3) = 3, still a 1-D stream of one thread.
 //! assert_eq!(out.tokens(), vec![tdata([3u32]), tbar(1)]);
@@ -108,7 +113,7 @@ pub use channel::{Channel, LinkClass};
 pub use dram::{Dram, PoolStats, PAGE_BYTES, POOL_IMAGES};
 pub use graph::{ExecReport, Graph, NodeSlot, RunOptions, RunStatus, TopologyIndex, UnitClass};
 pub use mem::{AllocId, AllocQueue, MemoryState, SramId, SramRegion};
-pub use node::{ChanId, IoEvents, MachineError, Node, NodeId, NodeIo, PortBudget, Ports};
+pub use node::{ChanId, IoEvents, MachineError, NodeId, NodeIo, PortBudget, Ports, Prim};
 pub use plan::{ExecPlan, PlanPorts, PlanStats, ResumeState};
 pub use ring::Ring;
 pub use tuple::{tbar, tdata, TTok, Tuple};

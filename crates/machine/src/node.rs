@@ -16,21 +16,26 @@
 //! - [`NodeIo`] — per-port token budgets, room checks and [`IoEvents`]
 //!   recording: the cycle-level simulator (bounded channels, §III-C link
 //!   bandwidth) and the dense oracle.
-//! - [`PlanPorts`] — direct channel access with the wake-ups applied
-//!   inside `push`/`pop_in`: the execution plan ([`crate::ExecPlan`]),
-//!   which is what [`crate::Graph::run`] drains through.
+//! - [`PlanPorts`](crate::PlanPorts) — direct channel access with the
+//!   wake-ups applied inside `push`/`pop_in`: the execution plan
+//!   ([`crate::ExecPlan`]), which is what [`crate::Graph::run`] drains
+//!   through.
 //!
-//! [`Node`] is the object-safe face an executor holds; `node_entries!`
-//! bridges it to `fire`, once per `Ports` implementation.
+//! A graph holds each primitive as a [`Prim`], a closed enum: firing one
+//! is a `match`, monomorphised per `Ports` implementation, and so is
+//! every other question asked of a node.
 
 #![warn(clippy::too_many_lines)]
 
 use crate::channel::{transfer, Channel};
 use crate::mem::MemoryState;
-use crate::nodes::{EwNode, SinkHandle};
-use crate::plan::PlanPorts;
+use crate::nodes::{
+    BroadcastNode, CounterNode, EwNode, FbMergeNode, FlattenNode, ForkNode, FwdMergeNode,
+    ReduceNode, SinkNode, SourceNode,
+};
 use core::fmt;
 use revet_sltf::{BarrierLevel, Tok, Word};
+use std::sync::Arc;
 
 /// Identifies a channel within a [`crate::Graph`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -140,7 +145,7 @@ impl IoEvents {
 /// The port surface a primitive fires against: exactly the calls the
 /// §III-B firing rules make. What a call *costs* — budgets, back-pressure
 /// events, wake-ups — is the implementation's business ([`NodeIo`],
-/// [`PlanPorts`]).
+/// [`PlanPorts`](crate::PlanPorts)).
 pub trait Ports {
     /// Number of input ports.
     fn in_count(&self) -> usize;
@@ -352,106 +357,148 @@ impl Ports for NodeIo<'_> {
     }
 }
 
-/// A streaming primitive (§III-B), as an executor holds it: the
-/// object-safe face of a firing rule. Implementations must:
+/// A streaming primitive (§III-B) as a graph holds it: the set is closed,
+/// one variant per primitive, held inline in its [`crate::NodeSlot`].
+///
+/// Every primitive writes its rule once, as an inherent
+/// `fire<P: Ports>(&mut self, io: &mut P) -> Result<bool, MachineError>`
+/// that advances the node as far as inputs and output room allow and
+/// returns `Ok(true)` iff any token moved. A rule must
 ///
 /// 1. pass every incoming barrier through exactly once, in order, and
 /// 2. never reorder data across barriers (reordering between barriers is
 ///    allowed),
 ///
-/// the two SLTF composability conditions.
+/// the two SLTF composability conditions. A rule returns an unattributed
+/// [`MachineError`] on a protocol violation (structure-mismatched zip
+/// inputs, a barrier raised past Ω15, data on a barrier-free link…), which
+/// indicates a compiler bug rather than a recoverable condition; the
+/// firing site attaches the node label.
 ///
-/// A primitive writes its rule once, as an inherent
-/// `fire<P: Ports>(&mut self, io: &mut P) -> Result<bool, MachineError>`
-/// that advances the node as far as inputs and output room allow and
-/// returns `Ok(true)` iff any token moved; `node_entries!` supplies the
-/// three entries below that depend on nothing else.
+/// To add a primitive: one variant here, its `From`, and one arm in each
+/// `match` below — the compiler lists any that is missing.
 ///
-/// Nodes are `Send + Sync` so a finished [`crate::Graph`] can be shared
-/// immutably across threads (the batch runtime instantiates one compiled
-/// program many times from a shared reference) and instances can migrate
-/// onto worker threads.
-pub trait Node: fmt::Debug + Send + Sync {
-    /// Fires the rule against budgeted ports (simulator, dense oracle).
-    ///
-    /// # Errors
-    ///
-    /// Returns an unattributed [`MachineError`] on protocol violations
-    /// (structure-mismatched zip inputs, barrier overflow past Ω15, data
-    /// on a barrier-free link…), which indicate compiler bugs rather than
-    /// recoverable conditions; the firing site attaches the node label.
-    fn step(&mut self, io: &mut NodeIo<'_>) -> Result<bool, MachineError>;
+/// `Clone` is what [`crate::Graph::fresh_instance`] does per node: state
+/// is copied verbatim, an element-wise program is shared (a reference
+/// count, since it never changes once built), and a sink clones to a
+/// fresh, empty buffer ([`SinkNode`]'s `Clone`). `Debug` is the inner
+/// node's.
+#[derive(Clone)]
+pub enum Prim {
+    /// Element-wise stage or filter (§III-B a, c).
+    Ew(Arc<EwNode>),
+    /// Forward merge (§III-B c).
+    FwdMerge(FwdMergeNode),
+    /// Forward-backward merge, the loop header (§III-B d).
+    FbMerge(FbMergeNode),
+    /// Counter expansion (§III-B b).
+    Counter(CounterNode),
+    /// Fork: expansion and flattening fused (§IV-A a).
+    Fork(ForkNode),
+    /// Broadcast expansion (§III-B b, §III-C).
+    Broadcast(BroadcastNode),
+    /// Reduction (§III-B b).
+    Reduce(ReduceNode),
+    /// Flattening, also the loop exit (§III-B b, d).
+    Flatten(FlattenNode),
+    /// Prepared input stream (test harnesses).
+    Source(SourceNode),
+    /// Result collector.
+    Sink(SinkNode),
+}
 
-    /// Fires the same rule against the execution plan's ports.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Node::step`].
-    fn step_planned(&mut self, io: &mut PlanPorts<'_>) -> Result<bool, MachineError>;
-
-    /// Clones this node's behavior into a fresh boxed instance, so one
-    /// compiled graph can be instantiated many times
-    /// ([`crate::Graph::fresh_instance`]). Ordinary primitives copy their
-    /// state verbatim; result-collecting endpoints
-    /// ([`crate::nodes::SinkNode`]) clone to a fresh, empty collection
-    /// buffer instead of sharing the original's.
-    fn clone_node(&self) -> Box<dyn Node>;
+impl Prim {
+    /// Fires the primitive's rule on `io`. `alloc_gated` is the slot's
+    /// flag (`NodeSlot::alloc_gated`), computed when the node was added.
+    #[inline]
+    pub(crate) fn fire<P: Ports>(
+        &mut self,
+        io: &mut P,
+        alloc_gated: bool,
+    ) -> Result<bool, MachineError> {
+        match self {
+            Prim::Ew(n) => n.fire_gated(io, alloc_gated),
+            Prim::FwdMerge(n) => n.fire(io),
+            Prim::FbMerge(n) => n.fire(io),
+            Prim::Counter(n) => n.fire(io),
+            Prim::Fork(n) => n.fire(io),
+            Prim::Broadcast(n) => n.fire(io),
+            Prim::Reduce(n) => n.fire(io),
+            Prim::Flatten(n) => n.fire(io),
+            Prim::Source(n) => n.fire(io),
+            Prim::Sink(n) => n.fire(io),
+        }
+    }
 
     /// A short static kind name ("ew", "fwd-merge", …) for reports.
-    fn kind(&self) -> &'static str;
-
-    /// True if this node can stall on allocator-queue availability (§V-B a
-    /// blocking pops). Event-driven executors re-wake such nodes whenever
-    /// any node returns a pointer to an allocator, since that state change
-    /// is invisible on the channel network.
-    fn may_stall_on_alloc(&self) -> bool {
-        false
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Prim::Ew(_) => "ew",
+            Prim::FwdMerge(_) => "fwd-merge",
+            Prim::FbMerge(_) => "fb-merge",
+            Prim::Counter(_) => "counter",
+            Prim::Fork(_) => "fork",
+            Prim::Broadcast(_) => "broadcast",
+            Prim::Reduce(_) => "reduce",
+            Prim::Flatten(_) => "flatten",
+            Prim::Source(_) => "source",
+            Prim::Sink(_) => "sink",
+        }
     }
 
-    /// The handle to this node's collected output, for result-collecting
-    /// endpoints ([`crate::nodes::SinkNode`]); `None` for every other
-    /// primitive. Lets an instantiated graph surface its own sink handle
-    /// without downcasting.
-    fn sink_handle(&self) -> Option<SinkHandle> {
-        None
-    }
-
-    /// This node as an element-wise stage, if it is one — the typed
-    /// borrow the execution plan's chain rule reads ([`crate::ExecPlan`]).
-    fn as_ew(&self) -> Option<&EwNode> {
-        None
-    }
-
-    /// Approximate heap bytes retained by this node's internal state
-    /// (pending source tokens, collected sink tokens, …). Per-session
-    /// memory accounting for resident streaming instances; `0` for
-    /// stateless primitives.
-    fn resident_bytes(&self) -> usize {
-        0
+    /// Approximate heap bytes retained by this node's state (pending
+    /// source tokens, collected sink tokens): per-session memory
+    /// accounting for resident streaming instances; `0` for the rest.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        match self {
+            Prim::Source(n) => n.resident_bytes(),
+            Prim::Sink(n) => n.handle().resident_bytes(),
+            _ => 0,
+        }
     }
 }
 
-/// The one bridge from a primitive's generic `fire<P: Ports>` to the
-/// object-safe [`Node`] entries; invoked inside each `impl Node for …`.
-macro_rules! node_entries {
-    () => {
-        fn step(
-            &mut self,
-            io: &mut $crate::node::NodeIo<'_>,
-        ) -> Result<bool, $crate::node::MachineError> {
-            self.fire(io)
+impl fmt::Debug for Prim {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Prim::Ew(n) => n.fmt(f),
+            Prim::FwdMerge(n) => n.fmt(f),
+            Prim::FbMerge(n) => n.fmt(f),
+            Prim::Counter(n) => n.fmt(f),
+            Prim::Fork(n) => n.fmt(f),
+            Prim::Broadcast(n) => n.fmt(f),
+            Prim::Reduce(n) => n.fmt(f),
+            Prim::Flatten(n) => n.fmt(f),
+            Prim::Source(n) => n.fmt(f),
+            Prim::Sink(n) => n.fmt(f),
         }
-
-        fn step_planned(
-            &mut self,
-            io: &mut $crate::plan::PlanPorts<'_>,
-        ) -> Result<bool, $crate::node::MachineError> {
-            self.fire(io)
-        }
-
-        fn clone_node(&self) -> Box<dyn $crate::node::Node> {
-            Box::new(self.clone())
-        }
-    };
+    }
 }
-pub(crate) use node_entries;
+
+impl From<EwNode> for Prim {
+    fn from(n: EwNode) -> Self {
+        Prim::Ew(Arc::new(n))
+    }
+}
+
+macro_rules! prim_from {
+    ($($variant:ident($node:ty)),* $(,)?) => {$(
+        impl From<$node> for Prim {
+            fn from(n: $node) -> Self {
+                Prim::$variant(n)
+            }
+        }
+    )*};
+}
+
+prim_from!(
+    FwdMerge(FwdMergeNode),
+    FbMerge(FbMergeNode),
+    Counter(CounterNode),
+    Fork(ForkNode),
+    Broadcast(BroadcastNode),
+    Reduce(ReduceNode),
+    Flatten(FlattenNode),
+    Source(SourceNode),
+    Sink(SinkNode),
+);

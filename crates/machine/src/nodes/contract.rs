@@ -9,7 +9,7 @@
 //! Flattening removes one hierarchy level while leaving elements untouched.
 
 use crate::instr::AluOp;
-use crate::node::{node_entries, MachineError, Node, Ports};
+use crate::node::{MachineError, Ports};
 use revet_sltf::{Tok, Word};
 
 /// Reduce node: folds dimension 1 into single elements.
@@ -128,14 +128,6 @@ impl ReduceNode {
     }
 }
 
-impl Node for ReduceNode {
-    node_entries!();
-
-    fn kind(&self) -> &'static str {
-        "reduce"
-    }
-}
-
 /// Flatten node: removes one hierarchy level (Ω1 dropped, Ωn lowered). Also
 /// serves as the **loop-exit** edge operator of §III-B d ("edges leaving the
 /// body then lower all barriers by one level").
@@ -187,23 +179,15 @@ impl FlattenNode {
     }
 }
 
-impl Node for FlattenNode {
-    node_entries!();
-
-    fn kind(&self) -> &'static str {
-        "flatten"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::channel::Channel;
     use crate::mem::MemoryState;
-    use crate::node::{ChanId, NodeIo, PortBudget};
+    use crate::node::{ChanId, NodeIo, PortBudget, Prim};
     use crate::tuple::{tbar, tdata, TTok};
 
-    fn run(node: &mut dyn Node, input: Vec<TTok>, in_ar: usize, out_ar: usize) -> Vec<TTok> {
+    fn run(node: impl Into<Prim>, input: Vec<TTok>, in_ar: usize, out_ar: usize) -> Vec<TTok> {
         let mut chans = vec![
             Channel::new(in_ar).without_canonicalization(),
             Channel::new(out_ar).without_canonicalization(),
@@ -217,16 +201,16 @@ mod tests {
         let mut ib = vec![PortBudget::UNLIMITED; 1];
         let mut ob = vec![PortBudget::UNLIMITED; 1];
         let mut io = NodeIo::new(&mut chans, &ins, &outs, &mut mem, &mut ib, &mut ob);
-        node.step(&mut io).unwrap();
+        node.into().fire(&mut io, false).unwrap();
         chans[1].drain_all()
     }
 
     #[test]
     fn sum_two_dims() {
         // [[1,2],[3]] → [3, 3] with barriers lowered: 1 2 Ω1 3 Ω2 → 3 3 Ω1.
-        let mut r = ReduceNode::new(AluOp::Add, 0u32);
+        let r = ReduceNode::new(AluOp::Add, 0u32);
         let out = run(
-            &mut r,
+            r,
             vec![
                 tdata([1u32]),
                 tdata([2u32]),
@@ -243,36 +227,36 @@ mod tests {
     #[test]
     fn empty_tensor_rules() {
         // §III-A b: [[]]→[0], [[],[]]→[0,0], []→[].
-        let mut r = ReduceNode::new(AluOp::Add, 0u32);
+        let r = ReduceNode::new(AluOp::Add, 0u32);
         assert_eq!(
-            run(&mut r, vec![tbar(1), tbar(2)], 1, 1),
+            run(r, vec![tbar(1), tbar(2)], 1, 1),
             vec![tdata([0u32]), tbar(1)]
         );
-        let mut r = ReduceNode::new(AluOp::Add, 0u32);
+        let r = ReduceNode::new(AluOp::Add, 0u32);
         assert_eq!(
-            run(&mut r, vec![tbar(1), tbar(1), tbar(2)], 1, 1),
+            run(r, vec![tbar(1), tbar(1), tbar(2)], 1, 1),
             vec![tdata([0u32]), tdata([0u32]), tbar(1)]
         );
-        let mut r = ReduceNode::new(AluOp::Add, 0u32);
-        assert_eq!(run(&mut r, vec![tbar(2)], 1, 1), vec![tbar(1)]);
+        let r = ReduceNode::new(AluOp::Add, 0u32);
+        assert_eq!(run(r, vec![tbar(2)], 1, 1), vec![tbar(1)]);
     }
 
     #[test]
     fn canonical_input_implied_emit() {
         // 1 Ω2 (Ω1 implied after data) must still emit the partial sum.
-        let mut r = ReduceNode::new(AluOp::Add, 0u32);
+        let r = ReduceNode::new(AluOp::Add, 0u32);
         assert_eq!(
-            run(&mut r, vec![tdata([1u32]), tbar(2)], 1, 1),
+            run(r, vec![tdata([1u32]), tbar(2)], 1, 1),
             vec![tdata([1u32]), tbar(1)]
         );
     }
 
     #[test]
     fn min_reduction_with_init() {
-        let mut r = ReduceNode::new(AluOp::MinS, i32::MAX);
+        let r = ReduceNode::new(AluOp::MinS, i32::MAX);
         assert_eq!(
             run(
-                &mut r,
+                r,
                 vec![tdata([5u32]), tdata([2u32]), tdata([9u32]), tbar(1)],
                 1,
                 1
@@ -284,10 +268,10 @@ mod tests {
     #[test]
     fn void_reduce_synchronizes() {
         // [[v,v]] → one void token per inner dimension: [v], barriers lowered.
-        let mut r = ReduceNode::void();
+        let r = ReduceNode::void();
         let v = || tdata::<[u32; 0], u32>([]);
         assert_eq!(
-            run(&mut r, vec![v(), v(), tbar(1), tbar(2)], 0, 0),
+            run(r, vec![v(), v(), tbar(1), tbar(2)], 0, 0),
             vec![v(), tbar(1)]
         );
     }
@@ -300,10 +284,10 @@ mod tests {
 
     #[test]
     fn flatten_lowers_and_drops() {
-        let mut f = FlattenNode::new();
+        let f = FlattenNode::new();
         assert_eq!(
             run(
-                &mut f,
+                f,
                 vec![tdata([1u32]), tbar(1), tdata([2u32]), tbar(2)],
                 1,
                 1
@@ -316,7 +300,7 @@ mod tests {
     fn flatten_as_loop_exit() {
         // Fig. 4 stream D before lowering: t3 t1 t2 t4 with wave Ω1s and the
         // final raised barrier.
-        let mut f = FlattenNode::new();
+        let f = FlattenNode::new();
         let input = vec![
             tdata([3u32]),
             tbar(1),
@@ -328,7 +312,7 @@ mod tests {
             tbar(2),
         ];
         assert_eq!(
-            run(&mut f, input, 1, 1),
+            run(f, input, 1, 1),
             vec![
                 tdata([3u32]),
                 tdata([1u32]),

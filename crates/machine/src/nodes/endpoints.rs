@@ -1,6 +1,6 @@
 //! Graph endpoints: sources inject prepared streams, sinks collect results.
 
-use crate::node::{node_entries, MachineError, Node, Ports};
+use crate::node::{MachineError, Ports};
 use crate::tuple::TTok;
 use revet_sltf::{Tok, Word};
 use std::collections::VecDeque;
@@ -81,16 +81,9 @@ impl SourceNode {
         }
         Ok(progressed)
     }
-}
 
-impl Node for SourceNode {
-    node_entries!();
-
-    fn kind(&self) -> &'static str {
-        "source"
-    }
-
-    fn resident_bytes(&self) -> usize {
+    /// Approximate resident heap bytes of the tokens still to emit.
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.pending.iter().map(token_bytes).sum()
     }
 }
@@ -103,7 +96,7 @@ pub struct SinkNode {
 
 /// A cloned sink collects into a **fresh, empty** buffer: instances of one
 /// compiled graph must never interleave their results. The new node's
-/// handle is reachable via [`Node::sink_handle`].
+/// handle is reachable via [`SinkNode::handle`].
 impl Clone for SinkNode {
     fn clone(&self) -> Self {
         SinkNode::new().0
@@ -122,6 +115,11 @@ impl SinkNode {
         )
     }
 
+    /// The handle to the tokens this sink collects.
+    pub fn handle(&self) -> SinkHandle {
+        self.out.clone()
+    }
+
     /// Collects every available input token.
     ///
     /// # Errors
@@ -135,22 +133,6 @@ impl SinkNode {
             progressed = true;
         }
         Ok(progressed)
-    }
-}
-
-impl Node for SinkNode {
-    node_entries!();
-
-    fn kind(&self) -> &'static str {
-        "sink"
-    }
-
-    fn sink_handle(&self) -> Option<SinkHandle> {
-        Some(self.out.clone())
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.out.resident_bytes()
     }
 }
 
@@ -174,14 +156,14 @@ mod tests {
         let mut ib = vec![];
         let mut ob = vec![PortBudget::UNLIMITED];
         let mut io = NodeIo::new(&mut chans, &ins, &outs, &mut mem, &mut ib, &mut ob);
-        assert!(src.step(&mut io).unwrap());
+        assert!(src.fire(&mut io).unwrap());
 
         let ins = [ChanId(0)];
         let outs: [ChanId; 0] = [];
         let mut ib = vec![PortBudget::UNLIMITED];
         let mut ob = vec![];
         let mut io = NodeIo::new(&mut chans, &ins, &outs, &mut mem, &mut ib, &mut ob);
-        assert!(sink.step(&mut io).unwrap());
+        assert!(sink.fire(&mut io).unwrap());
         assert_eq!(handle.tokens(), vec![tdata([1u32]), tbar(1)]);
         assert_eq!(handle.len(), 2);
         assert!(!handle.is_empty());
@@ -200,7 +182,7 @@ mod tests {
             barrier: 1,
         }];
         let mut io = NodeIo::new(&mut chans, &ins, &outs, &mut mem, &mut ib, &mut ob);
-        src.step(&mut io).unwrap();
+        src.fire(&mut io).unwrap();
         assert_eq!(chans[0].len(), 1, "budget limited to one data token");
     }
 }

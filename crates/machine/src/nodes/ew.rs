@@ -35,11 +35,11 @@
 //! what firing its stages one after another through real channels
 //! produces — provided the stages' memory accesses commute, which the
 //! execution plan checks when it groups stages into runs. [`EwNode::fire`]
-//! is the one-stage run (`EwNode::fire_on`), the case the simulator, the
+//! is the one-stage run (`EwNode::fire_gated`), the case the simulator, the
 //! dense oracle and the plan's unchained stages fire.
 
 use crate::instr::{exec_instrs, EwInstr, Reg};
-use crate::node::{node_entries, MachineError, Node, Ports};
+use crate::node::{MachineError, Ports};
 use revet_sltf::{BarrierLevel, Tok, Word};
 
 /// Where one output port gets its tuple and when it fires.
@@ -146,6 +146,13 @@ impl EwNode {
         pops().all(|id| io.mem_ref().alloc_available(id) >= pops().filter(|&n| n == id).count())
     }
 
+    /// Whether this program pops an allocator queue, so it can stall on
+    /// one (§V-B a blocking pops). A graph asks once per node, when the
+    /// node is added.
+    pub(crate) fn may_stall_on_alloc(&self) -> bool {
+        self.instrs.iter().any(|i| i.alloc_pop_id().is_some())
+    }
+
     /// The element-wise firing rule, on the register scratch the ports
     /// lend ([`Ports::scratch`]).
     ///
@@ -153,25 +160,24 @@ impl EwNode {
     ///
     /// Structure-mismatched inputs (a data front against a barrier front).
     pub fn fire<P: Ports>(&self, io: &mut P) -> Result<bool, MachineError> {
-        let mut regs = std::mem::take(io.scratch());
-        let result = self.fire_on(io, &mut regs, self.may_stall_on_alloc());
-        *io.scratch() = regs;
-        result
+        self.fire_gated(io, self.may_stall_on_alloc())
     }
 
-    /// The one-stage case of the run rule (module docs): [`EwNode::fire`]
-    /// for a caller that holds the register file itself and already knows
-    /// `gated`, the answer to [`Node::may_stall_on_alloc`] (`false` skips
-    /// the allocator stall check). A single stage has no fused edge, so
-    /// nothing is held and every token goes straight to its outputs.
+    /// [`EwNode::fire`] for a caller that already knows `gated`, the
+    /// answer to [`EwNode::may_stall_on_alloc`] (`false` skips the
+    /// allocator stall check): the one-stage case of the run rule (module
+    /// docs). A single stage has no fused edge, so nothing is held and
+    /// every token goes straight to its outputs.
     #[inline(always)]
-    pub(crate) fn fire_on<P: Ports>(
+    pub(crate) fn fire_gated<P: Ports>(
         &self,
         io: &mut P,
-        regs: &mut Vec<Word>,
         gated: bool,
     ) -> Result<bool, MachineError> {
-        fire_run(self, io, regs, &mut [], gated)
+        let mut regs = std::mem::take(io.scratch());
+        let result = fire_run(self, io, &mut regs, &mut [], gated);
+        *io.scratch() = regs;
+        result
     }
 }
 
@@ -425,22 +431,6 @@ fn release<P: Ports, R: FusedRun + ?Sized>(
     }
 }
 
-impl Node for EwNode {
-    node_entries!();
-
-    fn kind(&self) -> &'static str {
-        "ew"
-    }
-
-    fn may_stall_on_alloc(&self) -> bool {
-        self.instrs.iter().any(|i| i.alloc_pop_id().is_some())
-    }
-
-    fn as_ew(&self) -> Option<&EwNode> {
-        Some(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,7 +441,7 @@ mod tests {
     use crate::tuple::{tbar, tdata, TTok};
 
     /// Runs a node over two input channels and returns output tokens.
-    fn run2(node: &mut dyn Node, in0: Vec<TTok>, in1: Vec<TTok>, arities: [usize; 3]) -> Vec<TTok> {
+    fn run2(node: &EwNode, in0: Vec<TTok>, in1: Vec<TTok>, arities: [usize; 3]) -> Vec<TTok> {
         let mut chans = vec![
             Channel::new(arities[0]),
             Channel::new(arities[1]),
@@ -469,16 +459,11 @@ mod tests {
         let mut ib = vec![PortBudget::UNLIMITED; 2];
         let mut ob = vec![PortBudget::UNLIMITED; 1];
         let mut io = NodeIo::new(&mut chans, &ins, &outs, &mut mem, &mut ib, &mut ob);
-        node.step(&mut io).unwrap();
+        node.fire(&mut io).unwrap();
         chans[2].drain_all()
     }
 
-    fn run1(
-        node: &mut dyn Node,
-        input: Vec<TTok>,
-        in_ar: usize,
-        out_ars: &[usize],
-    ) -> Vec<Vec<TTok>> {
+    fn run1(node: &EwNode, input: Vec<TTok>, in_ar: usize, out_ars: &[usize]) -> Vec<Vec<TTok>> {
         let mut chans = vec![Channel::new(in_ar)];
         for &a in out_ars {
             chans.push(Channel::new(a));
@@ -492,13 +477,13 @@ mod tests {
         let mut ib = vec![PortBudget::UNLIMITED; 1];
         let mut ob = vec![PortBudget::UNLIMITED; out_ars.len()];
         let mut io = NodeIo::new(&mut chans, &ins, &outs, &mut mem, &mut ib, &mut ob);
-        node.step(&mut io).unwrap();
+        node.fire(&mut io).unwrap();
         (1..=out_ars.len()).map(|i| chans[i].drain_all()).collect()
     }
 
     #[test]
     fn add_one() {
-        let mut n = EwNode::new(
+        let n = EwNode::new(
             1,
             vec![EwInstr::Alu {
                 op: AluOp::Add,
@@ -508,15 +493,15 @@ mod tests {
             }],
             vec![OutputSpec::plain([1])],
         );
-        let out = run1(&mut n, vec![tdata([5u32]), tbar(1)], 1, &[1]);
+        let out = run1(&n, vec![tdata([5u32]), tbar(1)], 1, &[1]);
         assert_eq!(out[0], vec![tdata([6u32]), tbar(1)]);
     }
 
     #[test]
     fn zip_concatenates_inputs() {
-        let mut n = EwNode::passthrough(2);
+        let n = EwNode::passthrough(2);
         let out = run2(
-            &mut n,
+            &n,
             vec![tdata([1u32]), tbar(1)],
             vec![tdata([10u32]), tbar(1)],
             [1, 1, 2],
@@ -527,7 +512,7 @@ mod tests {
     #[test]
     fn zip_realigns_implied_barriers() {
         // Input A: x Ω2 (Ω1 implied); input B: x Ω1 Ω2 explicit.
-        let mut n = EwNode::passthrough(2);
+        let n = EwNode::passthrough(2);
         let mut chans = vec![
             Channel::new(1).without_canonicalization(),
             Channel::new(1).without_canonicalization(),
@@ -544,7 +529,7 @@ mod tests {
         let mut ib = vec![PortBudget::UNLIMITED; 2];
         let mut ob = vec![PortBudget::UNLIMITED; 1];
         let mut io = NodeIo::new(&mut chans, &ins, &outs, &mut mem, &mut ib, &mut ob);
-        n.step(&mut io).unwrap();
+        n.fire(&mut io).unwrap();
         assert_eq!(
             chans[2].drain_all(),
             vec![tdata([1u32, 2u32]), tbar(1), tbar(2)]
@@ -553,7 +538,7 @@ mod tests {
 
     #[test]
     fn zip_mismatch_is_error() {
-        let mut n = EwNode::passthrough(2);
+        let n = EwNode::passthrough(2);
         let mut chans = vec![Channel::new(1), Channel::new(1), Channel::new(2)];
         chans[0].push(tdata([1u32]));
         chans[1].push(tbar(1));
@@ -563,13 +548,13 @@ mod tests {
         let mut ib = vec![PortBudget::UNLIMITED; 2];
         let mut ob = vec![PortBudget::UNLIMITED; 1];
         let mut io = NodeIo::new(&mut chans, &ins, &outs, &mut mem, &mut ib, &mut ob);
-        assert!(n.step(&mut io).is_err());
+        assert!(n.fire(&mut io).is_err());
     }
 
     #[test]
     fn filtered_outputs_partition() {
         // pred = reg0 < 3 → out0; else out1. Barriers go to both.
-        let mut n = EwNode::new(
+        let n = EwNode::new(
             1,
             vec![EwInstr::Alu {
                 op: AluOp::LtU,
@@ -583,20 +568,20 @@ mod tests {
             ],
         );
         let input = vec![tdata([1u32]), tdata([5u32]), tdata([2u32]), tbar(1)];
-        let outs = run1(&mut n, input, 1, &[1, 1]);
+        let outs = run1(&n, input, 1, &[1, 1]);
         assert_eq!(outs[0], vec![tdata([1u32]), tdata([2u32]), tbar(1)]);
         assert_eq!(outs[1], vec![tdata([5u32]), tbar(1)]);
     }
 
     #[test]
     fn stripped_output_drops_barriers() {
-        let mut n = EwNode::new(
+        let n = EwNode::new(
             1,
             Vec::new(),
             vec![OutputSpec::plain([0]), OutputSpec::stripped([0])],
         );
         let input = vec![tdata([1u32]), tbar(1), tbar(2)];
-        let outs = run1(&mut n, input, 1, &[1, 1]);
+        let outs = run1(&n, input, 1, &[1, 1]);
         assert_eq!(outs[0], vec![tdata([1u32]), tbar(2)]); // canonicalized
         assert_eq!(outs[1], vec![tdata([1u32])]);
     }
@@ -604,8 +589,8 @@ mod tests {
     #[test]
     fn void_tuples_flow() {
         // Arity-0 tuples (void tokens) are legal thread payloads.
-        let mut n = EwNode::passthrough(0);
-        let out = run1(&mut n, vec![tdata::<[u32; 0], u32>([]), tbar(1)], 0, &[0]);
+        let n = EwNode::passthrough(0);
+        let out = run1(&n, vec![tdata::<[u32; 0], u32>([]), tbar(1)], 0, &[0]);
         assert_eq!(out[0], vec![tdata::<[u32; 0], u32>([]), tbar(1)]);
     }
 
@@ -613,7 +598,7 @@ mod tests {
     fn alloc_stall_blocks_without_consuming() {
         let mut mem = MemoryState::default();
         let a = mem.add_alloc("bufs", 0); // empty: always stalls
-        let mut n = EwNode::new(
+        let n = EwNode::new(
             1,
             vec![EwInstr::AllocPop { alloc: a, dst: 1 }],
             vec![OutputSpec::plain([1])],
@@ -625,7 +610,7 @@ mod tests {
         let mut ib = vec![PortBudget::UNLIMITED; 1];
         let mut ob = vec![PortBudget::UNLIMITED; 1];
         let mut io = NodeIo::new(&mut chans, &ins, &outs, &mut mem, &mut ib, &mut ob);
-        let progressed = n.step(&mut io).unwrap();
+        let progressed = n.fire(&mut io).unwrap();
         assert!(!progressed);
         assert_eq!(chans[0].len(), 1, "input not consumed while stalled");
     }

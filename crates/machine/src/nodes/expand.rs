@@ -10,7 +10,7 @@
 //!   arrives (§III-C) — the scalar-network optimization Aurochs lacked.
 
 use crate::instr::Operand;
-use crate::node::{node_entries, MachineError, Node, Ports};
+use crate::node::{MachineError, Ports};
 use crate::tuple::Tuple;
 use core::fmt;
 use revet_sltf::{BarrierLevel, Tok, Word};
@@ -167,14 +167,6 @@ impl CounterNode {
     }
 }
 
-impl Node for CounterNode {
-    node_entries!();
-
-    fn kind(&self) -> &'static str {
-        "counter"
-    }
-}
-
 /// Fork node: emits `count` copies of each thread with an index appended,
 /// at the *same* hierarchy level (§IV-A a). Barriers pass unchanged.
 #[derive(Clone)]
@@ -265,14 +257,6 @@ impl ForkNode {
             }
         }
         Ok(progressed)
-    }
-}
-
-impl Node for ForkNode {
-    node_entries!();
-
-    fn kind(&self) -> &'static str {
-        "fork"
     }
 }
 
@@ -406,24 +390,16 @@ impl BroadcastNode {
     }
 }
 
-impl Node for BroadcastNode {
-    node_entries!();
-
-    fn kind(&self) -> &'static str {
-        "broadcast"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::channel::Channel;
     use crate::mem::MemoryState;
-    use crate::node::{ChanId, NodeIo, PortBudget};
+    use crate::node::{ChanId, NodeIo, PortBudget, Prim};
     use crate::tuple::{tbar, tdata, TTok};
 
     fn run(
-        node: &mut dyn Node,
+        node: impl Into<Prim>,
         inputs: Vec<(Vec<TTok>, usize)>,
         out_arities: &[usize],
     ) -> Vec<Vec<TTok>> {
@@ -448,7 +424,7 @@ mod tests {
         let mut ib = vec![PortBudget::UNLIMITED; n_in];
         let mut ob = vec![PortBudget::UNLIMITED; out_arities.len()];
         let mut io = NodeIo::new(&mut chans, &ins, &outs, &mut mem, &mut ib, &mut ob);
-        node.step(&mut io).unwrap();
+        node.into().fire(&mut io, false).unwrap();
         (n_in..n_in + out_arities.len())
             .map(|i| chans[i].drain_all())
             .collect()
@@ -457,9 +433,9 @@ mod tests {
     #[test]
     fn counter_expands_and_raises() {
         // Parent threads [2],[1] with Ω1: each expands to 0..n, barriers raise.
-        let mut c = CounterNode::new(Operand::imm(0u32), Operand::Reg(0), Operand::imm(1u32));
+        let c = CounterNode::new(Operand::imm(0u32), Operand::Reg(0), Operand::imm(1u32));
         let outs = run(
-            &mut c,
+            c,
             vec![(vec![tdata([2u32]), tdata([1u32]), tbar(1)], 1)],
             &[1, 1],
         );
@@ -479,23 +455,23 @@ mod tests {
 
     #[test]
     fn counter_zero_trip_emits_empty_dim() {
-        let mut c = CounterNode::new(Operand::imm(0u32), Operand::Reg(0), Operand::imm(1u32));
-        let outs = run(&mut c, vec![(vec![tdata([0u32]), tbar(1)], 1)], &[1]);
+        let c = CounterNode::new(Operand::imm(0u32), Operand::Reg(0), Operand::imm(1u32));
+        let outs = run(c, vec![(vec![tdata([0u32]), tbar(1)], 1)], &[1]);
         assert_eq!(outs[0], vec![tbar(1), tbar(2)], "empty dim preserved");
     }
 
     #[test]
     fn counter_data_only_parent() {
-        let mut c = CounterNode::new(Operand::imm(0u32), Operand::Reg(0), Operand::imm(1u32))
+        let c = CounterNode::new(Operand::imm(0u32), Operand::Reg(0), Operand::imm(1u32))
             .with_data_only_parent();
-        let outs = run(&mut c, vec![(vec![tdata([1u32]), tbar(1)], 1)], &[1, 1]);
+        let outs = run(c, vec![(vec![tdata([1u32]), tbar(1)], 1)], &[1, 1]);
         assert_eq!(outs[1], vec![tdata([1u32])], "no barriers on parent port");
     }
 
     #[test]
     fn fork_duplicates_without_hierarchy() {
-        let mut f = ForkNode::new(Operand::Reg(0));
-        let outs = run(&mut f, vec![(vec![tdata([3u32]), tbar(1)], 1)], &[2]);
+        let f = ForkNode::new(Operand::Reg(0));
+        let outs = run(f, vec![(vec![tdata([3u32]), tbar(1)], 1)], &[2]);
         assert_eq!(
             outs[0],
             vec![
@@ -509,17 +485,17 @@ mod tests {
 
     #[test]
     fn fork_zero_count_drops_thread() {
-        let mut f = ForkNode::new(Operand::imm(0u32));
-        let outs = run(&mut f, vec![(vec![tdata([9u32]), tbar(1)], 1)], &[2]);
+        let f = ForkNode::new(Operand::imm(0u32));
+        let outs = run(f, vec![(vec![tdata([9u32]), tbar(1)], 1)], &[2]);
         assert_eq!(outs[0], vec![tbar(1)]);
     }
 
     #[test]
     fn broadcast_attaches_parent_per_child() {
         // Parent: a=10, b=20 (data only). Child: two children for a, one for b.
-        let mut b = BroadcastNode::new(1);
+        let b = BroadcastNode::new(1);
         let outs = run(
-            &mut b,
+            b,
             vec![
                 (vec![tdata([10u32]), tdata([20u32])], 1),
                 (
@@ -552,9 +528,9 @@ mod tests {
     #[test]
     fn broadcast_empty_child_dim_consumes_parent() {
         // a has no children (Ω1 immediately), b has one.
-        let mut b = BroadcastNode::new(1);
+        let b = BroadcastNode::new(1);
         let outs = run(
-            &mut b,
+            b,
             vec![
                 (vec![tdata([10u32]), tdata([20u32])], 1),
                 (vec![tbar(1), tdata([0u32]), tbar(1), tbar(2)], 1),
@@ -570,9 +546,9 @@ mod tests {
     #[test]
     fn broadcast_handles_implied_inner_barrier() {
         // Canonical child: x Ω2 — the Ω1 dropping the parent is implied.
-        let mut b = BroadcastNode::new(1);
+        let b = BroadcastNode::new(1);
         let outs = run(
-            &mut b,
+            b,
             vec![(vec![tdata([10u32])], 1), (vec![tdata([0u32]), tbar(2)], 1)],
             &[2],
         );
@@ -581,8 +557,8 @@ mod tests {
 
     #[test]
     fn counter_negative_step() {
-        let mut c = CounterNode::new(Operand::imm(3u32), Operand::imm(0u32), Operand::imm(-1i32));
-        let outs = run(&mut c, vec![(vec![tdata([0u32]), tbar(1)], 1)], &[1]);
+        let c = CounterNode::new(Operand::imm(3u32), Operand::imm(0u32), Operand::imm(-1i32));
+        let outs = run(c, vec![(vec![tdata([0u32]), tbar(1)], 1)], &[1]);
         assert_eq!(
             outs[0],
             vec![

@@ -16,7 +16,7 @@
 //! forwarded one level higher. Unlike Aurochs's timeout scheme, this is
 //! exact for arbitrarily long (and nested) loop bodies.
 
-use crate::node::{node_entries, MachineError, Node, Ports};
+use crate::node::{MachineError, Ports};
 use revet_sltf::{BarrierLevel, Tok};
 
 /// Forward merge: combines two forward branches into one stream.
@@ -72,14 +72,6 @@ impl FwdMergeNode {
             }
         }
         Ok(progressed)
-    }
-}
-
-impl Node for FwdMergeNode {
-    node_entries!();
-
-    fn kind(&self) -> &'static str {
-        "fwd-merge"
     }
 }
 
@@ -230,24 +222,16 @@ impl FbMergeNode {
     }
 }
 
-impl Node for FbMergeNode {
-    node_entries!();
-
-    fn kind(&self) -> &'static str {
-        "fb-merge"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::channel::Channel;
     use crate::mem::MemoryState;
-    use crate::node::{ChanId, NodeIo, PortBudget};
+    use crate::node::{ChanId, NodeIo, PortBudget, Prim};
     use crate::tuple::{tbar, tdata, TTok};
 
     fn step2to1(
-        node: &mut dyn Node,
+        node: &mut Prim,
         in0: Vec<TTok>,
         in1: Vec<TTok>,
         backedge_raw: bool,
@@ -270,7 +254,7 @@ mod tests {
         let mut ib = vec![PortBudget::UNLIMITED; 2];
         let mut ob = vec![PortBudget::UNLIMITED; 1];
         let mut io = NodeIo::new(&mut chans, &ins, &outs, &mut mem, &mut ib, &mut ob);
-        node.step(&mut io).unwrap();
+        node.fire(&mut io, false).unwrap();
         (
             chans[0].drain_all(),
             chans[1].drain_all(),
@@ -280,7 +264,7 @@ mod tests {
 
     #[test]
     fn fwd_merge_interleaves_then_syncs_barrier() {
-        let mut m = FwdMergeNode::new();
+        let mut m = Prim::from(FwdMergeNode::new());
         let (r0, r1, out) = step2to1(
             &mut m,
             vec![tdata([1u32]), tdata([2u32]), tbar(1)],
@@ -301,7 +285,7 @@ mod tests {
     fn fwd_merge_stalls_barrier_side() {
         // Input 0 hits Ω1; input 1 still streams data. Data passes, barrier
         // waits, then merges.
-        let mut m = FwdMergeNode::new();
+        let mut m = Prim::from(FwdMergeNode::new());
         let (_, _, out) = step2to1(
             &mut m,
             vec![tbar(1)],
@@ -314,7 +298,7 @@ mod tests {
     #[test]
     fn fwd_merge_realigns_implied_barriers() {
         // Side A: x Ω2 (Ω1 implied); side B: Ω1 Ω2 (explicit, no data).
-        let mut m = FwdMergeNode::new();
+        let mut m = Prim::from(FwdMergeNode::new());
         let (_, _, out) = step2to1(
             &mut m,
             vec![tdata([1u32]), tbar(2)],
@@ -330,7 +314,7 @@ mod tests {
     #[test]
     fn fwd_merge_preserves_distinct_empty_dims() {
         // Both sides: Ω1 Ω1 Ω2 ([[],[]]) must not collapse.
-        let mut m = FwdMergeNode::new();
+        let mut m = Prim::from(FwdMergeNode::new());
         let (_, _, out) = step2to1(
             &mut m,
             vec![tbar(1), tbar(1), tbar(2)],
@@ -343,7 +327,7 @@ mod tests {
     #[test]
     fn fb_merge_first_wave_and_drain() {
         // Forward: t1 t2 Ωn(=Ω1 at this nesting). Backedge initially empty.
-        let mut m = FbMergeNode::new();
+        let mut m = Prim::from(FbMergeNode::new());
         let (fwd_left, _, out) = step2to1(
             &mut m,
             vec![tdata([1u32]), tdata([2u32]), tbar(1)],
@@ -370,7 +354,7 @@ mod tests {
     fn fb_merge_zero_thread_tensor() {
         // A tensor with no threads: Ω1 arrives alone; wave 0 is empty; the
         // echo drains immediately.
-        let mut m = FbMergeNode::new();
+        let mut m = Prim::from(FbMergeNode::new());
         let (_, _, out) = step2to1(&mut m, vec![tbar(1)], vec![], true);
         assert_eq!(out, vec![tbar(1)], "empty wave 0 still emits its Ω1");
         let (_, _, out2) = step2to1(&mut m, vec![tbar(1)], vec![tbar(1)], true);
@@ -381,7 +365,7 @@ mod tests {
     fn fb_merge_discards_high_echoes() {
         // After drain, the raised barrier echoes back on the backedge and is
         // discarded.
-        let mut m = FbMergeNode::new();
+        let mut m = Prim::from(FbMergeNode::new());
         let (_, back_left, out) = step2to1(&mut m, vec![], vec![tbar(2)], true);
         assert!(out.is_empty());
         assert!(back_left.is_empty(), "echo consumed");

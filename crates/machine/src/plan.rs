@@ -1,17 +1,16 @@
 //! The execution plan: a schedule over a finished graph's nodes.
 //!
 //! Stepping a [`Graph`] node by node through the budgeted surface pays,
-//! per woken node, for a scheduler dispatch, behavior take/restore,
-//! `NodeIo` assembly with budget refresh, and an [`crate::IoEvents`] round
-//! trip to find out whom to wake. An [`ExecPlan`] is built **once** per
-//! wiring ([`Graph::plan`]) and removes that from the hot loop without
-//! restating any firing rule:
+//! per woken node, for a scheduler dispatch, `NodeIo` assembly with budget
+//! refresh, and an [`crate::IoEvents`] round trip to find out whom to
+//! wake. An [`ExecPlan`] is built **once** per wiring ([`Graph::plan`])
+//! and removes that from the hot loop without restating any firing rule:
 //!
 //! - **Wake units.** Nodes are partitioned into units that fire together.
 //!   A maximal straight-line chain of element-wise stages (single producer
 //!   → single consumer over a private unbounded channel) is one *segment*,
 //!   one dispatch for the whole chain. Every other node is a unit of its
-//!   own, fired through [`crate::Node::step_planned`].
+//!   own, fired through its [`crate::Prim`]'s `match`.
 //! - **Fused runs.** A segment is cut into *runs* of consecutive stages
 //!   whose memory accesses commute: a stage starts a new run when one of
 //!   its accesses conflicts with one already in the run (same SRAM region,
@@ -58,7 +57,7 @@ use crate::channel::{transfer, Channel};
 use crate::graph::{ExecReport, Graph, TopologyIndex};
 use crate::instr::{EwInstr, MemSpace};
 use crate::mem::MemoryState;
-use crate::node::{ChanId, MachineError, Node, NodeId, Ports};
+use crate::node::{ChanId, MachineError, NodeId, Ports, Prim};
 use crate::nodes::{fire_run, EwNode, FusedRun, Tail};
 use revet_obs::{ObsSink, WakeCause};
 use revet_sltf::{BarrierLevel, Tok, Word};
@@ -86,7 +85,9 @@ struct Stage {
     /// The graph node.
     node: u32,
     /// An immutable copy of its element-wise behavior (stateless once
-    /// registers are lent, so one copy serves every instance).
+    /// registers are lent, so one copy serves every instance). A copy, not
+    /// the graph's shared `Arc`: the table then reads it without a pointer
+    /// hop, which measured about 2% of `exec_control`'s floor.
     ew: EwNode,
     /// Where its register window starts in its run's register file.
     window: u32,
@@ -390,15 +391,17 @@ impl ExecPlan {
         let chainable: Vec<Option<&EwNode>> = nodes
             .iter()
             .map(|slot| {
-                let ew = slot.behavior.as_ref()?.as_ew()?;
-                let ok = !ew.may_stall_on_alloc()
+                let Prim::Ew(ew) = &slot.behavior else {
+                    return None;
+                };
+                let ok = !slot.alloc_gated
                     && !slot.ins.is_empty()
                     && ew.outputs.len() == slot.outs.len()
                     && slot
                         .outs
                         .iter()
                         .all(|c| g.chans()[c.0 as usize].capacity().is_none());
-                ok.then_some(ew)
+                ok.then_some(&**ew)
             })
             .collect();
 
@@ -615,8 +618,8 @@ impl ExecPlan {
     /// joining two runs is filled by the first and drained by the second
     /// within this same call; `fuse == false` makes every stage a run) by
     /// a direct call to the element-wise run rule, any other node through
-    /// its object-safe entry — both on [`PlanPorts`], both attributed with
-    /// the node label on error.
+    /// its [`Prim`] — both on [`PlanPorts`], both attributed with the node
+    /// label on error.
     fn fire(
         &self,
         i: usize,
@@ -671,10 +674,6 @@ impl ExecPlan {
             }
         } else {
             let slot = &mut nodes[i];
-            let behavior = slot.behavior.as_mut().ok_or_else(|| {
-                MachineError::new("planned run started while a behavior is checked out")
-                    .at(&slot.label)
-            })?;
             let mut io = PlanPorts {
                 chans: &mut *chans,
                 mem: &mut *mem,
@@ -688,7 +687,7 @@ impl ExecPlan {
                 },
                 interior: false,
             };
-            let result = behavior.step_planned(&mut io);
+            let result = slot.behavior.fire(&mut io, slot.alloc_gated);
             scratch.regs = io.scratch;
             progressed = result.map_err(|e| e.at(&slot.label))?;
         }
@@ -756,7 +755,7 @@ mod tests {
         let mut g = Graph::new();
         let toks: Vec<TTok> = (0..8u32).map(|i| tdata([i])).chain([tbar(1)]).collect();
         let mut prev = g.add_chan(Channel::new(1));
-        g.add_node("src", Box::new(SourceNode::new(toks)), vec![], vec![prev]);
+        g.add_node("src", SourceNode::new(toks), vec![], vec![prev]);
         for i in 0..3 {
             let mut c = Channel::new(1);
             if i == 1 {
@@ -765,16 +764,11 @@ mod tests {
                 }
             }
             let next = g.add_chan(c);
-            g.add_node(
-                format!("stage{i}"),
-                Box::new(add_one()),
-                vec![prev],
-                vec![next],
-            );
+            g.add_node(format!("stage{i}"), add_one(), vec![prev], vec![next]);
             prev = next;
         }
         let (sink, h) = SinkNode::new();
-        g.add_node("sink", Box::new(sink), vec![prev], vec![]);
+        g.add_node("sink", sink, vec![prev], vec![]);
         (g, h)
     }
 
@@ -829,7 +823,7 @@ mod tests {
             let lo = g.add_chan(Channel::new(1));
             let hi = g.add_chan(Channel::new(1));
             let toks: Vec<TTok> = (0..10u32).map(|i| tdata([i])).chain([tbar(1)]).collect();
-            g.add_node("src", Box::new(SourceNode::new(toks)), vec![], vec![c0]);
+            g.add_node("src", SourceNode::new(toks), vec![], vec![c0]);
             let split = EwNode::new(
                 1,
                 vec![EwInstr::Alu {
@@ -847,11 +841,11 @@ mod tests {
                     },
                 ],
             );
-            g.add_node("split", Box::new(split), vec![c0], vec![lo, hi]);
+            g.add_node("split", split, vec![c0], vec![lo, hi]);
             let (s0, h0) = SinkNode::new();
-            g.add_node("sink.lo", Box::new(s0), vec![lo], vec![]);
+            g.add_node("sink.lo", s0, vec![lo], vec![]);
             let (s1, h1) = SinkNode::new();
-            g.add_node("sink.hi", Box::new(s1), vec![hi], vec![]);
+            g.add_node("sink.hi", s1, vec![hi], vec![]);
             (g, h0, h1)
         };
         let (mut gd, d0, d1) = build();
@@ -875,28 +869,19 @@ mod tests {
             let out = g.add_chan(Channel::new(2));
             g.add_node(
                 "src.a",
-                Box::new(SourceNode::new(vec![tdata([1u32]), tdata([2u32]), tbar(1)])),
+                SourceNode::new(vec![tdata([1u32]), tdata([2u32]), tbar(1)]),
                 vec![],
                 vec![a],
             );
             g.add_node(
                 "src.b",
-                Box::new(SourceNode::new(vec![
-                    tdata([10u32]),
-                    tdata([20u32]),
-                    tbar(1),
-                ])),
+                SourceNode::new(vec![tdata([10u32]), tdata([20u32]), tbar(1)]),
                 vec![],
                 vec![b],
             );
-            g.add_node(
-                "zip",
-                Box::new(EwNode::passthrough(2)),
-                vec![a, b],
-                vec![out],
-            );
+            g.add_node("zip", EwNode::passthrough(2), vec![a, b], vec![out]);
             let (sink, h) = SinkNode::new();
-            g.add_node("sink", Box::new(sink), vec![out], vec![]);
+            g.add_node("sink", sink, vec![out], vec![]);
             (g, h)
         };
         let (mut gd, hd) = build();
@@ -924,14 +909,14 @@ mod tests {
             g.mem.add_sram(format!("r{r}"), 4);
         }
         let mut prev = g.add_chan(entry);
-        g.add_node("src", Box::new(SourceNode::new(toks)), vec![], vec![prev]);
+        g.add_node("src", SourceNode::new(toks), vec![], vec![prev]);
         for (k, (stage, out)) in stages.into_iter().enumerate() {
             let next = g.add_chan(out);
-            g.add_node(format!("stage{k}"), Box::new(stage), vec![prev], vec![next]);
+            g.add_node(format!("stage{k}"), stage, vec![prev], vec![next]);
             prev = next;
         }
         let (sink, h) = SinkNode::new();
-        g.add_node("sink", Box::new(sink), vec![prev], vec![]);
+        g.add_node("sink", sink, vec![prev], vec![]);
         (g, h)
     }
 
@@ -1076,8 +1061,8 @@ mod tests {
         let build = || {
             let mut g = Graph::new();
             let (a, b) = (g.add_chan(Channel::new(1)), g.add_chan(Channel::new(1)));
-            g.add_node("one", Box::new(add_one()), vec![b], vec![a]);
-            g.add_node("two", Box::new(add_one()), vec![a], vec![b]);
+            g.add_node("one", add_one(), vec![b], vec![a]);
+            g.add_node("two", add_one(), vec![a], vec![b]);
             g.chan_mut(b).push(tdata([0u32]));
             g
         };
@@ -1114,7 +1099,7 @@ mod tests {
             let c1 = g.add_chan(Channel::new(1));
             g.add_node(
                 "src",
-                Box::new(SourceNode::new(vec![tdata([7u32]), tdata([8u32]), tbar(1)])),
+                SourceNode::new(vec![tdata([7u32]), tdata([8u32]), tbar(1)]),
                 vec![],
                 vec![c0],
             );
@@ -1123,9 +1108,9 @@ mod tests {
                 vec![EwInstr::AllocPop { alloc: a, dst: 1 }],
                 vec![OutputSpec::plain([1])],
             );
-            g.add_node("alloc", Box::new(alloc_stage), vec![c0], vec![c1]);
+            g.add_node("alloc", alloc_stage, vec![c0], vec![c1]);
             let (sink, h) = SinkNode::new();
-            g.add_node("sink", Box::new(sink), vec![c1], vec![]);
+            g.add_node("sink", sink, vec![c1], vec![]);
             (g, h)
         };
         let (mut gd, hd) = build();
@@ -1143,31 +1128,34 @@ mod tests {
 
     /// Two sources feeding `head` (ports 0 and 1), then `tail` pass-through
     /// stages, then a sink. `b: None` leaves port 1 unfed.
-    fn two_input(head: Box<dyn Node>, a: Vec<TTok>, b: Option<Vec<TTok>>, tail: usize) -> Graph {
+    fn two_input(head: Prim, a: Vec<TTok>, b: Option<Vec<TTok>>, tail: usize) -> Graph {
         let mut g = Graph::new();
         let c0 = g.add_chan(Channel::new(1));
         let c1 = g.add_chan(Channel::new(1));
-        g.add_node("src.a", Box::new(SourceNode::new(a)), vec![], vec![c0]);
+        g.add_node("src.a", SourceNode::new(a), vec![], vec![c0]);
         if let Some(b) = b {
-            g.add_node("src.b", Box::new(SourceNode::new(b)), vec![], vec![c1]);
+            g.add_node("src.b", SourceNode::new(b), vec![], vec![c1]);
         }
-        let width = head.as_ew().map_or(1, |ew| ew.outputs[0].slots.len());
+        let width = match &head {
+            Prim::Ew(ew) => ew.outputs[0].slots.len(),
+            _ => 1,
+        };
         let mut prev = g.add_chan(Channel::new(width));
         g.add_node("head", head, vec![c0, c1], vec![prev]);
         for i in 0..tail {
             let next = g.add_chan(Channel::new(width));
             let stage = EwNode::passthrough(width as u16);
-            g.add_node(format!("tail{i}"), Box::new(stage), vec![prev], vec![next]);
+            g.add_node(format!("tail{i}"), stage, vec![prev], vec![next]);
             prev = next;
         }
         let (sink, _h) = SinkNode::new();
-        g.add_node("sink", Box::new(sink), vec![prev], vec![]);
+        g.add_node("sink", sink, vec![prev], vec![]);
         g
     }
 
     /// The whole `MachineError` — label and message — is the same whichever
-    /// way the failing node fired: planned (chained or through the
-    /// object-safe entry) or under the dense oracle's budgeted ports.
+    /// way the failing node fired: planned (chained or through its
+    /// `Prim`) or under the dense oracle's budgeted ports.
     #[test]
     fn planned_deadlock_matches_interpreted_diagnosis() {
         let check = |build: &dyn Fn() -> Graph, longest: usize, label: Option<&str>, msg: &str| {
@@ -1179,8 +1167,8 @@ mod tests {
             assert_eq!(ep.node.as_deref(), label, "{msg}");
             assert!(ep.message.contains(msg), "got: {ep}");
         };
-        let zip = || Box::new(EwNode::passthrough(2)) as Box<dyn Node>;
-        let fb = || Box::new(crate::nodes::FbMergeNode::new()) as Box<dyn Node>;
+        let zip = || Prim::from(EwNode::passthrough(2));
+        let fb = || Prim::from(crate::nodes::FbMergeNode::new());
         let (data, bar) = (|| vec![tdata([1u32])], || vec![tbar(1)]);
         // A starved zip: the deadlock diagnosis carries no node.
         check(&|| two_input(zip(), data(), None, 0), 1, None, "deadlock");
@@ -1200,7 +1188,7 @@ mod tests {
             Some("head"),
             mismatch,
         );
-        // A rule fired through the object-safe entry.
+        // A rule fired through its `Prim`.
         let omega = "unexpected Ω1 on backedge";
         check(
             &|| two_input(fb(), vec![], Some(bar()), 0),
@@ -1228,7 +1216,10 @@ mod tests {
             let h = inst
                 .nodes()
                 .iter()
-                .find_map(|s| s.behavior.as_ref().unwrap().sink_handle())
+                .find_map(|s| match &s.behavior {
+                    Prim::Sink(sink) => Some(sink.handle()),
+                    _ => None,
+                })
                 .expect("instance has a sink");
             let toks = h.tokens();
             assert_eq!(toks.len(), 9, "8 data + 1 barrier");
@@ -1249,11 +1240,7 @@ mod tests {
             let out = g.add_chan(Channel::new(1));
             g.add_node(
                 "src",
-                Box::new(SourceNode::new(vec![
-                    tdata([1u32]),
-                    tdata([2u32]),
-                    tdata([3u32]),
-                ])),
+                SourceNode::new(vec![tdata([1u32]), tdata([2u32]), tdata([3u32])]),
                 vec![],
                 vec![a],
             );
@@ -1268,10 +1255,10 @@ mod tests {
                 }],
                 vec![OutputSpec::plain([2]), OutputSpec::plain([2])],
             );
-            g.add_node("acc", Box::new(acc), vec![a, loopback], vec![loopback, out]);
+            g.add_node("acc", acc, vec![a, loopback], vec![loopback, out]);
             g.chan_mut(loopback).push(tdata([0u32])); // seed
             let (sink, h) = SinkNode::new();
-            g.add_node("sink", Box::new(sink), vec![out], vec![]);
+            g.add_node("sink", sink, vec![out], vec![]);
             (g, h)
         };
         let (mut gd, hd) = build();

@@ -35,9 +35,9 @@ fn mis_sized_link() -> Graph {
     let a = g.add_chan(Channel::new(1));
     let b = g.add_chan(Channel::new(2));
     let src = SourceNode::new(vec![tdata([7u32]), tbar(1)]);
-    g.add_node("src", Box::new(src), [], [a]);
-    g.add_node("stage", Box::new(EwNode::passthrough(1)), [a], [b]);
-    g.add_node("sink", Box::new(SinkNode::new().0), [b], []);
+    g.add_node("src", src, [], [a]);
+    g.add_node("stage", EwNode::passthrough(1), [a], [b]);
+    g.add_node("sink", SinkNode::new().0, [b], []);
     g
 }
 
@@ -70,9 +70,9 @@ fn mis_sized_fused_edge_panics_when_the_plan_is_built() {
     let b = g.add_chan(Channel::new(2));
     let c = g.add_chan(Channel::new(2));
     let src = SourceNode::new(vec![tdata([7u32]), tbar(1)]);
-    g.add_node("src", Box::new(src), [], [a]);
-    g.add_node("stage", Box::new(EwNode::passthrough(1)), [a], [b]);
-    g.add_node("wide", Box::new(EwNode::passthrough(2)), [b], [c]);
-    g.add_node("sink", Box::new(SinkNode::new().0), [c], []);
+    g.add_node("src", src, [], [a]);
+    g.add_node("stage", EwNode::passthrough(1), [a], [b]);
+    g.add_node("wide", EwNode::passthrough(2), [b], [c]);
+    g.add_node("sink", SinkNode::new().0, [c], []);
     g.plan();
 }

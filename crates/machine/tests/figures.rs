@@ -28,24 +28,20 @@ fn figure2_foreach_counter_reduce() {
     let d = g.add_chan(Channel::new(1));
     g.add_node(
         "enter",
-        Box::new(SourceNode::new(vec![tdata([3u32]), tdata([4u32]), tbar(1)])),
+        SourceNode::new(vec![tdata([3u32]), tdata([4u32]), tbar(1)]),
         vec![],
         vec![a],
     );
     g.add_node(
         "counter",
-        Box::new(CounterNode::new(
-            Operand::imm(0u32),
-            Operand::Reg(0),
-            Operand::imm(1u32),
-        )),
+        CounterNode::new(Operand::imm(0u32), Operand::Reg(0), Operand::imm(1u32)),
         vec![a],
         vec![b],
     );
     // Element-wise op along edge B→C: square each index.
     g.add_node(
         "square",
-        Box::new(EwNode::new(
+        EwNode::new(
             1,
             vec![EwInstr::Alu {
                 op: AluOp::Mul,
@@ -54,18 +50,18 @@ fn figure2_foreach_counter_reduce() {
                 dst: 1,
             }],
             vec![OutputSpec::plain([1])],
-        )),
+        ),
         vec![b],
         vec![c],
     );
     g.add_node(
         "reduce",
-        Box::new(ReduceNode::new(AluOp::Add, 0u32)),
+        ReduceNode::new(AluOp::Add, 0u32),
         vec![c],
         vec![d],
     );
     let (sink, out) = SinkNode::new();
-    g.add_node("exit", Box::new(sink), vec![d], vec![]);
+    g.add_node("exit", sink, vec![d], vec![]);
     g.run(RunOptions::new(10_000)).unwrap();
     // t1: 0²+1²+2² = 5; t2: 0²+1²+2²+3² = 14. Same dimensionality as A.
     assert_eq!(out.tokens(), vec![tdata([5u32]), tdata([14u32]), tbar(1)]);
@@ -84,11 +80,7 @@ fn figure2_with_parent_broadcast() {
     let d = g.add_chan(Channel::new(1));
     g.add_node(
         "enter",
-        Box::new(SourceNode::new(vec![
-            tdata([10u32]),
-            tdata([20u32]),
-            tbar(1),
-        ])),
+        SourceNode::new(vec![tdata([10u32]), tdata([20u32]), tbar(1)]),
         vec![],
         vec![a],
     );
@@ -96,23 +88,21 @@ fn figure2_with_parent_broadcast() {
     // data-only scalar link.
     g.add_node(
         "counter",
-        Box::new(
-            CounterNode::new(Operand::imm(0u32), Operand::imm(2u32), Operand::imm(1u32))
-                .with_data_only_parent(),
-        ),
+        CounterNode::new(Operand::imm(0u32), Operand::imm(2u32), Operand::imm(1u32))
+            .with_data_only_parent(),
         vec![a],
         vec![child, parent],
     );
     g.add_node(
         "broadcast",
-        Box::new(BroadcastNode::new(1)),
+        BroadcastNode::new(1),
         vec![parent, child],
         vec![joined],
     );
     // child value = index + parent.
     g.add_node(
         "addp",
-        Box::new(EwNode::new(
+        EwNode::new(
             2,
             vec![EwInstr::Alu {
                 op: AluOp::Add,
@@ -121,18 +111,18 @@ fn figure2_with_parent_broadcast() {
                 dst: 2,
             }],
             vec![OutputSpec::plain([2])],
-        )),
+        ),
         vec![joined],
         vec![summed],
     );
     g.add_node(
         "reduce",
-        Box::new(ReduceNode::new(AluOp::Add, 0u32)),
+        ReduceNode::new(AluOp::Add, 0u32),
         vec![summed],
         vec![d],
     );
     let (sink, out) = SinkNode::new();
-    g.add_node("exit", Box::new(sink), vec![d], vec![]);
+    g.add_node("exit", sink, vec![d], vec![]);
     g.run(RunOptions::new(10_000)).unwrap();
     // t1: (0+10)+(1+10) = 21; t2: (0+20)+(1+20) = 41.
     assert_eq!(out.tokens(), vec![tdata([21u32]), tdata([41u32]), tbar(1)]);
@@ -150,21 +140,21 @@ fn figure3_filter_merge_if() {
     let d = g.add_chan(Channel::new(1));
     g.add_node(
         "enter",
-        Box::new(SourceNode::new(vec![
+        SourceNode::new(vec![
             tdata([1u32]),
             tdata([2u32]),
             tdata([3u32]),
             tdata([4u32]),
             tdata([5u32]),
             tbar(1),
-        ])),
+        ]),
         vec![],
         vec![a],
     );
     // Filter: t == 3 → slow path B; else fast path C.
     g.add_node(
         "filter",
-        Box::new(EwNode::new(
+        EwNode::new(
             1,
             vec![EwInstr::Alu {
                 op: AluOp::Eq,
@@ -176,25 +166,20 @@ fn figure3_filter_merge_if() {
                 OutputSpec::filtered([0], 1, true),
                 OutputSpec::filtered([0], 1, false),
             ],
-        )),
+        ),
         vec![a],
         vec![b, c],
     );
     // The slow path does some work (identity here; the delay is structural).
-    g.add_node(
-        "delay",
-        Box::new(EwNode::passthrough(1)),
-        vec![b],
-        vec![b_delayed],
-    );
+    g.add_node("delay", EwNode::passthrough(1), vec![b], vec![b_delayed]);
     g.add_node(
         "fwd-merge",
-        Box::new(FwdMergeNode::new()),
+        FwdMergeNode::new(),
         vec![b_delayed, c],
         vec![d],
     );
     let (sink, out) = SinkNode::new();
-    g.add_node("exit", Box::new(sink), vec![d], vec![]);
+    g.add_node("exit", sink, vec![d], vec![]);
     g.run(RunOptions::new(10_000)).unwrap();
 
     let toks = out.tokens();
@@ -218,26 +203,26 @@ fn figure4_fb_merge_while() {
     let d = g.add_chan(Channel::new(2));
     g.add_node(
         "enter",
-        Box::new(SourceNode::new(vec![
+        SourceNode::new(vec![
             tdata([1u32, 2]),
             tdata([2u32, 3]),
             tdata([3u32, 1]),
             tdata([4u32, 3]),
             tbar(1),
-        ])),
+        ]),
         vec![],
         vec![a],
     );
     g.add_node(
         "loop-head",
-        Box::new(FbMergeNode::new()),
+        FbMergeNode::new(),
         vec![a, back],
         vec![body_in],
     );
     // Body: remaining -= 1.
     g.add_node(
         "body",
-        Box::new(EwNode::new(
+        EwNode::new(
             2,
             vec![EwInstr::Alu {
                 op: AluOp::Sub,
@@ -246,14 +231,14 @@ fn figure4_fb_merge_while() {
                 dst: 1,
             }],
             vec![OutputSpec::plain([0, 1])],
-        )),
+        ),
         vec![body_in],
         vec![body_out],
     );
     // Back-filter: remaining > 0 → backedge; else → exit edge.
     g.add_node(
         "backfilter",
-        Box::new(EwNode::new(
+        EwNode::new(
             2,
             vec![EwInstr::Alu {
                 op: AluOp::GtS,
@@ -265,19 +250,14 @@ fn figure4_fb_merge_while() {
                 OutputSpec::filtered([0, 1], 2, true),
                 OutputSpec::filtered([0, 1], 2, false),
             ],
-        )),
+        ),
         vec![body_out],
         vec![back, exit_raw],
     );
     // Exit edge lowers all barriers one level (drops the reserved Ω1s).
-    g.add_node(
-        "exit-strip",
-        Box::new(FlattenNode::new()),
-        vec![exit_raw],
-        vec![d],
-    );
+    g.add_node("exit-strip", FlattenNode::new(), vec![exit_raw], vec![d]);
     let (sink, out) = SinkNode::new();
-    g.add_node("exit", Box::new(sink), vec![d], vec![]);
+    g.add_node("exit", sink, vec![d], vec![]);
     g.run(RunOptions::new(10_000)).unwrap();
 
     let toks = out.tokens();
@@ -304,25 +284,20 @@ fn fb_merge_back_to_back_tensors() {
     let d = g.add_chan(Channel::new(2));
     g.add_node(
         "enter",
-        Box::new(SourceNode::new(vec![
+        SourceNode::new(vec![
             tdata([1u32, 3]),
             tbar(1), // tensor 1: one thread, 3 iterations
             tdata([2u32, 1]),
             tdata([3u32, 2]),
             tbar(1), // tensor 2: two threads
-        ])),
+        ]),
         vec![],
         vec![a],
     );
-    g.add_node(
-        "head",
-        Box::new(FbMergeNode::new()),
-        vec![a, back],
-        vec![body_in],
-    );
+    g.add_node("head", FbMergeNode::new(), vec![a, back], vec![body_in]);
     g.add_node(
         "body",
-        Box::new(EwNode::new(
+        EwNode::new(
             2,
             vec![EwInstr::Alu {
                 op: AluOp::Sub,
@@ -331,13 +306,13 @@ fn fb_merge_back_to_back_tensors() {
                 dst: 1,
             }],
             vec![OutputSpec::plain([0, 1])],
-        )),
+        ),
         vec![body_in],
         vec![body_out],
     );
     g.add_node(
         "backfilter",
-        Box::new(EwNode::new(
+        EwNode::new(
             2,
             vec![EwInstr::Alu {
                 op: AluOp::GtS,
@@ -349,18 +324,13 @@ fn fb_merge_back_to_back_tensors() {
                 OutputSpec::filtered([0, 1], 2, true),
                 OutputSpec::filtered([0, 1], 2, false),
             ],
-        )),
+        ),
         vec![body_out],
         vec![back, exit_raw],
     );
-    g.add_node(
-        "strip",
-        Box::new(FlattenNode::new()),
-        vec![exit_raw],
-        vec![d],
-    );
+    g.add_node("strip", FlattenNode::new(), vec![exit_raw], vec![d]);
     let (sink, out) = SinkNode::new();
-    g.add_node("exit", Box::new(sink), vec![d], vec![]);
+    g.add_node("exit", sink, vec![d], vec![]);
     g.run(RunOptions::new(10_000)).unwrap();
 
     let toks = out.tokens();
@@ -401,44 +371,40 @@ fn nested_while_loops_compose() {
 
     g.add_node(
         "enter",
-        Box::new(SourceNode::new(vec![
-            tdata([1u32, 3, 0]),
-            tdata([2u32, 2, 0]),
-            tbar(1),
-        ])),
+        SourceNode::new(vec![tdata([1u32, 3, 0]), tdata([2u32, 2, 0]), tbar(1)]),
         vec![],
         vec![a],
     );
     g.add_node(
         "outer-head",
-        Box::new(FbMergeNode::new()),
+        FbMergeNode::new(),
         vec![a, outer_back],
         vec![outer_in],
     );
     // Outer body prefix: i = o (inner trip count).
     g.add_node(
         "set-i",
-        Box::new(EwNode::new(
+        EwNode::new(
             3,
             vec![EwInstr::Mov {
                 src: Operand::Reg(1),
                 dst: 3,
             }],
             vec![OutputSpec::plain([0, 1, 2, 3])],
-        )),
+        ),
         vec![outer_in],
         vec![inner_entry],
     );
     g.add_node(
         "inner-head",
-        Box::new(FbMergeNode::new()),
+        FbMergeNode::new(),
         vec![inner_entry, inner_back],
         vec![inner_in],
     );
     // Inner body: acc += 1; i -= 1.
     g.add_node(
         "inner-body",
-        Box::new(EwNode::new(
+        EwNode::new(
             4,
             vec![
                 EwInstr::Alu {
@@ -455,13 +421,13 @@ fn nested_while_loops_compose() {
                 },
             ],
             vec![OutputSpec::plain([0, 1, 2, 3])],
-        )),
+        ),
         vec![inner_in],
         vec![inner_out],
     );
     g.add_node(
         "inner-backfilter",
-        Box::new(EwNode::new(
+        EwNode::new(
             4,
             vec![EwInstr::Alu {
                 op: AluOp::GtS,
@@ -473,20 +439,20 @@ fn nested_while_loops_compose() {
                 OutputSpec::filtered([0, 1, 2, 3], 4, true),
                 OutputSpec::filtered([0, 1, 2, 3], 4, false),
             ],
-        )),
+        ),
         vec![inner_out],
         vec![inner_back, inner_exit_raw],
     );
     g.add_node(
         "inner-strip",
-        Box::new(FlattenNode::new()),
+        FlattenNode::new(),
         vec![inner_exit_raw],
         vec![inner_done],
     );
     // Outer body suffix: o -= 1; drop the i slot.
     g.add_node(
         "dec-o",
-        Box::new(EwNode::new(
+        EwNode::new(
             4,
             vec![EwInstr::Alu {
                 op: AluOp::Sub,
@@ -495,13 +461,13 @@ fn nested_while_loops_compose() {
                 dst: 1,
             }],
             vec![OutputSpec::plain([0, 1, 2])],
-        )),
+        ),
         vec![inner_done],
         vec![outer_out],
     );
     g.add_node(
         "outer-backfilter",
-        Box::new(EwNode::new(
+        EwNode::new(
             3,
             vec![EwInstr::Alu {
                 op: AluOp::GtS,
@@ -513,18 +479,18 @@ fn nested_while_loops_compose() {
                 OutputSpec::filtered([0, 1, 2], 3, true),
                 OutputSpec::filtered([0, 1, 2], 3, false),
             ],
-        )),
+        ),
         vec![outer_out],
         vec![outer_back, outer_exit_raw],
     );
     g.add_node(
         "outer-strip",
-        Box::new(FlattenNode::new()),
+        FlattenNode::new(),
         vec![outer_exit_raw],
         vec![d],
     );
     let (sink, out) = SinkNode::new();
-    g.add_node("exit", Box::new(sink), vec![d], vec![]);
+    g.add_node("exit", sink, vec![d], vec![]);
     g.run(RunOptions::new(100_000)).unwrap();
 
     // Reference: for o0: acc = sum over o in o0..=1 of o = o0(o0+1)/2.
@@ -558,45 +524,36 @@ fn foreach_inside_while_body() {
 
     g.add_node(
         "enter",
-        Box::new(SourceNode::new(vec![tdata([2u32, 0]), tbar(1)])),
+        SourceNode::new(vec![tdata([2u32, 0]), tbar(1)]),
         vec![],
         vec![a],
     );
-    g.add_node(
-        "head",
-        Box::new(FbMergeNode::new()),
-        vec![a, back],
-        vec![body_in],
-    );
+    g.add_node("head", FbMergeNode::new(), vec![a, back], vec![body_in]);
     // foreach(3): counter + sum-reduce, with the thread state bypassing on
     // the parent port (barriers kept for the rejoin zip).
     g.add_node(
         "counter",
-        Box::new(CounterNode::new(
-            Operand::imm(0u32),
-            Operand::imm(3u32),
-            Operand::imm(1u32),
-        )),
+        CounterNode::new(Operand::imm(0u32), Operand::imm(3u32), Operand::imm(1u32)),
         vec![body_in],
         vec![child, parent],
     );
     g.add_node(
         "reduce",
-        Box::new(ReduceNode::new(AluOp::Add, 0u32)),
+        ReduceNode::new(AluOp::Add, 0u32),
         vec![child],
         vec![partial],
     );
     // Rejoin: zip the reduced value with the bypassed thread state.
     g.add_node(
         "rejoin",
-        Box::new(EwNode::passthrough(3)),
+        EwNode::passthrough(3),
         vec![partial, parent],
         vec![rejoin],
     );
     // acc += partial; o -= 1. Tuple layout after zip: [partial, o, acc].
     g.add_node(
         "update",
-        Box::new(EwNode::new(
+        EwNode::new(
             3,
             vec![
                 EwInstr::Alu {
@@ -613,13 +570,13 @@ fn foreach_inside_while_body() {
                 },
             ],
             vec![OutputSpec::plain([1, 2])],
-        )),
+        ),
         vec![rejoin],
         vec![body_out],
     );
     g.add_node(
         "backfilter",
-        Box::new(EwNode::new(
+        EwNode::new(
             2,
             vec![EwInstr::Alu {
                 op: AluOp::GtS,
@@ -631,18 +588,13 @@ fn foreach_inside_while_body() {
                 OutputSpec::filtered([0, 1], 2, true),
                 OutputSpec::filtered([0, 1], 2, false),
             ],
-        )),
+        ),
         vec![body_out],
         vec![back, exit_raw],
     );
-    g.add_node(
-        "strip",
-        Box::new(FlattenNode::new()),
-        vec![exit_raw],
-        vec![d],
-    );
+    g.add_node("strip", FlattenNode::new(), vec![exit_raw], vec![d]);
     let (sink, out) = SinkNode::new();
-    g.add_node("exit", Box::new(sink), vec![d], vec![]);
+    g.add_node("exit", sink, vec![d], vec![]);
     g.run(RunOptions::new(100_000)).unwrap();
 
     // Two outer iterations, each adding 0+1+2 = 3 → acc = 6.

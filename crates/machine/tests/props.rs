@@ -21,16 +21,16 @@ proptest! {
         let d = g.add_chan(Channel::new(1));
         let mut toks: Vec<TTok> = counts.iter().map(|&c| tdata([c])).collect();
         toks.push(tbar(1));
-        g.add_node("src", Box::new(SourceNode::new(toks)), vec![], vec![a]);
+        g.add_node("src", SourceNode::new(toks), vec![], vec![a]);
         g.add_node(
             "counter",
-            Box::new(CounterNode::new(Operand::imm(0u32), Operand::Reg(0), Operand::imm(1u32))),
+            CounterNode::new(Operand::imm(0u32), Operand::Reg(0), Operand::imm(1u32)),
             vec![a],
             vec![b],
         );
-        g.add_node("reduce", Box::new(ReduceNode::new(AluOp::Add, 0u32)), vec![b], vec![d]);
+        g.add_node("reduce", ReduceNode::new(AluOp::Add, 0u32), vec![b], vec![d]);
         let (sink, out) = SinkNode::new();
-        g.add_node("sink", Box::new(sink), vec![d], vec![]);
+        g.add_node("sink", sink, vec![d], vec![]);
         g.run(RunOptions::new(1_000_000)).unwrap();
 
         let toks = out.tokens();
@@ -68,38 +68,38 @@ proptest! {
             }
             toks.push(tbar(1));
         }
-        g.add_node("src", Box::new(SourceNode::new(toks)), vec![], vec![a]);
-        g.add_node("head", Box::new(FbMergeNode::new()), vec![a, back], vec![body_in]);
+        g.add_node("src", SourceNode::new(toks), vec![], vec![a]);
+        g.add_node("head", FbMergeNode::new(), vec![a, back], vec![body_in]);
         // Body: remaining = max(remaining-1, 0) — trips==0 exits on first pass.
         g.add_node(
             "body",
-            Box::new(EwNode::new(
+            EwNode::new(
                 2,
                 vec![
                     EwInstr::Alu { op: AluOp::GtS, a: Operand::Reg(1), b: Operand::imm(0u32), dst: 2 },
                     EwInstr::Alu { op: AluOp::Sub, a: Operand::Reg(1), b: Operand::Reg(2), dst: 1 },
                 ],
                 vec![OutputSpec::plain([0, 1])],
-            )),
+            ),
             vec![body_in],
             vec![body_out],
         );
         g.add_node(
             "backfilter",
-            Box::new(EwNode::new(
+            EwNode::new(
                 2,
                 vec![EwInstr::Alu { op: AluOp::GtS, a: Operand::Reg(1), b: Operand::imm(0u32), dst: 2 }],
                 vec![
                     OutputSpec::filtered([0, 1], 2, true),
                     OutputSpec::filtered([0, 1], 2, false),
                 ],
-            )),
+            ),
             vec![body_out],
             vec![back, exit_raw],
         );
-        g.add_node("strip", Box::new(FlattenNode::new()), vec![exit_raw], vec![d]);
+        g.add_node("strip", FlattenNode::new(), vec![exit_raw], vec![d]);
         let (sink, out) = SinkNode::new();
-        g.add_node("sink", Box::new(sink), vec![d], vec![]);
+        g.add_node("sink", sink, vec![d], vec![]);
         g.run(RunOptions::new(1_000_000)).unwrap();
 
         let toks = out.tokens();
@@ -138,16 +138,16 @@ proptest! {
         let d = g.add_chan(Channel::new(1));
         let mut toks: Vec<TTok> = counts.iter().map(|&c| tdata([c])).collect();
         toks.push(tbar(1));
-        g.add_node("src", Box::new(SourceNode::new(toks)), vec![], vec![a]);
+        g.add_node("src", SourceNode::new(toks), vec![], vec![a]);
         g.add_node(
             "counter",
-            Box::new(CounterNode::new(Operand::imm(0u32), Operand::Reg(0), Operand::imm(1u32))),
+            CounterNode::new(Operand::imm(0u32), Operand::Reg(0), Operand::imm(1u32)),
             vec![a],
             vec![b],
         );
-        g.add_node("flatten", Box::new(FlattenNode::new()), vec![b], vec![d]);
+        g.add_node("flatten", FlattenNode::new(), vec![b], vec![d]);
         let (sink, out) = SinkNode::new();
-        g.add_node("sink", Box::new(sink), vec![d], vec![]);
+        g.add_node("sink", sink, vec![d], vec![]);
         g.run(RunOptions::new(1_000_000)).unwrap();
         let toks = out.tokens();
         let total: u32 = counts.iter().sum();

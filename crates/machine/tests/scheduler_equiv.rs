@@ -151,7 +151,7 @@ fn build(toks: Vec<TTok>, moves: &[u32], shape: Shape) -> (Graph, ChanId, Vec<Si
         })
     };
     let first = link(&mut g, shape.entry_canon);
-    g.add_node("src", Box::new(SourceNode::new(toks)), vec![], vec![first]);
+    g.add_node("src", SourceNode::new(toks), vec![], vec![first]);
     // Open channels with their structure class.
     let mut open = vec![(first, 0u32)];
     let mut classes = 1u32;
@@ -217,7 +217,7 @@ fn build(toks: Vec<TTok>, moves: &[u32], shape: Shape) -> (Graph, ChanId, Vec<Si
                 tap(&mut instrs, node_idx);
                 g.add_node(
                     format!("map{node_idx}"),
-                    Box::new(EwNode::new(1, instrs, vec![OutputSpec::plain([0])])),
+                    EwNode::new(1, instrs, vec![OutputSpec::plain([0])]),
                     vec![src],
                     vec![dst],
                 );
@@ -231,11 +231,11 @@ fn build(toks: Vec<TTok>, moves: &[u32], shape: Shape) -> (Graph, ChanId, Vec<Si
                 tap(&mut instrs, node_idx);
                 g.add_node(
                     format!("dup{node_idx}"),
-                    Box::new(EwNode::new(
+                    EwNode::new(
                         1,
                         instrs,
                         vec![OutputSpec::plain([0]), OutputSpec::plain([0])],
-                    )),
+                    ),
                     vec![src],
                     vec![d0, d1],
                 );
@@ -264,7 +264,7 @@ fn build(toks: Vec<TTok>, moves: &[u32], shape: Shape) -> (Graph, ChanId, Vec<Si
                 tap(&mut instrs, node_idx);
                 g.add_node(
                     format!("zip{node_idx}"),
-                    Box::new(EwNode::new(2, instrs, vec![OutputSpec::plain([0])])),
+                    EwNode::new(2, instrs, vec![OutputSpec::plain([0])]),
                     vec![a, b],
                     vec![dst],
                 );
@@ -278,11 +278,7 @@ fn build(toks: Vec<TTok>, moves: &[u32], shape: Shape) -> (Graph, ChanId, Vec<Si
                 tap(&mut instrs, node_idx);
                 g.add_node(
                     format!("filter{node_idx}"),
-                    Box::new(EwNode::new(
-                        1,
-                        instrs,
-                        vec![OutputSpec::filtered([0], 1, false)],
-                    )),
+                    EwNode::new(1, instrs, vec![OutputSpec::filtered([0], 1, false)]),
                     vec![src],
                     vec![dst],
                 );
@@ -296,7 +292,7 @@ fn build(toks: Vec<TTok>, moves: &[u32], shape: Shape) -> (Graph, ChanId, Vec<Si
                 tap(&mut instrs, node_idx);
                 g.add_node(
                     format!("strip{node_idx}"),
-                    Box::new(EwNode::new(1, instrs, vec![OutputSpec::stripped([0])])),
+                    EwNode::new(1, instrs, vec![OutputSpec::stripped([0])]),
                     vec![src],
                     vec![dst],
                 );
@@ -324,7 +320,7 @@ fn build(toks: Vec<TTok>, moves: &[u32], shape: Shape) -> (Graph, ChanId, Vec<Si
                 tap(&mut instrs, node_idx);
                 g.add_node(
                     format!("sram_write{node_idx}"),
-                    Box::new(EwNode::new(1, instrs, vec![OutputSpec::plain([0])])),
+                    EwNode::new(1, instrs, vec![OutputSpec::plain([0])]),
                     vec![src],
                     vec![mid],
                 );
@@ -347,7 +343,7 @@ fn build(toks: Vec<TTok>, moves: &[u32], shape: Shape) -> (Graph, ChanId, Vec<Si
                 ];
                 g.add_node(
                     format!("sram_read{node_idx}"),
-                    Box::new(EwNode::new(1, instrs, vec![OutputSpec::plain([0])])),
+                    EwNode::new(1, instrs, vec![OutputSpec::plain([0])]),
                     vec![mid],
                     vec![dst],
                 );
@@ -366,7 +362,7 @@ fn build(toks: Vec<TTok>, moves: &[u32], shape: Shape) -> (Graph, ChanId, Vec<Si
     let mut handles = Vec::new();
     for (i, (c, _)) in open.into_iter().enumerate() {
         let (sink, h) = SinkNode::new();
-        g.add_node(format!("sink{i}"), Box::new(sink), vec![c], vec![]);
+        g.add_node(format!("sink{i}"), sink, vec![c], vec![]);
         handles.push(h);
     }
     g.mem = MemoryState::with_dram_size(WINDOW * (writer_count as usize + 1));

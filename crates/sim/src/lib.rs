@@ -40,7 +40,9 @@ pub use config::{IdealModels, RdaConfig};
 pub use stats::SimStats;
 
 use revet_core::CompiledProgram;
-use revet_machine::{IoEvents, LinkClass, MachineError, NodeId, PortBudget, UnitClass};
+use revet_machine::{
+    ChanId, IoEvents, LinkClass, MachineError, NodeId, NodeSlot, PortBudget, UnitClass,
+};
 use revet_obs::{ObsSink, StallClass, WakeCause};
 use revet_sltf::Word;
 use std::collections::VecDeque;
@@ -129,22 +131,6 @@ impl Simulator {
         program.graph.set_capacity(program.entry, None);
         program.inject_args(args);
         let n = program.graph.node_count();
-        let nodes: Vec<(NodeId, UnitClass, Vec<LinkClass>, Vec<LinkClass>)> = (0..n)
-            .map(|i| {
-                let slot = &program.graph.nodes()[i];
-                let in_cls: Vec<LinkClass> = slot
-                    .ins
-                    .iter()
-                    .map(|c| program.graph.chans()[c.0 as usize].class)
-                    .collect();
-                let out_cls: Vec<LinkClass> = slot
-                    .outs
-                    .iter()
-                    .map(|c| program.graph.chans()[c.0 as usize].class)
-                    .collect();
-                (NodeId(i as u32), slot.unit, in_cls, out_cls)
-            })
-            .collect();
 
         let mut stats = SimStats::new(n);
         let bytes_per_cycle = cfg.dram_bytes_per_cycle();
@@ -161,10 +147,11 @@ impl Simulator {
         let mut next: VecDeque<u32> = VecDeque::new();
         let mut queued = vec![true; n];
         let mut last_stepped = vec![0u64; n];
-        let max_in = nodes.iter().map(|x| x.2.len()).max().unwrap_or(0);
-        let max_out = nodes.iter().map(|x| x.3.len()).max().unwrap_or(0);
-        let mut ib = vec![PortBudget::UNLIMITED; max_in];
-        let mut ob = vec![PortBudget::UNLIMITED; max_out];
+        let widest = |ports: fn(&NodeSlot) -> usize| {
+            program.graph.nodes().iter().map(ports).max().unwrap_or(0)
+        };
+        let mut ib = vec![PortBudget::UNLIMITED; widest(|s| s.ins.len())];
+        let mut ob = vec![PortBudget::UNLIMITED; widest(|s| s.outs.len())];
         let mut events = IoEvents::default();
         let mut cycles: u64 = 0;
 
@@ -189,8 +176,10 @@ impl Simulator {
             while let Some(i) = current.pop_front() {
                 let idx = i as usize;
                 queued[idx] = false;
-                let (id, unit, in_cls, out_cls) = &nodes[idx];
-                if *unit == UnitClass::AddressGen && dram_gated {
+                let id = NodeId(i);
+                let slot = program.graph.node(id);
+                let (unit, n_in, n_out) = (slot.unit, slot.ins.len(), slot.outs.len());
+                if unit == UnitClass::AddressGen && dram_gated {
                     // Not fired: keep it scheduled for the refilled cycle.
                     // This deferral is the one stall class invisible to the
                     // untimed executor.
@@ -199,49 +188,25 @@ impl Simulator {
                     next.push_back(i);
                     continue;
                 }
-                let budget_for = |cls: &LinkClass| -> PortBudget {
-                    if self.ideal.network {
-                        return PortBudget::UNLIMITED;
-                    }
-                    PortBudget {
-                        data: cls.width(),
-                        barrier: 1,
-                    }
-                };
-                for (b, cls) in ib.iter_mut().zip(in_cls.iter()) {
-                    *b = budget_for(cls);
+                let class = |c: &ChanId| program.graph.chans()[c.0 as usize].class;
+                for (b, c) in ib.iter_mut().zip(slot.ins.iter()) {
+                    *b = self.port_budget(unit, class(c), true);
                 }
-                for (b, cls) in ob.iter_mut().zip(out_cls.iter()) {
-                    *b = budget_for(cls);
-                }
-                let n_in = in_cls.len();
-                let n_out = out_cls.len();
-                if self.ideal.sram && *unit == UnitClass::Memory {
-                    ib[..n_in]
-                        .iter_mut()
-                        .for_each(|b| *b = PortBudget::UNLIMITED);
-                    ob[..n_out]
-                        .iter_mut()
-                        .for_each(|b| *b = PortBudget::UNLIMITED);
-                }
-                // AG issue cap models burst/activation limits.
-                if *unit == UnitClass::AddressGen && !self.ideal.dram {
-                    for b in ib[..n_in].iter_mut() {
-                        b.data = b.data.min(cfg.ag_issues_per_cycle);
-                    }
+                for (b, c) in ob.iter_mut().zip(slot.outs.iter()) {
+                    *b = self.port_budget(unit, class(c), false);
                 }
                 last_stepped[idx] = cycles;
                 stepped_this_cycle += 1;
                 let allocs_before = program.graph.mem.alloc_push_ops();
                 let progressed = program.graph.step_node_traced(
-                    *id,
+                    id,
                     &mut ib[..n_in],
                     &mut ob[..n_out],
                     &mut events,
                 )?;
                 obs.node_dispatch(i, progressed);
                 if !progressed && obs.is_enabled() {
-                    obs.stall(i, program.graph.classify_stall(*id));
+                    obs.stall(i, program.graph.classify_stall(id));
                 }
                 let wake = |w: NodeId,
                             cause: WakeCause,
@@ -265,7 +230,7 @@ impl Simulator {
                     stats.busy_cycles[idx] += 1;
                     // Renewed budgets may allow more movement next cycle.
                     wake(
-                        *id,
+                        id,
                         WakeCause::TokenArrival,
                         &mut current,
                         &mut next,
@@ -335,6 +300,25 @@ impl Simulator {
         stats.dram_written_bytes = program.graph.mem.dram_written_bytes - base_written;
         stats.peak_dram_bytes_per_cycle = bytes_per_cycle;
         Ok(stats)
+    }
+
+    /// A port's per-cycle budget: its link's class bandwidth (§III-C)
+    /// unless the network is ideal, unlimited on a memory unit under ideal
+    /// SRAM, and on an AG's input at most `ag_issues_per_cycle` issues
+    /// (the burst/activation bound) unless DRAM is ideal.
+    fn port_budget(&self, unit: UnitClass, class: LinkClass, input: bool) -> PortBudget {
+        let mut b = if self.ideal.network || (self.ideal.sram && unit == UnitClass::Memory) {
+            PortBudget::UNLIMITED
+        } else {
+            PortBudget {
+                data: class.width(),
+                barrier: 1,
+            }
+        };
+        if input && unit == UnitClass::AddressGen && !self.ideal.dram {
+            b.data = b.data.min(self.config.ag_issues_per_cycle);
+        }
+        b
     }
 }
 

@@ -17,28 +17,24 @@ fn machine_reexport_runs_a_graph() {
     let d = g.add_chan(Channel::new(1));
     g.add_node(
         "enter",
-        Box::new(SourceNode::new(vec![tdata([5u32]), tbar(1)])),
+        SourceNode::new(vec![tdata([5u32]), tbar(1)]),
         vec![],
         vec![a],
     );
     g.add_node(
         "counter",
-        Box::new(CounterNode::new(
-            Operand::imm(0u32),
-            Operand::Reg(0),
-            Operand::imm(1u32),
-        )),
+        CounterNode::new(Operand::imm(0u32), Operand::Reg(0), Operand::imm(1u32)),
         vec![a],
         vec![b],
     );
     g.add_node(
         "reduce",
-        Box::new(ReduceNode::new(AluOp::Add, 0u32)),
+        ReduceNode::new(AluOp::Add, 0u32),
         vec![b],
         vec![d],
     );
     let (sink, out) = SinkNode::new();
-    g.add_node("exit", Box::new(sink), vec![d], vec![]);
+    g.add_node("exit", sink, vec![d], vec![]);
     g.run(RunOptions::new(10_000)).unwrap();
     // sum(0..5) = 10
     assert_eq!(out.tokens(), vec![tdata([10u32]), tbar(1)]);
