@@ -4,14 +4,20 @@
 //!
 //! The simulator steps the same firing rules the untimed executor does, one
 //! node at a time through `Graph::step_node_traced`, under per-link budgets,
-//! bounded buffers and the DRAM token bucket. A change to *how* a node fires
-//! must leave every number here unchanged; only a change to the machine
-//! model, the optimizer or the lowering may move one, and then the failing
-//! assertion prints the recomputed `golden/sim_stats.txt`.
+//! bounded buffers and the DRAM token bucket. Each app also runs through
+//! [`Simulator::run_obs`] with a counters-only sink: its [`SimStats`] must
+//! equal the noop-sink run's, and the row records the sink's scheduler
+//! counters — dispatches (productive or not, starved ones included), stall
+//! classes and wake causes. A change to *how* a node fires or how the ready
+//! set accounts a dispatch must leave every number here unchanged; only a
+//! change to the machine model, the optimizer or the lowering may move one,
+//! and then the failing assertion prints the recomputed
+//! `golden/sim_stats.txt`.
 
 use revet_apps::all_apps;
 use revet_core::PassOptions;
-use revet_sim::{IdealModels, RdaConfig, Simulator};
+use revet_obs::ObsSink;
+use revet_sim::{IdealModels, RdaConfig, SimStats, Simulator};
 
 const SIM_GOLDEN: &str = include_str!("golden/sim_stats.txt");
 
@@ -35,15 +41,35 @@ fn simulated_cycles_and_traffic_match_the_golden() {
             .run(&mut program, &args, MAX_CYCLES)
             .unwrap_or_else(|e| panic!("{}: {e}", app.name));
         app.check(&program, &w);
+
+        let obs = ObsSink::counters_only();
+        let (mut program, args, w) = app.prepare(OUTER, SCALE, SEED, &opts);
+        let observed = sim
+            .run_obs(&mut program, &args, MAX_CYCLES, &obs)
+            .unwrap_or_else(|e| panic!("{} (observed): {e}", app.name));
+        app.check(&program, &w);
+        assert_eq!(
+            stats_row(&observed),
+            stats_row(&stats),
+            "{}: an enabled sink moved the simulated run",
+            app.name
+        );
+
+        let c = &obs.counters;
         actual.push(format!(
-            "{} cycles={} busy={} skipped={} peak_busy={} dram_read={} dram_written={}",
+            "{} {} dispatches={} productive={} starved={} full={} alloc_gated={} \
+             dram_gated={} wake_tok={} wake_cap={} wake_alloc={}",
             app.name,
-            stats.cycles,
-            stats.busy_cycles.iter().sum::<u64>(),
-            stats.skipped_idle_steps,
-            stats.peak_busy_nodes,
-            stats.dram_read_bytes,
-            stats.dram_written_bytes
+            stats_row(&stats),
+            c.dispatches.get(),
+            c.productive.get(),
+            c.stalls_input_starved.get(),
+            c.stalls_output_full.get(),
+            c.stalls_alloc_gated.get(),
+            c.stalls_dram_gated.get(),
+            c.wakes_token.get(),
+            c.wakes_capacity.get(),
+            c.wakes_alloc.get(),
         ));
     }
     assert_eq!(actual.len(), 8, "one row per Table III app");
@@ -58,4 +84,17 @@ fn simulated_cycles_and_traffic_match_the_golden() {
         );
     }
     assert_eq!(actual.len(), golden.len(), "golden has extra rows");
+}
+
+/// The [`SimStats`] columns of a row.
+fn stats_row(stats: &SimStats) -> String {
+    format!(
+        "cycles={} busy={} skipped={} peak_busy={} dram_read={} dram_written={}",
+        stats.cycles,
+        stats.busy_cycles.iter().sum::<u64>(),
+        stats.skipped_idle_steps,
+        stats.peak_busy_nodes,
+        stats.dram_read_bytes,
+        stats.dram_written_bytes
+    )
 }
