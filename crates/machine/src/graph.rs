@@ -425,6 +425,18 @@ impl Graph {
         self.step_node_inner(id, in_budget, out_budget, Some(events))
     }
 
+    /// True if stepping `id` now is certain to make no progress, from the
+    /// emptiness of its input channels alone ([`Prim::starved`]): then
+    /// [`Graph::step_node`] would return `Ok(false)` under any budgets and
+    /// change nothing. Not a Kahn emptiness sample — it predicts only what
+    /// the node's own rule would read — so a scheduler may account such a
+    /// step without running it.
+    #[inline]
+    pub fn starved(&self, id: NodeId) -> bool {
+        let slot = &self.nodes[id.0 as usize];
+        slot.behavior.starved(&self.chans, &slot.ins)
+    }
+
     fn step_node_inner(
         &mut self,
         id: NodeId,

@@ -376,7 +376,10 @@ impl Ports for NodeIo<'_> {
 /// firing site attaches the node label.
 ///
 /// To add a primitive: one variant here, its `From`, and one arm in each
-/// `match` below — the compiler lists any that is missing.
+/// `match` below — the compiler lists any that is missing. Its
+/// [`Prim::starved`] arm says when empty inputs alone prove a firing moves
+/// nothing; `false` is always sound, and the dense oracle checks any
+/// stronger claim on every step.
 ///
 /// `Clone` is what [`crate::Graph::fresh_instance`] does per node: state
 /// is copied verbatim, an element-wise program is shared (a reference
@@ -446,6 +449,30 @@ impl Prim {
         }
     }
 
+    /// Whether a firing is certain to move nothing, read from the emptiness
+    /// of the node's input channels `ins` alone: every rule below reads an
+    /// input front before it moves anything, and an empty channel makes
+    /// [`Ports::peek_in`] return `None` under any budget, in every `Ports`
+    /// implementation. Conservative — `false` promises nothing. A rule that
+    /// can emit from held state is never starved.
+    pub(crate) fn starved(&self, chans: &[Channel], ins: &[ChanId]) -> bool {
+        let empty = |c: &ChanId| chans[c.0 as usize].is_empty();
+        match self {
+            // The head zips every input: one empty front ends the firing.
+            Prim::Ew(_) => ins.iter().any(empty),
+            // Any one non-empty input may move (or, for a forward merge,
+            // pair a held barrier); a node without inputs is not judged.
+            Prim::FwdMerge(_)
+            | Prim::FbMerge(_)
+            | Prim::Reduce(_)
+            | Prim::Flatten(_)
+            | Prim::Sink(_) => !ins.is_empty() && ins.iter().all(empty),
+            // Emit from held state: a counter's or fork's open range, a
+            // broadcast's held parent, a source's pending tokens.
+            Prim::Counter(_) | Prim::Fork(_) | Prim::Broadcast(_) | Prim::Source(_) => false,
+        }
+    }
+
     /// Approximate heap bytes retained by this node's state (pending
     /// source tokens, collected sink tokens): per-session memory
     /// accounting for resident streaming instances; `0` for the rest.
@@ -502,3 +529,114 @@ prim_from!(
     Source(SourceNode),
     Sink(SinkNode),
 );
+
+#[cfg(test)]
+mod tests {
+    //! [`Prim::starved`] on the stateful cases: each firing goes through
+    //! [`fire`], which checks the precondition the simulator relies on.
+    use super::*;
+    use crate::instr::Operand;
+    use crate::nodes::OutputSpec;
+    use crate::tuple::{tbar, tdata, TTok};
+
+    /// The input channels, preloaded, then the outputs (`Some(cap)` bounds
+    /// one).
+    fn chans(inputs: Vec<Vec<TTok>>, outputs: &[Option<usize>]) -> Vec<Channel> {
+        let mut chans = Vec::new();
+        for toks in inputs {
+            let mut c = Channel::new(1).without_canonicalization();
+            for t in toks {
+                c.push(t);
+            }
+            chans.push(c);
+        }
+        for &cap in outputs {
+            let c = Channel::new(1).without_canonicalization();
+            chans.push(match cap {
+                Some(cap) => c.with_capacity(cap),
+                None => c,
+            });
+        }
+        chans
+    }
+
+    /// Fires `node` once over `chans`; returns `(starved, progressed)` and
+    /// asserts that a starved node moved nothing.
+    fn fire(node: &mut Prim, chans: &mut [Channel], n_in: usize) -> (bool, bool) {
+        let ids: Vec<ChanId> = (0..chans.len() as u32).map(ChanId).collect();
+        let (ins, outs) = ids.split_at(n_in);
+        let starved = node.starved(chans, ins);
+        let mut mem = MemoryState::default();
+        let mut ib = vec![PortBudget::UNLIMITED; ins.len()];
+        let mut ob = vec![PortBudget::UNLIMITED; outs.len()];
+        let mut io = NodeIo::new(chans, ins, outs, &mut mem, &mut ib, &mut ob);
+        let progressed = node.fire(&mut io, false).unwrap();
+        assert!(!(starved && progressed), "{node:?}: starved but progressed");
+        (starved, progressed)
+    }
+
+    #[test]
+    fn ew_is_starved_by_any_empty_input() {
+        let mut ew = Prim::from(EwNode::new(2, vec![], vec![OutputSpec::plain([0])]));
+        let mut c = chans(vec![vec![tdata([1u32])], vec![]], &[None]);
+        assert_eq!(fire(&mut ew, &mut c, 2), (true, false));
+        c[1].push(tdata([2u32]));
+        assert_eq!(fire(&mut ew, &mut c, 2), (false, true));
+        assert_eq!(c[2].drain_all(), vec![tdata([1u32])]);
+    }
+
+    #[test]
+    fn fb_merge_draining_with_a_held_forward_barrier_is_not_starved() {
+        let mut m = Prim::from(FbMergeNode::new());
+        let mut c = chans(vec![vec![tbar(1)], vec![]], &[None]);
+        // Wave 0 is empty: Ω1 out, the forward barrier held, draining.
+        assert_eq!(fire(&mut m, &mut c, 2), (false, true));
+        assert_eq!(c[2].drain_all(), vec![tbar(1)]);
+        // The held barrier keeps the node unstarved, though nothing moves
+        // until the backedge speaks: `false` promises nothing.
+        assert_eq!(fire(&mut m, &mut c, 2), (false, false));
+        c[1].push(tbar(1));
+        assert_eq!(fire(&mut m, &mut c, 2), (false, true));
+        assert_eq!(c[2].drain_all(), vec![tbar(2)]);
+        assert_eq!(fire(&mut m, &mut c, 2), (true, false));
+    }
+
+    #[test]
+    fn reduce_with_a_pending_sum_is_starved_until_input_arrives() {
+        let mut r = Prim::from(ReduceNode::new(crate::instr::AluOp::Add, 0u32));
+        let mut c = chans(vec![vec![tdata([1u32]), tdata([2u32])]], &[None]);
+        assert_eq!(fire(&mut r, &mut c, 1), (false, true));
+        // The partial sum is held, but only an input barrier can emit it.
+        assert_eq!(fire(&mut r, &mut c, 1), (true, false));
+        assert!(c[1].is_empty());
+        c[0].push(tbar(2));
+        assert_eq!(fire(&mut r, &mut c, 1), (false, true));
+        assert_eq!(c[1].drain_all(), vec![tdata([3u32]), tbar(1)]);
+    }
+
+    #[test]
+    fn fwd_merge_with_a_lone_barrier_is_not_starved() {
+        let mut m = Prim::from(FwdMergeNode::new());
+        let mut c = chans(vec![vec![tbar(1)], vec![]], &[None]);
+        assert_eq!(fire(&mut m, &mut c, 2), (false, false));
+        c[1].push(tbar(1));
+        assert_eq!(fire(&mut m, &mut c, 2), (false, true));
+        assert_eq!(c[2].drain_all(), vec![tbar(1)]);
+        assert_eq!(fire(&mut m, &mut c, 2), (true, false));
+    }
+
+    #[test]
+    fn counter_emits_a_held_range_with_its_input_empty() {
+        let mut k = Prim::from(CounterNode::new(
+            Operand::imm(0u32),
+            Operand::Reg(0),
+            Operand::imm(1u32),
+        ));
+        let mut c = chans(vec![vec![tdata([3u32])]], &[Some(2)]);
+        assert_eq!(fire(&mut k, &mut c, 1), (false, true));
+        assert_eq!(c[1].drain_all(), vec![tdata([0u32]), tdata([1u32])]);
+        // The input is empty, yet the held range still moves.
+        assert_eq!(fire(&mut k, &mut c, 1), (false, true));
+        assert_eq!(c[1].drain_all(), vec![tdata([2u32]), tbar(1)]);
+    }
+}

@@ -10,6 +10,10 @@
 //! oracle's dense lanes) holds the one shipped scheduler against it. It is
 //! not part of the run surface; nothing outside tests and the fuzz oracle
 //! calls it.
+//!
+//! Every step also checks the precondition the cycle-level simulator
+//! elides steps on: a node [`Graph::starved`] reports starved returns
+//! `Ok(false)`. So every differential suite checks it for free.
 
 use crate::graph::{ExecReport, Graph, NodeSlot};
 use crate::node::{MachineError, NodeId, PortBudget};
@@ -43,7 +47,16 @@ pub fn run_dense(g: &mut Graph, max_rounds: u64) -> Result<ExecReport, MachineEr
             ib[..n_in].fill(PortBudget::UNLIMITED);
             ob[..n_out].fill(PortBudget::UNLIMITED);
             report.steps += 1;
-            if g.step_node(id, &mut ib[..n_in], &mut ob[..n_out])? {
+            let starved = g.starved(id);
+            let result = g.step_node(id, &mut ib[..n_in], &mut ob[..n_out]);
+            // The precondition the simulator elides steps on: a starved
+            // node's rule moves nothing and raises nothing.
+            assert!(
+                !starved || matches!(result, Ok(false)),
+                "node '{}' was starved but its rule returned {result:?}",
+                g.node(id).label
+            );
+            if result? {
                 any = true;
                 report.productive_steps += 1;
             }

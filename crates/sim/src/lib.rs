@@ -21,7 +21,11 @@
 //! pushes, or their own leftover work — not every context every cycle.
 //! [`SimStats::skipped_idle_steps`] counts the dense-sweep node-cycle slots
 //! this avoids; DRAM-gated AG contexts simply stay queued until the token
-//! bucket refills.
+//! bucket refills. A woken context whose inputs prove it cannot move
+//! anything ([`revet_machine::Graph::starved`]) is stepped without running
+//! its rule: it is accounted exactly as the unproductive step it would be
+//! (fire stamp, dispatch, stall class), so cycles and every counter are
+//! unchanged, and only the rule's set-up is saved.
 //!
 //! Identical DRAM results as the untimed run are asserted by the test suite;
 //! only *when* things happen differs. Ideal-model toggles ([`IdealModels`])
@@ -188,22 +192,29 @@ impl Simulator {
                     next.push_back(i);
                     continue;
                 }
-                let class = |c: &ChanId| program.graph.chans()[c.0 as usize].class;
-                for (b, c) in ib.iter_mut().zip(slot.ins.iter()) {
-                    *b = self.port_budget(unit, class(c), true);
-                }
-                for (b, c) in ob.iter_mut().zip(slot.outs.iter()) {
-                    *b = self.port_budget(unit, class(c), false);
-                }
                 last_stepped[idx] = cycles;
                 stepped_this_cycle += 1;
                 let allocs_before = program.graph.mem.alloc_push_ops();
-                let progressed = program.graph.step_node_traced(
-                    id,
-                    &mut ib[..n_in],
-                    &mut ob[..n_out],
-                    &mut events,
-                )?;
+                let progressed = if program.graph.starved(id) {
+                    // The rule would move nothing and record no events:
+                    // account the unproductive step without running it.
+                    events.clear();
+                    false
+                } else {
+                    let class = |c: &ChanId| program.graph.chans()[c.0 as usize].class;
+                    for (b, c) in ib.iter_mut().zip(slot.ins.iter()) {
+                        *b = self.port_budget(unit, class(c), true);
+                    }
+                    for (b, c) in ob.iter_mut().zip(slot.outs.iter()) {
+                        *b = self.port_budget(unit, class(c), false);
+                    }
+                    program.graph.step_node_traced(
+                        id,
+                        &mut ib[..n_in],
+                        &mut ob[..n_out],
+                        &mut events,
+                    )?
+                };
                 obs.node_dispatch(i, progressed);
                 if !progressed && obs.is_enabled() {
                     obs.stall(i, program.graph.classify_stall(id));

@@ -15,13 +15,16 @@ pub struct SimStats {
     pub peak_dram_bytes_per_cycle: f64,
     /// Busy-cycle count per node (utilization analysis).
     pub busy_cycles: Vec<u64>,
-    /// High watermark of contexts that fired in any single cycle — the
-    /// peak instantaneous parallelism of the run. A **max-merged**
-    /// watermark, not an additive counter.
+    /// High watermark of contexts *stepped* in any single cycle —
+    /// productive or not, a starved context accounted without running its
+    /// rule included — the peak instantaneous parallelism of the ready
+    /// set. A **max-merged** watermark, not an additive counter.
     pub peak_busy_nodes: u64,
-    /// Node-cycle slots the ready-set scheduler never had to attempt
-    /// (a dense sweep would have stepped `cycles × nodes` slots; this is
-    /// how many of those the event-driven scheduler skipped as idle).
+    /// Node-cycle slots the ready set never reached (a dense sweep would
+    /// have stepped `cycles × nodes` slots; this is how many of those the
+    /// event-driven scheduler skipped as idle). A context the ready set
+    /// reached counts as stepped, not skipped, even when it was starved
+    /// and its rule did not run; a DRAM-gated deferral counts as skipped.
     pub skipped_idle_steps: u64,
 }
 
@@ -67,7 +70,7 @@ impl SimStats {
     }
 
     /// Fraction of dense-sweep node-cycle slots the scheduler skipped as
-    /// idle (0.0 = every context fired every cycle).
+    /// idle (0.0 = every context was stepped every cycle).
     pub fn scheduler_skip_ratio(&self) -> f64 {
         let total = self.cycles.saturating_mul(self.busy_cycles.len() as u64);
         if total == 0 {
