@@ -342,7 +342,7 @@ fn run_profiled(
     if profile {
         println!("== compile stages ==");
         for (stage, wall) in session.stage_timings() {
-            println!("  {stage:<12} {:>8} us", wall.as_micros());
+            println!("  {stage:<22} {:>8} us", wall.as_micros());
         }
         println!("\n== execution counters ==");
         let plan = inst.graph.plan().stats();

@@ -60,6 +60,7 @@ use revet_mir::{DramLayout, Func, Module, Op, OpKind, Value};
 use revet_sltf::Word;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Table IV resource category of a context.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -213,6 +214,30 @@ struct DfLower<'m> {
     label_n: u32,
 }
 
+/// Wall time of each sub-stage of one dataflow lowering, in order: every
+/// [`Laps::lap`] closes the sub-stage running since the previous one.
+pub(crate) struct Laps {
+    mark: Instant,
+    pub(crate) laps: Vec<(&'static str, Duration)>,
+}
+
+impl Laps {
+    /// Starts the first sub-stage now.
+    pub(crate) fn start() -> Laps {
+        Laps {
+            mark: Instant::now(),
+            laps: Vec::new(),
+        }
+    }
+
+    /// Ends the running sub-stage as `name` and starts the next.
+    pub(crate) fn lap(&mut self, name: &'static str) {
+        let now = Instant::now();
+        self.laps.push((name, now - self.mark));
+        self.mark = now;
+    }
+}
+
 /// Lowers `main` of a fully-lowered (physical-ops-only) module to a placed,
 /// executable dataflow graph. The module moves into the returned program.
 ///
@@ -221,10 +246,23 @@ struct DfLower<'m> {
 /// Returns [`CoreError`] for unsupported shapes (multi-value foreach
 /// reductions, high-level ops that escaped earlier passes).
 pub fn lower_to_dataflow(
+    module: Module,
+    layout: &DramLayout,
+    opts: &PassOptions,
+    dram_bytes: usize,
+) -> Result<CompiledProgram, CoreError> {
+    lower_timed(module, layout, opts, dram_bytes, &mut Laps::start())
+}
+
+/// [`lower_to_dataflow`], closing one lap of `laps` per sub-stage: the
+/// constant and free-use tables, the lowering walk, the memory image and
+/// the plan build.
+pub(crate) fn lower_timed(
     mut module: Module,
     layout: &DramLayout,
     opts: &PassOptions,
     dram_bytes: usize,
+    laps: &mut Laps,
 ) -> Result<CompiledProgram, CoreError> {
     let at = module
         .funcs
@@ -240,6 +278,8 @@ pub fn lower_to_dataflow(
             consts.insert(*r, ty.materialize(*v));
         }
     });
+    let uses = FreeUses::of(&main.body);
+    laps.lap("to_dataflow.free_uses");
     let mut lw = DfLower {
         module: &mut module,
         func: &main,
@@ -249,13 +289,14 @@ pub fn lower_to_dataflow(
         infos: Vec::new(),
         links: Vec::new(),
         consts,
-        uses: FreeUses::of(&main.body),
+        uses,
         depth: 0,
         in_replicate: 0,
         outer_par: 1,
         label_n: 0,
     };
     let (entry, sink) = lw.lower_main()?;
+    laps.lap("to_dataflow.walk");
     let DfLower {
         g: mut graph,
         infos: contexts,
@@ -265,10 +306,12 @@ pub fn lower_to_dataflow(
     } = lw;
     module.funcs.insert(at, main);
     graph.mem = module.build_memory(dram_bytes);
+    laps.lap("to_dataflow.memory");
     // The wiring is complete: schedule it now, so every instance of this
     // compile shares the one plan (and its channel-endpoint index)
     // instead of building its own on first run.
     graph.plan();
+    laps.lap("to_dataflow.plan");
     Ok(CompiledProgram {
         graph,
         contexts,

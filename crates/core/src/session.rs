@@ -36,8 +36,8 @@
 //! assert!(text.contains("-->"));
 //! ```
 
-use crate::lower::CompiledProgram;
-use crate::{lower_to_dataflow, passes, CoreError, PassOptions, MAX_DRAM_BYTES};
+use crate::lower::{lower_timed, CompiledProgram, Laps};
+use crate::{passes, CoreError, PassOptions, MAX_DRAM_BYTES};
 use revet_diag::{Diagnostics, SourceMap};
 use revet_lang::ast::Program;
 use revet_mir::{DramLayout, Module, PassReport};
@@ -221,6 +221,7 @@ impl Session {
             ));
             return Err(self.fail(e.diagnostics.into_iter().collect()));
         }
+        let mut laps = Laps::start();
         // Dataflow lowering consumes the module; it gets a copy so the
         // session's optimized artifact stays inspectable and re-runnable.
         let module = self.mir.clone().expect("optimized");
@@ -230,9 +231,11 @@ impl Session {
         let layout = DramLayout {
             base: (0..module.drams.len()).map(base).collect(),
         };
-        match lower_to_dataflow(module, &layout, &opts, opts.dram_bytes) {
+        laps.lap("to_dataflow.mir_copy");
+        match lower_timed(module, &layout, &opts, opts.dram_bytes, &mut laps) {
             Ok(p) => {
                 self.timings.push(("to_dataflow", started.elapsed()));
+                self.timings.extend(laps.laps);
                 Ok(p)
             }
             Err(e) => Err(self.fail(e.diagnostics.into_iter().collect())),
@@ -305,9 +308,13 @@ impl Session {
     /// Wall time of every compile stage that actually executed this
     /// session, in execution order. Memoized re-runs add no entries, so a
     /// full compile yields exactly `parse`, `lower_mir`, `run_passes`,
-    /// `to_dataflow` (the latter once per materialization). Complements
-    /// [`Session::pass_report`], which times the individual passes *inside*
-    /// the `run_passes` stage.
+    /// `to_dataflow` (the latter once per materialization). Each
+    /// `to_dataflow` entry is followed by its sub-stages, which add up to
+    /// it: `to_dataflow.mir_copy` (the module copy the lowering consumes),
+    /// `.free_uses` (the constant and free-use tables), `.walk` (the
+    /// lowering walk), `.memory` (the memory image) and `.plan` (the plan
+    /// build). Complements [`Session::pass_report`], which times the
+    /// individual passes *inside* the `run_passes` stage.
     pub fn stage_timings(&self) -> &[(&'static str, std::time::Duration)] {
         &self.timings
     }
@@ -478,34 +485,46 @@ mod tests {
 
     #[test]
     fn stage_timings_record_each_stage_once() {
+        const DATAFLOW: [&str; 6] = [
+            "to_dataflow",
+            "to_dataflow.mir_copy",
+            "to_dataflow.free_uses",
+            "to_dataflow.walk",
+            "to_dataflow.memory",
+            "to_dataflow.plan",
+        ];
         let mut s = Session::new(GOOD, PassOptions::default());
         assert!(s.stage_timings().is_empty());
         s.to_dataflow().unwrap();
         let names: Vec<&str> = s.stage_timings().iter().map(|(n, _)| *n).collect();
         assert_eq!(
             names,
-            vec!["parse", "lower_mir", "run_passes", "to_dataflow"]
+            [&["parse", "lower_mir", "run_passes"][..], &DATAFLOW].concat()
         );
+        // The sub-stages split the dataflow stage; they cannot outlast it.
+        let t = s.stage_timings();
+        let subs: std::time::Duration = t[4..].iter().map(|(_, d)| *d).sum();
+        assert!(subs <= t[3].1, "{subs:?} of sub-stages inside {:?}", t[3].1);
         // Memoized stages add nothing; a re-materialization adds only the
-        // dataflow stage.
+        // dataflow stage and its sub-stages.
         s.run_passes().unwrap();
-        assert_eq!(s.stage_timings().len(), 4);
+        assert_eq!(s.stage_timings().len(), 9);
         s.to_dataflow().unwrap();
         let names: Vec<&str> = s.stage_timings().iter().map(|(n, _)| *n).collect();
         assert_eq!(
             names,
-            vec![
-                "parse",
-                "lower_mir",
-                "run_passes",
-                "to_dataflow",
-                "to_dataflow"
+            [
+                &["parse", "lower_mir", "run_passes"][..],
+                &DATAFLOW,
+                &DATAFLOW
             ]
+            .concat()
         );
         // Stage timings flow into the trace ring as compile_stage events.
         let obs = revet_obs::ObsSink::with_trace_capacity(64);
         s.emit_compile_trace(&obs);
-        assert_eq!(obs.trace_events().len(), 5);
+        assert_eq!(obs.trace_events().len(), 15);
         assert!(obs.chrome_trace_json().contains("compile:run_passes"));
+        assert!(obs.chrome_trace_json().contains("compile:to_dataflow.walk"));
     }
 }
