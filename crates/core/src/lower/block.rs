@@ -8,9 +8,8 @@ use crate::CoreError;
 use revet_machine::instr::{AluOp, EwInstr, Operand, Pred, Reg, RegRole};
 use revet_machine::nodes::{EwNode, OutputSpec};
 use revet_machine::UnitClass;
-use revet_mir::{DramRef, Op, OpKind, Ty, Value};
+use revet_mir::{DramRef, Op, OpKind, Ty, Value, ValueMap};
 use revet_sltf::Word;
-use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
 /// Pipeline stages available to one compute context.
@@ -31,17 +30,17 @@ pub(super) fn imm(v: u32) -> Operand {
 /// Where each SSA value of a block lives: inputs in tuple order, results
 /// in fresh registers after them, constants as immediates.
 struct Regs<'c> {
-    consts: &'c HashMap<Value, Word>,
-    at: HashMap<Value, Reg>,
+    consts: &'c ValueMap<Word>,
+    at: ValueMap<Reg>,
     next: Reg,
     block: &'c str,
 }
 
 impl Regs<'_> {
     fn operand(&self, v: Value) -> Result<Operand, CoreError> {
-        if let Some(r) = self.at.get(&v) {
+        if let Some(r) = self.at.get(v) {
             Ok(Operand::Reg(*r))
-        } else if let Some(w) = self.consts.get(&v) {
+        } else if let Some(w) = self.consts.get(v) {
             Ok(Operand::Const(*w))
         } else {
             Err(CoreError::new(format!(
@@ -89,27 +88,37 @@ fn segments(items: &[EwInstr]) -> Vec<Range<usize>> {
     out
 }
 
-/// `live[s]` = registers read by segment `s` or later (or by the block's
-/// outputs) and not written first; `live[segs.len()]` is `out_regs`.
-fn live_regs(items: &mut [EwInstr], segs: &[Range<usize>], out_regs: &[Reg]) -> Vec<HashSet<Reg>> {
-    let mut live = vec![HashSet::new(); segs.len() + 1];
-    live[segs.len()] = out_regs.iter().copied().collect();
-    for (s, seg) in segs.iter().enumerate().rev() {
-        let mut set = live[s + 1].clone();
+/// `live[s][r]` = virtual register `r` (of `regs`) is read by segment `s`
+/// or later (or by the block's outputs) and not written first;
+/// `live[segs.len()]` is `out_regs`.
+fn live_regs(
+    items: &mut [EwInstr],
+    segs: &[Range<usize>],
+    out_regs: &[Reg],
+    regs: Reg,
+) -> Vec<Vec<bool>> {
+    let mut set = vec![false; regs as usize];
+    for r in out_regs {
+        set[*r as usize] = true;
+    }
+    let mut live = Vec::with_capacity(segs.len() + 1);
+    for seg in segs.iter().rev() {
+        live.push(set.clone());
         for ins in items[seg.clone()].iter_mut().rev() {
             ins.for_each_reg(|role, r| {
                 if role == RegRole::Write {
-                    set.remove(r);
+                    set[*r as usize] = false;
                 }
             });
             ins.for_each_reg(|role, r| {
                 if role != RegRole::Write {
-                    set.insert(*r);
+                    set[*r as usize] = true;
                 }
             });
         }
-        live[s] = set;
     }
+    live.push(set);
+    live.reverse();
     live
 }
 
@@ -127,9 +136,12 @@ impl DfLower<'_> {
         if ops.is_empty() && input.vars == out_tuple {
             return Ok(input);
         }
+        let mut at = std::mem::take(&mut self.at);
+        at.clear();
+        at.extend(input.vars.iter().zip(0..).map(|(v, r)| (*v, r)));
         let mut regs = Regs {
             consts: &self.consts,
-            at: (0..).zip(&input.vars).map(|(r, v)| (*v, r)).collect(),
+            at,
             next: input.vars.len() as Reg,
             block: base,
         };
@@ -148,30 +160,33 @@ impl DfLower<'_> {
                 }
             });
         }
+        let Regs {
+            at, next: nregs, ..
+        } = regs;
+        self.at = at;
         let segs = segments(&items);
-        let live = live_regs(&mut items, &segs, &out_regs);
+        let live = live_regs(&mut items, &segs, &out_regs, nregs);
         let mut chan = input.chan;
         // The virtual register at each position of the current link.
         let mut layout: Vec<Reg> = (0..input.vars.len() as Reg).collect();
         for (s, seg) in segs.iter().enumerate() {
             // Rename virtual registers to this context's file: inputs load
             // at their tuple position, results follow.
-            let mut remap: HashMap<Reg, Reg> = HashMap::new();
+            let mut remap: Vec<Option<Reg>> = vec![None; nregs as usize];
             for (pos, old) in layout.iter().enumerate() {
-                remap.entry(*old).or_insert(pos as Reg);
+                remap[*old as usize].get_or_insert(pos as Reg);
             }
             let mut next = layout.len() as Reg;
             let mut instrs = items[seg.clone()].to_vec();
             for ins in &mut instrs {
                 ins.for_each_reg(|role, r| {
+                    let slot = &mut remap[*r as usize];
                     *r = match role {
-                        RegRole::Write => *remap.entry(*r).or_insert_with(|| {
+                        RegRole::Write => *slot.get_or_insert_with(|| {
                             next += 1;
                             next - 1
                         }),
-                        _ => *remap
-                            .get(r)
-                            .unwrap_or_else(|| panic!("segment reads unmapped {role:?} r{r}")),
+                        _ => slot.unwrap_or_else(|| panic!("segment reads unmapped {role:?} r{r}")),
                     }
                 });
             }
@@ -180,15 +195,14 @@ impl DfLower<'_> {
             let carried = if s + 1 == segs.len() {
                 out_regs.clone()
             } else {
-                let mut v: Vec<Reg> = live[s + 1]
-                    .iter()
-                    .copied()
-                    .filter(|r| remap.contains_key(r))
-                    .collect();
-                v.sort_unstable();
-                v
+                (0..nregs)
+                    .filter(|r| live[s + 1][*r as usize] && remap[*r as usize].is_some())
+                    .collect()
             };
-            let out_slots: Vec<Reg> = carried.iter().map(|r| remap[r]).collect();
+            let out_slots: Vec<Reg> = carried
+                .iter()
+                .map(|r| remap[*r as usize].expect("a carried register is mapped"))
+                .collect();
             let unit = instrs
                 .first()
                 .map_or(UnitClass::Compute, EwInstr::unit_class);

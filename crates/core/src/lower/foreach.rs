@@ -33,7 +33,7 @@ impl DfLower<'_> {
         live_in.retain(|v| !bounds.contains(v) || self.uses.reads(at, *v));
         // Parent tuple entering the counter: bounds, live-ins, passthrough.
         let mut in_tuple: Vec<Value> = bounds.to_vec();
-        in_tuple.retain(|v| !self.consts.contains_key(v));
+        in_tuple.retain(|v| !self.consts.contains_key(*v));
         in_tuple.extend(live_in.iter().chain(&frame.passthrough));
         let in_tuple = dedup(in_tuple);
         let cur = self.emit_block(&frame.pending, frame.cur, &in_tuple, "fe_in")?;

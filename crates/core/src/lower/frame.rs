@@ -4,9 +4,8 @@
 use super::{Cur, DfLower};
 use crate::CoreError;
 use revet_machine::instr::{Operand, Reg};
-use revet_mir::{Op, OpKind, Region, Value};
+use revet_mir::{Func, Op, OpKind, Region, Value, ValueMap, ValueSet};
 use revet_sltf::Word;
-use std::collections::{HashMap, HashSet};
 
 /// The ops that own regions (`if`, `while`, `foreach`, `fork`,
 /// `replicate`): the only ones [`FreeUses`] numbers.
@@ -62,33 +61,45 @@ struct RegionUses {
 pub(super) struct FreeUses {
     ops: Vec<OpUses>,
     regions: Vec<RegionUses>,
+    /// The row of the region defining each value the walk has passed: a
+    /// value is defined in the region being filled when its entry is that
+    /// region's row. One table for the whole walk, not a set per region.
+    owner: ValueMap<u32>,
 }
 
 impl FreeUses {
-    pub(super) fn of(main: &Region) -> FreeUses {
+    pub(super) fn of(main: &Func) -> FreeUses {
         let mut uses = FreeUses {
             ops: Vec::new(),
             regions: vec![RegionUses::default()],
+            owner: ValueMap::with_capacity(main.value_count()),
         };
-        uses.fill_region(main, 0);
+        uses.fill_region(&main.body, 0);
         uses
     }
 
     fn fill_region(&mut self, region: &Region, at: usize) {
         self.regions[at].first_op = self.ops.len() as u32;
-        let mut defined: HashSet<Value> = region.args.iter().copied().collect();
+        let row = at as u32;
+        self.owner.extend(region.args.iter().map(|a| (*a, row)));
         let mut free = Vec::new();
         for op in &region.ops {
-            let from_outside = |u: &Value| !defined.contains(u);
             if is_structured(&op.kind) {
                 let id = self.fill_op(op);
-                free.extend(self.ops[id].free.iter().copied().filter(from_outside));
+                let used = self.ops[id].free.iter().copied();
+                free.extend(used.filter(|u| self.outside(*u, row)));
             } else {
-                free.extend(op.kind.operands().into_iter().filter(from_outside));
+                let used = op.kind.operands().into_iter();
+                free.extend(used.filter(|u| self.outside(*u, row)));
             }
-            defined.extend(&op.results);
+            self.owner.extend(op.results.iter().map(|r| (*r, row)));
         }
         self.regions[at].free = sorted(free);
+    }
+
+    /// True unless `u` is defined in the region whose row is `row`.
+    fn outside(&self, u: Value, row: u32) -> bool {
+        self.owner.get(u) != Some(&row)
     }
 
     fn fill_op(&mut self, op: &Op) -> usize {
@@ -132,8 +143,8 @@ fn sorted(mut v: Vec<Value>) -> Vec<Value> {
 pub(super) struct Live {
     /// The op's row in [`FreeUses`].
     id: usize,
-    /// The values live after it.
-    after: HashSet<Value>,
+    /// The values live after it, ascending.
+    after: Vec<Value>,
 }
 
 /// One entry per op of `region` (whose ops are `ops`): for a structured op,
@@ -156,15 +167,15 @@ pub(super) fn liveness(
             })
         })
         .collect();
-    let mut live: HashSet<Value> = live_out.iter().copied().collect();
+    let mut live: ValueSet = live_out.iter().copied().collect();
     let mut after: Vec<Option<Live>> = Vec::with_capacity(ops.len());
     for (op, id) in ops.iter().zip(ids).rev() {
         after.push(id.map(|id| Live {
             id,
-            after: live.clone(),
+            after: live.iter().collect(),
         }));
         for r in &op.results {
-            live.remove(r);
+            live.remove(*r);
         }
         match id {
             Some(id) => live.extend(&uses.ops[id].free),
@@ -176,7 +187,7 @@ pub(super) fn liveness(
 }
 
 pub(super) fn dedup(mut v: Vec<Value>) -> Vec<Value> {
-    let mut seen = HashSet::new();
+    let mut seen = ValueSet::new();
     v.retain(|x| seen.insert(*x));
     v
 }
@@ -222,18 +233,17 @@ impl<'a> Frame<'a> {
     /// Every tuple is sorted, duplicate-free and holds no constants
     /// (those are immediates wherever they are used).
     pub(super) fn of(
-        consts: &HashMap<Value, Word>,
+        consts: &ValueMap<Word>,
         uses: &FreeUses,
         op: &'a Op,
         live: Live,
         cur: Cur,
         pending: Vec<&'a Op>,
     ) -> Self {
-        let mut passthrough: Vec<Value> = live.after.into_iter().collect();
-        passthrough.retain(|v| !consts.contains_key(v) && !op.results.contains(v));
-        passthrough.sort_unstable();
+        let mut passthrough = live.after;
+        passthrough.retain(|v| !consts.contains_key(*v) && !op.results.contains(v));
         let mut free = uses.ops[live.id].free.clone();
-        free.retain(|v| !consts.contains_key(v));
+        free.retain(|v| !consts.contains_key(*v));
         let mut in_tuple = free.clone();
         in_tuple.extend(passthrough.iter().filter(|v| !free.contains(v)));
         Frame {
@@ -267,7 +277,7 @@ impl DfLower<'_> {
         v: Value,
         what: &str,
     ) -> Result<Operand, CoreError> {
-        match self.consts.get(&v) {
+        match self.consts.get(v) {
             Some(w) => Ok(Operand::Const(*w)),
             None => slot_of(tuple, v, what).map(Operand::Reg),
         }

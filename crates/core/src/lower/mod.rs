@@ -56,9 +56,8 @@ use revet_machine::nodes::{
     ReduceNode, SinkNode,
 };
 use revet_machine::{ChanId, Channel, Graph, LinkClass, Prim, RunOptions, UnitClass};
-use revet_mir::{DramLayout, Func, Module, Op, OpKind, Value};
+use revet_mir::{DramLayout, Func, Module, Op, OpKind, Value, ValueMap};
 use revet_sltf::Word;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -205,7 +204,10 @@ struct DfLower<'m> {
     g: Graph,
     infos: Vec<ContextInfo>,
     links: Vec<LinkInfo>,
-    consts: HashMap<Value, Word>,
+    consts: ValueMap<Word>,
+    /// The per-block register table of [`DfLower::emit_block`], kept
+    /// between blocks so it is allocated once.
+    at: ValueMap<Reg>,
     /// Free uses of `main`'s structured ops and regions, computed once.
     uses: FreeUses,
     depth: u32,
@@ -272,13 +274,13 @@ pub(crate) fn lower_timed(
     // `main` is read throughout while bufferization declares SRAM regions
     // on the module, so it is lifted out for the walk and put back after.
     let main = module.funcs.remove(at);
-    let mut consts = HashMap::new();
+    let mut consts = ValueMap::with_capacity(main.value_count());
     main.walk(&mut |op| {
         if let (OpKind::ConstI(v, ty), Some(r)) = (&op.kind, op.results.first()) {
             consts.insert(*r, ty.materialize(*v));
         }
     });
-    let uses = FreeUses::of(&main.body);
+    let uses = FreeUses::of(&main);
     laps.lap("to_dataflow.free_uses");
     let mut lw = DfLower {
         module: &mut module,
@@ -289,6 +291,7 @@ pub(crate) fn lower_timed(
         infos: Vec::new(),
         links: Vec::new(),
         consts,
+        at: ValueMap::with_capacity(main.value_count()),
         uses,
         depth: 0,
         in_replicate: 0,

@@ -22,9 +22,8 @@
 use revet_machine::{AllocId, SramId};
 use revet_mir::{
     AluOp, DramRef, Func, ItKind, Module, Op, OpKind, Pass, PassResult, RegionBuilder, Rewriter,
-    Ty, Value, ViewKind,
+    Ty, Value, ValueMap, ViewKind,
 };
-use std::collections::HashMap;
 
 /// Default thread-local buffer count when no `pragma(threads, N)` is given:
 /// one MU's worth of small buffers.
@@ -49,7 +48,7 @@ impl Pass for LowerViews {
         m.rewrite(&mut Views {
             threads: self.threads.unwrap_or(DEFAULT_THREADS),
             fuse: self.fuse,
-            objs: HashMap::new(),
+            objs: ValueMap::new(),
             counter: 0,
             frames: Vec::new(),
         })
@@ -97,7 +96,7 @@ struct Views {
     threads: u32,
     fuse: bool,
     /// Objects by handle value (visible to nested regions).
-    objs: HashMap<Value, Obj>,
+    objs: ValueMap<Obj>,
     counter: u32,
     /// One frame per region the walk is inside of, innermost last.
     frames: Vec<Frame>,
@@ -236,14 +235,14 @@ impl It {
 
 impl Views {
     fn view(&self, handle: Value) -> View {
-        match self.objs[&handle] {
+        match self.objs[handle] {
             Obj::View(v) => v,
             Obj::It(_) => unreachable!("view access on iterator"),
         }
     }
 
     fn it(&self, handle: Value) -> It {
-        match self.objs[&handle] {
+        match self.objs[handle] {
             Obj::It(it) => it,
             Obj::View(_) => unreachable!("iterator access on view"),
         }
@@ -373,7 +372,7 @@ impl Rewriter for Views {
     ) {
         let frame = self.frames.pop().expect("entered this region");
         for handle in &frame.objs {
-            match self.objs[handle] {
+            match self.objs[*handle] {
                 Obj::View(View {
                     kind: ViewKind::Write | ViewKind::Modify,
                     dram: Some(dram),

@@ -166,6 +166,8 @@ impl Construct {
 
 #[derive(Debug, Default)]
 struct Scope {
+    /// Keyed by source identifiers, so `std`'s seeded hashing: a client
+    /// sending source cannot choose colliding keys.
     bindings: HashMap<String, Binding>,
     /// What opened the scope; `None` for a function body. A `Foreach` scope
     /// is a thread boundary: assignments cannot cross it. Only a function

@@ -426,7 +426,7 @@ impl Graph {
     }
 
     /// True if stepping `id` now is certain to make no progress, from the
-    /// emptiness of its input channels alone ([`Prim::starved`]): then
+    /// emptiness of its input channels alone (`Prim::starved`): then
     /// [`Graph::step_node`] would return `Ok(false)` under any budgets and
     /// change nothing. Not a Kahn emptiness sample — it predicts only what
     /// the node's own rule would read — so a scheduler may account such a

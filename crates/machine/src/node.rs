@@ -377,7 +377,7 @@ impl Ports for NodeIo<'_> {
 ///
 /// To add a primitive: one variant here, its `From`, and one arm in each
 /// `match` below — the compiler lists any that is missing. Its
-/// [`Prim::starved`] arm says when empty inputs alone prove a firing moves
+/// `Prim::starved` arm says when empty inputs alone prove a firing moves
 /// nothing; `false` is always sound, and the dense oracle checks any
 /// stronger claim on every step.
 ///

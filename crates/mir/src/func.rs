@@ -4,6 +4,7 @@
 use crate::ops::{AluOp, Op, OpKind, Region, Value};
 use crate::pass::PassResult;
 use crate::spans::SpanTable;
+use crate::table::ValueSet;
 use crate::types::{DramDecl, DramRef, Ty};
 use revet_machine::SramId;
 
@@ -268,13 +269,15 @@ impl Func {
     }
 
     /// The set of values with a definition site: parameters, region
-    /// arguments, and op results, function-wide.
-    pub fn defined_values(&self) -> std::collections::HashSet<Value> {
-        let mut set: std::collections::HashSet<Value> = self.params.iter().copied().collect();
-        fn go(r: &Region, set: &mut std::collections::HashSet<Value>) {
-            set.extend(r.args.iter().copied());
+    /// arguments, and op results, function-wide — a dense [`ValueSet`]
+    /// sized by the value table.
+    pub fn defined_values(&self) -> ValueSet {
+        let mut set = ValueSet::with_capacity(self.value_count());
+        set.extend(&self.params);
+        fn go(r: &Region, set: &mut ValueSet) {
+            set.extend(&r.args);
             for op in &r.ops {
-                set.extend(op.results.iter().copied());
+                set.extend(&op.results);
                 for sub in op.kind.regions() {
                     go(sub, set);
                 }
@@ -285,16 +288,14 @@ impl Func {
     }
 
     /// Span-table entries whose value no longer has a definition in the
-    /// function — used by the pass manager's debug integrity check.
+    /// function, in ascending order — used by the pass manager's debug
+    /// integrity check.
     pub fn dangling_spans(&self) -> Vec<Value> {
         let defined = self.defined_values();
-        let mut dangling: Vec<Value> = self
-            .spans
+        self.spans
             .values()
-            .filter(|v| !defined.contains(v))
-            .collect();
-        dangling.sort_by_key(|v| v.0);
-        dangling
+            .filter(|v| !defined.contains(*v))
+            .collect()
     }
 
     /// Drops span-table entries for values with no remaining definition.
@@ -302,7 +303,7 @@ impl Func {
     /// once at the end to keep the side-table consistent.
     pub fn prune_spans(&mut self) {
         let defined = self.defined_values();
-        self.spans.retain(|v| defined.contains(&v));
+        self.spans.retain(|v| defined.contains(v));
     }
 }
 

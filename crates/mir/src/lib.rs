@@ -23,7 +23,10 @@
 //!   builder's emitters,
 //! - the classical optimizations: [`ConstFold`], [`Simplify`], [`Cse`],
 //!   [`SinkConsts`] and [`Dce`] (over [`Liveness`]), grouped by level in
-//!   [`add_classical`].
+//!   [`add_classical`],
+//! - the dense tables every per-value side table and pass state is kept
+//!   in: [`ValueMap`] and [`ValueSet`], vectors indexed by the value's id
+//!   (ids are issued densely, so a lookup is an index, not a hash).
 //!
 //! ## Example
 //!
@@ -59,6 +62,7 @@ mod opt;
 mod pass;
 mod print;
 mod spans;
+mod table;
 mod types;
 mod verify;
 
@@ -70,5 +74,6 @@ pub use opt::{add_classical, ConstFold, Cse, Dce, Simplify, SinkConsts};
 pub use pass::{Pass, PassManager, PassReport, PassResult, PassStat};
 pub use print::{print_func, print_module};
 pub use spans::SpanTable;
+pub use table::{ValueMap, ValueSet};
 pub use types::{DramDecl, DramLayout, DramRef, Ty};
 pub use verify::{verify_func, verify_module, VerifyError};

@@ -4,6 +4,7 @@ use super::{is_commutative, resolve};
 use crate::ops::{AluOp, OpKind, Region, Value};
 use crate::pass::{Pass, PassResult};
 use crate::spans::SpanTable;
+use crate::table::ValueMap;
 use crate::{Module, Ty};
 use std::collections::HashMap;
 
@@ -47,7 +48,7 @@ impl Pass for Cse {
             let tys: Vec<_> = (0..f.value_count())
                 .map(|i| f.ty(Value(i as u32)))
                 .collect();
-            let mut remap = HashMap::new();
+            let mut remap = ValueMap::new();
             let (body, spans) = (&mut f.body, &mut f.spans);
             cse_region(body, &HashMap::new(), &mut remap, spans, &tys, &mut changed);
         }
@@ -55,7 +56,9 @@ impl Pass for Cse {
     }
 }
 
-/// A normalized pure computation, used as the availability key.
+/// A normalized pure computation, used as the availability key. Its map
+/// stays on `std`'s seeded hashing: the key holds source constants, which a
+/// remote client chooses.
 #[derive(Clone, PartialEq, Eq, Hash)]
 enum Key {
     Const(i64, Ty),
@@ -84,7 +87,7 @@ fn key_of(kind: &OpKind) -> Option<Key> {
 fn cse_region(
     region: &mut Region,
     inherited: &HashMap<Key, Value>,
-    remap: &mut HashMap<Value, Value>,
+    remap: &mut ValueMap<Value>,
     spans: &mut SpanTable,
     tys: &[Ty],
     changed: &mut bool,

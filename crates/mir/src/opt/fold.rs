@@ -3,9 +3,9 @@
 use super::const_repr;
 use crate::ops::{OpKind, Region, Value};
 use crate::pass::{Pass, PassResult};
+use crate::table::ValueMap;
 use crate::Module;
 use revet_sltf::Word;
-use std::collections::HashMap;
 
 /// Folds pure ops whose operands are all known constants into `ConstI`.
 ///
@@ -32,7 +32,7 @@ impl Pass for ConstFold {
             // constants is sound across all regions: a value defined by a
             // `ConstI` holds that word on every execution path reaching a
             // use.
-            let mut known: HashMap<Value, Word> = HashMap::new();
+            let mut known = ValueMap::with_capacity(f.value_count());
             let tys: Vec<_> = (0..f.value_count())
                 .map(|i| f.ty(Value(i as u32)))
                 .collect();
@@ -42,27 +42,22 @@ impl Pass for ConstFold {
     }
 }
 
-fn fold_region(
-    r: &mut Region,
-    known: &mut HashMap<Value, Word>,
-    tys: &[crate::Ty],
-    changed: &mut bool,
-) {
+fn fold_region(r: &mut Region, known: &mut ValueMap<Word>, tys: &[crate::Ty], changed: &mut bool) {
     for op in &mut r.ops {
         let folded: Option<Word> = match &op.kind {
             OpKind::ConstI(v, ty) => {
                 known.insert(op.results[0], ty.materialize(*v));
                 None
             }
-            OpKind::Bin(alu, a, b) => match (known.get(a), known.get(b)) {
+            OpKind::Bin(alu, a, b) => match (known.get(*a), known.get(*b)) {
                 (Some(&wa), Some(&wb)) => Some(alu.apply(wa, wb)),
                 _ => None,
             },
-            OpKind::Select(c, t, e) => match (known.get(c), known.get(t), known.get(e)) {
+            OpKind::Select(c, t, e) => match (known.get(*c), known.get(*t), known.get(*e)) {
                 (Some(&wc), Some(&wt), Some(&we)) => Some(if wc.as_bool() { wt } else { we }),
                 _ => None,
             },
-            OpKind::Cast { v, to, signed } => known.get(v).map(|&w| to.narrow(w, *signed)),
+            OpKind::Cast { v, to, signed } => known.get(*v).map(|&w| to.narrow(w, *signed)),
             _ => None,
         };
         if let Some(w) = folded {

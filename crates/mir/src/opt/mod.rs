@@ -28,9 +28,9 @@ pub use sink::SinkConsts;
 
 use crate::ops::{AluOp, Value};
 use crate::pass::PassManager;
+use crate::table::ValueMap;
 use crate::types::Ty;
 use revet_sltf::Word;
-use std::collections::HashMap;
 
 /// Appends the classical optimization group for `opt_level` to `pm`: the
 /// tail of the compiler's pipeline, and what the optimizer's property and
@@ -87,8 +87,8 @@ pub(crate) fn is_commutative(op: AluOp) -> bool {
 }
 
 /// Resolves a value through a replacement map, following chains.
-pub(crate) fn resolve(remap: &HashMap<Value, Value>, mut v: Value) -> Value {
-    while let Some(&r) = remap.get(&v) {
+pub(crate) fn resolve(remap: &ValueMap<Value>, mut v: Value) -> Value {
+    while let Some(&r) = remap.get(v) {
         v = r;
     }
     v
@@ -118,10 +118,11 @@ mod tests {
 
     #[test]
     fn remap_chains_resolve() {
-        let mut m = HashMap::new();
+        let mut m = ValueMap::new();
         m.insert(Value(3), Value(2));
         m.insert(Value(2), Value(1));
         assert_eq!(resolve(&m, Value(3)), Value(1));
         assert_eq!(resolve(&m, Value(5)), Value(5));
+        assert_eq!(resolve(&m, Value(u32::MAX)), Value(u32::MAX));
     }
 }

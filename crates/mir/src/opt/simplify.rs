@@ -3,9 +3,9 @@
 use super::{const_repr, resolve};
 use crate::ops::{AluOp, OpKind, Region, Value};
 use crate::pass::{Pass, PassResult};
+use crate::table::ValueMap;
 use crate::{Module, Ty};
 use revet_sltf::Word;
-use std::collections::HashMap;
 
 /// Strength-reduces pure ops using algebraic identities:
 ///
@@ -32,8 +32,8 @@ impl Pass for Simplify {
                 .map(|i| f.ty(Value(i as u32)))
                 .collect();
             let mut cx = Cx {
-                known: HashMap::new(),
-                remap: HashMap::new(),
+                known: ValueMap::with_capacity(tys.len()),
+                remap: ValueMap::with_capacity(tys.len()),
                 tys,
                 changed: false,
             };
@@ -45,8 +45,8 @@ impl Pass for Simplify {
 }
 
 struct Cx {
-    known: HashMap<Value, Word>,
-    remap: HashMap<Value, Value>,
+    known: ValueMap<Word>,
+    remap: ValueMap<Value>,
     tys: Vec<Ty>,
     changed: bool,
 }
@@ -68,7 +68,7 @@ impl Cx {
     }
 
     fn word(&self, v: Value) -> Option<Word> {
-        self.known.get(&v).copied()
+        self.known.get(v).copied()
     }
 }
 

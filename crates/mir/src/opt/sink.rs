@@ -2,8 +2,9 @@
 
 use crate::ops::{Op, OpKind, Region, Value};
 use crate::pass::{Pass, PassResult};
+use crate::table::ValueMap;
 use crate::{Func, Module, Ty};
-use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// Rematerializes constants inside the nested regions that use them, so a
 /// region never has a *free use* of a constant defined in an enclosing
@@ -22,6 +23,13 @@ use std::collections::{HashMap, HashSet};
 /// boundaries (one copy *per region* is kept: sunk constants are still
 /// deduplicated within each region); the trailing DCE deletes enclosing
 /// definitions that lose their last use.
+///
+/// Two linear walks: the first numbers the regions in pre-order and lists,
+/// per region, the constants it uses from outside itself in first-use
+/// order; the second gives each region its copies, in the same order, and
+/// redirects its own ops' operands to them. (Re-walking each sub-region's
+/// subtree at every nesting level instead would walk an op at depth d d
+/// times.)
 pub struct SinkConsts;
 
 impl Pass for SinkConsts {
@@ -32,99 +40,157 @@ impl Pass for SinkConsts {
     fn run(&self, m: &mut Module) -> PassResult {
         let mut changed = false;
         for f in &mut m.funcs {
-            let mut consts: HashMap<Value, (i64, Ty)> = HashMap::new();
-            collect_consts(&f.body, &mut consts);
-            if consts.is_empty() {
+            let free = FreeConsts::of(&f.body);
+            // With no region using a constant from outside itself, there is
+            // nothing to copy; otherwise some region gets a copy.
+            if free.lists.is_empty() {
                 continue;
             }
             let mut body = std::mem::take(&mut f.body);
-            sink_region(&mut body, f, &mut consts, &mut changed);
+            let copy = ValueMap::new();
+            Sink {
+                free,
+                copy,
+                next: 0,
+            }
+            .region(&mut body, f);
             f.body = body;
+            changed = true;
         }
         PassResult::of(changed)
     }
 }
 
-fn collect_consts(region: &Region, consts: &mut HashMap<Value, (i64, Ty)>) {
-    for op in &region.ops {
-        if let OpKind::ConstI(v, ty) = op.kind {
-            consts.insert(op.results[0], (v, ty));
-        }
-        for sub in op.kind.regions() {
-            collect_consts(sub, consts);
-        }
-    }
+/// One `ConstI` of the function, by its result.
+struct Const {
+    k: i64,
+    ty: Ty,
+    /// The pre-order number of the region defining it.
+    region: u32,
+    /// The last region whose list took it (dedups a list as it is built).
+    taken: u32,
 }
 
-/// Values defined inside `region`: its block arguments plus every op
-/// result, recursively through nested regions.
-fn collect_defined(region: &Region, defined: &mut HashSet<Value>) {
-    defined.extend(region.args.iter().copied());
-    for op in &region.ops {
-        defined.extend(op.results.iter().copied());
-        for sub in op.kind.regions() {
-            collect_defined(sub, defined);
-        }
-    }
+/// One region's row, by its pre-order number (the function body is 0).
+struct Row {
+    /// Its free constants: where in [`FreeConsts::lists`] they are.
+    free: Range<usize>,
+    /// The number of the next region after its subtree.
+    end: u32,
 }
 
-/// Every operand used inside `region`, recursively, in first-use order.
-fn collect_used(region: &Region, used: &mut Vec<Value>) {
-    for op in &region.ops {
-        used.extend(op.kind.operands());
-        for sub in op.kind.regions() {
-            collect_used(sub, used);
-        }
-    }
+/// Every region's *free constants* — the constants used in it (nested
+/// regions included) and defined outside it — in first-use order.
+///
+/// A value used in a region is defined there or in an enclosing region, and
+/// every enclosing region precedes it in pre-order: so a constant is free
+/// in region `r` exactly when its defining region's number is below `r`.
+struct FreeConsts {
+    consts: ValueMap<Const>,
+    rows: Vec<Row>,
+    lists: Vec<Value>,
 }
 
-fn remap_uses(region: &mut Region, map: &HashMap<Value, Value>) {
-    for op in &mut region.ops {
-        op.kind
-            .map_operands(&mut |v| map.get(&v).copied().unwrap_or(v));
-        for sub in op.kind.regions_mut() {
-            remap_uses(sub, map);
-        }
+impl FreeConsts {
+    fn of(body: &Region) -> FreeConsts {
+        let mut free = FreeConsts {
+            consts: ValueMap::new(),
+            rows: Vec::new(),
+            lists: Vec::new(),
+        };
+        free.fill(body);
+        free
     }
-}
 
-fn sink_region(
-    region: &mut Region,
-    f: &mut Func,
-    consts: &mut HashMap<Value, (i64, Ty)>,
-    changed: &mut bool,
-) {
-    for op in &mut region.ops {
-        for sub in op.kind.regions_mut() {
-            let mut defined = HashSet::new();
-            collect_defined(sub, &mut defined);
-            let mut used = Vec::new();
-            collect_used(sub, &mut used);
-            let mut map: HashMap<Value, Value> = HashMap::new();
-            let mut locals: Vec<Op> = Vec::new();
-            for v in used {
-                if defined.contains(&v) || map.contains_key(&v) {
-                    continue;
-                }
-                let Some(&(k, ty)) = consts.get(&v) else {
-                    continue;
+    /// Numbers `region` and its subtree, and lists the free constants of
+    /// each: a region's list is its own ops' operands merged, op by op,
+    /// with its sub-regions' lists.
+    fn fill(&mut self, region: &Region) {
+        let r = self.rows.len() as u32;
+        self.rows.push(Row { free: 0..0, end: 0 });
+        for op in &region.ops {
+            if let OpKind::ConstI(k, ty) = op.kind {
+                let c = Const {
+                    k,
+                    ty,
+                    region: r,
+                    taken: u32::MAX,
                 };
-                let fresh = f.new_value(ty);
+                self.consts.insert(op.results[0], c);
+            }
+            for sub in op.kind.regions() {
+                self.fill(sub);
+            }
+        }
+        let start = self.lists.len();
+        let mut sub = r + 1;
+        for op in &region.ops {
+            for v in op.kind.operands() {
+                self.take(v, r);
+            }
+            for _ in op.kind.regions() {
+                for i in self.rows[sub as usize].free.clone() {
+                    self.take(self.lists[i], r);
+                }
+                sub = self.rows[sub as usize].end;
+            }
+        }
+        let row = &mut self.rows[r as usize];
+        row.free = start..self.lists.len();
+        row.end = sub;
+    }
+
+    /// Appends `v` to region `r`'s list if it is a constant free in `r`
+    /// that the list does not hold yet.
+    fn take(&mut self, v: Value, r: u32) {
+        if let Some(c) = self.consts.get_mut(v) {
+            if c.region < r && c.taken != r {
+                c.taken = r;
+                self.lists.push(v);
+            }
+        }
+    }
+}
+
+/// The rewrite, in the same pre-order as [`FreeConsts::fill`].
+struct Sink {
+    free: FreeConsts,
+    /// Each free constant's copy in the region being rewritten. A stale
+    /// entry is never read: an earlier region's constants are all defined
+    /// before it, so a later region either copies them too or cannot use
+    /// them.
+    copy: ValueMap<Value>,
+    /// The pre-order number of the next region.
+    next: u32,
+}
+
+impl Sink {
+    fn region(&mut self, region: &mut Region, f: &mut Func) {
+        let row = &self.free.rows[self.next as usize];
+        let list = &self.free.lists[row.free.clone()];
+        self.next += 1;
+        if !list.is_empty() {
+            let mut locals = Vec::with_capacity(list.len());
+            for &v in list {
+                let c = &self.free.consts[v];
+                let fresh = f.new_value(c.ty);
                 locals.push(Op {
-                    kind: OpKind::ConstI(k, ty),
+                    kind: OpKind::ConstI(c.k, c.ty),
                     results: vec![fresh],
                 });
-                map.insert(v, fresh);
-                consts.insert(fresh, (k, ty));
+                self.copy.insert(v, fresh);
             }
-            if !map.is_empty() {
-                remap_uses(sub, &map);
-                sub.ops.splice(0..0, locals);
-                *changed = true;
+            let copy = &self.copy;
+            for op in &mut region.ops {
+                op.kind
+                    .map_operands(&mut |v| copy.get(v).copied().unwrap_or(v));
             }
-            // Descend: a sub-sub-region now freely uses this region's
-            // local copy and gets its own in turn.
-            sink_region(sub, f, consts, changed);
+            region.ops.splice(0..0, locals);
+        }
+        for op in &mut region.ops {
+            for sub in op.kind.regions_mut() {
+                self.region(sub, f);
+            }
         }
     }
 }
@@ -218,23 +284,86 @@ mod tests {
             "enclosing const must be dead after sinking"
         );
         // No sub-region freely uses a constant defined outside it anymore.
-        let mut consts = HashMap::new();
-        collect_consts(&f.body, &mut consts);
-        for op in &f.body.ops {
-            for sub in op.kind.regions() {
-                let mut defined = HashSet::new();
-                collect_defined(sub, &mut defined);
-                let mut used = Vec::new();
-                collect_used(sub, &mut used);
-                for v in used {
-                    assert!(
-                        defined.contains(&v) || !consts.contains_key(&v),
-                        "free const use of %{} survived sinking",
-                        v.0
-                    );
-                }
-            }
-        }
+        let free = FreeConsts::of(&f.body);
+        assert_eq!(free.rows.len(), 3, "body, before, after");
+        assert!(free.lists.is_empty(), "free const uses survived sinking");
+    }
+
+    /// `foreach (p) { i => if i { yield 9 * 7 } else { yield 7 } + 9 }`,
+    /// with the `7` and `9` defined once in the func body.
+    fn nested_outer_consts() -> Module {
+        let mut f = Func::new("main", &[Ty::I32], vec![Ty::I32]);
+        let p = f.params[0];
+        let mut b = RegionBuilder::new();
+        let (zero, one) = (b.const_i32(&mut f, 0), b.const_i32(&mut f, 1));
+        let (c7, c9) = (b.const_i32(&mut f, 7), b.const_i32(&mut f, 9));
+        let i = f.new_value(Ty::I32);
+        let mut body = RegionBuilder::with_args(vec![i]);
+        let mut then = RegionBuilder::new();
+        let a = then.bin(&mut f, AluOp::Mul, c9, c7);
+        let r = body.if_else(&mut f, i, then, a, c7);
+        let y = body.bin(&mut f, AluOp::Add, r, c9);
+        body.emit0(OpKind::Yield(vec![y]));
+        let sum = f.new_value(Ty::I32);
+        b.push(
+            OpKind::Foreach {
+                lo: zero,
+                hi: p,
+                step: one,
+                body: body.build(),
+                reduce: vec![AluOp::Add],
+                flags: Default::default(),
+            },
+            vec![sum],
+        );
+        b.emit0(OpKind::Return(vec![sum]));
+        f.body = b.build();
+        let mut m = Module::default();
+        m.funcs.push(f);
+        m
+    }
+
+    #[test]
+    fn each_nesting_level_copies_in_first_use_order() {
+        let mut m = nested_outer_consts();
+        let n = m.funcs[0].value_count() as u32;
+        let base = interpret(&m, 5);
+        let mut pm = PassManager::new();
+        pm.add(SinkConsts);
+        assert!(pm.run(&mut m).passes[0].changed);
+        crate::verify_module(&m).unwrap();
+        assert_eq!(interpret(&m, 5), base);
+        let f = m.func("main").unwrap();
+        assert_eq!(f.value_count() as u32, n + 5);
+        let consts = |r: &Region| -> Vec<(i64, Value)> {
+            r.ops
+                .iter()
+                .filter_map(|o| match o.kind {
+                    OpKind::ConstI(k, _) => Some((k, o.results[0])),
+                    _ => None,
+                })
+                .collect()
+        };
+        let OpKind::Foreach { body, .. } = &f.body.ops[4].kind else {
+            panic!("foreach expected")
+        };
+        // The body's first use of either constant is the `9` inside the
+        // `then` arm; the arms then copy the body's copies.
+        assert_eq!(consts(body), [(9, Value(n)), (7, Value(n + 1))]);
+        let OpKind::If { then, else_, .. } = &body.ops[2].kind else {
+            panic!("if expected")
+        };
+        assert_eq!(consts(then), [(9, Value(n + 2)), (7, Value(n + 3))]);
+        assert_eq!(consts(else_), [(7, Value(n + 4))]);
+        assert!(matches!(
+            then.ops[2].kind,
+            OpKind::Bin(AluOp::Mul, a, b) if a == Value(n + 2) && b == Value(n + 3)
+        ));
+        assert!(matches!(
+            body.ops[3].kind,
+            OpKind::Bin(AluOp::Add, _, b) if b == Value(n)
+        ));
+        assert!(FreeConsts::of(&f.body).lists.is_empty());
     }
 
     #[test]

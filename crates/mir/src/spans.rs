@@ -7,14 +7,14 @@
 //! values synthesized by passes simply have no entry.
 
 use crate::ops::{Op, Value};
+use crate::table::ValueMap;
 use revet_diag::Span;
-use std::collections::HashMap;
 
 /// `Value → Span` side-table: where in the source each SSA value's
 /// defining op came from.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct SpanTable {
-    map: HashMap<Value, Span>,
+    map: ValueMap<Span>,
 }
 
 impl SpanTable {
@@ -32,12 +32,12 @@ impl SpanTable {
     /// outer lowering layers use this to supply coarser fallbacks without
     /// clobbering finer inner attributions.
     pub fn set_if_absent(&mut self, v: Value, span: Span) {
-        self.map.entry(v).or_insert(span);
+        self.map.get_or_insert_with(v, || span);
     }
 
     /// The span recorded for a value, if any.
     pub fn get(&self, v: Value) -> Option<Span> {
-        self.map.get(&v).copied()
+        self.map.get(v).copied()
     }
 
     /// Best-effort span for an op: its first spanned result, else its
@@ -54,18 +54,18 @@ impl SpanTable {
     /// Passes that delete a value's defining op call this so the table
     /// never points at values with no definition.
     pub fn remove(&mut self, v: Value) -> Option<Span> {
-        self.map.remove(&v)
+        self.map.remove(v)
     }
 
     /// Keeps only entries whose value satisfies the predicate — the bulk
     /// form of [`remove`](Self::remove) used by sweeps like DCE.
     pub fn retain(&mut self, mut keep: impl FnMut(Value) -> bool) {
-        self.map.retain(|v, _| keep(*v));
+        self.map.retain(|v, _| keep(v));
     }
 
-    /// Iterates over the attributed values (arbitrary order).
+    /// Iterates over the attributed values, in ascending order.
     pub fn values(&self) -> impl Iterator<Item = Value> + '_ {
-        self.map.keys().copied()
+        self.map.keys()
     }
 
     /// Number of attributed values.

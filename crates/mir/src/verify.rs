@@ -7,8 +7,8 @@
 
 use crate::func::{Func, Module};
 use crate::ops::{Op, OpKind, Region, Value};
+use crate::table::ValueSet;
 use revet_diag::Span;
-use std::collections::HashSet;
 use std::fmt;
 
 /// A verification failure.
@@ -55,27 +55,55 @@ pub fn verify_func(m: &Module, f: &Func) -> Result<(), VerifyError> {
         message: msg,
         span: None,
     };
-    let mut defined: HashSet<Value> = f.params.iter().copied().collect();
-    verify_region(m, f, &f.body, &mut defined, true, &err)?;
-    Ok(())
+    let mut scope = Scope {
+        visible: ValueSet::with_capacity(f.value_count()),
+        entered: Vec::new(),
+    };
+    for p in &f.params {
+        scope.enter(*p);
+    }
+    verify_region(m, f, &f.body, &mut scope, true, &err)
+}
+
+/// The values visible at one point of the walk, and the order they came
+/// into view, so a region can take back out exactly what it brought in.
+struct Scope {
+    visible: ValueSet,
+    entered: Vec<Value>,
+}
+
+impl Scope {
+    fn enter(&mut self, v: Value) {
+        if self.visible.insert(v) {
+            self.entered.push(v);
+        }
+    }
+
+    /// Hides every value that came into view since `mark`.
+    fn leave(&mut self, mark: usize) {
+        for v in self.entered.drain(mark..) {
+            self.visible.remove(v);
+        }
+    }
 }
 
 fn verify_region(
     m: &Module,
     f: &Func,
     r: &Region,
-    defined: &mut HashSet<Value>,
+    scope: &mut Scope,
     is_func_body: bool,
     err: &dyn Fn(String) -> VerifyError,
 ) -> Result<(), VerifyError> {
     // Region args come into scope here; they leave scope when we return
-    // (values defined inside stay visible only within — enforced by cloning).
-    let mut scope = defined.clone();
+    // (values defined inside stay visible only within). An error ends the
+    // whole walk, so only a region that verifies needs to clean up.
+    let mark = scope.entered.len();
     for a in &r.args {
         if a.0 as usize >= f.value_count() {
             return Err(err(format!("region arg %{} out of value table", a.0)));
         }
-        scope.insert(*a);
+        scope.enter(*a);
     }
     for (i, op) in r.ops.iter().enumerate() {
         // Attribute errors about this op to its source span, unless a
@@ -98,18 +126,19 @@ fn verify_region(
             )));
         }
         for v in op.kind.operands() {
-            if !scope.contains(&v) {
+            if !scope.visible.contains(v) {
                 return Err(attach(err(format!("use of undefined value %{}", v.0))));
             }
         }
-        verify_op(m, f, op, &mut scope, err).map_err(attach)?;
+        verify_op(m, f, op, scope, err).map_err(attach)?;
         for res in &op.results {
             if res.0 as usize >= f.value_count() {
                 return Err(err(format!("result %{} out of value table", res.0)));
             }
-            scope.insert(*res);
+            scope.enter(*res);
         }
     }
+    scope.leave(mark);
     Ok(())
 }
 
@@ -124,7 +153,7 @@ fn verify_op(
     m: &Module,
     f: &Func,
     op: &Op,
-    scope: &mut HashSet<Value>,
+    scope: &mut Scope,
     err: &dyn Fn(String) -> VerifyError,
 ) -> Result<(), VerifyError> {
     match &op.kind {
