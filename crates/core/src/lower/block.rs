@@ -88,16 +88,16 @@ fn segments(items: &[EwInstr]) -> Vec<Range<usize>> {
     out
 }
 
-/// `live[s][r]` = virtual register `r` (of `regs`) is read by segment `s`
-/// or later (or by the block's outputs) and not written first;
-/// `live[segs.len()]` is `out_regs`.
+/// `live[s][r]` = virtual register `r` (one of the block's `count`) is
+/// read by segment `s` or later (or by the block's outputs) and not
+/// written first; `live[segs.len()]` is `out_regs`.
 fn live_regs(
     items: &mut [EwInstr],
     segs: &[Range<usize>],
     out_regs: &[Reg],
-    regs: Reg,
+    count: Reg,
 ) -> Vec<Vec<bool>> {
-    let mut set = vec![false; regs as usize];
+    let mut set = vec![false; count as usize];
     for r in out_regs {
         set[*r as usize] = true;
     }
