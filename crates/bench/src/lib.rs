@@ -26,6 +26,15 @@ pub const DEFAULT_OUTER: u32 = 8;
 /// Workload seed.
 pub const SEED: u64 = 0x5EED;
 
+/// The options every paper compile starts from, -O2 pinned so that
+/// `REVET_OPT_LEVEL` cannot move the tables.
+fn base_opts() -> PassOptions {
+    PassOptions {
+        opt_level: 2,
+        ..PassOptions::default()
+    }
+}
+
 /// Runs one app through the timed simulator; returns (stats, workload).
 ///
 /// # Panics
@@ -83,13 +92,13 @@ pub fn table4(scale: usize) -> Vec<Table4Row> {
     all_apps()
         .iter()
         .map(|a| {
-            let program = a.compile(DEFAULT_OUTER, &PassOptions::default()).unwrap();
+            let program = a.compile(DEFAULT_OUTER, &base_opts()).unwrap();
             let report = ResourceReport::for_program(a.name, &program);
             let (stats, _) = run_timed(
                 a,
                 DEFAULT_OUTER,
                 scale,
-                &PassOptions::default(),
+                &base_opts(),
                 IdealModels::default(),
             );
             Table4Row {
@@ -103,12 +112,12 @@ pub fn table4(scale: usize) -> Vec<Table4Row> {
 /// Formats Table IV.
 pub fn format_table4(rows: &[Table4Row]) -> String {
     let mut s = String::from(
-        "app          outer lanes | inner CU/MU/AG | outer CU/MU/AG | repl CU/MU | dlk buf rtm | total CU/MU/AG | HBM2 r/w/tot %\n",
+        "app          outer lanes | inner CU/MU/AG | outer CU/MU/AG | repl CU/MU | dlk buf rtm | total CU/MU/AG | HBM2 r/w/tot % | links s/v | fits\n",
     );
     for r in rows {
         let rep = &r.report;
         s.push_str(&format!(
-            "{:<12} {:>5} {:>5} | {:>4}/{:>3}/{:>3} | {:>4}/{:>3}/{:>3} | {:>4}/{:>3} | {:>3} {:>3} {:>3} | {:>4}/{:>3}/{:>3} | {:>4.1}/{:>4.1}/{:>4.1}\n",
+            "{:<12} {:>5} {:>5} | {:>4}/{:>3}/{:>3} | {:>4}/{:>3}/{:>3} | {:>4}/{:>3} | {:>3} {:>3} {:>3} | {:>4}/{:>3}/{:>3} | {:>4.1}/{:>4.1}/{:>4.1} | {:>4}/{:>4} | {}\n",
             rep.name,
             rep.outer,
             rep.lanes,
@@ -129,6 +138,9 @@ pub fn format_table4(rows: &[Table4Row]) -> String {
             100.0 * r.hbm_rw.0,
             100.0 * r.hbm_rw.1,
             100.0 * (r.hbm_rw.0 + r.hbm_rw.1),
+            rep.links.0,
+            rep.links.1,
+            rep.fits,
         ));
     }
     s
@@ -151,6 +163,8 @@ pub struct Table5Row {
     pub ideal_sn: f64,
     /// All-ideal speedup.
     pub ideal_snd: f64,
+    /// Simulated cycles: real, D, SN, SND.
+    pub cycles: [u64; 4],
 }
 
 /// Table V: performance vs baselines plus ideal-model speedups.
@@ -164,30 +178,24 @@ pub fn table5(scale: usize) -> Vec<Table5Row> {
                 a,
                 DEFAULT_OUTER,
                 scale,
-                &PassOptions::default(),
+                &base_opts(),
                 IdealModels::default(),
             );
             let (d, _) = run_timed(
                 a,
                 DEFAULT_OUTER,
                 scale,
-                &PassOptions::default(),
+                &base_opts(),
                 IdealModels::dram_only(),
             );
             let (sn, _) = run_timed(
                 a,
                 DEFAULT_OUTER,
                 scale,
-                &PassOptions::default(),
+                &base_opts(),
                 IdealModels::sram_network(),
             );
-            let (snd, _) = run_timed(
-                a,
-                DEFAULT_OUTER,
-                scale,
-                &PassOptions::default(),
-                IdealModels::all(),
-            );
+            let (snd, _) = run_timed(a, DEFAULT_OUTER, scale, &base_opts(), IdealModels::all());
             let t = traits_for(a.name);
             Table5Row {
                 app: a.name.to_string(),
@@ -197,6 +205,7 @@ pub fn table5(scale: usize) -> Vec<Table5Row> {
                 ideal_d: real.cycles as f64 / d.cycles as f64,
                 ideal_sn: real.cycles as f64 / sn.cycles as f64,
                 ideal_snd: real.cycles as f64 / snd.cycles as f64,
+                cycles: [real.cycles, d.cycles, sn.cycles, snd.cycles],
             }
         })
         .collect()
@@ -205,7 +214,7 @@ pub fn table5(scale: usize) -> Vec<Table5Row> {
 /// Formats Table V with the geomean row.
 pub fn format_table5(rows: &[Table5Row]) -> String {
     let mut s = String::from(
-        "app          Revet GB/s   V100 GB/s (x)   CPU GB/s (x)   | ideal D    SN   SND\n",
+        "app          Revet GB/s   V100 GB/s (x)   CPU GB/s (x)   | ideal D    SN   SND | cycles real/D/SN/SND\n",
     );
     let mut gx = 1.0f64;
     let mut cx = 1.0f64;
@@ -215,8 +224,17 @@ pub fn format_table5(rows: &[Table5Row]) -> String {
         gx *= g;
         cx *= c;
         s.push_str(&format!(
-            "{:<12} {:>10.2} {:>9.2} ({:>5.2}) {:>8.2} ({:>6.1}) | {:>7.2} {:>5.2} {:>5.2}\n",
-            r.app, r.revet_gbps, r.gpu_gbps, g, r.cpu_gbps, c, r.ideal_d, r.ideal_sn, r.ideal_snd,
+            "{:<12} {:>10.2} {:>9.2} ({:>5.2}) {:>8.2} ({:>6.1}) | {:>7.2} {:>5.2} {:>5.2} | {}\n",
+            r.app,
+            r.revet_gbps,
+            r.gpu_gbps,
+            g,
+            r.cpu_gbps,
+            c,
+            r.ideal_d,
+            r.ideal_sn,
+            r.ideal_snd,
+            r.cycles.map(|n| n.to_string()).join("/"),
         ));
     }
     let n = rows.len() as f64;
@@ -254,11 +272,11 @@ pub fn fig12() -> Vec<Fig12Row> {
         .iter()
         .map(|a| Fig12Row {
             app: a.name.to_string(),
-            default: cu_mu(&PassOptions::default(), a),
+            default: cu_mu(&base_opts(), a),
             no_ifconv: cu_mu(
                 &PassOptions {
                     if_to_select: false,
-                    ..PassOptions::default()
+                    ..base_opts()
                 },
                 a,
             ),
@@ -266,14 +284,14 @@ pub fn fig12() -> Vec<Fig12Row> {
                 &PassOptions {
                     hoist_allocators: false,
                     bufferize_replicate: false,
-                    ..PassOptions::default()
+                    ..base_opts()
                 },
                 a,
             ),
             no_pack: cu_mu(
                 &PassOptions {
                     pack_subwords: false,
-                    ..PassOptions::default()
+                    ..base_opts()
                 },
                 a,
             ),
@@ -284,21 +302,24 @@ pub fn fig12() -> Vec<Fig12Row> {
 /// Formats Fig. 12 as normalized resource ratios.
 pub fn format_fig12(rows: &[Fig12Row]) -> String {
     let mut s = String::from(
-        "app          default CU/MU | NoIfConv CU(x)/MU(x) | NoBuffer CU(x)/MU(x) | NoPack CU(x)/MU(x)\n",
+        "app          default CU/MU | NoIfConv CU/MU (x/x)     | NoBuffer CU/MU (x/x)     | NoPack CU/MU (x/x)\n",
     );
     for r in rows {
-        let rel = |v: usize, base: usize| v as f64 / base.max(1) as f64;
+        let col = |(cu, mu): (usize, usize)| {
+            format!(
+                "{cu:>4}/{mu:<4} ({:.2}/{:.2})",
+                cu as f64 / r.default.0.max(1) as f64,
+                mu as f64 / r.default.1.max(1) as f64,
+            )
+        };
         s.push_str(&format!(
-            "{:<12} {:>4}/{:<4} | {:.2}/{:.2} | {:.2}/{:.2} | {:.2}/{:.2}\n",
+            "{:<12} {:>8}/{:<4} | {:<24} | {:<24} | {}\n",
             r.app,
             r.default.0,
             r.default.1,
-            rel(r.no_ifconv.0, r.default.0),
-            rel(r.no_ifconv.1, r.default.1),
-            rel(r.no_buffer.0, r.default.0),
-            rel(r.no_buffer.1, r.default.1),
-            rel(r.no_pack.0, r.default.0),
-            rel(r.no_pack.1, r.default.1),
+            col(r.no_ifconv),
+            col(r.no_buffer),
+            col(r.no_pack),
         ));
     }
     s
@@ -316,6 +337,10 @@ pub struct Fig13Point {
     pub perf: f64,
     /// Whether hierarchy removal was enabled.
     pub hier_removed: bool,
+    /// CU + MU + AG count.
+    pub units: usize,
+    /// Simulated cycles.
+    pub cycles: u64,
 }
 
 /// Sweeps outer parallelism for the Fig. 13 scaling curves. Uses a
@@ -368,7 +393,7 @@ void main(u32 count) {{
                 eliminate_hierarchy: eliminate,
                 dram_bytes: revet_apps::DRAM_BYTES,
                 threads: Some(64),
-                ..PassOptions::default()
+                ..base_opts()
             };
             let mut program = revet_core::Session::new(source(outer, eliminate), opts)
                 .to_dataflow()
@@ -396,6 +421,8 @@ void main(u32 count) {{
                 area: area / a0,
                 perf: perf / p0,
                 hier_removed: eliminate,
+                units: rep.total.0 + rep.total.1 + rep.total.2,
+                cycles: stats.cycles,
             });
         }
     }
@@ -404,10 +431,10 @@ void main(u32 count) {{
 
 /// Formats Fig. 13.
 pub fn format_fig13(points: &[Fig13Point]) -> String {
-    let mut s = String::from("variant          outer  norm.area  norm.perf\n");
+    let mut s = String::from("variant          outer  norm.area  norm.perf  units    cycles\n");
     for p in points {
         s.push_str(&format!(
-            "{:<16} {:>5}  {:>9.2}  {:>9.2}\n",
+            "{:<16} {:>5}  {:>9.2}  {:>9.2}  {:>5}  {:>8}\n",
             if p.hier_removed {
                 "hier-removed"
             } else {
@@ -415,7 +442,9 @@ pub fn format_fig13(points: &[Fig13Point]) -> String {
             },
             p.outer,
             p.area,
-            p.perf
+            p.perf,
+            p.units,
+            p.cycles,
         ));
     }
     s
@@ -512,7 +541,7 @@ pub fn aurochs_cmp(scale: usize) -> (f64, String) {
         &app,
         DEFAULT_OUTER,
         scale,
-        &PassOptions::default(),
+        &base_opts(),
         IdealModels::default(),
     );
     // Loop completions ≈ nodes visited per query × queries.
@@ -534,6 +563,49 @@ pub fn aurochs_cmp(scale: usize) -> (f64, String) {
         revet_sim::AurochsMode::default().carried_live_values,
     );
     (slowdown, text)
+}
+
+/// Input counts of the Fig. 14 sweep.
+const FIG14_INPUTS: [usize; 7] = [1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000];
+
+/// The paper's whole evaluation as one report: Tables II–V, Figs. 12–14
+/// and the §VI-B c Aurochs comparison, in that order, with the timed runs
+/// at `scale` records per app. The output is deterministic; at scale 16 it
+/// is pinned by `tests/golden/paper_tables.txt`.
+pub fn paper(scale: usize) -> String {
+    let sections = [
+        ("Table II: RDA parameters".to_string(), table2() + "\n"),
+        ("Table III: applications".to_string(), table3()),
+        (
+            format!("Table IV: resources (scale={scale})"),
+            format_table4(&table4(scale)),
+        ),
+        (
+            format!("Table V: performance (scale={scale})"),
+            format_table5(&table5(scale)),
+        ),
+        (
+            "Figure 12: optimization ablations".to_string(),
+            format_fig12(&fig12()),
+        ),
+        (
+            format!("Figure 13: hierarchy removal scaling (scale={scale})"),
+            format_fig13(&fig13(scale)),
+        ),
+        (
+            "Figure 14: per-region load vs inputs".to_string(),
+            format_fig14(&fig14(&FIG14_INPUTS)),
+        ),
+        (
+            format!("Aurochs comparison (scale={scale})"),
+            aurochs_cmp(scale).1,
+        ),
+    ];
+    sections
+        .iter()
+        .map(|(title, body)| format!("=== {title} ===\n{body}"))
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 #[cfg(test)]
