@@ -5,6 +5,7 @@
 //!        [--opt-level N | -O0|-O1|-O2] [--print-pass-pipeline]
 //!        [--profile] [--trace-out FILE.json] [--args A,B,…] [--scale N]
 //!        [--color|--no-color]
+//! revetc --emit paper [--scale N]
 //! ```
 //!
 //! Compiles one Revet source file and prints the requested artifact to
@@ -20,6 +21,10 @@
 //! - `dataflow` — the placed dataflow graph's contexts and links
 //! - `report` — the Table IV-style resource report plus the per-pass
 //!   timing/op-delta table (default)
+//! - `paper` — the paper's whole evaluation (`revet_bench::paper`: Tables
+//!   II–V, Figs. 12–14, the Aurochs comparison) with the timed runs at
+//!   `--scale` records per app; it takes no FILE or `--app`, and at the
+//!   default scale (16) it prints `tests/golden/paper_tables.txt`
 //!
 //! `--opt-level N` (or the `-ON` shorthand) selects the classical
 //! optimization level: 0 disables them, 1 enables fold/simplify/DCE, 2
@@ -55,6 +60,7 @@ const USAGE: &str =
     "usage: revetc FILE|--app NAME [--emit ast|mir|mir-after=<pass>|dataflow|report]
        [--opt-level N | -O0|-O1|-O2] [--print-pass-pipeline]
        [--profile] [--trace-out FILE.json] [--args A,B,...] [--scale N] [--color|--no-color]
+       revetc --emit paper [--scale N]   (the paper's tables and figures)
        (stderr gets rustc-style diagnostics; exit 1 = compile error, 2 = usage/i/o)";
 
 /// Trace-ring capacity for `--trace-out`: big enough for the Table III
@@ -69,6 +75,7 @@ enum Emit {
     MirAfter(String),
     Dataflow,
     Report,
+    Paper,
 }
 
 fn main() -> ExitCode {
@@ -130,6 +137,7 @@ fn main() -> ExitCode {
                     "mir" => Emit::Mir,
                     "dataflow" => Emit::Dataflow,
                     "report" => Emit::Report,
+                    "paper" => Emit::Paper,
                     other => match other.strip_prefix("mir-after=") {
                         Some(pass) if !pass.is_empty() => Emit::MirAfter(pass.to_string()),
                         _ => {
@@ -175,6 +183,14 @@ fn main() -> ExitCode {
         for name in build_pipeline(&opts, opts.threads).names() {
             println!("{name}");
         }
+        return ExitCode::SUCCESS;
+    }
+    if let Emit::Paper = emit {
+        if file.is_some() || app_name.is_some() {
+            eprintln!("revetc: --emit paper takes no FILE or --app\n{USAGE}");
+            return ExitCode::from(2);
+        }
+        print!("{}", revet_bench::paper(scale));
         return ExitCode::SUCCESS;
     }
     // Resolve the input: a source FILE, or a registered evaluation app
@@ -286,6 +302,7 @@ fn main() -> ExitCode {
                 }
             })
             .is_err(),
+        Emit::Paper => unreachable!("--emit paper returns before an input is read"),
     };
     if failed {
         eprint!("{}", session.render_diagnostics(color));

@@ -1,14 +1,21 @@
-//! # revet-bench — harnesses regenerating the paper's tables and figures
+//! # revet-bench — the paper's evaluation as one report
 //!
-//! One driver per experiment (DESIGN.md §3). Each driver returns structured
-//! rows and a formatted table so the same code backs the `table*`/`fig*`
-//! binaries, the Criterion benches, and EXPERIMENTS.md.
+//! [`paper`] runs every experiment of the paper's evaluation and prints it in
+//! a fixed order: Tables II–V, Figs. 12–14, then the §VI-B c Aurochs
+//! comparison. `revetc --emit paper [--scale N]` prints it, and
+//! `tests/paper_tables.rs` pins it at scale 16 against
+//! `tests/golden/paper_tables.txt`. Each table prints the integers its ratios
+//! come from, so a change that moves a paper number is a row diff there.
 //!
-//! Scales are configurable: the defaults keep `cargo bench` minutes-fast;
-//! absolute GB/s therefore differ from the paper (whose runs used
-//! multi-GiB datasets on the authors' RTL-calibrated simulator), while the
-//! *shape* — who wins, by roughly what factor, where the crossovers fall —
-//! is the reproduction target.
+//! Each Table III app is compiled at -O2 (pinned, so `REVET_OPT_LEVEL`
+//! cannot move the report) and timed once per Table V preset; every section
+//! that needs a timed run reads those runs. The simulator and the baseline
+//! models are deterministic, so none of this needs wall-clock timing.
+//!
+//! Scales are small: absolute GB/s therefore differ from the paper (whose
+//! runs used multi-GiB datasets on the authors' RTL-calibrated simulator),
+//! while the *shape* — who wins, by roughly what factor, where the
+//! crossovers fall — is the reproduction target.
 
 #![warn(missing_docs)]
 
@@ -16,106 +23,138 @@ use revet_apps::{all_apps, App, Workload};
 use revet_baselines::{traits_for, CpuModel, GpuModel};
 use revet_core::report::ResourceReport;
 use revet_core::PassOptions;
-use revet_sim::{IdealModels, RdaConfig, SimStats, Simulator};
+use revet_sim::{AurochsMode, IdealModels, RdaConfig, SimStats, Simulator};
 use revet_sltf::Word;
 
-/// Default per-app record scale for timed runs.
-pub const DEFAULT_SCALE: usize = 512;
-/// Default replicate width.
-pub const DEFAULT_OUTER: u32 = 8;
+/// Replicate width every app is compiled at.
+const OUTER: u32 = 8;
 /// Workload seed.
-pub const SEED: u64 = 0x5EED;
+const SEED: u64 = 0x5EED;
+/// Cycle cap of one timed run.
+const MAX_CYCLES: u64 = 2_000_000_000;
+/// Input counts of the Fig. 14 sweep.
+const FIG14_INPUTS: [usize; 7] = [1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000];
 
-/// The options every paper compile starts from, -O2 pinned so that
-/// `REVET_OPT_LEVEL` cannot move the tables.
-fn base_opts() -> PassOptions {
-    PassOptions {
-        opt_level: 2,
-        ..PassOptions::default()
-    }
-}
-
-/// Runs one app through the timed simulator; returns (stats, workload).
+/// The paper's whole evaluation as one report: Tables II–V, Figs. 12–14
+/// and the §VI-B c Aurochs comparison, in that order, with the timed runs
+/// at `scale` records per app. The output is deterministic; at scale 16 it
+/// is pinned by `tests/golden/paper_tables.txt`.
 ///
 /// # Panics
 ///
-/// Panics on compile/run/validation failure (the harness is also a test).
-pub fn run_timed(
-    app: &App,
-    outer: u32,
-    scale: usize,
-    opts: &PassOptions,
-    ideal: IdealModels,
-) -> (SimStats, Workload) {
-    let (mut program, args, workload) = app.prepare(outer, scale, SEED, opts);
-    let sim = Simulator::new(RdaConfig::default(), ideal);
-    let stats = sim
-        .run(&mut program, &args, 2_000_000_000)
-        .unwrap_or_else(|e| panic!("{}: {e}", app.name));
-    app.check(&program, &workload);
-    (stats, workload)
+/// Panics if an app fails to compile, run or match its oracle (the report
+/// is also a test).
+pub fn paper(scale: usize) -> String {
+    let opts = PassOptions {
+        opt_level: 2,
+        ..PassOptions::default()
+    };
+    let runs: Vec<AppRuns> = all_apps()
+        .into_iter()
+        .map(|app| AppRuns::new(app, scale, &opts))
+        .collect();
+    let sections = [
+        (
+            "Table II: RDA parameters".to_string(),
+            RdaConfig::default().table2() + "\n",
+        ),
+        ("Table III: applications".to_string(), table3(&runs)),
+        (
+            format!("Table IV: resources (scale={scale})"),
+            table4(&runs),
+        ),
+        (
+            format!("Table V: performance (scale={scale})"),
+            table5(&runs),
+        ),
+        (
+            "Figure 12: optimization ablations".to_string(),
+            fig12(&runs, &opts),
+        ),
+        (
+            format!("Figure 13: hierarchy removal scaling (scale={scale})"),
+            fig13(scale, &opts),
+        ),
+        (
+            "Figure 14: per-region load vs inputs".to_string(),
+            fig14_table(&fig14(&FIG14_INPUTS)),
+        ),
+        (
+            format!("Aurochs comparison (scale={scale})"),
+            aurochs(&runs),
+        ),
+    ];
+    sections
+        .iter()
+        .map(|(title, body)| format!("=== {title} ===\n{body}"))
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
-/// Table II: machine parameters.
-pub fn table2() -> String {
-    RdaConfig::default().table2()
+/// One Table III app, compiled at [`OUTER`] and timed once under each
+/// Table V preset, every run checked against the app's oracle.
+struct AppRuns {
+    app: App,
+    /// Resource report of the compiled program.
+    report: ResourceReport,
+    workload: Workload,
+    /// Real machine, then ideal D, SN and SND.
+    stats: [SimStats; 4],
+}
+
+impl AppRuns {
+    fn new(app: App, scale: usize, opts: &PassOptions) -> Self {
+        let run = |ideal: IdealModels| {
+            let (mut program, args, w) = app.prepare(OUTER, scale, SEED, opts);
+            let stats = Simulator::new(RdaConfig::default(), ideal)
+                .run(&mut program, &args, MAX_CYCLES)
+                .unwrap_or_else(|e| panic!("{}: {e}", app.name));
+            app.check(&program, &w);
+            (program, stats, w)
+        };
+        let (program, real, workload) = run(IdealModels::default());
+        let report = ResourceReport::for_program(app.name, &program);
+        let stats = [
+            real,
+            run(IdealModels::dram_only()).1,
+            run(IdealModels::sram_network()).1,
+            run(IdealModels::all()).1,
+        ];
+        AppRuns {
+            app,
+            report,
+            workload,
+            stats,
+        }
+    }
 }
 
 /// Table III: application inventory.
-pub fn table3() -> String {
+fn table3(runs: &[AppRuns]) -> String {
     let mut s = String::from(
         "app          lines  description                                        key features\n",
     );
-    for a in all_apps() {
+    for AppRuns { app, .. } in runs {
         s.push_str(&format!(
             "{:<12} {:>5}  {:<50} {}\n",
-            a.name,
-            a.lines(),
-            a.description,
-            a.key_features
+            app.name,
+            app.lines(),
+            app.description,
+            app.key_features
         ));
     }
     s
 }
 
-/// One Table IV row.
-#[derive(Clone, Debug)]
-pub struct Table4Row {
-    /// The resource report.
-    pub report: ResourceReport,
-    /// HBM2 utilization (read, write) from the timed run.
-    pub hbm_rw: (f64, f64),
-}
-
-/// Table IV: resources used by Revet applications.
-pub fn table4(scale: usize) -> Vec<Table4Row> {
-    all_apps()
-        .iter()
-        .map(|a| {
-            let program = a.compile(DEFAULT_OUTER, &base_opts()).unwrap();
-            let report = ResourceReport::for_program(a.name, &program);
-            let (stats, _) = run_timed(
-                a,
-                DEFAULT_OUTER,
-                scale,
-                &base_opts(),
-                IdealModels::default(),
-            );
-            Table4Row {
-                report,
-                hbm_rw: stats.dram_rw_utilization(),
-            }
-        })
-        .collect()
-}
-
-/// Formats Table IV.
-pub fn format_table4(rows: &[Table4Row]) -> String {
+/// Table IV: resources used by Revet applications, with HBM2 utilization
+/// from the real timed run.
+fn table4(runs: &[AppRuns]) -> String {
     let mut s = String::from(
         "app          outer lanes | inner CU/MU/AG | outer CU/MU/AG | repl CU/MU | dlk buf rtm | total CU/MU/AG | HBM2 r/w/tot % | links s/v | fits\n",
     );
-    for r in rows {
+    for r in runs {
         let rep = &r.report;
+        let (read, write) = r.stats[0].dram_rw_utilization();
         s.push_str(&format!(
             "{:<12} {:>5} {:>5} | {:>4}/{:>3}/{:>3} | {:>4}/{:>3}/{:>3} | {:>4}/{:>3} | {:>3} {:>3} {:>3} | {:>4}/{:>3}/{:>3} | {:>4.1}/{:>4.1}/{:>4.1} | {:>4}/{:>4} | {}\n",
             rep.name,
@@ -135,9 +174,9 @@ pub fn format_table4(rows: &[Table4Row]) -> String {
             rep.total.0,
             rep.total.1,
             rep.total.2,
-            100.0 * r.hbm_rw.0,
-            100.0 * r.hbm_rw.1,
-            100.0 * (r.hbm_rw.0 + r.hbm_rw.1),
+            100.0 * read,
+            100.0 * write,
+            100.0 * (read + write),
             rep.links.0,
             rep.links.1,
             rep.fits,
@@ -146,98 +185,42 @@ pub fn format_table4(rows: &[Table4Row]) -> String {
     s
 }
 
-/// One Table V row.
-#[derive(Clone, Debug)]
-pub struct Table5Row {
-    /// Application name.
-    pub app: String,
-    /// Revet GB/s (timed sim).
-    pub revet_gbps: f64,
-    /// GPU model GB/s.
-    pub gpu_gbps: f64,
-    /// CPU model GB/s.
-    pub cpu_gbps: f64,
-    /// Ideal-DRAM speedup.
-    pub ideal_d: f64,
-    /// Ideal-SRAM+network speedup.
-    pub ideal_sn: f64,
-    /// All-ideal speedup.
-    pub ideal_snd: f64,
-    /// Simulated cycles: real, D, SN, SND.
-    pub cycles: [u64; 4],
-}
-
-/// Table V: performance vs baselines plus ideal-model speedups.
-pub fn table5(scale: usize) -> Vec<Table5Row> {
+/// Table V: performance vs the V100 and CPU models, ideal-model speedups,
+/// and the geomean row.
+fn table5(runs: &[AppRuns]) -> String {
     let gpu = GpuModel::default();
     let cpu = CpuModel::default();
-    all_apps()
-        .iter()
-        .map(|a| {
-            let (real, w) = run_timed(
-                a,
-                DEFAULT_OUTER,
-                scale,
-                &base_opts(),
-                IdealModels::default(),
-            );
-            let (d, _) = run_timed(
-                a,
-                DEFAULT_OUTER,
-                scale,
-                &base_opts(),
-                IdealModels::dram_only(),
-            );
-            let (sn, _) = run_timed(
-                a,
-                DEFAULT_OUTER,
-                scale,
-                &base_opts(),
-                IdealModels::sram_network(),
-            );
-            let (snd, _) = run_timed(a, DEFAULT_OUTER, scale, &base_opts(), IdealModels::all());
-            let t = traits_for(a.name);
-            Table5Row {
-                app: a.name.to_string(),
-                revet_gbps: real.throughput_gbps(w.app_bytes),
-                gpu_gbps: gpu.throughput_gbps(&t),
-                cpu_gbps: cpu.throughput_gbps(&t),
-                ideal_d: real.cycles as f64 / d.cycles as f64,
-                ideal_sn: real.cycles as f64 / sn.cycles as f64,
-                ideal_snd: real.cycles as f64 / snd.cycles as f64,
-                cycles: [real.cycles, d.cycles, sn.cycles, snd.cycles],
-            }
-        })
-        .collect()
-}
-
-/// Formats Table V with the geomean row.
-pub fn format_table5(rows: &[Table5Row]) -> String {
     let mut s = String::from(
         "app          Revet GB/s   V100 GB/s (x)   CPU GB/s (x)   | ideal D    SN   SND | cycles real/D/SN/SND\n",
     );
     let mut gx = 1.0f64;
     let mut cx = 1.0f64;
-    for r in rows {
-        let g = r.revet_gbps / r.gpu_gbps;
-        let c = r.revet_gbps / r.cpu_gbps;
+    for r in runs {
+        let [real, d, sn, snd] = &r.stats;
+        let t = traits_for(r.app.name);
+        let revet_gbps = real.throughput_gbps(r.workload.app_bytes);
+        let gpu_gbps = gpu.throughput_gbps(&t);
+        let cpu_gbps = cpu.throughput_gbps(&t);
+        let g = revet_gbps / gpu_gbps;
+        let c = revet_gbps / cpu_gbps;
         gx *= g;
         cx *= c;
+        let speedup = |ideal: &SimStats| real.cycles as f64 / ideal.cycles as f64;
         s.push_str(&format!(
             "{:<12} {:>10.2} {:>9.2} ({:>5.2}) {:>8.2} ({:>6.1}) | {:>7.2} {:>5.2} {:>5.2} | {}\n",
-            r.app,
-            r.revet_gbps,
-            r.gpu_gbps,
+            r.app.name,
+            revet_gbps,
+            gpu_gbps,
             g,
-            r.cpu_gbps,
+            cpu_gbps,
             c,
-            r.ideal_d,
-            r.ideal_sn,
-            r.ideal_snd,
-            r.cycles.map(|n| n.to_string()).join("/"),
+            speedup(d),
+            speedup(sn),
+            speedup(snd),
+            r.stats.each_ref().map(|st| st.cycles.to_string()).join("/"),
         ));
     }
-    let n = rows.len() as f64;
+    let n = runs.len() as f64;
     s.push_str(&format!(
         "geomean speedup vs GPU: {:.2}x   vs CPU: {:.1}x\n",
         gx.powf(1.0 / n),
@@ -246,107 +229,52 @@ pub fn format_table5(rows: &[Table5Row]) -> String {
     s
 }
 
-/// Figure 12: resource increase with optimizations disabled.
-#[derive(Clone, Debug)]
-pub struct Fig12Row {
-    /// Application name.
-    pub app: String,
-    /// (CU, MU) with all optimizations.
-    pub default: (usize, usize),
-    /// (CU, MU) with if-to-select disabled.
-    pub no_ifconv: (usize, usize),
-    /// (CU, MU) with hoisting/bufferization disabled.
-    pub no_buffer: (usize, usize),
-    /// (CU, MU) with sub-word packing disabled.
-    pub no_pack: (usize, usize),
-}
-
-/// Runs the Fig. 12 ablations (compile-only).
-pub fn fig12() -> Vec<Fig12Row> {
-    let cu_mu = |opts: &PassOptions, a: &App| -> (usize, usize) {
-        let p = a.compile(DEFAULT_OUTER, opts).unwrap();
-        let rep = ResourceReport::for_program(a.name, &p);
-        (rep.total.0, rep.total.1)
-    };
-    all_apps()
-        .iter()
-        .map(|a| Fig12Row {
-            app: a.name.to_string(),
-            default: cu_mu(&base_opts(), a),
-            no_ifconv: cu_mu(
-                &PassOptions {
-                    if_to_select: false,
-                    ..base_opts()
-                },
-                a,
-            ),
-            no_buffer: cu_mu(
-                &PassOptions {
-                    hoist_allocators: false,
-                    bufferize_replicate: false,
-                    ..base_opts()
-                },
-                a,
-            ),
-            no_pack: cu_mu(
-                &PassOptions {
-                    pack_subwords: false,
-                    ..base_opts()
-                },
-                a,
-            ),
-        })
-        .collect()
-}
-
-/// Formats Fig. 12 as normalized resource ratios.
-pub fn format_fig12(rows: &[Fig12Row]) -> String {
+/// Figure 12: CU/MU with each optimization disabled, raw and relative to
+/// the default compile (Table IV's totals).
+fn fig12(runs: &[AppRuns], opts: &PassOptions) -> String {
+    let ablations = [
+        PassOptions {
+            if_to_select: false,
+            ..opts.clone()
+        },
+        PassOptions {
+            hoist_allocators: false,
+            bufferize_replicate: false,
+            ..opts.clone()
+        },
+        PassOptions {
+            pack_subwords: false,
+            ..opts.clone()
+        },
+    ];
     let mut s = String::from(
         "app          default CU/MU | NoIfConv CU/MU (x/x)     | NoBuffer CU/MU (x/x)     | NoPack CU/MU (x/x)\n",
     );
-    for r in rows {
-        let col = |(cu, mu): (usize, usize)| {
+    for r in runs {
+        let (cu0, mu0, _) = r.report.total;
+        let cols = ablations.each_ref().map(|ablated| {
+            let program = r.app.compile(OUTER, ablated).unwrap();
+            let (cu, mu, _) = ResourceReport::for_program(r.app.name, &program).total;
             format!(
                 "{cu:>4}/{mu:<4} ({:.2}/{:.2})",
-                cu as f64 / r.default.0.max(1) as f64,
-                mu as f64 / r.default.1.max(1) as f64,
+                cu as f64 / cu0.max(1) as f64,
+                mu as f64 / mu0.max(1) as f64,
             )
-        };
+        });
         s.push_str(&format!(
             "{:<12} {:>8}/{:<4} | {:<24} | {:<24} | {}\n",
-            r.app,
-            r.default.0,
-            r.default.1,
-            col(r.no_ifconv),
-            col(r.no_buffer),
-            col(r.no_pack),
+            r.app.name, cu0, mu0, cols[0], cols[1], cols[2],
         ));
     }
     s
 }
 
 /// Figure 13: performance vs area with and without hierarchy removal
-/// (murmur3 case study, ideal S/N/D models).
-#[derive(Clone, Debug)]
-pub struct Fig13Point {
-    /// Replicate width (outer parallelism).
-    pub outer: u32,
-    /// Normalized area (unit count relative to outer=1 with removal).
-    pub area: f64,
-    /// Normalized performance (1/cycles relative to the same baseline).
-    pub perf: f64,
-    /// Whether hierarchy removal was enabled.
-    pub hier_removed: bool,
-    /// CU + MU + AG count.
-    pub units: usize,
-    /// Simulated cycles.
-    pub cycles: u64,
-}
-
-/// Sweeps outer parallelism for the Fig. 13 scaling curves. Uses a
-/// murmur3-with-inner-foreach variant so hierarchy removal has a barrier
-/// to eliminate.
-pub fn fig13(scale: usize) -> Vec<Fig13Point> {
+/// (murmur3 case study, ideal S/N/D models), sweeping outer parallelism.
+/// Uses a murmur3-with-inner-foreach variant so hierarchy removal has a
+/// barrier to eliminate; area and performance are normalized to the first
+/// point (outer 1, hierarchy removed).
+fn fig13(scale: usize, opts: &PassOptions) -> String {
     let source = |outer: u32, eliminate: bool| -> String {
         let pragma = if eliminate {
             "pragma(eliminate_hierarchy);"
@@ -385,22 +313,23 @@ void main(u32 count) {{
 "#
         )
     };
-    let mut points = Vec::new();
-    let mut baseline: Option<(f64, f64)> = None;
-    for &eliminate in &[true, false] {
+    // Workload: `scale` 64 B blobs (reuses murmur3's generator).
+    let w = (revet_apps::murmur3_app().workload)(scale, SEED);
+    let slice = revet_apps::DRAM_BYTES / 2;
+    let sim = Simulator::new(RdaConfig::default(), IdealModels::all());
+    let mut s = String::from("variant          outer  norm.area  norm.perf  units    cycles\n");
+    let mut baseline: Option<(usize, u64)> = None;
+    for eliminate in [true, false] {
         for outer in 1..=6u32 {
             let opts = PassOptions {
                 eliminate_hierarchy: eliminate,
                 dram_bytes: revet_apps::DRAM_BYTES,
                 threads: Some(64),
-                ..base_opts()
+                ..opts.clone()
             };
             let mut program = revet_core::Session::new(source(outer, eliminate), opts)
                 .to_dataflow()
                 .unwrap();
-            // Workload: `scale` 64 B blobs (reuses murmur3's generator).
-            let w = (revet_apps::murmur3_app().workload)(scale, SEED);
-            let slice = revet_apps::DRAM_BYTES / 2;
             for (sym, bytes) in &w.inits {
                 program
                     .graph
@@ -408,65 +337,48 @@ void main(u32 count) {{
                     .write_dram(sym * slice, bytes)
                     .expect("murmur3 inputs fit the two-symbol image");
             }
-            let sim = Simulator::new(RdaConfig::default(), IdealModels::all());
-            let stats = sim
-                .run(&mut program, &[Word(scale as u32)], 2_000_000_000)
-                .unwrap();
-            let rep = ResourceReport::for_program("murmur3-fig13", &program);
-            let area = (rep.total.0 + rep.total.1 + rep.total.2) as f64;
-            let perf = 1.0 / stats.cycles as f64;
-            let (a0, p0) = *baseline.get_or_insert((area, perf));
-            points.push(Fig13Point {
+            let cycles = sim
+                .run(&mut program, &[Word(scale as u32)], MAX_CYCLES)
+                .unwrap()
+                .cycles;
+            let (cu, mu, ag) = ResourceReport::for_program("murmur3-fig13", &program).total;
+            let units = cu + mu + ag;
+            let (units0, cycles0) = *baseline.get_or_insert((units, cycles));
+            s.push_str(&format!(
+                "{:<16} {:>5}  {:>9.2}  {:>9.2}  {:>5}  {:>8}\n",
+                if eliminate {
+                    "hier-removed"
+                } else {
+                    "hierarchical"
+                },
                 outer,
-                area: area / a0,
-                perf: perf / p0,
-                hier_removed: eliminate,
-                units: rep.total.0 + rep.total.1 + rep.total.2,
-                cycles: stats.cycles,
-            });
+                units as f64 / units0 as f64,
+                cycles0 as f64 / cycles as f64,
+                units,
+                cycles,
+            ));
         }
-    }
-    points
-}
-
-/// Formats Fig. 13.
-pub fn format_fig13(points: &[Fig13Point]) -> String {
-    let mut s = String::from("variant          outer  norm.area  norm.perf  units    cycles\n");
-    for p in points {
-        s.push_str(&format!(
-            "{:<16} {:>5}  {:>9.2}  {:>9.2}  {:>5}  {:>8}\n",
-            if p.hier_removed {
-                "hier-removed"
-            } else {
-                "hierarchical"
-            },
-            p.outer,
-            p.area,
-            p.perf,
-            p.units,
-            p.cycles,
-        ));
     }
     s
 }
 
-/// Figure 14: per-region load vs input count for `search`, with one
-/// replicate region slowed 30%.
-#[derive(Clone, Debug)]
-pub struct Fig14Point {
+/// One Fig. 14 point: per-region load at one input count.
+#[derive(Debug)]
+struct Fig14Point {
     /// Number of input elements.
-    pub inputs: usize,
+    inputs: usize,
     /// Work fraction (%) of the slow region.
-    pub slow_share: f64,
+    slow_share: f64,
     /// Work fraction (%) of the fastest region.
-    pub fast_share: f64,
+    fast_share: f64,
 }
 
-/// Sweeps input counts for the Fig. 14 load-balancing curve using the
-/// allocator-queue feedback loop directly (the mechanism of §V-B b): each
-/// of 8 regions holds a buffer for `service` cycles per item, the slow
-/// region 30% longer, with a bounded shared pointer pool.
-pub fn fig14(inputs: &[usize]) -> Vec<Fig14Point> {
+/// Figure 14: per-region load vs input count for `search`, with one
+/// replicate region slowed 30%. Models the allocator-queue feedback loop
+/// directly (the mechanism of §V-B b): each of 8 regions holds a buffer
+/// for `service` cycles per item, the slow region 30% longer, with a
+/// bounded shared pointer pool.
+fn fig14(inputs: &[usize]) -> Vec<Fig14Point> {
     const REGIONS: usize = 8;
     const BUFFERS: usize = 4096;
     inputs
@@ -523,7 +435,7 @@ pub fn fig14(inputs: &[usize]) -> Vec<Fig14Point> {
 }
 
 /// Formats Fig. 14.
-pub fn format_fig14(points: &[Fig14Point]) -> String {
+fn fig14_table(points: &[Fig14Point]) -> String {
     let mut s = String::from("inputs      slow-region %   fastest-region %   (even = 12.5%)\n");
     for p in points {
         s.push_str(&format!(
@@ -534,78 +446,27 @@ pub fn format_fig14(points: &[Fig14Point]) -> String {
     s
 }
 
-/// §VI-B c: the Aurochs comparison on kD-tree.
-pub fn aurochs_cmp(scale: usize) -> (f64, String) {
-    let app = revet_apps::kdtree_app();
-    let (stats, w) = run_timed(
-        &app,
-        DEFAULT_OUTER,
-        scale,
-        &base_opts(),
-        IdealModels::default(),
-    );
+/// §VI-B c: the Aurochs comparison on kD-tree's real timed run.
+fn aurochs(runs: &[AppRuns]) -> String {
+    let kdtree = revet_apps::kdtree_app().name;
+    let r = runs
+        .iter()
+        .find(|r| r.app.name == kdtree)
+        .expect("kD-tree is a Table III app");
+    let (stats, w) = (&r.stats[0], &r.workload);
+    let mode = AurochsMode::default();
     // Loop completions ≈ nodes visited per query × queries.
-    let loop_completions = w.threads * 24;
-    let slowdown = revet_sim::aurochs_slowdown(
-        &revet_sim::AurochsMode::default(),
-        &stats,
-        5,
-        loop_completions,
-    );
+    let slowdown = revet_sim::aurochs_slowdown(&mode, stats, 5, w.threads * 24);
     let revet_gbps = stats.throughput_gbps(w.app_bytes);
-    let text = format!(
+    format!(
         "kD-tree: Revet {:.3} GB/s; Aurochs model {:.3} GB/s; Revet is {:.1}x faster\n\
          (paper reports >11x; drivers: {} live values through the pipeline,\n\
          serialized per-node comparisons, timeout-based loop synchronization)\n",
         revet_gbps,
         revet_gbps / slowdown,
         slowdown,
-        revet_sim::AurochsMode::default().carried_live_values,
-    );
-    (slowdown, text)
-}
-
-/// Input counts of the Fig. 14 sweep.
-const FIG14_INPUTS: [usize; 7] = [1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000];
-
-/// The paper's whole evaluation as one report: Tables II–V, Figs. 12–14
-/// and the §VI-B c Aurochs comparison, in that order, with the timed runs
-/// at `scale` records per app. The output is deterministic; at scale 16 it
-/// is pinned by `tests/golden/paper_tables.txt`.
-pub fn paper(scale: usize) -> String {
-    let sections = [
-        ("Table II: RDA parameters".to_string(), table2() + "\n"),
-        ("Table III: applications".to_string(), table3()),
-        (
-            format!("Table IV: resources (scale={scale})"),
-            format_table4(&table4(scale)),
-        ),
-        (
-            format!("Table V: performance (scale={scale})"),
-            format_table5(&table5(scale)),
-        ),
-        (
-            "Figure 12: optimization ablations".to_string(),
-            format_fig12(&fig12()),
-        ),
-        (
-            format!("Figure 13: hierarchy removal scaling (scale={scale})"),
-            format_fig13(&fig13(scale)),
-        ),
-        (
-            "Figure 14: per-region load vs inputs".to_string(),
-            format_fig14(&fig14(&FIG14_INPUTS)),
-        ),
-        (
-            format!("Aurochs comparison (scale={scale})"),
-            aurochs_cmp(scale).1,
-        ),
-    ];
-    sections
-        .iter()
-        .map(|(title, body)| format!("=== {title} ===\n{body}"))
-        .collect::<Vec<_>>()
-        .join("\n")
+        mode.carried_live_values,
+    )
 }
 
 #[cfg(test)]
@@ -620,11 +481,5 @@ mod tests {
         assert!((pts[0].slow_share - 12.5).abs() < 1.5, "{:?}", pts[0]);
         assert!(pts[1].slow_share < 11.0, "{:?}", pts[1]);
         assert!(pts[1].fast_share > 12.5, "{:?}", pts[1]);
-    }
-
-    #[test]
-    fn table_formatters_are_nonempty() {
-        assert!(table2().contains("HBM2"));
-        assert!(table3().contains("murmur3"));
     }
 }

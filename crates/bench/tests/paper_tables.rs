@@ -29,3 +29,18 @@ fn paper_tables_match_the_golden() {
     assert_eq!(actual.len(), golden.len(), "golden has extra rows");
     assert_eq!(text, PAPER_GOLDEN, "rows match but bytes differ");
 }
+
+#[test]
+fn emit_paper_with_an_input_is_a_usage_error() {
+    for input in [&["prog.rvt"][..], &["--app", "murmur3"]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_revetc"))
+            .args(["--emit", "paper"])
+            .args(input)
+            .output()
+            .expect("revetc runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{input:?}: {stderr}");
+        assert!(stderr.contains("usage: revetc"), "{input:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{input:?} printed a report");
+    }
+}
