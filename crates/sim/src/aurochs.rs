@@ -62,23 +62,14 @@ pub fn aurochs_slowdown(
     //    the compiled tuple width multiplies recirculation bandwidth.
     let width =
         (mode.carried_live_values.max(revet_tuple_width)) as f64 / revet_tuple_width.max(1) as f64;
-    // 2. Serialized per-node comparisons instead of a vectorized foreach.
-    let vector_loss = if mode.foreach_vectorizes {
-        1.0
-    } else {
-        mode.node_comparisons as f64
-            / (mode.node_comparisons as f64 / mode.lanes as f64).max(1.0)
-            / mode.node_comparisons as f64
-            * mode.node_comparisons as f64
-    };
+    // 2. Serialized per-node comparisons instead of a vectorized foreach:
+    //    Revet folds `node_comparisons` into one vector op; Aurochs issues
+    //    them serially.
     let serial = if mode.foreach_vectorizes {
         1.0
     } else {
-        // Revet folds `node_comparisons` into one vector op; Aurochs issues
-        // them serially.
         mode.node_comparisons as f64
     };
-    let _ = vector_loss;
     // 3. Timeout drain overhead amortized over the run (clamped: back-to-
     //    back tensors overlap their drains, so the penalty saturates).
     let timeout_cycles = loop_completions.saturating_mul(mode.loop_timeout_cycles) as f64;
