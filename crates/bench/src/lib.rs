@@ -253,7 +253,10 @@ fn fig12(runs: &[AppRuns], opts: &PassOptions) -> String {
     for r in runs {
         let (cu0, mu0, _) = r.report.total;
         let cols = ablations.each_ref().map(|ablated| {
-            let program = r.app.compile(OUTER, ablated).unwrap();
+            let program = r
+                .app
+                .compile(OUTER, ablated)
+                .unwrap_or_else(|e| panic!("{}: {e}", r.app.name));
             let (cu, mu, _) = ResourceReport::for_program(r.app.name, &program).total;
             format!(
                 "{cu:>4}/{mu:<4} ({:.2}/{:.2})",
@@ -329,7 +332,7 @@ void main(u32 count) {{
             };
             let mut program = revet_core::Session::new(source(outer, eliminate), opts)
                 .to_dataflow()
-                .unwrap();
+                .unwrap_or_else(|e| panic!("fig13 outer {outer}: {e}"));
             for (sym, bytes) in &w.inits {
                 program
                     .graph
@@ -339,7 +342,7 @@ void main(u32 count) {{
             }
             let cycles = sim
                 .run(&mut program, &[Word(scale as u32)], MAX_CYCLES)
-                .unwrap()
+                .unwrap_or_else(|e| panic!("fig13 outer {outer}: {e}"))
                 .cycles;
             let (cu, mu, ag) = ResourceReport::for_program("murmur3-fig13", &program).total;
             let units = cu + mu + ag;
