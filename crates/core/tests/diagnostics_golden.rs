@@ -82,7 +82,7 @@ fn golden_parse_unknown_type() {
     );
 }
 
-/// The acceptance-criterion case: two *independent* syntax errors in one
+/// The acceptance case: two *independent* syntax errors in one
 /// source produce two spanned diagnostics in one `Session` run, each with
 /// a caret snippet, and the statement between them parses fine.
 #[test]
