@@ -1,14 +1,22 @@
-//! Allocation budget of the execute path: a planned one-shot run may call
-//! the allocator to grow channel rings to their high-water mark and for a
-//! fixed handful of scheduler buffers — never per token. Tokens travel as
-//! windows into the channels' slabs (`revet_machine::Channel`), so the
-//! call count is bounded by what doubling each channel's ring can explain
-//! — a small multiple of the channel count — and grows with the input only
-//! as deeper queues double once more, logarithmically, while the data
-//! tokens crossing edges grow linearly.
+//! Allocation budget of the execute path: never per token. Tokens travel
+//! as windows into the channels' slabs (`revet_machine::Channel`), and an
+//! instance's channel table, rings and one-shot scheduler scratch included,
+//! is recycled through its program's pool (`Graph::fresh_instance`):
+//!
+//! - The first instance of a program runs on a copy of the template's
+//!   table, so its run may grow each ring it uses to that channel's
+//!   high-water mark and size the scheduler's buffers. The call count is
+//!   bounded by what doubling each ring can explain — a small multiple of
+//!   the channel count — and grows with the input only as deeper queues
+//!   double once more, logarithmically, while the data tokens crossing
+//!   edges grow linearly.
+//! - Every later instance gets a table back with its rings already grown,
+//!   so its run makes a fixed handful of calls, whatever the app.
 //!
 //! This is the tier-1 guard for what `perf_ledger`'s `allocs_per_op`
-//! measures on `exec_control`: a reintroduced per-token `Vec` fails here.
+//! measures on `exec_control` and `serve_oneshot`: a reintroduced
+//! per-token `Vec` fails here, and so does a table that stops being
+//! recycled.
 //!
 //! The compile path has a byte budget instead: a compiled program's DRAM
 //! image is all zero until something loads it, and an all-zero image owns
@@ -217,5 +225,38 @@ fn a_recycled_instance_allocates_a_fixed_handful() {
             "{name}: a recycled instance of {} nodes made {calls} allocator calls",
             inst.graph.node_count()
         );
+    }
+}
+
+/// What a run on a recycled instance may still ask of the allocator: the
+/// node state copied with the node slots (a node's own buffers, the sink's
+/// collected tokens) — not the rings or the scheduler scratch, which come
+/// back with the recycled channel table already grown.
+const RECYCLED_RUN_CALLS: u64 = 16;
+
+#[test]
+fn a_recycled_instance_runs_without_growing_rings() {
+    for app in all_apps() {
+        let name = app.name;
+        let (program, args, w) = app.prepare(2, 16, 0xA110C, &PassOptions::default());
+        let run = || {
+            let mut inst = program.instance();
+            let before = CALLS.with(Cell::get);
+            let result = inst.run_untimed(&args, 200_000_000);
+            let calls = CALLS.with(Cell::get) - before;
+            result.unwrap_or_else(|e| panic!("{name}: {e}"));
+            app.check_dram(&inst.memory().dram, &w);
+            calls
+        };
+        let cold = run();
+        let warm = run();
+        assert!(
+            warm <= RECYCLED_RUN_CALLS,
+            "{name}: the run of a recycled instance made {warm} allocator calls \
+             (the first instance's run made {cold}) on {} channels",
+            program.graph.chan_count()
+        );
+        let stats = program.graph.chan_pool_stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1), "{name}");
     }
 }

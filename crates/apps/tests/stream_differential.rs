@@ -40,6 +40,13 @@ fn chunked_feed_matches_one_shot_on_all_apps() {
             let reference_sink = reference.sink_tokens();
             app.check_dram(&reference.memory().dram, &w);
 
+            // A one-shot run first, so the session gets its channel table
+            // back from the program's pool: a read of a slot that run left
+            // behind (debug builds poison them) would break the identity.
+            let mut warm = program.instance();
+            warm.run_untimed(&args, MAX_ROUNDS)
+                .unwrap_or_else(|e| panic!("{} (O{level}, warm-up): {e}", app.name));
+            drop(warm);
             let mut stream = program.stream();
             let mut deltas = Vec::new();
             for args in &argsets {

@@ -350,6 +350,15 @@ fn run_profiled(
         ObsSink::counters_only()
     };
     session.emit_compile_trace(&obs);
+    // The stall table and the trace name nodes by label.
+    obs.set_labels(
+        program
+            .graph
+            .nodes()
+            .iter()
+            .map(|slot| slot.label.to_string())
+            .collect(),
+    );
     let mut inst = program.instance();
     if let Err(e) = inst.run(&args, MAX_ROUNDS, &obs) {
         eprintln!("revetc: execution failed: {e}");

@@ -4,9 +4,10 @@
 //! but cheap to *instantiate*: all mutable run state — node behaviors,
 //! channel queues, [`MemoryState`] — lives in the program's [`Graph`], and
 //! [`Graph::fresh_instance`] copies the small parts of it, recycles the
-//! DRAM image from the program's pool (restoring only the pages the
-//! previous instance dirtied, see [`revet_machine::Dram`]) and shares the
-//! immutable schedule ([`revet_machine::ExecPlan`]) behind an `Arc`. A
+//! DRAM image (restoring only the pages the previous instance dirtied, see
+//! [`revet_machine::Dram`]) and the channel table (rings kept at their
+//! grown size) from the program's pools, and shares the immutable schedule
+//! ([`revet_machine::ExecPlan`]) behind an `Arc`. A
 //! [`ProgramInstance`] is the resulting unit of batch work: it is `Send`,
 //! owns everything it mutates, and collects results into its own private
 //! sink buffer, so any number of instances of one compile can run
@@ -69,8 +70,9 @@ impl ProgramInstance {
     }
 
     /// Injects `args` and runs one-shot through the plan, recording into
-    /// `obs` (node labels are published to the sink so stall tables and
-    /// traces can name nodes; a successful run counts one instance).
+    /// `obs` (a successful run counts one instance). Node labels are not
+    /// published: a caller that renders a stall table or a trace names the
+    /// nodes with [`ObsSink::set_labels`] itself, once.
     ///
     /// # Errors
     ///
@@ -95,24 +97,14 @@ impl ProgramInstance {
         crate::lower::inject_args(&mut self.graph, self.entry, args);
     }
 
-    /// The one forward to [`Graph::run`], publishing node labels first.
-    /// `resume` is the streaming axis ([`crate::StreamInstance`] passes its
-    /// session state).
+    /// The one forward to [`Graph::run`]. `resume` is the streaming axis
+    /// ([`crate::StreamInstance`] passes its session state).
     pub(crate) fn execute(
         &mut self,
         resume: Option<&mut ResumeState>,
         max_rounds: u64,
         obs: &ObsSink,
     ) -> Result<(ExecReport, RunStatus), MachineError> {
-        if obs.is_enabled() {
-            obs.set_labels(
-                self.graph
-                    .nodes()
-                    .iter()
-                    .map(|s| s.label.to_string())
-                    .collect(),
-            );
-        }
         self.graph.run(RunOptions {
             resume,
             obs,
@@ -140,15 +132,20 @@ impl ProgramInstance {
 
 impl CompiledProgram {
     /// Instantiates this compiled program as a fresh runnable
-    /// [`ProgramInstance`]. Node, channel, SRAM and allocator state is
-    /// copied; the DRAM image — including anything already loaded into
-    /// `self.graph.mem` — is byte-identical to the template's but usually
-    /// recycled from an earlier instance rather than copied (the instance
-    /// returns it when its memory is dropped; at most
-    /// [`revet_machine::POOL_IMAGES`] idle images are kept per program);
-    /// the execution plan is shared. The template program itself is left
-    /// untouched, so one compile can be instantiated any number of times,
-    /// concurrently and from a shared `&CompiledProgram`.
+    /// [`ProgramInstance`] ([`Graph::fresh_instance`]). Node, SRAM and
+    /// allocator state is copied and the execution plan is shared. The
+    /// DRAM image — including anything already loaded into
+    /// `self.graph.mem` — and the channel table are equal to the
+    /// template's but usually recycled from an earlier instance rather
+    /// than copied: the image with only its dirty pages restored, the
+    /// table with its rings already grown to the high-water marks earlier
+    /// runs reached and the one-shot scheduler scratch riding along. The
+    /// instance returns each when it drops it (the image when its memory is
+    /// dropped, so also after [`ProgramInstance::into_memory`]); at most
+    /// [`revet_machine::POOL_IMAGES`] idle ones of each are kept per
+    /// program. The template program itself is left untouched, so one
+    /// compile can be instantiated any number of times, concurrently and
+    /// from a shared `&CompiledProgram`.
     pub fn instance(&self) -> ProgramInstance {
         let graph = self.graph.fresh_instance();
         let sink = graph

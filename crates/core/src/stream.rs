@@ -122,9 +122,9 @@ impl StreamInstance {
         self.poll_obs(max_rounds, revet_obs::ObsSink::noop())
     }
 
-    /// [`StreamInstance::poll`] with an observability sink: node labels
-    /// are published, executor events recorded, and the session's peak
-    /// resident footprint tracked in the `stream.resident_bytes` gauge.
+    /// [`StreamInstance::poll`] with an observability sink: executor
+    /// events are recorded and the session's peak resident footprint
+    /// tracked in the `stream.resident_bytes` gauge.
     ///
     /// # Errors
     ///

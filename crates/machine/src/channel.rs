@@ -58,7 +58,10 @@ impl LinkClass {
 /// reservation (the simulator bounds every channel of a graph, most of
 /// which stay near empty). [`Channel::with_capacity`] is the exception —
 /// it pre-sizes, so such a channel never reallocates while the graph runs.
-#[derive(Debug, Clone)]
+///
+/// Equality compares the queued tokens and every setting and counter, not
+/// the ring's storage.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Channel {
     /// The queue; its slot width is this edge's tuple arity.
     queue: Ring,
@@ -293,6 +296,40 @@ impl Channel {
     /// paused streaming instances: `arity` words and one tag byte each.
     pub fn resident_bytes(&self) -> usize {
         self.len() * (self.arity() * std::mem::size_of::<Word>() + 1)
+    }
+
+    /// Makes `self` equal to `template` while keeping its ring storage —
+    /// the reset of a recycled channel table, whatever its last user left
+    /// queued.
+    pub(crate) fn reset_from(&mut self, template: &Channel) {
+        let Channel {
+            queue,
+            class,
+            capacity,
+            canonicalize,
+            tail_preceded_by_data,
+            pushed,
+            pushed_data,
+        } = template;
+        self.queue.reset_from(queue);
+        self.class = *class;
+        self.capacity = *capacity;
+        self.canonicalize = *canonicalize;
+        self.tail_preceded_by_data = *tail_preceded_by_data;
+        self.pushed = *pushed;
+        self.pushed_data = *pushed_data;
+    }
+
+    /// Heap bytes of the ring's storage, queued or not (what an idle
+    /// channel table retains).
+    pub(crate) fn storage_bytes(&self) -> usize {
+        self.queue.storage_bytes()
+    }
+
+    /// Overwrites every slot's words with `word` (see [`Ring::poison`]).
+    #[cfg(debug_assertions)]
+    pub(crate) fn poison(&mut self, word: Word) {
+        self.queue.poison(word);
     }
 }
 

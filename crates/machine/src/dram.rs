@@ -6,7 +6,9 @@
 //! whatever the program did — the opposite of the paper's thread
 //! allocator (§V-B a, quoted in [`crate::mem`]), which never allocates a
 //! buffer: it "pops a pointer from this queue and deallocation pushes it
-//! back". [`Dram`] applies that rule to the host side:
+//! back". [`Dram`] applies that rule to the host side, through the
+//! per-template pool the channel table recycles through too
+//! ([`crate::pool`]):
 //!
 //! - [`Dram::checkout`] on a *template* image pops a previously used image
 //!   from the template's pool and restores only the [`PAGE_BYTES`] pages
@@ -23,9 +25,9 @@
 //!    borrow ([`DerefMut`]) marks the whole image. An image dropped by an
 //!    error return or a panic unwind therefore carries a truthful bitmap.
 //! 2. **Mutating a template drops its pool.** Any `&mut` access to a
-//!    `Dram` discards that `Dram`'s own pool; checked-out images hold only
-//!    a [`Weak`] to it, so ones still out are freed on return instead of
-//!    being recycled against bytes that no longer exist.
+//!    `Dram` retires that `Dram`'s own pool; checked-out images hold only
+//!    a weak reference to it, so ones still out are freed on return
+//!    instead of being recycled against bytes that no longer exist.
 //! 3. **Debug builds check the whole image** at every pool hit and panic
 //!    naming the first differing page, so every differential suite run
 //!    under `cargo test` exercises the tracker.
@@ -38,75 +40,24 @@
 //!    overlays never holds a template image at all. Checked-out images are
 //!    always backed.
 //!
-//! Retention is bounded: a pool keeps at most [`POOL_IMAGES`] images, so a
-//! live template pins at most `POOL_IMAGES × len` bytes of idle images,
-//! plus `len` for its own image once something has written or borrowed
+//! Retention is bounded: a pool keeps at most [`crate::POOL_IMAGES`]
+//! images, so a live template pins at most `POOL_IMAGES × len` bytes of
+//! idle images, plus `len` for its own image once something has written or borrowed
 //! it; dropping the template (evicting the program) frees them. The pool
 //! is created by the first checkout and holds nothing until the first
 //! image is dropped.
 
+use crate::pool::{Home, PoolStats, Source};
 use std::fmt;
 use std::ops::{Bound, Deref, DerefMut, Index, IndexMut, RangeBounds};
 use std::slice::SliceIndex;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::sync::OnceLock;
 
 /// Granularity of dirty tracking and reset.
 pub const PAGE_BYTES: usize = 4096;
 
-/// Most images one template's pool retains; a returned image beyond that
-/// is freed. Four is what the default server runs of one program at once
-/// on the smallest host it is tuned for (2 executors × 2 batch threads);
-/// a wider batch still recycles four images and copies the rest, as every
-/// instance did before. Bounds the idle images a live compiled program
-/// pins at `POOL_IMAGES × dram_bytes` (16 MiB at the apps' 4 MiB image),
-/// on top of its own image if that is backed (module docs, rule 4).
-pub const POOL_IMAGES: usize = 4;
-
-/// Counters of one template's pool, from [`Dram::pool_stats`]. All zero
-/// until the first checkout, and again after the template is mutated (the
-/// pool is replaced, see the module docs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Checkouts served by resetting a recycled image.
-    pub hits: u64,
-    /// Checkouts that had to copy the whole template.
-    pub misses: u64,
-    /// Pages restored from the template over all hits.
-    pub reset_pages: u64,
-    /// Bytes of idle images the pool holds right now
-    /// (≤ [`POOL_IMAGES`] × image length).
-    pub retained_bytes: u64,
-}
-
-impl PoolStats {
-    /// Adds `other`'s counters into `self` (a server sums its programs).
-    pub fn merge(&mut self, other: &PoolStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.reset_pages += other.reset_pages;
-        self.retained_bytes += other.retained_bytes;
-    }
-}
-
 /// An idle image: its bytes and the pages that differ from the template.
 type Idle = (Box<[u8]>, Box<[u64]>);
-
-#[derive(Default)]
-struct Pool {
-    free: Mutex<Vec<Idle>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    reset_pages: AtomicU64,
-}
-
-impl Pool {
-    /// The free list is only ever pushed to or popped from under the
-    /// lock, so it is valid even if a holder panicked.
-    fn free(&self) -> MutexGuard<'_, Vec<Idle>> {
-        self.free.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
 
 /// `len` zero bytes from the allocator's zeroed path, which skips the fill
 /// where the memory is fresh.
@@ -136,9 +87,9 @@ pub struct Dram {
     /// ever reset this image (templates, detached copies).
     dirty: Box<[u64]>,
     /// Images checked out of *this* image come back here.
-    pool: OnceLock<Arc<Pool>>,
+    pool: Source<Idle>,
     /// Where this image goes when dropped; dangling unless checked out.
-    home: Weak<Pool>,
+    home: Home<Idle>,
 }
 
 impl Dram {
@@ -149,8 +100,8 @@ impl Dram {
             len,
             bytes: OnceLock::new(),
             dirty: Box::default(),
-            pool: OnceLock::new(),
-            home: Weak::new(),
+            pool: Source::default(),
+            home: Home::default(),
         }
     }
 
@@ -186,13 +137,11 @@ impl Dram {
     /// In debug builds, if a recycled image differs from `self` after the
     /// reset — a write that escaped dirty tracking.
     pub fn checkout(&self) -> Dram {
-        let pool = self.pool.get_or_init(Arc::default);
         // `None`: all zero. Another thread backing it meanwhile backs it
         // with zeros, so this stays a true picture of the template.
         let template = self.bytes.get();
-        let recycled = pool.free().pop();
-        let (bytes, dirty) = match recycled {
-            Some((mut bytes, mut dirty)) => {
+        let ((bytes, dirty), home) = self.pool.checkout(
+            |(bytes, dirty)| {
                 let mut pages = 0;
                 for (w, word) in dirty.iter_mut().enumerate() {
                     let mut bits = std::mem::take(word);
@@ -207,8 +156,6 @@ impl Dram {
                         pages += 1;
                     }
                 }
-                pool.hits.fetch_add(1, Ordering::Relaxed);
-                pool.reset_pages.fetch_add(pages, Ordering::Relaxed);
                 #[cfg(debug_assertions)]
                 {
                     let zeros = [0; PAGE_BYTES];
@@ -225,35 +172,26 @@ impl Dram {
                         );
                     }
                 }
-                (bytes, dirty)
-            }
-            None => {
-                pool.misses.fetch_add(1, Ordering::Relaxed);
+                pages
+            },
+            || {
                 let words = self.len.div_ceil(PAGE_BYTES).div_ceil(64);
                 let bytes = template.map_or_else(|| zeros(self.len), Box::clone);
                 (bytes, vec![0; words].into_boxed_slice())
-            }
-        };
+            },
+        );
         Dram {
             len: self.len,
             bytes: OnceLock::from(bytes),
             dirty,
-            pool: OnceLock::new(),
-            home: Arc::downgrade(pool),
+            pool: Source::default(),
+            home,
         }
     }
 
     /// Counters of the pool behind [`Dram::checkout`] on this image.
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.get().map_or_else(PoolStats::default, |pool| {
-            let retained: usize = pool.free().iter().map(|(bytes, _)| bytes.len()).sum();
-            PoolStats {
-                hits: pool.hits.load(Ordering::Relaxed),
-                misses: pool.misses.load(Ordering::Relaxed),
-                reset_pages: pool.reset_pages.load(Ordering::Relaxed),
-                retained_bytes: retained as u64,
-            }
-        })
+        self.pool.stats(|(bytes, _)| bytes.len())
     }
 
     /// Called before any `&mut` view of `start..end` is handed out: this
@@ -261,7 +199,7 @@ impl Dram {
     /// (if it is itself checked out) the covered pages will be restored.
     #[inline]
     fn touch(&mut self, start: usize, end: usize) {
-        self.pool.take();
+        self.pool.retire();
         if start < end {
             for page in start / PAGE_BYTES..=(end - 1) / PAGE_BYTES {
                 // Past the bitmap: untracked, or a range the slice index
@@ -278,12 +216,9 @@ impl Dram {
 impl Drop for Dram {
     fn drop(&mut self) {
         // Checked-out images are always backed.
-        if let (Some(pool), Some(bytes)) = (self.home.upgrade(), self.bytes.take()) {
-            let idle = (bytes, std::mem::take(&mut self.dirty));
-            let mut free = pool.free();
-            if free.len() < POOL_IMAGES {
-                free.push(idle);
-            }
+        if let Some(bytes) = self.bytes.take() {
+            self.home
+                .give_back((bytes, std::mem::take(&mut self.dirty)));
         }
     }
 }
@@ -295,8 +230,8 @@ impl Clone for Dram {
             len: self.len,
             bytes: self.bytes.clone(),
             dirty: Box::default(),
-            pool: OnceLock::new(),
-            home: Weak::new(),
+            pool: Source::default(),
+            home: Home::default(),
         }
     }
 }
@@ -384,6 +319,7 @@ impl<I: SliceIndex<[u8]> + RangeBounds<usize>> IndexMut<I> for Dram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::POOL_IMAGES;
 
     #[test]
     fn recycled_image_equals_the_template_after_scattered_writes() {

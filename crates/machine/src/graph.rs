@@ -41,6 +41,8 @@ use crate::channel::Channel;
 use crate::mem::MemoryState;
 use crate::node::{ChanId, IoEvents, MachineError, NodeId, NodeIo, PortBudget, Prim};
 use crate::plan::{ExecPlan, ResumeState};
+use crate::pool::PoolStats;
+use crate::table::ChanTable;
 use revet_obs::{ObsSink, StallClass};
 use revet_sltf::Word;
 use std::fmt;
@@ -161,14 +163,17 @@ impl TopologyIndex {
 /// A graph is **per-instance execution state**: node behaviors, channel
 /// queues, and [`MemoryState`] all mutate as the graph runs. The one
 /// exception is the schedule ([`Graph::plan`]), which depends only on the
-/// wiring and is held behind an [`Arc`] so every instance cloned from one
-/// compiled graph ([`Graph::fresh_instance`]) shares a single copy. Graphs are
-/// `Send + Sync` (every [`Prim`] is), so instances can run on worker
-/// threads.
+/// wiring and is held behind an [`Arc`] so every instance made from one
+/// compiled graph ([`Graph::fresh_instance`]) shares a single copy; an
+/// instance's channel table and DRAM image go back to that graph's pools
+/// when dropped. Graphs are `Send + Sync` (every [`Prim`] is), so
+/// instances can run on worker threads.
 #[derive(Debug, Default)]
 pub struct Graph {
     nodes: Vec<NodeSlot>,
-    chans: Vec<Channel>,
+    /// The channels; an instance's table returns to its template's pool
+    /// when dropped ([`Graph::fresh_instance`]).
+    chans: ChanTable,
     /// Shared DRAM / SRAM / allocator state.
     pub mem: MemoryState,
     /// The schedule of the current wiring, shared across instances; `None`
@@ -289,6 +294,7 @@ impl Graph {
         outs: impl Into<Arc<[ChanId]>>,
     ) -> NodeId {
         self.plan = None;
+        self.chans.retire();
         let id = NodeId(self.nodes.len() as u32);
         let behavior = behavior.into();
         let alloc_gated = matches!(&behavior, Prim::Ew(ew) if ew.may_stall_on_alloc());
@@ -337,9 +343,10 @@ impl Graph {
     }
 
     /// Mutable channel access (host feeds, link classes). A capacity
-    /// change goes through [`Graph::set_capacity`] instead.
+    /// change goes through [`Graph::set_capacity`] instead. On a template
+    /// this retires its channel-table pool ([`Graph::fresh_instance`]).
     pub fn chan_mut(&mut self, id: ChanId) -> &mut Channel {
-        &mut self.chans[id.0 as usize]
+        self.chans.chan_mut(id.0 as usize)
     }
 
     /// Bounds (or unbounds) a channel. Capacity is the one input of the
@@ -348,14 +355,14 @@ impl Graph {
     /// rewiring.
     pub fn set_capacity(&mut self, id: ChanId, capacity: Option<usize>) {
         self.plan = None;
-        self.chans[id.0 as usize].set_capacity(capacity);
+        self.chans.chan_mut(id.0 as usize).set_capacity(capacity);
     }
 
     /// Split mutable access to the channel table, memory state and node
     /// slots — the plan executor fires a node's behavior against its own
     /// channels in one borrow scope.
     pub(crate) fn split_mut(&mut self) -> (&mut [Channel], &mut MemoryState, &mut [NodeSlot]) {
-        (&mut self.chans, &mut self.mem, &mut self.nodes)
+        (self.chans.run_mut(), &mut self.mem, &mut self.nodes)
     }
 
     /// The schedule of the current wiring (and, through
@@ -370,27 +377,54 @@ impl Graph {
         self.plan.as_ref().expect("just built")
     }
 
-    /// Makes a fresh, independently runnable instance of this graph: node
-    /// state, channel contents, SRAM and allocator queues are copied
-    /// (wiring, labels and element-wise programs are shared); the
-    /// DRAM image is checked out of this graph's recycling pool
-    /// ([`MemoryState::fresh_instance`]: byte-identical to the template's,
-    /// at the cost of the pages its previous user dirtied); result-
-    /// collecting sinks get **fresh, empty** buffers (instances never share
-    /// result storage); the immutable schedule is shared via [`Arc`]
-    /// rather than rebuilt.
+    /// Makes a fresh, independently runnable instance of this graph. Node
+    /// state, SRAM and allocator queues are copied (wiring, labels and
+    /// element-wise programs are shared); result-collecting sinks get
+    /// **fresh, empty** buffers (instances never share result storage);
+    /// the immutable schedule is shared via [`Arc`] rather than rebuilt.
+    /// The two parts of an instance that are big or grown are recycled
+    /// through this graph's pools instead of copied:
+    ///
+    /// - the DRAM image ([`MemoryState::fresh_instance`]: byte-identical
+    ///   to the template's, at the cost of the pages its previous user
+    ///   dirtied);
+    /// - the channel table, with the scheduler scratch of a one-shot
+    ///   [`Graph::run`]: each channel is reset in place to the template's
+    ///   (queued tokens, bound, class, counters), keeping the ring storage
+    ///   earlier instances grew, so a recycled instance's run does not
+    ///   regrow its rings.
+    ///
+    /// Both go back to their pool when the instance drops them (at most
+    /// [`crate::POOL_IMAGES`] idle ones each); adding a channel or a node,
+    /// [`Graph::set_capacity`] or [`Graph::chan_mut`] on this graph
+    /// retires its table pool, and any `&mut` access to its DRAM image
+    /// the image pool, so what is out at that moment is freed on return.
+    /// [`Graph::chan_pool_stats`] and [`crate::Dram::pool_stats`] count
+    /// the hits.
     ///
     /// This is the machine half of the compile-once/run-many split: the
     /// compiler finishes a graph once, and the batch runtime instantiates
     /// it as many times, concurrently, as it needs.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if a recycled table or image differs from this
+    /// graph's after its reset.
     pub fn fresh_instance(&self) -> Graph {
         Graph {
             nodes: self.nodes.clone(),
-            chans: self.chans.clone(),
+            chans: self.chans.checkout(),
             mem: self.mem.fresh_instance(),
             plan: self.plan.clone(),
             scratch: Vec::new(),
         }
+    }
+
+    /// Counters of the pool [`Graph::fresh_instance`] recycles this
+    /// graph's channel tables through; `retained_bytes` counts the idle
+    /// tables' ring storage and scheduler scratch.
+    pub fn chan_pool_stats(&self) -> PoolStats {
+        self.chans.pool_stats()
     }
 
     /// Steps one node once with the given port budgets. Returns whether the
@@ -446,7 +480,7 @@ impl Graph {
     ) -> Result<bool, MachineError> {
         let slot = &mut self.nodes[id.0 as usize];
         let mut io = NodeIo::new(
-            &mut self.chans,
+            self.chans.run_mut(),
             &slot.ins,
             &slot.outs,
             &mut self.mem,
@@ -535,8 +569,17 @@ impl Graph {
         // drain loop holds its schedule.
         let plan = Arc::clone(self.plan());
         let suspend = resume.is_some();
-        let mut one_shot = ResumeState::new();
-        let report = plan.drain(self, resume.unwrap_or(&mut one_shot), max_rounds, obs)?;
+        let report = match resume {
+            Some(state) => plan.drain(self, state, max_rounds, obs),
+            None => {
+                // The table's own state, restarted: its buffers are reused.
+                let mut state = std::mem::take(&mut self.chans.one_shot);
+                state.restart();
+                let report = plan.drain(self, &mut state, max_rounds, obs);
+                self.chans.one_shot = state;
+                report
+            }
+        }?;
         match self.deadlock() {
             None => Ok((report, RunStatus::Finished)),
             Some(_) if suspend => Ok((report, RunStatus::Paused)),

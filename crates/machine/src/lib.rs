@@ -105,15 +105,18 @@ mod mem;
 mod node;
 pub mod nodes;
 mod plan;
+mod pool;
 pub mod reference;
 mod ring;
+mod table;
 mod tuple;
 
 pub use channel::{Channel, LinkClass};
-pub use dram::{Dram, PoolStats, PAGE_BYTES, POOL_IMAGES};
+pub use dram::{Dram, PAGE_BYTES};
 pub use graph::{ExecReport, Graph, NodeSlot, RunOptions, RunStatus, TopologyIndex, UnitClass};
 pub use mem::{AllocId, AllocQueue, MemoryState, SramId, SramRegion};
 pub use node::{ChanId, IoEvents, MachineError, NodeId, NodeIo, PortBudget, Ports, Prim};
 pub use plan::{ExecPlan, PlanPorts, PlanStats, ResumeState};
+pub use pool::{PoolStats, POOL_IMAGES};
 pub use ring::Ring;
 pub use tuple::{tbar, tdata, TTok, Tuple};

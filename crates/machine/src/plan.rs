@@ -159,7 +159,9 @@ impl WakeSet {
         let words = n.div_ceil(64);
         for lane in [&mut self.cur, &mut self.next] {
             lane.clear();
-            // Exact: a one-shot run pays for these bytes every time.
+            // Exact: a one-shot run's state travels with its recycled
+            // channel table, so these bytes are paid once per pooled
+            // table, not once per run.
             lane.reserve_exact(words);
             lane.resize(words, 0);
         }
@@ -229,6 +231,21 @@ impl ResumeState {
     /// incremental re-seed rule).
     pub fn started(&self) -> bool {
         self.started
+    }
+
+    /// Makes the next run seed every node again while keeping the
+    /// buffers: a one-shot run reuses its channel table's state this way.
+    pub(crate) fn restart(&mut self) {
+        self.started = false;
+    }
+
+    /// Heap bytes of the buffers (what an idle channel table retains with
+    /// them).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let ResumeState { ws, scratch, .. } = self;
+        (ws.cur.capacity() + ws.next.capacity()) * std::mem::size_of::<u64>()
+            + scratch.regs.capacity() * std::mem::size_of::<Word>()
+            + scratch.tails.capacity() * std::mem::size_of::<Tail>()
     }
 }
 

@@ -182,7 +182,45 @@ impl Ring {
     pub fn back(&self) -> Option<Tok<&[Word]>> {
         self.get(self.len.wrapping_sub(1))
     }
+
+    /// Makes `self` hold exactly `template`'s tokens, keeping its own
+    /// storage (a recycled channel table's reset; the two share an arity,
+    /// which only a retiring mutation could change): nothing is allocated
+    /// unless `template` queues more tokens than `self` has slots.
+    pub(crate) fn reset_from(&mut self, template: &Ring) {
+        (self.head, self.len) = (0, 0);
+        for tok in (0..template.len).filter_map(|i| template.get(i)) {
+            match tok {
+                Tok::Data(vals) => self.push_slot().copy_from_slice(vals),
+                Tok::Barrier(level) => self.push_barrier(level),
+            }
+        }
+    }
+
+    /// Heap bytes of the storage, queued or not.
+    pub(crate) fn storage_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<Word>() + self.tags.capacity()
+    }
+
+    /// Overwrites every word slot with `word`, so a read of a slot no push
+    /// has written since shows.
+    #[cfg(debug_assertions)]
+    pub(crate) fn poison(&mut self, word: Word) {
+        self.words.fill(word);
+    }
 }
+
+/// Equality of the queued tokens, in order; storage size and slot
+/// positions are not compared.
+impl PartialEq for Ring {
+    fn eq(&self, other: &Ring) -> bool {
+        self.arity == other.arity
+            && self.len == other.len
+            && (0..self.len).all(|i| self.get(i) == other.get(i))
+    }
+}
+
+impl Eq for Ring {}
 
 #[cfg(test)]
 mod tests {

@@ -54,7 +54,7 @@ use revet_machine::instr::{AluOp, EwInstr, Operand};
 use revet_machine::nodes::{EwNode, OutputSpec, SinkHandle, SinkNode, SourceNode};
 use revet_machine::reference::run_dense;
 use revet_machine::{
-    tbar, tdata, ChanId, Channel, ExecReport, Graph, MemoryState, ResumeState, RunOptions,
+    tbar, tdata, ChanId, Channel, ExecReport, Graph, MemoryState, Prim, ResumeState, RunOptions,
     RunStatus, SramId, TTok,
 };
 use revet_obs::ObsSink;
@@ -376,6 +376,18 @@ fn snapshot(handles: &[SinkHandle]) -> Vec<Vec<TTok>> {
     handles.iter().map(|h| h.tokens()).collect()
 }
 
+/// The sinks of `g`, in node order (an instance's are its own).
+fn sinks(g: &Graph) -> Vec<SinkHandle> {
+    let sink = |prim: &Prim| match prim {
+        Prim::Sink(sink) => Some(sink.handle()),
+        _ => None,
+    };
+    g.nodes()
+        .iter()
+        .filter_map(|slot| sink(&slot.behavior))
+        .collect()
+}
+
 /// One `Graph::run`.
 fn run(g: &mut Graph, resume: Option<&mut ResumeState>, obs: &ObsSink) -> (ExecReport, RunStatus) {
     g.run(RunOptions {
@@ -417,8 +429,19 @@ proptest! {
         let toks = source_tokens(&values, deep);
         let (mut dense_g, _, dense_h) = build(toks.clone(), &moves, shape);
         let dense: ExecReport = run_dense(&mut dense_g, 100_000).unwrap();
-        let (mut plan_g, _, plan_h) = build(toks, &moves, shape);
+        let (mut plan_g, _, plan_h) = build(toks.clone(), &moves, shape);
         let (planned, _) = run(&mut plan_g, None, ObsSink::noop());
+
+        // The same run on an instance whose channel table an earlier one
+        // ran on and returned (debug builds poison its slots): a read of a
+        // slot no push of this run wrote would differ from the oracle.
+        let (template, _, _) = build(toks, &moves, shape);
+        run(&mut template.fresh_instance(), None, ObsSink::noop());
+        let mut recycled = template.fresh_instance();
+        run(&mut recycled, None, ObsSink::noop());
+        prop_assert_eq!(template.chan_pool_stats().hits, 1);
+        prop_assert_eq!(snapshot(&sinks(&dense_g)), snapshot(&sinks(&recycled)));
+        prop_assert_eq!(&dense_g.mem, &recycled.mem);
 
         let stats = plan_g.plan().stats();
         prop_assert_eq!(

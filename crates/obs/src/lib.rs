@@ -270,6 +270,7 @@ impl ObsSink {
     /// Fold a (typically per-worker) sink into this one: counters and
     /// registry merge by their own semantics, stall rows add, and the
     /// other ring's events append (oldest dropped if over capacity).
+    /// Labels stay as they are: the sink that renders names its nodes.
     pub fn merge(&self, other: &ObsSink) {
         self.counters.merge(&other.counters);
         self.registry.merge(&other.registry);
@@ -283,16 +284,13 @@ impl ObsSink {
                 .unwrap()
                 .append(self.trace_cap, &other.ring.lock().unwrap());
         }
-        let mut labels = self.labels.lock().unwrap();
-        let other_labels = other.labels.lock().unwrap();
-        if other_labels.len() > labels.len() {
-            *labels = other_labels.clone();
-        }
         self.tick
             .fetch_max(other.tick.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// Name the graph nodes (index = node id) for table and trace output.
+    /// Executors never publish them; whoever renders a table or a trace
+    /// calls this once.
     pub fn set_labels(&self, labels: Vec<String>) {
         if self.enabled {
             *self.labels.lock().unwrap() = labels;

@@ -109,11 +109,23 @@ impl ProgramCache {
     /// summed over the resident programs. Evicting a program frees its
     /// pool and takes its share out of the sum.
     pub fn dram_pool_stats(&self) -> PoolStats {
+        self.sum_pools(|program| program.graph.mem.dram.pool_stats())
+    }
+
+    /// Channel-table pool counters
+    /// ([`revet_machine::Graph::chan_pool_stats`]: idle ring storage and
+    /// scheduler scratch) summed over the resident programs, like
+    /// [`ProgramCache::dram_pool_stats`].
+    pub fn chan_pool_stats(&self) -> PoolStats {
+        self.sum_pools(|program| program.graph.chan_pool_stats())
+    }
+
+    fn sum_pools(&self, stats: impl Fn(&CompiledProgram) -> PoolStats) -> PoolStats {
         let inner = self.inner.lock().unwrap();
         let mut total = PoolStats::default();
         for slot in inner.slots.values() {
             if let Slot::Ready(program, _) = slot {
-                total.merge(&program.graph.mem.dram.pool_stats());
+                total.merge(&stats(program));
             }
         }
         total

@@ -28,7 +28,7 @@
 use revet_core::{PassOptions, ProgramId, MAX_DRAM_BYTES};
 use revet_machine::ExecReport;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Current protocol version, first byte of every frame body.
 ///
@@ -888,11 +888,15 @@ impl fmt::Display for ErrorFrame {
 // ---------------------------------------------------------------------------
 // Frame I/O
 
-/// Writes one frame (length prefix + body) and flushes.
+/// Writes one frame (length prefix + body) and flushes. Prefix and body go
+/// out as one vectored write — one segment and one syscall on a
+/// `TCP_NODELAY` socket — without copying the body; a short write
+/// continues where it stopped.
 ///
 /// # Errors
 ///
-/// Propagates transport errors; refuses bodies over [`MAX_FRAME_BYTES`].
+/// Propagates transport errors (`WriteZero` if the writer stops taking
+/// bytes); refuses bodies over [`MAX_FRAME_BYTES`].
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     if body.len() > MAX_FRAME_BYTES as usize {
         return Err(io::Error::new(
@@ -900,8 +904,17 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
             format!("frame body {} exceeds cap {MAX_FRAME_BYTES}", body.len()),
         ));
     }
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
+    let prefix = (body.len() as u32).to_le_bytes();
+    let mut frame = [IoSlice::new(&prefix), IoSlice::new(body)];
+    let mut rest = &mut frame[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -1137,5 +1150,51 @@ mod tests {
         }
         assert_eq!(WireTok::Barrier(0).to_ttok(), None);
         assert_eq!(WireTok::Barrier(16).to_ttok(), None);
+    }
+
+    /// A gathering writer that takes at most `limit` bytes per call and
+    /// counts the calls.
+    struct Trickle {
+        wire: Vec<u8>,
+        calls: usize,
+        limit: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let start = self.wire.len();
+            for buf in bufs {
+                let room = self.limit - (self.wire.len() - start);
+                self.wire.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Ok(self.wire.len() - start)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_survives_short_writes() {
+        let body = b"\x01\x02 seven";
+        let mut wire = 8u32.to_le_bytes().to_vec();
+        wire.extend_from_slice(body);
+        for (limit, calls) in [(usize::MAX, 1), (3, 4), (1, 12)] {
+            let mut w = Trickle {
+                wire: Vec::new(),
+                calls: 0,
+                limit,
+            };
+            write_frame(&mut w, body).unwrap();
+            assert_eq!(w.wire, wire, "{limit} bytes a call");
+            assert_eq!(w.calls, calls, "{limit} bytes a call");
+        }
+        assert_eq!(read_frame(&mut &wire[..]).unwrap(), body);
     }
 }

@@ -242,19 +242,22 @@ impl Shared {
 
     /// The `Metrics` payload: execution counters from the shared obs sink
     /// plus serve-level counters (cache, instance totals, the resident
-    /// programs' DRAM image pools), with a status snapshot taken at the
-    /// same instant.
+    /// programs' DRAM image and channel-table pools), with a status
+    /// snapshot taken at the same instant.
     fn metrics(&self) -> MetricsInfo {
         let status = self.status();
-        let pool = self.cache.dram_pool_stats();
         let mut counters = self.obs.snapshot_counters();
+        for (name, pool) in [
+            ("dram_pool", self.cache.dram_pool_stats()),
+            ("chan_pool", self.cache.chan_pool_stats()),
+        ] {
+            counters.extend([
+                (format!("serve.{name}.hits"), pool.hits),
+                (format!("serve.{name}.misses"), pool.misses),
+                (format!("serve.{name}.retained_bytes"), pool.retained_bytes),
+            ]);
+        }
         counters.extend([
-            ("serve.dram_pool.hits".to_string(), pool.hits),
-            ("serve.dram_pool.misses".to_string(), pool.misses),
-            (
-                "serve.dram_pool.retained_bytes".to_string(),
-                pool.retained_bytes,
-            ),
             ("serve.cache.hits".to_string(), status.cache_hits),
             ("serve.cache.misses".to_string(), status.cache_misses),
             ("serve.cache.evictions".to_string(), status.cache_evictions),

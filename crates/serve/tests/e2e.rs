@@ -469,6 +469,15 @@ fn recycled_images_leak_nothing_between_consecutive_executes() {
     assert_eq!((misses, retained), (2, 2 * DRAM as u64));
     assert_eq!(metrics.get("serve.dram_pool.hits"), Some(6));
     assert!(misses <= POOL_IMAGES as u64 && retained <= (POOL_IMAGES * DRAM) as u64);
+    // A channel table goes back as soon as its instance has run, so even
+    // the first Execute's second instance recycles the first one's.
+    let chan_pool = |name: &str| {
+        metrics
+            .get(&format!("serve.chan_pool.{name}"))
+            .expect("counter")
+    };
+    assert_eq!((chan_pool("misses"), chan_pool("hits")), (1, 7));
+    assert!(chan_pool("retained_bytes") > 0, "one idle table's rings");
     server.shutdown();
 }
 
