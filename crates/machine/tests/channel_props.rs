@@ -7,10 +7,15 @@
 //! The suite speaks only the part of the channel API that does not depend
 //! on how the queue is stored, so it pins the behaviour across a change of
 //! storage.
+//!
+//! The model restates the absorb rule; the last property checks it against
+//! the SLTF reference codec instead (`Decoder`, `canonicalize`), the
+//! statement of §III-A's "an Ω2 implies an Ω1" that the channel does not
+//! share code with.
 
 use proptest::prelude::*;
 use revet_machine::{tbar, tdata, Channel, Graph, TTok};
-use revet_sltf::Tok;
+use revet_sltf::{canonicalize, Decoder, Ragged, Tok, Token, Word};
 use std::collections::VecDeque;
 
 /// The reference: a token deque plus the absorb rule of the `Channel` docs
@@ -107,6 +112,57 @@ fn check(chan: &mut Channel, mut model: Model, arity: usize, steps: &[u64]) {
     assert!(chan.is_empty(), "drain_all empties the channel");
 }
 
+/// A token as the single-word stream the SLTF reference speaks: a data
+/// tuple becomes one digest word of its values.
+fn digest(tok: &TTok) -> Token {
+    match tok {
+        Tok::Data(vals) => Tok::Data(Word(
+            vals.iter()
+                .fold(vals.len() as u32, |h, w| h.wrapping_mul(31) ^ w.0),
+        )),
+        Tok::Barrier(level) => Tok::Barrier(*level),
+    }
+}
+
+/// The tensors a tuple stream decodes to at `dims`, and whether a partial
+/// one is left pending.
+fn decode_stream(toks: &[TTok], dims: u8) -> (Vec<Ragged>, bool) {
+    let mut decoder = Decoder::new(dims);
+    let mut tensors = Vec::new();
+    for tok in toks {
+        let done = decoder.push(digest(tok));
+        tensors.extend(done.expect("no barrier exceeds the stream's dims"));
+    }
+    (tensors, decoder.has_pending())
+}
+
+/// Replays `steps` into `chan` — data tuples of `arity` words, barriers
+/// Ω1..=Ω`dims` and, when `pops` is set, pops (4:4:2) — then closes the
+/// stream with Ω`dims` and drains it. Returns what went in and what came
+/// out, pops first.
+fn replay(mut chan: Channel, arity: usize, dims: u8, steps: &[u64], pops: bool) -> [Vec<TTok>; 2] {
+    let (mut input, mut output) = (Vec::new(), Vec::new());
+    for &raw in steps {
+        let payload = (raw >> 8) as u32;
+        let tok = match raw % 10 {
+            0..=3 => tdata((0..arity as u32).map(|k| payload.wrapping_add(k))),
+            4..=7 => tbar(1 + (payload % u32::from(dims)) as u8),
+            _ => {
+                if pops {
+                    output.extend(chan.pop());
+                }
+                continue;
+            }
+        };
+        chan.push(tok.clone());
+        input.push(tok);
+    }
+    chan.push(tbar(dims));
+    input.push(tbar(dims));
+    output.extend(chan.drain_all());
+    [input, output]
+}
+
 fn steps() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(any::<u64>(), 0..300)
 }
@@ -181,5 +237,32 @@ proptest! {
         model.cap = Some(cap);
         prop_assert_eq!(g.chans()[id.0 as usize].room(), cap.saturating_sub(prefill));
         check(g.chan_mut(id), model, arity, &steps);
+    }
+
+    /// The channel against the SLTF reference: whatever it absorbs, its
+    /// output decodes to the same tensors as its input, with the same
+    /// pending state. With no pop in between, a canonicalising channel
+    /// emits exactly `canonicalize(input)`; a non-canonicalising one
+    /// always emits its input.
+    #[test]
+    fn channel_output_is_the_reference_encoding(
+        arity in 0usize..=2,
+        dims in 1u8..=4,
+        canon in any::<bool>(),
+        steps in steps(),
+    ) {
+        let chan = || {
+            let chan = Channel::new(arity);
+            if canon { chan } else { chan.without_canonicalization() }
+        };
+        let [input, output] = replay(chan(), arity, dims, &steps, true);
+        prop_assert_eq!(decode_stream(&output, dims), decode_stream(&input, dims));
+        if !canon {
+            prop_assert_eq!(&output, &input);
+        }
+        let [input, output] = replay(chan(), arity, dims, &steps, false);
+        let input: Vec<Token> = input.iter().map(digest).collect();
+        let want = if canon { canonicalize(input) } else { input };
+        prop_assert_eq!(output.iter().map(digest).collect::<Vec<_>>(), want);
     }
 }

@@ -48,6 +48,13 @@
 //! DRAM window, so memory equality is exercised too (windows are disjoint:
 //! cross-node write ordering is schedule-dependent, but each node's own
 //! stream — and therefore its own write sequence — is deterministic).
+//!
+//! The executors are compared with each other, so a structural error they
+//! all share would pass. The oracle's sink streams are therefore also
+//! decoded through the SLTF reference (`revet_sltf::Decoder`) at the case's
+//! depth, 1 when shallow and 3 when deep: every class that carries barriers
+//! must decode without error and with nothing left pending, and a sink of
+//! the source's own class must hold tensors of the source's shape.
 
 use proptest::prelude::*;
 use revet_machine::instr::{AluOp, EwInstr, Operand};
@@ -58,6 +65,7 @@ use revet_machine::{
     RunStatus, SramId, TTok,
 };
 use revet_obs::ObsSink;
+use revet_sltf::{Decoder, Ragged, Tok, Word};
 
 /// One construction move, decoded from a raw u32.
 #[derive(Clone, Copy, Debug)]
@@ -104,6 +112,17 @@ struct Shape {
     entry_canon: bool,
 }
 
+/// What a structure class's streams decode to (module docs).
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Structure {
+    /// The source's class: tensors of the source's shape.
+    Source,
+    /// A filtered class: tensors at the case's depth, some threads gone.
+    Filtered,
+    /// A stripped class, or one filtered from it: no barriers.
+    Stripped,
+}
+
 /// Bytes reserved per writer node (16 word slots).
 const WINDOW: usize = 64;
 
@@ -137,8 +156,13 @@ fn source_tokens(values: &[u32], deep: bool) -> Vec<TTok> {
 /// Builds the graph described by (`toks`, `moves`, `shape`); every move
 /// whose index is divisible by 3 also writes its stream into a private
 /// DRAM window. Returns the source's output channel (streaming tests feed
-/// it incrementally) and the sink handles (one per remaining open channel).
-fn build(toks: Vec<TTok>, moves: &[u32], shape: Shape) -> (Graph, ChanId, Vec<SinkHandle>) {
+/// it incrementally), the sink handles (one per remaining open channel)
+/// and each sink's structure.
+fn build(
+    toks: Vec<TTok>,
+    moves: &[u32],
+    shape: Shape,
+) -> (Graph, ChanId, Vec<SinkHandle>, Vec<Structure>) {
     let mut g = Graph::new();
     let mut writer_count = 0u32;
     let mut sram_count = 0u32;
@@ -152,9 +176,9 @@ fn build(toks: Vec<TTok>, moves: &[u32], shape: Shape) -> (Graph, ChanId, Vec<Si
     };
     let first = link(&mut g, shape.entry_canon);
     g.add_node("src", SourceNode::new(toks), vec![], vec![first]);
-    // Open channels with their structure class.
-    let mut open = vec![(first, 0u32)];
-    let mut classes = 1u32;
+    // Open channels with their structure class, an index into `classes`.
+    let mut open = vec![(first, 0usize)];
+    let mut classes = vec![Structure::Source];
 
     // Instructions shared by every generated node: an optional DRAM tap
     // writing reg0 into the node's private window at (reg0 & 15)*4.
@@ -271,7 +295,7 @@ fn build(toks: Vec<TTok>, moves: &[u32], shape: Shape) -> (Graph, ChanId, Vec<Si
                 open.push((dst, class));
             }
             Move::Filter { sel, op } => {
-                let (src, _) = open.remove(sel as usize % open.len());
+                let (src, class) = open.remove(sel as usize % open.len());
                 let dst = link(&mut g, canon);
                 // Keeps the threads whose low bits under the mask are zero.
                 let mut instrs = vec![low_bits(1 + op % 3)];
@@ -282,8 +306,11 @@ fn build(toks: Vec<TTok>, moves: &[u32], shape: Shape) -> (Graph, ChanId, Vec<Si
                     vec![src],
                     vec![dst],
                 );
-                open.push((dst, classes));
-                classes += 1;
+                open.push((dst, classes.len()));
+                classes.push(match classes[class] {
+                    Structure::Stripped => Structure::Stripped,
+                    _ => Structure::Filtered,
+                });
             }
             Move::Strip { sel } => {
                 let (src, _) = open.remove(sel as usize % open.len());
@@ -296,8 +323,8 @@ fn build(toks: Vec<TTok>, moves: &[u32], shape: Shape) -> (Graph, ChanId, Vec<Si
                     vec![src],
                     vec![dst],
                 );
-                open.push((dst, classes));
-                classes += 1;
+                open.push((dst, classes.len()));
+                classes.push(Structure::Stripped);
             }
             Move::SramPair { sel } => {
                 if !shape.deep {
@@ -360,16 +387,61 @@ fn build(toks: Vec<TTok>, moves: &[u32], shape: Shape) -> (Graph, ChanId, Vec<Si
     }
 
     let mut handles = Vec::new();
-    for (i, (c, _)) in open.into_iter().enumerate() {
+    let mut structures = Vec::new();
+    for (i, (c, class)) in open.into_iter().enumerate() {
         let (sink, h) = SinkNode::new();
         g.add_node(format!("sink{i}"), sink, vec![c], vec![]);
         handles.push(h);
+        structures.push(classes[class]);
     }
     g.mem = MemoryState::with_dram_size(WINDOW * (writer_count as usize + 1));
     for r in 0..sram_count {
         g.mem.add_sram(format!("pair{r}"), SRAM_WORDS);
     }
-    (g, first, handles)
+    (g, first, handles, structures)
+}
+
+/// The tensors a single-word stream decodes to at `dims`, every word
+/// zeroed (their shape); an error for a `DecodeError` or a tensor left
+/// pending at the end.
+fn shapes(toks: &[TTok], dims: u8) -> Result<Vec<Ragged>, String> {
+    let mut decoder = Decoder::new(dims);
+    let mut tensors = Vec::new();
+    for tok in toks {
+        let tok = match tok {
+            Tok::Data(_) => Tok::Data(Word(0)),
+            Tok::Barrier(level) => Tok::Barrier(*level),
+        };
+        tensors.extend(decoder.push(tok).map_err(|e| e.to_string())?);
+    }
+    if decoder.has_pending() {
+        return Err("the stream ends inside a tensor".to_string());
+    }
+    Ok(tensors)
+}
+
+/// Decodes every sink stream whose class carries barriers at the case's
+/// depth (module docs); a sink of the source's class must come out in the
+/// source's shape.
+fn check_structure(
+    source: &[TTok],
+    sinks: &[Vec<TTok>],
+    structures: &[Structure],
+    deep: bool,
+) -> Result<(), TestCaseError> {
+    let dims = if deep { 3 } else { 1 };
+    let want = shapes(source, dims).map_err(TestCaseError::fail)?;
+    for (i, (toks, structure)) in sinks.iter().zip(structures).enumerate() {
+        if *structure == Structure::Stripped {
+            continue;
+        }
+        let got = shapes(toks, dims)
+            .map_err(|e| TestCaseError::fail(format!("sink{i} ({structure:?}): {e}")))?;
+        if *structure == Structure::Source {
+            prop_assert_eq!(&got, &want, "sink{} is not in the source's shape", i);
+        }
+    }
+    Ok(())
 }
 
 fn snapshot(handles: &[SinkHandle]) -> Vec<Vec<TTok>> {
@@ -427,15 +499,16 @@ proptest! {
     ) {
         let shape = Shape { deep, entry_canon };
         let toks = source_tokens(&values, deep);
-        let (mut dense_g, _, dense_h) = build(toks.clone(), &moves, shape);
+        let (mut dense_g, _, dense_h, structures) = build(toks.clone(), &moves, shape);
         let dense: ExecReport = run_dense(&mut dense_g, 100_000).unwrap();
-        let (mut plan_g, _, plan_h) = build(toks.clone(), &moves, shape);
+        check_structure(&toks, &snapshot(&dense_h), &structures, deep)?;
+        let (mut plan_g, _, plan_h, _) = build(toks.clone(), &moves, shape);
         let (planned, _) = run(&mut plan_g, None, ObsSink::noop());
 
         // The same run on an instance whose channel table an earlier one
         // ran on and returned (debug builds poison its slots): a read of a
         // slot no push of this run wrote would differ from the oracle.
-        let (template, _, _) = build(toks, &moves, shape);
+        let (template, _, _, _) = build(toks, &moves, shape);
         run(&mut template.fresh_instance(), None, ObsSink::noop());
         let mut recycled = template.fresh_instance();
         run(&mut recycled, None, ObsSink::noop());
@@ -491,16 +564,18 @@ proptest! {
         bounds.sort_unstable();
         bounds.dedup();
 
-        let (mut oracle_g, _, oracle_h) = build(toks.clone(), &moves, shape);
+        let (mut oracle_g, _, oracle_h, structures) = build(toks.clone(), &moves, shape);
         run_dense(&mut oracle_g, 100_000).unwrap();
+        check_structure(&toks, &snapshot(&oracle_h), &structures, deep)?;
         let (chunk_mem, chunk_sinks) = if deep {
-            let (mut g, entry, handles) = build(Vec::new(), &moves, shape);
+            let (mut g, entry, handles, _) = build(Vec::new(), &moves, shape);
             for w in bounds.windows(2) {
                 for tok in &toks[w[0]..w[1]] {
                     g.chan_mut(entry).push(tok.clone());
                 }
                 run_dense(&mut g, 100_000).unwrap();
             }
+            check_structure(&toks, &snapshot(&handles), &structures, deep)?;
             (g.mem, snapshot(&handles))
         } else {
             (oracle_g.mem.clone(), snapshot(&oracle_h))
@@ -512,7 +587,7 @@ proptest! {
                 let enabled = ObsSink::counters_only();
                 let obs = if observed { &enabled } else { ObsSink::noop() };
                 let initial = if chunked { Vec::new() } else { toks.clone() };
-                let (mut g, entry, handles) = build(initial, &moves, shape);
+                let (mut g, entry, handles, _) = build(initial, &moves, shape);
                 let mut steps = 0;
                 if chunked {
                     let mut resume = ResumeState::new();
