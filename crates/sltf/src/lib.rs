@@ -11,9 +11,12 @@
 //!
 //! - [`Word`]: the 32-bit lane payload, with sub-word views,
 //! - [`Token`]/[`Tok`]: data-or-barrier stream tokens and [`BarrierLevel`],
-//! - [`Ragged`]: ragged k-D tensors with canonical/explicit SLTF encodings
-//!   and an incremental [`Decoder`],
-//! - [`Stream`]: whole-stream utilities (link-cycle accounting, round-trips).
+//! - [`Ragged`]: ragged k-D tensors with canonical/explicit SLTF encodings,
+//!   [`canonicalize`] and an incremental [`Decoder`].
+//!
+//! The machine never calls the [`Ragged`] half: it queues tokens and
+//! canonicalises barriers itself (`revet_machine::Channel`). The reference
+//! codec is the oracle its tests check the machine's streams against.
 //!
 //! ## Example
 //!
@@ -21,23 +24,21 @@
 //! `0 1 Ω1 2 Ω2` — the trailing Ω1 is implied by Ω2 following data.
 //!
 //! ```
-//! use revet_sltf::{data, omega, Ragged, Stream};
+//! use revet_sltf::{data, omega, Ragged};
 //!
 //! let tensor = Ragged::node([Ragged::leaf([0u32, 1]), Ragged::leaf([2u32])]);
-//! let stream = Stream::from_ragged(&tensor, 2);
-//! assert_eq!(stream.tokens(), &[data(0u32), data(1u32), omega(1), data(2u32), omega(2)]);
-//! assert_eq!(stream.to_ragged(2).unwrap(), tensor);
+//! let tokens = tensor.encode_canonical(2);
+//! assert_eq!(tokens, [data(0u32), data(1u32), omega(1), data(2u32), omega(2)]);
+//! assert_eq!(Ragged::decode(&tokens, 2).unwrap(), tensor);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod ragged;
-mod stream;
 mod token;
 mod word;
 
 pub use ragged::{canonicalize, DecodeError, Decoder, Ragged};
-pub use stream::Stream;
 pub use token::{data, omega, BarrierLevel, Tok, Token, MAX_BARRIER_LEVEL};
 pub use word::Word;

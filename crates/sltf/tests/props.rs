@@ -1,7 +1,7 @@
 //! Property-based tests for SLTF encoding invariants.
 
 use proptest::prelude::*;
-use revet_sltf::{canonicalize, Ragged, Stream, Token, Word};
+use revet_sltf::{canonicalize, Ragged, Token, Word};
 
 /// Strategy producing ragged tensors of exactly `dims` dimensions.
 fn ragged(dims: u8) -> BoxedStrategy<Ragged> {
@@ -60,27 +60,18 @@ proptest! {
     /// the explicit form.
     #[test]
     fn data_preserved_in_order(t in ragged(3)) {
-        let s = Stream::from_ragged(&t, 3);
-        prop_assert_eq!(s.data_words(), t.flatten_elements());
-        prop_assert!(s.barrier_len() <= t.encode_explicit(3).iter().filter(|x| x.is_barrier()).count());
-    }
-
-    /// A vector link never needs more cycles than a scalar link, and both
-    /// need at least one cycle per barrier.
-    #[test]
-    fn link_cycles_monotone(t in ragged(2)) {
-        let s = Stream::from_ragged(&t, 2);
-        let vec_cycles = s.link_cycles(16);
-        let scal_cycles = s.link_cycles(1);
-        prop_assert!(vec_cycles <= scal_cycles);
-        prop_assert!(vec_cycles >= s.barrier_len() as u64);
+        let enc = t.encode_canonical(3);
+        let words: Vec<Word> = enc.iter().filter_map(|x| x.data().copied()).collect();
+        prop_assert_eq!(words, t.flatten_elements());
+        let barriers = |toks: &[Token]| toks.iter().filter(|x| x.is_barrier()).count();
+        prop_assert!(barriers(&enc) <= barriers(&t.encode_explicit(3)));
     }
 
     /// Sequences of tensors on one link decode back to the same sequence.
     #[test]
     fn sequence_roundtrip(ts in prop::collection::vec(ragged(2), 0..5)) {
-        let s = Stream::from_ragged_sequence(ts.iter(), 2);
-        prop_assert_eq!(s.to_ragged_sequence(2).unwrap(), ts);
+        let enc: Vec<Token> = ts.iter().flat_map(|t| t.encode_canonical(2)).collect();
+        prop_assert_eq!(Ragged::decode_sequence(&enc, 2).unwrap(), ts);
     }
 }
 
