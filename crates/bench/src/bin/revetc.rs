@@ -52,6 +52,7 @@ use revet_core::passes::build_pipeline;
 use revet_core::report::ResourceReport;
 use revet_core::{PassOptions, Session};
 use revet_obs::ObsSink;
+use revet_sim::RdaConfig;
 use revet_sltf::Word;
 use std::io::IsTerminal;
 use std::process::ExitCode;
@@ -296,7 +297,9 @@ fn main() -> ExitCode {
         Emit::Report => session
             .to_dataflow()
             .map(|p| {
-                println!("{}", ResourceReport::for_program(&file, &p).summary());
+                let resources = ResourceReport::for_program(&file, &p);
+                let fits = RdaConfig::default().fits(resources.total);
+                println!("{} fits={fits}", resources.summary());
                 if let Some(report) = session.pass_report() {
                     println!("{}", report.summary());
                 }

@@ -149,6 +149,7 @@ fn table3(runs: &[AppRuns]) -> String {
 /// Table IV: resources used by Revet applications, with HBM2 utilization
 /// from the real timed run.
 fn table4(runs: &[AppRuns]) -> String {
+    let machine = RdaConfig::default();
     let mut s = String::from(
         "app          outer lanes | inner CU/MU/AG | outer CU/MU/AG | repl CU/MU | dlk buf rtm | total CU/MU/AG | HBM2 r/w/tot % | links s/v | fits\n",
     );
@@ -179,7 +180,7 @@ fn table4(runs: &[AppRuns]) -> String {
             100.0 * (read + write),
             rep.links.0,
             rep.links.1,
-            rep.fits,
+            machine.fits(rep.total),
         ));
     }
     s

@@ -41,7 +41,6 @@ mod fingerprint;
 mod instance;
 mod lower;
 pub mod passes;
-mod place;
 pub mod report;
 mod session;
 mod stream;
@@ -49,7 +48,6 @@ mod stream;
 pub use fingerprint::ProgramId;
 pub use instance::{ProgramInstance, StreamExecutor};
 pub use lower::{lower_to_dataflow, Category, CompiledProgram, ContextInfo, LinkInfo};
-pub use place::{place, Placement};
 pub use session::{Session, Stage};
 pub use stream::{StreamInstance, StreamOutcome};
 

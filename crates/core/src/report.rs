@@ -1,7 +1,6 @@
 //! Resource reports in the shape of the paper's Table IV.
 
 use crate::lower::{Category, CompiledProgram};
-use crate::place;
 use revet_machine::{LinkClass, UnitClass};
 
 /// Per-category unit counts for one compiled program (Table IV row).
@@ -29,8 +28,6 @@ pub struct ResourceReport {
     pub total: (usize, usize, usize),
     /// Scalar/vector link counts (physical links = Σ arity).
     pub links: (usize, usize),
-    /// Whether the program fits the Table II machine.
-    pub fits: bool,
 }
 
 impl ResourceReport {
@@ -81,15 +78,14 @@ impl ResourceReport {
         }
         // Lanes: 16 per inner vector pipeline per replicate way.
         r.lanes = 16 * r.outer.max(1);
-        let placement = place(program);
-        r.fits = placement.fits;
         r
     }
 
-    /// A compact single-line summary.
+    /// A compact single-line summary. Whether [`ResourceReport::total`]
+    /// fits a machine is the machine's to say (`revet_sim::RdaConfig::fits`).
     pub fn summary(&self) -> String {
         format!(
-            "{:<12} outer={:<3} lanes={:<5} CU={:<4} MU={:<4} AG={:<3} (repl CU {} / buf {} / retime {} / deadlock {}) links s/v={}/{} fits={}",
+            "{:<12} outer={:<3} lanes={:<5} CU={:<4} MU={:<4} AG={:<3} (repl CU {} / buf {} / retime {} / deadlock {}) links s/v={}/{}",
             self.name,
             self.outer,
             self.lanes,
@@ -102,7 +98,6 @@ impl ResourceReport {
             self.deadlock_mu,
             self.links.0,
             self.links.1,
-            self.fits,
         )
     }
 }

@@ -358,10 +358,6 @@ fn resource_report_sanity() {
     assert!(report.replicate.0 > 0, "replicate dist/merge CUs counted");
     assert!(report.deadlock_mu > 0, "while-loop deadlock buffer counted");
     assert_eq!(report.outer, 2, "outer parallelism = replicate ways");
-    assert!(report.fits, "small program fits the Table II machine");
-    let place = revet_core::place(&program);
-    assert!(place.fits);
-    assert!(place.mean_hops > 0.0);
 }
 
 #[test]

@@ -60,6 +60,14 @@ impl Default for RdaConfig {
 }
 
 impl RdaConfig {
+    /// Whether a program using `total` CUs, MUs and AGs (Table IV's total
+    /// column, `revet_core::report::ResourceReport::total`) fits the
+    /// machine's units.
+    pub fn fits(&self, total: (usize, usize, usize)) -> bool {
+        let (cu, mu, ag) = total;
+        cu <= self.compute_units && mu <= self.memory_units && ag <= self.address_generators
+    }
+
     /// DRAM bytes deliverable per machine cycle.
     pub fn dram_bytes_per_cycle(&self) -> f64 {
         self.dram_gbps / self.clock_ghz
@@ -149,6 +157,16 @@ mod tests {
         assert!((c.dram_bytes_per_cycle() - 562.5).abs() < 1e-9);
         assert!((c.area_ratio_vs_gpu() - 4.31).abs() < 0.02);
         assert!(c.table2().contains("HBM2"));
+    }
+
+    #[test]
+    fn fits_is_each_unit_budget() {
+        let c = RdaConfig::default();
+        assert!(c.fits((200, 200, 80)));
+        assert!(c.fits((0, 0, 0)));
+        assert!(!c.fits((201, 200, 80)), "one CU over");
+        assert!(!c.fits((200, 201, 80)), "one MU over");
+        assert!(!c.fits((200, 200, 81)), "one AG over");
     }
 
     #[test]
