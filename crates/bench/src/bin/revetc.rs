@@ -21,8 +21,8 @@
 //! - `dataflow` — the placed dataflow graph's contexts and links
 //! - `report` — the Table IV-style resource report plus the per-pass
 //!   timing/op-delta table (default)
-//! - `paper` — the paper's whole evaluation (`revet_bench::paper`: Tables
-//!   II–V, Figs. 12–14, the Aurochs comparison) with the timed runs at
+//! - `paper` — the paper's evaluation (`revet_bench::paper`: Tables
+//!   II–V, Figs. 12–14) with the timed runs at
 //!   `--scale` records per app; it takes no FILE or `--app`, and at the
 //!   default scale (16) it prints `tests/golden/paper_tables.txt`
 //!

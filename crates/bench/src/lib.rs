@@ -1,11 +1,12 @@
 //! # revet-bench — the paper's evaluation as one report
 //!
-//! [`paper`] runs every experiment of the paper's evaluation and prints it in
-//! a fixed order: Tables II–V, Figs. 12–14, then the §VI-B c Aurochs
-//! comparison. `revetc --emit paper [--scale N]` prints it, and
-//! `tests/paper_tables.rs` pins it at scale 16 against
+//! [`paper`] runs the paper's evaluation and prints it in a fixed order:
+//! Tables II–V, then Figs. 12–14. `revetc --emit paper [--scale N]` prints
+//! it, and `tests/paper_tables.rs` pins it at scale 16 against
 //! `tests/golden/paper_tables.txt`. Each table prints the integers its ratios
 //! come from, so a change that moves a paper number is a row diff there.
+//! The §VI-B c Aurochs comparison is not in it: the simulator has no Aurochs
+//! machine to time, and a ratio of assumed factors is not a measurement.
 //!
 //! Each Table III app is compiled at -O2 (pinned, so `REVET_OPT_LEVEL`
 //! cannot move the report) and timed once per Table V preset; every section
@@ -23,7 +24,7 @@ use revet_apps::{all_apps, App, Workload};
 use revet_baselines::{traits_for, CpuModel, GpuModel};
 use revet_core::report::ResourceReport;
 use revet_core::PassOptions;
-use revet_sim::{AurochsMode, IdealModels, RdaConfig, SimStats, Simulator};
+use revet_sim::{IdealModels, RdaConfig, SimStats, Simulator};
 use revet_sltf::Word;
 
 /// Replicate width every app is compiled at.
@@ -35,9 +36,8 @@ const MAX_CYCLES: u64 = 2_000_000_000;
 /// Input counts of the Fig. 14 sweep.
 const FIG14_INPUTS: [usize; 7] = [1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000];
 
-/// The paper's whole evaluation as one report: Tables II–V, Figs. 12–14
-/// and the §VI-B c Aurochs comparison, in that order, with the timed runs
-/// at `scale` records per app. The output is deterministic; at scale 16 it
+/// The paper's evaluation as one report: Tables II–V and Figs. 12–14, in
+/// that order, with the timed runs at `scale` records per app. The output is deterministic; at scale 16 it
 /// is pinned by `tests/golden/paper_tables.txt`.
 ///
 /// # Panics
@@ -78,10 +78,6 @@ pub fn paper(scale: usize) -> String {
         (
             "Figure 14: per-region load vs inputs".to_string(),
             fig14_table(&fig14(&FIG14_INPUTS)),
-        ),
-        (
-            format!("Aurochs comparison (scale={scale})"),
-            aurochs(&runs),
         ),
     ];
     sections
@@ -448,29 +444,6 @@ fn fig14_table(points: &[Fig14Point]) -> String {
         ));
     }
     s
-}
-
-/// §VI-B c: the Aurochs comparison on kD-tree's real timed run.
-fn aurochs(runs: &[AppRuns]) -> String {
-    let kdtree = revet_apps::kdtree_app().name;
-    let r = runs
-        .iter()
-        .find(|r| r.app.name == kdtree)
-        .expect("kD-tree is a Table III app");
-    let (stats, w) = (&r.stats[0], &r.workload);
-    let mode = AurochsMode::default();
-    // Loop completions ≈ nodes visited per query × queries.
-    let slowdown = revet_sim::aurochs_slowdown(&mode, stats, 5, w.threads * 24);
-    let revet_gbps = stats.throughput_gbps(w.app_bytes);
-    format!(
-        "kD-tree: Revet {:.3} GB/s; Aurochs model {:.3} GB/s; Revet is {:.1}x faster\n\
-         (paper reports >11x; drivers: {} live values through the pipeline,\n\
-         serialized per-node comparisons, timeout-based loop synchronization)\n",
-        revet_gbps,
-        revet_gbps / slowdown,
-        slowdown,
-        mode.carried_live_values,
-    )
 }
 
 #[cfg(test)]

@@ -29,17 +29,14 @@
 //!
 //! Identical DRAM results as the untimed run are asserted by the test suite;
 //! only *when* things happen differs. Ideal-model toggles ([`IdealModels`])
-//! reproduce Table V's D / SN / SND columns, and [`AurochsMode`] models the
-//! §VI-B c comparison (no thread-local SRAM: live values ride the pipeline;
-//! value duplication on fork; timeout-based loop synchronization overhead).
+//! reproduce Table V's D / SN / SND columns, and [`RdaConfig::fits`] is
+//! Table IV's verdict on whether a program's units fit the machine.
 
 #![warn(missing_docs)]
 
-mod aurochs;
 mod config;
 mod stats;
 
-pub use aurochs::{aurochs_slowdown, AurochsMode};
 pub use config::{IdealModels, RdaConfig};
 pub use stats::SimStats;
 
