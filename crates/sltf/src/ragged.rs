@@ -79,48 +79,12 @@ impl Ragged {
         Ragged::Node(children.into_iter().collect())
     }
 
-    /// An empty tensor of `dims` dimensions (`dims >= 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dims == 0`.
-    pub fn empty(dims: u8) -> Self {
-        assert!(dims >= 1, "a tensor has at least one dimension");
-        if dims == 1 {
-            Ragged::Leaf(Vec::new())
-        } else {
-            Ragged::Node(Vec::new())
-        }
-    }
-
-    /// The dimensionality of this tensor (leaves are 1-D). For `Node`s the
-    /// depth follows the first child, or 2 for an empty node.
-    pub fn dims(&self) -> u8 {
-        match self {
-            Ragged::Leaf(_) => 1,
-            Ragged::Node(children) => children.first().map_or(1, Ragged::dims) + 1,
-        }
-    }
-
     /// Total number of data elements in the tensor.
     pub fn element_count(&self) -> usize {
         match self {
             Ragged::Leaf(ws) => ws.len(),
             Ragged::Node(children) => children.iter().map(Ragged::element_count).sum(),
         }
-    }
-
-    /// The number of immediate children (outermost-dimension length).
-    pub fn len(&self) -> usize {
-        match self {
-            Ragged::Leaf(ws) => ws.len(),
-            Ragged::Node(children) => children.len(),
-        }
-    }
-
-    /// True if the outermost dimension is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Flat list of all data elements in stream order.
@@ -204,9 +168,8 @@ impl Ragged {
     pub fn decode(tokens: &[Token], dims: u8) -> Result<Ragged, DecodeError> {
         let mut decoder = Decoder::new(dims);
         let mut result = None;
-        for (i, tok) in tokens.iter().enumerate() {
+        for tok in tokens {
             if result.is_some() {
-                let _ = i;
                 return Err(DecodeError::TrailingTokens);
             }
             if let Some(t) = decoder.push(*tok)? {
@@ -268,7 +231,7 @@ impl fmt::Display for Ragged {
 /// Removes barriers implied by canonical form: an Ωj immediately followed by
 /// an Ωk with `k > j` is dropped when the token before the Ωj is data.
 ///
-/// This is the normative canonicalization rule from DESIGN.md §5; removing a
+/// This is §III-A's rule ("Ω2 implies an Ω1 after element 2"); removing a
 /// barrier after another barrier would merge distinct empty sub-tensors, so
 /// only data-preceded barriers are removable.
 pub fn canonicalize(tokens: Vec<Token>) -> Vec<Token> {
