@@ -1,7 +1,7 @@
 //! Deterministic synthetic workload generators.
 //!
 //! The paper's `search` benchmark scans *Moby Dick*; we substitute a seeded
-//! Markov-style English-like text generator (DESIGN.md §4) — Horspool skip
+//! Markov-style English-like text generator — Horspool skip
 //! behaviour depends only on alphabet statistics and match density, which
 //! the generator controls.
 

@@ -87,7 +87,7 @@ pub fn murmur3_32_words(words: &[u32]) -> u32 {
 }
 
 /// Number of slots in the simulated hash table (the paper uses 10⁸ at 25%
-/// load; we scale down preserving the load factor — DESIGN.md §4).
+/// load; we scale down preserving the load factor).
 pub const HT_SLOTS: u32 = 1 << 14;
 
 /// hash-table — open-addressing lookup with linear probing (Table III:

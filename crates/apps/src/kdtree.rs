@@ -5,7 +5,7 @@
 //! leaf points inside its rectangle with a vectorized `foreach` reduction —
 //! the Fig. 11 pattern of folding many comparisons into lanes. (The paper's
 //! fork-per-child expansion is replaced by the stack; the fork construct is
-//! exercised by the hierarchy-elimination path instead — see DESIGN.md.)
+//! exercised by the hierarchy-elimination path instead, §V-A and Fig. 9.)
 
 use crate::{gen, App, Workload};
 use rand::Rng;

@@ -179,8 +179,8 @@ fn oracle_ip2int(s: &[u8]) -> u32 {
 
 /// search — exact-match search with Horspool bad-character skips over
 /// 256-byte chunks of synthetic English-like text (Table III: find
-/// 'Moby Dick' in chunks of *Moby Dick*; see DESIGN.md §4 for the text
-/// substitution). The doubly nested data-dependent `while` is the §VI-B b
+/// 'Moby Dick' in chunks of *Moby Dick*; the `gen` module's docs give the
+/// text substitution). The doubly nested data-dependent `while` is the §VI-B b
 /// headline.
 pub fn search_app() -> App {
     App {

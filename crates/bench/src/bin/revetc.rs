@@ -18,9 +18,11 @@
 //!   passes), in `revet_mir::print` textual form
 //! - `mir-after=<pass>` — the MIR snapshot right after the named pipeline
 //!   pass (e.g. `mir-after=lower_views`, `mir-after=cse`)
-//! - `dataflow` — the placed dataflow graph's contexts and links
-//! - `report` — the Table IV-style resource report plus the per-pass
-//!   timing/op-delta table (default)
+//! - `dataflow` — the dataflow graph's contexts (with their unit class)
+//!   and links
+//! - `report` — the Table IV-style resource report, with whether it fits
+//!   the Table II machine (`fits=`), plus the per-pass timing/op-delta
+//!   table (default)
 //! - `paper` — the paper's evaluation (`revet_bench::paper`: Tables
 //!   II–V, Figs. 12–14) with the timed runs at
 //!   `--scale` records per app; it takes no FILE or `--app`, and at the

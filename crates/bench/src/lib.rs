@@ -37,8 +37,9 @@ const MAX_CYCLES: u64 = 2_000_000_000;
 const FIG14_INPUTS: [usize; 7] = [1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000];
 
 /// The paper's evaluation as one report: Tables II–V and Figs. 12–14, in
-/// that order, with the timed runs at `scale` records per app. The output is deterministic; at scale 16 it
-/// is pinned by `tests/golden/paper_tables.txt`.
+/// that order, with the timed runs at `scale` records per app. The output
+/// is deterministic; at scale 16 it is pinned by
+/// `tests/golden/paper_tables.txt`.
 ///
 /// # Panics
 ///

@@ -1,6 +1,6 @@
 //! # revet-core — the Revet compiler
 //!
-//! Lowers threaded imperative Revet programs to placed, executable vRDA
+//! Lowers threaded imperative Revet programs to executable vRDA
 //! dataflow (the paper's primary contribution, §V, Fig. 8):
 //!
 //! 1. **Front end** (`revet-lang`): parse → typed MIR.
@@ -13,8 +13,9 @@
 //! 4. **CFG→dataflow** (§V-C): structured regions → streaming contexts over
 //!    the §III-B primitives, replicate distribution/merge networks.
 //! 5. **Dataflow optimization** (§V-D): vector/scalar link assignment,
-//!    context splitting to the Table II machine shape, retiming/deadlock
-//!    buffer insertion, and placement onto the unit grid.
+//!    context splitting to the Table II machine shape, and retiming/deadlock
+//!    buffer insertion. Each context records the unit class it needs, and
+//!    [`report::ResourceReport`] sums them into Table IV's rows.
 //!
 //! ```
 //! use revet_core::{PassOptions, Session};

@@ -25,7 +25,7 @@
 //!
 //! **Emission order is part of the output.** Node ids, channel ids and
 //! label numbers are three running counters, and every executor report,
-//! placement and ledger count is keyed by them. A primitive therefore
+//! stall report and ledger count is keyed by them. A primitive therefore
 //! always creates its output channels (in port order), then takes its
 //! label, then adds its node and its [`ContextInfo`]; and a construct emits
 //! its primitives in pipeline order. `apps/tests/dataflow_golden.rs` pins
@@ -240,7 +240,7 @@ impl Laps {
     }
 }
 
-/// Lowers `main` of a fully-lowered (physical-ops-only) module to a placed,
+/// Lowers `main` of a fully-lowered (physical-ops-only) module to an
 /// executable dataflow graph. The module moves into the returned program.
 ///
 /// # Errors

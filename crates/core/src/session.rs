@@ -197,8 +197,8 @@ impl Session {
         Ok(self.mir.as_ref().expect("optimized"))
     }
 
-    /// Stage 4: CFG→dataflow conversion, link assignment, context
-    /// splitting, and placement. DRAM symbols are laid out back-to-back in
+    /// Stage 4: CFG→dataflow conversion, link assignment, and context
+    /// splitting. DRAM symbols are laid out back-to-back in
     /// equal slices of `opts.dram_bytes`, which must not exceed the 32-bit
     /// DRAM address space ([`MAX_DRAM_BYTES`]).
     ///

@@ -76,7 +76,7 @@ pub mod codes {
     pub const SEM_GENERAL: &str = "E0205";
     /// MIR structural verification failed (a compiler bug surfaced).
     pub const MIR_VERIFY: &str = "E0301";
-    /// CFG→dataflow lowering / placement failure.
+    /// CFG→dataflow lowering failure.
     pub const DATAFLOW_LOWER: &str = "E0401";
 
     /// One-line description of a code, for `revetc --explain`-style use.
@@ -96,7 +96,7 @@ pub mod codes {
             SEM_BAD_YIELD_RETURN => "misplaced or mistyped yield/return",
             SEM_GENERAL => "front-end semantic failure",
             MIR_VERIFY => "MIR structural verification failed",
-            DATAFLOW_LOWER => "CFG-to-dataflow lowering or placement failure",
+            DATAFLOW_LOWER => "CFG-to-dataflow lowering failure",
             _ => return None,
         })
     }

@@ -8,7 +8,7 @@
 //! - [`machine`] — streaming primitives and the abstract dataflow machine
 //! - [`mir`] — the SSA mid-level IR the compiler operates on
 //! - [`lang`] — the Revet language front-end
-//! - [`compiler`] — passes, CFG→dataflow lowering, splitting, placement
+//! - [`compiler`] — passes, CFG→dataflow lowering, splitting, resource reports
 //! - [`runtime`] — parallel batch execution of compiled program instances
 //! - [`serve`] — the compile-and-execute service (wire protocol, program
 //!   cache, admission queue)
