@@ -23,8 +23,7 @@
 //!     └────┬─────┘       └────┬─────┘
 //!          └────────┬─────────┘
 //!                   ▼
-//!            BatchReport (per-instance results, merged ExecReport,
-//!                         instances/sec)
+//!            BatchReport (per-instance results, merged ExecReport)
 //! ```
 //!
 //! Workers pull job indices from one shared [`AtomicUsize`] cursor —
@@ -141,43 +140,9 @@ pub struct InstanceResult {
     /// The instance's final memory state (DRAM outputs live here).
     pub mem: MemoryState,
     /// Wall-clock time for this instance alone (instantiate + run +
-    /// harvest, measured on the worker that ran it). Feeds the batch
-    /// latency percentiles a serving layer reports.
+    /// harvest, measured on the worker that ran it). A serving layer
+    /// reports it per instance.
     pub wall: Duration,
-}
-
-/// Batch latency distribution over *successful* instances, nearest-rank
-/// percentiles of per-instance wall-clock ([`InstanceResult::wall`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LatencyPercentiles {
-    /// Median instance latency.
-    pub p50: Duration,
-    /// 95th-percentile instance latency.
-    pub p95: Duration,
-    /// 99th-percentile instance latency.
-    pub p99: Duration,
-}
-
-impl LatencyPercentiles {
-    /// Nearest-rank p50/p95/p99 over `samples`, which are sorted in
-    /// place; `None` for an empty sample. Shared by
-    /// [`BatchReport::latency_percentiles`] and the serving-layer load
-    /// generator (client-side request latencies).
-    pub fn from_samples(samples: &mut [Duration]) -> Option<LatencyPercentiles> {
-        if samples.is_empty() {
-            return None;
-        }
-        samples.sort_unstable();
-        // Nearest-rank: the smallest sample ≥ p percent of the
-        // distribution (p100 would be the max).
-        let n = samples.len();
-        let rank = |p: f64| samples[((p / 100.0 * n as f64).ceil() as usize).clamp(1, n) - 1];
-        Some(LatencyPercentiles {
-            p50: rank(50.0),
-            p95: rank(95.0),
-            p99: rank(99.0),
-        })
-    }
 }
 
 /// Aggregated outcome of one [`BatchRunner::run`] call.
@@ -186,8 +151,6 @@ pub struct BatchReport {
     /// Per-job outcomes, in job order (independent of which worker ran
     /// what, or in what order).
     pub results: Vec<Result<InstanceResult, MachineError>>,
-    /// Wall-clock time for the whole batch.
-    pub elapsed: Duration,
     /// Worker threads actually used (capped at the job count).
     pub threads: usize,
 }
@@ -210,30 +173,6 @@ impl BatchReport {
             total.merge(&r.report);
         }
         total
-    }
-
-    /// Completed instances per wall-clock second — the batch throughput
-    /// metric. `0.0` for a batch with no successful instances (including
-    /// the empty batch).
-    pub fn instances_per_sec(&self) -> f64 {
-        let ok = self.ok_count();
-        let secs = self.elapsed.as_secs_f64();
-        if ok == 0 {
-            0.0
-        } else if secs == 0.0 {
-            f64::INFINITY
-        } else {
-            ok as f64 / secs
-        }
-    }
-
-    /// p50/p95/p99 of per-instance wall-clock over successful instances,
-    /// or `None` when no instance succeeded. Complements
-    /// [`BatchReport::instances_per_sec`]: throughput says how fast the
-    /// batch drained, percentiles say what any one instance paid.
-    pub fn latency_percentiles(&self) -> Option<LatencyPercentiles> {
-        let mut walls: Vec<Duration> = self.results.iter().flatten().map(|r| r.wall).collect();
-        LatencyPercentiles::from_samples(&mut walls)
     }
 }
 
@@ -276,8 +215,7 @@ impl BatchRunner {
     /// pool, and aggregates the outcomes in job order.
     ///
     /// `run(&[])` is well-defined: it spawns nothing and returns an empty
-    /// report — no results, `threads == 0`, `ok_count() == 0`,
-    /// `instances_per_sec() == 0.0`, `latency_percentiles() == None`.
+    /// report — no results, `threads == 0`, `ok_count() == 0`.
     /// Admission queues may hand a drained runner an empty batch; that
     /// must be a no-op, not an edge case.
     pub fn run(&self, jobs: &[BatchJob<'_>]) -> BatchReport {
@@ -291,11 +229,9 @@ impl BatchRunner {
     /// pool joins, so counters and stall tables aggregate exactly as a
     /// single-threaded run over the same jobs would.
     pub fn run_obs(&self, jobs: &[BatchJob<'_>], obs: &ObsSink) -> BatchReport {
-        let start = Instant::now();
         if jobs.is_empty() {
             return BatchReport {
                 results: Vec::new(),
-                elapsed: start.elapsed(),
                 threads: 0,
             };
         }
@@ -340,7 +276,6 @@ impl BatchRunner {
                 .into_iter()
                 .map(|s| s.expect("every job index was claimed exactly once"))
                 .collect(),
-            elapsed: start.elapsed(),
             threads: workers,
         }
     }
@@ -421,7 +356,6 @@ mod tests {
         }
         let total = report.total();
         assert!(total.productive_steps > 0);
-        assert!(report.instances_per_sec() > 0.0);
     }
 
     #[test]
@@ -448,33 +382,7 @@ mod tests {
         assert_eq!(report.threads, 0);
         assert_eq!(report.ok_count(), 0);
         assert!(report.first_error().is_none());
-        assert_eq!(report.instances_per_sec(), 0.0);
-        assert_eq!(report.latency_percentiles(), None);
         assert_eq!(report.total(), ExecReport::default());
-    }
-
-    #[test]
-    fn latency_percentiles_cover_successes() {
-        let program = squares_program();
-        let argsets: Vec<Vec<Word>> = (1..=9).map(|n| vec![Word(n)]).collect();
-        let report = BatchRunner::new(2).run_same(&program, &argsets);
-        assert_eq!(report.ok_count(), 9);
-        let lat = report.latency_percentiles().expect("9 successes");
-        assert!(lat.p50 <= lat.p95 && lat.p95 <= lat.p99);
-        let max_wall = report
-            .results
-            .iter()
-            .flatten()
-            .map(|r| r.wall)
-            .max()
-            .unwrap();
-        assert_eq!(lat.p99, max_wall, "p99 of 9 samples is the max");
-        // A failed batch has no distribution to report.
-        let failed = BatchRunner::new(1)
-            .with_max_rounds(0)
-            .run_same(&program, &argsets[..2]);
-        assert_eq!(failed.ok_count(), 0);
-        assert_eq!(failed.latency_percentiles(), None);
     }
 
     #[test]

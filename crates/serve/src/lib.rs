@@ -16,12 +16,13 @@
 //!   [`revet_core::ProgramId`] (hash of source + pass options), with
 //!   single-flight compilation dedup, LRU eviction, and hit/miss/eviction
 //!   counters;
-//! - [`Server`] — an admission queue with backpressure sharding accepted
-//!   execute jobs across a `revet-runtime` batch pool, a bounded session
-//!   table keeping streaming instances resident between feeds (with an
-//!   idle sweeper evicting stale ones), plus graceful shutdown that
-//!   drains in-flight work and resident sessions. A connection is
-//!   decode → `respond` → one send: no request handler touches the
+//! - [`Server`] — an acceptor and one thread per connection, on which
+//!   every request runs: an admission gate with backpressure bounds the
+//!   execute jobs running a `revet-runtime` batch pool at once, a bounded
+//!   session table keeps streaming instances resident between feeds
+//!   (evicting idle ones whenever it is next used), and graceful
+//!   shutdown drains in-flight work and resident sessions. A connection
+//!   is decode → `respond` → one send: no request handler touches the
 //!   socket;
 //! - [`ServeClient`] — a blocking client (used by the integration tests
 //!   and by the `perf_ledger` benchmark's serve workloads).
@@ -75,4 +76,4 @@ mod session;
 
 pub use cache::{CacheStats, ProgramCache};
 pub use client::{ClientError, CompileOutcome, ServeClient};
-pub use server::{ServeConfig, Server, ServerStats};
+pub use server::{ServeConfig, Server};

@@ -722,9 +722,10 @@ wire_struct! {
         pub cache_misses: u64,
         /// Programs evicted by the LRU policy.
         pub cache_evictions: u64,
-        /// Execute jobs waiting in the admission queue.
+        /// Execute jobs waiting for a run slot.
         pub queued_jobs: u64,
-        /// Execute jobs currently running on the batch pool.
+        /// Execute jobs currently running, each on its client's connection
+        /// thread.
         pub inflight_jobs: u64,
         /// Instances completed successfully since boot.
         pub executed_instances: u64,
@@ -732,7 +733,7 @@ wire_struct! {
         pub failed_instances: u64,
         /// Streaming sessions currently resident.
         pub open_sessions: u64,
-        /// Streaming sessions evicted by the idle sweeper since boot.
+        /// Streaming sessions evicted for sitting idle since boot.
         pub evicted_sessions: u64,
         /// Total resident footprint of open streaming sessions, bytes.
         pub session_resident_bytes: u64,
@@ -781,7 +782,8 @@ pub enum ErrorCode {
     CompileFailed = 4,
     /// Execute named a [`ProgramId`] the cache does not hold.
     UnknownProgram = 5,
-    /// The admission queue is full — back off and retry.
+    /// Execute's wait line or the session table is full — back off and
+    /// retry.
     Busy = 6,
     /// The request was well-formed but impossible (bad window, …).
     BadRequest = 7,
@@ -790,7 +792,7 @@ pub enum ErrorCode {
     /// The frame named a session id this server has never issued, or one
     /// the client already closed.
     UnknownSession = 9,
-    /// The session existed but the idle sweeper evicted it — reopen and
+    /// The session existed but was evicted for sitting idle — reopen and
     /// refeed.
     SessionExpired = 10,
 }

@@ -1,27 +1,30 @@
-//! The service: a TCP listener, a connection thread per client, a
-//! bounded admission queue, and a pool of executor threads driving
-//! batches through `revet-runtime`.
+//! The service: a TCP listener and a thread per client connection. Every
+//! request runs on its client's connection thread; `Execute` first passes
+//! an admission gate that bounds how many batches run and wait at once.
 //!
 //! ```text
 //!        clients (length-prefixed frames, protocol.rs)
-//!           │ Compile / Execute / Status / Shutdown
+//!           │ Compile / Execute / Status / Shutdown / streaming verbs
 //!           ▼
 //!   accept loop ──► connection threads: decode → respond() → one send
 //!                     │ Compile → ProgramCache (single-flight, LRU)
-//!                     │ Execute → AdmissionQueue::try_submit
+//!                     │ Execute → Gate::enter
 //!                     │            │  Full → Busy error (backpressure)
 //!                     ▼            ▼
-//!                  typed error  executor threads × E
+//!                  typed error  run slot × E (waiters start in arrival order)
 //!                  frames         └─ BatchRunner::run over the job's
 //!                                    argsets (worker pool × B)
+//!                     │ OpenStream / Feed / Poll / CloseStream
+//!                     ▼
+//!                  SessionTable (idle sessions expire at its next use)
 //! ```
 //!
-//! **Backpressure** is explicit: the admission queue is bounded, and a
-//! full queue answers `Busy` immediately instead of accepting unbounded
-//! work. **Graceful shutdown** flips one flag: the acceptor stops, new
-//! submissions are refused with `ShuttingDown`, queued and running jobs
-//! drain to completion, and every connection finishes writing its
-//! in-flight replies before closing.
+//! **Backpressure** is explicit: the gate lets `executor_threads` jobs
+//! run and `queue_capacity` more wait, and answers `Busy` immediately past
+//! that instead of accepting unbounded work. **Graceful shutdown** flips
+//! one flag: the acceptor stops, new submissions are refused with
+//! `ShuttingDown`, admitted jobs run to completion, and every connection
+//! finishes writing its in-flight replies before closing.
 
 use crate::cache::ProgramCache;
 use crate::protocol::{
@@ -39,12 +42,11 @@ use revet_machine::{MachineError, MemoryState, RunStatus};
 use revet_obs::ObsSink;
 use revet_runtime::{BatchJob, BatchRunner};
 use revet_sltf::Word;
-use std::collections::VecDeque;
+use std::fmt;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -61,19 +63,21 @@ pub struct ServeConfig {
     pub addr: String,
     /// Programs the content-addressed cache keeps resident.
     pub cache_capacity: usize,
-    /// Execute jobs the admission queue holds before answering `Busy`.
+    /// Execute jobs that wait for a run slot before `Execute` answers
+    /// `Busy`.
     pub queue_capacity: usize,
-    /// Executor threads pulling jobs off the admission queue.
+    /// Execute jobs that run at once, each on its client's connection
+    /// thread.
     pub executor_threads: usize,
-    /// Worker threads each executor's [`BatchRunner`] uses per job.
+    /// Worker threads each Execute job's [`BatchRunner`] uses.
     pub batch_threads: usize,
     /// Per-instance round cap (livelock guard).
     pub max_rounds: u64,
     /// Streaming sessions resident at once before `OpenStream` answers
     /// `Busy`.
     pub session_capacity: usize,
-    /// Idle deadline after which the sweeper evicts a streaming session
-    /// (later touches answer `SessionExpired`).
+    /// Idle deadline past which a streaming session is evicted at the
+    /// session table's next use (later touches answer `SessionExpired`).
     pub session_idle_timeout: Duration,
 }
 
@@ -93,116 +97,110 @@ impl Default for ServeConfig {
     }
 }
 
-/// Final counters returned by [`Server::shutdown`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ServerStats {
-    /// Instances completed successfully over the server's lifetime.
-    pub executed_instances: u64,
-    /// Instances that failed.
-    pub failed_instances: u64,
-    /// Cache hits over the lifetime.
-    pub cache_hits: u64,
-    /// Cache misses over the lifetime.
-    pub cache_misses: u64,
-    /// Cache evictions over the lifetime.
-    pub cache_evictions: u64,
-}
-
-/// One accepted execute job: the resolved program, the request, and the
-/// channel its connection thread is blocked on.
-struct ExecJob {
-    program: Arc<CompiledProgram>,
-    req: ExecuteRequest,
-    reply: mpsc::Sender<ExecuteReply>,
-}
-
-/// Refusals from [`AdmissionQueue::try_submit`].
-enum SubmitError {
-    /// Queue at capacity — the caller should answer `Busy`.
+/// Why [`Gate::enter`] refused a job.
+#[derive(Debug, PartialEq, Eq)]
+enum Refusal {
+    /// Every run slot is busy and the wait line is full — answer `Busy`.
     Full,
-    /// Drain has begun — the caller should answer `ShuttingDown`.
+    /// Drain has begun — answer `ShuttingDown`.
     Closed,
 }
 
-/// Bounded MPMC job queue with an explicit closed state.
-struct AdmissionQueue {
+/// Admission for `Execute`: at most `slots` jobs run at once, and at most
+/// `capacity` more wait for a slot. Each waiter holds a ticket, and a freed
+/// slot goes to the lowest ticket, so jobs start in arrival order.
+struct Gate {
+    slots: usize,
     capacity: usize,
-    inner: Mutex<QueueInner>,
-    available: Condvar,
+    state: Mutex<GateState>,
+    turn: Condvar,
 }
 
-struct QueueInner {
-    jobs: VecDeque<ExecJob>,
+#[derive(Default)]
+struct GateState {
+    running: usize,
+    /// The ticket the next arrival takes.
+    next: u64,
+    /// The ticket that starts next; `next - serving` jobs wait.
+    serving: u64,
     closed: bool,
 }
 
-impl AdmissionQueue {
-    fn new(capacity: usize) -> Self {
-        AdmissionQueue {
+/// A held run slot. Dropping it, also while unwinding, frees the slot.
+struct RunSlot<'g>(&'g Gate);
+
+impl Gate {
+    fn new(slots: usize, capacity: usize) -> Self {
+        Gate {
+            slots: slots.max(1),
             capacity: capacity.max(1),
-            inner: Mutex::new(QueueInner {
-                jobs: VecDeque::new(),
-                closed: false,
-            }),
-            available: Condvar::new(),
+            state: Mutex::new(GateState::default()),
+            turn: Condvar::new(),
         }
     }
 
-    /// Admission control: accepts the job or refuses *now* — it never
-    /// blocks the connection thread behind other clients' work.
-    fn try_submit(&self, job: ExecJob) -> Result<(), SubmitError> {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.closed {
-            return Err(SubmitError::Closed);
+    /// Takes a run slot, waiting behind every earlier arrival if none is
+    /// free. Refuses at once when the wait line is full or drain has
+    /// begun; a job admitted before the drain still runs.
+    fn enter(&self) -> Result<RunSlot<'_>, Refusal> {
+        let mut state = self.state.lock().unwrap();
+        if state.closed {
+            return Err(Refusal::Closed);
         }
-        if inner.jobs.len() >= self.capacity {
-            return Err(SubmitError::Full);
+        if state.next - state.serving >= self.capacity as u64 {
+            return Err(Refusal::Full);
         }
-        inner.jobs.push_back(job);
-        self.available.notify_one();
-        Ok(())
+        let ticket = state.next;
+        state.next += 1;
+        let mut state = self
+            .turn
+            .wait_while(state, |s| s.serving != ticket || s.running >= self.slots)
+            .unwrap();
+        state.serving += 1;
+        state.running += 1;
+        drop(state);
+        // The next ticket may fit in another free slot.
+        self.turn.notify_all();
+        Ok(RunSlot(self))
     }
 
-    /// Blocks for the next job; `None` once closed *and* drained — the
-    /// executor's signal to exit. Jobs queued before the close are still
-    /// handed out (drain, don't drop).
-    fn pop(&self) -> Option<ExecJob> {
-        let mut inner = self.inner.lock().unwrap();
-        loop {
-            if let Some(job) = inner.jobs.pop_front() {
-                return Some(job);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.available.wait(inner).unwrap();
-        }
-    }
-
+    /// Refuses every later arrival.
     fn close(&self) {
-        self.inner.lock().unwrap().closed = true;
-        self.available.notify_all();
+        self.state.lock().unwrap().closed = true;
     }
 
-    fn len(&self) -> usize {
-        self.inner.lock().unwrap().jobs.len()
+    /// `(running, waiting)` jobs.
+    fn load(&self) -> (usize, usize) {
+        let state = self.state.lock().unwrap();
+        (state.running, (state.next - state.serving) as usize)
     }
 }
 
-/// State shared by the acceptor, connection threads, and executors.
+impl Drop for RunSlot<'_> {
+    fn drop(&mut self) {
+        // This also runs while unwinding, where a second panic aborts; the
+        // state is valid after every update, so a poisoned lock is used
+        // as is.
+        let mut state = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.running -= 1;
+        drop(state);
+        self.0.turn.notify_all();
+    }
+}
+
+/// State shared by the acceptor and the connection threads.
 struct Shared {
     cfg: ServeConfig,
     cache: ProgramCache,
-    queue: AdmissionQueue,
+    gate: Gate,
     sessions: SessionTable,
     draining: AtomicBool,
-    inflight_jobs: AtomicU64,
     executed_instances: AtomicU64,
     failed_instances: AtomicU64,
     connections: Mutex<Vec<JoinHandle<()>>>,
     /// Lifetime execution counters (no trace ring — counters are cheap
     /// and lock-free, a ring shared by every batch would not be). Every
-    /// executor's `BatchRunner` records into this sink; the `Metrics`
+    /// Execute job's `BatchRunner` records into this sink; the `Metrics`
     /// request dumps it.
     obs: ObsSink,
 }
@@ -212,25 +210,26 @@ impl Shared {
         self.draining.load(Ordering::SeqCst)
     }
 
-    /// Idempotent: flips the drain flag, closes the queue, and drops
+    /// Idempotent: flips the drain flag, closes the gate, and drops
     /// every resident streaming session. Everything else (acceptor exit,
-    /// executor exit, connection exit) follows from those.
+    /// connection exit) follows from those.
     fn begin_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
-        self.queue.close();
+        self.gate.close();
         self.sessions.drain();
     }
 
     fn status(&self) -> StatusInfo {
         let cache = self.cache.stats();
+        let (running, waiting) = self.gate.load();
         StatusInfo {
             programs_cached: cache.resident,
             cache_capacity: self.cache.capacity() as u64,
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_evictions: cache.evictions,
-            queued_jobs: self.queue.len() as u64,
-            inflight_jobs: self.inflight_jobs.load(Ordering::SeqCst),
+            queued_jobs: waiting as u64,
+            inflight_jobs: running as u64,
             executed_instances: self.executed_instances.load(Ordering::SeqCst),
             failed_instances: self.failed_instances.load(Ordering::SeqCst),
             open_sessions: self.sessions.open_count(),
@@ -287,27 +286,23 @@ impl Shared {
 
 /// A running compile-and-execute service. Dropping the handle does *not*
 /// stop the server; call [`Server::shutdown`] for a graceful drain.
-#[derive(Debug)]
 pub struct Server {
-    shared: Arc<SharedOpaque>,
+    shared: Arc<Shared>,
     local_addr: SocketAddr,
     acceptor: JoinHandle<()>,
-    executors: Vec<JoinHandle<()>>,
-    sweeper: JoinHandle<()>,
 }
 
-/// Newtype so `Server`'s Debug doesn't try to render the whole state.
-struct SharedOpaque(Shared);
-
-impl std::fmt::Debug for SharedOpaque {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shared").finish_non_exhaustive()
+impl fmt::Debug for Server {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Server")
+            .field("local_addr", &self.local_addr)
+            .finish_non_exhaustive()
     }
 }
 
 impl Server {
-    /// Binds `cfg.addr`, spawns the acceptor and executor pool, and
-    /// returns a handle. The server is accepting requests on return.
+    /// Binds `cfg.addr`, spawns the acceptor, and returns a handle. The
+    /// server is accepting requests on return.
     ///
     /// # Errors
     ///
@@ -316,46 +311,25 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let executor_threads = cfg.executor_threads.max(1);
-        let shared = Arc::new(SharedOpaque(Shared {
+        let shared = Arc::new(Shared {
             cache: ProgramCache::new(cfg.cache_capacity),
-            queue: AdmissionQueue::new(cfg.queue_capacity),
+            gate: Gate::new(cfg.executor_threads, cfg.queue_capacity),
             sessions: SessionTable::new(cfg.session_capacity, cfg.session_idle_timeout),
             draining: AtomicBool::new(false),
-            inflight_jobs: AtomicU64::new(0),
             executed_instances: AtomicU64::new(0),
             failed_instances: AtomicU64::new(0),
             connections: Mutex::new(Vec::new()),
             obs: ObsSink::counters_only(),
             cfg,
-        }));
-        let executors = (0..executor_threads)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || executor_loop(&shared.0))
-            })
-            .collect();
+        });
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || accept_loop(listener, &shared))
-        };
-        // The idle sweeper: evicts streaming sessions past their idle
-        // deadline until drain begins.
-        let sweeper = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                while !shared.0.draining() {
-                    std::thread::sleep(IDLE_POLL);
-                    shared.0.sessions.sweep(Instant::now());
-                }
-            })
         };
         Ok(Server {
             shared,
             local_addr,
             acceptor,
-            executors,
-            sweeper,
         })
     }
 
@@ -366,50 +340,39 @@ impl Server {
 
     /// Snapshot of the live counters (same data as the `Status` request).
     pub fn status(&self) -> StatusInfo {
-        self.shared.0.status()
+        self.shared.status()
     }
 
-    /// Graceful shutdown: stop accepting, refuse new work, drain queued
-    /// and in-flight jobs, deliver every outstanding reply, then join all
-    /// threads. Idempotent with a wire-level `Shutdown` request — either
-    /// side may initiate; this call always completes the join.
-    pub fn shutdown(self) -> ServerStats {
-        let shared = &self.shared.0;
+    /// Graceful shutdown: stop accepting, refuse new work, let admitted
+    /// jobs finish, deliver every outstanding reply, then join all
+    /// threads and return the final counters. Idempotent with a
+    /// wire-level `Shutdown` request — either side may initiate; this
+    /// call always completes the join.
+    pub fn shutdown(self) -> StatusInfo {
+        let shared = &self.shared;
         shared.begin_drain();
-        // Acceptor first (no new connections), then executors (drain the
-        // queue, delivering replies connection threads are blocked on),
-        // then the connections themselves.
+        // Acceptor first (no new connections), then the connections,
+        // each of which finishes its admitted job and reply first.
         let _ = self.acceptor.join();
-        let _ = self.sweeper.join();
-        for h in self.executors {
-            let _ = h.join();
-        }
         let handles = std::mem::take(&mut *shared.connections.lock().unwrap());
         for h in handles {
             let _ = h.join();
         }
-        let cache = shared.cache.stats();
-        ServerStats {
-            executed_instances: shared.executed_instances.load(Ordering::SeqCst),
-            failed_instances: shared.failed_instances.load(Ordering::SeqCst),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_evictions: cache.evictions,
-        }
+        shared.status()
     }
 }
 
 /// Accepts until drain; one thread per connection.
-fn accept_loop(listener: TcpListener, shared: &Arc<SharedOpaque>) {
-    while !shared.0.draining() {
+fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
+    while !shared.draining() {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let per_conn = Arc::clone(shared);
                 let handle = std::thread::spawn(move || {
                     // Connection failures affect that client only.
-                    let _ = handle_connection(stream, &per_conn.0);
+                    let _ = handle_connection(stream, &per_conn);
                 });
-                let mut connections = shared.0.connections.lock().unwrap();
+                let mut connections = shared.connections.lock().unwrap();
                 // Reap finished connections so a long-lived server doesn't
                 // accumulate one JoinHandle per connection ever served
                 // (joining a finished thread does not block).
@@ -570,7 +533,7 @@ impl From<SessionError> for ErrorFrame {
             ),
             SessionError::Expired => (
                 ErrorCode::SessionExpired,
-                "session evicted by the idle sweeper — reopen and refeed",
+                "session evicted after sitting idle — reopen and refeed",
             ),
         };
         ErrorFrame::new(code, message)
@@ -680,24 +643,14 @@ fn execute(shared: &Shared, req: ExecuteRequest) -> Result<Response, ErrorFrame>
             req.argsets.len()
         )));
     }
-    let (tx, rx) = mpsc::channel();
-    let job = ExecJob {
-        program,
-        req,
-        reply: tx,
-    };
-    shared.queue.try_submit(job).map_err(|e| match e {
-        SubmitError::Full => ErrorFrame::new(
+    let _slot = shared.gate.enter().map_err(|e| match e {
+        Refusal::Full => ErrorFrame::new(
             ErrorCode::Busy,
             format!("admission queue full ({} jobs)", shared.cfg.queue_capacity),
         ),
-        SubmitError::Closed => shutting_down("server is draining"),
+        Refusal::Closed => shutting_down("server is draining"),
     })?;
-    // The executor dropping the sender without replying is only possible
-    // if its thread died; surface it instead of hanging.
-    rx.recv()
-        .map(Response::Executed)
-        .map_err(|_| shutting_down("executor unavailable"))
+    Ok(Response::Executed(run_job(shared, &program, req)))
 }
 
 fn open_stream(shared: &Shared, req: OpenStreamRequest) -> Result<Response, ErrorFrame> {
@@ -775,23 +728,6 @@ fn close_stream(shared: &Shared, session: u64) -> Result<Response, ErrorFrame> {
     }))
 }
 
-/// One executor: pull a job, run its batch, deliver the reply. Exits when
-/// the queue is closed and drained.
-fn executor_loop(shared: &Shared) {
-    while let Some(job) = shared.queue.pop() {
-        shared.inflight_jobs.fetch_add(1, Ordering::SeqCst);
-        let ExecJob {
-            program,
-            req,
-            reply,
-        } = job;
-        let outcome = run_job(shared, &program, req);
-        shared.inflight_jobs.fetch_sub(1, Ordering::SeqCst);
-        // A vanished client is not an executor error.
-        let _ = reply.send(outcome);
-    }
-}
-
 fn run_job(shared: &Shared, program: &CompiledProgram, req: ExecuteRequest) -> ExecuteReply {
     // One shared overlay set for the whole batch: every instance applies
     // the same request inputs, and the job owns its request, so the bytes
@@ -837,6 +773,80 @@ fn run_job(shared: &Shared, program: &CompiledProgram, req: ExecuteRequest) -> E
 mod tests {
     use super::*;
     use crate::protocol::decode_response;
+
+    /// Spins until the gate shows `load`: a waiter blocked in `enter` has
+    /// taken its ticket once it counts as waiting.
+    fn await_load(gate: &Gate, load: (usize, usize)) {
+        while gate.load() != load {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn the_gate_refuses_a_full_wait_line_and_a_closed_gate() {
+        let gate = Gate::new(1, 1);
+        std::thread::scope(|s| {
+            let running = gate.enter().expect("a free slot");
+            let waiter = s.spawn(|| drop(gate.enter().expect("room to wait")));
+            await_load(&gate, (1, 1));
+            assert_eq!(gate.enter().err(), Some(Refusal::Full));
+            gate.close();
+            assert_eq!(gate.enter().err(), Some(Refusal::Closed));
+            drop(running);
+            waiter.join().unwrap();
+        });
+        assert_eq!(gate.load(), (0, 0));
+        assert_eq!(gate.enter().err(), Some(Refusal::Closed));
+    }
+
+    #[test]
+    fn a_job_admitted_before_close_still_runs() {
+        let gate = Gate::new(1, 4);
+        let ran = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let running = gate.enter().expect("a free slot");
+            s.spawn(|| {
+                let _slot = gate.enter().expect("admitted before the close");
+                ran.store(true, Ordering::SeqCst);
+            });
+            await_load(&gate, (1, 1));
+            gate.close();
+            drop(running);
+        });
+        assert!(ran.load(Ordering::SeqCst));
+        assert_eq!(gate.load(), (0, 0));
+    }
+
+    #[test]
+    fn waiters_start_in_arrival_order() {
+        let gate = Gate::new(1, 3);
+        let started = Mutex::new(Vec::new());
+        std::thread::scope(|s| {
+            let running = gate.enter().expect("a free slot");
+            for i in 0..3 {
+                let (gate, started) = (&gate, &started);
+                s.spawn(move || {
+                    let _slot = gate.enter().expect("room to wait");
+                    started.lock().unwrap().push(i);
+                });
+                await_load(gate, (1, i + 1));
+            }
+            drop(running);
+        });
+        assert_eq!(*started.lock().unwrap(), [0, 1, 2]);
+    }
+
+    #[test]
+    fn a_panic_while_holding_a_slot_frees_it() {
+        let gate = Gate::new(1, 1);
+        let unwound = std::panic::catch_unwind(|| {
+            let _slot = gate.enter().expect("a free slot");
+            panic!("a job panicked");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(gate.load(), (0, 0));
+        assert!(gate.enter().is_ok());
+    }
 
     #[test]
     fn an_oversized_reply_goes_out_as_a_typed_error_frame() {

@@ -7,11 +7,12 @@
 //!
 //! - **Bounded residency.** The table holds at most `capacity` sessions;
 //!   an open beyond that answers [`SessionError::Busy`] immediately
-//!   (backpressure, like the admission queue) instead of accepting
-//!   unbounded resident state.
-//! - **Idle eviction.** A sweeper calls [`SessionTable::sweep`]
-//!   periodically; sessions untouched for longer than `idle_timeout` are
-//!   dropped, and later touches of their ids answer the *typed*
+//!   (backpressure, like `Execute`'s admission gate) instead of
+//!   accepting unbounded resident state.
+//! - **Idle eviction.** Every use of the table first drops the sessions
+//!   untouched for longer than `idle_timeout`, so an idle session is
+//!   freed at the next request of any kind and no thread keeps time.
+//!   Later touches of an evicted id answer the *typed*
 //!   [`SessionError::Expired`] — distinguishable from an id the server
 //!   never issued ([`SessionError::Unknown`]).
 //! - **Per-session locking.** The table mutex guards only the id map;
@@ -21,7 +22,7 @@
 use revet_core::StreamInstance;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Evicted ids remembered for `Expired` (vs `Unknown`) answers.
@@ -33,7 +34,7 @@ pub(crate) struct SessionSlot {
     pub stream: StreamInstance,
     /// `(offset, len)` of the DRAM window the close reply returns.
     pub window: (u64, u64),
-    /// Last `open`/`with`/`close` touch — the idle sweeper's clock.
+    /// Last `open`/`with` touch — the idle deadline counts from here.
     last_touch: Instant,
 }
 
@@ -44,7 +45,7 @@ pub(crate) enum SessionError {
     Busy,
     /// The id was never issued, or the client already closed it.
     Unknown,
-    /// The idle sweeper evicted the session.
+    /// The session sat idle past the deadline and was evicted.
     Expired,
 }
 
@@ -60,7 +61,8 @@ struct TableInner {
     expired: VecDeque<u64>,
 }
 
-/// The bounded, idle-swept map from session id to resident instance.
+/// The bounded map from session id to resident instance, evicting idle
+/// sessions as it is used.
 pub(crate) struct SessionTable {
     capacity: usize,
     idle_timeout: Duration,
@@ -82,13 +84,21 @@ impl SessionTable {
         }
     }
 
+    /// The table's lock, taken only after every session idle past the
+    /// deadline has been evicted.
+    fn lock(&self) -> MutexGuard<'_, TableInner> {
+        let mut inner = self.inner.lock().unwrap();
+        self.sweep(&mut inner, Instant::now());
+        inner
+    }
+
     /// Admits a new session, or refuses with `Busy` at capacity.
     pub(crate) fn open(
         &self,
         stream: StreamInstance,
         window: (u64, u64),
     ) -> Result<u64, SessionError> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         if inner.sessions.len() >= self.capacity {
             return Err(SessionError::Busy);
         }
@@ -107,7 +117,7 @@ impl SessionTable {
 
     /// Looks up `id` and distinguishes evicted from never-issued.
     fn checkout(&self, id: u64) -> Result<Slot, SessionError> {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         match inner.sessions.get(&id) {
             Some(slot) => Ok(Arc::clone(slot)),
             None if inner.expired.contains(&id) => Err(SessionError::Expired),
@@ -142,7 +152,7 @@ impl SessionTable {
     /// needs ownership — [`StreamInstance::finish`] consumes).
     pub(crate) fn close(&self, id: u64) -> Result<SessionSlot, SessionError> {
         let slot = {
-            let mut inner = self.inner.lock().unwrap();
+            let mut inner = self.lock();
             match inner.sessions.remove(&id) {
                 Some(slot) => slot,
                 None if inner.expired.contains(&id) => return Err(SessionError::Expired),
@@ -155,31 +165,31 @@ impl SessionTable {
 
     /// Evicts sessions idle past the deadline as of `now`; returns how
     /// many. Sessions whose lock is held (mid-poll) are by definition not
-    /// idle and are skipped.
-    pub(crate) fn sweep(&self, now: Instant) -> usize {
-        let mut inner = self.inner.lock().unwrap();
-        let mut stale = Vec::new();
-        for (&id, slot) in &inner.sessions {
-            if let Ok(guard) = slot.try_lock() {
-                if let Some(session) = guard.as_ref() {
-                    if now.duration_since(session.last_touch) > self.idle_timeout {
-                        stale.push(id);
-                    }
+    /// idle and are skipped. Allocates only when it evicts.
+    fn sweep(&self, inner: &mut TableInner, now: Instant) -> usize {
+        let TableInner {
+            sessions, expired, ..
+        } = inner;
+        let before = sessions.len();
+        sessions.retain(|&id, slot| {
+            let Ok(mut guard) = slot.try_lock() else {
+                return true;
+            };
+            let stale = guard
+                .as_ref()
+                .is_some_and(|s| now.duration_since(s.last_touch) > self.idle_timeout);
+            if stale {
+                guard.take();
+                expired.push_back(id);
+                if expired.len() > TOMBSTONE_CAP {
+                    expired.pop_front();
                 }
             }
-        }
-        for &id in &stale {
-            if let Some(slot) = inner.sessions.remove(&id) {
-                slot.lock().unwrap().take();
-            }
-            inner.expired.push_back(id);
-            while inner.expired.len() > TOMBSTONE_CAP {
-                inner.expired.pop_front();
-            }
-        }
-        self.evicted
-            .fetch_add(stale.len() as u64, Ordering::Relaxed);
-        stale.len()
+            !stale
+        });
+        let evicted = before - sessions.len();
+        self.evicted.fetch_add(evicted as u64, Ordering::Relaxed);
+        evicted
     }
 
     /// Drops every resident session (graceful drain).
@@ -192,10 +202,10 @@ impl SessionTable {
 
     /// Sessions currently resident.
     pub(crate) fn open_count(&self) -> u64 {
-        self.inner.lock().unwrap().sessions.len() as u64
+        self.lock().sessions.len() as u64
     }
 
-    /// Sessions the idle sweeper has evicted since boot.
+    /// Sessions evicted for sitting idle since boot.
     pub(crate) fn evicted_total(&self) -> u64 {
         self.evicted.load(Ordering::Relaxed)
     }
@@ -204,7 +214,7 @@ impl SessionTable {
     /// lock is held are skipped — this is a monitoring gauge, not an
     /// accounting invariant.
     pub(crate) fn resident_bytes(&self) -> u64 {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         inner
             .sessions
             .values()
@@ -255,11 +265,11 @@ mod tests {
     fn idle_sessions_are_evicted_and_answer_expired() {
         let table = SessionTable::new(4, Duration::from_millis(10));
         let id = table.open(stream(), (0, 0)).unwrap();
+        let sweep = |now| table.sweep(&mut table.inner.lock().unwrap(), now);
         // Not yet stale.
-        assert_eq!(table.sweep(Instant::now()), 0);
+        assert_eq!(sweep(Instant::now()), 0);
         // Well past the deadline (a faked future clock, no sleeping).
-        let future = Instant::now() + Duration::from_secs(1);
-        assert_eq!(table.sweep(future), 1);
+        assert_eq!(sweep(Instant::now() + Duration::from_secs(1)), 1);
         assert_eq!(table.evicted_total(), 1);
         assert_eq!(table.open_count(), 0);
         assert_eq!(table.with(id, |_| ()), Err(SessionError::Expired));
@@ -274,8 +284,19 @@ mod tests {
         table.with(id, |_| ()).unwrap(); // refresh
         std::thread::sleep(Duration::from_millis(30));
         // 60ms since open, but only 30ms since the touch.
-        assert_eq!(table.sweep(Instant::now()), 0);
         assert_eq!(table.open_count(), 1);
+        assert_eq!(table.evicted_total(), 0);
+    }
+
+    #[test]
+    fn a_full_table_of_idle_sessions_admits_the_next_open() {
+        let table = SessionTable::new(1, Duration::from_millis(10));
+        let first = table.open(stream(), (0, 0)).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        // The open itself evicts the idle session that filled the table.
+        table.open(stream(), (0, 0)).expect("idle session evicted");
+        assert_eq!(table.evicted_total(), 1);
+        assert_eq!(table.with(first, |_| ()), Err(SessionError::Expired));
     }
 
     #[test]

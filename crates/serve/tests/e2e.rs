@@ -328,12 +328,102 @@ fn typed_errors_for_bad_compile_unknown_program_and_malformed_frames() {
     };
     assert_eq!(&dram[8..12], &2u32.to_le_bytes());
 
-    // Backpressure surfaces as Busy, not as a hang: a zero-capacity-ish
-    // queue is not constructible (min 1), so just check Status round-trips
-    // and the server shuts down cleanly with accurate counters.
+    // Status round-trips and the counters are accurate.
     let status = client.status().expect("status");
     assert_eq!(status.executed_instances, 1);
     server.shutdown();
+}
+
+/// Polls `Status` until `done` holds, failing after 30 s.
+fn await_status(
+    client: &mut ServeClient,
+    what: &str,
+    done: impl Fn(&revet_serve::protocol::StatusInfo) -> bool,
+) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !done(&client.status().expect("status")) {
+        assert!(Instant::now() < deadline, "{what} never showed up");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Backpressure surfaces as `Busy`, not as a hang: with one run slot and
+/// room for one waiter, a third `Execute` is refused at once while the
+/// first two still complete.
+#[test]
+fn execute_past_the_wait_line_answers_busy_and_admitted_jobs_finish() {
+    let server = Server::spawn(ServeConfig {
+        executor_threads: 1,
+        queue_capacity: 1,
+        batch_threads: 1,
+        ..ServeConfig::default()
+    })
+    .expect("spawn");
+    let addr = server.local_addr();
+    // Per instance, n(n+1)/2 inner-loop iterations: with n = SLOW_N job A
+    // holds the run slot for seconds in debug, well over 100 ms in release.
+    const SLOW_N: u32 = 2048;
+    let source = "dram<u32> output;
+         void main(u32 n) {
+             foreach (n) { u32 i =>
+                 u32 acc = 0;
+                 u32 j = 0;
+                 while (j <= i) { acc = acc + j; j = j + 1; };
+                 output[i] = acc;
+             };
+         }";
+    let options = PassOptions {
+        dram_bytes: 1 << 16,
+        ..PassOptions::default()
+    };
+    let program_id = ServeClient::connect(addr)
+        .expect("connect")
+        .compile(source, &options)
+        .expect("compile")
+        .program_id;
+    let request = |n: u32| ExecuteRequest {
+        program_id,
+        argsets: vec![vec![n]],
+        dram_inits: vec![],
+        window: (0, 16),
+    };
+    let submit = |n: u32| {
+        let req = request(n);
+        std::thread::spawn(move || {
+            let reply = ServeClient::connect(addr)
+                .expect("connect")
+                .execute(req)
+                .expect("an admitted execute completes");
+            let InstanceOutcome::Ok { dram, .. } = &reply.instances[0] else {
+                panic!(
+                    "admitted instance must succeed, got {:?}",
+                    reply.instances[0]
+                );
+            };
+            // output[3] = 0+1+2+3.
+            assert_eq!(&dram[12..16], &6u32.to_le_bytes());
+        })
+    };
+
+    let mut status = ServeClient::connect(addr).expect("connect");
+    let a = submit(SLOW_N);
+    await_status(&mut status, "job A running", |s| s.inflight_jobs == 1);
+    let b = submit(4);
+    await_status(&mut status, "job B waiting", |s| s.queued_jobs == 1);
+    let err = ServeClient::connect(addr)
+        .expect("connect")
+        .execute(request(4))
+        .expect_err("the wait line is full");
+    let ClientError::Server(frame) = err else {
+        panic!("wanted a typed server error, got {err}")
+    };
+    assert_eq!(frame.code, ErrorCode::Busy);
+
+    a.join().expect("client A");
+    b.join().expect("client B");
+    let stats = server.shutdown();
+    assert_eq!((stats.executed_instances, stats.failed_instances), (2, 0));
+    assert_eq!((stats.inflight_jobs, stats.queued_jobs), (0, 0));
 }
 
 #[test]

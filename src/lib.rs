@@ -11,7 +11,7 @@
 //! - [`compiler`] — passes, CFG→dataflow lowering, splitting, resource reports
 //! - [`runtime`] — parallel batch execution of compiled program instances
 //! - [`serve`] — the compile-and-execute service (wire protocol, program
-//!   cache, admission queue)
+//!   cache, admission gate)
 //! - [`sim`] — the cycle-level vRDA simulator
 //! - [`baselines`] — GPU/CPU baseline models
 //! - [`apps`] — the eight evaluation applications
