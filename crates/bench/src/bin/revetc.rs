@@ -3,8 +3,8 @@
 //! ```text
 //! revetc FILE|--app NAME [--emit ast|mir|mir-after=<pass>|dataflow|report]
 //!        [--opt-level N | -O0|-O1|-O2] [--print-pass-pipeline]
-//!        [--profile] [--trace-out FILE.json] [--args A,B,…] [--scale N]
-//!        [--color|--no-color]
+//!        [--profile [--timed]] [--trace-out FILE.json] [--args A,B,…]
+//!        [--scale N] [--color|--no-color]
 //! revetc --emit paper [--scale N]
 //! ```
 //!
@@ -48,13 +48,22 @@
 //! the registered Table III evaluation apps (its workload supplies `main`
 //! arguments and DRAM inputs; `--scale` sizes it); for a FILE, `--args`
 //! passes comma-separated u32 `main` arguments.
+//!
+//! `--timed` makes that run the cycle-level simulator on the Table II
+//! machine instead of the untimed plan. `--profile` then also prints the
+//! simulated cycles and the "top bound links" table: per link, the cycles
+//! on which its producer's (`push`) or consumer's (`pop`) port spent its
+//! whole per-cycle budget — the fires a link capped, which the stall table
+//! counts as productive. Each link is named `producer -> consumer
+//! [class]`.
 
 use revet_apps::{app, DRAM_BYTES};
 use revet_core::passes::build_pipeline;
 use revet_core::report::ResourceReport;
-use revet_core::{PassOptions, Session};
+use revet_core::{CompiledProgram, PassOptions, Session};
+use revet_machine::{ChanId, NodeId};
 use revet_obs::ObsSink;
-use revet_sim::RdaConfig;
+use revet_sim::{RdaConfig, Simulator};
 use revet_sltf::Word;
 use std::io::IsTerminal;
 use std::process::ExitCode;
@@ -62,7 +71,8 @@ use std::process::ExitCode;
 const USAGE: &str =
     "usage: revetc FILE|--app NAME [--emit ast|mir|mir-after=<pass>|dataflow|report]
        [--opt-level N | -O0|-O1|-O2] [--print-pass-pipeline]
-       [--profile] [--trace-out FILE.json] [--args A,B,...] [--scale N] [--color|--no-color]
+       [--profile [--timed]] [--trace-out FILE.json] [--args A,B,...] [--scale N]
+       [--color|--no-color]
        revetc --emit paper [--scale N]   (the paper's tables and figures)
        (stderr gets rustc-style diagnostics; exit 1 = compile error, 2 = usage/i/o)";
 
@@ -71,6 +81,9 @@ const USAGE: &str =
 const TRACE_CAPACITY: usize = 1 << 18;
 
 const MAX_ROUNDS: u64 = 200_000_000;
+
+/// Cycle cap of a `--timed` run.
+const MAX_CYCLES: u64 = 2_000_000_000;
 
 enum Emit {
     Ast,
@@ -89,6 +102,7 @@ fn main() -> ExitCode {
     let mut opts = PassOptions::default();
     let mut print_pipeline = false;
     let mut profile = false;
+    let mut timed = false;
     let mut trace_out: Option<String> = None;
     let mut main_args: Vec<u32> = Vec::new();
     let mut scale: usize = 16;
@@ -104,6 +118,7 @@ fn main() -> ExitCode {
                 app_name = Some(name);
             }
             "--profile" => profile = true,
+            "--timed" => timed = true,
             "--trace-out" => {
                 let Some(path) = args.next() else {
                     eprintln!("--trace-out needs a file path\n{USAGE}");
@@ -182,6 +197,10 @@ fn main() -> ExitCode {
             }
         }
     }
+    if timed && !profile && trace_out.is_none() {
+        eprintln!("revetc: --timed needs --profile or --trace-out\n{USAGE}");
+        return ExitCode::from(2);
+    }
     if print_pipeline {
         for name in build_pipeline(&opts, opts.threads).names() {
             println!("{name}");
@@ -240,6 +259,7 @@ fn main() -> ExitCode {
             &main_args,
             scale,
             profile,
+            timed,
             trace_out.as_deref(),
             color,
         );
@@ -318,15 +338,19 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Compile, run once with an enabled observability sink, and report:
-/// `--profile` prints counters / compile-stage timings / the top-stalls
-/// table, `--trace-out` writes Chrome `trace_event` JSON.
+/// Compile, run once (through the plan, or the simulator when `timed`)
+/// with an enabled observability sink, and report: `--profile` prints
+/// counters / compile-stage timings / the top-stalls table (and, timed,
+/// the cycles and the top-bound-links table), `--trace-out` writes Chrome
+/// `trace_event` JSON.
+#[allow(clippy::too_many_arguments)]
 fn run_profiled(
     mut session: Session,
     selected_app: Option<&revet_apps::App>,
     main_args: &[u32],
     scale: usize,
     profile: bool,
+    timed: bool,
     trace_out: Option<&str>,
     color: bool,
 ) -> ExitCode {
@@ -364,11 +388,23 @@ fn run_profiled(
             .map(|slot| slot.label.to_string())
             .collect(),
     );
-    let mut inst = program.instance();
-    if let Err(e) = inst.run(&args, MAX_ROUNDS, &obs) {
-        eprintln!("revetc: execution failed: {e}");
-        return ExitCode::FAILURE;
-    }
+    obs.set_link_labels(link_labels(&mut program));
+    let plan = program.graph.plan().stats();
+    let cycles = if timed {
+        match Simulator::default().run_obs(&mut program, &args, MAX_CYCLES, &obs) {
+            Ok(stats) => Some(stats.cycles),
+            Err(e) => {
+                eprintln!("revetc: timed run failed: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    } else {
+        if let Err(e) = program.instance().run(&args, MAX_ROUNDS, &obs) {
+            eprintln!("revetc: execution failed: {e}");
+            return ExitCode::FAILURE;
+        }
+        None
+    };
 
     if profile {
         println!("== compile stages ==");
@@ -376,7 +412,9 @@ fn run_profiled(
             println!("  {stage:<22} {:>8} us", wall.as_micros());
         }
         println!("\n== execution counters ==");
-        let plan = inst.graph.plan().stats();
+        if let Some(cycles) = cycles {
+            println!("  simulated cycles: {cycles}");
+        }
         println!(
             "  plan shape: {} segments, {} fused runs, {} fused edges",
             plan.segments,
@@ -388,6 +426,10 @@ fn run_profiled(
         }
         println!("\n== top stalls ==");
         print!("{}", obs.top_stalls_table(10));
+        if timed {
+            println!("\n== top bound links ==");
+            print!("{}", obs.top_bound_links_table(10));
+        }
     }
     if let Some(path) = trace_out {
         let json = obs.chrome_trace_json();
@@ -407,4 +449,30 @@ fn run_profiled(
         );
     }
     ExitCode::SUCCESS
+}
+
+/// Names every link `producer -> consumer [class]` by its endpoints'
+/// context labels; the entry link, written by the argument injection, has
+/// no producer context.
+fn link_labels(program: &mut CompiledProgram) -> Vec<String> {
+    let topo = std::sync::Arc::clone(program.graph.plan().topology());
+    let nodes = program.graph.nodes();
+    let names = |ids: &[NodeId], none: &str| match ids {
+        [] => none.to_string(),
+        ids => ids
+            .iter()
+            .map(|n| nodes[n.0 as usize].label.to_string())
+            .collect::<Vec<_>>()
+            .join(","),
+    };
+    program
+        .links
+        .iter()
+        .map(|l| {
+            let c = ChanId(l.id);
+            let class = format!("{:?}", l.class).to_lowercase();
+            let (from, to) = (topo.producers(c), topo.consumers(c));
+            format!("{} -> {} [{class}]", names(from, "entry"), names(to, "-"))
+        })
+        .collect()
 }

@@ -8,6 +8,10 @@
 //! 2. Per-worker sinks forked by `BatchRunner::run_obs` and merged after
 //!    the join aggregate to exactly the counters a single-threaded run
 //!    over the same jobs records.
+//! 3. The timed simulator's bound attribution is an account in cycles: a
+//!    link's producer (consumer) side is bound on at most as many cycles
+//!    as that context fired productively, and recording it leaves the
+//!    simulated run exactly as the noop sink's.
 
 use proptest::prelude::*;
 use revet_apps::all_apps;
@@ -17,11 +21,13 @@ use revet_machine::nodes::{EwNode, OutputSpec, SinkNode, SourceNode};
 use revet_machine::{tbar, tdata, ChanId, Channel, Graph, MemoryState, RunOptions, TTok};
 use revet_obs::{EventKind, ObsSink};
 use revet_runtime::{BatchJob, BatchRunner};
+use revet_sim::Simulator;
 
 const OUTER: u32 = 2;
 const SCALE: usize = 8;
 const SEED: u64 = 0x5EED;
 const MAX_ROUNDS: u64 = 200_000_000;
+const MAX_CYCLES: u64 = 2_000_000_000;
 /// Large enough that no app/DAG in this suite drops events — equality
 /// against `steps` requires a complete trace, so every test asserts
 /// `trace_dropped() == 0` before counting.
@@ -155,6 +161,49 @@ fn merged_worker_counters_equal_single_threaded_on_all_apps() {
             "{}",
             a.name
         );
+    }
+}
+
+/// On every app, the bound table the timed run records through an enabled
+/// sink: what it costs is one row per channel that ever bound a fire, and
+/// nothing in the simulated run moves.
+#[test]
+fn timed_bound_links_are_counted_in_productive_cycles_on_all_apps() {
+    let sim = Simulator::default();
+    for a in all_apps() {
+        let (mut program, args, w) = a.prepare(OUTER, SCALE, SEED, &PassOptions::default());
+        let topo = std::sync::Arc::clone(program.graph.plan().topology());
+        let obs = ObsSink::counters_only();
+        let stats = sim
+            .run_obs(&mut program, &args, MAX_CYCLES, &obs)
+            .unwrap_or_else(|e| panic!("{}: {e}", a.name));
+        a.check(&program, &w);
+        let (mut quiet, args, _) = a.prepare(OUTER, SCALE, SEED, &PassOptions::default());
+        let plain = sim.run(&mut quiet, &args, MAX_CYCLES).unwrap();
+        assert_eq!(
+            (stats.cycles, &stats.busy_cycles),
+            (plain.cycles, &plain.busy_cycles),
+            "{}: recording bound links moved the simulated run",
+            a.name
+        );
+
+        let rows = obs.top_bound_links(usize::MAX);
+        assert!(!rows.is_empty(), "{}: no link ever bound a fire", a.name);
+        assert!(rows.len() <= program.graph.chan_count(), "{}", a.name);
+        let busy = |ids: &[revet_machine::NodeId]| -> u64 {
+            ids.iter().map(|n| stats.busy_cycles[n.0 as usize]).sum()
+        };
+        for r in &rows {
+            let c = ChanId(r.chan);
+            assert!(
+                r.push <= busy(topo.producers(c)) && r.pop <= busy(topo.consumers(c)),
+                "{}: ch{} bound on {}/{} cycles, more than its ends fired",
+                a.name,
+                r.chan,
+                r.push,
+                r.pop
+            );
+        }
     }
 }
 

@@ -21,6 +21,10 @@
 //!    classified ([`StallClass`]: input-starved / output-full /
 //!    allocator-gated / DRAM-gated) and accumulated per node, surfaced as
 //!    a sorted top-stalls table.
+//! 4. **Bound attribution** — the timed simulator also records every port
+//!    that spent its whole per-cycle budget ([`BoundPort`]), per link, as
+//!    a sorted top-bound-links table: the productive fires a link caps,
+//!    which no stall class sees.
 //!
 //! ## Zero cost when disabled
 //!
@@ -52,14 +56,17 @@
 
 #![warn(missing_docs)]
 
+mod bound;
 mod metrics;
 mod stall;
 mod trace;
 
+pub use bound::{BoundPort, BoundRow};
 pub use metrics::{Counter, Gauge, Histogram, Registry, HIST_BUCKETS};
 pub use stall::{StallClass, StallRow, STALL_CLASSES};
 pub use trace::{EventKind, TraceEvent, WakeCause};
 
+use bound::BoundTable;
 use stall::StallTable;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -201,7 +208,9 @@ pub struct ObsSink {
     tick: AtomicU64,
     ring: Mutex<TraceRing>,
     stalls: Mutex<StallTable>,
+    bounds: Mutex<BoundTable>,
     labels: Mutex<Vec<String>>,
+    link_labels: Mutex<Vec<String>>,
 }
 
 static NOOP: ObsSink = ObsSink::disabled();
@@ -222,7 +231,9 @@ impl ObsSink {
             tick: AtomicU64::new(0),
             ring: Mutex::new(TraceRing::new()),
             stalls: Mutex::new(StallTable::new()),
+            bounds: Mutex::new(BoundTable::new()),
             labels: Mutex::new(Vec::new()),
+            link_labels: Mutex::new(Vec::new()),
         }
     }
 
@@ -268,7 +279,7 @@ impl ObsSink {
     }
 
     /// Fold a (typically per-worker) sink into this one: counters and
-    /// registry merge by their own semantics, stall rows add, and the
+    /// registry merge by their own semantics, stall and bound rows add, and the
     /// other ring's events append (oldest dropped if over capacity).
     /// Labels stay as they are: the sink that renders names its nodes.
     pub fn merge(&self, other: &ObsSink) {
@@ -278,6 +289,10 @@ impl ObsSink {
             .lock()
             .unwrap()
             .merge(&other.stalls.lock().unwrap());
+        self.bounds
+            .lock()
+            .unwrap()
+            .merge(&other.bounds.lock().unwrap());
         if self.trace_cap > 0 {
             self.ring
                 .lock()
@@ -294,6 +309,14 @@ impl ObsSink {
     pub fn set_labels(&self, labels: Vec<String>) {
         if self.enabled {
             *self.labels.lock().unwrap() = labels;
+        }
+    }
+
+    /// Name the graph's channels (index = channel id) for the
+    /// top-bound-links table, like [`ObsSink::set_labels`] for nodes.
+    pub fn set_link_labels(&self, labels: Vec<String>) {
+        if self.enabled {
+            *self.link_labels.lock().unwrap() = labels;
         }
     }
 
@@ -352,6 +375,16 @@ impl ObsSink {
         }
         self.counters.stall(class);
         self.stalls.lock().unwrap().record(node, class);
+    }
+
+    /// Record that one end of channel `chan` spent its whole per-cycle
+    /// budget (timed simulator only).
+    #[inline]
+    pub fn link_bound(&self, chan: u32, port: BoundPort) {
+        if !self.enabled {
+            return;
+        }
+        self.bounds.lock().unwrap().record(chan, port);
     }
 
     /// Record tokens entering channel `chan`.
@@ -432,6 +465,18 @@ impl ObsSink {
         let labels = self.labels.lock().unwrap();
         stall::render_top_stalls(&rows, &labels)
     }
+
+    /// The `limit` most-bound links, sorted by bound cycles descending.
+    pub fn top_bound_links(&self, limit: usize) -> Vec<BoundRow> {
+        self.bounds.lock().unwrap().top(limit)
+    }
+
+    /// Render the top-bound-links table as aligned text.
+    pub fn top_bound_links_table(&self, limit: usize) -> String {
+        let rows = self.top_bound_links(limit);
+        let labels = self.link_labels.lock().unwrap();
+        bound::render_top_bound(&rows, &labels)
+    }
 }
 
 #[cfg(test)]
@@ -447,11 +492,13 @@ mod tests {
         s.stall(1, StallClass::OutputFull);
         s.dram_access(10, 20);
         s.segment_fire(0, 2);
+        s.link_bound(4, BoundPort::Push);
         assert!(!s.is_enabled());
         assert_eq!(s.counters.dispatches.get(), 0);
         assert_eq!(s.counters.peak_ready.get(), 0);
         assert!(s.trace_events().is_empty());
         assert!(s.top_stalls(10).is_empty());
+        assert!(s.top_bound_links(10).is_empty());
     }
 
     #[test]
@@ -503,6 +550,8 @@ mod tests {
         w2.node_dispatch(2, false);
         w2.round(4);
         w2.stall(1, StallClass::OutputFull);
+        w1.link_bound(5, BoundPort::Pop);
+        w2.link_bound(5, BoundPort::Pop);
         root.merge(&w1);
         root.merge(&w2);
         assert_eq!(root.counters.dispatches.get(), 3);
@@ -512,6 +561,8 @@ mod tests {
         let top = root.top_stalls(10);
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].counts[StallClass::OutputFull.index()], 2);
+        let bound = root.top_bound_links(10);
+        assert_eq!((bound.len(), bound[0].chan, bound[0].pop), (1, 5, 2));
         assert_eq!(root.trace_events().len(), 3);
     }
 

@@ -44,7 +44,7 @@ use revet_core::CompiledProgram;
 use revet_machine::{
     ChanId, IoEvents, LinkClass, MachineError, NodeId, NodeSlot, PortBudget, UnitClass,
 };
-use revet_obs::{ObsSink, StallClass, WakeCause};
+use revet_obs::{BoundPort, ObsSink, StallClass, WakeCause};
 use revet_sltf::Word;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -92,7 +92,9 @@ impl Simulator {
     /// [`Simulator::run`] with an observability sink: context fires, wake
     /// causes, per-cycle DRAM traffic, and stall attribution — including
     /// the DRAM-gated deferral of address generators, which only the timed
-    /// simulator can observe — are recorded into `obs`.
+    /// simulator can observe — are recorded into `obs`, and so is every
+    /// port that spent its whole per-cycle budget (the link that bound a
+    /// productive fire; see [`ObsSink::top_bound_links`]).
     ///
     /// # Errors
     ///
@@ -205,12 +207,29 @@ impl Simulator {
                     for (b, c) in ob.iter_mut().zip(slot.outs.iter()) {
                         *b = self.port_budget(unit, class(c), false);
                     }
-                    program.graph.step_node_traced(
+                    let moved = program.graph.step_node_traced(
                         id,
                         &mut ib[..n_in],
                         &mut ob[..n_out],
                         &mut events,
-                    )?
+                    )?;
+                    if obs.is_enabled() {
+                        // Bound attribution: a port that spent its whole
+                        // budget capped this fire at its link.
+                        let spent = |b: &PortBudget| b.data == 0 || b.barrier == 0;
+                        let slot = program.graph.node(id);
+                        for (b, c) in ib.iter().zip(slot.ins.iter()) {
+                            if spent(b) {
+                                obs.link_bound(c.0, BoundPort::Pop);
+                            }
+                        }
+                        for (b, c) in ob.iter().zip(slot.outs.iter()) {
+                            if spent(b) {
+                                obs.link_bound(c.0, BoundPort::Push);
+                            }
+                        }
+                    }
+                    moved
                 };
                 obs.node_dispatch(i, progressed);
                 if !progressed && obs.is_enabled() {
@@ -436,6 +455,12 @@ mod tests {
             obs.counters.dram_read_bytes.get() + obs.counters.dram_written_bytes.get(),
             stats.dram_read_bytes + stats.dram_written_bytes
         );
+        // Bound attribution counts cycles: at most one per port per cycle.
+        let bound = obs.top_bound_links(usize::MAX);
+        assert!(!bound.is_empty(), "no link ever bound a fire");
+        for row in &bound {
+            assert!(row.push <= stats.cycles && row.pop <= stats.cycles);
+        }
     }
 
     #[test]
