@@ -5,11 +5,11 @@
 //! the body.
 
 use super::frame::{dedup, slots_of, Frame};
-use super::{Cur, DfLower, Term};
+use super::{Carries, Cur, DfLower, Term};
 use crate::CoreError;
 use revet_machine::instr::{AluOp, Reg};
 use revet_machine::nodes::{EwNode, OutputSpec};
-use revet_machine::{LinkClass, UnitClass};
+use revet_machine::UnitClass;
 use revet_mir::{Region, Value};
 
 impl DfLower<'_> {
@@ -49,12 +49,12 @@ impl DfLower<'_> {
             let vars = vec![index];
             (Cur { chan: child, vars }, parent)
         } else {
-            // Split the parent into a data-only broadcast feed (a scalar
-            // link) and the bypass, then broadcast the feed onto the
-            // children.
+            // Split the parent into a data-only broadcast feed (one tuple
+            // per parent thread) and the bypass, then broadcast the feed
+            // onto the children.
             let n = in_tuple.len() as Reg;
-            let feed = self.chan(live_in.len(), LinkClass::Scalar);
-            let bypass = self.chan(in_tuple.len(), LinkClass::Vector);
+            let feed = self.chan(live_in.len(), Carries::PerParent);
+            let bypass = self.chan(in_tuple.len(), Carries::PerThread);
             let outputs = vec![
                 OutputSpec::stripped(slots_of(&in_tuple, &live_in, "foreach")?),
                 OutputSpec::plain((0..n).collect::<Vec<_>>()),

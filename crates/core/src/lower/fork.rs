@@ -4,10 +4,9 @@
 //! body simply never reach it.
 
 use super::frame::Frame;
-use super::{Cur, DfLower, Term};
+use super::{Carries, Cur, DfLower, Term};
 use crate::CoreError;
 use revet_machine::nodes::ForkNode;
-use revet_machine::LinkClass;
 use revet_mir::{Region, Value};
 
 impl DfLower<'_> {
@@ -24,7 +23,7 @@ impl DfLower<'_> {
         let count = self.operand_in(&in_tuple, count, "fork")?;
         // Each spawn carries the parent's tuple plus its own index.
         let n = in_tuple.len() + 1;
-        let spawned = self.chan(n, LinkClass::Vector);
+        let spawned = self.chan(n, Carries::PerThread);
         let (node, category) = (ForkNode::new(count), self.category());
         let (ins, outs) = ([cur.chan], [spawned]);
         self.fixed("fork", "fork", category, n, node, ins, outs);

@@ -3,10 +3,10 @@
 //! `results ++ passthrough` tuples merge back into one stream.
 
 use super::frame::{Frame, RegionId};
-use super::{Cur, DfLower, Term};
+use super::{Carries, Cur, DfLower, Term};
 use crate::CoreError;
 use revet_machine::instr::Reg;
-use revet_machine::{ChanId, LinkClass};
+use revet_machine::ChanId;
 use revet_mir::{Region, Value};
 
 impl DfLower<'_> {
@@ -35,7 +35,7 @@ impl DfLower<'_> {
                 Term::Exit => {
                     // Every thread of this side is gone; the merge still
                     // needs its barriers.
-                    let barriers = self.chan(out_tuple.len(), LinkClass::Scalar);
+                    let barriers = self.chan(out_tuple.len(), Carries::BarriersOnly);
                     self.drop_all("exit.drop", out.chan, barriers, out_tuple.len());
                     Ok(barriers)
                 }
@@ -47,13 +47,7 @@ impl DfLower<'_> {
             branch(else_, else_at, on_else)?,
         ];
         let category = self.category();
-        let merged = self.fwd_merge(
-            "if.merge",
-            category,
-            sides,
-            out_tuple.len(),
-            LinkClass::Vector,
-        );
+        let merged = self.fwd_merge("if.merge", category, sides, out_tuple.len());
         Ok(Cur {
             chan: merged,
             vars: out_tuple,

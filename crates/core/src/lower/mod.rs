@@ -31,6 +31,12 @@
 //! its primitives in pipeline order. `apps/tests/dataflow_golden.rs` pins
 //! the result.
 //!
+//! **A link's class follows its rate** (§III-C). A vector link moves 16
+//! tokens per cycle, a scalar link one, so every stream that carries one
+//! token per thread — through an `if`'s sides, out of a loop, down the
+//! replicate merge tree — is a vector link. [`DfLower::chan`] takes what a
+//! link carries ([`Carries`]), never a class, and one `match` maps it.
+//!
 //! Memory ordering needs no explicit void tokens here: split contexts form a
 //! linear chain threaded by the live tuple, so same-thread memory operations
 //! stay in program order structurally (SARA's CMMC tokens solve the same
@@ -179,6 +185,43 @@ pub(crate) fn inject_args(graph: &mut Graph, entry: ChanId, args: &[Word]) {
     let chan = graph.chan_mut(entry);
     chan.push(revet_sltf::Tok::Data(args.to_vec()));
     chan.push(revet_sltf::Tok::Barrier(revet_sltf::BarrierLevel::L1));
+}
+
+/// What a link carries, which decides its class: a link's type follows
+/// its rate (Parameterized Dataflow), and only a per-thread rate needs the
+/// vector class's 16 tokens per cycle.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Carries {
+    /// One token per thread: every stream a thread's live values move on.
+    PerThread,
+    /// One tuple per parent thread: `foreach.split`'s broadcast feed.
+    PerParent,
+    /// Barriers only: `exit.drop`, the side of an `if` whose threads exit.
+    BarriersOnly,
+    /// The entry thread's one argument tuple.
+    Entry,
+    /// One way of the replicate distribution (`rep.dist`).
+    Distribution,
+}
+
+impl Carries {
+    /// The one rule: per-thread streams are vector links, the rest scalar.
+    fn class(self) -> LinkClass {
+        match self {
+            Carries::PerThread => LinkClass::Vector,
+            Carries::PerParent | Carries::BarriersOnly | Carries::Entry => LinkClass::Scalar,
+            // Per-thread, yet scalar on measurement (seed 7, outer 2). A
+            // vector way on top of the vector merge tree raises the
+            // `sim_timed` ledger workload's cycles 656 → 856 (the parent
+            // of both read 831) and its `alloc_kb_per_op` by 28.5%
+            // (deeper queues, not ring growth policy); alone it adds
+            // cycles on murmur3 (190 → 205) and huff-enc (141 → 154).
+            // At scale 512 and outer 8 it is what lifts hash-table
+            // (518 → 38 cycles), so the choice waits on the timed
+            // semantics' monotonicity law (ROADMAP items 1 and 4).
+            Carries::Distribution => LinkClass::Scalar,
+        }
+    }
 }
 
 /// The current position in the pipeline being built.
@@ -346,8 +389,9 @@ impl DfLower<'_> {
         id
     }
 
-    fn chan(&mut self, arity: usize, class: LinkClass) -> ChanId {
-        self.link(Channel::new(arity).with_class(class))
+    /// A fresh link of `arity` values, classed by what it carries.
+    fn chan(&mut self, arity: usize, carries: Carries) -> ChanId {
+        self.link(Channel::new(arity).with_class(carries.class()))
     }
 
     fn category(&self) -> Category {
@@ -429,13 +473,14 @@ impl DfLower<'_> {
         node: EwNode,
         ins: impl Into<Arc<[ChanId]>>,
     ) -> ChanId {
-        let out = self.chan(node.outputs[0].slots.len(), LinkClass::Vector);
+        let out = self.chan(node.outputs[0].slots.len(), Carries::PerThread);
         self.ew_into(base, "ew", unit, category, node, ins, [out]);
         out
     }
 
-    /// §III-B c filter: `slots` of each thread go to the first (vector)
-    /// link when `cond` holds and to the second (scalar) link when not.
+    /// §III-B c filter: `slots` of each thread go to the first link when
+    /// `cond` holds and to the second when not. Both are per-thread
+    /// streams: the second is an `if`'s else side or a `while`'s exit.
     fn filter(
         &mut self,
         base: &str,
@@ -450,8 +495,8 @@ impl DfLower<'_> {
             Operand::Reg(r) => (vec![], r),
             Operand::Const(_) => (vec![block::mov(cond, n)], n),
         };
-        let on_true = self.chan(slots.len(), LinkClass::Vector);
-        let on_false = self.chan(slots.len(), LinkClass::Scalar);
+        let on_true = self.chan(slots.len(), Carries::PerThread);
+        let on_false = self.chan(slots.len(), Carries::PerThread);
         let outputs = vec![
             OutputSpec::filtered(slots.clone(), creg, true),
             OutputSpec::filtered(slots, creg, false),
@@ -483,16 +528,16 @@ impl DfLower<'_> {
         self.ew_into(base, "filter", unit, category, node, [input], [out]);
     }
 
-    /// §III-B d forward merge of two same-level streams.
+    /// §III-B d forward merge of two same-level streams (an `if`'s sides,
+    /// or two ways of the replicate merge tree) into one per-thread stream.
     fn fwd_merge(
         &mut self,
         base: &str,
         category: Category,
         ins: [ChanId; 2],
         arity: usize,
-        class: LinkClass,
     ) -> ChanId {
-        let out = self.chan(arity, class);
+        let out = self.chan(arity, Carries::PerThread);
         let node = FwdMergeNode::new();
         self.fixed(base, "fwd-merge", category, 0, node, ins, [out]);
         out
@@ -502,10 +547,10 @@ impl DfLower<'_> {
     /// `fwd`. Returns the body link and the (not yet driven) backedge,
     /// which is left uncanonicalized: iteration order is the loop's own.
     fn fb_merge(&mut self, base: &str, fwd: ChanId, arity: usize) -> (ChanId, ChanId) {
-        let body = self.chan(arity, LinkClass::Vector);
+        let body = self.chan(arity, Carries::PerThread);
         let back = self.link(
             Channel::new(arity)
-                .with_class(LinkClass::Vector)
+                .with_class(Carries::PerThread.class())
                 .without_canonicalization(),
         );
         let (node, category) = (FbMergeNode::new(), self.category());
@@ -513,9 +558,10 @@ impl DfLower<'_> {
         (body, back)
     }
 
-    /// §III-B e flatten: strips one barrier level (a loop's exit edge).
+    /// §III-B e flatten: strips one barrier level (a loop's exit edge); its
+    /// output carries every exiting thread.
     fn flatten(&mut self, base: &str, input: ChanId, arity: usize) -> ChanId {
-        let out = self.chan(arity, LinkClass::Scalar);
+        let out = self.chan(arity, Carries::PerThread);
         let (node, category) = (FlattenNode::new(), self.category());
         self.fixed(base, "flatten", category, 0, node, [input], [out]);
         out
@@ -526,8 +572,8 @@ impl DfLower<'_> {
     /// (the index alone) and the parent link (the input tuple, unchanged).
     fn counter(&mut self, base: &str, input: &Cur, bounds: [Operand; 3]) -> (ChanId, ChanId) {
         let n = input.vars.len();
-        let child = self.chan(1, LinkClass::Vector);
-        let parent = self.chan(n, LinkClass::Vector);
+        let child = self.chan(1, Carries::PerThread);
+        let parent = self.chan(n, Carries::PerThread);
         let [min, max, step] = bounds;
         let (node, category) = (CounterNode::new(min, max, step), self.category());
         let outs = [child, parent];
@@ -538,7 +584,7 @@ impl DfLower<'_> {
     /// §III-B e broadcast: repeats each tuple of `feed` onto every child of
     /// `child` in its group; the output is `arity` wide.
     fn broadcast(&mut self, base: &str, feed: ChanId, child: ChanId, arity: usize) -> ChanId {
-        let out = self.chan(arity, LinkClass::Vector);
+        let out = self.chan(arity, Carries::PerThread);
         let (node, category) = (BroadcastNode::new(1), self.category());
         self.fixed(base, "broadcast", category, 0, node, [feed, child], [out]);
         out
@@ -547,7 +593,7 @@ impl DfLower<'_> {
     /// §III-B e reduce: folds each group of `input` back to parent level
     /// with `op` (a void reduce, carrying barriers only, when `None`).
     fn reduce(&mut self, base: &str, input: ChanId, op: Option<AluOp>) -> ChanId {
-        let out = self.chan(usize::from(op.is_some()), LinkClass::Vector);
+        let out = self.chan(usize::from(op.is_some()), Carries::PerThread);
         let node = match op {
             Some(op) => ReduceNode::new(op, op.reduction_identity()),
             None => ReduceNode::void(),
@@ -600,7 +646,7 @@ impl DfLower<'_> {
     /// Lowers `main`'s body from a fresh entry channel into the final sink.
     fn lower_main(&mut self) -> Result<(ChanId, revet_machine::nodes::SinkHandle), CoreError> {
         let func = self.func;
-        let entry = self.chan(func.params.len(), LinkClass::Scalar);
+        let entry = self.chan(func.params.len(), Carries::Entry);
         let cur = Cur {
             chan: entry,
             vars: func.params.clone(),

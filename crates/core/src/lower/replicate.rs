@@ -8,11 +8,11 @@
 
 use super::block::{alu, imm};
 use super::frame::{slot_of, slots_of, Frame};
-use super::{Category, Cur, DfLower, Term};
+use super::{Carries, Category, Cur, DfLower, Term};
 use crate::CoreError;
 use revet_machine::instr::{AluOp, EwInstr, Operand, Reg};
 use revet_machine::nodes::{EwNode, OutputSpec};
-use revet_machine::{AllocId, ChanId, LinkClass, SramId, UnitClass};
+use revet_machine::{AllocId, ChanId, SramId, UnitClass};
 use revet_mir::{Op, OpKind, Region, Value};
 
 /// A replicate body's hoisted allocation: the pop runs before distribution
@@ -162,7 +162,7 @@ impl DfLower<'_> {
         let mut keep = cur.vars.clone();
         keep.retain(|v| !values.contains(v));
         let out_keep = OutputSpec::plain(slots_of(&cur.vars, &keep, "replicate")?);
-        let chan = self.chan(keep.len(), LinkClass::Vector);
+        let chan = self.chan(keep.len(), Carries::PerThread);
         let cost = (instrs.len(), keep.len() + 1);
         let node = EwNode::new(scratch + 1, instrs, vec![out_keep]);
         let (unit, category) = (UnitClass::Memory, Category::Buffer);
@@ -172,7 +172,8 @@ impl DfLower<'_> {
     }
 
     /// The distribution filters: way `i` receives the threads whose
-    /// register `key`, modulo `ways`, is `i`. Returns the per-way links.
+    /// register `key`, modulo `ways`, is `i`. Returns the per-way links,
+    /// which stay scalar ([`Carries::Distribution`] says why).
     fn distribute(&mut self, cur: &Cur, key: Reg, ways: u32) -> Vec<ChanId> {
         let n = cur.vars.len() as Reg;
         let all: Vec<Reg> = (0..n).collect();
@@ -182,7 +183,7 @@ impl DfLower<'_> {
         for (i, hit) in (0..ways).zip(n + 1..) {
             instrs.push(alu(AluOp::Eq, Operand::Reg(n), imm(i), hit));
             outputs.push(OutputSpec::filtered(all.clone(), hit, true));
-            chans.push(self.chan(all.len(), LinkClass::Scalar));
+            chans.push(self.chan(all.len(), Carries::Distribution));
         }
         let node = EwNode::new(n, instrs, outputs);
         let (unit, category) = (UnitClass::Compute, Category::Replicate);
@@ -194,7 +195,9 @@ impl DfLower<'_> {
     }
 
     /// Forward-merges the ways' outputs pairwise, level by level, into one
-    /// stream; an unpaired way moves up a level as it is.
+    /// per-thread stream; an unpaired way moves up a level as it is. The
+    /// root carries every thread of the replicate, so each merge is a
+    /// vector link.
     fn merge_tree(&mut self, way_outs: &[Cur]) -> ChanId {
         let arity = way_outs.iter().map(|c| c.vars.len()).max().unwrap_or(0);
         let mut frontier: Vec<ChanId> = way_outs.iter().map(|c| c.chan).collect();
@@ -204,7 +207,7 @@ impl DfLower<'_> {
                 frontier.push(match *pair {
                     [a, b] => {
                         let (base, category) = ("rep.merge", Category::Replicate);
-                        self.fwd_merge(base, category, [a, b], arity, LinkClass::Scalar)
+                        self.fwd_merge(base, category, [a, b], arity)
                     }
                     _ => pair[0],
                 });
@@ -253,7 +256,7 @@ impl DfLower<'_> {
         }
         instrs.push(push);
         vars.extend(values);
-        let chan = self.chan(vars.len(), LinkClass::Vector);
+        let chan = self.chan(vars.len(), Carries::PerThread);
         let cost = (instrs.len(), vars.len() + 2);
         let regs = (base + 2 * k as Reg).max(1);
         let node = EwNode::new(regs, instrs, vec![OutputSpec::plain(slots)]);
