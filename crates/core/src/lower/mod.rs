@@ -210,14 +210,15 @@ impl Carries {
         match self {
             Carries::PerThread => LinkClass::Vector,
             Carries::PerParent | Carries::BarriersOnly | Carries::Entry => LinkClass::Scalar,
-            // Per-thread, yet scalar on measurement (seed 7, outer 2). A
-            // vector way on top of the vector merge tree raises the
-            // `sim_timed` ledger workload's cycles 656 → 856 (the parent
-            // of both read 831) and its `alloc_kb_per_op` by 28.5%
-            // (deeper queues, not ring growth policy); alone it adds
-            // cycles on murmur3 (190 → 205) and huff-enc (141 → 154).
-            // At scale 512 and outer 8 it is what lifts hash-table
-            // (518 → 38 cycles), so the choice waits on the timed
+            // Per-thread, yet scalar on measurement. Made vector on top
+            // of the rest, it adds cycles at outer 2: the `sim_timed`
+            // ledger workload (seed 7) reads 656 -> 675 cycles and
+            // `alloc_kb_per_op` 144.7 -> 176.6 KiB (137.4 with every such
+            // link scalar: +28.5%, past the ledger's 10% bound), and
+            // `sim_stats.txt` rises on huff-dec (2127 -> 2199), huff-enc
+            // (647 -> 791) and kD-tree (286 -> 311). At scale 512 and
+            // outer 8 it lifts hash-table 518 -> 38 cycles and the Table V
+            // geomean 0.79x -> 1.43x. The choice waits on the timed
             // semantics' monotonicity law (ROADMAP items 1 and 4).
             Carries::Distribution => LinkClass::Scalar,
         }
