@@ -1,6 +1,10 @@
 //! The cycle-level simulator, pinned: one row per Table III app at a fixed
 //! small scale and seed, from [`Simulator::run`] on the Table II machine
-//! with every subsystem modelled (`IdealModels::default()`).
+//! with every subsystem modelled (`IdealModels::default()`), then the same
+//! eight rows, prefixed `buf=1/1`, with every vector and scalar input
+//! buffer one token deep. At Table II's depths no link ever fills, so the
+//! second block is what pins back-pressure: its `full=` and `wake_cap=`
+//! columns are non-zero on every app.
 //!
 //! The simulator steps the same firing rules the untimed executor does, one
 //! node at a time through `Graph::step_node_traced`, under per-link budgets,
@@ -33,46 +37,57 @@ fn simulated_cycles_and_traffic_match_the_golden() {
         opt_level: 2,
         ..PassOptions::default()
     };
-    let sim = Simulator::new(RdaConfig::default(), IdealModels::default());
+    let one_deep = RdaConfig {
+        vector_buffer_tokens: 1,
+        scalar_buffer_tokens: 1,
+        ..RdaConfig::default()
+    };
     let mut actual = Vec::new();
-    for app in all_apps() {
-        let (mut program, args, w) = app.prepare(OUTER, SCALE, SEED, &opts);
-        let stats = sim
-            .run(&mut program, &args, MAX_CYCLES)
-            .unwrap_or_else(|e| panic!("{}: {e}", app.name));
-        app.check(&program, &w);
+    for (prefix, config) in [("", RdaConfig::default()), ("buf=1/1 ", one_deep)] {
+        let sim = Simulator::new(config, IdealModels::default());
+        for app in all_apps() {
+            let (mut program, args, w) = app.prepare(OUTER, SCALE, SEED, &opts);
+            let stats = sim
+                .run(&mut program, &args, MAX_CYCLES)
+                .unwrap_or_else(|e| panic!("{}: {e}", app.name));
+            app.check(&program, &w);
 
-        let obs = ObsSink::counters_only();
-        let (mut program, args, w) = app.prepare(OUTER, SCALE, SEED, &opts);
-        let observed = sim
-            .run_obs(&mut program, &args, MAX_CYCLES, &obs)
-            .unwrap_or_else(|e| panic!("{} (observed): {e}", app.name));
-        app.check(&program, &w);
-        assert_eq!(
-            stats_row(&observed),
-            stats_row(&stats),
-            "{}: an enabled sink moved the simulated run",
-            app.name
-        );
+            let obs = ObsSink::counters_only();
+            let (mut program, args, w) = app.prepare(OUTER, SCALE, SEED, &opts);
+            let observed = sim
+                .run_obs(&mut program, &args, MAX_CYCLES, &obs)
+                .unwrap_or_else(|e| panic!("{} (observed): {e}", app.name));
+            app.check(&program, &w);
+            assert_eq!(
+                stats_row(&observed),
+                stats_row(&stats),
+                "{}: an enabled sink moved the simulated run",
+                app.name
+            );
 
-        let c = &obs.counters;
-        actual.push(format!(
-            "{} {} dispatches={} productive={} starved={} full={} alloc_gated={} \
-             dram_gated={} wake_tok={} wake_cap={} wake_alloc={}",
-            app.name,
-            stats_row(&stats),
-            c.dispatches.get(),
-            c.productive.get(),
-            c.stalls_input_starved.get(),
-            c.stalls_output_full.get(),
-            c.stalls_alloc_gated.get(),
-            c.stalls_dram_gated.get(),
-            c.wakes_token.get(),
-            c.wakes_capacity.get(),
-            c.wakes_alloc.get(),
-        ));
+            let c = &obs.counters;
+            actual.push(format!(
+                "{prefix}{} {} dispatches={} productive={} starved={} full={} \
+                 alloc_gated={} dram_gated={} wake_tok={} wake_cap={} wake_alloc={}",
+                app.name,
+                stats_row(&stats),
+                c.dispatches.get(),
+                c.productive.get(),
+                c.stalls_input_starved.get(),
+                c.stalls_output_full.get(),
+                c.stalls_alloc_gated.get(),
+                c.stalls_dram_gated.get(),
+                c.wakes_token.get(),
+                c.wakes_capacity.get(),
+                c.wakes_alloc.get(),
+            ));
+        }
     }
-    assert_eq!(actual.len(), 8, "one row per Table III app");
+    assert_eq!(
+        actual.len(),
+        16,
+        "one row per Table III app and buffer depth"
+    );
     let golden: Vec<&str> = SIM_GOLDEN.lines().collect();
     for (row, line) in actual.iter().enumerate() {
         let want = golden.get(row).copied().unwrap_or("<missing row>");
