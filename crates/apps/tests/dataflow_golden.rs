@@ -2,7 +2,7 @@
 //! source under pinned options and hashes a structural dump of the
 //! resulting [`CompiledProgram`] — per node its label, wiring, context,
 //! unit and the `Debug` of its behaviour (every `EwInstr` and
-//! `OutputSpec`); per channel its arity, class, capacity and
+//! `OutputSpec`); per channel its arity, class and
 //! canonicalization; then `contexts`, `links`, `entry`,
 //! `outer_parallelism` and the module's SRAM / allocator tables. Node,
 //! channel and label numbering all depend on the lowering's emission
@@ -330,10 +330,9 @@ fn dump(p: &CompiledProgram) -> String {
         assert_eq!(c.capacity(), None, "chan {i}: the lowering bounds no link");
         writeln!(
             s,
-            "chan {i} arity={} class={:?} cap={:?} canon={}",
+            "chan {i} arity={} class={:?} canon={}",
             c.arity(),
             c.class,
-            c.capacity(),
             c.canonicalizes()
         )
         .unwrap();
