@@ -327,7 +327,6 @@ fn dump(p: &CompiledProgram) -> String {
         .unwrap();
     }
     for (i, c) in p.graph.chans().iter().enumerate() {
-        assert_eq!(c.capacity(), None, "chan {i}: the lowering bounds no link");
         writeln!(
             s,
             "chan {i} arity={} class={:?} canon={}",

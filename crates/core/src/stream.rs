@@ -86,26 +86,19 @@ impl StreamInstance {
 
     /// Appends whole `main` argument sets to the entry channel — each one
     /// a data tuple closed by Ω1, exactly what a one-shot run injects.
-    /// Returns how many argsets were accepted: a bounded entry channel
-    /// without room for a full argset stops the feed early (the caller
-    /// retries the remainder after a [`StreamInstance::poll`] drains it).
+    /// Returns how many argsets were accepted: all of them, since the
+    /// entry channel is unbounded.
     ///
     /// # Errors
     ///
     /// Currently infallible for compiled programs (the entry channel
     /// always exists); the `Result` reserves room for protocol errors.
     pub fn feed(&mut self, argsets: &[Vec<Word>]) -> Result<usize, MachineError> {
-        let mut fed = 0;
         for args in argsets {
-            // A full argset is two tokens; never push half of one.
-            if self.inner.graph.chans()[self.inner.entry.0 as usize].room() < 2 {
-                break;
-            }
             self.inner.inject_args(args);
-            fed += 1;
         }
-        self.fed += fed as u64;
-        Ok(fed)
+        self.fed += argsets.len() as u64;
+        Ok(argsets.len())
     }
 
     /// Resumes execution until quiescence and returns the sink tokens

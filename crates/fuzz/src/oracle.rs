@@ -281,9 +281,8 @@ fn run_case_inner(case: &Case, cfg: &OracleConfig) -> Result<(), Failure> {
 }
 
 /// Feeds `argsets` into a fresh streaming session in `chunk`-sized
-/// groups, polling to quiescence between groups (and mid-group whenever
-/// the entry channel back-pressures a feed), then finishes; returns the
-/// final DRAM image and the complete sink stream.
+/// groups, polling to quiescence between groups, then finishes; returns
+/// the final DRAM image and the complete sink stream.
 fn stream_run(
     program: &CompiledProgram,
     argsets: &[Vec<Word>],
@@ -292,14 +291,7 @@ fn stream_run(
 ) -> Result<(Vec<u8>, Vec<TTok>), MachineError> {
     let mut stream = program.stream();
     for group in argsets.chunks(chunk.max(1)) {
-        let mut rest = group;
-        while !rest.is_empty() {
-            let fed = stream.feed(rest)?;
-            rest = &rest[fed..];
-            if !rest.is_empty() {
-                stream.poll(max_rounds)?;
-            }
-        }
+        stream.feed(group)?;
         stream.poll(max_rounds)?;
     }
     let out = stream.finish(max_rounds)?;

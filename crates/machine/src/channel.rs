@@ -51,13 +51,13 @@ impl LinkClass {
     }
 }
 
-/// A FIFO link between two streaming contexts.
+/// An unbounded FIFO link between two streaming contexts.
 ///
-/// Storage grows by doubling up to the high-water mark of the queue and is
-/// never sized from `capacity`: a bound is a limit on occupancy, not a
-/// reservation (the simulator bounds every channel of a graph, most of
-/// which stay near empty). [`Channel::with_capacity`] is the exception —
-/// it pre-sizes, so such a channel never reallocates while the graph runs.
+/// Storage grows by doubling up to the high-water mark of the queue. A
+/// channel has no depth of its own: under Kahn semantics buffer sizes
+/// cannot change a result, so the untimed executor never bounds a link,
+/// and the timed simulator states each link's buffer depth on the port
+/// budgets it fires nodes with ([`crate::PortBudget::bound`]).
 ///
 /// Equality compares the queued tokens and every setting and counter, not
 /// the ring's storage.
@@ -67,10 +67,6 @@ pub struct Channel {
     queue: Ring,
     /// Bandwidth class used by the timed simulator and resource accounting.
     pub class: LinkClass,
-    /// Maximum queued tokens (None = unbounded, the untimed default). An
-    /// input of the execution plan, so it is written only by
-    /// [`Channel::with_capacity`] and [`crate::Graph::set_capacity`].
-    capacity: Option<usize>,
     /// Opportunistic barrier canonicalization on push (see module docs);
     /// the plan reads it too, so only
     /// [`Channel::without_canonicalization`] clears it.
@@ -96,7 +92,6 @@ impl Channel {
         Channel {
             queue: Ring::new(arity),
             class: LinkClass::Vector,
-            capacity: None,
             canonicalize: true,
             tail_preceded_by_data: false,
             pushed: 0,
@@ -110,34 +105,11 @@ impl Channel {
         self
     }
 
-    /// Sets a capacity bound (builder style). The ring is pre-sized to the
-    /// next power of two, so a bounded channel never reallocates mid-run.
-    pub fn with_capacity(mut self, cap: usize) -> Self {
-        self.capacity = Some(cap);
-        if self.queue.is_empty() {
-            self.queue = Ring::with_capacity(self.arity(), cap);
-        }
-        self
-    }
-
     /// Disables push-side canonicalization (used on loop backedges, where the
     /// protocol wants to observe the explicit barrier sequence).
     pub fn without_canonicalization(mut self) -> Self {
         self.canonicalize = false;
         self
-    }
-
-    /// Maximum queued tokens (`None` = unbounded).
-    #[inline]
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Re-bounds an existing channel without pre-sizing its ring; the one
-    /// caller is [`crate::Graph::set_capacity`], which also drops the
-    /// graph's plan.
-    pub(crate) fn set_capacity(&mut self, capacity: Option<usize>) {
-        self.capacity = capacity;
     }
 
     /// Whether a pushed barrier may absorb the one at the tail (see module
@@ -164,15 +136,6 @@ impl Channel {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Free slots before the capacity bound (usize::MAX when unbounded).
-    #[inline]
-    pub fn room(&self) -> usize {
-        match self.capacity {
-            Some(cap) => cap.saturating_sub(self.queue.len()),
-            None => usize::MAX,
-        }
     }
 
     /// The token at the front, if any: a window into the slab.
@@ -205,13 +168,11 @@ impl Channel {
     ///
     /// # Panics
     ///
-    /// Panics if the channel is full — callers must check
-    /// [`Channel::room`] first (nodes are written to do so) — or if
-    /// `width` is not the channel's arity, in every build profile: a
-    /// wrong-width tuple would otherwise land in its neighbour's slot.
+    /// Panics if `width` is not the channel's arity, in every build
+    /// profile: a wrong-width tuple would otherwise land in its
+    /// neighbour's slot.
     #[inline]
     pub fn push_slot(&mut self, width: usize) -> &mut [Word] {
-        assert!(self.room() > 0, "push into full channel");
         assert_eq!(
             width,
             self.arity(),
@@ -235,14 +196,8 @@ impl Channel {
 
     /// Appends the barrier Ω`level`, applying opportunistic
     /// canonicalization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel is full, even when the barrier would be
-    /// absorbed.
     #[inline]
     pub fn push_barrier(&mut self, level: BarrierLevel) {
-        assert!(self.room() > 0, "push into full channel");
         let tail = self.queue.back();
         let after_data = matches!(tail, Some(Tok::Data(_)));
         if let (true, Some(Tok::Barrier(tail))) = (self.canonicalize, tail) {
@@ -266,7 +221,7 @@ impl Channel {
     ///
     /// # Panics
     ///
-    /// As those two.
+    /// As [`Channel::push_data`].
     pub fn push(&mut self, tok: TTok) {
         match tok {
             Tok::Data(vals) => self.push_data(&vals),
@@ -305,7 +260,6 @@ impl Channel {
         let Channel {
             queue,
             class,
-            capacity,
             canonicalize,
             tail_preceded_by_data,
             pushed,
@@ -313,7 +267,6 @@ impl Channel {
         } = template;
         self.queue.reset_from(queue);
         self.class = *class;
-        self.capacity = *capacity;
         self.canonicalize = *canonicalize;
         self.tail_preceded_by_data = *tail_preceded_by_data;
         self.pushed = *pushed;
@@ -338,7 +291,7 @@ impl Channel {
 ///
 /// # Panics
 ///
-/// Panics if `chans[src]` is empty or `chans[dst]` is full.
+/// Panics if `chans[src]` is empty.
 #[inline]
 pub(crate) fn transfer(chans: &mut [Channel], src: usize, dst: usize) {
     let Ok([from, to]) = chans.get_disjoint_mut([src, dst]) else {
@@ -429,32 +382,13 @@ mod tests {
     }
 
     #[test]
-    fn capacity_and_room() {
-        let mut c = Channel::new(1).with_capacity(2);
-        assert_eq!(c.room(), 2);
-        c.push(tdata([1u32]));
-        assert_eq!(c.room(), 1);
-        c.push(tdata([2u32]));
-        assert_eq!(c.room(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "full channel")]
-    fn overfull_push_panics() {
-        let mut c = Channel::new(1).with_capacity(1);
-        c.push(tdata([1u32]));
-        c.push(tdata([2u32]));
-    }
-
-    #[test]
     fn capacity_one_channel_cycles() {
-        // The tightest bounded link: one slot, filled and drained repeatedly
-        // (the ring wraps many times without reallocating).
-        let mut c = Channel::new(1).with_capacity(1);
+        // One token at a time, filled and drained repeatedly (the ring
+        // wraps many times without reallocating).
+        let mut c = Channel::new(1);
         for i in 0..100u32 {
-            assert_eq!(c.room(), 1);
             c.push(tdata([i]));
-            assert_eq!(c.room(), 0);
+            assert_eq!(c.len(), 1);
             assert_eq!(c.pop(), Some(tdata([i])));
             assert!(c.is_empty());
         }
@@ -463,7 +397,7 @@ mod tests {
 
     #[test]
     fn bounded_channel_wraparound_preserves_order() {
-        let mut c = Channel::new(1).with_capacity(3);
+        let mut c = Channel::new(1);
         let mut next_in = 0u32;
         let mut next_out = 0u32;
         // Keep the queue at 2/3 while head orbits the ring storage.
@@ -474,7 +408,7 @@ mod tests {
         for _ in 0..500 {
             c.push(tdata([next_in]));
             next_in += 1;
-            assert_eq!(c.room(), 0);
+            assert_eq!(c.len(), 3);
             assert_eq!(c.pop(), Some(tdata([next_out])));
             next_out += 1;
         }

@@ -13,8 +13,8 @@
 //! observability sink, the round cap — tabulated in the crate docs). A
 //! graph owns its schedule: the [`ExecPlan`] of the current wiring is
 //! built on first need ([`Graph::plan`]), shared by every
-//! [`Graph::fresh_instance`], and dropped by whatever changes an input of
-//! it (`add_node`, `add_chan`, [`Graph::set_capacity`]). `run` owns the
+//! [`Graph::fresh_instance`], and dropped by whatever changes the wiring
+//! (`add_node`, `add_chan`). `run` owns the
 //! quiescence verdict; the plan contributes the drain loop, seeded by the
 //! one re-seed rule (`Graph::seeds`, documented on [`ResumeState`]).
 //!
@@ -24,12 +24,15 @@
 //! precomputed [`TopologyIndex`] maps every channel to its producer and
 //! consumer nodes, and the executor re-queues a node only when
 //!
-//! 1. one of its **input channels gains a token** (it may now fire),
-//! 2. one of its **output channels regains capacity** after being full
-//!    (back-pressure release — only possible on bounded channels), or
-//! 3. a pointer is **pushed to an allocator queue** and the node can
+//! 1. one of its **input channels gains a token** (it may now fire), or
+//! 2. a pointer is **pushed to an allocator queue** and the node can
 //!    stall on one (allocator releases are the one progress-enabling
 //!    state change invisible on the channel network).
+//!
+//! Channels are unbounded FIFOs, so no untimed producer ever waits for
+//! room. Buffer depth is the timed simulator's: it bounds links through
+//! the port budgets it steps nodes with ([`PortBudget::bound`]) and adds
+//! a third wake, a producer whose full output regains room.
 //!
 //! Because nodes are Kahn processes (blocking reads, no sampling of
 //! channel emptiness), the final token streams and memory state are
@@ -342,20 +345,10 @@ impl Graph {
         &self.chans
     }
 
-    /// Mutable channel access (host feeds, link classes). A capacity
-    /// change goes through [`Graph::set_capacity`] instead. On a template
+    /// Mutable channel access (host feeds, link classes). On a template
     /// this retires its channel-table pool ([`Graph::fresh_instance`]).
     pub fn chan_mut(&mut self, id: ChanId) -> &mut Channel {
         self.chans.chan_mut(id.0 as usize)
-    }
-
-    /// Bounds (or unbounds) a channel. Capacity is the one input of the
-    /// schedule that can change once the wiring is final — a bounded link's
-    /// producer does not chain — so the cached plan is dropped, as on
-    /// rewiring.
-    pub fn set_capacity(&mut self, id: ChanId, capacity: Option<usize>) {
-        self.plan = None;
-        self.chans.chan_mut(id.0 as usize).set_capacity(capacity);
     }
 
     /// Split mutable access to the channel table, memory state and node
@@ -390,14 +383,13 @@ impl Graph {
     ///   dirtied);
     /// - the channel table, with the scheduler scratch of a one-shot
     ///   [`Graph::run`]: each channel is reset in place to the template's
-    ///   (queued tokens, bound, class, counters), keeping the ring storage
+    ///   (queued tokens, class, counters), keeping the ring storage
     ///   earlier instances grew, so a recycled instance's run does not
     ///   regrow its rings.
     ///
     /// Both go back to their pool when the instance drops them (at most
-    /// [`crate::POOL_IMAGES`] idle ones each); adding a channel or a node,
-    /// [`Graph::set_capacity`] or [`Graph::chan_mut`] on this graph
-    /// retires its table pool, and any `&mut` access to its DRAM image
+    /// [`crate::POOL_IMAGES`] idle ones each); adding a channel or a node
+    /// or [`Graph::chan_mut`] on this graph retires its table pool, and any `&mut` access to its DRAM image
     /// the image pool, so what is out at that moment is freed on return.
     /// [`Graph::chan_pool_stats`] and [`crate::Dram::pool_stats`] count
     /// the hits.
@@ -546,8 +538,8 @@ impl Graph {
     /// one untimed entry point; see [`RunOptions`] for what a run can vary
     /// on. Execution is event-driven, through the graph's own schedule
     /// ([`Graph::plan`]): a node fires only when an input channel gained
-    /// tokens, an output channel regained capacity, or an allocator it can
-    /// block on received a pointer (see module docs).
+    /// tokens or an allocator it can block on received a pointer (see
+    /// module docs).
     ///
     /// With `resume`, leftover tokens at quiescence return
     /// [`RunStatus::Paused`] and every channel ring and node state stays
@@ -617,12 +609,13 @@ impl Graph {
 
     /// Classifies why a node that was just stepped made no progress, by
     /// inspecting its channel endpoints: an empty input means
-    /// **input-starved**; otherwise a bounded output at capacity means
-    /// **output-full**; otherwise a node that can block on an allocator
-    /// queue is **allocator-gated**. (DRAM gating exists only in the timed
-    /// simulator, which attributes it at the deferral site.) Shared by the
-    /// plan executor and the simulator.
-    pub fn classify_stall(&self, id: NodeId) -> StallClass {
+    /// **input-starved**; otherwise an output holding `bound(link)` tokens
+    /// means **output-full**; otherwise a node that can block on an
+    /// allocator queue is **allocator-gated**. (DRAM gating exists only in
+    /// the timed simulator, which attributes it at the deferral site.)
+    /// Shared by the plan executor, whose links are unbounded (`usize::MAX`
+    /// everywhere), and the simulator, which passes its buffer depths.
+    pub fn classify_stall(&self, id: NodeId, bound: impl Fn(ChanId) -> usize) -> StallClass {
         let slot = &self.nodes[id.0 as usize];
         if slot.ins.iter().any(|c| self.chans[c.0 as usize].is_empty()) {
             return StallClass::InputStarved;
@@ -630,7 +623,7 @@ impl Graph {
         if slot
             .outs
             .iter()
-            .any(|c| self.chans[c.0 as usize].room() == 0)
+            .any(|&c| self.chans[c.0 as usize].len() >= bound(c))
         {
             return StallClass::OutputFull;
         }
@@ -715,15 +708,15 @@ mod tests {
         // build by accident; emulate livelock by a source with huge output
         // and a tiny round cap.
         let mut g = Graph::new();
-        let c0 = g.add_chan(Channel::new(1).with_capacity(1));
+        let c0 = g.add_chan(Channel::new(1));
         g.add_node(
             "src",
             SourceNode::new(vec![tdata([1u32]), tdata([2u32])]),
             vec![],
             vec![c0],
         );
-        // No consumer: source can push one token then stalls forever; with
-        // max_rounds=0 we hit the cap immediately.
+        // No consumer; with max_rounds=0 we hit the cap before the
+        // source's first firing.
         let err = one_shot(&mut g, 0).unwrap_err();
         assert!(err.message.contains("no quiescence"), "got: {err}");
     }
@@ -1095,46 +1088,6 @@ mod tests {
         assert_eq!(handle.tokens_from(2), vec![tdata([10u32]), tbar(1)]);
         assert!(handle.tokens_from(99).is_empty());
         assert!(r1.steps > 0 && r2.steps > 0);
-    }
-
-    #[test]
-    fn bounding_a_channel_after_a_run_replans() {
-        // src → stage0 → stage1 → sink. The chain rule reads capacities, so
-        // bounding the link between the stages after a run must drop the
-        // schedule that chained across it.
-        let build = || {
-            let mut g = Graph::new();
-            let c: Vec<ChanId> = (0..3).map(|_| g.add_chan(Channel::new(1))).collect();
-            let src = SourceNode::new(Vec::new());
-            g.add_node("src", src, vec![], vec![c[0]]);
-            for i in 0..2 {
-                let stage = EwNode::passthrough(1);
-                g.add_node(format!("stage{i}"), stage, vec![c[i]], vec![c[i + 1]]);
-            }
-            let (sink, handle) = SinkNode::new();
-            g.add_node("sink", sink, vec![c[2]], vec![]);
-            (g, handle)
-        };
-        let toks = |r: std::ops::Range<u32>| r.map(|i| tdata([i])).chain([tbar(1)]);
-        let (mut g, handle) = build();
-        let mut resume = ResumeState::new();
-        feed(&mut g, ChanId(0), toks(0..4));
-        poll(&mut g, &mut resume);
-        assert_eq!(g.plan().stats().longest_segment, 2, "both stages chain");
-        g.set_capacity(ChanId(1), Some(1));
-        assert!(g.plan.is_none(), "set_capacity must invalidate");
-        feed(&mut g, ChanId(0), toks(4..8));
-        let (_, s) = poll(&mut g, &mut resume);
-        assert_eq!(s, RunStatus::Finished);
-        let stats = g.plan().stats();
-        assert_eq!(
-            stats.longest_segment, 1,
-            "a bounded link's producer stays out"
-        );
-        let (mut dense, dense_handle) = build();
-        feed(&mut dense, ChanId(0), toks(0..4).chain(toks(4..8)));
-        crate::reference::run_dense(&mut dense, 1_000).unwrap();
-        assert_eq!(handle.tokens(), dense_handle.tokens());
     }
 
     #[test]

@@ -38,15 +38,17 @@
 //! edges — sources, host feeds, sinks.
 //!
 //! A rule runs behind either [`Ports`] implementation, and the protocol
-//! lives there, not in the rule: [`NodeIo`] carries per-port token budgets
-//! (§III-C link bandwidth), room checks and [`IoEvents`] — the cycle-level
-//! simulator and the dense oracle; [`PlanPorts`] has direct channel access
-//! and applies wake-ups inside `push`/`pop_in` — the execution plan.
+//! lives there, not in the rule: [`NodeIo`] carries per-port budgets
+//! (§III-C link bandwidth and, through [`PortBudget::bound`], buffer
+//! depth) and [`IoEvents`] — the cycle-level simulator and the dense
+//! oracle; [`PlanPorts`] has direct channel access and applies wake-ups
+//! inside `push`/`pop_in` — the execution plan. Channels themselves are
+//! unbounded FIFOs: a buffer depth is the simulator's, never the graph's.
 //!
 //! The untimed executor is **event-driven**: a precomputed [`TopologyIndex`]
 //! maps channels to their endpoints, and a ready worklist re-fires a node
-//! only when an input channel gains tokens, a full output channel regains
-//! capacity, or an allocator queue it can block on receives a pointer. Kahn
+//! only when an input channel gains tokens or an allocator queue it can
+//! block on receives a pointer. Kahn
 //! semantics make the results scheduler-order independent, so it and the
 //! dense-sweep oracle ([`reference::run_dense`]) produce identical streams
 //! and memory — the ready set just attempts far fewer steps (see
@@ -57,8 +59,7 @@
 //! units (maximal chains of element-wise stages fire as one), a bitmap
 //! worklist, and the topology index — cached on the graph
 //! ([`Graph::plan`]), shared by every [`Graph::fresh_instance`], and
-//! dropped when the wiring or a channel bound changes (see the
-//! [`ExecPlan`] docs).
+//! dropped when the wiring changes (see the [`ExecPlan`] docs).
 //!
 //! There is one way in to execute, [`Graph::run`]; its [`RunOptions`] name
 //! the three things a run can vary on:

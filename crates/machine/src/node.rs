@@ -13,9 +13,9 @@
 //! the ring head, and pushes either by filling the slot [`Ports::push_slot`]
 //! opens or by moving a token channel→channel ([`Ports::forward`]).
 //!
-//! - [`NodeIo`] — per-port token budgets, room checks and [`IoEvents`]
-//!   recording: the cycle-level simulator (bounded channels, §III-C link
-//!   bandwidth) and the dense oracle.
+//! - [`NodeIo`] — per-port token budgets, buffer-depth checks and
+//!   [`IoEvents`] recording: the cycle-level simulator (§III-C link
+//!   bandwidth, Table II buffer depths) and the dense oracle.
 //! - [`PlanPorts`](crate::PlanPorts) — direct channel access with the
 //!   wake-ups applied inside `push`/`pop_in`: the execution plan
 //!   ([`crate::ExecPlan`]), which is what [`crate::Graph::run`] drains
@@ -85,20 +85,27 @@ impl std::error::Error for MachineError {}
 
 /// Per-port token budgets used by the timed simulator to model link
 /// bandwidth (§III-C: a vector link moves ≤16 data elements and ≤1 barrier
-/// per cycle; a scalar link ≤1 and ≤1).
+/// per cycle; a scalar link ≤1 and ≤1) and buffer depth.
 #[derive(Clone, Copy, Debug)]
 pub struct PortBudget {
     /// Remaining data tokens this step.
     pub data: usize,
     /// Remaining barrier tokens this step.
     pub barrier: usize,
+    /// Tokens the port's link may hold (`usize::MAX`: unbounded). On an
+    /// output, a link holding this many refuses the push; on an input, a
+    /// pop from a link holding this many frees it
+    /// ([`IoEvents::freed`]).
+    pub bound: usize,
 }
 
 impl PortBudget {
-    /// An effectively unlimited budget (untimed execution).
+    /// An effectively unlimited budget over an unbounded link (untimed
+    /// execution).
     pub const UNLIMITED: PortBudget = PortBudget {
         data: usize::MAX,
         barrier: usize::MAX,
+        bound: usize::MAX,
     };
 
     fn take(&mut self, is_barrier: bool) {
@@ -129,8 +136,9 @@ impl PortBudget {
 pub struct IoEvents {
     /// Channels that gained at least one token (wake the consumer).
     pub pushed: Vec<ChanId>,
-    /// Bounded channels that transitioned from full to having room (wake the
-    /// producer — back-pressure release). Unbounded channels never appear.
+    /// Channels that were at their port's bound and regained room (wake
+    /// the producer — back-pressure release). Unbounded links never
+    /// appear, so only the timed simulator sees any.
     pub freed: Vec<ChanId>,
 }
 
@@ -217,7 +225,8 @@ pub trait Ports {
 
 /// The budgeted port surface: a node's input/output channels (resolved
 /// through the graph's channel table), shared memory state, and per-port
-/// budgets.
+/// budgets, whose [`PortBudget::bound`] is the one place a link's buffer
+/// depth is enforced.
 pub struct NodeIo<'a> {
     chans: &'a mut [Channel],
     ins: &'a [ChanId],
@@ -265,10 +274,16 @@ impl<'a> NodeIo<'a> {
     }
 
     /// Attaches an event sink recording which channels gained tokens or
-    /// regained capacity during this step (ready-set scheduling).
+    /// regained room under their bound during this step (ready-set
+    /// scheduling).
     pub fn with_events(mut self, events: &'a mut IoEvents) -> Self {
         self.events = Some(events);
         self
+    }
+
+    /// Whether input `i`'s link holds as many tokens as its bound.
+    fn in_full(&self, i: usize) -> bool {
+        self.chans[self.ins[i].0 as usize].len() >= self.in_budget[i].bound
     }
 
     /// What a pop from input `i` costs: the port budget, and a
@@ -315,16 +330,17 @@ impl Ports for NodeIo<'_> {
     }
 
     fn pop_in(&mut self, i: usize) -> Tok<()> {
+        let was_full = self.in_full(i);
         let chan = &mut self.chans[self.ins[i].0 as usize];
-        let was_full = chan.room() == 0;
         let kind = chan.pop_front().expect("pop_in on empty channel");
         self.popped(i, kind.is_barrier(), was_full);
         kind
     }
 
-    /// Room in the channel *and* port budget remaining.
+    /// Room under the port's bound *and* port budget remaining.
     fn can_push(&self, o: usize, barrier: bool) -> bool {
-        self.chans[self.outs[o].0 as usize].room() > 0 && self.out_budget[o].allows(barrier)
+        let budget = &self.out_budget[o];
+        self.chans[self.outs[o].0 as usize].len() < budget.bound && budget.allows(barrier)
     }
 
     fn push_slot(&mut self, o: usize, width: usize) -> &mut [Word] {
@@ -338,7 +354,7 @@ impl Ports for NodeIo<'_> {
     fn forward(&mut self, i: usize, o: usize) {
         let (src, dst) = (self.ins[i].0 as usize, self.outs[o].0 as usize);
         let front = self.chans[src].front().expect("forward from empty channel");
-        let (barrier, was_full) = (front.is_barrier(), self.chans[src].room() == 0);
+        let (barrier, was_full) = (front.is_barrier(), self.in_full(i));
         self.pushing(o, barrier);
         transfer(self.chans, src, dst);
         self.popped(i, barrier, was_full);
@@ -539,9 +555,8 @@ mod tests {
     use crate::nodes::OutputSpec;
     use crate::tuple::{tbar, tdata, TTok};
 
-    /// The input channels, preloaded, then the outputs (`Some(cap)` bounds
-    /// one).
-    fn chans(inputs: Vec<Vec<TTok>>, outputs: &[Option<usize>]) -> Vec<Channel> {
+    /// The input channels, preloaded, then `outputs` empty ones.
+    fn chans(inputs: Vec<Vec<TTok>>, outputs: usize) -> Vec<Channel> {
         let mut chans = Vec::new();
         for toks in inputs {
             let mut c = Channel::new(1).without_canonicalization();
@@ -550,12 +565,8 @@ mod tests {
             }
             chans.push(c);
         }
-        for &cap in outputs {
-            let c = Channel::new(1).without_canonicalization();
-            chans.push(match cap {
-                Some(cap) => c.with_capacity(cap),
-                None => c,
-            });
+        for _ in 0..outputs {
+            chans.push(Channel::new(1).without_canonicalization());
         }
         chans
     }
@@ -563,12 +574,26 @@ mod tests {
     /// Fires `node` once over `chans`; returns `(starved, progressed)` and
     /// asserts that a starved node moved nothing.
     fn fire(node: &mut Prim, chans: &mut [Channel], n_in: usize) -> (bool, bool) {
+        fire_bounded(node, chans, n_in, usize::MAX)
+    }
+
+    /// [`fire`] with every output port bounded at `bound` tokens.
+    fn fire_bounded(
+        node: &mut Prim,
+        chans: &mut [Channel],
+        n_in: usize,
+        bound: usize,
+    ) -> (bool, bool) {
         let ids: Vec<ChanId> = (0..chans.len() as u32).map(ChanId).collect();
         let (ins, outs) = ids.split_at(n_in);
         let starved = node.starved(chans, ins);
         let mut mem = MemoryState::default();
         let mut ib = vec![PortBudget::UNLIMITED; ins.len()];
-        let mut ob = vec![PortBudget::UNLIMITED; outs.len()];
+        let bounded = PortBudget {
+            bound,
+            ..PortBudget::UNLIMITED
+        };
+        let mut ob = vec![bounded; outs.len()];
         let mut io = NodeIo::new(chans, ins, outs, &mut mem, &mut ib, &mut ob);
         let progressed = node.fire(&mut io, false).unwrap();
         assert!(!(starved && progressed), "{node:?}: starved but progressed");
@@ -578,7 +603,7 @@ mod tests {
     #[test]
     fn ew_is_starved_by_any_empty_input() {
         let mut ew = Prim::from(EwNode::new(2, vec![], vec![OutputSpec::plain([0])]));
-        let mut c = chans(vec![vec![tdata([1u32])], vec![]], &[None]);
+        let mut c = chans(vec![vec![tdata([1u32])], vec![]], 1);
         assert_eq!(fire(&mut ew, &mut c, 2), (true, false));
         c[1].push(tdata([2u32]));
         assert_eq!(fire(&mut ew, &mut c, 2), (false, true));
@@ -588,7 +613,7 @@ mod tests {
     #[test]
     fn fb_merge_draining_with_a_held_forward_barrier_is_not_starved() {
         let mut m = Prim::from(FbMergeNode::new());
-        let mut c = chans(vec![vec![tbar(1)], vec![]], &[None]);
+        let mut c = chans(vec![vec![tbar(1)], vec![]], 1);
         // Wave 0 is empty: Ω1 out, the forward barrier held, draining.
         assert_eq!(fire(&mut m, &mut c, 2), (false, true));
         assert_eq!(c[2].drain_all(), vec![tbar(1)]);
@@ -604,7 +629,7 @@ mod tests {
     #[test]
     fn reduce_with_a_pending_sum_is_starved_until_input_arrives() {
         let mut r = Prim::from(ReduceNode::new(crate::instr::AluOp::Add, 0u32));
-        let mut c = chans(vec![vec![tdata([1u32]), tdata([2u32])]], &[None]);
+        let mut c = chans(vec![vec![tdata([1u32]), tdata([2u32])]], 1);
         assert_eq!(fire(&mut r, &mut c, 1), (false, true));
         // The partial sum is held, but only an input barrier can emit it.
         assert_eq!(fire(&mut r, &mut c, 1), (true, false));
@@ -617,7 +642,7 @@ mod tests {
     #[test]
     fn fwd_merge_with_a_lone_barrier_is_not_starved() {
         let mut m = Prim::from(FwdMergeNode::new());
-        let mut c = chans(vec![vec![tbar(1)], vec![]], &[None]);
+        let mut c = chans(vec![vec![tbar(1)], vec![]], 1);
         assert_eq!(fire(&mut m, &mut c, 2), (false, false));
         c[1].push(tbar(1));
         assert_eq!(fire(&mut m, &mut c, 2), (false, true));
@@ -632,11 +657,35 @@ mod tests {
             Operand::Reg(0),
             Operand::imm(1u32),
         ));
-        let mut c = chans(vec![vec![tdata([3u32])]], &[Some(2)]);
-        assert_eq!(fire(&mut k, &mut c, 1), (false, true));
+        let mut c = chans(vec![vec![tdata([3u32])]], 1);
+        assert_eq!(fire_bounded(&mut k, &mut c, 1, 2), (false, true));
         assert_eq!(c[1].drain_all(), vec![tdata([0u32]), tdata([1u32])]);
         // The input is empty, yet the held range still moves.
-        assert_eq!(fire(&mut k, &mut c, 1), (false, true));
+        assert_eq!(fire_bounded(&mut k, &mut c, 1, 2), (false, true));
         assert_eq!(c[1].drain_all(), vec![tdata([2u32]), tbar(1)]);
+    }
+
+    #[test]
+    fn a_port_bound_refuses_pushes_and_its_pop_frees_the_link() {
+        // pass: c0 → c1, both bounded at 2 on both ports.
+        let mut chans = chans(vec![(0..4u32).map(|i| tdata([i])).collect()], 1);
+        let (ins, outs) = ([ChanId(0)], [ChanId(1)]);
+        let bounded = PortBudget {
+            bound: 2,
+            ..PortBudget::UNLIMITED
+        };
+        let mut pass = Prim::from(EwNode::passthrough(1));
+        let mut mem = MemoryState::default();
+        let mut events = IoEvents::default();
+        let (mut ib, mut ob) = ([bounded], [bounded]);
+        let mut io = NodeIo::new(&mut chans, &ins, &outs, &mut mem, &mut ib, &mut ob)
+            .with_events(&mut events);
+        assert!(pass.fire(&mut io, false).unwrap());
+        assert!(!io.can_push(0, false), "the output holds its bound");
+        // The input held 4 and then 3 tokens against its bound of 2: each
+        // pop from a link at or over its bound frees it.
+        assert_eq!(events.freed, vec![ChanId(0), ChanId(0)]);
+        assert_eq!(events.pushed, vec![ChanId(1), ChanId(1)]);
+        assert_eq!((chans[0].len(), chans[1].len()), (2, 2));
     }
 }

@@ -180,6 +180,7 @@ mod tests {
         let mut ob = vec![PortBudget {
             data: 1,
             barrier: 1,
+            bound: usize::MAX,
         }];
         let mut io = NodeIo::new(&mut chans, &ins, &outs, &mut mem, &mut ib, &mut ob);
         src.fire(&mut io).unwrap();

@@ -8,7 +8,7 @@
 //!
 //! - **Wake units.** Nodes are partitioned into units that fire together.
 //!   A maximal straight-line chain of element-wise stages (single producer
-//!   → single consumer over a private unbounded channel) is one *segment*,
+//!   → single consumer over a private channel) is one *segment*,
 //!   one dispatch for the whole chain. Every other node is a unit of its
 //!   own, fired through its [`crate::Prim`]'s `match`.
 //! - **Fused runs.** A segment is cut into *runs* of consecutive stages
@@ -196,10 +196,8 @@ impl WakeSet {
 /// graph is quiescent: consumers of a **non-empty input channel** (input
 /// arrives by a push onto a channel, which is how streaming sessions
 /// feed) and **allocator waiters** (a returned pointer is invisible on
-/// the channel network). A [`crate::nodes::SourceNode`] stalled on a full
-/// bounded output needs no third rule: that channel is non-empty, so its
-/// consumer is seeded, and the consumer's pop is a capacity-release wake
-/// of the source. Spurious seeds are harmless (an unproductive step). The
+/// the channel network). Spurious seeds are harmless (an unproductive
+/// step). The
 /// drain loop's worklist, register file and fused-edge state live here,
 /// so repeated polls never reallocate them; one state must only ever
 /// drive the graph it was first run against.
@@ -275,10 +273,9 @@ impl Wakes<'_> {
     }
 }
 
-/// The execution plan's port surface: direct channel access, no budgets;
-/// a push wakes the channel's consumers, a pop that frees a full bounded
-/// channel wakes its producers (see [`Ports`] for the other
-/// implementation, [`crate::NodeIo`]).
+/// The execution plan's port surface: direct channel access, no budgets
+/// and no bounds; a push wakes the channel's consumers (see [`Ports`] for
+/// the other implementation, [`crate::NodeIo`]).
 #[derive(Debug)]
 pub struct PlanPorts<'a> {
     chans: &'a mut [Channel],
@@ -295,15 +292,6 @@ pub struct PlanPorts<'a> {
 }
 
 impl PlanPorts<'_> {
-    /// The wake a pop from `c` owes: its producers, if it was full.
-    #[inline(always)]
-    fn popped(&mut self, c: ChanId, was_full: bool) {
-        if was_full {
-            let producers = self.wakes.plan.topo.producers(c);
-            self.wakes.wake(producers, WakeCause::CapacityRelease);
-        }
-    }
-
     /// The wake a push on `c` owes: its consumers, unless they are the
     /// next run of the segment being fired.
     #[inline(always)]
@@ -336,17 +324,14 @@ impl Ports for PlanPorts<'_> {
 
     #[inline(always)]
     fn pop_in(&mut self, i: usize) -> Tok<()> {
-        let c = self.ins[i];
-        let chan = &mut self.chans[c.0 as usize];
-        let was_full = chan.room() == 0;
-        let kind = chan.pop_front().expect("pop_in on empty channel");
-        self.popped(c, was_full);
-        kind
+        self.chans[self.ins[i].0 as usize]
+            .pop_front()
+            .expect("pop_in on empty channel")
     }
 
     #[inline(always)]
-    fn can_push(&self, o: usize, _barrier: bool) -> bool {
-        self.chans[self.outs[o].0 as usize].room() > 0
+    fn can_push(&self, _o: usize, _barrier: bool) -> bool {
+        true
     }
 
     #[inline(always)]
@@ -366,9 +351,7 @@ impl Ports for PlanPorts<'_> {
     #[inline(always)]
     fn forward(&mut self, i: usize, o: usize) {
         let (src, dst) = (self.ins[i], self.outs[o]);
-        let was_full = self.chans[src.0 as usize].room() == 0;
         transfer(self.chans, src.0 as usize, dst.0 as usize);
-        self.popped(src, was_full);
         self.pushed(dst);
     }
 
@@ -403,8 +386,7 @@ impl ExecPlan {
         };
 
         // Chainable stages: element-wise, no allocator stalls, ≥1 input
-        // (EwNode's own invariant), unbounded outputs, and a behavior/
-        // wiring port-count match.
+        // (EwNode's own invariant), and a behavior/wiring port-count match.
         let chainable: Vec<Option<&EwNode>> = nodes
             .iter()
             .map(|slot| {
@@ -413,11 +395,7 @@ impl ExecPlan {
                 };
                 let ok = !slot.alloc_gated
                     && !slot.ins.is_empty()
-                    && ew.outputs.len() == slot.outs.len()
-                    && slot
-                        .outs
-                        .iter()
-                        .all(|c| g.chans()[c.0 as usize].capacity().is_none());
+                    && ew.outputs.len() == slot.outs.len();
                 ok.then_some(&**ew)
             })
             .collect();
@@ -604,7 +582,7 @@ impl ExecPlan {
                     }
                     obs.node_dispatch(i as u32, progressed);
                     if !progressed && obs.is_enabled() {
-                        obs.stall(i as u32, g.classify_stall(NodeId(i as u32)));
+                        obs.stall(i as u32, g.classify_stall(NodeId(i as u32), |_| usize::MAX));
                     }
                 }
             }
@@ -767,20 +745,14 @@ mod tests {
         )
     }
 
-    /// src → ew ×3 → sink, optionally with a bounded middle channel.
-    fn chain(bounded_mid: Option<usize>) -> (Graph, crate::nodes::SinkHandle) {
+    /// src → ew ×3 → sink.
+    fn chain() -> (Graph, crate::nodes::SinkHandle) {
         let mut g = Graph::new();
         let toks: Vec<TTok> = (0..8u32).map(|i| tdata([i])).chain([tbar(1)]).collect();
         let mut prev = g.add_chan(Channel::new(1));
         g.add_node("src", SourceNode::new(toks), vec![], vec![prev]);
         for i in 0..3 {
-            let mut c = Channel::new(1);
-            if i == 1 {
-                if let Some(cap) = bounded_mid {
-                    c = c.with_capacity(cap);
-                }
-            }
-            let next = g.add_chan(c);
+            let next = g.add_chan(Channel::new(1));
             g.add_node(format!("stage{i}"), add_one(), vec![prev], vec![next]);
             prev = next;
         }
@@ -791,9 +763,9 @@ mod tests {
 
     #[test]
     fn fused_pipeline_matches_interpreted() {
-        let (mut gd, hd) = chain(None);
+        let (mut gd, hd) = chain();
         let rd = run_dense(&mut gd, 10_000).unwrap();
-        let (mut gp, hp) = chain(None);
+        let (mut gp, hp) = chain();
         let stats = gp.plan().stats();
         assert_eq!(stats.fused_ew, 3, "all three stages fuse");
         assert_eq!(stats.segments, 1, "one straight-line segment");
@@ -812,22 +784,6 @@ mod tests {
             rp.steps,
             rd.steps
         );
-    }
-
-    #[test]
-    fn bounded_output_falls_back_but_still_runs() {
-        // A bounded middle channel keeps its producer stage out of the
-        // chain; the plan must still finish, with back-pressure wakes.
-        let (mut gd, hd) = chain(Some(1));
-        run_dense(&mut gd, 10_000).unwrap();
-        let (mut gp, hp) = chain(Some(1));
-        let stats = gp.plan().stats();
-        assert_eq!(
-            stats.fused_ew, 2,
-            "the bounded-output stage stays out of the chain: {stats:?}"
-        );
-        one_shot(&mut gp, 10_000).unwrap();
-        assert_eq!(hd.tokens(), hp.tokens());
     }
 
     #[test]
@@ -1097,7 +1053,7 @@ mod tests {
         // on one by hand makes the drain fire stage by stage instead, so
         // it still leaves first.
         let build = || {
-            let (mut g, h) = chain(None);
+            let (mut g, h) = chain();
             g.chan_mut(ChanId(1)).push(tdata([100u32]));
             (g, h)
         };
@@ -1217,14 +1173,14 @@ mod tests {
 
     #[test]
     fn planned_round_cap_reported() {
-        let (mut g, _h) = chain(None);
+        let (mut g, _h) = chain();
         let err = one_shot(&mut g, 0).unwrap_err();
         assert!(err.message.contains("no quiescence"), "got: {err}");
     }
 
     #[test]
     fn plan_reusable_across_fresh_instances() {
-        let (mut template, _h) = chain(None);
+        let (mut template, _h) = chain();
         let plan = Arc::clone(template.plan());
         for _ in 0..3 {
             let mut inst = template.fresh_instance();

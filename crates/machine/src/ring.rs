@@ -19,8 +19,8 @@
 //! arity-0 ring (void tokens) is simply a zero-width word lane.
 //!
 //! `n` is zero or a power of two, so indexing is a mask. Storage starts
-//! empty and doubles when full ([`Ring::with_capacity`] pre-sizes it), so
-//! a channel costs allocator calls only for its high-water mark.
+//! empty and doubles when full, so a channel costs allocator calls only
+//! for its high-water mark.
 
 use revet_sltf::{BarrierLevel, Tok, Word};
 
@@ -56,17 +56,6 @@ impl Ring {
         }
     }
 
-    /// An empty ring pre-sized to hold at least `cap` tokens without
-    /// reallocating (rounded up to a power of two).
-    pub fn with_capacity(arity: usize, cap: usize) -> Self {
-        let n = cap.max(Self::MIN_POW2).next_power_of_two();
-        Ring {
-            words: vec![Word::ZERO; n * arity],
-            tags: vec![DATA; n],
-            ..Ring::new(arity)
-        }
-    }
-
     /// Words per data token.
     #[inline]
     pub fn arity(&self) -> usize {
@@ -85,8 +74,9 @@ impl Ring {
         self.len == 0
     }
 
-    /// Slots available before the next reallocation.
-    pub fn capacity(&self) -> usize {
+    /// Slots of storage: the tokens it holds before the next
+    /// reallocation.
+    pub fn slots(&self) -> usize {
         self.tags.len()
     }
 
@@ -250,7 +240,7 @@ mod tests {
         let mut r = Ring::new(3);
         assert_eq!(r.len(), 0);
         assert!(r.is_empty());
-        assert_eq!(r.capacity(), 0);
+        assert_eq!(r.slots(), 0);
         assert_eq!(r.front(), None);
         assert_eq!(r.back(), None);
         assert_eq!(r.get(0), None);
@@ -264,7 +254,7 @@ mod tests {
             push(&mut r, i);
         }
         assert_eq!(r.len(), 100);
-        assert!(r.capacity().is_power_of_two());
+        assert!(r.slots().is_power_of_two());
         for i in 0..100u32 {
             assert_eq!(front(&r), Some(i));
             assert_eq!(pop(&mut r), Some(i));
@@ -275,9 +265,11 @@ mod tests {
     #[test]
     fn wraparound_across_many_cycles() {
         // Interleave pushes and pops so head orbits the storage repeatedly
-        // without ever growing past the initial power of two.
-        let mut r = Ring::with_capacity(1, 4);
-        let cap = r.capacity();
+        // without ever growing past the first allocation.
+        let mut r = Ring::new(1);
+        push(&mut r, u32::MAX);
+        r.pop_front();
+        let cap = r.slots();
         let mut next_in = 0u32;
         let mut next_out = 0u32;
         for _ in 0..1000 {
@@ -289,20 +281,20 @@ mod tests {
             next_out += 2;
         }
         assert!(r.is_empty());
-        assert_eq!(r.capacity(), cap, "steady-state traffic must not grow");
+        assert_eq!(r.slots(), cap, "steady-state traffic must not grow");
     }
 
     #[test]
     fn full_and_empty_boundaries() {
-        let mut r = Ring::with_capacity(1, 3); // rounds up to 4
-        assert_eq!(r.capacity(), 4);
+        let mut r = Ring::new(1);
         for i in 0..4u32 {
             push(&mut r, i);
         }
         assert_eq!(r.len(), 4);
+        assert_eq!(r.slots(), 4, "the first allocation holds four");
         // One more forces a doubling, preserving order.
         push(&mut r, 4);
-        assert_eq!(r.capacity(), 8);
+        assert_eq!(r.slots(), 8);
         assert_eq!(drain(&mut r), vec![0, 1, 2, 3, 4]);
         assert!(r.is_empty());
     }
@@ -311,7 +303,7 @@ mod tests {
     fn capacity_one_semantics() {
         // MIN_POW2 keeps physical storage ≥ 4, but logical single-slot use
         // (push, pop, push …) must behave like a 1-deep FIFO.
-        let mut r = Ring::with_capacity(1, 1);
+        let mut r = Ring::new(1);
         for i in 0..10u32 {
             push(&mut r, i);
             assert_eq!(r.len(), 1);
@@ -325,7 +317,7 @@ mod tests {
     #[test]
     fn retag_back_and_indexing() {
         let word = |v: u32| [Word(v)];
-        let mut r = Ring::with_capacity(1, 4);
+        let mut r = Ring::new(1);
         push(&mut r, 1);
         push(&mut r, 2);
         r.push_barrier(BarrierLevel::L1);
@@ -343,7 +335,7 @@ mod tests {
 
     #[test]
     fn growth_repacks_wrapped_contents() {
-        let mut r = Ring::with_capacity(1, 4);
+        let mut r = Ring::new(1);
         // Wrap head partway around, then force a grow with a wrapped layout.
         for i in 0..4u32 {
             push(&mut r, i);

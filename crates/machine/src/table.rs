@@ -15,13 +15,13 @@
 //! The DRAM image's rules, applied to the table:
 //!
 //! - **Template mutation retires the pool**: adding a channel or a node,
-//!   re-bounding a channel and [`ChanTable::chan_mut`] on a template. The
+//!   and [`ChanTable::chan_mut`] on a template. The
 //!   tables out at that moment are freed on return, not recycled.
 //! - **Reset, not trust.** A table dropped after an error or an unwind,
 //!   tokens still queued, is reset like any other: every field of every
 //!   channel is copied from the template.
 //! - **Debug builds check** every reset table against its template at
-//!   checkout (queued tokens, bound, class, canonicalisation, push
+//!   checkout (queued tokens, class, canonicalisation, push
 //!   counters), and poison the word slots of every table they return with
 //!   [`POISON`]. Instances of one program now share ring storage, so the
 //!   invariant that every push writes its whole window is what keeps them
@@ -67,7 +67,7 @@ impl ChanTable {
     }
 
     /// One channel to change as a whole (a template mutation: a host feed,
-    /// a new bound, or a replacement of another arity).
+    /// a new class, or a replacement of another arity).
     pub(crate) fn chan_mut(&mut self, i: usize) -> &mut Channel {
         self.retire();
         &mut self.chans[i]

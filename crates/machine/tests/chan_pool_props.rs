@@ -1,6 +1,6 @@
 //! Channel-table recycling: every instance's channels must equal the
-//! *current* template's — queued tokens, bound, class, canonicalisation
-//! state and push counters — whatever its previous users pushed, popped,
+//! *current* template's — queued tokens, class, canonicalisation state
+//! and push counters — whatever its previous users pushed, popped,
 //! left behind, failed on or unwound through.
 //!
 //! Channels are compared through what the public surface shows (a drained
@@ -27,15 +27,13 @@ const B: ChanId = ChanId(1);
 const D: ChanId = ChanId(3);
 const E: ChanId = ChanId(4);
 const F: ChanId = ChanId(5);
-/// `D`'s bound: a push past it panics.
-const D_CAP: usize = 4;
 
 fn template() -> Graph {
     let mut g = Graph::new();
     let a = g.add_chan(Channel::new(1));
     let b = g.add_chan(Channel::new(1));
     let zipped = g.add_chan(Channel::new(2));
-    g.add_chan(Channel::new(3).with_capacity(D_CAP));
+    g.add_chan(Channel::new(3));
     g.add_chan(
         Channel::new(0)
             .with_class(LinkClass::Scalar)
@@ -54,7 +52,6 @@ fn template() -> Graph {
 struct View {
     tokens: Vec<TTok>,
     arity: usize,
-    capacity: Option<usize>,
     class: LinkClass,
     canonicalizes: bool,
     pushed: u64,
@@ -66,13 +63,10 @@ struct View {
 
 fn view(c: &Channel) -> View {
     let mut probe = c.clone();
-    if probe.room() > 0 {
-        probe.push(tbar(15));
-    }
+    probe.push(tbar(15));
     View {
         tokens: c.clone().drain_all(),
         arity: c.arity(),
-        capacity: c.capacity(),
         class: c.class,
         canonicalizes: c.canonicalizes(),
         pushed: c.total_pushed(),
@@ -149,7 +143,7 @@ fn run_steps(steps: &[Step]) {
             3 | 4 => {
                 let c = [D, E, F][who % 3];
                 let chan = template.chan_mut(c);
-                if kind == 3 && chan.room() > 0 {
+                if kind == 3 {
                     chan.push(token(chan.arity(), val));
                 } else {
                     chan.pop();
@@ -157,8 +151,11 @@ fn run_steps(steps: &[Step]) {
                 assert_eq!(template.chan_pool_stats(), PoolStats::default());
             }
             5 => {
-                let bound = (val % 2 == 0).then_some(1 + val as usize % 8);
-                template.set_capacity(F, bound);
+                template.chan_mut(F).class = if val % 2 == 0 {
+                    LinkClass::Scalar
+                } else {
+                    LinkClass::Vector
+                };
                 assert_eq!(template.chan_pool_stats(), PoolStats::default());
             }
             kind if !live.is_empty() => {
@@ -175,7 +172,7 @@ fn run_steps(steps: &[Step]) {
                         };
                         let chan = inst.chan_mut(c);
                         for i in 0..1 + val % 7 {
-                            if kind == 6 && chan.room() > 0 {
+                            if kind == 6 {
                                 chan.push(token(chan.arity(), val.wrapping_add(i)));
                             } else {
                                 chan.pop();
@@ -195,15 +192,17 @@ fn run_steps(steps: &[Step]) {
                         feed(inst, 1 + val % 9, true);
                         assert!(inst.run(RunOptions::new(0)).is_err());
                     }
-                    // An unwind: pushing past `D`'s bound panics, and the
+                    // An unwind: a one-word tuple pushed onto `D`, whose
+                    // arity is 3, panics in every build profile, and the
                     // instance is dropped on the way out, tokens queued.
                     _ => {
                         let mut inst = live.swap_remove(k);
                         let unwound = catch_unwind(AssertUnwindSafe(move || {
                             feed(&mut inst, 3, false);
-                            for i in 0..=D_CAP as u32 {
+                            for i in 0..4 {
                                 inst.chan_mut(D).push(tdata([i, i, val]));
                             }
+                            inst.chan_mut(D).push(tdata([val]));
                         }));
                         assert!(unwound.is_err());
                     }

@@ -1,7 +1,7 @@
 //! Property tests for [`Channel`] through its owned-token surface
 //! (`push` / `pop` / `drain_all`): random data, barrier and pop sequences
-//! at tuple arities 0..=16 — bounded and unbounded, canonicalising and
-//! not, across ring wrap-around and growth — must behave exactly like a
+//! at tuple arities 0..=16 — canonicalising and not, across ring
+//! wrap-around and growth — must behave exactly like a
 //! `VecDeque<TTok>` model that restates the barrier-absorb rule.
 //!
 //! The suite speaks only the part of the channel API that does not depend
@@ -14,7 +14,7 @@
 //! share code with.
 
 use proptest::prelude::*;
-use revet_machine::{tbar, tdata, Channel, Graph, TTok};
+use revet_machine::{tbar, tdata, Channel, TTok};
 use revet_sltf::{canonicalize, Decoder, Ragged, Tok, Token, Word};
 use std::collections::VecDeque;
 
@@ -25,7 +25,6 @@ use std::collections::VecDeque;
 #[derive(Default)]
 struct Model {
     q: VecDeque<TTok>,
-    cap: Option<usize>,
     canon: bool,
     tail_after_data: bool,
     pushed: u64,
@@ -33,11 +32,6 @@ struct Model {
 }
 
 impl Model {
-    fn room(&self) -> usize {
-        self.cap
-            .map_or(usize::MAX, |cap| cap.saturating_sub(self.q.len()))
-    }
-
     fn push(&mut self, tok: TTok) {
         if let Tok::Barrier(level) = &tok {
             if let (true, Some(Tok::Barrier(tail))) = (self.canon, self.q.back()) {
@@ -80,16 +74,14 @@ fn decode(raw: u64, arity: usize) -> Option<TTok> {
 
 /// Replays `steps` against a channel and a model in the same state,
 /// comparing every storage-independent observable after each step and the
-/// drained stream at the end. Pushes are attempted only while there is
-/// room, as nodes do.
+/// drained stream at the end.
 fn check(chan: &mut Channel, mut model: Model, arity: usize, steps: &[u64]) {
     for (i, &raw) in steps.iter().enumerate() {
         match decode(raw, arity) {
-            Some(tok) if model.room() > 0 => {
+            Some(tok) => {
                 chan.push(tok.clone());
                 model.push(tok);
             }
-            Some(_) => assert_eq!(chan.room(), 0, "step {i}: model is full"),
             None if raw % 10 == 9 => {
                 let want: Vec<TTok> = std::mem::take(&mut model.q).into();
                 model.tail_after_data = false;
@@ -99,7 +91,6 @@ fn check(chan: &mut Channel, mut model: Model, arity: usize, steps: &[u64]) {
         }
         assert_eq!(chan.len(), model.q.len(), "step {i}: len");
         assert_eq!(chan.is_empty(), model.q.is_empty(), "step {i}: is_empty");
-        assert_eq!(chan.room(), model.room(), "step {i}: room");
         assert_eq!(chan.total_pushed(), model.pushed, "step {i}: pushed");
         assert_eq!(
             chan.total_pushed_data(),
@@ -170,8 +161,8 @@ fn steps() -> impl Strategy<Value = Vec<u64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Unbounded channels (the untimed default): storage starts empty and
-    /// grows by doubling under the push-heavy mix.
+    /// Storage starts empty and grows by doubling under the push-heavy
+    /// mix.
     #[test]
     fn unbounded_channel_matches_model(
         arity in 0usize..=16,
@@ -181,62 +172,6 @@ proptest! {
         let chan = Channel::new(arity);
         let mut chan = if canon { chan } else { chan.without_canonicalization() };
         check(&mut chan, Model { canon, ..Model::default() }, arity, &steps);
-    }
-
-    /// Channels bounded at construction (`with_capacity`): full/empty
-    /// boundaries, and head orbiting the storage at high occupancy.
-    #[test]
-    fn presized_bounded_channel_matches_model(
-        arity in 0usize..=16,
-        cap in 1usize..40,
-        canon in any::<bool>(),
-        steps in steps(),
-    ) {
-        let chan = Channel::new(arity).with_capacity(cap);
-        let mut chan = if canon { chan } else { chan.without_canonicalization() };
-        check(&mut chan, Model { cap: Some(cap), canon, ..Model::default() }, arity, &steps);
-    }
-
-    /// Channels bounded the way the simulator bounds them — by
-    /// `Graph::set_capacity` on an existing channel, with no pre-sizing —
-    /// so storage grows lazily on the way up to the cap.
-    #[test]
-    fn lazily_bounded_channel_matches_model(
-        arity in 0usize..=16,
-        cap in 1usize..40,
-        canon in any::<bool>(),
-        steps in steps(),
-    ) {
-        let chan = Channel::new(arity);
-        let mut g = Graph::new();
-        let id = g.add_chan(if canon { chan } else { chan.without_canonicalization() });
-        g.set_capacity(id, Some(cap));
-        check(g.chan_mut(id), Model { cap: Some(cap), canon, ..Model::default() }, arity, &steps);
-    }
-
-    /// A bound applied after tokens are already queued (the simulator caps
-    /// every channel of a finished graph; the entry channel is uncapped
-    /// again before arguments are injected): occupancy above the cap reads
-    /// as no room, never as an underflow.
-    #[test]
-    fn bound_applied_to_a_nonempty_channel(
-        arity in 0usize..=16,
-        cap in 1usize..8,
-        prefill in 0usize..20,
-        steps in steps(),
-    ) {
-        let mut g = Graph::new();
-        let id = g.add_chan(Channel::new(arity));
-        let mut model = Model { canon: true, ..Model::default() };
-        for k in 0..prefill as u32 {
-            let tok = tdata((0..arity as u32).map(|j| k + j));
-            g.chan_mut(id).push(tok.clone());
-            model.push(tok);
-        }
-        g.set_capacity(id, Some(cap));
-        model.cap = Some(cap);
-        prop_assert_eq!(g.chans()[id.0 as usize].room(), cap.saturating_sub(prefill));
-        check(g.chan_mut(id), model, arity, &steps);
     }
 
     /// The channel against the SLTF reference: whatever it absorbs, its

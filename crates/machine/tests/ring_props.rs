@@ -1,6 +1,6 @@
 //! Property tests for [`Ring`], the slab queue under every channel: random
-//! push/pop/retag interleavings at slot widths 0..=8 and capacities 1..64
-//! must behave exactly like a `VecDeque` of owned tokens, across
+//! push/pop/retag interleavings at slot widths 0..=8, on rings grown to
+//! hold 1..64 tokens and on empty ones, must behave exactly like a `VecDeque` of owned tokens, across
 //! wraparound (head chasing its own tail) and grow-on-full doublings — in
 //! particular, no word window may bleed into a neighbouring slot.
 
@@ -49,6 +49,19 @@ fn view(tok: &Owned) -> Tok<&[Word]> {
     }
 }
 
+/// A ring already grown to hold `cap` tokens, head left at `cap` modulo
+/// its storage: what a recycled channel table hands its next run.
+fn grown(arity: usize, cap: usize) -> Ring {
+    let mut ring = Ring::new(arity);
+    for _ in 0..cap {
+        ring.push_barrier(BarrierLevel::of(1));
+    }
+    for _ in 0..cap {
+        ring.pop_front();
+    }
+    ring
+}
+
 /// Replays `steps` against both the ring and the model, checking every
 /// observable (popped kinds, len, front/back, full indexed contents) after
 /// each step, and the drain order at the end.
@@ -89,10 +102,10 @@ fn check(mut ring: Ring, steps: &[Step]) {
             "step {i}: back diverged"
         );
         assert!(
-            ring.capacity() >= ring.len(),
-            "step {i}: len {} exceeds capacity {}",
+            ring.slots() >= ring.len(),
+            "step {i}: len {} exceeds storage {}",
             ring.len(),
-            ring.capacity()
+            ring.slots()
         );
         for k in 0..=model.len() {
             assert_eq!(
@@ -112,16 +125,16 @@ fn check(mut ring: Ring, steps: &[Step]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Pre-sized rings (capacity 1..64) under random interleavings long
+    /// Rings grown to hold 1..64 tokens under random interleavings long
     /// enough to wrap head past the storage boundary many times and to
-    /// overflow the initial allocation (grow-on-full).
+    /// overflow the grown storage (grow-on-full).
     #[test]
     fn presized_ring_matches_vecdeque(
         arity in 0usize..=8,
         cap in 1usize..64,
         steps in prop::collection::vec(step_strategy(), 0..200),
     ) {
-        check(Ring::with_capacity(arity, cap), &steps);
+        check(grown(arity, cap), &steps);
     }
 
     /// A `Ring::new()` ring starts with zero storage — the first push
@@ -134,32 +147,32 @@ proptest! {
         check(Ring::new(arity), &steps);
     }
 
-    /// A capacity bound is a no-realloc promise: pushing exactly `cap`
-    /// tokens never changes `capacity()`, and alternating pop-front/
-    /// push at full occupancy (steady-state channel traffic) keeps
-    /// wrapping without growing.
+    /// A grown ring keeps its storage: pushing as many tokens as it once
+    /// held never changes `slots()`, and alternating pop-front/push at
+    /// that occupancy (steady-state channel traffic) keeps wrapping
+    /// without growing.
     #[test]
     fn bounded_fill_and_steady_state_never_reallocate(
         arity in 0usize..=8,
         cap in 1usize..64,
         traffic in prop::collection::vec(any::<u32>(), 0..150),
     ) {
-        let mut ring = Ring::with_capacity(arity, cap);
-        let fixed = ring.capacity();
+        let mut ring = grown(arity, cap);
+        let fixed = ring.slots();
         prop_assert!(fixed >= cap);
         let mut model: VecDeque<Vec<Word>> = VecDeque::new();
         for v in 0..cap as u32 {
             ring.push_slot().copy_from_slice(&payload(arity, v));
             model.push_back(payload(arity, v));
         }
-        prop_assert_eq!(ring.capacity(), fixed, "fill to cap grew the ring");
+        prop_assert_eq!(ring.slots(), fixed, "refilling to cap grew the ring");
         for (i, v) in traffic.iter().enumerate() {
             let want = model.pop_front().expect("model stays full");
             prop_assert_eq!(ring.front(), Some(Tok::Data(&want[..])), "step {}", i);
             ring.pop_front();
             ring.push_slot().copy_from_slice(&payload(arity, *v));
             model.push_back(payload(arity, *v));
-            prop_assert_eq!(ring.capacity(), fixed, "steady state grew the ring");
+            prop_assert_eq!(ring.slots(), fixed, "steady state grew the ring");
             prop_assert_eq!(ring.back(), model.back().map(|b| Tok::Data(&b[..])), "step {}", i);
         }
         prop_assert_eq!(ring.len(), model.len());

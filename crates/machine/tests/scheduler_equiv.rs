@@ -25,24 +25,20 @@
 //!
 //! The first link a move creates canonicalizes barriers or, one time in
 //! two, does not (a dup's second link and an SRAM pair's last one always
-//! do). A last move, **bound**, adds no node: it caps an open channel
-//! at 1..=4 tokens. Every node moves its inputs and outputs in lockstep,
-//! so such a DAG cannot deadlock at any capacity ≥ 1; what the bound does
-//! is put back-pressure on the run — producers stall on a full link and
-//! are woken by the consumer's pop (`CapacityRelease`) — and keep the
-//! bounded link's producer out of the plan's chains.
+//! do). Links are unbounded: buffer depth belongs to the timed simulator,
+//! whose back-pressure `sim_golden` pins.
 //!
 //! A case is *shallow* or *deep*. A shallow source stream closes its
-//! groups with Ω1 only, and only shallow cases draw bounds. A deep stream
-//! also carries Ω2 and Ω3 runs (`x Ω1 Ω2`, a bare `x Ω2`), its entry link
-//! may keep them explicit, and only deep cases draw sram pairs. The split
-//! exists because barrier absorption (an Ωm at a channel's tail taken over
-//! by a later Ωn, n > m, when data preceded it) and a reader's view of its
-//! batch's writes both depend on which tokens are queued together. With
-//! every link unbounded, the plan and the dense sweep batch each node's
-//! input alike, one-shot and chunk by chunk; a bound would let them
-//! differ. So a deep case is judged one-shot against the dense sweep and,
-//! when chunked, against the dense sweep fed the same chunks.
+//! groups with Ω1 only. A deep stream also carries Ω2 and Ω3 runs
+//! (`x Ω1 Ω2`, a bare `x Ω2`), its entry link may keep them explicit, and
+//! only deep cases draw sram pairs. The split exists because barrier
+//! absorption (an Ωm at a channel's tail taken over by a later Ωn, n > m,
+//! when data preceded it) and a reader's view of its batch's writes both
+//! depend on which tokens are queued together. The plan and the dense
+//! sweep batch each node's input alike, one-shot and chunk by chunk, but
+//! a chunk boundary is a batch boundary. So a deep case is judged
+//! one-shot against the dense sweep and, when chunked, against the dense
+//! sweep fed the same chunks.
 //!
 //! A subset of nodes additionally writes its values into a node-private
 //! DRAM window, so memory equality is exercised too (windows are disjoint:
@@ -76,7 +72,6 @@ enum Move {
     Filter { sel: u32, op: u32 },
     Strip { sel: u32 },
     SramPair { sel: u32 },
-    Bound { sel: u32, cap: u32 },
 }
 
 /// A move, and whether the links it creates canonicalize barriers.
@@ -87,7 +82,7 @@ fn decode(raw: u32) -> (Move, bool) {
         rest /= base;
         d
     };
-    let kind = digit(11);
+    let kind = digit(10);
     let (a, b) = (digit(1009), digit(1013));
     let canon = digit(2) != 0;
     let mv = match kind {
@@ -96,8 +91,7 @@ fn decode(raw: u32) -> (Move, bool) {
         4 | 5 => Move::Zip { sel_a: a, sel_b: b },
         6 | 7 => Move::Filter { sel: a, op: b },
         8 => Move::Strip { sel: a },
-        9 => Move::SramPair { sel: a },
-        _ => Move::Bound { sel: a, cap: b },
+        _ => Move::SramPair { sel: a },
     };
     (mv, canon)
 }
@@ -105,7 +99,7 @@ fn decode(raw: u32) -> (Move, bool) {
 /// What a case may contain (see the module docs).
 #[derive(Clone, Copy, Debug)]
 struct Shape {
-    /// Ω2/Ω3 runs in the source stream and sram pairs; no bounds.
+    /// Ω2/Ω3 runs in the source stream and sram pairs.
     deep: bool,
     /// Whether the entry link canonicalizes (a deep stream's runs survive
     /// it only when it does not).
@@ -376,13 +370,6 @@ fn build(
                 );
                 open.push((dst, class));
             }
-            Move::Bound { sel, cap } => {
-                if shape.deep {
-                    continue;
-                }
-                let (c, _) = open[sel as usize % open.len()];
-                g.set_capacity(c, Some(1 + cap as usize % 4));
-            }
         }
     }
 
@@ -470,16 +457,6 @@ fn run(g: &mut Graph, resume: Option<&mut ResumeState>, obs: &ObsSink) -> (ExecR
     .unwrap()
 }
 
-/// Interior nodes the chain rule must leave out: those with a bounded
-/// output (the source has no inputs, a sink no outputs).
-fn bounded_producers(g: &Graph) -> usize {
-    let bounded = |c: &ChanId| g.chans()[c.0 as usize].capacity().is_some();
-    g.nodes()
-        .iter()
-        .filter(|s| !s.ins.is_empty() && s.outs.iter().any(bounded))
-        .count()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -488,8 +465,7 @@ proptest! {
     /// bytes, SRAM, allocators, and traffic counters), while the plan
     /// attempts no more steps than the dense sweep. Every generated
     /// interior node is an `EwNode`, so the
-    /// plan chains the whole DAG between the source and the sinks, except
-    /// the producers of bounded links.
+    /// plan chains the whole DAG between the source and the sinks.
     #[test]
     fn planned_matches_ready_matches_dense(
         values in prop::collection::vec(0u32..100, 0..14),
@@ -518,20 +494,18 @@ proptest! {
 
         let stats = plan_g.plan().stats();
         prop_assert_eq!(
-            stats.fused_ew + bounded_producers(&plan_g) + plan_h.len() + 1,
+            stats.fused_ew + plan_h.len() + 1,
             stats.nodes,
-            "everything chains but the source, the sinks and bounded links' producers: {:?}",
+            "everything chains but the source and the sinks: {:?}",
             stats
         );
 
         prop_assert_eq!(snapshot(&dense_h), snapshot(&plan_h));
         prop_assert_eq!(&dense_g.mem, &plan_g.mem);
         // Step *grouping* is schedule-dependent (the ready set may fire a
-        // node at finer granularity), but total attempted work must not be
-        // — without back-pressure: a producer stalled on a full link is
-        // re-attempted on every capacity release.
+        // node at finer granularity), but total attempted work must not be.
         prop_assert!(
-            planned.steps <= dense.steps || dense_g.chans().iter().any(|c| c.capacity().is_some()),
+            planned.steps <= dense.steps,
             "the plan did more work ({} > {})", planned.steps, dense.steps
         );
     }
@@ -539,8 +513,7 @@ proptest! {
     /// The whole `RunOptions` matrix against the dense oracle: `{one-shot,
     /// resumed in K chunks} × {no-op obs, enabled obs}`. Feeding the source
     /// stream in K chunks at arbitrary token boundaries — with a resumable
-    /// run after each chunk, and one more whenever a bounded entry link
-    /// fills up mid-chunk — yields exactly the one-shot sink streams and
+    /// run after each chunk — yields exactly the one-shot sink streams and
     /// memory state of a shallow case: chunking only perturbs the
     /// schedule, and Kahn semantics make the result schedule-independent;
     /// intermediate polls may legitimately pause with in-flight tokens,
@@ -594,9 +567,6 @@ proptest! {
                     let mut last = RunStatus::Finished;
                     for w in bounds.windows(2) {
                         for tok in &toks[w[0]..w[1]] {
-                            if g.chans()[entry.0 as usize].room() == 0 {
-                                steps += run(&mut g, Some(&mut resume), obs).0.steps;
-                            }
                             g.chan_mut(entry).push(tok.clone());
                         }
                         let (report, status) = run(&mut g, Some(&mut resume), obs);

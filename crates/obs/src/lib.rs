@@ -89,7 +89,8 @@ pub struct ObsCounters {
     pub segment_fires: Counter,
     /// Wakes caused by tokens arriving on an input channel.
     pub wakes_token: Counter,
-    /// Wakes caused by a full output channel regaining capacity.
+    /// Wakes caused by a full output link regaining room (timed simulator
+    /// only).
     pub wakes_capacity: Counter,
     /// Wakes caused by an allocator queue receiving a pointer.
     pub wakes_alloc: Counter,

@@ -5,8 +5,9 @@
 //! The four classes mirror the ways a Revet context can be gated:
 //!
 //! * **input-starved** — some input channel has no tokens to consume;
-//! * **output-full** — every input is ready but a bounded output channel
-//!   has no free capacity;
+//! * **output-full** — every input is ready but an output link holds as
+//!   many tokens as its buffer depth (the timed simulator's; untimed links
+//!   are unbounded);
 //! * **allocator-gated** — I/O is ready but the node blocks on an
 //!   allocator queue that has not produced a pointer;
 //! * **DRAM-gated** — the timed simulator deferred an address generator
@@ -19,7 +20,7 @@ use std::fmt::Write as _;
 pub enum StallClass {
     /// An input channel had no tokens.
     InputStarved,
-    /// A bounded output channel had no capacity.
+    /// An output link held its buffer depth (timed simulator only).
     OutputFull,
     /// The node blocks on an allocator queue with no pointer available.
     AllocGated,

@@ -14,7 +14,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 pub enum WakeCause {
     /// An input channel gained tokens.
     TokenArrival,
-    /// A full output channel regained capacity.
+    /// A full output link regained room (timed simulator only: untimed
+    /// links are unbounded).
     CapacityRelease,
     /// An allocator queue the node can block on received a pointer.
     AllocatorPush,

@@ -209,7 +209,7 @@ impl ServeClient {
     }
 
     /// Appends `main` argument sets to an open session; returns how many
-    /// the session accepted (poll and resend the rest if fewer).
+    /// the session accepted (all of them: the entry link is unbounded).
     ///
     /// # Errors
     ///

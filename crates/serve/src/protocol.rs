@@ -607,9 +607,8 @@ wire_enum! {
         },
         /// Reply to [`Request::Feed`].
         0x87 => Fed {
-            /// How many argument sets the session accepted (a bounded entry
-            /// channel may accept fewer than sent — poll, then resend the
-            /// remainder).
+            /// How many argument sets the session accepted: every one sent,
+            /// since a session's entry link is unbounded.
             accepted: u64,
         },
         /// Reply to [`Request::Poll`].

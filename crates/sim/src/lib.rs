@@ -8,8 +8,12 @@
 //!
 //! - every link moves at most its class bandwidth per cycle (vector: 16 data
 //!   elements + 1 barrier; scalar: 1 + 1);
-//! - channels have finite buffers (Table II input-buffer depths), so
-//!   downstream congestion back-pressures producers;
+//! - links have finite buffers (Table II input-buffer depths), so
+//!   downstream congestion back-pressures producers. The depth is the
+//!   machine's, not the program's: one function, `Simulator::link_bound`,
+//!   maps a link to its depth, and the port budgets a node fires with
+//!   carry it ([`PortBudget::bound`]), so a timed run leaves the program's
+//!   wiring and schedule as it found them;
 //! - DRAM traffic drains a token bucket refilled at the HBM2 byte rate, with
 //!   an additional issue cap per AG context per cycle (the burst/activation
 //!   bound that limits random-access workloads like hash-table);
@@ -42,7 +46,7 @@ pub use stats::SimStats;
 
 use revet_core::CompiledProgram;
 use revet_machine::{
-    ChanId, IoEvents, LinkClass, MachineError, NodeId, NodeSlot, PortBudget, UnitClass,
+    ChanId, Channel, IoEvents, LinkClass, MachineError, NodeId, NodeSlot, PortBudget, UnitClass,
 };
 use revet_obs::{BoundPort, ObsSink, StallClass, WakeCause};
 use revet_sltf::Word;
@@ -74,7 +78,9 @@ impl Simulator {
     }
 
     /// Runs `program` with `main` arguments to completion; returns timing
-    /// statistics. DRAM inputs must already be loaded.
+    /// statistics. DRAM inputs must already be loaded. Only the program's
+    /// channel contents and memory change: its wiring and its untimed
+    /// schedule ([`revet_machine::Graph::plan`]) are left as they were.
     ///
     /// # Errors
     ///
@@ -108,30 +114,9 @@ impl Simulator {
     ) -> Result<SimStats, MachineError> {
         let cfg = &self.config;
         // The shared channel-endpoint index drives ready-set wake-ups, the
-        // same as the untimed executor's. Taken before the buffers are
-        // bounded: that drops the graph's untimed schedule, and the
-        // compiler's copy of the index with it.
+        // same as the untimed executor's.
         let topo = Arc::clone(program.graph.plan().topology());
-        // Apply buffer capacities (ideal network = unbounded).
-        let chan_count = program.graph.chan_count();
-        if !self.ideal.network {
-            for c in 0..chan_count {
-                let id = revet_machine::ChanId(c as u32);
-                let chan = &program.graph.chans()[c];
-                let cap = if chan.canonicalizes() {
-                    match chan.class {
-                        LinkClass::Vector => cfg.vector_buffer_tokens,
-                        LinkClass::Scalar => cfg.scalar_buffer_tokens,
-                    }
-                } else {
-                    // Backedges get the deadlock-avoidance depth.
-                    cfg.deadlock_buffer_tokens
-                };
-                program.graph.set_capacity(id, Some(cap));
-            }
-        }
-        // Inject the argument thread.
-        program.graph.set_capacity(program.entry, None);
+        let entry = program.entry;
         program.inject_args(args);
         let n = program.graph.node_count();
 
@@ -200,12 +185,12 @@ impl Simulator {
                     events.clear();
                     false
                 } else {
-                    let class = |c: &ChanId| program.graph.chans()[c.0 as usize].class;
-                    for (b, c) in ib.iter_mut().zip(slot.ins.iter()) {
-                        *b = self.port_budget(unit, class(c), true);
+                    let chans = program.graph.chans();
+                    for (b, &c) in ib.iter_mut().zip(slot.ins.iter()) {
+                        *b = self.port_budget(unit, &chans[c.0 as usize], c == entry, true);
                     }
-                    for (b, c) in ob.iter_mut().zip(slot.outs.iter()) {
-                        *b = self.port_budget(unit, class(c), false);
+                    for (b, &c) in ob.iter_mut().zip(slot.outs.iter()) {
+                        *b = self.port_budget(unit, &chans[c.0 as usize], c == entry, false);
                     }
                     let moved = program.graph.step_node_traced(
                         id,
@@ -233,7 +218,9 @@ impl Simulator {
                 };
                 obs.node_dispatch(i, progressed);
                 if !progressed && obs.is_enabled() {
-                    obs.stall(i, program.graph.classify_stall(id));
+                    let chans = program.graph.chans();
+                    let bound = |c: ChanId| self.link_bound(&chans[c.0 as usize], c == entry);
+                    obs.stall(i, program.graph.classify_stall(id, bound));
                 }
                 let wake = |w: NodeId,
                             cause: WakeCause,
@@ -329,22 +316,44 @@ impl Simulator {
         Ok(stats)
     }
 
+    /// The buffer depth of a link: how many tokens it may hold. Unbounded
+    /// for the entry link (the host injects every argument thread before
+    /// the first cycle) and under an ideal network; the deadlock-avoidance
+    /// depth for a link that keeps its barriers explicit (a loop back
+    /// edge, §V-D); otherwise its class's input-buffer depth (Table II).
+    fn link_bound(&self, chan: &Channel, entry: bool) -> usize {
+        let cfg = &self.config;
+        if entry || self.ideal.network {
+            usize::MAX
+        } else if !chan.canonicalizes() {
+            cfg.deadlock_buffer_tokens
+        } else {
+            match chan.class {
+                LinkClass::Vector => cfg.vector_buffer_tokens,
+                LinkClass::Scalar => cfg.scalar_buffer_tokens,
+            }
+        }
+    }
+
     /// A port's per-cycle budget: its link's class bandwidth (§III-C)
     /// unless the network is ideal, unlimited on a memory unit under ideal
     /// SRAM, and on an AG's input at most `ag_issues_per_cycle` issues
-    /// (the burst/activation bound) unless DRAM is ideal.
-    fn port_budget(&self, unit: UnitClass, class: LinkClass, input: bool) -> PortBudget {
+    /// (the burst/activation bound) unless DRAM is ideal; bounded, on
+    /// either end, by the link's depth ([`Simulator::link_bound`]).
+    fn port_budget(&self, unit: UnitClass, chan: &Channel, entry: bool, input: bool) -> PortBudget {
         let mut b = if self.ideal.network || (self.ideal.sram && unit == UnitClass::Memory) {
             PortBudget::UNLIMITED
         } else {
             PortBudget {
-                data: class.width(),
+                data: chan.class.width(),
                 barrier: 1,
+                bound: usize::MAX,
             }
         };
         if input && unit == UnitClass::AddressGen && !self.ideal.dram {
             b.data = b.data.min(self.config.ag_issues_per_cycle);
         }
+        b.bound = self.link_bound(chan, entry);
         b
     }
 }
@@ -406,6 +415,31 @@ mod tests {
             timed.graph.mem.dram, untimed.graph.mem.dram,
             "timed and untimed DRAM results diverged"
         );
+    }
+
+    #[test]
+    fn a_timed_run_keeps_the_programs_schedule() {
+        // Buffer depth is the simulator's: even with every buffer one token
+        // deep, the program's untimed schedule survives a timed run, and
+        // that run still matches the untimed one.
+        let one_deep = RdaConfig {
+            vector_buffer_tokens: 1,
+            scalar_buffer_tokens: 1,
+            ..RdaConfig::default()
+        };
+        let mut timed = squares_program();
+        let schedule = Arc::clone(timed.graph.plan());
+        let stats = Simulator::new(one_deep, IdealModels::default())
+            .run(&mut timed, &[Word(32)], 1_000_000)
+            .unwrap();
+        assert!(stats.cycles > 0);
+        assert!(
+            Arc::ptr_eq(&schedule, timed.graph.plan()),
+            "the timed run dropped the program's schedule"
+        );
+        let mut untimed = squares_program();
+        untimed.run_untimed(&[Word(32)], 1_000_000).unwrap();
+        assert_eq!(timed.graph.mem.dram, untimed.graph.mem.dram);
     }
 
     #[test]
