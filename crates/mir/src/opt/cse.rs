@@ -20,19 +20,19 @@ use std::collections::HashMap;
 /// pruned; uses are remapped to the surviving value (declared types must
 /// match).
 ///
-/// Exception: availability does **not** flow into the sub-regions of
-/// `while`/`foreach`/`replicate`/`fork` ops. The dataflow lowering pays
-/// for every free use of those regions with *recirculated or broadcast
-/// bandwidth* — a while loop threads it through the packed loop tuple on
-/// every iteration, a foreach broadcasts it per element — so replacing a
-/// region-local pure recompute with a reference to an enclosing value is
-/// a pessimization there, not a win (measured as a double-digit executor
-/// step regression on the while-heavy evaluation apps). `if` arms keep
-/// inherited availability: their routing is filter-based and cheap.
+/// Exception: availability does **not** flow into the regions of a
+/// `while` op. The dataflow lowering threads every free use of a loop
+/// through the packed loop tuple, recirculating it on every iteration, so
+/// replacing a region-local pure recompute with a reference to an
+/// enclosing value is a pessimization there, not a win (measured as a
+/// double-digit executor step regression on the while-heavy evaluation
+/// apps). Every other region keeps inherited availability: `if` arms
+/// route it through cheap filters, and `foreach`, `replicate` and `fork`
+/// bodies receive it like any other free use.
 pub struct Cse;
 
-/// True when `kind`'s sub-regions recirculate or broadcast their free
-/// uses under dataflow lowering (see the scoping exception above).
+/// True when `kind`'s sub-regions recirculate their free uses under
+/// dataflow lowering (see the scoping exception above).
 fn isolates_availability(kind: &OpKind) -> bool {
     matches!(kind, OpKind::While { .. })
 }
@@ -241,5 +241,74 @@ mod tests {
             1
         );
         crate::verify_module(&m).unwrap();
+    }
+
+    #[test]
+    fn availability_flows_into_foreach_but_not_while() {
+        // outer = p*p; a foreach body and a while body each recompute p*p.
+        let mut f = Func::new("main", &[Ty::I32], vec![Ty::I32]);
+        let p = f.params[0];
+        let mut b = RegionBuilder::new();
+        let outer = b.bin(&mut f, AluOp::Mul, p, p);
+        let zero = b.const_i32(&mut f, 0);
+        let one = b.const_i32(&mut f, 1);
+
+        let i = f.new_value(Ty::I32);
+        let mut body = RegionBuilder::with_args(vec![i]);
+        let in_foreach = body.bin(&mut f, AluOp::Mul, p, p);
+        let term = body.bin(&mut f, AluOp::Add, in_foreach, i);
+        body.emit0(OpKind::Yield(vec![term]));
+        let sum = f.new_value(Ty::I32);
+        b.push(
+            OpKind::Foreach {
+                lo: zero,
+                hi: p,
+                step: one,
+                body: body.build(),
+                reduce: vec![AluOp::Add],
+                flags: Default::default(),
+            },
+            vec![sum],
+        );
+
+        let cv = f.new_value(Ty::I32);
+        let mut before = RegionBuilder::with_args(vec![cv]);
+        let cond = before.bin(&mut f, AluOp::LtU, cv, p);
+        before.emit0(OpKind::Condition {
+            cond,
+            fwd: vec![cv],
+        });
+        let av = f.new_value(Ty::I32);
+        let mut after = RegionBuilder::with_args(vec![av]);
+        let in_while = after.bin(&mut f, AluOp::Mul, p, p);
+        let next = after.bin(&mut f, AluOp::Add, av, in_while);
+        after.emit0(OpKind::Yield(vec![next]));
+        let last = f.new_value(Ty::I32);
+        b.push(
+            OpKind::While {
+                inits: vec![zero],
+                before: before.build(),
+                after: after.build(),
+            },
+            vec![last],
+        );
+        let partial = b.bin(&mut f, AluOp::Add, outer, sum);
+        let total = b.bin(&mut f, AluOp::Add, partial, last);
+        b.emit0(OpKind::Return(vec![total]));
+        f.body = b.build();
+
+        let m = run(f);
+        crate::verify_module(&m).unwrap();
+        let f = m.func("main").unwrap();
+        assert_eq!(
+            f.count_ops(|k| matches!(k, OpKind::Bin(AluOp::Mul, ..))),
+            2,
+            "the foreach body's p*p is reused, the while body's is not"
+        );
+        let uses = |v: Value, w: Value| {
+            f.count_ops(|k| matches!(k, OpKind::Bin(AluOp::Add, a, b) if *a == v && *b == w))
+        };
+        assert_eq!(uses(outer, i), 1, "the foreach body adds the outer p*p");
+        assert_eq!(uses(av, in_while), 1, "the while body keeps its own");
     }
 }
