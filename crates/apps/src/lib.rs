@@ -32,6 +32,7 @@ pub use kdtree::kdtree_app;
 pub use text::{ip2int_app, isipv4_app, search_app};
 
 use revet_core::{CompiledProgram, PassOptions, Session};
+use revet_mir::DramLayout;
 use revet_sltf::Word;
 
 /// Per-run workload: arguments, DRAM images, and validation data.
@@ -108,12 +109,11 @@ impl App {
         Session::new((self.source)(outer), opts).to_dataflow()
     }
 
-    /// The one statement of the DRAM layout: the [`DRAM_BYTES`] image is cut
-    /// into equal slices, one per declared symbol, in declaration order.
-    /// Returns the map from symbol index to byte offset.
+    /// The map from symbol index to byte offset in the [`DRAM_BYTES`]
+    /// image: the compiler's layout ([`DramLayout::equal_slices`]).
     fn symbol_offsets(&self) -> impl Fn(usize) -> usize {
-        let slice = DRAM_BYTES / self.dram_symbols();
-        move |sym| sym * slice
+        let layout = DramLayout::equal_slices(self.dram_symbols(), DRAM_BYTES);
+        move |sym| layout.base[sym] as usize
     }
 
     /// The workload's inputs as DRAM overlays `(byte offset, bytes)` — what

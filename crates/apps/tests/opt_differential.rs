@@ -49,24 +49,20 @@ fn interp_drams(app: &App) -> (Vec<u8>, Vec<u8>) {
     let w = (app.workload)(4, SEED);
     let lowered = revet_lang::compile_to_mir(&(app.source)(2)).unwrap();
     let mut module = lowered.module;
-    let n = module.drams.len();
-    let slice = (DRAM_BYTES / n) as u32;
-    let layout = DramLayout {
-        base: (0..n as u32).map(|i| i * slice).collect(),
-    };
+    let layout = DramLayout::equal_slices(module.drams.len(), DRAM_BYTES);
     let args: Vec<Word> = w.args.iter().map(|&a| Word(a)).collect();
 
     let run = |module: &revet_mir::Module| {
         let mut mem = module.build_memory(DRAM_BYTES);
         for (sym, bytes) in &w.inits {
-            let base = sym * slice as usize;
+            let base = layout.base[*sym] as usize;
             mem.dram[base..base + bytes.len()].copy_from_slice(bytes);
         }
         Interp::new(module, &layout, &mut mem)
             .with_fuel(1_000_000_000)
             .run("main", &args)
             .unwrap_or_else(|e| panic!("{}: {e}", app.name));
-        let base = w.out_sym * slice as usize;
+        let base = layout.base[w.out_sym] as usize;
         assert_eq!(
             &mem.dram[base..base + w.expected.len()],
             &w.expected[..],

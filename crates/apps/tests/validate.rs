@@ -40,14 +40,10 @@ fn all_apps_through_mir_interp() {
         let w = (app.workload)(4, 13);
         let lowered = revet_lang::compile_to_mir(&(app.source)(2)).unwrap();
         let module = lowered.module;
-        let n = module.drams.len();
-        let slice = (revet_apps::DRAM_BYTES / n) as u32;
-        let layout = DramLayout {
-            base: (0..n as u32).map(|i| i * slice).collect(),
-        };
+        let layout = DramLayout::equal_slices(module.drams.len(), revet_apps::DRAM_BYTES);
         let mut mem = module.build_memory(revet_apps::DRAM_BYTES);
         for (sym, bytes) in &w.inits {
-            let base = sym * slice as usize;
+            let base = layout.base[*sym] as usize;
             mem.dram[base..base + bytes.len()].copy_from_slice(bytes);
         }
         let args: Vec<Word> = w.args.iter().map(|&a| Word(a)).collect();
@@ -55,7 +51,7 @@ fn all_apps_through_mir_interp() {
             .with_fuel(1_000_000_000)
             .run("main", &args)
             .unwrap_or_else(|e| panic!("{}: {e}", app.name));
-        let base = w.out_sym * slice as usize;
+        let base = layout.base[w.out_sym] as usize;
         assert_eq!(
             &mem.dram[base..base + w.expected.len()],
             &w.expected[..],

@@ -225,12 +225,7 @@ impl Session {
         // Dataflow lowering consumes the module; it gets a copy so the
         // session's optimized artifact stays inspectable and re-runnable.
         let module = self.mir.clone().expect("optimized");
-        let n = module.drams.len().max(1);
-        let slice = opts.dram_bytes / n;
-        let base = |i: usize| u32::try_from(i * slice).expect("a base is below dram_bytes ≤ 2^32");
-        let layout = DramLayout {
-            base: (0..module.drams.len()).map(base).collect(),
-        };
+        let layout = DramLayout::equal_slices(module.drams.len(), opts.dram_bytes);
         laps.lap("to_dataflow.mir_copy");
         match lower_timed(module, &layout, &opts, opts.dram_bytes, &mut laps) {
             Ok(p) => {

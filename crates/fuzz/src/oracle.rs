@@ -169,16 +169,6 @@ fn diff_dram(a: &[u8], b: &[u8], who: &str) -> String {
     }
 }
 
-/// The equal-slice layout `Session::to_dataflow` builds (and the one the
-/// interpreter must share for images to be comparable).
-fn layout_for(module: &Module, dram_bytes: usize) -> DramLayout {
-    let n = module.drams.len().max(1);
-    let slice = (dram_bytes / n) as u32;
-    DramLayout {
-        base: (0..module.drams.len() as u32).map(|i| i * slice).collect(),
-    }
-}
-
 /// Runs `module` under the MIR interpreter with the case's inputs loaded;
 /// returns the final DRAM image.
 fn interp_dram(
@@ -188,11 +178,11 @@ fn interp_dram(
     level: Option<u8>,
 ) -> Result<Vec<u8>, Failure> {
     let dram_bytes = cfg.dram_bytes();
-    let layout = layout_for(module, dram_bytes);
-    let slice = dram_bytes / module.drams.len().max(1);
+    // The layout `Session::to_dataflow` builds, so the images compare.
+    let layout = DramLayout::equal_slices(module.drams.len(), dram_bytes);
     let mut mem = module.build_memory(dram_bytes);
-    for (sym, bytes) in case.dram_inits.iter().enumerate() {
-        mem.write_dram(sym * slice, bytes)
+    for (&base, bytes) in layout.base.iter().zip(&case.dram_inits) {
+        mem.write_dram(base as usize, bytes)
             .map_err(|e| fail(FailureKind::InterpError, level, e.to_string()))?;
     }
     let args: Vec<Word> = case.args.iter().map(|&a| Word(a)).collect();
@@ -346,7 +336,7 @@ fn run_level(
         Some(inj) => {
             let mut module = optimized.clone();
             apply_injection(&mut module, inj);
-            let layout = layout_for(&module, dram_bytes);
+            let layout = DramLayout::equal_slices(module.drams.len(), dram_bytes);
             let mut lopts = opts.clone();
             lopts.threads = session.thread_count();
             lower_to_dataflow(module, &layout, &lopts, dram_bytes)
@@ -357,12 +347,12 @@ fn run_level(
     // Load the case's DRAM inputs into the compiled template; every
     // instance starts from a byte-identical image.
     let mut program = program;
-    let slice = dram_bytes / optimized.drams.len().max(1);
-    for (sym, bytes) in case.dram_inits.iter().enumerate() {
+    let layout = DramLayout::equal_slices(optimized.drams.len(), dram_bytes);
+    for (&base, bytes) in layout.base.iter().zip(&case.dram_inits) {
         program
             .graph
             .mem
-            .write_dram(sym * slice, bytes)
+            .write_dram(base as usize, bytes)
             .map_err(|e| fail(FailureKind::ExecError, level, format!("load: {e}")))?;
     }
     let args: Vec<Word> = case.args.iter().map(|&a| Word(a)).collect();

@@ -10,12 +10,9 @@ use revet_sltf::Word;
 fn run(src: &str, args: &[u32], dram_init: &[(usize, &[u8])], sym_bytes: u32) -> Vec<u8> {
     let lowered = compile_to_mir(src).unwrap_or_else(|e| panic!("{e}"));
     let module = &lowered.module;
-    let layout = DramLayout {
-        base: (0..module.drams.len() as u32)
-            .map(|i| i * sym_bytes)
-            .collect(),
-    };
-    let mut mem = module.build_memory((module.drams.len() as usize) * sym_bytes as usize);
+    let image_bytes = module.drams.len() * sym_bytes as usize;
+    let layout = DramLayout::equal_slices(module.drams.len(), image_bytes);
+    let mut mem = module.build_memory(image_bytes);
     for (off, bytes) in dram_init {
         mem.dram[*off..*off + bytes.len()].copy_from_slice(bytes);
     }

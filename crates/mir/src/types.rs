@@ -101,6 +101,21 @@ pub struct DramLayout {
 }
 
 impl DramLayout {
+    /// The equal-slice layout every harness and the compiler share: a
+    /// `dram_bytes` image cut into one slice per symbol, in declaration
+    /// order, so symbol `i` starts at `i × (dram_bytes ÷ symbols)`.
+    ///
+    /// # Panics
+    ///
+    /// If a base does not fit a 32-bit address (`dram_bytes` above 2³²).
+    pub fn equal_slices(symbols: usize, dram_bytes: usize) -> Self {
+        let slice = dram_bytes / symbols.max(1);
+        let base = |i: usize| u32::try_from(i * slice).expect("a DRAM base fits 32 bits");
+        DramLayout {
+            base: (0..symbols).map(base).collect(),
+        }
+    }
+
     /// Byte address of element `idx` of symbol `d` with the given element
     /// width.
     pub fn addr(&self, d: DramRef, elem_bytes: u32, idx: u32) -> u32 {
@@ -127,6 +142,13 @@ mod tests {
         assert_eq!(Ty::I8.narrow(Word(0x80), true), Word::from_i32(-128));
         assert_eq!(Ty::I16.narrow(Word(0x1_8000), true), Word::from_i32(-32768));
         assert_eq!(Ty::I32.narrow(Word(0xDEAD_BEEF), true), Word(0xDEAD_BEEF));
+    }
+
+    #[test]
+    fn equal_slices_cut_the_image_evenly() {
+        let l = DramLayout::equal_slices(3, 3000);
+        assert_eq!(l.base, vec![0, 1000, 2000]);
+        assert_eq!(DramLayout::equal_slices(0, 3000).base, Vec::<u32>::new());
     }
 
     #[test]
