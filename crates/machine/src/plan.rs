@@ -197,10 +197,9 @@ impl WakeSet {
 /// arrives by a push onto a channel, which is how streaming sessions
 /// feed) and **allocator waiters** (a returned pointer is invisible on
 /// the channel network). Spurious seeds are harmless (an unproductive
-/// step). The
-/// drain loop's worklist, register file and fused-edge state live here,
-/// so repeated polls never reallocate them; one state must only ever
-/// drive the graph it was first run against.
+/// step). The drain loop's worklist, register file and fused-edge state
+/// live here, so repeated polls never reallocate them; one state must
+/// only ever drive the graph it was first run against.
 #[derive(Debug, Default)]
 pub struct ResumeState {
     started: bool,

@@ -317,8 +317,8 @@ impl Simulator {
     }
 
     /// The buffer depth of a link: how many tokens it may hold. Unbounded
-    /// for the entry link (the host injects every argument thread before
-    /// the first cycle) and under an ideal network; the deadlock-avoidance
+    /// for the entry link (the host injects the argument thread before the
+    /// first cycle) and under an ideal network; the deadlock-avoidance
     /// depth for a link that keeps its barriers explicit (a loop back
     /// edge, §V-D); otherwise its class's input-buffer depth (Table II).
     fn link_bound(&self, chan: &Channel, entry: bool) -> usize {
