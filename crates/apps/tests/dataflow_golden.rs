@@ -216,6 +216,11 @@ fn rows() -> Vec<Row> {
         ));
     }
     rows.push(directed(
+        "replicate_nested",
+        "default,O2",
+        base_opts(false, 2, small),
+    ));
+    rows.push(directed(
         "replicate_bufferize",
         "default,O2,hoist=false",
         PassOptions {

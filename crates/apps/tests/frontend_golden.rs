@@ -112,7 +112,7 @@ fn front_end_output_matches_the_golden_digest() {
     let golden_path = manifest_dir().join("tests/golden/frontend.digest");
     let golden = read(&golden_path);
     let sources = sources();
-    assert_eq!(sources.len(), 36, "8 apps + 20 corpus files + 8 directed");
+    assert_eq!(sources.len(), 37, "8 apps + 20 corpus files + 9 directed");
     let actual: String = sources.iter().map(|(n, s)| row(n, s)).collect();
     if actual != golden {
         let out = manifest_dir().join("../../target/frontend_golden");
