@@ -133,7 +133,8 @@ pub struct CompiledProgram {
     pub entry: ChanId,
     /// Final-output sink handle (main's return values, usually empty).
     pub sink: revet_machine::nodes::SinkHandle,
-    /// Product of replicate ways (the "outer parallelism" knob).
+    /// Product of replicate ways (the "outer parallelism" knob): every
+    /// replicate op counts once, so a nest multiplies along its nesting.
     pub outer_parallelism: u32,
 }
 
@@ -256,7 +257,6 @@ struct DfLower<'m> {
     uses: FreeUses,
     depth: u32,
     in_replicate: u32,
-    outer_par: u32,
     label_n: u32,
 }
 
@@ -319,10 +319,15 @@ pub(crate) fn lower_timed(
     // on the module, so it is lifted out for the walk and put back after.
     let main = module.funcs.remove(at);
     let mut consts = ValueMap::with_capacity(main.value_count());
-    main.walk(&mut |op| {
-        if let (OpKind::ConstI(v, ty), Some(r)) = (&op.kind, op.results.first()) {
+    let mut outer_parallelism = 1u32;
+    main.walk(&mut |op| match (&op.kind, op.results.first()) {
+        (OpKind::ConstI(v, ty), Some(r)) => {
             consts.insert(*r, ty.materialize(*v));
         }
+        (OpKind::Replicate { ways, .. }, _) => {
+            outer_parallelism = outer_parallelism.saturating_mul(*ways);
+        }
+        _ => {}
     });
     let uses = FreeUses::of(&main);
     laps.lap("to_dataflow.free_uses");
@@ -339,7 +344,6 @@ pub(crate) fn lower_timed(
         uses,
         depth: 0,
         in_replicate: 0,
-        outer_par: 1,
         label_n: 0,
     };
     let (entry, sink) = lw.lower_main()?;
@@ -348,7 +352,6 @@ pub(crate) fn lower_timed(
         g: mut graph,
         infos: contexts,
         links,
-        outer_par: outer_parallelism,
         ..
     } = lw;
     module.funcs.insert(at, main);

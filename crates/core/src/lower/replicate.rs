@@ -63,7 +63,6 @@ impl DfLower<'_> {
         ways: u32,
         body: &Region,
     ) -> Result<Cur, CoreError> {
-        self.outer_par = self.outer_par.saturating_mul(ways);
         let out_tuple = frame.out_tuple();
         let at = frame.region(0);
         let mut cur = self.emit_block(&frame.pending, frame.cur, &frame.in_tuple, "rep_in")?;
