@@ -395,7 +395,7 @@ fn lowering_output_matches_the_golden_digest() {
             .nodes()
             .iter()
             .map(|n| &*n.label)
-            .chain(program.contexts.iter().map(|c| c.label.as_str()));
+            .chain(program.contexts.iter().map(|c| &*c.label));
         seen.extend(labels.map(|l| label_base(l).to_string()));
         let text = dump(&program);
         writeln!(

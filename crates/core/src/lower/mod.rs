@@ -17,7 +17,7 @@
 //! | `while` | `while_.rs` | fb-merge header → cond filter → body → backedge; exit edge flattens |
 //! | `foreach` | `foreach.rs` | counter (+ broadcast of live-ins) → body → reduce → zip re-join |
 //! | `fork` | `fork.rs` | fork node (live values duplicated per spawn) |
-//! | `replicate` | `replicate.rs` | distribution filter tree → `ways` copies → fwd-merge tree |
+//! | `replicate` | `replicate.rs` | distribution filter tree → the body, then `ways − 1` stamped copies → fwd-merge tree |
 //!
 //! This file is the builder the constructs share: [`DfLower::emit`] (the
 //! one place a context comes into being), the primitive constructors over
@@ -28,8 +28,13 @@
 //! stall report and ledger count is keyed by them. A primitive therefore
 //! always creates its output channels (in port order), then takes its
 //! label, then adds its node and its [`ContextInfo`]; and a construct emits
-//! its primitives in pipeline order. `apps/tests/dataflow_golden.rs` pins
-//! the result.
+//! its primitives in pipeline order. Replicate's stamped ways
+//! (`replicate.rs`) rely on the counters being independent: a stamp emits
+//! a way's links, then its SRAM regions, then its contexts, each in its
+//! original order, and lands on the ids and label numbers that lowering
+//! the body again would have taken. A label is its base and the label
+//! number, and no base ends in a digit, so a stamp renumbers a label from
+//! its base. `apps/tests/dataflow_golden.rs` pins the result.
 //!
 //! **A link's class follows its rate** (§III-C). A vector link moves 16
 //! tokens per cycle, a scalar link one, so every stream that carries one
@@ -64,6 +69,7 @@ use revet_machine::nodes::{
 use revet_machine::{ChanId, Channel, Graph, LinkClass, Prim, RunOptions, UnitClass};
 use revet_mir::{DramLayout, Func, Module, Op, OpKind, Value, ValueMap};
 use revet_sltf::Word;
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -89,8 +95,8 @@ pub enum Category {
 pub struct ContextInfo {
     /// Context id (== machine NodeId index).
     pub id: u32,
-    /// Debug label.
-    pub label: String,
+    /// Debug label, shared with the node slot (`NodeSlot::label`).
+    pub label: Arc<str>,
     /// Primitive kind ("ew", "fb-merge", …).
     pub kind: &'static str,
     /// Which physical unit type it occupies.
@@ -226,6 +232,23 @@ impl Carries {
     }
 }
 
+/// How far the lowering's running counters have got. What one stretch of
+/// the walk emitted lies between two marks: the channels, contexts and SRAM
+/// regions from the first mark's counts up to the second's, and as many
+/// labels as contexts.
+#[derive(Clone, Copy, Debug)]
+struct Mark {
+    chans: usize,
+    infos: usize,
+    srams: usize,
+    labels: u32,
+}
+
+/// A label's base: the label minus its numeric suffix.
+fn label_base(label: &str) -> &str {
+    label.trim_end_matches(|c: char| c.is_ascii_digit())
+}
+
 /// The current position in the pipeline being built.
 #[derive(Clone, Debug)]
 struct Cur {
@@ -258,6 +281,8 @@ struct DfLower<'m> {
     depth: u32,
     in_replicate: u32,
     label_n: u32,
+    /// Scratch the next label is formatted in before it is shared.
+    label_text: String,
 }
 
 /// Wall time of each sub-stage of one dataflow lowering, in order: every
@@ -345,6 +370,7 @@ pub(crate) fn lower_timed(
         depth: 0,
         in_replicate: 0,
         label_n: 0,
+        label_text: String::new(),
     };
     let (entry, sink) = lw.lower_main()?;
     laps.lap("to_dataflow.walk");
@@ -376,9 +402,36 @@ pub(crate) fn lower_timed(
 // ---------------- the context emitter and the §III-B primitives ----------------
 
 impl DfLower<'_> {
-    fn label(&mut self, base: &str) -> String {
+    /// The next label: `base` and the running label number, in one
+    /// allocation the node slot and the [`ContextInfo`] share. No base
+    /// ends in a digit, so a label's base is the label minus its numeric
+    /// suffix ([`label_base`]).
+    fn label(&mut self, base: &str) -> Arc<str> {
+        debug_assert!(!base.ends_with(|c: char| c.is_ascii_digit()), "{base}");
         self.label_n += 1;
-        format!("{base}{}", self.label_n)
+        self.label_text.clear();
+        write!(self.label_text, "{base}{}", self.label_n).expect("a String takes any text");
+        Arc::from(self.label_text.as_str())
+    }
+
+    /// Where the running counters stand (see the module docs on emission
+    /// order).
+    fn mark(&self) -> Mark {
+        Mark {
+            chans: self.g.chan_count(),
+            infos: self.infos.len(),
+            srams: self.module.srams.len(),
+            labels: self.label_n,
+        }
+    }
+
+    /// Runs `emit` with the loop-nest depth set to `depth`: a copied
+    /// context or link keeps the depth of its original.
+    fn at_depth<R>(&mut self, depth: u32, emit: impl FnOnce(&mut Self) -> R) -> R {
+        let outer = std::mem::replace(&mut self.depth, depth);
+        let out = emit(self);
+        self.depth = outer;
+        out
     }
 
     fn link(&mut self, chan: Channel) -> ChanId {
@@ -422,7 +475,7 @@ impl DfLower<'_> {
         outs: impl Into<Arc<[ChanId]>>,
     ) {
         let label = self.label(base);
-        let id = self.g.add_node(label.as_str(), node, ins, outs);
+        let id = self.g.add_node(label.clone(), node, ins, outs);
         self.g.set_node_meta(id, self.infos.len() as u32, unit);
         self.infos.push(ContextInfo {
             id: id.0,

@@ -1,19 +1,31 @@
 //! `replicate` = distribution filters + merge tree (§V-C d, Fig. 8): a
-//! filter per way picks threads by key, the body is lowered once per way
-//! (late unrolling), and a forward-merge tree gathers the results. With
+//! filter per way picks threads by key, the body is instantiated once per
+//! way (late unrolling), and a forward-merge tree gathers the results. With
 //! allocator hoisting (§V-B b) the body's allocation happens before the
 //! distribution and its pointer is the key (load balancing, Fig. 14); with
 //! bufferization, values the body never reads wait in an SRAM indexed by
 //! that pointer instead of riding through every way.
+//!
+//! Only the first way is lowered. Ways 1..n are *stamped*: what the first
+//! way emitted (its links, any SRAM regions a nested replicate parked
+//! values in, its contexts) is emitted again through the same emitters, in
+//! the same order. In each copy the way's own links and SRAM regions move
+//! by the count emitted since the first way began, its input becomes the
+//! way's own distribution link, and every label is renumbered from its base
+//! (the label minus its numeric suffix — no base ends in a digit).
+//! Element-wise programs are shared, not copied, unless they touch one of
+//! the way's own SRAM regions. The result is what lowering the body once
+//! per way would emit, id for id and label for label.
 
 use super::block::{alu, imm};
 use super::frame::{slot_of, slots_of, Frame};
-use super::{Carries, Category, Cur, DfLower, Term};
+use super::{label_base, Carries, Category, Cur, DfLower, Mark, Term};
 use crate::CoreError;
 use revet_machine::instr::{AluOp, EwInstr, Operand, Reg};
 use revet_machine::nodes::{EwNode, OutputSpec};
-use revet_machine::{AllocId, ChanId, SramId, UnitClass};
+use revet_machine::{AllocId, ChanId, NodeId, Prim, SramId, UnitClass};
 use revet_mir::{Op, OpKind, Region, Value};
+use std::sync::Arc;
 
 /// A replicate body's hoisted allocation: the pop runs before distribution
 /// and the matching region-end push after the merge (so a recycled pointer
@@ -46,6 +58,66 @@ impl Hoist {
             push_at,
         })
     }
+}
+
+/// What the first way of a replicate emitted: everything between two
+/// marks, fed by the way's distribution link `input`.
+struct Way {
+    from: Mark,
+    to: Mark,
+    input: ChanId,
+}
+
+impl Way {
+    /// The copy of `chan` in a stamp made at `at` and fed by `input`: the
+    /// way's own links move by the channels emitted since the first way
+    /// began, its input becomes `input`, and a link from outside the way
+    /// stays itself.
+    fn chan(&self, at: &Mark, input: ChanId, chan: ChanId) -> ChanId {
+        let c = chan.0 as usize;
+        if chan == self.input {
+            input
+        } else if (self.from.chans..self.to.chans).contains(&c) {
+            ChanId((c + at.chans - self.from.chans) as u32)
+        } else {
+            chan
+        }
+    }
+
+    /// `node` with every SRAM region the way declared moved to its copy's
+    /// (`shift` regions on); `None` if it touches none of them.
+    fn srams(&self, node: &EwNode, shift: u32) -> Option<EwNode> {
+        let own = self.from.srams as u32..self.to.srams as u32;
+        let region = |i: &EwInstr| match i {
+            EwInstr::SramRead { region, .. }
+            | EwInstr::SramWrite { region, .. }
+            | EwInstr::SramDecFetch { region, .. } => Some(*region),
+            _ => None,
+        };
+        if !node.instrs.iter().filter_map(region).any(|r| own.contains(&r.0)) {
+            return None;
+        }
+        let mut node = node.clone();
+        for i in &mut node.instrs {
+            if let EwInstr::SramRead { region, .. }
+            | EwInstr::SramWrite { region, .. }
+            | EwInstr::SramDecFetch { region, .. } = i
+            {
+                if own.contains(&region.0) {
+                    region.0 += shift;
+                }
+            }
+        }
+        Some(node)
+    }
+}
+
+/// `label` renumbered `shift` labels on: its base and the suffix plus
+/// `shift`.
+fn renumber(label: &str, shift: u32) -> String {
+    let base = label_base(label);
+    let n: u32 = label[base.len()..].parse().expect("a numbered label");
+    format!("{base}{}", n + shift)
 }
 
 /// `dst = ptr * k + j`: where thread `ptr` parks its `j`-th of `k` values.
@@ -106,7 +178,7 @@ impl DfLower<'_> {
         };
         let way_chans = self.distribute(&cur, key, ways);
         // Late unrolling: lower the body, minus the hoisted pop and push,
-        // once per way.
+        // for the first way, and stamp the others from it.
         let hoisted = |j: usize| {
             let at = |h: &Hoist| j == h.pop_at || Some(j) == h.push_at;
             hoist.as_ref().is_some_and(at)
@@ -114,21 +186,25 @@ impl DfLower<'_> {
         let kept = (0..).zip(&body.ops).filter(|(j, _)| !hoisted(*j));
         let body_ops: Vec<Op> = kept.map(|(_, o)| o.clone()).collect();
         self.in_replicate += 1;
-        let mut way_outs: Vec<Cur> = Vec::new();
-        for chan in way_chans {
-            let vars = cur.vars.clone();
-            let (out, term) = self.lower_ops(&body_ops, at, Cur { chan, vars }, &extra)?;
-            if !matches!(term, Term::Yield | Term::Exit) {
-                return Err(CoreError::new("replicate body must end in yield or exit"));
-            }
-            way_outs.push(out);
+        let (first, input) = (self.mark(), Cur { chan: way_chans[0], vars: cur.vars });
+        let (out, term) = self.lower_ops(&body_ops, at, input, &extra)?;
+        if !matches!(term, Term::Yield | Term::Exit) {
+            return Err(CoreError::new("replicate body must end in yield or exit"));
+        }
+        let way0 = Way {
+            from: first,
+            to: self.mark(),
+            input: way_chans[0],
+        };
+        let mut way_outs = vec![out.chan];
+        for &input in &way_chans[1..] {
+            way_outs.push(self.stamp(&way0, input, out.chan));
         }
         self.in_replicate -= 1;
-        let chan = self.merge_tree(&way_outs);
+        let chan = self.merge_tree(&way_outs, out.vars.len());
         // A way that yields leaves [yields ++ extra]; the yields are the
         // op's results.
-        let beyond = way_outs.iter().find(|c| !c.vars.is_empty());
-        let beyond = beyond.map_or(&[][..], |c| &c.vars[frame.results.len()..]);
+        let beyond = out.vars.get(frame.results.len()..).unwrap_or_default();
         let mut cur = Cur {
             chan,
             vars: [frame.results, beyond].concat(),
@@ -137,6 +213,51 @@ impl DfLower<'_> {
             cur = self.release(cur, h, parked)?;
         }
         self.emit_block(&[], cur, &out_tuple, "rep_out")
+    }
+
+    /// Emits one more way of a replicate as a copy of the first, `way0`,
+    /// fed by `input`; returns the copy of the first way's output `out0`.
+    /// The copy goes through the emitters the first way went through, in
+    /// the same order per counter — links, SRAM regions, then contexts —
+    /// so every id, label and region name is the one lowering the body
+    /// again would have given it. Element-wise programs are shared unless
+    /// they touch an SRAM region the way declared itself.
+    fn stamp(&mut self, way0: &Way, input: ChanId, out0: ChanId) -> ChanId {
+        let (from, to, at) = (way0.from, way0.to, self.mark());
+        for c in from.chans..to.chans {
+            let chan = self.g.chans()[c].clone();
+            self.at_depth(self.links[c].depth, |lw| lw.link(chan));
+        }
+        let labels = at.labels - from.labels;
+        for s in from.srams..to.srams {
+            let decl = &self.module.srams[s];
+            let (name, words) = (renumber(&decl.name, labels), decl.words);
+            self.module.add_sram(name, words);
+        }
+        let srams = (at.srams - from.srams) as u32;
+        for i in from.infos..to.infos {
+            let info = &self.infos[i];
+            let (kind, unit, category) = (info.kind, info.unit, info.category);
+            let (depth, cost, label) = (info.depth, (info.instrs, info.regs), info.label.clone());
+            let base = label_base(&label);
+            if info.id == u32::MAX {
+                self.at_depth(depth, |lw| lw.buffer_mu(category, base));
+                continue;
+            }
+            let slot = self.g.node(NodeId(info.id));
+            let copy = |ports: &[ChanId]| -> Arc<[ChanId]> {
+                ports.iter().map(|&c| way0.chan(&at, input, c)).collect()
+            };
+            let (ins, outs) = (copy(&slot.ins), copy(&slot.outs));
+            let node = match &slot.behavior {
+                Prim::Ew(ew) => Prim::Ew(way0.srams(ew, srams).map_or_else(|| ew.clone(), Arc::new)),
+                other => other.clone(),
+            };
+            self.at_depth(depth, |lw| {
+                lw.emit(base, kind, unit, category, cost, node, ins, outs);
+            });
+        }
+        way0.chan(&at, input, out0)
     }
 
     /// Stores `values` to a fresh SRAM region indexed by the hoisted
@@ -197,9 +318,8 @@ impl DfLower<'_> {
     /// per-thread stream; an unpaired way moves up a level as it is. The
     /// root carries every thread of the replicate, so each merge is a
     /// vector link.
-    fn merge_tree(&mut self, way_outs: &[Cur]) -> ChanId {
-        let arity = way_outs.iter().map(|c| c.vars.len()).max().unwrap_or(0);
-        let mut frontier: Vec<ChanId> = way_outs.iter().map(|c| c.chan).collect();
+    fn merge_tree(&mut self, way_outs: &[ChanId], arity: usize) -> ChanId {
+        let mut frontier = way_outs.to_vec();
         while frontier.len() > 1 {
             let level = std::mem::take(&mut frontier);
             for pair in level.chunks(2) {
