@@ -23,6 +23,11 @@
 //! no bytes (`revet_machine::Dram`), so compiling allocates none of it and
 //! the first instance of an unloaded program allocates it once.
 //! `alloc_kb_per_op` on `compile_cold` is the same check in the ledger.
+//! It also has a call budget for replicate width: a replicate's ways after
+//! the first are copies of what the first way emitted, so widening every
+//! app's replicate adds a few allocator calls per context it adds, where
+//! lowering each way again would add about fifteen (`allocs_per_op` on
+//! `compile_cold` moves with it).
 
 use revet_apps::{all_apps, app, DRAM_BYTES};
 use revet_core::{PassOptions, Session};
@@ -259,4 +264,45 @@ fn a_recycled_instance_runs_without_growing_rings() {
         let stats = program.graph.chan_pool_stats();
         assert_eq!((stats.misses, stats.hits), (1, 1), "{name}");
     }
+}
+
+/// What one more replicate way may cost a compile, in allocator calls per
+/// context it adds. Lowering places the ways after the first by copying
+/// what the first emitted, so a copied context costs its label and its two
+/// port lists, and the ways' distribution outputs and merge contexts add a
+/// little on top. Lowering any part of a way's body again costs at least
+/// 15 calls per context it emits. Only `Session::to_dataflow` is counted:
+/// the front end and the MIR passes run before.
+const CALLS_PER_ADDED_CONTEXT: f64 = 8.0;
+
+#[test]
+fn replicate_ways_are_stamped_not_lowered_again() {
+    let opts = PassOptions {
+        dram_bytes: DRAM_BYTES,
+        ..PassOptions::default()
+    };
+    let compile_all = |outer: u32| {
+        let (mut calls, mut contexts) = (0u64, 0usize);
+        for app in all_apps() {
+            let mut session = Session::new((app.source)(outer), opts.clone());
+            let fail = |e| -> ! { panic!("{}@{outer}: {e}", app.name) };
+            session.run_passes().unwrap_or_else(|e| fail(e));
+            let before = CALLS.with(Cell::get);
+            let program = session.to_dataflow();
+            calls += CALLS.with(Cell::get) - before;
+            contexts += program.unwrap_or_else(|e| fail(e)).contexts.len();
+        }
+        (calls, contexts)
+    };
+    let (narrow, wide) = (compile_all(1), compile_all(4));
+    let added = (wide.1 - narrow.1) as f64;
+    let per_context = (wide.0 - narrow.0) as f64 / added;
+    assert!(
+        per_context <= CALLS_PER_ADDED_CONTEXT,
+        "going from outer 1 to outer 4 added {added} contexts and {} allocator \
+         calls ({} -> {}): {per_context:.1} per context",
+        wide.0 - narrow.0,
+        narrow.0,
+        wide.0
+    );
 }
