@@ -111,48 +111,72 @@ impl fmt::Debug for NodeSlot {
 /// Built once per wiring, with the [`ExecPlan`] that owns it
 /// ([`ExecPlan::topology`]); the execution plan and the cycle-level
 /// simulator both take their ready-set wake-ups from it.
+///
+/// The endpoints are one flat node list (compressed sparse rows): channel
+/// `c`'s consumers, then its producers, each in node order, with
+/// `at[2c]..at[2c + 1]` and `at[2c + 1]..at[2c + 2]` their ranges.
 #[derive(Debug, Clone, Default)]
 pub struct TopologyIndex {
-    /// Per channel: nodes reading it (almost always exactly one).
-    consumers: Vec<Vec<NodeId>>,
-    /// Per channel: nodes writing it (almost always exactly one).
-    producers: Vec<Vec<NodeId>>,
+    /// Range bounds into `ends`, two per channel and one closing bound.
+    at: Vec<u32>,
+    /// Every channel's consumers and producers (almost always one each).
+    ends: Vec<NodeId>,
     /// Nodes whose behavior may stall on allocator availability.
     alloc_waiters: Vec<NodeId>,
 }
 
 impl TopologyIndex {
     pub(crate) fn build(nodes: &[NodeSlot], chan_count: usize) -> Self {
-        let mut consumers = vec![Vec::new(); chan_count];
-        let mut producers = vec![Vec::new(); chan_count];
+        // The row of channel `c`'s consumers is `2c`, of its producers
+        // `2c + 1`. Count each row's ends into the bound after it, sum the
+        // counts into row starts, fill each row at its running start (which
+        // moves that start to the row's end, the next row's start), and
+        // shift the starts back into place.
+        fn rows(slot: &NodeSlot) -> impl Iterator<Item = usize> + '_ {
+            let consumed = slot.ins.iter().map(|c| 2 * c.0 as usize);
+            consumed.chain(slot.outs.iter().map(|c| 2 * c.0 as usize + 1))
+        }
+        let mut at = vec![0u32; 2 * chan_count + 1];
+        for row in nodes.iter().flat_map(rows) {
+            at[row + 1] += 1;
+        }
+        for r in 1..at.len() {
+            at[r] += at[r - 1];
+        }
+        let mut ends = vec![NodeId(0); at[2 * chan_count] as usize];
         let mut alloc_waiters = Vec::new();
         for (i, slot) in nodes.iter().enumerate() {
             let id = NodeId(i as u32);
-            for c in slot.ins.iter() {
-                consumers[c.0 as usize].push(id);
-            }
-            for c in slot.outs.iter() {
-                producers[c.0 as usize].push(id);
+            for row in rows(slot) {
+                ends[at[row] as usize] = id;
+                at[row] += 1;
             }
             if slot.alloc_gated {
                 alloc_waiters.push(id);
             }
         }
+        at.copy_within(..2 * chan_count, 1);
+        at[0] = 0;
         TopologyIndex {
-            consumers,
-            producers,
+            at,
+            ends,
             alloc_waiters,
         }
     }
 
+    /// The nodes of row `row` (see the type docs).
+    fn row(&self, row: usize) -> &[NodeId] {
+        &self.ends[self.at[row] as usize..self.at[row + 1] as usize]
+    }
+
     /// Nodes consuming from channel `c`.
     pub fn consumers(&self, c: ChanId) -> &[NodeId] {
-        &self.consumers[c.0 as usize]
+        self.row(2 * c.0 as usize)
     }
 
     /// Nodes producing into channel `c`.
     pub fn producers(&self, c: ChanId) -> &[NodeId] {
-        &self.producers[c.0 as usize]
+        self.row(2 * c.0 as usize + 1)
     }
 
     /// Nodes that can stall on allocator-queue availability.
@@ -977,6 +1001,26 @@ mod tests {
         assert_eq!(topo.consumers(c0).len(), 1);
         assert_eq!(topo.producers(c0).len(), 1);
         assert!(topo.consumers(c1).is_empty());
+    }
+
+    #[test]
+    fn topology_index_lists_every_endpoint_in_node_order() {
+        let mut g = Graph::new();
+        let [c0, c1, c2, c3] = [(); 4].map(|()| g.add_chan(Channel::new(1)));
+        let n = |i| NodeId(i);
+        g.add_node("a", EwNode::passthrough(1), vec![c1], vec![c0]);
+        g.add_node("b", EwNode::passthrough(1), vec![c0], vec![c0, c3]);
+        g.add_node("c", EwNode::passthrough(2), vec![c0, c0], vec![c3]);
+        let topo = TopologyIndex::build(g.nodes(), g.chan_count());
+        assert_eq!(topo.consumers(c0), [n(1), n(2), n(2)]);
+        assert_eq!(topo.producers(c0), [n(0), n(1)]);
+        assert_eq!(topo.consumers(c1), [n(0)]);
+        assert!(topo.producers(c1).is_empty());
+        assert!(topo.consumers(c2).is_empty() && topo.producers(c2).is_empty());
+        assert!(topo.consumers(c3).is_empty());
+        assert_eq!(topo.producers(c3), [n(1), n(2)]);
+        let empty = TopologyIndex::build(&[], 0);
+        assert!(empty.alloc_waiters().is_empty());
     }
 
     /// src → double → sink with an initially empty source; returns the
