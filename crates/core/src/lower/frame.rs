@@ -89,7 +89,7 @@ impl FreeUses {
                 let used = self.ops[id].free.iter().copied();
                 free.extend(used.filter(|u| self.outside(*u, row)));
             } else {
-                let used = op.kind.operands().into_iter();
+                let used = op.kind.operands();
                 free.extend(used.filter(|u| self.outside(*u, row)));
             }
             self.owner.extend(op.results.iter().map(|r| (*r, row)));
@@ -104,17 +104,18 @@ impl FreeUses {
 
     fn fill_op(&mut self, op: &Op) -> usize {
         let id = self.ops.len();
-        let regions = op.kind.regions();
         let first_region = self.regions.len();
         self.ops.push(OpUses {
             free: Vec::new(),
             first_region: first_region as u32,
             end: 0,
         });
-        self.regions
-            .resize_with(first_region + regions.len(), RegionUses::default);
-        let mut free = op.kind.operands();
-        for (at, sub) in (first_region..).zip(regions) {
+        self.regions.resize_with(
+            first_region + op.kind.regions().count(),
+            RegionUses::default,
+        );
+        let mut free: Vec<Value> = op.kind.operands().collect();
+        for (at, sub) in (first_region..).zip(op.kind.regions()) {
             self.fill_region(sub, at);
             free.extend_from_slice(&self.regions[at].free);
         }

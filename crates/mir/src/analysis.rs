@@ -49,7 +49,7 @@ impl Liveness {
                 } else {
                     // Nested regions run "inside" the op: visit them first
                     // so their uses are seen before earlier defining ops.
-                    for sub in op.kind.regions().iter().rev() {
+                    for sub in op.kind.regions().rev() {
                         go(sub, live);
                     }
                     for v in op.kind.operands() {

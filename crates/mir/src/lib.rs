@@ -69,7 +69,7 @@ mod verify;
 pub use analysis::Liveness;
 pub use func::{AllocDecl, Func, Module, RegionBuilder, Rewriter, SramDecl};
 pub use interp::{Interp, InterpError};
-pub use ops::{AluOp, ForeachFlags, ItKind, Op, OpKind, Region, Value, ViewKind};
+pub use ops::{AluOp, ForeachFlags, ItKind, Op, OpKind, Operands, Region, Value, ViewKind};
 pub use opt::{add_classical, ConstFold, Cse, Dce, Simplify, SinkConsts};
 pub use pass::{Pass, PassManager, PassReport, PassResult, PassStat};
 pub use print::{print_func, print_module};

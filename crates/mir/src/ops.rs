@@ -340,45 +340,44 @@ impl OpKind {
     }
 
     /// Nested regions, in order (for generic traversal).
-    pub fn regions(&self) -> Vec<&Region> {
-        match self {
-            OpKind::If { then, else_, .. } => vec![then, else_],
-            OpKind::While { before, after, .. } => vec![before, after],
+    pub fn regions(&self) -> impl DoubleEndedIterator<Item = &Region> {
+        let (first, second) = match self {
+            OpKind::If { then, else_, .. } => (Some(then), Some(else_)),
+            OpKind::While { before, after, .. } => (Some(before), Some(after)),
             OpKind::Foreach { body, .. }
             | OpKind::Replicate { body, .. }
-            | OpKind::Fork { body, .. } => {
-                vec![body]
-            }
-            _ => Vec::new(),
-        }
+            | OpKind::Fork { body, .. } => (Some(body), None),
+            _ => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 
-    /// Mutable nested regions.
-    pub fn regions_mut(&mut self) -> Vec<&mut Region> {
-        match self {
-            OpKind::If { then, else_, .. } => vec![then, else_],
-            OpKind::While { before, after, .. } => vec![before, after],
+    /// Mutable nested regions, in order.
+    pub fn regions_mut(&mut self) -> impl DoubleEndedIterator<Item = &mut Region> {
+        let (first, second) = match self {
+            OpKind::If { then, else_, .. } => (Some(then), Some(else_)),
+            OpKind::While { before, after, .. } => (Some(before), Some(after)),
             OpKind::Foreach { body, .. }
             | OpKind::Replicate { body, .. }
-            | OpKind::Fork { body, .. } => {
-                vec![body]
-            }
-            _ => Vec::new(),
-        }
+            | OpKind::Fork { body, .. } => (Some(body), None),
+            _ => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 
-    /// Directly used values (not including region internals).
-    pub fn operands(&self) -> Vec<Value> {
+    /// Directly used values (not including region internals), in order.
+    pub fn operands(&self) -> Operands<'_> {
+        let at = Operands::new;
         match self {
-            OpKind::ConstI(..) | OpKind::Exit | OpKind::AllocPop { .. } => Vec::new(),
-            OpKind::Bin(_, a, b) => vec![*a, *b],
-            OpKind::Select(c, t, f) => vec![*c, *t, *f],
-            OpKind::Cast { v, .. } => vec![*v],
-            OpKind::SramRead { addr, .. } | OpKind::SramDecFetch { addr, .. } => vec![*addr],
-            OpKind::SramWrite { addr, val, .. } => vec![*addr, *val],
-            OpKind::DramRead { idx, .. } => vec![*idx],
-            OpKind::DramWrite { idx, val, .. } => vec![*idx, *val],
-            OpKind::AllocPush { ptr, .. } => vec![*ptr],
+            OpKind::ConstI(..) | OpKind::Exit | OpKind::AllocPop { .. } => at(&[], &[]),
+            OpKind::Bin(_, a, b) => at(&[*a, *b], &[]),
+            OpKind::Select(c, t, f) => at(&[*c, *t, *f], &[]),
+            OpKind::Cast { v, .. } => at(&[*v], &[]),
+            OpKind::SramRead { addr, .. } | OpKind::SramDecFetch { addr, .. } => at(&[*addr], &[]),
+            OpKind::SramWrite { addr, val, .. } => at(&[*addr, *val], &[]),
+            OpKind::DramRead { idx, .. } => at(&[*idx], &[]),
+            OpKind::DramWrite { idx, val, .. } => at(&[*idx, *val], &[]),
+            OpKind::AllocPush { ptr, .. } => at(&[*ptr], &[]),
             OpKind::BulkLoad {
                 dram_base,
                 sram_base,
@@ -390,35 +389,26 @@ impl OpKind {
                 sram_base,
                 len,
                 ..
-            } => vec![*dram_base, *sram_base, *len],
-            OpKind::If { cond, .. } => vec![*cond],
-            OpKind::While { inits, .. } => inits.clone(),
-            OpKind::Foreach { lo, hi, step, .. } => vec![*lo, *hi, *step],
-            OpKind::Replicate { .. } => Vec::new(),
-            OpKind::Fork { count, .. } => vec![*count],
-            OpKind::Yield(vs) | OpKind::Return(vs) => vs.clone(),
-            OpKind::Condition { cond, fwd } => {
-                let mut v = vec![*cond];
-                v.extend(fwd);
-                v
-            }
-            OpKind::Predicated { pred, inner, .. } => {
-                let mut v = vec![*pred];
-                v.extend(inner.operands());
-                v
-            }
-            OpKind::ViewNew { base, .. } => base.iter().copied().collect(),
-            OpKind::ViewRead { view, idx } => vec![*view, *idx],
-            OpKind::ViewWrite { view, idx, val } => vec![*view, *idx, *val],
-            OpKind::ItNew { seek, .. } => vec![*seek],
-            OpKind::ItDeref { it } => vec![*it],
-            OpKind::ItPeek { it, ahead } => vec![*it, *ahead],
-            OpKind::ItWrite { it, val } => vec![*it, *val],
-            OpKind::ItInc { it, last } => {
-                let mut v = vec![*it];
-                v.extend(last.iter());
-                v
-            }
+            } => at(&[*dram_base, *sram_base, *len], &[]),
+            OpKind::If { cond, .. } => at(&[*cond], &[]),
+            OpKind::While { inits, .. } => at(&[], inits),
+            OpKind::Foreach { lo, hi, step, .. } => at(&[*lo, *hi, *step], &[]),
+            OpKind::Replicate { .. } => at(&[], &[]),
+            OpKind::Fork { count, .. } => at(&[*count], &[]),
+            OpKind::Yield(vs) | OpKind::Return(vs) => at(&[], vs),
+            OpKind::Condition { cond, fwd } => at(&[*cond], fwd),
+            OpKind::Predicated { .. } => Operands {
+                wrapped: Some(self),
+                ..at(&[], &[])
+            },
+            OpKind::ViewNew { base, .. } => at(&[], base.as_slice()),
+            OpKind::ViewRead { view, idx } => at(&[*view, *idx], &[]),
+            OpKind::ViewWrite { view, idx, val } => at(&[*view, *idx, *val], &[]),
+            OpKind::ItNew { seek, .. } => at(&[*seek], &[]),
+            OpKind::ItDeref { it } => at(&[*it], &[]),
+            OpKind::ItPeek { it, ahead } => at(&[*it, *ahead], &[]),
+            OpKind::ItWrite { it, val } => at(&[*it, *val], &[]),
+            OpKind::ItInc { it, last } => at(&[*it], last.as_slice()),
         }
     }
 
@@ -579,6 +569,59 @@ impl OpKind {
     }
 }
 
+/// The direct operands of one op, in order ([`OpKind::operands`]): up to
+/// three fixed values, then a list the op holds. A `Predicated` op lists
+/// its predicate, then its inner op's operands.
+#[derive(Clone, Debug)]
+pub struct Operands<'a> {
+    /// A `Predicated` op not yet unwrapped: its predicate comes next.
+    wrapped: Option<&'a OpKind>,
+    head: [Value; 3],
+    head_len: u8,
+    next: u8,
+    tail: std::slice::Iter<'a, Value>,
+}
+
+impl<'a> Operands<'a> {
+    fn new(head: &[Value], tail: &'a [Value]) -> Self {
+        let mut fixed = [Value(0); 3];
+        fixed[..head.len()].copy_from_slice(head);
+        Operands {
+            wrapped: None,
+            head: fixed,
+            head_len: head.len() as u8,
+            next: 0,
+            tail: tail.iter(),
+        }
+    }
+}
+
+impl Iterator for Operands<'_> {
+    type Item = Value;
+
+    fn next(&mut self) -> Option<Value> {
+        if let Some(OpKind::Predicated { pred, inner, .. }) = self.wrapped {
+            *self = inner.operands();
+            return Some(*pred);
+        }
+        if self.next < self.head_len {
+            self.next += 1;
+            return Some(self.head[usize::from(self.next - 1)]);
+        }
+        self.tail.next().copied()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = match self.wrapped {
+            Some(OpKind::Predicated { inner, .. }) => 1 + inner.operands().len(),
+            _ => usize::from(self.head_len - self.next) + self.tail.len(),
+        };
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Operands<'_> {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -586,9 +629,47 @@ mod tests {
     #[test]
     fn operand_listing_and_mapping() {
         let mut k = OpKind::Bin(AluOp::Add, Value(1), Value(2));
-        assert_eq!(k.operands(), vec![Value(1), Value(2)]);
+        assert!(k.operands().eq([Value(1), Value(2)]));
         k.map_operands(&mut |v| Value(v.0 + 10));
-        assert_eq!(k.operands(), vec![Value(11), Value(12)]);
+        assert!(k.operands().eq([Value(11), Value(12)]));
+    }
+
+    #[test]
+    fn operands_list_fixed_values_then_held_ones() {
+        let v = |i| Value(i);
+        let cond = OpKind::Condition {
+            cond: v(1),
+            fwd: vec![v(2), v(3)],
+        };
+        assert!(cond.operands().eq([v(1), v(2), v(3)]));
+        let inc = OpKind::ItInc {
+            it: v(4),
+            last: Some(v(5)),
+        };
+        assert_eq!(inc.operands().len(), 2);
+        assert!(inc.operands().eq([v(4), v(5)]));
+        let store = OpKind::BulkStore {
+            dram: DramRef(0),
+            sram: revet_machine::SramId(0),
+            dram_base: v(6),
+            sram_base: v(7),
+            len: v(8),
+        };
+        let twice = OpKind::Predicated {
+            pred: v(9),
+            expect: true,
+            inner: Box::new(OpKind::Predicated {
+                pred: v(10),
+                expect: false,
+                inner: Box::new(store),
+            }),
+        };
+        let mut it = twice.operands();
+        assert_eq!(it.len(), 5);
+        assert_eq!(it.next(), Some(v(9)));
+        assert_eq!(it.len(), 4);
+        assert!(it.eq([v(10), v(6), v(7), v(8)]));
+        assert_eq!(OpKind::Exit.operands().len(), 0);
     }
 
     #[test]
@@ -605,7 +686,7 @@ mod tests {
             then: Region::default(),
             else_: Region::default(),
         };
-        assert_eq!(k.regions().len(), 2);
+        assert_eq!(k.regions().count(), 2);
     }
 
     #[test]
