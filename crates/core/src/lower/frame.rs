@@ -6,6 +6,7 @@ use crate::CoreError;
 use revet_machine::instr::{Operand, Reg};
 use revet_mir::{Func, Op, OpKind, Region, Value, ValueMap, ValueSet};
 use revet_sltf::Word;
+use std::borrow::Borrow;
 
 /// The ops that own regions (`if`, `while`, `foreach`, `fork`,
 /// `replicate`): the only ones [`FreeUses`] numbers.
@@ -154,14 +155,14 @@ pub(super) struct Live {
 pub(super) fn liveness(
     uses: &FreeUses,
     region: RegionId,
-    ops: &[Op],
+    ops: &[impl Borrow<Op>],
     live_out: &[Value],
 ) -> Vec<Option<Live>> {
     let mut next = uses.regions[region.0 as usize].first_op as usize;
     let ids: Vec<Option<usize>> = ops
         .iter()
         .map(|op| {
-            is_structured(&op.kind).then(|| {
+            is_structured(&op.borrow().kind).then(|| {
                 let id = next;
                 next = uses.ops[id].end as usize;
                 id
@@ -170,7 +171,7 @@ pub(super) fn liveness(
         .collect();
     let mut live: ValueSet = live_out.iter().copied().collect();
     let mut after: Vec<Option<Live>> = Vec::with_capacity(ops.len());
-    for (op, id) in ops.iter().zip(ids).rev() {
+    for (op, id) in ops.iter().map(Borrow::borrow).zip(ids).rev() {
         after.push(id.map(|id| Live {
             id,
             after: live.iter().collect(),

@@ -69,6 +69,7 @@ use revet_machine::nodes::{
 use revet_machine::{ChanId, Channel, Graph, LinkClass, Prim, RunOptions, UnitClass};
 use revet_mir::{DramLayout, Func, Module, Op, OpKind, Value, ValueMap};
 use revet_sltf::Word;
+use std::borrow::Borrow;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -718,21 +719,21 @@ impl DfLower<'_> {
         Ok((entry, handle))
     }
 
-    /// Lowers the ops of `region` (`ops`: all of them, or replicate's copy
+    /// Lowers the ops of `region` (`ops`: all of them, or replicate's body
     /// without the hoisted allocation). Returns the final cursor and
     /// terminator kind. After a `Yield`/`Condition` terminator, the
     /// cursor's tuple is the exact yielded/forwarded layout followed by
     /// `live_out`, the passthrough values of the caller's contract.
     fn lower_ops(
         &mut self,
-        ops: &[Op],
+        ops: &[impl Borrow<Op>],
         region: RegionId,
         mut cur: Cur,
         live_out: &[Value],
     ) -> Result<(Cur, Term), CoreError> {
         let live_after = liveness(&self.uses, region, ops, live_out);
         let mut pending: Vec<&Op> = Vec::new();
-        for (op, live) in ops.iter().zip(live_after) {
+        for (op, live) in ops.iter().map(Borrow::borrow).zip(live_after) {
             // A terminator closes the region with one last block. Its
             // layout is positional and never deduplicated: merges and
             // backedges need a fixed arity.

@@ -184,7 +184,7 @@ impl DfLower<'_> {
             hoist.as_ref().is_some_and(at)
         };
         let kept = (0..).zip(&body.ops).filter(|(j, _)| !hoisted(*j));
-        let body_ops: Vec<Op> = kept.map(|(_, o)| o.clone()).collect();
+        let body_ops: Vec<&Op> = kept.map(|(_, o)| o).collect();
         self.in_replicate += 1;
         let (first, input) = (self.mark(), Cur { chan: way_chans[0], vars: cur.vars });
         let (out, term) = self.lower_ops(&body_ops, at, input, &extra)?;
