@@ -91,10 +91,11 @@ impl Way {
         let region = |i: &EwInstr| match i {
             EwInstr::SramRead { region, .. }
             | EwInstr::SramWrite { region, .. }
-            | EwInstr::SramDecFetch { region, .. } => Some(*region),
+            | EwInstr::SramDecFetch { region, .. } => Some(region.0),
             _ => None,
         };
-        if !node.instrs.iter().filter_map(region).any(|r| own.contains(&r.0)) {
+        let mut regions = node.instrs.iter().filter_map(region);
+        if !regions.any(|r| own.contains(&r)) {
             return None;
         }
         let mut node = node.clone();
@@ -186,7 +187,11 @@ impl DfLower<'_> {
         let kept = (0..).zip(&body.ops).filter(|(j, _)| !hoisted(*j));
         let body_ops: Vec<&Op> = kept.map(|(_, o)| o).collect();
         self.in_replicate += 1;
-        let (first, input) = (self.mark(), Cur { chan: way_chans[0], vars: cur.vars });
+        let first = self.mark();
+        let input = Cur {
+            chan: way_chans[0],
+            vars: cur.vars,
+        };
         let (out, term) = self.lower_ops(&body_ops, at, input, &extra)?;
         if !matches!(term, Term::Yield | Term::Exit) {
             return Err(CoreError::new("replicate body must end in yield or exit"));
@@ -250,7 +255,9 @@ impl DfLower<'_> {
             };
             let (ins, outs) = (copy(&slot.ins), copy(&slot.outs));
             let node = match &slot.behavior {
-                Prim::Ew(ew) => Prim::Ew(way0.srams(ew, srams).map_or_else(|| ew.clone(), Arc::new)),
+                Prim::Ew(ew) => {
+                    Prim::Ew(way0.srams(ew, srams).map_or_else(|| ew.clone(), Arc::new))
+                }
                 other => other.clone(),
             };
             self.at_depth(depth, |lw| {
