@@ -576,9 +576,7 @@ impl OpKind {
 pub struct Operands<'a> {
     /// A `Predicated` op not yet unwrapped: its predicate comes next.
     wrapped: Option<&'a OpKind>,
-    head: [Value; 3],
-    head_len: u8,
-    next: u8,
+    head: std::iter::Take<std::array::IntoIter<Value, 3>>,
     tail: std::slice::Iter<'a, Value>,
 }
 
@@ -588,9 +586,7 @@ impl<'a> Operands<'a> {
         fixed[..head.len()].copy_from_slice(head);
         Operands {
             wrapped: None,
-            head: fixed,
-            head_len: head.len() as u8,
-            next: 0,
+            head: fixed.into_iter().take(head.len()),
             tail: tail.iter(),
         }
     }
@@ -604,17 +600,13 @@ impl Iterator for Operands<'_> {
             *self = inner.operands();
             return Some(*pred);
         }
-        if self.next < self.head_len {
-            self.next += 1;
-            return Some(self.head[usize::from(self.next - 1)]);
-        }
-        self.tail.next().copied()
+        self.head.next().or_else(|| self.tail.next().copied())
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         let n = match self.wrapped {
             Some(OpKind::Predicated { inner, .. }) => 1 + inner.operands().len(),
-            _ => usize::from(self.head_len - self.next) + self.tail.len(),
+            _ => self.head.len() + self.tail.len(),
         };
         (n, Some(n))
     }
