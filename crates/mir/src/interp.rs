@@ -9,8 +9,8 @@
 //! differentially testable, and serves as the oracle for compiled dataflow
 //! execution.
 
-use crate::func::{Func, Module};
-use crate::ops::{Op, OpKind, Region, Value, ViewKind};
+use crate::func::Module;
+use crate::ops::{Op, OpKind, Region, Value};
 use crate::types::{DramLayout, DramRef, Ty};
 use revet_machine::MemoryState;
 use revet_sltf::Word;
@@ -56,8 +56,6 @@ enum Flow {
 #[derive(Clone, Debug)]
 enum HandleObj {
     View {
-        #[allow(dead_code)] // recorded for debugging dumps
-        kind: ViewKind,
         dram: Option<DramRef>,
         /// Base element index in the DRAM symbol.
         base: u32,
@@ -91,9 +89,7 @@ impl fmt::Debug for Interp<'_> {
 }
 
 /// Everything a single function activation needs.
-struct Frame<'f> {
-    #[allow(dead_code)] // kept for error reporting context
-    func: &'f Func,
+struct Frame {
     env: Vec<Word>,
     handles: HashMap<Value, HandleObj>,
 }
@@ -134,7 +130,6 @@ impl<'m> Interp<'m> {
             )));
         }
         let mut frame = Frame {
-            func,
             env: vec![Word::ZERO; func.value_count()],
             handles: HashMap::new(),
         };
@@ -162,7 +157,7 @@ impl<'m> Interp<'m> {
 
     fn exec_region(
         &mut self,
-        fr: &mut Frame<'_>,
+        fr: &mut Frame,
         region: &Region,
         args: &[Word],
     ) -> Result<Flow, InterpError> {
@@ -185,11 +180,11 @@ impl<'m> Interp<'m> {
         Ok(Flow::Normal)
     }
 
-    fn get(&self, fr: &Frame<'_>, v: Value) -> Word {
+    fn get(&self, fr: &Frame, v: Value) -> Word {
         fr.env[v.0 as usize]
     }
 
-    fn set_results(&mut self, fr: &mut Frame<'_>, op: &Op, vals: &[Word]) {
+    fn set_results(&mut self, fr: &mut Frame, op: &Op, vals: &[Word]) {
         for (r, v) in op.results.iter().zip(vals) {
             fr.env[r.0 as usize] = *v;
         }
@@ -227,7 +222,7 @@ impl<'m> Interp<'m> {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn exec_op(&mut self, fr: &mut Frame<'_>, op: &Op) -> Result<Flow, InterpError> {
+    fn exec_op(&mut self, fr: &mut Frame, op: &Op) -> Result<Flow, InterpError> {
         self.burn()?;
         match &op.kind {
             OpKind::ConstI(v, ty) => {
@@ -459,17 +454,13 @@ impl<'m> Interp<'m> {
                 return Ok(Flow::Return(vals));
             }
             OpKind::ViewNew {
-                kind,
-                dram,
-                base,
-                size,
+                dram, base, size, ..
             } => {
                 let base_elem = base.map_or(0, |b| self.get(fr, b).as_u32());
                 let result = op.results[0];
                 fr.handles.insert(
                     result,
                     HandleObj::View {
-                        kind: *kind,
                         dram: *dram,
                         base: base_elem,
                         local: if dram.is_none() {
@@ -569,7 +560,7 @@ impl<'m> Interp<'m> {
         Ok(Flow::Normal)
     }
 
-    fn it_state(&self, fr: &Frame<'_>, it: Value) -> Result<(DramRef, u32), InterpError> {
+    fn it_state(&self, fr: &Frame, it: Value) -> Result<(DramRef, u32), InterpError> {
         match fr.handles.get(&it) {
             Some(HandleObj::It { dram, cursor }) => Ok((*dram, *cursor)),
             _ => Err(InterpError::new("iterator op on non-iterator handle")),
@@ -580,7 +571,7 @@ impl<'m> Interp<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::func::RegionBuilder;
+    use crate::func::{Func, RegionBuilder};
     use crate::ops::{AluOp, ForeachFlags};
 
     fn run_main(module: &Module, args: &[Word], dram: Vec<u8>) -> (Vec<Word>, Vec<u8>) {
