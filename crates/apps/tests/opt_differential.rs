@@ -91,9 +91,10 @@ fn interp_drams(app: &App) -> (Vec<u8>, Vec<u8>) {
 /// recompute into a *free use*, which `lower_while` must thread through
 /// the recirculating loop tuple on every iteration — wider pack/unpack
 /// nodes, an extra `while_out` reorder stage, and a double-digit step
-/// regression under per-node stepping. The fix (`while` sub-regions
-/// inherit no availability, plus the `sink_consts` pass) is pinned here
-/// from two angles:
+/// regression under per-node stepping. Constants never cost this — the
+/// lowering makes each one an immediate where it is read — so the fix is
+/// `Cse`'s alone (`while` sub-regions inherit no availability), pinned
+/// here from two angles:
 ///
 /// 1. the dense executor's *productive* steps — real work, independent
 ///    of scheduling — must not increase at -O2;

@@ -10,7 +10,10 @@
 //!   `RegionBuilder` it is handed; `Module::rewrite` owns the region walk,
 //!   the rebuilding and the changed flag.
 //! - **Classical optimizations** (re-exported from `revet-mir`):
-//!   [`ConstFold`], [`Simplify`], [`Cse`], [`SinkConsts`] and [`Dce`].
+//!   [`ConstFold`], [`Simplify`], [`Cse`] and [`Dce`]. None of them places
+//!   constants for the lowering: `lower` makes every constant an immediate
+//!   wherever it is read, so where a `ConstI` sits in the MIR never shows
+//!   in the graph.
 //!
 //! [`build_pipeline`] assembles the standard pipeline from a
 //! [`PassOptions`]: lowering passes first (gated by their individual
@@ -28,7 +31,7 @@ mod views;
 
 pub use bulk::LowerBulk;
 pub use hierarchy::EliminateHierarchy;
-pub use revet_mir::{ConstFold, Cse, Dce, Simplify, SinkConsts};
+pub use revet_mir::{ConstFold, Cse, Dce, Simplify};
 pub use select::IfToSelect;
 pub use views::{LowerViews, DEFAULT_THREADS};
 
@@ -87,7 +90,6 @@ mod tests {
                 "cse",
                 "const_fold",
                 "simplify",
-                "sink_consts",
                 "dce",
             ]
         );

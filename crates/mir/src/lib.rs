@@ -21,8 +21,8 @@
 //!   the [`RegionBuilder`] of the region being rebuilt — every lowering
 //!   pass is a `Rewriter`, and every op one builds goes through the
 //!   builder's emitters,
-//! - the classical optimizations: [`ConstFold`], [`Simplify`], [`Cse`],
-//!   [`SinkConsts`] and [`Dce`] (over [`Liveness`]), grouped by level in
+//! - the classical optimizations: [`ConstFold`], [`Simplify`], [`Cse`]
+//!   and [`Dce`] (over [`Liveness`]), grouped by level in
 //!   [`add_classical`],
 //! - the dense tables every per-value side table and pass state is kept
 //!   in: [`ValueMap`] and [`ValueSet`], vectors indexed by the value's id
@@ -70,7 +70,7 @@ pub use analysis::Liveness;
 pub use func::{AllocDecl, Func, Module, RegionBuilder, Rewriter, SramDecl};
 pub use interp::{Interp, InterpError};
 pub use ops::{AluOp, ForeachFlags, ItKind, Op, OpKind, Operands, Region, Value, ViewKind};
-pub use opt::{add_classical, ConstFold, Cse, Dce, Simplify, SinkConsts};
+pub use opt::{add_classical, ConstFold, Cse, Dce, Simplify};
 pub use pass::{Pass, PassManager, PassReport, PassResult, PassStat};
 pub use print::{print_func, print_module};
 pub use spans::SpanTable;

@@ -21,14 +21,17 @@ use std::collections::HashMap;
 /// match).
 ///
 /// Exception: availability does **not** flow into the regions of a
-/// `while` op. The dataflow lowering threads every free use of a loop
-/// through the packed loop tuple, recirculating it on every iteration, so
-/// replacing a region-local pure recompute with a reference to an
-/// enclosing value is a pessimization there, not a win (measured as a
-/// double-digit executor step regression on the while-heavy evaluation
-/// apps). Every other region keeps inherited availability: `if` arms
-/// route it through cheap filters, and `foreach`, `replicate` and `fork`
-/// bodies receive it like any other free use.
+/// `while` op. The dataflow lowering threads every non-constant free use
+/// of a loop through the packed loop tuple, recirculating it on every
+/// iteration, so replacing a region-local `bin`/`select`/`cast` with a
+/// reference to an enclosing value is a pessimization there, not a win
+/// (measured as a double-digit executor step regression on the while-heavy
+/// evaluation apps). The rule covers constants too, though they never pay
+/// that cost: the lowering makes a constant an immediate wherever it is
+/// read, so a merged `const` never rides the tuple. Every other region keeps
+/// inherited availability: `if` arms route it through cheap filters, and
+/// `foreach`, `replicate` and `fork` bodies receive it like any other free
+/// use.
 pub struct Cse;
 
 /// True when `kind`'s sub-regions recirculate their free uses under

@@ -18,13 +18,11 @@ mod cse;
 mod dce;
 mod fold;
 mod simplify;
-mod sink;
 
 pub use cse::Cse;
 pub use dce::Dce;
 pub use fold::ConstFold;
 pub use simplify::Simplify;
-pub use sink::SinkConsts;
 
 use crate::ops::{AluOp, Value};
 use crate::pass::PassManager;
@@ -38,20 +36,15 @@ use revet_sltf::Word;
 ///
 /// Level ≥ 1 adds fold/simplify/DCE. Level ≥ 2 adds CSE, which opens new
 /// fold/identity opportunities, and a second clean-up round behind it. CSE
-/// also hoists region-local constants into enclosing regions, which the
-/// dataflow lowering would pay for as recirculated loop state —
-/// [`SinkConsts`] rematerializes them back into the regions that use them
-/// before the final DCE sweep.
+/// may leave a constant in a region enclosing its uses; that costs nothing
+/// downstream, because the dataflow lowering makes every constant an
+/// immediate wherever it is read and never routes one through a link.
 pub fn add_classical(pm: &mut PassManager, opt_level: u8) {
     if opt_level >= 1 {
         pm.add(ConstFold).add(Simplify).add(Dce);
     }
     if opt_level >= 2 {
-        pm.add(Cse)
-            .add(ConstFold)
-            .add(Simplify)
-            .add(SinkConsts)
-            .add(Dce);
+        pm.add(Cse).add(ConstFold).add(Simplify).add(Dce);
     }
 }
 

@@ -6,8 +6,8 @@
 
 use revet_diag::Span;
 use revet_mir::{
-    add_classical, print_module, verify_module, AluOp, Cse, Dce, DramLayout, ForeachFlags, Interp,
-    Module, OpKind, PassManager, Region, RegionBuilder, SinkConsts, Ty, Value,
+    add_classical, print_module, verify_module, AluOp, Cse, DramLayout, ForeachFlags, Interp,
+    Module, OpKind, PassManager, Region, RegionBuilder, Ty, Value,
 };
 use revet_sltf::Word;
 
@@ -565,73 +565,4 @@ fn cse_merges_redundant_exprs_into_if_branches() {
         matches!(k, OpKind::Bin(AluOp::Xor, _, _))
     });
     assert_eq!(xors, 1, "cse should merge across an if boundary");
-}
-
-/// A constant defined outside a `while` but used only inside its body
-/// must be rematerialized into the body by `SinkConsts` (and the outer
-/// copy DCE'd), so the loop tuple never threads a constant.
-#[test]
-fn sink_consts_rematerializes_into_while_bodies() {
-    let mut m = Module::default();
-    let dram = m.add_dram("out", 4);
-    let mut f = revet_mir::Func::new("main", &[Ty::I32], vec![]);
-    let mut b = RegionBuilder::new();
-    let magic = b.emit(&mut f, OpKind::ConstI(123, Ty::I32), Ty::I32);
-    let zero = b.emit(&mut f, OpKind::ConstI(0, Ty::I32), Ty::I32);
-    let two = b.emit(&mut f, OpKind::ConstI(2, Ty::I32), Ty::I32);
-    let one = b.emit(&mut f, OpKind::ConstI(1, Ty::I32), Ty::I32);
-    let cv = f.new_value(Ty::I32);
-    let mut before = RegionBuilder::with_args(vec![cv]);
-    let cond = before.emit(&mut f, OpKind::Bin(AluOp::LtU, cv, two), Ty::I32);
-    before.emit0(OpKind::Condition {
-        cond,
-        fwd: vec![cv],
-    });
-    let av = f.new_value(Ty::I32);
-    let mut after = RegionBuilder::with_args(vec![av]);
-    after.push(
-        OpKind::DramWrite {
-            dram,
-            idx: av,
-            val: magic,
-        },
-        vec![],
-    );
-    let next = after.emit(&mut f, OpKind::Bin(AluOp::Add, av, one), Ty::I32);
-    after.emit0(OpKind::Yield(vec![next]));
-    let r = f.new_value(Ty::I32);
-    b.push(
-        OpKind::While {
-            inits: vec![zero],
-            before: before.build(),
-            after: after.build(),
-        },
-        vec![r],
-    );
-    b.emit0(OpKind::Return(vec![]));
-    f.body = b.build();
-    m.funcs.push(f);
-    verify_module(&m).expect("fixture is valid");
-
-    let args = [Word(5)];
-    let before_img = interp_dram(&m, &args);
-    let mut pm = PassManager::new();
-    pm.add(SinkConsts).add(Dce);
-    pm.run(&mut m);
-    verify_module(&m).expect("valid after sinking");
-
-    let top = &m.funcs[0].body;
-    let outer_magic = top
-        .ops
-        .iter()
-        .filter(|o| matches!(o.kind, OpKind::ConstI(123, _)))
-        .count();
-    assert_eq!(outer_magic, 0, "outer constant should be sunk + DCE'd");
-    let total_magic = count_ops(top, &mut |k| matches!(k, OpKind::ConstI(123, _)));
-    assert_eq!(total_magic, 1, "exactly one rematerialized copy survives");
-    assert_eq!(
-        interp_dram(&m, &args),
-        before_img,
-        "sinking must not change behavior"
-    );
 }
