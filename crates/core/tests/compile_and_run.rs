@@ -3,6 +3,7 @@
 //! MIR reference interpreter and hand-computed oracles.
 
 use revet_core::{PassOptions, Session};
+use revet_mir::{Module, OpKind};
 use revet_sltf::Word;
 
 const DRAM_BYTES: usize = 1 << 20;
@@ -431,5 +432,69 @@ fn subword_packing_reduces_link_width() {
     let slice = DRAM_BYTES / 2;
     for i in 0..4usize {
         assert_eq!(read_u32(&d1, slice + 4 * i), read_u32(&d2, slice + 4 * i));
+    }
+}
+
+/// A constant is an immediate wherever it is read, so where its `ConstI`
+/// sits in the MIR never reaches a link: a `while` body, a `foreach` body
+/// and an `if` arm that read a constant defined before the construct give
+/// the same link arities as the same program with the constant written
+/// inside. (A constant threaded into the construct would widen its entry
+/// tuple, and a loop's backedge with it.)
+#[test]
+fn a_constant_read_inside_a_construct_widens_no_link() {
+    let bodies = [
+        (
+            "while",
+            "u32 x = n; u32 acc = 0; while (x != 0) { acc = acc + K; x = x - 1; }; output[0] = acc;",
+        ),
+        ("foreach", "foreach (n) { u32 i => output[i] = i + K; };"),
+        (
+            "if",
+            "if (n & 1) { output[0] = n + K; } else { output[1] = n; };",
+        ),
+    ];
+    let outer_const = |m: &Module| {
+        let main = m.func("main").expect("main");
+        main.body
+            .ops
+            .iter()
+            .any(|op| matches!(op.kind, OpKind::ConstI(12345, _)))
+    };
+    for (what, body) in bodies {
+        let outside = format!(
+            "dram<u32> output; void main(u32 n) {{ u32 k = 12345; {} }}",
+            body.replace('K', "k")
+        );
+        let inside = format!(
+            "dram<u32> output; void main(u32 n) {{ {} }}",
+            body.replace('K', "12345")
+        );
+        // `if_to_select` would turn the `if` into predicated ops.
+        let o2 = PassOptions {
+            opt_level: 2,
+            if_to_select: false,
+            ..PassOptions::default()
+        };
+        for opts in [PassOptions::none(), o2] {
+            let level = opts.opt_level;
+            let arities = |src: &str, outer: bool| {
+                let mut session = Session::new(src, opts.clone());
+                let module = session.run_passes().unwrap_or_else(|e| panic!("{e}"));
+                assert_eq!(
+                    outer_const(module),
+                    outer,
+                    "{what} at O{level}: the constant's placement in\n{}",
+                    revet_mir::print_module(module)
+                );
+                let program = session.to_dataflow().unwrap_or_else(|e| panic!("{e}"));
+                program.links.iter().map(|l| l.arity).collect::<Vec<_>>()
+            };
+            assert_eq!(
+                arities(&outside, true),
+                arities(&inside, false),
+                "{what} at O{level}: link arities with the constant outside vs inside"
+            );
+        }
     }
 }
