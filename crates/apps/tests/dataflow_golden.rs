@@ -15,7 +15,9 @@
 //! `passes=` hashes the pass report without its wall times (each pass's
 //! name, changed flag and op counts, in pipeline order).
 //!
-//! On a mismatch the test writes `target/dataflow_golden/actual.digest`
+//! On a mismatch the message counts the rows that moved in each column,
+//! so `nodes 0/90, chans 0/90, digest 0/90` says no graph changed, and
+//! the test writes `target/dataflow_golden/actual.digest`
 //! (the full table as this build computes it) and the first differing
 //! row's dump next to it. To see *what* changed, produce the same dump
 //! from the other commit (edit that row's digest there so it mismatches)
