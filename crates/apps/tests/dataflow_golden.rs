@@ -26,6 +26,7 @@
 
 use revet_apps::{all_apps, DRAM_BYTES};
 use revet_core::{CompiledProgram, PassOptions, Session};
+use revet_machine::{AllocId, SramId};
 use revet_mir::{Module, OpKind, PassReport, Value};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
@@ -355,10 +356,11 @@ fn dump(p: &CompiledProgram) -> String {
         p.entry, p.outer_parallelism
     )
     .unwrap();
-    for d in &p.module.srams {
-        writeln!(s, "sram {} words={}", d.name, d.words).unwrap();
+    let mem = &p.graph.mem;
+    for d in (0..mem.sram_count() as u32).map(|i| mem.sram(SramId(i))) {
+        writeln!(s, "sram {} words={}", d.name, d.words.len()).unwrap();
     }
-    for a in &p.module.allocs {
+    for a in (0..mem.alloc_count() as u32).map(|i| mem.alloc(AllocId(i))) {
         writeln!(s, "alloc {} max={}", a.name, a.max).unwrap();
     }
     s

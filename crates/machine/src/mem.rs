@@ -142,6 +142,11 @@ impl MemoryState {
         self.srams.len()
     }
 
+    /// Number of allocator queues.
+    pub fn alloc_count(&self) -> usize {
+        self.allocs.len()
+    }
+
     /// Shared view of an SRAM region.
     ///
     /// # Panics
