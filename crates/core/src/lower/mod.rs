@@ -60,7 +60,7 @@ mod while_;
 
 use frame::{dedup, liveness, Frame, FreeUses, RegionId};
 
-use crate::{CoreError, PassOptions};
+use crate::{CoreError, PassOptions, MAX_DRAM_BYTES};
 use revet_machine::instr::{AluOp, Operand, Reg};
 use revet_machine::nodes::{
     BroadcastNode, CounterNode, EwNode, FbMergeNode, FlattenNode, FwdMergeNode, OutputSpec,
@@ -134,8 +134,6 @@ pub struct CompiledProgram {
     pub contexts: Vec<ContextInfo>,
     /// Per-link resources.
     pub links: Vec<LinkInfo>,
-    /// The fully lowered MIR module.
-    pub module: Module,
     /// Entry channel: push `Data([args…])` then `Ω1` and run.
     pub entry: ChanId,
     /// Final-output sink handle (main's return values, usually empty).
@@ -266,10 +264,13 @@ enum Term {
 }
 
 struct DfLower<'m> {
-    module: &'m mut Module,
+    module: &'m Module,
     func: &'m Func,
-    layout: &'m DramLayout,
+    layout: DramLayout,
     opts: &'m PassOptions,
+    /// The graph being built. Its memory image holds the module's SRAM
+    /// regions and allocators from the start; bufferization appends its
+    /// own regions to it.
     g: Graph,
     infos: Vec<ContextInfo>,
     links: Vec<LinkInfo>,
@@ -311,39 +312,43 @@ impl Laps {
 }
 
 /// Lowers `main` of a fully-lowered (physical-ops-only) module to an
-/// executable dataflow graph. The module moves into the returned program.
+/// executable dataflow graph. The module is only read: the DRAM symbols
+/// are laid out in equal slices of `opts.dram_bytes`
+/// ([`DramLayout::equal_slices`]), and the graph's memory image starts
+/// from the module's SRAM and allocator declarations.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError`] for unsupported shapes (multi-value foreach
-/// reductions, high-level ops that escaped earlier passes).
+/// Returns [`CoreError`] for a `dram_bytes` past the 32-bit DRAM address
+/// space ([`MAX_DRAM_BYTES`]) and for unsupported shapes (multi-value
+/// foreach reductions, high-level ops that escaped earlier passes).
 pub fn lower_to_dataflow(
-    module: Module,
-    layout: &DramLayout,
+    module: &Module,
     opts: &PassOptions,
-    dram_bytes: usize,
 ) -> Result<CompiledProgram, CoreError> {
-    lower_timed(module, layout, opts, dram_bytes, &mut Laps::start())
+    lower_timed(module, opts, &mut Laps::start())
 }
 
 /// [`lower_to_dataflow`], closing one lap of `laps` per sub-stage: the
-/// constant and free-use tables, the lowering walk, the memory image and
+/// memory image, the constant and free-use tables, the lowering walk and
 /// the plan build.
 pub(crate) fn lower_timed(
-    mut module: Module,
-    layout: &DramLayout,
+    module: &Module,
     opts: &PassOptions,
-    dram_bytes: usize,
     laps: &mut Laps,
 ) -> Result<CompiledProgram, CoreError> {
-    let at = module
-        .funcs
-        .iter()
-        .position(|f| f.name == "main")
+    if opts.dram_bytes as u64 > MAX_DRAM_BYTES {
+        return Err(CoreError::new(format!(
+            "dram_bytes = {} exceeds the {MAX_DRAM_BYTES}-byte (32-bit) DRAM address space",
+            opts.dram_bytes
+        )));
+    }
+    let main = module
+        .func("main")
         .ok_or_else(|| CoreError::new("module has no main"))?;
-    // `main` is read throughout while bufferization declares SRAM regions
-    // on the module, so it is lifted out for the walk and put back after.
-    let main = module.funcs.remove(at);
+    let mut g = Graph::new();
+    g.mem = module.build_memory(opts.dram_bytes);
+    laps.lap("to_dataflow.memory");
     let mut consts = ValueMap::with_capacity(main.value_count());
     let mut outer_parallelism = 1u32;
     main.walk(&mut |op| match (&op.kind, op.results.first()) {
@@ -355,14 +360,14 @@ pub(crate) fn lower_timed(
         }
         _ => {}
     });
-    let uses = FreeUses::of(&main);
+    let uses = FreeUses::of(main);
     laps.lap("to_dataflow.free_uses");
     let mut lw = DfLower {
-        module: &mut module,
-        func: &main,
-        layout,
+        module,
+        func: main,
+        layout: DramLayout::equal_slices(module.drams.len(), opts.dram_bytes),
         opts,
-        g: Graph::new(),
+        g,
         infos: Vec::new(),
         links: Vec::new(),
         consts,
@@ -381,9 +386,6 @@ pub(crate) fn lower_timed(
         links,
         ..
     } = lw;
-    module.funcs.insert(at, main);
-    graph.mem = module.build_memory(dram_bytes);
-    laps.lap("to_dataflow.memory");
     // The wiring is complete: schedule it now, so every instance of this
     // compile shares the one plan (and its channel-endpoint index)
     // instead of building its own on first run.
@@ -393,7 +395,6 @@ pub(crate) fn lower_timed(
         graph,
         contexts,
         links,
-        module,
         entry,
         sink,
         outer_parallelism,
@@ -421,7 +422,7 @@ impl DfLower<'_> {
         Mark {
             chans: self.g.chan_count(),
             infos: self.infos.len(),
-            srams: self.module.srams.len(),
+            srams: self.g.mem.sram_count(),
             labels: self.label_n,
         }
     }

@@ -235,9 +235,9 @@ impl DfLower<'_> {
         }
         let labels = at.labels - from.labels;
         for s in from.srams..to.srams {
-            let decl = &self.module.srams[s];
-            let (name, words) = (renumber(&decl.name, labels), decl.words);
-            self.module.add_sram(name, words);
+            let region = self.g.mem.sram(SramId(s as u32));
+            let (name, words) = (renumber(&region.name, labels), region.words.len());
+            self.g.mem.add_sram(name, words);
         }
         let srams = (at.srams - from.srams) as u32;
         for i in from.infos..to.infos {
@@ -273,7 +273,7 @@ impl DfLower<'_> {
         let threads = self.opts.threads.unwrap_or(crate::passes::DEFAULT_THREADS);
         let k = values.len() as u32;
         let name = format!("rep_buf{}", self.label_n);
-        let sram = self.module.add_sram(name, k * threads);
+        let sram = self.g.mem.add_sram(name, (k * threads) as usize);
         let ptr = slot_of(&cur.vars, ptr, "replicate")?;
         let scratch = cur.vars.len() as Reg;
         let mut instrs = Vec::new();

@@ -37,10 +37,10 @@
 //! ```
 
 use crate::lower::{lower_timed, CompiledProgram, Laps};
-use crate::{passes, CoreError, PassOptions, MAX_DRAM_BYTES};
+use crate::{passes, CoreError, PassOptions};
 use revet_diag::{Diagnostics, SourceMap};
 use revet_lang::ast::Program;
-use revet_mir::{DramLayout, Module, PassReport};
+use revet_mir::{Module, PassReport};
 
 /// The pipeline stages a [`Session`] moves through, in order.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -198,9 +198,10 @@ impl Session {
     }
 
     /// Stage 4: CFG→dataflow conversion, link assignment, and context
-    /// splitting. DRAM symbols are laid out back-to-back in
-    /// equal slices of `opts.dram_bytes`, which must not exceed the 32-bit
-    /// DRAM address space ([`MAX_DRAM_BYTES`]).
+    /// splitting, reading the optimized module in place
+    /// ([`crate::lower_to_dataflow`]). DRAM symbols are laid out
+    /// back-to-back in equal slices of `opts.dram_bytes`, which must not
+    /// exceed the 32-bit DRAM address space ([`crate::MAX_DRAM_BYTES`]).
     ///
     /// Callable repeatedly: each call materializes a fresh
     /// [`CompiledProgram`] from the memoized optimized module.
@@ -214,20 +215,9 @@ impl Session {
         let started = std::time::Instant::now();
         let mut opts = self.opts.clone();
         opts.threads = self.threads;
-        if opts.dram_bytes as u64 > MAX_DRAM_BYTES {
-            let e = CoreError::new(format!(
-                "dram_bytes = {} exceeds the {MAX_DRAM_BYTES}-byte (32-bit) DRAM address space",
-                opts.dram_bytes
-            ));
-            return Err(self.fail(e.diagnostics.into_iter().collect()));
-        }
         let mut laps = Laps::start();
-        // Dataflow lowering consumes the module; it gets a copy so the
-        // session's optimized artifact stays inspectable and re-runnable.
-        let module = self.mir.clone().expect("optimized");
-        let layout = DramLayout::equal_slices(module.drams.len(), opts.dram_bytes);
-        laps.lap("to_dataflow.mir_copy");
-        match lower_timed(module, &layout, &opts, opts.dram_bytes, &mut laps) {
+        let module = self.mir.as_ref().expect("optimized");
+        match lower_timed(module, &opts, &mut laps) {
             Ok(p) => {
                 self.timings.push(("to_dataflow", started.elapsed()));
                 self.timings.extend(laps.laps);
@@ -305,10 +295,9 @@ impl Session {
     /// full compile yields exactly `parse`, `lower_mir`, `run_passes`,
     /// `to_dataflow` (the latter once per materialization). Each
     /// `to_dataflow` entry is followed by its sub-stages, which add up to
-    /// it: `to_dataflow.mir_copy` (the module copy the lowering consumes),
-    /// `.free_uses` (the constant and free-use tables), `.walk` (the
-    /// lowering walk), `.memory` (the memory image) and `.plan` (the plan
-    /// build). Complements [`Session::pass_report`], which times the
+    /// it: `to_dataflow.memory` (the memory image of the module's
+    /// declarations), `.free_uses` (the constant and free-use tables),
+    /// `.walk` (the lowering walk) and `.plan` (the plan build). Complements [`Session::pass_report`], which times the
     /// individual passes *inside* the `run_passes` stage.
     pub fn stage_timings(&self) -> &[(&'static str, std::time::Duration)] {
         &self.timings
@@ -480,12 +469,11 @@ mod tests {
 
     #[test]
     fn stage_timings_record_each_stage_once() {
-        const DATAFLOW: [&str; 6] = [
+        const DATAFLOW: [&str; 5] = [
             "to_dataflow",
-            "to_dataflow.mir_copy",
+            "to_dataflow.memory",
             "to_dataflow.free_uses",
             "to_dataflow.walk",
-            "to_dataflow.memory",
             "to_dataflow.plan",
         ];
         let mut s = Session::new(GOOD, PassOptions::default());
@@ -503,7 +491,7 @@ mod tests {
         // Memoized stages add nothing; a re-materialization adds only the
         // dataflow stage and its sub-stages.
         s.run_passes().unwrap();
-        assert_eq!(s.stage_timings().len(), 9);
+        assert_eq!(s.stage_timings().len(), 8);
         s.to_dataflow().unwrap();
         let names: Vec<&str> = s.stage_timings().iter().map(|(n, _)| *n).collect();
         assert_eq!(
@@ -518,7 +506,7 @@ mod tests {
         // Stage timings flow into the trace ring as compile_stage events.
         let obs = revet_obs::ObsSink::with_trace_capacity(64);
         s.emit_compile_trace(&obs);
-        assert_eq!(obs.trace_events().len(), 15);
+        assert_eq!(obs.trace_events().len(), 13);
         assert!(obs.chrome_trace_json().contains("compile:run_passes"));
         assert!(obs.chrome_trace_json().contains("compile:to_dataflow.walk"));
     }

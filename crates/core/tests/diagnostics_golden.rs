@@ -5,7 +5,7 @@
 
 use revet_core::{lower_to_dataflow, passes, CoreError, PassOptions, Session, Stage};
 use revet_diag::codes;
-use revet_mir::{DramLayout, Func, Module, OpKind, RegionBuilder, Value};
+use revet_mir::{Func, Module, OpKind, RegionBuilder, Value};
 
 /// Runs the full staged pipeline on `src`, expecting failure, and returns
 /// the session for artifact/diagnostic inspection.
@@ -179,7 +179,7 @@ fn golden_post_pass_verify_failure() {
     passes::build_pipeline(&opts, opts.threads).run(&mut m);
     let err = revet_mir::verify_module(&m)
         .map_err(CoreError::from)
-        .and_then(|()| lower_to_dataflow(m, &DramLayout::default(), &opts, opts.dram_bytes))
+        .and_then(|()| lower_to_dataflow(&m, &opts))
         .expect_err("bad module must not verify");
     assert_eq!(err.diagnostics.len(), 1);
     let d = &err.diagnostics[0];

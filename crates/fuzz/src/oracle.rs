@@ -327,22 +327,18 @@ fn run_level(
     }
 
     // Lower to dataflow — through the session unless a miscompile is
-    // being injected, in which case we mirror `Session::to_dataflow`
-    // around the mutated module.
+    // being injected, in which case the mutated module is lowered alone.
     let program = match cfg.inject {
-        None => session
-            .to_dataflow()
-            .map_err(|e| fail(FailureKind::CompileError, level, e.to_string()))?,
+        None => session.to_dataflow(),
         Some(inj) => {
             let mut module = optimized.clone();
             apply_injection(&mut module, inj);
-            let layout = DramLayout::equal_slices(module.drams.len(), dram_bytes);
             let mut lopts = opts.clone();
             lopts.threads = session.thread_count();
-            lower_to_dataflow(module, &layout, &lopts, dram_bytes)
-                .map_err(|e| fail(FailureKind::CompileError, level, e.to_string()))?
+            lower_to_dataflow(&module, &lopts)
         }
-    };
+    }
+    .map_err(|e| fail(FailureKind::CompileError, level, e.to_string()))?;
 
     // Load the case's DRAM inputs into the compiled template; every
     // instance starts from a byte-identical image.
