@@ -203,7 +203,6 @@ fn rows() -> Vec<Row> {
             &format!("default,O2,threads=64,eliminate={eliminate}"),
             PassOptions {
                 eliminate_hierarchy: eliminate,
-                threads: Some(64),
                 ..base_opts(false, 2, small)
             },
         ));
@@ -286,14 +285,12 @@ fn memory_arms(m: &Module, seen: &mut BTreeSet<String>) {
 /// pipeline (lowering passes included) on a golden row: a pass that
 /// reports `Unchanged` left the printed module byte-identical, and one
 /// that reports `Changed` did not.
-fn assert_changed_flags_are_exact(row: &Row, mut module: Module, threads: Option<u32>) {
+fn assert_changed_flags_are_exact(row: &Row, mut module: Module) {
     let mut texts = vec![revet_mir::print_module(&module)];
-    let report = revet_core::passes::build_pipeline(&row.opts, threads).run_observed(
-        &mut module,
-        &mut |_, m| {
+    let report =
+        revet_core::passes::build_pipeline(&row.opts).run_observed(&mut module, &mut |_, m| {
             texts.push(revet_mir::print_module(m));
-        },
-    );
+        });
     for (stat, pair) in report.passes.iter().zip(texts.windows(2)) {
         assert_eq!(
             stat.changed,
@@ -445,7 +442,7 @@ fn lowering_output_matches_the_golden_digest() {
         let fail = |e| -> ! { panic!("{} [{}]: {e}", row.name, row.opts_label) };
         let high = session.lower_mir().unwrap_or_else(|e| fail(e)).clone();
         memory_arms(&high, &mut arms);
-        assert_changed_flags_are_exact(&row, high, session.thread_count());
+        assert_changed_flags_are_exact(&row, high);
         let mir = revet_mir::print_module(session.run_passes().unwrap_or_else(|e| fail(e)));
         let passes = pass_table(session.pass_report().expect("run_passes leaves a report"));
         let program = session.to_dataflow().unwrap_or_else(|e| fail(e));

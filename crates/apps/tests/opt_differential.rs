@@ -47,8 +47,7 @@ fn interp_drams(app: &App) -> (Vec<u8>, Vec<u8>) {
     use revet_mir::{DramLayout, Interp, PassManager};
 
     let w = (app.workload)(4, SEED);
-    let lowered = revet_lang::compile_to_mir(&(app.source)(2)).unwrap();
-    let mut module = lowered.module;
+    let mut module = revet_lang::compile_to_mir(&(app.source)(2)).unwrap();
     let layout = DramLayout::equal_slices(module.drams.len(), DRAM_BYTES);
     let args: Vec<Word> = w.args.iter().map(|&a| Word(a)).collect();
 

@@ -38,8 +38,7 @@ fn all_apps_through_mir_interp() {
     use revet_sltf::Word;
     for app in all_apps() {
         let w = (app.workload)(4, 13);
-        let lowered = revet_lang::compile_to_mir(&(app.source)(2)).unwrap();
-        let module = lowered.module;
+        let module = revet_lang::compile_to_mir(&(app.source)(2)).unwrap();
         let layout = DramLayout::equal_slices(module.drams.len(), revet_apps::DRAM_BYTES);
         let mut mem = module.build_memory(revet_apps::DRAM_BYTES);
         for (sym, bytes) in &w.inits {

@@ -202,7 +202,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     if print_pipeline {
-        for name in build_pipeline(&opts, opts.threads).names() {
+        for name in build_pipeline(&opts).names() {
             println!("{name}");
         }
         return ExitCode::SUCCESS;

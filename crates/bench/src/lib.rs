@@ -325,7 +325,6 @@ void main(u32 count) {{
             let opts = PassOptions {
                 eliminate_hierarchy: eliminate,
                 dram_bytes: revet_apps::DRAM_BYTES,
-                threads: Some(64),
                 ..opts.clone()
             };
             let mut program = revet_core::Session::new(source(outer, eliminate), opts)

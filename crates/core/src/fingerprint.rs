@@ -147,16 +147,6 @@ mod tests {
             ProgramId::of(
                 "void main() {}",
                 &PassOptions {
-                    threads: Some(8),
-                    ..PassOptions::default()
-                }
-            )
-        );
-        assert_ne!(
-            base,
-            ProgramId::of(
-                "void main() {}",
-                &PassOptions {
                     dram_bytes: 1 << 16,
                     ..PassOptions::default()
                 }
@@ -209,6 +199,6 @@ mod tests {
                 ..PassOptions::default()
             },
         );
-        assert_eq!(id.to_string(), "357b36452a19fec4766bc07d7f8ed3f7");
+        assert_eq!(id.to_string(), "9568b7602aa8a679b6e6c48e7dd8e637");
     }
 }

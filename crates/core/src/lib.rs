@@ -148,8 +148,6 @@ pub struct PassOptions {
     /// simplification, and DCE, `2` (the default) additionally runs CSE
     /// plus a second clean-up round. Values above 2 behave like 2.
     pub opt_level: u8,
-    /// Thread-local buffer count override (`pragma(threads, N)` wins).
-    pub threads: Option<u32>,
     /// DRAM image size for the compiled program's memory state: at most
     /// [`MAX_DRAM_BYTES`], or `Session::to_dataflow` fails.
     pub dram_bytes: usize,
@@ -173,7 +171,6 @@ impl Default for PassOptions {
             pack_subwords: true,
             eliminate_hierarchy: true,
             opt_level: default_opt_level(),
-            threads: None,
             dram_bytes: 1 << 20,
         }
     }
@@ -191,7 +188,6 @@ impl PassOptions {
             pack_subwords: false,
             eliminate_hierarchy: false,
             opt_level: 0,
-            threads: None,
             dram_bytes: 1 << 20,
         }
     }

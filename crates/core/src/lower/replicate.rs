@@ -270,7 +270,7 @@ impl DfLower<'_> {
     /// Stores `values` to a fresh SRAM region indexed by the hoisted
     /// pointer, before distribution; the rest of the tuple carries on.
     fn park(&mut self, cur: Cur, ptr: Value, values: &[Value]) -> Result<(SramId, Cur), CoreError> {
-        let threads = self.opts.threads.unwrap_or(crate::passes::DEFAULT_THREADS);
+        let threads = self.module.thread_count();
         let k = values.len() as u32;
         let name = format!("rep_buf{}", self.label_n);
         let sram = self.g.mem.add_sram(name, (k * threads) as usize);

@@ -106,13 +106,9 @@ mod tests {
                 };
             }
         "#;
-        let lowered = compile_to_mir(src).unwrap();
-        let mut module = lowered.module.clone();
-        let views = LowerViews {
-            threads: Some(8),
-            fuse: true,
-        };
-        assert!(views.run(&mut module).changed());
+        let mut module = compile_to_mir(src).unwrap();
+        module.threads = Some(8);
+        assert!(LowerViews { fuse: true }.run(&mut module).changed());
         assert!(LowerBulk.run(&mut module).changed());
         assert!(
             !LowerBulk.run(&mut module).changed(),

@@ -15,10 +15,9 @@ use revet_mir::{AluOp, Func, Module, Op, OpKind, Pass, PassResult, RegionBuilder
 
 /// Foreach hierarchy elimination (§V-A b, Fig. 9): rewrites every
 /// pragma-annotated `foreach` into a fork + shared-counter continuation.
-pub struct EliminateHierarchy {
-    /// Thread-local buffer count hint for the counter SRAM sizing.
-    pub threads: Option<u32>,
-}
+/// The shared counters and continuation allocators hold one slot per
+/// thread ([`Module::thread_count`]).
+pub struct EliminateHierarchy;
 
 impl Pass for EliminateHierarchy {
     fn name(&self) -> &str {
@@ -27,7 +26,7 @@ impl Pass for EliminateHierarchy {
 
     fn run(&self, m: &mut Module) -> PassResult {
         m.rewrite(&mut Fig9 {
-            threads: self.threads.unwrap_or(crate::passes::DEFAULT_THREADS),
+            threads: m.thread_count(),
             count: 0,
         })
     }
@@ -129,10 +128,9 @@ mod tests {
                 output[63] = 99;
             }
         "#;
-        let lowered = compile_to_mir(src).unwrap();
-        let mut module = lowered.module.clone();
-        let pass = EliminateHierarchy { threads: Some(16) };
-        assert!(pass.run(&mut module).changed());
+        let mut module = compile_to_mir(src).unwrap();
+        module.threads = Some(16);
+        assert!(EliminateHierarchy.run(&mut module).changed());
         revet_mir::verify_module(&module).unwrap();
         assert_eq!(
             module.funcs[0].count_ops(|k| matches!(k, OpKind::Fork { .. })),
@@ -163,9 +161,8 @@ mod tests {
             }
         "#;
         let lowered = compile_to_mir(src).unwrap();
-        let mut module = lowered.module.clone();
-        let pass = EliminateHierarchy { threads: None };
-        assert!(!pass.run(&mut module).changed());
-        assert_eq!(module, lowered.module);
+        let mut module = lowered.clone();
+        assert!(!EliminateHierarchy.run(&mut module).changed());
+        assert_eq!(module, lowered);
     }
 }

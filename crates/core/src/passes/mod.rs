@@ -33,25 +33,23 @@ pub use bulk::LowerBulk;
 pub use hierarchy::EliminateHierarchy;
 pub use revet_mir::{ConstFold, Cse, Dce, Simplify};
 pub use select::IfToSelect;
-pub use views::{LowerViews, DEFAULT_THREADS};
+pub use views::LowerViews;
 
 use crate::PassOptions;
 use revet_mir::PassManager;
 
 /// Assembles the standard pipeline for `opts`: lowering passes in Fig. 8
 /// order (each gated by its toggle), then the classical optimizations
-/// gated by `opts.opt_level`.
+/// gated by `opts.opt_level`. The passes that size thread-local buffers
+/// read the count from the module they run on ([`Module::thread_count`]).
 ///
-/// `threads` is the resolved thread-count hint (a `pragma(threads, N)` in
-/// the source wins over `opts.threads`; pass `opts.threads` when no
-/// front-end hint exists).
-pub fn build_pipeline(opts: &PassOptions, threads: Option<u32>) -> PassManager {
+/// [`Module::thread_count`]: revet_mir::Module::thread_count
+pub fn build_pipeline(opts: &PassOptions) -> PassManager {
     let mut pm = PassManager::new();
     if opts.eliminate_hierarchy {
-        pm.add(EliminateHierarchy { threads });
+        pm.add(EliminateHierarchy);
     }
     pm.add(LowerViews {
-        threads,
         fuse: opts.fuse_allocators,
     });
     pm.add(LowerBulk);
@@ -72,7 +70,7 @@ mod tests {
             opt_level: 2,
             ..PassOptions::default()
         };
-        let names = build_pipeline(&opts, None)
+        let names = build_pipeline(&opts)
             .names()
             .iter()
             .map(|s| s.to_string())
@@ -96,13 +94,13 @@ mod tests {
 
         let o0 = PassOptions::none();
         assert_eq!(o0.opt_level, 0);
-        let names = build_pipeline(&o0, None).names().len();
+        let names = build_pipeline(&o0).names().len();
         assert_eq!(names, 2, "only the unconditional lowering passes remain");
 
         let o1 = PassOptions {
             opt_level: 1,
             ..PassOptions::none()
         };
-        assert_eq!(build_pipeline(&o1, None).names().len(), 5);
+        assert_eq!(build_pipeline(&o1).names().len(), 5);
     }
 }

@@ -127,8 +127,7 @@ mod tests {
                 output[0] = x;
             }
         "#;
-        let lowered = compile_to_mir(src).unwrap();
-        let mut module = lowered.module.clone();
+        let mut module = compile_to_mir(src).unwrap();
         assert!(IfToSelect.run(&mut module).changed());
         revet_mir::verify_module(&module).unwrap();
         assert_eq!(
@@ -167,8 +166,7 @@ mod tests {
                 };
             }
         "#;
-        let lowered = compile_to_mir(src).unwrap();
-        let mut module = lowered.module.clone();
+        let mut module = compile_to_mir(src).unwrap();
         let converted = IfToSelect.run(&mut module).changed();
         assert!(!converted, "loop-bearing and exit ifs stay");
         assert_eq!(
@@ -195,8 +193,7 @@ mod tests {
                 output[0] = x;
             }
         "#;
-        let lowered = compile_to_mir(src).unwrap();
-        let mut module = lowered.module.clone();
+        let mut module = compile_to_mir(src).unwrap();
         assert!(IfToSelect.run(&mut module).changed());
         assert_eq!(
             module.funcs[0].count_ops(|k| matches!(k, OpKind::If { .. })),

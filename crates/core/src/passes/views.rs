@@ -25,16 +25,12 @@ use revet_mir::{
     Ty, Value, ValueMap, ViewKind,
 };
 
-/// Default thread-local buffer count when no `pragma(threads, N)` is given:
-/// one MU's worth of small buffers.
-pub const DEFAULT_THREADS: u32 = 64;
-
 /// View & iterator lowering plus allocation fusion (§V-A a, §V-B a):
 /// rewrites the high-level memory dialect into SRAM regions, allocator
 /// queues, and bulk transfers.
+///
+/// Every region holds one buffer per thread ([`Module::thread_count`]).
 pub struct LowerViews {
-    /// Thread-local buffer count (`pragma(threads, N)` resolved upstream).
-    pub threads: Option<u32>,
     /// §V-B a: share one allocator pop per region (allocation fusion).
     pub fuse: bool,
 }
@@ -46,7 +42,7 @@ impl Pass for LowerViews {
 
     fn run(&self, m: &mut Module) -> PassResult {
         m.rewrite(&mut Views {
-            threads: self.threads.unwrap_or(DEFAULT_THREADS),
+            threads: m.thread_count(),
             fuse: self.fuse,
             objs: ValueMap::new(),
             counter: 0,
@@ -405,8 +401,8 @@ mod tests {
     use revet_sltf::Word;
 
     fn lower(module: &mut Module, threads: u32, fuse: bool) -> PassResult {
-        let threads = Some(threads);
-        LowerViews { threads, fuse }.run(module)
+        module.threads = Some(threads);
+        LowerViews { fuse }.run(module)
     }
 
     /// Differential test: the strlen case study must compute identical DRAM
@@ -457,9 +453,9 @@ mod tests {
         };
 
         let lowered = compile_to_mir(src).unwrap();
-        let before = run(&lowered.module);
+        let before = run(&lowered);
 
-        let mut module = lowered.module.clone();
+        let mut module = lowered.clone();
         assert!(lower(&mut module, 16, true).changed());
         revet_mir::verify_module(&module).unwrap();
         assert_eq!(
@@ -488,8 +484,7 @@ mod tests {
                 };
             }
         "#;
-        let lowered = compile_to_mir(src).unwrap();
-        let mut module = lowered.module.clone();
+        let mut module = compile_to_mir(src).unwrap();
         lower(&mut module, 4, true);
         revet_mir::verify_module(&module).unwrap();
         let layout = DramLayout { base: vec![0] };
@@ -516,9 +511,9 @@ mod tests {
             }
         "#;
         let lowered = compile_to_mir(src).unwrap();
-        let mut fused = lowered.module.clone();
+        let mut fused = lowered.clone();
         lower(&mut fused, 8, true);
-        let mut unfused = lowered.module.clone();
+        let mut unfused = lowered.clone();
         lower(&mut unfused, 8, false);
         assert_eq!(fused.allocs.len(), 1, "one fused allocator");
         assert_eq!(unfused.allocs.len(), 2, "one allocator per object");
@@ -548,8 +543,7 @@ mod tests {
                 output[0] = hits;
             }
         "#;
-        let lowered = compile_to_mir(src).unwrap();
-        let mut module = lowered.module.clone();
+        let mut module = compile_to_mir(src).unwrap();
         lower(&mut module, 4, true);
         let layout = DramLayout {
             base: vec![0, 4096],

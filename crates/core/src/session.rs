@@ -70,7 +70,6 @@ pub struct Session {
     ast: Option<Program>,
     mir: Option<Module>,
     optimized: bool,
-    threads: Option<u32>,
     report: Option<PassReport>,
     capture: Option<String>,
     captured: Option<String>,
@@ -90,7 +89,6 @@ impl Session {
             ast: None,
             mir: None,
             optimized: false,
-            threads: None,
             report: None,
             capture: None,
             captured: None,
@@ -152,9 +150,8 @@ impl Session {
             let started = std::time::Instant::now();
             let ast = self.ast.as_ref().expect("parsed");
             match revet_lang::lower_program(ast) {
-                Ok(lowered) => {
-                    self.threads = self.opts.threads.or(lowered.thread_count_hint);
-                    self.mir = Some(lowered.module);
+                Ok(module) => {
+                    self.mir = Some(module);
                     self.stage = self.stage.max(Stage::Lowered);
                     self.timings.push(("lower_mir", started.elapsed()));
                 }
@@ -175,7 +172,7 @@ impl Session {
         self.lower_mir()?;
         if !self.optimized {
             let started = std::time::Instant::now();
-            let pipeline = passes::build_pipeline(&self.opts, self.threads);
+            let pipeline = passes::build_pipeline(&self.opts);
             let capture = self.capture.clone();
             let mut captured = None;
             let module = self.mir.as_mut().expect("lowered");
@@ -213,11 +210,9 @@ impl Session {
     pub fn to_dataflow(&mut self) -> Result<CompiledProgram, CoreError> {
         self.run_passes()?;
         let started = std::time::Instant::now();
-        let mut opts = self.opts.clone();
-        opts.threads = self.threads;
         let mut laps = Laps::start();
         let module = self.mir.as_ref().expect("optimized");
-        match lower_timed(module, &opts, &mut laps) {
+        match lower_timed(module, &self.opts, &mut laps) {
             Ok(p) => {
                 self.timings.push(("to_dataflow", started.elapsed()));
                 self.timings.extend(laps.laps);
@@ -272,10 +267,11 @@ impl Session {
         &self.opts
     }
 
-    /// The resolved thread-count hint (`PassOptions::threads` wins over
-    /// `pragma(threads, N)`), once `lower_mir()` has run.
+    /// The source's `pragma(threads, N)` ([`Module::threads`]), once
+    /// `lower_mir()` has run; `None` when the source states none and every
+    /// thread-local buffer count is [`revet_mir::DEFAULT_THREADS`].
     pub fn thread_count(&self) -> Option<u32> {
-        self.threads
+        self.mir.as_ref().and_then(|m| m.threads)
     }
 
     /// Per-pass timing and op-count statistics, once `run_passes()` has
@@ -430,9 +426,7 @@ mod tests {
         assert!(s.pass_report().is_none(), "no report before run_passes()");
         s.run_passes().unwrap();
         let report = s.pass_report().expect("report after run_passes()");
-        let expected = crate::passes::build_pipeline(s.options(), s.thread_count())
-            .names()
-            .len();
+        let expected = crate::passes::build_pipeline(s.options()).names().len();
         assert_eq!(report.passes.len(), expected);
         assert!(report.ops_before() > 0);
         assert!(

@@ -176,7 +176,7 @@ fn golden_post_pass_verify_failure() {
     // A hand-built module enters where `Session::run_passes` would hand
     // over: pipeline, re-verification, dataflow lowering.
     let opts = PassOptions::default();
-    passes::build_pipeline(&opts, opts.threads).run(&mut m);
+    passes::build_pipeline(&opts).run(&mut m);
     let err = revet_mir::verify_module(&m)
         .map_err(CoreError::from)
         .and_then(|()| lower_to_dataflow(&m, &opts))

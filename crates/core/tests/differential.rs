@@ -71,8 +71,7 @@ fn random_program(seed: u64) -> String {
 }
 
 fn run_interp(src: &str, inputs: &[u32]) -> Vec<u8> {
-    let lowered = revet_lang::compile_to_mir(src).unwrap();
-    let module = lowered.module;
+    let module = revet_lang::compile_to_mir(src).unwrap();
     let layout = DramLayout {
         base: vec![0, (DRAM / 2) as u32],
     };

@@ -243,9 +243,9 @@ pub fn run_case(case: &Case, cfg: &OracleConfig) -> Result<(), Failure> {
 fn run_case_inner(case: &Case, cfg: &OracleConfig) -> Result<(), Failure> {
     // Run 1: the reference — the MIR interpreter over the unoptimized
     // module straight out of the front end.
-    let lowered = revet_lang::compile_to_mir(&case.source)
+    let module = revet_lang::compile_to_mir(&case.source)
         .map_err(|d| fail(FailureKind::CompileError, None, format!("frontend: {d}")))?;
-    let reference = interp_dram(&lowered.module, case, cfg, None)?;
+    let reference = interp_dram(&module, case, cfg, None)?;
 
     let mut first_level: Option<LevelRun> = None;
     for level in [0u8, 1, 2] {
@@ -333,9 +333,7 @@ fn run_level(
         Some(inj) => {
             let mut module = optimized.clone();
             apply_injection(&mut module, inj);
-            let mut lopts = opts.clone();
-            lopts.threads = session.thread_count();
-            lower_to_dataflow(&module, &lopts)
+            lower_to_dataflow(&module, &opts)
         }
     }
     .map_err(|e| fail(FailureKind::CompileError, level, e.to_string()))?;

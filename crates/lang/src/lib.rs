@@ -29,8 +29,8 @@
 //!     }
 //! "#;
 //! let prog = revet_lang::parse_program(src).unwrap();
-//! let lowered = revet_lang::lower_program(&prog).unwrap();
-//! assert!(lowered.module.func("main").is_some());
+//! let module = revet_lang::lower_program(&prog).unwrap();
+//! assert!(module.func("main").is_some());
 //! ```
 //!
 //! Malformed source yields one spanned diagnostic per problem:
@@ -50,12 +50,13 @@ mod parser;
 pub mod print;
 mod token;
 
-pub use lower::{lower_program, Lowered};
+pub use lower::lower_program;
 pub use parser::parse_program;
 pub use print::print_program;
 pub use token::{lex, Spanned, Tok};
 
 use revet_diag::Diagnostics;
+use revet_mir::Module;
 
 /// Parses and lowers source in one step.
 ///
@@ -63,7 +64,7 @@ use revet_diag::Diagnostics;
 ///
 /// Returns the accumulated [`Diagnostics`]: every lex/parse error found by
 /// recovery, or the first semantic error, each with a source span.
-pub fn compile_to_mir(src: &str) -> Result<Lowered, Diagnostics> {
+pub fn compile_to_mir(src: &str) -> Result<Module, Diagnostics> {
     let prog = parse_program(src)?;
     lower_program(&prog)
 }

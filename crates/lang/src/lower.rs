@@ -30,17 +30,9 @@ use std::collections::{HashMap, HashSet};
 
 type LResult<T> = Result<T, Diagnostic>;
 
-/// Lowering output: the module plus module-level attributes gathered from
-/// pragmas.
-#[derive(Clone, Debug)]
-pub struct Lowered {
-    /// The MIR module (verified).
-    pub module: Module,
-    /// `pragma(threads, N)` hint: thread-local buffer count for allocators.
-    pub thread_count_hint: Option<u32>,
-}
-
-/// Lowers a parsed program to MIR.
+/// Lowers a parsed program to a verified MIR module; a
+/// `pragma(threads, N)` anywhere in the source becomes
+/// [`Module::threads`].
 ///
 /// # Errors
 ///
@@ -50,18 +42,17 @@ pub struct Lowered {
 /// reporting is the parser's recovery job); errors raised deep in
 /// expression lowering start span-less and take the span of the enclosing
 /// statement.
-pub fn lower_program(prog: &Program) -> Result<Lowered, Diagnostics> {
+pub fn lower_program(prog: &Program) -> Result<Module, Diagnostics> {
     lower_program_inner(prog).map_err(Diagnostics::from)
 }
 
-fn lower_program_inner(prog: &Program) -> LResult<Lowered> {
+fn lower_program_inner(prog: &Program) -> LResult<Module> {
     let mut module = Module::default();
     let mut drams = HashMap::new();
     for d in &prog.drams {
         let r = module.add_dram(d.name.clone(), d.ty.bytes());
         drams.insert(d.name.clone(), (r, d.ty));
     }
-    let mut thread_count_hint = None;
     for fast in &prog.funcs {
         let param_tys: Vec<Ty> = fast.params.iter().map(|(t, _)| storage_ty(*t)).collect();
         let results = if fast.ret == TyName::Void {
@@ -74,7 +65,7 @@ fn lower_program_inner(prog: &Program) -> LResult<Lowered> {
             func: &mut func,
             drams: &drams,
             scopes: vec![Scope::default()],
-            thread_count_hint: &mut thread_count_hint,
+            threads: &mut module.threads,
             ret: fast.ret,
         };
         for ((ty, name), val) in fast.params.iter().zip(lw.func.params.clone()) {
@@ -104,10 +95,7 @@ fn lower_program_inner(prog: &Program) -> LResult<Lowered> {
             None => d,
         }
     })?;
-    Ok(Lowered {
-        module,
-        thread_count_hint,
-    })
+    Ok(module)
 }
 
 /// Storage type for a surface type.
@@ -182,7 +170,8 @@ struct Lowerer<'a> {
     func: &'a mut Func,
     drams: &'a HashMap<String, (DramRef, TyName)>,
     scopes: Vec<Scope>,
-    thread_count_hint: &'a mut Option<u32>,
+    /// The module's `pragma(threads, N)`.
+    threads: &'a mut Option<u32>,
     ret: TyName,
 }
 
@@ -581,7 +570,7 @@ impl Lowerer<'_> {
                     let msg = format!("pragma '{name}' is not valid here");
                     return Err(Diagnostic::error(codes::SEM_GENERAL, msg));
                 }
-                *self.thread_count_hint = value.map(|v| v as u32);
+                *self.threads = value.map(|v| v as u32);
             }
             StmtKind::Bulk {
                 sram,
@@ -819,7 +808,7 @@ impl Lowerer<'_> {
         let mut flags = ForeachFlags::default();
         for (name, value) in body.iter().filter_map(body_pragma) {
             if name == "threads" {
-                *self.thread_count_hint = value.map(|v| v as u32);
+                *self.threads = value.map(|v| v as u32);
             } else {
                 flags.eliminate_hierarchy = true;
             }

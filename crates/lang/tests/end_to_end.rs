@@ -8,8 +8,7 @@ use revet_sltf::Word;
 /// Runs `main(args)` with DRAM symbols laid out back-to-back, `sym_bytes`
 /// each. Returns the final DRAM image.
 fn run(src: &str, args: &[u32], dram_init: &[(usize, &[u8])], sym_bytes: u32) -> Vec<u8> {
-    let lowered = compile_to_mir(src).unwrap_or_else(|e| panic!("{e}"));
-    let module = &lowered.module;
+    let module = &compile_to_mir(src).unwrap_or_else(|e| panic!("{e}"));
     let image_bytes = module.drams.len() * sym_bytes as usize;
     let layout = DramLayout::equal_slices(module.drams.len(), image_bytes);
     let mut mem = module.build_memory(image_bytes);

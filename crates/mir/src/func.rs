@@ -28,6 +28,10 @@ pub struct AllocDecl {
     pub max: u32,
 }
 
+/// Thread-local buffer count when the source states no
+/// `pragma(threads, N)`: one MU's worth of small buffers.
+pub const DEFAULT_THREADS: u32 = 64;
+
 /// A compilation unit: functions plus module-level memory declarations.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct Module {
@@ -39,9 +43,18 @@ pub struct Module {
     pub srams: Vec<SramDecl>,
     /// Allocator queues (created by lowering passes).
     pub allocs: Vec<AllocDecl>,
+    /// The source's `pragma(threads, N)`: how many thread-local buffers
+    /// each SRAM region and allocator holds (§V-B a).
+    pub threads: Option<u32>,
 }
 
 impl Module {
+    /// The thread-local buffer count every lowering sizes by: the
+    /// source's `pragma(threads, N)`, else [`DEFAULT_THREADS`].
+    pub fn thread_count(&self) -> u32 {
+        self.threads.unwrap_or(DEFAULT_THREADS)
+    }
+
     /// Finds a function by name.
     pub fn func(&self, name: &str) -> Option<&Func> {
         self.funcs.iter().find(|f| f.name == name)

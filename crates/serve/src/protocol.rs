@@ -39,10 +39,11 @@ use std::io::{self, IoSlice, Read, Write};
 /// [`WireReport`] gained `peak_ready`. v5: the streaming-session frames
 /// (`OpenStream` / `Feed` / `Poll` / `CloseStream` and their replies),
 /// the [`ErrorCode::UnknownSession`] / [`ErrorCode::SessionExpired`]
-/// codes, and the session counters appended to [`StatusInfo`]. Older
-/// peers get a clean [`ErrorCode::UnsupportedVersion`] instead of a
-/// garbled decode.
-pub const WIRE_VERSION: u8 = 5;
+/// codes, and the session counters appended to [`StatusInfo`]. v6:
+/// [`PassOptions`] lost its `threads` presence byte and value (the count
+/// is the source's own `pragma(threads, N)`). Older peers get a clean
+/// [`ErrorCode::UnsupportedVersion`] instead of a garbled decode.
+pub const WIRE_VERSION: u8 = 6;
 
 /// Upper bound on a frame body. Large enough for a full 4 MiB DRAM
 /// window per instance on a modest batch; small enough that a corrupt
@@ -350,9 +351,9 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 }
 
 /// Hand-written because the bytes are not the fields: the six toggles pack
-/// into one flag byte, and `threads` is a presence byte plus a value.
+/// into one flag byte.
 impl Wire for PassOptions {
-    const MIN: usize = 3 * <u8 as Wire>::MIN + <u32 as Wire>::MIN + <u64 as Wire>::MIN;
+    const MIN: usize = 2 * <u8 as Wire>::MIN + <u64 as Wire>::MIN;
     fn put(&self, w: &mut Vec<u8>) {
         let flags = (self.if_to_select as u8)
             | (self.fuse_allocators as u8) << 1
@@ -362,15 +363,11 @@ impl Wire for PassOptions {
             | (self.eliminate_hierarchy as u8) << 5;
         flags.put(w);
         self.opt_level.put(w);
-        self.threads.is_some().put(w);
-        self.threads.unwrap_or(0).put(w);
         (self.dram_bytes as u64).put(w);
     }
     fn get(r: &mut R<'_>) -> Result<Self, WireError> {
         let flags = wire_get!(r, u8 where ..=0x3F => "pass option flags");
         let opt_level = wire_get!(r, u8 where ..=2 => "opt level");
-        let has_threads = bool::get(r)?;
-        let threads = u32::get(r)?;
         let dram_bytes = wire_get!(r, u64 where ..=MAX_DRAM_BYTES => "dram bytes");
         Ok(PassOptions {
             if_to_select: flags & 1 != 0,
@@ -380,7 +377,6 @@ impl Wire for PassOptions {
             pack_subwords: flags & 16 != 0,
             eliminate_hierarchy: flags & 32 != 0,
             opt_level,
-            threads: has_threads.then_some(threads),
             dram_bytes: dram_bytes as usize,
         })
     }

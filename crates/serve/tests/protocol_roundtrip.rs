@@ -27,7 +27,6 @@ fn gen_options(r: &mut TestRunner) -> PassOptions {
         pack_subwords: flag(r),
         eliminate_hierarchy: flag(r),
         opt_level: (0u8..3).generate(r),
-        threads: flag(r).then(|| (1u32..256).generate(r)),
         dram_bytes: (64usize..(1 << 24)).generate(r),
     }
 }
@@ -456,18 +455,17 @@ fn golden_requests() -> Vec<(Request, &'static str)> {
                     pack_subwords: false,
                     eliminate_hierarchy: true,
                     opt_level: 1,
-                    threads: Some(7),
                     dram_bytes: 4096,
                 },
             },
-            "05010e000000766f6964206d61696e2829207b7d250101070000000010000000000000",
+            "06010e000000766f6964206d61696e2829207b7d25010010000000000000",
         ),
         (
             Request::Compile {
                 source: String::new(),
                 options: PassOptions::none(),
             },
-            "050100000000000000000000000000100000000000",
+            "06010000000000000000100000000000",
         ),
         (
             Request::Execute(ExecuteRequest {
@@ -476,28 +474,28 @@ fn golden_requests() -> Vec<(Request, &'static str)> {
                 dram_inits: vec![(16, vec![0xAA, 0xBB, 0xCC]), (1 << 33, vec![])],
                 window: (128, 24),
             }),
-            "050230313233343536373839616263646566030000000200000001000000020000000000000001000000efbeadde02000000100000000000000003000000aabbcc00000000020000000000000080000000000000001800000000000000",
+            "060230313233343536373839616263646566030000000200000001000000020000000000000001000000efbeadde02000000100000000000000003000000aabbcc00000000020000000000000080000000000000001800000000000000",
         ),
-        (Request::Status, "0503"),
-        (Request::Shutdown, "0504"),
-        (Request::Metrics, "0505"),
+        (Request::Status, "0603"),
+        (Request::Shutdown, "0604"),
+        (Request::Metrics, "0605"),
         (
             Request::OpenStream(OpenStreamRequest {
                 program_id: ProgramId([9; 16]),
                 dram_inits: vec![(8, vec![0xAB])],
                 window: (0, 64),
             }),
-            "05060909090909090909090909090909090901000000080000000000000001000000ab00000000000000004000000000000000",
+            "06060909090909090909090909090909090901000000080000000000000001000000ab00000000000000004000000000000000",
         ),
         (
             Request::Feed {
                 session: 3,
                 argsets: vec![vec![4, 5], vec![6]],
             },
-            "05070300000000000000020000000200000004000000050000000100000006000000",
+            "06070300000000000000020000000200000004000000050000000100000006000000",
         ),
-        (Request::Poll { session: 0x0102 }, "05080201000000000000"),
-        (Request::CloseStream { session: u64::MAX }, "0509ffffffffffffffff"),
+        (Request::Poll { session: 0x0102 }, "06080201000000000000"),
+        (Request::CloseStream { session: u64::MAX }, "0609ffffffffffffffff"),
     ]
 }
 
@@ -509,7 +507,7 @@ fn golden_responses() -> Vec<(Response, &'static str)> {
                 cached: true,
                 compile_micros: 1234,
             },
-            "05810303030303030303030303030303030301d204000000000000",
+            "06810303030303030303030303030303030301d204000000000000",
         ),
         (
             Response::Executed(ExecuteReply {
@@ -524,19 +522,19 @@ fn golden_responses() -> Vec<(Response, &'static str)> {
                     },
                 ],
             }),
-            "0582010000000000000002000000000000000300000000000000040000000000000002000000003700000000000000030000000908070108000000646561646c6f636b",
+            "0682010000000000000002000000000000000300000000000000040000000000000002000000003700000000000000030000000908070108000000646561646c6f636b",
         ),
-        (Response::Status(GOLDEN_STATUS), "05830100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c0000000000000001"),
+        (Response::Status(GOLDEN_STATUS), "06830100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c0000000000000001"),
         (
             Response::Metrics(MetricsInfo {
                 counters: vec![("exec.dispatches".into(), 12345), ("x".into(), 0)],
                 status: GOLDEN_STATUS,
             }),
-            "0585020000000f000000657865632e646973706174636865733930000000000000010000007800000000000000000100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c0000000000000001",
+            "0685020000000f000000657865632e646973706174636865733930000000000000010000007800000000000000000100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c0000000000000001",
         ),
-        (Response::ShutdownAck, "0584"),
-        (Response::StreamOpened { session: 17 }, "05861100000000000000"),
-        (Response::Fed { accepted: 2 }, "05870200000000000000"),
+        (Response::ShutdownAck, "0684"),
+        (Response::StreamOpened { session: 17 }, "06861100000000000000"),
+        (Response::Fed { accepted: 2 }, "06870200000000000000"),
         (
             Response::Polled(PollReply {
                 tokens: vec![
@@ -548,7 +546,7 @@ fn golden_responses() -> Vec<(Response, &'static str)> {
                 finished: true,
                 resident_bytes: 4096,
             }),
-            "058804000000000300000001000000020000000300000001010000000000010f010010000000000000",
+            "068804000000000300000001000000020000000300000001010000000000010f010010000000000000",
         ),
         (
             Response::StreamClosed(CloseReply {
@@ -556,7 +554,7 @@ fn golden_responses() -> Vec<(Response, &'static str)> {
                 tokens: vec![WireTok::Barrier(2), WireTok::Data(vec![7])],
                 dram: vec![0, 1, 2, 3],
             }),
-            "058901000000000000000200000000000000030000000000000004000000000000000200000001020001000000070000000400000000010203",
+            "068901000000000000000200000000000000030000000000000004000000000000000200000001020001000000070000000400000000010203",
         ),
         (
             Response::Error(
@@ -577,25 +575,25 @@ fn golden_responses() -> Vec<(Response, &'static str)> {
                     },
                 ]),
             ),
-            "05ff04000800000072656e64657265640200000005000000453031303300020000000b0000001300000065787065637465642065787072657373696f6e05000000453033303102000000000000000000000000",
+            "06ff04000800000072656e64657265640200000005000000453031303300020000000b0000001300000065787065637465642065787072657373696f6e05000000453033303102000000000000000000000000",
         ),
     ];
     // Every error code, as the bare frame a transport-level refusal sends.
     vectors.extend(
         [
-            (ErrorCode::Malformed, "05ff0100020000006e6f00000000"),
+            (ErrorCode::Malformed, "06ff0100020000006e6f00000000"),
             (
                 ErrorCode::UnsupportedVersion,
-                "05ff0200020000006e6f00000000",
+                "06ff0200020000006e6f00000000",
             ),
-            (ErrorCode::FrameTooLarge, "05ff0300020000006e6f00000000"),
-            (ErrorCode::CompileFailed, "05ff0400020000006e6f00000000"),
-            (ErrorCode::UnknownProgram, "05ff0500020000006e6f00000000"),
-            (ErrorCode::Busy, "05ff0600020000006e6f00000000"),
-            (ErrorCode::BadRequest, "05ff0700020000006e6f00000000"),
-            (ErrorCode::ShuttingDown, "05ff0800020000006e6f00000000"),
-            (ErrorCode::UnknownSession, "05ff0900020000006e6f00000000"),
-            (ErrorCode::SessionExpired, "05ff0a00020000006e6f00000000"),
+            (ErrorCode::FrameTooLarge, "06ff0300020000006e6f00000000"),
+            (ErrorCode::CompileFailed, "06ff0400020000006e6f00000000"),
+            (ErrorCode::UnknownProgram, "06ff0500020000006e6f00000000"),
+            (ErrorCode::Busy, "06ff0600020000006e6f00000000"),
+            (ErrorCode::BadRequest, "06ff0700020000006e6f00000000"),
+            (ErrorCode::ShuttingDown, "06ff0800020000006e6f00000000"),
+            (ErrorCode::UnknownSession, "06ff0900020000006e6f00000000"),
+            (ErrorCode::SessionExpired, "06ff0a00020000006e6f00000000"),
         ]
         .map(|(code, body)| (Response::Error(ErrorFrame::new(code, "no")), body)),
     );
@@ -603,10 +601,10 @@ fn golden_responses() -> Vec<(Response, &'static str)> {
 }
 
 /// One fixed value of every frame kind and every error code, pinned byte
-/// for byte: a codec change that moves a byte of wire v5 fails here.
+/// for byte: a codec change that moves a byte of wire v6 fails here.
 #[test]
 fn golden_wire_vectors_are_byte_stable() {
-    assert_eq!(WIRE_VERSION, 5);
+    assert_eq!(WIRE_VERSION, 6);
     for (req, golden) in golden_requests() {
         assert_eq!(hex(&encode_request(&req)), golden, "{req:?}");
         assert_eq!(decode_request(&unhex(golden)).unwrap(), req);

@@ -51,11 +51,8 @@ fn lang_and_mir_reexports_agree_with_compiler() {
         }
     "#;
     // Front-end alone lowers to MIR…
-    let lowered = revet::lang::compile_to_mir(src).expect("front-end accepts source");
-    assert!(
-        !lowered.module.funcs.is_empty(),
-        "lowering produced no functions"
-    );
+    let module = revet::lang::compile_to_mir(src).expect("front-end accepts source");
+    assert!(!module.funcs.is_empty(), "lowering produced no functions");
     // …and the full pipeline maps the same source onto dataflow contexts.
     let program = Session::new(src, PassOptions::default())
         .to_dataflow()
