@@ -20,7 +20,6 @@
 
 use crate::instance::{ProgramInstance, StreamExecutor};
 use crate::lower::CompiledProgram;
-use revet_machine::nodes::SinkHandle;
 use revet_machine::{ExecReport, MachineError, MemoryState, ResumeState, RunStatus, TTok};
 use revet_sltf::Word;
 
@@ -189,11 +188,6 @@ impl StreamInstance {
     /// concatenated).
     pub fn sink_tokens(&self) -> Vec<TTok> {
         self.inner.sink.tokens()
-    }
-
-    /// Shared handle to the session's sink buffer.
-    pub fn sink_handle(&self) -> SinkHandle {
-        self.inner.sink.clone()
     }
 
     /// The session's memory state (DRAM image, SRAM regions, allocators).

@@ -229,11 +229,6 @@ impl Diagnostics {
         &self.diags
     }
 
-    /// Consumes the sink into its diagnostics.
-    pub fn into_vec(self) -> Vec<Diagnostic> {
-        self.diags
-    }
-
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.diags.is_empty()

@@ -156,15 +156,6 @@ impl MemoryState {
         &self.srams[id.0 as usize]
     }
 
-    /// Mutable view of an SRAM region.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid id.
-    pub fn sram_mut(&mut self, id: SramId) -> &mut SramRegion {
-        &mut self.srams[id.0 as usize]
-    }
-
     /// Reads an SRAM word; out-of-range reads return zero (hardware wraps;
     /// we choose the safer semantics and let the verifier catch bad sizes).
     pub fn sram_read(&self, id: SramId, addr: u32) -> Word {
@@ -285,12 +276,6 @@ impl MemoryState {
         // A one-byte range, so only this byte's page is marked dirty.
         self.dram[a..=a].copy_from_slice(&[val.as_u32() as u8]);
         self.dram_written_bytes += 1;
-    }
-
-    /// Resets the read/write statistics (e.g. between warmup and measurement).
-    pub fn reset_stats(&mut self) {
-        self.dram_read_bytes = 0;
-        self.dram_written_bytes = 0;
     }
 }
 
