@@ -257,8 +257,9 @@ impl ObsSink {
     }
 
     /// An enabled sink with counters and stall attribution but no trace
-    /// ring — no mutex traffic on dispatch, suitable for long-lived
-    /// servers.
+    /// ring, suitable for long-lived servers: a dispatch takes no trace
+    /// lock, but every recorded stall (each unproductive dispatch) still
+    /// locks the stall table.
     pub fn counters_only() -> Self {
         Self::with_trace_capacity(0)
     }

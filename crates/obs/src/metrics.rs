@@ -171,6 +171,18 @@ impl Histogram {
     }
 }
 
+/// The instrument called `name`, created on first use: the lookup
+/// borrows `name`, so only a new instrument allocates its key.
+fn get_or_create<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = map.lock().unwrap();
+    if let Some(found) = map.get(name) {
+        return found.clone();
+    }
+    let made = Arc::new(T::default());
+    map.insert(name.to_string(), made.clone());
+    made
+}
+
 /// A named registry of dynamically created instruments.
 ///
 /// Registration takes a mutex; the returned `Arc` handles record lock-free.
@@ -195,20 +207,17 @@ impl Registry {
 
     /// Get or create the counter called `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().unwrap();
-        map.entry(name.to_string()).or_default().clone()
+        get_or_create(&self.counters, name)
     }
 
     /// Get or create the gauge called `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().unwrap();
-        map.entry(name.to_string()).or_default().clone()
+        get_or_create(&self.gauges, name)
     }
 
     /// Get or create the histogram called `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().unwrap();
-        map.entry(name.to_string()).or_default().clone()
+        get_or_create(&self.histograms, name)
     }
 
     /// Fold another registry in: counters add, gauges max, histogram
@@ -322,5 +331,14 @@ mod tests {
         assert_eq!(get("peak"), Some(42));
         assert_eq!(get("lat.count"), Some(1));
         assert_eq!(get("lat.p99"), Some(3));
+    }
+
+    #[test]
+    fn registry_returns_the_instrument_a_name_first_made() {
+        let r = Registry::new();
+        assert!(Arc::ptr_eq(&r.counter("c"), &r.counter("c")));
+        assert!(Arc::ptr_eq(&r.gauge("g"), &r.gauge("g")));
+        assert!(Arc::ptr_eq(&r.histogram("h"), &r.histogram("h")));
+        assert!(!Arc::ptr_eq(&r.counter("c"), &r.counter("d")));
     }
 }
