@@ -66,8 +66,8 @@ use revet_machine::nodes::{
     BroadcastNode, CounterNode, EwNode, FbMergeNode, FlattenNode, FwdMergeNode, OutputSpec,
     ReduceNode, SinkNode,
 };
-use revet_machine::{ChanId, Channel, Graph, LinkClass, Prim, RunOptions, UnitClass};
-use revet_mir::{DramLayout, Func, Module, Op, OpKind, Value, ValueMap};
+use revet_machine::{ChanId, Channel, Graph, LinkClass, Prim, RunOptions, SramId, UnitClass};
+use revet_mir::{DramLayout, Func, Module, Op, OpKind, Value, ValueMap, MACHINE_MUS, MU_WORDS};
 use revet_sltf::Word;
 use std::borrow::Borrow;
 use std::fmt::Write as _;
@@ -270,8 +270,10 @@ struct DfLower<'m> {
     opts: &'m PassOptions,
     /// The graph being built. Its memory image holds the module's SRAM
     /// regions and allocators from the start; bufferization appends its
-    /// own regions to it.
+    /// own regions to it ([`DfLower::add_sram`]).
     g: Graph,
+    /// SRAM words and allocator pointers in the memory image so far.
+    words: u64,
     infos: Vec<ContextInfo>,
     links: Vec<LinkInfo>,
     consts: ValueMap<Word>,
@@ -311,6 +313,22 @@ impl Laps {
     }
 }
 
+/// The most SRAM words and allocator pointers one program may hold: all of
+/// Table II's memory units.
+const MACHINE_WORDS: u64 = MACHINE_MUS as u64 * MU_WORDS as u64;
+
+/// Refuses a memory image of `words` SRAM words and allocator pointers
+/// past the machine's memory units, before it is allocated.
+fn fits_machine(words: u64) -> Result<(), CoreError> {
+    if words <= MACHINE_WORDS {
+        return Ok(());
+    }
+    Err(CoreError::new(format!(
+        "the program's SRAM regions and allocator pointers need {words} words, more than \
+         the machine's {MACHINE_MUS} memory units ({MACHINE_WORDS} words)"
+    )))
+}
+
 /// Lowers `main` of a fully-lowered (physical-ops-only) module to an
 /// executable dataflow graph. The module is only read: the DRAM symbols
 /// are laid out in equal slices of `opts.dram_bytes`
@@ -320,8 +338,10 @@ impl Laps {
 /// # Errors
 ///
 /// Returns [`CoreError`] for a `dram_bytes` past the 32-bit DRAM address
-/// space ([`MAX_DRAM_BYTES`]) and for unsupported shapes (multi-value
-/// foreach reductions, high-level ops that escaped earlier passes).
+/// space ([`MAX_DRAM_BYTES`]), for SRAM regions and allocator pointers
+/// past the machine's memory units (or a buffer past one unit), and for
+/// unsupported shapes (multi-value foreach reductions, high-level ops
+/// that escaped earlier passes).
 pub fn lower_to_dataflow(
     module: &Module,
     opts: &PassOptions,
@@ -346,6 +366,11 @@ pub(crate) fn lower_timed(
     let main = module
         .func("main")
         .ok_or_else(|| CoreError::new("module has no main"))?;
+    let srams = module.srams.iter().map(|s| u64::from(s.words));
+    let words = srams
+        .chain(module.allocs.iter().map(|a| u64::from(a.max)))
+        .sum();
+    fits_machine(words)?;
     let mut g = Graph::new();
     g.mem = module.build_memory(opts.dram_bytes);
     laps.lap("to_dataflow.memory");
@@ -368,6 +393,7 @@ pub(crate) fn lower_timed(
         layout: DramLayout::equal_slices(module.drams.len(), opts.dram_bytes),
         opts,
         g,
+        words,
         infos: Vec::new(),
         links: Vec::new(),
         consts,
@@ -446,6 +472,21 @@ impl DfLower<'_> {
             depth: self.depth,
         });
         id
+    }
+
+    /// Adds an SRAM region of `words` to the graph's memory image. Refused
+    /// before anything is allocated when the region would not fit one
+    /// memory unit or the image would outgrow the machine's.
+    fn add_sram(&mut self, name: String, words: u64) -> Result<SramId, CoreError> {
+        if words > u64::from(MU_WORDS) {
+            return Err(CoreError::new(format!(
+                "SRAM region {name} needs {words} words, more than one memory unit \
+                 ({MU_WORDS} words)"
+            )));
+        }
+        fits_machine(self.words + words)?;
+        self.words += words;
+        Ok(self.g.mem.add_sram(name, words as usize))
     }
 
     /// A fresh link of `arity` values, classed by what it carries.

@@ -203,7 +203,7 @@ impl DfLower<'_> {
         };
         let mut way_outs = vec![out.chan];
         for &input in &way_chans[1..] {
-            way_outs.push(self.stamp(&way0, input, out.chan));
+            way_outs.push(self.stamp(&way0, input, out.chan)?);
         }
         self.in_replicate -= 1;
         let chan = self.merge_tree(&way_outs, out.vars.len());
@@ -227,7 +227,7 @@ impl DfLower<'_> {
     /// so every id, label and region name is the one lowering the body
     /// again would have given it. Element-wise programs are shared unless
     /// they touch an SRAM region the way declared itself.
-    fn stamp(&mut self, way0: &Way, input: ChanId, out0: ChanId) -> ChanId {
+    fn stamp(&mut self, way0: &Way, input: ChanId, out0: ChanId) -> Result<ChanId, CoreError> {
         let (from, to, at) = (way0.from, way0.to, self.mark());
         for c in from.chans..to.chans {
             let chan = self.g.chans()[c].clone();
@@ -237,7 +237,7 @@ impl DfLower<'_> {
         for s in from.srams..to.srams {
             let region = self.g.mem.sram(SramId(s as u32));
             let (name, words) = (renumber(&region.name, labels), region.words.len());
-            self.g.mem.add_sram(name, words);
+            self.add_sram(name, words as u64)?;
         }
         let srams = (at.srams - from.srams) as u32;
         for i in from.infos..to.infos {
@@ -264,16 +264,15 @@ impl DfLower<'_> {
                 lw.emit(base, kind, unit, category, cost, node, ins, outs);
             });
         }
-        way0.chan(&at, input, out0)
+        Ok(way0.chan(&at, input, out0))
     }
 
     /// Stores `values` to a fresh SRAM region indexed by the hoisted
     /// pointer, before distribution; the rest of the tuple carries on.
     fn park(&mut self, cur: Cur, ptr: Value, values: &[Value]) -> Result<(SramId, Cur), CoreError> {
-        let threads = self.module.thread_count();
         let k = values.len() as u32;
-        let name = format!("rep_buf{}", self.label_n);
-        let sram = self.g.mem.add_sram(name, (k * threads) as usize);
+        let words = u64::from(k) * u64::from(self.module.thread_count());
+        let sram = self.add_sram(format!("rep_buf{}", self.label_n), words)?;
         let ptr = slot_of(&cur.vars, ptr, "replicate")?;
         let scratch = cur.vars.len() as Reg;
         let mut instrs = Vec::new();

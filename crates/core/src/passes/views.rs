@@ -105,9 +105,9 @@ fn buf_addr(out: &mut RegionBuilder, func: &mut Func, ptr: Value, scale: u32, of
     out.bin(func, AluOp::Add, mul, off)
 }
 
-/// The addresses of an iterator's state words, laid out `[g, l]` at
-/// `ptr*2`: `g` is the DRAM position of the buffered window, `l` the
-/// cursor within it.
+/// The addresses of an iterator's [`ItKind::STATE_WORDS`] state words,
+/// laid out `[g, l]` at `ptr*2`: `g` is the DRAM position of the buffered
+/// window, `l` the cursor within it.
 struct ItState {
     g: Value,
     l: Value,
@@ -116,7 +116,7 @@ struct ItState {
 
 impl It {
     fn state_addrs(&self, out: &mut RegionBuilder, func: &mut Func) -> ItState {
-        let two = out.const_i32(func, 2);
+        let two = out.const_i32(func, ItKind::STATE_WORDS.into());
         let g = out.bin(func, AluOp::Mul, self.ptr, two);
         let one = out.const_i32(func, 1);
         let l = out.bin(func, AluOp::Add, g, one);
@@ -320,14 +320,11 @@ impl Rewriter for Views {
             } => {
                 let ptr = self.get_ptr(out, func, module);
                 self.counter += 1;
-                let win = if kind == ItKind::PeekRead {
-                    2 * tile
-                } else {
-                    tile
-                };
+                let win = kind.window(tile);
                 let n = self.counter;
                 let buf = module.add_sram(format!("itbuf{n}"), win * self.threads);
-                let state = module.add_sram(format!("itstate{n}"), 2 * self.threads);
+                let words = ItKind::STATE_WORDS * self.threads;
+                let state = module.add_sram(format!("itstate{n}"), words);
                 let it = It {
                     kind,
                     dram,

@@ -3,6 +3,7 @@
 //! MIR reference interpreter and hand-computed oracles.
 
 use revet_core::{PassOptions, Session};
+use revet_diag::codes;
 use revet_mir::{Module, OpKind};
 use revet_sltf::Word;
 
@@ -497,4 +498,152 @@ fn a_constant_read_inside_a_construct_widens_no_link() {
             );
         }
     }
+}
+
+/// A refused compile's one diagnostic: its code, the line it points at
+/// and its message.
+fn refusal(src: &str) -> (&'static str, Option<u32>, String) {
+    let mut s = Session::new(src, PassOptions::default());
+    let e = s
+        .to_dataflow()
+        .expect_err("an oversized source must be refused");
+    assert_eq!(e.diagnostics.len(), 1, "{e}");
+    let d = &e.diagnostics[0];
+    let line = d.span.map(|sp| s.source_map().line_col(sp.start).line);
+    (d.code, line, d.message.clone())
+}
+
+#[test]
+fn a_thread_count_outside_one_memory_unit_is_refused() {
+    for (n, value) in [
+        ("0", 0u64),
+        ("65537", 65537),
+        ("4294967295", 4294967295),
+        ("0x100000040", 4294967360),
+    ] {
+        let top = format!("dram<u32> d;\nvoid main() {{\n  pragma(threads, {n});\n}}");
+        let body = format!(
+            "dram<u32> d;\nvoid main() {{\n  foreach (4) {{ u32 i =>\n    pragma(threads, {n});\n    d[i] = i;\n  }};\n}}"
+        );
+        let msg = format!("the thread count is {value}, outside 1..=65536");
+        assert_eq!(refusal(&top), (codes::SEM_OVERSIZED, Some(3), msg.clone()));
+        assert_eq!(refusal(&body), (codes::SEM_OVERSIZED, Some(4), msg));
+    }
+}
+
+#[test]
+fn a_memory_object_size_outside_one_memory_unit_is_refused() {
+    // `67108864 * 64` overflowed `u32` in `LowerViews`.
+    for decl in [
+        "sram<u32, 0> m;",
+        "readview<67108864> m(d, 0);",
+        "writeit<65537> m(d, 0);",
+        "peekreadit<4294967296> m(d, 0);",
+    ] {
+        let src = format!("dram<u32> d;\nvoid main() {{\n  {decl}\n}}");
+        let (code, line, msg) = refusal(&src);
+        assert_eq!(
+            (code, line),
+            (codes::SEM_OVERSIZED, Some(3)),
+            "{decl}: {msg}"
+        );
+        assert!(msg.starts_with("the size of 'm' is "), "{decl}: {msg}");
+    }
+}
+
+#[test]
+fn a_thread_local_region_past_one_memory_unit_is_refused() {
+    let src = |threads: &str, decl: &str| {
+        format!("dram<u32> d;\nvoid main() {{\n  {threads}\n  {decl}\n}}")
+    };
+    // Exactly one unit compiles: 1024 × 64 and 4096 × 16 words.
+    for (threads, decl) in [
+        ("", "readview<1024> m(d, 0);"),
+        ("pragma(threads, 16);", "writeview<4096> m(d, 0);"),
+        ("pragma(threads, 512);", "peekreadit<64> m(d, 0);"),
+    ] {
+        let src = src(threads, decl);
+        Session::new(src.as_str(), PassOptions::default())
+            .to_dataflow()
+            .unwrap_or_else(|e| panic!("{decl}: {e}"));
+    }
+    for (threads, decl, words) in [
+        ("", "readview<1025> m(d, 0);", 65600),
+        ("pragma(threads, 16);", "sram<u32, 4097> m;", 65552),
+        ("pragma(threads, 1024);", "peekreadit<64> m(d, 0);", 131072),
+        // An iterator's two state words per thread are a region too.
+        ("pragma(threads, 65536);", "readit<1> m(d, 0);", 131072),
+    ] {
+        let (code, line, msg) = refusal(&src(threads, decl));
+        assert_eq!(
+            (code, line),
+            (codes::SEM_OVERSIZED, Some(4)),
+            "{decl}: {msg}"
+        );
+        assert!(
+            msg.starts_with(&format!("'m' needs {words} SRAM words")),
+            "{msg}"
+        );
+    }
+}
+
+/// `i`, `parked` and `tag` wait around the replicate in one SRAM region of
+/// three words per thread.
+const BUFFERIZED: &str = "dram<u32> input;
+dram<u32> output;
+void main(u32 n) {
+    pragma(threads, THREADS);
+    foreach (n) { u32 i =>
+        u32 x = input[i];
+        u32 parked = x * 3;
+        u32 tag = i + 7;
+        u32 acc = 0;
+        replicate (3) {
+            sram<u32, 1> scratch;
+            scratch[0] = x;
+            acc = acc + scratch[0];
+        };
+        output[i] = acc + parked + tag + x;
+    };
+}";
+
+#[test]
+fn a_replicate_buffer_past_one_memory_unit_is_refused() {
+    let at = |threads: u32| BUFFERIZED.replace("THREADS", &threads.to_string());
+    // 3 × 21845 words fit one unit; 3 × 32768 do not, and the front end
+    // cannot see it: the region is the lowering's own.
+    Session::new(at(21845), PassOptions::default())
+        .to_dataflow()
+        .unwrap_or_else(|e| panic!("{e}"));
+    let (code, line, msg) = refusal(&at(32768));
+    assert_eq!((code, line), (codes::DATAFLOW_LOWER, None), "{msg}");
+    assert!(msg.starts_with("SRAM region rep_buf"), "{msg}");
+    assert!(msg.contains("needs 98304 words"), "{msg}");
+    // Without bufferization nothing is parked, and the compile fits.
+    let opts = PassOptions {
+        bufferize_replicate: false,
+        ..PassOptions::default()
+    };
+    let program = Session::new(at(32768), opts).to_dataflow();
+    program.unwrap_or_else(|e| panic!("{e}"));
+}
+
+#[test]
+fn a_program_past_the_machines_memory_units_is_refused() {
+    // Each raw SRAM is one full unit (1024 words × 64 threads); the regions
+    // share one allocator of 64 pointers.
+    let src = |n: usize| {
+        let decls: String = (0..n).map(|i| format!("sram<u32, 1024> m{i}; ")).collect();
+        format!("void main() {{ {decls}}}")
+    };
+    Session::new(src(8), PassOptions::default())
+        .to_dataflow()
+        .unwrap_or_else(|e| panic!("{e}"));
+    let (code, line, msg) = refusal(&src(201));
+    assert_eq!((code, line), (codes::DATAFLOW_LOWER, None), "{msg}");
+    assert_eq!(
+        msg,
+        "the program's SRAM regions and allocator pointers need 13172800 words, more than \
+         the machine's 200 memory units (13107200 words)"
+    );
 }

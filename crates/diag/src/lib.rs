@@ -74,6 +74,9 @@ pub mod codes {
     pub const SEM_BAD_YIELD_RETURN: &str = "E0204";
     /// Semantic: any other front-end semantic failure.
     pub const SEM_GENERAL: &str = "E0205";
+    /// Semantic: a thread count, memory-object size or thread-local SRAM
+    /// region past one memory unit.
+    pub const SEM_OVERSIZED: &str = "E0206";
     /// MIR structural verification failed (a compiler bug surfaced).
     pub const MIR_VERIFY: &str = "E0301";
     /// CFG→dataflow lowering failure.
@@ -95,6 +98,7 @@ pub mod codes {
             SEM_READONLY_ASSIGN => "foreach threads see a read-only parent scope",
             SEM_BAD_YIELD_RETURN => "misplaced or mistyped yield/return",
             SEM_GENERAL => "front-end semantic failure",
+            SEM_OVERSIZED => "a count, size or thread-local region past one memory unit",
             MIR_VERIFY => "MIR structural verification failed",
             DATAFLOW_LOWER => "CFG-to-dataflow lowering failure",
             _ => return None,

@@ -675,7 +675,7 @@ impl Gen<'_> {
             name: name.clone(),
             decl: MemDecl::Tile {
                 kind: TileKind::View(ViewKindName::Read),
-                size: size as u32,
+                size: size as i64,
                 dram: "d0".into(),
                 at: base,
             },

@@ -292,16 +292,17 @@ pub enum MemDecl {
     Sram {
         /// Element type.
         ty: TyName,
-        /// Element count.
-        size: u32,
+        /// Element count, as written (the lowering checks its range).
+        size: i64,
     },
     /// `readview<size> name(dram, at);`, `readit<size> name(dram, at);` and
     /// friends: a `size`-element window onto a DRAM symbol.
     Tile {
         /// Which view or iterator.
         kind: TileKind,
-        /// Tile size in elements.
-        size: u32,
+        /// Tile size in elements, as written (the lowering checks its
+        /// range).
+        size: i64,
         /// Backing DRAM symbol.
         dram: String,
         /// A view's base element index, an iterator's starting one.

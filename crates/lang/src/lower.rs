@@ -24,7 +24,8 @@ use crate::ast::{
 };
 use revet_diag::{codes, Diagnostic, Diagnostics};
 use revet_mir::{
-    AluOp, DramRef, ForeachFlags, Func, Module, OpKind, Region, RegionBuilder, Ty, Value, ViewKind,
+    AluOp, DramRef, ForeachFlags, Func, ItKind, Module, OpKind, Region, RegionBuilder, Ty, Value,
+    ViewKind, MU_WORDS,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -37,8 +38,10 @@ type LResult<T> = Result<T, Diagnostic>;
 /// # Errors
 ///
 /// Returns spanned [`Diagnostics`] for unknown names, type mismatches,
-/// writes to read-only parent variables inside `foreach`, and malformed
-/// yields. Lowering stops at the first semantic error (multi-error
+/// writes to read-only parent variables inside `foreach`, malformed
+/// yields, and a thread count, memory-object size or thread-local region
+/// past one memory unit ([`MU_WORDS`]), so that no source can make the
+/// compiler allocate more than the machine holds. Lowering stops at the first semantic error (multi-error
 /// reporting is the parser's recovery job); errors raised deep in
 /// expression lowering start span-less and take the span of the enclosing
 /// statement.
@@ -88,6 +91,7 @@ fn lower_program_inner(prog: &Program) -> LResult<Module> {
         func.body = b.build();
         module.funcs.push(func);
     }
+    check_regions(prog, module.thread_count())?;
     revet_mir::verify_module(&module).map_err(|e| {
         let d = Diagnostic::error(codes::MIR_VERIFY, e.to_string());
         match e.span {
@@ -527,7 +531,7 @@ impl Lowerer<'_> {
                 self.lower_foreach(fe, None, b)?;
             }
             StmtKind::Replicate { ways, body } => {
-                self.body_pragmas(body);
+                self.body_pragmas(body)?;
                 let carried = self.carried(s);
                 let body = self.region(Construct::Replicate, &[], &carried, |lw, rb| {
                     lw.lower_block(body.iter().filter(|s| body_pragma(s).is_none()), rb)
@@ -570,7 +574,7 @@ impl Lowerer<'_> {
                     let msg = format!("pragma '{name}' is not valid here");
                     return Err(Diagnostic::error(codes::SEM_GENERAL, msg));
                 }
-                *self.threads = value.map(|v| v as u32);
+                self.set_threads(*value)?;
             }
             StmtKind::Bulk {
                 sram,
@@ -663,22 +667,21 @@ impl Lowerer<'_> {
     }
 
     fn lower_mem(&mut self, name: &str, decl: &MemDecl, b: &mut RegionBuilder) -> LResult<()> {
+        let size = match decl {
+            MemDecl::Sram { size, .. } | MemDecl::Tile { size, .. } => *size,
+        };
+        let size = in_mu(&format!("the size of '{name}'"), size)?;
         let (op, kind, elem) = match decl {
-            MemDecl::Sram { ty, size } => {
+            MemDecl::Sram { ty, .. } => {
                 let op = OpKind::ViewNew {
                     kind: ViewKind::Sram,
                     dram: None,
                     base: None,
-                    size: *size,
+                    size,
                 };
                 (op, HandleKind::Sram, *ty)
             }
-            MemDecl::Tile {
-                kind,
-                size,
-                dram,
-                at,
-            } => {
+            MemDecl::Tile { kind, dram, at, .. } => {
                 let (dram, elem) = self.dram(dram)?;
                 let (at, _) = self.lower_expr(at, b)?;
                 let op = match kind {
@@ -686,13 +689,13 @@ impl Lowerer<'_> {
                         kind: v.mir(),
                         dram: Some(dram),
                         base: Some(at),
-                        size: *size,
+                        size,
                     },
                     TileKind::It(i) => OpKind::ItNew {
                         kind: i.mir(),
                         dram,
                         seek: at,
-                        tile: *size,
+                        tile: size,
                     },
                 };
                 (op, HandleKind::Tile(*kind), elem)
@@ -766,7 +769,7 @@ impl Lowerer<'_> {
         let flags = if reducing {
             ForeachFlags::default()
         } else {
-            self.body_pragmas(stmts)
+            self.body_pragmas(stmts)?
         };
         let index = [(fe.ivar.as_str(), fe.ity, Ty::I32)];
         // Whether the yielded value is signed: picks `min` / `max`.
@@ -804,16 +807,24 @@ impl Lowerer<'_> {
 
     /// Interprets the pragmas that sit directly in a `foreach` or
     /// `replicate` body, on entry; the body is then lowered without them.
-    fn body_pragmas(&mut self, body: &[Stmt]) -> ForeachFlags {
+    fn body_pragmas(&mut self, body: &[Stmt]) -> LResult<ForeachFlags> {
         let mut flags = ForeachFlags::default();
-        for (name, value) in body.iter().filter_map(body_pragma) {
-            if name == "threads" {
-                *self.threads = value.map(|v| v as u32);
-            } else {
-                flags.eliminate_hierarchy = true;
+        for s in body {
+            match body_pragma(s) {
+                Some(("threads", value)) => {
+                    self.set_threads(value).map_err(|e| e.or_span(s.span))?;
+                }
+                Some(_) => flags.eliminate_hierarchy = true,
+                None => {}
             }
         }
-        flags
+        Ok(flags)
+    }
+
+    /// `pragma(threads, N)`: the module's thread-local buffer count.
+    fn set_threads(&mut self, value: Option<i64>) -> LResult<()> {
+        *self.threads = value.map(|v| in_mu("the thread count", v)).transpose()?;
+        Ok(())
     }
 
     /// `sram.load(dram, base, len)` / `sram.store(dram, base, len)`. Bulk
@@ -894,6 +905,51 @@ fn collect_assigned(block: Block<'_>, declared: &HashSet<String>, out: &mut Vec<
             collect_assigned(inner, &declared, out);
         }
     }
+}
+
+/// `v` as a count of at most one memory unit: a thread count or a memory
+/// object's size, in `1..=MU_WORDS`.
+fn in_mu(what: &str, v: i64) -> LResult<u32> {
+    let count = u32::try_from(v).ok().filter(|n| (1..=MU_WORDS).contains(n));
+    count.ok_or_else(|| {
+        let msg = format!("{what} is {v}, outside 1..={MU_WORDS}");
+        Diagnostic::error(codes::SEM_OVERSIZED, msg)
+    })
+}
+
+/// Rejects the first memory object whose thread-local region, one buffer
+/// for each of `threads` threads, would not fit one memory unit (an
+/// iterator also keeps [`ItKind::STATE_WORDS`] per thread). Runs after
+/// lowering, so every size is already in `1..=MU_WORDS`.
+fn check_regions(prog: &Program, threads: u32) -> LResult<()> {
+    let mut found = Ok(());
+    prog.walk_stmts(&mut |s| {
+        let StmtKind::Mem { name, decl } = &s.kind else {
+            return;
+        };
+        let per_thread = match decl {
+            MemDecl::Sram { size, .. }
+            | MemDecl::Tile {
+                kind: TileKind::View(_),
+                size,
+                ..
+            } => *size as u32,
+            MemDecl::Tile {
+                kind: TileKind::It(i),
+                size,
+                ..
+            } => i.mir().window(*size as u32).max(ItKind::STATE_WORDS),
+        };
+        let words = u64::from(per_thread) * u64::from(threads);
+        if words > u64::from(MU_WORDS) && found.is_ok() {
+            let msg = format!(
+                "'{name}' needs {words} SRAM words, {per_thread} for each of {threads} threads: \
+                 more than one memory unit ({MU_WORDS} words)"
+            );
+            found = Err(Diagnostic::error(codes::SEM_OVERSIZED, msg).with_span(s.span));
+        }
+    });
+    found
 }
 
 /// A pragma a `foreach` / `replicate` body interprets on entry.

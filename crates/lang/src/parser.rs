@@ -492,7 +492,7 @@ impl Parser {
         let (ty, size) = self.angled(|p| {
             let ty = p.ty()?;
             p.expect_punct(",")?;
-            Ok((ty, p.expect_int()? as u32))
+            Ok((ty, p.expect_int()?))
         })?;
         let name = self.expect_ident()?;
         self.expect_punct(";")?;
@@ -502,7 +502,7 @@ impl Parser {
 
     /// After a view or iterator keyword: `<size> name(dram, at);`.
     fn tile_decl(&mut self, kind: TileKind) -> PResult<StmtKind> {
-        let size = self.angled(Self::expect_int)? as u32;
+        let size = self.angled(Self::expect_int)?;
         let name = self.expect_ident()?;
         self.expect_punct("(")?;
         let dram = self.expect_ident()?;

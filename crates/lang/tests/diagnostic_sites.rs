@@ -54,6 +54,8 @@ const SITES: &[&str] = &[
     "lower:return-in-loop",
     "lower:bad-pragma",
     "lower:not-raw-sram",
+    "lower:out-of-range",
+    "lower:region-past-mu",
 ];
 
 /// Sites no row reaches, each with the reason.
@@ -74,7 +76,7 @@ const CONSTRUCTIONS: &[(&str, &str, usize)] = &[
     ("parser.rs", "self.err(", 8),
     ("parser.rs", "err_code", 5),
     ("parser.rs", "Diagnostic::error(", 2),
-    ("lower.rs", "Diagnostic::error(", 23),
+    ("lower.rs", "Diagnostic::error(", 25),
 ];
 
 struct Case {
@@ -497,6 +499,58 @@ const CASES: &[Case] = &[
         "E0202",
         "'v' is not a raw SRAM",
         (1, 49),
+    ),
+    case(
+        "lower:out-of-range",
+        "void main() { pragma(threads, 0); }",
+        "E0206",
+        "the thread count is 0, outside 1..=65536",
+        (1, 15),
+    ),
+    case(
+        "lower:out-of-range",
+        "void main() { foreach (4) { u32 i => pragma(threads, 4294967295); }; }",
+        "E0206",
+        "the thread count is 4294967295, outside 1..=65536",
+        (1, 38),
+    ),
+    case(
+        "lower:out-of-range",
+        "void main() { sram<u32, 0> b; }",
+        "E0206",
+        "the size of 'b' is 0, outside 1..=65536",
+        (1, 15),
+    ),
+    case(
+        "lower:out-of-range",
+        "dram<u32> d; void main() { readview<67108864> v(d, 0); }",
+        "E0206",
+        "the size of 'v' is 67108864, outside 1..=65536",
+        (1, 28),
+    ),
+    case(
+        "lower:region-past-mu",
+        "dram<u32> d; void main() { readview<2048> v(d, 0); }",
+        "E0206",
+        "'v' needs 131072 SRAM words, 2048 for each of 64 threads: more than one memory unit \
+         (65536 words)",
+        (1, 28),
+    ),
+    case(
+        "lower:region-past-mu",
+        "dram<u8> d; void main() { pragma(threads, 65536); readit<1> it(d, 0); }",
+        "E0206",
+        "'it' needs 131072 SRAM words, 2 for each of 65536 threads: more than one memory unit \
+         (65536 words)",
+        (1, 51),
+    ),
+    case(
+        "lower:region-past-mu",
+        "dram<u8> d; void main() { pragma(threads, 1024); peekreadit<64> it(d, 0); }",
+        "E0206",
+        "'it' needs 131072 SRAM words, 128 for each of 1024 threads: more than one memory \
+         unit (65536 words)",
+        (1, 50),
     ),
 ];
 

@@ -32,6 +32,15 @@ pub struct AllocDecl {
 /// `pragma(threads, N)`: one MU's worth of small buffers.
 pub const DEFAULT_THREADS: u32 = 64;
 
+/// Words in one Table II memory unit (256 KiB of 32-bit words): the most
+/// a thread count, a memory object's size or one thread-local SRAM region
+/// may be.
+pub const MU_WORDS: u32 = 65_536;
+
+/// Table II's memory units: a program's SRAM regions and allocator
+/// pointers together may fill at most this many.
+pub const MACHINE_MUS: u32 = 200;
+
 /// A compilation unit: functions plus module-level memory declarations.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct Module {

@@ -67,7 +67,10 @@ mod types;
 mod verify;
 
 pub use analysis::Liveness;
-pub use func::{AllocDecl, Func, Module, RegionBuilder, Rewriter, SramDecl, DEFAULT_THREADS};
+pub use func::{
+    AllocDecl, Func, Module, RegionBuilder, Rewriter, SramDecl, DEFAULT_THREADS, MACHINE_MUS,
+    MU_WORDS,
+};
 pub use interp::{Interp, InterpError};
 pub use ops::{AluOp, ForeachFlags, ItKind, Op, OpKind, Operands, Region, Value, ViewKind};
 pub use opt::{add_classical, ConstFold, Cse, Dce, Simplify};

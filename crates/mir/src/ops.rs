@@ -59,6 +59,23 @@ pub enum ItKind {
     ManualWrite,
 }
 
+impl ItKind {
+    /// State words an iterator keeps per thread: the DRAM position of its
+    /// buffered window and its cursor within it.
+    pub const STATE_WORDS: u32 = 2;
+
+    /// Buffer words per thread of an iterator over `tile` elements: the
+    /// tile, doubled for `PeekRead` so that `peek(a)`, `a ≤ tile`, never
+    /// faults.
+    pub fn window(self, tile: u32) -> u32 {
+        if self == ItKind::PeekRead {
+            2 * tile
+        } else {
+            tile
+        }
+    }
+}
+
 /// An operation: kind plus result values.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Op {

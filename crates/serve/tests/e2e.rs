@@ -334,6 +334,58 @@ fn typed_errors_for_bad_compile_unknown_program_and_malformed_frames() {
     server.shutdown();
 }
 
+/// No source a client sends can make the compiler allocate past the
+/// machine: a thread count, a memory-object size or a thread-local region
+/// past one memory unit is a `CompileFailed` with the front end's code,
+/// and the connection goes on to compile and execute a good program.
+#[test]
+fn oversized_compile_is_refused_and_the_connection_still_works() {
+    let server = Server::spawn(ServeConfig::default()).expect("spawn");
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    let options = PassOptions {
+        dram_bytes: 1 << 12,
+        ..PassOptions::default()
+    };
+    for (body, line) in [
+        // `67108864 * 64` threads overflowed a `u32` in `LowerViews`.
+        ("  readview<67108864> v(d, 0);", 3),
+        // Once 2^32 - 1 allocator pointers, about 16 GiB.
+        ("  pragma(threads, 4294967295);\n  readview<4> v(d, 0);", 3),
+        ("  readview<4096> v(d, 0);", 3),
+    ] {
+        let source = format!("dram<u32> d;\nvoid main() {{\n{body}\n}}");
+        let err = client.compile(&source, &options).unwrap_err();
+        let details = err.compile_diagnostics().expect("structured CompileFailed");
+        assert_eq!(details.len(), 1, "{details:?}");
+        assert_eq!((details[0].code.as_str(), details[0].line), ("E0206", line));
+        let ClientError::Server(frame) = err else {
+            panic!("wanted a typed server error")
+        };
+        assert_eq!(frame.code, ErrorCode::CompileFailed);
+    }
+
+    let compiled = client
+        .compile(
+            "dram<u32> output; void main(u32 n) { foreach (n) { u32 i => output[i] = i; }; }",
+            &options,
+        )
+        .expect("healthy compile after refusals");
+    let reply = client
+        .execute(ExecuteRequest {
+            program_id: compiled.program_id,
+            argsets: vec![vec![3]],
+            dram_inits: vec![],
+            window: (0, 12),
+        })
+        .expect("healthy execute after refusals");
+    let InstanceOutcome::Ok { dram, .. } = &reply.instances[0] else {
+        panic!("instance failed")
+    };
+    assert_eq!(&dram[8..12], &2u32.to_le_bytes());
+    client.shutdown().expect("shutdown ack");
+    server.shutdown();
+}
+
 /// Polls `Status` until `done` holds, failing after 30 s.
 fn await_status(
     client: &mut ServeClient,
