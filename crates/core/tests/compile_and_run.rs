@@ -647,3 +647,79 @@ fn a_program_past_the_machines_memory_units_is_refused() {
          the machine's 200 memory units (13107200 words)"
     );
 }
+
+/// Every region kind the compiler sizes by the thread count: a view, an
+/// iterator's buffer and state, a hierarchy-elimination counter, and the
+/// region a replicate parks `i`, `parked` and the views' pointer in.
+const SIZED_BY_THREADS: &str = "dram<u32> input;
+dram<u8> text;
+dram<u32> output;
+void main(u32 n) {
+    PRAGMA
+    foreach (n) { u32 i =>
+        pragma(eliminate_hierarchy);
+        output[i] = i;
+    };
+    foreach (n) { u32 i =>
+        readview<4> v(input, 0);
+        readit<8> it(text, i);
+        u32 x = v[1] + *it;
+        u32 parked = x * 3;
+        u32 acc = 0;
+        replicate (2) {
+            sram<u32, 4> scratch;
+            scratch[0] = x;
+            acc = acc + scratch[0];
+        };
+        output[i] = acc + parked + i;
+    };
+}";
+
+#[test]
+fn pragma_threads_sizes_every_thread_local_region_and_allocator() {
+    use revet_machine::{AllocId, SramId};
+    // (region base, words) and (allocator base, pointers) in the image.
+    let image = |pragma: &str, threads: Option<u32>| {
+        let src = SIZED_BY_THREADS.replace("PRAGMA", pragma);
+        let mut session = Session::new(src, PassOptions::default());
+        let program = session.to_dataflow().unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(session.thread_count(), threads);
+        let mem = &program.graph.mem;
+        let base = |name: &str| {
+            name.trim_end_matches(|c: char| c.is_ascii_digit())
+                .to_string()
+        };
+        let srams: Vec<(String, usize)> = (0..mem.sram_count() as u32)
+            .map(|i| mem.sram(SramId(i)))
+            .map(|r| (base(&r.name), r.words.len()))
+            .collect();
+        let allocs: Vec<(String, u32)> = (0..mem.alloc_count() as u32)
+            .map(|i| mem.alloc(AllocId(i)))
+            .map(|a| (base(&a.name), a.max))
+            .collect();
+        (srams, allocs)
+    };
+    let (srams16, allocs16) = image("pragma(threads, 16);", Some(16));
+    let (srams64, allocs64) = image("", None);
+    let bases = |t: &[(String, usize)]| t.iter().map(|(b, _)| b.clone()).collect::<Vec<_>>();
+    assert_eq!(bases(&srams16), bases(&srams64));
+    for kind in ["view", "itbuf", "itstate", "fe_count", "rep_buf"] {
+        assert!(
+            bases(&srams16).iter().any(|b| b == kind),
+            "no {kind} region"
+        );
+    }
+    // Each region holds the same words per thread under either count.
+    for ((base, w16), (_, w64)) in srams16.iter().zip(&srams64) {
+        assert!(
+            w16 % 16 == 0 && w64 % 64 == 0,
+            "{base}: {w16} / {w64} words"
+        );
+        assert_eq!(w16 / 16, w64 / 64, "{base}: {w16} words at 16, {w64} at 64");
+    }
+    for (allocs, threads) in [(&allocs16, 16), (&allocs64, 64)] {
+        assert!(allocs.iter().any(|(b, _)| b == "alloc"), "{allocs:?}");
+        assert!(allocs.iter().any(|(b, _)| b == "fe_alloc"), "{allocs:?}");
+        assert!(allocs.iter().all(|(_, max)| *max == threads), "{allocs:?}");
+    }
+}
