@@ -41,10 +41,10 @@ type LResult<T> = Result<T, Diagnostic>;
 /// writes to read-only parent variables inside `foreach`, malformed
 /// yields, and a thread count, memory-object size or thread-local region
 /// past one memory unit ([`MU_WORDS`]), so that no source can make the
-/// compiler allocate more than the machine holds. Lowering stops at the first semantic error (multi-error
-/// reporting is the parser's recovery job); errors raised deep in
-/// expression lowering start span-less and take the span of the enclosing
-/// statement.
+/// compiler allocate more than the machine holds. Lowering stops at the
+/// first semantic error (multi-error reporting is the parser's recovery
+/// job); errors raised deep in expression lowering start span-less and
+/// take the span of the enclosing statement.
 pub fn lower_program(prog: &Program) -> Result<Module, Diagnostics> {
     lower_program_inner(prog).map_err(Diagnostics::from)
 }
