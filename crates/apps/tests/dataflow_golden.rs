@@ -32,6 +32,10 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+#[path = "common/moved_columns.rs"]
+mod moved_columns;
+use moved_columns::moved_columns;
+
 /// Every label base the lowering can emit (a label is a base plus the
 /// running label counter; the sink has no counter).
 const LABEL_BASES: &[&str] = &[
@@ -370,50 +374,6 @@ fn digest(text: &str) -> u64 {
     })
 }
 
-/// How many rows moved in each `key=value` column of `actual` against
-/// `golden`, rows matched by name and options: `nodes 0/90, chans 0/90,
-/// digest 0/90, mir 43/90, passes 49/90` says the graph held still while
-/// the pass pipeline moved. Rows only one side has are counted after.
-fn moved_columns(golden: &str, actual: &str) -> String {
-    fn split(line: &str) -> (String, Vec<(&str, &str)>) {
-        let mut words = line.split(' ');
-        let key = words.by_ref().take(2).collect::<Vec<_>>().join(" ");
-        (key, words.filter_map(|w| w.split_once('=')).collect())
-    }
-    let golden: HashMap<String, Vec<(&str, &str)>> = golden.lines().map(split).collect();
-    let mut columns: Vec<(&str, usize)> = Vec::new();
-    let (mut matched, mut new) = (0, 0);
-    for (key, cols) in actual.lines().map(split) {
-        let Some(want) = golden.get(&key) else {
-            new += 1;
-            continue;
-        };
-        matched += 1;
-        for (name, value) in cols {
-            let at = columns
-                .iter()
-                .position(|(n, _)| *n == name)
-                .unwrap_or_else(|| {
-                    columns.push((name, 0));
-                    columns.len() - 1
-                });
-            if !want.contains(&(name, value)) {
-                columns[at].1 += 1;
-            }
-        }
-    }
-    let mut out = columns
-        .iter()
-        .map(|(name, moved)| format!("{name} {moved}/{matched}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let gone = golden.len() - matched;
-    if new + gone > 0 {
-        write!(out, "; {new} rows new, {gone} rows gone").unwrap();
-    }
-    out
-}
-
 #[test]
 fn moved_columns_counts_each_column_by_row_name() {
     let golden = "a x n=1 d=5\nb x n=2 d=6\nc y n=3 d=7\n";
@@ -423,6 +383,17 @@ fn moved_columns_counts_each_column_by_row_name() {
         "n 0/2, d 1/2; 1 rows new, 1 rows gone"
     );
     assert_eq!(moved_columns(golden, golden), "n 0/3, d 0/3");
+    // Unnamed columns go by position; a key may hold `=` (`buf=1/1`).
+    let golden = "p O0 1 2 | 3\nq O0 1 2 | 3\n";
+    let actual = "p O0 1 4 | 3\nq O0 1 2 | 5\n";
+    assert_eq!(moved_columns(golden, actual), "#3 0/2, #4 1/2, #6 1/2");
+    assert_eq!(
+        moved_columns(
+            "buf=1/1 a cycles=3\na cycles=3\n",
+            "buf=1/1 a cycles=4\na cycles=3\n"
+        ),
+        "cycles 1/2"
+    );
 }
 
 fn label_base(label: &str) -> &str {

@@ -15,6 +15,10 @@ use revet_core::PassOptions;
 use revet_machine::reference::run_dense;
 use revet_machine::ExecReport;
 
+#[path = "common/moved_columns.rs"]
+mod moved_columns;
+use moved_columns::moved_columns;
+
 const SEED: u64 = 0xD1FF;
 const MAX_ROUNDS: u64 = 200_000_000;
 
@@ -22,7 +26,9 @@ const MAX_ROUNDS: u64 = 200_000_000;
 /// the static partition into wake units, the one-shot planned run's
 /// counters, and the merged counters of the same argset streamed twice
 /// with a poll between (the resume path). A change to *when* a node fires
-/// moves a number here; a change to *how* it fires must not.
+/// moves a number here; a change to *how* it fires must not. The columns
+/// have no names, so a failure counts the rows that moved per position
+/// (`#3` is the node count) and prints the recomputed table.
 const SCHEDULE_GOLDEN: &str = include_str!("golden/plan_schedule.txt");
 
 fn counters(r: &ExecReport) -> String {
@@ -108,15 +114,16 @@ fn planned_matches_interpreted_on_all_apps() {
             actual.push(check_app_at(&app, level));
         }
     }
-    let golden: Vec<&str> = SCHEDULE_GOLDEN.lines().collect();
-    for (row, line) in actual.iter().enumerate() {
-        let want = golden.get(row).copied().unwrap_or("<missing row>");
-        assert!(
-            line == want,
-            "plan schedule moved at row {row}\n  golden: {want}\n  actual: {line}\n\
-             recomputed golden/plan_schedule.txt:\n{}",
-            actual.join("\n")
+    let actual = actual.join("\n");
+    if actual != SCHEDULE_GOLDEN.trim_end() {
+        let first = actual
+            .lines()
+            .zip(SCHEDULE_GOLDEN.lines())
+            .position(|(line, want)| line != want);
+        panic!(
+            "plan schedule moved; rows moved per column: {}; first moved row: {first:?}\n\
+             recomputed golden/plan_schedule.txt:\n{actual}",
+            moved_columns(SCHEDULE_GOLDEN, &actual),
         );
     }
-    assert_eq!(actual.len(), golden.len(), "golden has extra rows");
 }

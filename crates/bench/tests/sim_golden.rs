@@ -15,13 +15,18 @@
 //! classes and wake causes. A change to *how* a node fires or how the ready
 //! set accounts a dispatch must leave every number here unchanged; only a
 //! change to the machine model, the optimizer or the lowering may move one,
-//! and then the failing assertion prints the recomputed
+//! and then the failure counts the rows that moved in each column
+//! (`cycles 0/16, busy 16/16, ...`) and prints the recomputed
 //! `golden/sim_stats.txt`.
 
 use revet_apps::all_apps;
 use revet_core::PassOptions;
 use revet_obs::ObsSink;
 use revet_sim::{IdealModels, RdaConfig, SimStats, Simulator};
+
+#[path = "../../apps/tests/common/moved_columns.rs"]
+mod moved_columns;
+use moved_columns::moved_columns;
 
 const SIM_GOLDEN: &str = include_str!("golden/sim_stats.txt");
 
@@ -88,17 +93,18 @@ fn simulated_cycles_and_traffic_match_the_golden() {
         16,
         "one row per Table III app and buffer depth"
     );
-    let golden: Vec<&str> = SIM_GOLDEN.lines().collect();
-    for (row, line) in actual.iter().enumerate() {
-        let want = golden.get(row).copied().unwrap_or("<missing row>");
-        assert!(
-            line == want,
-            "simulated run moved at row {row}\n  golden: {want}\n  actual: {line}\n\
-             recomputed golden/sim_stats.txt:\n{}",
-            actual.join("\n")
+    let actual = actual.join("\n");
+    if actual != SIM_GOLDEN.trim_end() {
+        let first = actual
+            .lines()
+            .zip(SIM_GOLDEN.lines())
+            .position(|(line, want)| line != want);
+        panic!(
+            "simulated run moved; rows moved per column: {}; first moved row: {first:?}\n\
+             recomputed golden/sim_stats.txt:\n{actual}",
+            moved_columns(SIM_GOLDEN, &actual),
         );
     }
-    assert_eq!(actual.len(), golden.len(), "golden has extra rows");
 }
 
 /// The [`SimStats`] columns of a row.
