@@ -1,5 +1,7 @@
 //! Machine configuration (Table II) and ideal-model toggles.
 
+use revet_mir::{MACHINE_MUS, MU_WORDS};
+
 /// Table II RDA parameters plus the area model used for the area-normalized
 /// comparison (§VI-A a: ~189 mm² in a 15 nm educational process vs. the
 /// V100's 815 mm²).
@@ -7,7 +9,8 @@
 pub struct RdaConfig {
     /// Compute units.
     pub compute_units: usize,
-    /// Memory units.
+    /// Memory units; by default [`revet_mir::MACHINE_MUS`], the count the
+    /// compiler bounds a program's SRAM by.
     pub memory_units: usize,
     /// DRAM address generators.
     pub address_generators: usize,
@@ -41,7 +44,7 @@ impl Default for RdaConfig {
     fn default() -> Self {
         RdaConfig {
             compute_units: 200,
-            memory_units: 200,
+            memory_units: MACHINE_MUS as usize,
             address_generators: 80,
             lanes: 16,
             stages: 6,
@@ -82,7 +85,7 @@ impl RdaConfig {
     pub fn table2(&self) -> String {
         format!(
             "Compute units ({})   {} lanes, {} stages, {} vec/scal regs/lane/stage\n\
-             Memory units ({})    16 banks, 256 KiB total\n\
+             Memory units ({})    16 banks, {} KiB total\n\
              Buffers (per unit)    4x{} word vec., 4x{} word scal.\n\
              Outputs (per unit)    4 vector, 4 scalar\n\
              Network               3x vector, 6x scalar, dynamic\n\
@@ -93,6 +96,7 @@ impl RdaConfig {
             self.stages,
             self.regs_per_lane_stage,
             self.memory_units,
+            MU_WORDS as usize * std::mem::size_of::<revet_sltf::Word>() / 1024,
             self.vector_buffer_tokens,
             self.scalar_buffer_tokens,
             self.dram_gbps,
@@ -157,6 +161,11 @@ mod tests {
         assert!((c.dram_bytes_per_cycle() - 562.5).abs() < 1e-9);
         assert!((c.area_ratio_vs_gpu() - 4.31).abs() < 0.02);
         assert!(c.table2().contains("HBM2"));
+        // The compiler's bounds and the machine read one set of numbers.
+        assert_eq!(c.memory_units, revet_mir::MACHINE_MUS as usize);
+        assert!(c
+            .table2()
+            .contains("Memory units (200)    16 banks, 256 KiB total"));
     }
 
     #[test]
