@@ -108,12 +108,6 @@ impl SourceMap {
         &self.name
     }
 
-    /// Number of lines (a trailing newline does not start a new line of
-    /// content, but still counts — mirrors editor line numbering).
-    pub fn line_count(&self) -> usize {
-        self.line_starts.len()
-    }
-
     /// Resolves a byte offset to its 1-based line/column. Offsets past the
     /// end clamp to the last position.
     pub fn line_col(&self, offset: u32) -> LineCol {
@@ -184,7 +178,6 @@ mod tests {
     #[test]
     fn empty_source() {
         let m = SourceMap::new("");
-        assert_eq!(m.line_count(), 1);
         assert_eq!(m.line_col(0), LineCol { line: 1, col: 1 });
         assert_eq!(m.line_text(1), "");
     }

@@ -35,11 +35,6 @@ impl Ty {
         }
     }
 
-    /// True for the integer storage types.
-    pub fn is_int(self) -> bool {
-        matches!(self, Ty::I8 | Ty::I16 | Ty::I32)
-    }
-
     /// The word a `ConstI(v, self)` op produces: `I8`/`I16` literals are
     /// masked to their storage width. The one statement of this rule for
     /// the optimizer and the dataflow lowering.
@@ -133,7 +128,6 @@ mod tests {
         assert_eq!(Ty::I16.bytes(), Some(2));
         assert_eq!(Ty::I32.bytes(), Some(4));
         assert_eq!(Ty::Void.bytes(), None);
-        assert!(Ty::I8.is_int() && !Ty::Handle.is_int());
     }
 
     #[test]

@@ -106,15 +106,6 @@ impl SimStats {
             *mine += theirs;
         }
     }
-
-    /// Mean node utilization (busy cycles / total cycles).
-    pub fn mean_utilization(&self) -> f64 {
-        if self.cycles == 0 || self.busy_cycles.is_empty() {
-            return 0.0;
-        }
-        let sum: u64 = self.busy_cycles.iter().sum();
-        sum as f64 / (self.cycles as f64 * self.busy_cycles.len() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +131,6 @@ mod tests {
         let (r, w) = s.dram_rw_utilization();
         assert!((r - 0.5).abs() < 1e-9);
         assert!((w - 0.125).abs() < 1e-9);
-        assert!((s.mean_utilization() - 0.75).abs() < 1e-9);
         assert!((s.scheduler_skip_ratio() - 0.5).abs() < 1e-9);
     }
 

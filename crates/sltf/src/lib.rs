@@ -9,7 +9,7 @@
 //! encoded as **barrier tokens** Ωn terminating dimension `n` of a ragged
 //! tensor, streamed in-band with the data. This crate provides:
 //!
-//! - [`Word`]: the 32-bit lane payload, with sub-word views,
+//! - [`Word`]: the 32-bit lane payload,
 //! - [`Token`]/[`Tok`]: data-or-barrier stream tokens and [`BarrierLevel`],
 //! - [`Ragged`]: ragged k-D tensors with canonical/explicit SLTF encodings,
 //!   [`canonicalize`] and an incremental [`Decoder`].

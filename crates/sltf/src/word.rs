@@ -2,7 +2,7 @@
 //!
 //! Every on-chip lane in the Revet machine model is 32 bits wide (§III of the
 //! paper). A [`Word`] is an untyped 32-bit value; typed views (signed,
-//! unsigned, float, sub-word) are provided as conversions so the element-wise
+//! unsigned, boolean) are provided as conversions so the element-wise
 //! interpreter can reinterpret lanes without allocation.
 
 use core::fmt;
@@ -37,12 +37,6 @@ impl Word {
         Word(v as u32)
     }
 
-    /// Creates a word from an `f32` bit pattern.
-    #[inline]
-    pub fn from_f32(v: f32) -> Self {
-        Word(v.to_bits())
-    }
-
     /// Creates a word holding a boolean (1 = true, 0 = false).
     #[inline]
     pub const fn from_bool(v: bool) -> Self {
@@ -61,62 +55,10 @@ impl Word {
         self.0 as i32
     }
 
-    /// The word reinterpreted as an IEEE-754 single.
-    #[inline]
-    pub fn as_f32(self) -> f32 {
-        f32::from_bits(self.0)
-    }
-
     /// True iff the word is non-zero (the machine's boolean convention).
     #[inline]
     pub const fn as_bool(self) -> bool {
         self.0 != 0
-    }
-
-    /// Reads the `idx`-th 8-bit sub-word (0..4), as used by sub-word packing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= 4`.
-    #[inline]
-    pub fn sub_u8(self, idx: usize) -> u8 {
-        assert!(idx < 4, "u8 sub-word index out of range: {idx}");
-        (self.0 >> (8 * idx)) as u8
-    }
-
-    /// Reads the `idx`-th 16-bit sub-word (0..2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= 2`.
-    #[inline]
-    pub fn sub_u16(self, idx: usize) -> u16 {
-        assert!(idx < 2, "u16 sub-word index out of range: {idx}");
-        (self.0 >> (16 * idx)) as u16
-    }
-
-    /// Returns a copy with the `idx`-th 8-bit sub-word replaced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= 4`.
-    #[inline]
-    pub fn with_sub_u8(self, idx: usize, v: u8) -> Word {
-        assert!(idx < 4, "u8 sub-word index out of range: {idx}");
-        let shift = 8 * idx;
-        Word((self.0 & !(0xFFu32 << shift)) | ((v as u32) << shift))
-    }
-
-    /// Returns a copy with the `idx`-th 16-bit sub-word replaced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= 2`.
-    #[inline]
-    pub fn with_sub_u16(self, idx: usize, v: u16) -> Word {
-        assert!(idx < 2, "u16 sub-word index out of range: {idx}");
-        let shift = 16 * idx;
-        Word((self.0 & !(0xFFFFu32 << shift)) | ((v as u32) << shift))
     }
 }
 
@@ -198,44 +140,10 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_float() {
-        for v in [0.0f32, -1.5, f32::INFINITY, 3.25e9] {
-            assert_eq!(Word::from_f32(v).as_f32(), v);
-        }
-    }
-
-    #[test]
     fn bool_convention() {
         assert!(Word::from_bool(true).as_bool());
         assert!(!Word::from_bool(false).as_bool());
         assert!(Word::from_u32(17).as_bool());
-    }
-
-    #[test]
-    fn sub_word_u8_read_write() {
-        let w = Word::from_u32(0xAABBCCDD);
-        assert_eq!(w.sub_u8(0), 0xDD);
-        assert_eq!(w.sub_u8(3), 0xAA);
-        let w2 = w.with_sub_u8(1, 0x11);
-        assert_eq!(w2.as_u32(), 0xAABB11DD);
-        // untouched lanes preserved
-        assert_eq!(w2.sub_u8(0), 0xDD);
-        assert_eq!(w2.sub_u8(3), 0xAA);
-    }
-
-    #[test]
-    fn sub_word_u16_read_write() {
-        let w = Word::from_u32(0xAABBCCDD);
-        assert_eq!(w.sub_u16(0), 0xCCDD);
-        assert_eq!(w.sub_u16(1), 0xAABB);
-        let w2 = w.with_sub_u16(1, 0x1234);
-        assert_eq!(w2.as_u32(), 0x1234CCDD);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn sub_word_oob_panics() {
-        Word::ZERO.sub_u8(4);
     }
 
     #[test]
