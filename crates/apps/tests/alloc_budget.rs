@@ -129,7 +129,7 @@ fn run(name: &str, scale: usize) -> Run {
 }
 
 /// The scheduler's own buffers (wake bitmaps, the register file, the
-/// seed list, the sink's collected tokens): a fixed handful per run.
+/// seed list): a fixed handful per run.
 const FIXED_CALLS: u64 = 32;
 
 #[test]
@@ -210,8 +210,8 @@ fn compiles_allocate_no_dram_image_and_instances_allocate_it_once() {
 }
 
 /// What a recycled instance may ask of the allocator, whatever the node
-/// count: the node, channel, SRAM and allocator tables, the sink's fresh
-/// buffer, and each SRAM region's and allocator queue's own storage.
+/// count: the node, channel, SRAM and allocator tables, and each SRAM
+/// region's and allocator queue's own storage.
 const INSTANCE_CALLS: u64 = 16;
 
 #[test]
@@ -234,9 +234,9 @@ fn a_recycled_instance_allocates_a_fixed_handful() {
 }
 
 /// What a run on a recycled instance may still ask of the allocator: the
-/// node state copied with the node slots (a node's own buffers, the sink's
-/// collected tokens) — not the rings or the scheduler scratch, which come
-/// back with the recycled channel table already grown.
+/// node state copied with the node slots (a node's own buffers) — not the
+/// rings or the scheduler scratch, which come back with the recycled
+/// channel table already grown, the exit channel's included.
 const RECYCLED_RUN_CALLS: u64 = 16;
 
 #[test]

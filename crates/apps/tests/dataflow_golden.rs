@@ -3,7 +3,7 @@
 //! resulting [`CompiledProgram`] — per node its label, wiring, context,
 //! unit and the `Debug` of its behaviour (every `EwInstr` and
 //! `OutputSpec`); per channel its arity, class and
-//! canonicalization; then `contexts`, `links`, `entry`,
+//! canonicalization; then `contexts`, `links`, `entry`, `exit`,
 //! `outer_parallelism` and the module's SRAM / allocator tables. Node,
 //! channel and label numbering all depend on the lowering's emission
 //! order, so a refactor of `revet_core`'s lowering that keeps this file
@@ -37,7 +37,7 @@ mod moved_columns;
 use moved_columns::moved_columns;
 
 /// Every label base the lowering can emit (a label is a base plus the
-/// running label counter; the sink has no counter).
+/// running label counter).
 const LABEL_BASES: &[&str] = &[
     "blk",
     "cond",
@@ -56,7 +56,6 @@ const LABEL_BASES: &[&str] = &[
     "if.merge",
     "if_in",
     "loop_in",
-    "main.sink",
     "pack",
     "rep.alloc",
     "rep.bufload",
@@ -353,8 +352,8 @@ fn dump(p: &CompiledProgram) -> String {
     }
     writeln!(
         s,
-        "entry={:?} outer_parallelism={}",
-        p.entry, p.outer_parallelism
+        "entry={:?} exit={:?} outer_parallelism={}",
+        p.entry, p.exit, p.outer_parallelism
     )
     .unwrap();
     let mem = &p.graph.mem;

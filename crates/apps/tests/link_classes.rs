@@ -55,7 +55,7 @@ fn no_per_thread_link_is_scalar() {
                     .contexts
                     .iter()
                     .find(|c| c.id == p.0)
-                    .expect("every graph node but the sink is a context");
+                    .expect("every graph node is a context");
                 let base = ctx.label.trim_end_matches(|c: char| c.is_ascii_digit());
                 if !SCALAR_PRODUCERS.contains(&base) {
                     offenders.push(format!(

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use revet_apps::all_apps;
 use revet_core::PassOptions;
 use revet_machine::instr::{AluOp, EwInstr, Operand};
-use revet_machine::nodes::{EwNode, OutputSpec, SinkNode, SourceNode};
+use revet_machine::nodes::{EwNode, OutputSpec};
 use revet_machine::{tbar, tdata, ChanId, Channel, Graph, MemoryState, RunOptions, TTok};
 use revet_obs::{EventKind, ObsSink};
 use revet_runtime::{BatchJob, BatchRunner};
@@ -228,9 +228,10 @@ fn decode(raw: u32) -> Move {
     }
 }
 
-/// Grows a random DAG from one source by count-preserving moves (map /
+/// Grows a random DAG from one input link by count-preserving moves (map /
 /// dup / zip over open channels), exactly like the machine crate's
-/// scheduler-equivalence generator minus the DRAM taps.
+/// scheduler-equivalence generator minus the DRAM taps. The channels left
+/// open are the outputs.
 fn build(values: &[u32], moves: &[u32]) -> Graph {
     let mut g = Graph::new();
     let mut toks: Vec<TTok> = Vec::new();
@@ -244,7 +245,9 @@ fn build(values: &[u32], moves: &[u32]) -> Graph {
         }
     }
     let first = g.add_chan(Channel::new(1));
-    g.add_node("src", SourceNode::new(toks), vec![], vec![first]);
+    for tok in toks {
+        g.chan_mut(first).push(tok);
+    }
     let mut open = vec![first];
     for (node_idx, &raw) in moves.iter().enumerate() {
         match decode(raw) {
@@ -310,10 +313,6 @@ fn build(values: &[u32], moves: &[u32]) -> Graph {
                 open.push(dst);
             }
         }
-    }
-    for (i, c) in open.into_iter().enumerate() {
-        let (sink, _h) = SinkNode::new();
-        g.add_node(format!("sink{i}"), sink, vec![c], vec![]);
     }
     g.mem = MemoryState::with_dram_size(64);
     g

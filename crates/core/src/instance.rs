@@ -8,17 +8,16 @@
 //! [`revet_machine::Dram`]) and the channel table (rings kept at their
 //! grown size) from the program's pools, and shares the immutable schedule
 //! ([`revet_machine::ExecPlan`]) behind an `Arc`. A
-//! [`ProgramInstance`] is the resulting unit of batch work: it is `Send`,
-//! owns everything it mutates, and collects results into its own private
-//! sink buffer, so any number of instances of one compile can run
-//! concurrently (see the `revet-runtime` crate's `BatchRunner`).
+//! [`ProgramInstance`] is the resulting unit of batch work: it is `Send`
+//! and owns everything it mutates, its output included (`main`'s return
+//! values stay on its own copy of the exit channel), so any number of
+//! instances of one compile can run concurrently (see the `revet-runtime`
+//! crate's `BatchRunner`).
 
 use crate::lower::CompiledProgram;
 use crate::CoreError;
-use revet_machine::nodes::SinkHandle;
 use revet_machine::{
-    ChanId, ExecReport, Graph, MachineError, MemoryState, Prim, ResumeState, RunOptions, RunStatus,
-    TTok,
+    ChanId, ExecReport, Graph, MachineError, MemoryState, ResumeState, RunOptions, RunStatus, TTok,
 };
 use revet_obs::ObsSink;
 use revet_sltf::Word;
@@ -35,15 +34,15 @@ pub enum StreamExecutor {
 }
 
 /// One independently runnable instantiation of a [`CompiledProgram`]:
-/// private graph state (nodes, channels, memory) plus this instance's own
-/// result sink. Obtained from [`CompiledProgram::instance`].
+/// private graph state (nodes, channels, memory), its output on its own
+/// exit channel. Obtained from [`CompiledProgram::instance`].
 #[derive(Debug)]
 pub struct ProgramInstance {
     /// The instance's private executable graph. DRAM inputs that differ
     /// per instance are written with `graph.mem.write_dram` before running.
     pub graph: Graph,
     pub(crate) entry: ChanId,
-    pub(crate) sink: SinkHandle,
+    pub(crate) exit: ChanId,
 }
 
 // The whole point of an instance is to migrate onto a worker thread; keep
@@ -112,10 +111,16 @@ impl ProgramInstance {
         })
     }
 
-    /// Snapshot of the tokens this instance's sink collected (`main`'s
-    /// final outputs, usually empty for DRAM-writing programs).
+    /// The tokens this instance's runs have left on the exit channel:
+    /// `main`'s return values, one data tuple closed by `Ω1` per argument
+    /// thread (the empty tuple for `void main`).
     pub fn sink_tokens(&self) -> Vec<TTok> {
-        self.sink.tokens()
+        self.output_from(0)
+    }
+
+    /// The exit channel's tokens from position `start` onward.
+    pub(crate) fn output_from(&self, start: usize) -> Vec<TTok> {
+        self.graph.chans()[self.exit.0 as usize].tokens_from(start)
     }
 
     /// The instance's memory state (DRAM image, SRAM regions, allocators).
@@ -147,19 +152,15 @@ impl CompiledProgram {
     /// compile can be instantiated any number of times, concurrently and
     /// from a shared `&CompiledProgram`.
     pub fn instance(&self) -> ProgramInstance {
-        let graph = self.graph.fresh_instance();
-        let sink = graph
-            .nodes()
-            .iter()
-            .find_map(|slot| match &slot.behavior {
-                Prim::Sink(sink) => Some(sink.handle()),
-                _ => None,
-            })
-            .expect("compiled programs always end in main.sink");
+        let mut graph = self.graph.fresh_instance();
+        // A template that already ran keeps its output on its exit
+        // channel; an instance's output is its own.
+        let exit = graph.chan_mut(self.exit);
+        while exit.pop_front().is_some() {}
         ProgramInstance {
             graph,
             entry: self.entry,
-            sink,
+            exit: self.exit,
         }
     }
 

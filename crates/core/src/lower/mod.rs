@@ -64,7 +64,7 @@ use crate::{CoreError, PassOptions, MAX_DRAM_BYTES};
 use revet_machine::instr::{AluOp, Operand, Reg};
 use revet_machine::nodes::{
     BroadcastNode, CounterNode, EwNode, FbMergeNode, FlattenNode, FwdMergeNode, OutputSpec,
-    ReduceNode, SinkNode,
+    ReduceNode,
 };
 use revet_machine::{ChanId, Channel, Graph, LinkClass, Prim, RunOptions, SramId, UnitClass};
 use revet_mir::{DramLayout, Func, Module, Op, OpKind, Value, ValueMap, MACHINE_MUS, MU_WORDS};
@@ -136,8 +136,10 @@ pub struct CompiledProgram {
     pub links: Vec<LinkInfo>,
     /// Entry channel: push `Data([args…])` then `Ω1` and run.
     pub entry: ChanId,
-    /// Final-output sink handle (main's return values, usually empty).
-    pub sink: revet_machine::nodes::SinkHandle,
+    /// Exit channel: `main`'s last link, which no node reads. Each argument
+    /// thread leaves its return values on it as one data tuple closed by
+    /// `Ω1` (the empty tuple for `void main`); the host reads them there.
+    pub exit: ChanId,
     /// Product of replicate ways (the "outer parallelism" knob): every
     /// replicate op counts once, so a nest multiplies along its nesting.
     pub outer_parallelism: u32,
@@ -170,6 +172,12 @@ impl CompiledProgram {
     /// (one-shot runs, streaming feeds, the simulator, test oracles).
     pub fn inject_args(&mut self, args: &[Word]) {
         inject_args(&mut self.graph, self.entry, args);
+    }
+
+    /// The tokens `main` has left on the exit channel: its return values,
+    /// one data tuple closed by `Ω1` per argument thread.
+    pub fn sink_tokens(&self) -> Vec<revet_machine::TTok> {
+        self.graph.chans()[self.exit.0 as usize].tokens_from(0)
     }
 
     /// The number of contexts (Table IV's unit counts derive from this).
@@ -404,7 +412,7 @@ pub(crate) fn lower_timed(
         label_n: 0,
         label_text: String::new(),
     };
-    let (entry, sink) = lw.lower_main()?;
+    let (entry, exit) = lw.lower_main()?;
     laps.lap("to_dataflow.walk");
     let DfLower {
         g: mut graph,
@@ -422,7 +430,7 @@ pub(crate) fn lower_timed(
         contexts,
         links,
         entry,
-        sink,
+        exit,
         outer_parallelism,
     })
 }
@@ -743,8 +751,9 @@ fn is_simple(kind: &OpKind) -> bool {
 }
 
 impl DfLower<'_> {
-    /// Lowers `main`'s body from a fresh entry channel into the final sink.
-    fn lower_main(&mut self) -> Result<(ChanId, revet_machine::nodes::SinkHandle), CoreError> {
+    /// Lowers `main`'s body from a fresh entry channel; returns the entry
+    /// and the exit channel its return values leave on.
+    fn lower_main(&mut self) -> Result<(ChanId, ChanId), CoreError> {
         let func = self.func;
         let entry = self.chan(func.params.len(), Carries::Entry);
         let cur = Cur {
@@ -755,10 +764,7 @@ impl DfLower<'_> {
         if !matches!(term, Term::Return | Term::Exit) {
             return Err(CoreError::new("main must end in return"));
         }
-        let (sink, handle) = SinkNode::new();
-        let id = self.g.add_node("main.sink", sink, [cur.chan], []);
-        self.g.set_node_meta(id, u32::MAX, UnitClass::Virtual);
-        Ok((entry, handle))
+        Ok((entry, cur.chan))
     }
 
     /// Lowers the ops of `region` (`ops`: all of them, or replicate's body

@@ -107,6 +107,5 @@ fn count(slot: &mut (usize, usize, usize), unit: UnitClass) {
         UnitClass::Compute => slot.0 += 1,
         UnitClass::Memory => slot.1 += 1,
         UnitClass::AddressGen => slot.2 += 1,
-        UnitClass::Virtual => {}
     }
 }

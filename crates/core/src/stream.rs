@@ -5,13 +5,13 @@
 //! completion once: [`StreamInstance::feed`] appends whole `main`
 //! argument sets to the entry channel (the same Data + Ω1 protocol a
 //! one-shot run injects), [`StreamInstance::poll`] resumes the executor
-//! and returns the sink tokens produced since the previous poll, and
+//! and returns the exit-channel tokens produced since the previous poll, and
 //! [`StreamInstance::finish`] runs the final drain and yields the memory
 //! image plus the merged execution report.
 //!
 //! The load-bearing invariant — pinned by the property suite and the
 //! fuzzer's chunked-feed lane — is that feeding an input in K chunks is
-//! **bit-identical** (sink stream and final DRAM) to a one-shot run of
+//! **bit-identical** (output stream and final DRAM) to a one-shot run of
 //! the concatenation. Kahn semantics make this structural: chunking only
 //! changes the *schedule*, and blocking-read dataflow output is
 //! schedule-independent. Execution reports are *not* identical (resume
@@ -31,8 +31,8 @@ pub struct StreamOutcome {
     pub report: ExecReport,
     /// The final memory state (DRAM image, SRAM regions, allocators).
     pub memory: MemoryState,
-    /// The complete sink stream (equal to the concatenation of every
-    /// poll's delta).
+    /// The complete output stream, `main`'s return values (equal to the
+    /// concatenation of every poll's delta).
     pub sink: Vec<TTok>,
 }
 
@@ -62,7 +62,7 @@ pub struct StreamOutcome {
 pub struct StreamInstance {
     inner: ProgramInstance,
     resume: ResumeState,
-    /// Sink read position: `poll` returns tokens from here onward.
+    /// Exit-channel read position: `poll` returns tokens from here onward.
     cursor: usize,
     /// Counters merged across every poll so far.
     report: ExecReport,
@@ -100,8 +100,8 @@ impl StreamInstance {
         Ok(argsets.len())
     }
 
-    /// Resumes execution until quiescence and returns the sink tokens
-    /// produced by this poll, plus whether the graph drained cleanly
+    /// Resumes execution until quiescence and returns the exit-channel
+    /// tokens produced by this poll, plus whether the graph drained cleanly
     /// ([`RunStatus::Finished`]) or holds tokens that need more input
     /// ([`RunStatus::Paused`]). Both statuses leave the session usable:
     /// `Finished` just means nothing is currently in flight.
@@ -135,7 +135,7 @@ impl StreamInstance {
                 .gauge("stream.resident_bytes")
                 .record_max(self.resident_bytes());
         }
-        let delta = self.inner.sink.tokens_from(self.cursor);
+        let delta = self.inner.output_from(self.cursor);
         self.cursor += delta.len();
         Ok((delta, status))
     }
@@ -161,15 +161,15 @@ impl StreamInstance {
         }
         Ok(StreamOutcome {
             report: self.report,
-            sink: self.inner.sink.tokens(),
+            sink: self.inner.sink_tokens(),
             memory: self.inner.into_memory(),
         })
     }
 
     /// Approximate resident heap bytes of the session's mutable streaming
-    /// state: queued channel tokens plus node-internal buffers (pending
-    /// source input, collected sink output). The number that grows with
-    /// buffered work — per-session memory accounting reads this.
+    /// state: the queued channel tokens, fed input and output so far
+    /// included. The number that grows with buffered work — per-session
+    /// memory accounting reads this.
     pub fn resident_bytes(&self) -> u64 {
         self.inner.graph.resident_bytes()
     }
@@ -184,10 +184,10 @@ impl StreamInstance {
         self.fed
     }
 
-    /// The complete sink stream collected so far (every poll's delta,
+    /// The complete output stream so far (every poll's delta,
     /// concatenated).
     pub fn sink_tokens(&self) -> Vec<TTok> {
-        self.inner.sink.tokens()
+        self.inner.sink_tokens()
     }
 
     /// The session's memory state (DRAM image, SRAM regions, allocators).
@@ -251,7 +251,7 @@ mod tests {
         }
         assert_eq!(stream.fed(), 4);
         let out = stream.finish(1_000_000).unwrap();
-        assert_eq!(out.sink, reference.sink_tokens(), "sink stream");
+        assert_eq!(out.sink, reference.sink_tokens(), "output stream");
         assert_eq!(collected, out.sink, "poll deltas");
         assert_eq!(out.memory.dram, reference.memory().dram, "DRAM");
     }
@@ -288,19 +288,17 @@ mod tests {
     /// an unbalanced graph: a zip whose second input never arrives, built
     /// by hand around the entry channel.
     fn starved_zip() -> ProgramInstance {
-        use revet_machine::nodes::{EwNode, SinkNode};
+        use revet_machine::nodes::EwNode;
         use revet_machine::{Channel, Graph};
         let mut g = Graph::new();
         let c0 = g.add_chan(Channel::new(1));
         let c1 = g.add_chan(Channel::new(1));
         let c2 = g.add_chan(Channel::new(2));
         g.add_node("zip", EwNode::passthrough(2), vec![c0, c1], vec![c2]);
-        let (sink_node, sink) = SinkNode::new();
-        g.add_node("sink", sink_node, vec![c2], vec![]);
         ProgramInstance {
             graph: g,
             entry: c0,
-            sink,
+            exit: c2,
         }
     }
 

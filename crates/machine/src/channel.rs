@@ -15,8 +15,8 @@
 //! That is the surface the firing rules ride (through [`crate::Ports`]).
 //! Owned tokens ([`TTok`], a `Tok<Vec<Word>>`) exist only at the edges of
 //! a graph, where a token has to outlive its slot: [`Channel::push`],
-//! [`Channel::pop`] and [`Channel::drain_all`] convert for sources, host
-//! feeds, sinks and tests.
+//! [`Channel::pop`], [`Channel::tokens_from`] and [`Channel::drain_all`]
+//! convert for host feeds, the host's read of an output link, and tests.
 //!
 //! Channels know their bandwidth class (§III-C: a scalar link moves one
 //! data element and one barrier per cycle; a vector link moves up to 16
@@ -240,6 +240,16 @@ impl Channel {
     /// Total data tokens pushed over the channel's lifetime.
     pub fn total_pushed_data(&self) -> u64 {
         self.pushed_data
+    }
+
+    /// The queued tokens from position `start` onward, copied out without
+    /// popping: how the host reads an output link, one that no node
+    /// consumes. `start` past the end yields an empty vector.
+    pub fn tokens_from(&self, start: usize) -> Vec<TTok> {
+        (start..self.len())
+            .filter_map(|i| self.queue.get(i))
+            .map(|tok| tok.map(<[Word]>::to_vec))
+            .collect()
     }
 
     /// Drains the remaining queue into a vector (test helper).

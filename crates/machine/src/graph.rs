@@ -61,8 +61,6 @@ pub enum UnitClass {
     Memory,
     /// DRAM address generator.
     AddressGen,
-    /// Not a physical unit (sources/sinks used for test harnesses).
-    Virtual,
 }
 
 /// A node slot: behavior plus wiring and placement metadata. The wiring
@@ -396,9 +394,8 @@ impl Graph {
 
     /// Makes a fresh, independently runnable instance of this graph. Node
     /// state, SRAM and allocator queues are copied (wiring, labels and
-    /// element-wise programs are shared); result-collecting sinks get
-    /// **fresh, empty** buffers (instances never share result storage);
-    /// the immutable schedule is shared via [`Arc`] rather than rebuilt.
+    /// element-wise programs are shared); the immutable schedule is shared
+    /// via [`Arc`] rather than rebuilt.
     /// The two parts of an instance that are big or grown are recycled
     /// through this graph's pools instead of copied:
     ///
@@ -621,14 +618,14 @@ impl Graph {
     }
 
     /// Approximate resident heap bytes of this graph's mutable streaming
-    /// state: queued channel tokens plus node-internal state (pending
-    /// source input, collected sink output). Excludes the fixed-size
-    /// memory image — per-session accounting wants the part that grows
-    /// with buffered work.
+    /// state: its queued channel tokens, fed input and uncollected output
+    /// included. Excludes the fixed-size memory image — per-session
+    /// accounting wants the part that grows with buffered work.
     pub fn resident_bytes(&self) -> u64 {
-        let chan_bytes: usize = self.chans.iter().map(Channel::resident_bytes).sum();
-        let node_bytes: usize = self.nodes.iter().map(|s| s.behavior.resident_bytes()).sum();
-        (chan_bytes + node_bytes) as u64
+        self.chans
+            .iter()
+            .map(Channel::resident_bytes)
+            .sum::<usize>() as u64
     }
 
     /// Classifies why a node that was just stepped made no progress, by
@@ -664,7 +661,7 @@ impl Graph {
 mod tests {
     use super::*;
     use crate::instr::{AluOp, EwInstr, Operand};
-    use crate::nodes::{EwNode, OutputSpec, SinkNode, SourceNode};
+    use crate::nodes::{EwNode, OutputSpec};
     use crate::tuple::{tbar, tdata, TTok};
 
     /// One-shot run, report only.
@@ -672,37 +669,43 @@ mod tests {
         g.run(RunOptions::new(max_rounds)).map(|(report, _)| report)
     }
 
+    /// Pushes `toks` onto `c`, as a host feeds an input link.
+    fn feed(g: &mut Graph, c: ChanId, toks: impl IntoIterator<Item = TTok>) {
+        for t in toks {
+            g.chan_mut(c).push(t);
+        }
+    }
+
+    /// What an output link holds, as the host reads it.
+    fn out(g: &Graph, c: ChanId) -> Vec<TTok> {
+        g.chans()[c.0 as usize].tokens_from(0)
+    }
+
+    /// `x -> 2x`.
+    fn double() -> EwNode {
+        EwNode::new(
+            1,
+            vec![EwInstr::Alu {
+                op: AluOp::Add,
+                a: Operand::Reg(0),
+                b: Operand::Reg(0),
+                dst: 1,
+            }],
+            vec![OutputSpec::plain([1])],
+        )
+    }
+
     #[test]
     fn pipeline_source_ew_sink() {
         let mut g = Graph::new();
         let c0 = g.add_chan(Channel::new(1));
         let c1 = g.add_chan(Channel::new(1));
-        g.add_node(
-            "src",
-            SourceNode::new(vec![tdata([4u32]), tbar(1)]),
-            vec![],
-            vec![c0],
-        );
-        g.add_node(
-            "double",
-            EwNode::new(
-                1,
-                vec![EwInstr::Alu {
-                    op: AluOp::Add,
-                    a: Operand::Reg(0),
-                    b: Operand::Reg(0),
-                    dst: 1,
-                }],
-                vec![OutputSpec::plain([1])],
-            ),
-            vec![c0],
-            vec![c1],
-        );
-        let (sink, handle) = SinkNode::new();
-        g.add_node("sink", sink, vec![c1], vec![]);
+        g.add_node("double", double(), vec![c0], vec![c1]);
+        feed(&mut g, c0, [tdata([4u32]), tbar(1)]);
         let report = one_shot(&mut g, 100).unwrap();
-        assert!(report.productive_steps >= 3);
-        assert_eq!(handle.tokens(), vec![tdata([8u32]), tbar(1)]);
+        assert!(report.productive_steps > 0);
+        assert_eq!(out(&g, c1), vec![tdata([8u32]), tbar(1)]);
+        assert!(g.chans()[0].is_empty(), "the input was consumed");
     }
 
     #[test]
@@ -712,16 +715,9 @@ mod tests {
         let c0 = g.add_chan(Channel::new(1));
         let c1 = g.add_chan(Channel::new(1));
         let c2 = g.add_chan(Channel::new(2));
-        g.add_node(
-            "src",
-            SourceNode::new(vec![tdata([1u32])]),
-            vec![],
-            vec![c0],
-        );
         // c1 never receives anything.
         g.add_node("zip", EwNode::passthrough(2), vec![c0, c1], vec![c2]);
-        let (sink, _h) = SinkNode::new();
-        g.add_node("sink", sink, vec![c2], vec![]);
+        feed(&mut g, c0, [tdata([1u32])]);
         let err = one_shot(&mut g, 100).unwrap_err();
         assert!(err.message.contains("deadlock"), "got: {err}");
     }
@@ -729,18 +725,15 @@ mod tests {
     #[test]
     fn round_limit_reported() {
         // An endless loop: counter feeding itself through fork is hard to
-        // build by accident; emulate livelock by a source with huge output
-        // and a tiny round cap.
+        // build by accident; emulate livelock by pending input and a tiny
+        // round cap.
         let mut g = Graph::new();
         let c0 = g.add_chan(Channel::new(1));
-        g.add_node(
-            "src",
-            SourceNode::new(vec![tdata([1u32]), tdata([2u32])]),
-            vec![],
-            vec![c0],
-        );
-        // No consumer; with max_rounds=0 we hit the cap before the
-        // source's first firing.
+        let c1 = g.add_chan(Channel::new(1));
+        g.add_node("stage", EwNode::passthrough(1), vec![c0], vec![c1]);
+        feed(&mut g, c0, [tdata([1u32]), tdata([2u32])]);
+        // With max_rounds=0 we hit the cap before the stage's first
+        // firing.
         let err = one_shot(&mut g, 0).unwrap_err();
         assert!(err.message.contains("no quiescence"), "got: {err}");
     }
@@ -755,19 +748,12 @@ mod tests {
             let c1 = g.add_chan(Channel::new(1));
             let c2 = g.add_chan(Channel::new(2));
             g.add_node(
-                format!("src.{tag}"),
-                SourceNode::new(vec![tdata([1u32])]),
-                vec![],
-                vec![c0],
-            );
-            g.add_node(
                 format!("zip.{tag}"),
                 EwNode::passthrough(2),
                 vec![c0, c1],
                 vec![c2],
             );
-            let (sink, _h) = SinkNode::new();
-            g.add_node(format!("sink.{tag}"), sink, vec![c2], vec![]);
+            feed(g, c0, [tdata([1u32])]);
         };
         starve(&mut g, "a");
         starve(&mut g, "b");
@@ -783,9 +769,8 @@ mod tests {
         // the ready set only steps woken nodes.
         let build = || {
             let mut g = Graph::new();
-            let mut prev = g.add_chan(Channel::new(1));
-            let toks: Vec<_> = (0..16u32).map(|i| tdata([i])).chain([tbar(1)]).collect();
-            g.add_node("src", SourceNode::new(toks), vec![], vec![prev]);
+            let first = g.add_chan(Channel::new(1));
+            let mut prev = first;
             for i in 0..24 {
                 let next = g.add_chan(Channel::new(1));
                 g.add_node(
@@ -796,15 +781,19 @@ mod tests {
                 );
                 prev = next;
             }
-            let (sink, handle) = SinkNode::new();
-            g.add_node("sink", sink, vec![prev], vec![]);
-            (g, handle)
+            feed(
+                &mut g,
+                first,
+                (0..16u32).map(|i| tdata([i])).chain([tbar(1)]),
+            );
+            (g, prev)
         };
-        let (mut dense_g, dense_h) = build();
+        let (mut dense_g, exit) = build();
         let dense = crate::reference::run_dense(&mut dense_g, 10_000).unwrap();
-        let (mut ready_g, ready_h) = build();
+        let (mut ready_g, _) = build();
         let ready = one_shot(&mut ready_g, 10_000).unwrap();
-        assert_eq!(dense_h.tokens(), ready_h.tokens());
+        assert_eq!(out(&dense_g, exit), out(&ready_g, exit));
+        assert_eq!(out(&ready_g, exit).len(), 17);
         assert!(
             ready.steps < dense.steps,
             "ready {} !< dense {}",
@@ -824,38 +813,17 @@ mod tests {
 
     #[test]
     fn fresh_instance_runs_independently_with_fresh_sinks() {
-        // One finished graph, three instances: each run collects into its
-        // own sink buffer and mutates its own memory; the original graph is
+        // One finished graph with its input queued, three instances: each
+        // run consumes its own copy of the input, leaves its output on its
+        // own channels and mutates its own memory; the original graph is
         // untouched and the schedule Arc is shared, not rebuilt.
         let mut g = Graph::new();
         let c0 = g.add_chan(Channel::new(1));
         let c1 = g.add_chan(Channel::new(1));
-        g.add_node(
-            "src",
-            SourceNode::new(vec![tdata([21u32]), tbar(1)]),
-            vec![],
-            vec![c0],
-        );
-        g.add_node(
-            "double",
-            EwNode::new(
-                1,
-                vec![EwInstr::Alu {
-                    op: AluOp::Add,
-                    a: Operand::Reg(0),
-                    b: Operand::Reg(0),
-                    dst: 1,
-                }],
-                vec![OutputSpec::plain([1])],
-            ),
-            vec![c0],
-            vec![c1],
-        );
-        let (sink, template_handle) = SinkNode::new();
-        g.add_node("sink", sink, vec![c1], vec![]);
+        g.add_node("double", double(), vec![c0], vec![c1]);
+        feed(&mut g, c0, [tdata([21u32]), tbar(1)]);
         let plan = Arc::clone(g.plan());
 
-        let mut handles = Vec::new();
         for _ in 0..3 {
             let mut inst = g.fresh_instance();
             assert!(
@@ -863,26 +831,15 @@ mod tests {
                 "instances must share the schedule Arc"
             );
             one_shot(&mut inst, 1_000).unwrap();
-            let h = inst
-                .nodes()
-                .iter()
-                .find_map(|s| match &s.behavior {
-                    Prim::Sink(sink) => Some(sink.handle()),
-                    _ => None,
-                })
-                .expect("instance has a sink");
-            handles.push(h);
+            assert_eq!(out(&inst, c1), vec![tdata([42u32]), tbar(1)]);
         }
-        for h in &handles {
-            assert_eq!(h.tokens(), vec![tdata([42u32]), tbar(1)]);
-        }
-        // The template graph never ran: its source still holds tokens and
-        // its sink collected nothing.
-        assert!(template_handle.is_empty());
-        assert_eq!(g.chans()[0].len(), 0);
+        // The template graph never ran: its input is still queued and its
+        // output link is empty.
+        assert_eq!(g.chans()[0].len(), 2);
+        assert!(out(&g, c1).is_empty());
         let report = one_shot(&mut g, 1_000).unwrap();
         assert!(report.productive_steps > 0, "template still runnable");
-        assert_eq!(template_handle.tokens(), vec![tdata([42u32]), tbar(1)]);
+        assert_eq!(out(&g, c1), vec![tdata([42u32]), tbar(1)]);
     }
 
     #[test]
@@ -927,22 +884,20 @@ mod tests {
             let mut g = Graph::new();
             let c0 = g.add_chan(Channel::new(1));
             let c1 = g.add_chan(Channel::new(1));
-            g.add_node(
-                "src",
-                SourceNode::new(vec![tdata([4u32]), tbar(1)]),
-                vec![],
-                vec![c0],
-            );
-            g.add_node("stage", EwNode::passthrough(1), vec![c0], vec![c1]);
-            let (sink, _h) = SinkNode::new();
-            g.add_node("sink", sink, vec![c1], vec![]);
+            let c2 = g.add_chan(Channel::new(1));
+            let c3 = g.add_chan(Channel::new(1));
+            // Two independent stages, so two wake units in the plan too.
+            g.add_node("stage.a", EwNode::passthrough(1), vec![c0], vec![c1]);
+            g.add_node("stage.b", EwNode::passthrough(1), vec![c2], vec![c3]);
+            feed(&mut g, c0, [tdata([4u32]), tbar(1)]);
+            feed(&mut g, c2, [tdata([5u32]), tbar(1)]);
             g
         };
         let ready = one_shot(&mut build(), 1_000).unwrap();
         // Round 0 seeds every node, so the watermark starts at node count.
-        assert_eq!(ready.peak_ready, 3);
+        assert_eq!(ready.peak_ready, 2);
         let dense = crate::reference::run_dense(&mut build(), 1_000).unwrap();
-        assert_eq!(dense.peak_ready, 3);
+        assert_eq!(dense.peak_ready, 2);
     }
 
     #[test]
@@ -951,15 +906,8 @@ mod tests {
         let mut g = Graph::new();
         let c0 = g.add_chan(Channel::new(1));
         let c1 = g.add_chan(Channel::new(1));
-        g.add_node(
-            "src",
-            SourceNode::new(vec![tdata([4u32]), tbar(1)]),
-            vec![],
-            vec![c0],
-        );
         g.add_node("stage", EwNode::passthrough(1), vec![c0], vec![c1]);
-        let (sink, _h) = SinkNode::new();
-        g.add_node("sink", sink, vec![c1], vec![]);
+        feed(&mut g, c0, [tdata([4u32]), tbar(1)]);
         let (report, _) = g
             .run(RunOptions {
                 obs: &obs,
@@ -982,25 +930,20 @@ mod tests {
     fn topology_index_invalidated_by_rewiring() {
         let mut g = Graph::new();
         let c0 = g.add_chan(Channel::new(1));
-        g.add_node(
-            "src",
-            SourceNode::new(vec![tdata([1u32])]),
-            vec![],
-            vec![c0],
-        );
+        let c1 = g.add_chan(Channel::new(1));
+        g.add_node("a", EwNode::passthrough(1), vec![c1], vec![c0]);
         let stale = Arc::clone(g.plan());
         assert!(Arc::ptr_eq(&stale, g.plan()), "cached, not rebuilt");
-        let c1 = g.add_chan(Channel::new(1));
+        let c2 = g.add_chan(Channel::new(1));
         assert!(g.plan.is_none(), "add_chan must invalidate");
         g.plan();
-        let (sink, _h) = SinkNode::new();
-        g.add_node("sink", sink, vec![c0], vec![]);
+        g.add_node("b", EwNode::passthrough(1), vec![c0], vec![c2]);
         assert!(g.plan.is_none(), "add_node must invalidate");
         let topo = Arc::clone(g.plan().topology());
         assert!(!Arc::ptr_eq(&topo, stale.topology()));
         assert_eq!(topo.consumers(c0).len(), 1);
         assert_eq!(topo.producers(c0).len(), 1);
-        assert!(topo.consumers(c1).is_empty());
+        assert!(topo.consumers(c2).is_empty());
     }
 
     #[test]
@@ -1023,37 +966,14 @@ mod tests {
         assert!(empty.alloc_waiters().is_empty());
     }
 
-    /// src → double → sink with an initially empty source; returns the
-    /// source's output channel, which the tests feed chunks onto.
-    fn streaming_pipeline() -> (Graph, ChanId, crate::nodes::SinkHandle) {
+    /// in → double → out, nothing queued; returns the input channel, which
+    /// the tests feed chunks onto, and the output channel.
+    fn streaming_pipeline() -> (Graph, ChanId, ChanId) {
         let mut g = Graph::new();
         let c0 = g.add_chan(Channel::new(1));
         let c1 = g.add_chan(Channel::new(1));
-        g.add_node("src", SourceNode::new(Vec::new()), vec![], vec![c0]);
-        g.add_node(
-            "double",
-            EwNode::new(
-                1,
-                vec![EwInstr::Alu {
-                    op: AluOp::Add,
-                    a: Operand::Reg(0),
-                    b: Operand::Reg(0),
-                    dst: 1,
-                }],
-                vec![OutputSpec::plain([1])],
-            ),
-            vec![c0],
-            vec![c1],
-        );
-        let (sink, handle) = SinkNode::new();
-        g.add_node("sink", sink, vec![c1], vec![]);
-        (g, c0, handle)
-    }
-
-    fn feed(g: &mut Graph, c: ChanId, toks: impl IntoIterator<Item = TTok>) {
-        for t in toks {
-            g.chan_mut(c).push(t);
-        }
+        g.add_node("double", double(), vec![c0], vec![c1]);
+        (g, c0, c1)
     }
 
     /// One resumable run on `resume`.
@@ -1073,16 +993,8 @@ mod tests {
         let c0 = g.add_chan(Channel::new(1));
         let c1 = g.add_chan(Channel::new(1));
         let c2 = g.add_chan(Channel::new(2));
-        g.add_node(
-            "src.a",
-            SourceNode::new(vec![tdata([1u32])]),
-            vec![],
-            vec![c0],
-        );
-        g.add_node("src.b", SourceNode::new(Vec::new()), vec![], vec![c1]);
         g.add_node("zip", EwNode::passthrough(2), vec![c0, c1], vec![c2]);
-        let (sink, handle) = SinkNode::new();
-        g.add_node("sink", sink, vec![c2], vec![]);
+        feed(&mut g, c0, [tdata([1u32])]);
         let mut resume = ResumeState::new();
         let (_, s) = g
             .run(RunOptions {
@@ -1100,13 +1012,13 @@ mod tests {
             })
             .unwrap();
         assert_eq!(s, RunStatus::Finished);
-        assert_eq!(handle.tokens(), vec![tdata([1u32, 2u32])]);
+        assert_eq!(out(&g, c2), vec![tdata([1u32, 2u32])]);
     }
 
     #[test]
     fn resumable_planned_chunked_feed_matches_one_shot() {
         // The oracle: all input up front, one dense run.
-        let (mut one, entry, oh) = streaming_pipeline();
+        let (mut one, entry, exit) = streaming_pipeline();
         feed(
             &mut one,
             entry,
@@ -1115,7 +1027,7 @@ mod tests {
         crate::reference::run_dense(&mut one, 1_000).unwrap();
 
         // Chunked: feed one argset, run, feed the next, run again.
-        let (mut g, entry, handle) = streaming_pipeline();
+        let (mut g, entry, _) = streaming_pipeline();
         let mut resume = ResumeState::new();
         let (_, s) = poll(&mut g, &mut resume);
         assert_eq!(s, RunStatus::Finished, "empty stream drains cleanly");
@@ -1123,20 +1035,21 @@ mod tests {
         feed(&mut g, entry, [tdata([3u32]), tbar(1)]);
         let (r1, s) = poll(&mut g, &mut resume);
         assert_eq!(s, RunStatus::Finished);
-        assert_eq!(handle.tokens(), vec![tdata([6u32]), tbar(1)]);
+        assert_eq!(out(&g, exit), vec![tdata([6u32]), tbar(1)]);
         feed(&mut g, entry, [tdata([5u32]), tbar(1)]);
         let (r2, s) = poll(&mut g, &mut resume);
         assert_eq!(s, RunStatus::Finished);
-        assert_eq!(handle.tokens(), oh.tokens(), "chunked ≡ one-shot dense");
+        assert_eq!(out(&g, exit), out(&one, exit), "chunked ≡ one-shot dense");
         // The second poll's delta is readable through the cursor view.
-        assert_eq!(handle.tokens_from(2), vec![tdata([10u32]), tbar(1)]);
-        assert!(handle.tokens_from(99).is_empty());
+        let exit = &g.chans()[exit.0 as usize];
+        assert_eq!(exit.tokens_from(2), vec![tdata([10u32]), tbar(1)]);
+        assert!(exit.tokens_from(99).is_empty());
         assert!(r1.steps > 0 && r2.steps > 0);
     }
 
     #[test]
     fn resident_bytes_tracks_queued_and_pending_tokens() {
-        let (mut g, entry, _handle) = streaming_pipeline();
+        let (mut g, entry, exit) = streaming_pipeline();
         assert_eq!(g.resident_bytes(), 0, "empty stream holds nothing");
         feed(&mut g, entry, [tdata([7u32]), tbar(1)]);
         let pending = g.resident_bytes();
@@ -1147,7 +1060,8 @@ mod tests {
             ..RunOptions::new(1_000)
         })
         .unwrap();
-        // Tokens moved to the sink buffer; still resident in the session.
-        assert!(g.resident_bytes() > 0);
+        // Tokens moved to the output link; still resident in the session.
+        assert_eq!(g.resident_bytes(), pending);
+        assert_eq!(out(&g, exit).len(), 2);
     }
 }

@@ -6,8 +6,9 @@
 //! untimed Kahn-style executor used as the functional reference for compiled
 //! programs.
 //!
-//! The primitive set ([`nodes`]) matches §III-B and is closed: a graph
-//! holds each node as a [`Prim`], one variant per primitive, and every
+//! The primitive set ([`nodes`]) is §III-B's seven plus §IV-A's fork, and
+//! it is closed: a graph holds each node as a [`Prim`], one variant per
+//! primitive, and every
 //! question asked of a node — how it fires, its kind, whether it can stall
 //! on an allocator — is one `match` over it. Each primitive states its
 //! firing rule once, as a generic `fire<P: Ports>` over its links:
@@ -22,7 +23,11 @@
 //! | flattening / loop exit   | [`nodes::FlattenNode`]            | [`nodes::FlattenNode::fire`] |
 //! | forward merge            | [`nodes::FwdMergeNode`]           | [`nodes::FwdMergeNode::fire`] |
 //! | forward-backward merge   | [`nodes::FbMergeNode`]            | [`nodes::FbMergeNode::fire`] |
-//! | (test harness endpoints) | [`nodes::SourceNode`], [`nodes::SinkNode`] | likewise |
+//!
+//! A graph's inputs and outputs are its channels: the host pushes onto a
+//! link no node writes ([`Channel::push`]) and reads a link no node
+//! consumes ([`Channel::tokens_from`]), which a drained graph may leave
+//! holding tokens ([`Graph::stuck_channels`] counts only consumed links).
 //!
 //! All primitives observe the two SLTF composability rules: barriers pass
 //! through exactly once, in order, and data never reorders across barriers.
@@ -35,7 +40,7 @@
 //! Ωn) over a power-of-two [`Ring`], so a rule reads a thread's live
 //! values as a borrowed window, pops by bumping the ring head and writes
 //! its outputs in place. Owned tokens ([`TTok`]) exist only at a graph's
-//! edges — sources, host feeds, sinks.
+//! edges — what the host feeds in and reads out.
 //!
 //! A rule runs behind either [`Ports`] implementation, and the protocol
 //! lives there, not in the rule: [`NodeIo`] carries per-port budgets
@@ -74,14 +79,13 @@
 //!
 //! ```
 //! use revet_machine::{Channel, Graph, RunOptions, tdata, tbar};
-//! use revet_machine::nodes::{CounterNode, ReduceNode, SinkNode, SourceNode};
+//! use revet_machine::nodes::{CounterNode, ReduceNode};
 //! use revet_machine::instr::{AluOp, Operand};
 //!
 //! let mut g = Graph::new();
 //! let a = g.add_chan(Channel::new(1));
 //! let b = g.add_chan(Channel::new(1));
 //! let d = g.add_chan(Channel::new(1));
-//! g.add_node("enter", SourceNode::new(vec![tdata([3u32]), tbar(1)]), vec![], vec![a]);
 //! g.add_node(
 //!     "counter",
 //!     CounterNode::new(Operand::imm(0u32), Operand::Reg(0), Operand::imm(1u32)),
@@ -89,11 +93,12 @@
 //!     vec![b],
 //! );
 //! g.add_node("reduce", ReduceNode::new(AluOp::Add, 0u32), vec![b], vec![d]);
-//! let (sink, out) = SinkNode::new();
-//! g.add_node("exit", sink, vec![d], vec![]);
+//! // Enter on `a`: one thread counting to 3.
+//! g.chan_mut(a).push(tdata([3u32]));
+//! g.chan_mut(a).push(tbar(1));
 //! g.run(RunOptions::new(1_000)).unwrap();
-//! // sum(0..3) = 3, still a 1-D stream of one thread.
-//! assert_eq!(out.tokens(), vec![tdata([3u32]), tbar(1)]);
+//! // Exit on `d`: sum(0..3) = 3, still a 1-D stream of one thread.
+//! assert_eq!(g.chans()[d.0 as usize].tokens_from(0), vec![tdata([3u32]), tbar(1)]);
 //! ```
 
 #![warn(missing_docs)]

@@ -31,7 +31,7 @@ use crate::channel::{transfer, Channel};
 use crate::mem::MemoryState;
 use crate::nodes::{
     BroadcastNode, CounterNode, EwNode, FbMergeNode, FlattenNode, ForkNode, FwdMergeNode,
-    ReduceNode, SinkNode, SourceNode,
+    ReduceNode,
 };
 use core::fmt;
 use revet_sltf::{BarrierLevel, Tok, Word};
@@ -398,10 +398,11 @@ impl Ports for NodeIo<'_> {
 /// stronger claim on every step.
 ///
 /// `Clone` is what [`crate::Graph::fresh_instance`] does per node: state
-/// is copied verbatim, an element-wise program is shared (a reference
-/// count, since it never changes once built), and a sink clones to a
-/// fresh, empty buffer ([`SinkNode`]'s `Clone`). `Debug` is the inner
-/// node's.
+/// is copied verbatim, and an element-wise program is shared (a reference
+/// count, since it never changes once built). `Debug` is the inner node's.
+///
+/// A graph's inputs and outputs are channels, not nodes: the host pushes
+/// onto a link no node writes and reads a link no node consumes.
 #[derive(Clone)]
 pub enum Prim {
     /// Element-wise stage or filter (§III-B a, c).
@@ -420,10 +421,6 @@ pub enum Prim {
     Reduce(ReduceNode),
     /// Flattening, also the loop exit (§III-B b, d).
     Flatten(FlattenNode),
-    /// Prepared input stream (test harnesses).
-    Source(SourceNode),
-    /// Result collector.
-    Sink(SinkNode),
 }
 
 impl Prim {
@@ -444,8 +441,6 @@ impl Prim {
             Prim::Broadcast(n) => n.fire(io),
             Prim::Reduce(n) => n.fire(io),
             Prim::Flatten(n) => n.fire(io),
-            Prim::Source(n) => n.fire(io),
-            Prim::Sink(n) => n.fire(io),
         }
     }
 
@@ -460,8 +455,6 @@ impl Prim {
             Prim::Broadcast(_) => "broadcast",
             Prim::Reduce(_) => "reduce",
             Prim::Flatten(_) => "flatten",
-            Prim::Source(_) => "source",
-            Prim::Sink(_) => "sink",
         }
     }
 
@@ -478,25 +471,12 @@ impl Prim {
             Prim::Ew(_) => ins.iter().any(empty),
             // Any one non-empty input may move (or, for a forward merge,
             // pair a held barrier); a node without inputs is not judged.
-            Prim::FwdMerge(_)
-            | Prim::FbMerge(_)
-            | Prim::Reduce(_)
-            | Prim::Flatten(_)
-            | Prim::Sink(_) => !ins.is_empty() && ins.iter().all(empty),
+            Prim::FwdMerge(_) | Prim::FbMerge(_) | Prim::Reduce(_) | Prim::Flatten(_) => {
+                !ins.is_empty() && ins.iter().all(empty)
+            }
             // Emit from held state: a counter's or fork's open range, a
-            // broadcast's held parent, a source's pending tokens.
-            Prim::Counter(_) | Prim::Fork(_) | Prim::Broadcast(_) | Prim::Source(_) => false,
-        }
-    }
-
-    /// Approximate heap bytes retained by this node's state (pending
-    /// source tokens, collected sink tokens): per-session memory
-    /// accounting for resident streaming instances; `0` for the rest.
-    pub(crate) fn resident_bytes(&self) -> usize {
-        match self {
-            Prim::Source(n) => n.resident_bytes(),
-            Prim::Sink(n) => n.handle().resident_bytes(),
-            _ => 0,
+            // broadcast's held parent.
+            Prim::Counter(_) | Prim::Fork(_) | Prim::Broadcast(_) => false,
         }
     }
 }
@@ -512,8 +492,6 @@ impl fmt::Debug for Prim {
             Prim::Broadcast(n) => n.fmt(f),
             Prim::Reduce(n) => n.fmt(f),
             Prim::Flatten(n) => n.fmt(f),
-            Prim::Source(n) => n.fmt(f),
-            Prim::Sink(n) => n.fmt(f),
         }
     }
 }
@@ -542,8 +520,6 @@ prim_from!(
     Broadcast(BroadcastNode),
     Reduce(ReduceNode),
     Flatten(FlattenNode),
-    Source(SourceNode),
-    Sink(SinkNode),
 );
 
 #[cfg(test)]

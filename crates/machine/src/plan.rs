@@ -718,7 +718,7 @@ mod tests {
     use super::*;
     use crate::channel::Channel;
     use crate::instr::{AluOp, EwInstr, Operand};
-    use crate::nodes::{EwNode, OutputSpec, SinkNode, SourceNode};
+    use crate::nodes::{EwNode, OutputSpec};
     use crate::reference::run_dense;
     use crate::tuple::{tbar, tdata, TTok};
     use crate::RunOptions;
@@ -729,6 +729,18 @@ mod tests {
     /// One-shot run through the graph's plan, report only.
     fn one_shot(g: &mut Graph, max_rounds: u64) -> Result<ExecReport, MachineError> {
         g.run(RunOptions::new(max_rounds)).map(|(report, _)| report)
+    }
+
+    /// Pushes `toks` onto `c`, as a host feeds an input link.
+    fn feed(g: &mut Graph, c: ChanId, toks: impl IntoIterator<Item = TTok>) {
+        for t in toks {
+            g.chan_mut(c).push(t);
+        }
+    }
+
+    /// What an output link holds, as the host reads it.
+    fn out(g: &Graph, c: ChanId) -> Vec<TTok> {
+        g.chans()[c.0 as usize].tokens_from(0)
     }
 
     fn add_one() -> EwNode {
@@ -744,38 +756,37 @@ mod tests {
         )
     }
 
-    /// src → ew ×3 → sink.
-    fn chain() -> (Graph, crate::nodes::SinkHandle) {
+    /// in → ew ×3 → out, input queued; returns the output link.
+    fn chain() -> (Graph, ChanId) {
         let mut g = Graph::new();
-        let toks: Vec<TTok> = (0..8u32).map(|i| tdata([i])).chain([tbar(1)]).collect();
-        let mut prev = g.add_chan(Channel::new(1));
-        g.add_node("src", SourceNode::new(toks), vec![], vec![prev]);
+        let first = g.add_chan(Channel::new(1));
+        let mut prev = first;
         for i in 0..3 {
             let next = g.add_chan(Channel::new(1));
             g.add_node(format!("stage{i}"), add_one(), vec![prev], vec![next]);
             prev = next;
         }
-        let (sink, h) = SinkNode::new();
-        g.add_node("sink", sink, vec![prev], vec![]);
-        (g, h)
+        feed(
+            &mut g,
+            first,
+            (0..8u32).map(|i| tdata([i])).chain([tbar(1)]),
+        );
+        (g, prev)
     }
 
     #[test]
     fn fused_pipeline_matches_interpreted() {
-        let (mut gd, hd) = chain();
+        let (mut gd, exit) = chain();
         let rd = run_dense(&mut gd, 10_000).unwrap();
-        let (mut gp, hp) = chain();
+        let (mut gp, _) = chain();
         let stats = gp.plan().stats();
         assert_eq!(stats.fused_ew, 3, "all three stages fuse");
         assert_eq!(stats.segments, 1, "one straight-line segment");
         assert_eq!(stats.longest_segment, 3);
         assert_eq!(stats.fused_runs, 1, "register-only stages: one run");
-        assert_eq!(
-            stats.nodes, 5,
-            "the source and the sink are their own units"
-        );
+        assert_eq!(stats.nodes, 3);
         let rp = one_shot(&mut gp, 10_000).unwrap();
-        assert_eq!(hd.tokens(), hp.tokens());
+        assert_eq!(out(&gd, exit), out(&gp, exit));
         assert!(rp.productive_steps > 0);
         assert!(
             rp.steps < rd.steps,
@@ -788,14 +799,13 @@ mod tests {
     #[test]
     fn filtered_and_stripped_outputs_fuse() {
         // A two-output stage (filter partition, one side stripping
-        // barriers) fuses as a singleton segment; both sinks fuse too.
+        // barriers) fuses as a singleton segment.
         let build = || {
             let mut g = Graph::new();
             let c0 = g.add_chan(Channel::new(1));
             let lo = g.add_chan(Channel::new(1));
             let hi = g.add_chan(Channel::new(1));
-            let toks: Vec<TTok> = (0..10u32).map(|i| tdata([i])).chain([tbar(1)]).collect();
-            g.add_node("src", SourceNode::new(toks), vec![], vec![c0]);
+            feed(&mut g, c0, (0..10u32).map(|i| tdata([i])).chain([tbar(1)]));
             let split = EwNode::new(
                 1,
                 vec![EwInstr::Alu {
@@ -814,22 +824,22 @@ mod tests {
                 ],
             );
             g.add_node("split", split, vec![c0], vec![lo, hi]);
-            let (s0, h0) = SinkNode::new();
-            g.add_node("sink.lo", s0, vec![lo], vec![]);
-            let (s1, h1) = SinkNode::new();
-            g.add_node("sink.hi", s1, vec![hi], vec![]);
-            (g, h0, h1)
+            (g, lo, hi)
         };
-        let (mut gd, d0, d1) = build();
+        let (mut gd, lo, hi) = build();
         run_dense(&mut gd, 10_000).unwrap();
-        let (mut gp, p0, p1) = build();
+        let (mut gp, _, _) = build();
         let stats = gp.plan().stats();
         assert_eq!(stats.fused_ew, 1);
-        assert_eq!(stats.nodes, 4, "src, split and both sinks");
+        assert_eq!(stats.nodes, 1, "the split alone");
         one_shot(&mut gp, 10_000).unwrap();
-        assert_eq!(d0.tokens(), p0.tokens());
-        assert_eq!(d1.tokens(), p1.tokens());
-        assert!(!p1.tokens().iter().any(|t| t.is_barrier()), "stripped side");
+        assert_eq!(out(&gd, lo), out(&gp, lo));
+        assert_eq!(out(&gd, hi), out(&gp, hi));
+        assert_eq!(out(&gp, lo).len(), 6, "five below, then the barrier");
+        assert!(
+            !out(&gp, hi).iter().any(|t| t.is_barrier()),
+            "stripped side"
+        );
     }
 
     #[test]
@@ -838,74 +848,58 @@ mod tests {
             let mut g = Graph::new();
             let a = g.add_chan(Channel::new(1));
             let b = g.add_chan(Channel::new(1));
-            let out = g.add_chan(Channel::new(2));
-            g.add_node(
-                "src.a",
-                SourceNode::new(vec![tdata([1u32]), tdata([2u32]), tbar(1)]),
-                vec![],
-                vec![a],
-            );
-            g.add_node(
-                "src.b",
-                SourceNode::new(vec![tdata([10u32]), tdata([20u32]), tbar(1)]),
-                vec![],
-                vec![b],
-            );
-            g.add_node("zip", EwNode::passthrough(2), vec![a, b], vec![out]);
-            let (sink, h) = SinkNode::new();
-            g.add_node("sink", sink, vec![out], vec![]);
-            (g, h)
+            let zipped = g.add_chan(Channel::new(2));
+            feed(&mut g, a, [tdata([1u32]), tdata([2u32]), tbar(1)]);
+            feed(&mut g, b, [tdata([10u32]), tdata([20u32]), tbar(1)]);
+            g.add_node("zip", EwNode::passthrough(2), vec![a, b], vec![zipped]);
+            (g, zipped)
         };
-        let (mut gd, hd) = build();
+        let (mut gd, zipped) = build();
         run_dense(&mut gd, 10_000).unwrap();
-        let (mut gp, hp) = build();
+        let (mut gp, _) = build();
         assert_eq!(gp.plan().stats().fused_ew, 1, "a zip head fuses too");
         one_shot(&mut gp, 10_000).unwrap();
-        assert_eq!(hd.tokens(), hp.tokens());
+        assert_eq!(out(&gd, zipped), out(&gp, zipped));
         assert_eq!(
-            hp.tokens(),
+            out(&gp, zipped),
             vec![tdata([1u32, 10u32]), tdata([2u32, 20u32]), tbar(1)]
         );
     }
 
-    /// src → `stages` (each onto its own output link) → sink. The source
-    /// link is `entry`; `srams` regions are added to memory.
+    /// `toks` queued on `entry` → `stages` (each onto its own output
+    /// link); returns the last link. `srams` regions are added to memory.
     fn linear(
         entry: Channel,
         toks: Vec<TTok>,
         stages: Vec<(EwNode, Channel)>,
         srams: usize,
-    ) -> (Graph, crate::nodes::SinkHandle) {
+    ) -> (Graph, ChanId) {
         let mut g = Graph::new();
         for r in 0..srams {
             g.mem.add_sram(format!("r{r}"), 4);
         }
         let mut prev = g.add_chan(entry);
-        g.add_node("src", SourceNode::new(toks), vec![], vec![prev]);
-        for (k, (stage, out)) in stages.into_iter().enumerate() {
-            let next = g.add_chan(out);
+        feed(&mut g, prev, toks);
+        for (k, (stage, link)) in stages.into_iter().enumerate() {
+            let next = g.add_chan(link);
             g.add_node(format!("stage{k}"), stage, vec![prev], vec![next]);
             prev = next;
         }
-        let (sink, h) = SinkNode::new();
-        g.add_node("sink", sink, vec![prev], vec![]);
-        (g, h)
+        (g, prev)
     }
 
     /// Runs `build()` under the dense oracle and through the plan; asserts
-    /// equal sink streams and memory, and returns the plan's stats and the
-    /// sink stream.
-    fn plan_vs_dense(
-        build: &dyn Fn() -> (Graph, crate::nodes::SinkHandle),
-    ) -> (PlanStats, Vec<TTok>) {
-        let (mut gd, hd) = build();
+    /// equal output streams and memory, and returns the plan's stats and
+    /// the output stream.
+    fn plan_vs_dense(build: &dyn Fn() -> (Graph, ChanId)) -> (PlanStats, Vec<TTok>) {
+        let (mut gd, exit) = build();
         run_dense(&mut gd, 10_000).unwrap();
-        let (mut gp, hp) = build();
+        let (mut gp, _) = build();
         let stats = gp.plan().stats();
         one_shot(&mut gp, 10_000).unwrap();
-        assert_eq!(hd.tokens(), hp.tokens(), "sink stream vs dense: {stats:?}");
+        assert_eq!(out(&gd, exit), out(&gp, exit), "output vs dense: {stats:?}");
         assert_eq!(gd.mem, gp.mem, "memory vs dense: {stats:?}");
-        (stats, hp.tokens())
+        (stats, out(&gp, exit))
     }
 
     #[test]
@@ -974,7 +968,7 @@ mod tests {
 
     /// `SramWrite r0 → Mov → SramRead r{read}`: every value is written to
     /// word 0 of r0, then read back from word 0 of `r{read}`.
-    fn write_mov_read(read: u32) -> (Graph, crate::nodes::SinkHandle) {
+    fn write_mov_read(read: u32) -> (Graph, ChanId) {
         let write = EwNode::new(
             1,
             vec![EwInstr::SramWrite {
@@ -1052,9 +1046,9 @@ mod tests {
         // on one by hand makes the drain fire stage by stage instead, so
         // it still leaves first.
         let build = || {
-            let (mut g, h) = chain();
+            let (mut g, exit) = chain();
             g.chan_mut(ChanId(1)).push(tdata([100u32]));
-            (g, h)
+            (g, exit)
         };
         let (stats, out) = plan_vs_dense(&build);
         assert_eq!(stats.fused_runs, 1);
@@ -1069,45 +1063,37 @@ mod tests {
             let a = g.mem.add_alloc("bufs", 2);
             let c0 = g.add_chan(Channel::new(1));
             let c1 = g.add_chan(Channel::new(1));
-            g.add_node(
-                "src",
-                SourceNode::new(vec![tdata([7u32]), tdata([8u32]), tbar(1)]),
-                vec![],
-                vec![c0],
-            );
+            feed(&mut g, c0, [tdata([7u32]), tdata([8u32]), tbar(1)]);
             let alloc_stage = EwNode::new(
                 1,
                 vec![EwInstr::AllocPop { alloc: a, dst: 1 }],
                 vec![OutputSpec::plain([1])],
             );
             g.add_node("alloc", alloc_stage, vec![c0], vec![c1]);
-            let (sink, h) = SinkNode::new();
-            g.add_node("sink", sink, vec![c1], vec![]);
-            (g, h)
+            (g, c1)
         };
-        let (mut gd, hd) = build();
+        let (mut gd, exit) = build();
         run_dense(&mut gd, 10_000).unwrap();
-        let (mut gp, hp) = build();
+        let (mut gp, _) = build();
         assert_eq!(
             gp.plan().stats().fused_ew,
             0,
             "AllocPop stages must not chain (they need the allocator wake)"
         );
         one_shot(&mut gp, 10_000).unwrap();
-        assert_eq!(hd.tokens(), hp.tokens());
+        assert_eq!(out(&gd, exit), out(&gp, exit));
+        assert_eq!(out(&gp, exit).len(), 3);
         assert_eq!(gd.mem.dram, gp.mem.dram);
     }
 
-    /// Two sources feeding `head` (ports 0 and 1), then `tail` pass-through
-    /// stages, then a sink. `b: None` leaves port 1 unfed.
+    /// `a` and `b` queued on `head`'s ports 0 and 1, then `tail`
+    /// pass-through stages. `b: None` leaves port 1 unfed.
     fn two_input(head: Prim, a: Vec<TTok>, b: Option<Vec<TTok>>, tail: usize) -> Graph {
         let mut g = Graph::new();
         let c0 = g.add_chan(Channel::new(1));
         let c1 = g.add_chan(Channel::new(1));
-        g.add_node("src.a", SourceNode::new(a), vec![], vec![c0]);
-        if let Some(b) = b {
-            g.add_node("src.b", SourceNode::new(b), vec![], vec![c1]);
-        }
+        feed(&mut g, c0, a);
+        feed(&mut g, c1, b.into_iter().flatten());
         let width = match &head {
             Prim::Ew(ew) => ew.outputs[0].slots.len(),
             _ => 1,
@@ -1120,8 +1106,6 @@ mod tests {
             g.add_node(format!("tail{i}"), stage, vec![prev], vec![next]);
             prev = next;
         }
-        let (sink, _h) = SinkNode::new();
-        g.add_node("sink", sink, vec![prev], vec![]);
         g
     }
 
@@ -1172,28 +1156,20 @@ mod tests {
 
     #[test]
     fn planned_round_cap_reported() {
-        let (mut g, _h) = chain();
+        let (mut g, _) = chain();
         let err = one_shot(&mut g, 0).unwrap_err();
         assert!(err.message.contains("no quiescence"), "got: {err}");
     }
 
     #[test]
     fn plan_reusable_across_fresh_instances() {
-        let (mut template, _h) = chain();
+        let (mut template, exit) = chain();
         let plan = Arc::clone(template.plan());
         for _ in 0..3 {
             let mut inst = template.fresh_instance();
             assert!(Arc::ptr_eq(&plan, inst.plan()), "shared, not rebuilt");
             one_shot(&mut inst, 10_000).unwrap();
-            let h = inst
-                .nodes()
-                .iter()
-                .find_map(|s| match &s.behavior {
-                    Prim::Sink(sink) => Some(sink.handle()),
-                    _ => None,
-                })
-                .expect("instance has a sink");
-            let toks = h.tokens();
+            let toks = out(&inst, exit);
             assert_eq!(toks.len(), 9, "8 data + 1 barrier");
             assert_eq!(toks[0], tdata([3u32]), "0 + 1+1+1 through the segment");
         }
@@ -1209,14 +1185,9 @@ mod tests {
             let mut g = Graph::new();
             let a = g.add_chan(Channel::new(1));
             let loopback = g.add_chan(Channel::new(1).without_canonicalization());
-            let out = g.add_chan(Channel::new(1));
-            g.add_node(
-                "src",
-                SourceNode::new(vec![tdata([1u32]), tdata([2u32]), tdata([3u32])]),
-                vec![],
-                vec![a],
-            );
-            // acc' = acc + x; emits acc' to both the loop and the sink.
+            let sums = g.add_chan(Channel::new(1));
+            feed(&mut g, a, [tdata([1u32]), tdata([2u32]), tdata([3u32])]);
+            // acc' = acc + x; emits acc' to both the loop and the output.
             let acc = EwNode::new(
                 2,
                 vec![EwInstr::Alu {
@@ -1227,22 +1198,20 @@ mod tests {
                 }],
                 vec![OutputSpec::plain([2]), OutputSpec::plain([2])],
             );
-            g.add_node("acc", acc, vec![a, loopback], vec![loopback, out]);
+            g.add_node("acc", acc, vec![a, loopback], vec![loopback, sums]);
             g.chan_mut(loopback).push(tdata([0u32])); // seed
-            let (sink, h) = SinkNode::new();
-            g.add_node("sink", sink, vec![out], vec![]);
-            (g, h)
+            (g, sums)
         };
-        let (mut gd, hd) = build();
+        let (mut gd, sums) = build();
         let ed = run_dense(&mut gd, 10_000);
-        let (mut gp, hp) = build();
+        let (mut gp, _) = build();
         let ep = one_shot(&mut gp, 10_000);
         // The seeded loop token survives the run on both paths: identical
-        // diagnosis, identical sink streams, identical leftovers.
+        // diagnosis, identical output streams, identical leftovers.
         assert_eq!(ed.unwrap_err(), ep.unwrap_err());
-        assert_eq!(hd.tokens(), hp.tokens());
+        assert_eq!(out(&gd, sums), out(&gp, sums));
         assert_eq!(
-            hp.tokens(),
+            out(&gp, sums),
             vec![tdata([1u32]), tdata([3u32]), tdata([6u32])]
         );
         assert_eq!(

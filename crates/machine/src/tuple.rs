@@ -11,10 +11,9 @@
 //! in flight a tuple is a window (`&[Word]`) into its channel's slab
 //! ([`crate::Channel`]), and the firing rules never see an owned one. The
 //! owned forms here, [`Tuple`] and [`TTok`], are for where a token has to
-//! outlive its slot: a [`crate::nodes::SourceNode`]'s prepared stream, a
-//! host feeding a channel ([`crate::Channel::push`]), the tokens a
-//! [`crate::nodes::SinkHandle`] collected, the wire format, the few
-//! tuples a node holds across firings (a broadcast's parent, a fork's
+//! outlive its slot: a host feeding a channel ([`crate::Channel::push`])
+//! or reading one ([`crate::Channel::tokens_from`]), the wire format, the
+//! few tuples a node holds across firings (a broadcast's parent, a fork's
 //! payload), and tests.
 
 use revet_sltf::{BarrierLevel, Tok, Word};

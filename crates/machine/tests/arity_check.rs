@@ -6,7 +6,7 @@
 //! execution plan has no slot write, so its width is checked when the plan
 //! is built.
 
-use revet_machine::nodes::{EwNode, SinkNode, SourceNode};
+use revet_machine::nodes::EwNode;
 use revet_machine::reference::run_dense;
 use revet_machine::{tbar, tdata, Channel, Graph, RunOptions};
 
@@ -28,16 +28,15 @@ fn slot_write_of_the_wrong_width_panics() {
     Channel::new(2).push_slot(1);
 }
 
-/// src → pass-through(1) → sink, with the stage's output link mis-sized to
-/// two words: what a lowering bug would produce.
+/// A pass-through(1) stage with one thread queued on its input and its
+/// output link mis-sized to two words: what a lowering bug would produce.
 fn mis_sized_link() -> Graph {
     let mut g = Graph::new();
     let a = g.add_chan(Channel::new(1));
     let b = g.add_chan(Channel::new(2));
-    let src = SourceNode::new(vec![tdata([7u32]), tbar(1)]);
-    g.add_node("src", src, [], [a]);
     g.add_node("stage", EwNode::passthrough(1), [a], [b]);
-    g.add_node("sink", SinkNode::new().0, [b], []);
+    g.chan_mut(a).push(tdata([7u32]));
+    g.chan_mut(a).push(tbar(1));
     g
 }
 
@@ -69,10 +68,7 @@ fn mis_sized_fused_edge_panics_when_the_plan_is_built() {
     let a = g.add_chan(Channel::new(1));
     let b = g.add_chan(Channel::new(2));
     let c = g.add_chan(Channel::new(2));
-    let src = SourceNode::new(vec![tdata([7u32]), tbar(1)]);
-    g.add_node("src", src, [], [a]);
     g.add_node("stage", EwNode::passthrough(1), [a], [b]);
     g.add_node("wide", EwNode::passthrough(2), [b], [c]);
-    g.add_node("sink", SinkNode::new().0, [c], []);
     g.plan();
 }

@@ -4,10 +4,22 @@
 use revet_machine::instr::{AluOp, EwInstr, Operand};
 use revet_machine::nodes::{
     BroadcastNode, CounterNode, EwNode, FbMergeNode, FlattenNode, FwdMergeNode, OutputSpec,
-    ReduceNode, SinkNode, SourceNode,
+    ReduceNode,
 };
-use revet_machine::{tbar, tdata, Channel, Graph, RunOptions, TTok};
+use revet_machine::{tbar, tdata, ChanId, Channel, Graph, RunOptions, TTok};
 use revet_sltf::Tok;
+
+/// Pushes `toks` onto `c`, as a host feeds an input link.
+fn feed(g: &mut Graph, c: ChanId, toks: impl IntoIterator<Item = TTok>) {
+    for t in toks {
+        g.chan_mut(c).push(t);
+    }
+}
+
+/// What an output link holds, as the host reads it.
+fn output(g: &Graph, c: ChanId) -> Vec<TTok> {
+    g.chans()[c.0 as usize].tokens_from(0)
+}
 
 fn data_ids(tokens: &[TTok]) -> Vec<u32> {
     tokens
@@ -26,12 +38,7 @@ fn figure2_foreach_counter_reduce() {
     let b = g.add_chan(Channel::new(1));
     let c = g.add_chan(Channel::new(1));
     let d = g.add_chan(Channel::new(1));
-    g.add_node(
-        "enter",
-        SourceNode::new(vec![tdata([3u32]), tdata([4u32]), tbar(1)]),
-        vec![],
-        vec![a],
-    );
+    feed(&mut g, a, vec![tdata([3u32]), tdata([4u32]), tbar(1)]);
     g.add_node(
         "counter",
         CounterNode::new(Operand::imm(0u32), Operand::Reg(0), Operand::imm(1u32)),
@@ -60,11 +67,9 @@ fn figure2_foreach_counter_reduce() {
         vec![c],
         vec![d],
     );
-    let (sink, out) = SinkNode::new();
-    g.add_node("exit", sink, vec![d], vec![]);
     g.run(RunOptions::new(10_000)).unwrap();
     // t1: 0²+1²+2² = 5; t2: 0²+1²+2²+3² = 14. Same dimensionality as A.
-    assert_eq!(out.tokens(), vec![tdata([5u32]), tdata([14u32]), tbar(1)]);
+    assert_eq!(output(&g, d), vec![tdata([5u32]), tdata([14u32]), tbar(1)]);
 }
 
 /// Figure 2 with the parent value broadcast to children over the scalar
@@ -78,12 +83,7 @@ fn figure2_with_parent_broadcast() {
     let joined = g.add_chan(Channel::new(2));
     let summed = g.add_chan(Channel::new(1));
     let d = g.add_chan(Channel::new(1));
-    g.add_node(
-        "enter",
-        SourceNode::new(vec![tdata([10u32]), tdata([20u32]), tbar(1)]),
-        vec![],
-        vec![a],
-    );
+    feed(&mut g, a, vec![tdata([10u32]), tdata([20u32]), tbar(1)]);
     // Counter: every thread spawns 2 children; parent value rides the
     // data-only scalar link.
     g.add_node(
@@ -121,11 +121,9 @@ fn figure2_with_parent_broadcast() {
         vec![summed],
         vec![d],
     );
-    let (sink, out) = SinkNode::new();
-    g.add_node("exit", sink, vec![d], vec![]);
     g.run(RunOptions::new(10_000)).unwrap();
     // t1: (0+10)+(1+10) = 21; t2: (0+20)+(1+20) = 41.
-    assert_eq!(out.tokens(), vec![tdata([21u32]), tdata([41u32]), tbar(1)]);
+    assert_eq!(output(&g, d), vec![tdata([21u32]), tdata([41u32]), tbar(1)]);
 }
 
 /// Figure 3: an `if` statement — filter partitions threads onto two paths
@@ -138,18 +136,17 @@ fn figure3_filter_merge_if() {
     let c = g.add_chan(Channel::new(1));
     let b_delayed = g.add_chan(Channel::new(1));
     let d = g.add_chan(Channel::new(1));
-    g.add_node(
-        "enter",
-        SourceNode::new(vec![
+    feed(
+        &mut g,
+        a,
+        vec![
             tdata([1u32]),
             tdata([2u32]),
             tdata([3u32]),
             tdata([4u32]),
             tdata([5u32]),
             tbar(1),
-        ]),
-        vec![],
-        vec![a],
+        ],
     );
     // Filter: t == 3 → slow path B; else fast path C.
     g.add_node(
@@ -178,11 +175,9 @@ fn figure3_filter_merge_if() {
         vec![b_delayed, c],
         vec![d],
     );
-    let (sink, out) = SinkNode::new();
-    g.add_node("exit", sink, vec![d], vec![]);
     g.run(RunOptions::new(10_000)).unwrap();
 
-    let toks = out.tokens();
+    let toks = output(&g, d);
     assert_eq!(toks.last(), Some(&tbar(1)), "single merged barrier");
     let mut ids = data_ids(&toks);
     ids.sort_unstable();
@@ -201,17 +196,16 @@ fn figure4_fb_merge_while() {
     let back = g.add_chan(Channel::new(2).without_canonicalization());
     let exit_raw = g.add_chan(Channel::new(2));
     let d = g.add_chan(Channel::new(2));
-    g.add_node(
-        "enter",
-        SourceNode::new(vec![
+    feed(
+        &mut g,
+        a,
+        vec![
             tdata([1u32, 2]),
             tdata([2u32, 3]),
             tdata([3u32, 1]),
             tdata([4u32, 3]),
             tbar(1),
-        ]),
-        vec![],
-        vec![a],
+        ],
     );
     g.add_node(
         "loop-head",
@@ -256,11 +250,9 @@ fn figure4_fb_merge_while() {
     );
     // Exit edge lowers all barriers one level (drops the reserved Ω1s).
     g.add_node("exit-strip", FlattenNode::new(), vec![exit_raw], vec![d]);
-    let (sink, out) = SinkNode::new();
-    g.add_node("exit", sink, vec![d], vec![]);
     g.run(RunOptions::new(10_000)).unwrap();
 
-    let toks = out.tokens();
+    let toks = output(&g, d);
     // D = [t3, t1, t2, t4], Ωn — completion order, original level restored.
     assert_eq!(data_ids(&toks), vec![3, 1, 2, 4]);
     assert_eq!(toks.last(), Some(&tbar(1)));
@@ -282,17 +274,16 @@ fn fb_merge_back_to_back_tensors() {
     let back = g.add_chan(Channel::new(2).without_canonicalization());
     let exit_raw = g.add_chan(Channel::new(2));
     let d = g.add_chan(Channel::new(2));
-    g.add_node(
-        "enter",
-        SourceNode::new(vec![
+    feed(
+        &mut g,
+        a,
+        vec![
             tdata([1u32, 3]),
             tbar(1), // tensor 1: one thread, 3 iterations
             tdata([2u32, 1]),
             tdata([3u32, 2]),
             tbar(1), // tensor 2: two threads
-        ]),
-        vec![],
-        vec![a],
+        ],
     );
     g.add_node("head", FbMergeNode::new(), vec![a, back], vec![body_in]);
     g.add_node(
@@ -329,11 +320,9 @@ fn fb_merge_back_to_back_tensors() {
         vec![back, exit_raw],
     );
     g.add_node("strip", FlattenNode::new(), vec![exit_raw], vec![d]);
-    let (sink, out) = SinkNode::new();
-    g.add_node("exit", sink, vec![d], vec![]);
     g.run(RunOptions::new(10_000)).unwrap();
 
-    let toks = out.tokens();
+    let toks = output(&g, d);
     // Tensor boundaries must be preserved: t1 then Ω1, then {t2,t3} then Ω1.
     let positions: Vec<String> = toks
         .iter()
@@ -369,11 +358,10 @@ fn nested_while_loops_compose() {
     let outer_exit_raw = g.add_chan(Channel::new(3));
     let d = g.add_chan(Channel::new(3));
 
-    g.add_node(
-        "enter",
-        SourceNode::new(vec![tdata([1u32, 3, 0]), tdata([2u32, 2, 0]), tbar(1)]),
-        vec![],
-        vec![a],
+    feed(
+        &mut g,
+        a,
+        vec![tdata([1u32, 3, 0]), tdata([2u32, 2, 0]), tbar(1)],
     );
     g.add_node(
         "outer-head",
@@ -489,12 +477,10 @@ fn nested_while_loops_compose() {
         vec![outer_exit_raw],
         vec![d],
     );
-    let (sink, out) = SinkNode::new();
-    g.add_node("exit", sink, vec![d], vec![]);
     g.run(RunOptions::new(100_000)).unwrap();
 
     // Reference: for o0: acc = sum over o in o0..=1 of o = o0(o0+1)/2.
-    let toks = out.tokens();
+    let toks = output(&g, d);
     let mut results: Vec<(u32, u32)> = toks
         .iter()
         .filter_map(|t| t.data().map(|v| (v[0].as_u32(), v[2].as_u32())))
@@ -522,12 +508,7 @@ fn foreach_inside_while_body() {
     let exit_raw = g.add_chan(Channel::new(2));
     let d = g.add_chan(Channel::new(2));
 
-    g.add_node(
-        "enter",
-        SourceNode::new(vec![tdata([2u32, 0]), tbar(1)]),
-        vec![],
-        vec![a],
-    );
+    feed(&mut g, a, vec![tdata([2u32, 0]), tbar(1)]);
     g.add_node("head", FbMergeNode::new(), vec![a, back], vec![body_in]);
     // foreach(3): counter + sum-reduce, with the thread state bypassing on
     // the parent port (barriers kept for the rejoin zip).
@@ -593,12 +574,10 @@ fn foreach_inside_while_body() {
         vec![back, exit_raw],
     );
     g.add_node("strip", FlattenNode::new(), vec![exit_raw], vec![d]);
-    let (sink, out) = SinkNode::new();
-    g.add_node("exit", sink, vec![d], vec![]);
     g.run(RunOptions::new(100_000)).unwrap();
 
     // Two outer iterations, each adding 0+1+2 = 3 → acc = 6.
-    let toks = out.tokens();
+    let toks = output(&g, d);
     assert_eq!(
         toks.iter()
             .filter_map(|t| t.data().map(|v| v[1].as_u32()))

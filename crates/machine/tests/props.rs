@@ -3,10 +3,20 @@
 
 use proptest::prelude::*;
 use revet_machine::instr::{AluOp, EwInstr, Operand};
-use revet_machine::nodes::{
-    CounterNode, EwNode, FbMergeNode, FlattenNode, OutputSpec, ReduceNode, SinkNode, SourceNode,
-};
-use revet_machine::{tbar, tdata, Channel, Graph, RunOptions, TTok};
+use revet_machine::nodes::{CounterNode, EwNode, FbMergeNode, FlattenNode, OutputSpec, ReduceNode};
+use revet_machine::{tbar, tdata, ChanId, Channel, Graph, RunOptions, TTok};
+
+/// Pushes `toks` onto `c`, as a host feeds an input link.
+fn feed(g: &mut Graph, c: ChanId, toks: impl IntoIterator<Item = TTok>) {
+    for t in toks {
+        g.chan_mut(c).push(t);
+    }
+}
+
+/// What an output link holds, as the host reads it.
+fn output(g: &Graph, c: ChanId) -> Vec<TTok> {
+    g.chans()[c.0 as usize].tokens_from(0)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -21,7 +31,7 @@ proptest! {
         let d = g.add_chan(Channel::new(1));
         let mut toks: Vec<TTok> = counts.iter().map(|&c| tdata([c])).collect();
         toks.push(tbar(1));
-        g.add_node("src", SourceNode::new(toks), vec![], vec![a]);
+        feed(&mut g, a, toks);
         g.add_node(
             "counter",
             CounterNode::new(Operand::imm(0u32), Operand::Reg(0), Operand::imm(1u32)),
@@ -29,11 +39,9 @@ proptest! {
             vec![b],
         );
         g.add_node("reduce", ReduceNode::new(AluOp::Add, 0u32), vec![b], vec![d]);
-        let (sink, out) = SinkNode::new();
-        g.add_node("sink", sink, vec![d], vec![]);
         g.run(RunOptions::new(1_000_000)).unwrap();
 
-        let toks = out.tokens();
+        let toks = output(&g, d);
         let got: Vec<u32> = toks.iter().filter_map(|t| t.data().map(|v| v[0].as_u32())).collect();
         // sum(0..c) = c*(c-1)/2
         let want: Vec<u32> = counts.iter().map(|&c| c * c.saturating_sub(1) / 2).collect();
@@ -68,7 +76,7 @@ proptest! {
             }
             toks.push(tbar(1));
         }
-        g.add_node("src", SourceNode::new(toks), vec![], vec![a]);
+        feed(&mut g, a, toks);
         g.add_node("head", FbMergeNode::new(), vec![a, back], vec![body_in]);
         // Body: remaining = max(remaining-1, 0) — trips==0 exits on first pass.
         g.add_node(
@@ -98,11 +106,9 @@ proptest! {
             vec![back, exit_raw],
         );
         g.add_node("strip", FlattenNode::new(), vec![exit_raw], vec![d]);
-        let (sink, out) = SinkNode::new();
-        g.add_node("sink", sink, vec![d], vec![]);
         g.run(RunOptions::new(1_000_000)).unwrap();
 
-        let toks = out.tokens();
+        let toks = output(&g, d);
         // Thread conservation within each tensor segment.
         let mut seg = Vec::new();
         let mut seg_idx = 0usize;
@@ -138,7 +144,7 @@ proptest! {
         let d = g.add_chan(Channel::new(1));
         let mut toks: Vec<TTok> = counts.iter().map(|&c| tdata([c])).collect();
         toks.push(tbar(1));
-        g.add_node("src", SourceNode::new(toks), vec![], vec![a]);
+        feed(&mut g, a, toks);
         g.add_node(
             "counter",
             CounterNode::new(Operand::imm(0u32), Operand::Reg(0), Operand::imm(1u32)),
@@ -146,10 +152,8 @@ proptest! {
             vec![b],
         );
         g.add_node("flatten", FlattenNode::new(), vec![b], vec![d]);
-        let (sink, out) = SinkNode::new();
-        g.add_node("sink", sink, vec![d], vec![]);
         g.run(RunOptions::new(1_000_000)).unwrap();
-        let toks = out.tokens();
+        let toks = output(&g, d);
         let total: u32 = counts.iter().sum();
         prop_assert_eq!(toks.iter().filter(|t| t.is_data()).count() as u32, total);
         prop_assert_eq!(toks.last(), Some(&tbar(1)));

@@ -1,14 +1,14 @@
 //! Scheduler-equivalence property tests: every way of calling
 //! [`Graph::run`] — the full [`RunOptions`] matrix, `{one-shot, resumed in
 //! K chunks} × {no-op obs, enabled obs}` — and the dense-sweep oracle
-//! ([`run_dense`]) must produce identical sink token streams and identical
+//! ([`run_dense`]) must produce identical output token streams and identical
 //! [`MemoryState`] on randomly generated acyclic graphs. Kahn determinism
 //! means results are independent of the order in which ready nodes are
 //! drained, the plan's fused segments must be observationally invisible,
 //! and an enabled sink must account for every dispatch without perturbing
 //! any.
 //!
-//! The generator grows a DAG from one source by construction moves. Every
+//! The generator grows a DAG from one input link by construction moves. Every
 //! open channel belongs to a *structure class*: two channels of one class
 //! carry the same tensor structure and may be zipped.
 //!
@@ -28,7 +28,7 @@
 //! do). Links are unbounded: buffer depth belongs to the timed simulator,
 //! whose back-pressure `sim_golden` pins.
 //!
-//! A case is *shallow* or *deep*. A shallow source stream closes its
+//! A case is *shallow* or *deep*. A shallow input stream closes its
 //! groups with Ω1 only. A deep stream also carries Ω2 and Ω3 runs
 //! (`x Ω1 Ω2`, a bare `x Ω2`), its entry link may keep them explicit, and
 //! only deep cases draw sram pairs. The split exists because barrier
@@ -46,18 +46,21 @@
 //! stream — and therefore its own write sequence — is deterministic).
 //!
 //! The executors are compared with each other, so a structural error they
-//! all share would pass. The oracle's sink streams are therefore also
+//! all share would pass. The oracle's output streams are therefore also
 //! decoded through the SLTF reference (`revet_sltf::Decoder`) at the case's
 //! depth, 1 when shallow and 3 when deep: every class that carries barriers
-//! must decode without error and with nothing left pending, and a sink of
-//! the source's own class must hold tensors of the source's shape.
+//! must decode without error and with nothing left pending, and an output
+//! of the input's own class must hold tensors of the input's shape.
+//!
+//! A generated graph's outputs are the channels left open when the moves
+//! run out: no node reads them, so every run leaves its tokens there.
 
 use proptest::prelude::*;
 use revet_machine::instr::{AluOp, EwInstr, Operand};
-use revet_machine::nodes::{EwNode, OutputSpec, SinkHandle, SinkNode, SourceNode};
+use revet_machine::nodes::{EwNode, OutputSpec};
 use revet_machine::reference::run_dense;
 use revet_machine::{
-    tbar, tdata, ChanId, Channel, ExecReport, Graph, MemoryState, Prim, ResumeState, RunOptions,
+    tbar, tdata, ChanId, Channel, ExecReport, Graph, MemoryState, ResumeState, RunOptions,
     RunStatus, SramId, TTok,
 };
 use revet_obs::ObsSink;
@@ -149,14 +152,14 @@ fn source_tokens(values: &[u32], deep: bool) -> Vec<TTok> {
 
 /// Builds the graph described by (`toks`, `moves`, `shape`); every move
 /// whose index is divisible by 3 also writes its stream into a private
-/// DRAM window. Returns the source's output channel (streaming tests feed
-/// it incrementally), the sink handles (one per remaining open channel)
-/// and each sink's structure.
+/// DRAM window. `toks` are queued on the input channel. Returns the input
+/// channel (streaming tests feed it incrementally), the output channels
+/// (every channel left open) and each output's structure.
 fn build(
     toks: Vec<TTok>,
     moves: &[u32],
     shape: Shape,
-) -> (Graph, ChanId, Vec<SinkHandle>, Vec<Structure>) {
+) -> (Graph, ChanId, Vec<ChanId>, Vec<Structure>) {
     let mut g = Graph::new();
     let mut writer_count = 0u32;
     let mut sram_count = 0u32;
@@ -169,7 +172,9 @@ fn build(
         })
     };
     let first = link(&mut g, shape.entry_canon);
-    g.add_node("src", SourceNode::new(toks), vec![], vec![first]);
+    for tok in toks {
+        g.chan_mut(first).push(tok);
+    }
     // Open channels with their structure class, an index into `classes`.
     let mut open = vec![(first, 0usize)];
     let mut classes = vec![Structure::Source];
@@ -373,19 +378,15 @@ fn build(
         }
     }
 
-    let mut handles = Vec::new();
-    let mut structures = Vec::new();
-    for (i, (c, class)) in open.into_iter().enumerate() {
-        let (sink, h) = SinkNode::new();
-        g.add_node(format!("sink{i}"), sink, vec![c], vec![]);
-        handles.push(h);
-        structures.push(classes[class]);
-    }
+    let (outputs, structures) = open
+        .into_iter()
+        .map(|(c, class)| (c, classes[class]))
+        .unzip();
     g.mem = MemoryState::with_dram_size(WINDOW * (writer_count as usize + 1));
     for r in 0..sram_count {
         g.mem.add_sram(format!("pair{r}"), SRAM_WORDS);
     }
-    (g, first, handles, structures)
+    (g, first, outputs, structures)
 }
 
 /// The tensors a single-word stream decodes to at `dims`, every word
@@ -407,43 +408,35 @@ fn shapes(toks: &[TTok], dims: u8) -> Result<Vec<Ragged>, String> {
     Ok(tensors)
 }
 
-/// Decodes every sink stream whose class carries barriers at the case's
-/// depth (module docs); a sink of the source's class must come out in the
-/// source's shape.
+/// Decodes every output stream whose class carries barriers at the case's
+/// depth (module docs); an output of the input's class must come out in
+/// the input's shape.
 fn check_structure(
     source: &[TTok],
-    sinks: &[Vec<TTok>],
+    outputs: &[Vec<TTok>],
     structures: &[Structure],
     deep: bool,
 ) -> Result<(), TestCaseError> {
     let dims = if deep { 3 } else { 1 };
     let want = shapes(source, dims).map_err(TestCaseError::fail)?;
-    for (i, (toks, structure)) in sinks.iter().zip(structures).enumerate() {
+    for (i, (toks, structure)) in outputs.iter().zip(structures).enumerate() {
         if *structure == Structure::Stripped {
             continue;
         }
         let got = shapes(toks, dims)
-            .map_err(|e| TestCaseError::fail(format!("sink{i} ({structure:?}): {e}")))?;
+            .map_err(|e| TestCaseError::fail(format!("output {i} ({structure:?}): {e}")))?;
         if *structure == Structure::Source {
-            prop_assert_eq!(&got, &want, "sink{} is not in the source's shape", i);
+            prop_assert_eq!(&got, &want, "output {} is not in the input's shape", i);
         }
     }
     Ok(())
 }
 
-fn snapshot(handles: &[SinkHandle]) -> Vec<Vec<TTok>> {
-    handles.iter().map(|h| h.tokens()).collect()
-}
-
-/// The sinks of `g`, in node order (an instance's are its own).
-fn sinks(g: &Graph) -> Vec<SinkHandle> {
-    let sink = |prim: &Prim| match prim {
-        Prim::Sink(sink) => Some(sink.handle()),
-        _ => None,
-    };
-    g.nodes()
+/// What `g`'s output channels hold.
+fn snapshot(g: &Graph, outputs: &[ChanId]) -> Vec<Vec<TTok>> {
+    outputs
         .iter()
-        .filter_map(|slot| sink(&slot.behavior))
+        .map(|c| g.chans()[c.0 as usize].tokens_from(0))
         .collect()
 }
 
@@ -461,11 +454,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The planned and the dense-sweep execution of the same random DAG
-    /// agree on every sink stream and on the entire memory state (DRAM
+    /// agree on every output stream and on the entire memory state (DRAM
     /// bytes, SRAM, allocators, and traffic counters), while the plan
-    /// attempts no more steps than the dense sweep. Every generated
-    /// interior node is an `EwNode`, so the
-    /// plan chains the whole DAG between the source and the sinks.
+    /// attempts no more steps than the dense sweep. Every generated node
+    /// is an `EwNode`, so the plan chains the whole DAG.
     #[test]
     fn planned_matches_ready_matches_dense(
         values in prop::collection::vec(0u32..100, 0..14),
@@ -475,10 +467,10 @@ proptest! {
     ) {
         let shape = Shape { deep, entry_canon };
         let toks = source_tokens(&values, deep);
-        let (mut dense_g, _, dense_h, structures) = build(toks.clone(), &moves, shape);
+        let (mut dense_g, _, outputs, structures) = build(toks.clone(), &moves, shape);
         let dense: ExecReport = run_dense(&mut dense_g, 100_000).unwrap();
-        check_structure(&toks, &snapshot(&dense_h), &structures, deep)?;
-        let (mut plan_g, _, plan_h, _) = build(toks.clone(), &moves, shape);
+        check_structure(&toks, &snapshot(&dense_g, &outputs), &structures, deep)?;
+        let (mut plan_g, _, _, _) = build(toks.clone(), &moves, shape);
         let (planned, _) = run(&mut plan_g, None, ObsSink::noop());
 
         // The same run on an instance whose channel table an earlier one
@@ -489,18 +481,13 @@ proptest! {
         let mut recycled = template.fresh_instance();
         run(&mut recycled, None, ObsSink::noop());
         prop_assert_eq!(template.chan_pool_stats().hits, 1);
-        prop_assert_eq!(snapshot(&sinks(&dense_g)), snapshot(&sinks(&recycled)));
+        prop_assert_eq!(snapshot(&dense_g, &outputs), snapshot(&recycled, &outputs));
         prop_assert_eq!(&dense_g.mem, &recycled.mem);
 
         let stats = plan_g.plan().stats();
-        prop_assert_eq!(
-            stats.fused_ew + plan_h.len() + 1,
-            stats.nodes,
-            "everything chains but the source and the sinks: {:?}",
-            stats
-        );
+        prop_assert_eq!(stats.fused_ew, stats.nodes, "everything chains: {:?}", stats);
 
-        prop_assert_eq!(snapshot(&dense_h), snapshot(&plan_h));
+        prop_assert_eq!(snapshot(&dense_g, &outputs), snapshot(&plan_g, &outputs));
         prop_assert_eq!(&dense_g.mem, &plan_g.mem);
         // Step *grouping* is schedule-dependent (the ready set may fire a
         // node at finer granularity), but total attempted work must not be.
@@ -511,9 +498,9 @@ proptest! {
     }
 
     /// The whole `RunOptions` matrix against the dense oracle: `{one-shot,
-    /// resumed in K chunks} × {no-op obs, enabled obs}`. Feeding the source
+    /// resumed in K chunks} × {no-op obs, enabled obs}`. Feeding the input
     /// stream in K chunks at arbitrary token boundaries — with a resumable
-    /// run after each chunk — yields exactly the one-shot sink streams and
+    /// run after each chunk — yields exactly the one-shot output streams and
     /// memory state of a shallow case: chunking only perturbs the
     /// schedule, and Kahn semantics make the result schedule-independent;
     /// intermediate polls may legitimately pause with in-flight tokens,
@@ -537,21 +524,23 @@ proptest! {
         bounds.sort_unstable();
         bounds.dedup();
 
-        let (mut oracle_g, _, oracle_h, structures) = build(toks.clone(), &moves, shape);
+        let (mut oracle_g, _, outputs, structures) = build(toks.clone(), &moves, shape);
         run_dense(&mut oracle_g, 100_000).unwrap();
-        check_structure(&toks, &snapshot(&oracle_h), &structures, deep)?;
-        let (chunk_mem, chunk_sinks) = if deep {
-            let (mut g, entry, handles, _) = build(Vec::new(), &moves, shape);
+        let oracle = snapshot(&oracle_g, &outputs);
+        check_structure(&toks, &oracle, &structures, deep)?;
+        let (chunk_mem, chunk_outputs) = if deep {
+            let (mut g, entry, _, _) = build(Vec::new(), &moves, shape);
             for w in bounds.windows(2) {
                 for tok in &toks[w[0]..w[1]] {
                     g.chan_mut(entry).push(tok.clone());
                 }
                 run_dense(&mut g, 100_000).unwrap();
             }
-            check_structure(&toks, &snapshot(&handles), &structures, deep)?;
-            (g.mem, snapshot(&handles))
+            let chunked = snapshot(&g, &outputs);
+            check_structure(&toks, &chunked, &structures, deep)?;
+            (g.mem, chunked)
         } else {
-            (oracle_g.mem.clone(), snapshot(&oracle_h))
+            (oracle_g.mem.clone(), oracle.clone())
         };
 
         for chunked in [false, true] {
@@ -560,7 +549,7 @@ proptest! {
                 let enabled = ObsSink::counters_only();
                 let obs = if observed { &enabled } else { ObsSink::noop() };
                 let initial = if chunked { Vec::new() } else { toks.clone() };
-                let (mut g, entry, handles, _) = build(initial, &moves, shape);
+                let (mut g, entry, _, _) = build(initial, &moves, shape);
                 let mut steps = 0;
                 if chunked {
                     let mut resume = ResumeState::new();
@@ -574,13 +563,13 @@ proptest! {
                         last = status;
                     }
                     prop_assert_eq!(last, RunStatus::Finished, "{}: final drain", lane);
-                    prop_assert_eq!(&chunk_sinks, &snapshot(&handles), "{}: sinks", lane);
+                    prop_assert_eq!(&chunk_outputs, &snapshot(&g, &outputs), "{}: outputs", lane);
                     prop_assert_eq!(&chunk_mem, &g.mem, "{}: memory", lane);
                 } else {
                     let (report, status) = run(&mut g, None, obs);
                     prop_assert_eq!(status, RunStatus::Finished, "{}", lane);
                     steps = report.steps;
-                    prop_assert_eq!(snapshot(&oracle_h), snapshot(&handles), "{}: sinks", lane);
+                    prop_assert_eq!(&oracle, &snapshot(&g, &outputs), "{}: outputs", lane);
                     prop_assert_eq!(&oracle_g.mem, &g.mem, "{}: memory", lane);
                 }
                 let dispatches = if observed { steps } else { 0 };

@@ -19,7 +19,7 @@
 //!     worker 0  …        worker T-1            per job
 //!     ┌──────────┐       ┌──────────┐
 //!     │ instance │       │ instance │   each: private Graph,
-//!     │ run sink │       │ run sink │   MemoryState, sink buffer
+//!     │ run      │       │ run      │   MemoryState, exit channel
 //!     └────┬─────┘       └────┬─────┘
 //!          └────────┬─────────┘
 //!                   ▼
@@ -135,7 +135,7 @@ impl<'p> BatchJob<'p> {
 pub struct InstanceResult {
     /// Scheduler counters from the instance's untimed run.
     pub report: ExecReport,
-    /// Tokens the instance's private sink collected (`main`'s outputs).
+    /// Tokens the instance left on its exit channel (`main`'s outputs).
     pub sink: Vec<TTok>,
     /// The instance's final memory state (DRAM outputs live here).
     pub mem: MemoryState,

@@ -116,7 +116,8 @@ impl Simulator {
         // The shared channel-endpoint index drives ready-set wake-ups, the
         // same as the untimed executor's.
         let topo = Arc::clone(program.graph.plan().topology());
-        let entry = program.entry;
+        let (entry, exit) = (program.entry, program.exit);
+        let host = move |c: ChanId| c == entry || c == exit;
         program.inject_args(args);
         let n = program.graph.node_count();
 
@@ -187,10 +188,10 @@ impl Simulator {
                 } else {
                     let chans = program.graph.chans();
                     for (b, &c) in ib.iter_mut().zip(slot.ins.iter()) {
-                        *b = self.port_budget(unit, &chans[c.0 as usize], c == entry, true);
+                        *b = self.port_budget(unit, &chans[c.0 as usize], host(c), true);
                     }
                     for (b, &c) in ob.iter_mut().zip(slot.outs.iter()) {
-                        *b = self.port_budget(unit, &chans[c.0 as usize], c == entry, false);
+                        *b = self.port_budget(unit, &chans[c.0 as usize], host(c), false);
                     }
                     let moved = program.graph.step_node_traced(
                         id,
@@ -219,7 +220,7 @@ impl Simulator {
                 obs.node_dispatch(i, progressed);
                 if !progressed && obs.is_enabled() {
                     let chans = program.graph.chans();
-                    let bound = |c: ChanId| self.link_bound(&chans[c.0 as usize], c == entry);
+                    let bound = |c: ChanId| self.link_bound(&chans[c.0 as usize], host(c));
                     obs.stall(i, program.graph.classify_stall(id, bound));
                 }
                 let wake = |w: NodeId,
@@ -317,13 +318,15 @@ impl Simulator {
     }
 
     /// The buffer depth of a link: how many tokens it may hold. Unbounded
-    /// for the entry link (the host injects the argument thread before the
-    /// first cycle) and under an ideal network; the deadlock-avoidance
-    /// depth for a link that keeps its barriers explicit (a loop back
-    /// edge, §V-D); otherwise its class's input-buffer depth (Table II).
-    fn link_bound(&self, chan: &Channel, entry: bool) -> usize {
+    /// for the host links (the entry, onto which the host injects the
+    /// argument thread before the first cycle, and the exit, which no
+    /// context drains: the host reads it after the last) and under an
+    /// ideal network; the deadlock-avoidance depth for a link that keeps
+    /// its barriers explicit (a loop back edge, §V-D); otherwise its
+    /// class's input-buffer depth (Table II).
+    fn link_bound(&self, chan: &Channel, host: bool) -> usize {
         let cfg = &self.config;
-        if entry || self.ideal.network {
+        if host || self.ideal.network {
             usize::MAX
         } else if !chan.canonicalizes() {
             cfg.deadlock_buffer_tokens
@@ -340,7 +343,7 @@ impl Simulator {
     /// SRAM, and on an AG's input at most `ag_issues_per_cycle` issues
     /// (the burst/activation bound) unless DRAM is ideal; bounded, on
     /// either end, by the link's depth ([`Simulator::link_bound`]).
-    fn port_budget(&self, unit: UnitClass, chan: &Channel, entry: bool, input: bool) -> PortBudget {
+    fn port_budget(&self, unit: UnitClass, chan: &Channel, host: bool, input: bool) -> PortBudget {
         let mut b = if self.ideal.network || (self.ideal.sram && unit == UnitClass::Memory) {
             PortBudget::UNLIMITED
         } else {
@@ -353,7 +356,7 @@ impl Simulator {
         if input && unit == UnitClass::AddressGen && !self.ideal.dram {
             b.data = b.data.min(self.config.ag_issues_per_cycle);
         }
-        b.bound = self.link_bound(chan, entry);
+        b.bound = self.link_bound(chan, host);
         b
     }
 }

@@ -41,7 +41,7 @@ fn output(n: u32) -> Vec<TTok> {
 fn the_template_run_returns_the_value() {
     let mut program = compile();
     program.run_untimed(&[Word(5)], MAX).unwrap();
-    assert_eq!(program.sink.tokens(), output(5));
+    assert_eq!(program.sink_tokens(), output(5));
 }
 
 #[test]
@@ -92,7 +92,7 @@ fn the_simulator_returns_the_value_at_every_buffer_depth() {
             .run(&mut program, &[Word(9)], MAX)
             .unwrap_or_else(|e| panic!("buffers {depths:?}: {e}"));
         assert!(stats.cycles > 0);
-        assert_eq!(program.sink.tokens(), output(9), "buffers {depths:?}");
+        assert_eq!(program.sink_tokens(), output(9), "buffers {depths:?}");
     }
 }
 

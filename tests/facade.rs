@@ -4,7 +4,7 @@
 
 use revet::compiler::{PassOptions, Session};
 use revet::machine::instr::{AluOp, Operand};
-use revet::machine::nodes::{CounterNode, ReduceNode, SinkNode, SourceNode};
+use revet::machine::nodes::{CounterNode, ReduceNode};
 use revet::machine::{tbar, tdata, Channel, Graph, RunOptions};
 use revet::sltf::Word;
 
@@ -15,12 +15,8 @@ fn machine_reexport_runs_a_graph() {
     let a = g.add_chan(Channel::new(1));
     let b = g.add_chan(Channel::new(1));
     let d = g.add_chan(Channel::new(1));
-    g.add_node(
-        "enter",
-        SourceNode::new(vec![tdata([5u32]), tbar(1)]),
-        vec![],
-        vec![a],
-    );
+    g.chan_mut(a).push(tdata([5u32]));
+    g.chan_mut(a).push(tbar(1));
     g.add_node(
         "counter",
         CounterNode::new(Operand::imm(0u32), Operand::Reg(0), Operand::imm(1u32)),
@@ -33,11 +29,12 @@ fn machine_reexport_runs_a_graph() {
         vec![b],
         vec![d],
     );
-    let (sink, out) = SinkNode::new();
-    g.add_node("exit", sink, vec![d], vec![]);
     g.run(RunOptions::new(10_000)).unwrap();
     // sum(0..5) = 10
-    assert_eq!(out.tokens(), vec![tdata([10u32]), tbar(1)]);
+    assert_eq!(
+        g.chans()[d.0 as usize].tokens_from(0),
+        vec![tdata([10u32]), tbar(1)]
+    );
 }
 
 #[test]
