@@ -5,9 +5,9 @@
 //! completion once: [`StreamInstance::feed`] appends whole `main`
 //! argument sets to the entry channel (the same Data + Ω1 protocol a
 //! one-shot run injects), [`StreamInstance::poll`] resumes the executor
-//! and returns the exit-channel tokens produced since the previous poll, and
-//! [`StreamInstance::finish`] runs the final drain and yields the memory
-//! image plus the merged execution report.
+//! and returns the exit-channel tokens produced since the previous poll,
+//! and [`StreamInstance::finish`] runs the final drain and yields the
+//! memory image plus the merged execution report.
 //!
 //! The load-bearing invariant — pinned by the property suite and the
 //! fuzzer's chunked-feed lane — is that feeding an input in K chunks is

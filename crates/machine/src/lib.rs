@@ -8,10 +8,10 @@
 //!
 //! The primitive set ([`nodes`]) is §III-B's seven plus §IV-A's fork, and
 //! it is closed: a graph holds each node as a [`Prim`], one variant per
-//! primitive, and every
-//! question asked of a node — how it fires, its kind, whether it can stall
-//! on an allocator — is one `match` over it. Each primitive states its
-//! firing rule once, as a generic `fire<P: Ports>` over its links:
+//! primitive, and every question asked of a node — how it fires, its kind,
+//! whether it can stall on an allocator — is one `match` over it. Each
+//! primitive states its firing rule once, as a generic `fire<P: Ports>`
+//! over its links:
 //!
 //! | Paper primitive          | Node                              | Firing rule |
 //! |--------------------------|-----------------------------------|-------------|
