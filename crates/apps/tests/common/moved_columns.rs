@@ -9,23 +9,14 @@ use std::fmt::Write as _;
 /// decimal number, or `name=value` with a lower-case name and a decimal or
 /// hex value.
 fn is_column(word: &str) -> bool {
-    let digits = |s: &str, hex: bool| {
-        !s.is_empty()
-            && s.chars().all(|c| {
-                if hex {
-                    c.is_ascii_hexdigit()
-                } else {
-                    c.is_ascii_digit()
-                }
-            })
-    };
+    let number = |s: &str, radix| !s.is_empty() && s.chars().all(|c| c.is_digit(radix));
     match word.split_once('=') {
         Some((name, value)) => {
             !name.is_empty()
                 && name.chars().all(|c| c.is_ascii_lowercase() || c == '_')
-                && digits(value, true)
+                && number(value, 16)
         }
-        None => digits(word, false),
+        None => number(word, 10),
     }
 }
 
