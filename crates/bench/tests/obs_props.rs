@@ -12,12 +12,16 @@
 //!    link's producer (consumer) side is bound on at most as many cycles
 //!    as that context fired productively, and recording it leaves the
 //!    simulated run exactly as the noop sink's.
+//! 4. The plan's `exec.lanes` histogram — one sample per lane-batched
+//!    commit, its width — changes nothing it watches: an enabled sink
+//!    leaves the outputs, the memory and the `ExecReport` of the no-op
+//!    sink's run, and every sample lies in `MIN_LANES..=MAX_LANES`.
 
 use proptest::prelude::*;
 use revet_apps::all_apps;
 use revet_core::PassOptions;
 use revet_machine::instr::{AluOp, EwInstr, Operand};
-use revet_machine::nodes::{EwNode, OutputSpec};
+use revet_machine::nodes::{EwNode, OutputSpec, MAX_LANES, MIN_LANES};
 use revet_machine::{tbar, tdata, ChanId, Channel, Graph, MemoryState, RunOptions, TTok};
 use revet_obs::{EventKind, ObsSink};
 use revet_runtime::{BatchJob, BatchRunner};
@@ -162,6 +166,61 @@ fn merged_worker_counters_equal_single_threaded_on_all_apps() {
             a.name
         );
     }
+}
+
+/// On every app, recording the lane histogram moves nothing, and its
+/// samples are widths a batch may take. The histogram's buckets are powers
+/// of two: `MIN_LANES` (8) opens one, so the lower bound is exact, and
+/// `MAX_LANES` (64) opens the one the upper bound is checked against.
+#[test]
+fn lane_histogram_moves_nothing_and_holds_batch_widths_on_all_apps() {
+    let bucket = |v: u64| {
+        if v == 0 {
+            0
+        } else {
+            (1u64 << (64 - v.leading_zeros())) - 1
+        }
+    };
+    let mut batches = 0;
+    for a in all_apps() {
+        let (program, args, w) = a.prepare(OUTER, SCALE, SEED, &PassOptions::default());
+        let run = |obs: &ObsSink| {
+            let mut inst = program.instance();
+            inst.inject_args(&args);
+            let (report, _) = inst
+                .graph
+                .run(RunOptions {
+                    obs,
+                    ..RunOptions::new(MAX_ROUNDS)
+                })
+                .unwrap_or_else(|e| panic!("{}: {e}", a.name));
+            a.check_dram(&inst.memory().dram, &w);
+            (report, inst.sink_tokens(), inst.memory().clone())
+        };
+        let quiet = run(ObsSink::noop());
+        let obs = ObsSink::counters_only();
+        let observed = run(&obs);
+        assert!(
+            quiet == observed,
+            "{}: an enabled sink moved the run",
+            a.name
+        );
+        let lanes = obs.registry.histogram("exec.lanes");
+        if let (Some(lo), Some(hi)) = (lanes.percentile(0.0), lanes.percentile(100.0)) {
+            assert!(
+                lo >= bucket(MIN_LANES as u64),
+                "{}: a batch below MIN_LANES",
+                a.name
+            );
+            assert!(
+                hi <= bucket(MAX_LANES as u64),
+                "{}: a batch above 64",
+                a.name
+            );
+        }
+        batches += lanes.count();
+    }
+    assert!(batches > 0, "no app committed a lane batch");
 }
 
 /// On every app, the bound table the timed run records through an enabled

@@ -168,8 +168,12 @@ pub fn lex(src: &str) -> (Vec<Spanned>, Vec<Diagnostic>) {
             }
             continue;
         }
-        // Operators.
-        if let Some(p) = PUNCTS.iter().find(|p| src[i..].starts_with(**p)) {
+        // Operators: longest first, tried only when the first byte matches.
+        let rest = &bytes[i..];
+        if let Some(p) = PUNCTS
+            .iter()
+            .find(|p| p.as_bytes()[0] == rest[0] && rest.starts_with(p.as_bytes()))
+        {
             i += p.len();
             out.push(Spanned {
                 tok: Tok::Punct(p),

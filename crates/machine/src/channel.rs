@@ -144,6 +144,42 @@ impl Channel {
         self.queue.front()
     }
 
+    /// How many of the queued tokens at the front are data, counting at
+    /// most `max`: the threads a lane-batched commit may take.
+    #[inline]
+    pub fn data_streak(&self, max: usize) -> usize {
+        self.queue.data_streak(max)
+    }
+
+    /// Pops the `n` data tokens at the front, handing each one's words to
+    /// `f` with its position ([`crate::Ring::pop_streak`]).
+    #[inline]
+    pub fn pop_streak(&mut self, n: usize, f: impl FnMut(usize, &[Word])) {
+        self.queue.pop_streak(n, f);
+        if self.queue.is_empty() {
+            self.tail_preceded_by_data = false;
+        }
+    }
+
+    /// Appends `n` data tokens of `width` words, handing `f` each one's
+    /// window to fill: `n` [`Channel::push_slot`]s.
+    ///
+    /// # Panics
+    ///
+    /// As [`Channel::push_slot`].
+    #[inline]
+    pub fn push_streak(&mut self, width: usize, n: usize, f: impl FnMut(usize, &mut [Word])) {
+        assert_eq!(
+            width,
+            self.arity(),
+            "tuple arity mismatch on channel (expected {}, got {width})",
+            self.arity(),
+        );
+        self.pushed += n as u64;
+        self.pushed_data += n as u64;
+        self.queue.push_streak(n, f);
+    }
+
     /// Drops the front token, returning its kind (data, or which barrier);
     /// read the payload through [`Channel::front`] first.
     #[inline]

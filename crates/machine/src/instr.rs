@@ -82,44 +82,71 @@ pub enum AluOp {
     Rotl,
 }
 
-impl AluOp {
-    /// Applies the operation to two words.
-    pub fn apply(self, a: Word, b: Word) -> Word {
-        let (ua, ub) = (a.as_u32(), b.as_u32());
-        let (sa, sb) = (a.as_i32(), b.as_i32());
-        let bool_w = |v: bool| Word::from_bool(v);
-        match self {
-            AluOp::Add => Word(ua.wrapping_add(ub)),
-            AluOp::Sub => Word(ua.wrapping_sub(ub)),
-            AluOp::Mul => Word(ua.wrapping_mul(ub)),
-            AluOp::DivS => Word::from_i32(if sb == 0 { 0 } else { sa.wrapping_div(sb) }),
-            AluOp::DivU => Word(if ub == 0 { 0 } else { ua / ub }),
-            AluOp::RemS => Word::from_i32(if sb == 0 { 0 } else { sa.wrapping_rem(sb) }),
-            AluOp::RemU => Word(if ub == 0 { 0 } else { ua % ub }),
-            AluOp::And => Word(ua & ub),
-            AluOp::Or => Word(ua | ub),
-            AluOp::Xor => Word(ua ^ ub),
-            AluOp::Shl => Word(ua.wrapping_shl(ub)),
-            AluOp::ShrU => Word(ua.wrapping_shr(ub)),
-            AluOp::ShrS => Word::from_i32(sa.wrapping_shr(ub)),
-            AluOp::Eq => bool_w(ua == ub),
-            AluOp::Ne => bool_w(ua != ub),
-            AluOp::LtS => bool_w(sa < sb),
-            AluOp::LtU => bool_w(ua < ub),
-            AluOp::LeS => bool_w(sa <= sb),
-            AluOp::LeU => bool_w(ua <= ub),
-            AluOp::GtS => bool_w(sa > sb),
-            AluOp::GtU => bool_w(ua > ub),
-            AluOp::GeS => bool_w(sa >= sb),
-            AluOp::GeU => bool_w(ua >= ub),
-            AluOp::MinS => Word::from_i32(sa.min(sb)),
-            AluOp::MinU => Word(ua.min(ub)),
-            AluOp::MaxS => Word::from_i32(sa.max(sb)),
-            AluOp::MaxU => Word(ua.max(ub)),
-            AluOp::Rotl => Word(ua.rotate_left(ub & 31)),
-        }
-    }
+/// The ALU's semantics, stated once per operation over two words `a` and
+/// `b`, and expanded twice: [`AluOp::apply`] for one thread and
+/// [`AluOp::apply_lanes`] for a column of lanes, whose loop runs with the
+/// operation already matched.
+macro_rules! alu_semantics {
+    ($($op:ident($a:ident, $b:ident) => $e:expr,)*) => {
+        impl AluOp {
+            /// Applies the operation to two words. Always inlined, as
+            /// [`exec_instrs`] is.
+            #[inline(always)]
+            pub fn apply(self, a: Word, b: Word) -> Word {
+                match self {
+                    $(AluOp::$op => {
+                        let ($a, $b) = (a, b);
+                        $e
+                    })*
+                }
+            }
 
+            /// [`AluOp::apply`] lane by lane: `out[l] = apply(a[l], b[l])`.
+            pub(crate) fn apply_lanes(self, a: &[Word], b: &[Word], out: &mut [Word]) {
+                match self {
+                    $(AluOp::$op => {
+                        for ((o, &$a), &$b) in out.iter_mut().zip(a).zip(b) {
+                            *o = $e;
+                        }
+                    })*
+                }
+            }
+        }
+    };
+}
+
+alu_semantics! {
+    Add(a, b) => Word(a.0.wrapping_add(b.0)),
+    Sub(a, b) => Word(a.0.wrapping_sub(b.0)),
+    Mul(a, b) => Word(a.0.wrapping_mul(b.0)),
+    DivS(a, b) => Word::from_i32(if b.0 == 0 { 0 } else { a.as_i32().wrapping_div(b.as_i32()) }),
+    DivU(a, b) => Word(a.0.checked_div(b.0).unwrap_or(0)),
+    RemS(a, b) => Word::from_i32(if b.0 == 0 { 0 } else { a.as_i32().wrapping_rem(b.as_i32()) }),
+    RemU(a, b) => Word(a.0.checked_rem(b.0).unwrap_or(0)),
+    And(a, b) => Word(a.0 & b.0),
+    Or(a, b) => Word(a.0 | b.0),
+    Xor(a, b) => Word(a.0 ^ b.0),
+    Shl(a, b) => Word(a.0.wrapping_shl(b.0)),
+    ShrU(a, b) => Word(a.0.wrapping_shr(b.0)),
+    ShrS(a, b) => Word::from_i32(a.as_i32().wrapping_shr(b.0)),
+    Eq(a, b) => Word::from_bool(a.0 == b.0),
+    Ne(a, b) => Word::from_bool(a.0 != b.0),
+    LtS(a, b) => Word::from_bool(a.as_i32() < b.as_i32()),
+    LtU(a, b) => Word::from_bool(a.0 < b.0),
+    LeS(a, b) => Word::from_bool(a.as_i32() <= b.as_i32()),
+    LeU(a, b) => Word::from_bool(a.0 <= b.0),
+    GtS(a, b) => Word::from_bool(a.as_i32() > b.as_i32()),
+    GtU(a, b) => Word::from_bool(a.0 > b.0),
+    GeS(a, b) => Word::from_bool(a.as_i32() >= b.as_i32()),
+    GeU(a, b) => Word::from_bool(a.0 >= b.0),
+    MinS(a, b) => Word::from_i32(a.as_i32().min(b.as_i32())),
+    MinU(a, b) => Word(a.0.min(b.0)),
+    MaxS(a, b) => Word::from_i32(a.as_i32().max(b.as_i32())),
+    MaxU(a, b) => Word(a.0.max(b.0)),
+    Rotl(a, b) => Word(a.0.rotate_left(b.0 & 31)),
+}
+
+impl AluOp {
     /// True for ops that are associative and commutative (usable in
     /// reductions).
     pub fn is_reduction_compatible(self) -> bool {
@@ -423,6 +450,11 @@ pub(crate) enum MemSpace {
 ///
 /// `regs` must be pre-sized and pre-loaded with the input tuple; results are
 /// left in the registers named by the instructions.
+///
+/// Always inlined: the plan's fused runs call it once per stage per
+/// thread, and their firing loop grew past where it is inlined on its own
+/// (measured on `exec_control`'s huff-dec and `sim_timed`'s huff-enc).
+#[inline(always)]
 pub fn exec_instrs(instrs: &[EwInstr], regs: &mut [Word], mem: &mut MemoryState) {
     for ins in instrs {
         match ins {
@@ -515,6 +547,96 @@ pub fn exec_instrs(instrs: &[EwInstr], regs: &mut [Word], mem: &mut MemoryState)
             }
         }
     }
+}
+
+/// Executes a straight-line instruction sequence for `n` threads at once,
+/// as lanes: register `r` of lane `l` is `regs[(base + r) * stride + l]`
+/// for `l < n <= stride`, and `spare` is scratch of at least `3 * n`
+/// words plus as many as the instructions name registers.
+///
+/// A register-only instruction runs with its operation matched once for
+/// all the lanes, straight into its destination column. A memory
+/// instruction runs lane by lane, in lane order, through [`exec_instrs`]
+/// on the lane's registers copied out and back. With at most one memory
+/// instruction in `instrs`, every lane ends as [`exec_instrs`] leaves that
+/// thread run alone, and memory as the threads run one after another in
+/// lane order leave it: that instruction's accesses are the only effects
+/// the lanes share, and they keep the lanes' order.
+pub(crate) fn exec_lanes(
+    instrs: &[EwInstr],
+    regs: &mut [Word],
+    spare: &mut [Word],
+    base: usize,
+    stride: usize,
+    n: usize,
+    mem: &mut MemoryState,
+) {
+    let col = |r: Reg| (base + r as usize) * stride;
+    let (ka, rest) = spare.split_at_mut(n);
+    let (kb, rest) = rest.split_at_mut(n);
+    let (kc, row) = rest.split_at_mut(n);
+    for ins in instrs {
+        match *ins {
+            EwInstr::Alu { op, a, b, dst } => {
+                let (lo, rest) = regs.split_at_mut(col(dst));
+                let (out, hi) = rest.split_at_mut(n);
+                let a = lanes_around(a, col, lo, out, hi, ka);
+                let b = lanes_around(b, col, lo, out, hi, kb);
+                op.apply_lanes(a, b, out);
+            }
+            EwInstr::Select { c, t, f, dst } => {
+                let (lo, rest) = regs.split_at_mut(col(dst));
+                let (out, hi) = rest.split_at_mut(n);
+                let c = lanes_around(c, col, lo, out, hi, kc);
+                let t = lanes_around(t, col, lo, out, hi, ka);
+                let f = lanes_around(f, col, lo, out, hi, kb);
+                for (l, o) in out.iter_mut().enumerate() {
+                    *o = if c[l].as_bool() { t[l] } else { f[l] };
+                }
+            }
+            EwInstr::Mov { src, dst } => match src {
+                Operand::Reg(r) => regs.copy_within(col(r)..col(r) + n, col(dst)),
+                Operand::Const(w) => regs[col(dst)..col(dst) + n].fill(w),
+            },
+            _ => {
+                let row = &mut row[..usize::from(ins.max_reg())];
+                for l in 0..n {
+                    for (r, v) in (0..).zip(row.iter_mut()) {
+                        *v = regs[col(r) + l];
+                    }
+                    exec_instrs(std::slice::from_ref(ins), row, mem);
+                    for (r, &v) in (0..).zip(row.iter()) {
+                        regs[col(r) + l] = v;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Operand `o`'s lanes while the lane file is split around the column
+/// being written, `dst`, into the columns before it (`lo`) and after it
+/// (`hi`): a column of either, or a copy in `buf` of `dst` itself or of a
+/// broadcast constant.
+#[inline(always)]
+fn lanes_around<'a>(
+    o: Operand,
+    col: impl Fn(Reg) -> usize,
+    lo: &'a [Word],
+    dst: &[Word],
+    hi: &'a [Word],
+    buf: &'a mut [Word],
+) -> &'a [Word] {
+    let n = dst.len();
+    match o {
+        Operand::Const(w) => buf.fill(w),
+        Operand::Reg(r) => match col(r) {
+            c if c < lo.len() => return &lo[c..c + n],
+            c if c > lo.len() => return &hi[c - lo.len() - n..][..n],
+            _ => buf.copy_from_slice(dst),
+        },
+    }
+    buf
 }
 
 #[cfg(test)]
@@ -635,6 +757,111 @@ mod tests {
         assert_eq!(regs[0], Word(1));
         exec_instrs(std::slice::from_ref(&dec), &mut regs, &mut mem);
         assert_eq!(regs[0], Word(0), "last thread sees zero and survives");
+    }
+
+    #[test]
+    fn lanes_compute_what_threads_do_op_by_op() {
+        // Every ALU operation over register and constant operands, then a
+        // select and moves, on five lanes of awkward values.
+        const OPS: [AluOp; 28] = [
+            AluOp::Add,
+            AluOp::Sub,
+            AluOp::Mul,
+            AluOp::DivS,
+            AluOp::DivU,
+            AluOp::RemS,
+            AluOp::RemU,
+            AluOp::And,
+            AluOp::Or,
+            AluOp::Xor,
+            AluOp::Shl,
+            AluOp::ShrU,
+            AluOp::ShrS,
+            AluOp::Eq,
+            AluOp::Ne,
+            AluOp::LtS,
+            AluOp::LtU,
+            AluOp::LeS,
+            AluOp::LeU,
+            AluOp::GtS,
+            AluOp::GtU,
+            AluOp::GeS,
+            AluOp::GeU,
+            AluOp::MinS,
+            AluOp::MinU,
+            AluOp::MaxS,
+            AluOp::MaxU,
+            AluOp::Rotl,
+        ];
+        let mut instrs = Vec::new();
+        for (k, op) in OPS.into_iter().enumerate() {
+            let dst = 2 + k as Reg;
+            let b = [Operand::Reg(1), Operand::imm(-3i32)][k % 2];
+            instrs.push(EwInstr::Alu {
+                op,
+                a: Operand::Reg(0),
+                b,
+                dst,
+            });
+        }
+        instrs.extend([
+            EwInstr::Select {
+                c: Operand::Reg(2),
+                t: Operand::Reg(3),
+                f: Operand::imm(9u32),
+                dst: 30,
+            },
+            EwInstr::Mov {
+                src: Operand::Reg(30),
+                dst: 31,
+            },
+            EwInstr::Mov {
+                src: Operand::imm(5u32),
+                dst: 32,
+            },
+            // Operands that are the destination itself, or lie past it.
+            EwInstr::Alu {
+                op: AluOp::Add,
+                a: Operand::Reg(3),
+                b: Operand::Reg(3),
+                dst: 3,
+            },
+            EwInstr::Alu {
+                op: AluOp::Sub,
+                a: Operand::Reg(5),
+                b: Operand::Reg(32),
+                dst: 0,
+            },
+            EwInstr::Select {
+                c: Operand::Reg(31),
+                t: Operand::Reg(0),
+                f: Operand::Reg(1),
+                dst: 1,
+            },
+        ]);
+        let inputs = [(0, 0), (-1, 31), (i32::MIN, -1), (7, 0), (100, 33)];
+        let (n, regs) = (inputs.len(), 33);
+        let mut lanes = vec![Word::ZERO; regs * n];
+        let mut mem = MemoryState::default();
+        for (l, &(a, b)) in inputs.iter().enumerate() {
+            (lanes[l], lanes[n + l]) = (Word::from_i32(a), Word::from_i32(b));
+        }
+        exec_lanes(
+            &instrs,
+            &mut lanes,
+            &mut [Word::ZERO; 20],
+            0,
+            n,
+            n,
+            &mut mem,
+        );
+        for (l, &(a, b)) in inputs.iter().enumerate() {
+            let mut thread = vec![Word::ZERO; regs];
+            (thread[0], thread[1]) = (Word::from_i32(a), Word::from_i32(b));
+            exec_instrs(&instrs, &mut thread, &mut mem);
+            let lane: Vec<Word> = (0..regs).map(|r| lanes[r * n + l]).collect();
+            assert_eq!(lane, thread, "lane {l}: ({a}, {b})");
+        }
     }
 
     #[test]

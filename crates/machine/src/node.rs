@@ -221,6 +221,60 @@ pub trait Ports {
     /// A register scratch the executor lends for one firing, so a rule
     /// that needs a per-thread register file allocates none.
     fn scratch(&mut self) -> &mut Vec<Word>;
+
+    /// How many threads the element-wise run rule may commit together, as
+    /// lanes of one instruction stream. A batch asks [`Ports::can_push`]
+    /// once for all its threads, so a surface offers more than one lane
+    /// only if its outputs accept every push.
+    #[inline(always)]
+    fn lanes(&self) -> usize {
+        1
+    }
+
+    /// How many of the tokens at the front of input `i` are data, counting
+    /// at most `max`.
+    #[inline(always)]
+    fn data_streak(&self, i: usize, max: usize) -> usize {
+        usize::from(self.peek_in(i).is_some_and(|t| t.is_data())).min(max)
+    }
+
+    /// Pops the `n` tokens at the front of input `i` — data, as a counted
+    /// [`Ports::data_streak`] guarantees — handing each one's words to `f`
+    /// with its position.
+    #[inline(always)]
+    fn pop_lanes(&mut self, i: usize, n: usize, mut f: impl FnMut(usize, &[Word])) {
+        for k in 0..n {
+            let Some(Tok::Data(vals)) = self.peek_in(i) else {
+                panic!("pop_lanes past the data streak of input {i}")
+            };
+            f(k, vals);
+            self.pop_in(i);
+        }
+    }
+
+    /// Pushes `n` data tokens of `width` words on output `o`, handing `f`
+    /// each one's slot (with its position) to fill: [`Ports::push_slot`]
+    /// inside a lane-batched commit, whose wake-ups
+    /// [`Ports::lanes_committed`] owes once per output instead.
+    #[inline(always)]
+    fn push_lanes(
+        &mut self,
+        o: usize,
+        width: usize,
+        n: usize,
+        mut f: impl FnMut(usize, &mut [Word]),
+    ) {
+        for k in 0..n {
+            f(k, self.push_slot(o, width));
+        }
+    }
+
+    /// A lane-batched commit of `lanes` threads ends, having pushed data
+    /// on every output `o` whose bit is set in `pushed`.
+    #[inline(always)]
+    fn lanes_committed(&mut self, lanes: usize, pushed: u64) {
+        let _ = (lanes, pushed);
+    }
 }
 
 /// The budgeted port surface: a node's input/output channels (resolved
@@ -370,6 +424,13 @@ impl Ports for NodeIo<'_> {
 
     fn scratch(&mut self) -> &mut Vec<Word> {
         &mut self.scratch
+    }
+
+    /// Counted within the port's data budget. The surface offers one lane
+    /// all the same: its outputs may refuse a push.
+    fn data_streak(&self, i: usize, max: usize) -> usize {
+        let chan = &self.chans[self.ins[i].0 as usize];
+        chan.data_streak(max.min(self.in_budget[i].data))
     }
 }
 

@@ -22,25 +22,47 @@
 //!   barrier alignment and the structure-mismatch diagnosis — and commits
 //!   one thread or one barrier at a time.
 //! - A committed thread crosses the whole run in one pass. Stage `j`
-//!   computes in its own window of the run's register file, zeroed when
-//!   the thread enters it, and its output slots are copied into stage
-//!   `j + 1`'s input registers. The channel between them, a *fused edge*,
-//!   is never written. A failed predicate ends the thread inside the run.
+//!   computes in its own window of the run's register file, and its
+//!   output slots are copied into stage `j + 1`'s input registers. The
+//!   channel between them, a *fused edge*, is never written. A window
+//!   reads as zeroed when a thread enters it: the registers the stage may
+//!   read before writing ([`fresh_regs`]) are zeroed, and every other one
+//!   is written before it is read. A failed predicate ends the thread
+//!   inside the run.
 //! - A barrier crosses the run the same way, stopped by a stripping
 //!   output. On each fused edge it is held (a [`Tail`]) until the next
 //!   token arrives there or the firing ends, so a later barrier can still
 //!   absorb it exactly as the edge's channel would have.
+//! - Where the ports offer lanes ([`Ports::lanes`]) and every head input
+//!   holds at least [`MIN_LANES`] consecutive data tokens, up to
+//!   [`MAX_LANES`] threads cross the run together, one instruction across
+//!   all lanes (`commit_lanes`, the vRDA's SIMD lanes of §III-C): the same
+//!   commit taken stage by stage instead of thread by thread, exact for a
+//!   run whose stages each hold at most one memory instruction.
 //!
 //! Every token that leaves a run, and every memory effect, is therefore
 //! what firing its stages one after another through real channels
 //! produces — provided the stages' memory accesses commute, which the
 //! execution plan checks when it groups stages into runs. [`EwNode::fire`]
 //! is the one-stage run (`EwNode::fire_gated`), the case the simulator, the
-//! dense oracle and the plan's unchained stages fire.
+//! dense oracle and the plan's unchained stages fire, a thread at a time.
 
-use crate::instr::{exec_instrs, EwInstr, Reg};
+use crate::instr::{exec_instrs, exec_lanes, EwInstr, Reg, RegRole};
+use crate::mem::MemoryState;
 use crate::node::{MachineError, Ports};
 use revet_sltf::{BarrierLevel, Tok, Word};
+
+/// The fewest threads a lane-batched commit takes (module docs): below
+/// this a batch's setup outweighs what it saves. The Table III apps commit
+/// runs of consecutive data threads with a median of 8 on the four serve
+/// apps, 16 on kD-tree, 4 on huff-enc and 2 on huff-dec; batches of 4–7
+/// made huff-enc 6–15% slower than thread-at-a-time commits, and 8 keeps
+/// the serve apps' gain.
+pub const MIN_LANES: usize = 8;
+
+/// The most threads one lane-batched commit takes: a stage's predicate
+/// over them is a `u64` mask.
+pub const MAX_LANES: usize = 64;
 
 /// Where one output port gets its tuple and when it fires.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -175,7 +197,8 @@ impl EwNode {
         gated: bool,
     ) -> Result<bool, MachineError> {
         let mut regs = std::mem::take(io.scratch());
-        let result = fire_run(self, io, &mut regs, &mut [], gated);
+        // A lone stage is never lane-safe, so the lane file stays empty.
+        let result = fire_run(self, io, &mut regs, &mut Vec::new(), &mut [], gated);
         *io.scratch() = regs;
         result
     }
@@ -193,6 +216,15 @@ pub(crate) trait FusedRun {
     fn window(&self, j: usize) -> usize;
     /// Whether the fused edge out of stage `j` canonicalizes barriers.
     fn canonicalizes(&self, j: usize) -> bool;
+    /// Whether threads may cross the run as lanes: no stage holds more
+    /// than one memory instruction (the exactness condition of
+    /// [`exec_lanes`]), the head reads no channel twice, and the last
+    /// stage writes no channel twice and has at most 64 outputs.
+    fn lane_safe(&self) -> bool;
+    /// Stage `j`'s [`fresh_regs`] past its input registers — all a thread
+    /// entering its window needs zeroed — or `None`, which zeroes the
+    /// whole window past the inputs.
+    fn fresh(&self, j: usize) -> Option<u64>;
 }
 
 /// A stage alone is the one-stage run.
@@ -215,6 +247,55 @@ impl FusedRun for EwNode {
     fn canonicalizes(&self, _: usize) -> bool {
         unreachable!("a one-stage run has no fused edge")
     }
+
+    /// A stage fired alone goes one thread at a time: the simulator's and
+    /// the dense oracle's path, and the plan's allocator-gated stages.
+    #[inline(always)]
+    fn lane_safe(&self) -> bool {
+        false
+    }
+
+    #[inline(always)]
+    fn fresh(&self, _: usize) -> Option<u64> {
+        None
+    }
+}
+
+/// The registers numbered `loaded` or more that a thread of `ew` may read
+/// before its program writes them — bit `r` for register `r` — or `None`
+/// when one of them is past bit 63. A thread entering a stage's window
+/// must find these zeroed; every other register past its inputs is
+/// written before it is read, so it may keep the last thread's value.
+pub(crate) fn fresh_regs(ew: &EwNode, loaded: usize) -> Option<u64> {
+    // Registers written so far, as a bitset; one past it counts as never
+    // written, which can only cost a stage its lanes.
+    let mut written = [0u64; 4];
+    let is_written = |w: &[u64; 4], r: usize| w.get(r / 64).is_some_and(|b| b >> (r % 64) & 1 == 1);
+    let mut fresh = 0u64;
+    let mut read = |r: Reg, w: &[u64; 4]| {
+        let r = usize::from(r);
+        if r >= loaded && !is_written(w, r) {
+            fresh |= 1u64.checked_shl(r as u32)?;
+        }
+        Some(())
+    };
+    for ins in &ew.instrs {
+        let (mut ok, mut dst) = (Some(()), None);
+        ins.clone().for_each_reg(|role, &mut r| match role {
+            RegRole::Write => dst = Some(usize::from(r)),
+            RegRole::Read | RegRole::Pred => ok = ok.and(read(r, &written)),
+        });
+        ok?;
+        if let Some(r) = dst.filter(|&r| r < 64 * written.len()) {
+            written[r / 64] |= 1 << (r % 64);
+        }
+    }
+    for o in &ew.outputs {
+        for &r in o.slots.iter().chain(o.pred.as_ref().map(|(p, _)| p)) {
+            read(r, &written)?;
+        }
+    }
+    Some(fresh)
 }
 
 /// What a fused edge's channel would hold at its tail, for the absorb
@@ -235,8 +316,9 @@ pub(crate) enum Tail {
 
 /// The run rule (module docs): fires `run` on `io`, whose inputs are the
 /// head stage's and whose outputs are the last stage's, with `regs` as the
-/// run's register file and one `tails` entry per fused edge (reset here).
-/// `gated` is whether the head may stall on an allocator.
+/// run's register file, `lanes` as its lane file and one `tails` entry per
+/// fused edge (reset here). `gated` is whether the head may stall on an
+/// allocator.
 ///
 /// Inlined into its callers so the ports stay in registers across the
 /// token loop — measured on `exec_control`.
@@ -250,6 +332,7 @@ pub(crate) fn fire_run<P: Ports, R: FusedRun + ?Sized>(
     run: &R,
     io: &mut P,
     regs: &mut Vec<Word>,
+    lanes: &mut Vec<Word>,
     tails: &mut [Tail],
     gated: bool,
 ) -> Result<bool, MachineError> {
@@ -263,6 +346,7 @@ pub(crate) fn fire_run<P: Ports, R: FusedRun + ?Sized>(
         Word::ZERO,
     );
     tails[..last].fill(Tail::Empty);
+    let batched = io.lanes() >= MIN_LANES && !gated && run.lane_safe();
     let mut progressed = false;
     'outer: loop {
         // Classify all input fronts.
@@ -287,21 +371,35 @@ pub(crate) fn fire_run<P: Ports, R: FusedRun + ?Sized>(
             if !(0..out.len()).all(|o| io.can_push(o, false)) {
                 break;
             }
-            // Commit: pop every input, concatenate into the head's window.
-            let w = run.window(0);
-            let win = &mut regs[w..w + head.reg_count as usize];
-            win.fill(Word::ZERO);
-            let mut cursor = 0usize;
-            for i in 0..n_in {
-                let Some(Tok::Data(vals)) = io.peek_in(i) else {
-                    unreachable!("front changed between peek and pop")
-                };
-                win[cursor..cursor + vals.len()].copy_from_slice(vals);
-                cursor += vals.len();
-                io.pop_in(i);
+            // Threads every input queues: one unless the ports offer lanes,
+            // which accept every push, so a streak needs no further check.
+            let mut streak = 1;
+            if batched {
+                streak = lane_streak(io);
+                if streak >= MIN_LANES {
+                    commit_lanes(run, io, lanes, tails, streak);
+                    progressed = true;
+                    continue;
+                }
             }
-            exec_instrs(&head.instrs, win, io.mem());
-            carry(run, io, regs, tails);
+            for _ in 0..streak {
+                // Commit: pop every input, concatenate into the head's
+                // window.
+                let w = run.window(0);
+                let win = &mut regs[w..w + head.reg_count as usize];
+                let mut cursor = 0usize;
+                for i in 0..n_in {
+                    let Some(Tok::Data(vals)) = io.peek_in(i) else {
+                        unreachable!("front changed between peek and pop")
+                    };
+                    win[cursor..cursor + vals.len()].copy_from_slice(vals);
+                    cursor += vals.len();
+                    io.pop_in(i);
+                }
+                clear(win, cursor, run.fresh(0));
+                exec_instrs(&head.instrs, win, io.mem());
+                carry(run, io, regs, tails);
+            }
             progressed = true;
         } else if any_barrier {
             // Mixed data/barrier fronts are a structure mismatch unless
@@ -344,6 +442,22 @@ pub(crate) fn fire_run<P: Ports, R: FusedRun + ?Sized>(
     Ok(progressed)
 }
 
+/// Zeroes what a thread entering a stage's window must find zeroed past
+/// its `loaded` input registers: the stage's `fresh` registers, or all
+/// of them without a mask.
+#[inline(always)]
+fn clear(win: &mut [Word], loaded: usize, fresh: Option<u64>) {
+    match fresh {
+        None => win[loaded..].fill(Word::ZERO),
+        Some(mut regs) => {
+            while regs != 0 {
+                win[regs.trailing_zeros() as usize] = Word::ZERO;
+                regs &= regs - 1;
+            }
+        }
+    }
+}
+
 /// Carries the thread the head just computed through the rest of the run:
 /// out through the last stage's fired outputs, or to the first interior
 /// output whose predicate fails.
@@ -371,7 +485,7 @@ fn carry<P: Ports, R: FusedRun + ?Sized>(
         for (dst, &r) in win.iter_mut().zip(&spec.slots) {
             *dst = done[w + r as usize];
         }
-        win[spec.slots.len()..].fill(Word::ZERO);
+        clear(win, spec.slots.len(), run.fresh(j + 1));
         exec_instrs(&next.instrs, win, io.mem());
     }
     // Gather each fired output straight into its channel slot.
@@ -384,6 +498,172 @@ fn carry<P: Ports, R: FusedRun + ?Sized>(
             }
         }
     }
+}
+
+/// The data threads queued on every input of `io`, up to its lanes. Most
+/// fronts hold fewer than [`MIN_LANES`], so those are counted first.
+#[inline(always)]
+fn lane_streak<P: Ports>(io: &P) -> usize {
+    let streak = |max| (0..io.in_count()).fold(max, |n, i| io.data_streak(i, n));
+    match streak(MIN_LANES) {
+        MIN_LANES => streak(io.lanes().min(MAX_LANES)),
+        short => short,
+    }
+}
+
+/// Commits the next `n` threads — `MIN_LANES..=64` data tokens queued at
+/// the front of every head input — as lanes: the thread-at-a-time commit
+/// and [`carry`] restated stage by stage ([`cross_lanes`]), with the
+/// register file `file` laid out lane-major.
+///
+/// The stages run before any barrier moves. A barrier held on a fused
+/// edge goes on before the first lane crosses that edge, as before the
+/// first thread; barriers touch channels only, so releasing them edge by
+/// edge after the stages ran, in edge order, leaves what releasing each
+/// as its edge is first crossed leaves. No barrier enters during the
+/// batch, so every barrier a release pushes out precedes every output
+/// thread, and the outputs go out at the end, each in thread order. Each
+/// output's consumers are woken once.
+///
+/// Inlined, with the stages out of line, so the ports never leave the
+/// firing's token loop: taking them out of line measured slower on
+/// `exec_control`'s huff-dec, whose runs are mostly too short to batch.
+#[inline(always)]
+fn commit_lanes<P: Ports, R: FusedRun + ?Sized>(
+    run: &R,
+    io: &mut P,
+    file: &mut Vec<Word>,
+    tails: &mut [Tail],
+    n: usize,
+) {
+    let last = run.stages() - 1;
+    // The run's registers, then `exec_lanes`' scratch: three columns and
+    // a register row.
+    let regs = run.window(last) + run.stage(last).reg_count as usize;
+    let size = regs * n + 3 * n + regs;
+    if file.len() < size {
+        file.resize(size, Word::ZERO);
+    }
+    let (file, spare) = file[..size].split_at_mut(regs * n);
+    // Gather: input `i`'s tokens into the head's columns, thread by thread.
+    let w = run.window(0);
+    let mut cursor = w;
+    for i in 0..io.in_count() {
+        let mut width = 0;
+        io.pop_lanes(i, n, |l, vals| {
+            width = vals.len();
+            for (k, &v) in vals.iter().enumerate() {
+                file[(cursor + k) * n + l] = v;
+            }
+        });
+        cursor += width;
+    }
+    let (crossed, live) = cross_lanes(run, file, spare, n, cursor - w, io.mem());
+    for j in 0..crossed {
+        if let Tail::Held(level, _) = tails[j] {
+            release(run, j + 1, level, io, tails);
+        }
+        tails[j] = Tail::Data;
+    }
+    // Each output's threads in thread order; the outputs write distinct
+    // channels, so the order between them is not observable.
+    let (outs, w) = (&run.stage(last).outputs, run.window(last));
+    let mut pushed = 0u64;
+    for (o, spec) in outs.iter().enumerate() {
+        let mut takes = fire_mask(spec, file, w, n, live);
+        if takes == 0 {
+            continue;
+        }
+        pushed |= 1 << o;
+        let width = spec.slots.len();
+        io.push_lanes(o, width, takes.count_ones() as usize, |_, slot| {
+            let l = takes.trailing_zeros() as usize;
+            takes &= takes - 1;
+            for (word, &r) in slot.iter_mut().zip(&spec.slots) {
+                *word = file[(w + r as usize) * n + l];
+            }
+        });
+    }
+    io.lanes_committed(n, pushed);
+}
+
+/// Runs the stages of `run` for the `n` threads gathered into `file`,
+/// whose head inputs fill its first `loaded` registers: register `r` of
+/// lane `l` is `file[r * n + l]`, and `spare` is [`exec_lanes`]' scratch.
+/// Returns how many fused edges some thread crossed and how many threads
+/// reached the last stage (none when an edge stopped them all).
+///
+/// The live lanes stay packed at the front in thread order: where an
+/// interior predicate fails (a `u64` mask of the lanes it keeps), the copy
+/// into the next stage closes the gaps. Every stage's instructions run
+/// across the live lanes, and its one memory instruction keeps thread
+/// order. A stage's accesses commute with the rest of its run's (the
+/// plan's cut rule), so running stage `j` for every thread before stage
+/// `j + 1` for any leaves memory as the threads crossing one by one do.
+#[inline(never)]
+fn cross_lanes<R: FusedRun + ?Sized>(
+    run: &R,
+    file: &mut [Word],
+    spare: &mut [Word],
+    n: usize,
+    loaded: usize,
+    mem: &mut MemoryState,
+) -> (usize, usize) {
+    // [`clear`] for the first `live` lanes of stage `j`, whose window
+    // starts at `w`.
+    let zero = |file: &mut [Word], j: usize, w: usize, loaded: usize, live: usize| {
+        let mut cols = |r: usize| file[(w + r) * n..][..live].fill(Word::ZERO);
+        match run.fresh(j) {
+            None => (loaded..run.stage(j).reg_count as usize).for_each(cols),
+            Some(mut regs) => {
+                while regs != 0 {
+                    cols(regs.trailing_zeros() as usize);
+                    regs &= regs - 1;
+                }
+            }
+        }
+    };
+    let w = run.window(0);
+    zero(file, 0, w, loaded, n);
+    exec_lanes(&run.stage(0).instrs, file, spare, w, n, n, mem);
+    let mut live = n;
+    for j in 0..run.stages() - 1 {
+        let (spec, w) = (&run.stage(j).outputs[0], run.window(j));
+        let keep = fire_mask(spec, file, w, n, live);
+        if keep == 0 {
+            return (j, 0);
+        }
+        let (next_w, kept) = (run.window(j + 1), keep.count_ones() as usize);
+        for (k, &r) in spec.slots.iter().enumerate() {
+            let (from, to) = ((w + r as usize) * n, (next_w + k) * n);
+            if kept == live {
+                file.copy_within(from..from + live, to);
+            } else {
+                let (mut lanes, mut at) = (keep, to);
+                while lanes != 0 {
+                    file[at] = file[from + lanes.trailing_zeros() as usize];
+                    (lanes, at) = (lanes & (lanes - 1), at + 1);
+                }
+            }
+        }
+        live = kept;
+        zero(file, j + 1, next_w, spec.slots.len(), live);
+        exec_lanes(&run.stage(j + 1).instrs, file, spare, next_w, n, live, mem);
+    }
+    (run.stages() - 1, live)
+}
+
+/// The lanes among the first `live` whose thread `spec` takes, in a lane
+/// file of `n` lanes whose stage window starts at register `w`.
+#[inline(always)]
+fn fire_mask(spec: &OutputSpec, file: &[Word], w: usize, n: usize, live: usize) -> u64 {
+    let Some((r, expect)) = spec.pred else {
+        return u64::MAX.checked_shr(64 - live as u32).unwrap_or(0);
+    };
+    let col = &file[(w + r as usize) * n..][..live];
+    (0..)
+        .zip(col)
+        .fold(0, |m, (l, v)| m | u64::from(v.as_bool() == expect) << l)
 }
 
 /// Delivers Ω`level` to stage `j`'s input. It crosses stages until an
@@ -435,8 +715,8 @@ fn release<P: Ports, R: FusedRun + ?Sized>(
 mod tests {
     use super::*;
     use crate::channel::Channel;
-    use crate::instr::{AluOp, Operand};
-    use crate::mem::MemoryState;
+    use crate::instr::{AluOp, Operand, Pred};
+    use crate::mem::{MemoryState, SramId};
     use crate::node::{ChanId, NodeIo, PortBudget};
     use crate::tuple::{tbar, tdata, TTok};
 
@@ -613,5 +893,367 @@ mod tests {
         let progressed = n.fire(&mut io).unwrap();
         assert!(!progressed);
         assert_eq!(chans[0].len(), 1, "input not consumed while stalled");
+    }
+
+    // The lane-batched commit against the thread-at-a-time one: the same
+    // run fired by the same rule through `NodeIo`, once as it offers one
+    // lane and once widened to 64.
+
+    /// Hand-built stages laid out as the plan lays out a run: windows back
+    /// to back, every fused edge canonicalizing.
+    struct Run {
+        stages: Vec<EwNode>,
+        windows: Vec<usize>,
+        fresh: Vec<Option<u64>>,
+        lanes: bool,
+    }
+
+    impl Run {
+        fn new(stages: Vec<EwNode>, in_width: usize) -> Run {
+            let (mut windows, mut fresh, mut lanes) = (Vec::new(), Vec::new(), true);
+            let (mut window, mut loaded) = (0, in_width);
+            for ew in &stages {
+                windows.push(window);
+                let memory_ops = ew.instrs.iter().filter(|i| i.is_memory()).count();
+                lanes &= memory_ops <= 1;
+                fresh.push(fresh_regs(ew, loaded));
+                window += usize::from(ew.reg_count());
+                loaded = ew.outputs[0].slots.len();
+            }
+            Run {
+                stages,
+                windows,
+                fresh,
+                lanes,
+            }
+        }
+    }
+
+    impl FusedRun for Run {
+        fn stages(&self) -> usize {
+            self.stages.len()
+        }
+        fn stage(&self, j: usize) -> &EwNode {
+            &self.stages[j]
+        }
+        fn window(&self, j: usize) -> usize {
+            self.windows[j]
+        }
+        fn canonicalizes(&self, _: usize) -> bool {
+            true
+        }
+        fn lane_safe(&self) -> bool {
+            self.lanes
+        }
+        fn fresh(&self, j: usize) -> Option<u64> {
+            self.fresh[j]
+        }
+    }
+
+    /// `NodeIo` offering 64 lanes, recording each batch's width.
+    struct Wide<'a> {
+        io: NodeIo<'a>,
+        widths: Vec<usize>,
+    }
+
+    impl Ports for Wide<'_> {
+        fn in_count(&self) -> usize {
+            self.io.in_count()
+        }
+        fn out_count(&self) -> usize {
+            self.io.out_count()
+        }
+        fn peek_in(&self, i: usize) -> Option<Tok<&[Word]>> {
+            self.io.peek_in(i)
+        }
+        fn pop_in(&mut self, i: usize) -> Tok<()> {
+            self.io.pop_in(i)
+        }
+        fn can_push(&self, o: usize, barrier: bool) -> bool {
+            self.io.can_push(o, barrier)
+        }
+        fn push_slot(&mut self, o: usize, width: usize) -> &mut [Word] {
+            self.io.push_slot(o, width)
+        }
+        fn push_barrier(&mut self, o: usize, level: BarrierLevel) {
+            self.io.push_barrier(o, level);
+        }
+        fn forward(&mut self, i: usize, o: usize) {
+            self.io.forward(i, o);
+        }
+        fn mem(&mut self) -> &mut MemoryState {
+            self.io.mem()
+        }
+        fn mem_ref(&self) -> &MemoryState {
+            self.io.mem_ref()
+        }
+        fn scratch(&mut self) -> &mut Vec<Word> {
+            self.io.scratch()
+        }
+        fn lanes(&self) -> usize {
+            MAX_LANES
+        }
+        fn data_streak(&self, i: usize, max: usize) -> usize {
+            self.io.data_streak(i, max)
+        }
+        fn lanes_committed(&mut self, lanes: usize, _: u64) {
+            self.widths.push(lanes);
+        }
+    }
+
+    /// Fires `run` once over `input`, queued on one link of `in_width`
+    /// words, thread by thread or (`wide`) through [`Wide`], on a lane file
+    /// full of garbage. Returns the output streams, the memory (one SRAM
+    /// region of four words) and the batch widths.
+    fn fire_with(
+        run: &Run,
+        in_width: usize,
+        input: &[TTok],
+        wide: bool,
+    ) -> (Vec<Vec<TTok>>, MemoryState, Vec<usize>) {
+        let outputs = &run.stages.last().unwrap().outputs;
+        let mut chans = vec![Channel::new(in_width).without_canonicalization()];
+        chans.extend(outputs.iter().map(|o| Channel::new(o.slots.len())));
+        for t in input {
+            chans[0].push(t.clone());
+        }
+        let (ins, outs) = (
+            [ChanId(0)],
+            (1..=outputs.len() as u32).map(ChanId).collect::<Vec<_>>(),
+        );
+        let mut mem = MemoryState::default();
+        mem.add_sram("s", 4);
+        let (mut ib, mut ob) = (
+            [PortBudget::UNLIMITED],
+            vec![PortBudget::UNLIMITED; outs.len()],
+        );
+        let mut io = NodeIo::new(&mut chans, &ins, &outs, &mut mem, &mut ib, &mut ob);
+        let (mut regs, mut file) = (Vec::new(), vec![Word(0xDEAD_BEEF); 64 * 64]);
+        let mut tails = vec![Tail::Empty; run.stages.len() - 1];
+        let widths = if wide {
+            let mut io = Wide {
+                io,
+                widths: Vec::new(),
+            };
+            fire_run(run, &mut io, &mut regs, &mut file, &mut tails, false).unwrap();
+            io.widths
+        } else {
+            fire_run(run, &mut io, &mut regs, &mut file, &mut tails, false).unwrap();
+            Vec::new()
+        };
+        let streams = (1..chans.len()).map(|c| chans[c].drain_all()).collect();
+        (streams, mem, widths)
+    }
+
+    /// Asserts the lane commit leaves what the thread-at-a-time one does;
+    /// returns its batch widths.
+    fn lanes_match(run: &Run, input: &[TTok]) -> Vec<usize> {
+        let (want, want_mem, _) = fire_with(run, 1, input, false);
+        let (got, got_mem, widths) = fire_with(run, 1, input, true);
+        assert_eq!(got, want, "outputs, batches {widths:?}");
+        assert_eq!(got_mem, want_mem, "memory, batches {widths:?}");
+        widths
+    }
+
+    fn alu(op: AluOp, a: Operand, b: Operand, dst: Reg) -> EwInstr {
+        EwInstr::Alu { op, a, b, dst }
+    }
+
+    /// Keeps the threads whose value is not 0 mod `m`.
+    fn drop_multiples(m: u32) -> EwNode {
+        EwNode::new(
+            1,
+            vec![alu(AluOp::RemU, Operand::Reg(0), Operand::imm(m), 1)],
+            vec![OutputSpec::filtered([0], 1, true)],
+        )
+    }
+
+    /// `x + k`, reading its accumulator register before writing it, so it
+    /// sees the zero a fresh window holds.
+    fn add(k: u32) -> EwNode {
+        EwNode::new(
+            1,
+            vec![
+                alu(AluOp::Add, Operand::Reg(2), Operand::Reg(0), 2),
+                alu(AluOp::Add, Operand::Reg(2), Operand::imm(k), 1),
+            ],
+            vec![OutputSpec::plain([1])],
+        )
+    }
+
+    fn data(values: impl IntoIterator<Item = u32>) -> Vec<TTok> {
+        values.into_iter().map(|v| tdata([v])).collect()
+    }
+
+    #[test]
+    fn an_interior_filter_kills_some_lanes() {
+        let run = Run::new(vec![drop_multiples(3), add(100)], 1);
+        let input = [data(1..=10), vec![tbar(1)]].concat();
+        assert_eq!(lanes_match(&run, &input), [10]);
+        let (out, _, _) = fire_with(&run, 1, &input, true);
+        let kept = (1..=10).filter(|v| v % 3 != 0).map(|v| v + 100);
+        assert_eq!(out[0], [data(kept), vec![tbar(1)]].concat());
+    }
+
+    #[test]
+    fn an_interior_filter_kills_every_lane() {
+        let run = Run::new(vec![drop_multiples(1), add(100)], 1);
+        let input = [data(0..9), vec![tbar(1)]].concat();
+        assert_eq!(lanes_match(&run, &input), [9]);
+        assert_eq!(fire_with(&run, 1, &input, true).0[0], [tbar(1)]);
+    }
+
+    #[test]
+    fn a_held_barrier_goes_on_before_the_first_surviving_lane() {
+        // Ω1 is held on both fused edges between the batches; the second
+        // batch's first lanes die at the first filter, and the first lane
+        // to cross each edge releases what is held there.
+        let run = Run::new(vec![drop_multiples(5), drop_multiples(7), add(0)], 1);
+        let input = [
+            data(1..=10),
+            vec![tbar(1)],
+            data([10, 15, 14, 16, 17, 18, 19, 20, 21, 22]),
+            vec![tbar(1), tbar(2)],
+        ]
+        .concat();
+        assert_eq!(lanes_match(&run, &input), [10, 10]);
+        let out = fire_with(&run, 1, &input, true).0.remove(0);
+        let want = [
+            data([1, 2, 3, 4, 6, 8, 9]),
+            vec![tbar(1)],
+            data([16, 17, 18, 19, 22]),
+            vec![tbar(2)],
+        ];
+        assert_eq!(out, want.concat());
+    }
+
+    #[test]
+    fn streaks_batch_from_min_lanes_up_to_max_lanes() {
+        let run = Run::new(vec![add(1), drop_multiples(4), add(2)], 1);
+        for (len, widths) in [
+            (MIN_LANES - 1, vec![]),
+            (MIN_LANES, vec![MIN_LANES]),
+            (MAX_LANES, vec![MAX_LANES]),
+            (MAX_LANES + 1, vec![MAX_LANES]),
+            (
+                2 * MAX_LANES + MIN_LANES,
+                vec![MAX_LANES, MAX_LANES, MIN_LANES],
+            ),
+        ] {
+            let input = [data(0..len as u32), vec![tbar(1)]].concat();
+            assert_eq!(lanes_match(&run, &input), widths, "a streak of {len}");
+        }
+    }
+
+    #[test]
+    fn registers_read_before_any_write_read_as_zero() {
+        // r2 is read by the add before it is written, r3 never written but
+        // output, r4 never written but a predicate; r1 is written first.
+        let ew = EwNode::new(
+            1,
+            vec![
+                alu(AluOp::Add, Operand::Reg(0), Operand::imm(1u32), 1),
+                alu(AluOp::Add, Operand::Reg(2), Operand::Reg(1), 1),
+            ],
+            vec![OutputSpec::filtered([1, 3], 4, false)],
+        );
+        assert_eq!(fresh_regs(&ew, 1), Some(0b11100));
+        assert_eq!(fresh_regs(&ew, 3), Some(0b11000), "inputs are loaded");
+        let reads_r64 = EwNode::new(1, Vec::new(), vec![OutputSpec::plain([64])]);
+        assert_eq!(fresh_regs(&reads_r64, 1), None, "no mask reaches r64");
+        let run = Run::new(vec![add(0), ew], 1);
+        let input = [data(0..8), vec![tbar(1)]].concat();
+        assert_eq!(lanes_match(&run, &input), [8]);
+        let out = fire_with(&run, 1, &input, true).0.remove(0);
+        let want = (0..8u32).map(|v| tdata([v + 1, 0]));
+        assert_eq!(out, want.chain([tbar(1)]).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_lane_memory_op_keeps_thread_order() {
+        // Each thread decrements a shared SRAM counter and writes its value
+        // into a slot other threads share: thread order decides both.
+        let dec = EwNode::new(
+            1,
+            vec![EwInstr::SramDecFetch {
+                region: SramId(0),
+                addr: Operand::imm(0u32),
+                dst: 1,
+                pred: None,
+            }],
+            vec![OutputSpec::plain([0, 1])],
+        );
+        let write = EwNode::new(
+            2,
+            vec![EwInstr::SramWrite {
+                region: SramId(0),
+                addr: Operand::imm(1u32),
+                val: Operand::Reg(0),
+                pred: Some(Pred {
+                    reg: 1,
+                    expect: true,
+                }),
+            }],
+            vec![OutputSpec::plain([1])],
+        );
+        let run = Run::new(vec![dec, write], 1);
+        let input = [data(10..30), vec![tbar(1)]].concat();
+        assert_eq!(lanes_match(&run, &input), [20]);
+    }
+
+    #[test]
+    fn a_stage_with_two_memory_ops_fires_per_thread() {
+        // A running sum kept in SRAM: read, add, write back. As lanes, every
+        // thread would read the sum before any wrote it.
+        let sum = EwNode::new(
+            1,
+            vec![
+                EwInstr::SramRead {
+                    region: SramId(0),
+                    addr: Operand::imm(0u32),
+                    dst: 1,
+                    pred: None,
+                },
+                alu(AluOp::Add, Operand::Reg(1), Operand::Reg(0), 1),
+                EwInstr::SramWrite {
+                    region: SramId(0),
+                    addr: Operand::imm(0u32),
+                    val: Operand::Reg(1),
+                    pred: None,
+                },
+            ],
+            vec![OutputSpec::plain([1])],
+        );
+        let run = Run::new(vec![add(0), sum.clone()], 1);
+        assert!(!run.lanes);
+        let input = [data(1..=8), vec![tbar(1)]].concat();
+        assert_eq!(lanes_match(&run, &input), Vec::<usize>::new());
+
+        // The plan marks such a run too: it fires it per thread.
+        let mut g = crate::Graph::new();
+        g.mem.add_sram("s", 4);
+        let (a, b, c) = (
+            g.add_chan(Channel::new(1)),
+            g.add_chan(Channel::new(1)),
+            g.add_chan(Channel::new(1)),
+        );
+        for t in &input {
+            g.chan_mut(a).push(t.clone());
+        }
+        g.add_node("add", add(0), vec![a], vec![b]);
+        g.add_node("sum", sum, vec![b], vec![c]);
+        let obs = revet_obs::ObsSink::counters_only();
+        g.run(crate::RunOptions {
+            obs: &obs,
+            ..crate::RunOptions::new(1_000)
+        })
+        .unwrap();
+        assert_eq!(g.plan().stats().fused_runs, 1);
+        assert_eq!(obs.registry.histogram("exec.lanes").count(), 0);
+        let sums = [1, 3, 6, 10, 15, 21, 28, 36];
+        assert_eq!(
+            g.chans()[c.0 as usize].tokens_from(0),
+            [data(sums), vec![tbar(1)]].concat()
+        );
     }
 }

@@ -26,9 +26,12 @@
 //!   stages would. So every token that leaves a segment, and every DRAM,
 //!   SRAM and allocator effect, is what stepping its stages one by one
 //!   produces; a fused edge just records no channel statistics and no
-//!   `ChannelPush` trace event. Runs index into one flat stage table, and
-//!   the register file and edge state they fire on are the drain's
-//!   scratch, so a firing allocates nothing. The width of every fused
+//!   `ChannelPush` trace event. A run whose stages each hold at most one
+//!   memory instruction is *lane-safe*: its queued threads may cross it
+//!   together as lanes, one instruction across all of them. Runs index
+//!   into one flat stage table, and the register file, lane file and edge
+//!   state they fire on are the drain's scratch, so a firing allocates
+//!   nothing once they have grown. The width of every fused
 //!   edge is checked when the plan is built, since no slot write checks
 //!   it later.
 //! - **One port surface.** Both kinds of unit fire the primitive's own
@@ -58,8 +61,8 @@ use crate::graph::{ExecReport, Graph, TopologyIndex};
 use crate::instr::{EwInstr, MemSpace};
 use crate::mem::MemoryState;
 use crate::node::{ChanId, MachineError, NodeId, Ports, Prim};
-use crate::nodes::{fire_run, EwNode, FusedRun, Tail};
-use revet_obs::{ObsSink, WakeCause};
+use crate::nodes::{fire_run, fresh_regs, EwNode, FusedRun, Tail, MAX_LANES};
+use revet_obs::{Histogram, ObsSink, WakeCause};
 use revet_sltf::{BarrierLevel, Tok, Word};
 use std::sync::Arc;
 
@@ -96,6 +99,19 @@ struct Stage {
     /// Whether its output edge canonicalizes barriers; read only when
     /// that edge is fused.
     canon: bool,
+    /// The registers a thread entering its window needs zeroed
+    /// ([`fresh_regs`]) as a mask, or [`Stage::NO_MASK`] when one of them
+    /// lies past register 14. Two bytes fit the padding a stage already
+    /// has, and the table is allocated on every compile.
+    fresh: u16,
+    /// Whether its run is lane-safe ([`FusedRun::lane_safe`]). A run fired
+    /// stage by stage is too: each stage alone meets the same conditions.
+    lanes: bool,
+}
+
+impl Stage {
+    /// The [`Stage::fresh`] of a stage that zeroes its whole window.
+    const NO_MASK: u16 = 1 << 15;
 }
 
 /// A run is a slice of the stage table.
@@ -118,6 +134,17 @@ impl FusedRun for [Stage] {
     #[inline(always)]
     fn canonicalizes(&self, j: usize) -> bool {
         self[j].canon
+    }
+
+    #[inline(always)]
+    fn lane_safe(&self) -> bool {
+        self[0].lanes
+    }
+
+    #[inline(always)]
+    fn fresh(&self, j: usize) -> Option<u64> {
+        let fresh = self[j].fresh;
+        (fresh != Stage::NO_MASK).then_some(u64::from(fresh))
     }
 }
 
@@ -215,6 +242,8 @@ struct Scratch {
     regs: Vec<Word>,
     /// One tail per fused edge of the run being fired.
     tails: Vec<Tail>,
+    /// The lane file of a lane-batched commit (`fire_run`).
+    lanes: Vec<Word>,
 }
 
 impl ResumeState {
@@ -243,7 +272,16 @@ impl ResumeState {
         (ws.cur.capacity() + ws.next.capacity()) * std::mem::size_of::<u64>()
             + scratch.regs.capacity() * std::mem::size_of::<Word>()
             + scratch.tails.capacity() * std::mem::size_of::<Tail>()
+            + scratch.lanes.capacity() * std::mem::size_of::<Word>()
     }
+}
+
+/// An enabled sink, with the instrument a drain looks up in it once.
+#[derive(Debug)]
+struct Traced<'a> {
+    sink: &'a ObsSink,
+    /// `exec.lanes`: one sample per lane-batched commit, its width.
+    lanes: Arc<Histogram>,
 }
 
 /// The plan's wake protocol: every wake-up of a planned run goes through
@@ -253,7 +291,7 @@ impl ResumeState {
 struct Wakes<'a> {
     plan: &'a ExecPlan,
     ws: &'a mut WakeSet,
-    obs: Option<&'a ObsSink>,
+    obs: Option<&'a Traced<'a>>,
 }
 
 impl Wakes<'_> {
@@ -265,7 +303,7 @@ impl Wakes<'_> {
             let t = self.plan.wake_target[w.0 as usize];
             if self.ws.wake(t) {
                 if let Some(obs) = self.obs {
-                    obs.wake(t, cause);
+                    obs.sink.wake(t, cause);
                 }
             }
         }
@@ -296,7 +334,7 @@ impl PlanPorts<'_> {
     #[inline(always)]
     fn pushed(&mut self, c: ChanId) {
         if let Some(obs) = self.wakes.obs {
-            obs.channel_push(c.0);
+            obs.sink.channel_push(c.0);
         }
         if !self.interior {
             let consumers = self.wakes.plan.topo.consumers(c);
@@ -367,6 +405,43 @@ impl Ports for PlanPorts<'_> {
     #[inline(always)]
     fn scratch(&mut self) -> &mut Vec<Word> {
         &mut self.scratch
+    }
+
+    #[inline(always)]
+    fn lanes(&self) -> usize {
+        MAX_LANES
+    }
+
+    #[inline(always)]
+    fn data_streak(&self, i: usize, max: usize) -> usize {
+        self.chans[self.ins[i].0 as usize].data_streak(max)
+    }
+
+    #[inline(always)]
+    fn pop_lanes(&mut self, i: usize, n: usize, f: impl FnMut(usize, &[Word])) {
+        self.chans[self.ins[i].0 as usize].pop_streak(n, f);
+    }
+
+    #[inline(always)]
+    fn push_lanes(&mut self, o: usize, width: usize, n: usize, f: impl FnMut(usize, &mut [Word])) {
+        let c = self.outs[o];
+        if let Some(obs) = self.wakes.obs {
+            (0..n).for_each(|_| obs.sink.channel_push(c.0));
+        }
+        self.chans[c.0 as usize].push_streak(width, n, f);
+    }
+
+    #[inline(always)]
+    fn lanes_committed(&mut self, lanes: usize, mut pushed: u64) {
+        if let Some(obs) = self.wakes.obs {
+            obs.lanes.record(lanes as u64);
+        }
+        while pushed != 0 && !self.interior {
+            let o = pushed.trailing_zeros() as usize;
+            pushed &= pushed - 1;
+            let consumers = self.wakes.plan.topo.consumers(self.outs[o]);
+            self.wakes.wake(consumers, WakeCause::TokenArrival);
+        }
     }
 }
 
@@ -468,7 +543,15 @@ impl ExecPlan {
     /// the edge from the run's last stage when there is one. No slot write
     /// will check that edge's width, so it is checked here.
     fn push_stage(&mut self, g: &Graph, run: usize, i: usize, ew: &EwNode) {
-        let mut window = 0;
+        let (mut window, node) = (0, &g.nodes()[i]);
+        let mut loaded: usize = node
+            .ins
+            .iter()
+            .map(|c| g.chans()[c.0 as usize].arity())
+            .sum();
+        let distinct = |ids: &[ChanId]| (1..ids.len()).all(|k| !ids[..k].contains(&ids[k]));
+        let memory_ops = ew.instrs.iter().filter(|ins| ins.is_memory()).count();
+        let mut lanes = distinct(&node.ins) && distinct(&node.outs) && memory_ops <= 1;
         if let Some(prev) = self.stages[run..].last_mut() {
             let (from, to) = (&g.nodes()[prev.node as usize], &g.nodes()[i]);
             let c = from.outs[0];
@@ -486,6 +569,8 @@ impl ExecPlan {
             );
             prev.canon = chan.canonicalizes();
             window = prev.window + u32::from(prev.ew.reg_count());
+            loaded = width;
+            lanes &= prev.lanes;
         }
         self.stages.push(Stage {
             node: i as u32,
@@ -493,14 +578,22 @@ impl ExecPlan {
             window,
             run_end: 0,
             canon: false,
+            fresh: fresh_regs(ew, loaded)
+                .and_then(|mask| u16::try_from(mask).ok())
+                .filter(|&mask| mask < Stage::NO_MASK)
+                .unwrap_or(Stage::NO_MASK),
+            lanes,
         });
     }
 
-    /// Ends the run that starts at `run` with the last stage pushed.
+    /// Ends the run that starts at `run` with the last stage pushed; it is
+    /// lane-safe when its last stage is and has at most 64 outputs.
     fn close_run(&mut self, run: usize) {
         let end = self.stages.len();
+        let last = &self.stages[end - 1];
+        let lanes = last.lanes && last.ew.outputs.len() <= MAX_LANES;
         for stage in &mut self.stages[run..] {
-            stage.run_end = end as u32;
+            (stage.run_end, stage.lanes) = (end as u32, lanes);
         }
         self.longest_run = self.longest_run.max(end - run);
     }
@@ -547,7 +640,10 @@ impl ExecPlan {
         } = resume;
         let first = !std::mem::replace(started, true);
         let mut report = ExecReport::default();
-        let traced = obs.is_enabled().then_some(obs);
+        let traced = obs.is_enabled().then(|| Traced {
+            sink: obs,
+            lanes: obs.registry.histogram("exec.lanes"),
+        });
         let fuse = self.fused_edges_empty(g);
         scratch
             .tails
@@ -575,7 +671,7 @@ impl ExecPlan {
                     ws.cur[w] &= ws.cur[w] - 1;
                     let i = w * 64 + b as usize;
                     report.steps += 1;
-                    let progressed = self.fire(i, g, scratch, fuse, ws, traced)?;
+                    let progressed = self.fire(i, g, scratch, fuse, ws, traced.as_ref())?;
                     if progressed {
                         report.productive_steps += 1;
                     }
@@ -621,7 +717,7 @@ impl ExecPlan {
         scratch: &mut Scratch,
         fuse: bool,
         ws: &mut WakeSet,
-        obs: Option<&ObsSink>,
+        obs: Option<&Traced>,
     ) -> Result<bool, MachineError> {
         let allocs_before = g.mem.alloc_push_ops();
         let (chans, mem, nodes) = g.split_mut();
@@ -656,15 +752,20 @@ impl ExecPlan {
                     },
                     interior: end < hi,
                 };
-                // The run gets the drain's registers directly (its ports
-                // lend none), and the chain rule admits no allocator
-                // stall. Only a run's head can fail.
-                progressed |= fire_run(run, &mut io, &mut scratch.regs, &mut scratch.tails, false)
+                // The run gets the drain's register and lane files
+                // directly (its ports lend none), and the chain rule admits
+                // no allocator stall. Only a run's head can fail.
+                let Scratch {
+                    regs,
+                    tails,
+                    lanes: file,
+                } = &mut *scratch;
+                progressed |= fire_run(run, &mut io, regs, file, tails, false)
                     .map_err(|e| e.at(&head.label))?;
                 at = end;
             }
             if let (true, Some(obs)) = (progressed, obs) {
-                obs.segment_fire(seg, (hi - lo) as u32);
+                obs.sink.segment_fire(seg, (hi - lo) as u32);
             }
         } else {
             let slot = &mut nodes[i];

@@ -86,9 +86,10 @@ impl Ring {
         (self.head + i) & self.tags.len().wrapping_sub(1)
     }
 
-    /// Doubles storage. The ring is full, so the tokens that wrapped
-    /// around occupy slots `0..head`: moving them past the old end makes
-    /// the queue contiguous from `head` again.
+    /// Doubles storage. The tokens that wrapped around, if any, occupy
+    /// slots `0..head`: moving them past the old end makes the queue
+    /// contiguous from `head` again (short of full, some empty slots move
+    /// with them).
     #[cold]
     fn grow(&mut self) {
         let old = self.tags.len();
@@ -159,6 +160,55 @@ impl Ring {
             Some(level) => Tok::Barrier(level),
             None => Tok::Data(&self.words[slot * self.arity..(slot + 1) * self.arity]),
         })
+    }
+
+    /// Removes the `n` tokens at the front, all data, handing each one's
+    /// words to `f` with its position: a counted [`Ring::data_streak`]
+    /// popped in one head bump.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `n` tokens are queued; debug builds also check
+    /// that each is data.
+    #[inline]
+    pub fn pop_streak(&mut self, n: usize, mut f: impl FnMut(usize, &[Word])) {
+        assert!(n <= self.len, "popping {n} of {} tokens", self.len);
+        for k in 0..n {
+            let slot = self.slot_of(k);
+            debug_assert_eq!(self.tags[slot], DATA, "a streak holds data only");
+            f(k, &self.words[slot * self.arity..(slot + 1) * self.arity]);
+        }
+        if n > 0 {
+            self.head = self.slot_of(n);
+            self.len -= n;
+        }
+    }
+
+    /// Appends `n` data tokens, handing `f` each one's window (with its
+    /// position) to fill, as `n` [`Ring::push_slot`]s would.
+    #[inline]
+    pub fn push_streak(&mut self, n: usize, mut f: impl FnMut(usize, &mut [Word])) {
+        while self.len + n > self.tags.len() {
+            self.grow();
+        }
+        for k in 0..n {
+            let slot = self.slot_of(self.len + k);
+            self.tags[slot] = DATA;
+            f(
+                k,
+                &mut self.words[slot * self.arity..(slot + 1) * self.arity],
+            );
+        }
+        self.len += n;
+    }
+
+    /// How many of the tokens at the front are data, counting at most
+    /// `max`.
+    #[inline]
+    pub fn data_streak(&self, max: usize) -> usize {
+        (0..self.len.min(max))
+            .take_while(|&i| self.tags[self.slot_of(i)] == DATA)
+            .count()
     }
 
     /// The front token, if any.
@@ -331,6 +381,27 @@ mod tests {
         assert_eq!(r.pop_front(), Some(Tok::Data(())));
         assert_eq!(r.pop_front(), Some(Tok::Data(())));
         assert_eq!(r.pop_front(), Some(Tok::Barrier(BarrierLevel::L3)));
+    }
+
+    #[test]
+    fn data_streak_counts_front_data_across_the_wrap() {
+        let mut r = Ring::new(1);
+        assert_eq!(r.data_streak(64), 0);
+        for i in 0..4u32 {
+            push(&mut r, i);
+        }
+        r.pop_front();
+        r.pop_front();
+        push(&mut r, 4);
+        push(&mut r, 5); // head in the middle: the streak wraps
+        assert_eq!((r.data_streak(64), r.data_streak(3)), (4, 3));
+        r.push_barrier(BarrierLevel::L1);
+        push(&mut r, 6);
+        assert_eq!(r.data_streak(64), 4, "a barrier ends the streak");
+        while r.front().is_some_and(|t| t.is_data()) {
+            r.pop_front();
+        }
+        assert_eq!(r.data_streak(64), 0, "a barrier at the front");
     }
 
     #[test]

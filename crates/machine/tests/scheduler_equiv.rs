@@ -29,7 +29,10 @@
 //! whose back-pressure `sim_golden` pins.
 //!
 //! A case is *shallow* or *deep*. A shallow input stream closes its
-//! groups with Ω1 only. A deep stream also carries Ω2 and Ω3 runs
+//! groups with Ω1 only: after every value that is 0 mod 7 or, in a
+//! *sparse* case, 0 mod 97, so that a group of up to 160 values can run
+//! past the 64 threads one lane-batched commit of the plan takes. A deep
+//! stream also carries Ω2 and Ω3 runs
 //! (`x Ω1 Ω2`, a bare `x Ω2`), its entry link may keep them explicit, and
 //! only deep cases draw sram pairs. The split exists because barrier
 //! absorption (an Ωm at a channel's tail taken over by a later Ωn, n > m,
@@ -128,10 +131,12 @@ const WINDOW: usize = 64;
 const SRAM_WORDS: usize = 4;
 
 /// The source stream for a value list: data tokens with ragged mid-stream
-/// barrier runs, closed by the stream's top-level run — Ω1 when shallow;
-/// when deep, mid-stream runs of `Ω1`, `Ω1 Ω2`, `Ω1 Ω2 Ω3` or a bare `Ω2`,
-/// closed by `Ω1 Ω2 Ω3`.
-fn source_tokens(values: &[u32], deep: bool) -> Vec<TTok> {
+/// barrier runs, closed by the stream's top-level run — Ω1 when shallow,
+/// after each value that is 0 mod 7 (0 mod 97 when `sparse`); when deep,
+/// mid-stream runs of `Ω1`, `Ω1 Ω2`, `Ω1 Ω2 Ω3` or a bare `Ω2`, closed by
+/// `Ω1 Ω2 Ω3`.
+fn source_tokens(values: &[u32], deep: bool, sparse: bool) -> Vec<TTok> {
+    let group = if sparse { 97 } else { 7 };
     let mut toks: Vec<TTok> = Vec::new();
     for (i, &v) in values.iter().enumerate() {
         toks.push(tdata([v]));
@@ -140,7 +145,7 @@ fn source_tokens(values: &[u32], deep: bool) -> Vec<TTok> {
             toks.extend((1..=1 + (v / 3 % 3) as u8).map(tbar));
         } else if deep && v % 5 == 0 {
             toks.push(tbar(2));
-        } else if !deep && v % 7 == 0 {
+        } else if !deep && v % group == 0 {
             toks.push(tbar(1));
         }
         if i + 1 == values.len() {
@@ -460,13 +465,14 @@ proptest! {
     /// is an `EwNode`, so the plan chains the whole DAG.
     #[test]
     fn planned_matches_ready_matches_dense(
-        values in prop::collection::vec(0u32..100, 0..14),
+        values in prop::collection::vec(0u32..100, 0..160),
         moves in prop::collection::vec(any::<u32>(), 0..18),
         deep in any::<bool>(),
+        sparse in any::<bool>(),
         entry_canon in any::<bool>(),
     ) {
         let shape = Shape { deep, entry_canon };
-        let toks = source_tokens(&values, deep);
+        let toks = source_tokens(&values, deep, sparse);
         let (mut dense_g, _, outputs, structures) = build(toks.clone(), &moves, shape);
         let dense: ExecReport = run_dense(&mut dense_g, 100_000).unwrap();
         check_structure(&toks, &snapshot(&dense_g, &outputs), &structures, deep)?;
@@ -510,14 +516,15 @@ proptest! {
     /// attempted step, summed over the session's runs.
     #[test]
     fn chunked_feed_matches_one_shot(
-        values in prop::collection::vec(0u32..100, 0..14),
+        values in prop::collection::vec(0u32..100, 0..160),
         moves in prop::collection::vec(any::<u32>(), 0..18),
         cuts in prop::collection::vec(0usize..64, 0..5),
         deep in any::<bool>(),
+        sparse in any::<bool>(),
         entry_canon in any::<bool>(),
     ) {
         let shape = Shape { deep, entry_canon };
-        let toks = source_tokens(&values, deep);
+        let toks = source_tokens(&values, deep, sparse);
         let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (toks.len() + 1)).collect();
         bounds.push(0);
         bounds.push(toks.len());
