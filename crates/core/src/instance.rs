@@ -115,12 +115,7 @@ impl ProgramInstance {
     /// `main`'s return values, one data tuple closed by `Ω1` per argument
     /// thread (the empty tuple for `void main`).
     pub fn sink_tokens(&self) -> Vec<TTok> {
-        self.output_from(0)
-    }
-
-    /// The exit channel's tokens from position `start` onward.
-    pub(crate) fn output_from(&self, start: usize) -> Vec<TTok> {
-        self.graph.chans()[self.exit.0 as usize].tokens_from(start)
+        self.graph.chans()[self.exit.0 as usize].tokens()
     }
 
     /// The instance's memory state (DRAM image, SRAM regions, allocators).

@@ -177,7 +177,7 @@ impl CompiledProgram {
     /// The tokens `main` has left on the exit channel: its return values,
     /// one data tuple closed by `Ω1` per argument thread.
     pub fn sink_tokens(&self) -> Vec<revet_machine::TTok> {
-        self.graph.chans()[self.exit.0 as usize].tokens_from(0)
+        self.graph.chans()[self.exit.0 as usize].tokens()
     }
 
     /// The number of contexts (Table IV's unit counts derive from this).

@@ -5,9 +5,11 @@
 //! completion once: [`StreamInstance::feed`] appends whole `main`
 //! argument sets to the entry channel (the same Data + Ω1 protocol a
 //! one-shot run injects), [`StreamInstance::poll`] resumes the executor
-//! and returns the exit-channel tokens produced since the previous poll,
-//! and [`StreamInstance::finish`] runs the final drain and yields the
-//! memory image plus the merged execution report.
+//! and pops what `main` has left on the exit channel since the previous
+//! poll, and [`StreamInstance::finish`] runs the final drain and yields
+//! the output it produced, the memory image and the merged execution
+//! report. The host is the exit channel's consumer: a token it reads
+//! leaves the link, so a session holds only work not yet delivered.
 //!
 //! The load-bearing invariant — pinned by the property suite and the
 //! fuzzer's chunked-feed lane — is that feeding an input in K chunks is
@@ -31,9 +33,10 @@ pub struct StreamOutcome {
     pub report: ExecReport,
     /// The final memory state (DRAM image, SRAM regions, allocators).
     pub memory: MemoryState,
-    /// The complete output stream, `main`'s return values (equal to the
-    /// concatenation of every poll's delta).
-    pub sink: Vec<TTok>,
+    /// The output of the final drain, `main`'s return values no poll
+    /// delivered: every poll's tokens followed by these are the whole
+    /// output stream.
+    pub tail: Vec<TTok>,
 }
 
 /// A resident, incrementally-fed instantiation of a [`CompiledProgram`].
@@ -62,12 +65,8 @@ pub struct StreamOutcome {
 pub struct StreamInstance {
     inner: ProgramInstance,
     resume: ResumeState,
-    /// Exit-channel read position: `poll` returns tokens from here onward.
-    cursor: usize,
     /// Counters merged across every poll so far.
     report: ExecReport,
-    /// Argument sets accepted so far.
-    fed: u64,
 }
 
 impl StreamInstance {
@@ -77,9 +76,7 @@ impl StreamInstance {
         StreamInstance {
             inner,
             resume: ResumeState::new(),
-            cursor: 0,
             report: ExecReport::default(),
-            fed: 0,
         }
     }
 
@@ -96,15 +93,15 @@ impl StreamInstance {
         for args in argsets {
             self.inner.inject_args(args);
         }
-        self.fed += argsets.len() as u64;
         Ok(argsets.len())
     }
 
-    /// Resumes execution until quiescence and returns the exit-channel
-    /// tokens produced by this poll, plus whether the graph drained cleanly
-    /// ([`RunStatus::Finished`]) or holds tokens that need more input
-    /// ([`RunStatus::Paused`]). Both statuses leave the session usable:
-    /// `Finished` just means nothing is currently in flight.
+    /// Resumes execution until quiescence and pops the exit-channel
+    /// tokens produced since the previous poll, returning them with
+    /// whether the graph drained cleanly ([`RunStatus::Finished`]) or
+    /// holds tokens that need more input ([`RunStatus::Paused`]). Both
+    /// statuses leave the session usable: `Finished` just means nothing
+    /// is currently in flight.
     ///
     /// # Errors
     ///
@@ -135,9 +132,8 @@ impl StreamInstance {
                 .gauge("stream.resident_bytes")
                 .record_max(self.resident_bytes());
         }
-        let delta = self.inner.output_from(self.cursor);
-        self.cursor += delta.len();
-        Ok((delta, status))
+        let exit = self.inner.exit;
+        Ok((self.inner.graph.chan_mut(exit).drain_all(), status))
     }
 
     /// Runs a final poll and closes the session. A clean drain yields the
@@ -148,8 +144,22 @@ impl StreamInstance {
     /// # Errors
     ///
     /// Poll errors, plus the deadlock diagnosis when input is incomplete.
-    pub fn finish(mut self, max_rounds: u64) -> Result<StreamOutcome, MachineError> {
-        let (_, status) = self.poll(max_rounds)?;
+    pub fn finish(self, max_rounds: u64) -> Result<StreamOutcome, MachineError> {
+        self.finish_obs(max_rounds, revet_obs::ObsSink::noop())
+    }
+
+    /// [`StreamInstance::finish`] with an observability sink, recorded
+    /// into as [`StreamInstance::poll_obs`] does.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`StreamInstance::finish`].
+    pub fn finish_obs(
+        mut self,
+        max_rounds: u64,
+        obs: &revet_obs::ObsSink,
+    ) -> Result<StreamOutcome, MachineError> {
+        let (tail, status) = self.poll_obs(max_rounds, obs)?;
         if status == RunStatus::Paused {
             // `Paused` is quiescence with stuck channels: the graph's
             // one-shot reading of that state is the diagnosis.
@@ -161,15 +171,16 @@ impl StreamInstance {
         }
         Ok(StreamOutcome {
             report: self.report,
-            sink: self.inner.sink_tokens(),
+            tail,
             memory: self.inner.into_memory(),
         })
     }
 
     /// Approximate resident heap bytes of the session's mutable streaming
-    /// state: the queued channel tokens, fed input and output so far
-    /// included. The number that grows with buffered work — per-session
-    /// memory accounting reads this.
+    /// state: the tokens queued on its channels, which is only work not
+    /// yet delivered (fed input not yet consumed, stuck tokens, and output
+    /// no poll has popped). It reads 0 after a poll that finished — per-
+    /// session memory accounting reads this.
     pub fn resident_bytes(&self) -> u64 {
         self.inner.graph.resident_bytes()
     }
@@ -177,22 +188,6 @@ impl StreamInstance {
     /// Counters merged across every poll so far.
     pub fn report(&self) -> &ExecReport {
         &self.report
-    }
-
-    /// Argument sets accepted by [`StreamInstance::feed`] so far.
-    pub fn fed(&self) -> u64 {
-        self.fed
-    }
-
-    /// The complete output stream so far (every poll's delta,
-    /// concatenated).
-    pub fn sink_tokens(&self) -> Vec<TTok> {
-        self.inner.sink_tokens()
-    }
-
-    /// The session's memory state (DRAM image, SRAM regions, allocators).
-    pub fn memory(&self) -> &MemoryState {
-        &self.inner.graph.mem
     }
 }
 
@@ -249,10 +244,9 @@ mod tests {
             collected.extend(delta);
             assert_eq!(status, RunStatus::Finished);
         }
-        assert_eq!(stream.fed(), 4);
         let out = stream.finish(1_000_000).unwrap();
-        assert_eq!(out.sink, reference.sink_tokens(), "output stream");
-        assert_eq!(collected, out.sink, "poll deltas");
+        collected.extend(out.tail);
+        assert_eq!(collected, reference.sink_tokens(), "polls + tail");
         assert_eq!(out.memory.dram, reference.memory().dram, "DRAM");
     }
 
@@ -346,5 +340,6 @@ mod tests {
         stream.poll_obs(1_000_000, &obs).unwrap();
         let gauge = obs.registry.gauge("stream.resident_bytes").get();
         assert!(gauge > 0, "peak resident footprint recorded");
+        assert_eq!(stream.resident_bytes(), 0, "the poll delivered it all");
     }
 }

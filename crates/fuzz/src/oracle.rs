@@ -272,7 +272,8 @@ fn run_case_inner(case: &Case, cfg: &OracleConfig) -> Result<(), Failure> {
 
 /// Feeds `argsets` into a fresh streaming session in `chunk`-sized
 /// groups, polling to quiescence between groups, then finishes; returns
-/// the final DRAM image and the complete sink stream.
+/// the final DRAM image and the complete output stream (every poll's
+/// tokens, then the close's tail).
 fn stream_run(
     program: &CompiledProgram,
     argsets: &[Vec<Word>],
@@ -280,12 +281,14 @@ fn stream_run(
     max_rounds: u64,
 ) -> Result<(Vec<u8>, Vec<TTok>), MachineError> {
     let mut stream = program.stream();
+    let mut output = Vec::new();
     for group in argsets.chunks(chunk.max(1)) {
         stream.feed(group)?;
-        stream.poll(max_rounds)?;
+        output.extend(stream.poll(max_rounds)?.0);
     }
     let out = stream.finish(max_rounds)?;
-    Ok((out.memory.dram.to_vec(), out.sink))
+    output.extend(out.tail);
+    Ok((out.memory.dram.to_vec(), output))
 }
 
 fn run_level(

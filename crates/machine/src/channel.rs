@@ -15,7 +15,7 @@
 //! That is the surface the firing rules ride (through [`crate::Ports`]).
 //! Owned tokens ([`TTok`], a `Tok<Vec<Word>>`) exist only at the edges of
 //! a graph, where a token has to outlive its slot: [`Channel::push`],
-//! [`Channel::pop`], [`Channel::tokens_from`] and [`Channel::drain_all`]
+//! [`Channel::pop`], [`Channel::drain_all`] and [`Channel::tokens`]
 //! convert for host feeds, the host's read of an output link, and tests.
 //!
 //! Channels know their bandwidth class (§III-C: a scalar link moves one
@@ -278,17 +278,17 @@ impl Channel {
         self.pushed_data
     }
 
-    /// The queued tokens from position `start` onward, copied out without
-    /// popping: how the host reads an output link, one that no node
-    /// consumes. `start` past the end yields an empty vector.
-    pub fn tokens_from(&self, start: usize) -> Vec<TTok> {
-        (start..self.len())
+    /// The queued tokens, copied out without popping: a look at a link no
+    /// node consumes, leaving it as it is.
+    pub fn tokens(&self) -> Vec<TTok> {
+        (0..self.len())
             .filter_map(|i| self.queue.get(i))
             .map(|tok| tok.map(<[Word]>::to_vec))
             .collect()
     }
 
-    /// Drains the remaining queue into a vector (test helper).
+    /// Pops every queued token into a vector: how the host reads an
+    /// output link, so a delivered token leaves the link.
     pub fn drain_all(&mut self) -> Vec<TTok> {
         std::iter::from_fn(|| self.pop()).collect()
     }

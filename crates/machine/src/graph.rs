@@ -678,7 +678,7 @@ mod tests {
 
     /// What an output link holds, as the host reads it.
     fn out(g: &Graph, c: ChanId) -> Vec<TTok> {
-        g.chans()[c.0 as usize].tokens_from(0)
+        g.chans()[c.0 as usize].tokens()
     }
 
     /// `x -> 2x`.
@@ -1040,10 +1040,6 @@ mod tests {
         let (r2, s) = poll(&mut g, &mut resume);
         assert_eq!(s, RunStatus::Finished);
         assert_eq!(out(&g, exit), out(&one, exit), "chunked ≡ one-shot dense");
-        // The second poll's delta is readable through the cursor view.
-        let exit = &g.chans()[exit.0 as usize];
-        assert_eq!(exit.tokens_from(2), vec![tdata([10u32]), tbar(1)]);
-        assert!(exit.tokens_from(99).is_empty());
         assert!(r1.steps > 0 && r2.steps > 0);
     }
 

@@ -25,8 +25,8 @@
 //! | forward-backward merge   | [`nodes::FbMergeNode`]            | [`nodes::FbMergeNode::fire`] |
 //!
 //! A graph's inputs and outputs are its channels: the host pushes onto a
-//! link no node writes ([`Channel::push`]) and reads a link no node
-//! consumes ([`Channel::tokens_from`]), which a drained graph may leave
+//! link no node writes ([`Channel::push`]) and pops a link no node
+//! consumes ([`Channel::drain_all`]), which a drained graph may leave
 //! holding tokens ([`Graph::stuck_channels`] counts only consumed links).
 //!
 //! All primitives observe the two SLTF composability rules: barriers pass
@@ -98,7 +98,7 @@
 //! g.chan_mut(a).push(tbar(1));
 //! g.run(RunOptions::new(1_000)).unwrap();
 //! // Exit on `d`: sum(0..3) = 3, still a 1-D stream of one thread.
-//! assert_eq!(g.chans()[d.0 as usize].tokens_from(0), vec![tdata([3u32]), tbar(1)]);
+//! assert_eq!(g.chans()[d.0 as usize].tokens(), vec![tdata([3u32]), tbar(1)]);
 //! ```
 
 #![warn(missing_docs)]

@@ -1252,7 +1252,7 @@ mod tests {
         assert_eq!(obs.registry.histogram("exec.lanes").count(), 0);
         let sums = [1, 3, 6, 10, 15, 21, 28, 36];
         assert_eq!(
-            g.chans()[c.0 as usize].tokens_from(0),
+            g.chans()[c.0 as usize].tokens(),
             [data(sums), vec![tbar(1)]].concat()
         );
     }

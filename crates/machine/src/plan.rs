@@ -841,7 +841,7 @@ mod tests {
 
     /// What an output link holds, as the host reads it.
     fn out(g: &Graph, c: ChanId) -> Vec<TTok> {
-        g.chans()[c.0 as usize].tokens_from(0)
+        g.chans()[c.0 as usize].tokens()
     }
 
     fn add_one() -> EwNode {

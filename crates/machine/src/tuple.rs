@@ -12,7 +12,7 @@
 //! ([`crate::Channel`]), and the firing rules never see an owned one. The
 //! owned forms here, [`Tuple`] and [`TTok`], are for where a token has to
 //! outlive its slot: a host feeding a channel ([`crate::Channel::push`])
-//! or reading one ([`crate::Channel::tokens_from`]), the wire format, the
+//! or reading one ([`crate::Channel::drain_all`]), the wire format, the
 //! few tuples a node holds across firings (a broadcast's parent, a fork's
 //! payload), and tests.
 

@@ -15,7 +15,7 @@ fn feed(g: &mut Graph, c: ChanId, toks: impl IntoIterator<Item = TTok>) {
 
 /// What an output link holds, as the host reads it.
 fn output(g: &Graph, c: ChanId) -> Vec<TTok> {
-    g.chans()[c.0 as usize].tokens_from(0)
+    g.chans()[c.0 as usize].tokens()
 }
 
 proptest! {

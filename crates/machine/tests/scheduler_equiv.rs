@@ -441,7 +441,7 @@ fn check_structure(
 fn snapshot(g: &Graph, outputs: &[ChanId]) -> Vec<Vec<TTok>> {
     outputs
         .iter()
-        .map(|c| g.chans()[c.0 as usize].tokens_from(0))
+        .map(|c| g.chans()[c.0 as usize].tokens())
         .collect()
 }
 

@@ -44,8 +44,10 @@
 //! [`revet_core::ProgramInstance`] owns all of its mutable state, so
 //! parallel batch results are bit-identical to a
 //! sequential loop over the same jobs (`tests/batch_equiv.rs` pins this,
-//! reusing the scheduler-equivalence discipline: identical sink streams
-//! and identical [`MemoryState`]).
+//! reusing the scheduler-equivalence discipline: identical
+//! [`MemoryState`]s). A result carries no output tokens: `Execute`'s
+//! reply is a DRAM window, and a `main` that returns values is read
+//! through a streaming session.
 //!
 //! ## Example
 //!
@@ -73,7 +75,7 @@
 #![warn(missing_docs)]
 
 use revet_core::CompiledProgram;
-use revet_machine::{ExecReport, MachineError, MemoryState, TTok};
+use revet_machine::{ExecReport, MachineError, MemoryState};
 use revet_obs::ObsSink;
 use revet_sltf::Word;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -135,8 +137,6 @@ impl<'p> BatchJob<'p> {
 pub struct InstanceResult {
     /// Scheduler counters from the instance's untimed run.
     pub report: ExecReport,
-    /// Tokens the instance left on its exit channel (`main`'s outputs).
-    pub sink: Vec<TTok>,
     /// The instance's final memory state (DRAM outputs live here).
     pub mem: MemoryState,
     /// Wall-clock time for this instance alone (instantiate + run +
@@ -304,7 +304,6 @@ fn run_one(
         inst.graph.mem.write_dram(*base, bytes)?;
     }
     let report = inst.run(&job.args, max_rounds, obs)?;
-    let sink = inst.sink_tokens();
     let wall = start.elapsed();
     if obs.is_enabled() {
         obs.registry
@@ -313,7 +312,6 @@ fn run_one(
     }
     Ok(InstanceResult {
         report,
-        sink,
         mem: inst.into_memory(),
         wall,
     })
@@ -454,7 +452,6 @@ mod tests {
             dense.inject_args(args);
             let report = run_dense(&mut dense.graph, DEFAULT_MAX_ROUNDS).unwrap();
             assert_eq!(&p.mem, dense.memory(), "DRAM/SRAM must be bit-identical");
-            assert_eq!(p.sink, dense.sink_tokens());
             // The plan only fires woken units, so it never attempts more
             // steps than the sweep.
             assert!(p.report.steps <= report.steps);

@@ -1,6 +1,6 @@
 //! Batch-equivalence tests: running N program instances on a 4-thread
-//! pool must yield sink streams and [`MemoryState`]s **bit-identical** to N
-//! sequential single-threaded runs.
+//! pool must yield [`MemoryState`]s **bit-identical** to N sequential
+//! single-threaded runs.
 //!
 //! This extends the PR 2 scheduler-equivalence discipline
 //! (`crates/machine/tests/scheduler_equiv.rs`) one layer up: there, the
@@ -13,7 +13,7 @@
 
 use revet_apps::app;
 use revet_core::{CompiledProgram, PassOptions, Session};
-use revet_machine::{MemoryState, PoolStats, TTok, POOL_IMAGES};
+use revet_machine::{MemoryState, PoolStats, POOL_IMAGES};
 use revet_runtime::{BatchJob, BatchRunner, InstanceResult};
 use revet_sltf::Word;
 
@@ -21,14 +21,13 @@ const MAX_ROUNDS: u64 = 200_000_000;
 
 /// Sequential reference: one instance per job, run in a plain loop on the
 /// calling thread.
-fn run_sequential(jobs: &[BatchJob<'_>]) -> Vec<(Vec<TTok>, MemoryState)> {
+fn run_sequential(jobs: &[BatchJob<'_>]) -> Vec<MemoryState> {
     jobs.iter()
         .map(|job| {
             let mut inst = job.program.instance();
             inst.run_untimed(&job.args, MAX_ROUNDS)
                 .expect("reference run");
-            let sink = inst.sink_tokens();
-            (sink, inst.into_memory())
+            inst.into_memory()
         })
         .collect()
 }
@@ -40,13 +39,10 @@ fn assert_batch_matches_sequential(jobs: &[BatchJob<'_>], threads: usize) -> Vec
     let reference = run_sequential(jobs);
     let report = BatchRunner::new(threads).run(jobs);
     assert_eq!(report.results.len(), jobs.len());
-    for (i, (result, (ref_sink, ref_mem))) in report.results.iter().zip(&reference).enumerate() {
-        let InstanceResult {
-            sink, mem, report, ..
-        } = result
+    for (i, (result, ref_mem)) in report.results.iter().zip(&reference).enumerate() {
+        let InstanceResult { mem, report, .. } = result
             .as_ref()
             .unwrap_or_else(|e| panic!("instance #{i}: {e}"));
-        assert_eq!(sink, ref_sink, "instance #{i}: sink streams diverged");
         assert_eq!(mem, ref_mem, "instance #{i}: memory state diverged");
         assert!(report.productive_steps > 0, "instance #{i}: did nothing");
     }
@@ -132,19 +128,15 @@ fn mixed_app_batch_is_bit_identical_to_sequential_runs() {
     assert!(after.reset_pages > before.reset_pages);
     for (i, (again, first)) in second.results.iter().zip(&first).enumerate() {
         let again = again.as_ref().expect("second pass");
-        assert_eq!(again.sink, first.sink, "instance #{i}: recycled sink");
         assert_eq!(again.mem, first.mem, "instance #{i}: recycled memory");
         assert_eq!(again.report, first.report, "instance #{i}: recycled report");
         let (program, args, ..) = &programs[i % programs.len()];
-        let (report, mem, sink) = program
+        let (report, mem, _) = program
             .run_batch_sequential(std::slice::from_ref(args), MAX_ROUNDS)
             .expect("sequential oracle")
             .pop()
             .expect("one instance");
-        assert_eq!(
-            (&again.report, &again.mem, &again.sink),
-            (&report, &mem, &sink)
-        );
+        assert_eq!((&again.report, &again.mem), (&report, &mem));
     }
 }
 

@@ -222,7 +222,7 @@ impl ServeClient {
         }
     }
 
-    /// Runs an open session to quiescence; the reply carries the sink
+    /// Runs an open session to quiescence; the reply carries the output
     /// tokens produced since the previous poll.
     ///
     /// # Errors

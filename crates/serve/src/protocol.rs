@@ -491,7 +491,7 @@ wire_enum! {
             /// Whole `main` argument sets to append.
             argsets: Vec<Vec<u32>>,
         },
-        /// Run an open session to quiescence and collect new sink output.
+        /// Run an open session to quiescence and collect its new output.
         0x08 => Poll {
             /// The session id [`Response::StreamOpened`] returned.
             session: u64,
@@ -540,7 +540,7 @@ wire_struct! {
 }
 
 wire_enum! {
-    /// One sink token on the wire: the session's incremental output stream
+    /// One output token on the wire: the session's incremental output stream
     /// ([`Response::Polled`] / [`Response::StreamClosed`] carry these).
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub enum WireTok {
@@ -621,12 +621,12 @@ wire_struct! {
     /// Payload of [`Response::Polled`].
     #[derive(Clone, Debug, Default, PartialEq, Eq)]
     pub struct PollReply {
-        /// Sink tokens produced since the previous poll.
+        /// Output tokens produced since the previous poll.
         pub tokens: Vec<WireTok>,
         /// True when the graph drained cleanly (nothing in flight); false
         /// when tokens are parked awaiting further input.
         pub finished: bool,
-        /// The session's resident footprint after the poll, bytes.
+        /// Bytes of undelivered work the session holds after the poll.
         pub resident_bytes: u64,
     }
 }
@@ -637,7 +637,7 @@ wire_struct! {
     pub struct CloseReply {
         /// Execution counters merged across every poll of the session.
         pub merged: WireReport,
-        /// Sink tokens produced by the final drain (after the last poll).
+        /// Output tokens produced by the final drain (after the last poll).
         pub tokens: Vec<WireTok>,
         /// The DRAM window requested at open, from the final memory image.
         pub dram: Vec<u8>,

@@ -419,7 +419,7 @@ fn next_frame(stream: &mut TcpStream, shared: &Shared) -> Option<Result<Vec<u8>,
 }
 
 /// The one place a reply is encoded and written. A reply that outgrew the
-/// frame cap (a poll or close with a very large sink tail) goes out as a
+/// frame cap (a poll or close delivering very much output) goes out as a
 /// typed `FrameTooLarge` error rather than as a write failure that would
 /// drop the connection.
 fn send(w: &mut impl Write, resp: &Response) -> io::Result<()> {
@@ -633,6 +633,13 @@ fn words(args: &[u32]) -> Vec<Word> {
 
 fn execute(shared: &Shared, req: ExecuteRequest) -> Result<Response, ErrorFrame> {
     let program = runnable_program(shared, req.program_id, req.window, &req.dram_inits)?;
+    // The reply carries a DRAM window per instance and no output tokens.
+    if program.graph.chans()[program.exit.0 as usize].arity() > 0 {
+        return Err(bad_request(
+            "`main` returns values and an Execute reply cannot carry them: \
+             run it through OpenStream, Feed and Poll",
+        ));
+    }
     let w_len = req.window.1;
     // Refuse a reply that cannot fit one frame before running anything.
     let reply_bound = 64 + req.argsets.len() as u64 * (32 + w_len);
@@ -710,20 +717,16 @@ fn poll(shared: &Shared, session: u64) -> Result<Response, ErrorFrame> {
 fn close_stream(shared: &Shared, session: u64) -> Result<Response, ErrorFrame> {
     let slot = shared.sessions.close(session)?;
     let max_rounds = shared.cfg.max_rounds;
-    let mut stream = slot.stream;
-    // Final poll first, so the close reply carries the tail of the sink
-    // stream the client hasn't seen; finish() then just verifies a clean
-    // drain and hands over the memory image.
-    let (tail, _) = stream
-        .poll_obs(max_rounds, &shared.obs)
-        .map_err(|e| stream_failed(shared, e))?;
-    let outcome = stream
-        .finish(max_rounds)
+    // The final drain: its output is what no poll delivered, and a clean
+    // drain hands over the memory image.
+    let outcome = slot
+        .stream
+        .finish_obs(max_rounds, &shared.obs)
         .map_err(|e| stream_failed(shared, e))?;
     shared.executed_instances.fetch_add(1, Ordering::SeqCst);
     Ok(Response::StreamClosed(CloseReply {
         merged: WireReport::from(&outcome.report),
-        tokens: tail.iter().map(WireTok::from_ttok).collect(),
+        tokens: outcome.tail.iter().map(WireTok::from_ttok).collect(),
         dram: cut_window(&outcome.memory, slot.window),
     }))
 }

@@ -5,7 +5,9 @@
 
 use revet_apps::{all_apps, app, App, DRAM_BYTES};
 use revet_core::{PassOptions, ProgramId};
-use revet_serve::protocol::{ErrorCode, ExecuteRequest, InstanceOutcome, WireDiagnostic};
+use revet_serve::protocol::{
+    ErrorCode, ExecuteRequest, InstanceOutcome, OpenStreamRequest, WireDiagnostic, WireTok,
+};
 use revet_serve::{ClientError, ServeClient, ServeConfig, Server};
 use revet_sltf::Word;
 use std::time::{Duration, Instant};
@@ -686,4 +688,69 @@ fn two_opt_levels_of_one_source_do_not_cross_contaminate() {
     assert_eq!(status.cache_misses, 2);
     assert_eq!(status.failed_instances, 0);
     server.shutdown();
+}
+
+/// An `Execute` reply is a DRAM window per instance and cannot carry
+/// `main`'s return values, so a program that returns values is refused,
+/// typed and before it runs; the same program streamed returns them.
+#[test]
+fn execute_of_a_value_returning_main_is_refused_and_a_stream_returns_the_values() {
+    const SUM_OF_SQUARES: &str = "u32 main(u32 n) {
+        u32 s = foreach (n) reduce(+) { u32 i => yield i * i; };
+        return s * 2 + n;
+    }";
+    let output = |n: u32| {
+        let squares: u32 = (0..n).map(|i| i * i).sum();
+        vec![WireTok::Data(vec![squares * 2 + n]), WireTok::Barrier(1)]
+    };
+    let server = Server::spawn(ServeConfig::default()).expect("spawn");
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    let program_id = client
+        .compile(SUM_OF_SQUARES, &PassOptions::default())
+        .expect("compile")
+        .program_id;
+
+    let err = client
+        .execute(ExecuteRequest {
+            program_id,
+            argsets: vec![vec![5]],
+            dram_inits: vec![],
+            window: (0, 0),
+        })
+        .expect_err("an Execute reply cannot carry the values");
+    let ClientError::Server(frame) = err else {
+        panic!("wanted a typed server error, got {err}")
+    };
+    assert_eq!(frame.code, ErrorCode::BadRequest);
+    assert!(
+        frame.message.contains("OpenStream") && frame.message.contains("Poll"),
+        "the refusal names the streaming path: {frame}"
+    );
+    let status = client.status().expect("status");
+    assert_eq!(
+        (status.executed_instances, status.failed_instances),
+        (0, 0),
+        "nothing ran"
+    );
+
+    let session = client
+        .open_stream(OpenStreamRequest {
+            program_id,
+            dram_inits: vec![],
+            window: (0, 0),
+        })
+        .expect("open stream");
+    for n in [5u32, 9] {
+        assert_eq!(client.feed(session, vec![vec![n]]).expect("feed"), 1);
+        let poll = client.poll(session).expect("poll");
+        assert_eq!(poll.tokens, output(n), "main({n})");
+        assert_eq!(
+            poll.resident_bytes, 0,
+            "main({n}): delivered output is released"
+        );
+    }
+    let close = client.close_stream(session).expect("close");
+    assert!(close.tokens.is_empty(), "every value went out with a poll");
+    let stats = server.shutdown();
+    assert_eq!((stats.executed_instances, stats.failed_instances), (1, 0));
 }

@@ -117,6 +117,10 @@ fn chunked_streaming_session_matches_one_shot_execute() {
         for (session, _) in &open {
             let poll = client.poll(*session).expect("poll");
             assert!(poll.finished, "chunk {chunk} left tokens in flight");
+            assert_eq!(
+                poll.resident_bytes, 0,
+                "chunk {chunk}: the poll left delivered output resident"
+            );
         }
     }
 

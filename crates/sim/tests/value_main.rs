@@ -3,11 +3,12 @@
 //! empty tuple and Ω1; this program's output carries a word computed after
 //! a `foreach` reduction, so each way of running a compiled program must
 //! deliver `[Data([v]), Ω1]` per argument set: the template's own run, an
-//! instance's run, a streaming session, the timed simulator at Table II's
+//! instance's run, a streaming session (which keeps none of it once
+//! polled), the timed simulator at Table II's
 //! buffer depths and at one-token buffers, and the dense oracle.
 
 use revet_core::{CompiledProgram, PassOptions, Session};
-use revet_machine::{reference, TTok};
+use revet_machine::{reference, RunStatus, TTok};
 use revet_sim::{IdealModels, RdaConfig, Simulator};
 use revet_sltf::{BarrierLevel, Tok, Word};
 
@@ -74,8 +75,40 @@ fn a_stream_returns_one_value_per_argument_set() {
         polled.extend(delta);
     }
     let out = stream.finish(MAX).unwrap();
-    assert_eq!(out.sink, [output(2), output(7)].concat());
-    assert_eq!(polled, out.sink, "poll deltas concatenate to the stream");
+    assert_eq!(out.tail, vec![], "every value went out with a poll");
+    polled.extend(out.tail);
+    assert_eq!(polled, [output(2), output(7)].concat(), "polls + tail");
+}
+
+/// A poll hands its output over and the session keeps none of it, so a
+/// long stream's residency does not grow with what it has delivered.
+#[test]
+fn a_long_stream_releases_what_it_delivers() {
+    const ARGSETS: u32 = 1_000;
+    let n = |i: u32| i % 32;
+    let program = compile();
+    let mut stream = program.stream();
+    let mut polled = Vec::new();
+    let mut resident = Vec::new();
+    for i in 0..ARGSETS {
+        stream.feed(&[vec![Word(n(i))]]).unwrap();
+        let (delta, status) = stream.poll(MAX).unwrap();
+        assert_eq!(status, RunStatus::Finished, "poll {i}");
+        polled.extend(delta);
+        resident.push(stream.resident_bytes());
+    }
+    assert_eq!(resident[9], 0, "after the 10th poll");
+    assert_eq!(resident[999], resident[9], "after the 1 000th poll");
+    polled.extend(stream.finish(MAX).unwrap().tail);
+    let one_shot: Vec<TTok> = (0..ARGSETS)
+        .flat_map(|i| {
+            let mut inst = program.instance();
+            inst.run_untimed(&[Word(n(i))], MAX).unwrap();
+            inst.sink_tokens()
+        })
+        .collect();
+    assert_eq!(one_shot.len(), 2 * ARGSETS as usize);
+    assert_eq!(polled, one_shot, "polls + tail equal the one-shot outputs");
 }
 
 #[test]

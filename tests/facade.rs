@@ -32,7 +32,7 @@ fn machine_reexport_runs_a_graph() {
     g.run(RunOptions::new(10_000)).unwrap();
     // sum(0..5) = 10
     assert_eq!(
-        g.chans()[d.0 as usize].tokens_from(0),
+        g.chans()[d.0 as usize].tokens(),
         vec![tdata([10u32]), tbar(1)]
     );
 }
