@@ -23,17 +23,19 @@
 //! no bytes (`revet_machine::Dram`), so compiling allocates none of it and
 //! the first instance of an unloaded program allocates it once.
 //! `alloc_kb_per_op` on `compile_cold` is the same check in the ledger.
-//! It also has a call budget for replicate width: a replicate's ways after
-//! the first are copies of what the first way emitted, so widening every
-//! app's replicate adds a few allocator calls per context it adds, where
-//! lowering each way again would add about fifteen (`allocs_per_op` on
-//! `compile_cold` moves with it).
+//! It also has a call budget, the one `allocs_per_op` on `compile_cold`
+//! reads in the ledger, and one for replicate width: a replicate's ways
+//! after the first are copies of what the first way emitted, so widening
+//! every app's replicate adds a few allocator calls per context it adds,
+//! where lowering each way again would add about fifteen.
 
 use revet_apps::{all_apps, app, DRAM_BYTES};
 use revet_core::{PassOptions, Session};
-use revet_machine::Channel;
+use revet_machine::{Channel, Prim};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::ptr;
+use std::sync::Arc;
 
 thread_local! {
     /// Allocator calls made by this thread (the harness's other threads
@@ -268,9 +270,9 @@ fn a_recycled_instance_runs_without_growing_rings() {
 
 /// What one more replicate way may cost a compile, in allocator calls per
 /// context it adds. Lowering places the ways after the first by copying
-/// what the first emitted, so a copied context costs its label and its two
-/// port lists, and the ways' distribution outputs and merge contexts add a
-/// little on top. Lowering any part of a way's body again costs at least
+/// what the first emitted, so a copied context costs its label (its port
+/// lists are held in place and its program is shared), and the ways'
+/// distribution outputs and merge contexts add a little on top. Lowering any part of a way's body again costs at least
 /// 15 calls per context it emits. Only `Session::to_dataflow` is counted:
 /// the front end and the MIR passes run before.
 const CALLS_PER_ADDED_CONTEXT: f64 = 8.0;
@@ -305,4 +307,73 @@ fn replicate_ways_are_stamped_not_lowered_again() {
         narrow.0,
         wide.0
     );
+}
+
+/// Allocator calls of one cold -O2 compile of all eight Table III apps at
+/// outer 2, source to execution plan: the count at the last change to the
+/// compile path, plus 5%. A compile allocates what it keeps once.
+/// Element-wise programs are shared slices, which the plan's stages and
+/// the stamped replicate ways share too. Short port lists are held in
+/// place. The front end moves tokens out and borrows names from the
+/// source and the AST, and the dataflow lowering reuses its per-block
+/// scratch. Copying all of those cost 16 567 calls (`allocs_per_op` on
+/// `compile_cold` is the same count in the ledger). Debug builds also
+/// re-verify the module after every MIR pass, which allocates.
+const COMPILE_CALLS: u64 = if cfg!(debug_assertions) {
+    7_879 * 105 / 100
+} else {
+    7_203 * 105 / 100
+};
+
+#[test]
+fn compiles_stay_within_a_call_budget() {
+    let opts = PassOptions {
+        dram_bytes: DRAM_BYTES,
+        opt_level: 2,
+        ..PassOptions::default()
+    };
+    let mut calls = 0;
+    for app in all_apps() {
+        let source = (app.source)(2);
+        let before = CALLS.with(Cell::get);
+        let program = Session::new(source, opts.clone()).to_dataflow();
+        calls += CALLS.with(Cell::get) - before;
+        program.unwrap_or_else(|e| panic!("{}: {e}", app.name));
+    }
+    assert!(
+        calls <= COMPILE_CALLS,
+        "compiling the eight apps made {calls} allocator calls (budget {COMPILE_CALLS})"
+    );
+}
+
+/// The execution plan holds each chained stage's element-wise program
+/// inline, but its slices are the graph node's own: building the plan
+/// copies no program, and neither does any instance.
+#[test]
+fn a_plan_shares_each_program_with_its_graph() {
+    for app in all_apps() {
+        let name = app.name;
+        let mut program = app
+            .compile(2, &PassOptions::default())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let graph = &mut program.graph;
+        let plan = Arc::clone(graph.plan());
+        let mut stages = 0;
+        for (node, ew) in plan.chained_stages() {
+            let Prim::Ew(own) = &graph.node(node).behavior else {
+                panic!("{name}: chained node {} is not element-wise", node.0);
+            };
+            let label = &graph.node(node).label;
+            assert!(
+                ptr::eq(ew.instrs.as_ptr(), own.instrs.as_ptr()),
+                "{name}: {label}'s instructions were copied into the plan"
+            );
+            assert!(
+                ptr::eq(ew.outputs.as_ptr(), own.outputs.as_ptr()),
+                "{name}: {label}'s outputs were copied into the plan"
+            );
+            stages += 1;
+        }
+        assert!(stages > 0, "{name}: no chained stage to check");
+    }
 }

@@ -40,9 +40,11 @@
 //!
 //! `--profile` and `--trace-out FILE.json` *run* the compiled program
 //! (instead of emitting a compile artifact) with an observability sink
-//! attached. `--profile` prints the per-stage compile timings, the plan's
-//! shape (segments, fused runs, fused edges), the execution counters, and
-//! the stall-attribution "top stalls" table; `--trace-out`
+//! attached. `--profile` prints the per-stage compile timings (with the
+//! allocator calls of parse, lower_mir, run_passes and to_dataflow, which
+//! it drives one at a time), the plan's shape (segments, fused runs, fused
+//! edges), the execution counters, and the stall-attribution "top stalls"
+//! table; `--trace-out`
 //! writes a Chrome `trace_event` JSON file loadable in Perfetto
 //! (ui.perfetto.dev) or `chrome://tracing`. `--app NAME` selects one of
 //! the registered Table III evaluation apps (its workload supplies `main`
@@ -60,13 +62,85 @@
 use revet_apps::{app, DRAM_BYTES};
 use revet_core::passes::build_pipeline;
 use revet_core::report::ResourceReport;
-use revet_core::{CompiledProgram, PassOptions, Session};
+use revet_core::{CompiledProgram, CoreError, PassOptions, Session};
 use revet_machine::{ChanId, NodeId};
 use revet_obs::ObsSink;
 use revet_sim::{RdaConfig, Simulator};
 use revet_sltf::Word;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::IsTerminal;
 use std::process::ExitCode;
+
+thread_local! {
+    /// Allocator calls made by this thread: a compile runs on one thread,
+    /// so the count around a stage is that stage's own.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// `System`, counting each thread's allocator calls for `--profile`.
+struct Counting;
+
+fn count() {
+    // `try_with`: the allocator is still called while a thread tears down
+    // its locals.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract. The only addition is a bump of a const-initialised
+// thread-local `Cell` with no destructor: it neither allocates nor unwinds,
+// so the allocator is not re-entered.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's obligations are exactly `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as above, for `alloc_zeroed`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `f`'s result and the allocator calls this thread made while it ran.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (out, CALLS.with(Cell::get) - before)
+}
+
+/// The compile stages `--profile` drives one at a time, in order.
+const COUNTED_STAGES: [&str; 4] = ["parse", "lower_mir", "run_passes", "to_dataflow"];
+
+/// Compiles through each of [`COUNTED_STAGES`] in turn; returns the
+/// program and each stage's allocator calls.
+fn compile_counted(session: &mut Session) -> Result<(CompiledProgram, [u64; 4]), CoreError> {
+    let (parsed, parse) = counted(|| session.parse().map(drop));
+    parsed?;
+    let (lowered, lower_mir) = counted(|| session.lower_mir().map(drop));
+    lowered?;
+    let (optimized, run_passes) = counted(|| session.run_passes().map(drop));
+    optimized?;
+    let (program, to_dataflow) = counted(|| session.to_dataflow());
+    Ok((program?, [parse, lower_mir, run_passes, to_dataflow]))
+}
 
 const USAGE: &str =
     "usage: revetc FILE|--app NAME [--emit ast|mir|mir-after=<pass>|dataflow|report]
@@ -354,8 +428,8 @@ fn run_profiled(
     trace_out: Option<&str>,
     color: bool,
 ) -> ExitCode {
-    let mut program = match session.to_dataflow() {
-        Ok(p) => p,
+    let (mut program, allocs) = match compile_counted(&mut session) {
+        Ok(compiled) => compiled,
         Err(_) => {
             eprint!("{}", session.render_diagnostics(color));
             let n = session.diagnostics().error_count();
@@ -409,7 +483,11 @@ fn run_profiled(
     if profile {
         println!("== compile stages ==");
         for (stage, wall) in session.stage_timings() {
-            println!("  {stage:<22} {:>8} us", wall.as_micros());
+            let us = wall.as_micros();
+            match COUNTED_STAGES.iter().position(|s| s == stage) {
+                Some(i) => println!("  {stage:<22} {us:>8} us {:>8} allocs", allocs[i]),
+                None => println!("  {stage:<22} {us:>8} us"),
+            }
         }
         println!("\n== execution counters ==");
         if let Some(cycles) = cycles {

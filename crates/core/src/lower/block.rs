@@ -11,6 +11,7 @@ use revet_machine::UnitClass;
 use revet_mir::{DramRef, Op, OpKind, Ty, Value, ValueMap};
 use revet_sltf::Word;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Pipeline stages available to one compute context.
 const STAGES: usize = 6;
@@ -67,8 +68,9 @@ impl Regs<'_> {
 
 /// Cuts an instruction list into contexts: each memory instruction alone,
 /// compute runs of at most [`STAGES`]; a pure reorder still needs one.
-fn segments(items: &[EwInstr]) -> Vec<Range<usize>> {
-    let mut out: Vec<Range<usize>> = Vec::new();
+/// The ranges replace `out`'s contents.
+fn segments(items: &[EwInstr], out: &mut Vec<Range<usize>>) {
+    out.clear();
     let mut start = 0;
     for (i, ins) in items.iter().enumerate() {
         if ins.is_memory() {
@@ -85,25 +87,27 @@ fn segments(items: &[EwInstr]) -> Vec<Range<usize>> {
     if start < items.len() || out.is_empty() {
         out.push(start..items.len());
     }
-    out
 }
 
-/// `live[s][r]` = virtual register `r` (one of the block's `count`) is
-/// read by segment `s` or later (or by the block's outputs) and not
-/// written first; `live[segs.len()]` is `out_regs`.
+/// Fills `live` with `segs.len() + 1` rows of `count` flags: flag `r` of
+/// row `s` says virtual register `r` is read by segment `s` or later (or
+/// by the block's outputs) and not written first; the last row is
+/// `out_regs`.
 fn live_regs(
     items: &mut [EwInstr],
     segs: &[Range<usize>],
     out_regs: &[Reg],
-    count: Reg,
-) -> Vec<Vec<bool>> {
-    let mut set = vec![false; count as usize];
+    count: usize,
+    live: &mut Vec<bool>,
+) {
+    live.clear();
+    live.resize((segs.len() + 1) * count, false);
     for r in out_regs {
-        set[*r as usize] = true;
+        live[segs.len() * count + *r as usize] = true;
     }
-    let mut live = Vec::with_capacity(segs.len() + 1);
-    for seg in segs.iter().rev() {
-        live.push(set.clone());
+    for (s, seg) in segs.iter().enumerate().rev() {
+        let (set, later) = live[s * count..(s + 2) * count].split_at_mut(count);
+        set.copy_from_slice(later);
         for ins in items[seg.clone()].iter_mut().rev() {
             ins.for_each_reg(|role, r| {
                 if role == RegRole::Write {
@@ -117,9 +121,26 @@ fn live_regs(
             });
         }
     }
-    live.push(set);
-    live.reverse();
-    live
+}
+
+/// What [`DfLower::emit_block`] works in, kept between blocks so a block
+/// allocates only what its contexts keep: their programs.
+#[derive(Default)]
+pub(super) struct BlockScratch {
+    /// The block's instructions over virtual registers, renamed in place
+    /// one segment at a time.
+    items: Vec<EwInstr>,
+    /// The virtual register of each position of the block's output tuple.
+    out_regs: Vec<Reg>,
+    segs: Vec<Range<usize>>,
+    /// [`live_regs`]' rows, flat.
+    live: Vec<bool>,
+    /// The virtual register at each position of the current link.
+    layout: Vec<Reg>,
+    /// The virtual registers the current segment hands on.
+    carried: Vec<Reg>,
+    /// Virtual register → the current segment's register.
+    remap: Vec<Option<Reg>>,
 }
 
 impl DfLower<'_> {
@@ -145,11 +166,21 @@ impl DfLower<'_> {
             next: input.vars.len() as Reg,
             block: base,
         };
-        let mut items: Vec<EwInstr> = Vec::new();
+        let mut scratch = std::mem::take(&mut self.block);
+        let BlockScratch {
+            items,
+            out_regs,
+            segs,
+            live,
+            layout,
+            carried,
+            remap,
+        } = &mut scratch;
+        items.clear();
         for op in ops {
-            self.gen_instrs(&op.kind, &op.results, None, &mut regs, &mut items)?;
+            self.gen_instrs(&op.kind, &op.results, None, &mut regs, items)?;
         }
-        let mut out_regs: Vec<Reg> = Vec::with_capacity(out_tuple.len());
+        out_regs.clear();
         for v in out_tuple {
             out_regs.push(match regs.operand(*v)? {
                 Operand::Reg(r) => r,
@@ -164,21 +195,23 @@ impl DfLower<'_> {
             at, next: nregs, ..
         } = regs;
         self.at = at;
-        let segs = segments(&items);
-        let live = live_regs(&mut items, &segs, &out_regs, nregs);
+        let count = usize::from(nregs);
+        segments(items, segs);
+        live_regs(items, segs, out_regs, count, live);
         let mut chan = input.chan;
-        // The virtual register at each position of the current link.
-        let mut layout: Vec<Reg> = (0..input.vars.len() as Reg).collect();
+        layout.clear();
+        layout.extend(0..input.vars.len() as Reg);
         for (s, seg) in segs.iter().enumerate() {
             // Rename virtual registers to this context's file: inputs load
             // at their tuple position, results follow.
-            let mut remap: Vec<Option<Reg>> = vec![None; nregs as usize];
+            remap.clear();
+            remap.resize(count, None);
             for (pos, old) in layout.iter().enumerate() {
                 remap[*old as usize].get_or_insert(pos as Reg);
             }
             let mut next = layout.len() as Reg;
-            let mut instrs = items[seg.clone()].to_vec();
-            for ins in &mut instrs {
+            let instrs = &mut items[seg.clone()];
+            for ins in instrs.iter_mut() {
                 ins.for_each_reg(|role, r| {
                     let slot = &mut remap[*r as usize];
                     *r = match role {
@@ -192,14 +225,15 @@ impl DfLower<'_> {
             }
             // The last context emits the block's layout; the others carry
             // on whatever is still read later, in register order.
-            let carried = if s + 1 == segs.len() {
-                out_regs.clone()
+            carried.clear();
+            if s + 1 == segs.len() {
+                carried.extend_from_slice(out_regs);
             } else {
-                (0..nregs)
-                    .filter(|r| live[s + 1][*r as usize] && remap[*r as usize].is_some())
-                    .collect()
-            };
-            let out_slots: Vec<Reg> = carried
+                let later = &live[(s + 1) * count..(s + 2) * count];
+                let kept = |r: &Reg| later[*r as usize] && remap[*r as usize].is_some();
+                carried.extend((0..nregs).filter(kept));
+            }
+            let out_slots: Arc<[Reg]> = carried
                 .iter()
                 .map(|r| remap[*r as usize].expect("a carried register is mapped"))
                 .collect();
@@ -208,12 +242,13 @@ impl DfLower<'_> {
                 .map_or(UnitClass::Compute, EwInstr::unit_class);
             let node = EwNode::new(
                 layout.len() as u16,
-                instrs,
-                vec![OutputSpec::plain(out_slots)],
+                &*instrs,
+                [OutputSpec::plain(out_slots)],
             );
             chan = self.ew(base, unit, self.category(), node, [chan]);
-            layout = carried;
+            std::mem::swap(layout, carried);
         }
+        self.block = scratch;
         Ok(Cur {
             chan,
             vars: out_tuple.to_vec(),

@@ -11,6 +11,7 @@ use revet_machine::instr::{AluOp, Reg};
 use revet_machine::nodes::{EwNode, OutputSpec};
 use revet_machine::UnitClass;
 use revet_mir::{Region, Value};
+use std::sync::Arc;
 
 impl DfLower<'_> {
     pub(super) fn lower_foreach(
@@ -55,11 +56,11 @@ impl DfLower<'_> {
             let n = in_tuple.len() as Reg;
             let feed = self.chan(live_in.len(), Carries::PerParent);
             let bypass = self.chan(in_tuple.len(), Carries::PerThread);
-            let outputs = vec![
+            let outputs = [
                 OutputSpec::stripped(slots_of(&in_tuple, &live_in, "foreach")?),
-                OutputSpec::plain((0..n).collect::<Vec<_>>()),
+                OutputSpec::plain((0..n).collect::<Arc<[Reg]>>()),
             ];
-            let split = EwNode::new(n, vec![], outputs);
+            let split = EwNode::new(n, [], outputs);
             let (unit, category) = (UnitClass::Compute, self.category());
             let (ins, outs) = ([parent], [feed, bypass]);
             self.ew_into("foreach.split", "ew", unit, category, split, ins, outs);

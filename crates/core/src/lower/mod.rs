@@ -61,12 +61,14 @@ mod while_;
 use frame::{dedup, liveness, Frame, FreeUses, RegionId};
 
 use crate::{CoreError, PassOptions, MAX_DRAM_BYTES};
-use revet_machine::instr::{AluOp, Operand, Reg};
+use revet_machine::instr::{AluOp, EwInstr, Operand, Reg};
 use revet_machine::nodes::{
     BroadcastNode, CounterNode, EwNode, FbMergeNode, FlattenNode, FwdMergeNode, OutputSpec,
     ReduceNode,
 };
-use revet_machine::{ChanId, Channel, Graph, LinkClass, Prim, RunOptions, SramId, UnitClass};
+use revet_machine::{
+    ChanId, Channel, Graph, LinkClass, PortList, Prim, RunOptions, SramId, UnitClass,
+};
 use revet_mir::{DramLayout, Func, Module, Op, OpKind, Value, ValueMap, MACHINE_MUS, MU_WORDS};
 use revet_sltf::Word;
 use std::borrow::Borrow;
@@ -288,6 +290,8 @@ struct DfLower<'m> {
     /// The per-block register table of [`DfLower::emit_block`], kept
     /// between blocks so it is allocated once.
     at: ValueMap<Reg>,
+    /// The rest of [`DfLower::emit_block`]'s scratch, kept the same way.
+    block: block::BlockScratch,
     /// Free uses of `main`'s structured ops and regions, computed once.
     uses: FreeUses,
     depth: u32,
@@ -406,6 +410,7 @@ pub(crate) fn lower_timed(
         links: Vec::new(),
         consts,
         at: ValueMap::with_capacity(main.value_count()),
+        block: block::BlockScratch::default(),
         uses,
         depth: 0,
         in_replicate: 0,
@@ -522,8 +527,8 @@ impl DfLower<'_> {
         category: Category,
         cost: (usize, usize),
         node: impl Into<Prim>,
-        ins: impl Into<Arc<[ChanId]>>,
-        outs: impl Into<Arc<[ChanId]>>,
+        ins: impl Into<PortList>,
+        outs: impl Into<PortList>,
     ) {
         let label = self.label(base);
         let id = self.g.add_node(label.clone(), node, ins, outs);
@@ -549,8 +554,8 @@ impl DfLower<'_> {
         category: Category,
         regs: usize,
         node: impl Into<Prim>,
-        ins: impl Into<Arc<[ChanId]>>,
-        outs: impl Into<Arc<[ChanId]>>,
+        ins: impl Into<PortList>,
+        outs: impl Into<PortList>,
     ) {
         let unit = UnitClass::Compute;
         self.emit(base, kind, unit, category, (0, regs), node, ins, outs);
@@ -565,8 +570,8 @@ impl DfLower<'_> {
         unit: UnitClass,
         category: Category,
         node: EwNode,
-        ins: impl Into<Arc<[ChanId]>>,
-        outs: impl Into<Arc<[ChanId]>>,
+        ins: impl Into<PortList>,
+        outs: impl Into<PortList>,
     ) {
         let cost = (node.instrs.len(), node.reg_count() as usize);
         self.emit(base, kind, unit, category, cost, node, ins, outs);
@@ -579,7 +584,7 @@ impl DfLower<'_> {
         unit: UnitClass,
         category: Category,
         node: EwNode,
-        ins: impl Into<Arc<[ChanId]>>,
+        ins: impl Into<PortList>,
     ) -> ChanId {
         let out = self.chan(node.outputs[0].slots.len(), Carries::PerThread);
         self.ew_into(base, "ew", unit, category, node, ins, [out]);
@@ -594,19 +599,19 @@ impl DfLower<'_> {
         base: &str,
         input: &Cur,
         cond: Operand,
-        slots: Vec<Reg>,
+        slots: Arc<[Reg]>,
     ) -> (ChanId, ChanId) {
         let n = input.vars.len() as Reg;
         // A constant condition is materialized in a spare register; the
         // move rides in the filter's own stage and is not counted.
-        let (instrs, creg) = match cond {
-            Operand::Reg(r) => (vec![], r),
-            Operand::Const(_) => (vec![block::mov(cond, n)], n),
+        let (instrs, creg): (Arc<[EwInstr]>, Reg) = match cond {
+            Operand::Reg(r) => (Arc::new([]), r),
+            Operand::Const(_) => (Arc::new([block::mov(cond, n)]), n),
         };
         let on_true = self.chan(slots.len(), Carries::PerThread);
         let on_false = self.chan(slots.len(), Carries::PerThread);
-        let outputs = vec![
-            OutputSpec::filtered(slots.clone(), creg, true),
+        let outputs = [
+            OutputSpec::filtered(Arc::clone(&slots), creg, true),
             OutputSpec::filtered(slots, creg, false),
         ];
         let node = EwNode::new(n, instrs, outputs);
@@ -627,10 +632,11 @@ impl DfLower<'_> {
     /// A filter that passes no thread: `out` (of `arity`) sees only the
     /// barriers of `input`, which downstream merges still need.
     fn drop_all(&mut self, base: &str, input: ChanId, out: ChanId, arity: usize) {
+        let slots: Arc<[Reg]> = std::iter::repeat_n(0, arity).collect();
         let node = EwNode::new(
             1,
-            vec![block::mov(block::imm(0), 0)],
-            vec![OutputSpec::filtered(vec![0; arity], 0, true)],
+            [block::mov(block::imm(0), 0)],
+            [OutputSpec::filtered(slots, 0, true)],
         );
         let (unit, category) = (UnitClass::Compute, self.category());
         self.ew_into(base, "filter", unit, category, node, [input], [out]);

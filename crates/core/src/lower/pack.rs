@@ -75,7 +75,7 @@ impl DfLower<'_> {
         let vars = (pack.full.iter().copied().chain(firsts))
             .map(|i| cur.vars[i])
             .collect();
-        let node = EwNode::new(scratch, instrs, vec![OutputSpec::plain(out_slots)]);
+        let node = EwNode::new(scratch, instrs, [OutputSpec::plain(out_slots)]);
         let (unit, category) = (UnitClass::Compute, self.category());
         let chan = self.ew("pack", unit, category, node, [cur.chan]);
         Cur { chan, vars }
@@ -99,7 +99,7 @@ impl DfLower<'_> {
                 out_slots[pos] = dst;
             }
         }
-        let node = EwNode::new(scratch, instrs, vec![OutputSpec::plain(out_slots)]);
+        let node = EwNode::new(scratch, instrs, [OutputSpec::plain(out_slots)]);
         let (unit, category) = (UnitClass::Compute, self.category());
         let chan = self.ew("unpack", unit, category, node, [input]);
         Cur {

@@ -23,7 +23,7 @@ use super::{label_base, Carries, Category, Cur, DfLower, Mark, Term};
 use crate::CoreError;
 use revet_machine::instr::{AluOp, EwInstr, Operand, Reg};
 use revet_machine::nodes::{EwNode, OutputSpec};
-use revet_machine::{AllocId, ChanId, NodeId, Prim, SramId, UnitClass};
+use revet_machine::{AllocId, ChanId, NodeId, PortList, Prim, SramId, UnitClass};
 use revet_mir::{Op, OpKind, Region, Value};
 use std::sync::Arc;
 
@@ -98,18 +98,24 @@ impl Way {
         if !regions.any(|r| own.contains(&r)) {
             return None;
         }
-        let mut node = node.clone();
-        for i in &mut node.instrs {
+        let moved = |i: &EwInstr| {
+            let mut i = i.clone();
             if let EwInstr::SramRead { region, .. }
             | EwInstr::SramWrite { region, .. }
-            | EwInstr::SramDecFetch { region, .. } = i
+            | EwInstr::SramDecFetch { region, .. } = &mut i
             {
                 if own.contains(&region.0) {
                     region.0 += shift;
                 }
             }
-        }
-        Some(node)
+            i
+        };
+        let instrs: Arc<[EwInstr]> = node.instrs.iter().map(moved).collect();
+        Some(EwNode::new(
+            node.reg_count(),
+            instrs,
+            Arc::clone(&node.outputs),
+        ))
     }
 }
 
@@ -151,8 +157,8 @@ impl DfLower<'_> {
                 alloc: h.alloc,
                 dst: n,
             };
-            let slots = OutputSpec::plain((0..=n).collect::<Vec<_>>());
-            let node = EwNode::new(n, vec![pop], vec![slots]);
+            let slots = OutputSpec::plain((0..=n).collect::<Arc<[Reg]>>());
+            let node = EwNode::new(n, [pop], [slots]);
             let (unit, category) = (UnitClass::Memory, Category::Replicate);
             cur.chan = self.ew("rep.alloc", unit, category, node, [cur.chan]);
             cur.vars.push(h.ptr);
@@ -250,14 +256,12 @@ impl DfLower<'_> {
                 continue;
             }
             let slot = self.g.node(NodeId(info.id));
-            let copy = |ports: &[ChanId]| -> Arc<[ChanId]> {
+            let copy = |ports: &[ChanId]| -> PortList {
                 ports.iter().map(|&c| way0.chan(&at, input, c)).collect()
             };
             let (ins, outs) = (copy(&slot.ins), copy(&slot.outs));
             let node = match &slot.behavior {
-                Prim::Ew(ew) => {
-                    Prim::Ew(way0.srams(ew, srams).map_or_else(|| ew.clone(), Arc::new))
-                }
+                Prim::Ew(ew) => Prim::Ew(way0.srams(ew, srams).unwrap_or_else(|| ew.clone())),
                 other => other.clone(),
             };
             self.at_depth(depth, |lw| {
@@ -290,7 +294,7 @@ impl DfLower<'_> {
         let out_keep = OutputSpec::plain(slots_of(&cur.vars, &keep, "replicate")?);
         let chan = self.chan(keep.len(), Carries::PerThread);
         let cost = (instrs.len(), keep.len() + 1);
-        let node = EwNode::new(scratch + 1, instrs, vec![out_keep]);
+        let node = EwNode::new(scratch + 1, instrs, [out_keep]);
         let (unit, category) = (UnitClass::Memory, Category::Buffer);
         let (ins, outs) = ([cur.chan], [chan]);
         self.emit("rep.bufstore", "ew", unit, category, cost, node, ins, outs);
@@ -302,15 +306,19 @@ impl DfLower<'_> {
     /// which stay scalar ([`Carries::Distribution`] says why).
     fn distribute(&mut self, cur: &Cur, key: Reg, ways: u32) -> Vec<ChanId> {
         let n = cur.vars.len() as Reg;
-        let all: Vec<Reg> = (0..n).collect();
-        let mut instrs = vec![alu(AluOp::RemU, Operand::Reg(key), imm(ways), n)];
-        let mut outputs = Vec::new();
-        let mut chans = Vec::new();
-        for (i, hit) in (0..ways).zip(n + 1..) {
-            instrs.push(alu(AluOp::Eq, Operand::Reg(n), imm(i), hit));
-            outputs.push(OutputSpec::filtered(all.clone(), hit, true));
-            chans.push(self.chan(all.len(), Carries::Distribution));
-        }
+        let all: Arc<[Reg]> = (0..n).collect();
+        let hits = (0..ways).zip(n + 1..);
+        let test = hits
+            .clone()
+            .map(|(i, hit)| alu(AluOp::Eq, Operand::Reg(n), imm(i), hit));
+        let key_mod = alu(AluOp::RemU, Operand::Reg(key), imm(ways), n);
+        let instrs: Arc<[EwInstr]> = std::iter::once(key_mod).chain(test).collect();
+        let outputs: Arc<[OutputSpec]> = hits
+            .map(|(_, hit)| OutputSpec::filtered(Arc::clone(&all), hit, true))
+            .collect();
+        let chans: Vec<ChanId> = (0..ways)
+            .map(|_| self.chan(all.len(), Carries::Distribution))
+            .collect();
         let node = EwNode::new(n, instrs, outputs);
         let (unit, category) = (UnitClass::Compute, Category::Replicate);
         let outs = chans.clone();
@@ -362,7 +370,7 @@ impl DfLower<'_> {
         let base = cur.vars.len() as Reg;
         let unit = UnitClass::Memory;
         let Some((sram, values)) = parked else {
-            let node = EwNode::new(base, vec![push], vec![OutputSpec::plain(slots)]);
+            let node = EwNode::new(base, [push], [OutputSpec::plain(slots)]);
             let chan = self.ew("rep.free", unit, Category::Replicate, node, [cur.chan]);
             return Ok(Cur { chan, vars });
         };
@@ -384,7 +392,7 @@ impl DfLower<'_> {
         let chan = self.chan(vars.len(), Carries::PerThread);
         let cost = (instrs.len(), vars.len() + 2);
         let regs = (base + 2 * k as Reg).max(1);
-        let node = EwNode::new(regs, instrs, vec![OutputSpec::plain(slots)]);
+        let node = EwNode::new(regs, instrs, [OutputSpec::plain(slots)]);
         let (ins, outs) = ([cur.chan], [chan]);
         self.emit(
             "rep.bufload",

@@ -66,7 +66,7 @@ impl DfLower<'_> {
         let slots = slots_of(&cond_cur.vars, &with_rest(&fwd_vals), "while condition")?;
         let width = slots.len();
         let (body_path, exit_path) =
-            self.filter("while.filter", &cond_cur, Operand::Reg(cond), slots);
+            self.filter("while.filter", &cond_cur, Operand::Reg(cond), slots.into());
         // Body: `after`'s args are bound positionally to the forwarded values.
         let body_cur = Cur {
             chan: body_path,

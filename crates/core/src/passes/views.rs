@@ -21,8 +21,8 @@
 
 use revet_machine::{AllocId, SramId};
 use revet_mir::{
-    AluOp, DramRef, Func, ItKind, Module, Op, OpKind, Pass, PassResult, RegionBuilder, Rewriter,
-    Ty, Value, ValueMap, ViewKind,
+    AluOp, DramRef, Func, ItKind, Module, Op, OpKind, Pass, PassResult, RegionBuilder, Results,
+    Rewriter, Ty, Value, ValueMap, ViewKind,
 };
 
 /// View & iterator lowering plus allocation fusion (§V-A a, §V-B a):
@@ -144,7 +144,7 @@ impl It {
         }
     }
 
-    fn deref(&self, out: &mut RegionBuilder, func: &mut Func, results: Vec<Value>) {
+    fn deref(&self, out: &mut RegionBuilder, func: &mut Func, results: Results) {
         let st = self.state_addrs(out, func);
         let l = out.sram_read(func, self.state, st.l);
         let t = out.const_i32(func, self.tile as i64);
@@ -170,7 +170,7 @@ impl It {
 
     /// peek(a) reads buf[l + a]; the 2×tile window guarantees validity for
     /// a ≤ tile (no fill here; deref faults).
-    fn peek(&self, out: &mut RegionBuilder, func: &mut Func, ahead: Value, results: Vec<Value>) {
+    fn peek(&self, out: &mut RegionBuilder, func: &mut Func, ahead: Value, results: Results) {
         let st = self.state_addrs(out, func);
         let l = out.sram_read(func, self.state, st.l);
         let la = out.bin(func, AluOp::Add, l, ahead);

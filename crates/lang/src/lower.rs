@@ -27,7 +27,7 @@ use revet_mir::{
     AluOp, DramRef, ForeachFlags, Func, ItKind, Module, OpKind, Region, RegionBuilder, Ty, Value,
     ViewKind, MU_WORDS,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 type LResult<T> = Result<T, Diagnostic>;
 
@@ -54,7 +54,7 @@ fn lower_program_inner(prog: &Program) -> LResult<Module> {
     let mut drams = HashMap::new();
     for d in &prog.drams {
         let r = module.add_dram(d.name.clone(), d.ty.bytes());
-        drams.insert(d.name.clone(), (r, d.ty));
+        drams.insert(d.name.as_str(), (r, d.ty));
     }
     for fast in &prog.funcs {
         let param_tys: Vec<Ty> = fast.params.iter().map(|(t, _)| storage_ty(*t)).collect();
@@ -156,30 +156,32 @@ impl Construct {
     }
 }
 
+/// One scope's names, borrowed from the AST the lowering reads.
 #[derive(Debug, Default)]
-struct Scope {
+struct Scope<'p> {
     /// Keyed by source identifiers, so `std`'s seeded hashing: a client
     /// sending source cannot choose colliding keys.
-    bindings: HashMap<String, Binding>,
+    bindings: HashMap<&'p str, Binding>,
     /// What opened the scope; `None` for a function body. A `Foreach` scope
     /// is a thread boundary: assignments cannot cross it. Only a function
     /// body and an `if` branch may end in `return`.
     construct: Option<Construct>,
     /// Variables of enclosing scopes that a declaration in this scope
     /// hides, as they were when hidden: the values the region carries out.
-    hidden: HashMap<String, VarInfo>,
+    hidden: HashMap<&'p str, VarInfo>,
 }
 
-struct Lowerer<'a> {
-    func: &'a mut Func,
-    drams: &'a HashMap<String, (DramRef, TyName)>,
-    scopes: Vec<Scope>,
+/// Lowers one function of the program `'p` borrows.
+struct Lowerer<'l, 'p> {
+    func: &'l mut Func,
+    drams: &'l HashMap<&'p str, (DramRef, TyName)>,
+    scopes: Vec<Scope<'p>>,
     /// The module's `pragma(threads, N)`.
-    threads: &'a mut Option<u32>,
+    threads: &'l mut Option<u32>,
     ret: TyName,
 }
 
-impl Lowerer<'_> {
+impl<'p> Lowerer<'_, 'p> {
     fn lookup(&self, name: &str) -> Option<Binding> {
         let mut scopes = self.scopes.iter().rev();
         scopes.find_map(|s| s.bindings.get(name).copied())
@@ -222,21 +224,21 @@ impl Lowerer<'_> {
     }
 
     /// Binds `name` in the innermost scope.
-    fn set_var(&mut self, name: &str, val: Value, ty: TyName) {
+    fn set_var(&mut self, name: &'p str, val: Value, ty: TyName) {
         let scope = self.scopes.last_mut().expect("a function scope");
         let var = Binding::Var(VarInfo { val, ty });
-        scope.bindings.insert(name.to_string(), var);
+        scope.bindings.insert(name, var);
     }
 
     /// Declares `name` in the innermost scope. A variable it hides keeps
     /// the value it has now for the rest of the scope.
-    fn declare(&mut self, name: &str, binding: Binding) {
+    fn declare(&mut self, name: &'p str, binding: Binding) {
         let outer = self.var(name);
         let scope = self.scopes.last_mut().expect("a function scope");
         if let Some(outer) = outer {
-            scope.hidden.entry(name.to_string()).or_insert(outer);
+            scope.hidden.entry(name).or_insert(outer);
         }
-        scope.bindings.insert(name.to_string(), binding);
+        scope.bindings.insert(name, binding);
     }
 
     /// A variable visible from here (for carried-value bookkeeping).
@@ -248,8 +250,8 @@ impl Lowerer<'_> {
     }
 
     /// The current values of the carried variables.
-    fn current(&self, carried: &[String]) -> Vec<Value> {
-        let val = |n: &String| self.var(n).expect("carried variables are visible").val;
+    fn current(&self, carried: &[&str]) -> Vec<Value> {
+        let val = |n: &&str| self.var(n).expect("carried variables are visible").val;
         carried.iter().map(val).collect()
     }
 
@@ -262,8 +264,8 @@ impl Lowerer<'_> {
     fn region(
         &mut self,
         construct: Construct,
-        args: &[(&str, TyName, Ty)],
-        carried: &[String],
+        args: &[(&'p str, TyName, Ty)],
+        carried: &[&'p str],
         body: impl FnOnce(&mut Self, &mut RegionBuilder) -> LResult<()>,
     ) -> LResult<Region> {
         let vals: Vec<Value> = args.iter().map(|a| self.func.new_value(a.2)).collect();
@@ -284,7 +286,7 @@ impl Lowerer<'_> {
         if !terminated {
             // A carried variable is one of an enclosing scope: where the
             // region declared the name anew, the value it hid.
-            let val = |n: &String| match (scope.hidden.get(n), scope.bindings.get(n)) {
+            let val = |n: &&str| match (scope.hidden.get(n), scope.bindings.get(n)) {
                 (Some(v), _) | (None, Some(Binding::Var(v))) => v.val,
                 _ => self.var(n).expect("carried variables are visible").val,
             };
@@ -295,7 +297,7 @@ impl Lowerer<'_> {
 
     /// Mints one result per carried variable and installs it as the
     /// variable's value after the construct.
-    fn rebind(&mut self, carried: &[String]) -> LResult<Vec<Value>> {
+    fn rebind(&mut self, carried: &[&'p str]) -> LResult<Vec<Value>> {
         let mut results = Vec::with_capacity(carried.len());
         for name in carried {
             let ty = self.assignable(name)?;
@@ -308,10 +310,10 @@ impl Lowerer<'_> {
 
     /// Variables from enclosing scopes assigned anywhere in the blocks of
     /// `s` (deterministic order): what the construct carries.
-    fn carried(&self, s: &Stmt) -> Vec<String> {
-        let mut out = Vec::new();
+    fn carried(&self, s: &'p Stmt) -> Vec<&'p str> {
+        let (mut out, mut declared) = (Vec::new(), Vec::new());
         for b in s.blocks() {
-            collect_assigned(b, &HashSet::new(), &mut out);
+            collect_assigned(b, &mut declared, &mut out);
         }
         out.retain(|n| self.var(n).is_some());
         out
@@ -369,7 +371,7 @@ impl Lowerer<'_> {
             }
             Expr::Index(base, idx) => {
                 let (iv, _) = self.lower_expr(idx, b)?;
-                if let Some(&(dram, ety)) = self.drams.get(base) {
+                if let Some(&(dram, ety)) = self.drams.get(base.as_str()) {
                     return Ok(self.load(OpKind::DramRead { dram, idx: iv }, ety, b));
                 }
                 match self.lookup(base) {
@@ -463,9 +465,9 @@ impl Lowerer<'_> {
 
     // ---- statements ----
 
-    fn lower_block<'s>(
+    fn lower_block(
         &mut self,
-        stmts: impl IntoIterator<Item = &'s Stmt>,
+        stmts: impl IntoIterator<Item = &'p Stmt>,
         b: &mut RegionBuilder,
     ) -> LResult<()> {
         let mut terminated = false;
@@ -488,7 +490,7 @@ impl Lowerer<'_> {
     }
 
     /// Lowers one statement; returns true if it terminated the region.
-    fn lower_stmt(&mut self, s: &Stmt, b: &mut RegionBuilder) -> LResult<bool> {
+    fn lower_stmt(&mut self, s: &'p Stmt, b: &mut RegionBuilder) -> LResult<bool> {
         match &s.kind {
             StmtKind::Decl { ty, name, init } => {
                 let v = match init {
@@ -591,13 +593,13 @@ impl Lowerer<'_> {
     fn lower_if(
         &mut self,
         cond: &Expr,
-        [then, els]: [&[Stmt]; 2],
-        s: &Stmt,
+        [then, els]: [&'p [Stmt]; 2],
+        s: &'p Stmt,
         b: &mut RegionBuilder,
     ) -> LResult<()> {
         let (cond, _) = self.lower_expr(cond, b)?;
         let carried = self.carried(s);
-        let mut branch = |stmts: &[Stmt]| {
+        let mut branch = |stmts: &'p [Stmt]| {
             self.region(Construct::If, &[], &carried, |lw, rb| {
                 lw.lower_block(stmts, rb)
             })
@@ -613,8 +615,8 @@ impl Lowerer<'_> {
     fn lower_while(
         &mut self,
         cond: &Expr,
-        body: &[Stmt],
-        s: &Stmt,
+        body: &'p [Stmt],
+        s: &'p Stmt,
         b: &mut RegionBuilder,
     ) -> LResult<()> {
         let carried = self.carried(s);
@@ -622,7 +624,7 @@ impl Lowerer<'_> {
         let mut args = Vec::with_capacity(carried.len());
         for name in &carried {
             let ty = self.var(name).expect("carried variables are visible").ty;
-            args.push((name.as_str(), ty, storage_ty(ty)));
+            args.push((*name, ty, storage_ty(ty)));
         }
         let before = self.region(Construct::While, &args, &carried, |lw, rb| {
             let (cond, _) = lw.lower_expr(cond, rb)?;
@@ -666,7 +668,7 @@ impl Lowerer<'_> {
         Err(Diagnostic::error(codes::SEM_BAD_YIELD_RETURN, msg))
     }
 
-    fn lower_mem(&mut self, name: &str, decl: &MemDecl, b: &mut RegionBuilder) -> LResult<()> {
+    fn lower_mem(&mut self, name: &'p str, decl: &MemDecl, b: &mut RegionBuilder) -> LResult<()> {
         let size = match decl {
             MemDecl::Sram { size, .. } | MemDecl::Tile { size, .. } => *size,
         };
@@ -749,7 +751,7 @@ impl Lowerer<'_> {
     /// `yield` that feeds the reduction.
     fn lower_foreach(
         &mut self,
-        fe: &Foreach,
+        fe: &'p Foreach,
         reduce: Option<ReduceOp>,
         b: &mut RegionBuilder,
     ) -> LResult<Option<Value>> {
@@ -801,7 +803,7 @@ impl Lowerer<'_> {
             reduce: reduce.map(|op| op.alu(signed)).into_iter().collect(),
             flags,
         };
-        b.push(kind, result.into_iter().collect());
+        b.push(kind, result);
         Ok(result)
     }
 
@@ -880,31 +882,32 @@ impl Lowerer<'_> {
     }
 }
 
-/// Adds the enclosing-scope names `block` assigns to `out`; `declared` are
-/// the names the enclosing blocks have declared so far.
-fn collect_assigned(block: Block<'_>, declared: &HashSet<String>, out: &mut Vec<String>) {
+/// Adds the enclosing-scope names `block` assigns to `out`. `declared` is
+/// a stack of the names the enclosing blocks have declared so far; each
+/// block pushes its own declarations and pops them on the way out.
+fn collect_assigned<'p>(block: Block<'p>, declared: &mut Vec<&'p str>, out: &mut Vec<&'p str>) {
     // A foreach thread cannot assign a parent variable (`assignable`
     // rejects it when the body is lowered), so its body carries nothing.
     if block.isolated {
         return;
     }
-    // Each block has its own declaration scope.
-    let mut declared = declared.clone();
-    declared.extend(block.ivar.map(str::to_string));
+    let outer = declared.len();
+    declared.extend(block.ivar);
     for s in block.stmts {
         match &s.kind {
-            StmtKind::Decl { name, .. } | StmtKind::Mem { name, .. } => {
-                declared.insert(name.clone());
-            }
-            StmtKind::Assign { name, .. } if !declared.contains(name) && !out.contains(name) => {
-                out.push(name.clone());
+            StmtKind::Decl { name, .. } | StmtKind::Mem { name, .. } => declared.push(name),
+            StmtKind::Assign { name, .. }
+                if !declared.contains(&name.as_str()) && !out.contains(&name.as_str()) =>
+            {
+                out.push(name);
             }
             _ => {}
         }
         for inner in s.blocks() {
-            collect_assigned(inner, &declared, out);
+            collect_assigned(inner, declared, out);
         }
     }
+    declared.truncate(outer);
 }
 
 /// `v` as a count of at most one memory unit: a thread count or a memory

@@ -71,8 +71,11 @@ impl Parser {
         self.toks[self.pos.saturating_sub(1)].span
     }
 
+    /// Consumes the current token and returns it, moved out: the parser
+    /// never looks back at a consumed token's text (only at its span), so
+    /// its slot keeps `Eof`. The last token is `Eof` and stays current.
     fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
+        let t = std::mem::replace(&mut self.toks[self.pos].tok, Tok::Eof);
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -127,22 +130,22 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> PResult<String> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                Ok(s)
-            }
-            other => self.err(format!("expected identifier, found {other}")),
+        if !matches!(self.peek(), Tok::Ident(_)) {
+            return self.err(format!("expected identifier, found {}", self.peek()));
         }
+        let Tok::Ident(s) = self.bump() else {
+            unreachable!("the current token is an identifier")
+        };
+        Ok(s)
     }
 
     fn expect_int(&mut self) -> PResult<i64> {
-        match self.peek().clone() {
+        match *self.peek() {
             Tok::Int(v) => {
                 self.bump();
                 Ok(v)
             }
-            other => self.err(format!("expected integer, found {other}")),
+            ref other => self.err(format!("expected integer, found {other}")),
         }
     }
 
@@ -291,8 +294,8 @@ impl Parser {
     }
 
     fn ty(&mut self) -> PResult<TyName> {
-        match self.peek().clone() {
-            Tok::Ident(name) => match TyName::parse(&name) {
+        match self.peek() {
+            Tok::Ident(name) => match TyName::parse(name) {
                 Some(t) => {
                     self.bump();
                     Ok(t)
@@ -716,13 +719,15 @@ impl Parser {
         if matches!(self.peek(), Tok::Punct("(")) {
             return self.paren_expr();
         }
-        match self.peek().clone() {
-            Tok::Int(v) => {
+        match self.peek() {
+            &Tok::Int(v) => {
                 self.bump();
                 Ok(Expr::Int(v))
             }
-            Tok::Ident(name) => {
-                self.bump();
+            Tok::Ident(_) => {
+                let Tok::Ident(name) = self.bump() else {
+                    unreachable!("the current token is an identifier")
+                };
                 if self.eat_punct("[") {
                     let idx = self.expr()?;
                     self.expect_punct("]")?;

@@ -11,6 +11,7 @@
 
 use crate::ast::{BinOp, UnOp};
 use revet_diag::{codes, Diagnostic, Span};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::LazyLock;
 
@@ -134,7 +135,10 @@ pub fn lex(src: &str) -> (Vec<Spanned>, Vec<Diagnostic>) {
                 i += 1;
             }
             let span = Span::new(start as u32, i as u32);
-            let text = src[start..i].replace('_', "");
+            let text: Cow<str> = match &src[start..i] {
+                t if t.contains('_') => t.replace('_', "").into(),
+                t => t.into(),
+            };
             let digits = if radix == 16 { &text[2..] } else { &text[..] };
             match i64::from_str_radix(digits, radix) {
                 Ok(v) => out.push(Spanned {

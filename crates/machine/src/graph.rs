@@ -72,9 +72,9 @@ pub struct NodeSlot {
     /// The primitive, held inline.
     pub behavior: Prim,
     /// Input channels, in port order.
-    pub ins: Arc<[ChanId]>,
+    pub ins: PortList,
     /// Output channels, in port order.
-    pub outs: Arc<[ChanId]>,
+    pub outs: PortList,
     /// Debug label ("bb3.filter", "loop2.head", …).
     pub label: Arc<str>,
     /// Streaming-context id assigned by the compiler (groups nodes that fuse
@@ -100,6 +100,109 @@ impl fmt::Debug for NodeSlot {
             .field("context", &self.context)
             .field("unit", &self.unit)
             .finish()
+    }
+}
+
+/// A node's input or output channels, in port order. A list of up to
+/// [`PortList::INLINE`] ids — nearly every node's — is held in place, and
+/// a longer one is shared, so adding a node allocates no port list and
+/// cloning a slot (every instance does) never copies one. It reads as a
+/// `&[ChanId]` and prints exactly as one.
+#[derive(Clone)]
+pub struct PortList(Ports);
+
+/// [`PortList`]'s two forms, in the 16 bytes an `Arc<[ChanId]>` takes: the
+/// shared form's pointer is thin, and the spare values of the inline
+/// length byte tell the forms apart. An inline list's ids past its length
+/// are never read.
+#[derive(Clone)]
+enum Ports {
+    Inline(InlineLen, [ChanId; PortList::INLINE]),
+    Shared(Arc<Box<[ChanId]>>),
+}
+
+/// The length of an inline [`PortList`].
+#[derive(Clone, Copy)]
+#[repr(u8)]
+enum InlineLen {
+    Zero,
+    One,
+    Two,
+    Three,
+}
+
+impl PortList {
+    /// The longest list held in place.
+    pub const INLINE: usize = 3;
+}
+
+impl std::ops::Deref for PortList {
+    type Target = [ChanId];
+
+    #[inline(always)]
+    fn deref(&self) -> &[ChanId] {
+        match &self.0 {
+            Ports::Inline(len, ids) => &ids[..*len as usize],
+            Ports::Shared(ids) => ids,
+        }
+    }
+}
+
+impl From<&[ChanId]> for PortList {
+    fn from(ids: &[ChanId]) -> Self {
+        let len = match ids.len() {
+            0 => InlineLen::Zero,
+            1 => InlineLen::One,
+            2 => InlineLen::Two,
+            3 => InlineLen::Three,
+            _ => return PortList(Ports::Shared(Arc::new(ids.into()))),
+        };
+        let mut inline = [ChanId(u32::MAX); PortList::INLINE];
+        inline[..ids.len()].copy_from_slice(ids);
+        PortList(Ports::Inline(len, inline))
+    }
+}
+
+impl<const N: usize> From<[ChanId; N]> for PortList {
+    fn from(ids: [ChanId; N]) -> Self {
+        PortList::from(&ids[..])
+    }
+}
+
+impl From<Vec<ChanId>> for PortList {
+    fn from(ids: Vec<ChanId>) -> Self {
+        match ids.len() {
+            n if n > PortList::INLINE => PortList(Ports::Shared(Arc::new(ids.into()))),
+            _ => PortList::from(&ids[..]),
+        }
+    }
+}
+
+impl FromIterator<ChanId> for PortList {
+    fn from_iter<I: IntoIterator<Item = ChanId>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let mut inline = [ChanId(u32::MAX); PortList::INLINE];
+        for len in 0..PortList::INLINE {
+            match iter.next() {
+                Some(id) => inline[len] = id,
+                None => return PortList::from(&inline[..len]),
+            }
+        }
+        match iter.next() {
+            None => PortList::from(&inline[..]),
+            Some(id) => inline
+                .into_iter()
+                .chain([id])
+                .chain(iter)
+                .collect::<Vec<_>>()
+                .into(),
+        }
+    }
+}
+
+impl fmt::Debug for PortList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
     }
 }
 
@@ -315,8 +418,8 @@ impl Graph {
         &mut self,
         label: impl Into<Arc<str>>,
         behavior: impl Into<Prim>,
-        ins: impl Into<Arc<[ChanId]>>,
-        outs: impl Into<Arc<[ChanId]>>,
+        ins: impl Into<PortList>,
+        outs: impl Into<PortList>,
     ) -> NodeId {
         self.plan = None;
         self.chans.retire();
@@ -693,6 +796,30 @@ mod tests {
             }],
             vec![OutputSpec::plain([1])],
         )
+    }
+
+    #[test]
+    fn port_lists_read_and_print_as_their_slices() {
+        // Held in place up to the inline maximum, shared past it: either
+        // way a node's ports read back in order and print as the slice
+        // (the dataflow golden hashes that text). No wider than the
+        // `Arc<[ChanId]>` it replaced, so an instance's copy of the node
+        // slots is no larger for it.
+        assert_eq!(std::mem::size_of::<PortList>(), 16);
+        let mut g = Graph::new();
+        let chans: Vec<ChanId> = (0..=PortList::INLINE)
+            .map(|_| g.add_chan(Channel::new(1)))
+            .collect();
+        for n in [PortList::INLINE, PortList::INLINE + 1] {
+            let ids = &chans[..n];
+            let id = g.add_node("wide", EwNode::passthrough(1), ids, ids.to_vec());
+            let slot = g.node(id).clone();
+            let built: [PortList; 3] = [slot.ins, slot.outs, ids.iter().copied().collect()];
+            for ports in &built {
+                assert_eq!(&ports[..], ids, "{n} ports");
+                assert_eq!(format!("{ports:?}"), format!("{ids:?}"), "{n} ports");
+            }
+        }
     }
 
     #[test]

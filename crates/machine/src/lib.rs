@@ -119,7 +119,9 @@ mod tuple;
 
 pub use channel::{Channel, LinkClass};
 pub use dram::{Dram, PAGE_BYTES};
-pub use graph::{ExecReport, Graph, NodeSlot, RunOptions, RunStatus, TopologyIndex, UnitClass};
+pub use graph::{
+    ExecReport, Graph, NodeSlot, PortList, RunOptions, RunStatus, TopologyIndex, UnitClass,
+};
 pub use mem::{AllocId, AllocQueue, MemoryState, SramId, SramRegion};
 pub use node::{ChanId, IoEvents, MachineError, NodeId, NodeIo, PortBudget, Ports, Prim};
 pub use plan::{ExecPlan, PlanPorts, PlanStats, ResumeState};

@@ -35,7 +35,6 @@ use crate::nodes::{
 };
 use core::fmt;
 use revet_sltf::{BarrierLevel, Tok, Word};
-use std::sync::Arc;
 
 /// Identifies a channel within a [`crate::Graph`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -459,15 +458,16 @@ impl Ports for NodeIo<'_> {
 /// stronger claim on every step.
 ///
 /// `Clone` is what [`crate::Graph::fresh_instance`] does per node: state
-/// is copied verbatim, and an element-wise program is shared (a reference
-/// count, since it never changes once built). `Debug` is the inner node's.
+/// is copied verbatim, and an element-wise program is shared (its slices
+/// are reference counts, since it never changes once built). `Debug` is
+/// the inner node's.
 ///
 /// A graph's inputs and outputs are channels, not nodes: the host pushes
 /// onto a link no node writes and reads a link no node consumes.
 #[derive(Clone)]
 pub enum Prim {
     /// Element-wise stage or filter (§III-B a, c).
-    Ew(Arc<EwNode>),
+    Ew(EwNode),
     /// Forward merge (§III-B c).
     FwdMerge(FwdMergeNode),
     /// Forward-backward merge, the loop header (§III-B d).
@@ -557,12 +557,6 @@ impl fmt::Debug for Prim {
     }
 }
 
-impl From<EwNode> for Prim {
-    fn from(n: EwNode) -> Self {
-        Prim::Ew(Arc::new(n))
-    }
-}
-
 macro_rules! prim_from {
     ($($variant:ident($node:ty)),* $(,)?) => {$(
         impl From<$node> for Prim {
@@ -574,6 +568,7 @@ macro_rules! prim_from {
 }
 
 prim_from!(
+    Ew(EwNode),
     FwdMerge(FwdMergeNode),
     FbMerge(FbMergeNode),
     Counter(CounterNode),

@@ -51,6 +51,7 @@ use crate::instr::{exec_instrs, exec_lanes, EwInstr, Reg, RegRole};
 use crate::mem::MemoryState;
 use crate::node::{MachineError, Ports};
 use revet_sltf::{BarrierLevel, Tok, Word};
+use std::sync::Arc;
 
 /// The fewest threads a lane-batched commit takes (module docs): below
 /// this a batch's setup outweighs what it saves. The Table III apps commit
@@ -67,8 +68,9 @@ pub const MAX_LANES: usize = 64;
 /// Where one output port gets its tuple and when it fires.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct OutputSpec {
-    /// Registers forming the output tuple (in order).
-    pub slots: Vec<Reg>,
+    /// Registers forming the output tuple (in order), shared by every
+    /// copy of the program.
+    pub slots: Arc<[Reg]>,
     /// Send data only when register `.0` has truthiness `.1` (filter output).
     pub pred: Option<(Reg, bool)>,
     /// Do not forward barriers on this port (broadcast parent links).
@@ -77,7 +79,7 @@ pub struct OutputSpec {
 
 impl OutputSpec {
     /// An unconditional output of the given registers.
-    pub fn plain(slots: impl Into<Vec<Reg>>) -> Self {
+    pub fn plain(slots: impl Into<Arc<[Reg]>>) -> Self {
         OutputSpec {
             slots: slots.into(),
             pred: None,
@@ -86,7 +88,7 @@ impl OutputSpec {
     }
 
     /// A filtered output: fires when `reg`'s truthiness equals `expect`.
-    pub fn filtered(slots: impl Into<Vec<Reg>>, reg: Reg, expect: bool) -> Self {
+    pub fn filtered(slots: impl Into<Arc<[Reg]>>, reg: Reg, expect: bool) -> Self {
         OutputSpec {
             slots: slots.into(),
             pred: Some((reg, expect)),
@@ -95,7 +97,7 @@ impl OutputSpec {
     }
 
     /// An unconditional, barrier-stripping output (broadcast parent feed).
-    pub fn stripped(slots: impl Into<Vec<Reg>>) -> Self {
+    pub fn stripped(slots: impl Into<Arc<[Reg]>>) -> Self {
         OutputSpec {
             slots: slots.into(),
             pred: None,
@@ -112,26 +114,37 @@ impl OutputSpec {
 }
 
 /// An element-wise pipeline node. See module docs.
+///
+/// The program is two refcounted slices, so a clone — the execution
+/// plan's copy of each chained stage, a replicate way stamped from the
+/// first — shares them and allocates nothing.
 #[derive(Clone, Debug)]
 pub struct EwNode {
     /// Straight-line per-thread program.
-    pub instrs: Vec<EwInstr>,
+    pub instrs: Arc<[EwInstr]>,
     /// One spec per output port.
-    pub outputs: Vec<OutputSpec>,
+    pub outputs: Arc<[OutputSpec]>,
     reg_count: u16,
 }
 
 impl EwNode {
     /// Builds a node; the register file is sized from the instructions,
     /// output slots, and `min_regs` (which must cover the concatenated input
-    /// arity, since inputs load into registers `0..arity_sum`).
-    pub fn new(min_regs: u16, instrs: Vec<EwInstr>, outputs: Vec<OutputSpec>) -> Self {
+    /// arity, since inputs load into registers `0..arity_sum`). A caller
+    /// that builds the program should build each slice in place (from a
+    /// slice or an exact-size iterator): converting a `Vec` copies it.
+    pub fn new(
+        min_regs: u16,
+        instrs: impl Into<Arc<[EwInstr]>>,
+        outputs: impl Into<Arc<[OutputSpec]>>,
+    ) -> Self {
+        let (instrs, outputs) = (instrs.into(), outputs.into());
         let mut reg_count = min_regs;
-        for i in &instrs {
+        for i in instrs.iter() {
             reg_count = reg_count.max(i.max_reg());
         }
-        for o in &outputs {
-            for &s in &o.slots {
+        for o in outputs.iter() {
+            for &s in o.slots.iter() {
                 reg_count = reg_count.max(s + 1);
             }
             if let Some((p, _)) = o.pred {
@@ -147,11 +160,8 @@ impl EwNode {
 
     /// An identity node: forwards its (concatenated) inputs unchanged.
     pub fn passthrough(arity: u16) -> Self {
-        EwNode::new(
-            arity,
-            Vec::new(),
-            vec![OutputSpec::plain((0..arity).collect::<Vec<_>>())],
-        )
+        let slots: Arc<[Reg]> = (0..arity).collect();
+        EwNode::new(arity, [], [OutputSpec::plain(slots)])
     }
 
     /// The register-file size (resource accounting: §VI-A maps registers to
@@ -279,7 +289,7 @@ pub(crate) fn fresh_regs(ew: &EwNode, loaded: usize) -> Option<u64> {
         }
         Some(())
     };
-    for ins in &ew.instrs {
+    for ins in ew.instrs.iter() {
         let (mut ok, mut dst) = (Some(()), None);
         ins.clone().for_each_reg(|role, &mut r| match role {
             RegRole::Write => dst = Some(usize::from(r)),
@@ -290,7 +300,7 @@ pub(crate) fn fresh_regs(ew: &EwNode, loaded: usize) -> Option<u64> {
             written[r / 64] |= 1 << (r % 64);
         }
     }
-    for o in &ew.outputs {
+    for o in ew.outputs.iter() {
         for &r in o.slots.iter().chain(o.pred.as_ref().map(|(p, _)| p)) {
             read(r, &written)?;
         }
@@ -482,7 +492,7 @@ fn carry<P: Ports, R: FusedRun + ?Sized>(
         let (next, next_w) = (run.stage(j + 1), run.window(j + 1));
         let (done, rest) = regs.split_at_mut(next_w);
         let win = &mut rest[..next.reg_count as usize];
-        for (dst, &r) in win.iter_mut().zip(&spec.slots) {
+        for (dst, &r) in win.iter_mut().zip(spec.slots.iter()) {
             *dst = done[w + r as usize];
         }
         clear(win, spec.slots.len(), run.fresh(j + 1));
@@ -493,7 +503,7 @@ fn carry<P: Ports, R: FusedRun + ?Sized>(
     for (o, spec) in run.stage(last).outputs.iter().enumerate() {
         if spec.fires(&regs[w..]) {
             let slot = io.push_slot(o, spec.slots.len());
-            for (word, &r) in slot.iter_mut().zip(&spec.slots) {
+            for (word, &r) in slot.iter_mut().zip(spec.slots.iter()) {
                 *word = regs[w + r as usize];
             }
         }
@@ -579,7 +589,7 @@ fn commit_lanes<P: Ports, R: FusedRun + ?Sized>(
         io.push_lanes(o, width, takes.count_ones() as usize, |_, slot| {
             let l = takes.trailing_zeros() as usize;
             takes &= takes - 1;
-            for (word, &r) in slot.iter_mut().zip(&spec.slots) {
+            for (word, &r) in slot.iter_mut().zip(spec.slots.iter()) {
                 *word = file[(w + r as usize) * n + l];
             }
         });

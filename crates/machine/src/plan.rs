@@ -87,10 +87,15 @@ pub struct PlanStats {
 struct Stage {
     /// The graph node.
     node: u32,
-    /// An immutable copy of its element-wise behavior (stateless once
-    /// registers are lent, so one copy serves every instance). A copy, not
-    /// the graph's shared `Arc`: the table then reads it without a pointer
-    /// hop, which measured about 2% of `exec_control`'s floor.
+    /// Its element-wise behavior (stateless once registers are lent, so
+    /// one serves every instance). The program slices are the graph
+    /// node's own, so holding it allocates nothing ([`EwNode`]). The
+    /// `EwNode` itself is held inline, not behind an `Arc`: the table
+    /// then reads it without a pointer hop. That hop measured about 2% of
+    /// `exec_control`'s floor, and a build that stored an `Arc<EwNode>`
+    /// here, saving the allocator calls a deep copy then cost, made
+    /// `op_ms_floor` 2.3–6.6% worse in four pairs (3.756→3.855,
+    /// 3.778→3.873, 3.791→3.878 and 3.816→4.067 ms).
     ew: EwNode,
     /// Where its register window starts in its run's register file.
     window: u32,
@@ -470,7 +475,7 @@ impl ExecPlan {
                 let ok = !slot.alloc_gated
                     && !slot.ins.is_empty()
                     && ew.outputs.len() == slot.outs.len();
-                ok.then_some(&**ew)
+                ok.then_some(ew)
             })
             .collect();
 
@@ -611,6 +616,12 @@ impl ExecPlan {
                 .filter(|&(k, s)| s.run_end as usize == k + 1)
                 .count(),
         }
+    }
+
+    /// Every chained stage in firing order: its node and the element-wise
+    /// program the plan fires it with, which shares the node's slices.
+    pub fn chained_stages(&self) -> impl Iterator<Item = (NodeId, &EwNode)> + '_ {
+        self.stages.iter().map(|s| (NodeId(s.node), &s.ew))
     }
 
     /// The channel-endpoint index this plan schedules over — the graph's
@@ -918,7 +929,7 @@ mod tests {
                 vec![
                     OutputSpec::filtered([0], 1, true),
                     OutputSpec {
-                        slots: vec![0],
+                        slots: [0].into(),
                         pred: Some((1, false)),
                         strip_barriers: true,
                     },

@@ -1,7 +1,7 @@
 //! Modules, functions, the building API, and the one region walk every
 //! MIR→MIR lowering pass rewrites through ([`Module::rewrite`]).
 
-use crate::ops::{AluOp, Op, OpKind, Region, Value};
+use crate::ops::{AluOp, Op, OpKind, Region, Results, Value};
 use crate::pass::PassResult;
 use crate::spans::SpanTable;
 use crate::table::ValueSet;
@@ -120,11 +120,11 @@ impl Module {
     /// `Changed` means some op was replaced.
     pub fn rewrite(&mut self, pass: &mut impl Rewriter) -> PassResult {
         let mut funcs = std::mem::take(&mut self.funcs);
-        let mut any = false;
+        let (mut any, mut spare) = (false, Vec::new());
         for func in &mut funcs {
             let mut changed = false;
             let body = std::mem::take(&mut func.body);
-            func.body = rewrite_region(pass, self, func, body, &mut changed);
+            func.body = rewrite_region(pass, self, func, body, &mut changed, &mut spare);
             if changed {
                 func.prune_spans();
             }
@@ -177,27 +177,37 @@ pub trait Rewriter {
     }
 }
 
+/// Rebuilds `region` through `pass`. The rebuilt op list takes an emptied
+/// buffer from `spare` when there is one, and the region's old list, once
+/// drained, goes there for the next region: a walk allocates op lists
+/// only as deep as its region nest, not one per region.
 fn rewrite_region<R: Rewriter>(
     pass: &mut R,
     module: &mut Module,
     func: &mut Func,
     region: Region,
     changed: &mut bool,
+    spare: &mut Vec<Vec<Op>>,
 ) -> Region {
+    let Region {
+        args,
+        ops: mut input,
+    } = region;
     let mut out = RegionBuilder {
-        ops: Vec::with_capacity(region.ops.len()),
-        args: region.args,
+        ops: spare.pop().unwrap_or_default(),
+        args,
     };
+    out.ops.reserve(input.len());
     pass.enter_region();
-    let n = region.ops.len();
+    let n = input.len();
     let mut torn_down = false;
-    for (i, mut op) in region.ops.into_iter().enumerate() {
+    for (i, mut op) in input.drain(..).enumerate() {
         if i + 1 == n && op.kind.is_terminator() {
             pass.before_terminator(&mut out, func, module);
             torn_down = true;
         }
         for r in op.kind.regions_mut() {
-            *r = rewrite_region(pass, module, func, std::mem::take(r), changed);
+            *r = rewrite_region(pass, module, func, std::mem::take(r), changed, spare);
         }
         match pass.op(&mut out, func, module, op) {
             Some(kept) => out.ops.push(kept),
@@ -207,6 +217,7 @@ fn rewrite_region<R: Rewriter>(
     if !torn_down {
         pass.before_terminator(&mut out, func, module);
     }
+    spare.push(input);
     out.build()
 }
 
@@ -363,20 +374,23 @@ impl RegionBuilder {
     }
 
     /// Appends an op with results allocated by the caller.
-    pub fn push(&mut self, kind: OpKind, results: Vec<Value>) {
-        self.ops.push(Op { kind, results });
+    pub fn push(&mut self, kind: OpKind, results: impl Into<Results>) {
+        self.ops.push(Op {
+            kind,
+            results: results.into(),
+        });
     }
 
     /// Appends an op with a single result allocated from `func`.
     pub fn emit(&mut self, func: &mut Func, kind: OpKind, ty: Ty) -> Value {
         let v = func.new_value(ty);
-        self.push(kind, vec![v]);
+        self.push(kind, [v]);
         v
     }
 
     /// Appends a result-less op.
     pub fn emit0(&mut self, kind: OpKind) {
-        self.push(kind, vec![]);
+        self.push(kind, []);
     }
 
     /// Emits an `i32` constant.

@@ -72,7 +72,9 @@ pub use func::{
     MU_WORDS,
 };
 pub use interp::{Interp, InterpError};
-pub use ops::{AluOp, ForeachFlags, ItKind, Op, OpKind, Operands, Region, Value, ViewKind};
+pub use ops::{
+    AluOp, ForeachFlags, ItKind, Op, OpKind, Operands, Region, Results, Value, ViewKind,
+};
 pub use opt::{add_classical, ConstFold, Cse, Dce, Simplify};
 pub use pass::{Pass, PassManager, PassReport, PassResult, PassStat};
 pub use print::{print_func, print_module};

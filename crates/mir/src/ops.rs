@@ -82,7 +82,84 @@ pub struct Op {
     /// What the op does.
     pub kind: OpKind,
     /// SSA results (types in the function's value table).
-    pub results: Vec<Value>,
+    pub results: Results,
+}
+
+/// An op's SSA results. One result, the common case, is held in place;
+/// none or several are a `Vec`, which costs no allocation when empty. It
+/// reads as a `&[Value]` and prints exactly as one.
+#[derive(Clone)]
+pub struct Results(ResultList);
+
+#[derive(Clone)]
+enum ResultList {
+    One(Value),
+    Many(Vec<Value>),
+}
+
+impl Default for Results {
+    fn default() -> Self {
+        Results(ResultList::Many(Vec::new()))
+    }
+}
+
+impl std::ops::Deref for Results {
+    type Target = [Value];
+
+    #[inline]
+    fn deref(&self) -> &[Value] {
+        match &self.0 {
+            ResultList::One(v) => std::slice::from_ref(v),
+            ResultList::Many(vs) => vs,
+        }
+    }
+}
+
+impl From<Vec<Value>> for Results {
+    fn from(vs: Vec<Value>) -> Self {
+        Results(match vs[..] {
+            [v] => ResultList::One(v),
+            _ => ResultList::Many(vs),
+        })
+    }
+}
+
+impl<const N: usize> From<[Value; N]> for Results {
+    fn from(vs: [Value; N]) -> Self {
+        Results(match vs[..] {
+            [v] => ResultList::One(v),
+            _ => ResultList::Many(vs.to_vec()),
+        })
+    }
+}
+
+impl From<Option<Value>> for Results {
+    fn from(v: Option<Value>) -> Self {
+        v.map_or_else(Results::default, |v| Results(ResultList::One(v)))
+    }
+}
+
+impl<'a> IntoIterator for &'a Results {
+    type Item = &'a Value;
+    type IntoIter = std::slice::Iter<'a, Value>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Results {
+    fn eq(&self, other: &Results) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Results {}
+
+impl std::fmt::Debug for Results {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
+    }
 }
 
 /// Foreach attributes (pragmas).

@@ -96,8 +96,8 @@ fn cse_region(
     changed: &mut bool,
 ) {
     let mut avail = inherited.clone();
-    let ops = std::mem::take(&mut region.ops);
-    for mut op in ops {
+    // In place: CSE only drops ops, so the region keeps its buffer.
+    region.ops.retain_mut(|op| {
         op.kind.map_operands(&mut |v| resolve(remap, v));
         if op.kind.is_pure() {
             let r = op.results[0];
@@ -111,7 +111,7 @@ fn cse_region(
                             spans.set_if_absent(prev, span);
                         }
                         *changed = true;
-                        continue;
+                        return false;
                     }
                 }
                 avail.insert(key, r);
@@ -127,8 +127,8 @@ fn cse_region(
         for sub in op.kind.regions_mut() {
             cse_region(sub, inherited_by_sub, remap, spans, tys, changed);
         }
-        region.ops.push(op);
-    }
+        true
+    });
 }
 
 #[cfg(test)]

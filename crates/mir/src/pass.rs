@@ -264,7 +264,7 @@ mod tests {
             let ret = f.body.ops.pop().expect("terminator");
             f.body.ops.push(Op {
                 kind: OpKind::ConstI(7, Ty::I32),
-                results: vec![v],
+                results: [v].into(),
             });
             f.body.ops.push(ret);
             PassResult::Changed

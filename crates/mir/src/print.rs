@@ -1,7 +1,7 @@
 //! A human-readable textual form of MIR, for debugging and golden tests.
 
 use crate::func::{Func, Module};
-use crate::ops::{Op, OpKind, Region};
+use crate::ops::{Op, OpKind, Region, Results};
 use std::fmt::Write as _;
 
 /// Renders a whole module.
@@ -203,7 +203,7 @@ fn print_op(op: &Op, f: &Func, depth: usize, s: &mut String) {
             let _ = write!(s, "when %{}=={} : ", pred.0, expect);
             let inner_op = Op {
                 kind: (**inner).clone(),
-                results: vec![],
+                results: Results::default(),
             };
             print_op(&inner_op, f, 0, s);
         }

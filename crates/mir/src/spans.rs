@@ -82,7 +82,7 @@ impl SpanTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{AluOp, OpKind};
+    use crate::ops::{AluOp, OpKind, Results};
 
     #[test]
     fn set_get_and_fallback() {
@@ -117,18 +117,18 @@ mod tests {
         // Result attributed: wins.
         let op = Op {
             kind: OpKind::Bin(AluOp::Add, Value(5), Value(6)),
-            results: vec![Value(9)],
+            results: [Value(9)].into(),
         };
         assert_eq!(t.op_span(&op), Some(Span::new(7, 9)));
         // Result-less store: falls back to the spanned operand.
         let store = Op {
             kind: OpKind::Bin(AluOp::Add, Value(5), Value(6)),
-            results: vec![],
+            results: Results::default(),
         };
         assert_eq!(t.op_span(&store), Some(Span::new(1, 2)));
         let cold = Op {
             kind: OpKind::Bin(AluOp::Add, Value(6), Value(7)),
-            results: vec![],
+            results: Results::default(),
         };
         assert_eq!(t.op_span(&cold), None);
     }
