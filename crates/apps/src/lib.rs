@@ -187,7 +187,8 @@ impl App {
     }
 
     /// Like [`App::check`], but against a raw DRAM image — batch harnesses
-    /// validate each instance's private memory this way.
+    /// validate each instance's private memory this way, and interpreter
+    /// harnesses the image `revet_oracle::interp::run_main` returns.
     ///
     /// # Panics
     ///
@@ -198,7 +199,7 @@ impl App {
         assert_eq!(
             got,
             &w.expected[..],
-            "{}: dataflow output differs from oracle",
+            "{}: output differs from oracle",
             self.name
         );
     }

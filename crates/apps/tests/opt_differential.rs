@@ -5,8 +5,7 @@
 
 use revet_apps::{all_apps, App, DRAM_BYTES};
 use revet_core::PassOptions;
-use revet_machine::reference::run_dense;
-use revet_sltf::Word;
+use revet_oracle::dense::run_dense;
 
 const SEED: u64 = 0xD1FF;
 
@@ -44,30 +43,17 @@ fn dataflow_output_is_opt_level_invariant() {
 /// interpreter executes the high-level dialect directly) and interprets
 /// both the original and the optimized module; returns both DRAM images.
 fn interp_drams(app: &App) -> (Vec<u8>, Vec<u8>) {
-    use revet_mir::{DramLayout, Interp, PassManager};
+    use revet_mir::PassManager;
+    use revet_oracle::interp::run_main;
 
     let w = (app.workload)(4, SEED);
     let mut module = revet_lang::compile_to_mir(&(app.source)(2)).unwrap();
-    let layout = DramLayout::equal_slices(module.drams.len(), DRAM_BYTES);
-    let args: Vec<Word> = w.args.iter().map(|&a| Word(a)).collect();
+    let overlays = app.overlays(&w);
 
     let run = |module: &revet_mir::Module| {
-        let mut mem = module.build_memory(DRAM_BYTES);
-        for (sym, bytes) in &w.inits {
-            let base = layout.base[*sym] as usize;
-            mem.dram[base..base + bytes.len()].copy_from_slice(bytes);
-        }
-        Interp::new(module, &layout, &mut mem)
-            .with_fuel(1_000_000_000)
-            .run("main", &args)
-            .unwrap_or_else(|e| panic!("{}: {e}", app.name));
-        let base = layout.base[w.out_sym] as usize;
-        assert_eq!(
-            &mem.dram[base..base + w.expected.len()],
-            &w.expected[..],
-            "{}: interpreter output differs from oracle",
-            app.name
-        );
+        let mem = run_main(module, DRAM_BYTES, &w.args, &overlays, 1_000_000_000)
+            .unwrap_or_else(|e| panic!("{}: MIR interp: {e}", app.name));
+        app.check_dram(&mem.dram, &w);
         mem.dram.to_vec()
     };
 

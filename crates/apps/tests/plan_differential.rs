@@ -12,8 +12,8 @@
 
 use revet_apps::{all_apps, App};
 use revet_core::PassOptions;
-use revet_machine::reference::run_dense;
 use revet_machine::ExecReport;
+use revet_oracle::dense::run_dense;
 
 #[path = "common/moved_columns.rs"]
 mod moved_columns;

@@ -12,7 +12,7 @@
 
 use revet_apps::all_apps;
 use revet_core::PassOptions;
-use revet_machine::reference::run_dense;
+use revet_oracle::dense::run_dense;
 
 const SEED: u64 = 0x57AE;
 const MAX_ROUNDS: u64 = 200_000_000;

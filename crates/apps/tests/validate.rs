@@ -1,7 +1,7 @@
 //! Every Table III application, compiled by the full pipeline and executed
 //! on the dataflow machine, validated against its oracle.
 
-use revet_apps::all_apps;
+use revet_apps::{all_apps, DRAM_BYTES};
 
 macro_rules! validate {
     ($fn_name:ident, $app:literal, $outer:expr, $scale:expr) => {
@@ -34,29 +34,14 @@ fn all_apps_at_width_one() {
 /// pinning down which layer a regression lives in.
 #[test]
 fn all_apps_through_mir_interp() {
-    use revet_mir::{DramLayout, Interp};
-    use revet_sltf::Word;
+    use revet_oracle::interp::run_main;
     for app in all_apps() {
         let w = (app.workload)(4, 13);
         let module = revet_lang::compile_to_mir(&(app.source)(2)).unwrap();
-        let layout = DramLayout::equal_slices(module.drams.len(), revet_apps::DRAM_BYTES);
-        let mut mem = module.build_memory(revet_apps::DRAM_BYTES);
-        for (sym, bytes) in &w.inits {
-            let base = layout.base[*sym] as usize;
-            mem.dram[base..base + bytes.len()].copy_from_slice(bytes);
-        }
-        let args: Vec<Word> = w.args.iter().map(|&a| Word(a)).collect();
-        Interp::new(&module, &layout, &mut mem)
-            .with_fuel(1_000_000_000)
-            .run("main", &args)
-            .unwrap_or_else(|e| panic!("{}: {e}", app.name));
-        let base = layout.base[w.out_sym] as usize;
-        assert_eq!(
-            &mem.dram[base..base + w.expected.len()],
-            &w.expected[..],
-            "{}: MIR interp output differs from oracle",
-            app.name
-        );
+        let overlays = app.overlays(&w);
+        let mem = run_main(&module, DRAM_BYTES, &w.args, &overlays, 1_000_000_000)
+            .unwrap_or_else(|e| panic!("{}: MIR interp: {e}", app.name));
+        app.check_dram(&mem.dram, &w);
     }
 }
 

@@ -88,8 +88,7 @@ mod tests {
     use super::*;
     use crate::passes::LowerViews;
     use revet_lang::compile_to_mir;
-    use revet_mir::{DramLayout, Interp};
-    use revet_sltf::Word;
+    use revet_oracle::interp::{run_main, DEFAULT_FUEL};
 
     #[test]
     fn bulk_becomes_foreach_and_preserves_semantics() {
@@ -120,16 +119,8 @@ mod tests {
             0,
             "fully lowered to physical ops"
         );
-        let layout = DramLayout {
-            base: vec![0, 4096],
-        };
-        let mut mem = module.build_memory(8192);
-        for i in 0..8u32 {
-            mem.dram[4 * i as usize..4 * i as usize + 4].copy_from_slice(&(i + 1).to_le_bytes());
-        }
-        Interp::new(&module, &layout, &mut mem)
-            .run("main", &[Word(8)])
-            .unwrap();
+        let input = (1..=8u32).flat_map(u32::to_le_bytes).collect();
+        let mem = run_main(&module, 8192, &[8], &[(0, input)], DEFAULT_FUEL).unwrap();
         for i in 0..8u32 {
             let got = u32::from_le_bytes(
                 mem.dram[4096 + 4 * i as usize..4096 + 4 * i as usize + 4]

@@ -113,8 +113,7 @@ impl Rewriter for Fig9 {
 mod tests {
     use super::*;
     use revet_lang::compile_to_mir;
-    use revet_mir::{DramLayout, Interp};
-    use revet_sltf::Word;
+    use revet_oracle::interp::{run_main, DEFAULT_FUEL};
 
     #[test]
     fn rewrites_annotated_foreach_and_preserves_semantics() {
@@ -137,11 +136,7 @@ mod tests {
             1,
             "foreach became fork"
         );
-        let layout = DramLayout { base: vec![0] };
-        let mut mem = module.build_memory(4096);
-        Interp::new(&module, &layout, &mut mem)
-            .run("main", &[Word(10)])
-            .unwrap();
+        let mem = run_main(&module, 4096, &[10], &[], DEFAULT_FUEL).unwrap();
         for i in 0..10usize {
             let got = u32::from_le_bytes(mem.dram[4 * i..4 * i + 4].try_into().unwrap());
             assert_eq!(got, (i as u32) * 7);

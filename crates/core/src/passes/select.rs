@@ -98,17 +98,10 @@ fn inline_branch(out: &mut RegionBuilder, branch: Region, cond: Value, expect: b
 mod tests {
     use super::*;
     use revet_lang::compile_to_mir;
-    use revet_mir::{DramLayout, Interp};
-    use revet_sltf::Word;
+    use revet_oracle::interp::{run_main, DEFAULT_FUEL};
 
-    fn run_main(module: &Module, args: &[Word], dram_bytes: usize) -> Vec<u8> {
-        let layout = DramLayout {
-            base: (0..module.drams.len() as u32).map(|i| i * 4096).collect(),
-        };
-        let mut mem = module.build_memory(dram_bytes);
-        Interp::new(module, &layout, &mut mem)
-            .run("main", args)
-            .unwrap();
+    fn run(module: &Module, arg: u32) -> Vec<u8> {
+        let mem = run_main(module, 4096, &[arg], &[], DEFAULT_FUEL).unwrap();
         mem.dram.to_vec()
     }
 
@@ -135,10 +128,10 @@ mod tests {
             0
         );
         // Semantics preserved on both sides of the condition.
-        let d = run_main(&module, &[Word(7)], 4096);
+        let d = run(&module, 7);
         assert_eq!(u32::from_le_bytes(d[0..4].try_into().unwrap()), 14);
         assert_eq!(u32::from_le_bytes(d[4..8].try_into().unwrap()), 111);
-        let d = run_main(&module, &[Word(3)], 4096);
+        let d = run(&module, 3);
         assert_eq!(u32::from_le_bytes(d[0..4].try_into().unwrap()), 9);
         assert_eq!(
             u32::from_le_bytes(d[4..8].try_into().unwrap()),
@@ -201,7 +194,7 @@ mod tests {
             "inner and outer if both flattened"
         );
         for (arg, want) in [(5u32, 4u32), (3, 2), (1, 1)] {
-            let d = run_main(&module, &[Word(arg)], 4096);
+            let d = run(&module, arg);
             assert_eq!(u32::from_le_bytes(d[0..4].try_into().unwrap()), want);
         }
     }

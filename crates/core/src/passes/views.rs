@@ -394,8 +394,7 @@ impl Rewriter for Views {
 mod tests {
     use super::*;
     use revet_lang::compile_to_mir;
-    use revet_mir::{DramLayout, Interp};
-    use revet_sltf::Word;
+    use revet_oracle::interp::{run_main, DEFAULT_FUEL};
 
     fn lower(module: &mut Module, threads: u32, fuse: bool) -> PassResult {
         module.threads = Some(threads);
@@ -436,16 +435,11 @@ mod tests {
             input.push(0);
         }
 
+        // Three 4 KiB slices: input, offsets, output.
+        let overlays = [(0, input), (4096, offsets)];
         let run = |module: &Module| -> Vec<u8> {
-            let layout = DramLayout {
-                base: vec![0, 4096, 8192],
-            };
-            let mut mem = module.build_memory(16 * 1024);
-            mem.dram[..input.len()].copy_from_slice(&input);
-            mem.dram[4096..4096 + offsets.len()].copy_from_slice(&offsets);
-            Interp::new(module, &layout, &mut mem)
-                .run("main", &[Word(strings.len() as u32)])
-                .unwrap();
+            let n = strings.len() as u32;
+            let mem = run_main(module, 12 * 1024, &[n], &overlays, DEFAULT_FUEL).unwrap();
             mem.dram.to_vec()
         };
 
@@ -484,11 +478,7 @@ mod tests {
         let mut module = compile_to_mir(src).unwrap();
         lower(&mut module, 4, true);
         revet_mir::verify_module(&module).unwrap();
-        let layout = DramLayout { base: vec![0] };
-        let mut mem = module.build_memory(4096);
-        Interp::new(&module, &layout, &mut mem)
-            .run("main", &[Word(6)])
-            .unwrap();
+        let mem = run_main(&module, 4096, &[6], &[], DEFAULT_FUEL).unwrap();
         assert_eq!(&mem.dram[0..6], b"ABCDEF", "6 = one full tile + partial");
     }
 
@@ -542,15 +532,9 @@ mod tests {
         "#;
         let mut module = compile_to_mir(src).unwrap();
         lower(&mut module, 4, true);
-        let layout = DramLayout {
-            base: vec![0, 4096],
-        };
-        let mut mem = module.build_memory(8192);
         let text = b"ababxxab";
-        mem.dram[..text.len()].copy_from_slice(text);
-        Interp::new(&module, &layout, &mut mem)
-            .run("main", &[Word(text.len() as u32 - 1)])
-            .unwrap();
+        let n = text.len() as u32 - 1;
+        let mem = run_main(&module, 8192, &[n], &[(0, text.to_vec())], DEFAULT_FUEL).unwrap();
         let hits = u32::from_le_bytes(mem.dram[4096..4100].try_into().unwrap());
         assert_eq!(hits, 3);
     }

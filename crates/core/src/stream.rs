@@ -203,6 +203,7 @@ impl CompiledProgram {
 mod tests {
     use super::*;
     use crate::{PassOptions, Session};
+    use revet_oracle::dense::run_dense;
 
     const SQUARES: &str = r#"
         dram<u32> output;
@@ -234,7 +235,7 @@ mod tests {
         for args in &argsets {
             reference.inject_args(args);
         }
-        revet_machine::reference::run_dense(&mut reference.graph, 1_000_000).unwrap();
+        run_dense(&mut reference.graph, 1_000_000).unwrap();
 
         let mut stream = program.stream();
         let mut collected = Vec::new();
@@ -315,7 +316,7 @@ mod tests {
             .unwrap_err();
         let mut dense = starved_zip();
         dense.inject_args(&[Word(7)]);
-        let oracle = revet_machine::reference::run_dense(&mut dense.graph, 1_000_000).unwrap_err();
+        let oracle = run_dense(&mut dense.graph, 1_000_000).unwrap_err();
         let mut stream = StreamInstance::new(starved_zip(), StreamExecutor::Planned);
         stream.feed(&[vec![Word(7)]]).unwrap();
         let (_, status) = stream.poll(1_000_000).unwrap();

@@ -3,7 +3,7 @@
 //! produce identical DRAM images — for every pass configuration.
 
 use revet_core::{PassOptions, Session};
-use revet_mir::{DramLayout, Interp};
+use revet_oracle::interp::{run_main, DEFAULT_FUEL};
 use revet_sltf::Word;
 
 const DRAM: usize = 1 << 16;
@@ -72,16 +72,9 @@ fn random_program(seed: u64) -> String {
 
 fn run_interp(src: &str, inputs: &[u32]) -> Vec<u8> {
     let module = revet_lang::compile_to_mir(src).unwrap();
-    let layout = DramLayout {
-        base: vec![0, (DRAM / 2) as u32],
-    };
-    let mut mem = module.build_memory(DRAM);
-    for (i, v) in inputs.iter().enumerate() {
-        mem.dram[4 * i..4 * i + 4].copy_from_slice(&v.to_le_bytes());
-    }
-    Interp::new(&module, &layout, &mut mem)
-        .run("main", &[Word(inputs.len() as u32)])
-        .unwrap();
+    let input = inputs.iter().copied().flat_map(u32::to_le_bytes).collect();
+    let n = inputs.len() as u32;
+    let mem = run_main(&module, DRAM, &[n], &[(0, input)], DEFAULT_FUEL).unwrap();
     mem.dram[DRAM / 2..DRAM / 2 + 4 * inputs.len()].to_vec()
 }
 

@@ -9,7 +9,7 @@
 //! | 1 | MIR interpreter | unoptimized (`compile_to_mir`) | — (reference) |
 //! | 2,5,8 | MIR interpreter | optimized (`Session::run_passes`) | O0/O1/O2 |
 //! | 3,6,9 | compiled `ExecPlan` (`run_untimed`) | lowered dataflow | O0/O1/O2 |
-//! | 4,7,10 | dense-sweep oracle (`reference::run_dense`) | lowered dataflow | O0/O1/O2 |
+//! | 4,7,10 | dense-sweep oracle (`revet_oracle::dense::run_dense`) | lowered dataflow | O0/O1/O2 |
 //!
 //! On top of the batch matrix, each level runs the **chunked-feed
 //! streaming lane**: the case's argset replicated and fed through a
@@ -36,9 +36,10 @@
 
 use crate::gen::Case;
 use revet_core::{lower_to_dataflow, CompiledProgram, PassOptions, Session};
-use revet_machine::reference::run_dense;
 use revet_machine::{MachineError, TTok};
-use revet_mir::{AluOp, DramLayout, Interp, Module, OpKind, Region};
+use revet_mir::{AluOp, DramLayout, Module, OpKind, Region};
+use revet_oracle::dense::run_dense;
+use revet_oracle::interp::run_main;
 use revet_sltf::Word;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -169,6 +170,15 @@ fn diff_dram(a: &[u8], b: &[u8], who: &str) -> String {
     }
 }
 
+/// The case's inputs as `(byte offset, bytes)` overlays, each at its
+/// symbol's base in the layout `Session::to_dataflow` builds, so the
+/// images compare.
+fn overlays(module: &Module, case: &Case, dram_bytes: usize) -> Vec<(u64, Vec<u8>)> {
+    let layout = DramLayout::equal_slices(module.drams.len(), dram_bytes);
+    let bases = layout.base.iter().map(|&b| u64::from(b));
+    bases.zip(case.dram_inits.iter().cloned()).collect()
+}
+
 /// Runs `module` under the MIR interpreter with the case's inputs loaded;
 /// returns the final DRAM image.
 fn interp_dram(
@@ -178,17 +188,8 @@ fn interp_dram(
     level: Option<u8>,
 ) -> Result<Vec<u8>, Failure> {
     let dram_bytes = cfg.dram_bytes();
-    // The layout `Session::to_dataflow` builds, so the images compare.
-    let layout = DramLayout::equal_slices(module.drams.len(), dram_bytes);
-    let mut mem = module.build_memory(dram_bytes);
-    for (&base, bytes) in layout.base.iter().zip(&case.dram_inits) {
-        mem.write_dram(base as usize, bytes)
-            .map_err(|e| fail(FailureKind::InterpError, level, e.to_string()))?;
-    }
-    let args: Vec<Word> = case.args.iter().map(|&a| Word(a)).collect();
-    Interp::new(module, &layout, &mut mem)
-        .with_fuel(cfg.interp_fuel())
-        .run("main", &args)
+    let inputs = overlays(module, case, dram_bytes);
+    let mem = run_main(module, dram_bytes, &case.args, &inputs, cfg.interp_fuel())
         .map_err(|e| fail(FailureKind::InterpError, level, e.to_string()))?;
     Ok(mem.dram.to_vec())
 }
@@ -344,12 +345,11 @@ fn run_level(
     // Load the case's DRAM inputs into the compiled template; every
     // instance starts from a byte-identical image.
     let mut program = program;
-    let layout = DramLayout::equal_slices(optimized.drams.len(), dram_bytes);
-    for (&base, bytes) in layout.base.iter().zip(&case.dram_inits) {
+    for (base, bytes) in overlays(&optimized, case, dram_bytes) {
         program
             .graph
             .mem
-            .write_dram(base as usize, bytes)
+            .write_dram(base as usize, &bytes)
             .map_err(|e| fail(FailureKind::ExecError, level, format!("load: {e}")))?;
     }
     let args: Vec<Word> = case.args.iter().map(|&a| Word(a)).collect();

@@ -2,24 +2,17 @@
 //! against hand-computed results.
 
 use revet_lang::compile_to_mir;
-use revet_mir::{DramLayout, Interp};
-use revet_sltf::Word;
+use revet_oracle::interp::{run_main, DEFAULT_FUEL};
 
-/// Runs `main(args)` with DRAM symbols laid out back-to-back, `sym_bytes`
-/// each. Returns the final DRAM image.
-fn run(src: &str, args: &[u32], dram_init: &[(usize, &[u8])], sym_bytes: u32) -> Vec<u8> {
+/// Runs `main(args)` with DRAM symbols laid out back-to-back, 4 KiB each.
+/// Returns the final DRAM image.
+fn run(src: &str, args: &[u32], dram_init: &[(u64, Vec<u8>)]) -> Vec<u8> {
     let module = &compile_to_mir(src).unwrap_or_else(|e| panic!("{e}"));
-    let image_bytes = module.drams.len() * sym_bytes as usize;
-    let layout = DramLayout::equal_slices(module.drams.len(), image_bytes);
-    let mut mem = module.build_memory(image_bytes);
-    for (off, bytes) in dram_init {
-        mem.dram[*off..*off + bytes.len()].copy_from_slice(bytes);
-    }
-    let words: Vec<Word> = args.iter().map(|&a| Word(a)).collect();
-    Interp::new(module, &layout, &mut mem)
-        .run("main", &words)
-        .unwrap_or_else(|e| panic!("{e}"));
-    mem.dram.to_vec()
+    let image_bytes = module.drams.len() * 4096;
+    run_main(module, image_bytes, args, dram_init, DEFAULT_FUEL)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .dram
+        .to_vec()
 }
 
 fn read_u32(dram: &[u8], addr: usize) -> u32 {
@@ -36,7 +29,7 @@ fn squares_via_foreach() {
             };
         }
     "#;
-    let dram = run(src, &[5], &[], 4096);
+    let dram = run(src, &[5], &[]);
     for i in 0..5 {
         assert_eq!(read_u32(&dram, 4 * i), (i * i) as u32);
     }
@@ -60,7 +53,7 @@ fn while_loop_collatz_steps() {
             output[0] = steps;
         }
     "#;
-    let dram = run(src, &[6], &[], 4096);
+    let dram = run(src, &[6], &[]);
     // 6 → 3 → 10 → 5 → 16 → 8 → 4 → 2 → 1: 8 steps.
     assert_eq!(read_u32(&dram, 0), 8);
 }
@@ -101,12 +94,7 @@ fn strlen_case_study_figure7() {
         input.extend(s.as_bytes());
         input.push(0);
     }
-    let dram = run(
-        src,
-        &[strings.len() as u32],
-        &[(0, &input), (4096, &offsets)],
-        4096,
-    );
+    let dram = run(src, &[strings.len() as u32], &[(0, input), (4096, offsets)]);
     for (i, s) in strings.iter().enumerate() {
         assert_eq!(
             read_u32(&dram, 8192 + 4 * i),
@@ -133,7 +121,7 @@ fn foreach_reduce_and_masks() {
     for v in [0xFFu32, 0x3F, 0x7F] {
         vals.extend(v.to_le_bytes());
     }
-    let dram = run(src, &[3], &[(0, &vals)], 4096);
+    let dram = run(src, &[3], &[(0, vals)]);
     assert_eq!(read_u32(&dram, 4096), 0x3F);
 }
 
@@ -156,7 +144,7 @@ fn fork_with_counter_continuation() {
             output[0] = 7;
         }
     "#;
-    let dram = run(src, &[5], &[], 4096);
+    let dram = run(src, &[5], &[]);
     assert_eq!(read_u32(&dram, 0), 7, "exactly one survivor continues");
 }
 
@@ -174,7 +162,7 @@ fn write_iterator_stream() {
             };
         }
     "#;
-    let dram = run(src, &[4], &[], 4096);
+    let dram = run(src, &[4], &[]);
     assert_eq!(&dram[0..4], b"ABCD");
 }
 
@@ -199,7 +187,7 @@ fn peek_iterator_boyer_moore_flavor() {
         }
     "#;
     let text = b"abxabyab";
-    let dram = run(src, &[text.len() as u32 - 1], &[(0, text)], 4096);
+    let dram = run(src, &[text.len() as u32 - 1], &[(0, text.to_vec())]);
     assert_eq!(read_u32(&dram, 4096), 3);
 }
 
@@ -216,7 +204,7 @@ fn subword_types_truncate() {
             };
         }
     "#;
-    let dram = run(src, &[], &[], 4096);
+    let dram = run(src, &[], &[]);
     assert_eq!(read_u32(&dram, 0), 300 % 256);
     assert_eq!(read_u32(&dram, 4), 1, "i8 sign-extension");
 }
@@ -258,7 +246,7 @@ fn replicate_passes_assignments_through() {
             output[0] = len;
         }
     "#;
-    let dram = run(src, &[3], &[], 4096);
+    let dram = run(src, &[3], &[]);
     assert_eq!(read_u32(&dram, 0), 6);
 }
 
@@ -297,8 +285,7 @@ fn nested_while_string_search() {
     let dram = run(
         src,
         &[text.len() as u32 - 1],
-        &[(0, text), (4096, pat)],
-        4096,
+        &[(0, text.to_vec()), (4096, pat.to_vec())],
     );
     assert_eq!(read_u32(&dram, 8192), 3);
 }
@@ -321,7 +308,7 @@ fn compound_stores_cover_the_shifts() {
             a[3] = x;
         }
     "#;
-    let dram = run(src, &[4], &[], 4096);
+    let dram = run(src, &[4], &[]);
     assert_eq!(read_u32(&dram, 0), 48);
     assert_eq!(read_u32(&dram, 4), 64);
     assert_eq!(read_u32(&dram, 8), 6);
@@ -346,8 +333,8 @@ fn else_assigns_what_then_shadows() {
             out[0] = x;
         }
     "#;
-    assert_eq!(read_u32(&run(src, &[0], &[], 4096), 0), 2);
-    assert_eq!(read_u32(&run(src, &[1], &[], 4096), 0), 7);
+    assert_eq!(read_u32(&run(src, &[0], &[]), 0), 2);
+    assert_eq!(read_u32(&run(src, &[1], &[]), 0), 7);
 }
 
 #[test]
@@ -368,7 +355,7 @@ fn a_loop_carries_the_variable_its_body_later_hides() {
             out[0] = x;
         }
     "#;
-    let dram = run(src, &[3], &[], 4096);
+    let dram = run(src, &[3], &[]);
     assert_eq!((read_u32(&dram, 0), read_u32(&dram, 4)), (3, 100));
 }
 
@@ -387,7 +374,7 @@ fn min_max_reductions_honour_a_signed_yield() {
             out[2] = u;
         }
     "#;
-    let dram = run(src, &[], &[], 4096);
+    let dram = run(src, &[], &[]);
     assert_eq!(read_u32(&dram, 0) as i32, -2);
     assert_eq!(read_u32(&dram, 4) as i32, -2);
     assert_eq!(

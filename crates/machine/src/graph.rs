@@ -38,7 +38,7 @@
 //! channel emptiness), the final token streams and memory state are
 //! independent of the order in which ready nodes are drained; only the
 //! amount of scheduler work changes. The dense-sweep oracle
-//! ([`crate::reference::run_dense`]) pins that equivalence in tests.
+//! (`revet_oracle::dense::run_dense`) pins that equivalence in tests.
 
 use crate::channel::Channel;
 use crate::mem::MemoryState;
@@ -891,46 +891,6 @@ mod tests {
     }
 
     #[test]
-    fn ready_set_does_less_work_than_dense() {
-        // A long pipeline: the dense sweep re-steps every node every round;
-        // the ready set only steps woken nodes.
-        let build = || {
-            let mut g = Graph::new();
-            let first = g.add_chan(Channel::new(1));
-            let mut prev = first;
-            for i in 0..24 {
-                let next = g.add_chan(Channel::new(1));
-                g.add_node(
-                    format!("stage{i}"),
-                    EwNode::passthrough(1),
-                    vec![prev],
-                    vec![next],
-                );
-                prev = next;
-            }
-            feed(
-                &mut g,
-                first,
-                (0..16u32).map(|i| tdata([i])).chain([tbar(1)]),
-            );
-            (g, prev)
-        };
-        let (mut dense_g, exit) = build();
-        let dense = crate::reference::run_dense(&mut dense_g, 10_000).unwrap();
-        let (mut ready_g, _) = build();
-        let ready = one_shot(&mut ready_g, 10_000).unwrap();
-        assert_eq!(out(&dense_g, exit), out(&ready_g, exit));
-        assert_eq!(out(&ready_g, exit).len(), 17);
-        assert!(
-            ready.steps < dense.steps,
-            "ready {} !< dense {}",
-            ready.steps,
-            dense.steps
-        );
-        assert!(ready.productive_ratio() > dense.productive_ratio());
-    }
-
-    #[test]
     fn graph_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Graph>();
@@ -1003,28 +963,6 @@ mod tests {
             ..ExecReport::default()
         });
         assert_eq!(c.peak_ready, 9);
-    }
-
-    #[test]
-    fn executors_record_the_peak_ready_watermark() {
-        let build = || {
-            let mut g = Graph::new();
-            let c0 = g.add_chan(Channel::new(1));
-            let c1 = g.add_chan(Channel::new(1));
-            let c2 = g.add_chan(Channel::new(1));
-            let c3 = g.add_chan(Channel::new(1));
-            // Two independent stages, so two wake units in the plan too.
-            g.add_node("stage.a", EwNode::passthrough(1), vec![c0], vec![c1]);
-            g.add_node("stage.b", EwNode::passthrough(1), vec![c2], vec![c3]);
-            feed(&mut g, c0, [tdata([4u32]), tbar(1)]);
-            feed(&mut g, c2, [tdata([5u32]), tbar(1)]);
-            g
-        };
-        let ready = one_shot(&mut build(), 1_000).unwrap();
-        // Round 0 seeds every node, so the watermark starts at node count.
-        assert_eq!(ready.peak_ready, 2);
-        let dense = crate::reference::run_dense(&mut build(), 1_000).unwrap();
-        assert_eq!(dense.peak_ready, 2);
     }
 
     #[test]
@@ -1103,15 +1041,6 @@ mod tests {
         (g, c0, c1)
     }
 
-    /// One resumable run on `resume`.
-    fn poll(g: &mut Graph, resume: &mut ResumeState) -> (ExecReport, RunStatus) {
-        g.run(RunOptions {
-            resume: Some(resume),
-            ..RunOptions::new(1_000)
-        })
-        .unwrap()
-    }
-
     #[test]
     fn resumable_run_pauses_on_stuck_tokens_instead_of_deadlocking() {
         // A zip starved on one input: one-shot reports deadlock; the
@@ -1140,34 +1069,6 @@ mod tests {
             .unwrap();
         assert_eq!(s, RunStatus::Finished);
         assert_eq!(out(&g, c2), vec![tdata([1u32, 2u32])]);
-    }
-
-    #[test]
-    fn resumable_planned_chunked_feed_matches_one_shot() {
-        // The oracle: all input up front, one dense run.
-        let (mut one, entry, exit) = streaming_pipeline();
-        feed(
-            &mut one,
-            entry,
-            [tdata([3u32]), tbar(1), tdata([5u32]), tbar(1)],
-        );
-        crate::reference::run_dense(&mut one, 1_000).unwrap();
-
-        // Chunked: feed one argset, run, feed the next, run again.
-        let (mut g, entry, _) = streaming_pipeline();
-        let mut resume = ResumeState::new();
-        let (_, s) = poll(&mut g, &mut resume);
-        assert_eq!(s, RunStatus::Finished, "empty stream drains cleanly");
-        assert!(resume.started());
-        feed(&mut g, entry, [tdata([3u32]), tbar(1)]);
-        let (r1, s) = poll(&mut g, &mut resume);
-        assert_eq!(s, RunStatus::Finished);
-        assert_eq!(out(&g, exit), vec![tdata([6u32]), tbar(1)]);
-        feed(&mut g, entry, [tdata([5u32]), tbar(1)]);
-        let (r2, s) = poll(&mut g, &mut resume);
-        assert_eq!(s, RunStatus::Finished);
-        assert_eq!(out(&g, exit), out(&one, exit), "chunked ≡ one-shot dense");
-        assert!(r1.steps > 0 && r2.steps > 0);
     }
 
     #[test]

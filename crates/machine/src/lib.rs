@@ -55,8 +55,8 @@
 //! only when an input channel gains tokens or an allocator queue it can
 //! block on receives a pointer. Kahn
 //! semantics make the results scheduler-order independent, so it and the
-//! dense-sweep oracle ([`reference::run_dense`]) produce identical streams
-//! and memory — the ready set just attempts far fewer steps (see
+//! dense-sweep oracle (`revet_oracle::dense::run_dense`) produce identical
+//! streams and memory — the ready set just attempts far fewer steps (see
 //! [`ExecReport::productive_ratio`]).
 //!
 //! There is one scheduler, and the graph owns its schedule: the wiring is
@@ -112,7 +112,6 @@ mod node;
 pub mod nodes;
 mod plan;
 mod pool;
-pub mod reference;
 mod ring;
 mod table;
 mod tuple;

@@ -7,8 +7,8 @@
 //! is built.
 
 use revet_machine::nodes::EwNode;
-use revet_machine::reference::run_dense;
 use revet_machine::{tbar, tdata, Channel, Graph, RunOptions};
+use revet_oracle::dense::run_dense;
 
 #[test]
 #[should_panic(expected = "tuple arity mismatch on channel (expected 1, got 2)")]

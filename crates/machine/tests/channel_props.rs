@@ -15,7 +15,8 @@
 
 use proptest::prelude::*;
 use revet_machine::{tbar, tdata, Channel, TTok};
-use revet_sltf::{canonicalize, Decoder, Ragged, Tok, Token, Word};
+use revet_oracle::ragged::{canonicalize, Decoder, Ragged};
+use revet_sltf::{Tok, Token, Word};
 use std::collections::VecDeque;
 
 /// The reference: a token deque plus the absorb rule of the `Channel` docs

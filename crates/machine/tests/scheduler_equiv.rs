@@ -50,7 +50,7 @@
 //!
 //! The executors are compared with each other, so a structural error they
 //! all share would pass. The oracle's output streams are therefore also
-//! decoded through the SLTF reference (`revet_sltf::Decoder`) at the case's
+//! decoded through the SLTF reference (`revet_oracle::ragged::Decoder`) at the case's
 //! depth, 1 when shallow and 3 when deep: every class that carries barriers
 //! must decode without error and with nothing left pending, and an output
 //! of the input's own class must hold tensors of the input's shape.
@@ -61,13 +61,14 @@
 use proptest::prelude::*;
 use revet_machine::instr::{AluOp, EwInstr, Operand};
 use revet_machine::nodes::{EwNode, OutputSpec};
-use revet_machine::reference::run_dense;
 use revet_machine::{
     tbar, tdata, ChanId, Channel, ExecReport, Graph, MemoryState, ResumeState, RunOptions,
     RunStatus, SramId, TTok,
 };
 use revet_obs::ObsSink;
-use revet_sltf::{Decoder, Ragged, Tok, Word};
+use revet_oracle::dense::run_dense;
+use revet_oracle::ragged::{Decoder, Ragged};
+use revet_sltf::{Tok, Word};
 
 /// One construction move, decoded from a raw u32.
 #[derive(Clone, Copy, Debug)]

@@ -10,9 +10,6 @@
 //!
 //! - [`verify_module`]: a structural verifier run between passes,
 //! - [`print_module`]/[`print_func`]: a textual form for debugging,
-//! - [`Interp`]: a **reference interpreter** defining sequential semantics —
-//!   the oracle against which every lowering pass and the final dataflow
-//!   execution are differentially tested,
 //! - the **pass framework**: one [`Pass`] trait over a [`Module`], an
 //!   ordered [`PassManager`] and the per-pass statistics it reports
 //!   ([`PassReport`]),
@@ -28,12 +25,15 @@
 //!   in: [`ValueMap`] and [`ValueSet`], vectors indexed by the value's id
 //!   (ids are issued densely, so a lookup is an index, not a hash).
 //!
+//! The reference interpreter that defines MIR's sequential semantics, the
+//! oracle every lowering pass and the final dataflow execution are
+//! differentially tested against, is not here: it is
+//! `revet_oracle::interp`, outside the product.
+//!
 //! ## Example
 //!
 //! ```
 //! use revet_mir::{Func, Module, RegionBuilder, OpKind, AluOp, Ty};
-//! use revet_mir::{DramLayout, Interp};
-//! use revet_sltf::Word;
 //!
 //! let mut m = Module::default();
 //! let mut f = Func::new("main", &[Ty::I32], vec![Ty::I32]);
@@ -46,17 +46,14 @@
 //! m.funcs.push(f);
 //! revet_mir::verify_module(&m).unwrap();
 //!
-//! let layout = DramLayout::default();
-//! let mut mem = m.build_memory(64);
-//! let out = Interp::new(&m, &layout, &mut mem).run("main", &[Word(41)]).unwrap();
-//! assert_eq!(out, vec![Word(42)]);
+//! let text = revet_mir::print_module(&m);
+//! assert!(text.contains("func @main(%0: i32) -> (i32)"), "{text}");
 //! ```
 
 #![warn(missing_docs)]
 
 mod analysis;
 mod func;
-mod interp;
 mod ops;
 mod opt;
 mod pass;
@@ -71,7 +68,6 @@ pub use func::{
     AllocDecl, Func, Module, RegionBuilder, Rewriter, SramDecl, DEFAULT_THREADS, MACHINE_MUS,
     MU_WORDS,
 };
-pub use interp::{Interp, InterpError};
 pub use ops::{
     AluOp, ForeachFlags, ItKind, Op, OpKind, Operands, Region, Results, Value, ViewKind,
 };

@@ -6,10 +6,10 @@
 
 use revet_diag::Span;
 use revet_mir::{
-    add_classical, print_module, verify_module, AluOp, Cse, DramLayout, ForeachFlags, Interp,
-    Module, OpKind, PassManager, Region, RegionBuilder, Ty, Value,
+    add_classical, print_module, verify_module, AluOp, Cse, ForeachFlags, Module, OpKind,
+    PassManager, Region, RegionBuilder, Ty, Value,
 };
-use revet_sltf::Word;
+use revet_oracle::interp::run_main;
 
 /// Deterministic xorshift64* — the workspace has no RNG dependency, and
 /// the test must reproduce from its printed seed alone.
@@ -142,14 +142,11 @@ fn random_module(rng: &mut Rng, len: usize) -> Module {
     m
 }
 
-fn interp_dram(m: &Module, args: &[Word]) -> Vec<u8> {
-    let layout = DramLayout { base: vec![0] };
-    let mut mem = m.build_memory(DRAM_BYTES);
-    Interp::new(m, &layout, &mut mem)
-        .with_fuel(10_000_000)
-        .run("main", args)
-        .expect("straight-line program cannot fail");
-    mem.dram.to_vec()
+fn interp_dram(m: &Module, args: &[u32]) -> Vec<u8> {
+    run_main(m, DRAM_BYTES, args, &[], 10_000_000)
+        .expect("straight-line program cannot fail")
+        .dram
+        .to_vec()
 }
 
 /// The `-O2` classical group, exactly as the compiler's pipeline ends.
@@ -187,7 +184,7 @@ fn random_straight_line_programs_are_opt_invariant() {
         let mut m = random_module(&mut gen, len);
         verify_module(&m).unwrap_or_else(|e| panic!("case {case} (seed {seed:#x}): {e}"));
 
-        let args = [Word(gen.next() as u32), Word(gen.next() as u32)];
+        let args = [gen.next() as u32, gen.next() as u32];
         let before = interp_dram(&m, &args);
 
         let report = run_classical(&mut m, &format!("case {case} (seed {seed:#x})"));
@@ -408,7 +405,7 @@ fn random_nested_region_programs_are_opt_invariant() {
         let mut m = random_nested_module(&mut gen);
         verify_module(&m).unwrap_or_else(|e| panic!("case {case} (seed {seed:#x}): {e}"));
 
-        let args = [Word(gen.next() as u32), Word(gen.next() as u32)];
+        let args = [gen.next() as u32, gen.next() as u32];
         let before = interp_dram(&m, &args);
 
         run_classical(&mut m, &format!("case {case} (seed {seed:#x})"));

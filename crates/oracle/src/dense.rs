@@ -7,16 +7,13 @@
 //! [`Graph::run`]'s scheduling — no worklist, no wake-ups, no seeding
 //! rule, its own verdict — so every differential suite (`scheduler_equiv`,
 //! the apps' `plan_differential` and `opt_differential`, the fuzz
-//! oracle's dense lanes) holds the one shipped scheduler against it. It is
-//! not part of the run surface; nothing outside tests and the fuzz oracle
-//! calls it.
+//! oracle's dense lanes) holds the one shipped scheduler against it.
 //!
 //! Every step also checks the precondition the cycle-level simulator
 //! elides steps on: a node [`Graph::starved`] reports starved returns
 //! `Ok(false)`. So every differential suite checks it for free.
 
-use crate::graph::{ExecReport, Graph, NodeSlot};
-use crate::node::{MachineError, NodeId, PortBudget};
+use revet_machine::{ExecReport, Graph, MachineError, NodeId, NodeSlot, PortBudget};
 
 /// Runs `g` one-shot by dense sweeps. Semantically equivalent to
 /// `g.run(RunOptions::new(max_rounds))`, with the same error texts;

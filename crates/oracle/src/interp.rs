@@ -9,10 +9,8 @@
 //! differentially testable, and serves as the oracle for compiled dataflow
 //! execution.
 
-use crate::func::Module;
-use crate::ops::{Op, OpKind, Region, Value};
-use crate::types::{DramLayout, DramRef, Ty};
 use revet_machine::MemoryState;
+use revet_mir::{DramLayout, DramRef, Module, Op, OpKind, Region, Ty, Value};
 use revet_sltf::Word;
 use std::collections::HashMap;
 use std::fmt;
@@ -37,6 +35,38 @@ impl fmt::Display for InterpError {
 }
 
 impl std::error::Error for InterpError {}
+
+/// The dynamic-op budget [`Interp::new`] starts with.
+pub const DEFAULT_FUEL: u64 = 100_000_000;
+
+/// Runs `main(args)` on a fresh `dram_bytes` image laid out as the compiler
+/// lays it out ([`DramLayout::equal_slices`]), with each `(byte offset,
+/// bytes)` overlay written in first; returns the final memory.
+///
+/// # Errors
+///
+/// [`MemoryState::write_dram`]'s error for an overlay past the image, or
+/// [`Interp::run`]'s (fuel exhaustion included).
+pub fn run_main(
+    module: &Module,
+    dram_bytes: usize,
+    args: &[u32],
+    overlays: &[(u64, Vec<u8>)],
+    fuel: u64,
+) -> Result<MemoryState, InterpError> {
+    let layout = DramLayout::equal_slices(module.drams.len(), dram_bytes);
+    let mut mem = module.build_memory(dram_bytes);
+    for (offset, bytes) in overlays {
+        let offset = usize::try_from(*offset).unwrap_or(usize::MAX);
+        mem.write_dram(offset, bytes)
+            .map_err(|e| InterpError::new(e.to_string()))?;
+    }
+    let args: Vec<Word> = args.iter().map(|&a| Word(a)).collect();
+    Interp::new(module, &layout, &mut mem)
+        .with_fuel(fuel)
+        .run("main", &args)?;
+    Ok(mem)
+}
 
 /// Thread-level control flow.
 enum Flow {
@@ -95,13 +125,13 @@ struct Frame {
 }
 
 impl<'m> Interp<'m> {
-    /// Creates an interpreter with the default fuel (100M dynamic ops).
+    /// Creates an interpreter with [`DEFAULT_FUEL`].
     pub fn new(module: &'m Module, layout: &'m DramLayout, mem: &'m mut MemoryState) -> Self {
         Interp {
             module,
             layout,
             mem,
-            fuel: 100_000_000,
+            fuel: DEFAULT_FUEL,
             ops_executed: 0,
         }
     }
@@ -571,26 +601,15 @@ impl<'m> Interp<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::func::{Func, RegionBuilder};
-    use crate::ops::{AluOp, ForeachFlags};
+    use revet_mir::{AluOp, ForeachFlags, Func, RegionBuilder};
 
-    fn run_main(module: &Module, args: &[Word], dram: Vec<u8>) -> (Vec<Word>, Vec<u8>) {
-        let layout = DramLayout {
-            base: module
-                .drams
-                .iter()
-                .scan(0u32, |acc, d| {
-                    let b = *acc;
-                    *acc += 4096 * d.elem_bytes;
-                    Some(b)
-                })
-                .collect(),
-        };
-        let mut mem = module.build_memory(dram.len().max(64 * 1024));
-        mem.dram[..dram.len()].copy_from_slice(&dram);
-        let mut interp = Interp::new(module, &layout, &mut mem);
-        let out = interp.run("main", args).unwrap();
-        (out, mem.dram.to_vec())
+    /// What `main(args)` returns, for a module without DRAM symbols.
+    fn returns(module: &Module, args: &[Word]) -> Vec<Word> {
+        let mut mem = module.build_memory(64);
+        let layout = DramLayout::default();
+        Interp::new(module, &layout, &mut mem)
+            .run("main", args)
+            .unwrap()
     }
 
     #[test]
@@ -604,7 +623,7 @@ mod tests {
         b.emit0(OpKind::Return(vec![s]));
         f.body = b.build();
         m.funcs.push(f);
-        let (out, _) = run_main(&m, &[Word(7)], vec![]);
+        let out = returns(&m, &[Word(7)]);
         assert_eq!(out, vec![Word(70)]);
     }
 
@@ -636,7 +655,7 @@ mod tests {
         b.emit0(OpKind::Return(vec![sum]));
         f.body = b.build();
         m.funcs.push(f);
-        let (out, _) = run_main(&m, &[Word(5)], vec![]);
+        let out = returns(&m, &[Word(5)]);
         // squares of 0..5
         assert_eq!(out, vec![Word(1 + 4 + 9 + 16)]);
     }
@@ -673,7 +692,7 @@ mod tests {
         b.emit0(OpKind::Return(vec![out_v]));
         f.body = b.build();
         m.funcs.push(f);
-        let (out, _) = run_main(&m, &[Word(9)], vec![]);
+        let out = returns(&m, &[Word(9)]);
         assert_eq!(out, vec![Word(0)]);
     }
 
@@ -713,7 +732,7 @@ mod tests {
         b.emit0(OpKind::Return(vec![res]));
         f.body = b.build();
         m.funcs.push(f);
-        let (out, _) = run_main(&m, &[], vec![]);
+        let out = returns(&m, &[]);
         assert_eq!(out, vec![Word(2)]);
     }
 
@@ -729,7 +748,7 @@ mod tests {
         let it = b.emit(
             &mut f,
             OpKind::ItNew {
-                kind: crate::ops::ItKind::Read,
+                kind: revet_mir::ItKind::Read,
                 dram: input,
                 seek: zero,
                 tile: 16,
@@ -748,12 +767,9 @@ mod tests {
         b.emit0(OpKind::Return(vec![]));
         f.body = b.build();
         m.funcs.push(f);
-        let mut dram = vec![0u8; 8192];
-        dram[0] = 11;
-        dram[1] = 22;
-        let (_, dram_out) = run_main(&m, &[], dram);
-        // output symbol starts at 4096 (after input's 4096 bytes).
-        let v = u32::from_le_bytes(dram_out[4096..4100].try_into().unwrap());
+        let mem = run_main(&m, 8192, &[], &[(0, vec![11, 22])], DEFAULT_FUEL).unwrap();
+        // output is the second of two 4 KiB slices.
+        let v = u32::from_le_bytes(mem.dram[4096..4100].try_into().unwrap());
         assert_eq!(v, 33);
     }
 
@@ -786,10 +802,21 @@ mod tests {
         b.emit0(OpKind::Return(vec![]));
         f.body = b.build();
         m.funcs.push(f);
-        let layout = DramLayout { base: vec![] };
-        let mut mem = m.build_memory(64);
-        let mut interp = Interp::new(&m, &layout, &mut mem).with_fuel(10_000);
-        let err = interp.run("main", &[]).unwrap_err();
+        let err = run_main(&m, 64, &[], &[], 10_000).unwrap_err();
         assert!(err.message.contains("fuel"));
+    }
+
+    #[test]
+    fn an_overlay_past_the_image_is_an_error_not_a_panic() {
+        let mut m = Module::default();
+        let mut f = Func::new("main", &[], vec![]);
+        let mut b = RegionBuilder::new();
+        b.emit0(OpKind::Return(vec![]));
+        f.body = b.build();
+        m.funcs.push(f);
+        let bytes = vec![7u8; 8];
+        let want = m.build_memory(64).write_dram(60, &bytes).unwrap_err();
+        let err = run_main(&m, 64, &[], &[(60, bytes)], DEFAULT_FUEL).unwrap_err();
+        assert_eq!(err.message, want.to_string());
     }
 }

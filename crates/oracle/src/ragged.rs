@@ -13,8 +13,8 @@
 //! Empty tensors stay distinct (§III-A b): `[[]]` ↔ Ω1 Ω2, `[[],[]]` ↔
 //! Ω1 Ω1 Ω2, `[]` ↔ Ω2 — essential for composing reductions.
 
-use crate::{BarrierLevel, Token, Word};
 use core::fmt;
+use revet_sltf::{BarrierLevel, Token, Word};
 
 /// A node of a ragged tensor: either a run of leaf words (dimension 1) or a
 /// list of sub-tensors.
@@ -62,7 +62,7 @@ impl Ragged {
     /// Creates a leaf from anything word-like.
     ///
     /// ```
-    /// use revet_sltf::Ragged;
+    /// use revet_oracle::ragged::Ragged;
     /// let r = Ragged::leaf([1u32, 2, 3]);
     /// assert_eq!(r.element_count(), 3);
     /// ```
@@ -143,7 +143,8 @@ impl Ragged {
     /// immediately precedes them).
     ///
     /// ```
-    /// use revet_sltf::{data, omega, Ragged};
+    /// use revet_oracle::ragged::Ragged;
+    /// use revet_sltf::{data, omega};
     ///
     /// // [[0, 1], [2]]  ⇒  0 1 Ω1 2 Ω2         (paper §III-A)
     /// let t = Ragged::node([Ragged::leaf([0u32, 1]), Ragged::leaf([2u32])]);
@@ -355,7 +356,7 @@ impl Decoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{data, omega};
+    use revet_sltf::{data, omega};
 
     fn t2(spec: &[&[i32]]) -> Ragged {
         Ragged::node(spec.iter().map(|r| Ragged::leaf(r.iter().copied())))

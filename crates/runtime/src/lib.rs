@@ -38,7 +38,7 @@
 //! [`revet_core::ProgramInstance::run`] — the runtime adds threads and
 //! aggregation, not another way to execute. (The
 //! `planned_and_interpreted_modes_agree_bit_for_bit` test holds the pool
-//! against the machine crate's dense-sweep oracle.)
+//! against the dense-sweep oracle, `revet_oracle::dense::run_dense`.)
 //!
 //! Execution is deterministic per instance: a
 //! [`revet_core::ProgramInstance`] owns all of its mutable state, so
@@ -321,7 +321,7 @@ fn run_one(
 mod tests {
     use super::*;
     use revet_core::{PassOptions, Session};
-    use revet_machine::reference::run_dense;
+    use revet_oracle::dense::run_dense;
 
     fn squares_program() -> CompiledProgram {
         Session::new(

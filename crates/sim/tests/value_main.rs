@@ -8,7 +8,8 @@
 //! buffer depths and at one-token buffers, and the dense oracle.
 
 use revet_core::{CompiledProgram, PassOptions, Session};
-use revet_machine::{reference, RunStatus, TTok};
+use revet_machine::{RunStatus, TTok};
+use revet_oracle::dense::run_dense;
 use revet_sim::{IdealModels, RdaConfig, Simulator};
 use revet_sltf::{BarrierLevel, Tok, Word};
 
@@ -134,6 +135,6 @@ fn the_dense_oracle_returns_the_value() {
     let program = compile();
     let mut inst = program.instance();
     inst.inject_args(&[Word(8)]);
-    reference::run_dense(&mut inst.graph, MAX).unwrap();
+    run_dense(&mut inst.graph, MAX).unwrap();
     assert_eq!(inst.sink_tokens(), output(8));
 }

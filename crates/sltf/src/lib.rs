@@ -10,13 +10,11 @@
 //! tensor, streamed in-band with the data. This crate provides:
 //!
 //! - [`Word`]: the 32-bit lane payload,
-//! - [`Token`]/[`Tok`]: data-or-barrier stream tokens and [`BarrierLevel`],
-//! - [`Ragged`]: ragged k-D tensors with canonical/explicit SLTF encodings,
-//!   [`canonicalize`] and an incremental [`Decoder`].
+//! - [`Token`]/[`Tok`]: data-or-barrier stream tokens and [`BarrierLevel`].
 //!
-//! The machine never calls the [`Ragged`] half: it queues tokens and
-//! canonicalises barriers itself (`revet_machine::Channel`). The reference
-//! codec is the oracle its tests check the machine's streams against.
+//! The machine queues tokens and canonicalises barriers itself
+//! (`revet_machine::Channel`). The ragged-tensor codec its tests check
+//! those streams against is `revet_oracle::ragged`, outside the product.
 //!
 //! ## Example
 //!
@@ -24,21 +22,19 @@
 //! `0 1 Ω1 2 Ω2` — the trailing Ω1 is implied by Ω2 following data.
 //!
 //! ```
-//! use revet_sltf::{data, omega, Ragged};
+//! use revet_sltf::{data, omega, BarrierLevel, Word};
 //!
-//! let tensor = Ragged::node([Ragged::leaf([0u32, 1]), Ragged::leaf([2u32])]);
-//! let tokens = tensor.encode_canonical(2);
-//! assert_eq!(tokens, [data(0u32), data(1u32), omega(1), data(2u32), omega(2)]);
-//! assert_eq!(Ragged::decode(&tokens, 2).unwrap(), tensor);
+//! let tokens = [data(0u32), data(1u32), omega(1), data(2u32), omega(2)];
+//! let words: Vec<Word> = tokens.iter().filter_map(|t| t.data().copied()).collect();
+//! assert_eq!(words, [Word(0), Word(1), Word(2)]);
+//! assert_eq!(tokens[4].barrier_level(), Some(BarrierLevel::L2));
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod ragged;
 mod token;
 mod word;
 
-pub use ragged::{canonicalize, DecodeError, Decoder, Ragged};
 pub use token::{data, omega, BarrierLevel, Tok, Token, MAX_BARRIER_LEVEL};
 pub use word::Word;

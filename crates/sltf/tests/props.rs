@@ -1,7 +1,8 @@
 //! Property-based tests for SLTF encoding invariants.
 
 use proptest::prelude::*;
-use revet_sltf::{canonicalize, Ragged, Token, Word};
+use revet_oracle::ragged::{canonicalize, Ragged};
+use revet_sltf::{Token, Word};
 
 /// Strategy producing ragged tensors of exactly `dims` dimensions.
 fn ragged(dims: u8) -> BoxedStrategy<Ragged> {

@@ -51,7 +51,8 @@ fn untimed_and_timed_agree_on_dram_contents() {
 
 #[test]
 fn sltf_reexports_work() {
-    use revet::sltf::{data, omega, Ragged};
+    use revet::sltf::{data, omega};
+    use revet_oracle::ragged::Ragged;
     let t = Ragged::node([Ragged::leaf([1u32]), Ragged::leaf::<_, u32>([])]);
     assert_eq!(
         t.encode_canonical(2),
