@@ -36,8 +36,8 @@ use std::path::{Path, PathBuf};
 mod moved_columns;
 use moved_columns::moved_columns;
 
-/// Every label base the lowering can emit (a label is a base plus the
-/// running label counter).
+/// Every label base the lowering can emit (a label is a base and its
+/// context id, `revet_machine::Label`).
 const LABEL_BASES: &[&str] = &[
     "blk",
     "cond",
@@ -330,7 +330,12 @@ fn dump(p: &CompiledProgram) -> String {
         writeln!(
             s,
             "node {i} {:?} ins={:?} outs={:?} ctx={} unit={:?}\n  Some({:?})",
-            n.label, n.ins, n.outs, n.context, n.unit, n.behavior
+            n.label(),
+            n.ins,
+            n.outs,
+            n.context,
+            n.unit,
+            n.behavior
         )
         .unwrap();
     }
@@ -395,8 +400,37 @@ fn moved_columns_counts_each_column_by_row_name() {
     );
 }
 
-fn label_base(label: &str) -> &str {
-    label.trim_end_matches(|c: char| c.is_ascii_digit())
+/// The law that lets a label be a base and a context id: on every app at
+/// every width, a node's label prints its base and its context id plus
+/// one, a context's label its base and its index plus one, and a node
+/// and its context share one label.
+#[test]
+fn a_label_is_its_base_and_its_context_number() {
+    for app in all_apps() {
+        for outer in [1, 2, 4, 8] {
+            let program = app
+                .compile(outer, &PassOptions::default())
+                .unwrap_or_else(|e| panic!("{}@{outer}: {e}", app.name));
+            let at = |what: String| format!("{}@{outer}: {what}", app.name);
+            for (i, c) in program.contexts.iter().enumerate() {
+                let (base, text) = (c.label.base(), c.label.to_string());
+                assert_eq!(
+                    text,
+                    format!("{base}{}", i + 1),
+                    "{}",
+                    at(format!("context {i}"))
+                );
+            }
+            for (id, n) in program.graph.nodes().iter().enumerate() {
+                let (base, text) = (n.label().base(), n.label().to_string());
+                let ctx = n.context as usize;
+                let node = at(format!("node {id}"));
+                assert_eq!(text, format!("{base}{}", ctx + 1), "{node}");
+                assert_eq!(program.contexts[ctx].id as usize, id, "{node}");
+                assert_eq!(program.contexts[ctx].label, n.label(), "{node}");
+            }
+        }
+    }
 }
 
 #[test]
@@ -405,7 +439,7 @@ fn lowering_output_matches_the_golden_digest() {
     let golden = read(&golden_path);
     let mut actual = String::new();
     let mut dumps = Vec::new();
-    let mut seen: BTreeSet<String> = BTreeSet::new();
+    let mut seen: BTreeSet<&str> = BTreeSet::new();
     let mut arms: BTreeSet<String> = BTreeSet::new();
     for row in rows() {
         let mut session = Session::new(row.source.as_str(), row.opts.clone());
@@ -420,9 +454,9 @@ fn lowering_output_matches_the_golden_digest() {
             .graph
             .nodes()
             .iter()
-            .map(|n| &*n.label)
-            .chain(program.contexts.iter().map(|c| &*c.label));
-        seen.extend(labels.map(|l| label_base(l).to_string()));
+            .map(|n| n.label())
+            .chain(program.contexts.iter().map(|c| c.label));
+        seen.extend(labels.map(|l| l.base()));
         let text = dump(&program);
         writeln!(
             actual,
@@ -457,10 +491,10 @@ fn lowering_output_matches_the_golden_digest() {
             "`{base}` is reached by a row now; drop it from UNVERIFIED ({reason})"
         );
     }
-    let expected: BTreeSet<String> = LABEL_BASES
+    let expected: BTreeSet<&str> = LABEL_BASES
         .iter()
-        .filter(|b| !unverified.contains(*b))
-        .map(|b| (*b).to_string())
+        .copied()
+        .filter(|b| !unverified.contains(b))
         .collect();
     assert_eq!(
         seen, expected,

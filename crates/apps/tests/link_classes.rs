@@ -56,7 +56,7 @@ fn no_per_thread_link_is_scalar() {
                     .iter()
                     .find(|c| c.id == p.0)
                     .expect("every graph node is a context");
-                let base = ctx.label.trim_end_matches(|c: char| c.is_ascii_digit());
+                let base = ctx.label.base();
                 if !SCALAR_PRODUCERS.contains(&base) {
                     offenders.push(format!(
                         "{}: ch{} from {} ({})",

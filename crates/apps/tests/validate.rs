@@ -1,7 +1,7 @@
 //! Every Table III application, compiled by the full pipeline and executed
 //! on the dataflow machine, validated against its oracle.
 
-use revet_apps::{all_apps, DRAM_BYTES};
+use revet_apps::all_apps;
 
 macro_rules! validate {
     ($fn_name:ident, $app:literal, $outer:expr, $scale:expr) => {
@@ -27,21 +27,6 @@ validate!(kdtree_dataflow, "kD-tree", 2, 8);
 fn all_apps_at_width_one() {
     for app in all_apps() {
         app.validate_untimed(1, 4, 7);
-    }
-}
-
-/// Apps validate against the MIR reference interpreter too (pre-dataflow),
-/// pinning down which layer a regression lives in.
-#[test]
-fn all_apps_through_mir_interp() {
-    use revet_oracle::interp::run_main;
-    for app in all_apps() {
-        let w = (app.workload)(4, 13);
-        let module = revet_lang::compile_to_mir(&(app.source)(2)).unwrap();
-        let overlays = app.overlays(&w);
-        let mem = run_main(&module, DRAM_BYTES, &w.args, &overlays, 1_000_000_000)
-            .unwrap_or_else(|e| panic!("{}: MIR interp: {e}", app.name));
-        app.check_dram(&mem.dram, &w);
     }
 }
 

@@ -13,7 +13,9 @@
 //! caret snippet to stderr and exits with code 1 (code 2 for usage /
 //! I/O problems). `--emit`:
 //!
-//! - `ast` — the parsed AST (debug form)
+//! - `ast` — the parsed AST, printed back as source by
+//!   `revet_lang::print_program` (the printer `frontend.digest` hashes), so
+//!   the output grows with the source, not with its nesting depth
 //! - `mir` — the optimized MIR module (after high-level lowering +
 //!   passes), in `revet_mir::print` textual form
 //! - `mir-after=<pass>` — the MIR snapshot right after the named pipeline
@@ -342,7 +344,10 @@ fn main() -> ExitCode {
         session = session.capture_mir_after(pass);
     }
     let failed = match &emit {
-        Emit::Ast => session.parse().map(|ast| println!("{ast:#?}")).is_err(),
+        Emit::Ast => session
+            .parse()
+            .map(|ast| print!("{}", revet_lang::print_program(ast)))
+            .is_err(),
         Emit::Mir => {
             // The optimized module is the interesting MIR artifact; the
             // pre-pass form is reachable through the library API.
@@ -459,7 +464,7 @@ fn run_profiled(
             .graph
             .nodes()
             .iter()
-            .map(|slot| slot.label.to_string())
+            .map(|slot| slot.label().to_string())
             .collect(),
     );
     obs.set_link_labels(link_labels(&mut program));
@@ -539,7 +544,7 @@ fn link_labels(program: &mut CompiledProgram) -> Vec<String> {
         [] => none.to_string(),
         ids => ids
             .iter()
-            .map(|n| nodes[n.0 as usize].label.to_string())
+            .map(|n| nodes[n.0 as usize].label().to_string())
             .collect::<Vec<_>>()
             .join(","),
     };

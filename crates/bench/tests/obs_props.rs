@@ -308,7 +308,7 @@ fn build(values: &[u32], moves: &[u32]) -> Graph {
         g.chan_mut(first).push(tok);
     }
     let mut open = vec![first];
-    for (node_idx, &raw) in moves.iter().enumerate() {
+    for &raw in moves {
         match decode(raw) {
             Move::Map { sel, op } => {
                 let src = open.remove(sel as usize % open.len());
@@ -326,7 +326,7 @@ fn build(values: &[u32], moves: &[u32]) -> Graph {
                     dst: 0,
                 }];
                 g.add_node(
-                    format!("map{node_idx}"),
+                    "map",
                     EwNode::new(1, instrs, vec![OutputSpec::plain([0])]),
                     vec![src],
                     vec![dst],
@@ -338,7 +338,7 @@ fn build(values: &[u32], moves: &[u32]) -> Graph {
                 let d0 = g.add_chan(Channel::new(1));
                 let d1 = g.add_chan(Channel::new(1));
                 g.add_node(
-                    format!("dup{node_idx}"),
+                    "dup",
                     EwNode::new(
                         1,
                         Vec::new(),
@@ -364,7 +364,7 @@ fn build(values: &[u32], moves: &[u32]) -> Graph {
                     dst: 0,
                 }];
                 g.add_node(
-                    format!("zip{node_idx}"),
+                    "zip",
                     EwNode::new(2, instrs, vec![OutputSpec::plain([0])]),
                     vec![a, b],
                     vec![dst],

@@ -152,7 +152,7 @@ impl DfLower<'_> {
         ops: &[&Op],
         input: Cur,
         out_tuple: &[Value],
-        base: &str,
+        base: &'static str,
     ) -> Result<Cur, CoreError> {
         if ops.is_empty() && input.vars == out_tuple {
             return Ok(input);

@@ -59,6 +59,12 @@ struct RegionUses {
 /// Structured ops are numbered in pre-order and found from their region's
 /// row, not by address: replicate lowers a filtered copy of its body,
 /// whose structured ops are those of the original in the same order.
+///
+/// Every table is sized once: the rows are counted before the walk, the
+/// walk gathers each set on one shared stack (sized to the function's
+/// values, which no Table III app outgrows) and copies it out at its final
+/// size, and [`FreeUses::liveness`] reuses one live set, sized the same
+/// way, for every region.
 pub(super) struct FreeUses {
     ops: Vec<OpUses>,
     regions: Vec<RegionUses>,
@@ -66,15 +72,29 @@ pub(super) struct FreeUses {
     /// value is defined in the region being filled when its entry is that
     /// region's row. One table for the whole walk, not a set per region.
     owner: ValueMap<u32>,
+    /// The sets being gathered, innermost on top.
+    stack: Vec<Value>,
+    /// [`FreeUses::liveness`]'s running live set.
+    live: ValueSet,
 }
 
 impl FreeUses {
     pub(super) fn of(main: &Func) -> FreeUses {
+        let (mut ops, mut regions) = (0, 1);
+        main.walk(&mut |op| {
+            if is_structured(&op.kind) {
+                ops += 1;
+                regions += op.kind.regions().count();
+            }
+        });
         let mut uses = FreeUses {
-            ops: Vec::new(),
-            regions: vec![RegionUses::default()],
+            ops: Vec::with_capacity(ops),
+            regions: Vec::with_capacity(regions),
             owner: ValueMap::with_capacity(main.value_count()),
+            stack: Vec::with_capacity(main.value_count()),
+            live: ValueSet::with_capacity(main.value_count()),
         };
+        uses.regions.push(RegionUses::default());
         uses.fill_region(&main.body, 0);
         uses
     }
@@ -83,24 +103,24 @@ impl FreeUses {
         self.regions[at].first_op = self.ops.len() as u32;
         let row = at as u32;
         self.owner.extend(region.args.iter().map(|a| (*a, row)));
-        let mut free = Vec::new();
+        let start = self.stack.len();
         for op in &region.ops {
             if is_structured(&op.kind) {
                 let id = self.fill_op(op);
-                let used = self.ops[id].free.iter().copied();
-                free.extend(used.filter(|u| self.outside(*u, row)));
+                let FreeUses {
+                    ops, owner, stack, ..
+                } = self;
+                let used = ops[id].free.iter().copied();
+                stack.extend(used.filter(|u| owner.get(*u) != Some(&row)));
             } else {
                 let used = op.kind.operands();
-                free.extend(used.filter(|u| self.outside(*u, row)));
+                let owner = &self.owner;
+                self.stack
+                    .extend(used.filter(|u| owner.get(*u) != Some(&row)));
             }
             self.owner.extend(op.results.iter().map(|r| (*r, row)));
         }
-        self.regions[at].free = sorted(free);
-    }
-
-    /// True unless `u` is defined in the region whose row is `row`.
-    fn outside(&self, u: Value, row: u32) -> bool {
-        self.owner.get(u) != Some(&row)
+        self.regions[at].free = self.pop_set(start);
     }
 
     fn fill_op(&mut self, op: &Op) -> usize {
@@ -115,15 +135,33 @@ impl FreeUses {
             first_region + op.kind.regions().count(),
             RegionUses::default,
         );
-        let mut free: Vec<Value> = op.kind.operands().collect();
+        let start = self.stack.len();
+        self.stack.extend(op.kind.operands());
         for (at, sub) in (first_region..).zip(op.kind.regions()) {
             self.fill_region(sub, at);
-            free.extend_from_slice(&self.regions[at].free);
+            self.stack.extend_from_slice(&self.regions[at].free);
         }
         let end = self.ops.len() as u32;
-        self.ops[id].free = sorted(free);
+        self.ops[id].free = self.pop_set(start);
         self.ops[id].end = end;
         id
+    }
+
+    /// The set gathered on the stack from `start` up, sorted and
+    /// duplicate-free, in a vector of its own size; the stack drops it.
+    fn pop_set(&mut self, start: usize) -> Vec<Value> {
+        let gathered = &mut self.stack[start..];
+        gathered.sort_unstable();
+        let mut kept = 0;
+        for i in 0..gathered.len() {
+            if kept == 0 || gathered[i] != gathered[kept - 1] {
+                gathered[kept] = gathered[i];
+                kept += 1;
+            }
+        }
+        let set = gathered[..kept].to_vec();
+        self.stack.truncate(start);
+        set
     }
 
     /// True if `region` reads `v` from outside itself.
@@ -135,12 +173,6 @@ impl FreeUses {
     }
 }
 
-fn sorted(mut v: Vec<Value>) -> Vec<Value> {
-    v.sort_unstable();
-    v.dedup();
-    v
-}
-
 /// What [`liveness`] keeps for a structured op.
 pub(super) struct Live {
     /// The op's row in [`FreeUses`].
@@ -149,48 +181,61 @@ pub(super) struct Live {
     after: Vec<Value>,
 }
 
-/// One entry per op of `region` (whose ops are `ops`): for a structured op,
-/// its row and the values live after it given the region's live-out set;
-/// `None` for every other op, which nothing asks.
-pub(super) fn liveness(
-    uses: &FreeUses,
-    region: RegionId,
-    ops: &[impl Borrow<Op>],
-    live_out: &[Value],
-) -> Vec<Option<Live>> {
-    let mut next = uses.regions[region.0 as usize].first_op as usize;
-    let ids: Vec<Option<usize>> = ops
-        .iter()
-        .map(|op| {
-            is_structured(&op.borrow().kind).then(|| {
-                let id = next;
-                next = uses.ops[id].end as usize;
-                id
+impl FreeUses {
+    /// One entry per op of `region` (whose ops are `ops`): for a structured
+    /// op, its row and the values live after it given the region's live-out
+    /// set; `None` for every other op, which nothing asks.
+    pub(super) fn liveness(
+        &mut self,
+        region: RegionId,
+        ops: &[impl Borrow<Op>],
+        live_out: &[Value],
+    ) -> Vec<Option<Live>> {
+        let mut next = self.regions[region.0 as usize].first_op as usize;
+        let mut after: Vec<Option<Live>> = ops
+            .iter()
+            .map(|op| {
+                is_structured(&op.borrow().kind).then(|| {
+                    let id = next;
+                    next = self.ops[id].end as usize;
+                    Live {
+                        id,
+                        after: Vec::new(),
+                    }
+                })
             })
-        })
-        .collect();
-    let mut live: ValueSet = live_out.iter().copied().collect();
-    let mut after: Vec<Option<Live>> = Vec::with_capacity(ops.len());
-    for (op, id) in ops.iter().map(Borrow::borrow).zip(ids).rev() {
-        after.push(id.map(|id| Live {
-            id,
-            after: live.iter().collect(),
-        }));
-        for r in &op.results {
-            live.remove(*r);
+            .collect();
+        let live = &mut self.live;
+        live.clear();
+        live.extend(live_out);
+        for (op, entry) in ops.iter().map(Borrow::borrow).zip(&mut after).rev() {
+            if let Some(entry) = entry {
+                entry.after = Vec::with_capacity(live.len());
+                entry.after.extend(live.iter());
+            }
+            for r in &op.results {
+                live.remove(*r);
+            }
+            match entry {
+                Some(entry) => live.extend(&self.ops[entry.id].free),
+                None => live.extend(op.kind.operands()),
+            }
         }
-        match id {
-            Some(id) => live.extend(&uses.ops[id].free),
-            None => live.extend(op.kind.operands()),
-        }
+        after
     }
-    after.reverse();
-    after
 }
 
+/// `v` without its repeats, first occurrences in order. Tuples are short,
+/// so this compares in place rather than allocating a set.
 pub(super) fn dedup(mut v: Vec<Value>) -> Vec<Value> {
-    let mut seen = ValueSet::new();
-    v.retain(|x| seen.insert(*x));
+    let mut kept = 0;
+    for i in 0..v.len() {
+        if !v[..kept].contains(&v[i]) {
+            v[kept] = v[i];
+            kept += 1;
+        }
+    }
+    v.truncate(kept);
     v
 }
 
@@ -246,7 +291,8 @@ impl<'a> Frame<'a> {
         passthrough.retain(|v| !consts.contains_key(*v) && !op.results.contains(v));
         let mut free = uses.ops[live.id].free.clone();
         free.retain(|v| !consts.contains_key(*v));
-        let mut in_tuple = free.clone();
+        let mut in_tuple = Vec::with_capacity(free.len() + passthrough.len());
+        in_tuple.extend_from_slice(&free);
         in_tuple.extend(passthrough.iter().filter(|v| !free.contains(v)));
         Frame {
             results: &op.results,

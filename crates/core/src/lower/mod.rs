@@ -24,17 +24,17 @@
 //! it, the region [`Frame`], and the [`DfLower::lower_ops`] walk.
 //!
 //! **Emission order is part of the output.** Node ids, channel ids and
-//! label numbers are three running counters, and every executor report,
-//! stall report and ledger count is keyed by them. A primitive therefore
-//! always creates its output channels (in port order), then takes its
-//! label, then adds its node and its [`ContextInfo`]; and a construct emits
-//! its primitives in pipeline order. Replicate's stamped ways
-//! (`replicate.rs`) rely on the counters being independent: a stamp emits
-//! a way's links, then its SRAM regions, then its contexts, each in its
-//! original order, and lands on the ids and label numbers that lowering
-//! the body again would have taken. A label is its base and the label
-//! number, and no base ends in a digit, so a stamp renumbers a label from
-//! its base. `apps/tests/dataflow_golden.rs` pins the result.
+//! context ids are running counters, and every executor report, stall
+//! report and ledger count is keyed by them. A primitive therefore always
+//! creates its output channels (in port order), then adds its node and its
+//! [`ContextInfo`]; and a construct emits its primitives in pipeline order.
+//! A label has no counter of its own: it is a base and its context id
+//! ([`revet_machine::Label`]), so it follows from the context. Replicate's
+//! stamped ways (`replicate.rs`) rely on the counters being independent: a
+//! stamp emits a way's links, then its SRAM regions, then its contexts,
+//! each in its original order, and lands on the ids, and so the labels,
+//! that lowering the body again would have taken.
+//! `apps/tests/dataflow_golden.rs` pins the result.
 //!
 //! **A link's class follows its rate** (§III-C). A vector link moves 16
 //! tokens per cycle, a scalar link one, so every stream that carries one
@@ -58,7 +58,7 @@ mod pack;
 mod replicate;
 mod while_;
 
-use frame::{dedup, liveness, Frame, FreeUses, RegionId};
+use frame::{dedup, Frame, FreeUses, RegionId};
 
 use crate::{CoreError, PassOptions, MAX_DRAM_BYTES};
 use revet_machine::instr::{AluOp, EwInstr, Operand, Reg};
@@ -67,12 +67,11 @@ use revet_machine::nodes::{
     ReduceNode,
 };
 use revet_machine::{
-    ChanId, Channel, Graph, LinkClass, PortList, Prim, RunOptions, SramId, UnitClass,
+    ChanId, Channel, Graph, Label, LinkClass, PortList, Prim, RunOptions, SramId, UnitClass,
 };
 use revet_mir::{DramLayout, Func, Module, Op, OpKind, Value, ValueMap, MACHINE_MUS, MU_WORDS};
 use revet_sltf::Word;
 use std::borrow::Borrow;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -98,8 +97,9 @@ pub enum Category {
 pub struct ContextInfo {
     /// Context id (== machine NodeId index).
     pub id: u32,
-    /// Debug label, shared with the node slot (`NodeSlot::label`).
-    pub label: Arc<str>,
+    /// The context's label, the one its node slot prints
+    /// (`NodeSlot::label`): its base and this context's id.
+    pub label: Label,
     /// Primitive kind ("ew", "fb-merge", …).
     pub kind: &'static str,
     /// Which physical unit type it occupies.
@@ -243,19 +243,12 @@ impl Carries {
 
 /// How far the lowering's running counters have got. What one stretch of
 /// the walk emitted lies between two marks: the channels, contexts and SRAM
-/// regions from the first mark's counts up to the second's, and as many
-/// labels as contexts.
+/// regions from the first mark's counts up to the second's.
 #[derive(Clone, Copy, Debug)]
 struct Mark {
     chans: usize,
     infos: usize,
     srams: usize,
-    labels: u32,
-}
-
-/// A label's base: the label minus its numeric suffix.
-fn label_base(label: &str) -> &str {
-    label.trim_end_matches(|c: char| c.is_ascii_digit())
 }
 
 /// The current position in the pipeline being built.
@@ -296,9 +289,6 @@ struct DfLower<'m> {
     uses: FreeUses,
     depth: u32,
     in_replicate: u32,
-    label_n: u32,
-    /// Scratch the next label is formatted in before it is shared.
-    label_text: String,
 }
 
 /// Wall time of each sub-stage of one dataflow lowering, in order: every
@@ -414,8 +404,6 @@ pub(crate) fn lower_timed(
         uses,
         depth: 0,
         in_replicate: 0,
-        label_n: 0,
-        label_text: String::new(),
     };
     let (entry, exit) = lw.lower_main()?;
     laps.lap("to_dataflow.walk");
@@ -443,18 +431,6 @@ pub(crate) fn lower_timed(
 // ---------------- the context emitter and the §III-B primitives ----------------
 
 impl DfLower<'_> {
-    /// The next label: `base` and the running label number, in one
-    /// allocation the node slot and the [`ContextInfo`] share. No base
-    /// ends in a digit, so a label's base is the label minus its numeric
-    /// suffix ([`label_base`]).
-    fn label(&mut self, base: &str) -> Arc<str> {
-        debug_assert!(!base.ends_with(|c: char| c.is_ascii_digit()), "{base}");
-        self.label_n += 1;
-        self.label_text.clear();
-        write!(self.label_text, "{base}{}", self.label_n).expect("a String takes any text");
-        Arc::from(self.label_text.as_str())
-    }
-
     /// Where the running counters stand (see the module docs on emission
     /// order).
     fn mark(&self) -> Mark {
@@ -462,7 +438,6 @@ impl DfLower<'_> {
             chans: self.g.chan_count(),
             infos: self.infos.len(),
             srams: self.g.mem.sram_count(),
-            labels: self.label_n,
         }
     }
 
@@ -515,13 +490,14 @@ impl DfLower<'_> {
         }
     }
 
-    /// Brings one streaming context into being: takes the next label,
-    /// adds the node and records its [`ContextInfo`] — in that order, after
-    /// the caller has created `outs` (see the module docs on emission
-    /// order). `cost` is the context's (pipeline stages, registers).
+    /// Brings one streaming context into being: adds the node, labelled
+    /// `base` and numbered by the next context id, and records its
+    /// [`ContextInfo`], after the caller has created `outs` (see the module
+    /// docs on emission order). `cost` is the context's (pipeline stages,
+    /// registers).
     fn emit(
         &mut self,
-        base: &str,
+        base: &'static str,
         kind: &'static str,
         unit: UnitClass,
         category: Category,
@@ -530,12 +506,12 @@ impl DfLower<'_> {
         ins: impl Into<PortList>,
         outs: impl Into<PortList>,
     ) {
-        let label = self.label(base);
-        let id = self.g.add_node(label.clone(), node, ins, outs);
-        self.g.set_node_meta(id, self.infos.len() as u32, unit);
+        let context = self.infos.len() as u32;
+        let id = self.g.add_node(base, node, ins, outs);
+        self.g.set_node_meta(id, context, unit);
         self.infos.push(ContextInfo {
             id: id.0,
-            label,
+            label: Label::new(base, context),
             kind,
             unit,
             depth: self.depth,
@@ -549,7 +525,7 @@ impl DfLower<'_> {
     /// stages of its own.
     fn fixed(
         &mut self,
-        base: &str,
+        base: &'static str,
         kind: &'static str,
         category: Category,
         regs: usize,
@@ -565,7 +541,7 @@ impl DfLower<'_> {
     /// register counts are the node's own.
     fn ew_into(
         &mut self,
-        base: &str,
+        base: &'static str,
         kind: &'static str,
         unit: UnitClass,
         category: Category,
@@ -580,7 +556,7 @@ impl DfLower<'_> {
     /// A single-output element-wise context on a fresh vector link.
     fn ew(
         &mut self,
-        base: &str,
+        base: &'static str,
         unit: UnitClass,
         category: Category,
         node: EwNode,
@@ -596,7 +572,7 @@ impl DfLower<'_> {
     /// streams: the second is an `if`'s else side or a `while`'s exit.
     fn filter(
         &mut self,
-        base: &str,
+        base: &'static str,
         input: &Cur,
         cond: Operand,
         slots: Arc<[Reg]>,
@@ -631,7 +607,7 @@ impl DfLower<'_> {
 
     /// A filter that passes no thread: `out` (of `arity`) sees only the
     /// barriers of `input`, which downstream merges still need.
-    fn drop_all(&mut self, base: &str, input: ChanId, out: ChanId, arity: usize) {
+    fn drop_all(&mut self, base: &'static str, input: ChanId, out: ChanId, arity: usize) {
         let slots: Arc<[Reg]> = std::iter::repeat_n(0, arity).collect();
         let node = EwNode::new(
             1,
@@ -646,7 +622,7 @@ impl DfLower<'_> {
     /// or two ways of the replicate merge tree) into one per-thread stream.
     fn fwd_merge(
         &mut self,
-        base: &str,
+        base: &'static str,
         category: Category,
         ins: [ChanId; 2],
         arity: usize,
@@ -660,7 +636,7 @@ impl DfLower<'_> {
     /// §III-B d forward-backward merge: a loop header over the forward edge
     /// `fwd`. Returns the body link and the (not yet driven) backedge,
     /// which is left uncanonicalized: iteration order is the loop's own.
-    fn fb_merge(&mut self, base: &str, fwd: ChanId, arity: usize) -> (ChanId, ChanId) {
+    fn fb_merge(&mut self, base: &'static str, fwd: ChanId, arity: usize) -> (ChanId, ChanId) {
         let body = self.chan(arity, Carries::PerThread);
         let back = self.link(
             Channel::new(arity)
@@ -674,7 +650,7 @@ impl DfLower<'_> {
 
     /// §III-B e flatten: strips one barrier level (a loop's exit edge); its
     /// output carries every exiting thread.
-    fn flatten(&mut self, base: &str, input: ChanId, arity: usize) -> ChanId {
+    fn flatten(&mut self, base: &'static str, input: ChanId, arity: usize) -> ChanId {
         let out = self.chan(arity, Carries::PerThread);
         let (node, category) = (FlattenNode::new(), self.category());
         self.fixed(base, "flatten", category, 0, node, [input], [out]);
@@ -684,7 +660,12 @@ impl DfLower<'_> {
     /// §III-B e counter: expands each parent thread of `input` into one
     /// child per index in `bounds` (min, max, step). Returns the child link
     /// (the index alone) and the parent link (the input tuple, unchanged).
-    fn counter(&mut self, base: &str, input: &Cur, bounds: [Operand; 3]) -> (ChanId, ChanId) {
+    fn counter(
+        &mut self,
+        base: &'static str,
+        input: &Cur,
+        bounds: [Operand; 3],
+    ) -> (ChanId, ChanId) {
         let n = input.vars.len();
         let child = self.chan(1, Carries::PerThread);
         let parent = self.chan(n, Carries::PerThread);
@@ -697,7 +678,13 @@ impl DfLower<'_> {
 
     /// §III-B e broadcast: repeats each tuple of `feed` onto every child of
     /// `child` in its group; the output is `arity` wide.
-    fn broadcast(&mut self, base: &str, feed: ChanId, child: ChanId, arity: usize) -> ChanId {
+    fn broadcast(
+        &mut self,
+        base: &'static str,
+        feed: ChanId,
+        child: ChanId,
+        arity: usize,
+    ) -> ChanId {
         let out = self.chan(arity, Carries::PerThread);
         let (node, category) = (BroadcastNode::new(1), self.category());
         self.fixed(base, "broadcast", category, 0, node, [feed, child], [out]);
@@ -706,7 +693,7 @@ impl DfLower<'_> {
 
     /// §III-B e reduce: folds each group of `input` back to parent level
     /// with `op` (a void reduce, carrying barriers only, when `None`).
-    fn reduce(&mut self, base: &str, input: ChanId, op: Option<AluOp>) -> ChanId {
+    fn reduce(&mut self, base: &'static str, input: ChanId, op: Option<AluOp>) -> ChanId {
         let out = self.chan(usize::from(op.is_some()), Carries::PerThread);
         let node = match op {
             Some(op) => ReduceNode::new(op, op.reduction_identity()),
@@ -720,8 +707,8 @@ impl DfLower<'_> {
     /// Accounts one buffering MU (deadlock avoidance / retiming). These are
     /// storage-only contexts, so they appear in the reports but not in the
     /// executable graph.
-    fn buffer_mu(&mut self, category: Category, base: &str) {
-        let label = self.label(base);
+    fn buffer_mu(&mut self, category: Category, base: &'static str) {
+        let label = Label::new(base, self.infos.len() as u32);
         self.infos.push(ContextInfo {
             id: u32::MAX,
             label,
@@ -785,7 +772,7 @@ impl DfLower<'_> {
         mut cur: Cur,
         live_out: &[Value],
     ) -> Result<(Cur, Term), CoreError> {
-        let live_after = liveness(&self.uses, region, ops, live_out);
+        let live_after = self.uses.liveness(region, ops, live_out);
         let mut pending: Vec<&Op> = Vec::new();
         for (op, live) in ops.iter().map(Borrow::borrow).zip(live_after) {
             // A terminator closes the region with one last block. Its

@@ -11,15 +11,15 @@
 //! values in, its contexts) is emitted again through the same emitters, in
 //! the same order. In each copy the way's own links and SRAM regions move
 //! by the count emitted since the first way began, its input becomes the
-//! way's own distribution link, and every label is renumbered from its base
-//! (the label minus its numeric suffix — no base ends in a digit).
-//! Element-wise programs are shared, not copied, unless they touch one of
-//! the way's own SRAM regions. The result is what lowering the body once
-//! per way would emit, id for id and label for label.
+//! way's own distribution link, and its contexts take the next context
+//! ids, which number their labels. Element-wise programs are shared, not
+//! copied, unless they touch one of the way's own SRAM regions. The result
+//! is what lowering the body once per way would emit, id for id and label
+//! for label.
 
 use super::block::{alu, imm};
 use super::frame::{slot_of, slots_of, Frame};
-use super::{label_base, Carries, Category, Cur, DfLower, Mark, Term};
+use super::{Carries, Category, Cur, DfLower, Mark, Term};
 use crate::CoreError;
 use revet_machine::instr::{AluOp, EwInstr, Operand, Reg};
 use revet_machine::nodes::{EwNode, OutputSpec};
@@ -119,11 +119,11 @@ impl Way {
     }
 }
 
-/// `label` renumbered `shift` labels on: its base and the suffix plus
-/// `shift`.
-fn renumber(label: &str, shift: u32) -> String {
-    let base = label_base(label);
-    let n: u32 = label[base.len()..].parse().expect("a numbered label");
+/// `name`, a region [`DfLower::park`] numbered by the context count it was
+/// declared at, renumbered `shift` contexts on.
+fn renumber(name: &str, shift: usize) -> String {
+    let base = name.trim_end_matches(|c: char| c.is_ascii_digit());
+    let n: usize = name[base.len()..].parse().expect("a numbered region");
     format!("{base}{}", n + shift)
 }
 
@@ -239,18 +239,17 @@ impl DfLower<'_> {
             let chan = self.g.chans()[c].clone();
             self.at_depth(self.links[c].depth, |lw| lw.link(chan));
         }
-        let labels = at.labels - from.labels;
+        let contexts = at.infos - from.infos;
         for s in from.srams..to.srams {
             let region = self.g.mem.sram(SramId(s as u32));
-            let (name, words) = (renumber(&region.name, labels), region.words.len());
+            let (name, words) = (renumber(&region.name, contexts), region.words.len());
             self.add_sram(name, words as u64)?;
         }
         let srams = (at.srams - from.srams) as u32;
         for i in from.infos..to.infos {
             let info = &self.infos[i];
             let (kind, unit, category) = (info.kind, info.unit, info.category);
-            let (depth, cost, label) = (info.depth, (info.instrs, info.regs), info.label.clone());
-            let base = label_base(&label);
+            let (depth, cost, base) = (info.depth, (info.instrs, info.regs), info.label.base());
             if info.id == u32::MAX {
                 self.at_depth(depth, |lw| lw.buffer_mu(category, base));
                 continue;
@@ -276,7 +275,7 @@ impl DfLower<'_> {
     fn park(&mut self, cur: Cur, ptr: Value, values: &[Value]) -> Result<(SramId, Cur), CoreError> {
         let k = values.len() as u32;
         let words = u64::from(k) * u64::from(self.module.thread_count());
-        let sram = self.add_sram(format!("rep_buf{}", self.label_n), words)?;
+        let sram = self.add_sram(format!("rep_buf{}", self.infos.len()), words)?;
         let ptr = slot_of(&cur.vars, ptr, "replicate")?;
         let scratch = cur.vars.len() as Reg;
         let mut instrs = Vec::new();

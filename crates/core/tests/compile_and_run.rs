@@ -24,8 +24,11 @@ fn run_with(
         .unwrap_or_else(|e| panic!("{e}"));
     let slice = DRAM_BYTES / n_drams;
     for (sym, bytes) in inits {
-        let base = sym * slice;
-        program.graph.mem.dram[base..base + bytes.len()].copy_from_slice(bytes);
+        program
+            .graph
+            .mem
+            .write_dram(sym * slice, bytes)
+            .unwrap_or_else(|e| panic!("{e}"));
     }
     let words: Vec<Word> = args.iter().map(|&a| Word(a)).collect();
     program

@@ -82,9 +82,8 @@ fn run_dataflow(src: &str, inputs: &[u32], opts: PassOptions) -> Vec<u8> {
     let mut opts = opts;
     opts.dram_bytes = DRAM;
     let mut program = Session::new(src, opts).to_dataflow().unwrap();
-    for (i, v) in inputs.iter().enumerate() {
-        program.graph.mem.dram[4 * i..4 * i + 4].copy_from_slice(&v.to_le_bytes());
-    }
+    let input: Vec<u8> = inputs.iter().copied().flat_map(u32::to_le_bytes).collect();
+    program.graph.mem.write_dram(0, &input).unwrap();
     program
         .run_untimed(&[Word(inputs.len() as u32)], 50_000_000)
         .unwrap();

@@ -46,19 +46,19 @@ pub fn parse_program(src: &str) -> Result<Program, Diagnostics> {
     }
 }
 
-struct Parser {
-    toks: Vec<Spanned>,
+struct Parser<'src> {
+    toks: Vec<Spanned<'src>>,
     pos: usize,
     diags: Diagnostics,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].tok
+impl<'src> Parser<'src> {
+    fn peek(&self) -> Tok<'src> {
+        self.toks[self.pos].tok
     }
 
-    fn peek2(&self) -> &Tok {
-        &self.toks[(self.pos + 1).min(self.toks.len() - 1)].tok
+    fn peek2(&self) -> Tok<'src> {
+        self.toks[(self.pos + 1).min(self.toks.len() - 1)].tok
     }
 
     /// Span of the token about to be consumed.
@@ -71,11 +71,10 @@ impl Parser {
         self.toks[self.pos.saturating_sub(1)].span
     }
 
-    /// Consumes the current token and returns it, moved out: the parser
-    /// never looks back at a consumed token's text (only at its span), so
-    /// its slot keeps `Eof`. The last token is `Eof` and stays current.
-    fn bump(&mut self) -> Tok {
-        let t = std::mem::replace(&mut self.toks[self.pos].tok, Tok::Eof);
+    /// Consumes the current token and returns it. The last token is `Eof`
+    /// and stays current.
+    fn bump(&mut self) -> Tok<'src> {
+        let t = self.toks[self.pos].tok;
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -109,19 +108,16 @@ impl Parser {
 
     fn expect_punct(&mut self, p: &str) -> PResult<()> {
         match self.peek() {
-            Tok::Punct(q) if *q == p => {
+            Tok::Punct(q) if q == p => {
                 self.bump();
                 Ok(())
             }
-            other => {
-                let other = other.clone();
-                self.err(format!("expected '{p}', found {other}"))
-            }
+            other => self.err(format!("expected '{p}', found {other}")),
         }
     }
 
     fn eat_punct(&mut self, p: &str) -> bool {
-        if matches!(self.peek(), Tok::Punct(q) if *q == p) {
+        if matches!(self.peek(), Tok::Punct(q) if q == p) {
             self.bump();
             true
         } else {
@@ -129,23 +125,29 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> PResult<String> {
-        if !matches!(self.peek(), Tok::Ident(_)) {
-            return self.err(format!("expected identifier, found {}", self.peek()));
+    fn expect_ident(&mut self) -> PResult<&'src str> {
+        match self.peek() {
+            Tok::Ident(s) => {
+                self.bump();
+                Ok(s)
+            }
+            other => self.err(format!("expected identifier, found {other}")),
         }
-        let Tok::Ident(s) = self.bump() else {
-            unreachable!("the current token is an identifier")
-        };
-        Ok(s)
+    }
+
+    /// An identifier the AST keeps: the one place a name is copied out of
+    /// the source.
+    fn name(&mut self) -> PResult<String> {
+        self.expect_ident().map(str::to_owned)
     }
 
     fn expect_int(&mut self) -> PResult<i64> {
-        match *self.peek() {
+        match self.peek() {
             Tok::Int(v) => {
                 self.bump();
                 Ok(v)
             }
-            ref other => self.err(format!("expected integer, found {other}")),
+            other => self.err(format!("expected integer, found {other}")),
         }
     }
 
@@ -260,17 +262,14 @@ impl Parser {
         while !self.over_budget() {
             let item = match self.peek() {
                 Tok::Eof => break,
-                Tok::Ident(s) if s == "dram" => self.dram_decl().map(|d| prog.drams.push(d)),
+                Tok::Ident("dram") => self.dram_decl().map(|d| prog.drams.push(d)),
                 Tok::Ident(s) if TyName::parse(s).is_some() => {
                     self.func().map(|f| prog.funcs.push(f))
                 }
-                other => {
-                    let other = other.clone();
-                    self.err_code(
-                        codes::PARSE_BAD_ITEM,
-                        format!("expected 'dram' declaration or function, found {other}"),
-                    )
-                }
+                other => self.err_code(
+                    codes::PARSE_BAD_ITEM,
+                    format!("expected 'dram' declaration or function, found {other}"),
+                ),
             };
             if let Err(e) = item {
                 self.report(e);
@@ -284,7 +283,7 @@ impl Parser {
         let start = self.cur_span().start;
         self.bump(); // dram
         let ty = self.angled(Self::ty)?;
-        let name = self.expect_ident()?;
+        let name = self.name()?;
         self.expect_punct(";")?;
         Ok(DramDeclAst {
             name,
@@ -309,13 +308,13 @@ impl Parser {
     fn func(&mut self) -> PResult<FuncAst> {
         let start = self.cur_span().start;
         let ret = self.ty()?;
-        let name = self.expect_ident()?;
+        let name = self.name()?;
         self.expect_punct("(")?;
         let mut params = Vec::new();
         if !self.eat_punct(")") {
             loop {
                 let pty = self.ty()?;
-                let pname = self.expect_ident()?;
+                let pname = self.name()?;
                 params.push((pty, pname));
                 if self.eat_punct(")") {
                     break;
@@ -352,7 +351,7 @@ impl Parser {
     fn thread_body(&mut self) -> PResult<(TyName, String, Vec<Stmt>)> {
         self.expect_punct("{")?;
         let ity = self.ty()?;
-        let ivar = self.expect_ident()?;
+        let ivar = self.name()?;
         self.expect_punct("=>")?;
         Ok((ity, ivar, self.stmt_seq()?))
     }
@@ -386,7 +385,7 @@ impl Parser {
         let start = self.cur_span().start;
         let kind = if self.eat_punct(DEREF) {
             // `*it = e;`
-            let it = self.expect_ident()?;
+            let it = self.name()?;
             self.expect_punct("=")?;
             let value = self.expr_semi()?;
             StmtKind::DerefStore { it, value }
@@ -417,7 +416,7 @@ impl Parser {
         if TyName::parse(kw).is_some() && matches!(self.peek2(), Tok::Ident(_)) {
             return self.decl().map(Some);
         }
-        let parse: fn(&mut Self) -> PResult<StmtKind> = match kw.as_str() {
+        let parse: fn(&mut Self) -> PResult<StmtKind> = match kw {
             "if" => Self::if_stmt,
             "while" => |p| {
                 let cond = p.paren_expr()?;
@@ -479,7 +478,7 @@ impl Parser {
     /// After `pragma`.
     fn pragma(&mut self) -> PResult<StmtKind> {
         self.expect_punct("(")?;
-        let name = self.expect_ident()?;
+        let name = self.name()?;
         let value = if self.eat_punct(",") {
             Some(self.expect_int()?)
         } else {
@@ -497,7 +496,7 @@ impl Parser {
             p.expect_punct(",")?;
             Ok((ty, p.expect_int()?))
         })?;
-        let name = self.expect_ident()?;
+        let name = self.name()?;
         self.expect_punct(";")?;
         let decl = MemDecl::Sram { ty, size };
         Ok(StmtKind::Mem { name, decl })
@@ -506,9 +505,9 @@ impl Parser {
     /// After a view or iterator keyword: `<size> name(dram, at);`.
     fn tile_decl(&mut self, kind: TileKind) -> PResult<StmtKind> {
         let size = self.angled(Self::expect_int)?;
-        let name = self.expect_ident()?;
+        let name = self.name()?;
         self.expect_punct("(")?;
-        let dram = self.expect_ident()?;
+        let dram = self.name()?;
         self.expect_punct(",")?;
         let at = self.expr()?;
         self.expect_punct(")")?;
@@ -526,7 +525,7 @@ impl Parser {
     /// `foreach`.
     fn decl(&mut self) -> PResult<StmtKind> {
         let ty = self.ty()?;
-        let name = self.expect_ident()?;
+        let name = self.name()?;
         let init = if !self.eat_punct("=") {
             None
         } else if self.eat_kw("foreach") {
@@ -556,12 +555,12 @@ impl Parser {
             }
             self.expect_punct("(")?;
             let spelled = match self.peek() {
-                Tok::Punct(p) => ReduceOp::TABLE.iter().find(|(_, s, _)| s == p),
-                Tok::Ident(i) => ReduceOp::TABLE.iter().find(|(_, s, _)| s == i),
+                Tok::Punct(p) => ReduceOp::TABLE.iter().find(|(_, s, _)| *s == p),
+                Tok::Ident(i) => ReduceOp::TABLE.iter().find(|(_, s, _)| *s == i),
                 _ => None,
             };
             let Some(&(op, ..)) = spelled else {
-                let other = self.peek().clone();
+                let other = self.peek();
                 return self.err(format!("unknown reduction operator {other}"));
             };
             self.bump();
@@ -584,7 +583,7 @@ impl Parser {
     /// A statement that starts with a name: assignment, store, their
     /// compound forms, increment, or a method call.
     fn named_stmt(&mut self) -> PResult<StmtKind> {
-        let name = self.expect_ident()?;
+        let name = self.name()?;
         if self.eat_punct(".") {
             return self.method_stmt(name);
         }
@@ -604,7 +603,7 @@ impl Parser {
         };
         // `target op= e` desugars to `target = target op e`.
         let compound = match self.peek() {
-            Tok::Punct(p) => BinOp::TABLE.iter().find(|r| r.compound == Some(*p)),
+            Tok::Punct(p) => BinOp::TABLE.iter().find(|r| r.compound == Some(p)),
             _ => None,
         };
         if compound.is_some() {
@@ -633,10 +632,10 @@ impl Parser {
     /// After `name .`: `load` / `store` bulk transfers and `inc(last)`.
     fn method_stmt(&mut self, name: String) -> PResult<StmtKind> {
         let method = self.expect_ident()?;
-        let kind = match method.as_str() {
+        let kind = match method {
             "load" | "store" => {
                 self.expect_punct("(")?;
-                let dram = self.expect_ident()?;
+                let dram = self.name()?;
                 self.expect_punct(",")?;
                 let base = self.expr()?;
                 self.expect_punct(",")?;
@@ -673,7 +672,7 @@ impl Parser {
         let mut lhs = self.unary()?;
         loop {
             let row = match self.peek() {
-                Tok::Punct(p) => BinOp::TABLE.iter().find(|r| r.symbol == *p),
+                Tok::Punct(p) => BinOp::TABLE.iter().find(|r| r.symbol == p),
                 _ => None,
             };
             let Some(row) = row.filter(|r| r.prec >= min_prec) else {
@@ -687,13 +686,13 @@ impl Parser {
 
     fn unary(&mut self) -> PResult<Expr> {
         if let Tok::Punct(p) = self.peek() {
-            if let Some(&(op, _)) = UnOp::TABLE.iter().find(|(_, s)| s == p) {
+            if let Some(&(op, _)) = UnOp::TABLE.iter().find(|(_, s)| *s == p) {
                 self.bump();
                 return Ok(Expr::Un(op, Box::new(self.unary()?)));
             }
         }
         if self.eat_punct(DEREF) {
-            return Ok(Expr::Deref(self.expect_ident()?));
+            return Ok(Expr::Deref(self.name()?));
         }
         // Cast: `(ty) e` — lookahead for `( tyname )`.
         if matches!(self.peek(), Tok::Punct("(")) {
@@ -720,14 +719,13 @@ impl Parser {
             return self.paren_expr();
         }
         match self.peek() {
-            &Tok::Int(v) => {
+            Tok::Int(v) => {
                 self.bump();
                 Ok(Expr::Int(v))
             }
-            Tok::Ident(_) => {
-                let Tok::Ident(name) = self.bump() else {
-                    unreachable!("the current token is an identifier")
-                };
+            Tok::Ident(name) => {
+                self.bump();
+                let name = name.to_owned();
                 if self.eat_punct("[") {
                     let idx = self.expr()?;
                     self.expect_punct("]")?;

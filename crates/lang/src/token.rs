@@ -15,11 +15,13 @@ use std::borrow::Cow;
 use std::fmt;
 use std::sync::LazyLock;
 
-/// A lexical token.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Tok {
+/// A lexical token. An identifier borrows its text from the source, so
+/// lexing a keyword allocates nothing; the parser copies only the names
+/// the AST keeps.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Tok<'src> {
     /// An identifier or keyword.
-    Ident(String),
+    Ident(&'src str),
     /// An integer literal (decimal, hex `0x…`, or char `'a'`).
     Int(i64),
     /// Punctuation / operator, canonical spelling.
@@ -28,7 +30,7 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "'{s}'"),
@@ -40,10 +42,10 @@ impl fmt::Display for Tok {
 }
 
 /// A token with its source span.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Spanned {
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Spanned<'src> {
     /// The token.
-    pub tok: Tok,
+    pub tok: Tok<'src>,
     /// Byte range in the source.
     pub span: Span,
 }
@@ -75,7 +77,7 @@ static PUNCTS: LazyLock<Vec<&'static str>> = LazyLock::new(|| {
 /// lexical diagnostics. Malformed input is skipped, not fatal: an
 /// unexpected character yields one diagnostic and scanning continues, so
 /// the parser still sees everything after it.
-pub fn lex(src: &str) -> (Vec<Spanned>, Vec<Diagnostic>) {
+pub fn lex(src: &str) -> (Vec<Spanned<'_>>, Vec<Diagnostic>) {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut diags = Vec::new();
@@ -118,7 +120,7 @@ pub fn lex(src: &str) -> (Vec<Spanned>, Vec<Diagnostic>) {
                 i += 1;
             }
             out.push(Spanned {
-                tok: Tok::Ident(src[start..i].to_string()),
+                tok: Tok::Ident(&src[start..i]),
                 span: Span::new(start as u32, i as u32),
             });
             continue;
@@ -266,7 +268,7 @@ mod tests {
     use super::*;
     use revet_diag::SourceMap;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         let (ts, diags) = lex(src);
         assert!(diags.is_empty(), "{diags:?}");
         ts.into_iter().map(|s| s.tok).collect()
@@ -277,7 +279,7 @@ mod tests {
         assert_eq!(
             toks("x1 = 0x10 + 2;"),
             vec![
-                Tok::Ident("x1".into()),
+                Tok::Ident("x1"),
                 Tok::Punct("="),
                 Tok::Int(16),
                 Tok::Punct("+"),
@@ -299,7 +301,7 @@ mod tests {
     fn comments_skipped() {
         assert_eq!(
             toks("a // line\n/* block\n */ b"),
-            vec![Tok::Ident("a".into()), Tok::Ident("b".into()), Tok::Eof]
+            vec![Tok::Ident("a"), Tok::Ident("b"), Tok::Eof]
         );
     }
 
@@ -308,13 +310,13 @@ mod tests {
         assert_eq!(
             toks("a >>= b << c => d"),
             vec![
-                Tok::Ident("a".into()),
+                Tok::Ident("a"),
                 Tok::Punct(">>="),
-                Tok::Ident("b".into()),
+                Tok::Ident("b"),
                 Tok::Punct("<<"),
-                Tok::Ident("c".into()),
+                Tok::Ident("c"),
                 Tok::Punct("=>"),
-                Tok::Ident("d".into()),
+                Tok::Ident("d"),
                 Tok::Eof
             ]
         );
@@ -351,13 +353,8 @@ mod tests {
         let (ts, d) = lex("a @ b $ c");
         assert_eq!(d.len(), 2);
         assert_eq!(
-            ts.iter().map(|s| &s.tok).cloned().collect::<Vec<_>>(),
-            vec![
-                Tok::Ident("a".into()),
-                Tok::Ident("b".into()),
-                Tok::Ident("c".into()),
-                Tok::Eof
-            ]
+            ts.iter().map(|s| s.tok).collect::<Vec<_>>(),
+            vec![Tok::Ident("a"), Tok::Ident("b"), Tok::Ident("c"), Tok::Eof]
         );
         // Spans point at the two offenders.
         assert_eq!(d[0].span, Some(Span::new(2, 3)));

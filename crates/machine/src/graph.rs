@@ -63,10 +63,62 @@ pub enum UnitClass {
     AddressGen,
 }
 
+/// A context's name: a base saying what it was emitted for ("blk",
+/// "if.merge", …) and a number, the context id plus one. It prints as the
+/// two run together ("blk86"), and as the base alone for a node no
+/// context was assigned to. A label is `Copy` and owns nothing: its text
+/// is written only when it is printed.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Label {
+    base: &'static str,
+    /// The context id plus one; 0 when no context was assigned.
+    n: u32,
+}
+
+impl Label {
+    /// The label of context `context` (`u32::MAX`: none) with base `base`.
+    /// The number is what separates two labels of one base, so no base
+    /// ends in a digit.
+    pub fn new(base: &'static str, context: u32) -> Label {
+        debug_assert!(!base.ends_with(|c: char| c.is_ascii_digit()), "{base}");
+        Label {
+            base,
+            n: context.wrapping_add(1),
+        }
+    }
+
+    /// The base: the label without its number.
+    pub fn base(self) -> &'static str {
+        self.base
+    }
+}
+
+/// Padded and truncated as a string of the label's text is.
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.n {
+            0 => f.pad(self.base),
+            n if f.width().is_none() && f.precision().is_none() => write!(f, "{}{n}", self.base),
+            n => f.pad(&format!("{}{n}", self.base)),
+        }
+    }
+}
+
+/// Quoted and escaped, as a string of the label's text prints.
+impl fmt::Debug for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "\"{}", self.base.escape_debug())?;
+        match self.n {
+            0 => f.write_str("\""),
+            n => write!(f, "{n}\""),
+        }
+    }
+}
+
 /// A node slot: behavior plus wiring and placement metadata. The wiring
-/// and the label never change once the node is added, so every instance
-/// of a compiled graph shares them ([`Graph::fresh_instance`] clones the
-/// slots).
+/// and the label's base never change once the node is added, so every
+/// instance of a compiled graph shares them ([`Graph::fresh_instance`]
+/// clones the slots).
 #[derive(Clone)]
 pub struct NodeSlot {
     /// The primitive, held inline.
@@ -75,8 +127,8 @@ pub struct NodeSlot {
     pub ins: PortList,
     /// Output channels, in port order.
     pub outs: PortList,
-    /// Debug label ("bb3.filter", "loop2.head", …).
-    pub label: Arc<str>,
+    /// The label's base ("blk", "if.merge", …); its number is the context.
+    base: &'static str,
     /// Streaming-context id assigned by the compiler (groups nodes that fuse
     /// into one physical unit); `u32::MAX` = unassigned.
     pub context: u32,
@@ -91,10 +143,21 @@ pub struct NodeSlot {
     pub(crate) alloc_gated: bool,
 }
 
+// Cloning a slot (every instance does) copies these bytes and touches no
+// reference count.
+const _: () = assert!(std::mem::size_of::<NodeSlot>() <= 152);
+
+impl NodeSlot {
+    /// The node's label: its base numbered by its context.
+    pub fn label(&self) -> Label {
+        Label::new(self.base, self.context)
+    }
+}
+
 impl fmt::Debug for NodeSlot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NodeSlot")
-            .field("label", &self.label)
+            .field("label", &self.label())
             .field("ins", &self.ins)
             .field("outs", &self.outs)
             .field("context", &self.context)
@@ -411,12 +474,13 @@ impl Graph {
     }
 
     /// Adds a node wired to the given channels; returns its id. The
-    /// behavior is any primitive (or a [`Prim`]); the label and the port
-    /// lists go straight into their shared form (a `&str`, an array or a
-    /// `Vec` all convert).
+    /// behavior is any primitive (or a [`Prim`]); `base` is its label's
+    /// base, numbered once [`Graph::set_node_meta`] assigns a context, and
+    /// the port lists go straight into their shared form (an array or a
+    /// `Vec` both convert).
     pub fn add_node(
         &mut self,
-        label: impl Into<Arc<str>>,
+        base: &'static str,
         behavior: impl Into<Prim>,
         ins: impl Into<PortList>,
         outs: impl Into<PortList>,
@@ -430,7 +494,7 @@ impl Graph {
             behavior,
             ins: ins.into(),
             outs: outs.into(),
-            label: label.into(),
+            base,
             context: u32::MAX,
             unit: UnitClass::Compute,
             alloc_gated,
@@ -609,7 +673,7 @@ impl Graph {
         io.scratch = std::mem::take(&mut self.scratch);
         let result = slot.behavior.fire(&mut io, slot.alloc_gated);
         self.scratch = io.scratch;
-        result.map_err(|e| e.at(&slot.label))
+        result.map_err(|e| e.at(slot.label()))
     }
 
     /// Deadlock diagnosis: every non-empty channel that *has* a consumer
@@ -624,11 +688,11 @@ impl Graph {
             if chan.is_empty() {
                 continue;
             }
-            let labels: Vec<&str> = self
+            let labels: Vec<String> = self
                 .nodes
                 .iter()
                 .filter(|slot| slot.ins.contains(&ChanId(ci as u32)))
-                .map(|slot| &*slot.label)
+                .map(|slot| slot.label().to_string())
                 .collect();
             if labels.is_empty() {
                 continue;
@@ -784,6 +848,29 @@ mod tests {
         g.chans()[c.0 as usize].tokens()
     }
 
+    #[test]
+    fn a_label_prints_its_base_and_context_number() {
+        let label = Label::new("if.merge", 86);
+        assert_eq!(label.to_string(), "if.merge87");
+        assert_eq!(
+            format!("{label:?}"),
+            format!("{:?}", Arc::<str>::from("if.merge87"))
+        );
+        assert_eq!(format!("[{label:>12}]"), "[  if.merge87]");
+        let unassigned = Label::new("stage", u32::MAX);
+        assert_eq!(
+            (unassigned.to_string(), unassigned.base()),
+            ("stage".into(), "stage")
+        );
+        assert_eq!(format!("{unassigned:?}"), "\"stage\"");
+        let mut g = Graph::new();
+        let (a, b) = (g.add_chan(Channel::new(1)), g.add_chan(Channel::new(1)));
+        let id = g.add_node("blk", EwNode::passthrough(1), [a], [b]);
+        assert_eq!(g.node(id).label().to_string(), "blk");
+        g.set_node_meta(id, 4, UnitClass::Compute);
+        assert_eq!(g.node(id).label(), Label::new("blk", 4));
+    }
+
     /// `x -> 2x`.
     fn double() -> EwNode {
         EwNode::new(
@@ -870,20 +957,15 @@ mod tests {
         // Two independent starved zips: the diagnosis must list both, with
         // their consumer labels, in one pass.
         let mut g = Graph::new();
-        let starve = |g: &mut Graph, tag: &str| {
+        let starve = |g: &mut Graph, label: &'static str| {
             let c0 = g.add_chan(Channel::new(1));
             let c1 = g.add_chan(Channel::new(1));
             let c2 = g.add_chan(Channel::new(2));
-            g.add_node(
-                format!("zip.{tag}"),
-                EwNode::passthrough(2),
-                vec![c0, c1],
-                vec![c2],
-            );
+            g.add_node(label, EwNode::passthrough(2), vec![c0, c1], vec![c2]);
             feed(g, c0, [tdata([1u32])]);
         };
-        starve(&mut g, "a");
-        starve(&mut g, "b");
+        starve(&mut g, "zip.a");
+        starve(&mut g, "zip.b");
         let err = one_shot(&mut g, 100).unwrap_err();
         assert!(err.message.contains("deadlock"), "got: {err}");
         assert!(err.message.contains("zip.a"), "got: {err}");

@@ -119,7 +119,7 @@ mod tuple;
 pub use channel::{Channel, LinkClass};
 pub use dram::{Dram, PAGE_BYTES};
 pub use graph::{
-    ExecReport, Graph, NodeSlot, PortList, RunOptions, RunStatus, TopologyIndex, UnitClass,
+    ExecReport, Graph, Label, NodeSlot, PortList, RunOptions, RunStatus, TopologyIndex, UnitClass,
 };
 pub use mem::{AllocId, AllocQueue, MemoryState, SramId, SramRegion};
 pub use node::{ChanId, IoEvents, MachineError, NodeId, NodeIo, PortBudget, Ports, Prim};

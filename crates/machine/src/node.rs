@@ -65,8 +65,8 @@ impl MachineError {
     /// Attributes the error to the node labelled `label` unless it already
     /// names one — firing rules return unattributed errors, the firing
     /// site knows the label.
-    pub fn at(mut self, label: &str) -> Self {
-        self.node.get_or_insert_with(|| label.to_owned());
+    pub fn at(mut self, label: impl fmt::Display) -> Self {
+        self.node.get_or_insert_with(|| label.to_string());
         self
     }
 }

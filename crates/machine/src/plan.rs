@@ -567,8 +567,8 @@ impl ExecPlan {
                 width == chan.arity() && usize::from(ew.reg_count()) >= width,
                 "fused edge '{}' -> '{}' mis-wired: the producer writes {width} words, \
                  channel #{} carries {} and the consumer has {} registers",
-                from.label,
-                to.label,
+                from.label(),
+                to.label(),
                 c.0,
                 chan.arity(),
                 ew.reg_count()
@@ -773,7 +773,7 @@ impl ExecPlan {
                     lanes: file,
                 } = &mut *scratch;
                 progressed |= fire_run(run, &mut io, regs, file, tails, false)
-                    .map_err(|e| e.at(&head.label))?;
+                    .map_err(|e| e.at(head.label()))?;
                 at = end;
             }
             if let (true, Some(obs)) = (progressed, obs) {
@@ -796,7 +796,7 @@ impl ExecPlan {
             };
             let result = slot.behavior.fire(&mut io, slot.alloc_gated);
             scratch.regs = io.scratch;
-            progressed = result.map_err(|e| e.at(&slot.label))?;
+            progressed = result.map_err(|e| e.at(slot.label()))?;
         }
         // An allocator return is invisible on the channel network.
         if mem.alloc_push_ops() != allocs_before {

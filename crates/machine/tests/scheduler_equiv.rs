@@ -245,7 +245,7 @@ fn build(
                 }];
                 tap(&mut instrs, node_idx);
                 g.add_node(
-                    format!("map{node_idx}"),
+                    "map",
                     EwNode::new(1, instrs, vec![OutputSpec::plain([0])]),
                     vec![src],
                     vec![dst],
@@ -259,7 +259,7 @@ fn build(
                 let mut instrs = Vec::new();
                 tap(&mut instrs, node_idx);
                 g.add_node(
-                    format!("dup{node_idx}"),
+                    "dup",
                     EwNode::new(
                         1,
                         instrs,
@@ -292,7 +292,7 @@ fn build(
                 }];
                 tap(&mut instrs, node_idx);
                 g.add_node(
-                    format!("zip{node_idx}"),
+                    "zip",
                     EwNode::new(2, instrs, vec![OutputSpec::plain([0])]),
                     vec![a, b],
                     vec![dst],
@@ -306,7 +306,7 @@ fn build(
                 let mut instrs = vec![low_bits(1 + op % 3)];
                 tap(&mut instrs, node_idx);
                 g.add_node(
-                    format!("filter{node_idx}"),
+                    "filter",
                     EwNode::new(1, instrs, vec![OutputSpec::filtered([0], 1, false)]),
                     vec![src],
                     vec![dst],
@@ -323,7 +323,7 @@ fn build(
                 let mut instrs = Vec::new();
                 tap(&mut instrs, node_idx);
                 g.add_node(
-                    format!("strip{node_idx}"),
+                    "strip",
                     EwNode::new(1, instrs, vec![OutputSpec::stripped([0])]),
                     vec![src],
                     vec![dst],
@@ -351,7 +351,7 @@ fn build(
                 ];
                 tap(&mut instrs, node_idx);
                 g.add_node(
-                    format!("sram_write{node_idx}"),
+                    "sram_write",
                     EwNode::new(1, instrs, vec![OutputSpec::plain([0])]),
                     vec![src],
                     vec![mid],
@@ -374,7 +374,7 @@ fn build(
                     },
                 ];
                 g.add_node(
-                    format!("sram_read{node_idx}"),
+                    "sram_read",
                     EwNode::new(1, instrs, vec![OutputSpec::plain([0])]),
                     vec![mid],
                     vec![dst],

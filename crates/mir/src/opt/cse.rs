@@ -51,7 +51,7 @@ impl Pass for Cse {
             let tys: Vec<_> = (0..f.value_count())
                 .map(|i| f.ty(Value(i as u32)))
                 .collect();
-            let mut remap = ValueMap::new();
+            let mut remap = ValueMap::with_capacity(f.value_count());
             let (body, spans) = (&mut f.body, &mut f.spans);
             cse_region(body, &HashMap::new(), &mut remap, spans, &tys, &mut changed);
         }

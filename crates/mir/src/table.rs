@@ -227,6 +227,11 @@ impl ValueSet {
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
+
+    /// Removes every member, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
 }
 
 impl fmt::Debug for ValueSet {

@@ -51,7 +51,7 @@ pub fn run_dense(g: &mut Graph, max_rounds: u64) -> Result<ExecReport, MachineEr
             assert!(
                 !starved || matches!(result, Ok(false)),
                 "node '{}' was starved but its rule returned {result:?}",
-                g.node(id).label
+                g.node(id).label()
             );
             if result? {
                 any = true;

@@ -67,14 +67,9 @@ mod tests {
             let mut g = Graph::new();
             let first = g.add_chan(Channel::new(1));
             let mut prev = first;
-            for i in 0..24 {
+            for _ in 0..24 {
                 let next = g.add_chan(Channel::new(1));
-                g.add_node(
-                    format!("stage{i}"),
-                    EwNode::passthrough(1),
-                    vec![prev],
-                    vec![next],
-                );
+                g.add_node("stage", EwNode::passthrough(1), vec![prev], vec![next]);
                 prev = next;
             }
             feed(

@@ -29,9 +29,9 @@ mod tests {
         let mut g = Graph::new();
         let first = g.add_chan(Channel::new(1));
         let mut prev = first;
-        for i in 0..3 {
+        for _ in 0..3 {
             let next = g.add_chan(Channel::new(1));
-            g.add_node(format!("stage{i}"), add_one(), vec![prev], vec![next]);
+            g.add_node("stage", add_one(), vec![prev], vec![next]);
             prev = next;
         }
         feed(
@@ -148,9 +148,9 @@ mod tests {
         }
         let mut prev = g.add_chan(entry);
         feed(&mut g, prev, toks);
-        for (k, (stage, link)) in stages.into_iter().enumerate() {
+        for (stage, link) in stages {
             let next = g.add_chan(link);
-            g.add_node(format!("stage{k}"), stage, vec![prev], vec![next]);
+            g.add_node("stage", stage, vec![prev], vec![next]);
             prev = next;
         }
         (g, prev)
@@ -368,10 +368,10 @@ mod tests {
         };
         let mut prev = g.add_chan(Channel::new(width));
         g.add_node("head", head, vec![c0, c1], vec![prev]);
-        for i in 0..tail {
+        for _ in 0..tail {
             let next = g.add_chan(Channel::new(width));
             let stage = EwNode::passthrough(width as u16);
-            g.add_node(format!("tail{i}"), stage, vec![prev], vec![next]);
+            g.add_node("tail", stage, vec![prev], vec![next]);
             prev = next;
         }
         g

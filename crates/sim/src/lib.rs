@@ -526,10 +526,8 @@ mod tests {
         )
         .to_dataflow()
         .unwrap();
-        for i in 0..8u32 {
-            let b = (i + 1).to_le_bytes();
-            p.graph.mem.dram[4 * i as usize..4 * i as usize + 4].copy_from_slice(&b);
-        }
+        let input: Vec<u8> = (1..=8u32).flat_map(u32::to_le_bytes).collect();
+        p.graph.mem.write_dram(0, &input).unwrap();
         let sim = Simulator::default();
         sim.run(&mut p, &[Word(8)], 10_000_000).unwrap();
         let half = (1 << 16) / 2;

@@ -50,10 +50,12 @@ fn main() {
         program.links.len()
     );
     let n = 8u32;
-    for i in 0..n {
-        let v = (i + 2).to_le_bytes();
-        program.graph.mem.dram[4 * i as usize..4 * i as usize + 4].copy_from_slice(&v);
-    }
+    let input: Vec<u8> = (2..n + 2).flat_map(u32::to_le_bytes).collect();
+    program
+        .graph
+        .mem
+        .write_dram(0, &input)
+        .expect("the input fits its DRAM slice");
     let sim = Simulator::new(RdaConfig::default(), IdealModels::default());
     let stats = sim.run(&mut program, &[Word(n)], 10_000_000).expect("runs");
     println!(

@@ -59,8 +59,11 @@ fn main() {
             std::process::exit(1);
         });
     let slice = (3 << 16) / 3;
-    program.graph.mem.dram[..input.len()].copy_from_slice(&input);
-    program.graph.mem.dram[slice..slice + offsets.len()].copy_from_slice(&offsets);
+    let mem = &mut program.graph.mem;
+    mem.write_dram(0, &input)
+        .expect("the strings fit their DRAM slice");
+    mem.write_dram(slice, &offsets)
+        .expect("the offsets fit their DRAM slice");
     let sim = Simulator::new(RdaConfig::default(), IdealModels::default());
     let stats = sim
         .run(&mut program, &[Word(strings.len() as u32)], 50_000_000)

@@ -57,10 +57,8 @@
 //! // DRAM symbols are laid out in equal slices: `input` at 0, `output`
 //! // at dram_bytes/2. Load the inputs…
 //! let n = 8u32;
-//! for i in 0..n {
-//!     let bytes = (i + 2).to_le_bytes();
-//!     program.graph.mem.dram[4 * i as usize..4 * i as usize + 4].copy_from_slice(&bytes);
-//! }
+//! let input: Vec<u8> = (2..n + 2).flat_map(u32::to_le_bytes).collect();
+//! program.graph.mem.write_dram(0, &input).unwrap();
 //! // …run the timed simulator…
 //! let sim = Simulator::new(RdaConfig::default(), IdealModels::default());
 //! let stats = sim.run(&mut program, &[Word(n)], 10_000_000).unwrap();
