@@ -504,7 +504,7 @@ fn run_profiled(
             plan.fused_runs,
             plan.fused_ew - plan.fused_runs
         );
-        for (name, value) in obs.snapshot_counters() {
+        for (name, value) in obs.counters.snapshot() {
             println!("  {name:<28} {value}");
         }
         println!("\n== top stalls ==");

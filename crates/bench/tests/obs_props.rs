@@ -5,14 +5,11 @@
 //!    executor itself reports, on all eight Table III apps and on random
 //!    scheduler-equivalence DAGs.
 //!    The trace is an *account* of the run, not a sample of it.
-//! 2. Per-worker sinks forked by `BatchRunner::run_obs` and merged after
-//!    the join aggregate to exactly the counters a single-threaded run
-//!    over the same jobs records.
-//! 3. The timed simulator's bound attribution is an account in cycles: a
+//! 2. The timed simulator's bound attribution is an account in cycles: a
 //!    link's producer (consumer) side is bound on at most as many cycles
 //!    as that context fired productively, and recording it leaves the
 //!    simulated run exactly as the noop sink's.
-//! 4. The plan's `exec.lanes` histogram — one sample per lane-batched
+//! 3. The plan's `exec.lanes` histogram — one sample per lane-batched
 //!    commit, its width — changes nothing it watches: an enabled sink
 //!    leaves the outputs, the memory and the `ExecReport` of the no-op
 //!    sink's run, and every sample lies in `MIN_LANES..=MAX_LANES`.
@@ -24,7 +21,6 @@ use revet_machine::instr::{AluOp, EwInstr, Operand};
 use revet_machine::nodes::{EwNode, OutputSpec, MAX_LANES, MIN_LANES};
 use revet_machine::{tbar, tdata, ChanId, Channel, Graph, MemoryState, RunOptions, TTok};
 use revet_obs::{EventKind, ObsSink};
-use revet_runtime::{BatchJob, BatchRunner};
 use revet_sim::Simulator;
 
 const OUTER: u32 = 2;
@@ -36,18 +32,6 @@ const MAX_CYCLES: u64 = 2_000_000_000;
 /// against `steps` requires a complete trace, so every test asserts
 /// `trace_dropped() == 0` before counting.
 const TRACE_CAP: usize = 1 << 21;
-
-/// Counter snapshot minus wall-clock percentiles — instance timings are
-/// real time and legitimately differ between a contended pool and a
-/// sequential run, so only the histogram's `.count` is deterministic.
-fn deterministic_counters(obs: &ObsSink) -> Vec<(String, u64)> {
-    obs.snapshot_counters()
-        .into_iter()
-        .filter(|(name, _)| {
-            !name.ends_with(".p50") && !name.ends_with(".p95") && !name.ends_with(".p99")
-        })
-        .collect()
-}
 
 fn dispatch_events(obs: &ObsSink) -> (u64, u64) {
     let mut total = 0u64;
@@ -137,37 +121,6 @@ fn trace_dispatch_counts_match_exec_report_on_all_apps() {
     }
 }
 
-/// Forked per-worker sinks, merged after the pool joins, must equal a
-/// single-threaded run's counters exactly — on every app.
-#[test]
-fn merged_worker_counters_equal_single_threaded_on_all_apps() {
-    for a in all_apps() {
-        let (program, args, _w) = a.prepare(OUTER, SCALE, SEED, &PassOptions::default());
-        let jobs: Vec<BatchJob<'_>> = (0..6)
-            .map(|_| BatchJob::new(&program, args.clone()))
-            .collect();
-        let solo_obs = ObsSink::counters_only();
-        let solo = BatchRunner::new(1).run_obs(&jobs, &solo_obs);
-        let pooled_obs = ObsSink::counters_only();
-        let pooled = BatchRunner::new(4).run_obs(&jobs, &pooled_obs);
-        assert_eq!(solo.ok_count(), 6, "{}", a.name);
-        assert_eq!(pooled.ok_count(), 6, "{}", a.name);
-        assert_eq!(
-            deterministic_counters(&solo_obs),
-            deterministic_counters(&pooled_obs),
-            "{}: forked+merged counters diverged from sequential",
-            a.name
-        );
-        assert_eq!(solo_obs.counters.instances.get(), 6, "{}", a.name);
-        assert_eq!(
-            solo_obs.counters.dispatches.get(),
-            solo.total().steps,
-            "{}",
-            a.name
-        );
-    }
-}
-
 /// On every app, recording the lane histogram moves nothing, and its
 /// samples are widths a batch may take. The histogram's buckets are powers
 /// of two: `MIN_LANES` (8) opens one, so the lower bound is exact, and
@@ -205,7 +158,7 @@ fn lane_histogram_moves_nothing_and_holds_batch_widths_on_all_apps() {
             "{}: an enabled sink moved the run",
             a.name
         );
-        let lanes = obs.registry.histogram("exec.lanes");
+        let lanes = &obs.counters.lanes;
         if let (Some(lo), Some(hi)) = (lanes.percentile(0.0), lanes.percentile(100.0)) {
             assert!(
                 lo >= bucket(MIN_LANES as u64),

@@ -7,7 +7,7 @@
 //! columns are non-zero on every app.
 //!
 //! The simulator steps the same firing rules the untimed executor does, one
-//! node at a time through `Graph::step_node_traced`, under per-link budgets,
+//! node at a time through `Graph::step_node`, under per-link budgets,
 //! bounded buffers and the DRAM token bucket. Each app also runs through
 //! [`Simulator::run_obs`] with a counters-only sink: its [`SimStats`] must
 //! equal the noop-sink run's, and the row records the sink's scheduler

@@ -69,9 +69,9 @@ impl ProgramInstance {
     }
 
     /// Injects `args` and runs one-shot through the plan, recording into
-    /// `obs` (a successful run counts one instance). Node labels are not
-    /// published: a caller that renders a stall table or a trace names the
-    /// nodes with [`ObsSink::set_labels`] itself, once.
+    /// `obs`. Node labels are not published: a caller that renders a stall
+    /// table or a trace names the nodes with [`ObsSink::set_labels`]
+    /// itself, once.
     ///
     /// # Errors
     ///
@@ -83,11 +83,8 @@ impl ProgramInstance {
         obs: &ObsSink,
     ) -> Result<ExecReport, MachineError> {
         self.inject_args(args);
-        let (report, _) = self.execute(None, max_rounds, obs)?;
-        if obs.is_enabled() {
-            obs.counters.instances.inc();
-        }
-        Ok(report)
+        self.execute(None, max_rounds, obs)
+            .map(|(report, _)| report)
     }
 
     /// Injects one `main` argument thread into this instance's entry

@@ -108,30 +108,12 @@ impl StreamInstance {
     /// Node protocol errors and the round cap. Leftover tokens are not an
     /// error here — that is the `Paused` status.
     pub fn poll(&mut self, max_rounds: u64) -> Result<(Vec<TTok>, RunStatus), MachineError> {
-        self.poll_obs(max_rounds, revet_obs::ObsSink::noop())
-    }
-
-    /// [`StreamInstance::poll`] with an observability sink: executor
-    /// events are recorded and the session's peak resident footprint
-    /// tracked in the `stream.resident_bytes` gauge.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`StreamInstance::poll`].
-    pub fn poll_obs(
-        &mut self,
-        max_rounds: u64,
-        obs: &revet_obs::ObsSink,
-    ) -> Result<(Vec<TTok>, RunStatus), MachineError> {
-        let (report, status) = self
-            .inner
-            .execute(Some(&mut self.resume), max_rounds, obs)?;
+        let (report, status) = self.inner.execute(
+            Some(&mut self.resume),
+            max_rounds,
+            revet_obs::ObsSink::noop(),
+        )?;
         self.report.merge(&report);
-        if obs.is_enabled() {
-            obs.registry
-                .gauge("stream.resident_bytes")
-                .record_max(self.resident_bytes());
-        }
         let exit = self.inner.exit;
         Ok((self.inner.graph.chan_mut(exit).drain_all(), status))
     }
@@ -144,22 +126,8 @@ impl StreamInstance {
     /// # Errors
     ///
     /// Poll errors, plus the deadlock diagnosis when input is incomplete.
-    pub fn finish(self, max_rounds: u64) -> Result<StreamOutcome, MachineError> {
-        self.finish_obs(max_rounds, revet_obs::ObsSink::noop())
-    }
-
-    /// [`StreamInstance::finish`] with an observability sink, recorded
-    /// into as [`StreamInstance::poll_obs`] does.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`StreamInstance::finish`].
-    pub fn finish_obs(
-        mut self,
-        max_rounds: u64,
-        obs: &revet_obs::ObsSink,
-    ) -> Result<StreamOutcome, MachineError> {
-        let (tail, status) = self.poll_obs(max_rounds, obs)?;
+    pub fn finish(mut self, max_rounds: u64) -> Result<StreamOutcome, MachineError> {
+        let (tail, status) = self.poll(max_rounds)?;
         if status == RunStatus::Paused {
             // `Paused` is quiescence with stuck channels: the graph's
             // one-shot reading of that state is the diagnosis.
@@ -337,10 +305,7 @@ mod tests {
         assert_eq!(stream.resident_bytes(), 0);
         stream.feed(&[vec![Word(8)]]).unwrap();
         assert!(stream.resident_bytes() > 0, "fed argset is resident");
-        let obs = revet_obs::ObsSink::counters_only();
-        stream.poll_obs(1_000_000, &obs).unwrap();
-        let gauge = obs.registry.gauge("stream.resident_bytes").get();
-        assert!(gauge > 0, "peak resident footprint recorded");
+        stream.poll(1_000_000).unwrap();
         assert_eq!(stream.resident_bytes(), 0, "the poll delivered it all");
     }
 }

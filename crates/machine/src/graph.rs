@@ -608,50 +608,13 @@ impl Graph {
     }
 
     /// Steps one node once with the given port budgets. Returns whether the
-    /// node made progress.
+    /// node made progress. Given `events`, the step clears it and records
+    /// the channel gain/free events it causes, for ready-set scheduling.
     ///
     /// # Errors
     ///
     /// Propagates node protocol errors, attributed with the node label.
     pub fn step_node(
-        &mut self,
-        id: NodeId,
-        in_budget: &mut [PortBudget],
-        out_budget: &mut [PortBudget],
-    ) -> Result<bool, MachineError> {
-        self.step_node_inner(id, in_budget, out_budget, None)
-    }
-
-    /// Like [`Graph::step_node`], additionally recording channel gain/free
-    /// events into `events` (cleared first) for ready-set scheduling.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Graph::step_node`].
-    pub fn step_node_traced(
-        &mut self,
-        id: NodeId,
-        in_budget: &mut [PortBudget],
-        out_budget: &mut [PortBudget],
-        events: &mut IoEvents,
-    ) -> Result<bool, MachineError> {
-        events.clear();
-        self.step_node_inner(id, in_budget, out_budget, Some(events))
-    }
-
-    /// True if stepping `id` now is certain to make no progress, from the
-    /// emptiness of its input channels alone (`Prim::starved`): then
-    /// [`Graph::step_node`] would return `Ok(false)` under any budgets and
-    /// change nothing. Not a Kahn emptiness sample — it predicts only what
-    /// the node's own rule would read — so a scheduler may account such a
-    /// step without running it.
-    #[inline]
-    pub fn starved(&self, id: NodeId) -> bool {
-        let slot = &self.nodes[id.0 as usize];
-        slot.behavior.starved(&self.chans, &slot.ins)
-    }
-
-    fn step_node_inner(
         &mut self,
         id: NodeId,
         in_budget: &mut [PortBudget],
@@ -668,12 +631,25 @@ impl Graph {
             out_budget,
         );
         if let Some(ev) = events {
+            ev.clear();
             io = io.with_events(ev);
         }
         io.scratch = std::mem::take(&mut self.scratch);
         let result = slot.behavior.fire(&mut io, slot.alloc_gated);
         self.scratch = io.scratch;
         result.map_err(|e| e.at(slot.label()))
+    }
+
+    /// True if stepping `id` now is certain to make no progress, from the
+    /// emptiness of its input channels alone (`Prim::starved`): then
+    /// [`Graph::step_node`] would return `Ok(false)` under any budgets and
+    /// change nothing. Not a Kahn emptiness sample — it predicts only what
+    /// the node's own rule would read — so a scheduler may account such a
+    /// step without running it.
+    #[inline]
+    pub fn starved(&self, id: NodeId) -> bool {
+        let slot = &self.nodes[id.0 as usize];
+        slot.behavior.starved(&self.chans, &slot.ins)
     }
 
     /// Deadlock diagnosis: every non-empty channel that *has* a consumer

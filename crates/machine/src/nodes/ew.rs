@@ -1259,7 +1259,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(g.plan().stats().fused_runs, 1);
-        assert_eq!(obs.registry.histogram("exec.lanes").count(), 0);
+        assert_eq!(obs.counters.lanes.count(), 0);
         let sums = [1, 3, 6, 10, 15, 21, 28, 36];
         assert_eq!(
             g.chans()[c.0 as usize].tokens(),

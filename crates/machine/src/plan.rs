@@ -63,7 +63,7 @@ use crate::instr::{EwInstr, MemSpace};
 use crate::mem::MemoryState;
 use crate::node::{ChanId, MachineError, NodeId, Ports, Prim};
 use crate::nodes::{fire_run, fresh_regs, EwNode, FusedRun, Tail, MAX_LANES};
-use revet_obs::{Histogram, ObsSink, WakeCause};
+use revet_obs::{ObsSink, WakeCause};
 use revet_sltf::{BarrierLevel, Tok, Word};
 use std::sync::Arc;
 
@@ -282,14 +282,6 @@ impl ResumeState {
     }
 }
 
-/// An enabled sink, with the instrument a drain looks up in it once.
-#[derive(Debug)]
-struct Traced<'a> {
-    sink: &'a ObsSink,
-    /// `exec.lanes`: one sample per lane-batched commit, its width.
-    lanes: Arc<Histogram>,
-}
-
 /// The plan's wake protocol: every wake-up of a planned run goes through
 /// [`Wakes::wake`]. `obs` is `Some` only for an enabled sink, so the
 /// enabled test is made once per run, not per token.
@@ -297,7 +289,7 @@ struct Traced<'a> {
 struct Wakes<'a> {
     plan: &'a ExecPlan,
     ws: &'a mut WakeSet,
-    obs: Option<&'a Traced<'a>>,
+    obs: Option<&'a ObsSink>,
 }
 
 impl Wakes<'_> {
@@ -309,7 +301,7 @@ impl Wakes<'_> {
             let t = self.plan.wake_target[w.0 as usize];
             if self.ws.wake(t) {
                 if let Some(obs) = self.obs {
-                    obs.sink.wake(t, cause);
+                    obs.wake(t, cause);
                 }
             }
         }
@@ -340,7 +332,7 @@ impl PlanPorts<'_> {
     #[inline(always)]
     fn pushed(&mut self, c: ChanId) {
         if let Some(obs) = self.wakes.obs {
-            obs.sink.channel_push(c.0);
+            obs.channel_push(c.0);
         }
         if !self.interior {
             let consumers = self.wakes.plan.topo.consumers(c);
@@ -432,7 +424,7 @@ impl Ports for PlanPorts<'_> {
     fn push_lanes(&mut self, o: usize, width: usize, n: usize, f: impl FnMut(usize, &mut [Word])) {
         let c = self.outs[o];
         if let Some(obs) = self.wakes.obs {
-            (0..n).for_each(|_| obs.sink.channel_push(c.0));
+            (0..n).for_each(|_| obs.channel_push(c.0));
         }
         self.chans[c.0 as usize].push_streak(width, n, f);
     }
@@ -440,7 +432,7 @@ impl Ports for PlanPorts<'_> {
     #[inline(always)]
     fn lanes_committed(&mut self, lanes: usize, mut pushed: u64) {
         if let Some(obs) = self.wakes.obs {
-            obs.lanes.record(lanes as u64);
+            obs.counters.lanes.record(lanes as u64);
         }
         while pushed != 0 && !self.interior {
             let o = pushed.trailing_zeros() as usize;
@@ -652,10 +644,7 @@ impl ExecPlan {
         } = resume;
         let first = !std::mem::replace(started, true);
         let mut report = ExecReport::default();
-        let traced = obs.is_enabled().then(|| Traced {
-            sink: obs,
-            lanes: obs.registry.histogram("exec.lanes"),
-        });
+        let recording = obs.is_enabled().then_some(obs);
         let fuse = self.fused_edges_empty(g);
         scratch
             .tails
@@ -683,7 +672,7 @@ impl ExecPlan {
                     ws.cur[w] &= ws.cur[w] - 1;
                     let i = w * 64 + b as usize;
                     report.steps += 1;
-                    let progressed = self.fire(i, g, scratch, fuse, ws, traced.as_ref())?;
+                    let progressed = self.fire(i, g, scratch, fuse, ws, recording)?;
                     if progressed {
                         report.productive_steps += 1;
                     }
@@ -729,7 +718,7 @@ impl ExecPlan {
         scratch: &mut Scratch,
         fuse: bool,
         ws: &mut WakeSet,
-        obs: Option<&Traced>,
+        obs: Option<&ObsSink>,
     ) -> Result<bool, MachineError> {
         let allocs_before = g.mem.alloc_push_ops();
         let (chans, mem, nodes) = g.split_mut();
@@ -777,7 +766,7 @@ impl ExecPlan {
                 at = end;
             }
             if let (true, Some(obs)) = (progressed, obs) {
-                obs.sink.segment_fire(seg, (hi - lo) as u32);
+                obs.segment_fire(seg, (hi - lo) as u32);
             }
         } else {
             let slot = &mut nodes[i];

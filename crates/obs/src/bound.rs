@@ -56,16 +56,6 @@ impl BoundTable {
         self.rows[idx][port as usize] += 1;
     }
 
-    pub(crate) fn merge(&mut self, other: &BoundTable) {
-        if other.rows.len() > self.rows.len() {
-            self.rows.resize(other.rows.len(), [0; 2]);
-        }
-        for (dst, src) in self.rows.iter_mut().zip(other.rows.iter()) {
-            dst[0] += src[0];
-            dst[1] += src[1];
-        }
-    }
-
     /// Non-zero rows sorted by total bound cycles, descending (ties by
     /// channel id).
     pub(crate) fn top(&self, limit: usize) -> Vec<BoundRow> {
@@ -125,12 +115,11 @@ mod tests {
     #[test]
     fn record_merge_and_top_ordering() {
         let mut a = BoundTable::new();
-        let mut b = BoundTable::new();
         a.record(3, BoundPort::Push);
         a.record(3, BoundPort::Pop);
-        b.record(1, BoundPort::Pop);
-        b.record(3, BoundPort::Push);
-        a.merge(&b);
+        a.record(1, BoundPort::Pop);
+        // Records of one link merge into its row, port by port.
+        a.record(3, BoundPort::Push);
         let top = a.top(10);
         assert_eq!(top.len(), 2);
         assert_eq!((top[0].chan, top[0].push, top[0].pop), (3, 2, 1));

@@ -8,10 +8,10 @@
 //!
 //! Three complementary views of a run:
 //!
-//! 1. **Counters** ([`ObsCounters`] + a named [`Registry`]) — lock-free
-//!    atomics, mergeable across worker threads exactly like
-//!    `ExecReport::merge` (counters add, watermark gauges max, histogram
-//!    buckets add).
+//! 1. **Counters** ([`ObsCounters`]) — a fixed set of lock-free atomics,
+//!    the same dispatch / round / watermark totals a run's `ExecReport`
+//!    returns, plus what no report holds: wake causes, stall classes,
+//!    segment fires, DRAM bytes and the `exec.lanes` width histogram.
 //! 2. **Trace** — a bounded ring of typed [`TraceEvent`]s (node dispatch,
 //!    channel push/pop, wake cause, segment fire, DRAM access, compile
 //!    stage) with monotonic-tick timestamps and dense thread ids,
@@ -32,7 +32,10 @@
 //! returns a `&'static` sink whose `enabled` flag is `false`; every
 //! recording method starts with that one predictable branch and returns
 //! immediately, so the instrumented fast path costs a non-atomic load per
-//! event site (the `perf_ledger` benchmark runs with the disabled sink).
+//! event site (the `perf_ledger` benchmark and the serve tier run with the
+//! disabled sink). An enabled sink is one a profiler asks for — `revetc
+//! --profile`, a test — and it is recorded into by one run at a time: there
+//! is no fork or merge across worker threads.
 //!
 //! ```
 //! use revet_obs::{ObsSink, StallClass, WakeCause};
@@ -62,7 +65,7 @@ mod stall;
 mod trace;
 
 pub use bound::{BoundPort, BoundRow};
-pub use metrics::{Counter, Gauge, Histogram, Registry, HIST_BUCKETS};
+pub use metrics::{Counter, Gauge, Histogram, HIST_BUCKETS};
 pub use stall::{StallClass, StallRow, STALL_CLASSES};
 pub use trace::{EventKind, TraceEvent, WakeCause};
 
@@ -72,11 +75,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use trace::{thread_tag, TraceRing};
 
-/// The fixed, always-registered counter set every executor feeds.
+/// The fixed counter set every executor feeds.
 ///
-/// These are plain public atomics (not registry lookups) so the hot loops
-/// touch them without hashing or locking. [`ObsCounters::snapshot`] gives
-/// them stable dotted names for wire export.
+/// These are plain public atomics so the hot loops touch them without
+/// hashing or locking. [`ObsCounters::snapshot`] gives them stable dotted
+/// names.
 #[derive(Debug, Default)]
 pub struct ObsCounters {
     /// Scheduler steps attempted (one per worklist pop / context fire).
@@ -106,10 +109,11 @@ pub struct ObsCounters {
     pub dram_read_bytes: Counter,
     /// DRAM bytes written (timed simulator only).
     pub dram_written_bytes: Counter,
-    /// Program instances run to completion.
-    pub instances: Counter,
     /// High watermark of ready nodes in any one scheduler round.
     pub peak_ready: Gauge,
+    /// `exec.lanes`: one sample per lane-batched commit of the plan, its
+    /// width.
+    pub lanes: Histogram,
 }
 
 impl ObsCounters {
@@ -129,20 +133,12 @@ impl ObsCounters {
             stalls_dram_gated: Counter::new(),
             dram_read_bytes: Counter::new(),
             dram_written_bytes: Counter::new(),
-            instances: Counter::new(),
             peak_ready: Gauge::new(),
+            lanes: Histogram::new(),
         }
     }
 
-    /// Fold another counter set in (sums; `peak_ready` by max).
-    pub fn merge(&self, other: &ObsCounters) {
-        for (a, b) in self.all().iter().zip(other.all().iter()) {
-            a.1.merge(b.1);
-        }
-        self.peak_ready.merge(&other.peak_ready);
-    }
-
-    fn all(&self) -> [(&'static str, &Counter); 14] {
+    fn all(&self) -> [(&'static str, &Counter); 13] {
         [
             ("exec.dispatches", &self.dispatches),
             ("exec.productive", &self.productive),
@@ -157,11 +153,11 @@ impl ObsCounters {
             ("exec.stalls.dram_gated", &self.stalls_dram_gated),
             ("sim.dram_read_bytes", &self.dram_read_bytes),
             ("sim.dram_written_bytes", &self.dram_written_bytes),
-            ("exec.instances", &self.instances),
         ]
     }
 
-    /// Stable `(name, value)` pairs for every fixed counter.
+    /// Stable `(name, value)` pairs for every counter, the watermark and
+    /// the lane histogram (as `exec.lanes.count`, `.p50`, `.p95`, `.p99`).
     pub fn snapshot(&self) -> Vec<(String, u64)> {
         let mut out: Vec<(String, u64)> = self
             .all()
@@ -169,6 +165,11 @@ impl ObsCounters {
             .map(|(n, c)| (n.to_string(), c.get()))
             .collect();
         out.push(("exec.peak_ready".to_string(), self.peak_ready.get()));
+        out.push(("exec.lanes.count".to_string(), self.lanes.count()));
+        for (suffix, p) in [("p50", 50.0), ("p95", 95.0), ("p99", 99.0)] {
+            let v = self.lanes.percentile(p).unwrap_or(0);
+            out.push((format!("exec.lanes.{suffix}"), v));
+        }
         out
     }
 
@@ -195,17 +196,14 @@ impl ObsCounters {
 /// The unified observability sink threaded through every execution layer.
 ///
 /// Construct one with [`ObsSink::with_trace_capacity`] (full tracing),
-/// [`ObsSink::counters_only`] (metrics + stalls, no trace ring — what the
-/// serve tier uses), or borrow the process-wide disabled sink with
-/// [`ObsSink::noop`].
+/// [`ObsSink::counters_only`] (metrics + stalls, no trace ring), or borrow
+/// the process-wide disabled sink with [`ObsSink::noop`].
 #[derive(Debug)]
 pub struct ObsSink {
     enabled: bool,
     trace_cap: usize,
     /// Fixed executor counters, recorded lock-free.
     pub counters: ObsCounters,
-    /// Named dynamic instruments (serve latencies, cache stats, ...).
-    pub registry: Registry,
     tick: AtomicU64,
     ring: Mutex<TraceRing>,
     stalls: Mutex<StallTable>,
@@ -216,19 +214,12 @@ pub struct ObsSink {
 
 static NOOP: ObsSink = ObsSink::disabled();
 
-impl Default for ObsSink {
-    fn default() -> Self {
-        Self::counters_only()
-    }
-}
-
 impl ObsSink {
     const fn disabled() -> Self {
         ObsSink {
             enabled: false,
             trace_cap: 0,
             counters: ObsCounters::new(),
-            registry: Registry::new(),
             tick: AtomicU64::new(0),
             ring: Mutex::new(TraceRing::new()),
             stalls: Mutex::new(StallTable::new()),
@@ -257,9 +248,8 @@ impl ObsSink {
     }
 
     /// An enabled sink with counters and stall attribution but no trace
-    /// ring, suitable for long-lived servers: a dispatch takes no trace
-    /// lock, but every recorded stall (each unproductive dispatch) still
-    /// locks the stall table.
+    /// ring: a dispatch takes no trace lock, but every recorded stall (each
+    /// unproductive dispatch) still locks the stall table.
     pub fn counters_only() -> Self {
         Self::with_trace_capacity(0)
     }
@@ -268,41 +258,6 @@ impl ObsSink {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// An empty sink with the same configuration — one per worker thread;
-    /// fold results back with [`ObsSink::merge`].
-    pub fn fork(&self) -> ObsSink {
-        if self.enabled {
-            Self::with_trace_capacity(self.trace_cap)
-        } else {
-            Self::disabled()
-        }
-    }
-
-    /// Fold a (typically per-worker) sink into this one: counters and
-    /// registry merge by their own semantics, stall and bound rows add, and the
-    /// other ring's events append (oldest dropped if over capacity).
-    /// Labels stay as they are: the sink that renders names its nodes.
-    pub fn merge(&self, other: &ObsSink) {
-        self.counters.merge(&other.counters);
-        self.registry.merge(&other.registry);
-        self.stalls
-            .lock()
-            .unwrap()
-            .merge(&other.stalls.lock().unwrap());
-        self.bounds
-            .lock()
-            .unwrap()
-            .merge(&other.bounds.lock().unwrap());
-        if self.trace_cap > 0 {
-            self.ring
-                .lock()
-                .unwrap()
-                .append(self.trace_cap, &other.ring.lock().unwrap());
-        }
-        self.tick
-            .fetch_max(other.tick.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// Name the graph nodes (index = node id) for table and trace output.
@@ -431,13 +386,6 @@ impl ObsSink {
         self.record(EventKind::CompileStage { stage, micros });
     }
 
-    /// Every (name, value) pair: fixed counters first, then the registry.
-    pub fn snapshot_counters(&self) -> Vec<(String, u64)> {
-        let mut out = self.counters.snapshot();
-        out.extend(self.registry.snapshot());
-        out
-    }
-
     /// Clone out the trace ring's current contents, oldest first.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
         self.ring.lock().unwrap().events().cloned().collect()
@@ -540,69 +488,19 @@ mod tests {
     }
 
     #[test]
-    fn fork_and_merge_mirror_exec_report_semantics() {
-        let root = ObsSink::with_trace_capacity(16);
-        root.node_dispatch(0, true);
-        root.round(2);
-        let w1 = root.fork();
-        let w2 = root.fork();
-        w1.node_dispatch(1, true);
-        w1.round(7);
-        w1.stall(1, StallClass::OutputFull);
-        w2.node_dispatch(2, false);
-        w2.round(4);
-        w2.stall(1, StallClass::OutputFull);
-        w1.link_bound(5, BoundPort::Pop);
-        w2.link_bound(5, BoundPort::Pop);
-        root.merge(&w1);
-        root.merge(&w2);
-        assert_eq!(root.counters.dispatches.get(), 3);
-        assert_eq!(root.counters.rounds.get(), 3);
-        // Watermark merges by max, not sum.
-        assert_eq!(root.counters.peak_ready.get(), 7);
-        let top = root.top_stalls(10);
-        assert_eq!(top.len(), 1);
-        assert_eq!(top[0].counts[StallClass::OutputFull.index()], 2);
-        let bound = root.top_bound_links(10);
-        assert_eq!((bound.len(), bound[0].chan, bound[0].pop), (1, 5, 2));
-        assert_eq!(root.trace_events().len(), 3);
-    }
-
-    #[test]
-    fn merged_counters_equal_single_sink_totals() {
-        // The invariant the runtime's per-worker forking relies on.
-        let single = ObsSink::counters_only();
-        let root = ObsSink::counters_only();
-        let workers: Vec<ObsSink> = (0..4).map(|_| root.fork()).collect();
-        for (i, w) in workers.iter().enumerate() {
-            for n in 0..(i as u32 + 1) {
-                w.node_dispatch(n, n % 2 == 0);
-                single.node_dispatch(n, n % 2 == 0);
-            }
-        }
-        for w in &workers {
-            root.merge(w);
-        }
-        assert_eq!(
-            root.counters.dispatches.get(),
-            single.counters.dispatches.get()
-        );
-        assert_eq!(
-            root.counters.productive.get(),
-            single.counters.productive.get()
-        );
-    }
-
-    #[test]
     fn snapshot_has_stable_names() {
         let s = ObsSink::counters_only();
         s.node_dispatch(0, true);
-        s.registry.counter("serve.requests").add(2);
-        let snap = s.snapshot_counters();
+        s.counters.lanes.record(8);
+        s.counters.lanes.record(8);
+        let snap = s.counters.snapshot();
         let get = |k: &str| snap.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
         assert_eq!(get("exec.dispatches"), Some(1));
         assert_eq!(get("exec.peak_ready"), Some(0));
-        assert_eq!(get("serve.requests"), Some(2));
+        assert_eq!(get("exec.lanes.count"), Some(2));
+        // Bucket [8, 15] reports its upper bound.
+        assert_eq!(get("exec.lanes.p50"), Some(15));
+        assert_eq!(get("exec.lanes.p99"), Some(15));
     }
 
     #[test]

@@ -88,17 +88,6 @@ impl StallTable {
         self.rows[idx][class.index()] += 1;
     }
 
-    pub(crate) fn merge(&mut self, other: &StallTable) {
-        if other.rows.len() > self.rows.len() {
-            self.rows.resize(other.rows.len(), [0; STALL_CLASSES]);
-        }
-        for (dst, src) in self.rows.iter_mut().zip(other.rows.iter()) {
-            for (d, s) in dst.iter_mut().zip(src.iter()) {
-                *d += s;
-            }
-        }
-    }
-
     /// Non-zero rows sorted by total stalls, descending (ties by node id).
     pub(crate) fn top(&self, limit: usize) -> Vec<StallRow> {
         let mut rows: Vec<StallRow> = self
@@ -160,13 +149,12 @@ mod tests {
     #[test]
     fn record_merge_and_top_ordering() {
         let mut a = StallTable::new();
-        let mut b = StallTable::new();
         a.record(0, StallClass::InputStarved);
         a.record(2, StallClass::OutputFull);
         a.record(2, StallClass::OutputFull);
-        b.record(2, StallClass::DramGated);
-        b.record(5, StallClass::AllocGated);
-        a.merge(&b);
+        // Records of one node merge into its row, class by class.
+        a.record(2, StallClass::DramGated);
+        a.record(5, StallClass::AllocGated);
         let top = a.top(10);
         assert_eq!(top.len(), 3);
         assert_eq!(top[0].node, 2);

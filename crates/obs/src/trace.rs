@@ -146,13 +146,6 @@ impl TraceRing {
     pub(crate) fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.buf.iter()
     }
-
-    pub(crate) fn append(&mut self, cap: usize, other: &TraceRing) {
-        self.dropped += other.dropped;
-        for ev in other.events() {
-            self.push(cap, ev.clone());
-        }
-    }
 }
 
 fn json_escape(out: &mut String, s: &str) {

@@ -45,7 +45,7 @@ pub fn run_dense(g: &mut Graph, max_rounds: u64) -> Result<ExecReport, MachineEr
             ob[..n_out].fill(PortBudget::UNLIMITED);
             report.steps += 1;
             let starved = g.starved(id);
-            let result = g.step_node(id, &mut ib[..n_in], &mut ob[..n_out]);
+            let result = g.step_node(id, &mut ib[..n_in], &mut ob[..n_out], None);
             // The precondition the simulator elides steps on: a starved
             // node's rule moves nothing and raises nothing.
             assert!(

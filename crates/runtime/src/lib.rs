@@ -35,8 +35,12 @@
 //!
 //! Every instance executes through the [`revet_machine::ExecPlan`] its
 //! program's graph carries (see the machine crate), via
-//! [`revet_core::ProgramInstance::run`] — the runtime adds threads and
-//! aggregation, not another way to execute. (The
+//! [`revet_core::ProgramInstance::run_untimed`] — the runtime adds threads
+//! and aggregation, not another way to execute. What a run counts comes
+//! back in its result's [`ExecReport`] ([`BatchReport::total`] merges
+//! them) and its `wall` time; the pool records into no observability
+//! sink, so a profiler runs one instance through
+//! [`revet_core::ProgramInstance::run`] with its own. (The
 //! `planned_and_interpreted_modes_agree_bit_for_bit` test holds the pool
 //! against the dense-sweep oracle, `revet_oracle::dense::run_dense`.)
 //!
@@ -76,7 +80,6 @@
 
 use revet_core::CompiledProgram;
 use revet_machine::{ExecReport, MachineError, MemoryState};
-use revet_obs::ObsSink;
 use revet_sltf::Word;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -219,16 +222,6 @@ impl BatchRunner {
     /// Admission queues may hand a drained runner an empty batch; that
     /// must be a no-op, not an edge case.
     pub fn run(&self, jobs: &[BatchJob<'_>]) -> BatchReport {
-        self.run_obs(jobs, ObsSink::noop())
-    }
-
-    /// [`BatchRunner::run`] with an observability sink. With one worker,
-    /// instances record straight into `obs`; with several, each worker
-    /// records into a private [`ObsSink::fork`] (no cross-thread contention
-    /// on the trace ring) and the forks are merged into `obs` after the
-    /// pool joins, so counters and stall tables aggregate exactly as a
-    /// single-threaded run over the same jobs would.
-    pub fn run_obs(&self, jobs: &[BatchJob<'_>], obs: &ObsSink) -> BatchReport {
         if jobs.is_empty() {
             return BatchReport {
                 results: Vec::new(),
@@ -240,7 +233,7 @@ impl BatchRunner {
             (0..jobs.len()).map(|_| None).collect();
         if workers == 1 {
             for (slot, job) in slots.iter_mut().zip(jobs) {
-                *slot = Some(run_one(job, self.max_rounds, obs));
+                *slot = Some(run_one(job, self.max_rounds));
             }
         } else {
             let cursor = AtomicUsize::new(0);
@@ -249,22 +242,19 @@ impl BatchRunner {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
                         let cursor = &cursor;
-                        let obs = &*obs;
                         scope.spawn(move || {
-                            let local = obs.fork();
                             let mut done = Vec::new();
                             loop {
                                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                                 let Some(job) = jobs.get(i) else { break };
-                                done.push((i, run_one(job, max_rounds, &local)));
+                                done.push((i, run_one(job, max_rounds)));
                             }
-                            (done, local)
+                            done
                         })
                     })
                     .collect();
                 for handle in handles {
-                    let (done, local) = handle.join().expect("batch worker panicked");
-                    obs.merge(&local);
+                    let done = handle.join().expect("batch worker panicked");
                     for (i, result) in done {
                         slots[i] = Some(result);
                     }
@@ -293,27 +283,17 @@ impl BatchRunner {
 
 /// Instantiate → overlay DRAM → run → harvest, entirely on the calling
 /// worker thread, timing the whole instance lifetime.
-fn run_one(
-    job: &BatchJob<'_>,
-    max_rounds: u64,
-    obs: &ObsSink,
-) -> Result<InstanceResult, MachineError> {
+fn run_one(job: &BatchJob<'_>, max_rounds: u64) -> Result<InstanceResult, MachineError> {
     let start = Instant::now();
     let mut inst = job.program.instance();
     for (base, bytes) in job.dram_inits.iter() {
         inst.graph.mem.write_dram(*base, bytes)?;
     }
-    let report = inst.run(&job.args, max_rounds, obs)?;
-    let wall = start.elapsed();
-    if obs.is_enabled() {
-        obs.registry
-            .histogram("runtime.instance_wall_us")
-            .record(wall.as_micros() as u64);
-    }
+    let report = inst.run_untimed(&job.args, max_rounds)?;
     Ok(InstanceResult {
         report,
         mem: inst.into_memory(),
-        wall,
+        wall: start.elapsed(),
     })
 }
 
@@ -456,54 +436,6 @@ mod tests {
             // steps than the sweep.
             assert!(p.report.steps <= report.steps);
         }
-    }
-
-    #[test]
-    fn merged_worker_sinks_match_a_single_threaded_run() {
-        let program = squares_program();
-        let argsets: Vec<Vec<Word>> = (1..=12).map(|n| vec![Word(n)]).collect();
-        let jobs: Vec<BatchJob<'_>> = argsets
-            .iter()
-            .map(|args| BatchJob::new(&program, args.clone()))
-            .collect();
-        let solo_obs = ObsSink::counters_only();
-        let solo = BatchRunner::new(1).run_obs(&jobs, &solo_obs);
-        let pooled_obs = ObsSink::counters_only();
-        let pooled = BatchRunner::new(4).run_obs(&jobs, &pooled_obs);
-        assert_eq!(solo.ok_count(), 12);
-        assert_eq!(pooled.ok_count(), 12);
-        // Per-worker forks merged after the join must aggregate exactly as
-        // the sequential loop over the same jobs. Wall-clock percentiles are
-        // real time and may differ under pool contention, so drop them.
-        let deterministic = |obs: &ObsSink| -> Vec<(String, u64)> {
-            obs.snapshot_counters()
-                .into_iter()
-                .filter(|(name, _)| {
-                    !name.ends_with(".p50") && !name.ends_with(".p95") && !name.ends_with(".p99")
-                })
-                .collect()
-        };
-        let a = deterministic(&solo_obs);
-        let b = deterministic(&pooled_obs);
-        assert_eq!(a, b, "forked+merged counters diverged from sequential");
-        assert_eq!(solo_obs.counters.instances.get(), 12);
-        assert_eq!(
-            solo_obs.counters.dispatches.get(),
-            solo.total().steps,
-            "obs dispatch count must mirror the merged ExecReport"
-        );
-        // The wall-clock histogram saw one sample per instance on both
-        // paths.
-        for sink in [&solo_obs, &pooled_obs] {
-            assert_eq!(
-                sink.registry.histogram("runtime.instance_wall_us").count(),
-                12
-            );
-        }
-        // A noop sink records nothing (the default `run` path).
-        let quiet = ObsSink::noop();
-        BatchRunner::new(4).run_same(&program, &argsets);
-        assert_eq!(quiet.counters.dispatches.get(), 0);
     }
 
     #[test]

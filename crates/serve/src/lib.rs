@@ -23,7 +23,10 @@
 //!   (evicting idle ones whenever it is next used), and graceful
 //!   shutdown drains in-flight work and resident sessions. A connection
 //!   is decode → `respond` → one send: no request handler touches the
-//!   socket;
+//!   socket. Execution is counted once, in the `ExecReport` each run
+//!   returns: `Metrics` reports the merge of the reports the `Execute` and
+//!   `CloseStream` replies carried, and the server records into no
+//!   observability sink (a profile of one program is `revetc --profile`);
 //! - [`ServeClient`] — a blocking client (used by the integration tests
 //!   and by the `perf_ledger` benchmark's serve workloads).
 //!

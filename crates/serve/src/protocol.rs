@@ -476,8 +476,9 @@ wire_enum! {
         0x02 => Execute(ExecuteRequest),
         /// Snapshot the server's cache/queue counters.
         0x03 => Status,
-        /// Dump the server's observability counters (every execution counter
-        /// plus the cache/queue status) — the monitoring scrape endpoint.
+        /// Dump the server's counters (execution totals, cache, pools and
+        /// sessions, plus the cache/queue status) — the monitoring scrape
+        /// endpoint.
         0x05 => Metrics,
         /// Begin graceful shutdown: drain in-flight work, then stop.
         0x04 => Shutdown,
@@ -738,11 +739,17 @@ wire_struct! {
 }
 
 wire_struct! {
-    /// Payload of [`Response::Metrics`]: the server's aggregated
-    /// observability counters (execution counters, cache counters, registry
-    /// instruments — whatever the server's `ObsSink` accumulated since boot)
+    /// Payload of [`Response::Metrics`]: the server's counters since boot
     /// plus the same queue/cache snapshot [`Request::Status`] returns, taken
     /// at the same instant so the two views are consistent.
+    ///
+    /// The execution counters (`exec.dispatches`, `exec.productive`,
+    /// `exec.rounds`, `exec.peak_ready`) are the merge of the reports the
+    /// replies carried: every [`ExecuteReply::merged`] and every
+    /// [`CloseReply::merged`]. A streaming session counts when it closes —
+    /// its polls are in its close reply's report — and then counts as one
+    /// instance in `exec.instances`, which equals
+    /// `serve.executed_instances`.
     #[derive(Clone, Debug, Default, PartialEq, Eq)]
     pub struct MetricsInfo {
         /// Sorted `(name, value)` pairs, e.g. `("exec.dispatches", 12345)`.

@@ -38,8 +38,7 @@ use revet_core::{
     CompiledProgram, CoreError, PassOptions, ProgramId, Session, StreamExecutor, StreamInstance,
 };
 use revet_diag::{Severity, SourceMap};
-use revet_machine::{MachineError, MemoryState, RunStatus};
-use revet_obs::ObsSink;
+use revet_machine::{ExecReport, MachineError, MemoryState, RunStatus};
 use revet_runtime::{BatchJob, BatchRunner};
 use revet_sltf::Word;
 use std::fmt;
@@ -198,11 +197,10 @@ struct Shared {
     executed_instances: AtomicU64,
     failed_instances: AtomicU64,
     connections: Mutex<Vec<JoinHandle<()>>>,
-    /// Lifetime execution counters (no trace ring — counters are cheap
-    /// and lock-free, a ring shared by every batch would not be). Every
-    /// Execute job's `BatchRunner` records into this sink; the `Metrics`
-    /// request dumps it.
-    obs: ObsSink,
+    /// Lifetime execution counters: the merge of every report a reply
+    /// carried — each Execute batch's total and each closed session's —
+    /// taken once per request. The `Metrics` request reads it.
+    executed: Mutex<ExecReport>,
 }
 
 impl Shared {
@@ -239,13 +237,28 @@ impl Shared {
         }
     }
 
-    /// The `Metrics` payload: execution counters from the shared obs sink
-    /// plus serve-level counters (cache, instance totals, the resident
+    /// Folds a reply's execution report into the lifetime counters.
+    fn count(&self, report: &ExecReport) {
+        self.executed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .merge(report);
+    }
+
+    /// The `Metrics` payload: the merged execution reports plus
+    /// serve-level counters (cache, instance totals, the resident
     /// programs' DRAM image and channel-table pools), with a status
     /// snapshot taken at the same instant.
     fn metrics(&self) -> MetricsInfo {
         let status = self.status();
-        let mut counters = self.obs.snapshot_counters();
+        let exec = *self.executed.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut counters = vec![
+            ("exec.dispatches".to_string(), exec.steps),
+            ("exec.productive".to_string(), exec.productive_steps),
+            ("exec.rounds".to_string(), exec.rounds),
+            ("exec.peak_ready".to_string(), exec.peak_ready),
+            ("exec.instances".to_string(), status.executed_instances),
+        ];
         for (name, pool) in [
             ("dram_pool", self.cache.dram_pool_stats()),
             ("chan_pool", self.cache.chan_pool_stats()),
@@ -319,7 +332,7 @@ impl Server {
             executed_instances: AtomicU64::new(0),
             failed_instances: AtomicU64::new(0),
             connections: Mutex::new(Vec::new()),
-            obs: ObsSink::counters_only(),
+            executed: Mutex::new(ExecReport::default()),
             cfg,
         });
         let acceptor = {
@@ -699,7 +712,7 @@ fn stream_failed(shared: &Shared, e: MachineError) -> ErrorFrame {
 fn poll(shared: &Shared, session: u64) -> Result<Response, ErrorFrame> {
     let max_rounds = shared.cfg.max_rounds;
     let (run, resident_bytes) = shared.sessions.with(session, |s| {
-        let run = s.stream.poll_obs(max_rounds, &shared.obs);
+        let run = s.stream.poll(max_rounds);
         (run, s.stream.resident_bytes())
     })?;
     let (tokens, status) = run.map_err(|e| {
@@ -721,8 +734,9 @@ fn close_stream(shared: &Shared, session: u64) -> Result<Response, ErrorFrame> {
     // drain hands over the memory image.
     let outcome = slot
         .stream
-        .finish_obs(max_rounds, &shared.obs)
+        .finish(max_rounds)
         .map_err(|e| stream_failed(shared, e))?;
+    shared.count(&outcome.report);
     shared.executed_instances.fetch_add(1, Ordering::SeqCst);
     Ok(Response::StreamClosed(CloseReply {
         merged: WireReport::from(&outcome.report),
@@ -747,7 +761,7 @@ fn run_job(shared: &Shared, program: &CompiledProgram, req: ExecuteRequest) -> E
         .collect();
     let report = BatchRunner::new(shared.cfg.batch_threads)
         .with_max_rounds(shared.cfg.max_rounds)
-        .run_obs(&jobs, &shared.obs);
+        .run(&jobs);
     let instances: Vec<InstanceOutcome> = report
         .results
         .iter()
@@ -766,8 +780,10 @@ fn run_job(shared: &Shared, program: &CompiledProgram, req: ExecuteRequest) -> E
     shared
         .failed_instances
         .fetch_add(instances.len() as u64 - ok, Ordering::SeqCst);
+    let merged = report.total();
+    shared.count(&merged);
     ExecuteReply {
-        merged: WireReport::from(&report.total()),
+        merged: WireReport::from(&merged),
         instances,
     }
 }

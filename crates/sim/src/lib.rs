@@ -193,11 +193,11 @@ impl Simulator {
                     for (b, &c) in ob.iter_mut().zip(slot.outs.iter()) {
                         *b = self.port_budget(unit, &chans[c.0 as usize], host(c), false);
                     }
-                    let moved = program.graph.step_node_traced(
+                    let moved = program.graph.step_node(
                         id,
                         &mut ib[..n_in],
                         &mut ob[..n_out],
-                        &mut events,
+                        Some(&mut events),
                     )?;
                     if obs.is_enabled() {
                         // Bound attribution: a port that spent its whole
