@@ -46,27 +46,34 @@
 //! allocator calls of parse, lower_mir, run_passes and to_dataflow, which
 //! it drives one at a time), the plan's shape (segments, fused runs, fused
 //! edges), the execution counters, and the stall-attribution "top stalls"
-//! table; `--trace-out`
-//! writes a Chrome `trace_event` JSON file loadable in Perfetto
-//! (ui.perfetto.dev) or `chrome://tracing`. `--app NAME` selects one of
-//! the registered Table III evaluation apps (its workload supplies `main`
-//! arguments and DRAM inputs; `--scale` sizes it); for a FILE, `--args`
-//! passes comma-separated u32 `main` arguments.
+//! table. Each counter is printed from its one source: the run's
+//! dispatch, productive, round and peak-ready totals from its report, the
+//! `exec.stalls.*` totals from the stall tally, and the rest (wake causes,
+//! segment fires, lane widths) from the sink. `--trace-out` writes a
+//! Chrome `trace_event` JSON file loadable in Perfetto (ui.perfetto.dev)
+//! or `chrome://tracing`. `--app NAME` selects one of the registered
+//! Table III evaluation apps (its workload supplies `main` arguments and
+//! DRAM inputs; `--scale` sizes it); for a FILE, `--args` passes
+//! comma-separated u32 `main` arguments.
 //!
 //! `--timed` makes that run the cycle-level simulator on the Table II
 //! machine instead of the untimed plan. `--profile` then also prints the
-//! simulated cycles and the "top bound links" table: per link, the cycles
-//! on which its producer's (`push`) or consumer's (`pop`) port spent its
-//! whole per-cycle budget — the fires a link capped, which the stall table
-//! counts as productive. Each link is named `producer -> consumer
-//! [class]`.
+//! simulated cycles, the DRAM bytes read and written, and the "top bound
+//! links" table: per link, the cycles on which its producer's (`push`) or
+//! consumer's (`pop`) port spent its whole per-cycle budget — the fires a
+//! link capped, which the stall table counts as productive. Each link is
+//! named `producer -> consumer [class]`. Timed, the run's totals come
+//! from its `SimStats`: `exec.rounds` is the cycle count,
+//! `exec.productive` the busy context-cycles, `exec.dispatches` those
+//! plus the classified stalls, and `exec.peak_ready` the most contexts
+//! stepped in one cycle.
 
 use revet_apps::{app, DRAM_BYTES};
 use revet_core::passes::build_pipeline;
 use revet_core::report::ResourceReport;
 use revet_core::{CompiledProgram, CoreError, PassOptions, Session};
 use revet_machine::{ChanId, NodeId};
-use revet_obs::ObsSink;
+use revet_obs::{ObsSink, StallClass};
 use revet_sim::{RdaConfig, Simulator};
 use revet_sltf::Word;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -469,20 +476,44 @@ fn run_profiled(
     );
     obs.set_link_labels(link_labels(&mut program));
     let plan = program.graph.plan().stats();
-    let cycles = if timed {
-        match Simulator::default().run_obs(&mut program, &args, MAX_CYCLES, &obs) {
-            Ok(stats) => Some(stats.cycles),
+    // The run's own totals, each from its one source: the `ExecReport`
+    // untimed; timed, the `SimStats` and the stall tally, where every fire
+    // is busy or a stall of a class a fire can have (a DRAM-gated address
+    // generator is deferred unfired).
+    let (cycles, totals) = if timed {
+        let stats = match Simulator::default().run_obs(&mut program, &args, MAX_CYCLES, &obs) {
+            Ok(stats) => stats,
             Err(e) => {
                 eprintln!("revetc: timed run failed: {e}");
                 return ExitCode::FAILURE;
             }
-        }
+        };
+        let busy: u64 = stats.busy_cycles.iter().sum();
+        let [starved, full, alloc_gated, _] = obs.stall_totals();
+        let totals = vec![
+            ("exec.dispatches", busy + starved + full + alloc_gated),
+            ("exec.productive", busy),
+            ("exec.rounds", stats.cycles),
+            ("exec.peak_ready", stats.peak_busy_nodes),
+            ("sim.dram_read_bytes", stats.dram_read_bytes),
+            ("sim.dram_written_bytes", stats.dram_written_bytes),
+        ];
+        (Some(stats.cycles), totals)
     } else {
-        if let Err(e) = program.instance().run(&args, MAX_ROUNDS, &obs) {
-            eprintln!("revetc: execution failed: {e}");
-            return ExitCode::FAILURE;
-        }
-        None
+        let report = match program.instance().run(&args, MAX_ROUNDS, &obs) {
+            Ok(report) => report,
+            Err(e) => {
+                eprintln!("revetc: execution failed: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        let totals = vec![
+            ("exec.dispatches", report.steps),
+            ("exec.productive", report.productive_steps),
+            ("exec.rounds", report.rounds),
+            ("exec.peak_ready", report.peak_ready),
+        ];
+        (None, totals)
     };
 
     if profile {
@@ -504,7 +535,12 @@ fn run_profiled(
             plan.fused_runs,
             plan.fused_ew - plan.fused_runs
         );
-        for (name, value) in obs.counters.snapshot() {
+        let stalls = StallClass::ALL
+            .iter()
+            .zip(obs.stall_totals())
+            .map(|(class, n)| (format!("exec.stalls.{}", class.name()), n));
+        let totals = totals.into_iter().map(|(name, n)| (name.to_string(), n));
+        for (name, value) in totals.chain(stalls).chain(obs.counters.snapshot()) {
             println!("  {name:<28} {value}");
         }
         println!("\n== top stalls ==");

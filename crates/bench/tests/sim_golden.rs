@@ -10,9 +10,12 @@
 //! node at a time through `Graph::step_node`, under per-link budgets,
 //! bounded buffers and the DRAM token bucket. Each app also runs through
 //! [`Simulator::run_obs`] with a counters-only sink: its [`SimStats`] must
-//! equal the noop-sink run's, and the row records the sink's scheduler
-//! counters — dispatches (productive or not, starved ones included), stall
-//! classes and wake causes. A change to *how* a node fires or how the ready
+//! equal the noop-sink run's, and the row records the sink's stall totals
+//! per class and its wake causes. Its dispatches (productive or not,
+//! starved ones included) are derived, each from its one source: every
+//! fire is busy or a stall of a class a fire can have (not DRAM-gated,
+//! which defers an address generator unfired), so `dispatches = busy +
+//! starved + full + alloc_gated` and `productive = busy`. A change to *how* a node fires or how the ready
 //! set accounts a dispatch must leave every number here unchanged; only a
 //! change to the machine model, the optimizer or the lowering may move one,
 //! and then the failure counts the rows that moved in each column
@@ -71,17 +74,15 @@ fn simulated_cycles_and_traffic_match_the_golden() {
             );
 
             let c = &obs.counters;
+            let busy: u64 = stats.busy_cycles.iter().sum();
+            let [starved, full, alloc_gated, dram_gated] = obs.stall_totals();
             actual.push(format!(
-                "{prefix}{} {} dispatches={} productive={} starved={} full={} \
-                 alloc_gated={} dram_gated={} wake_tok={} wake_cap={} wake_alloc={}",
+                "{prefix}{} {} dispatches={} productive={busy} starved={starved} full={full} \
+                 alloc_gated={alloc_gated} dram_gated={dram_gated} wake_tok={} wake_cap={} \
+                 wake_alloc={}",
                 app.name,
                 stats_row(&stats),
-                c.dispatches.get(),
-                c.productive.get(),
-                c.stalls_input_starved.get(),
-                c.stalls_output_full.get(),
-                c.stalls_alloc_gated.get(),
-                c.stalls_dram_gated.get(),
+                busy + starved + full + alloc_gated,
                 c.wakes_token.get(),
                 c.wakes_capacity.get(),
                 c.wakes_alloc.get(),

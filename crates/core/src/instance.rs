@@ -15,7 +15,6 @@
 //! crate's `BatchRunner`).
 
 use crate::lower::CompiledProgram;
-use crate::CoreError;
 use revet_machine::{
     ChanId, ExecReport, Graph, MachineError, MemoryState, ResumeState, RunOptions, RunStatus, TTok,
 };
@@ -155,32 +154,6 @@ impl CompiledProgram {
             exit: self.exit,
         }
     }
-
-    /// Runs `self.instance()` per argument set, sequentially — the
-    /// single-threaded reference for batch execution (the `revet-runtime`
-    /// crate parallelizes the same loop).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first instance failure, attributed with its batch index.
-    pub fn run_batch_sequential(
-        &self,
-        argsets: &[Vec<Word>],
-        max_rounds: u64,
-    ) -> Result<Vec<(ExecReport, MemoryState, Vec<TTok>)>, CoreError> {
-        argsets
-            .iter()
-            .enumerate()
-            .map(|(i, args)| {
-                let mut inst = self.instance();
-                let report = inst
-                    .run_untimed(args, max_rounds)
-                    .map_err(|e| CoreError::new(format!("batch instance #{i}: {e}")))?;
-                let sink = inst.sink_tokens();
-                Ok((report, inst.into_memory(), sink))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -213,22 +186,5 @@ mod tests {
         }
         // The template never ran: its DRAM is still all zeroes.
         assert!(program.graph.mem.dram.iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn sequential_batch_matches_individual_runs() {
-        let program = Session::new(SQUARES, PassOptions::default())
-            .to_dataflow()
-            .unwrap();
-        let argsets: Vec<Vec<Word>> = (1..=4).map(|n| vec![Word(n)]).collect();
-        let batch = program.run_batch_sequential(&argsets, 1_000_000).unwrap();
-        assert_eq!(batch.len(), 4);
-        for (args, (report, mem, sink)) in argsets.iter().zip(&batch) {
-            let mut inst = program.instance();
-            let solo = inst.run_untimed(args, 1_000_000).unwrap();
-            assert_eq!(&solo, report);
-            assert_eq!(inst.sink_tokens(), *sink);
-            assert_eq!(inst.memory(), mem);
-        }
     }
 }

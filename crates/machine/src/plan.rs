@@ -665,7 +665,6 @@ impl ExecPlan {
             report.rounds += 1;
             let ready: u64 = ws.cur.iter().map(|w| w.count_ones() as u64).sum();
             report.peak_ready = report.peak_ready.max(ready);
-            obs.round(ready);
             for w in 0..ws.cur.len() {
                 while ws.cur[w] != 0 {
                     let b = ws.cur[w].trailing_zeros();

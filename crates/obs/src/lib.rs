@@ -1,17 +1,16 @@
 //! # revet-obs — zero-cost-when-disabled observability
 //!
-//! The instrumentation substrate shared by every layer of the Revet
-//! reproduction: the untimed executor (the compiled [`ExecPlan`]) in
-//! `revet-machine`, the cycle-level simulator, the batch runtime, the
-//! compile pipeline, and the serve tier all report through one type —
-//! [`ObsSink`].
+//! The instrumentation substrate of the Revet reproduction's profiler: the
+//! untimed executor (the compiled [`ExecPlan`]) in `revet-machine`, the
+//! cycle-level simulator and the compile pipeline record into one type,
+//! [`ObsSink`]. It holds only what no run's own report holds; the
+//! dispatch, round and ready-set totals are the run's `ExecReport` (or,
+//! timed, its `SimStats`), and a profile prints them from there.
 //!
-//! Three complementary views of a run:
+//! Four complementary views of a run:
 //!
-//! 1. **Counters** ([`ObsCounters`]) — a fixed set of lock-free atomics,
-//!    the same dispatch / round / watermark totals a run's `ExecReport`
-//!    returns, plus what no report holds: wake causes, stall classes,
-//!    segment fires, DRAM bytes and the `exec.lanes` width histogram.
+//! 1. **Counters** ([`ObsCounters`]) — a few lock-free atomics: wake
+//!    causes, segment fires and the `exec.lanes` width histogram.
 //! 2. **Trace** — a bounded ring of typed [`TraceEvent`]s (node dispatch,
 //!    channel push/pop, wake cause, segment fire, DRAM access, compile
 //!    stage) with monotonic-tick timestamps and dense thread ids,
@@ -19,12 +18,15 @@
 //!    [`ObsSink::chrome_trace_json`] and loadable in Perfetto.
 //! 3. **Stall attribution** — every unproductive scheduler visit is
 //!    classified ([`StallClass`]: input-starved / output-full /
-//!    allocator-gated / DRAM-gated) and accumulated per node, surfaced as
-//!    a sorted top-stalls table.
+//!    allocator-gated / DRAM-gated) and tallied per node, surfaced as a
+//!    sorted top-stalls table and as per-class totals
+//!    ([`ObsSink::stall_totals`]).
 //! 4. **Bound attribution** — the timed simulator also records every port
-//!    that spent its whole per-cycle budget ([`BoundPort`]), per link, as
-//!    a sorted top-bound-links table: the productive fires a link caps,
-//!    which no stall class sees.
+//!    that spent its whole per-cycle budget ([`BoundPort`]), tallied per
+//!    link, as a sorted top-bound-links table: the productive fires a link
+//!    caps, which no stall class sees.
+//!
+//! Views 3 and 4 are one tally type over two fixed class sets.
 //!
 //! ## Zero cost when disabled
 //!
@@ -32,10 +34,11 @@
 //! returns a `&'static` sink whose `enabled` flag is `false`; every
 //! recording method starts with that one predictable branch and returns
 //! immediately, so the instrumented fast path costs a non-atomic load per
-//! event site (the `perf_ledger` benchmark and the serve tier run with the
-//! disabled sink). An enabled sink is one a profiler asks for — `revetc
-//! --profile`, a test — and it is recorded into by one run at a time: there
-//! is no fork or merge across worker threads.
+//! event site. Every un-profiled entry point — the batch runtime, the
+//! serve tier, the `perf_ledger` benchmark — passes that disabled sink. An
+//! enabled sink is one a profiler asks for — `revetc --profile`, a test —
+//! and it is recorded into by one run at a time: there is no fork or merge
+//! across worker threads.
 //!
 //! ```
 //! use revet_obs::{ObsSink, StallClass, WakeCause};
@@ -44,15 +47,16 @@
 //! sink.node_dispatch(3, true);
 //! sink.wake(4, WakeCause::TokenArrival);
 //! sink.stall(4, StallClass::InputStarved);
-//! assert_eq!(sink.counters.dispatches.get(), 1);
-//! assert_eq!(sink.trace_events().len(), 2); // stalls feed the table, not the ring
-//! assert_eq!(sink.top_stalls(8)[0].node, 4);
+//! assert_eq!(sink.counters.wakes_token.get(), 1);
+//! assert_eq!(sink.trace_events().len(), 2); // stalls feed the tally, not the ring
+//! assert_eq!(sink.top_stalls(8)[0].id, 4);
+//! assert_eq!(sink.stall_totals(), [1, 0, 0, 0]);
 //! assert!(sink.chrome_trace_json().contains("\"traceEvents\""));
 //!
 //! // The static no-op sink records nothing.
 //! let noop = ObsSink::noop();
-//! noop.node_dispatch(3, true);
-//! assert_eq!(noop.counters.dispatches.get(), 0);
+//! noop.wake(4, WakeCause::TokenArrival);
+//! assert_eq!(noop.counters.wakes_token.get(), 0);
 //! ```
 //!
 //! [`ExecPlan`]: https://docs.rs/revet-machine
@@ -62,32 +66,29 @@
 mod bound;
 mod metrics;
 mod stall;
+mod tally;
 mod trace;
 
-pub use bound::{BoundPort, BoundRow};
-pub use metrics::{Counter, Gauge, Histogram, HIST_BUCKETS};
-pub use stall::{StallClass, StallRow, STALL_CLASSES};
+pub use bound::{BoundPort, BOUND_PORTS};
+pub use metrics::{Counter, Histogram};
+pub use stall::{StallClass, STALL_CLASSES};
+pub use tally::TallyRow;
 pub use trace::{EventKind, TraceEvent, WakeCause};
 
-use bound::BoundTable;
-use stall::StallTable;
+use bound::BOUNDS;
+use stall::STALLS;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use tally::Tally;
 use trace::{thread_tag, TraceRing};
 
-/// The fixed counter set every executor feeds.
+/// The counters no run report holds, fed by the executors.
 ///
 /// These are plain public atomics so the hot loops touch them without
 /// hashing or locking. [`ObsCounters::snapshot`] gives them stable dotted
 /// names.
 #[derive(Debug, Default)]
 pub struct ObsCounters {
-    /// Scheduler steps attempted (one per worklist pop / context fire).
-    pub dispatches: Counter,
-    /// Dispatches that moved at least one token.
-    pub productive: Counter,
-    /// Worklist generations (executor rounds / sim cycles).
-    pub rounds: Counter,
     /// Fused plan segments fired.
     pub segment_fires: Counter,
     /// Wakes caused by tokens arriving on an input channel.
@@ -97,20 +98,6 @@ pub struct ObsCounters {
     pub wakes_capacity: Counter,
     /// Wakes caused by an allocator queue receiving a pointer.
     pub wakes_alloc: Counter,
-    /// Stalls classified input-starved.
-    pub stalls_input_starved: Counter,
-    /// Stalls classified output-full.
-    pub stalls_output_full: Counter,
-    /// Stalls classified allocator-gated.
-    pub stalls_alloc_gated: Counter,
-    /// Stalls classified DRAM-gated (timed simulator only).
-    pub stalls_dram_gated: Counter,
-    /// DRAM bytes read (timed simulator only).
-    pub dram_read_bytes: Counter,
-    /// DRAM bytes written (timed simulator only).
-    pub dram_written_bytes: Counter,
-    /// High watermark of ready nodes in any one scheduler round.
-    pub peak_ready: Gauge,
     /// `exec.lanes`: one sample per lane-batched commit of the plan, its
     /// width.
     pub lanes: Histogram,
@@ -120,76 +107,32 @@ impl ObsCounters {
     /// All counters at zero (`const` for the static no-op sink).
     pub const fn new() -> Self {
         ObsCounters {
-            dispatches: Counter::new(),
-            productive: Counter::new(),
-            rounds: Counter::new(),
             segment_fires: Counter::new(),
             wakes_token: Counter::new(),
             wakes_capacity: Counter::new(),
             wakes_alloc: Counter::new(),
-            stalls_input_starved: Counter::new(),
-            stalls_output_full: Counter::new(),
-            stalls_alloc_gated: Counter::new(),
-            stalls_dram_gated: Counter::new(),
-            dram_read_bytes: Counter::new(),
-            dram_written_bytes: Counter::new(),
-            peak_ready: Gauge::new(),
             lanes: Histogram::new(),
         }
     }
 
-    fn all(&self) -> [(&'static str, &Counter); 13] {
-        [
-            ("exec.dispatches", &self.dispatches),
-            ("exec.productive", &self.productive),
-            ("exec.rounds", &self.rounds),
+    /// Stable `(name, value)` pairs for every counter and the lane
+    /// histogram (as `exec.lanes.count`, `.p50`, `.p95`, `.p99`).
+    pub fn snapshot(&self) -> Vec<(String, u64)> {
+        let mut out: Vec<(String, u64)> = [
             ("exec.segment_fires", &self.segment_fires),
             ("exec.wakes.token", &self.wakes_token),
             ("exec.wakes.capacity", &self.wakes_capacity),
             ("exec.wakes.alloc", &self.wakes_alloc),
-            ("exec.stalls.input_starved", &self.stalls_input_starved),
-            ("exec.stalls.output_full", &self.stalls_output_full),
-            ("exec.stalls.alloc_gated", &self.stalls_alloc_gated),
-            ("exec.stalls.dram_gated", &self.stalls_dram_gated),
-            ("sim.dram_read_bytes", &self.dram_read_bytes),
-            ("sim.dram_written_bytes", &self.dram_written_bytes),
         ]
-    }
-
-    /// Stable `(name, value)` pairs for every counter, the watermark and
-    /// the lane histogram (as `exec.lanes.count`, `.p50`, `.p95`, `.p99`).
-    pub fn snapshot(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = self
-            .all()
-            .iter()
-            .map(|(n, c)| (n.to_string(), c.get()))
-            .collect();
-        out.push(("exec.peak_ready".to_string(), self.peak_ready.get()));
+        .iter()
+        .map(|(n, c)| (n.to_string(), c.get()))
+        .collect();
         out.push(("exec.lanes.count".to_string(), self.lanes.count()));
         for (suffix, p) in [("p50", 50.0), ("p95", 95.0), ("p99", 99.0)] {
             let v = self.lanes.percentile(p).unwrap_or(0);
             out.push((format!("exec.lanes.{suffix}"), v));
         }
         out
-    }
-
-    /// Record a stall in the matching fixed counter.
-    fn stall(&self, class: StallClass) {
-        match class {
-            StallClass::InputStarved => self.stalls_input_starved.inc(),
-            StallClass::OutputFull => self.stalls_output_full.inc(),
-            StallClass::AllocGated => self.stalls_alloc_gated.inc(),
-            StallClass::DramGated => self.stalls_dram_gated.inc(),
-        }
-    }
-
-    /// Record a wake in the matching fixed counter.
-    fn wake(&self, cause: WakeCause) {
-        match cause {
-            WakeCause::TokenArrival => self.wakes_token.inc(),
-            WakeCause::CapacityRelease => self.wakes_capacity.inc(),
-            WakeCause::AllocatorPush => self.wakes_alloc.inc(),
-        }
     }
 }
 
@@ -206,8 +149,8 @@ pub struct ObsSink {
     pub counters: ObsCounters,
     tick: AtomicU64,
     ring: Mutex<TraceRing>,
-    stalls: Mutex<StallTable>,
-    bounds: Mutex<BoundTable>,
+    stalls: Mutex<Tally<STALL_CLASSES>>,
+    bounds: Mutex<Tally<BOUND_PORTS>>,
     labels: Mutex<Vec<String>>,
     link_labels: Mutex<Vec<String>>,
 }
@@ -222,8 +165,8 @@ impl ObsSink {
             counters: ObsCounters::new(),
             tick: AtomicU64::new(0),
             ring: Mutex::new(TraceRing::new()),
-            stalls: Mutex::new(StallTable::new()),
-            bounds: Mutex::new(BoundTable::new()),
+            stalls: Mutex::new(Tally::new(&STALLS)),
+            bounds: Mutex::new(Tally::new(&BOUNDS)),
             labels: Mutex::new(Vec::new()),
             link_labels: Mutex::new(Vec::new()),
         }
@@ -237,8 +180,8 @@ impl ObsSink {
     }
 
     /// An enabled sink whose trace ring keeps the most recent
-    /// `trace_capacity` events (`0` disables the ring but keeps counters
-    /// and stall attribution).
+    /// `trace_capacity` events (`0` disables the ring but keeps the
+    /// counters and both tallies).
     pub fn with_trace_capacity(trace_capacity: usize) -> Self {
         ObsSink {
             enabled: true,
@@ -247,9 +190,9 @@ impl ObsSink {
         }
     }
 
-    /// An enabled sink with counters and stall attribution but no trace
+    /// An enabled sink with the counters and both tallies but no trace
     /// ring: a dispatch takes no trace lock, but every recorded stall (each
-    /// unproductive dispatch) still locks the stall table.
+    /// unproductive dispatch) still locks the stall tally.
     pub fn counters_only() -> Self {
         Self::with_trace_capacity(0)
     }
@@ -291,27 +234,14 @@ impl ObsSink {
         self.ring.lock().unwrap().push(self.trace_cap, ev);
     }
 
-    /// Record a scheduler step of `node` (`productive` = it moved tokens).
+    /// Trace a scheduler step of `node` (`productive` = it moved tokens).
+    /// The run's own report counts it.
     #[inline]
     pub fn node_dispatch(&self, node: u32, productive: bool) {
         if !self.enabled {
             return;
         }
-        self.counters.dispatches.inc();
-        if productive {
-            self.counters.productive.inc();
-        }
         self.record(EventKind::NodeDispatch { node, productive });
-    }
-
-    /// Record the start of a scheduler round with `ready` runnable nodes.
-    #[inline]
-    pub fn round(&self, ready: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.counters.rounds.inc();
-        self.counters.peak_ready.record_max(ready);
     }
 
     /// Record a classified wake of `node`.
@@ -320,7 +250,11 @@ impl ObsSink {
         if !self.enabled {
             return;
         }
-        self.counters.wake(cause);
+        match cause {
+            WakeCause::TokenArrival => self.counters.wakes_token.inc(),
+            WakeCause::CapacityRelease => self.counters.wakes_capacity.inc(),
+            WakeCause::AllocatorPush => self.counters.wakes_alloc.inc(),
+        }
         self.record(EventKind::Wake { node, cause });
     }
 
@@ -330,8 +264,7 @@ impl ObsSink {
         if !self.enabled {
             return;
         }
-        self.counters.stall(class);
-        self.stalls.lock().unwrap().record(node, class);
+        self.stalls.lock().unwrap().record(node, class as usize);
     }
 
     /// Record that one end of channel `chan` spent its whole per-cycle
@@ -341,7 +274,7 @@ impl ObsSink {
         if !self.enabled {
             return;
         }
-        self.bounds.lock().unwrap().record(chan, port);
+        self.bounds.lock().unwrap().record(chan, port as usize);
     }
 
     /// Record tokens entering channel `chan`.
@@ -363,14 +296,12 @@ impl ObsSink {
         self.record(EventKind::SegmentFire { seg, stages });
     }
 
-    /// Record DRAM traffic for one simulator cycle.
+    /// Trace DRAM traffic for one simulator cycle. `SimStats` counts it.
     #[inline]
     pub fn dram_access(&self, read_bytes: u64, written_bytes: u64) {
         if !self.enabled {
             return;
         }
-        self.counters.dram_read_bytes.add(read_bytes);
-        self.counters.dram_written_bytes.add(written_bytes);
         self.record(EventKind::DramAccess {
             read_bytes,
             written_bytes,
@@ -404,28 +335,33 @@ impl ObsSink {
         trace::chrome_trace_json(&events, &labels)
     }
 
-    /// The `limit` most-stalled nodes, sorted by total stalls descending.
-    pub fn top_stalls(&self, limit: usize) -> Vec<StallRow> {
+    /// The `limit` most-stalled nodes, sorted by total stalls descending
+    /// (counts indexed by `StallClass as usize`).
+    pub fn top_stalls(&self, limit: usize) -> Vec<TallyRow<STALL_CLASSES>> {
         self.stalls.lock().unwrap().top(limit)
+    }
+
+    /// Stalls per class over every node, indexed by `StallClass as usize`.
+    pub fn stall_totals(&self) -> [u64; STALL_CLASSES] {
+        self.stalls.lock().unwrap().totals()
     }
 
     /// Render the top-stalls table as aligned text.
     pub fn top_stalls_table(&self, limit: usize) -> String {
-        let rows = self.top_stalls(limit);
         let labels = self.labels.lock().unwrap();
-        stall::render_top_stalls(&rows, &labels)
+        self.stalls.lock().unwrap().render(limit, &labels)
     }
 
-    /// The `limit` most-bound links, sorted by bound cycles descending.
-    pub fn top_bound_links(&self, limit: usize) -> Vec<BoundRow> {
+    /// The `limit` most-bound links, sorted by bound cycles descending
+    /// (counts indexed by `BoundPort as usize`).
+    pub fn top_bound_links(&self, limit: usize) -> Vec<TallyRow<BOUND_PORTS>> {
         self.bounds.lock().unwrap().top(limit)
     }
 
     /// Render the top-bound-links table as aligned text.
     pub fn top_bound_links_table(&self, limit: usize) -> String {
-        let rows = self.top_bound_links(limit);
         let labels = self.link_labels.lock().unwrap();
-        bound::render_top_bound(&rows, &labels)
+        self.bounds.lock().unwrap().render(limit, &labels)
     }
 }
 
@@ -437,16 +373,16 @@ mod tests {
     fn noop_sink_records_nothing() {
         let s = ObsSink::noop();
         s.node_dispatch(0, true);
-        s.round(9);
         s.wake(1, WakeCause::TokenArrival);
         s.stall(1, StallClass::OutputFull);
         s.dram_access(10, 20);
         s.segment_fire(0, 2);
         s.link_bound(4, BoundPort::Push);
         assert!(!s.is_enabled());
-        assert_eq!(s.counters.dispatches.get(), 0);
-        assert_eq!(s.counters.peak_ready.get(), 0);
+        assert_eq!(s.counters.wakes_token.get(), 0);
+        assert_eq!(s.counters.segment_fires.get(), 0);
         assert!(s.trace_events().is_empty());
+        assert_eq!(s.stall_totals(), [0; STALL_CLASSES]);
         assert!(s.top_stalls(10).is_empty());
         assert!(s.top_bound_links(10).is_empty());
     }
@@ -454,19 +390,14 @@ mod tests {
     #[test]
     fn enabled_sink_counts_and_traces() {
         let s = ObsSink::with_trace_capacity(8);
-        s.round(3);
         s.node_dispatch(0, true);
         s.node_dispatch(1, false);
         s.stall(1, StallClass::InputStarved);
         s.wake(0, WakeCause::CapacityRelease);
         s.segment_fire(2, 3);
-        assert_eq!(s.counters.dispatches.get(), 2);
-        assert_eq!(s.counters.productive.get(), 1);
-        assert_eq!(s.counters.rounds.get(), 1);
-        assert_eq!(s.counters.peak_ready.get(), 3);
         assert_eq!(s.counters.wakes_capacity.get(), 1);
-        assert_eq!(s.counters.stalls_input_starved.get(), 1);
         assert_eq!(s.counters.segment_fires.get(), 1);
+        assert_eq!(s.stall_totals(), [1, 0, 0, 0]);
         let dispatches = s
             .trace_events()
             .iter()
@@ -482,21 +413,22 @@ mod tests {
     fn counters_only_sink_skips_the_ring() {
         let s = ObsSink::counters_only();
         s.node_dispatch(0, true);
+        s.wake(1, WakeCause::AllocatorPush);
         s.channel_push(3);
-        assert_eq!(s.counters.dispatches.get(), 1);
+        assert_eq!(s.counters.wakes_alloc.get(), 1);
         assert!(s.trace_events().is_empty());
     }
 
     #[test]
     fn snapshot_has_stable_names() {
         let s = ObsSink::counters_only();
-        s.node_dispatch(0, true);
+        s.wake(0, WakeCause::TokenArrival);
         s.counters.lanes.record(8);
         s.counters.lanes.record(8);
         let snap = s.counters.snapshot();
         let get = |k: &str| snap.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
-        assert_eq!(get("exec.dispatches"), Some(1));
-        assert_eq!(get("exec.peak_ready"), Some(0));
+        assert_eq!(get("exec.wakes.token"), Some(1));
+        assert_eq!(get("exec.segment_fires"), Some(0));
         assert_eq!(get("exec.lanes.count"), Some(2));
         // Bucket [8, 15] reports its upper bound.
         assert_eq!(get("exec.lanes.p50"), Some(15));

@@ -1,6 +1,6 @@
 //! Lock-free metric primitives.
 //!
-//! All three instrument types are plain atomics: recording is a single
+//! Both instrument types are plain atomics: recording is a single
 //! relaxed RMW, safe to call from any thread without coordination. They
 //! are fixed fields of [`crate::ObsCounters`]; nothing creates one by name.
 
@@ -23,47 +23,7 @@ impl Counter {
     /// Add one.
     #[inline]
     pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.v.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.v.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-value / high-watermark instrument.
-///
-/// `set` overwrites, `record_max` keeps the maximum ever seen.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    v: AtomicU64,
-}
-
-impl Gauge {
-    /// A gauge at zero.
-    pub const fn new() -> Self {
-        Gauge {
-            v: AtomicU64::new(0),
-        }
-    }
-
-    /// Overwrite the value.
-    #[inline]
-    pub fn set(&self, n: u64) {
-        self.v.store(n, Ordering::Relaxed);
-    }
-
-    /// Raise the value to `n` if `n` is larger.
-    #[inline]
-    pub fn record_max(&self, n: u64) {
-        self.v.fetch_max(n, Ordering::Relaxed);
+        self.v.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -73,7 +33,7 @@ impl Gauge {
 }
 
 /// Number of power-of-two buckets in a [`Histogram`].
-pub const HIST_BUCKETS: usize = 64;
+const HIST_BUCKETS: usize = 64;
 
 /// A log2-bucketed histogram with nearest-rank percentiles.
 ///
@@ -155,18 +115,8 @@ mod tests {
     fn counter_adds() {
         let a = Counter::new();
         a.inc();
-        a.add(4);
-        assert_eq!(a.get(), 5);
-    }
-
-    #[test]
-    fn gauge_merges_by_max() {
-        let a = Gauge::new();
-        a.record_max(7);
-        a.record_max(3);
-        assert_eq!(a.get(), 7);
-        a.set(5);
-        assert_eq!(a.get(), 5);
+        a.inc();
+        assert_eq!(a.get(), 2);
     }
 
     #[test]

@@ -269,16 +269,6 @@ impl BatchRunner {
             threads: workers,
         }
     }
-
-    /// Convenience wrapper for the common homogeneous case: one program,
-    /// one instance per argument set.
-    pub fn run_same(&self, program: &CompiledProgram, argsets: &[Vec<Word>]) -> BatchReport {
-        let jobs: Vec<BatchJob<'_>> = argsets
-            .iter()
-            .map(|args| BatchJob::new(program, args.clone()))
-            .collect();
-        self.run(&jobs)
-    }
 }
 
 /// Instantiate → overlay DRAM → run → harvest, entirely on the calling
@@ -318,11 +308,17 @@ mod tests {
         .unwrap()
     }
 
+    /// One job per `main(n)` argument, all on `program`.
+    fn jobs(program: &CompiledProgram, ns: impl IntoIterator<Item = u32>) -> Vec<BatchJob<'_>> {
+        ns.into_iter()
+            .map(|n| BatchJob::new(program, vec![Word(n)]))
+            .collect()
+    }
+
     #[test]
     fn parallel_batch_covers_every_job_in_order() {
         let program = squares_program();
-        let argsets: Vec<Vec<Word>> = (1..=13).map(|n| vec![Word(n)]).collect();
-        let report = BatchRunner::new(4).run_same(&program, &argsets);
+        let report = BatchRunner::new(4).run(&jobs(&program, 1..=13));
         assert_eq!(report.threads, 4);
         assert_eq!(report.ok_count(), 13);
         assert!(report.first_error().is_none());
@@ -339,7 +335,7 @@ mod tests {
     #[test]
     fn worker_count_caps_at_job_count() {
         let program = squares_program();
-        let report = BatchRunner::new(64).run_same(&program, &[vec![Word(2)]]);
+        let report = BatchRunner::new(64).run(&jobs(&program, [2]));
         assert_eq!(report.threads, 1);
         assert_eq!(report.ok_count(), 1);
     }
@@ -349,7 +345,7 @@ mod tests {
         let runner = BatchRunner::new(0);
         assert_eq!(runner.threads(), 1);
         let program = squares_program();
-        let report = runner.run_same(&program, &[vec![Word(3)]]);
+        let report = runner.run(&jobs(&program, [3]));
         assert_eq!(report.ok_count(), 1);
     }
 
@@ -424,7 +420,7 @@ mod tests {
         // the same bits. (The name predates the interpreter's removal.)
         let program = squares_program();
         let argsets: Vec<Vec<Word>> = (1..=6).map(|n| vec![Word(n)]).collect();
-        let planned = BatchRunner::new(2).run_same(&program, &argsets);
+        let planned = BatchRunner::new(2).run(&jobs(&program, 1..=6));
         assert_eq!(planned.ok_count(), 6);
         for (p, args) in planned.results.iter().zip(&argsets) {
             let p = p.as_ref().unwrap();
@@ -445,7 +441,7 @@ mod tests {
         // instance; the batch still completes and reports every failure.
         let report = BatchRunner::new(2)
             .with_max_rounds(0)
-            .run_same(&program, &[vec![Word(1)], vec![Word(2)]]);
+            .run(&jobs(&program, [1, 2]));
         assert_eq!(report.ok_count(), 0);
         let err = report.first_error().expect("both instances failed");
         assert!(err.message.contains("no quiescence"), "got: {err}");

@@ -131,12 +131,11 @@ fn mixed_app_batch_is_bit_identical_to_sequential_runs() {
         assert_eq!(again.mem, first.mem, "instance #{i}: recycled memory");
         assert_eq!(again.report, first.report, "instance #{i}: recycled report");
         let (program, args, ..) = &programs[i % programs.len()];
-        let (report, mem, _) = program
-            .run_batch_sequential(std::slice::from_ref(args), MAX_ROUNDS)
-            .expect("sequential oracle")
-            .pop()
-            .expect("one instance");
-        assert_eq!((&again.report, &again.mem), (&report, &mem));
+        let mut oracle = program.instance();
+        let report = oracle
+            .run_untimed(args, MAX_ROUNDS)
+            .expect("sequential oracle");
+        assert_eq!((&again.report, &again.mem), (&report, oracle.memory()));
     }
 }
 

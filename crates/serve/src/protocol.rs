@@ -743,13 +743,15 @@ wire_struct! {
     /// plus the same queue/cache snapshot [`Request::Status`] returns, taken
     /// at the same instant so the two views are consistent.
     ///
-    /// The execution counters (`exec.dispatches`, `exec.productive`,
-    /// `exec.rounds`, `exec.peak_ready`) are the merge of the reports the
-    /// replies carried: every [`ExecuteReply::merged`] and every
-    /// [`CloseReply::merged`]. A streaming session counts when it closes —
-    /// its polls are in its close reply's report — and then counts as one
-    /// instance in `exec.instances`, which equals
-    /// `serve.executed_instances`.
+    /// Each fact is named once. The execution counters (`exec.dispatches`,
+    /// `exec.productive`, `exec.rounds`, `exec.peak_ready`) are the merge of
+    /// the reports the replies carried: every [`ExecuteReply::merged`] and
+    /// every [`CloseReply::merged`]. A streaming session counts when it
+    /// closes — its polls are in its close reply's report — and then counts
+    /// as one instance in `status.executed_instances`. The `serve.*`
+    /// counters are the resident programs' DRAM image and channel-table
+    /// pools (`serve.{dram,chan}_pool.{hits,misses,retained_bytes}`); the
+    /// cache, instance and session totals are fields of `status`.
     #[derive(Clone, Debug, Default, PartialEq, Eq)]
     pub struct MetricsInfo {
         /// Sorted `(name, value)` pairs, e.g. `("exec.dispatches", 12345)`.

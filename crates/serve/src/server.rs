@@ -245,10 +245,10 @@ impl Shared {
             .merge(report);
     }
 
-    /// The `Metrics` payload: the merged execution reports plus
-    /// serve-level counters (cache, instance totals, the resident
-    /// programs' DRAM image and channel-table pools), with a status
-    /// snapshot taken at the same instant.
+    /// The `Metrics` payload: the merged execution reports plus the
+    /// resident programs' DRAM image and channel-table pool counters, with
+    /// a status snapshot (cache, instance and session totals) taken at the
+    /// same instant.
     fn metrics(&self) -> MetricsInfo {
         let status = self.status();
         let exec = *self.executed.lock().unwrap_or_else(PoisonError::into_inner);
@@ -257,7 +257,6 @@ impl Shared {
             ("exec.productive".to_string(), exec.productive_steps),
             ("exec.rounds".to_string(), exec.rounds),
             ("exec.peak_ready".to_string(), exec.peak_ready),
-            ("exec.instances".to_string(), status.executed_instances),
         ];
         for (name, pool) in [
             ("dram_pool", self.cache.dram_pool_stats()),
@@ -269,29 +268,6 @@ impl Shared {
                 (format!("serve.{name}.retained_bytes"), pool.retained_bytes),
             ]);
         }
-        counters.extend([
-            ("serve.cache.hits".to_string(), status.cache_hits),
-            ("serve.cache.misses".to_string(), status.cache_misses),
-            ("serve.cache.evictions".to_string(), status.cache_evictions),
-            ("serve.cache.resident".to_string(), status.programs_cached),
-            (
-                "serve.executed_instances".to_string(),
-                status.executed_instances,
-            ),
-            (
-                "serve.failed_instances".to_string(),
-                status.failed_instances,
-            ),
-            ("serve.sessions.open".to_string(), status.open_sessions),
-            (
-                "serve.sessions.evicted".to_string(),
-                status.evicted_sessions,
-            ),
-            (
-                "serve.sessions.resident_bytes".to_string(),
-                status.session_resident_bytes,
-            ),
-        ]);
         counters.sort();
         MetricsInfo { counters, status }
     }

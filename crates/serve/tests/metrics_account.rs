@@ -68,8 +68,7 @@ fn metrics_agree_with_the_reports_the_replies_carried() {
     );
     let peak = replies.iter().map(|r| r.peak_ready).max();
     assert_eq!(metrics.get("exec.peak_ready"), peak);
-    assert_eq!(metrics.get("exec.instances"), Some(3));
-    assert_eq!(metrics.get("serve.executed_instances"), Some(3));
+    assert_eq!(metrics.status.executed_instances, 3);
 
     server.shutdown();
 }

@@ -111,8 +111,8 @@ fn chunked_streaming_session_matches_one_shot_execute() {
                 "fed input must count as resident ({status:?})"
             );
             let metrics = client.metrics().expect("metrics");
-            assert_eq!(metrics.get("serve.sessions.open"), Some(8));
-            assert!(metrics.get("serve.sessions.resident_bytes").unwrap() > 0);
+            assert_eq!(metrics.status.open_sessions, 8);
+            assert!(metrics.status.session_resident_bytes > 0);
         }
         for (session, _) in &open {
             let poll = client.poll(*session).expect("poll");
@@ -237,7 +237,7 @@ fn idle_sessions_are_evicted_with_typed_session_expired() {
     assert_eq!(status.open_sessions, 0);
     assert_eq!(status.evicted_sessions, 1);
     let metrics = client.metrics().expect("metrics");
-    assert_eq!(metrics.get("serve.sessions.evicted"), Some(1));
+    assert_eq!(metrics.status.evicted_sessions, 1);
     server.shutdown();
 }
 

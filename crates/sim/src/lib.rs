@@ -158,7 +158,6 @@ impl Simulator {
             // DRAM gating: AG contexts stall this whole cycle when the
             // bucket is dry (they stay queued and retry once it refills).
             let dram_gated = !self.ideal.dram && dram_bucket <= 0.0;
-            obs.round(current.len() as u64);
             let read_before = program.graph.mem.dram_read_bytes;
             let written_before = program.graph.mem.dram_written_bytes;
             let mut stepped_this_cycle: u64 = 0;
@@ -365,6 +364,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use revet_core::{PassOptions, Session};
+    use revet_obs::EventKind;
 
     fn squares_program() -> CompiledProgram {
         let src = r#"
@@ -478,25 +478,42 @@ mod tests {
         let stats = Simulator::default()
             .run_obs(&mut p, &[Word(32)], 1_000_000, &obs)
             .unwrap();
-        // Every context fire is a dispatch; productive fires equal the sum
-        // of per-node busy cycles.
+        // Every context fire is a traced dispatch; the productive ones are
+        // the per-node busy cycles.
         let busy: u64 = stats.busy_cycles.iter().sum();
-        assert_eq!(obs.counters.productive.get(), busy);
-        assert!(obs.counters.dispatches.get() >= busy);
-        assert_eq!(obs.counters.rounds.get(), stats.cycles);
+        let (mut fires, mut productive) = (0, 0);
+        for ev in obs.trace_events() {
+            if let EventKind::NodeDispatch { productive: p, .. } = ev.kind {
+                fires += 1;
+                productive += p as u64;
+            }
+        }
+        assert_eq!(obs.trace_dropped(), 0);
+        assert_eq!(productive, busy);
+        // Every unproductive fire is a classified stall.
+        let [starved, full, alloc_gated, _] = obs.stall_totals();
+        assert_eq!(fires, busy + starved + full + alloc_gated);
         // The watermark is a real per-cycle peak: positive, bounded by n.
         assert!(stats.peak_busy_nodes > 0);
         assert!(stats.peak_busy_nodes <= stats.busy_cycles.len() as u64);
-        // The simulator's DRAM traffic lands in the obs counters too.
-        assert_eq!(
-            obs.counters.dram_read_bytes.get() + obs.counters.dram_written_bytes.get(),
-            stats.dram_read_bytes + stats.dram_written_bytes
-        );
+        // The simulator's DRAM traffic lands in the trace too.
+        let traced: u64 = obs
+            .trace_events()
+            .iter()
+            .map(|ev| match ev.kind {
+                EventKind::DramAccess {
+                    read_bytes,
+                    written_bytes,
+                } => read_bytes + written_bytes,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(traced, stats.dram_read_bytes + stats.dram_written_bytes);
         // Bound attribution counts cycles: at most one per port per cycle.
         let bound = obs.top_bound_links(usize::MAX);
         assert!(!bound.is_empty(), "no link ever bound a fire");
         for row in &bound {
-            assert!(row.push <= stats.cycles && row.pop <= stats.cycles);
+            assert!(row.counts.iter().all(|&n| n <= stats.cycles));
         }
     }
 

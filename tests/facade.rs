@@ -89,8 +89,10 @@ fn runtime_reexport_runs_a_parallel_batch() {
     )
     .to_dataflow()
     .expect("compiles");
-    let argsets: Vec<Vec<Word>> = (1..=6).map(|n| vec![Word(n)]).collect();
-    let report = revet::runtime::BatchRunner::new(3).run_same(&program, &argsets);
+    let jobs: Vec<revet::runtime::BatchJob> = (1..=6)
+        .map(|n| revet::runtime::BatchJob::new(&program, vec![Word(n)]))
+        .collect();
+    let report = revet::runtime::BatchRunner::new(3).run(&jobs);
     assert_eq!(report.ok_count(), 6);
     for (n, result) in (1u32..=6).zip(&report.results) {
         let mem = &result.as_ref().expect("instance ran").mem;
