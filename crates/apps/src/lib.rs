@@ -203,19 +203,6 @@ impl App {
             self.name
         );
     }
-
-    /// Compile + load + run untimed + check (the correctness path).
-    ///
-    /// # Panics
-    ///
-    /// Panics on compile, execution, or validation failure.
-    pub fn validate_untimed(&self, outer: u32, scale: usize, seed: u64) {
-        let (mut program, args, w) = self.prepare(outer, scale, seed, &PassOptions::default());
-        program
-            .run_untimed(&args, 200_000_000)
-            .unwrap_or_else(|e| panic!("{}: {e}", self.name));
-        self.check(&program, &w);
-    }
 }
 
 /// DRAM image size shared by all app runs.

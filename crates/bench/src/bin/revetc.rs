@@ -66,7 +66,9 @@
 //! from its `SimStats`: `exec.rounds` is the cycle count,
 //! `exec.productive` the busy context-cycles, `exec.dispatches` those
 //! plus the classified stalls, and `exec.peak_ready` the most contexts
-//! stepped in one cycle.
+//! stepped in one cycle — which is every context, since the first cycle
+//! steps them all (`SimStats::peak_busy_nodes`), so timed it reads the
+//! context count.
 
 use revet_apps::{app, DRAM_BYTES};
 use revet_core::passes::build_pipeline;
@@ -494,6 +496,7 @@ fn run_profiled(
             ("exec.dispatches", busy + starved + full + alloc_gated),
             ("exec.productive", busy),
             ("exec.rounds", stats.cycles),
+            // The context count: cycle 1 steps every context.
             ("exec.peak_ready", stats.peak_busy_nodes),
             ("sim.dram_read_bytes", stats.dram_read_bytes),
             ("sim.dram_written_bytes", stats.dram_written_bytes),

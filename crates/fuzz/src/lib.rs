@@ -2,12 +2,13 @@
 //!
 //! Generative differential testing for the whole Revet stack. A seeded
 //! generator ([`gen`]) emits well-typed, terminating Revet source
-//! programs; the oracle ([`oracle`]) feeds each one through the full
-//! pipeline at -O0/-O1/-O2 and demands bit-identical final DRAM (and
-//! matching sink streams) across the MIR interpreter, the compiled
-//! execution plan, and the dense-sweep oracle. Failures become
-//! self-contained `.rvt` reproducers ([`repro`]) and are automatically
-//! minimized ([`reduce`]) before they reach a human.
+//! programs; [`run_case`] hands each one to the judge
+//! ([`revet_oracle::judge()`]), which runs it at -O0/-O1/-O2 through every
+//! lane — the MIR interpreter, the compiled execution plan, the dense-sweep
+//! oracle, the chunked stream, the Table II simulator and a toggle mask of
+//! the six §V switches — and demands bit-identical final DRAM and exit
+//! streams. Failures become self-contained `.rvt` reproducers ([`repro`])
+//! and are automatically minimized ([`reduce`]) before they reach a human.
 //!
 //! The `revet-fuzz` binary drives campaigns:
 //!
@@ -16,7 +17,7 @@
 //! ```
 //!
 //! See the "Fuzzing & differential oracles" section of `ARCHITECTURE.md`
-//! for the oracle matrix and the design constraints on the generator.
+//! for the lanes and the design constraints on the generator.
 
 pub mod gen;
 pub mod oracle;
@@ -25,7 +26,7 @@ pub mod repro;
 pub mod rng;
 
 pub use gen::{generate_case, Case, GenConfig};
-pub use oracle::{run_case, Failure, FailureKind, Injection, OracleConfig};
+pub use oracle::{judge_case, run_case, Failure, FailureKind, Injection, Lanes};
 pub use reduce::{reduce_case, ReduceConfig, ReduceReport};
 pub use repro::{format_repro, parse_repro};
 pub use rng::{case_seed, Rng};
@@ -62,7 +63,7 @@ pub fn run_campaign(
     seed: u64,
     cases: u64,
     gen_cfg: &GenConfig,
-    oracle_cfg: &OracleConfig,
+    lanes: &Lanes,
     reduce_cfg: &ReduceConfig,
     keep_going: bool,
     mut progress: impl FnMut(u64, usize),
@@ -71,8 +72,8 @@ pub fn run_campaign(
     for i in 0..cases {
         let case = generate_case(case_seed(seed, i), gen_cfg);
         report.cases_run += 1;
-        if let Err(failure) = run_case(&case, oracle_cfg) {
-            let (reduced, reduce_report) = reduce_case(&case, &failure, oracle_cfg, reduce_cfg);
+        if let Err(failure) = run_case(&case, lanes) {
+            let (reduced, reduce_report) = reduce_case(&case, &failure, lanes, reduce_cfg);
             report.failures.push(CampaignFailure {
                 case_index: i,
                 case,
@@ -102,7 +103,7 @@ mod tests {
             42,
             60,
             &GenConfig::default(),
-            &OracleConfig::default(),
+            &Lanes::default(),
             &ReduceConfig::default(),
             true,
             |_, _| {},

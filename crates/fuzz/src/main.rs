@@ -8,17 +8,17 @@
 //! ```
 //!
 //! Generates `K` programs from `--seed` (default 42/500) and judges each
-//! with the N-way differential oracle (three evaluators × three opt
-//! levels, bit-identical DRAM + sink streams, clean diagnostics, no
-//! panics). On failure, writes `case-<seed>.rvt` (the full reproducer)
+//! with `revet_oracle::judge` (every lane at three opt levels,
+//! bit-identical DRAM + exit streams, clean diagnostics, no panics). On
+//! failure, writes `case-<seed>.rvt` (the full reproducer)
 //! and `case-<seed>.min.rvt` (reducer-minimized) under `--out` (default
 //! `fuzz-out/`) and exits 1. `--replay FILE` re-judges one existing
 //! reproducer instead. `--write-corpus` regenerates the checked-in
 //! `corpus/` seed set. Exit codes: 0 green, 1 failures, 2 usage/io.
 
 use revet_fuzz::{
-    case_seed, format_repro, generate_case, parse_repro, run_campaign, run_case, GenConfig,
-    OracleConfig, ReduceConfig,
+    case_seed, format_repro, generate_case, parse_repro, run_campaign, run_case, GenConfig, Lanes,
+    ReduceConfig,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -34,7 +34,7 @@ fn main() -> ExitCode {
     let mut out_dir = PathBuf::from("fuzz-out");
     let mut keep_going = false;
     let mut quiet = false;
-    let mut max_rounds = 0u64;
+    let mut lanes = Lanes::default();
     let mut replay: Option<PathBuf> = None;
     let mut corpus_dir: Option<PathBuf> = None;
     let mut corpus_size = 20usize;
@@ -58,7 +58,7 @@ fn main() -> ExitCode {
                 None => return ExitCode::from(2),
             },
             "--max-rounds" => match take("--max-rounds").and_then(|v| parse_u64(&v)) {
-                Some(v) => max_rounds = v,
+                Some(v) => lanes.max_rounds = v,
                 None => return ExitCode::from(2),
             },
             "--out" => match take("--out") {
@@ -95,16 +95,11 @@ fn main() -> ExitCode {
     // payload, so the default hook's backtrace spew is pure noise.
     std::panic::set_hook(Box::new(|_| {}));
 
-    let oracle_cfg = OracleConfig {
-        max_rounds,
-        ..OracleConfig::default()
-    };
-
     if let Some(file) = replay {
-        return replay_one(&file, &oracle_cfg);
+        return replay_one(&file, &lanes);
     }
     if let Some(dir) = corpus_dir {
-        return write_corpus(&dir, seed, corpus_size, &oracle_cfg, quiet);
+        return write_corpus(&dir, seed, corpus_size, &lanes, quiet);
     }
 
     let gen_cfg = GenConfig::default();
@@ -113,7 +108,7 @@ fn main() -> ExitCode {
         seed,
         cases,
         &gen_cfg,
-        &oracle_cfg,
+        &lanes,
         &reduce_cfg,
         keep_going,
         |i, fails| {
@@ -127,7 +122,7 @@ fn main() -> ExitCode {
         if !quiet {
             eprintln!(
                 "[revet-fuzz] campaign green: {} cases from seed {seed} \
-                 (3 evaluators x 3 opt levels, bit-identical)",
+                 (interp/plan/dense/stream/timed/toggles x 3 opt levels, bit-identical)",
                 report.cases_run
             );
         }
@@ -170,7 +165,7 @@ fn parse_u64(s: &str) -> Option<u64> {
     r.ok()
 }
 
-fn replay_one(file: &Path, oracle_cfg: &OracleConfig) -> ExitCode {
+fn replay_one(file: &Path, lanes: &Lanes) -> ExitCode {
     let Ok(text) = std::fs::read_to_string(file) else {
         eprintln!("cannot read {}", file.display());
         return ExitCode::from(2);
@@ -182,7 +177,7 @@ fn replay_one(file: &Path, oracle_cfg: &OracleConfig) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match run_case(&case, oracle_cfg) {
+    match run_case(&case, lanes) {
         Ok(()) => {
             eprintln!("{}: PASS", file.display());
             ExitCode::SUCCESS
@@ -198,13 +193,7 @@ fn replay_one(file: &Path, oracle_cfg: &OracleConfig) -> ExitCode {
 /// keeps oracle-green programs that hit interesting features (loops,
 /// reductions, views), minimizes nothing (they pass), and writes
 /// `seed-<hex>.rvt` files until `want` are collected.
-fn write_corpus(
-    dir: &Path,
-    seed: u64,
-    want: usize,
-    oracle_cfg: &OracleConfig,
-    quiet: bool,
-) -> ExitCode {
+fn write_corpus(dir: &Path, seed: u64, want: usize, lanes: &Lanes, quiet: bool) -> ExitCode {
     if std::fs::create_dir_all(dir).is_err() {
         eprintln!("cannot create corpus dir {}", dir.display());
         return ExitCode::from(2);
@@ -234,7 +223,7 @@ fn write_corpus(
         if !rare && kept > want / 2 {
             continue;
         }
-        if run_case(&case, oracle_cfg).is_err() {
+        if run_case(&case, lanes).is_err() {
             continue;
         }
         for &k in &hits {

@@ -23,7 +23,7 @@
 //! the statements they rewrite.
 
 use crate::gen::Case;
-use crate::oracle::{run_case, Failure, OracleConfig};
+use crate::oracle::{run_case, Failure, Lanes};
 use revet_lang::ast::{Expr, Program, Stmt, StmtKind};
 use revet_lang::print_program;
 
@@ -83,7 +83,7 @@ fn same_failure(a: &Failure, b: &Failure) -> bool {
 pub fn reduce_case(
     case: &Case,
     failure: &Failure,
-    oracle: &OracleConfig,
+    lanes: &Lanes,
     cfg: &ReduceConfig,
 ) -> (Case, ReduceReport) {
     let mut best = case.clone();
@@ -105,7 +105,7 @@ pub fn reduce_case(
                 ..best.clone()
             };
             runs += 1;
-            if matches!(run_case(&candidate, oracle), Err(f) if same_failure(&f, failure)) {
+            if matches!(run_case(&candidate, lanes), Err(f) if same_failure(&f, failure)) {
                 best = candidate;
                 improved = true;
             }

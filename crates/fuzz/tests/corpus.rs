@@ -1,13 +1,12 @@
-//! Corpus replay regression: every checked-in `corpus/*.rvt` seed runs
-//! through the full differential oracle (three evaluators × three opt
-//! levels). The corpus was generated with
-//! `revet-fuzz --write-corpus crates/fuzz/corpus --seed 1000` and is
-//! feature-steered — each file exercises at least two of {while,
-//! foreach, reduce, readview, if} — so a lowering or pass regression in
-//! any of those constructs turns a named file red instead of waiting
-//! for the random campaign to resample it.
+//! Corpus replay regression: every checked-in `corpus/*.rvt` seed is judged
+//! by every lane at three opt levels ([`run_case`]). The corpus was
+//! generated with `revet-fuzz --write-corpus crates/fuzz/corpus --seed
+//! 1000` and is feature-steered — each file exercises at least two of
+//! {while, foreach, reduce, readview, if} — so a lowering or pass
+//! regression in any of those constructs turns a named file red instead of
+//! waiting for the random campaign to resample it.
 
-use revet_fuzz::{parse_repro, run_case, OracleConfig};
+use revet_fuzz::{parse_repro, run_case, Lanes};
 use std::path::PathBuf;
 
 #[test]
@@ -15,8 +14,7 @@ fn every_corpus_seed_is_green_at_all_opt_levels() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus");
     let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)
         .expect("corpus directory exists")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
+        .map(|e| e.expect("directory entry").path())
         .filter(|p| p.extension().is_some_and(|x| x == "rvt"))
         .collect();
     entries.sort();
@@ -25,21 +23,15 @@ fn every_corpus_seed_is_green_at_all_opt_levels() {
         "corpus shrank to {} files (want >= 20)",
         entries.len()
     );
-
-    let cfg = OracleConfig::default();
-    let mut bad = Vec::new();
-    for path in &entries {
-        let text = std::fs::read_to_string(path).expect("corpus file reads");
-        let case = match parse_repro(&text) {
-            Ok(c) => c,
-            Err(e) => {
-                bad.push(format!("{}: unparseable: {e}", path.display()));
-                continue;
-            }
-        };
-        if let Err(f) = run_case(&case, &cfg) {
-            bad.push(format!("{}: {f}", path.display()));
-        }
-    }
+    let bad: Vec<String> = entries
+        .iter()
+        .filter_map(|path| {
+            let text = std::fs::read_to_string(path).expect("corpus file reads");
+            let case = parse_repro(&text).map_err(|e| format!("unparseable: {e}"));
+            let judged =
+                case.and_then(|c| run_case(&c, &Lanes::default()).map_err(|f| f.to_string()));
+            judged.err().map(|e| format!("{}: {e}", path.display()))
+        })
+        .collect();
     assert!(bad.is_empty(), "corpus regressions:\n{}", bad.join("\n"));
 }

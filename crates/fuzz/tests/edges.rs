@@ -1,5 +1,5 @@
-//! Edge-of-grammar pins, each judged by the full differential oracle
-//! (three evaluators × three opt levels): zero-iteration `while`,
+//! Edge-of-grammar pins, each judged by every lane at three opt levels
+//! (`run_case`): zero-iteration `while`,
 //! zero-trip `foreach`, a trip count that collapses to zero only at
 //! runtime, and reads through a minimum-size ragged view. These are the
 //! shapes most likely to regress in loop lowering, so they get explicit
@@ -8,11 +8,11 @@
 //! Each case is written as a reproducer document (source + header), so
 //! the same text also replays via `revet-fuzz --replay`.
 
-use revet_fuzz::{parse_repro, run_case, OracleConfig};
+use revet_fuzz::{parse_repro, run_case, Lanes};
 
 fn judge(doc: &str) {
     let case = parse_repro(doc).expect("edge-case document parses");
-    if let Err(f) = run_case(&case, &OracleConfig::default()) {
+    if let Err(f) = run_case(&case, &Lanes::default()) {
         panic!("edge case failed the oracle: {f}\n{}", case.source);
     }
 }

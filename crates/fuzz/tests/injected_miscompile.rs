@@ -4,13 +4,13 @@
 //! must shrink the offending program to a reproducer a human can read
 //! at a glance — under 15 source lines.
 
-use revet_fuzz::{format_repro, run_campaign, GenConfig, Injection, OracleConfig, ReduceConfig};
+use revet_fuzz::{format_repro, run_campaign, GenConfig, Injection, Lanes, ReduceConfig};
 
 #[test]
 fn injected_add_to_sub_is_caught_and_minimized_small() {
-    let bad_oracle = OracleConfig {
+    let bad_oracle = Lanes {
         inject: Some(Injection::FlipLastAddToSub),
-        ..OracleConfig::default()
+        ..Lanes::default()
     };
     let report = run_campaign(
         42,
@@ -53,7 +53,7 @@ fn injected_add_to_sub_is_caught_and_minimized_small() {
         "replayed reproducer must still fail under the injected oracle"
     );
     assert!(
-        revet_fuzz::run_case(&replayed, &OracleConfig::default()).is_ok(),
+        revet_fuzz::run_case(&replayed, &Lanes::default()).is_ok(),
         "reproducer must be green without the injection (the bug is the \
          injected transform, not the program)"
     );

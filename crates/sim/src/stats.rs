@@ -17,8 +17,10 @@ pub struct SimStats {
     pub busy_cycles: Vec<u64>,
     /// High watermark of contexts *stepped* in any single cycle —
     /// productive or not, a starved context accounted without running its
-    /// rule included — the peak instantaneous parallelism of the ready
-    /// set. A **max-merged** watermark, not an additive counter.
+    /// rule included. The run seeds every context into the first cycle's
+    /// ready set and steps each once there, so this always equals the
+    /// graph's context count: it measures graph size, not the ready set's
+    /// parallelism. A **max-merged** watermark, not an additive counter.
     pub peak_busy_nodes: u64,
     /// Node-cycle slots the ready set never reached (a dense sweep would
     /// have stepped `cycles × nodes` slots; this is how many of those the
