@@ -85,7 +85,7 @@ impl std::error::Error for MachineError {}
 /// Per-port token budgets used by the timed simulator to model link
 /// bandwidth (§III-C: a vector link moves ≤16 data elements and ≤1 barrier
 /// per cycle; a scalar link ≤1 and ≤1) and buffer depth.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PortBudget {
     /// Remaining data tokens this step.
     pub data: usize,
@@ -107,6 +107,7 @@ impl PortBudget {
         bound: usize::MAX,
     };
 
+    #[inline(always)]
     fn take(&mut self, is_barrier: bool) {
         if is_barrier {
             self.barrier -= 1;
@@ -115,6 +116,7 @@ impl PortBudget {
         }
     }
 
+    #[inline(always)]
     fn allows(&self, is_barrier: bool) -> bool {
         if is_barrier {
             self.barrier > 0
@@ -367,21 +369,25 @@ impl<'a> NodeIo<'a> {
 }
 
 impl Ports for NodeIo<'_> {
+    #[inline(always)]
     fn in_count(&self) -> usize {
         self.ins.len()
     }
 
+    #[inline(always)]
     fn out_count(&self) -> usize {
         self.outs.len()
     }
 
     /// `None` also when the port budget for the front token's kind is
     /// exhausted.
+    #[inline(always)]
     fn peek_in(&self, i: usize) -> Option<Tok<&[Word]>> {
         let tok = self.chans[self.ins[i].0 as usize].front()?;
         self.in_budget[i].allows(tok.is_barrier()).then_some(tok)
     }
 
+    #[inline(always)]
     fn pop_in(&mut self, i: usize) -> Tok<()> {
         let was_full = self.in_full(i);
         let chan = &mut self.chans[self.ins[i].0 as usize];
@@ -391,19 +397,23 @@ impl Ports for NodeIo<'_> {
     }
 
     /// Room under the port's bound *and* port budget remaining.
+    #[inline(always)]
     fn can_push(&self, o: usize, barrier: bool) -> bool {
         let budget = &self.out_budget[o];
         self.chans[self.outs[o].0 as usize].len() < budget.bound && budget.allows(barrier)
     }
 
+    #[inline(always)]
     fn push_slot(&mut self, o: usize, width: usize) -> &mut [Word] {
         self.pushing(o, false).push_slot(width)
     }
 
+    #[inline(always)]
     fn push_barrier(&mut self, o: usize, level: BarrierLevel) {
         self.pushing(o, true).push_barrier(level);
     }
 
+    #[inline(always)]
     fn forward(&mut self, i: usize, o: usize) {
         let (src, dst) = (self.ins[i].0 as usize, self.outs[o].0 as usize);
         let front = self.chans[src].front().expect("forward from empty channel");
@@ -413,20 +423,24 @@ impl Ports for NodeIo<'_> {
         self.popped(i, barrier, was_full);
     }
 
+    #[inline(always)]
     fn mem(&mut self) -> &mut MemoryState {
         self.mem
     }
 
+    #[inline(always)]
     fn mem_ref(&self) -> &MemoryState {
         self.mem
     }
 
+    #[inline(always)]
     fn scratch(&mut self) -> &mut Vec<Word> {
         &mut self.scratch
     }
 
     /// Counted within the port's data budget. The surface offers one lane
     /// all the same: its outputs may refuse a push.
+    #[inline(always)]
     fn data_streak(&self, i: usize, max: usize) -> usize {
         let chan = &self.chans[self.ins[i].0 as usize];
         chan.data_streak(max.min(self.in_budget[i].data))
@@ -525,6 +539,7 @@ impl Prim {
     /// [`Ports::peek_in`] return `None` under any budget, in every `Ports`
     /// implementation. Conservative — `false` promises nothing. A rule that
     /// can emit from held state is never starved.
+    #[inline(always)]
     pub(crate) fn starved(&self, chans: &[Channel], ins: &[ChanId]) -> bool {
         let empty = |c: &ChanId| chans[c.0 as usize].is_empty();
         match self {

@@ -38,7 +38,11 @@
 //!   [`MAX_LANES`] threads cross the run together, one instruction across
 //!   all lanes (`commit_lanes`, the vRDA's SIMD lanes of §III-C): the same
 //!   commit taken stage by stage instead of thread by thread, exact for a
-//!   run whose stages each hold at most one memory instruction.
+//!   run whose stages each hold at most one memory instruction. The lane
+//!   path is compiled in only where it can run (`fire_run`'s `LANES`
+//!   split): the plan's lane-safe runs. Every other firing, the
+//!   simulator's and the dense oracle's included, takes a copy of the rule
+//!   whose token loop has no lane path in it.
 //!
 //! Every token that leaves a run, and every memory effect, is therefore
 //! what firing its stages one after another through real channels
@@ -228,8 +232,9 @@ pub(crate) trait FusedRun {
     fn canonicalizes(&self, j: usize) -> bool;
     /// Whether threads may cross the run as lanes: no stage holds more
     /// than one memory instruction (the exactness condition of
-    /// [`exec_lanes`]), the head reads no channel twice, and the last
-    /// stage writes no channel twice and has at most 64 outputs.
+    /// [`exec_lanes`]), the head reads no channel twice and has at most 64
+    /// inputs, and the last stage writes no channel twice and has at most
+    /// 64 outputs.
     fn lane_safe(&self) -> bool;
     /// Stage `j`'s [`fresh_regs`] past its input registers — all a thread
     /// entering its window needs zeroed — or `None`, which zeroes the
@@ -330,6 +335,13 @@ pub(crate) enum Tail {
 /// fused edge (reset here). `gated` is whether the head may stall on an
 /// allocator.
 ///
+/// The lane path is compiled in only where it can run: ports that offer
+/// [`MIN_LANES`] or more, an ungated head and a lane-safe run. Every other
+/// firing takes a copy of the rule without it — every firing of the
+/// simulator and the dense oracle, whose ports offer one lane, and the
+/// plan's runs that are not lane-safe — so its token loop tests no lane
+/// condition per thread.
+///
 /// Inlined into its callers so the ports stay in registers across the
 /// token loop — measured on `exec_control`.
 ///
@@ -339,6 +351,23 @@ pub(crate) enum Tail {
 /// front); nothing past the head can fail.
 #[inline(always)]
 pub(crate) fn fire_run<P: Ports, R: FusedRun + ?Sized>(
+    run: &R,
+    io: &mut P,
+    regs: &mut Vec<Word>,
+    lanes: &mut Vec<Word>,
+    tails: &mut [Tail],
+    gated: bool,
+) -> Result<bool, MachineError> {
+    if io.lanes() >= MIN_LANES && !gated && run.lane_safe() {
+        fire_lanes::<P, R, true>(run, io, regs, lanes, tails, gated)
+    } else {
+        fire_lanes::<P, R, false>(run, io, regs, lanes, tails, gated)
+    }
+}
+
+/// [`fire_run`] with the lane path compiled in (`LANES`) or out.
+#[inline(always)]
+fn fire_lanes<P: Ports, R: FusedRun + ?Sized, const LANES: bool>(
     run: &R,
     io: &mut P,
     regs: &mut Vec<Word>,
@@ -356,7 +385,6 @@ pub(crate) fn fire_run<P: Ports, R: FusedRun + ?Sized>(
         Word::ZERO,
     );
     tails[..last].fill(Tail::Empty);
-    let batched = io.lanes() >= MIN_LANES && !gated && run.lane_safe();
     let mut progressed = false;
     'outer: loop {
         // Classify all input fronts.
@@ -384,7 +412,7 @@ pub(crate) fn fire_run<P: Ports, R: FusedRun + ?Sized>(
             // Threads every input queues: one unless the ports offer lanes,
             // which accept every push, so a streak needs no further check.
             let mut streak = 1;
-            if batched {
+            if LANES {
                 streak = lane_streak(io);
                 if streak >= MIN_LANES {
                     commit_lanes(run, io, lanes, tails, streak);

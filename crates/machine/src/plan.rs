@@ -547,7 +547,12 @@ impl ExecPlan {
             .iter()
             .map(|c| g.chans()[c.0 as usize].arity())
             .sum();
-        let distinct = |ids: &[ChanId]| (1..ids.len()).all(|k| !ids[..k].contains(&ids[k]));
+        // A stage with more than `MAX_LANES` ports on either side is never
+        // lane-safe, which also bounds this pairwise scan: a `rep.dist`
+        // filter has one output per way.
+        let distinct = |ids: &[ChanId]| {
+            ids.len() <= MAX_LANES && (1..ids.len()).all(|k| !ids[..k].contains(&ids[k]))
+        };
         let memory_ops = ew.instrs.iter().filter(|ins| ins.is_memory()).count();
         let mut lanes = distinct(&node.ins) && distinct(&node.outs) && memory_ops <= 1;
         if let Some(prev) = self.stages[run..].last_mut() {
@@ -585,11 +590,10 @@ impl ExecPlan {
     }
 
     /// Ends the run that starts at `run` with the last stage pushed; it is
-    /// lane-safe when its last stage is and has at most 64 outputs.
+    /// lane-safe when its last stage is.
     fn close_run(&mut self, run: usize) {
         let end = self.stages.len();
-        let last = &self.stages[end - 1];
-        let lanes = last.lanes && last.ew.outputs.len() <= MAX_LANES;
+        let lanes = self.stages[end - 1].lanes;
         for stage in &mut self.stages[run..] {
             (stage.run_end, stage.lanes) = (end as u32, lanes);
         }

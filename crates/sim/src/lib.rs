@@ -28,8 +28,17 @@
 //! bucket refills. A woken context whose inputs prove it cannot move
 //! anything ([`revet_machine::Graph::starved`]) is stepped without running
 //! its rule: it is accounted exactly as the unproductive step it would be
-//! (fire stamp, dispatch, stall class), so cycles and every counter are
+//! (fired flag, dispatch, stall class), so cycles and every counter are
 //! unchanged, and only the rule's set-up is saved.
+//!
+//! A fire costs only what changes from one fire to the next. Every port's
+//! budget is tabled once per run (`Budgets`: a byte per port indexing the
+//! few distinct budgets, which sit on the stack), and a productive fire
+//! copies its node's slice. A fire that pushed several tokens onto one link
+//! wakes that link's consumers once. The ready set is two plain FIFO
+//! vectors sized to the node count, read through a cursor, with one flag
+//! byte per context for "queued" and "fired this cycle". None of this
+//! changes the dispatch order, a wake decision or a counter.
 //!
 //! Identical DRAM results as the untimed run are asserted by the test suite;
 //! only *when* things happen differs. Ideal-model toggles ([`IdealModels`])
@@ -50,7 +59,6 @@ use revet_machine::{
 };
 use revet_obs::{BoundPort, ObsSink, StallClass, WakeCause};
 use revet_sltf::Word;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// The cycle-level simulator.
@@ -116,10 +124,10 @@ impl Simulator {
         // The shared channel-endpoint index drives ready-set wake-ups, the
         // same as the untimed executor's.
         let topo = Arc::clone(program.graph.plan().topology());
-        let (entry, exit) = (program.entry, program.exit);
-        let host = move |c: ChanId| c == entry || c == exit;
+        let host = host_links(program);
         program.inject_args(args);
         let n = program.graph.node_count();
+        let budgets = Budgets::new(self, program);
 
         let mut stats = SimStats::new(n);
         let bytes_per_cycle = cfg.dram_bytes_per_cycle();
@@ -127,15 +135,7 @@ impl Simulator {
         let base_read = program.graph.mem.dram_read_bytes;
         let base_written = program.graph.mem.dram_written_bytes;
 
-        // Ready set: `current` holds the contexts that may fire this cycle,
-        // `next` those woken for the following cycle. A context fires at
-        // most once per cycle (`last_stepped` stamps), matching the
-        // one-fire-per-context-per-cycle hardware rule; an event for a
-        // context that already fired defers it to the next cycle.
-        let mut current: VecDeque<u32> = (0..n as u32).collect();
-        let mut next: VecDeque<u32> = VecDeque::new();
-        let mut queued = vec![true; n];
-        let mut last_stepped = vec![0u64; n];
+        let mut ready = Ready::new(n);
         let widest = |ports: fn(&NodeSlot) -> usize| {
             program.graph.nodes().iter().map(ports).max().unwrap_or(0)
         };
@@ -144,7 +144,7 @@ impl Simulator {
         let mut events = IoEvents::default();
         let mut cycles: u64 = 0;
 
-        while !current.is_empty() {
+        while !ready.idle() {
             if cycles >= max_cycles {
                 return Err(MachineError::new(format!(
                     "cycle cap {max_cycles} reached (livelock or undersized cap)"
@@ -161,9 +161,8 @@ impl Simulator {
             let read_before = program.graph.mem.dram_read_bytes;
             let written_before = program.graph.mem.dram_written_bytes;
             let mut stepped_this_cycle: u64 = 0;
-            while let Some(i) = current.pop_front() {
+            while let Some(i) = ready.pop() {
                 let idx = i as usize;
-                queued[idx] = false;
                 let id = NodeId(i);
                 let slot = program.graph.node(id);
                 let (unit, n_in, n_out) = (slot.unit, slot.ins.len(), slot.outs.len());
@@ -172,11 +171,10 @@ impl Simulator {
                     // This deferral is the one stall class invisible to the
                     // untimed executor.
                     obs.stall(i, StallClass::DramGated);
-                    queued[idx] = true;
-                    next.push_back(i);
+                    ready.defer(i);
                     continue;
                 }
-                last_stepped[idx] = cycles;
+                ready.fired(i);
                 stepped_this_cycle += 1;
                 let allocs_before = program.graph.mem.alloc_push_ops();
                 let progressed = if program.graph.starved(id) {
@@ -185,19 +183,9 @@ impl Simulator {
                     events.clear();
                     false
                 } else {
-                    let chans = program.graph.chans();
-                    for (b, &c) in ib.iter_mut().zip(slot.ins.iter()) {
-                        *b = self.port_budget(unit, &chans[c.0 as usize], host(c), true);
-                    }
-                    for (b, &c) in ob.iter_mut().zip(slot.outs.iter()) {
-                        *b = self.port_budget(unit, &chans[c.0 as usize], host(c), false);
-                    }
-                    let moved = program.graph.step_node(
-                        id,
-                        &mut ib[..n_in],
-                        &mut ob[..n_out],
-                        Some(&mut events),
-                    )?;
+                    let (ib, ob) = (&mut ib[..n_in], &mut ob[..n_out]);
+                    budgets.fill(idx, ib, ob);
+                    let moved = program.graph.step_node(id, ib, ob, Some(&mut events))?;
                     if obs.is_enabled() {
                         // Bound attribution: a port that spent its whole
                         // budget capped this fire at its link.
@@ -222,67 +210,35 @@ impl Simulator {
                     let bound = |c: ChanId| self.link_bound(&chans[c.0 as usize], host(c));
                     obs.stall(i, program.graph.classify_stall(id, bound));
                 }
-                let wake = |w: NodeId,
-                            cause: WakeCause,
-                            current: &mut VecDeque<u32>,
-                            next: &mut VecDeque<u32>,
-                            queued: &mut Vec<bool>| {
-                    let wi = w.0 as usize;
-                    if queued[wi] {
-                        return;
-                    }
-                    queued[wi] = true;
-                    obs.wake(w.0, cause);
-                    if last_stepped[wi] == cycles {
-                        // Already fired this cycle: one fire per cycle.
-                        next.push_back(w.0);
-                    } else {
-                        current.push_back(w.0);
+                let mut wake = |w: NodeId, cause: WakeCause| {
+                    if ready.wake(w.0) {
+                        obs.wake(w.0, cause);
                     }
                 };
                 if progressed {
                     stats.busy_cycles[idx] += 1;
                     // Renewed budgets may allow more movement next cycle.
-                    wake(
-                        id,
-                        WakeCause::TokenArrival,
-                        &mut current,
-                        &mut next,
-                        &mut queued,
-                    );
+                    wake(id, WakeCause::TokenArrival);
                 }
+                // One entry per token pushed: a repeat of the link just
+                // handled finds its consumers queued already.
+                let mut last = None;
                 for &c in &events.pushed {
                     obs.channel_push(c.0);
-                    for &w in topo.consumers(c) {
-                        wake(
-                            w,
-                            WakeCause::TokenArrival,
-                            &mut current,
-                            &mut next,
-                            &mut queued,
-                        );
+                    if last.replace(c) != Some(c) {
+                        for &w in topo.consumers(c) {
+                            wake(w, WakeCause::TokenArrival);
+                        }
                     }
                 }
                 for &c in &events.freed {
                     for &w in topo.producers(c) {
-                        wake(
-                            w,
-                            WakeCause::CapacityRelease,
-                            &mut current,
-                            &mut next,
-                            &mut queued,
-                        );
+                        wake(w, WakeCause::CapacityRelease);
                     }
                 }
                 if program.graph.mem.alloc_push_ops() != allocs_before {
                     for &w in topo.alloc_waiters() {
-                        wake(
-                            w,
-                            WakeCause::AllocatorPush,
-                            &mut current,
-                            &mut next,
-                            &mut queued,
-                        );
+                        wake(w, WakeCause::AllocatorPush);
                     }
                 }
             }
@@ -297,7 +253,7 @@ impl Simulator {
             if !self.ideal.dram {
                 dram_bucket -= delta;
             }
-            std::mem::swap(&mut current, &mut next);
+            ready.advance();
         }
         // Ready set empty: nothing can ever fire again. Verify nothing is
         // stuck (a silent partial result would be worse than an error).
@@ -357,6 +313,169 @@ impl Simulator {
         }
         b.bound = self.link_bound(chan, host);
         b
+    }
+}
+
+/// Whether a link is one of the host's: the entry the host injects the
+/// argument thread onto, or the exit it reads after the last cycle.
+fn host_links(program: &CompiledProgram) -> impl Fn(ChanId) -> bool + Copy {
+    let (entry, exit) = (program.entry, program.exit);
+    move |c: ChanId| c == entry || c == exit
+}
+
+/// Every port's [`PortBudget`] for one run, tabled before the first cycle:
+/// a budget depends on the machine, the port's unit and its link, none of
+/// which a run changes, so a productive fire copies its node's slice
+/// instead of deriving each budget again.
+struct Budgets {
+    /// The distinct budgets, in first-seen order. A budget is a function
+    /// of the unit class (three), the link class (two), the link's depth
+    /// (host, loop back edge or class depth: three) and the direction
+    /// (two), so at most [`Budgets::PALETTE`] differ; held inline, the
+    /// palette allocates nothing.
+    palette: [PortBudget; Budgets::PALETTE],
+    /// How many of `palette`'s entries are in use.
+    len: usize,
+    /// Where node `i`'s ports start in `port`: its inputs, then its
+    /// outputs.
+    start: Vec<u32>,
+    /// Every port's budget, as an index into `palette`.
+    port: Vec<u8>,
+}
+
+impl Budgets {
+    /// The most distinct budgets one simulator gives (type docs).
+    const PALETTE: usize = 3 * 2 * 3 * 2;
+
+    fn new(sim: &Simulator, program: &CompiledProgram) -> Budgets {
+        let (nodes, chans) = (program.graph.nodes(), program.graph.chans());
+        let host = host_links(program);
+        let ports = nodes.iter().map(|s| s.ins.len() + s.outs.len()).sum();
+        let mut table = Budgets {
+            palette: [PortBudget::UNLIMITED; Budgets::PALETTE],
+            len: 0,
+            start: Vec::with_capacity(nodes.len()),
+            port: Vec::with_capacity(ports),
+        };
+        for slot in nodes {
+            table.start.push(table.port.len() as u32);
+            let ins = slot.ins.iter().map(|&c| (c, true));
+            for (c, input) in ins.chain(slot.outs.iter().map(|&c| (c, false))) {
+                let b = sim.port_budget(slot.unit, &chans[c.0 as usize], host(c), input);
+                let k = table.index(b);
+                table.port.push(k);
+            }
+        }
+        table
+    }
+
+    /// `b`'s place in the palette, which it joins if it is new.
+    fn index(&mut self, b: PortBudget) -> u8 {
+        let seen = &self.palette[..self.len];
+        let k = seen.iter().position(|&p| p == b).unwrap_or(self.len);
+        if k == self.len {
+            assert!(k < Budgets::PALETTE, "a port budget outside the palette");
+            self.palette[k] = b;
+            self.len += 1;
+        }
+        k as u8
+    }
+
+    /// Copies node `i`'s budgets into `ins` and `outs`, sized to its ports.
+    #[inline(always)]
+    fn fill(&self, i: usize, ins: &mut [PortBudget], outs: &mut [PortBudget]) {
+        let ports = &self.port[self.start[i] as usize..][..ins.len() + outs.len()];
+        let (pi, po) = ports.split_at(ins.len());
+        for (b, &k) in ins.iter_mut().zip(pi).chain(outs.iter_mut().zip(po)) {
+            *b = self.palette[k as usize];
+        }
+    }
+}
+
+/// The ready set: `current` holds the contexts that may fire this cycle,
+/// read in FIFO order through the cursor `at`, and `next` those woken for
+/// the following cycle. A context fires at most once per cycle, matching
+/// the one-fire-per-context-per-cycle hardware rule; an event for a
+/// context that already fired defers it to the next cycle. A context
+/// waits in at most one queue and enters `current` at most once per
+/// cycle, so neither queue outgrows the node count it is sized to.
+struct Ready {
+    current: Vec<u32>,
+    at: usize,
+    next: Vec<u32>,
+    /// Per context: [`Ready::QUEUED`] while it waits in either queue,
+    /// [`Ready::FIRED`] once it fired this cycle.
+    state: Vec<u8>,
+}
+
+impl Ready {
+    const QUEUED: u8 = 1;
+    const FIRED: u8 = 2;
+
+    /// Every one of `n` contexts queued for the first cycle.
+    fn new(n: usize) -> Ready {
+        Ready {
+            current: (0..n as u32).collect(),
+            at: 0,
+            next: Vec::with_capacity(n),
+            state: vec![Ready::QUEUED; n],
+        }
+    }
+
+    /// Whether this cycle's queue is spent.
+    #[inline(always)]
+    fn idle(&self) -> bool {
+        self.at == self.current.len()
+    }
+
+    /// The next context to fire this cycle, no longer queued.
+    #[inline(always)]
+    fn pop(&mut self) -> Option<u32> {
+        let i = *self.current.get(self.at)?;
+        self.at += 1;
+        self.state[i as usize] &= !Ready::QUEUED;
+        Some(i)
+    }
+
+    /// Keeps `i`, just popped and not fired, queued for the next cycle.
+    #[inline(always)]
+    fn defer(&mut self, i: u32) {
+        self.state[i as usize] |= Ready::QUEUED;
+        self.next.push(i);
+    }
+
+    /// Marks `i`, just popped, as fired this cycle.
+    #[inline(always)]
+    fn fired(&mut self, i: u32) {
+        self.state[i as usize] |= Ready::FIRED;
+    }
+
+    /// Queues `w` unless it already waits: for this cycle, or for the next
+    /// if it fired in this one. Returns whether it was newly queued.
+    #[inline(always)]
+    fn wake(&mut self, w: u32) -> bool {
+        let state = &mut self.state[w as usize];
+        if *state & Ready::QUEUED != 0 {
+            return false;
+        }
+        *state |= Ready::QUEUED;
+        if *state & Ready::FIRED != 0 {
+            self.next.push(w);
+        } else {
+            self.current.push(w);
+        }
+        true
+    }
+
+    /// Ends the cycle: every context popped in it may fire again, and the
+    /// contexts woken for the next one become current.
+    fn advance(&mut self) {
+        for &i in &self.current {
+            self.state[i as usize] &= !Ready::FIRED;
+        }
+        self.current.clear();
+        std::mem::swap(&mut self.current, &mut self.next);
+        self.at = 0;
     }
 }
 
@@ -514,6 +633,69 @@ mod tests {
         assert!(!bound.is_empty(), "no link ever bound a fire");
         for row in &bound {
             assert!(row.counts.iter().all(|&n| n <= stats.cycles));
+        }
+    }
+
+    /// Every port of the eight apps gets the budget [`Simulator::port_budget`]
+    /// gives it, from the table a run fills its fires from, under each of
+    /// Table V's presets at Table II's depths and with every buffer one
+    /// token deep. A wrong entry would otherwise show only as a cycle
+    /// count that moved.
+    #[test]
+    fn tabled_budgets_are_the_port_budgets() {
+        let opts = PassOptions {
+            opt_level: 2,
+            ..PassOptions::default()
+        };
+        let one_deep = RdaConfig {
+            vector_buffer_tokens: 1,
+            scalar_buffer_tokens: 1,
+            ..RdaConfig::default()
+        };
+        let presets = [
+            ("real", IdealModels::default()),
+            ("D", IdealModels::dram_only()),
+            ("SN", IdealModels::sram_network()),
+            ("SND", IdealModels::all()),
+        ];
+        let unset = PortBudget {
+            data: 0,
+            barrier: 0,
+            bound: 0,
+        };
+        for app in revet_apps::all_apps() {
+            let program = app.compile(2, &opts).unwrap();
+            let (nodes, chans) = (program.graph.nodes(), program.graph.chans());
+            let host = host_links(&program);
+            for (depths, config) in [
+                ("Table II", RdaConfig::default()),
+                ("1/1", one_deep.clone()),
+            ] {
+                for (preset, ideal) in presets {
+                    let sim = Simulator::new(config.clone(), ideal);
+                    let table = Budgets::new(&sim, &program);
+                    for (i, slot) in nodes.iter().enumerate() {
+                        let mut ib = vec![unset; slot.ins.len()];
+                        let mut ob = vec![unset; slot.outs.len()];
+                        table.fill(i, &mut ib, &mut ob);
+                        let ports = slot.ins.iter().zip(&ib).map(|p| (p, true));
+                        let ports = ports.chain(slot.outs.iter().zip(&ob).map(|p| (p, false)));
+                        for ((&c, &tabled), input) in ports {
+                            let chan = &chans[c.0 as usize];
+                            assert_eq!(
+                                tabled,
+                                sim.port_budget(slot.unit, chan, host(c), input),
+                                "{}: the {} port on link #{} of '{}' under {preset} at {depths} \
+                                 depths",
+                                app.name,
+                                if input { "input" } else { "output" },
+                                c.0,
+                                slot.label()
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
