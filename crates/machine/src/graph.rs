@@ -402,7 +402,8 @@ pub struct RunOptions<'a> {
     /// Observability sink; [`ObsSink::noop`] keeps the hot path at one
     /// predictable branch per event site.
     pub obs: &'a ObsSink,
-    /// Livelock cap on scheduler generations.
+    /// Livelock cap on rounds: one round is one ascending sweep of the
+    /// plan's wake units, each fired at most once.
     pub max_rounds: u64,
 }
 
@@ -420,8 +421,9 @@ impl RunOptions<'_> {
 /// Summary of an untimed run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ExecReport {
-    /// Scheduler generations executed (worklist drains; comparable to the
-    /// dense sweep's rounds — the livelock cap counts these).
+    /// Rounds executed: ascending sweeps of the plan's worklist, where a
+    /// wake ahead of the sweep joins it (comparable to the dense sweep's
+    /// rounds — the livelock cap counts these).
     pub rounds: u64,
     /// Node steps that made progress (moved at least one token).
     pub productive_steps: u64,

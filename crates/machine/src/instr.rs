@@ -552,16 +552,18 @@ pub fn exec_instrs(instrs: &[EwInstr], regs: &mut [Word], mem: &mut MemoryState)
 /// Executes a straight-line instruction sequence for `n` threads at once,
 /// as lanes: register `r` of lane `l` is `regs[(base + r) * stride + l]`
 /// for `l < n <= stride`, and `spare` is scratch of at least `3 * n`
-/// words plus as many as the instructions name registers.
+/// words.
 ///
-/// A register-only instruction runs with its operation matched once for
-/// all the lanes, straight into its destination column. A memory
-/// instruction runs lane by lane, in lane order, through [`exec_instrs`]
-/// on the lane's registers copied out and back. With at most one memory
-/// instruction in `instrs`, every lane ends as [`exec_instrs`] leaves that
-/// thread run alone, and memory as the threads run one after another in
-/// lane order leave it: that instruction's accesses are the only effects
-/// the lanes share, and they keep the lanes' order.
+/// Every instruction runs column by column, its variant matched once for
+/// all the lanes. A register-only instruction computes straight into its
+/// destination column. A memory instruction loops over the lanes in lane
+/// order: it reads lane `l`'s predicate, address and value, calls the
+/// [`MemoryState`] helper [`exec_instrs`] calls, and writes lane `l` of
+/// its destination column. With at most one memory instruction in
+/// `instrs`, every lane ends as [`exec_instrs`] leaves that thread run
+/// alone, and memory as the threads run one after another in lane order
+/// leave it: that instruction's accesses are the only effects the lanes
+/// share, and they keep the lanes' order.
 pub(crate) fn exec_lanes(
     instrs: &[EwInstr],
     regs: &mut [Word],
@@ -574,7 +576,7 @@ pub(crate) fn exec_lanes(
     let col = |r: Reg| (base + r as usize) * stride;
     let (ka, rest) = spare.split_at_mut(n);
     let (kb, rest) = rest.split_at_mut(n);
-    let (kc, row) = rest.split_at_mut(n);
+    let kc = &mut rest[..n];
     for ins in instrs {
         match *ins {
             EwInstr::Alu { op, a, b, dst } => {
@@ -598,18 +600,162 @@ pub(crate) fn exec_lanes(
                 Operand::Reg(r) => regs.copy_within(col(r)..col(r) + n, col(dst)),
                 Operand::Const(w) => regs[col(dst)..col(dst) + n].fill(w),
             },
-            _ => {
-                let row = &mut row[..usize::from(ins.max_reg())];
-                for l in 0..n {
-                    for (r, v) in (0..).zip(row.iter_mut()) {
-                        *v = regs[col(r) + l];
-                    }
-                    exec_instrs(std::slice::from_ref(ins), row, mem);
-                    for (r, &v) in (0..).zip(row.iter()) {
-                        regs[col(r) + l] = v;
-                    }
+            EwInstr::SramRead {
+                region,
+                addr,
+                dst,
+                pred,
+            } => read_lanes(regs, col, n, [ka, kc], addr, dst, pred, |a| {
+                mem.sram_read(region, a)
+            }),
+            EwInstr::SramDecFetch {
+                region,
+                addr,
+                dst,
+                pred,
+            } => read_lanes(regs, col, n, [ka, kc], addr, dst, pred, |a| {
+                let new = Word(mem.sram_read(region, a).as_u32().wrapping_sub(1));
+                mem.sram_write(region, a, new);
+                new
+            }),
+            EwInstr::DramReadW { addr, dst, pred } => {
+                read_lanes(regs, col, n, [ka, kc], addr, dst, pred, |a| {
+                    mem.dram_read_word(a)
+                });
+            }
+            EwInstr::DramReadB { addr, dst, pred } => {
+                read_lanes(regs, col, n, [ka, kc], addr, dst, pred, |a| {
+                    mem.dram_read_byte(a)
+                });
+            }
+            EwInstr::AllocPop { alloc, dst } => {
+                let none = Operand::Const(Word::ZERO);
+                read_lanes(regs, col, n, [ka, kc], none, dst, None, |_| {
+                    // As in `exec_instrs`: availability was checked before
+                    // the inputs were consumed.
+                    let ptr = mem.alloc_pop(alloc);
+                    Word(ptr.expect("AllocPop on empty queue: stall check missed"))
+                });
+            }
+            EwInstr::SramWrite {
+                region,
+                addr,
+                val,
+                pred,
+            } => write_lanes(regs, col, n, [ka, kb], addr, val, pred, |a, v| {
+                mem.sram_write(region, a, v);
+            }),
+            EwInstr::DramWriteW { addr, val, pred } => {
+                write_lanes(regs, col, n, [ka, kb], addr, val, pred, |a, v| {
+                    mem.dram_write_word(a, v);
+                });
+            }
+            EwInstr::DramWriteB { addr, val, pred } => {
+                write_lanes(regs, col, n, [ka, kb], addr, val, pred, |a, v| {
+                    mem.dram_write_byte(a, v);
+                });
+            }
+            EwInstr::AllocPush { alloc, src, pred } => {
+                let none = Operand::Const(Word::ZERO);
+                write_lanes(regs, col, n, [ka, kb], src, none, pred, |ptr, _| {
+                    mem.alloc_push(alloc, ptr);
+                });
+            }
+        }
+    }
+}
+
+/// A reading memory instruction across `n` lanes, in lane order: lane `l`
+/// of `dst` becomes `read(address)` where lane `l` of `pred` holds, and
+/// zero where it does not. The two scratch columns hold a constant
+/// address, and a copy of `dst` where the address or predicate register is
+/// `dst` itself (each lane reads its own before writing it).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn read_lanes(
+    regs: &mut [Word],
+    col: impl Fn(Reg) -> usize + Copy,
+    n: usize,
+    [ka, kp]: [&mut [Word]; 2],
+    addr: Operand,
+    dst: Reg,
+    pred: Option<Pred>,
+    mut read: impl FnMut(u32) -> Word,
+) {
+    let (lo, rest) = regs.split_at_mut(col(dst));
+    let (out, hi) = rest.split_at_mut(n);
+    let a = lanes_around(addr, col, lo, out, hi, ka);
+    match pred {
+        None => {
+            for (o, a) in out.iter_mut().zip(a) {
+                *o = read(a.as_u32());
+            }
+        }
+        Some(p) => {
+            let c = lanes_around(Operand::Reg(p.reg), col, lo, out, hi, kp);
+            for ((o, a), c) in out.iter_mut().zip(a).zip(c) {
+                *o = if c.as_bool() == p.expect {
+                    read(a.as_u32())
+                } else {
+                    Word::ZERO
+                };
+            }
+        }
+    }
+}
+
+/// A writing memory instruction across `n` lanes, in lane order:
+/// `write(address, value)` for each lane where `pred` holds, so where
+/// several lanes write one address the last one's value stays. The two
+/// scratch columns hold a constant address or value.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn write_lanes(
+    regs: &[Word],
+    col: impl Fn(Reg) -> usize + Copy,
+    n: usize,
+    [ka, kv]: [&mut [Word]; 2],
+    addr: Operand,
+    val: Operand,
+    pred: Option<Pred>,
+    mut write: impl FnMut(u32, Word),
+) {
+    let (a, v) = (
+        lanes_of(addr, col, n, regs, ka),
+        lanes_of(val, col, n, regs, kv),
+    );
+    match pred {
+        None => {
+            for (a, &v) in a.iter().zip(v) {
+                write(a.as_u32(), v);
+            }
+        }
+        Some(p) => {
+            let c = &regs[col(p.reg)..][..n];
+            for ((a, &v), c) in a.iter().zip(v).zip(c) {
+                if c.as_bool() == p.expect {
+                    write(a.as_u32(), v);
                 }
             }
+        }
+    }
+}
+
+/// Operand `o`'s lanes in a lane file that is only read: a column of it,
+/// or `buf` filled with a broadcast constant.
+#[inline(always)]
+fn lanes_of<'a>(
+    o: Operand,
+    col: impl Fn(Reg) -> usize,
+    n: usize,
+    regs: &'a [Word],
+    buf: &'a mut [Word],
+) -> &'a [Word] {
+    match o {
+        Operand::Reg(r) => &regs[col(r)..][..n],
+        Operand::Const(w) => {
+            buf.fill(w);
+            buf
         }
     }
 }
@@ -861,6 +1007,180 @@ mod tests {
             exec_instrs(&instrs, &mut thread, &mut mem);
             let lane: Vec<Word> = (0..regs).map(|r| lanes[r * n + l]).collect();
             assert_eq!(lane, thread, "lane {l}: ({a}, {b})");
+        }
+    }
+
+    #[test]
+    fn lanes_run_memory_instructions_as_threads_in_lane_order() {
+        // Every memory instruction, alone, across n lanes against the same
+        // instruction run thread by thread in lane order. Registers: r0 a
+        // DRAM write address (every fourth lane writes byte 8), r1 a DRAM
+        // read address (some straddle the image's end or lie past it), r2
+        // an SRAM address (every fourth lane hits word 3), r3 one of two
+        // shared counters, r4 a predicate that holds on every third lane,
+        // r5 a value, r6 a destination holding junk.
+        const REGS: usize = 7;
+        let init = |l: usize, r: usize| -> Word {
+            let l32 = l as u32;
+            Word(match r {
+                0 if l.is_multiple_of(4) => 8,
+                0 => (l32 * 4) % 60,
+                1 => [62, 200, 63, (l32 * 3) % 64][l % 4],
+                2 if l.is_multiple_of(4) => 3,
+                2 => l32 % 8,
+                3 => l32 % 2,
+                4 => u32::from(l % 3 == 1),
+                5 => l32 * 7 + 100,
+                _ => 0xA5A5_0000 + l32,
+            })
+        };
+        let mut mem = MemoryState::with_dram_size(64);
+        let image: Vec<u8> = (0..64u8).map(|b| b.wrapping_mul(37) ^ 0x5A).collect();
+        mem.write_dram(0, &image).unwrap();
+        let (sram, counters) = (mem.add_sram("s", 8), mem.add_sram("counters", 2));
+        for a in 0..8 {
+            mem.sram_write(sram, a, Word(10 + a));
+        }
+        mem.sram_write(counters, 0, Word(3));
+        mem.sram_write(counters, 1, Word(1000));
+        let alloc = mem.add_alloc("bufs", 64);
+
+        let mut cases = Vec::new();
+        let preds = [
+            None,
+            Some(Pred {
+                reg: 4,
+                expect: true,
+            }),
+            Some(Pred {
+                reg: 4,
+                expect: false,
+            }),
+        ];
+        for pred in preds {
+            // Reads: the destination apart, as the address register, as
+            // the predicate register, and a constant address.
+            let reads: [(Reg, Word, fn(Operand, Reg, Option<Pred>) -> EwInstr); 4] = [
+                (2, Word(3), |addr, dst, pred| EwInstr::SramRead {
+                    region: SramId(0),
+                    addr,
+                    dst,
+                    pred,
+                }),
+                (3, Word(0), |addr, dst, pred| EwInstr::SramDecFetch {
+                    region: SramId(1),
+                    addr,
+                    dst,
+                    pred,
+                }),
+                (1, Word(62), |addr, dst, pred| EwInstr::DramReadW {
+                    addr,
+                    dst,
+                    pred,
+                }),
+                (1, Word(63), |addr, dst, pred| EwInstr::DramReadB {
+                    addr,
+                    dst,
+                    pred,
+                }),
+            ];
+            for (reg, constant, read) in reads {
+                for (addr, dst) in [
+                    (Operand::Reg(reg), 6),
+                    (Operand::Reg(reg), reg),
+                    (Operand::Reg(reg), 4),
+                    (Operand::Const(constant), 6),
+                ] {
+                    cases.push(read(addr, dst, pred));
+                }
+            }
+            // Writes: register and constant addresses and values.
+            let writes: [(Reg, Word, fn(Operand, Operand, Option<Pred>) -> EwInstr); 3] = [
+                (2, Word(3), |addr, val, pred| EwInstr::SramWrite {
+                    region: SramId(0),
+                    addr,
+                    val,
+                    pred,
+                }),
+                (0, Word(8), |addr, val, pred| EwInstr::DramWriteW {
+                    addr,
+                    val,
+                    pred,
+                }),
+                (0, Word(8), |addr, val, pred| EwInstr::DramWriteB {
+                    addr,
+                    val,
+                    pred,
+                }),
+            ];
+            for (reg, constant, write) in writes {
+                for (addr, val) in [
+                    (Operand::Reg(reg), Operand::Reg(5)),
+                    (Operand::Const(constant), Operand::Reg(5)),
+                    (Operand::Reg(reg), Operand::imm(9u32)),
+                ] {
+                    cases.push(write(addr, val, pred));
+                }
+            }
+            for src in [Operand::Reg(5), Operand::imm(9u32)] {
+                cases.push(EwInstr::AllocPush { alloc, src, pred });
+            }
+        }
+        cases.push(EwInstr::AllocPop { alloc, dst: 6 });
+
+        for n in [8, 13, 64] {
+            // Lane file: a window at register 1, and a stride past n, so
+            // neighbouring columns and lanes past n must stay untouched.
+            let (base, stride) = (1, n + 2);
+            let mut file = vec![Word(0xDEAD); (base + REGS + 1) * stride];
+            for l in 0..n {
+                for r in 0..REGS {
+                    file[(base + r) * stride + l] = init(l, r);
+                }
+            }
+            for ins in &cases {
+                let (mut lanes, mut lane_mem) = (file.clone(), mem.clone());
+                let mut spare = vec![Word::ZERO; 3 * n];
+                let instrs = std::slice::from_ref(ins);
+                exec_lanes(
+                    instrs,
+                    &mut lanes,
+                    &mut spare,
+                    base,
+                    stride,
+                    n,
+                    &mut lane_mem,
+                );
+                let (mut threads, mut thread_mem) = (file.clone(), mem.clone());
+                for l in 0..n {
+                    let mut row: Vec<Word> = (0..REGS).map(|r| init(l, r)).collect();
+                    exec_instrs(instrs, &mut row, &mut thread_mem);
+                    for (r, v) in row.into_iter().enumerate() {
+                        threads[(base + r) * stride + l] = v;
+                    }
+                }
+                let case = format!("n={n}: {ins:?}");
+                assert_eq!(lanes, threads, "registers, {case}");
+                assert_eq!(&lane_mem.dram[..], &thread_mem.dram[..], "DRAM, {case}");
+                assert_eq!(
+                    (lane_mem.dram_read_bytes, lane_mem.dram_written_bytes),
+                    (thread_mem.dram_read_bytes, thread_mem.dram_written_bytes),
+                    "DRAM byte counts, {case}"
+                );
+                for id in [sram, counters] {
+                    assert_eq!(lane_mem.sram(id), thread_mem.sram(id), "SRAM, {case}");
+                }
+                assert_eq!(lane_mem, thread_mem, "memory, {case}");
+                // Where every lane writes one word, the last lane's stays.
+                if let EwInstr::DramWriteW {
+                    addr: Operand::Const(_),
+                    val: Operand::Reg(5),
+                    pred: None,
+                } = ins
+                {
+                    assert_eq!(lane_mem.dram_read_word(8), init(n - 1, 5), "{case}");
+                }
+            }
         }
     }
 

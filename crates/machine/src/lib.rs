@@ -73,7 +73,7 @@
 //! |--------------------|----------------------------------------|----------------------------------------------|
 //! | `resume`           | one-shot: leftover tokens are a deadlock error | streaming: leftover tokens are [`RunStatus::Paused`], resumable with the same [`ResumeState`] |
 //! | `obs`              | no-op sink                             | dispatches, wakes and stalls recorded        |
-//! | `max_rounds`       | (required)                             | livelock cap on scheduler generations        |
+//! | `max_rounds`       | (required)                             | livelock cap on rounds; one round is one ascending sweep of the wake units |
 //!
 //! ## Example: a `foreach` as counter + reduce (paper Fig. 2)
 //!

@@ -158,6 +158,7 @@ impl MemoryState {
 
     /// Reads an SRAM word; out-of-range reads return zero (hardware wraps;
     /// we choose the safer semantics and let the verifier catch bad sizes).
+    #[inline(always)]
     pub fn sram_read(&self, id: SramId, addr: u32) -> Word {
         self.srams[id.0 as usize]
             .words
@@ -172,6 +173,7 @@ impl MemoryState {
     ///
     /// Panics if `addr` is outside the region (a compiler bug, not a program
     /// input condition).
+    #[inline(always)]
     pub fn sram_write(&mut self, id: SramId, addr: u32, val: Word) {
         let region = &mut self.srams[id.0 as usize];
         let len = region.words.len();
@@ -215,14 +217,16 @@ impl MemoryState {
         self.alloc_pushes
     }
 
-    // The four DRAM accessors are `#[inline]` so that `exec_instrs`, their
-    // one hot caller, inlines them whichever codegen unit this file lands
-    // in: without it a change elsewhere in the crate can move the
-    // simulator's floor by a few percent.
+    // The four DRAM accessors and the two SRAM ones are
+    // `#[inline(always)]`: `exec_instrs` (the simulator's and the plan's
+    // thread-at-a-time path) and `exec_lanes`' column kernels call them on
+    // every memory access, and whether a plain `#[inline]` is honoured
+    // depends on the codegen unit: one build that added the write kernels
+    // with plain `#[inline]` read `sim_timed` 2–5% slower in 4 of 5 pairs.
 
     /// Reads one little-endian word from DRAM (unaligned allowed). Reads past
     /// the end return zero bytes.
-    #[inline]
+    #[inline(always)]
     pub fn dram_read_word(&mut self, addr: u32) -> Word {
         let a = addr as usize;
         let dram: &[u8] = &self.dram;
@@ -240,7 +244,7 @@ impl MemoryState {
     /// # Panics
     ///
     /// Panics if the write goes past the end of DRAM.
-    #[inline]
+    #[inline(always)]
     pub fn dram_write_word(&mut self, addr: u32, val: Word) {
         let a = addr as usize;
         assert!(
@@ -254,7 +258,7 @@ impl MemoryState {
     }
 
     /// Reads one byte from DRAM (zero past the end).
-    #[inline]
+    #[inline(always)]
     pub fn dram_read_byte(&mut self, addr: u32) -> Word {
         self.dram_read_bytes += 1;
         Word(self.dram.get(addr as usize).copied().unwrap_or(0) as u32)
@@ -265,7 +269,7 @@ impl MemoryState {
     /// # Panics
     ///
     /// Panics if the address is past the end of DRAM.
-    #[inline]
+    #[inline(always)]
     pub fn dram_write_byte(&mut self, addr: u32, val: Word) {
         let a = addr as usize;
         assert!(

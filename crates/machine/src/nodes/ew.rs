@@ -575,10 +575,9 @@ fn commit_lanes<P: Ports, R: FusedRun + ?Sized>(
     n: usize,
 ) {
     let last = run.stages() - 1;
-    // The run's registers, then `exec_lanes`' scratch: three columns and
-    // a register row.
+    // The run's registers, then `exec_lanes`' scratch: three columns.
     let regs = run.window(last) + run.stage(last).reg_count as usize;
-    let size = regs * n + 3 * n + regs;
+    let size = regs * n + 3 * n;
     if file.len() < size {
         file.resize(size, Word::ZERO);
     }

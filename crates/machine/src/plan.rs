@@ -41,7 +41,13 @@
 //!   protocol.
 //! - **Bitmap worklist.** The ready set is a pair of `u64` bitmaps
 //!   (current/next generation) with O(1) wake and pop-lowest; a segment
-//!   occupies a single bit regardless of its length (`wake_target`).
+//!   occupies a single bit regardless of its length (`wake_target`). A
+//!   round is one ascending sweep of the current bitmap. A wake of a unit
+//!   past the one firing joins the sweep, so a token runs down a chain of
+//!   ascending units in one round; a wake at or behind it waits for the
+//!   next round. Each unit fires at most once per sweep, so `max_rounds`
+//!   bounds a run at rounds × units dispatches. `peak_ready` counts the
+//!   bits set at each sweep's start.
 //!
 //! The plan is **total** — every primitive already runs on its ports —
 //! and Kahn semantics guarantee the result is bit-identical to the
@@ -176,13 +182,18 @@ pub struct ExecPlan {
     topo: Arc<TopologyIndex>,
 }
 
-/// The two-generation bitmap worklist: `cur` drains while wakes land in
-/// `next`; membership in either suppresses re-queueing.
+/// The two-generation bitmap worklist. `cur` is the sweep in progress,
+/// drained in ascending unit order; `cursor` is the unit firing. A wake of
+/// a unit past the cursor sets its bit in `cur`, so the sweep fires it
+/// later in the same round; a wake at or behind the cursor lands in
+/// `next`, the following round. Membership in either suppresses
+/// re-queueing, so a unit fires at most once per sweep.
 #[derive(Debug, Default)]
 struct WakeSet {
     cur: Vec<u64>,
     next: Vec<u64>,
     next_count: usize,
+    cursor: u32,
 }
 
 impl WakeSet {
@@ -199,6 +210,7 @@ impl WakeSet {
             lane.resize(words, 0);
         }
         self.next_count = 0;
+        self.cursor = 0;
     }
 
     #[inline]
@@ -206,18 +218,22 @@ impl WakeSet {
         self.cur[i as usize / 64] |= 1 << (i % 64);
     }
 
-    /// Queues `i` for the next generation; returns whether it was newly
-    /// queued (false = already pending in either generation).
+    /// Queues `i`: in this sweep when it lies past the cursor, else in the
+    /// next one. Returns whether it was newly queued (false = already
+    /// pending in either generation).
     #[inline]
     fn wake(&mut self, i: u32) -> bool {
         let (w, b) = (i as usize / 64, 1u64 << (i % 64));
-        if (self.cur[w] | self.next[w]) & b == 0 {
+        if (self.cur[w] | self.next[w]) & b != 0 {
+            return false;
+        }
+        if i > self.cursor {
+            self.cur[w] |= b;
+        } else {
             self.next[w] |= b;
             self.next_count += 1;
-            true
-        } else {
-            false
         }
+        true
     }
 }
 
@@ -674,6 +690,7 @@ impl ExecPlan {
                     let b = ws.cur[w].trailing_zeros();
                     ws.cur[w] &= ws.cur[w] - 1;
                     let i = w * 64 + b as usize;
+                    ws.cursor = i as u32;
                     report.steps += 1;
                     let progressed = self.fire(i, g, scratch, fuse, ws, recording)?;
                     if progressed {

@@ -4,8 +4,11 @@ mod tests {
     use crate::dense::run_dense;
     use crate::graph::{feed, one_shot, out};
     use revet_machine::instr::{AluOp, EwInstr, Operand};
-    use revet_machine::nodes::{EwNode, FbMergeNode, OutputSpec};
-    use revet_machine::{tbar, tdata, ChanId, Channel, Graph, PlanStats, Prim, SramId, TTok};
+    use revet_machine::nodes::{EwNode, FbMergeNode, FlattenNode, OutputSpec};
+    use revet_machine::{
+        tbar, tdata, ChanId, Channel, Graph, PlanStats, Prim, ResumeState, RunOptions, RunStatus,
+        SramId, TTok,
+    };
     use std::sync::Arc;
 
     // The reference run in most tests here is the dense oracle; names that
@@ -485,6 +488,139 @@ mod tests {
         assert_eq!(
             gd.chan_mut(ChanId(1)).drain_all(),
             gp.chan_mut(ChanId(1)).drain_all()
+        );
+    }
+
+    #[test]
+    fn a_wake_ahead_of_the_sweep_joins_it() {
+        // Three flattens, each a wake unit of its own, in ascending index
+        // order along the stream. A resumed poll seeds only the first; the
+        // others are woken as tokens reach them, each past the unit
+        // firing, so the sweep fires them in the same round.
+        let mut g = Graph::new();
+        let entry = g.add_chan(Channel::new(1));
+        let mut prev = entry;
+        for _ in 0..3 {
+            let next = g.add_chan(Channel::new(1));
+            g.add_node("flatten", FlattenNode::new(), vec![prev], vec![next]);
+            prev = next;
+        }
+        assert_eq!(g.plan().stats().fused_ew, 0, "no segment");
+        let mut resume = ResumeState::new();
+        let mut poll = |g: &mut Graph, toks: Vec<TTok>| {
+            feed(g, entry, toks);
+            let opts = RunOptions {
+                resume: Some(&mut resume),
+                ..RunOptions::new(1)
+            };
+            let (report, status) = g.run(opts).unwrap();
+            assert_eq!(status, RunStatus::Finished);
+            report
+        };
+        let first = poll(&mut g, vec![tdata([1u32]), tdata([2u32]), tbar(4)]);
+        assert_eq!((first.rounds, first.steps), (1, 3), "seeded: every unit");
+        let resumed = poll(&mut g, vec![tdata([3u32]), tbar(4)]);
+        assert_eq!((resumed.rounds, resumed.steps), (1, 3), "woken in-sweep");
+        assert_eq!(
+            out(&g, prev),
+            vec![
+                tdata([1u32]),
+                tdata([2u32]),
+                tbar(1),
+                tdata([3u32]),
+                tbar(1)
+            ]
+        );
+    }
+
+    /// Figure 4's `while` loop: an Fb merge (node 0) feeding a body and a
+    /// back filter (one segment, head node 1) whose back edge returns to
+    /// the merge, and a flatten on the exit edge. Each thread is
+    /// `[id, trips]`.
+    fn while_loop(trips: &[u32]) -> (Graph, ChanId) {
+        let mut g = Graph::new();
+        let a = g.add_chan(Channel::new(2));
+        let body_in = g.add_chan(Channel::new(2));
+        let body_out = g.add_chan(Channel::new(2));
+        let back = g.add_chan(Channel::new(2).without_canonicalization());
+        let exit_raw = g.add_chan(Channel::new(2));
+        let exit = g.add_chan(Channel::new(2));
+        let threads = (0u32..).zip(trips).map(|(id, &n)| tdata([id, n]));
+        feed(&mut g, a, threads.chain([tbar(1)]));
+        g.add_node("head", FbMergeNode::new(), vec![a, back], vec![body_in]);
+        let dec = EwInstr::Alu {
+            op: AluOp::Sub,
+            a: Operand::Reg(1),
+            b: Operand::imm(1u32),
+            dst: 1,
+        };
+        let body = EwNode::new(2, vec![dec], vec![OutputSpec::plain([0, 1])]);
+        g.add_node("body", body, vec![body_in], vec![body_out]);
+        let more = EwInstr::Alu {
+            op: AluOp::GtS,
+            a: Operand::Reg(1),
+            b: Operand::imm(0u32),
+            dst: 2,
+        };
+        let filter = EwNode::new(
+            2,
+            vec![more],
+            vec![
+                OutputSpec::filtered([0, 1], 2, true),
+                OutputSpec::filtered([0, 1], 2, false),
+            ],
+        );
+        g.add_node("back", filter, vec![body_out], vec![back, exit_raw]);
+        g.add_node("exit", FlattenNode::new(), vec![exit_raw], vec![exit]);
+        (g, exit)
+    }
+
+    #[test]
+    fn a_back_edge_wakes_the_next_sweep_and_the_loop_terminates() {
+        // The back edge wakes the merge, a lower index than the segment
+        // firing, so each trip round the loop waits for the next sweep:
+        // one sweep per trip of the longest thread, and at most two more
+        // to close the wave.
+        for trips in [&[1, 2][..], &[3, 1, 2, 5]] {
+            let build = || while_loop(trips);
+            let (mut gd, exit) = build();
+            run_dense(&mut gd, 10_000).unwrap();
+            let (mut gp, _) = build();
+            assert_eq!(gp.plan().stats().segments, 1, "body + back filter");
+            let report = one_shot(&mut gp, 10_000).unwrap();
+            assert_eq!(out(&gd, exit), out(&gp, exit), "{trips:?}");
+            let most = u64::from(*trips.iter().max().unwrap());
+            assert!(
+                (most + 1..=most + 2).contains(&report.rounds),
+                "{trips:?}: {report:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_one_round_cap_stops_a_program_that_needs_two() {
+        // Two flattens in descending index order along the stream: the
+        // second one's wake lies behind the sweep, so it fires a round
+        // later.
+        let build = || {
+            let mut g = Graph::new();
+            let (entry, mid, exit) = (
+                g.add_chan(Channel::new(1)),
+                g.add_chan(Channel::new(1)),
+                g.add_chan(Channel::new(1)),
+            );
+            g.add_node("late", FlattenNode::new(), vec![mid], vec![exit]);
+            g.add_node("early", FlattenNode::new(), vec![entry], vec![mid]);
+            feed(&mut g, entry, [tdata([7u32]), tbar(3)]);
+            (g, exit)
+        };
+        let (mut g, exit) = build();
+        assert_eq!(one_shot(&mut g, 2).unwrap().rounds, 2);
+        assert_eq!(out(&g, exit), vec![tdata([7u32]), tbar(1)]);
+        let err = one_shot(&mut build().0, 1).unwrap_err();
+        assert!(
+            err.message.contains("no quiescence after 1 rounds"),
+            "got: {err}"
         );
     }
 }

@@ -151,7 +151,10 @@ fn chunked_streaming_session_matches_one_shot_execute() {
 
 /// A stream whose poll fails is a failed instance, whether the poll was the
 /// client's own or the one a close runs first. A one-round cap makes every
-/// poll of a fed session fail.
+/// poll of a fed session fail: a round is one ascending sweep of the wake
+/// units, and murmur3's `while (j < 16)` loop sends each thread back to its
+/// loop merge, a unit behind the one firing, so every trip waits for the
+/// next sweep.
 #[test]
 fn failed_stream_polls_answer_bad_request_and_are_counted() {
     let ra = remote_app("murmur3");
