@@ -7,9 +7,9 @@
 //! variant back.
 
 use crate::protocol::{
-    decode_response, encode_request, read_frame, write_frame, CloseReply, ErrorCode, ErrorFrame,
-    ExecuteReply, ExecuteRequest, FrameError, MetricsInfo, OpenStreamRequest, PollReply, Request,
-    Response, StatusInfo, WireDiagnostic, WireError,
+    decode_response, encode_into, trim_kept, write_frame, CloseReply, ErrorCode, ErrorFrame,
+    ExecuteReply, ExecuteRequest, FrameError, FrameReader, MetricsInfo, OpenStreamRequest,
+    PollReply, Request, Response, StatusInfo, WireDiagnostic, WireError,
 };
 use revet_core::{PassOptions, ProgramId};
 use std::fmt;
@@ -87,10 +87,21 @@ pub struct CompileOutcome {
     pub compile_micros: u64,
 }
 
-/// A blocking connection to a `revet-serve` server.
-#[derive(Debug)]
+/// A blocking connection to a `revet-serve` server. It encodes each
+/// request into, and reads each reply into, a buffer it keeps.
 pub struct ServeClient {
     stream: TcpStream,
+    /// The request being sent, encoded in place.
+    out: Vec<u8>,
+    frames: FrameReader,
+}
+
+impl fmt::Debug for ServeClient {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ServeClient")
+            .field("stream", &self.stream)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ServeClient {
@@ -102,13 +113,19 @@ impl ServeClient {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<ServeClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        Ok(ServeClient { stream })
+        Ok(ServeClient {
+            stream,
+            out: Vec::new(),
+            frames: FrameReader::new(),
+        })
     }
 
     fn round_trip(&mut self, req: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.stream, &encode_request(req))?;
-        let body = read_frame(&mut self.stream)?;
-        let resp = decode_response(&body)?;
+        encode_into(req, &mut self.out);
+        let sent = write_frame(&mut self.stream, &self.out);
+        trim_kept(&mut self.out);
+        sent?;
+        let resp = decode_response(self.frames.next(&mut self.stream)?)?;
         if let Response::Error(e) = resp {
             return Err(ClientError::Server(e));
         }
@@ -259,6 +276,6 @@ impl ServeClient {
     /// Transport failures.
     pub fn raw_round_trip(&mut self, body: &[u8]) -> Result<Vec<u8>, ClientError> {
         write_frame(&mut self.stream, body)?;
-        Ok(read_frame(&mut self.stream)?)
+        Ok(self.frames.next(&mut self.stream)?.to_vec())
     }
 }

@@ -22,8 +22,8 @@
 //!   session table keeps streaming instances resident between feeds
 //!   (evicting idle ones whenever it is next used), and graceful
 //!   shutdown drains in-flight work and resident sessions. A connection
-//!   is decode → `respond` → one send: no request handler touches the
-//!   socket. Execution is counted once, in the `ExecReport` each run
+//!   is one read → decode → `respond` → one send, through frame buffers it
+//!   keeps: no request handler touches the socket. Execution is counted once, in the `ExecReport` each run
 //!   returns: `Metrics` reports the merge of the reports the `Execute` and
 //!   `CloseStream` replies carried, and the server records into no
 //!   observability sink (a profile of one program is `revetc --profile`);

@@ -16,6 +16,11 @@
 //! payload parses. All integers are little-endian; strings and byte blobs
 //! are `u32`-length-prefixed.
 //!
+//! Each end of a connection reads frames through a [`FrameReader`] and
+//! encodes into a buffer it keeps, so once both have grown to the
+//! connection's frames, a frame costs no allocation; between frames, each
+//! holds at most [`FRAME_RETAIN_BYTES`].
+//!
 //! Each frame type's definition (inside `wire_struct!` / `wire_enum!`) is
 //! also its layout: fields travel in the order declared, an enum's tag
 //! byte first, and the encoder, the decoder and the decode-time size
@@ -29,6 +34,7 @@ use revet_core::{PassOptions, ProgramId, MAX_DRAM_BYTES};
 use revet_machine::ExecReport;
 use std::fmt;
 use std::io::{self, IoSlice, Read, Write};
+use std::time::Instant;
 
 /// Current protocol version, first byte of every frame body.
 ///
@@ -49,6 +55,14 @@ pub const WIRE_VERSION: u8 = 6;
 /// window per instance on a modest batch; small enough that a corrupt
 /// length prefix cannot make the peer allocate gigabytes.
 pub const MAX_FRAME_BYTES: u32 = 32 << 20;
+
+/// Bytes a connection end's kept frame buffer — its [`FrameReader`], or
+/// the buffer it encodes into — holds between frames. Typical frames are
+/// tens of bytes to a few KB; only an overlay or a window close to a DRAM
+/// image's size is larger. A buffer that grew past this is cut back before
+/// the next frame begins, so an idle connection holds at most twice this
+/// per end.
+pub const FRAME_RETAIN_BYTES: usize = 256 << 10;
 
 /// What went wrong while decoding a frame body.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -117,7 +131,7 @@ impl fmt::Display for FrameError {
 // in its definition, and its encoder, decoder and size guards follow from it.
 
 /// A type with exactly one byte layout.
-trait Wire: Sized {
+pub(crate) trait Wire: Sized {
     /// Fewest bytes any value of the type occupies. A `Vec<Self>` count is
     /// checked against it, so a corrupt count cannot make the decoder
     /// reserve more elements than the frame could hold.
@@ -141,7 +155,7 @@ trait Wire: Sized {
 }
 
 /// The undecoded rest of a frame body.
-struct R<'a>(&'a [u8]);
+pub(crate) struct R<'a>(&'a [u8]);
 
 impl<'a> R<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
@@ -406,11 +420,25 @@ impl Wire for ErrorCode {
 }
 
 /// A frame body is the version byte, then the frame — whose enum tag is
-/// the kind byte.
-fn encode(frame: &impl Wire) -> Vec<u8> {
-    let mut body = vec![WIRE_VERSION];
-    frame.put(&mut body);
-    body
+/// the kind byte. Clears `body` and encodes into it, so a buffer kept for a
+/// connection's life allocates only while it grows.
+pub(crate) fn encode_into(frame: &impl Wire, body: &mut Vec<u8>) {
+    body.clear();
+    body.push(WIRE_VERSION);
+    frame.put(body);
+}
+
+/// Bounds a kept encode buffer between frames. One that grew past
+/// [`FRAME_RETAIN_BYTES`] (a growing `Vec` can overshoot its frame by up to
+/// twice) shrinks to the frame it just held if that fits the bound, so
+/// the next frame of that size encodes in place, and is released if not.
+pub(crate) fn trim_kept(body: &mut Vec<u8>) {
+    if body.capacity() > FRAME_RETAIN_BYTES {
+        if body.len() > FRAME_RETAIN_BYTES {
+            body.clear();
+        }
+        body.shrink_to_fit();
+    }
 }
 
 fn decode<T: Wire>(body: &[u8]) -> Result<T, WireError> {
@@ -430,7 +458,9 @@ fn decode<T: Wire>(body: &[u8]) -> Result<T, WireError> {
 
 /// Encodes a request into a frame body (version + kind + payload).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    encode(req)
+    let mut body = Vec::new();
+    encode_into(req, &mut body);
+    body
 }
 
 /// Decodes a request frame body.
@@ -444,7 +474,9 @@ pub fn decode_request(body: &[u8]) -> Result<Request, WireError> {
 
 /// Encodes a response into a frame body (version + kind + payload).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    encode(resp)
+    let mut body = Vec::new();
+    encode_into(resp, &mut body);
+    body
 }
 
 /// Decodes a response frame body.
@@ -924,27 +956,154 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads one frame body off the stream, enforcing the length bounds
-/// *before* allocating.
+/// What a new [`FrameReader`] holds, and what one shrinks back to after a
+/// frame past [`FRAME_RETAIN_BYTES`]: room for a typical frame and the
+/// frames queued behind it.
+const READ_CHUNK: usize = 4 << 10;
+
+/// Reads frames off a byte stream into one buffer it keeps for the
+/// stream's life.
 ///
-/// # Errors
+/// Each `read` takes whatever the transport has, up to the buffer's room,
+/// so a frame that has already arrived whole costs one call, and a frame
+/// queued behind it arrives in the same call. The length prefix is
+/// checked before the buffer grows to hold the body; the body is returned
+/// in place. A buffer that grew past [`FRAME_RETAIN_BYTES`] for one frame
+/// is shrunk back when the next frame is asked for.
 ///
-/// [`FrameError::Io`] on transport failure (clean EOF between frames
-/// reports as `UnexpectedEof`), [`FrameError::TooLarge`] /
-/// [`FrameError::TooShort`] on out-of-bounds length prefixes.
-pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len).map_err(FrameError::Io)?;
-    let len = u32::from_le_bytes(len);
-    if len > MAX_FRAME_BYTES {
-        return Err(FrameError::TooLarge(len));
+/// After an error other than a timeout the stream is no longer
+/// frame-aligned, and the reader should be dropped with it.
+pub struct FrameReader {
+    /// Zero-filled to its length; all of it is room to read into.
+    buf: Vec<u8>,
+    /// Start of the bytes not yet returned.
+    head: usize,
+    /// End of the bytes read.
+    tail: usize,
+}
+
+impl fmt::Debug for FrameReader {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FrameReader")
+            .field("buffered", &(self.tail - self.head))
+            .field("capacity", &self.buf.capacity())
+            .finish()
     }
-    if len < 2 {
-        return Err(FrameError::TooShort(len));
+}
+
+impl Default for FrameReader {
+    fn default() -> Self {
+        FrameReader::new()
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body).map_err(FrameError::Io)?;
-    Ok(body)
+}
+
+impl FrameReader {
+    /// A reader holding 4 KiB of room, enough for a typical frame.
+    pub fn new() -> Self {
+        FrameReader {
+            buf: vec![0; READ_CHUNK],
+            head: 0,
+            tail: 0,
+        }
+    }
+
+    /// Bytes the reader's buffer holds, read or not.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// Reads the next frame's body, waiting through read timeouts.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameReader::next_while`].
+    pub fn next(&mut self, r: &mut impl Read) -> Result<&[u8], FrameError> {
+        self.next_while(r, |_| true)
+    }
+
+    /// Reads the next frame's body. A read that times out (`WouldBlock` or
+    /// `TimedOut`) asks `keep_waiting` whether to read again, passing the
+    /// instant this call first waited for the rest of a partly arrived
+    /// frame — `None` while nothing of the frame has arrived. A frame that
+    /// arrives whole reads no clock.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::Io`] on transport failure (clean EOF between frames
+    /// reports as `UnexpectedEof`) and with the timeout `keep_waiting`
+    /// declined; [`FrameError::TooLarge`] / [`FrameError::TooShort`] on
+    /// out-of-bounds length prefixes, before the buffer grows.
+    pub fn next_while(
+        &mut self,
+        r: &mut impl Read,
+        mut keep_waiting: impl FnMut(Option<Instant>) -> bool,
+    ) -> Result<&[u8], FrameError> {
+        if self.buf.capacity() > FRAME_RETAIN_BYTES {
+            self.compact();
+            self.buf.truncate(self.tail.max(READ_CHUNK));
+            self.buf.shrink_to_fit();
+        }
+        let mut since = None;
+        loop {
+            let pending = &self.buf[self.head..self.tail];
+            let need = match pending.first_chunk() {
+                None => 4,
+                Some(&prefix) => {
+                    let len = u32::from_le_bytes(prefix);
+                    if len > MAX_FRAME_BYTES {
+                        return Err(FrameError::TooLarge(len));
+                    }
+                    if len < 2 {
+                        return Err(FrameError::TooShort(len));
+                    }
+                    let end = 4 + len as usize;
+                    if pending.len() >= end {
+                        let body = self.head + 4..self.head + end;
+                        self.head += end;
+                        return Ok(&self.buf[body]);
+                    }
+                    end
+                }
+            };
+            // Room for the rest of this frame, and for whatever follows it
+            // in the buffer's slack.
+            self.compact();
+            if self.buf.len() < need {
+                // Exactly: a frame within the retention bound leaves a
+                // buffer within it.
+                self.buf.reserve_exact(need - self.buf.len());
+                self.buf.resize(need, 0);
+            }
+            if self.tail > 0 {
+                since.get_or_insert_with(Instant::now);
+            }
+            match r.read(&mut self.buf[self.tail..]) {
+                Ok(0) => return Err(FrameError::Io(io::ErrorKind::UnexpectedEof.into())),
+                Ok(n) => self.tail += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    if !keep_waiting(since) {
+                        return Err(FrameError::Io(e));
+                    }
+                }
+                Err(e) => return Err(FrameError::Io(e)),
+            }
+        }
+    }
+
+    /// Moves the unreturned bytes to the front of the buffer.
+    fn compact(&mut self) {
+        if self.head > 0 {
+            self.buf.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
+            self.head = 0;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1096,9 +1255,10 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, &body).unwrap();
         let mut cursor = io::Cursor::new(wire);
-        assert_eq!(read_frame(&mut cursor).unwrap(), body);
+        let mut frames = FrameReader::new();
+        assert_eq!(frames.next(&mut cursor).unwrap(), body);
         // The stream is exactly drained: the next read is a clean EOF.
-        assert!(read_frame(&mut cursor).unwrap_err().is_clean_eof());
+        assert!(frames.next(&mut cursor).unwrap_err().is_clean_eof());
     }
 
     #[test]
@@ -1201,6 +1361,6 @@ mod tests {
             assert_eq!(w.wire, wire, "{limit} bytes a call");
             assert_eq!(w.calls, calls, "{limit} bytes a call");
         }
-        assert_eq!(read_frame(&mut &wire[..]).unwrap(), body);
+        assert_eq!(FrameReader::new().next(&mut &wire[..]).unwrap(), body);
     }
 }

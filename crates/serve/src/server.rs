@@ -6,7 +6,7 @@
 //!        clients (length-prefixed frames, protocol.rs)
 //!           │ Compile / Execute / Status / Shutdown / streaming verbs
 //!           ▼
-//!   accept loop ──► connection threads: decode → respond() → one send
+//!   accept loop ──► connection threads: read → decode → respond() → one send
 //!                     │ Compile → ProgramCache (single-flight, LRU)
 //!                     │ Execute → Gate::enter
 //!                     │            │  Full → Busy error (backpressure)
@@ -25,13 +25,18 @@
 //! one flag: the acceptor stops, new submissions are refused with
 //! `ShuttingDown`, admitted jobs run to completion, and every connection
 //! finishes writing its in-flight replies before closing.
+//!
+//! **The wire path** allocates nothing per frame: each connection reads
+//! requests through a [`FrameReader`] and encodes replies into a buffer it
+//! keeps, so a request that has arrived whole is one `read` and its reply
+//! one `writev`.
 
 use crate::cache::ProgramCache;
 use crate::protocol::{
-    decode_request, encode_response, read_frame, write_frame, CloseReply, ErrorCode, ErrorFrame,
-    ExecuteReply, ExecuteRequest, FrameError, InstanceOutcome, MetricsInfo, OpenStreamRequest,
-    PollReply, Request, Response, StatusInfo, WireDiagnostic, WireError, WireReport, WireTok,
-    MAX_FRAME_BYTES,
+    decode_request, encode_into, trim_kept, write_frame, CloseReply, ErrorCode, ErrorFrame,
+    ExecuteReply, ExecuteRequest, FrameError, FrameReader, InstanceOutcome, MetricsInfo,
+    OpenStreamRequest, PollReply, Request, Response, StatusInfo, WireDiagnostic, WireError,
+    WireReport, WireTok, MAX_FRAME_BYTES,
 };
 use crate::session::{SessionError, SessionTable};
 use revet_core::{
@@ -43,16 +48,20 @@ use revet_runtime::{BatchJob, BatchRunner};
 use revet_sltf::Word;
 use std::fmt;
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often blocked accept/read loops re-check the draining flag.
+/// How often an idle connection's read wakes to re-check the draining
+/// flag; the read timeout every connection sets once.
 const IDLE_POLL: Duration = Duration::from_millis(50);
-/// Patience for the *rest* of a frame once its first byte has arrived.
+/// Patience for the *rest* of a frame once its first byte has arrived,
+/// measured by the clock across the idle polls it spans.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long [`Shared::begin_drain`]'s wake-up connection may take.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
@@ -194,6 +203,9 @@ struct Shared {
     gate: Gate,
     sessions: SessionTable,
     draining: AtomicBool,
+    /// Where the listener can be reached from this host: the accept loop
+    /// blocks, and a connection here wakes it to see the drain flag.
+    wake: SocketAddr,
     executed_instances: AtomicU64,
     failed_instances: AtomicU64,
     connections: Mutex<Vec<JoinHandle<()>>>,
@@ -208,13 +220,16 @@ impl Shared {
         self.draining.load(Ordering::SeqCst)
     }
 
-    /// Idempotent: flips the drain flag, closes the gate, and drops
-    /// every resident streaming session. Everything else (acceptor exit,
-    /// connection exit) follows from those.
+    /// Idempotent: flips the drain flag, closes the gate, drops every
+    /// resident streaming session, and wakes the blocked acceptor with a
+    /// connection of its own. Everything else (acceptor exit, connection
+    /// exit) follows from those.
     fn begin_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
         self.gate.close();
         self.sessions.drain();
+        // Refused once the acceptor has exited and dropped the listener.
+        let _ = TcpStream::connect_timeout(&self.wake, WAKE_TIMEOUT);
     }
 
     fn status(&self) -> StatusInfo {
@@ -298,13 +313,20 @@ impl Server {
     /// Propagates bind failures.
     pub fn spawn(cfg: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
+        let mut wake = local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let shared = Arc::new(Shared {
             cache: ProgramCache::new(cfg.cache_capacity),
             gate: Gate::new(cfg.executor_threads, cfg.queue_capacity),
             sessions: SessionTable::new(cfg.session_capacity, cfg.session_idle_timeout),
             draining: AtomicBool::new(false),
+            wake,
             executed_instances: AtomicU64::new(0),
             failed_instances: AtomicU64::new(0),
             connections: Mutex::new(Vec::new()),
@@ -351,10 +373,15 @@ impl Server {
     }
 }
 
-/// Accepts until drain; one thread per connection.
+/// Accepts until drain; one thread per connection. `accept` blocks, so a
+/// new connection is served at once; [`Shared::begin_drain`] wakes it.
 fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    while !shared.draining() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.draining() {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let per_conn = Arc::clone(shared);
                 let handle = std::thread::spawn(move || {
@@ -370,49 +397,18 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
                 }
                 connections.push(handle);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(IDLE_POLL);
-            }
+            // Out of descriptors or the like: back off rather than spin.
             Err(_) => std::thread::sleep(IDLE_POLL),
         }
     }
 }
 
-/// Waits for a frame, polling the drain flag while idle. `None` means
-/// "close this connection" (peer EOF, or drain while idle).
-fn next_frame(stream: &mut TcpStream, shared: &Shared) -> Option<Result<Vec<u8>, FrameError>> {
-    loop {
-        let mut probe = [0u8; 1];
-        match stream.peek(&mut probe) {
-            Ok(0) => return None,
-            Ok(_) => {
-                // First byte is here; allow the peer FRAME_TIMEOUT to
-                // deliver the rest so a short idle-poll window can't
-                // split a frame mid-read (which would desync framing).
-                let _ = stream.set_read_timeout(Some(FRAME_TIMEOUT));
-                let frame = read_frame(stream);
-                let _ = stream.set_read_timeout(Some(IDLE_POLL));
-                return Some(frame);
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.draining() {
-                    return None;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Some(Err(FrameError::Io(e))),
-        }
-    }
-}
-
-/// The one place a reply is encoded and written. A reply that outgrew the
-/// frame cap (a poll or close delivering very much output) goes out as a
-/// typed `FrameTooLarge` error rather than as a write failure that would
-/// drop the connection.
-fn send(w: &mut impl Write, resp: &Response) -> io::Result<()> {
-    let body = encode_response(resp);
+/// The one place a reply is encoded and written, into the connection's
+/// kept buffer `body`. A reply that outgrew the frame cap (a poll or close
+/// delivering very much output) goes out as a typed `FrameTooLarge` error
+/// rather than as a write failure that would drop the connection.
+fn send(w: &mut impl Write, resp: &Response, body: &mut Vec<u8>) -> io::Result<()> {
+    encode_into(resp, body);
     if body.len() > MAX_FRAME_BYTES as usize {
         // The error frame is a few dozen bytes: this recurses once.
         let message = format!(
@@ -422,25 +418,34 @@ fn send(w: &mut impl Write, resp: &Response) -> io::Result<()> {
         return send(
             w,
             &Response::Error(ErrorFrame::new(ErrorCode::FrameTooLarge, message)),
+            body,
         );
     }
-    write_frame(w, &body)
+    let sent = write_frame(w, body);
+    trim_kept(body);
+    sent
 }
 
 /// Serves one client until EOF, fatal transport error, or idle drain:
-/// decode, [`respond`], one send.
+/// read, decode, [`respond`], one send. A request that has arrived whole
+/// is one `read`, and its reply one `writev`.
 fn handle_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
-    // On some platforms (Windows) accepted sockets inherit the listener's
-    // nonblocking mode; this loop is written against blocking reads with
-    // timeouts, so force that explicitly.
-    stream.set_nonblocking(false)?;
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(IDLE_POLL))?;
-    while let Some(frame) = next_frame(&mut stream, shared) {
+    let mut frames = FrameReader::new();
+    let mut reply_body = Vec::new();
+    loop {
+        // An idle read times out every IDLE_POLL to check the drain flag;
+        // a partly arrived frame is waited for until FRAME_TIMEOUT, so an
+        // idle poll cannot split it. Either refusal closes the connection.
+        let frame = frames.next_while(&mut stream, |since| match since {
+            None => !shared.draining(),
+            Some(first_byte) => first_byte.elapsed() < FRAME_TIMEOUT,
+        });
         let (request, aligned) = match frame {
             // Body-level failures are recoverable: framing is intact, so
             // the typed error goes out and this client keeps being served.
-            Ok(body) => (decode_request(&body).map_err(malformed), true),
+            Ok(body) => (decode_request(body).map_err(malformed), true),
             Err(FrameError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => break,
             Err(FrameError::Io(e)) => return Err(e),
             // A refused length prefix still gets its typed reply, but the
@@ -458,7 +463,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
             Ok(request) => respond(shared, request),
             Err(frame) => Response::Error(frame),
         };
-        send(&mut stream, &reply)?;
+        send(&mut stream, &reply, &mut reply_body)?;
         // The ack is on the wire before the drain flag can close this
         // connection.
         if shutdown {
@@ -849,11 +854,18 @@ mod tests {
             dram: vec![0xAB; 33 << 20],
             ..CloseReply::default()
         });
-        let mut wire = Vec::new();
-        send(&mut wire, &reply).expect("an in-memory write cannot fail");
-        let body = read_frame(&mut io::Cursor::new(&wire)).expect("one well-formed frame");
+        let (mut wire, mut body) = (Vec::new(), Vec::new());
+        send(&mut wire, &reply, &mut body).expect("an in-memory write cannot fail");
+        assert!(
+            body.capacity() <= crate::protocol::FRAME_RETAIN_BYTES,
+            "the grown encode buffer is released"
+        );
+        let mut frames = FrameReader::new();
+        let body = frames
+            .next(&mut io::Cursor::new(&wire))
+            .expect("one well-formed frame");
         assert_eq!(body.len() + 4, wire.len(), "and nothing after it");
-        let Ok(Response::Error(frame)) = decode_response(&body) else {
+        let Ok(Response::Error(frame)) = decode_response(body) else {
             panic!("wanted an error frame")
         };
         assert_eq!(frame.code, ErrorCode::FrameTooLarge);

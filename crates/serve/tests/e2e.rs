@@ -6,10 +6,13 @@
 use revet_apps::{all_apps, app, App, DRAM_BYTES};
 use revet_core::{PassOptions, ProgramId};
 use revet_serve::protocol::{
-    ErrorCode, ExecuteRequest, InstanceOutcome, OpenStreamRequest, WireDiagnostic, WireTok,
+    decode_response, encode_request, write_frame, ErrorCode, ExecuteRequest, FrameReader,
+    InstanceOutcome, OpenStreamRequest, Request, Response, WireDiagnostic, WireTok,
 };
 use revet_serve::{ClientError, ServeClient, ServeConfig, Server};
 use revet_sltf::Word;
+use std::io::Write;
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 const OUTER: u32 = 2;
@@ -750,4 +753,135 @@ fn execute_of_a_value_returning_main_is_refused_and_a_stream_returns_the_values(
     assert!(close.tokens.is_empty(), "every value went out with a poll");
     let stats = server.shutdown();
     assert_eq!((stats.executed_instances, stats.failed_instances), (1, 0));
+}
+
+/// A new connection's first request is served at once: the acceptor
+/// blocks in `accept` rather than polling, so no connection waits out a
+/// poll interval before its thread exists.
+#[test]
+fn a_new_connection_is_served_at_once() {
+    let server = Server::spawn(ServeConfig::default()).expect("spawn");
+    let mut first_round_trips: Vec<Duration> = (0..8)
+        .map(|_| {
+            std::thread::sleep(Duration::from_millis(20));
+            let start = Instant::now();
+            let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+            client.status().expect("status");
+            start.elapsed()
+        })
+        .collect();
+    first_round_trips.sort();
+    let median = first_round_trips[first_round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median first Status {median:?}: {first_round_trips:?}"
+    );
+    let started = Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "shutdown wakes the blocked acceptor"
+    );
+}
+
+/// The squares program from the crate docs, compiled over a fresh
+/// connection; returns its id.
+fn compile_squares(server: &Server) -> ProgramId {
+    ServeClient::connect(server.local_addr())
+        .expect("connect")
+        .compile(
+            "dram<u32> output;
+             void main(u32 n) {
+                 foreach (n) { u32 i => output[i] = i * i; };
+             }",
+            &PassOptions {
+                dram_bytes: 1 << 12,
+                ..PassOptions::default()
+            },
+        )
+        .expect("compile")
+        .program_id
+}
+
+fn frame_of(req: &Request) -> Vec<u8> {
+    let mut wire = Vec::new();
+    write_frame(&mut wire, &encode_request(req)).expect("an in-memory write");
+    wire
+}
+
+/// An `Execute` of `main(n)` that reads back `output[0..4]`.
+fn squares_request(program_id: ProgramId, n: u32) -> Request {
+    Request::Execute(ExecuteRequest {
+        program_id,
+        argsets: vec![vec![n]],
+        dram_inits: vec![],
+        window: (0, 16),
+    })
+}
+
+/// A raw connection whose reads give up after 30 s, so a reply that never
+/// comes fails the test instead of hanging it.
+fn raw_connection(server: &Server) -> TcpStream {
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    stream
+}
+
+fn next_reply(frames: &mut FrameReader, stream: &mut TcpStream) -> Response {
+    let body = frames.next_while(stream, |_| false).expect("a reply");
+    decode_response(body).expect("decode")
+}
+
+fn expect_squares(reply: Response, n: u32) {
+    let Response::Executed(reply) = reply else {
+        panic!("wanted Executed, got {reply:?}")
+    };
+    let InstanceOutcome::Ok { dram, .. } = &reply.instances[0] else {
+        panic!("instance failed: {:?}", reply.instances[0])
+    };
+    let want: Vec<u8> = (0..4u32)
+        .flat_map(|i| if i < n { i * i } else { 0 }.to_le_bytes())
+        .collect();
+    assert_eq!(dram, &want, "main({n})");
+}
+
+/// Two requests written in one `write` arrive in one segment; the server
+/// answers both, in order.
+#[test]
+fn two_requests_in_one_write_get_both_replies_in_order() {
+    let server = Server::spawn(ServeConfig::default()).expect("spawn");
+    let program_id = compile_squares(&server);
+    let mut stream = raw_connection(&server);
+    let mut wire = frame_of(&squares_request(program_id, 3));
+    wire.extend(frame_of(&Request::Status));
+    stream.write_all(&wire).expect("one write");
+    let mut frames = FrameReader::new();
+    expect_squares(next_reply(&mut frames, &mut stream), 3);
+    let Response::Status(status) = next_reply(&mut frames, &mut stream) else {
+        panic!("wanted Status second")
+    };
+    assert_eq!(status.executed_instances, 1, "the Execute ran first");
+    drop(stream);
+    server.shutdown();
+}
+
+/// A frame whose second part arrives after several idle polls is waited
+/// for and served: the drain check between reads does not split it.
+#[test]
+fn an_execute_frame_split_by_a_pause_is_still_served() {
+    let server = Server::spawn(ServeConfig::default()).expect("spawn");
+    let program_id = compile_squares(&server);
+    let mut stream = raw_connection(&server);
+    let wire = frame_of(&squares_request(program_id, 4));
+    let (first, rest) = wire.split_at(wire.len() / 2);
+    stream.write_all(first).expect("first part");
+    // Four idle polls' worth (IDLE_POLL is 50 ms).
+    std::thread::sleep(Duration::from_millis(200));
+    stream.write_all(rest).expect("second part");
+    expect_squares(next_reply(&mut FrameReader::new(), &mut stream), 4);
+    drop(stream);
+    server.shutdown();
 }

@@ -8,11 +8,12 @@ use proptest::prelude::*;
 use proptest::test_runner::TestRunner;
 use revet_core::{PassOptions, ProgramId};
 use revet_serve::protocol::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    CloseReply, ErrorCode, ErrorFrame, ExecuteReply, ExecuteRequest, FrameError, InstanceOutcome,
+    decode_request, decode_response, encode_request, encode_response, write_frame, CloseReply,
+    ErrorCode, ErrorFrame, ExecuteReply, ExecuteRequest, FrameError, FrameReader, InstanceOutcome,
     MetricsInfo, OpenStreamRequest, PollReply, Request, Response, StatusInfo, WireDiagnostic,
-    WireError, WireReport, WireTok, MAX_FRAME_BYTES, WIRE_VERSION,
+    WireError, WireReport, WireTok, FRAME_RETAIN_BYTES, MAX_FRAME_BYTES, WIRE_VERSION,
 };
+use std::io::{self, Read};
 
 // ---------------------------------------------------------------------------
 // Strategies (manual composites over the stand-in's primitives)
@@ -309,23 +310,129 @@ proptest! {
         prop_assert_eq!(decode_request(&body), Err(WireError::TrailingBytes(extra)));
     }
 
+    /// Several frames back to back, handed over 1..=k bytes a call with
+    /// timeouts between the calls, come out as exactly the bodies written,
+    /// in order; a stream cut anywhere ends in an error after the frames
+    /// that arrived whole, never in a frame.
     #[test]
-    fn frame_io_round_trips(req in ArbRequest) {
-        let body = encode_request(&req);
+    fn frame_io_round_trips(
+        a in ArbRequest,
+        b in ArbRequest,
+        c in ArbRequest,
+        k in 1usize..9,
+    ) {
+        let bodies = [encode_request(&a), encode_request(&b), encode_request(&c)];
         let mut wire = Vec::new();
-        write_frame(&mut wire, &body).unwrap();
-        let mut cursor = std::io::Cursor::new(&wire);
-        prop_assert_eq!(read_frame(&mut cursor).unwrap(), body);
-        // Cutting the stream anywhere mid-frame is an io error, never a
-        // bogus successful frame.
+        let mut ends = Vec::new();
+        for body in &bodies {
+            write_frame(&mut wire, body).unwrap();
+            ends.push(wire.len());
+        }
+        let mut frames = FrameReader::new();
+        let mut trickle = Trickle::new(&wire, k);
+        for body in &bodies {
+            prop_assert_eq!(frames.next(&mut trickle).unwrap(), &body[..]);
+        }
+        prop_assert!(frames.next(&mut trickle).unwrap_err().is_clean_eof());
         for cut in 0..wire.len() {
-            let mut cursor = std::io::Cursor::new(&wire[..cut]);
-            prop_assert!(matches!(
-                read_frame(&mut cursor),
-                Err(FrameError::Io(_)) | Err(FrameError::TooShort(_))
-            ));
+            let mut frames = FrameReader::new();
+            let mut trickle = Trickle::new(&wire[..cut], k);
+            for body in bodies.iter().take(ends.iter().filter(|&&end| end <= cut).count()) {
+                prop_assert_eq!(frames.next(&mut trickle).unwrap(), &body[..]);
+            }
+            let rest = frames.next(&mut trickle);
+            prop_assert!(
+                matches!(rest, Err(FrameError::Io(_))),
+                "cut at {} of {}: {:?}", cut, wire.len(), rest
+            );
         }
     }
+}
+
+/// A transport that hands over 1..=`k` bytes a call, cycling through the
+/// sizes, and answers two calls in three with a timeout — `WouldBlock` (a
+/// Unix read timeout) or `TimedOut` (a Windows one).
+struct Trickle<'a> {
+    wire: &'a [u8],
+    k: usize,
+    calls: usize,
+}
+
+impl<'a> Trickle<'a> {
+    fn new(wire: &'a [u8], k: usize) -> Self {
+        Trickle { wire, k, calls: 0 }
+    }
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.calls += 1;
+        match self.calls % 3 {
+            1 => return Err(io::ErrorKind::WouldBlock.into()),
+            2 => return Err(io::ErrorKind::TimedOut.into()),
+            _ => {}
+        }
+        let n = (1 + self.calls / 3 % self.k)
+            .min(buf.len())
+            .min(self.wire.len());
+        buf[..n].copy_from_slice(&self.wire[..n]);
+        self.wire = &self.wire[n..];
+        Ok(n)
+    }
+}
+
+/// A transport that counts its read calls.
+struct Counted<'a> {
+    wire: &'a [u8],
+    calls: usize,
+}
+
+impl Read for Counted<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.calls += 1;
+        self.wire.read(buf)
+    }
+}
+
+#[test]
+fn two_frames_in_one_read_are_both_returned() {
+    let bodies = [
+        encode_request(&Request::Status),
+        encode_request(&Request::Poll { session: 7 }),
+    ];
+    let mut wire = Vec::new();
+    for body in &bodies {
+        write_frame(&mut wire, body).unwrap();
+    }
+    let mut frames = FrameReader::new();
+    let mut transport = Counted {
+        wire: &wire,
+        calls: 0,
+    };
+    for body in &bodies {
+        assert_eq!(frames.next(&mut transport).unwrap(), &body[..]);
+    }
+    assert_eq!(transport.calls, 1, "the second frame was already buffered");
+}
+
+#[test]
+fn a_frame_past_the_retention_bound_releases_its_buffer() {
+    let big = vec![0x5Au8; FRAME_RETAIN_BYTES + 1];
+    let small = encode_request(&Request::Status);
+    let mut wire = Vec::new();
+    write_frame(&mut wire, &big).unwrap();
+    write_frame(&mut wire, &small).unwrap();
+    let mut cursor = io::Cursor::new(wire);
+    let mut frames = FrameReader::new();
+    assert_eq!(frames.next(&mut cursor).unwrap(), &big[..]);
+    assert!(frames.capacity() > FRAME_RETAIN_BYTES);
+    assert_eq!(frames.next(&mut cursor).unwrap(), &small[..]);
+    assert!(
+        frames.capacity() <= FRAME_RETAIN_BYTES,
+        "{} bytes kept after the large frame",
+        frames.capacity()
+    );
+    assert!(frames.next(&mut cursor).unwrap_err().is_clean_eof());
 }
 
 // ---------------------------------------------------------------------------
@@ -336,10 +443,13 @@ fn oversized_length_prefix_is_rejected_before_allocation() {
     for len in [MAX_FRAME_BYTES + 1, u32::MAX] {
         let mut wire = len.to_le_bytes().to_vec();
         wire.extend_from_slice(&[0u8; 16]);
-        match read_frame(&mut std::io::Cursor::new(wire)) {
+        let mut frames = FrameReader::new();
+        let held = frames.capacity();
+        match frames.next(&mut io::Cursor::new(wire)) {
             Err(FrameError::TooLarge(got)) => assert_eq!(got, len),
             other => panic!("expected TooLarge, got {other:?}"),
         }
+        assert_eq!(frames.capacity(), held, "the buffer did not grow");
     }
 }
 
@@ -347,7 +457,7 @@ fn oversized_length_prefix_is_rejected_before_allocation() {
 fn undersized_length_prefix_is_rejected() {
     for len in [0u32, 1] {
         let wire = len.to_le_bytes().to_vec();
-        match read_frame(&mut std::io::Cursor::new(wire)) {
+        match FrameReader::new().next(&mut io::Cursor::new(wire)) {
             Err(FrameError::TooShort(got)) => assert_eq!(got, len),
             other => panic!("expected TooShort, got {other:?}"),
         }
